@@ -163,7 +163,7 @@ baseline:
 baseline-mc:
 	$(GO) run ./cmd/atropos-exp -exp scaling -out scaling-summary.json
 
-# CI smoke variant: 1 vs 2 workers, one repeat; the speedup > 1.0 check
+# CI smoke variant: 1 vs 2 workers, best-of-3; the speedup > 1.0 check
 # self-skips on single-core hosts, the count-equality check never does.
 scaling-smoke:
 	$(GO) run ./cmd/atropos-exp -exp scaling -smoke

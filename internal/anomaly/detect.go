@@ -134,6 +134,9 @@ type detector struct {
 	budget       sat.Budget
 	exhausted    int
 	unknownPairs []UnknownPair
+	// axioms, when set, replaces mergeOrder as the grounding of the order
+	// relations. Only the differential tests set it (oracle_test.go).
+	axioms orderAxioms
 }
 
 // detectTxn finds the anomalous access pairs of transaction t: for each
@@ -389,7 +392,11 @@ func (d *detector) encoderFor(t, w *ast.Txn) (*pairEncoder, error) {
 		le.S.SetPortfolio(d.portfolio)
 	}
 	hashed := d.session != nil && d.portfolio <= 1
-	enc, err := newPairEncoder(le, d.prog, t, w, d.model, hashed, d.record)
+	ax := d.axioms
+	if ax.ord == nil {
+		ax = mergeOrder
+	}
+	enc, err := newPairEncoder(le, d.prog, t, w, d.model, hashed, d.record, ax)
 	if err != nil {
 		return nil, err
 	}
@@ -499,9 +506,10 @@ func (pe *pairEncoder) internRel(name func(i, j int) string) [][]logic.Sym {
 // newPairEncoder builds the SAT encoding for (t, w) on the supplied (fresh
 // or freshly reset) encoder. hashed opts the encoder into formula-hash
 // recording, needed only when a session will key its query cache on the
-// encoding; record opts it into witness-schedule bookkeeping (witness.go).
+// encoding; record opts it into witness-schedule bookkeeping (witness.go);
+// ax grounds the order relations (mergeOrder everywhere outside tests).
 // On error the encoder is left unreleased; letting it be collected is safe.
-func newPairEncoder(le *logic.Encoder, prog *ast.Program, t, w *ast.Txn, model Model, hashed, record bool) (*pairEncoder, error) {
+func newPairEncoder(le *logic.Encoder, prog *ast.Program, t, w *ast.Txn, model Model, hashed, record bool, ax orderAxioms) (*pairEncoder, error) {
 	pe := &pairEncoder{
 		enc:       le,
 		deps:      map[int]map[int]bool{},
@@ -563,20 +571,12 @@ func newPairEncoder(le *logic.Encoder, prog *ast.Program, t, w *ast.Txn, model M
 		return nil, err
 	}
 
-	n := len(pe.items)
 	pe.ordS = pe.internRel(ordName)
 	pe.visS = pe.internRel(visName)
 	pe.depS = pe.internRel(depName)
-	// Axiom: ord is a strict total order (the execution counter).
-	pe.enc.AssertStrictTotalOrderS(n, pe.ord)
-	// Axiom: program order within each instance.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if pe.items[i].inst == pe.items[j].inst {
-				pe.enc.Assert(pe.enc.Atom(pe.ordS[i][j]))
-			}
-		}
-	}
+	// Axiom: ord (the execution counter) is a strict total order extending
+	// program order within each instance.
+	ax.ord(pe.enc, pe.nA, pe.ordS)
 	// Axiom: vis ⊆ ord for every cross-instance writer pair.
 	for _, x := range pe.items {
 		if !x.writer {
@@ -586,17 +586,15 @@ func newPairEncoder(le *logic.Encoder, prog *ast.Program, t, w *ast.Txn, model M
 			if y.inst == x.inst {
 				continue
 			}
-			pe.enc.Assert(logic.ImpliesF(pe.enc.Atom(pe.visS[x.idx][y.idx]), pe.enc.Atom(pe.ordS[x.idx][y.idx])))
+			implies(pe.enc, pe.visS[x.idx][y.idx], pe.ordS[x.idx][y.idx])
 		}
 	}
 
 	pe.assertTermCongruence()
 	pe.defineEdges()
-	pe.assertModelAxioms(model)
+	pe.assertModelAxioms(model, ax)
 	return pe, nil
 }
-
-func (pe *pairEncoder) ord(i, j int) logic.Sym { return pe.ordS[i][j] }
 
 // eqPropName returns the canonical equality proposition name for two terms
 // of one sort (table, primary-key field).
@@ -609,23 +607,34 @@ func eqPropName(table, field string, a, b term) string {
 
 // eqFormula returns the formula for term equality within a sort.
 func (pe *pairEncoder) eqFormula(table, field string, a, b term) logic.Formula {
-	switch decideEq(a, b) {
+	switch s, status := pe.eqAtom(table, field, a, b); status {
 	case eqTrue:
 		return logic.True
 	case eqFalse:
 		return logic.False
 	default:
-		s := pe.enc.Sym(eqPropName(table, field, a, b))
-		if pe.record && !pe.eqSeen[s] {
-			pe.eqSeen[s] = true
-			ca, cb := a, b
-			if cb.id < ca.id {
-				ca, cb = cb, ca
-			}
-			pe.eqAtoms = append(pe.eqAtoms, eqAtomProp{sym: s, table: table, field: field, a: ca.id, b: cb.id})
-		}
 		return pe.enc.Atom(s)
 	}
+}
+
+// eqAtom decides term equality within a sort; when the equality is
+// execution-dependent (eqUnknown) it also returns the free atom standing
+// for it.
+func (pe *pairEncoder) eqAtom(table, field string, a, b term) (logic.Sym, eqStatus) {
+	status := decideEq(a, b)
+	if status != eqUnknown {
+		return -1, status
+	}
+	s := pe.enc.Sym(eqPropName(table, field, a, b))
+	if pe.record && !pe.eqSeen[s] {
+		pe.eqSeen[s] = true
+		ca, cb := a, b
+		if cb.id < ca.id {
+			ca, cb = cb, ca
+		}
+		pe.eqAtoms = append(pe.eqAtoms, eqAtomProp{sym: s, table: table, field: field, a: ca.id, b: cb.id})
+	}
+	return s, status
 }
 
 // assertTermCongruence adds transitivity over the free equality atoms of
@@ -665,13 +674,20 @@ func (pe *pairEncoder) assertTermCongruence() {
 					if c == a || c == b {
 						continue
 					}
-					pe.enc.Assert(logic.ImpliesF(
-						logic.AndF(
-							pe.eqFormula(key[0], key[1], terms[a], terms[b]),
-							pe.eqFormula(key[0], key[1], terms[b], terms[c]),
-						),
-						pe.eqFormula(key[0], key[1], terms[a], terms[c]),
-					))
+					// eq(a,b) ∧ eq(b,c) → eq(a,c) as one clause. Distinct
+					// ids are never decided equal, so each equality is a
+					// free atom or false: a false premise makes the
+					// instance vacuous, a false conclusion drops out.
+					ab, abEq := pe.eqAtom(key[0], key[1], terms[a], terms[b])
+					bc, bcEq := pe.eqAtom(key[0], key[1], terms[b], terms[c])
+					ac, acEq := pe.eqAtom(key[0], key[1], terms[a], terms[c])
+					switch {
+					case abEq == eqFalse || bcEq == eqFalse:
+					case acEq == eqFalse:
+						pe.enc.AssertClauseS(logic.Neg(ab), logic.Neg(bc))
+					default:
+						pe.enc.AssertClauseS(logic.Neg(ab), logic.Neg(bc), logic.Pos(ac))
+					}
 				}
 			}
 		}
@@ -752,7 +768,7 @@ func (pe *pairEncoder) defineEdges() {
 }
 
 // assertModelAxioms adds the per-consistency-model visibility axioms.
-func (pe *pairEncoder) assertModelAxioms(model Model) {
+func (pe *pairEncoder) assertModelAxioms(model Model, ax orderAxioms) {
 	n := len(pe.items)
 	switch model {
 	case EC:
@@ -769,15 +785,15 @@ func (pe *pairEncoder) assertModelAxioms(model Model) {
 				}
 				x, y := pe.items[i], pe.items[j]
 				if x.inst == y.inst && i < j {
-					pe.enc.Assert(pe.enc.Atom(pe.coS[i][j]))
+					pe.enc.AssertClauseS(logic.Pos(pe.coS[i][j]))
 				}
 				if x.writer && y.inst != x.inst {
-					pe.enc.Assert(logic.ImpliesF(pe.enc.Atom(pe.visS[i][j]), pe.enc.Atom(pe.coS[i][j])))
+					implies(pe.enc, pe.visS[i][j], pe.coS[i][j])
 				}
-				pe.enc.Assert(logic.ImpliesF(pe.enc.Atom(pe.coS[i][j]), pe.enc.Atom(pe.ordS[i][j])))
+				implies(pe.enc, pe.coS[i][j], pe.ordS[i][j])
 			}
 		}
-		pe.enc.AssertTransitiveS(n, func(i, j int) logic.Sym { return pe.coS[i][j] })
+		ax.co(pe.enc, pe.nA, pe.coS)
 		// Causal delivery: a view containing w2 contains every write w1
 		// happening-before w2.
 		for _, w1 := range pe.items {
@@ -792,10 +808,10 @@ func (pe *pairEncoder) assertModelAxioms(model Model) {
 					if y.inst == w1.inst || y.inst == w2.inst {
 						continue
 					}
-					pe.enc.Assert(logic.ImpliesF(
-						logic.AndF(pe.enc.Atom(pe.coS[w1.idx][w2.idx]), pe.enc.Atom(pe.visS[w2.idx][y.idx])),
-						pe.enc.Atom(pe.visS[w1.idx][y.idx]),
-					))
+					pe.enc.AssertClauseS(
+						logic.Neg(pe.coS[w1.idx][w2.idx]), logic.Neg(pe.visS[w2.idx][y.idx]),
+						logic.Pos(pe.visS[w1.idx][y.idx]),
+					)
 				}
 			}
 		}
@@ -820,10 +836,7 @@ func (pe *pairEncoder) assertModelAxioms(model Model) {
 					if y2.inst != y.inst || y2.idx <= y.idx {
 						continue
 					}
-					pe.enc.Assert(logic.IffF(
-						pe.enc.Atom(pe.visS[w.idx][y.idx]),
-						pe.enc.Atom(pe.visS[w.idx][y2.idx]),
-					))
+					iff(pe.enc, pe.visS[w.idx][y.idx], pe.visS[w.idx][y2.idx])
 				}
 			}
 		}
@@ -839,7 +852,7 @@ func (pe *pairEncoder) assertModelAxioms(model Model) {
 				if y.inst == x.inst {
 					continue
 				}
-				pe.enc.Assert(logic.ImpliesF(pe.enc.Atom(pe.ordS[x.idx][y.idx]), pe.enc.Atom(pe.visS[x.idx][y.idx])))
+				implies(pe.enc, pe.ordS[x.idx][y.idx], pe.visS[x.idx][y.idx])
 			}
 			for _, x2 := range pe.items {
 				if !x2.writer || x2.inst != x.inst || x2.idx <= x.idx {
@@ -849,7 +862,7 @@ func (pe *pairEncoder) assertModelAxioms(model Model) {
 					if y.inst == x.inst {
 						continue
 					}
-					pe.enc.Assert(logic.IffF(pe.enc.Atom(pe.visS[x.idx][y.idx]), pe.enc.Atom(pe.visS[x2.idx][y.idx])))
+					iff(pe.enc, pe.visS[x.idx][y.idx], pe.visS[x2.idx][y.idx])
 				}
 			}
 		}
@@ -862,7 +875,7 @@ func (pe *pairEncoder) assertModelAxioms(model Model) {
 					if !w.writer || w.inst == y.inst {
 						continue
 					}
-					pe.enc.Assert(logic.ImpliesF(pe.enc.Atom(pe.visS[w.idx][y2.idx]), pe.enc.Atom(pe.visS[w.idx][y.idx])))
+					implies(pe.enc, pe.visS[w.idx][y2.idx], pe.visS[w.idx][y.idx])
 				}
 			}
 		}

@@ -1,0 +1,230 @@
+package anomaly
+
+import (
+	"fmt"
+	"testing"
+
+	"atropos/internal/ast"
+	"atropos/internal/benchmarks"
+	"atropos/internal/logic"
+	"atropos/internal/progen"
+)
+
+// The generic cubic order axioms — what newPairEncoder grounded before the
+// merge-order encoding — kept as the oracle the O(n²) encoding is checked
+// against: exhaustively on every small instance split, and differentially
+// on whole detections.
+
+// cubicOrder grounds ord as a strict total order over all n commands
+// (n·(n−1)·(n−2) Tseitin'd transitivity triples) plus program-order units,
+// and co's transitivity over all triples.
+var cubicOrder = orderAxioms{
+	ord: func(e *logic.Encoder, nA int, ord [][]logic.Sym) {
+		n := len(ord)
+		e.AssertStrictTotalOrderS(n, func(i, j int) logic.Sym { return ord[i][j] })
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if (i < nA) == (j < nA) {
+					e.Assert(e.Atom(ord[i][j]))
+				}
+			}
+		}
+	},
+	co: func(e *logic.Encoder, nA int, co [][]logic.Sym) {
+		e.AssertTransitiveS(len(co), func(i, j int) logic.Sym { return co[i][j] })
+	},
+}
+
+// relMatrix interns an n×n proposition matrix and returns it with its
+// off-diagonal syms in row-major order.
+func relMatrix(e *logic.Encoder, prefix string, n int) ([][]logic.Sym, []logic.Sym) {
+	m := make([][]logic.Sym, n)
+	var syms []logic.Sym
+	for i := range m {
+		m[i] = make([]logic.Sym, n)
+		for j := range m[i] {
+			if i == j {
+				m[i][j] = -1
+				continue
+			}
+			m[i][j] = e.Symf("%s_%d_%d", prefix, i, j)
+			syms = append(syms, m[i][j])
+		}
+	}
+	return m, syms
+}
+
+// admitted enumerates the assignments to syms the encoder's constraints
+// admit (its models projected onto syms), as bit strings.
+func admitted(e *logic.Encoder, syms []logic.Sym) map[string]bool {
+	set := map[string]bool{}
+	for e.Solve() {
+		key := make([]byte, len(syms))
+		block := make([]logic.SymLit, len(syms))
+		for i, v := range e.ModelValuesS(nil, syms...) {
+			if v {
+				key[i], block[i] = '1', logic.Neg(syms[i])
+			} else {
+				key[i], block[i] = '0', logic.Pos(syms[i])
+			}
+		}
+		set[string(key)] = true
+		e.AssertClauseS(block...)
+	}
+	return set
+}
+
+func sameSets(t *testing.T, what string, got, want map[string]bool) {
+	t.Helper()
+	for k := range got {
+		if !want[k] {
+			t.Errorf("%s: merge encoding admits %s, the generic axioms do not", what, k)
+		}
+	}
+	for k := range want {
+		if !got[k] {
+			t.Errorf("%s: generic axioms admit %s, the merge encoding does not", what, k)
+		}
+	}
+}
+
+func binomial(n, k int) int {
+	c := 1
+	for i := 1; i <= k; i++ {
+		c = c * (n - k + i) / i
+	}
+	return c
+}
+
+// TestMergeOrderMatchesGenericAxioms: for every split of up to six commands
+// over two instances, the merge-order clauses admit exactly the ord
+// assignments the generic strict-total-order axioms plus program order
+// admit — the C(nA+nB, nA) merges of the two sequences — and, with
+// program-order co units and co ⊆ ord on both sides, the merge-causal
+// clauses admit exactly the (ord, co) assignments generic transitivity
+// does.
+func TestMergeOrderMatchesGenericAxioms(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for nA := 0; nA <= n; nA++ {
+			what := fmt.Sprintf("nA=%d nB=%d", nA, n-nA)
+			build := func(ax orderAxioms, withCo bool) map[string]bool {
+				e := logic.NewEncoder()
+				ord, syms := relMatrix(e, "o", n)
+				ax.ord(e, nA, ord)
+				if !withCo {
+					return admitted(e, syms)
+				}
+				co, coSyms := relMatrix(e, "co", n)
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if i == j {
+							continue
+						}
+						if i < j && (i < nA) == (j < nA) {
+							e.Assert(e.Atom(co[i][j]))
+						}
+						e.Assert(logic.ImpliesF(e.Atom(co[i][j]), e.Atom(ord[i][j])))
+					}
+				}
+				ax.co(e, nA, co)
+				return admitted(e, append(syms, coSyms...))
+			}
+			merges := build(mergeOrder, false)
+			sameSets(t, what+" ord", merges, build(cubicOrder, false))
+			if want := binomial(n, nA); len(merges) != want {
+				t.Errorf("%s: merge encoding admits %d orders, want C(%d,%d) = %d", what, len(merges), n, nA, want)
+			}
+			sameSets(t, what+" ord+co", build(mergeOrder, true), build(cubicOrder, true))
+		}
+	}
+}
+
+type pairID struct{ txn, c1, c2 string }
+
+func pairIDs(rep *Report) map[pairID]bool {
+	ids := map[pairID]bool{}
+	for _, p := range rep.Pairs {
+		ids[pairID{p.Txn, p.C1, p.C2}] = true
+	}
+	return ids
+}
+
+// checkAgainstCubicOracle detects prog under model three ways — a fresh
+// detector on the generic cubic axioms (the oracle), the production
+// sequential path, and the production wavefront at width 8 — and requires
+// the same anomalous access pairs and the same number of cycle queries
+// from all of them. (Witness details are read off whichever model the
+// solver returns, which legitimately differs between encodings.)
+func checkAgainstCubicOracle(t *testing.T, what string, prog *ast.Program, model Model) {
+	t.Helper()
+	oracle := &detector{prog: prog, model: model, encoders: map[[2]string]*pairEncoder{}, axioms: cubicOrder}
+	oracle.setContext(t.Context())
+	want, err := runDetector(oracle)
+	if err != nil {
+		t.Fatalf("%s %v: cubic oracle: %v", what, model, err)
+	}
+	seq, err := Detect(prog, model)
+	if err != nil {
+		t.Fatalf("%s %v: Detect: %v", what, model, err)
+	}
+	s := NewSession(model)
+	s.SetParallelism(8)
+	par, err := s.Detect(prog)
+	if err != nil {
+		t.Fatalf("%s %v: wavefront Detect: %v", what, model, err)
+	}
+	wantIDs := pairIDs(want)
+	for name, got := range map[string]*Report{"sequential": seq, "wavefront": par} {
+		gotIDs := pairIDs(got)
+		for id := range gotIDs {
+			if !wantIDs[id] {
+				t.Errorf("%s %v %s: reports %v, the cubic oracle does not", what, model, name, id)
+			}
+		}
+		for id := range wantIDs {
+			if !gotIDs[id] {
+				t.Errorf("%s %v %s: misses %v, which the cubic oracle reports", what, model, name, id)
+			}
+		}
+		if len(got.Pairs) != len(want.Pairs) {
+			t.Errorf("%s %v %s: %d pairs, cubic oracle %d", what, model, name, len(got.Pairs), len(want.Pairs))
+		}
+		if got.Queries != want.Queries {
+			t.Errorf("%s %v %s: %d queries, cubic oracle %d", what, model, name, got.Queries, want.Queries)
+		}
+		if got.Unknown != 0 {
+			t.Errorf("%s %v %s: %d unknown pairs", what, model, name, got.Unknown)
+		}
+	}
+}
+
+var allModels = []Model{EC, CC, RR, SC}
+
+// TestMergeOrderDetectionMatchesCubicOracle runs the differential check
+// over the nine evaluation benchmarks under every consistency model.
+func TestMergeOrderDetectionMatchesCubicOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-corpus differential against the cubic encoding; skipped with -short")
+	}
+	for _, b := range benchmarks.All() {
+		prog, err := b.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range allModels {
+			checkAgainstCubicOracle(t, b.Name, prog, m)
+		}
+	}
+}
+
+// TestMergeOrderDetectionMatchesCubicOracleOnRandomPrograms runs it over
+// generated programs (empty transactions, single-table programs, dense
+// overlap).
+func TestMergeOrderDetectionMatchesCubicOracleOnRandomPrograms(t *testing.T) {
+	for seed := int64(0); seed < 32; seed++ {
+		prog := progen.Program(seed)
+		for _, m := range allModels {
+			checkAgainstCubicOracle(t, fmt.Sprintf("seed %d", seed), prog, m)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,6 +99,30 @@ func TestQueuedAcquireCancel(t *testing.T) {
 	e.release()
 }
 
+// pollCancel is a context that cancels itself on its n-th Err poll. The
+// detector polls its context before every cycle query and every few dozen
+// propagations inside a solve, so the cancellation lands after detection
+// has started and before it can finish, however fast the solver is.
+type pollCancel struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func newPollCancel(n int64) *pollCancel {
+	c := &pollCancel{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.left.Store(n)
+	return c
+}
+
+func (c *pollCancel) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestCancelAbortsMidSolve drives the full path the daemon relies on: a
 // context cancelled while the detector is inside SAT solves makes the
 // request return promptly with the context's error, and the worker slot
@@ -108,23 +133,12 @@ func TestCancelAbortsMidSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Analyze(ctx, prog, anomaly.EC)
-		done <- err
-	}()
-	// TPC-C analysis runs for tens of milliseconds of SAT work; cancel
-	// while it is in flight.
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled Analyze = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled Analyze did not return")
+	// A full TPC-C detection polls a few hundred times (one per cycle
+	// query at least); the 100th poll is well inside it.
+	ctx := newPollCancel(100)
+	defer ctx.cancel()
+	if _, err := e.Analyze(ctx, prog, anomaly.EC); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Analyze = %v, want context.Canceled", err)
 	}
 	// The slot must be free again: a fresh request on the only worker
 	// completes without queueing.

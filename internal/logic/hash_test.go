@@ -56,3 +56,41 @@ func TestFormulaHashOptIn(t *testing.T) {
 		t.Error("Assert recorded hashes without RecordFormulaHashes")
 	}
 }
+
+// TestAssertClauseSHashes: clause-level assertions feed FormulaHash like any
+// Assert — by proposition name, sign and literal order — and never collide
+// with the Tseitin'd disjunction of the same literals, whose variable
+// stream differs.
+func TestAssertClauseSHashes(t *testing.T) {
+	digest := func(build func(e *Encoder, a, b Sym)) uint64 {
+		e := NewEncoder()
+		e.RecordFormulaHashes()
+		e.Sym("pad") // shift Sym numbering: hashes must follow names, not Syms
+		build(e, e.Sym("a"), e.Sym("b"))
+		return e.FormulaHash()
+	}
+	variants := []func(e *Encoder, a, b Sym){
+		func(e *Encoder, a, b Sym) {},
+		func(e *Encoder, a, b Sym) { e.AssertClauseS(Neg(a), Pos(b)) },
+		func(e *Encoder, a, b Sym) { e.AssertClauseS(Pos(b), Neg(a)) },
+		func(e *Encoder, a, b Sym) { e.AssertClauseS(Pos(a), Pos(b)) },
+		func(e *Encoder, a, b Sym) { e.AssertClauseS(Pos(a)); e.AssertClauseS(Pos(b)) },
+		func(e *Encoder, a, b Sym) { e.AssertClauseS(Neg(a)) },
+		func(e *Encoder, a, b Sym) { e.Assert(OrF(NotF(e.Atom(a)), e.Atom(b))) },
+		func(e *Encoder, a, b Sym) { e.Assert(ImpliesF(e.Atom(a), e.Atom(b))) },
+	}
+	seen := map[uint64]int{}
+	for i, v := range variants {
+		h := digest(v)
+		if j, ok := seen[h]; ok {
+			t.Errorf("assertion sets %d and %d share a FormulaHash", j, i)
+		}
+		seen[h] = i
+	}
+	e := NewEncoder()
+	e.RecordFormulaHashes()
+	e.AssertClauseS(Neg(e.Sym("a")), Pos(e.Sym("b")))
+	if e.FormulaHash() != digest(variants[1]) {
+		t.Error("clause hash depends on Sym numbering")
+	}
+}

@@ -1,8 +1,9 @@
 // Package logic provides a propositional formula layer over the CDCL SAT
 // solver: named propositions, the usual connectives, Tseitin CNF
-// conversion, and axiom helpers for relational encodings (strict total
-// orders, transitivity) used by the anomaly detector's bounded FOL
-// encoding.
+// conversion, clause-level assertion for constraints that are clauses
+// already (AssertClauseS), and generic axiom helpers for relational
+// encodings (strict total orders, transitivity), under the anomaly
+// detector's bounded FOL encoding.
 //
 // Propositions come in two forms: Prop carries its name as a string (the
 // convenient form for tests and small formulas), Atom carries an interned
@@ -421,7 +422,10 @@ func (e *Encoder) ModelProps() []string {
 
 // AssertStrictTotalOrder axiomatizes the propositions name(i,j), i≠j, as a
 // strict total order over n items: exactly one of name(i,j), name(j,i)
-// holds, and the relation is transitive.
+// holds, and the relation is transitive. These are the generic axioms for
+// an arbitrary item set, cubic in n; the anomaly detector's two-instance
+// encoding grounds its own quadratic specialization (anomaly/order.go) and
+// keeps these as its test oracle.
 func (e *Encoder) AssertStrictTotalOrder(n int, name func(i, j int) string) {
 	e.AssertStrictTotalOrderS(n, func(i, j int) Sym { return e.Sym(name(i, j)) })
 }
@@ -460,12 +464,10 @@ func (e *Encoder) AssertTransitiveS(n int, name func(i, j int) Sym) {
 }
 
 // AssertImpliesAnd2S asserts (a ∧ b) → c. It is the allocation-free fast
-// path for the axiom helpers' inner loop — O(n³) assertions per relation —
-// and is defined to be indistinguishable from
+// path for the generic axiom helpers' inner loop — O(n³) assertions per
+// relation — and is defined to be indistinguishable from
 // Assert(ImpliesF(AndF(Atom(a), Atom(b)), Atom(c))): the same recorded
-// formula hash, and the same aux-variable and clause sequence (variable
-// numbering pins which model a satisfiable query returns, which the
-// incremental session's replay parity depends on — DESIGN.md §7).
+// formula hash, and the same aux-variable and clause sequence.
 func (e *Encoder) AssertImpliesAnd2S(a, b, c Sym) {
 	if e.recordHashes {
 		h := fnvByte(fnvByte(fnvOffset, 7), 5) // Implies(And(...
@@ -503,6 +505,45 @@ func (e *Encoder) AssertIffNotS(a, b Sym) {
 	e.S.AddClause(y, la, lb)
 	e.S.AddClause(y, la.Neg(), lb.Neg())
 	e.S.AddClause(y)
+}
+
+// SymLit is a clause literal over an interned proposition: the Sym, or its
+// negation.
+type SymLit int32
+
+// Pos is the literal "s holds".
+func Pos(s Sym) SymLit { return SymLit(s) << 1 }
+
+// Neg is the literal "s does not hold".
+func Neg(s Sym) SymLit { return SymLit(s)<<1 | 1 }
+
+// AssertClauseS asserts the disjunction of lits as exactly one solver
+// clause: no Tseitin variable, no definition clauses. It is the entry
+// point for axioms that are clauses already — units, implications a → b
+// as (¬a ∨ b), Horn steps a ∧ b → c as (¬a ∨ ¬b ∨ c) — where Assert on the
+// equivalent formula would spend an aux variable and three more clauses
+// per implication. The clause records a formula hash like any Assert
+// (literal order is part of the identity, as operand order is for a
+// connective), under a tag of its own: a clause never hashes like the
+// Tseitin'd Or of the same literals, whose variable stream differs.
+func (e *Encoder) AssertClauseS(lits ...SymLit) {
+	if e.recordHashes {
+		h := fnvByte(fnvOffset, 10)
+		for _, l := range lits {
+			if l&1 == 1 {
+				h = fnvByte(h, 4)
+			}
+			h = fnvString(fnvByte(h, 1), e.in.Name(Sym(l>>1)))
+		}
+		e.assertHashes = append(e.assertHashes, fnvByte(h, 0xfe))
+		e.hashDirty = true
+	}
+	base := len(e.scratch)
+	for _, l := range lits {
+		e.scratch = append(e.scratch, sat.NewLit(e.VarS(Sym(l>>1)), l&1 == 1))
+	}
+	e.S.AddClause(e.scratch[base:]...)
+	e.scratch = e.scratch[:base]
 }
 
 // String renders a formula for diagnostics; Atoms print as @sym (use

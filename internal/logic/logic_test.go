@@ -223,3 +223,34 @@ func TestEval(t *testing.T) {
 		}
 	}
 }
+
+// TestAssertClauseS: a clause-level assertion means the disjunction of its
+// literals and costs exactly one solver clause — no Tseitin variable.
+func TestAssertClauseS(t *testing.T) {
+	e := NewEncoder()
+	a, b, c := e.Sym("a"), e.Sym("b"), e.Sym("c")
+	vars, clauses := e.S.NumVars(), e.S.NumClauses()
+	e.AssertClauseS(Neg(a), Neg(b), Pos(c)) // a ∧ b → c
+	e.AssertClauseS(Neg(c), Pos(a))         // c → a
+	if got := e.S.NumVars() - vars; got != 3 {
+		t.Errorf("two clauses over 3 props created %d variables, want 3", got)
+	}
+	if got := e.S.NumClauses() - clauses; got != 2 {
+		t.Errorf("two clause assertions added %d solver clauses, want 2", got)
+	}
+	if !e.SolveAssuming(e.LitS(a, false), e.LitS(b, false)) || !e.ValueS(c) {
+		t.Error("a ∧ b did not force c")
+	}
+	if e.SolveAssuming(e.LitS(c, false), e.LitS(a, true)) {
+		t.Error("c ∧ ¬a SAT despite c → a")
+	}
+	e.AssertClauseS(Pos(b))
+	e.AssertClauseS(Neg(a))
+	if !e.Solve() || !e.ValueS(b) || e.ValueS(a) || e.ValueS(c) {
+		t.Errorf("units b, ¬a: model a=%v b=%v c=%v, want false/true/false", e.ValueS(a), e.ValueS(b), e.ValueS(c))
+	}
+	e.AssertClauseS() // the empty clause is false
+	if e.Solve() {
+		t.Error("empty clause is SAT")
+	}
+}

@@ -335,6 +335,10 @@ func (s *Solver) NewVar() int {
 // NumVars returns the number of variables.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
+// NumClauses returns the number of problem clauses added so far (any size,
+// after AddClause's level-0 simplification; learnt clauses excluded).
+func (s *Solver) NumClauses() int { return s.nProblem }
+
 func (s *Solver) valueLit(l Lit) lbool {
 	v := s.assigns[l.Var()]
 	if l.Sign() {

@@ -222,10 +222,29 @@ func TestTimeoutReturns504(t *testing.T) {
 }
 
 // TestDisconnectAbortsSolve: a client that hangs up mid-request frees its
-// worker mid-solve — the engine records a cancellation, not a completion,
-// and the slot serves the next request.
+// worker — the engine records a cancellation, not a completion, and the
+// slot serves the next request. The worker is parked in its slot (Exec
+// hook) until the server has seen the disconnect, so the outcome does not
+// depend on how long the analysis would have run; cancellation landing
+// inside a solve is pinned at the engine layer (TestCancelAbortsMidSolve).
 func TestDisconnectAbortsSolve(t *testing.T) {
-	ts, eng := newTestServer(t, engine.Config{Workers: 1})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	eng := engine.New(engine.Config{Workers: 1, Hooks: &engine.Hooks{Exec: func(verb, client string) {
+		once.Do(func() { close(entered) })
+		<-release
+	}}})
+	svc := New(eng)
+	serverCtx := make(chan context.Context, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case serverCtx <- r.Context():
+		default:
+		}
+		svc.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	buf, _ := json.Marshal(ProgramRequest{Benchmark: "TPC-C"})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/analyze", bytes.NewReader(buf))
@@ -240,11 +259,17 @@ func TestDisconnectAbortsSolve(t *testing.T) {
 		}
 		done <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	<-entered
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("request succeeded despite disconnect")
 	}
+	select {
+	case <-(<-serverCtx).Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never observed the disconnect")
+	}
+	close(release)
 	// The handler observes the disconnect asynchronously; wait for the
 	// engine to log the cancellation and drain.
 	deadline := time.Now().Add(10 * time.Second)
