@@ -10,9 +10,9 @@ COVER_FLOOR ?= 60
 # Seconds each fuzz target runs under `make fuzz` / the nightly workflow.
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race race-par bench bench-compare cover drift certify loadtest-smoke chaos service-chaos scaling-smoke baseline-mc fuzz baseline profile
+.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover drift certify loadtest-smoke chaos service-chaos scaling-smoke baseline-mc fuzz baseline profile
 
-ci: fmt vet build race race-par bench cover drift certify loadtest-smoke chaos service-chaos scaling-smoke
+ci: fmt vet build race race-par bench bench-harness cover drift certify loadtest-smoke chaos service-chaos scaling-smoke
 
 # gofmt as a check: fail (and list the files) if anything is unformatted.
 fmt:
@@ -56,6 +56,15 @@ bench:
 	status=$$?; cat bench-smoke.txt; \
 	if [ $$status -ne 0 ]; then exit $$status; fi
 	$(GO) run ./cmd/allocgate -bench bench-smoke.txt -thresholds BENCH_allocs.json
+
+# The benchmark harness (bench/, BENCHMARK.json's command) is a module of
+# its own, so `go vet ./...` and `go test ./...` at the root skip it; it
+# imports this module's packages, internal ones included, through a
+# replace directive. Vet and test it here (~25 s: its smoke test runs all
+# four workloads once), so that an API change on the program side that
+# breaks the harness fails CI and not the next benchmark run.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark pattern/packages/repetitions for `make bench-compare`. The
 # default pattern covers the detect→encode→solve hot path (Table 1 repairs,

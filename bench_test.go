@@ -24,16 +24,19 @@ func benchTable1(b *testing.B, name string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var res *repair.Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Detection parallelism pinned to 1: these benchmarks are
 		// alloc-gated, and only the sequential path allocates identically
 		// on every machine (worker fan-out scales with the width).
-		if _, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: true, Parallelism: 1}); err != nil {
+		if res, err = repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: true, Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Stats.EncodersPlanned), "planned/op")
+	b.ReportMetric(float64(res.Stats.EncodersBuilt), "built/op")
 }
 
 func BenchmarkTable1_TPCC(b *testing.B)       { benchTable1(b, "TPC-C") }

@@ -137,8 +137,9 @@ func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSt
 	}
 	fmt.Fprintf(&b, "%s: %d anomalies under %s, %d remaining after repair (%.1fs)\n",
 		in.name, len(res.Initial), m, len(res.Remaining), res.Elapsed.Seconds())
-	fmt.Fprintf(&b, "SAT queries: %d issued, %d solved (%.0f%% cached)\n",
-		res.Stats.Queries, res.Stats.Solved+res.Stats.Replayed, 100*res.Stats.CacheHitRate())
+	fmt.Fprintf(&b, "SAT queries: %d issued, %d solved (%.0f%% cached); pair encoders: %d planned, %d built\n",
+		res.Stats.Queries, res.Stats.Solved+res.Stats.Replayed, 100*res.Stats.CacheHitRate(),
+		res.Stats.EncodersPlanned, res.Stats.EncodersBuilt)
 	if c := res.Certificate; c != nil {
 		fmt.Fprintf(&b, "certificates: %d/%d anomalies replayed (%.0f%%); SC controls %d/%d violations, repaired controls %d/%d\n",
 			c.Certified, c.Total, 100*c.Rate(),

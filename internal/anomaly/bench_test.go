@@ -26,30 +26,61 @@ func benchProg(b *testing.B, src string) *ast.Program {
 	return p
 }
 
-// BenchmarkPairEncoderBuild measures encoding one (txn, witness) pair into
-// a fresh solver: interning, axiom assertion, Tseitin conversion. It also
-// reports the encoding's size, the count the wall clock follows.
+// planOf plans transaction ti of prog against witness wi on a pass of its
+// own.
+func planOf(tb testing.TB, prog *ast.Program, ti, wi int, model Model) *pairEncoder {
+	tb.Helper()
+	p := newPass(prog, model, false)
+	t, err := p.txnFacts(ti)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w, err := p.txnFacts(wi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return planPair(t, w)
+}
+
+// BenchmarkPairEncoderBuild measures the two halves of encoding one (txn,
+// witness) pair. plan is the pure-Go half, from the program to the
+// candidate lists (the command facts included, which production computes
+// once per transaction per pass, not per pair); body is the SAT half on a
+// pooled encoder, as the first cycle query pays it: proposition
+// allocation, axiom assertion, Tseitin conversion, formula hashing. body
+// also reports the encoding's size, the count the wall clock follows.
 func BenchmarkPairEncoderBuild(b *testing.B) {
 	prog := benchProg(b, courseware)
-	t := prog.Txns[2] // regSt: the widest encoder of the running example
-	var pe *pairEncoder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if pe, err = newPairEncoder(logic.AcquireEncoder(), prog, t, t, EC, true, false, mergeOrder); err != nil {
-			b.Fatal(err)
+	const regSt = 2 // the widest encoder of the running example
+	b.Run("plan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			planOf(b, prog, regSt, regSt, EC)
 		}
-	}
-	b.ReportMetric(float64(pe.enc.S.NumVars()), "vars/encoder")
-	b.ReportMetric(float64(pe.enc.S.NumClauses()), "clauses/encoder")
+	})
+	b.Run("body", func(b *testing.B) {
+		plan := planOf(b, prog, regSt, regSt, EC)
+		var vars, clauses int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pe := *plan
+			le := logic.AcquireEncoder()
+			le.RecordFormulaHashes()
+			pe.build(le, EC, false, mergeOrder)
+			vars, clauses = le.S.NumVars(), le.S.NumClauses()
+			le.Release()
+		}
+		b.ReportMetric(float64(vars), "vars/encoder")
+		b.ReportMetric(float64(clauses), "clauses/encoder")
+	})
 }
 
 // TestPairEncoderSizeIsQuadratic pins the encoding's asymptotics with a
 // count instead of a timing: the widest TPC-C (txn, witness) encoder must
 // stay within c·n² variables and clauses over its n commands. The
-// constants are the measured sizes plus 25% (EC 1.83·n² vars, 3.34·n²
-// clauses; CC 2.79·n², 6.38·n²); one cubic axiom family — the generic
+// constants are the measured sizes plus 25% (EC 1.44·n² vars, 2.39·n²
+// clauses; CC 2.40·n², 5.43·n²); one cubic axiom family — the generic
 // order axioms cost 44·n² variables and 152·n² clauses at this n — fails
 // it by an order of magnitude.
 func TestPairEncoderSizeIsQuadratic(t *testing.T) {
@@ -57,31 +88,31 @@ func TestPairEncoderSizeIsQuadratic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var widest *ast.Txn
-	for _, txn := range prog.Txns {
-		if widest == nil || len(ast.Commands(txn.Body)) > len(ast.Commands(widest.Body)) {
-			widest = txn
+	widest := 0
+	for i, txn := range prog.Txns {
+		if len(ast.Commands(txn.Body)) > len(ast.Commands(prog.Txns[widest].Body)) {
+			widest = i
 		}
 	}
 	for _, tc := range []struct {
 		model         Model
 		vars, clauses float64 // per n²
 	}{
-		{EC, 2.3, 4.2},
-		{CC, 3.5, 8.0},
+		{EC, 1.8, 3.0},
+		{CC, 3.0, 6.8},
 	} {
-		pe, err := newPairEncoder(logic.NewEncoder(), prog, widest, widest, tc.model, true, false, mergeOrder)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n2 := float64(len(pe.items) * len(pe.items))
+		pe := planOf(t, prog, widest, widest, tc.model)
+		le := logic.NewEncoder()
+		le.RecordFormulaHashes()
+		pe.build(le, tc.model, false, mergeOrder)
+		n2 := float64(pe.n * pe.n)
 		if got := float64(pe.enc.S.NumVars()); got > tc.vars*n2 {
 			t.Errorf("%v %s×%s: %.0f variables over n=%d commands, want <= %.1f·n² = %.0f",
-				tc.model, widest.Name, widest.Name, got, len(pe.items), tc.vars, tc.vars*n2)
+				tc.model, pe.t.name, pe.w.name, got, pe.n, tc.vars, tc.vars*n2)
 		}
 		if got := float64(pe.enc.S.NumClauses()); got > tc.clauses*n2 {
 			t.Errorf("%v %s×%s: %.0f clauses over n=%d commands, want <= %.1f·n² = %.0f",
-				tc.model, widest.Name, widest.Name, got, len(pe.items), tc.clauses, tc.clauses*n2)
+				tc.model, pe.t.name, pe.w.name, got, pe.n, tc.clauses, tc.clauses*n2)
 		}
 	}
 }

@@ -3,34 +3,13 @@ package anomaly
 import (
 	"context"
 	"errors"
-	"fmt"
-	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"atropos/internal/ast"
 	"atropos/internal/logic"
 	"atropos/internal/sat"
 )
-
-// cmdInst is one command of one of the two instantiated transaction
-// instances (A = instance 0, B = instance 1).
-type cmdInst struct {
-	idx    int
-	inst   int
-	cmd    ast.DBCommand
-	label  string
-	table  string
-	reads  map[string]bool
-	writes map[string]bool
-	key    keyConstraint
-	writer bool
-	reader bool
-	// pins are the key constraints with their source expressions, kept only
-	// when the detector records witness schedules (see witness.go).
-	pins []KeyPin
-}
 
 // Detect runs the oracle over every transaction of the program under the
 // given consistency model. Every SAT query is encoded and solved from
@@ -55,7 +34,7 @@ func DetectContext(ctx context.Context, prog *ast.Program, model Model) (*Report
 // sound (see Report.Degraded). A zero budget is byte-identical to
 // DetectContext.
 func DetectBudgeted(ctx context.Context, prog *ast.Program, model Model, b sat.Budget) (*Report, error) {
-	d := &detector{prog: prog, model: model, encoders: map[[2]string]*pairEncoder{}, budget: b}
+	d := &detector{pass: newPass(prog, model, false), budget: b}
 	d.setContext(ctx)
 	return runDetector(d)
 }
@@ -82,9 +61,9 @@ func (d *detector) ctxErr() error {
 // runDetector drives a configured detector over every transaction.
 func runDetector(d *detector) (*Report, error) {
 	defer d.releaseEncoders()
-	report := &Report{Model: d.model}
-	for _, t := range d.prog.Txns {
-		pairs, err := d.detectTxn(t)
+	report := &Report{Model: d.pass.model}
+	for ti := range d.pass.prog.Txns {
+		pairs, err := d.detectTxn(ti)
 		if err != nil {
 			return nil, err
 		}
@@ -96,13 +75,18 @@ func runDetector(d *detector) (*Report, error) {
 	report.Unknown = len(d.unknownPairs)
 	report.Exhausted = d.exhausted
 	report.Degraded = d.exhausted > 0
+	report.EncodersPlanned = d.pass.planned
+	report.EncodersBuilt = int(d.pass.built.Load())
 	return report, nil
 }
 
 type detector struct {
-	prog     *ast.Program
-	model    Model
-	encoders map[[2]string]*pairEncoder
+	// pass is the detection pass this detector works for: the program, the
+	// model, and the per-transaction facts its plans are computed from.
+	pass *pass
+	// encs are the planned encoders the detector has taken on; those whose
+	// body got built hold a solver until releaseEncoders.
+	encs []*pairEncoder
 	// ctx carries the caller's deadline/cancellation; stop is the probe
 	// installed on every encoder's solver (nil when ctx cannot be
 	// cancelled). See setContext.
@@ -121,13 +105,9 @@ type detector struct {
 	// models are timing-dependent, so they must never feed the
 	// history-keyed cache.
 	portfolio int
-	// record opts satisfiable queries into witness-schedule extraction
-	// (witness.go); it adds no propositions and changes no solve, so
-	// reports and cache keys are identical either way.
-	record   bool
-	issued   int // cycle-satisfiability queries asked
-	solved   int // cache-miss queries solved (issued - cache hits)
-	replayed int // cache-hit queries re-run to restore solver-state parity
+	issued    int // cycle-satisfiability queries asked
+	solved    int // cache-miss queries solved (issued - cache hits)
+	replayed  int // cache-hit queries re-run to restore solver-state parity
 	// budget, when limited, bounds every encoder's SAT solves; exhausted
 	// counts the solves that crossed it, and unknownPairs the access pairs
 	// left unclassified because of them.
@@ -139,16 +119,32 @@ type detector struct {
 	axioms orderAxioms
 }
 
-// detectTxn finds the anomalous access pairs of transaction t: for each
+// own makes d the detector that queries — and releases — the planned
+// encoder pe.
+func (d *detector) own(pe *pairEncoder) {
+	pe.tainted = d.portfolio > 1
+	d.encs = append(d.encs, pe)
+	if d.pass.onPlan != nil {
+		d.pass.onPlan(d, pe)
+	}
+}
+
+// detectTxn finds the anomalous access pairs of transaction ti: for each
 // pair of distinct commands (c1, c2), search over witness transactions and
 // witness command pairs for a satisfiable dependency cycle.
-func (d *detector) detectTxn(t *ast.Txn) ([]AccessPair, error) {
-	cmds := ast.Commands(t.Body)
-	witnesses := witnessesOf(d.prog, t)
+func (d *detector) detectTxn(ti int) ([]AccessPair, error) {
+	witnesses, err := d.pass.witnessesOf(ti)
+	if err != nil || len(witnesses) == 0 {
+		return nil, err
+	}
+	for _, pe := range witnesses {
+		d.own(pe)
+	}
+	t := witnesses[0].t
 	var found []AccessPair
-	for i := 0; i < len(cmds); i++ {
-		for j := i + 1; j < len(cmds); j++ {
-			pair, ok, unknown, err := d.checkPair(t, witnesses, i, j)
+	for i := range t.cmds {
+		for j := i + 1; j < len(t.cmds); j++ {
+			pair, ok, unknown, err := d.checkPair(witnesses, i, j)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +157,7 @@ func (d *detector) detectTxn(t *ast.Txn) ([]AccessPair, error) {
 				// not clean. Reported separately so callers can degrade
 				// instead of silently under-reporting.
 				d.unknownPairs = append(d.unknownPairs, UnknownPair{
-					Txn: t.Name, C1: cmds[i].CmdLabel(), C2: cmds[j].CmdLabel(),
+					Txn: t.name, C1: t.cmds[i].label, C2: t.cmds[j].label,
 				})
 			}
 		}
@@ -169,29 +165,10 @@ func (d *detector) detectTxn(t *ast.Txn) ([]AccessPair, error) {
 	return found, nil
 }
 
-// witnessesOf lists the witness transactions of t in program order. Only
-// transactions sharing a table with t can contribute a dependency edge
-// (defineEdges requires x.table == y.table); skipping the rest avoids
-// building dead encodings. Results are unaffected: a disjoint witness
-// defines no deps and issues no queries.
-func witnessesOf(prog *ast.Program, t *ast.Txn) []*ast.Txn {
-	tables := txnTables(t)
-	var witnesses []*ast.Txn
-	for _, w := range prog.Txns {
-		for tb := range txnTables(w) {
-			if tables[tb] {
-				witnesses = append(witnesses, w)
-				break
-			}
-		}
-	}
-	return witnesses
-}
-
-func (d *detector) checkPair(t *ast.Txn, witnesses []*ast.Txn, i, j int) (AccessPair, bool, bool, error) {
+func (d *detector) checkPair(witnesses []*pairEncoder, i, j int) (AccessPair, bool, bool, error) {
 	anyUnknown := false
-	for _, w := range witnesses {
-		pair, ok, unknown, err := d.checkPairWitness(t, w, i, j)
+	for _, pe := range witnesses {
+		pair, ok, unknown, err := d.checkPairWitness(pe, i, j)
 		if err != nil || ok {
 			return pair, ok, false, err
 		}
@@ -200,39 +177,25 @@ func (d *detector) checkPair(t *ast.Txn, witnesses []*ast.Txn, i, j int) (Access
 	return AccessPair{}, false, anyUnknown, nil
 }
 
-// checkPairWitness searches witness transaction w for a satisfiable
-// dependency cycle through commands i and j of t. It is the unit of work
-// the parallel session fans out: one (txn, witness) encoder, all its cycle
+// checkPairWitness searches pe's witness transaction for a satisfiable
+// dependency cycle through commands i and j of its transaction under
+// test, walking the plan's candidates: d1 ranges over the witness commands
+// i can share an edge with, d2 over j's. It is the unit of work the
+// parallel session fans out: one (txn, witness) encoder, all its cycle
 // queries.
-func (d *detector) checkPairWitness(t, w *ast.Txn, i, j int) (AccessPair, bool, bool, error) {
-	enc, err := d.encoderFor(t, w)
-	if err != nil {
-		return AccessPair{}, false, false, err
-	}
-	c1 := enc.items[i]
-	c2 := enc.items[j]
+func (d *detector) checkPairWitness(pe *pairEncoder, c1, c2 int) (AccessPair, bool, bool, error) {
 	anyUnknown := false
-	for _, d1 := range enc.items[enc.nA:] {
-		for _, d2 := range enc.items[enc.nA:] {
-			// Orientation 1: A.c1 → B.d1, B.d2 → A.c2.
-			if enc.hasDep(c1, d1) && enc.hasDep(d2, c2) {
-				r, err := d.solveCycle(enc, c1, d1, d2, c2)
+	for _, d1 := range pe.cand[c1] {
+		for _, d2 := range pe.cand[c2] {
+			// Orientation 1: A.c1 → B.d1, B.d2 → A.c2; orientation 2:
+			// B.d1 → A.c1, A.c2 → B.d2.
+			for _, q := range [2][4]int{{c1, d1, d2, c2}, {d1, c1, c2, d2}} {
+				r, err := d.solveCycle(pe, q[0], q[1], q[2], q[3])
 				if err != nil {
 					return AccessPair{}, false, false, err
 				}
 				if r.Sat {
-					return buildPair(t.Name, w.Name, c1, c2, d1, d2, r), true, false, nil
-				}
-				anyUnknown = anyUnknown || r.Unknown
-			}
-			// Orientation 2: B.d1 → A.c1, A.c2 → B.d2.
-			if enc.hasDep(d1, c1) && enc.hasDep(c2, d2) {
-				r, err := d.solveCycle(enc, d1, c1, c2, d2)
-				if err != nil {
-					return AccessPair{}, false, false, err
-				}
-				if r.Sat {
-					return buildPair(t.Name, w.Name, c1, c2, d1, d2, r), true, false, nil
+					return pe.buildPair(c1, c2, d1, d2, r), true, false, nil
 				}
 				anyUnknown = anyUnknown || r.Unknown
 			}
@@ -272,18 +235,24 @@ type cycleResult struct {
 // data is the fresh answer by construction. When a miss follows earlier
 // hits on the same encoder, the skipped queries are replayed first
 // (replayPending) to restore that state parity before solving.
-func (d *detector) solveCycle(enc *pairEncoder, from1, to1, from2, to2 *cmdInst) (cycleResult, error) {
+func (d *detector) solveCycle(pe *pairEncoder, from1, to1, from2, to2 int) (cycleResult, error) {
 	if d.stop != nil {
 		if err := d.ctx.Err(); err != nil {
 			return cycleResult{}, err
 		}
 	}
 	d.issued++
+	if pe.enc == nil {
+		d.buildBody(pe)
+	}
+	s1, s2 := pe.dep.at(from1, to1), pe.dep.at(from2, to2)
 	solve := func() (cycleResult, error) {
-		r := cycleResult{Sat: enc.solveCycle(from1, to1, from2, to2)}
+		pe.assume[0] = pe.enc.LitS(s1, false)
+		pe.assume[1] = pe.enc.LitS(s2, false)
+		r := cycleResult{Sat: pe.enc.SolveAssuming(pe.assume[:]...)}
 		// An interrupted Solve also returns false; it must surface as the
 		// context's error, never be recorded (or cached) as UNSAT.
-		if enc.enc.S.Stopped() {
+		if pe.enc.S.Stopped() {
 			return cycleResult{}, d.ctxErr()
 		}
 		// A budget-exhausted Solve also returns false; it surfaces as an
@@ -292,21 +261,21 @@ func (d *detector) solveCycle(enc *pairEncoder, from1, to1, from2, to2 *cmdInst)
 		// can no longer participate in the history-keyed cache: taint it
 		// (subsequent queries solve directly) and hand the session path the
 		// sentinel so the unknown is never published as a cached verdict.
-		if enc.enc.S.Exhausted() {
-			enc.tainted = true
+		if pe.enc.S.Exhausted() {
+			pe.tainted = true
 			d.exhausted++
 			return cycleResult{Unknown: true}, errExhausted
 		}
 		if r.Sat {
-			r.Kind1, r.Flds1 = enc.modelEdge(from1, to1)
-			r.Kind2, r.Flds2 = enc.modelEdge(from2, to2)
-			if d.record {
-				r.Sched = enc.buildSchedule(from1, to1, from2, to2)
+			r.Kind1, r.Flds1 = pe.modelEdge(from1, to1)
+			r.Kind2, r.Flds2 = pe.modelEdge(from2, to2)
+			if d.pass.record {
+				r.Sched = pe.buildSchedule(from1, to1, from2, to2)
 			}
 		}
 		return r, nil
 	}
-	if d.session == nil || enc.tainted {
+	if d.session == nil || pe.tainted {
 		d.solved++
 		r, err := solve()
 		if err == errExhausted {
@@ -314,15 +283,12 @@ func (d *detector) solveCycle(enc *pairEncoder, from1, to1, from2, to2 *cmdInst)
 		}
 		return r, err
 	}
-	s1 := enc.depS[from1.idx][to1.idx]
-	s2 := enc.depS[from2.idx][to2.idx]
-	// The interned name strings key the cache and the history hash; reading
-	// them back is a slice index, not a fmt.Sprintf.
-	a1 := enc.enc.NameOf(s1)
-	a2 := enc.enc.NameOf(s2)
-	key := queryKey{enc: enc.enc.FormulaHash(), hist: enc.histHash, a1: a1, a2: a2}
+	// The assumed propositions key the cache and the history hash by
+	// identity (logic.Interner), like every proposition of the formula hash.
+	a1, a2 := pe.enc.IDOf(s1), pe.enc.IDOf(s2)
+	key := queryKey{enc: pe.enc.FormulaHash(), hist: pe.histHash, a1: a1, a2: a2}
 	r, hit, err := d.session.query(d.ctx, key, func() (cycleResult, error) {
-		d.replayed += enc.replayPending()
+		d.replayed += pe.replayPending()
 		return solve()
 	})
 	if err == errExhausted {
@@ -337,11 +303,11 @@ func (d *detector) solveCycle(enc *pairEncoder, from1, to1, from2, to2 *cmdInst)
 		return cycleResult{}, err
 	}
 	if hit {
-		enc.pending = append(enc.pending, [2]logic.Sym{s1, s2})
+		pe.pending = append(pe.pending, [2]logic.Sym{s1, s2})
 	} else {
 		d.solved++
 	}
-	enc.histHash = chainHist(enc.histHash, a1, a2)
+	pe.histHash = chainHist(pe.histHash, a1, a2)
 	return r, nil
 }
 
@@ -353,31 +319,33 @@ var errExhausted = errors.New("anomaly: solve budget exhausted")
 
 // chainHist folds one query's assumed propositions into an encoder's
 // query-history hash.
-func chainHist(h uint64, a1, a2 string) uint64 {
-	return logic.ChainString(logic.ChainString(h, a1), a2)
+func chainHist(h, a1, a2 uint64) uint64 {
+	return logic.ChainUint64(logic.ChainUint64(h, a1), a2)
 }
 
-// releaseEncoders returns every encoder's solver memory to the shared pool
-// (or the detector's worker-local freelist) once the detector's results
-// are extracted. Nothing a detector publishes aliases encoder memory:
-// reported pairs, cached cycle results, and cache keys carry only
-// immutable strings and freshly built field slices.
+// releaseEncoders returns every built encoder's solver memory to the shared
+// pool (or the detector's worker-local freelist) once the detector's
+// results are extracted. Nothing a detector publishes aliases encoder
+// memory: reported pairs and cached cycle results carry only immutable
+// strings and freshly built field slices, cache keys only integers.
 func (d *detector) releaseEncoders() {
-	for _, enc := range d.encoders {
-		if d.encCache != nil {
-			d.encCache.Release(enc.enc)
-		} else {
-			enc.enc.Release()
+	for _, pe := range d.encs {
+		if pe.enc == nil {
+			continue
 		}
+		if d.encCache != nil {
+			d.encCache.Release(pe.enc)
+		} else {
+			pe.enc.Release()
+		}
+		pe.enc = nil
 	}
-	clear(d.encoders)
+	d.encs = d.encs[:0]
 }
 
-func (d *detector) encoderFor(t, w *ast.Txn) (*pairEncoder, error) {
-	key := [2]string{t.Name, w.Name}
-	if enc, ok := d.encoders[key]; ok {
-		return enc, nil
-	}
+// buildBody acquires a solver for pe and asserts its encoding, on the
+// first cycle query the witness loop asks of it.
+func (d *detector) buildBody(pe *pairEncoder) {
 	var le *logic.Encoder
 	if d.encCache != nil {
 		le = d.encCache.Acquire()
@@ -387,62 +355,62 @@ func (d *detector) encoderFor(t, w *ast.Txn) (*pairEncoder, error) {
 	// Portfolio mode must be configured before the encoding is asserted:
 	// the shadow replicas replicate the clause stream from this point on.
 	// Portfolio encoders skip formula hashing — they are tainted at birth
-	// (below), so no cache key ever needs their hash.
+	// (own), so no cache key ever needs their hash.
 	if d.portfolio > 1 {
 		le.S.SetPortfolio(d.portfolio)
+	} else if d.session != nil {
+		le.RecordFormulaHashes()
 	}
-	hashed := d.session != nil && d.portfolio <= 1
 	ax := d.axioms
 	if ax.ord == nil {
 		ax = mergeOrder
 	}
-	enc, err := newPairEncoder(le, d.prog, t, w, d.model, hashed, d.record, ax)
-	if err != nil {
-		return nil, err
-	}
-	enc.tainted = d.portfolio > 1
+	pe.build(le, d.pass.model, d.pass.record, ax)
 	// The stop probe aborts this encoder's solves when the detector's
 	// context is cancelled; Encoder.Release → Solver.Reset clears it before
 	// the solver returns to the pool. The budget, likewise per-solver and
 	// Reset-cleared, bounds each of this encoder's solves.
 	if d.stop != nil {
-		enc.enc.S.SetStop(d.stop)
+		le.S.SetStop(d.stop)
 	}
 	if d.budget.Limited() {
-		enc.enc.S.SetBudget(d.budget)
+		le.S.SetBudget(d.budget)
 	}
-	d.encoders[key] = enc
-	return enc, nil
+	d.pass.built.Add(1)
 }
 
-// pairEncoder holds the SAT encoding for one (T, T') transaction pair.
-// All relational propositions (ord, vis, co, dep) are interned once into
-// n×n Sym matrices at construction, so the witness loop and the axiom
-// builders address them by integer lookup — no per-use fmt.Sprintf or
-// string hashing.
+// pairEncoder is the encoding of one (T, T') transaction pair: T as
+// instance A under test, T' as the witness instance B. It starts as a plan
+// (plan.go) and grows its SAT body — solver, propositions, axioms — when
+// the first cycle query is asked of it. Commands are addressed by item
+// index: A's commands in program order, then B's.
 type pairEncoder struct {
-	enc   *logic.Encoder
-	items []*cmdInst // A's commands then B's commands
-	nA    int
-	// tName/wName are the instance transaction names, kept for witness
-	// schedules.
-	tName, wName string
-	// record opts the encoder into witness-schedule bookkeeping: command
-	// pins are retained and free equality atoms are indexed (eqAtoms) so a
-	// satisfying model can be read back. Purely additive — no proposition,
-	// assertion, or solve differs with it on.
+	t, w  *txnFacts
+	nA, n int
+	// cand[a] lists the items of B command a of A can share a dependency
+	// edge with (planPair).
+	cand [][]int
+
+	// enc is nil until build.
+	enc *logic.Encoder
+	// ord, vis, dep (and co under CC) are the relational propositions.
+	ord, vis, dep, co rel
+	// sorts are the (table, primary-key field) sorts with their terms and
+	// equality atoms; keyRefs[keyOff[x]+k] locates the term of item x's
+	// k-th key field in them.
+	sorts   []eqSort
+	keyRefs []termRef
+	keyOff  []int
+	// edges[x*n+y] spans the per-field edge propositions behind dep(x→y)
+	// in props.
+	edges [][2]int32
+	props []edgeProp
+	// eqAtoms indexes the free equality atoms in first-use order, kept only
+	// when the encoder records witness schedules, so a satisfying model can
+	// be read back. Purely additive — no proposition, assertion, or solve
+	// differs with it on.
 	record  bool
 	eqAtoms []eqAtomProp
-	eqSeen  map[logic.Sym]bool
-	// scratch is the reusable model read-back buffer.
-	scratch []bool
-	// ordS/visS/depS (and coS under CC) are the interned proposition
-	// matrices, indexed [from][to]; the diagonal is unused.
-	ordS, visS, coS, depS [][]logic.Sym
-	// deps[x][y] true when a dep(x→y) proposition was defined.
-	deps map[int]map[int]bool
-	// edgeNames[x][y] lists the per-field edge propositions behind dep(x→y).
-	edgeNames map[int]map[int][]edgeProp
 	// histHash chains the cycle queries asked on this encoder so far; the
 	// session's cache keys include it so a hit is only taken from a
 	// producer whose solver had seen the identical query sequence.
@@ -451,14 +419,33 @@ type pairEncoder struct {
 	// cache and not yet run on this solver; replayPending runs them before
 	// the next fresh solve to restore solver-state parity.
 	pending [][2]logic.Sym
-	// tainted marks an encoder whose solver exhausted a budget: its search
-	// state no longer matches a fresh oracle's, so it must neither consume
-	// nor produce history-keyed cache entries (see detector.solveCycle).
+	// tainted marks an encoder whose solver exhausted a budget or races a
+	// portfolio: its search state does not match a fresh oracle's, so it
+	// must neither consume nor produce history-keyed cache entries (see
+	// detector.solveCycle).
 	tainted bool
 	// assume is the reusable assumption buffer for the witness loop's
 	// SolveAssuming calls.
 	assume [2]sat.Lit
 }
+
+// item returns the facts of item x; inst the instance (0 = A, 1 = B) it
+// belongs to.
+func (pe *pairEncoder) item(x int) *cmdFacts {
+	if x < pe.nA {
+		return &pe.t.cmds[x]
+	}
+	return &pe.w.cmds[x-pe.nA]
+}
+
+func (pe *pairEncoder) inst(x int) int {
+	if x < pe.nA {
+		return 0
+	}
+	return 1
+}
+
+func (pe *pairEncoder) key(x int) keyConstraint { return pe.item(x).key[pe.inst(x)] }
 
 // replayPending re-runs every cache-answered query on this encoder's own
 // solver (discarding the verdicts — they are deterministic and already
@@ -480,197 +467,166 @@ type edgeProp struct {
 	field string
 }
 
-func ordName(i, j int) string { return fmt.Sprintf("o_%d_%d", i, j) }
-func visName(i, j int) string { return fmt.Sprintf("v_%d_%d", i, j) }
-func coName(i, j int) string  { return fmt.Sprintf("co_%d_%d", i, j) }
-func depName(i, j int) string { return fmt.Sprintf("dep_%d_%d", i, j) }
+// Proposition identities (logic.Interner): a family tag plus the item
+// indices, for equality atoms and edges chained with the strings that
+// name the sort and terms, or the kind and field. They carry exactly what the printed names
+// o_i_j, v_i_j, co_i_j, dep_i_j, eq_table_field_a=b and e_kind_x_y_field
+// used to, so equal formula hashes still mean equal encodings.
+const (
+	tagOrd = iota + 1
+	tagVis
+	tagDep
+	tagCo
+	tagEq
+	tagEdge
+)
 
-// internRel builds the n×n Sym matrix for one relational proposition
-// family, paying each name's fmt.Sprintf exactly once per encoder.
-func (pe *pairEncoder) internRel(name func(i, j int) string) [][]logic.Sym {
-	n := len(pe.items)
-	m := make([][]logic.Sym, n)
-	for i := 0; i < n; i++ {
-		m[i] = make([]logic.Sym, n)
-		for j := 0; j < n; j++ {
-			if j == i {
-				m[i][j] = -1
-				continue
-			}
-			m[i][j] = pe.enc.Sym(name(i, j))
-		}
-	}
-	return m
+func relID(tag, i, j int) uint64 { return uint64(tag)<<56 | uint64(i)<<28 | uint64(j) }
+
+// rel is one relation over the n items: a contiguous range of nameless
+// propositions, (i, j) at base + i·n + j. The diagonal is never used.
+type rel struct {
+	base logic.Sym
+	n    int
 }
 
-// newPairEncoder builds the SAT encoding for (t, w) on the supplied (fresh
-// or freshly reset) encoder. hashed opts the encoder into formula-hash
-// recording, needed only when a session will key its query cache on the
-// encoding; record opts it into witness-schedule bookkeeping (witness.go);
-// ax grounds the order relations (mergeOrder everywhere outside tests).
-// On error the encoder is left unreleased; letting it be collected is safe.
-func newPairEncoder(le *logic.Encoder, prog *ast.Program, t, w *ast.Txn, model Model, hashed, record bool, ax orderAxioms) (*pairEncoder, error) {
-	pe := &pairEncoder{
-		enc:       le,
-		deps:      map[int]map[int]bool{},
-		edgeNames: map[int]map[int][]edgeProp{},
-		tName:     t.Name,
-		wName:     w.Name,
-		record:    record,
+func newRel(e *logic.Encoder, tag, n int) rel {
+	r := rel{base: e.NewSym(relID(tag, 0, 0)), n: n}
+	for k := 1; k < n*n; k++ {
+		e.NewSym(relID(tag, k/n, k%n))
 	}
-	if record {
-		pe.eqSeen = map[logic.Sym]bool{}
-	}
-	if hashed {
-		pe.enc.RecordFormulaHashes()
-	}
-	build := func(txn *ast.Txn, inst int) error {
-		for ci, c := range ast.Commands(txn.Body) {
-			schema := prog.Schema(c.TableName())
-			if schema == nil {
-				return fmt.Errorf("anomaly: %s.%s: unknown table %q", txn.Name, c.CmdLabel(), c.TableName())
-			}
-			acc := ast.CommandAccess(c, schema)
-			item := &cmdInst{
-				idx:    len(pe.items),
-				inst:   inst,
-				cmd:    c,
-				label:  c.CmdLabel(),
-				table:  c.TableName(),
-				reads:  map[string]bool{},
-				writes: map[string]bool{},
-				key:    extractKey(c, schema, inst, ci),
-			}
-			if record {
-				item.pins = extractPins(c, schema, inst, ci)
-			}
-			for _, f := range acc.Reads {
-				item.reads[f] = true
-			}
-			for _, f := range acc.Writes {
-				item.writes[f] = true
-			}
-			// Selects and updates implicitly read the presence field: they
-			// filter on alive records, so inserts conflict with them
-			// (phantom dependencies).
-			switch c.(type) {
-			case *ast.Select, *ast.Update:
-				item.reads[ast.AliveField] = true
-			}
-			item.writer = len(item.writes) > 0
-			item.reader = len(item.reads) > 0
-			pe.items = append(pe.items, item)
-		}
-		return nil
-	}
-	if err := build(t, 0); err != nil {
-		return nil, err
-	}
-	pe.nA = len(pe.items)
-	if err := build(w, 1); err != nil {
-		return nil, err
-	}
+	return r
+}
 
-	pe.ordS = pe.internRel(ordName)
-	pe.visS = pe.internRel(visName)
-	pe.depS = pe.internRel(depName)
+func (r rel) at(i, j int) logic.Sym { return r.base + logic.Sym(i*r.n+j) }
+
+// build asserts the encoding of the planned pair on the supplied (fresh or
+// freshly reset) encoder. record opts it into witness-schedule bookkeeping
+// (witness.go); ax grounds the order relations (mergeOrder everywhere
+// outside tests). Assertion order is part of the contract: it fixes the
+// solver's variable numbering and with it the models queries return.
+func (pe *pairEncoder) build(le *logic.Encoder, model Model, record bool, ax orderAxioms) {
+	pe.enc, pe.record = le, record
+	n := pe.n
+	pe.ord = newRel(le, tagOrd, n)
+	pe.vis = newRel(le, tagVis, n)
+	pe.dep = newRel(le, tagDep, n)
 	// Axiom: ord (the execution counter) is a strict total order extending
 	// program order within each instance.
-	ax.ord(pe.enc, pe.nA, pe.ordS)
+	ax.ord(le, pe.nA, pe.ord)
 	// Axiom: vis ⊆ ord for every cross-instance writer pair.
-	for _, x := range pe.items {
-		if !x.writer {
+	for x := 0; x < n; x++ {
+		if !pe.item(x).writer() {
 			continue
 		}
-		for _, y := range pe.items {
-			if y.inst == x.inst {
-				continue
+		for y := 0; y < n; y++ {
+			if pe.inst(y) != pe.inst(x) {
+				implies(le, pe.vis.at(x, y), pe.ord.at(x, y))
 			}
-			implies(pe.enc, pe.visS[x.idx][y.idx], pe.ordS[x.idx][y.idx])
 		}
 	}
-
 	pe.assertTermCongruence()
 	pe.defineEdges()
 	pe.assertModelAxioms(model, ax)
-	return pe, nil
 }
 
-// eqPropName returns the canonical equality proposition name for two terms
-// of one sort (table, primary-key field).
-func eqPropName(table, field string, a, b term) string {
-	if b.id < a.id {
-		a, b = b, a
+// termRef locates a term: its sort in pe.sorts and its index in the sort.
+type termRef struct{ sort, term int }
+
+// eqSort is one (table, primary-key field) sort: the distinct terms the
+// pair's commands pin the field to, sorted by id, and the T×T table of the
+// free equality atoms between them (row < column; 0 until first used, then
+// the Sym plus one).
+type eqSort struct {
+	table, field string
+	terms        []term
+	atoms        []logic.Sym
+}
+
+// indexTerms groups the key terms of all items into sorts and records
+// where each item's terms landed.
+func (pe *pairEncoder) indexTerms() {
+	type use struct {
+		table string
+		kt    keyTerm
+		ref   int
 	}
-	return fmt.Sprintf("eq_%s_%s_%s=%s", table, field, a.id, b.id)
-}
-
-// eqFormula returns the formula for term equality within a sort.
-func (pe *pairEncoder) eqFormula(table, field string, a, b term) logic.Formula {
-	switch s, status := pe.eqAtom(table, field, a, b); status {
-	case eqTrue:
-		return logic.True
-	case eqFalse:
-		return logic.False
-	default:
-		return pe.enc.Atom(s)
+	pe.keyOff = make([]int, pe.n+1)
+	var uses []use
+	for x := 0; x < pe.n; x++ {
+		pe.keyOff[x] = len(uses)
+		for _, kt := range pe.key(x) {
+			uses = append(uses, use{pe.item(x).table, kt, len(uses)})
+		}
+	}
+	pe.keyOff[pe.n] = len(uses)
+	// Sorted (table, field, term) order keeps proposition numbering
+	// deterministic across runs (see defineEdges).
+	slices.SortFunc(uses, func(a, b use) int {
+		if c := strings.Compare(a.table, b.table); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.kt.field, b.kt.field); c != 0 {
+			return c
+		}
+		return strings.Compare(a.kt.term.id, b.kt.term.id)
+	})
+	pe.keyRefs = make([]termRef, len(uses))
+	for i, u := range uses {
+		if i == 0 || u.table != uses[i-1].table || u.kt.field != uses[i-1].kt.field {
+			pe.sorts = append(pe.sorts, eqSort{table: u.table, field: u.kt.field})
+		}
+		s := &pe.sorts[len(pe.sorts)-1]
+		if len(s.terms) == 0 || s.terms[len(s.terms)-1].id != u.kt.term.id {
+			s.terms = append(s.terms, u.kt.term)
+		}
+		pe.keyRefs[u.ref] = termRef{len(pe.sorts) - 1, len(s.terms) - 1}
+	}
+	for i := range pe.sorts {
+		s := &pe.sorts[i]
+		s.atoms = make([]logic.Sym, len(s.terms)*len(s.terms))
 	}
 }
 
-// eqAtom decides term equality within a sort; when the equality is
+// eqAtom decides the equality of terms a ≠ b of sort si; when it is
 // execution-dependent (eqUnknown) it also returns the free atom standing
 // for it.
-func (pe *pairEncoder) eqAtom(table, field string, a, b term) (logic.Sym, eqStatus) {
-	status := decideEq(a, b)
+func (pe *pairEncoder) eqAtom(si, a, b int) (logic.Sym, eqStatus) {
+	if b < a {
+		a, b = b, a
+	}
+	s := &pe.sorts[si]
+	ta, tb := s.terms[a], s.terms[b]
+	status := decideEq(ta, tb)
 	if status != eqUnknown {
 		return -1, status
 	}
-	s := pe.enc.Sym(eqPropName(table, field, a, b))
-	if pe.record && !pe.eqSeen[s] {
-		pe.eqSeen[s] = true
-		ca, cb := a, b
-		if cb.id < ca.id {
-			ca, cb = cb, ca
+	atom := &s.atoms[a*len(s.terms)+b]
+	if *atom == 0 {
+		id := relID(tagEq, 0, 0)
+		for _, part := range [...]string{s.table, s.field, ta.id, tb.id} {
+			id = logic.ChainString(id, part)
 		}
-		pe.eqAtoms = append(pe.eqAtoms, eqAtomProp{sym: s, table: table, field: field, a: ca.id, b: cb.id})
+		*atom = pe.enc.NewSym(id) + 1
+		if pe.record {
+			pe.eqAtoms = append(pe.eqAtoms, eqAtomProp{sym: *atom - 1, table: s.table, field: s.field, a: ta.id, b: tb.id})
+		}
 	}
-	return s, status
+	return *atom - 1, status
 }
 
 // assertTermCongruence adds transitivity over the free equality atoms of
 // each (table, field) sort.
 func (pe *pairEncoder) assertTermCongruence() {
-	sorts := map[[2]string]map[string]term{}
-	for _, it := range pe.items {
-		for f, tm := range it.key {
-			key := [2]string{it.table, f}
-			if sorts[key] == nil {
-				sorts[key] = map[string]term{}
-			}
-			sorts[key][tm.id] = tm
-		}
-	}
-	// Sorted (table, field) order keeps proposition numbering deterministic
-	// across runs (see defineEdges).
-	sortKeys := slices.SortedFunc(maps.Keys(sorts), func(a, b [2]string) int {
-		if c := strings.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return strings.Compare(a[1], b[1])
-	})
-	for _, key := range sortKeys {
-		termSet := sorts[key]
-		ids := slices.Sorted(maps.Keys(termSet))
-		terms := make([]term, len(ids))
-		for i, id := range ids {
-			terms[i] = termSet[id]
-		}
-		for a := 0; a < len(terms); a++ {
-			for b := 0; b < len(terms); b++ {
+	pe.indexTerms()
+	for si := range pe.sorts {
+		T := len(pe.sorts[si].terms)
+		for a := 0; a < T; a++ {
+			for b := 0; b < T; b++ {
 				if b == a {
 					continue
 				}
-				for c := 0; c < len(terms); c++ {
+				for c := 0; c < T; c++ {
 					if c == a || c == b {
 						continue
 					}
@@ -678,9 +634,9 @@ func (pe *pairEncoder) assertTermCongruence() {
 					// ids are never decided equal, so each equality is a
 					// free atom or false: a false premise makes the
 					// instance vacuous, a false conclusion drops out.
-					ab, abEq := pe.eqAtom(key[0], key[1], terms[a], terms[b])
-					bc, bcEq := pe.eqAtom(key[0], key[1], terms[b], terms[c])
-					ac, acEq := pe.eqAtom(key[0], key[1], terms[a], terms[c])
+					ab, abEq := pe.eqAtom(si, a, b)
+					bc, bcEq := pe.eqAtom(si, b, c)
+					ac, acEq := pe.eqAtom(si, a, c)
 					switch {
 					case abEq == eqFalse || bcEq == eqFalse:
 					case acEq == eqFalse:
@@ -694,82 +650,101 @@ func (pe *pairEncoder) assertTermCongruence() {
 	}
 }
 
-// aliasFormula is satisfiable when x and y may access a common record:
-// every primary-key field pinned by both must pin equal values.
-func (pe *pairEncoder) aliasFormula(x, y *cmdInst) logic.Formula {
-	if x.table != y.table {
-		return logic.False
-	}
-	conj := make([]logic.Formula, 0, len(x.key))
-	for _, f := range slices.Sorted(maps.Keys(x.key)) {
-		if ty, ok := y.key[f]; ok {
-			conj = append(conj, pe.eqFormula(x.table, f, x.key[f], ty))
+// aliasAtoms appends to dst the free equality atoms that must all hold for
+// x and y, commands on one table, to access a common record: every
+// primary-key field pinned by both must pin equal values. A field pinned
+// to one term by both contributes nothing, and none is pinned to terms
+// decided unequal — the plan left such pairs out (mustDiffer).
+func (pe *pairEncoder) aliasAtoms(dst []logic.Sym, x, y int) []logic.Sym {
+	for i, j := range commonFields(pe.key(x), pe.key(y)) {
+		rx, ry := pe.keyRefs[pe.keyOff[x]+i], pe.keyRefs[pe.keyOff[y]+j]
+		if rx.term != ry.term {
+			s, _ := pe.eqAtom(rx.sort, rx.term, ry.term)
+			dst = append(dst, s)
 		}
 	}
-	return logic.AndF(conj...)
+	return dst
 }
 
 // defineEdges introduces the per-field dependency-edge propositions and the
-// aggregated dep(x→y) propositions for cross-instance command pairs.
+// aggregated dep(x→y) propositions for the cross-instance command pairs the
+// plan lists (each in both directions). Both definitions are asserted as
+// the clauses they are — e ↔ alias ∧ cond as (¬e ∨ a) for each conjunct
+// and (e ∨ ¬a₁ ∨ … ∨ ¬cond), dep ↔ e₁ ∨ … ∨ eₘ likewise — with no
+// auxiliary variable.
 func (pe *pairEncoder) defineEdges() {
-	for _, x := range pe.items {
-		for _, y := range pe.items {
-			if x.inst == y.inst {
+	n := pe.n
+	planned := make([]bool, n*n)
+	for a, row := range pe.cand {
+		for _, b := range row {
+			planned[a*n+b], planned[b*n+a] = true, true
+		}
+	}
+	pe.edges = make([][2]int32, n*n)
+	var alias []logic.Sym
+	var clause []logic.SymLit
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if !planned[x*n+y] {
 				continue
 			}
-			if x.table != y.table || mustDiffer(x.key, y.key) {
-				continue
-			}
-			alias := pe.aliasFormula(x, y)
-			maxEdges := 2*len(x.writes) + len(x.reads)
-			props := make([]edgeProp, 0, maxEdges)
-			defs := make([]logic.Formula, 0, maxEdges)
-			addEdge := func(kind EdgeKind, field string, cond logic.Formula) {
-				s := pe.enc.Symf("e_%s_%d_%d_%s", kind, x.idx, y.idx, field)
-				pe.enc.Assert(logic.IffF(pe.enc.Atom(s), logic.AndF(alias, cond)))
-				props = append(props, edgeProp{sym: s, kind: kind, field: field})
-				defs = append(defs, pe.enc.Atom(s))
+			ix, iy := pe.item(x), pe.item(y)
+			alias = pe.aliasAtoms(alias[:0], x, y)
+			lo := len(pe.props)
+			addEdge := func(kind EdgeKind, field string, cond logic.SymLit) {
+				s := pe.enc.NewSym(logic.ChainString(logic.ChainString(relID(tagEdge, x, y), string(kind)), field))
+				pe.props = append(pe.props, edgeProp{sym: s, kind: kind, field: field})
+				clause = append(clause[:0], logic.Pos(s))
+				for _, a := range alias {
+					pe.enc.AssertClauseS(logic.Neg(s), logic.Pos(a))
+					clause = append(clause, logic.Neg(a))
+				}
+				pe.enc.AssertClauseS(logic.Neg(s), cond)
+				pe.enc.AssertClauseS(append(clause, cond.Not())...)
 			}
 			// Iterate fields in sorted order so proposition numbering — and
 			// with it the solver's search and the models it reports — is
 			// deterministic across runs (required for the query cache to be
 			// exchangeable with fresh solving).
-			for _, f := range sortedFields(x.writes) {
-				if y.reads[f] {
+			for _, f := range ix.writes {
+				if iy.reads.has(f) {
 					// wr: y's local view contains x's write of f.
-					addEdge(EdgeWR, f, pe.enc.Atom(pe.visS[x.idx][y.idx]))
+					addEdge(EdgeWR, f, logic.Pos(pe.vis.at(x, y)))
 				}
-				if y.writes[f] {
+				if iy.writes.has(f) {
 					// ww: y's write of f follows x's in arbitration order.
-					addEdge(EdgeWW, f, pe.enc.Atom(pe.ordS[x.idx][y.idx]))
+					addEdge(EdgeWW, f, logic.Pos(pe.ord.at(x, y)))
 				}
 			}
-			for _, f := range sortedFields(x.reads) {
-				if y.writes[f] {
+			for _, f := range ix.reads {
+				if iy.writes.has(f) {
 					// rw: x read a version of f that does not include y's
 					// write (anti-dependency).
-					addEdge(EdgeRW, f, logic.NotF(pe.enc.Atom(pe.visS[y.idx][x.idx])))
+					addEdge(EdgeRW, f, logic.Neg(pe.vis.at(y, x)))
 				}
 			}
-			if len(props) == 0 {
-				continue
+			dep := pe.dep.at(x, y)
+			clause = append(clause[:0], logic.Neg(dep))
+			for _, ep := range pe.props[lo:] {
+				pe.enc.AssertClauseS(logic.Pos(dep), logic.Neg(ep.sym))
+				clause = append(clause, logic.Pos(ep.sym))
 			}
-			pe.enc.Assert(logic.IffF(pe.enc.Atom(pe.depS[x.idx][y.idx]), logic.OrF(defs...)))
-			if pe.deps[x.idx] == nil {
-				pe.deps[x.idx] = map[int]bool{}
-			}
-			pe.deps[x.idx][y.idx] = true
-			if pe.edgeNames[x.idx] == nil {
-				pe.edgeNames[x.idx] = map[int][]edgeProp{}
-			}
-			pe.edgeNames[x.idx][y.idx] = props
+			pe.enc.AssertClauseS(clause...)
+			pe.edges[x*n+y] = [2]int32{int32(lo), int32(len(pe.props))}
 		}
 	}
 }
 
+// edgesOf lists the per-field edge propositions behind dep(x→y).
+func (pe *pairEncoder) edgesOf(x, y int) []edgeProp {
+	span := pe.edges[x*pe.n+y]
+	return pe.props[span[0]:span[1]]
+}
+
 // assertModelAxioms adds the per-consistency-model visibility axioms.
 func (pe *pairEncoder) assertModelAxioms(model Model, ax orderAxioms) {
-	n := len(pe.items)
+	n, e := pe.n, pe.enc
+	writer := func(x int) bool { return pe.item(x).writer() }
 	switch model {
 	case EC:
 		// Eventual consistency constrains nothing further: local views are
@@ -777,40 +752,39 @@ func (pe *pairEncoder) assertModelAxioms(model Model, ax orderAxioms) {
 	case CC:
 		// co is the happens-before relation: program order ∪ vis, closed
 		// transitively, consistent with arbitration order.
-		pe.coS = pe.internRel(coName)
+		pe.co = newRel(e, tagCo, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i == j {
 					continue
 				}
-				x, y := pe.items[i], pe.items[j]
-				if x.inst == y.inst && i < j {
-					pe.enc.AssertClauseS(logic.Pos(pe.coS[i][j]))
+				if pe.inst(i) == pe.inst(j) && i < j {
+					e.AssertClauseS(logic.Pos(pe.co.at(i, j)))
 				}
-				if x.writer && y.inst != x.inst {
-					implies(pe.enc, pe.visS[i][j], pe.coS[i][j])
+				if writer(i) && pe.inst(j) != pe.inst(i) {
+					implies(e, pe.vis.at(i, j), pe.co.at(i, j))
 				}
-				implies(pe.enc, pe.coS[i][j], pe.ordS[i][j])
+				implies(e, pe.co.at(i, j), pe.ord.at(i, j))
 			}
 		}
-		ax.co(pe.enc, pe.nA, pe.coS)
+		ax.co(e, pe.nA, pe.co)
 		// Causal delivery: a view containing w2 contains every write w1
 		// happening-before w2.
-		for _, w1 := range pe.items {
-			if !w1.writer {
+		for w1 := 0; w1 < n; w1++ {
+			if !writer(w1) {
 				continue
 			}
-			for _, w2 := range pe.items {
-				if !w2.writer || w2.idx == w1.idx {
+			for w2 := 0; w2 < n; w2++ {
+				if !writer(w2) || w2 == w1 {
 					continue
 				}
-				for _, y := range pe.items {
-					if y.inst == w1.inst || y.inst == w2.inst {
+				for y := 0; y < n; y++ {
+					if pe.inst(y) == pe.inst(w1) || pe.inst(y) == pe.inst(w2) {
 						continue
 					}
-					pe.enc.AssertClauseS(
-						logic.Neg(pe.coS[w1.idx][w2.idx]), logic.Neg(pe.visS[w2.idx][y.idx]),
-						logic.Pos(pe.visS[w1.idx][y.idx]),
+					e.AssertClauseS(
+						logic.Neg(pe.co.at(w1, w2)), logic.Neg(pe.vis.at(w2, y)),
+						logic.Pos(pe.vis.at(w1, y)),
 					)
 				}
 			}
@@ -824,19 +798,18 @@ func (pe *pairEncoder) assertModelAxioms(model Model, ax orderAxioms) {
 		// the reader snapshot stability, not writer atomicity, which is
 		// why it removes only reader-side pairs — the paper measured
 		// 5–16% reductions on three benchmarks.)
-		for _, w := range pe.items {
-			if !w.writer {
+		for w := 0; w < n; w++ {
+			if !writer(w) {
 				continue
 			}
-			for _, y := range pe.items {
-				if y.inst == w.inst {
+			for y := 0; y < n; y++ {
+				if pe.inst(y) == pe.inst(w) {
 					continue
 				}
-				for _, y2 := range pe.items {
-					if y2.inst != y.inst || y2.idx <= y.idx {
-						continue
+				for y2 := y + 1; y2 < n; y2++ {
+					if pe.inst(y2) == pe.inst(y) {
+						iff(e, pe.vis.at(w, y), pe.vis.at(w, y2))
 					}
-					iff(pe.enc, pe.visS[w.idx][y.idx], pe.visS[w.idx][y2.idx])
 				}
 			}
 		}
@@ -844,105 +817,75 @@ func (pe *pairEncoder) assertModelAxioms(model Model, ax orderAxioms) {
 		// Strong atomicity: arbitration order implies visibility, and all
 		// of a transaction's writes become visible together. Strong
 		// isolation: views do not grow mid-transaction (§3.2).
-		for _, x := range pe.items {
-			if !x.writer {
+		for x := 0; x < n; x++ {
+			if !writer(x) {
 				continue
 			}
-			for _, y := range pe.items {
-				if y.inst == x.inst {
-					continue
+			for y := 0; y < n; y++ {
+				if pe.inst(y) != pe.inst(x) {
+					implies(e, pe.ord.at(x, y), pe.vis.at(x, y))
 				}
-				implies(pe.enc, pe.ordS[x.idx][y.idx], pe.visS[x.idx][y.idx])
 			}
-			for _, x2 := range pe.items {
-				if !x2.writer || x2.inst != x.inst || x2.idx <= x.idx {
+			for x2 := x + 1; x2 < n; x2++ {
+				if !writer(x2) || pe.inst(x2) != pe.inst(x) {
 					continue
 				}
-				for _, y := range pe.items {
-					if y.inst == x.inst {
-						continue
+				for y := 0; y < n; y++ {
+					if pe.inst(y) != pe.inst(x) {
+						iff(e, pe.vis.at(x, y), pe.vis.at(x2, y))
 					}
-					iff(pe.enc, pe.visS[x.idx][y.idx], pe.visS[x2.idx][y.idx])
 				}
 			}
 		}
-		for _, y := range pe.items {
-			for _, y2 := range pe.items {
-				if y2.inst != y.inst || y2.idx <= y.idx {
+		for y := 0; y < n; y++ {
+			for y2 := y + 1; y2 < n; y2++ {
+				if pe.inst(y2) != pe.inst(y) {
 					continue
 				}
-				for _, w := range pe.items {
-					if !w.writer || w.inst == y.inst {
-						continue
+				for w := 0; w < n; w++ {
+					if writer(w) && pe.inst(w) != pe.inst(y) {
+						implies(e, pe.vis.at(w, y2), pe.vis.at(w, y))
 					}
-					implies(pe.enc, pe.visS[w.idx][y2.idx], pe.visS[w.idx][y.idx])
 				}
 			}
 		}
 	}
-}
-
-// hasDep reports whether a dep(x→y) proposition exists (some statically
-// possible conflict).
-func (pe *pairEncoder) hasDep(x, y *cmdInst) bool { return pe.deps[x.idx][y.idx] }
-
-// solveCycle checks satisfiability of dep(from1→to1) ∧ dep(from2→to2)
-// under the encoder's axioms. The assumption buffer is reused across the
-// witness loop.
-func (pe *pairEncoder) solveCycle(from1, to1, from2, to2 *cmdInst) bool {
-	pe.assume[0] = pe.enc.LitS(pe.depS[from1.idx][to1.idx], false)
-	pe.assume[1] = pe.enc.LitS(pe.depS[from2.idx][to2.idx], false)
-	return pe.enc.SolveAssuming(pe.assume[:]...)
 }
 
 // buildPair assembles the reported access pair from a cycle query's
 // outcome: the involved fields were read off the true edge propositions of
 // whichever (identically encoded) solver answered the query.
-func buildPair(txn, witness string, c1, c2, d1, d2 *cmdInst, r cycleResult) AccessPair {
+func (pe *pairEncoder) buildPair(c1, c2, d1, d2 int, r cycleResult) AccessPair {
+	x1, x2 := pe.item(c1), pe.item(c2)
 	// Report the fields belonging to c1 and c2 respectively.
-	pair := AccessPair{
-		Txn: txn,
-		C1:  c1.label, F1: r.Flds1,
-		C2: c2.label, F2: r.Flds2,
-		Witness: Witness{Txn: witness, D1: d1.label, D2: d2.label, Edge1: r.Kind1, Edge2: r.Kind2, Schedule: r.Sched},
+	return AccessPair{
+		Txn: pe.t.name,
+		C1:  x1.label, F1: r.Flds1,
+		C2: x2.label, F2: r.Flds2,
+		Kind:    classify(x1.cmd, x2.cmd, r.Flds1, r.Flds2),
+		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: r.Kind1, Edge2: r.Kind2, Schedule: r.Sched},
 	}
-	pair.Kind = classify(c1, c2, r.Flds1, r.Flds2)
-	return pair
 }
 
 // modelEdge returns the kind and fields of the true edge propositions for
 // (x→y) in the current model.
-func (pe *pairEncoder) modelEdge(x, y *cmdInst) (EdgeKind, []string) {
+func (pe *pairEncoder) modelEdge(x, y int) (EdgeKind, []string) {
 	var kind EdgeKind
 	var fields []string
-	for _, ep := range pe.edgeNames[x.idx][y.idx] {
+	for _, ep := range pe.edgesOf(x, y) {
 		if pe.enc.ValueS(ep.sym) {
 			kind = ep.kind
 			fields = append(fields, ep.field)
 		}
 	}
-	sort.Strings(fields)
-	return kind, dedup(fields)
-}
-
-func sortedFields(set map[string]bool) []string {
-	return slices.Sorted(maps.Keys(set))
-}
-
-func dedup(xs []string) []string {
-	out := xs[:0:0]
-	for i, x := range xs {
-		if i == 0 || xs[i-1] != x {
-			out = append(out, x)
-		}
-	}
-	return out
+	slices.Sort(fields)
+	return kind, slices.Compact(fields)
 }
 
 // classify names the anomaly per the Fig. 2 taxonomy.
-func classify(c1, c2 *cmdInst, f1, f2 []string) Kind {
-	_, c1Sel := c1.cmd.(*ast.Select)
-	_, c2Sel := c2.cmd.(*ast.Select)
+func classify(c1, c2 ast.DBCommand, f1, f2 []string) Kind {
+	_, c1Sel := c1.(*ast.Select)
+	_, c2Sel := c2.(*ast.Select)
 	switch {
 	case c1Sel && c2Sel:
 		return KindNonRepeatableRead

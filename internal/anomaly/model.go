@@ -173,6 +173,11 @@ type Report struct {
 	UnknownPairs []UnknownPair
 	// Exhausted counts the individual budget-exhausted SAT solves.
 	Exhausted int
+	// EncodersPlanned counts the (txn, witness) pair plans this detection
+	// computed, EncodersBuilt the SAT encodings it constructed for them
+	// (see SessionStats).
+	EncodersPlanned int
+	EncodersBuilt   int
 }
 
 // PairsByTxn groups the anomalous pairs by transaction name.

@@ -10,7 +10,7 @@ import (
 	"atropos/internal/progen"
 )
 
-// The generic cubic order axioms — what newPairEncoder grounded before the
+// The generic cubic order axioms — what the pair encoding grounded before the
 // merge-order encoding — kept as the oracle the O(n²) encoding is checked
 // against: exhaustively on every small instance split, and differentially
 // on whole detections.
@@ -19,39 +19,34 @@ import (
 // (n·(n−1)·(n−2) Tseitin'd transitivity triples) plus program-order units,
 // and co's transitivity over all triples.
 var cubicOrder = orderAxioms{
-	ord: func(e *logic.Encoder, nA int, ord [][]logic.Sym) {
-		n := len(ord)
-		e.AssertStrictTotalOrderS(n, func(i, j int) logic.Sym { return ord[i][j] })
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
+	ord: func(e *logic.Encoder, nA int, ord rel) {
+		e.AssertStrictTotalOrderS(ord.n, ord.at)
+		for i := 0; i < ord.n; i++ {
+			for j := i + 1; j < ord.n; j++ {
 				if (i < nA) == (j < nA) {
-					e.Assert(e.Atom(ord[i][j]))
+					e.Assert(e.Atom(ord.at(i, j)))
 				}
 			}
 		}
 	},
-	co: func(e *logic.Encoder, nA int, co [][]logic.Sym) {
-		e.AssertTransitiveS(len(co), func(i, j int) logic.Sym { return co[i][j] })
+	co: func(e *logic.Encoder, nA int, co rel) {
+		e.AssertTransitiveS(co.n, co.at)
 	},
 }
 
-// relMatrix interns an n×n proposition matrix and returns it with its
-// off-diagonal syms in row-major order.
-func relMatrix(e *logic.Encoder, prefix string, n int) ([][]logic.Sym, []logic.Sym) {
-	m := make([][]logic.Sym, n)
+// relMatrix allocates an n×n relation and returns it with its off-diagonal
+// syms in row-major order.
+func relMatrix(e *logic.Encoder, tag, n int) (rel, []logic.Sym) {
+	r := newRel(e, tag, n)
 	var syms []logic.Sym
-	for i := range m {
-		m[i] = make([]logic.Sym, n)
-		for j := range m[i] {
-			if i == j {
-				m[i][j] = -1
-				continue
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				syms = append(syms, r.at(i, j))
 			}
-			m[i][j] = e.Symf("%s_%d_%d", prefix, i, j)
-			syms = append(syms, m[i][j])
 		}
 	}
-	return m, syms
+	return r, syms
 }
 
 // admitted enumerates the assignments to syms the encoder's constraints
@@ -109,21 +104,21 @@ func TestMergeOrderMatchesGenericAxioms(t *testing.T) {
 			what := fmt.Sprintf("nA=%d nB=%d", nA, n-nA)
 			build := func(ax orderAxioms, withCo bool) map[string]bool {
 				e := logic.NewEncoder()
-				ord, syms := relMatrix(e, "o", n)
+				ord, syms := relMatrix(e, tagOrd, n)
 				ax.ord(e, nA, ord)
 				if !withCo {
 					return admitted(e, syms)
 				}
-				co, coSyms := relMatrix(e, "co", n)
+				co, coSyms := relMatrix(e, tagCo, n)
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
 						if i == j {
 							continue
 						}
 						if i < j && (i < nA) == (j < nA) {
-							e.Assert(e.Atom(co[i][j]))
+							e.Assert(e.Atom(co.at(i, j)))
 						}
-						e.Assert(logic.ImpliesF(e.Atom(co[i][j]), e.Atom(ord[i][j])))
+						e.Assert(logic.ImpliesF(e.Atom(co.at(i, j)), e.Atom(ord.at(i, j))))
 					}
 				}
 				ax.co(e, nA, co)
@@ -157,7 +152,7 @@ func pairIDs(rep *Report) map[pairID]bool {
 // solver returns, which legitimately differs between encodings.)
 func checkAgainstCubicOracle(t *testing.T, what string, prog *ast.Program, model Model) {
 	t.Helper()
-	oracle := &detector{prog: prog, model: model, encoders: map[[2]string]*pairEncoder{}, axioms: cubicOrder}
+	oracle := &detector{pass: newPass(prog, model, false), axioms: cubicOrder}
 	oracle.setContext(t.Context())
 	want, err := runDetector(oracle)
 	if err != nil {

@@ -10,12 +10,12 @@ import "atropos/internal/logic"
 // three or more instances would need the generic axioms
 // (logic.AssertStrictTotalOrderS / AssertTransitiveS) back.
 
-// orderAxioms grounds ord and, under CC, co over an n×n proposition matrix
-// whose first nA rows/columns are instance A. Production has exactly one,
+// orderAxioms grounds ord and, under CC, co over an n×n relation whose
+// first nA rows/columns are instance A. Production has exactly one,
 // mergeOrder; the type exists so the differential tests can run a fresh
 // detector on the generic cubic axiomatization (oracle_test.go).
 type orderAxioms struct {
-	ord, co func(e *logic.Encoder, nA int, rel [][]logic.Sym)
+	ord, co func(e *logic.Encoder, nA int, r rel)
 }
 
 var mergeOrder = orderAxioms{ord: assertMergeOrder, co: assertMergeCausal}
@@ -41,25 +41,25 @@ func iff(e *logic.Encoder, a, b logic.Sym) {
 // "a' precedes b implies a precedes b" and "a precedes b implies a
 // precedes b'". Stated for adjacent a' = a+1 and b' = b+1 they chain to
 // every distance: 2·nA·nB binary clauses.
-func assertMergeOrder(e *logic.Encoder, nA int, ord [][]logic.Sym) {
-	n := len(ord)
+func assertMergeOrder(e *logic.Encoder, nA int, ord rel) {
+	n := ord.n
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if (i < nA) == (j < nA) {
-				e.AssertClauseS(logic.Pos(ord[i][j]))
-				e.AssertClauseS(logic.Neg(ord[j][i]))
+				e.AssertClauseS(logic.Pos(ord.at(i, j)))
+				e.AssertClauseS(logic.Neg(ord.at(j, i)))
 			}
 		}
 	}
 	for a := 0; a < nA; a++ {
 		for b := nA; b < n; b++ {
-			e.AssertClauseS(logic.Pos(ord[a][b]), logic.Pos(ord[b][a]))
-			e.AssertClauseS(logic.Neg(ord[a][b]), logic.Neg(ord[b][a]))
+			e.AssertClauseS(logic.Pos(ord.at(a, b)), logic.Pos(ord.at(b, a)))
+			e.AssertClauseS(logic.Neg(ord.at(a, b)), logic.Neg(ord.at(b, a)))
 			if a+1 < nA {
-				implies(e, ord[a+1][b], ord[a][b])
+				implies(e, ord.at(a+1, b), ord.at(a, b))
 			}
 			if b+1 < n {
-				implies(e, ord[a][b], ord[a][b+1])
+				implies(e, ord.at(a, b), ord.at(a, b+1))
 			}
 		}
 	}
@@ -74,17 +74,17 @@ func assertMergeOrder(e *logic.Encoder, nA int, ord [][]logic.Sym) {
 // co(x, y), and co ⊆ ord cannot order x and y both ways. What remains is
 // co(x', y) → co(x, y) and co(y, x) → co(y, x'), for adjacent x' = x+1,
 // with x in either instance: 4·nA·nB binary clauses.
-func assertMergeCausal(e *logic.Encoder, nA int, co [][]logic.Sym) {
-	n := len(co)
+func assertMergeCausal(e *logic.Encoder, nA int, co rel) {
+	n := co.n
 	for a := 0; a < nA; a++ {
 		for b := nA; b < n; b++ {
 			if a+1 < nA {
-				implies(e, co[a+1][b], co[a][b])
-				implies(e, co[b][a], co[b][a+1])
+				implies(e, co.at(a+1, b), co.at(a, b))
+				implies(e, co.at(b, a), co.at(b, a+1))
 			}
 			if b+1 < n {
-				implies(e, co[b+1][a], co[b][a])
-				implies(e, co[a][b], co[a][b+1])
+				implies(e, co.at(b+1, a), co.at(b, a))
+				implies(e, co.at(a, b), co.at(a, b+1))
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"atropos/internal/ast"
 	"atropos/internal/logic"
 	"atropos/internal/pool"
 )
@@ -93,11 +92,10 @@ func lessPos(a, b [3]int) bool {
 // command pairs, coupled only through the cumulative found bits.
 type txnWave struct {
 	run       *wavefrontRun
-	txn       *ast.Txn
+	txn       *txnFacts
 	txnIdx    int
 	fp        uint64
-	cmds      []ast.DBCommand
-	witnesses []*ast.Txn
+	witnesses []*pairEncoder
 	pairs     [][2]int    // (i, j) command pairs in sequential order
 	dets      []*detector // one per witness task; read only after Run
 
@@ -149,7 +147,7 @@ func (t *witnessTask) Run(s *pool.Stealer, worker int) pool.TaskStatus {
 		selfFound, unknown := false, false
 		if !predFound {
 			var err error
-			pair, selfFound, unknown, err = t.d.checkPairWitness(wv.txn, wv.witnesses[t.w], wv.pairs[p][0], wv.pairs[p][1])
+			pair, selfFound, unknown, err = t.d.checkPairWitness(wv.witnesses[t.w], wv.pairs[p][0], wv.pairs[p][1])
 			if err != nil {
 				wv.run.fail(wv.txnIdx, p, t.w, err)
 				t.drain(s, worker)
@@ -215,7 +213,7 @@ func (wv *txnWave) finalize() txnOut {
 			out.pairs = append(out.pairs, wv.results[p])
 		case wv.unknown[p]:
 			out.unknown = append(out.unknown, UnknownPair{
-				Txn: wv.txn.Name, C1: wv.cmds[ij[0]].CmdLabel(), C2: wv.cmds[ij[1]].CmdLabel(),
+				Txn: wv.txn.name, C1: wv.txn.cmds[ij[0]].label, C2: wv.txn.cmds[ij[1]].label,
 			})
 		}
 	}
@@ -237,16 +235,14 @@ func (wv *txnWave) finalize() txnOut {
 // cache after the fan-out (counting the TxnHit a sequential pass would),
 // falling back to direct detection only when the first occurrence was
 // degraded and therefore not stored.
-func (s *DetectSession) detectWavefront(ctx context.Context, prog *ast.Program, workers int, fps []uint64) ([]txnOut, error) {
-	n := len(prog.Txns)
-	outs := make([]txnOut, n)
+func (s *DetectSession) detectWavefront(ctx context.Context, ps *pass, workers int, fps []uint64) ([]txnOut, error) {
+	outs := make([]txnOut, len(fps))
 	run := &wavefrontRun{caches: make([]logic.EncoderCache, workers)}
 	scheduled := map[uint64]bool{}
 	var deferred []int
 	var waves []*txnWave
 	var seed []pool.Task
-	for i, t := range prog.Txns {
-		fp := fps[i]
+	for i, fp := range fps {
 		if scheduled[fp] {
 			deferred = append(deferred, i)
 			continue
@@ -256,22 +252,24 @@ func (s *DetectSession) detectWavefront(ctx context.Context, prog *ast.Program, 
 			continue
 		}
 		scheduled[fp] = true
-		cmds := ast.Commands(t.Body)
-		witnesses := witnessesOf(prog, t)
-		var pairs [][2]int
-		for a := 0; a < len(cmds); a++ {
-			for b := a + 1; b < len(cmds); b++ {
-				pairs = append(pairs, [2]int{a, b})
-			}
+		witnesses, err := ps.witnessesOf(i)
+		if err != nil {
+			return nil, err
 		}
-		if len(pairs) == 0 || len(witnesses) == 0 {
+		if len(witnesses) == 0 {
 			// No queries to issue; a fresh detection reports nothing and is
 			// complete, so it enters the fingerprint cache immediately.
 			s.storeTxn(fp, txnEntry{})
 			continue
 		}
+		var pairs [][2]int
+		for a := 0; a < witnesses[0].nA; a++ {
+			for b := a + 1; b < witnesses[0].nA; b++ {
+				pairs = append(pairs, [2]int{a, b})
+			}
+		}
 		wv := &txnWave{
-			run: run, txn: t, txnIdx: i, fp: fp, cmds: cmds,
+			run: run, txn: witnesses[0].t, txnIdx: i, fp: fp,
 			witnesses: witnesses, pairs: pairs,
 			dets:      make([]*detector, len(witnesses)),
 			cum:       make([][]bool, len(witnesses)),
@@ -281,10 +279,10 @@ func (s *DetectSession) detectWavefront(ctx context.Context, prog *ast.Program, 
 			foundAny:  make([]bool, len(pairs)),
 			unknown:   make([]bool, len(pairs)),
 		}
-		for w := range witnesses {
+		for w, pe := range witnesses {
 			wv.cum[w] = make([]bool, len(pairs))
-			d := &detector{prog: prog, model: s.model, encoders: map[[2]string]*pairEncoder{}, session: s, record: s.record, budget: s.budget, portfolio: s.portfolio}
-			d.setContext(ctx)
+			d := s.newDetector(ctx, ps)
+			d.own(pe)
 			wv.dets[w] = d
 			seed = append(seed, &witnessTask{wave: wv, w: w, d: d})
 		}
@@ -316,17 +314,10 @@ func (s *DetectSession) detectWavefront(ctx context.Context, prog *ast.Program, 
 		}
 		// The scheduled twin was degraded and not stored; detect directly,
 		// exactly as the sequential pass would on its cache miss.
-		d := &detector{prog: prog, model: s.model, encoders: map[[2]string]*pairEncoder{}, session: s, record: s.record, budget: s.budget, portfolio: s.portfolio}
-		d.setContext(ctx)
-		pairs, derr := d.detectTxn(prog.Txns[i])
-		d.releaseEncoders()
-		if derr != nil {
-			return nil, derr
+		var err error
+		if outs[i], err = s.detectTxn(ctx, ps, i, fps[i]); err != nil {
+			return nil, err
 		}
-		if d.exhausted == 0 {
-			s.storeTxn(fps[i], txnEntry{pairs: pairs, issued: d.issued})
-		}
-		outs[i] = txnOut{pairs: pairs, unknown: d.unknownPairs, issued: d.issued, solved: d.solved, replayed: d.replayed, exhausted: d.exhausted}
 	}
 	return outs, nil
 }

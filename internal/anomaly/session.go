@@ -62,6 +62,9 @@ type DetectSession struct {
 	// budgeted) detection re-solves exactly the work that was cut short.
 	budget sat.Budget
 
+	// onPlan is handed to every pass (see pass.onPlan); only tests set it.
+	onPlan func(*detector, *pairEncoder)
+
 	mu      sync.Mutex
 	txns    map[uint64]txnEntry
 	queries map[queryKey]*queryFuture
@@ -81,7 +84,7 @@ type txnEntry struct {
 type queryKey struct {
 	enc    uint64 // canonical formula hash of the (txn, witness) encoder
 	hist   uint64 // chained hash of the encoder's prior queries
-	a1, a2 string // assumed dependency propositions
+	a1, a2 uint64 // identities of the assumed dependency propositions
 }
 
 // queryFuture is a once-per-key slot: the first asker solves, concurrent
@@ -115,6 +118,12 @@ type SessionStats struct {
 	// TxnHits / TxnMisses count transaction-level fingerprint outcomes.
 	TxnHits   int
 	TxnMisses int
+	// EncodersPlanned counts the (txn, witness) pair plans computed for
+	// cache-missing transactions; EncodersBuilt the SAT encodings actually
+	// constructed for them — a plan builds its body on its first cycle
+	// query, and most are never asked one.
+	EncodersPlanned int
+	EncodersBuilt   int
 }
 
 // CacheHitRate is the fraction of fresh-equivalent queries the session
@@ -207,20 +216,20 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 // interrupted results (see query).
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
 	n := len(prog.Txns)
-	// Precompute each transaction's structural hash and table set once per
-	// pass; fingerprinting consults every (txn, witness) combination. The
-	// hashes are memoized on the transaction nodes (ast.HashTxn), and the
-	// refactoring engine is copy-on-write, so a transaction the previous
-	// refactoring step did not touch keeps its node — hashing it again here
-	// is one atomic load, where the pre-hash-consing engine re-printed
-	// every transaction on each of the pipeline's three detection passes.
-	// This sequential prepass also publishes every memo before the workers
-	// fan out below.
+	// Precompute each transaction's structural hash and table set (the
+	// pass's) once; fingerprinting consults every (txn, witness)
+	// combination. The hashes are memoized on the transaction nodes
+	// (ast.HashTxn), and the refactoring engine is copy-on-write, so a
+	// transaction the previous refactoring step did not touch keeps its
+	// node — hashing it again here is one atomic load, where the
+	// pre-hash-consing engine re-printed every transaction on each of the
+	// pipeline's three detection passes. This sequential prepass also
+	// publishes every memo before the workers fan out below.
+	p := newPass(prog, s.model, s.record)
+	p.onPlan = s.onPlan
 	hashes := make([]uint64, n)
-	tables := make([]map[string]bool, n)
 	for i, t := range prog.Txns {
 		hashes[i] = ast.HashTxn(t)
-		tables[i] = txnTables(t)
 	}
 	schemaHash := make(map[string]uint64, len(prog.Schemas))
 	for _, sch := range prog.Schemas {
@@ -228,14 +237,14 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 	}
 	fps := make([]uint64, n)
 	for i := range prog.Txns {
-		fps[i] = fingerprintTxn(prog, i, hashes, tables, schemaHash, s.model)
+		fps[i] = fingerprintTxn(prog, i, hashes, p.tables, schemaHash, s.model)
 	}
 	var outs []txnOut
 	var err error
 	if workers := pool.Workers(s.parallelism); workers > 1 {
 		// Wavefront fan-out over (txn, witness) tasks — see parallel.go for
 		// why the reports stay byte-identical to the sequential oracle.
-		outs, err = s.detectWavefront(ctx, prog, workers, fps)
+		outs, err = s.detectWavefront(ctx, p, workers, fps)
 	} else {
 		outs = make([]txnOut, n)
 		err = pool.ForEach(1, n, func(i int) error {
@@ -246,28 +255,28 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 				outs[i] = txnOut{pairs: e.pairs, issued: e.issued}
 				return nil
 			}
-			d := &detector{prog: prog, model: s.model, encoders: map[[2]string]*pairEncoder{}, session: s, record: s.record, budget: s.budget, portfolio: s.portfolio}
-			d.setContext(ctx)
-			pairs, err := d.detectTxn(prog.Txns[i])
-			d.releaseEncoders()
-			if err != nil {
-				return err
-			}
-			// Degraded results are partial, so only complete detections enter
-			// the fingerprint cache: a cached entry must equal what a fresh
-			// unbudgeted oracle would report.
-			if d.exhausted == 0 {
-				s.storeTxn(fps[i], txnEntry{pairs: pairs, issued: d.issued})
-			}
-			outs[i] = txnOut{pairs: pairs, unknown: d.unknownPairs, issued: d.issued, solved: d.solved, replayed: d.replayed, exhausted: d.exhausted}
-			return nil
+			out, err := s.detectTxn(ctx, p, i, fps[i])
+			outs[i] = out
+			return err
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	report := &Report{Model: s.model}
-	replayed := 0
+	report := &Report{Model: s.model, EncodersPlanned: p.planned, EncodersBuilt: int(p.built.Load())}
+	replayed, nPairs, nUnknown := 0, 0, 0
+	for _, o := range outs {
+		nPairs += len(o.pairs)
+		nUnknown += len(o.unknown)
+	}
+	// One allocation each: on a pass of fingerprint hits, growing these by
+	// append was most of the bytes the pass allocated.
+	if nPairs > 0 {
+		report.Pairs = make([]AccessPair, 0, nPairs)
+	}
+	if nUnknown > 0 {
+		report.UnknownPairs = make([]UnknownPair, 0, nUnknown)
+	}
 	for _, o := range outs {
 		report.Pairs = append(report.Pairs, o.pairs...)
 		report.UnknownPairs = append(report.UnknownPairs, o.unknown...)
@@ -282,8 +291,36 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 	s.stats.Queries += report.Queries
 	s.stats.Solved += report.Solved
 	s.stats.Replayed += replayed
+	s.stats.EncodersPlanned += report.EncodersPlanned
+	s.stats.EncodersBuilt += report.EncodersBuilt
 	s.mu.Unlock()
 	return report, nil
+}
+
+// newDetector makes a detector of pass p wired to the session's cache and
+// settings.
+func (s *DetectSession) newDetector(ctx context.Context, p *pass) *detector {
+	d := &detector{pass: p, session: s, budget: s.budget, portfolio: s.portfolio}
+	d.setContext(ctx)
+	return d
+}
+
+// detectTxn detects one fingerprint-missing transaction on a detector of
+// its own and stores the outcome if it is complete.
+func (s *DetectSession) detectTxn(ctx context.Context, p *pass, i int, fp uint64) (txnOut, error) {
+	d := s.newDetector(ctx, p)
+	pairs, err := d.detectTxn(i)
+	d.releaseEncoders()
+	if err != nil {
+		return txnOut{}, err
+	}
+	// Degraded results are partial, so only complete detections enter the
+	// fingerprint cache: a cached entry must equal what a fresh unbudgeted
+	// oracle would report.
+	if d.exhausted == 0 {
+		s.storeTxn(fp, txnEntry{pairs: pairs, issued: d.issued})
+	}
+	return txnOut{pairs: pairs, unknown: d.unknownPairs, issued: d.issued, solved: d.solved, replayed: d.replayed, exhausted: d.exhausted}, nil
 }
 
 func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
@@ -370,14 +407,7 @@ func fingerprintTxn(prog *ast.Program, i int, hashes []uint64, tables []map[stri
 	relevant := tables[i]
 	var merged map[string]bool
 	for j := range prog.Txns {
-		overlap := false
-		for tb := range tables[j] {
-			if tables[i][tb] {
-				overlap = true
-				break
-			}
-		}
-		if !overlap {
+		if !sharesTable(tables[i], tables[j]) {
 			continue
 		}
 		h = logic.ChainString(h, "\x00witness\x00")

@@ -1,7 +1,9 @@
 package anomaly
 
 import (
-	"fmt"
+	"iter"
+	"strconv"
+	"strings"
 
 	"atropos/internal/ast"
 )
@@ -15,19 +17,12 @@ import (
 // atom subject to congruence (symmetry by canonical naming, transitivity
 // asserted per sort).
 
-type termKind int
-
-const (
-	termConst termKind = iota
-	termUUID
-	termExpr // argument or arbitrary expression: value chosen by execution
-)
-
-// term is a symbolic primary-key constraint value.
+// term is a symbolic primary-key constraint value. A TermExpr is an
+// argument or arbitrary expression: its value is chosen by the execution.
 type term struct {
-	kind termKind
+	kind TermKind
 	// id is the canonical identity: equal ids denote equal runtime values.
-	// For termExpr it includes the owning instance so the same expression
+	// For TermExpr it includes the owning instance so the same expression
 	// in different transaction instances yields distinct terms.
 	id string
 }
@@ -38,18 +33,18 @@ type term struct {
 func termOf(e ast.Expr, inst, cmdIdx int) term {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		return term{kind: termConst, id: fmt.Sprintf("ci%d", x.Val)}
+		return term{kind: TermConst, id: "ci" + strconv.FormatInt(x.Val, 10)}
 	case *ast.BoolLit:
-		return term{kind: termConst, id: fmt.Sprintf("cb%t", x.Val)}
+		return term{kind: TermConst, id: "cb" + strconv.FormatBool(x.Val)}
 	case *ast.StringLit:
-		return term{kind: termConst, id: "cs" + x.Val}
+		return term{kind: TermConst, id: "cs" + x.Val}
 	case *ast.UUID:
-		return term{kind: termUUID, id: fmt.Sprintf("u%d_%d", inst, cmdIdx)}
+		return term{kind: TermUUID, id: "u" + strconv.Itoa(inst) + "_" + strconv.Itoa(cmdIdx)}
 	default:
 		// Arguments, at-accesses, arithmetic: identical expressions within
 		// one instance evaluate to the same value (the DSL is deterministic
 		// given views), so canonicalize by printed form + instance.
-		return term{kind: termExpr, id: fmt.Sprintf("e%d_%s", inst, ast.ExprString(e))}
+		return term{kind: TermExpr, id: "e" + strconv.Itoa(inst) + "_" + ast.ExprString(e)}
 	}
 }
 
@@ -68,64 +63,103 @@ func decideEq(a, b term) eqStatus {
 	if a.id == b.id {
 		return eqTrue
 	}
-	if a.kind == termUUID || b.kind == termUUID {
+	if a.kind == TermUUID || b.kind == TermUUID {
 		// uuid() values are globally fresh: unequal to every other value.
 		return eqFalse
 	}
-	if a.kind == termConst && b.kind == termConst {
+	if a.kind == TermConst && b.kind == TermConst {
 		return eqFalse // distinct ids ⇒ distinct constants
 	}
 	return eqUnknown
 }
 
-// keyConstraint maps a table's primary-key field names to the term pinning
-// them; unconstrained fields are absent (the command may range over that
-// dimension).
-type keyConstraint map[string]term
+// keyConstraint lists the primary-key fields of a table a command pins,
+// sorted by field name, with the term pinning each; unconstrained fields
+// are absent (the command may range over that dimension).
+type keyConstraint []keyTerm
 
-// extractKey computes the key constraint of a database command. For
-// selects/updates it uses the equality conjuncts of the where clause (other
-// shapes leave fields unconstrained — a conservative over-approximation);
-// for inserts it uses the value list (inserts always pin the full key).
-func extractKey(c ast.DBCommand, schema *ast.Schema, inst, cmdIdx int) keyConstraint {
-	kc := keyConstraint{}
-	pk := map[string]bool{}
-	for _, f := range schema.PrimaryKey() {
-		pk[f.Name] = true
+type keyTerm struct {
+	field string
+	term  term
+}
+
+// pkPins visits the (primary-key field, pinning expression) pairs of a
+// database command. For selects/updates these are the equality conjuncts
+// of the where clause (other shapes leave fields unconstrained — a
+// conservative over-approximation); for inserts, the value list (inserts
+// always pin the full key).
+func pkPins(c ast.DBCommand, schema *ast.Schema, visit func(field string, e ast.Expr)) {
+	pk := schema.PrimaryKey()
+	isPK := func(field string) bool {
+		for _, f := range pk {
+			if f.Name == field {
+				return true
+			}
+		}
+		return false
+	}
+	where := func(w ast.Expr) {
+		if eqs, ok := ast.WhereEqualities(w); ok {
+			for _, q := range eqs {
+				if isPK(q.Field) {
+					visit(q.Field, q.Expr)
+				}
+			}
+		}
 	}
 	switch x := c.(type) {
 	case *ast.Select:
-		if eqs, ok := ast.WhereEqualities(x.Where); ok {
-			for _, q := range eqs {
-				if pk[q.Field] {
-					kc[q.Field] = termOf(q.Expr, inst, cmdIdx)
-				}
-			}
-		}
+		where(x.Where)
 	case *ast.Update:
-		if eqs, ok := ast.WhereEqualities(x.Where); ok {
-			for _, q := range eqs {
-				if pk[q.Field] {
-					kc[q.Field] = termOf(q.Expr, inst, cmdIdx)
-				}
-			}
-		}
+		where(x.Where)
 	case *ast.Insert:
 		for _, a := range x.Values {
-			if pk[a.Field] {
-				kc[a.Field] = termOf(a.Expr, inst, cmdIdx)
+			if isPK(a.Field) {
+				visit(a.Field, a.Expr)
 			}
 		}
 	}
-	return kc
+}
+
+// pin records that field is pinned to tm; a field pinned twice keeps its
+// last pin.
+func (kc keyConstraint) pin(field string, tm term) keyConstraint {
+	for i := range kc {
+		if kc[i].field == field {
+			kc[i].term = tm
+			return kc
+		}
+	}
+	return append(kc, keyTerm{field, tm})
+}
+
+// commonFields yields the positions (i in a, j in b) of every field both
+// constraints pin.
+func commonFields(a, b keyConstraint) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			switch c := strings.Compare(a[i].field, b[j].field); {
+			case c < 0:
+				i++
+			case c > 0:
+				j++
+			default:
+				if !yield(i, j) {
+					return
+				}
+				i++
+				j++
+			}
+		}
+	}
 }
 
 // mustDiffer reports whether two commands on the same table can never
 // access a common record: some primary-key field is pinned by both to
 // definitely-unequal terms.
 func mustDiffer(a, b keyConstraint) bool {
-	for f, ta := range a {
-		if tb, ok := b[f]; ok && decideEq(ta, tb) == eqFalse {
+	for i, j := range commonFields(a, b) {
+		if decideEq(a[i].term, b[j].term) == eqFalse {
 			return true
 		}
 	}

@@ -124,57 +124,9 @@ func DetectWitnessedContext(ctx context.Context, prog *ast.Program, model Model)
 // resource budget, mirroring DetectBudgeted: exhausted solves degrade the
 // report instead of failing it, and a zero budget is byte-identical.
 func DetectWitnessedBudgeted(ctx context.Context, prog *ast.Program, model Model, b sat.Budget) (*Report, error) {
-	d := &detector{prog: prog, model: model, encoders: map[[2]string]*pairEncoder{}, record: true, budget: b}
+	d := &detector{pass: newPass(prog, model, true), budget: b}
 	d.setContext(ctx)
 	return runDetector(d)
-}
-
-// exportKind maps the internal term classification to the exported one.
-func exportKind(k termKind) TermKind {
-	switch k {
-	case termConst:
-		return TermConst
-	case termUUID:
-		return TermUUID
-	default:
-		return TermExpr
-	}
-}
-
-// extractPins is extractKey's recording twin: the same primary-key pins,
-// but keeping the pinning expressions so the replayer can evaluate them.
-func extractPins(c ast.DBCommand, schema *ast.Schema, inst, cmdIdx int) []KeyPin {
-	pk := map[string]bool{}
-	for _, f := range schema.PrimaryKey() {
-		pk[f.Name] = true
-	}
-	var out []KeyPin
-	add := func(field string, e ast.Expr) {
-		if !pk[field] {
-			return
-		}
-		tm := termOf(e, inst, cmdIdx)
-		out = append(out, KeyPin{Field: field, Term: tm.id, Kind: exportKind(tm.kind), Expr: e})
-	}
-	switch x := c.(type) {
-	case *ast.Select:
-		if eqs, ok := ast.WhereEqualities(x.Where); ok {
-			for _, q := range eqs {
-				add(q.Field, q.Expr)
-			}
-		}
-	case *ast.Update:
-		if eqs, ok := ast.WhereEqualities(x.Where); ok {
-			for _, q := range eqs {
-				add(q.Field, q.Expr)
-			}
-		}
-	case *ast.Insert:
-		for _, a := range x.Values {
-			add(a.Field, a.Expr)
-		}
-	}
-	return out
 }
 
 // eqAtomProp records, for one free equality proposition, the sort and term
@@ -188,17 +140,14 @@ type eqAtomProp struct {
 // buildSchedule reads the current satisfying model back into a Schedule.
 // It must be called immediately after the satisfiable SolveAssuming, before
 // any further solve on this encoder.
-func (pe *pairEncoder) buildSchedule(from1, to1, from2, to2 *cmdInst) *Schedule {
-	n := len(pe.items)
-	s := &Schedule{TxnA: pe.tName, TxnB: pe.wName, NA: pe.nA}
-	for _, it := range pe.items {
-		idx := it.idx
-		if it.inst == 1 {
-			idx -= pe.nA
+func (pe *pairEncoder) buildSchedule(from1, to1, from2, to2 int) *Schedule {
+	n := pe.n
+	s := &Schedule{TxnA: pe.t.name, TxnB: pe.w.name, NA: pe.nA, Items: make([]SchedItem, n)}
+	for x := range s.Items {
+		it, inst := pe.item(x), pe.inst(x)
+		s.Items[x] = SchedItem{
+			Inst: inst, Idx: x - inst*pe.nA, Label: it.label, Table: it.table, Pins: it.pins[inst],
 		}
-		s.Items = append(s.Items, SchedItem{
-			Inst: it.inst, Idx: idx, Label: it.label, Table: it.table, Pins: it.pins,
-		})
 	}
 	// ord is a strict total order, so each item's position is its number of
 	// predecessors in the model.
@@ -206,7 +155,7 @@ func (pe *pairEncoder) buildSchedule(from1, to1, from2, to2 *cmdInst) *Schedule 
 	for i := 0; i < n; i++ {
 		pos := 0
 		for j := 0; j < n; j++ {
-			if j != i && pe.enc.ValueS(pe.ordS[j][i]) {
+			if j != i && pe.enc.ValueS(pe.ord.at(j, i)) {
 				pos++
 			}
 		}
@@ -215,26 +164,17 @@ func (pe *pairEncoder) buildSchedule(from1, to1, from2, to2 *cmdInst) *Schedule 
 	s.Vis = make([][]bool, n)
 	for i := 0; i < n; i++ {
 		s.Vis[i] = make([]bool, n)
-		x := pe.items[i]
-		if !x.writer {
+		if !pe.item(i).writer() {
 			continue
 		}
 		for j := 0; j < n; j++ {
-			if j != i && pe.items[j].inst != x.inst {
-				s.Vis[i][j] = pe.enc.ValueS(pe.visS[i][j])
+			if pe.inst(j) != pe.inst(i) {
+				s.Vis[i][j] = pe.enc.ValueS(pe.vis.at(i, j))
 			}
 		}
 	}
-	if len(pe.eqAtoms) > 0 {
-		syms := make([]logic.Sym, len(pe.eqAtoms))
-		for i, ea := range pe.eqAtoms {
-			syms[i] = ea.sym
-		}
-		vals := pe.enc.ModelValuesS(pe.scratch[:0], syms...)
-		pe.scratch = vals
-		for i, ea := range pe.eqAtoms {
-			s.Eqs = append(s.Eqs, EqAtom{Table: ea.table, Field: ea.field, A: ea.a, B: ea.b, Equal: vals[i]})
-		}
+	for _, ea := range pe.eqAtoms {
+		s.Eqs = append(s.Eqs, EqAtom{Table: ea.table, Field: ea.field, A: ea.a, B: ea.b, Equal: pe.enc.ValueS(ea.sym)})
 	}
 	s.Edge1 = pe.modelSchedEdge(from1, to1)
 	s.Edge2 = pe.modelSchedEdge(from2, to2)
@@ -243,9 +183,9 @@ func (pe *pairEncoder) buildSchedule(from1, to1, from2, to2 *cmdInst) *Schedule 
 
 // modelSchedEdge reads the directed edge (x → y) with its per-field kinds
 // off the current model.
-func (pe *pairEncoder) modelSchedEdge(x, y *cmdInst) SchedEdge {
-	e := SchedEdge{From: x.idx, To: y.idx}
-	for _, ep := range pe.edgeNames[x.idx][y.idx] {
+func (pe *pairEncoder) modelSchedEdge(x, y int) SchedEdge {
+	e := SchedEdge{From: x, To: y}
+	for _, ep := range pe.edgesOf(x, y) {
 		if pe.enc.ValueS(ep.sym) {
 			e.Kind = ep.kind
 			e.Fields = append(e.Fields, EdgeField{Field: ep.field, Kind: ep.kind})

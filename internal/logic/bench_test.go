@@ -6,11 +6,11 @@ import (
 )
 
 // Allocation-reporting microbenchmarks for the encoder: the interned-atom
-// path (Sym matrices, cached Atom nodes, scratch-backed Tseitin) versus
+// path (Sym matrices, scratch-backed Tseitin) versus
 // the convenience string path.
 
 // BenchmarkAssertTotalOrderSyms measures the relational-axiom fast path:
-// pre-interned syms, cached atoms, O(n³) transitivity assertion.
+// pre-interned syms, O(n³) transitivity assertion.
 func BenchmarkAssertTotalOrderSyms(b *testing.B) {
 	const n = 10
 	b.ReportAllocs()
@@ -43,7 +43,7 @@ func BenchmarkAssertTotalOrderStrings(b *testing.B) {
 }
 
 // BenchmarkEncodeNestedFormula measures Tseitin conversion of a mixed
-// connective tree over cached atoms.
+// connective tree over interned atoms.
 func BenchmarkEncodeNestedFormula(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,13 +1,11 @@
 package logic
 
-import "sort"
-
 // This file implements canonical formula hashing for the incremental
 // anomaly-detection engine (internal/anomaly.DetectSession): two encoders
 // with the same FormulaHash hold identical assertion multisets, so a SAT
 // query answered on one can be reused on the other. Hashes are structural
 // (FNV-1a over the formula tree) and the encoder-level digest is
-// order-independent, so hash identity reflects the asserted set itself.
+// order-independent, so hash identity reflects the asserted multiset itself.
 // Note the digest's order-independence is NOT license for callers to
 // assert in arbitrary order: equal-hash encoders only return identical
 // models because they also assert in the same (deterministic) order — the
@@ -41,10 +39,11 @@ func fnvUint64(h, v uint64) uint64 {
 // are part of the identity. Formulas containing interned Atoms need HashIn.
 func Hash(f Formula) uint64 { return hashInto(nil, fnvOffset, f) }
 
-// HashIn is Hash with Atoms resolved against in: an Atom hashes exactly as
-// a Prop of its interned name, so the digest is canonical across the two
-// proposition representations and across interners that numbered the same
-// names differently.
+// HashIn is Hash with Atoms resolved against in. A proposition hashes as
+// its 64-bit identity (Interner): a Prop's is derived from its name, so an
+// Atom interned from that name hashes exactly like it, and the digest is
+// canonical across the two representations and across interners that
+// numbered the same propositions differently.
 func HashIn(in *Interner, f Formula) uint64 { return hashInto(in, fnvOffset, f) }
 
 // ChainString folds s (terminated, so consecutive strings keep distinct
@@ -64,14 +63,14 @@ func ChainUint64(h, v uint64) uint64 { return fnvUint64(h, v) }
 func hashInto(in *Interner, h uint64, f Formula) uint64 {
 	switch x := f.(type) {
 	case *Prop:
-		return fnvString(fnvByte(h, 1), x.Name)
+		return fnvUint64(fnvByte(h, 1), nameID(x.Name))
 	case *Atom:
-		// Same tag and payload as Prop: the hash identifies the named
+		// Same tag and payload as Prop: the hash identifies the
 		// proposition, not its representation or Sym numbering.
 		if in == nil {
 			panic("logic: HashIn needed to hash an interned Atom")
 		}
-		return fnvString(fnvByte(h, 1), in.Name(x.S))
+		return fnvUint64(fnvByte(h, 1), in.ID(x.S))
 	case *Const:
 		if x.Val {
 			return fnvByte(h, 2)
@@ -100,22 +99,26 @@ func hashInto(in *Interner, h uint64, f Formula) uint64 {
 	}
 }
 
+// recordHash folds one assertion's hash into the encoder's digest. The
+// fold is a sum of the avalanched per-assertion hashes (splitmix64's
+// finalizer: FNV-1a alone leaves the high bits of short inputs correlated),
+// so it is commutative — the digest identifies the asserted multiset
+// regardless of assertion order — and a duplicate assertion changes it.
+func (e *Encoder) recordHash(h uint64) {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	e.hashSum += h
+	e.asserted++
+}
+
 // FormulaHash digests every formula asserted since RecordFormulaHashes
-// into a canonical 64-bit value: the multiset of per-assertion hashes is
-// sorted and chained, so the digest identifies the asserted set regardless
-// of assertion order. Call RecordFormulaHashes before the first Assert;
-// otherwise the digest is meaningless (assertions are not retained).
+// into a canonical 64-bit value that identifies the asserted multiset
+// regardless of assertion order. Call RecordFormulaHashes before the first
+// Assert; otherwise the digest is meaningless (assertions are not
+// retained).
 func (e *Encoder) FormulaHash() uint64 {
-	if !e.hashDirty {
-		return e.hash
-	}
-	sorted := append([]uint64(nil), e.assertHashes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	h := fnvUint64(fnvOffset, uint64(len(sorted)))
-	for _, v := range sorted {
-		h = fnvUint64(h, v)
-	}
-	e.hash = h
-	e.hashDirty = false
-	return h
+	return fnvUint64(fnvUint64(fnvOffset, e.asserted), e.hashSum)
 }

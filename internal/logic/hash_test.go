@@ -52,7 +52,7 @@ func TestFormulaHashOrderIndependent(t *testing.T) {
 func TestFormulaHashOptIn(t *testing.T) {
 	e := NewEncoder()
 	e.Assert(P("x")) // recording off: nothing accumulated
-	if len(e.assertHashes) != 0 {
+	if e.asserted != 0 {
 		t.Error("Assert recorded hashes without RecordFormulaHashes")
 	}
 }

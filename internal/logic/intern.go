@@ -2,21 +2,29 @@ package logic
 
 import "fmt"
 
-// Sym is an interned proposition name: an index into an Interner's string
-// table. Encoders resolve syms to solver variables by flat []int lookup,
-// so the hot encode/solve path never hashes a proposition string. Sym
-// values are only meaningful relative to the Interner that produced them.
+// Sym is an interned proposition: an index into an Interner's table.
+// Encoders resolve syms to solver variables by flat []int lookup, so the
+// hot encode/solve path never hashes a proposition string. Sym values are
+// only meaningful relative to the Interner that produced them.
 type Sym int32
 
-// Interner is a string table mapping proposition names to dense Syms.
-// Interning is idempotent: the same name always returns the same Sym.
+// Interner is the proposition table of one encoder: dense Syms, each with
+// a 64-bit identity. A proposition enters it one of two ways. Intern takes
+// a name — idempotent, the same name always returns the same Sym — and
+// derives the identity from the name's bytes. New takes the identity
+// itself and allocates the next Sym without a name: the form for relational
+// encodings whose propositions are addressed by indices (a family tag plus
+// (i, j)) and never printed.
 //
-// Hashing contract: formula hashes (Hash/FormulaHash) digest the interned
-// *strings*, never the Sym values, so two encoders that interned the same
-// names in different orders — and therefore numbered them differently —
-// still produce identical canonical hashes (see DESIGN.md §8).
+// Hashing contract: formula hashes (Hash/FormulaHash) digest identities,
+// never Sym values, so two encoders that allocated the same propositions
+// in different orders — and therefore numbered them differently — still
+// produce identical canonical hashes (see DESIGN.md §8). Callers of New
+// own the other half of the contract: an identity must determine the
+// proposition's role in the encoding, as a name would.
 type Interner struct {
-	names []string
+	names []string // "" for Syms allocated by New
+	ids   []uint64
 	index map[string]Sym
 }
 
@@ -30,8 +38,13 @@ func NewInterner() *Interner {
 // previously returned Syms are meaningless afterwards.
 func (in *Interner) reset() {
 	in.names = in.names[:0]
+	in.ids = in.ids[:0]
 	clear(in.index)
 }
+
+// nameID is the identity of a named proposition: the FNV-1a hash of its
+// name.
+func nameID(name string) uint64 { return fnvString(fnvOffset, name) }
 
 // Intern returns the Sym for name, assigning the next free Sym on first
 // sight.
@@ -39,8 +52,8 @@ func (in *Interner) Intern(name string) Sym {
 	if s, ok := in.index[name]; ok {
 		return s
 	}
-	s := Sym(len(in.names))
-	in.names = append(in.names, name)
+	s := in.New(nameID(name))
+	in.names[s] = name
 	in.index[name] = s
 	return s
 }
@@ -51,8 +64,19 @@ func (in *Interner) Internf(format string, args ...any) Sym {
 	return in.Intern(fmt.Sprintf(format, args...))
 }
 
-// Name returns the string a Sym was interned from.
+// New allocates the next Sym for a nameless proposition with the given
+// identity. Syms are consecutive: n calls in a row return a contiguous
+// range, so a relation can be addressed as base + i·n + j.
+func (in *Interner) New(id uint64) Sym {
+	s := Sym(len(in.names))
+	in.names = append(in.names, "")
+	in.ids = append(in.ids, id)
+	return s
+}
+
+// Name returns the string a Sym was interned from ("" for a Sym allocated
+// by New).
 func (in *Interner) Name(s Sym) string { return in.names[s] }
 
-// Len returns the number of interned names.
-func (in *Interner) Len() int { return len(in.names) }
+// ID returns a Sym's identity.
+func (in *Interner) ID(s Sym) uint64 { return in.ids[s] }

@@ -8,9 +8,11 @@
 // Propositions come in two forms: Prop carries its name as a string (the
 // convenient form for tests and small formulas), Atom carries an interned
 // Sym resolved against the encoder's Interner (the fast form — building
-// and encoding an Atom never allocates or hashes a string). Both hash
-// identically for equal names, so FormulaHash is canonical across the two
-// representations (see DESIGN.md §8).
+// and encoding an Atom never allocates or hashes a string). A Sym is
+// interned from a name (Sym, Symf) or allocated nameless under a
+// caller-chosen 64-bit identity (NewSym); formula hashes digest
+// identities, a name's being the hash of its bytes, so FormulaHash is
+// canonical across all three (see DESIGN.md §8).
 package logic
 
 import (
@@ -138,23 +140,17 @@ func EvalIn(in *Interner, f Formula, m map[string]bool) bool {
 type Encoder struct {
 	S  *sat.Solver
 	in *Interner
-	// vars maps Sym → solver variable (-1 until first encoded); atoms
-	// caches one Atom node per Sym so formula construction reuses nodes.
-	// Nodes are carved out of slabs (never reallocated, so the cached
-	// pointers stay valid) to avoid one heap object per proposition.
+	// vars maps Sym → solver variable (-1 until first encoded).
 	vars  []int
-	atoms []*Atom
-	slab  []Atom
 	order []Sym // syms in solver-variable creation order
 	// trueVar is a variable asserted true, used for constants.
 	trueVar int
-	// assertHashes records Hash(f) for every asserted formula once
-	// RecordFormulaHashes opts in; FormulaHash digests them canonically
+	// asserted and hashSum fold Hash(f) of every formula asserted since
+	// RecordFormulaHashes opted in; FormulaHash digests them canonically
 	// for the SAT-query cache (see hash.go).
 	recordHashes bool
-	assertHashes []uint64
-	hash         uint64
-	hashDirty    bool
+	asserted     uint64
+	hashSum      uint64
 	// scratch backs the literal lists Tseitin conversion builds, in stack
 	// discipline (encode restores its frame before returning), so n-ary
 	// connectives do not allocate per node.
@@ -185,13 +181,9 @@ func (e *Encoder) reset() {
 	e.S.Reset()
 	e.in.reset()
 	e.vars = e.vars[:0]
-	e.atoms = e.atoms[:0]
-	e.slab = e.slab[:0]
 	e.order = e.order[:0]
 	e.recordHashes = false
-	e.assertHashes = e.assertHashes[:0]
-	e.hash = 0
-	e.hashDirty = false
+	e.asserted, e.hashSum = 0, 0
 	e.scratch = e.scratch[:0]
 	e.init()
 }
@@ -226,23 +218,18 @@ func (e *Encoder) Sym(name string) Sym { return e.in.Intern(name) }
 // Symf interns a printf-formatted proposition name.
 func (e *Encoder) Symf(format string, args ...any) Sym { return e.in.Internf(format, args...) }
 
-// NameOf returns the name a Sym was interned from.
+// NameOf returns the name a Sym was interned from ("" for a NewSym).
 func (e *Encoder) NameOf(s Sym) string { return e.in.Name(s) }
 
-// Atom returns the (cached) Atom node for a Sym.
-func (e *Encoder) Atom(s Sym) *Atom {
-	for int(s) >= len(e.atoms) {
-		e.atoms = append(e.atoms, nil)
-	}
-	if e.atoms[s] == nil {
-		if len(e.slab) == cap(e.slab) {
-			e.slab = make([]Atom, 0, 128)
-		}
-		e.slab = append(e.slab, Atom{S: s})
-		e.atoms[s] = &e.slab[len(e.slab)-1]
-	}
-	return e.atoms[s]
-}
+// NewSym allocates a nameless proposition with the given identity (see
+// Interner.New): consecutive calls return consecutive Syms.
+func (e *Encoder) NewSym(id uint64) Sym { return e.in.New(id) }
+
+// IDOf returns a Sym's identity, the value formula hashes digest for it.
+func (e *Encoder) IDOf(s Sym) uint64 { return e.in.ID(s) }
+
+// Atom returns an Atom node for a Sym.
+func (e *Encoder) Atom(s Sym) *Atom { return &Atom{S: s} }
 
 // Var interns a proposition name as a solver variable.
 func (e *Encoder) Var(name string) int { return e.VarS(e.in.Intern(name)) }
@@ -274,8 +261,7 @@ func (e *Encoder) LitS(s Sym, neg bool) sat.Lit {
 // Assert adds f as a hard constraint.
 func (e *Encoder) Assert(f Formula) {
 	if e.recordHashes {
-		e.assertHashes = append(e.assertHashes, HashIn(e.in, f))
-		e.hashDirty = true
+		e.recordHash(HashIn(e.in, f))
 	}
 	l := e.encode(f)
 	e.S.AddClause(l)
@@ -408,13 +394,13 @@ func (e *Encoder) ModelValuesS(dst []bool, syms ...Sym) []bool {
 	return dst
 }
 
-// ModelProps returns the names of all interned propositions that are true
-// in the current model, in interning order.
+// ModelProps returns the names of all named propositions that are true in
+// the current model, in solver-variable creation order.
 func (e *Encoder) ModelProps() []string {
 	var out []string
 	for _, s := range e.order {
-		if e.S.Value(e.vars[s]) {
-			out = append(out, e.in.Name(s))
+		if name := e.in.Name(s); name != "" && e.S.Value(e.vars[s]) {
+			out = append(out, name)
 		}
 	}
 	return out
@@ -471,12 +457,11 @@ func (e *Encoder) AssertTransitiveS(n int, name func(i, j int) Sym) {
 func (e *Encoder) AssertImpliesAnd2S(a, b, c Sym) {
 	if e.recordHashes {
 		h := fnvByte(fnvByte(fnvOffset, 7), 5) // Implies(And(...
-		h = fnvString(fnvByte(h, 1), e.in.Name(a))
-		h = fnvString(fnvByte(h, 1), e.in.Name(b))
+		h = fnvUint64(fnvByte(h, 1), e.in.ID(a))
+		h = fnvUint64(fnvByte(h, 1), e.in.ID(b))
 		h = fnvByte(h, 0xfe) // ...)
-		h = fnvString(fnvByte(h, 1), e.in.Name(c))
-		e.assertHashes = append(e.assertHashes, h)
-		e.hashDirty = true
+		h = fnvUint64(fnvByte(h, 1), e.in.ID(c))
+		e.recordHash(h)
 	}
 	base := len(e.scratch)
 	e.scratch = append(e.scratch, sat.NewLit(e.VarS(a), false), sat.NewLit(e.VarS(b), false))
@@ -492,10 +477,9 @@ func (e *Encoder) AssertImpliesAnd2S(a, b, c Sym) {
 // Assert(IffF(Atom(a), NotF(Atom(b)))) (see AssertImpliesAnd2S).
 func (e *Encoder) AssertIffNotS(a, b Sym) {
 	if e.recordHashes {
-		h := fnvString(fnvByte(fnvByte(fnvOffset, 8), 1), e.in.Name(a)) // Iff(a,
-		h = fnvString(fnvByte(fnvByte(h, 4), 1), e.in.Name(b))          // Not(b))
-		e.assertHashes = append(e.assertHashes, h)
-		e.hashDirty = true
+		h := fnvUint64(fnvByte(fnvByte(fnvOffset, 8), 1), e.in.ID(a)) // Iff(a,
+		h = fnvUint64(fnvByte(fnvByte(h, 4), 1), e.in.ID(b))          // Not(b))
+		e.recordHash(h)
 	}
 	la := sat.NewLit(e.VarS(a), false)
 	lb := sat.NewLit(e.VarS(b), true)
@@ -517,6 +501,9 @@ func Pos(s Sym) SymLit { return SymLit(s) << 1 }
 // Neg is the literal "s does not hold".
 func Neg(s Sym) SymLit { return SymLit(s)<<1 | 1 }
 
+// Not is the complementary literal.
+func (l SymLit) Not() SymLit { return l ^ 1 }
+
 // AssertClauseS asserts the disjunction of lits as exactly one solver
 // clause: no Tseitin variable, no definition clauses. It is the entry
 // point for axioms that are clauses already — units, implications a → b
@@ -533,10 +520,9 @@ func (e *Encoder) AssertClauseS(lits ...SymLit) {
 			if l&1 == 1 {
 				h = fnvByte(h, 4)
 			}
-			h = fnvString(fnvByte(h, 1), e.in.Name(Sym(l>>1)))
+			h = fnvUint64(fnvByte(h, 1), e.in.ID(Sym(l>>1)))
 		}
-		e.assertHashes = append(e.assertHashes, fnvByte(h, 0xfe))
-		e.hashDirty = true
+		e.recordHash(fnvByte(h, 0xfe))
 	}
 	base := len(e.scratch)
 	for _, l := range lits {

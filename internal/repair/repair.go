@@ -277,12 +277,14 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 			res.DegradedStages = append(res.DegradedStages, stage)
 		}
 	}
-	freshQueries := 0
+	var fresh anomaly.SessionStats
 	absorb := func(rep *anomaly.Report) {
 		res.Degraded = res.Degraded || rep.Degraded
 		res.Unknown += rep.Unknown
 		res.Exhausted += rep.Exhausted
-		freshQueries += rep.Queries
+		fresh.Queries += rep.Queries
+		fresh.EncodersPlanned += rep.EncodersPlanned
+		fresh.EncodersBuilt += rep.EncodersBuilt
 	}
 	// finish computes the run's stats and elapsed time; every return path
 	// (complete or degraded) goes through it.
@@ -296,10 +298,14 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 				QueryHits: after.QueryHits - statsBefore.QueryHits,
 				TxnHits:   after.TxnHits - statsBefore.TxnHits,
 				TxnMisses: after.TxnMisses - statsBefore.TxnMisses,
+
+				EncodersPlanned: after.EncodersPlanned - statsBefore.EncodersPlanned,
+				EncodersBuilt:   after.EncodersBuilt - statsBefore.EncodersBuilt,
 			}
 		} else {
 			// The fresh oracle solves everything it issues.
-			res.Stats = anomaly.SessionStats{Queries: freshQueries, Solved: freshQueries}
+			fresh.Solved = fresh.Queries
+			res.Stats = fresh
 		}
 		res.Elapsed = time.Since(start)
 	}
