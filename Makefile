@@ -10,7 +10,7 @@ COVER_FLOOR ?= 60
 # Seconds each fuzz target runs under `make fuzz` / the nightly workflow.
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover drift certify loadtest-smoke chaos service-chaos scaling-smoke baseline-mc fuzz baseline profile
+.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover drift certify loadtest-smoke chaos service-chaos scaling-smoke baseline-mc fuzz baseline profile loc
 
 ci: fmt vet build race race-par bench bench-harness cover drift certify loadtest-smoke chaos service-chaos scaling-smoke
 
@@ -36,9 +36,9 @@ race:
 # Race-detector pass over the concurrent detection/repair surfaces at a
 # fixed fan-out width of 8 (wider than any default on CI runners), so the
 # wavefront scheduler and the sharded cons table are exercised under
-# contention regardless of host core count. ATROPOS_TEST_PARALLELISM
-# overrides the min(GOMAXPROCS, 4) default inside repair.Options and the
-# differential detection tests.
+# contention regardless of host core count. ATROPOS_TEST_PARALLELISM is
+# read by the two packages' test helpers only (the differential detection
+# tests' forced width, the repair tests' default width); no binary reads it.
 race-par:
 	ATROPOS_TEST_PARALLELISM=8 $(GO) test -race ./internal/anomaly ./internal/repair
 
@@ -122,9 +122,9 @@ certify:
 # this; `go test` allows one -fuzz pattern per run).
 fuzz:
 	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzRepairRandomProgram$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzDetectSessionEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzDetectSessionEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzCOWDeepCloneEquivalence$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzParallelDetectEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzParallelDetectEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzWitnessReplaySoundness$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzBudgetedSolveEquivalence$$' -fuzztime $(FUZZTIME)
@@ -192,3 +192,11 @@ profile:
 	$(GO) run ./cmd/atropos-exp -exp fig12 -bench TPC-C -duration 5 -clients 50 \
 		-cpuprofile profiles/sim-tpcc.cpu.pprof -memprofile profiles/sim-tpcc.mem.pprof > /dev/null
 	@ls -l profiles/
+
+# Production size: lines of non-test Go outside the benchmark harness
+# (bench/ is its own module), per package directory and in total — the
+# number ROADMAP.md's quality-of-design aim quotes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

@@ -22,8 +22,8 @@
 // tuned with functional options (WithCertify, WithDetectParallelism, ...).
 // For serving many callers from one process, NewEngine wraps the pipeline
 // in a long-lived engine with a bounded worker pool and per-client
-// incremental detection sessions — the daemon cmd/atroposd exposes that
-// engine over HTTP (DESIGN.md §12).
+// detection sessions — the daemon cmd/atroposd exposes that engine over
+// HTTP (DESIGN.md §12).
 //
 // The package also exposes the evaluation substrate: the nine benchmark
 // programs of the paper's Table 1, the discrete-event geo-replicated
@@ -33,18 +33,17 @@ package atropos
 
 import (
 	"context"
-	"time"
 
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
-	"atropos/internal/core"
 	"atropos/internal/engine"
 	"atropos/internal/exp"
 	"atropos/internal/refactor"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
+	"atropos/internal/sema"
 )
 
 // Program is a parsed, semantically checked database program.
@@ -78,27 +77,28 @@ type ValueCorr = refactor.ValueCorr
 func ParseModel(s string) (Model, error) { return anomaly.ParseModel(s) }
 
 // Parse parses and semantically checks DSL source.
-func Parse(src string) (*Program, error) { return core.LoadProgram(src) }
+func Parse(src string) (*Program, error) { return sema.Load(src) }
 
 // Format renders a program back to DSL concrete syntax.
 func Format(p *Program) string { return ast.Format(p) }
 
-// Analyze runs the static anomaly oracle under the given model. Cancelling
-// the context aborts the SAT solves mid-flight and returns its error.
+// Analyze runs the static anomaly oracle under the given model: one
+// detection on a new DetectSession. Cancelling the context aborts the SAT
+// solves mid-flight and returns its error.
 func Analyze(ctx context.Context, p *Program, m Model) (*AnomalyReport, error) {
-	return anomaly.DetectContext(ctx, p, m)
+	return anomaly.NewSession(m).DetectContext(ctx, p)
 }
 
-// DetectSession is the incremental anomaly oracle: it fingerprints
-// transactions and memoizes solved SAT queries, so detecting across a
-// sequence of related programs (the repair pipeline, an editing loop)
-// only re-solves what actually changed. Reports are identical to Analyze.
+// DetectSession is the anomaly oracle: it fingerprints transactions and
+// memoizes solved SAT queries, so detecting across a sequence of related
+// programs (the repair pipeline, an editing loop) only re-solves what
+// actually changed. What it reports never depends on what it remembers.
 type DetectSession = anomaly.DetectSession
 
 // DetectStats aggregates a session's SAT-query counters and cache hits.
 type DetectStats = anomaly.SessionStats
 
-// NewDetectSession creates an incremental detection session for one model.
+// NewDetectSession creates a detection session for one model.
 func NewDetectSession(m Model) *DetectSession { return anomaly.NewSession(m) }
 
 // Certificate is a witness-replay certificate: per anomalous pair, whether
@@ -119,27 +119,16 @@ func Certify(ctx context.Context, p *Program, m Model) (*Certificate, *AnomalyRe
 }
 
 // RepairOption configures one Repair or Engine call. The zero configuration
-// (no options) runs the incremental detection engine without certification —
-// the same defaults the old Repair entry point had.
+// (no options) repairs without certification, detecting at the default
+// width on a session of its own.
 type RepairOption = repair.Option
-
-// WithIncrementalDetect toggles the cached incremental detection session
-// inside the pipeline (on by default). Results are identical either way.
-func WithIncrementalDetect(on bool) RepairOption { return repair.Incremental(on) }
 
 // WithDetectParallelism bounds the worker goroutines of the detection
 // passes. Zero — the default — selects min(GOMAXPROCS, 4): multi-core
 // detection is the fast path. Pass an explicit 1 for strictly sequential
-// detection (the pre-flip behavior, and the only setting whose
-// Solved/Replayed cache counters are deterministic; reported anomalies are
-// identical at every setting).
+// detection (the only setting whose Solved/Replayed cache counters are
+// deterministic; reported anomalies are identical at every setting).
 func WithDetectParallelism(n int) RepairOption { return repair.Parallelism(n) }
-
-// WithPortfolio races k diversified SAT-solver replicas per detection
-// query, first definitive verdict wins. Which pairs are anomalous is
-// unchanged; the reported fields and witness schedules come from whichever
-// replica won and are not byte-reproducible across runs. Off by default.
-func WithPortfolio(k int) RepairOption { return repair.Portfolio(k) }
 
 // WithCertify replays every initial anomaly as an executable certificate
 // with negative controls (RepairResult.Certificate).
@@ -160,44 +149,6 @@ func WithSession(s *DetectSession) RepairOption { return repair.Session(s) }
 // Time column).
 func Repair(ctx context.Context, p *Program, m Model, opts ...RepairOption) (*RepairResult, error) {
 	return repair.Run(ctx, p, m, opts...)
-}
-
-// RepairOptions is the options struct behind the functional options.
-//
-// Deprecated: pass RepairOption values to Repair instead.
-type RepairOptions = repair.Options
-
-// AnalyzeCertified is Certify without cancellation.
-//
-// Deprecated: use Certify with a context.
-func AnalyzeCertified(p *Program, m Model) (*Certificate, *AnomalyReport, error) {
-	return replay.CertifyModel(p, m)
-}
-
-// RepairWithOptions is Repair with an explicit options struct and no
-// cancellation.
-//
-// Deprecated: use Repair with a context and functional options.
-func RepairWithOptions(p *Program, m Model, o RepairOptions) (*RepairResult, error) {
-	return repair.RepairWith(p, m, o)
-}
-
-// RepairTimed is Repair plus the total wall time.
-//
-// Deprecated: use Repair; the wall time is RepairResult.Elapsed.
-func RepairTimed(p *Program, m Model) (*RepairResult, time.Duration, error) {
-	return RepairTimedWith(p, m, RepairOptions{Incremental: true})
-}
-
-// RepairTimedWith is RepairWithOptions plus the total wall time.
-//
-// Deprecated: use Repair; the wall time is RepairResult.Elapsed.
-func RepairTimedWith(p *Program, m Model, o RepairOptions) (*RepairResult, time.Duration, error) {
-	res, err := core.RunWith(p, m, o)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Repair, res.Elapsed, nil
 }
 
 // Engine is a long-lived repair service: a bounded worker pool with
@@ -282,11 +233,6 @@ type (
 // WithParallelism bounds the worker goroutines an experiment driver may
 // use; n <= 0 selects GOMAXPROCS (the default).
 func WithParallelism(n int) Option { return exp.WithParallelism(n) }
-
-// WithIncremental toggles the incremental (cached) anomaly-detection
-// engine inside the experiment drivers' repair pipelines; on by default.
-// Results are identical either way.
-func WithIncremental(on bool) Option { return exp.WithIncremental(on) }
 
 // Table1 regenerates Table 1 over the given benchmarks, fanning the
 // benchmark × consistency-model grid out on a bounded worker pool.

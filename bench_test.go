@@ -31,7 +31,7 @@ func benchTable1(b *testing.B, name string) {
 		// Detection parallelism pinned to 1: these benchmarks are
 		// alloc-gated, and only the sequential path allocates identically
 		// on every machine (worker fan-out scales with the width).
-		if res, err = repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: true, Parallelism: 1}); err != nil {
+		if res, err = repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,9 @@ func benchDetect(b *testing.B, model anomaly.Model) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := anomaly.Detect(prog, model); err != nil {
+		s := anomaly.NewSession(model)
+		s.SetParallelism(1)
+		if _, err := s.Detect(prog); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,6 @@ var (
 	ops      = flag.Int64("ops", 0, "stop each fig12-15 point after this many commits instead of -duration (0 = duration-bounded)")
 	parallel = flag.Int("parallel", 0, "worker goroutines for the experiment drivers (0 = GOMAXPROCS)")
 	outPath  = flag.String("out", "", "write the baseline snapshot to this file (baseline experiment)")
-	incr     = flag.Bool("incremental", true, "use the cached incremental detection engine in the repair pipelines")
 	baseline = flag.String("baseline", "BENCH_baseline.json", "committed snapshot the drift experiment compares against")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProf  = flag.String("memprofile", "", "write an allocation profile of the experiment to this file")
@@ -140,7 +139,7 @@ func main() {
 
 func runTable1() {
 	fmt.Println("== Table 1: statically identified anomalous access pairs ==")
-	rows, err := exp.Table1(benchmarks.All(), exp.WithParallelism(*parallel), exp.WithIncremental(*incr))
+	rows, err := exp.Table1(benchmarks.All(), exp.WithParallelism(*parallel))
 	if err != nil {
 		fatal(err)
 	}
@@ -185,15 +184,14 @@ func runFig(fig int) {
 	for _, b := range benches {
 		for _, topo := range figTopologies(fig) {
 			res, err := exp.Perf(exp.PerfConfig{
-				Benchmark:      b,
-				Topology:       topo,
-				ClientCounts:   clientCounts(b),
-				Duration:       time.Duration(*duration) * time.Second,
-				Ops:            *ops,
-				Scale:          benchmarks.Scale{Records: *records * *scaleUp},
-				Seed:           *seed,
-				Parallelism:    *parallel,
-				NonIncremental: !*incr,
+				Benchmark:    b,
+				Topology:     topo,
+				ClientCounts: clientCounts(b),
+				Duration:     time.Duration(*duration) * time.Second,
+				Ops:          *ops,
+				Scale:        benchmarks.Scale{Records: *records * *scaleUp},
+				Seed:         *seed,
+				Parallelism:  *parallel,
 			})
 			if err != nil {
 				fatal(err)
@@ -240,7 +238,7 @@ func runFig16() {
 		benches = []*benchmarks.Benchmark{b}
 	}
 	for _, b := range benches {
-		res, err := exp.Fig16(b, *rounds, 10, *seed, exp.WithIncremental(*incr))
+		res, err := exp.Fig16(b, *rounds, 10, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -251,7 +249,7 @@ func runFig16() {
 
 func runInvariants() {
 	fmt.Println("== SmallBank application-level invariants (§7.1, App. A.2) ==")
-	res, err := exp.Invariants(60, *seed, exp.WithIncremental(*incr))
+	res, err := exp.Invariants(60, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -261,7 +259,7 @@ func runInvariants() {
 
 func runSummary() {
 	fmt.Println("== Headline aggregates ==")
-	t1, err := exp.Table1(benchmarks.All(), exp.WithParallelism(*parallel), exp.WithIncremental(*incr))
+	t1, err := exp.Table1(benchmarks.All(), exp.WithParallelism(*parallel))
 	if err != nil {
 		fatal(err)
 	}
@@ -275,10 +273,9 @@ func runSummary() {
 func runBaseline() {
 	fmt.Println("== Benchmark-regression baseline ==")
 	b, err := exp.RunBaseline(exp.BaselineConfig{
-		Duration:       time.Duration(*duration) * time.Second,
-		Parallelism:    *parallel,
-		Seed:           *seed,
-		NonIncremental: !*incr,
+		Duration:    time.Duration(*duration) * time.Second,
+		Parallelism: *parallel,
+		Seed:        *seed,
 	})
 	if err != nil {
 		fatal(err)
@@ -309,18 +306,13 @@ func runDrift() {
 		fatal(err)
 	}
 	got, err := exp.RunBaseline(exp.BaselineConfig{
-		Duration:       time.Duration(*duration) * time.Second,
-		Parallelism:    *parallel,
-		Seed:           *seed,
-		NonIncremental: !*incr,
-		CountsOnly:     true,
+		Duration:    time.Duration(*duration) * time.Second,
+		Parallelism: *parallel,
+		Seed:        *seed,
+		CountsOnly:  true,
 	})
 	if err != nil {
 		fatal(err)
-	}
-	if got.Incremental != want.Incremental {
-		fmt.Fprintf(os.Stderr, "warning: engine mismatch (run incremental=%t, baseline %t): comparing anomaly counts only\n",
-			got.Incremental, want.Incremental)
 	}
 	drift := exp.CountDrift(got, want)
 	if len(drift) == 0 {
@@ -342,7 +334,7 @@ func runDrift() {
 // speedup > 1.0 at 2 workers (smoke).
 func runScaling() {
 	fmt.Println("== Multi-core scaling: Table-1 repairs vs detection workers ==")
-	cfg := exp.ScalingConfig{Smoke: *smoke, NonIncremental: !*incr}
+	cfg := exp.ScalingConfig{Smoke: *smoke}
 	if *workers != "" {
 		for _, part := range strings.Split(*workers, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -419,9 +411,8 @@ func runCertify() {
 func runChaos() {
 	fmt.Println("== Chaos panel: Adya-style violations under deterministic fault schedules ==")
 	cfg := exp.ChaosConfig{
-		Seed:           *seed,
-		Parallelism:    *parallel,
-		NonIncremental: !*incr,
+		Seed:        *seed,
+		Parallelism: *parallel,
 	}
 	if *benchArg != "" {
 		b := benchmarks.ByName(*benchArg)

@@ -14,10 +14,9 @@
 //	-steps               print the refactoring steps applied
 //	-bench NAME          use built-in benchmarks instead of files
 //	                     (comma-separated names, or "all")
-//	-parallel N          analyze inputs on N workers (0 = GOMAXPROCS)
-//	-incremental         cached incremental detection inside repair
-//	                     (default true; -incremental=false re-solves
-//	                     every SAT query from scratch)
+//	-parallel N          analyze inputs on N workers (0 = GOMAXPROCS);
+//	                     with one input, the detection fan-out width
+//	                     (0 = min(GOMAXPROCS, 4))
 //	-certify             replay every detected anomaly as an executable
 //	                     certificate in the cluster simulator; with
 //	                     repair, also run the SC and repaired-program
@@ -35,7 +34,7 @@ import (
 	"strings"
 
 	"atropos"
-	"atropos/internal/exp"
+	"atropos/internal/pool"
 )
 
 func main() {
@@ -45,8 +44,6 @@ func main() {
 	benchName := flag.String("bench", "", `built-in benchmark names, comma-separated, or "all"`)
 	outPath := flag.String("out", "", "write the refactored program to this file instead of stdout (single input only)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for multiple inputs (0 = GOMAXPROCS); with one input, the detection fan-out width (0 = min(GOMAXPROCS, 4))")
-	portfolio := flag.Int("portfolio", 1, "race this many diversified SAT solver replicas per detection query, first verdict wins (1 = off)")
-	incremental := flag.Bool("incremental", true, "use the cached incremental detection engine inside repair")
 	certify := flag.Bool("certify", false, "replay every detected anomaly as an executable certificate in the cluster simulator")
 	flag.Parse()
 
@@ -62,29 +59,22 @@ func main() {
 		fatal(fmt.Errorf("-out requires exactly one input, got %d", len(inputs)))
 	}
 
-	// Analyze/repair every input concurrently on the experiment engine's
-	// worker pool; buffer per-input output so the report order matches the
-	// input order.
+	// Analyze/repair every input concurrently on a bounded worker pool;
+	// buffer per-input output so the report order matches the input order.
 	// With multiple inputs -parallel fans out across them and detection
-	// inside each repair stays sequential (the cores are already claimed);
-	// with a single input it instead bounds the detection session's
-	// (txn, witness) fan-out, defaulting to the multi-core fast path
-	// (reports are identical at every setting).
-	opts := []atropos.RepairOption{
-		atropos.WithIncrementalDetect(*incremental),
-		atropos.WithCertify(*certify),
-		atropos.WithPortfolio(*portfolio),
-	}
+	// inside each stays sequential (the cores are already claimed); with a
+	// single input it instead bounds the detection session's (txn, witness)
+	// fan-out, defaulting to the multi-core fast path (reports are
+	// identical at every setting).
+	width := 1
 	if len(inputs) == 1 {
-		opts = append(opts, atropos.WithDetectParallelism(*parallel))
-	} else {
-		opts = append(opts, atropos.WithDetectParallelism(1))
+		width = *parallel
 	}
 	ctx := context.Background()
 	outputs := make([]string, len(inputs))
-	err = exp.ForEach(exp.Workers(*parallel), len(inputs), func(i int) error {
+	err = pool.ForEach(pool.Workers(*parallel), len(inputs), func(i int) error {
 		var perr error
-		outputs[i], perr = process(ctx, inputs[i], m, *analyzeOnly, *showSteps, *certify, *outPath, opts)
+		outputs[i], perr = process(ctx, inputs[i], m, *analyzeOnly, *showSteps, *certify, *outPath, width)
 		return perr
 	})
 	if err != nil {
@@ -101,7 +91,7 @@ type input struct {
 }
 
 // process runs one input through the pipeline, returning its full report.
-func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSteps, certify bool, outPath string, opts []atropos.RepairOption) (string, error) {
+func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSteps, certify bool, outPath string, width int) (string, error) {
 	var b strings.Builder
 	if analyzeOnly {
 		if certify {
@@ -120,7 +110,9 @@ func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSt
 			}
 			return b.String(), nil
 		}
-		report, err := atropos.Analyze(ctx, in.prog, m)
+		s := atropos.NewDetectSession(m)
+		s.SetParallelism(width)
+		report, err := s.DetectContext(ctx, in.prog)
 		if err != nil {
 			return "", err
 		}
@@ -131,7 +123,7 @@ func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSt
 		return b.String(), nil
 	}
 
-	res, err := atropos.Repair(ctx, in.prog, m, opts...)
+	res, err := atropos.Repair(ctx, in.prog, m, atropos.WithCertify(certify), atropos.WithDetectParallelism(width))
 	if err != nil {
 		return "", err
 	}

@@ -8,40 +8,48 @@ import (
 	"atropos/internal/sat"
 )
 
+// budgeted is a one-shot sequential detection of prog under m with every
+// solve bounded by b.
+func budgeted(t *testing.T, prog string, m Model, record bool, b sat.Budget) *Report {
+	t.Helper()
+	rep, err := coldDetect(context.Background(), mustProg(t, prog), m, 1, record, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestDetectBudgetedHugeEquivalent is the degradation differential's easy
 // half: a budget far above what any courseware solve needs must produce a
 // report byte-identical to the unbudgeted detector's — same pairs, same
 // query counters, nothing degraded.
 func TestDetectBudgetedHugeEquivalent(t *testing.T) {
-	prog := mustProg(t, courseware)
+	huge := sat.Budget{Conflicts: 1 << 40, Propagations: 1 << 40, ArenaLits: 1 << 40}
 	for _, m := range []Model{EC, CC, RR} {
-		want, err := Detect(prog, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		huge := sat.Budget{Conflicts: 1 << 40, Propagations: 1 << 40, ArenaLits: 1 << 40}
-		got, err := DetectBudgeted(context.Background(), prog, m, huge)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := budgeted(t, courseware, m, false, sat.Budget{})
+		got := budgeted(t, courseware, m, false, huge)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: huge-budget report differs from unbudgeted:\ngot  %+v\nwant %+v", m, got, want)
 		}
+		fresh, err := freshDetect(context.Background(), mustProg(t, courseware), m, false, huge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVerdict(t, m.String()+" huge budget", got, fresh)
 	}
 }
 
 // TestDetectBudgetedZeroEquivalent: the zero budget is the documented
-// off-switch — DetectBudgeted must be DetectContext exactly.
+// off-switch — a session handed one must report exactly what a session
+// never handed a budget does.
 func TestDetectBudgetedZeroEquivalent(t *testing.T) {
-	prog := mustProg(t, courseware)
-	want, err := Detect(prog, EC)
+	s := NewSession(EC)
+	s.SetParallelism(1)
+	want, err := s.Detect(mustProg(t, courseware))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DetectBudgeted(context.Background(), prog, EC, sat.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := budgeted(t, courseware, EC, false, sat.Budget{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("zero-budget report differs from unbudgeted:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -53,16 +61,9 @@ func TestDetectBudgetedZeroEquivalent(t *testing.T) {
 // verdict's (exhaustion removes answers, never invents them), and the
 // whole outcome deterministic across runs.
 func TestDetectBudgetedStarvedDegrades(t *testing.T) {
-	prog := mustProg(t, courseware)
-	full, err := Detect(prog, EC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := budgeted(t, courseware, EC, false, sat.Budget{})
 	starved := sat.Budget{Propagations: 1}
-	got, err := DetectBudgeted(context.Background(), prog, EC, starved)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := budgeted(t, courseware, EC, false, starved)
 	if !got.Degraded || got.Exhausted == 0 {
 		t.Fatalf("starved detect not degraded: degraded=%v exhausted=%d", got.Degraded, got.Exhausted)
 	}
@@ -77,10 +78,7 @@ func TestDetectBudgetedStarvedDegrades(t *testing.T) {
 			t.Fatalf("starved detect invented pair %s(%s,%s) absent from the full verdict", p.Txn, p.C1, p.C2)
 		}
 	}
-	again, err := DetectBudgeted(context.Background(), prog, EC, starved)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := budgeted(t, courseware, EC, false, starved)
 	if !reflect.DeepEqual(got, again) {
 		t.Fatalf("starved detection nondeterministic:\nrun1 %+v\nrun2 %+v", got, again)
 	}
@@ -91,7 +89,7 @@ func TestDetectBudgetedStarvedDegrades(t *testing.T) {
 // program through the same session yields the full unbudgeted verdict.
 func TestSessionBudgetDegradedNotCached(t *testing.T) {
 	prog := mustProg(t, courseware)
-	full, err := Detect(prog, EC)
+	full, err := freshDetect(context.Background(), prog, EC, false, sat.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +121,11 @@ func TestSessionBudgetDegradedNotCached(t *testing.T) {
 	}
 }
 
-// TestDetectWitnessedBudgetedDegrades: the witness-recording detector
+// TestDetectWitnessedBudgetedDegrades: a witness-recording detection
 // degrades the same way, and every pair it does report still carries its
 // executable schedule.
 func TestDetectWitnessedBudgetedDegrades(t *testing.T) {
-	prog := mustProg(t, courseware)
-	got, err := DetectWitnessedBudgeted(context.Background(), prog, EC, sat.Budget{Propagations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := budgeted(t, courseware, EC, true, sat.Budget{Propagations: 1})
 	if !got.Degraded {
 		t.Fatal("starved witnessed detect not degraded")
 	}

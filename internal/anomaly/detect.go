@@ -11,34 +11,6 @@ import (
 	"atropos/internal/sat"
 )
 
-// Detect runs the oracle over every transaction of the program under the
-// given consistency model. Every SAT query is encoded and solved from
-// scratch; use a DetectSession to reuse work across related programs (the
-// repair pipeline's repeated detection passes).
-func Detect(prog *ast.Program, model Model) (*Report, error) {
-	return DetectContext(context.Background(), prog, model)
-}
-
-// DetectContext is Detect with cancellation: the context's deadline or
-// cancellation aborts detection mid-solve (the SAT solvers poll it) and
-// returns ctx.Err(). An uncancellable context adds no overhead.
-func DetectContext(ctx context.Context, prog *ast.Program, model Model) (*Report, error) {
-	return DetectBudgeted(ctx, prog, model, sat.Budget{})
-}
-
-// DetectBudgeted is DetectContext with a per-solve resource budget: every
-// cycle query's SAT solve is bounded by b, and a budget-exhausted solve
-// marks its pair's verdict unknown instead of failing the detection. The
-// report is then partial — Degraded is set, UnknownPairs lists the pairs
-// no surviving query could classify — but everything it does report is
-// sound (see Report.Degraded). A zero budget is byte-identical to
-// DetectContext.
-func DetectBudgeted(ctx context.Context, prog *ast.Program, model Model, b sat.Budget) (*Report, error) {
-	d := &detector{pass: newPass(prog, model, false), budget: b}
-	d.setContext(ctx)
-	return runDetector(d)
-}
-
 // setContext installs the detector's cancellation probe. The stop function
 // is only materialized for cancellable contexts, so Background-context
 // detection keeps a nil probe on every solver (zero polling cost).
@@ -58,28 +30,6 @@ func (d *detector) ctxErr() error {
 	return context.Canceled
 }
 
-// runDetector drives a configured detector over every transaction.
-func runDetector(d *detector) (*Report, error) {
-	defer d.releaseEncoders()
-	report := &Report{Model: d.pass.model}
-	for ti := range d.pass.prog.Txns {
-		pairs, err := d.detectTxn(ti)
-		if err != nil {
-			return nil, err
-		}
-		report.Pairs = append(report.Pairs, pairs...)
-	}
-	report.Queries = d.issued
-	report.Solved = d.solved
-	report.UnknownPairs = d.unknownPairs
-	report.Unknown = len(d.unknownPairs)
-	report.Exhausted = d.exhausted
-	report.Degraded = d.exhausted > 0
-	report.EncodersPlanned = d.pass.planned
-	report.EncodersBuilt = int(d.pass.built.Load())
-	return report, nil
-}
-
 type detector struct {
 	// pass is the detection pass this detector works for: the program, the
 	// model, and the per-transaction facts its plans are computed from.
@@ -92,22 +42,18 @@ type detector struct {
 	// cancelled). See setContext.
 	ctx  context.Context
 	stop func() bool
-	// session, when non-nil, memoizes solved cycle queries across
-	// detectors (and across Detect calls) by canonical formula hash.
+	// session memoizes solved cycle queries across detectors (and across
+	// Detect calls) by canonical formula hash. Nil only in the tests'
+	// cache-free reference detector.
 	session *DetectSession
 	// encCache, when non-nil, is the worker-local encoder freelist the
 	// parallel wavefront routes acquisition through (DESIGN.md §15); nil
 	// falls back to the shared pool. The wavefront re-points it at the
 	// current worker's cache on every task resumption.
 	encCache *logic.EncoderCache
-	// portfolio > 1 races that many diversified solver replicas per query
-	// (sat.SetPortfolio). Portfolio encoders are tainted at birth: raced
-	// models are timing-dependent, so they must never feed the
-	// history-keyed cache.
-	portfolio int
-	issued    int // cycle-satisfiability queries asked
-	solved    int // cache-miss queries solved (issued - cache hits)
-	replayed  int // cache-hit queries re-run to restore solver-state parity
+	issued   int // cycle-satisfiability queries asked
+	solved   int // cache-miss queries solved (issued - cache hits)
+	replayed int // cache-hit queries re-run to restore solver-state parity
 	// budget, when limited, bounds every encoder's SAT solves; exhausted
 	// counts the solves that crossed it, and unknownPairs the access pairs
 	// left unclassified because of them.
@@ -122,7 +68,6 @@ type detector struct {
 // own makes d the detector that queries — and releases — the planned
 // encoder pe.
 func (d *detector) own(pe *pairEncoder) {
-	pe.tainted = d.portfolio > 1
 	d.encs = append(d.encs, pe)
 	if d.pass.onPlan != nil {
 		d.pass.onPlan(d, pe)
@@ -218,7 +163,8 @@ type cycleResult struct {
 	Flds1, Flds2 []string
 	// Sched is the witness schedule read off the satisfying model, present
 	// only under witness recording. It is immutable once built, so cached
-	// results may share it across hits.
+	// results share it across hits; it names the pair whose solver produced
+	// it, and buildPair re-addresses it to the pair it reports.
 	Sched *Schedule
 }
 
@@ -352,13 +298,7 @@ func (d *detector) buildBody(pe *pairEncoder) {
 	} else {
 		le = logic.AcquireEncoder()
 	}
-	// Portfolio mode must be configured before the encoding is asserted:
-	// the shadow replicas replicate the clause stream from this point on.
-	// Portfolio encoders skip formula hashing — they are tainted at birth
-	// (own), so no cache key ever needs their hash.
-	if d.portfolio > 1 {
-		le.S.SetPortfolio(d.portfolio)
-	} else if d.session != nil {
+	if d.session != nil {
 		le.RecordFormulaHashes()
 	}
 	ax := d.axioms
@@ -419,10 +359,9 @@ type pairEncoder struct {
 	// cache and not yet run on this solver; replayPending runs them before
 	// the next fresh solve to restore solver-state parity.
 	pending [][2]logic.Sym
-	// tainted marks an encoder whose solver exhausted a budget or races a
-	// portfolio: its search state does not match a fresh oracle's, so it
-	// must neither consume nor produce history-keyed cache entries (see
-	// detector.solveCycle).
+	// tainted marks an encoder whose solver exhausted a budget: its search
+	// state does not match a fresh oracle's, so it must neither consume nor
+	// produce history-keyed cache entries (see detector.solveCycle).
 	tainted bool
 	// assume is the reusable assumption buffer for the witness loop's
 	// SolveAssuming calls.
@@ -863,7 +802,7 @@ func (pe *pairEncoder) buildPair(c1, c2, d1, d2 int, r cycleResult) AccessPair {
 		C1:  x1.label, F1: r.Flds1,
 		C2: x2.label, F2: r.Flds2,
 		Kind:    classify(x1.cmd, x2.cmd, r.Flds1, r.Flds2),
-		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: r.Kind1, Edge2: r.Kind2, Schedule: r.Sched},
+		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: r.Kind1, Edge2: r.Kind2, Schedule: pe.adoptSchedule(r.Sched)},
 	}
 }
 

@@ -96,7 +96,7 @@ func mustProg(t *testing.T, src string) *ast.Program {
 
 func detect(t *testing.T, src string, m Model) *Report {
 	t.Helper()
-	r, err := Detect(mustProg(t, src), m)
+	r, err := NewSession(m).Detect(mustProg(t, src))
 	if err != nil {
 		t.Fatalf("Detect(%v): %v", m, err)
 	}

@@ -112,7 +112,7 @@ type Witness struct {
 	Edge2 EdgeKind // kind of the B.d2 → A.c2 edge
 	// Schedule is the executable witness extracted from the satisfying
 	// cycle model; nil unless detection recorded witnesses
-	// (DetectWitnessed / DetectSession.RecordWitnesses). It never feeds
+	// (DetectSession.RecordWitnesses). It never feeds
 	// String() or any golden output.
 	Schedule *Schedule
 }
@@ -159,8 +159,8 @@ type Report struct {
 	Model   Model
 	Pairs   []AccessPair
 	Queries int // cycle-satisfiability queries issued (cache hits included)
-	// Solved counts cache-miss queries solved on the SAT solver. A fresh
-	// Detect solves every query it issues; a DetectSession answers repeats
+	// Solved counts cache-miss queries solved on the SAT solver. A
+	// DetectSession answers repeats — within one pass and across passes —
 	// from its cache, so Solved <= Queries. State-parity replays are not
 	// included here — see SessionStats.Replayed.
 	Solved int

@@ -145,8 +145,9 @@ func pairIDs(rep *Report) map[pairID]bool {
 }
 
 // checkAgainstCubicOracle detects prog under model three ways — a fresh
-// detector on the generic cubic axioms (the oracle), the production
-// sequential path, and the production wavefront at width 8 — and requires
+// detector on the generic cubic axioms (the oracle), the fresh reference
+// on the production axioms, and a new session's wavefront at width 8 — and
+// requires
 // the same anomalous access pairs and the same number of cycle queries
 // from all of them. (Witness details are read off whichever model the
 // solver returns, which legitimately differs between encodings.)
@@ -154,13 +155,13 @@ func checkAgainstCubicOracle(t *testing.T, what string, prog *ast.Program, model
 	t.Helper()
 	oracle := &detector{pass: newPass(prog, model, false), axioms: cubicOrder}
 	oracle.setContext(t.Context())
-	want, err := runDetector(oracle)
+	want, err := runFresh(oracle)
 	if err != nil {
 		t.Fatalf("%s %v: cubic oracle: %v", what, model, err)
 	}
-	seq, err := Detect(prog, model)
+	seq, err := FreshDetect(prog, model)
 	if err != nil {
-		t.Fatalf("%s %v: Detect: %v", what, model, err)
+		t.Fatalf("%s %v: fresh Detect: %v", what, model, err)
 	}
 	s := NewSession(model)
 	s.SetParallelism(8)

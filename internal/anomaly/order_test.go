@@ -26,7 +26,7 @@ func TestReportOrderingAcrossEngines(t *testing.T) {
 	for _, b := range []*benchmarks.Benchmark{benchmarks.SmallBank, benchmarks.TPCC} {
 		prog := b.MustProgram()
 		for _, model := range []anomaly.Model{anomaly.EC, anomaly.RR} {
-			fresh, err := anomaly.Detect(prog, model)
+			fresh, err := anomaly.FreshDetect(prog, model)
 			if err != nil {
 				t.Fatalf("%s/%s: Detect: %v", b.Name, model, err)
 			}
@@ -58,7 +58,7 @@ func TestReportOrderingAcrossEngines(t *testing.T) {
 // TestAccessPairStringGolden pins the exact rendering the drivers diff.
 // Update deliberately, with the Table-1 goldens.
 func TestAccessPairStringGolden(t *testing.T) {
-	rep, err := anomaly.Detect(benchmarks.SmallBank.MustProgram(), anomaly.EC)
+	rep, err := anomaly.NewSession(anomaly.EC).Detect(benchmarks.SmallBank.MustProgram())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,7 +237,7 @@ func (wv *txnWave) finalize() txnOut {
 // degraded and therefore not stored.
 func (s *DetectSession) detectWavefront(ctx context.Context, ps *pass, workers int, fps []uint64) ([]txnOut, error) {
 	outs := make([]txnOut, len(fps))
-	run := &wavefrontRun{caches: make([]logic.EncoderCache, workers)}
+	run := &wavefrontRun{}
 	scheduled := map[uint64]bool{}
 	var deferred []int
 	var waves []*txnWave
@@ -289,6 +289,10 @@ func (s *DetectSession) detectWavefront(ctx context.Context, ps *pass, workers i
 		waves = append(waves, wv)
 	}
 	if len(seed) > 0 {
+		// One freelist, deque and goroutine per worker: never more of them
+		// than there are tasks to run.
+		workers = min(workers, len(seed))
+		run.caches = make([]logic.EncoderCache, workers)
 		pool.NewStealer(workers, len(seed)).Run(seed)
 	}
 	for i := range run.caches {

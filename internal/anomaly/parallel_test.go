@@ -1,9 +1,7 @@
 package anomaly_test
 
 import (
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"atropos/internal/anomaly"
@@ -11,20 +9,6 @@ import (
 	"atropos/internal/progen"
 	"atropos/internal/sat"
 )
-
-// testParallelism is the fan-out width the differential tests force.
-// It is wider than any default so the wavefront scheduler is exercised
-// even where min(GOMAXPROCS, 4) would stay low; the `make race-par` CI
-// job overrides it through ATROPOS_TEST_PARALLELISM to pin the width
-// explicitly.
-func testParallelism() int {
-	if v := os.Getenv("ATROPOS_TEST_PARALLELISM"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 8
-}
 
 // TestWavefrontEquivalentOnBenchmarks is the parallel fast path's core
 // contract on the full evaluation corpus: a wavefront detection must
@@ -34,14 +18,14 @@ func TestWavefrontEquivalentOnBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus equivalence; skipped with -short")
 	}
-	par := testParallelism()
+	par := anomaly.ForcedWidth()
 	for _, b := range benchmarks.All() {
 		prog, err := b.Program()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range sessionModels {
-			fresh, err := anomaly.Detect(prog, m)
+			fresh, err := anomaly.FreshDetect(prog, m)
 			if err != nil {
 				t.Fatalf("%s %v: Detect: %v", b.Name, m, err)
 			}
@@ -80,11 +64,11 @@ func TestWavefrontEquivalentOnRandomPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	par := testParallelism()
+	par := anomaly.ForcedWidth()
 	for seed := int64(0); seed < 20; seed++ {
 		p := progen.Program(seed)
 		for _, m := range sessionModels {
-			fresh, err := anomaly.Detect(p, m)
+			fresh, err := anomaly.FreshDetect(p, m)
 			if err != nil {
 				t.Fatalf("seed %d %v: Detect: %v", seed, m, err)
 			}
@@ -122,7 +106,7 @@ txn Audit(a: int) {
 }
 `)
 	prog.Txns = append(prog.Txns, prog.Txns[0])
-	fresh, err := anomaly.Detect(prog, anomaly.EC)
+	fresh, err := anomaly.FreshDetect(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Detect: %v", err)
 	}
@@ -134,7 +118,7 @@ txn Audit(a: int) {
 		t.Fatalf("sequential session: %v", err)
 	}
 	wav := anomaly.NewSession(anomaly.EC)
-	wav.SetParallelism(testParallelism())
+	wav.SetParallelism(anomaly.ForcedWidth())
 	wv, err := wav.Detect(prog)
 	if err != nil {
 		t.Fatalf("wavefront session: %v", err)
@@ -176,7 +160,7 @@ func TestWavefrontBudgetedEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: sequential budgeted Detect: %v", seed, err)
 		}
 		wav := anomaly.NewSession(anomaly.EC)
-		wav.SetParallelism(testParallelism())
+		wav.SetParallelism(anomaly.ForcedWidth())
 		wav.SetSolveBudget(starved)
 		wv, err := wav.Detect(p)
 		if err != nil {
@@ -191,59 +175,6 @@ func TestWavefrontBudgetedEquivalence(t *testing.T) {
 		if sq.Queries != wv.Queries || sq.Degraded != wv.Degraded {
 			t.Errorf("seed %d: queries %d/%d degraded %t/%t (seq/wave)",
 				seed, sq.Queries, wv.Queries, sq.Degraded, wv.Degraded)
-		}
-	}
-}
-
-// pairIdentity projects an access pair onto its timing-independent
-// identity. Portfolio racing changes which satisfying model a SAT query
-// returns, and the reported fields and witness schedule are read off
-// that model — so under a portfolio only the pair identities and the
-// query count are comparable, not the full pair (see SetPortfolio).
-type pairIdentity struct {
-	txn, c1, c2, wTxn, wD1, wD2 string
-}
-
-func identities(pairs []anomaly.AccessPair) []pairIdentity {
-	out := make([]pairIdentity, len(pairs))
-	for i, p := range pairs {
-		out[i] = pairIdentity{txn: p.Txn, c1: p.C1, c2: p.C2, wTxn: p.Witness.Txn, wD1: p.Witness.D1, wD2: p.Witness.D2}
-	}
-	return out
-}
-
-// TestPortfolioDetectEquivalence runs the wavefront with solver
-// portfolios enabled: every detected pair identity and the query count
-// must match the sequential fresh oracle (verdicts are deterministic —
-// only the satisfying models a race returns are not).
-func TestPortfolioDetectEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus equivalence; skipped with -short")
-	}
-	for _, b := range benchmarks.All() {
-		prog, err := b.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range sessionModels {
-			fresh, err := anomaly.Detect(prog, m)
-			if err != nil {
-				t.Fatalf("%s %v: Detect: %v", b.Name, m, err)
-			}
-			s := anomaly.NewSession(m)
-			s.SetParallelism(4)
-			s.SetPortfolio(3)
-			got, err := s.Detect(prog)
-			if err != nil {
-				t.Fatalf("%s %v: portfolio Detect: %v", b.Name, m, err)
-			}
-			if !reflect.DeepEqual(identities(fresh.Pairs), identities(got.Pairs)) {
-				t.Fatalf("%s %v: portfolio pair identities diverge:\nfresh %v\ngot   %v",
-					b.Name, m, fresh.Pairs, got.Pairs)
-			}
-			if got.Queries != fresh.Queries {
-				t.Errorf("%s %v: portfolio issued %d queries, fresh %d", b.Name, m, got.Queries, fresh.Queries)
-			}
 		}
 	}
 }

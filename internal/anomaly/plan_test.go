@@ -142,7 +142,7 @@ func detectVia(ctx context.Context, prog *ast.Program, m Model, width int, eager
 			d.pass.onPlan = eagerBodies
 		}
 		d.setContext(ctx)
-		return runDetector(d)
+		return runFresh(d)
 	}
 	s := NewSession(m)
 	s.RecordWitnesses()
@@ -157,20 +157,9 @@ func detectVia(ctx context.Context, prog *ast.Program, m Model, width int, eager
 // sameReport requires two reports to agree on everything a caller can see:
 // pairs with witnesses, fields and schedules, unknown pairs, and the query
 // counters; the encoder counters are what is allowed to differ. sequential
-// says both ran without concurrency, which makes two more things
-// deterministic: Solved, and which of several identically encoded (txn,
-// witness) pairs populated a shared cache entry first — a cached schedule
-// carries its producer's transaction names, so under the wavefront
-// schedules are left out of the comparison.
+// says both ran without concurrency, which makes Solved deterministic too.
 func sameReport(t *testing.T, what string, lazy, eager *Report, sequential bool) {
 	t.Helper()
-	if !sequential {
-		for _, r := range []*Report{lazy, eager} {
-			for i := range r.Pairs {
-				r.Pairs[i].Witness.Schedule = nil
-			}
-		}
-	}
 	if !reflect.DeepEqual(lazy.Pairs, eager.Pairs) {
 		t.Errorf("%s: pairs differ:\nlazy  %v\neager %v", what, lazy.Pairs, eager.Pairs)
 	}
@@ -265,7 +254,7 @@ txn twoWrites(k: int) {
 	}
 	d.releaseEncoders()
 
-	rep, err := Detect(prog, EC)
+	rep, err := NewSession(EC).Detect(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +335,7 @@ func TestAbortOnBodyBuildingQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Detect(prog, EC)
+	want, err := FreshDetect(prog, EC)
 	if err != nil {
 		t.Fatal(err)
 	}

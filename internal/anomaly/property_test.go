@@ -21,7 +21,7 @@ func TestModelMonotonicityOnRandomPrograms(t *testing.T) {
 		p := progen.Program(seed)
 		counts := map[anomaly.Model]int{}
 		for _, m := range []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR, anomaly.SC} {
-			r, err := anomaly.Detect(p, m)
+			r, err := anomaly.NewSession(m).Detect(p)
 			if err != nil {
 				t.Fatalf("seed %d: Detect(%v): %v", seed, m, err)
 			}
@@ -62,7 +62,7 @@ func TestDetectorGoldenCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := anomaly.Detect(prog, anomaly.EC)
+		r, err := anomaly.NewSession(anomaly.EC).Detect(prog)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

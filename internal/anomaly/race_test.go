@@ -7,11 +7,11 @@ import (
 	"atropos/internal/benchmarks"
 )
 
-// TestDetectConcurrent runs the detector from many goroutines over the
-// same shared *ast.Program under every consistency model. The parallel
-// experiment engine relies on Detect treating its input as read-only; run
-// with -race this test guards that contract (detector state — encoders,
-// query counters, SAT solvers — must be per-call).
+// TestDetectConcurrent runs one-shot detections (a new session each) from
+// many goroutines over the same shared *ast.Program under every consistency
+// model. The parallel experiment engine relies on Detect treating its input
+// as read-only; run with -race this test guards that contract (detector
+// state — encoders, query counters, SAT solvers — must be per-session).
 func TestDetectConcurrent(t *testing.T) {
 	prog, err := benchmarks.SmallBank.Program()
 	if err != nil {
@@ -20,7 +20,7 @@ func TestDetectConcurrent(t *testing.T) {
 	models := []Model{EC, CC, RR, SC}
 	want := make([]int, len(models))
 	for i, m := range models {
-		r, err := Detect(prog, m)
+		r, err := NewSession(m).Detect(prog)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -36,7 +36,7 @@ func TestDetectConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(round, i int, m Model) {
 				defer wg.Done()
-				r, err := Detect(prog, m)
+				r, err := NewSession(m).Detect(prog)
 				if err != nil {
 					t.Errorf("%v: %v", m, err)
 					return

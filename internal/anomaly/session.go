@@ -3,6 +3,7 @@ package anomaly
 import (
 	"context"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -12,11 +13,13 @@ import (
 	"atropos/internal/sat"
 )
 
-// DetectSession is the incremental anomaly-detection engine. It answers the
-// same queries as Detect — byte-identical reports — but remembers work
-// across calls, which the repair pipeline exploits: its three detection
-// passes run over programs that differ only where a refactoring touched
-// them.
+// DetectSession is the anomaly detector: the bounded SAT oracle plus the
+// memory of what it has already solved. A one-shot detection is a new
+// session's first Detect call; the repair pipeline keeps one session across
+// its three detection passes, which run over programs that differ only
+// where a refactoring touched them. What a session reports never depends on
+// what it remembers — every report equals a cache-free detector's (the
+// reference kept in this package's tests).
 //
 // Two cache layers (see DESIGN.md §7 for the invalidation contract):
 //
@@ -47,9 +50,6 @@ import (
 type DetectSession struct {
 	model       Model
 	parallelism int
-	// portfolio > 1 races that many diversified solver replicas per cycle
-	// query (see SetPortfolio).
-	portfolio int
 	// record opts every detection into witness-schedule extraction. It must
 	// be set before the first Detect call: recording changes no encoding,
 	// no solve, and no cache key, but cached cycle results only carry a
@@ -135,8 +135,23 @@ func (s SessionStats) CacheHitRate() float64 {
 	return 1 - float64(s.Solved+s.Replayed)/float64(s.Queries)
 }
 
-// NewSession creates an incremental detection session for one consistency
-// model.
+// defaultParallelismCap bounds the detection workers an unset width
+// selects. Detection's parallel efficiency flattens past a handful of
+// workers on typical benchmark programs (the wavefront couples witness
+// tasks through the found bits, and the session cache serializes identical
+// queries), while callers like the experiment grid fan whole repairs out
+// and want the remaining cores for that outer level — so the default claims
+// at most four.
+const defaultParallelismCap = 4
+
+// DefaultParallelism is the detection width an unset (zero or negative)
+// SetParallelism resolves to: min(GOMAXPROCS, 4). It is the one rule for
+// width 0; every layer above passes its zero through to the session.
+func DefaultParallelism() int {
+	return min(runtime.GOMAXPROCS(0), defaultParallelismCap)
+}
+
+// NewSession creates a detection session for one consistency model.
 func NewSession(model Model) *DetectSession {
 	return &DetectSession{
 		model:   model,
@@ -149,23 +164,14 @@ func NewSession(model Model) *DetectSession {
 func (s *DetectSession) Model() Model { return s.model }
 
 // SetParallelism bounds the worker goroutines Detect fans (txn, witness)
-// tasks out on; n <= 0 selects GOMAXPROCS, 1 forces sequential detection.
+// tasks out on; n <= 0 selects DefaultParallelism, 1 forces sequential
+// detection.
 // Reported pairs are identical at every setting — the wavefront reproduces
 // each encoder's sequential query order (parallel.go), and cached values
 // are pinned to the producer's solver state by the history-keyed cache, so
 // they do not depend on which worker populates a key first. Only the
 // Solved/Replayed/QueryHits stats can shift under concurrency.
 func (s *DetectSession) SetParallelism(n int) { s.parallelism = n }
-
-// SetPortfolio races k diversified CDCL replicas per cycle query, first
-// definitive verdict wins (sat.SetPortfolio); k <= 1 restores plain
-// solving. Verdicts — and therefore which pairs are anomalous, and under
-// which witness — are unchanged, but the satisfying models a race reports
-// are timing-dependent, so reported fields and witness schedules may
-// legitimately vary between runs. For the same reason portfolio encoders
-// never consume or produce history-keyed query-cache entries. Set it
-// between Detect calls, not during one.
-func (s *DetectSession) SetPortfolio(k int) { s.portfolio = k }
 
 // RecordWitnesses opts every subsequent detection into witness-schedule
 // extraction (see witness.go): reported pairs carry Witness.Schedule.
@@ -205,7 +211,7 @@ func (s *DetectSession) Reset() {
 }
 
 // Detect runs the oracle over every transaction of the program, reusing
-// all applicable cached work. The report equals Detect(prog, model)'s.
+// all applicable cached work.
 func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 	return s.DetectContext(context.Background(), prog)
 }
@@ -241,7 +247,11 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 	}
 	var outs []txnOut
 	var err error
-	if workers := pool.Workers(s.parallelism); workers > 1 {
+	workers := s.parallelism
+	if workers <= 0 {
+		workers = DefaultParallelism()
+	}
+	if workers > 1 {
 		// Wavefront fan-out over (txn, witness) tasks — see parallel.go for
 		// why the reports stay byte-identical to the sequential oracle.
 		outs, err = s.detectWavefront(ctx, p, workers, fps)
@@ -300,7 +310,7 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 // newDetector makes a detector of pass p wired to the session's cache and
 // settings.
 func (s *DetectSession) newDetector(ctx context.Context, p *pass) *detector {
-	d := &detector{pass: p, session: s, budget: s.budget, portfolio: s.portfolio}
+	d := &detector{pass: p, session: s, budget: s.budget}
 	d.setContext(ctx)
 	return d
 }

@@ -40,7 +40,7 @@ func TestSessionEquivalentOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		p := progen.Program(seed)
 		for _, m := range sessionModels {
-			fresh, err := anomaly.Detect(p, m)
+			fresh, err := anomaly.FreshDetect(p, m)
 			if err != nil {
 				t.Fatalf("seed %d %v: Detect: %v", seed, m, err)
 			}
@@ -92,7 +92,7 @@ func TestSessionEquivalentOnBenchmarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range sessionModels {
-			fresh, err := anomaly.Detect(prog, m)
+			fresh, err := anomaly.FreshDetect(prog, m)
 			if err != nil {
 				t.Fatalf("%s %v: Detect: %v", b.Name, m, err)
 			}
@@ -158,7 +158,7 @@ txn incB(k: int) {
 	if hits := delta.TxnHits - base.TxnHits; hits != 1 {
 		t.Errorf("txn cache hits on re-detection = %d, want 1 (incA untouched)", hits)
 	}
-	fresh, err := anomaly.Detect(p2, anomaly.EC)
+	fresh, err := anomaly.FreshDetect(p2, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}

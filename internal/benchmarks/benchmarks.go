@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"atropos/internal/ast"
-	"atropos/internal/parser"
 	"atropos/internal/sema"
 	"atropos/internal/store"
 )
@@ -92,12 +91,8 @@ type Benchmark struct {
 // Program parses and checks the benchmark's source (cached).
 func (b *Benchmark) Program() (*ast.Program, error) {
 	b.once.Do(func() {
-		p, err := parser.Parse(b.Source)
+		p, err := sema.Load(b.Source)
 		if err != nil {
-			b.perr = fmt.Errorf("benchmarks: %s: %w", b.Name, err)
-			return
-		}
-		if err := sema.Check(p); err != nil {
 			b.perr = fmt.Errorf("benchmarks: %s: %w", b.Name, err)
 			return
 		}

@@ -1,6 +1,6 @@
 // Package engine hosts the long-lived Atropos engine behind the public API
 // and the atroposd service: one object owning the bounded worker pool,
-// per-client incremental detection sessions, and the pooled encoder/solver
+// per-client detection sessions, and the pooled encoder/solver
 // arenas that every request draws from. The CLI, the daemon, and the tests
 // all share this entry point, so "run one repair" and "serve a million
 // repairs" differ only in who calls it.
@@ -38,9 +38,9 @@ import (
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
 	"atropos/internal/cluster"
-	"atropos/internal/core"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
+	"atropos/internal/sema"
 )
 
 // ErrOverloaded reports an admission rejection: every worker slot is busy
@@ -67,12 +67,13 @@ type Config struct {
 	// Sessions caps the per-(client, model, recording) DetectSession LRU;
 	// <= 0 selects 64.
 	Sessions int
-	// DetectParallelism is the per-request detection worker count applied
-	// when a request does not set repair.Parallelism itself: 0 selects
-	// repair.DefaultParallelism (min(GOMAXPROCS, 4) — multi-core detection
-	// is the fast path), 1 restores strictly sequential per-request
-	// detection (the right setting when the engine's own Workers fan-out
-	// already saturates the machine), n > 1 pins the count.
+	// DetectParallelism is the per-request detection worker count: the
+	// width a request that does not set repair.Parallelism runs at, and the
+	// ceiling for one that does (see detectWidth). <= 0 selects the
+	// session's rule for width 0 (min(GOMAXPROCS, 4) — multi-core detection
+	// is the fast path), 1 makes every request detect sequentially (the
+	// right setting when the engine's own Workers fan-out already saturates
+	// the machine); values above GOMAXPROCS are lowered to it.
 	DetectParallelism int
 	// MaxQueueWait is the CoDel-style queue-wait ceiling: a request still
 	// waiting for a worker slot after this long is shed with ErrOverloaded
@@ -112,6 +113,10 @@ func (c Config) withDefaults() Config {
 	if c.Sessions <= 0 {
 		c.Sessions = 64
 	}
+	if c.DetectParallelism <= 0 {
+		c.DetectParallelism = anomaly.DefaultParallelism()
+	}
+	c.DetectParallelism = min(c.DetectParallelism, runtime.GOMAXPROCS(0))
 	if c.MaxQueueWait == 0 {
 		c.MaxQueueWait = 30 * time.Second
 	}
@@ -407,11 +412,27 @@ func (e *Engine) checkout(k sessionKey) *anomaly.DetectSession {
 		e.free[fl] = free[:len(free)-1]
 		return s
 	}
-	s := anomaly.NewSession(k.model)
-	if k.record {
+	return newSession(k.model, k.record)
+}
+
+func newSession(model anomaly.Model, record bool) *anomaly.DetectSession {
+	s := anomaly.NewSession(model)
+	if record {
 		s.RecordWitnesses()
 	}
 	return s
+}
+
+// detectWidth resolves the detection width one request runs at. The
+// engine's own width is both the default and the ceiling: a request may
+// narrow its detection (1 = sequential) but not widen it — the wavefront
+// allocates per worker, so an unchecked width is memory and goroutines on
+// demand.
+func (e *Engine) detectWidth(requested int) int {
+	if requested <= 0 || requested > e.cfg.DetectParallelism {
+		return e.cfg.DetectParallelism
+	}
+	return requested
 }
 
 // checkin returns a session to the cache under k, evicting from the LRU
@@ -449,12 +470,13 @@ func (e *Engine) recycle(fl sessionFlavor, s *anomaly.DetectSession) {
 // Parse parses and semantically checks DSL source. It is pure CPU-light
 // work and bypasses admission.
 func (e *Engine) Parse(src string) (*ast.Program, error) {
-	return core.LoadProgram(src)
+	return sema.Load(src)
 }
 
 // Analyze runs the static anomaly oracle under model. With a Client option
 // the detection runs through that client's cached session, so re-analyzing
-// related programs only re-solves what changed.
+// related programs only re-solves what changed; without one, on a private
+// session that never enters the LRU.
 func (e *Engine) Analyze(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (rep *anomaly.Report, err error) {
 	o := repair.BuildOptions(opts...)
 	if err := e.breakerCheck(o.Client); err != nil {
@@ -467,24 +489,19 @@ func (e *Engine) Analyze(ctx context.Context, prog *ast.Program, model anomaly.M
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("analyze", o.Client)
-	if o.Client == "" || !o.Incremental {
-		rep, derr := anomaly.DetectBudgeted(ctx, prog, model, o.SolveBudget)
-		e.noteReport(o.Client, rep, derr)
-		return rep, e.finish(start, derr)
-	}
 	k := sessionKey{client: o.Client, model: model, record: o.Certify}
-	s := e.checkout(k)
-	// Request option first, then the engine-wide default; zero resolves to
-	// repair.DefaultParallelism (mirrors repair.Options.Parallelism).
-	par := o.Parallelism
-	if par == 0 {
-		par = e.cfg.DetectParallelism
+	var s *anomaly.DetectSession
+	if o.Client != "" {
+		s = e.checkout(k)
+	} else {
+		s = newSession(model, o.Certify)
 	}
-	s.SetParallelism(repair.ResolveParallelism(par))
-	s.SetPortfolio(o.Portfolio)
+	s.SetParallelism(e.detectWidth(o.Parallelism))
 	s.SetSolveBudget(o.SolveBudget)
 	rep, derr := s.DetectContext(ctx, prog)
-	e.checkin(k, s)
+	if o.Client != "" {
+		e.checkin(k, s)
+	}
 	e.noteReport(o.Client, rep, derr)
 	return rep, e.finish(start, derr)
 }
@@ -536,14 +553,10 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 			o.Stages = repair.Split(time.Until(dl))
 		}
 	}
-	// Engine-wide detection parallelism applies when the request left the
-	// knob unset; repair.RunWith resolves the final zero to the default.
-	if o.Parallelism == 0 {
-		o.Parallelism = e.cfg.DetectParallelism
-	}
+	o.Parallelism = e.detectWidth(o.Parallelism)
 	var k sessionKey
 	var s *anomaly.DetectSession
-	if o.Client != "" && o.Incremental && o.Session == nil {
+	if o.Client != "" && o.Session == nil {
 		k = sessionKey{client: o.Client, model: model, record: o.Certify}
 		s = e.checkout(k)
 		o.Session = s
@@ -558,8 +571,9 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 	return res, e.finish(start, rerr)
 }
 
-// Certify detects with witness recording and replays every reported pair
-// as an executable certificate (internal/replay).
+// Certify detects with witness recording, on a private session, and
+// replays every reported pair as an executable certificate
+// (internal/replay).
 func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (cert *replay.Certificate, rep *anomaly.Report, err error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, nil, err

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -212,12 +214,12 @@ func TestSessionLRU(t *testing.T) {
 }
 
 // TestSessionReuseKeepsReports: repeated Analyze through one client's
-// cached session reports exactly what a fresh detector does.
+// cached session reports exactly what a new session does.
 func TestSessionReuseKeepsReports(t *testing.T) {
 	e := New(Config{Workers: 1})
 	prog := loadRMW(t)
 	ctx := context.Background()
-	fresh, err := anomaly.Detect(prog, anomaly.EC)
+	fresh, err := anomaly.NewSession(anomaly.EC).Detect(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,5 +350,64 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if rep.Count() == 0 {
 		t.Error("post-panic analyze found no anomalies; engine state corrupted?")
+	}
+}
+
+// TestDetectWidth pins the one width rule every verb shares: the request's
+// option if it narrows, else the engine's own width — Config's, or the
+// session's rule for 0 — which is never above GOMAXPROCS.
+func TestDetectWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, tc := range []struct{ config, request, want int }{
+		{0, 0, 4}, // the session's rule: min(GOMAXPROCS, 4)
+		{0, 1, 1},
+		{0, 3, 3},
+		{0, 4, 4},
+		{0, 5, 4}, // a request cannot widen past the engine's width
+		{0, 300000, 4},
+		{0, -1, 4},
+		{1, 0, 1}, // a sequential engine stays sequential
+		{1, 8, 1},
+		{6, 0, 6},
+		{6, 2, 2},
+		{6, 7, 6},
+		{64, 0, 8}, // Config is lowered to GOMAXPROCS
+		{64, 64, 8},
+		{-3, 0, 4},
+	} {
+		e := New(Config{DetectParallelism: tc.config})
+		if got := e.detectWidth(tc.request); got != tc.want {
+			t.Errorf("Config{DetectParallelism: %d}, request %d: width %d, want %d", tc.config, tc.request, got, tc.want)
+		}
+	}
+}
+
+// TestAnalyzeClientlessMatchesKeyed: an anonymous Analyze runs the same
+// detector at the same width as a client-keyed one — equal reports at
+// widths 1 and 2 — and its private session never enters the LRU.
+func TestAnalyzeClientlessMatchesKeyed(t *testing.T) {
+	prog, err := benchmarks.TPCC.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, width := range []int{1, 2} {
+		e := New(Config{Workers: 1, DetectParallelism: 2})
+		anon, err := e.Analyze(ctx, prog, anomaly.EC, repair.Parallelism(width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); st.SessionMisses != 0 || st.CachedSessions != 0 {
+			t.Fatalf("width %d: anonymous analyze touched the session LRU: %+v", width, st)
+		}
+		keyed, err := e.Analyze(ctx, prog, anomaly.EC, repair.Client("c"), repair.Parallelism(width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(anon.Pairs, keyed.Pairs) || anon.Queries != keyed.Queries ||
+			anon.EncodersPlanned != keyed.EncodersPlanned || anon.Unknown != 0 || keyed.Unknown != 0 {
+			t.Errorf("width %d: anonymous %d pairs / %d queries, keyed %d / %d",
+				width, len(anon.Pairs), anon.Queries, len(keyed.Pairs), keyed.Queries)
+		}
 	}
 }

@@ -157,7 +157,7 @@ func TestBreakerEndToEnd(t *testing.T) {
 	e := New(Config{Workers: 1, BreakerTrip: 2, BreakerCooldown: time.Hour})
 	prog := loadRMW(t)
 	starved := []repair.Option{
-		repair.Client("greedy"), repair.Incremental(false),
+		repair.Client("greedy"),
 		repair.SolveBudget(sat.Budget{Propagations: 1}),
 	}
 	for i := 0; i < 2; i++ {
@@ -172,7 +172,7 @@ func TestBreakerEndToEnd(t *testing.T) {
 	if _, err := e.Analyze(context.Background(), prog, anomaly.EC, starved...); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("post-trip analyze = %v, want ErrCircuitOpen", err)
 	}
-	rep, err := e.Analyze(context.Background(), prog, anomaly.EC, repair.Client("patient"), repair.Incremental(false))
+	rep, err := e.Analyze(context.Background(), prog, anomaly.EC, repair.Client("patient"))
 	if err != nil || rep.Degraded {
 		t.Fatalf("unbudgeted client affected by neighbor's breaker: err=%v degraded=%v", err, rep != nil && rep.Degraded)
 	}
@@ -205,7 +205,7 @@ func TestStageSplitDerivedFromDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := shortLease{context.Background(), 100 * time.Microsecond}
-	res, err := e.Repair(ctx, prog, anomaly.EC, repair.Incremental(false))
+	res, err := e.Repair(ctx, prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("repair with a derived stage split: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestStageSplitDerivedFromDeadline(t *testing.T) {
 	if res.Program == nil {
 		t.Fatal("degraded repair returned no program")
 	}
-	res, err = e.Repair(ctx, prog, anomaly.EC, repair.Incremental(false),
+	res, err = e.Repair(ctx, prog, anomaly.EC,
 		repair.Stages(repair.StageDeadlines{Detect: time.Hour, Repair: time.Hour}))
 	if err != nil {
 		t.Fatalf("repair with an explicit stage split: %v", err)
@@ -254,12 +254,12 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 				e.Analyze(ctx, prog, anomaly.EC, repair.Client(fmt.Sprintf("ok-%d", i%3))) //nolint:errcheck
 			case 1: // budget-starved (degrades, may trip its breaker)
 				e.Analyze(ctx, prog, anomaly.EC, repair.Client("greedy"),
-					repair.Incremental(false), repair.SolveBudget(sat.Budget{Propagations: 1})) //nolint:errcheck
+					repair.SolveBudget(sat.Budget{Propagations: 1})) //nolint:errcheck
 			case 2: // panics inside the worker slot
-				e.Analyze(ctx, prog, anomaly.EC, repair.Client("boom"), repair.Incremental(false)) //nolint:errcheck
+				e.Analyze(ctx, prog, anomaly.EC, repair.Client("boom")) //nolint:errcheck
 			case 3: // cancelled almost immediately
 				cctx, ccancel := context.WithTimeout(ctx, time.Millisecond)
-				e.Analyze(cctx, prog, anomaly.EC, repair.Incremental(false)) //nolint:errcheck
+				e.Analyze(cctx, prog, anomaly.EC) //nolint:errcheck
 				ccancel()
 			case 4: // full repair, session-backed
 				e.Repair(ctx, prog, anomaly.EC, repair.Client(fmt.Sprintf("ok-%d", i%3))) //nolint:errcheck
@@ -276,7 +276,7 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 			st.Completed, st.Canceled, st.Rejected, got, n)
 	}
 	// The engine must still serve cleanly after the storm.
-	rep, err := e.Analyze(context.Background(), prog, anomaly.EC, repair.Incremental(false))
+	rep, err := e.Analyze(context.Background(), prog, anomaly.EC)
 	if err != nil || rep.Degraded {
 		t.Fatalf("post-chaos analyze: err=%v degraded=%v", err, rep != nil && rep.Degraded)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
+	"atropos/internal/pool"
 	"atropos/internal/progen"
 	"atropos/internal/repair"
 )
@@ -37,9 +39,6 @@ type BaselineConfig struct {
 	Parallelism int
 	// Seed fixes the simulated workloads.
 	Seed int64
-	// NonIncremental disables the cached detection session in the measured
-	// repairs (the zero value measures the default engine).
-	NonIncremental bool
 	// CountsOnly skips the wall-clock-oriented sections (Table 1 pipeline
 	// timing and the Fig. 12 panels) and measures only the per-benchmark
 	// repairs — the machine-independent count columns the CI drift gate
@@ -60,10 +59,6 @@ type Baseline struct {
 	MaxProcs  int    `json:"gomaxprocs"`
 	// Parallelism is the resolved worker count of the parallel runs.
 	Parallelism int `json:"parallelism"`
-	// Incremental records whether the measured repairs used the cached
-	// detection session; SAT-query counts are only comparable at equal
-	// settings.
-	Incremental bool `json:"incremental"`
 	// PanelDurationMs is the simulated time per panel point; panel wall
 	// clocks are only comparable at equal duration.
 	PanelDurationMs float64 `json:"panel_duration_ms"`
@@ -198,8 +193,7 @@ func RunBaseline(cfg BaselineConfig) (*Baseline, error) {
 	out := &Baseline{
 		GoVersion:       runtime.Version(),
 		MaxProcs:        runtime.GOMAXPROCS(0),
-		Parallelism:     Workers(cfg.Parallelism),
-		Incremental:     !cfg.NonIncremental,
+		Parallelism:     pool.Workers(cfg.Parallelism),
 		PanelDurationMs: ms(cfg.Duration),
 	}
 
@@ -221,7 +215,7 @@ func RunBaseline(cfg BaselineConfig) (*Baseline, error) {
 		// Parallelism pinned to 1: SATSolved and CacheHitRate are
 		// drift-gated, and only sequential detection keeps them exact
 		// (concurrent workers shift which query populates a cache key).
-		rep, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: !cfg.NonIncremental, Parallelism: 1})
+		rep, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1))
 		if err != nil {
 			return nil, err
 		}
@@ -265,7 +259,7 @@ func RunBaseline(cfg BaselineConfig) (*Baseline, error) {
 	for _, p := range corpus {
 		// Sequential detection, as above: the corpus anomaly totals are
 		// drift-gated.
-		rep, err := repair.RepairWith(p, anomaly.EC, repair.Options{Incremental: !cfg.NonIncremental, Parallelism: 1})
+		rep, err := repair.Run(context.Background(), p, anomaly.EC, repair.Parallelism(1))
 		if err != nil {
 			return nil, err
 		}
@@ -298,9 +292,8 @@ func RunBaseline(cfg BaselineConfig) (*Baseline, error) {
 	// deliberately independent of cfg.Duration, so drift runs at any
 	// -duration compare equal against the committed snapshot.
 	chaos, err := RunChaos(ChaosConfig{
-		Seed:           cfg.Seed,
-		Parallelism:    cfg.Parallelism,
-		NonIncremental: cfg.NonIncremental,
+		Seed:        cfg.Seed,
+		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -341,14 +334,13 @@ func RunBaseline(cfg BaselineConfig) (*Baseline, error) {
 	for _, b := range []*benchmarks.Benchmark{benchmarks.SmallBank, benchmarks.SEATS, benchmarks.TPCC} {
 		start := time.Now()
 		res, err := Perf(PerfConfig{
-			Benchmark:      b,
-			Topology:       cluster.USCluster,
-			ClientCounts:   []int{cfg.Clients},
-			Duration:       cfg.Duration,
-			Warmup:         cfg.Duration / 10,
-			Seed:           cfg.Seed,
-			Parallelism:    cfg.Parallelism,
-			NonIncremental: cfg.NonIncremental,
+			Benchmark:    b,
+			Topology:     cluster.USCluster,
+			ClientCounts: []int{cfg.Clients},
+			Duration:     cfg.Duration,
+			Warmup:       cfg.Duration / 10,
+			Seed:         cfg.Seed,
+			Parallelism:  cfg.Parallelism,
 		})
 		if err != nil {
 			return nil, err

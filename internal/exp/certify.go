@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"atropos/internal/anomaly"
 	"atropos/internal/benchmarks"
+	"atropos/internal/pool"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
 )
@@ -54,11 +56,13 @@ func CertifyGrid(benches []*benchmarks.Benchmark, parallelism int) ([]CertifyRow
 		}
 	}
 	rows := make([]CertifyRow, len(benches)*len(CertModels))
-	err := ForEach(Workers(parallelism), len(rows), func(i int) error {
+	err := pool.ForEach(pool.Workers(parallelism), len(rows), func(i int) error {
 		b := benches[i/len(CertModels)]
 		m := CertModels[i%len(CertModels)]
 		prog, _ := b.Program()
-		cert, _, err := replay.CertifyModel(prog, m)
+		// Sequential detection, like the repairs below: the grid already
+		// owns the worker pool.
+		cert, _, err := replay.CertifyModelContext(context.Background(), prog, m)
 		if err != nil {
 			return err
 		}
@@ -102,11 +106,11 @@ func CertifyNegatives(benches []*benchmarks.Benchmark, parallelism int) ([]Certi
 		}
 	}
 	out := make([]CertifyNegative, len(benches))
-	err := ForEach(Workers(parallelism), len(benches), func(i int) error {
+	err := pool.ForEach(pool.Workers(parallelism), len(benches), func(i int) error {
 		prog, _ := benches[i].Program()
 		// Detection runs sequentially inside each repair: the benchmark
 		// grid already owns the worker pool.
-		res, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: true, Certify: true, Parallelism: 1})
+		res, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Certify(true), repair.Parallelism(1))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
+	"atropos/internal/pool"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
 )
@@ -42,9 +44,6 @@ type ChaosConfig struct {
 	Seed int64
 	// Parallelism bounds concurrent runs; <= 0 selects GOMAXPROCS.
 	Parallelism int
-	// NonIncremental disables the cached detection session in the
-	// per-benchmark repairs.
-	NonIncremental bool
 }
 
 // ChaosRow is one (benchmark, scenario, deployment) measurement. For the
@@ -127,7 +126,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: !cfg.NonIncremental})
+		rep, err := repair.Run(context.Background(), prog, anomaly.EC)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +153,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	nv, ns := 3, len(scenarios)
 	rows := make([]ChaosRow, len(cfg.Benchmarks)*ns*nv)
-	err := ForEach(Workers(cfg.Parallelism), len(rows), func(i int) error {
+	err := pool.ForEach(pool.Workers(cfg.Parallelism), len(rows), func(i int) error {
 		bi, rest := i/(ns*nv), i%(ns*nv)
 		si, vi := rest/nv, rest%nv
 		b, sc, v := cfg.Benchmarks[bi], scenarios[si], variants[bi][vi]

@@ -30,11 +30,6 @@ func LoadBaseline(path string) (*Baseline, error) {
 // deliberately ignored.
 func CountDrift(got, want *Baseline) []string {
 	var drift []string
-	// Anomaly counts are engine-independent (the incremental oracle is
-	// equivalence-tested against the fresh one), so they are always
-	// compared; SAT-query counts only when both runs used the same engine.
-	// A mismatch is not itself drift — callers can warn about it.
-	sameEngine := got.Incremental == want.Incremental
 	wantBy := map[string]RepairBaseline{}
 	for _, r := range want.Repairs {
 		wantBy[r.Benchmark] = r
@@ -54,10 +49,8 @@ func CountDrift(got, want *Baseline) []string {
 		}
 		check("initial_anomalies", g.Initial, w.Initial)
 		check("remaining_anomalies", g.Remaining, w.Remaining)
-		if sameEngine {
-			check("sat_queries", g.SATQueries, w.SATQueries)
-			check("sat_solved", g.SATSolved, w.SATSolved)
-		}
+		check("sat_queries", g.SATQueries, w.SATQueries)
+		check("sat_solved", g.SATSolved, w.SATSolved)
 	}
 	for _, w := range want.Repairs {
 		if !seen[w.Benchmark] {

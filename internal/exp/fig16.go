@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -33,24 +34,20 @@ type Fig16Result struct {
 // splits — validity-checked, invalid draws are skipped) to a fresh copy of
 // the program and counts the remaining anomalies, against the anomaly
 // count of Atropos's oracle-guided repair.
-func Fig16(b *benchmarks.Benchmark, rounds, perRound int, seed int64, opts ...Option) (*Fig16Result, error) {
-	o := buildOptions(opts)
+func Fig16(b *benchmarks.Benchmark, rounds, perRound int, seed int64) (*Fig16Result, error) {
 	prog, err := b.Program()
 	if err != nil {
 		return nil, err
 	}
 	// The rounds detect N variants of the same base program — the
 	// detection session's exact use case: unchanged transactions are
-	// answered from cache, counts are identical to the fresh oracle.
-	detect := func(p *ast.Program) (*anomaly.Report, error) { return anomaly.Detect(p, anomaly.EC) }
-	if o.incremental {
-		detect = anomaly.NewSession(anomaly.EC).Detect
-	}
+	// answered from cache.
+	detect := anomaly.NewSession(anomaly.EC).Detect
 	ec, err := detect(prog)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: o.incremental})
+	rep, err := repair.Run(context.Background(), prog, anomaly.EC)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -18,8 +19,7 @@ type InvariantsResult struct {
 }
 
 // Invariants runs the three-invariant study on SmallBank.
-func Invariants(runsPer int, seed int64, opts ...Option) (*InvariantsResult, error) {
-	o := buildOptions(opts)
+func Invariants(runsPer int, seed int64) (*InvariantsResult, error) {
 	b := benchmarks.SmallBank
 	prog, err := b.Program()
 	if err != nil {
@@ -32,7 +32,7 @@ func Invariants(runsPer int, seed int64, opts ...Option) (*InvariantsResult, err
 	if err != nil {
 		return nil, fmt.Errorf("invariants: original: %w", err)
 	}
-	rep, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: o.incremental})
+	rep, err := repair.Run(context.Background(), prog, anomaly.EC)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
 	"atropos/internal/metrics"
+	"atropos/internal/pool"
 	"atropos/internal/refactor"
 	"atropos/internal/repair"
 	"atropos/internal/store"
@@ -34,10 +36,6 @@ type PerfConfig struct {
 	// concurrently (the panel's 4 variants × client counts are mutually
 	// independent); <= 0 selects GOMAXPROCS.
 	Parallelism int
-	// NonIncremental disables the cached detection session in the panel's
-	// repair; the zero value uses the default incremental engine. Results
-	// are identical either way.
-	NonIncremental bool
 }
 
 // PerfResult bundles the four measured curves of one panel.
@@ -73,7 +71,7 @@ func Perf(cfg PerfConfig) (*PerfResult, error) {
 	if len(cfg.ClientCounts) == 0 {
 		cfg.ClientCounts = []int{10, 25, 50, 100, 150, 200, 250}
 	}
-	rep, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: !cfg.NonIncremental})
+	rep, err := repair.Run(context.Background(), prog, anomaly.EC)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +112,7 @@ func Perf(cfg PerfConfig) (*PerfResult, error) {
 	}
 	committed := make([]int64, len(variants)*nc)
 	simStart := time.Now()
-	err = ForEach(Workers(cfg.Parallelism), len(variants)*nc, func(i int) error {
+	err = pool.ForEach(pool.Workers(cfg.Parallelism), len(variants)*nc, func(i int) error {
 		v, clients := variants[i/nc], cfg.ClientCounts[i%nc]
 		run, err := cluster.Run(cluster.Config{
 			Program:          v.prog,

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -31,9 +32,6 @@ type ScalingConfig struct {
 	// three repeats like the full sweep: the whole corpus now repairs in
 	// under 0.1 s a width, where one scheduler hiccup decides a single run.
 	Smoke bool
-	// NonIncremental disables the cached incremental detection engine
-	// inside the measured repairs.
-	NonIncremental bool
 }
 
 func (c ScalingConfig) orDefault() ScalingConfig {
@@ -117,8 +115,7 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 			t0 := time.Now()
 			total := 0
 			for _, p := range progs {
-				r, err := repair.RepairWith(p.prog, anomaly.EC,
-					repair.Options{Incremental: !cfg.NonIncremental, Parallelism: w})
+				r, err := repair.Run(context.Background(), p.prog, anomaly.EC, repair.Parallelism(w))
 				if err != nil {
 					return nil, fmt.Errorf("scaling: %s at %d workers: %w", p.name, w, err)
 				}

@@ -161,7 +161,7 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	analyze := func(client string, opts ...repair.Option) (*anomaly.Report, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), chaosWatchdog)
 		defer cancel()
-		opts = append([]repair.Option{repair.Client(client), repair.Incremental(false)}, opts...)
+		opts = append([]repair.Option{repair.Client(client)}, opts...)
 		return eng.Analyze(ctx, prog, anomaly.EC, opts...)
 	}
 

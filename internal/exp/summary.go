@@ -41,13 +41,12 @@ func Summary(t1 []Table1Row, clients int, duration time.Duration, seed int64, op
 		out.AvgRepairedPct = pctSum / float64(n)
 	}
 	perf, err := Perf(PerfConfig{
-		Benchmark:      benchmarks.SmallBank,
-		Topology:       cluster.USCluster,
-		ClientCounts:   []int{clients},
-		Duration:       duration,
-		Seed:           seed,
-		Parallelism:    o.parallelism,
-		NonIncremental: !o.incremental,
+		Benchmark:    benchmarks.SmallBank,
+		Topology:     cluster.USCluster,
+		ClientCounts: []int{clients},
+		Duration:     duration,
+		Seed:         seed,
+		Parallelism:  o.parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -12,13 +12,15 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"atropos/internal/anomaly"
+	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
-	"atropos/internal/core"
+	"atropos/internal/pool"
 	"atropos/internal/repair"
 )
 
@@ -47,9 +49,17 @@ const table1Parts = 3
 // comparable across parallelism settings.
 func Table1(benches []*benchmarks.Benchmark, opts ...Option) ([]Table1Row, error) {
 	o := buildOptions(opts)
+	// The grid is already fanned out per benchmark, so detection inside
+	// each cell — the repair's session, the one-shot CC and RR passes —
+	// runs sequentially.
+	analyze := func(prog *ast.Program, m anomaly.Model) (*anomaly.Report, error) {
+		s := anomaly.NewSession(m)
+		s.SetParallelism(1)
+		return s.Detect(prog)
+	}
 	rows := make([]Table1Row, len(benches))
 	durs := make([][table1Parts]time.Duration, len(benches))
-	err := ForEach(Workers(o.parallelism), len(benches)*table1Parts, func(i int) error {
+	err := pool.ForEach(pool.Workers(o.parallelism), len(benches)*table1Parts, func(i int) error {
 		bi, part := i/table1Parts, i%table1Parts
 		b := benches[bi]
 		prog, err := b.Program()
@@ -59,26 +69,24 @@ func Table1(benches []*benchmarks.Benchmark, opts ...Option) ([]Table1Row, error
 		start := time.Now()
 		switch part {
 		case 0: // EC detection + repair (EC, AT, and the shape columns)
-			// The grid is already fanned out per benchmark, so the
-			// detection session inside each repair runs sequentially.
-			res, err := core.RunWith(prog, anomaly.EC, repair.Options{Incremental: o.incremental, Parallelism: 1})
+			res, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1))
 			if err != nil {
 				return fmt.Errorf("table1: %s: %w", b.Name, err)
 			}
 			rows[bi].Benchmark = b.Name
 			rows[bi].Txns = len(prog.Txns)
 			rows[bi].TablesOrig = len(prog.Schemas)
-			rows[bi].TablesRef = len(res.Repair.Program.Schemas)
-			rows[bi].EC = len(res.Repair.Initial)
-			rows[bi].AT = len(res.Repair.Remaining)
+			rows[bi].TablesRef = len(res.Program.Schemas)
+			rows[bi].EC = len(res.Initial)
+			rows[bi].AT = len(res.Remaining)
 		case 1: // causal consistency column
-			cc, err := core.Analyze(prog, anomaly.CC)
+			cc, err := analyze(prog, anomaly.CC)
 			if err != nil {
 				return fmt.Errorf("table1: %s: CC: %w", b.Name, err)
 			}
 			rows[bi].CC = cc.Count()
 		case 2: // repeatable read column
-			rr, err := core.Analyze(prog, anomaly.RR)
+			rr, err := analyze(prog, anomaly.RR)
 			if err != nil {
 				return fmt.Errorf("table1: %s: RR: %w", b.Name, err)
 			}

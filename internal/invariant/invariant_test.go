@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"context"
 	"testing"
 
 	"atropos/internal/anomaly"
@@ -36,7 +37,7 @@ func TestOriginalViolatesAllThree(t *testing.T) {
 // joint-view read split across two log tables — see EXPERIMENTS.md.)
 func TestRepairedFixesInvariants(t *testing.T) {
 	prog := benchmarks.SmallBank.MustProgram()
-	res, err := repair.Repair(prog, anomaly.EC)
+	res, err := repair.Run(context.Background(), prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}

@@ -17,12 +17,12 @@ import (
 // unbudgeted run's.
 func TestRepairHugeBudgetEquivalent(t *testing.T) {
 	prog := mustProg(t, courseware)
-	want, err := Repair(prog, anomaly.EC)
+	want, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	huge := sat.Budget{Conflicts: 1 << 40, Propagations: 1 << 40, ArenaLits: 1 << 40}
-	got, err := RepairWith(prog, anomaly.EC, Options{Incremental: true, SolveBudget: huge})
+	got, err := repairOpts(prog, anomaly.EC, Options{SolveBudget: huge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +55,12 @@ func TestRepairHugeBudgetEquivalent(t *testing.T) {
 // in the deployment set — and do so deterministically.
 func TestRepairStarvedBudgetDegrades(t *testing.T) {
 	prog := mustProg(t, courseware)
-	full, err := Repair(prog, anomaly.EC)
+	full, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	starved := Options{Incremental: true, SolveBudget: sat.Budget{Propagations: 1}}
-	got, err := RepairWith(prog, anomaly.EC, starved)
+	starved := Options{SolveBudget: sat.Budget{Propagations: 1}}
+	got, err := repairOpts(prog, anomaly.EC, starved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRepairStarvedBudgetDegrades(t *testing.T) {
 			t.Fatalf("remaining pair %s's transaction missing from the deployment set %v", p, got.SerializableTxns)
 		}
 	}
-	again, err := RepairWith(prog, anomaly.EC, starved)
+	again, err := repairOpts(prog, anomaly.EC, starved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSplitProportions(t *testing.T) {
 func TestDetectStageExpiredDegrades(t *testing.T) {
 	prog := mustProg(t, courseware)
 	res, err := RunWith(context.Background(), prog, anomaly.EC,
-		Options{Incremental: true, Stages: StageDeadlines{Detect: time.Nanosecond}})
+		Options{Stages: StageDeadlines{Detect: time.Nanosecond}})
 	if err != nil {
 		t.Fatalf("expired detect stage must degrade, not fail: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestDetectStageExpiredDegrades(t *testing.T) {
 // serialized instead — while detection still runs to completion.
 func TestRepairStageExpiredDegrades(t *testing.T) {
 	prog := mustProg(t, courseware)
-	full, err := Repair(prog, anomaly.EC)
+	full, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRepairStageExpiredDegrades(t *testing.T) {
 		t.Fatal("setup: courseware has no anomalies to skip")
 	}
 	res, err := RunWith(context.Background(), prog, anomaly.EC,
-		Options{Incremental: true, Stages: StageDeadlines{Repair: time.Nanosecond}})
+		Options{Stages: StageDeadlines{Repair: time.Nanosecond}})
 	if err != nil {
 		t.Fatalf("expired repair stage must degrade, not fail: %v", err)
 	}
@@ -183,12 +183,12 @@ func TestRepairStageExpiredDegrades(t *testing.T) {
 // uncertified run, only the certificate is partial (or absent).
 func TestCertifyStageExpiredDegrades(t *testing.T) {
 	prog := mustProg(t, courseware)
-	plain, err := Repair(prog, anomaly.EC)
+	plain, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := RunWith(context.Background(), prog, anomaly.EC,
-		Options{Incremental: true, Certify: true, Stages: StageDeadlines{Certify: time.Nanosecond}})
+		Options{Certify: true, Stages: StageDeadlines{Certify: time.Nanosecond}})
 	if err != nil {
 		t.Fatalf("expired certify stage must degrade, not fail: %v", err)
 	}

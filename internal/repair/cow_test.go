@@ -37,7 +37,7 @@ func runEngine(t *testing.T, prog *ast.Program, model anomaly.Model, deep bool) 
 	t.Helper()
 	refactor.SetDeepClone(deep)
 	defer refactor.SetDeepClone(false)
-	res, err := Repair(prog, model)
+	res, err := repairProg(prog, model)
 	if err != nil {
 		t.Fatalf("Repair (deep=%t): %v", deep, err)
 	}
@@ -119,7 +119,7 @@ func TestCOWDeepCloneEquivalenceProgen(t *testing.T) {
 func TestCOWDoesNotMutateInput(t *testing.T) {
 	prog := benchmarks.SEATS.MustProgram()
 	before := ast.Format(prog)
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}

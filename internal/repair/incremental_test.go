@@ -9,10 +9,11 @@ import (
 	"atropos/internal/benchmarks"
 )
 
-// TestIncrementalRepairEquivalence pins the incremental engine's contract
-// on the corpus: RepairWith(Incremental) and RepairWith(fresh oracle)
-// produce identical programs, anomaly sets, and steps — only the number of
-// solved SAT queries differs.
+// TestIncrementalRepairEquivalence pins that what a detection session
+// remembers never changes what repair decides: over the corpus, a repair on
+// a private (cold) session and one through an injected session that has
+// already repaired the same program produce identical programs, anomaly
+// sets, and steps — only the number of solved SAT queries differs.
 func TestIncrementalRepairEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus comparison; skipped with -short")
@@ -25,33 +26,41 @@ func TestIncrementalRepairEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := RepairWith(prog, anomaly.EC, Options{})
+		cold, err := repairOpts(prog, anomaly.EC, Options{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("%s: fresh: %v", b.Name, err)
+			t.Fatalf("%s: cold: %v", b.Name, err)
 		}
-		inc, err := RepairWith(prog, anomaly.EC, Options{Incremental: true, Parallelism: 1})
+		s := anomaly.NewSession(anomaly.EC)
+		if _, err := repairOpts(prog, anomaly.EC, Options{Session: s}); err != nil {
+			t.Fatalf("%s: warming: %v", b.Name, err)
+		}
+		warm, err := repairOpts(prog, anomaly.EC, Options{Session: s})
 		if err != nil {
-			t.Fatalf("%s: incremental: %v", b.Name, err)
+			t.Fatalf("%s: warm: %v", b.Name, err)
 		}
-		if !reflect.DeepEqual(fresh.Initial, inc.Initial) {
+		if warm.Stats.Solved != 0 || warm.Stats.Queries != cold.Stats.Queries {
+			t.Errorf("%s: warm repair solved %d of %d queries (cold issued %d), want 0 solved and equal issued",
+				b.Name, warm.Stats.Solved, warm.Stats.Queries, cold.Stats.Queries)
+		}
+		if !reflect.DeepEqual(cold.Initial, warm.Initial) {
 			t.Errorf("%s: initial pairs diverge", b.Name)
 		}
-		if !reflect.DeepEqual(fresh.Remaining, inc.Remaining) {
+		if !reflect.DeepEqual(cold.Remaining, warm.Remaining) {
 			t.Errorf("%s: remaining pairs diverge", b.Name)
 		}
-		if !reflect.DeepEqual(fresh.Steps, inc.Steps) {
-			t.Errorf("%s: repair steps diverge:\nfresh %v\ninc   %v", b.Name, fresh.Steps, inc.Steps)
+		if !reflect.DeepEqual(cold.Steps, warm.Steps) {
+			t.Errorf("%s: repair steps diverge:\ncold %v\nwarm %v", b.Name, cold.Steps, warm.Steps)
 		}
-		if got, want := ast.Format(inc.Program), ast.Format(fresh.Program); got != want {
+		if got, want := ast.Format(warm.Program), ast.Format(cold.Program); got != want {
 			t.Errorf("%s: repaired programs diverge", b.Name)
 		}
 	}
 }
 
 // TestIncrementalRepairSavings enforces the engine's headline: every
-// benchmark's repair must solve at least 30% fewer SAT queries than the
-// fresh oracle would (the fresh oracle solves everything it issues, so the
-// floor is a cache-hit-rate bound).
+// benchmark's repair must solve at least 30% fewer SAT queries than three
+// cold detections would (a cold detector solves nearly everything it
+// issues, so the floor is a cache-hit-rate bound).
 func TestIncrementalRepairSavings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus measurement; skipped with -short")
@@ -61,7 +70,7 @@ func TestIncrementalRepairSavings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RepairWith(prog, anomaly.EC, Options{Incremental: true, Parallelism: 1})
+		res, err := repairOpts(prog, anomaly.EC, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

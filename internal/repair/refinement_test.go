@@ -32,7 +32,7 @@ func checkRefinement(t *testing.T, b *benchmarks.Benchmark, seeds int64, callsPe
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestMigrationAloneIsContained(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Repair(prog, anomaly.EC)
+			res, err := repairProg(prog, anomaly.EC)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,8 +40,8 @@ type Result struct {
 	// anomaly: the AT-SC deployment runs exactly these under SC (§7.2).
 	SerializableTxns []string
 	// Stats aggregates the oracle's SAT-query work across the pipeline's
-	// three detection passes. With the incremental session, Solved <
-	// Queries; a fresh-oracle run solves everything it issues.
+	// three detection passes: Queries is what three cold detections would
+	// have solved, Solved what the shared session actually did.
 	Stats anomaly.SessionStats
 	// Certificate is the replayed-witness certificate of the run: every
 	// initial pair replayed against the original program, plus the SC and
@@ -49,8 +49,7 @@ type Result struct {
 	// Options.Certify.
 	Certificate *replay.RepairCertificate
 	// Elapsed is the wall-clock duration of the run, measured inside the
-	// pipeline so every entry point (context-first, legacy wrappers, the
-	// service) reports the same number.
+	// pipeline so every entry point reports the same number.
 	Elapsed time.Duration
 
 	// Degraded is set when the run was cut short by a resource bound — a
@@ -91,39 +90,26 @@ func (r *Result) RepairedCount() int { return len(r.Initial) - len(r.Remaining) 
 
 // Options configures a repair run.
 type Options struct {
-	// Incremental selects the fingerprinted, SAT-query-cached detection
-	// session shared by the pipeline's three detection passes. Results are
-	// identical either way; only the number of solved SAT queries differs.
-	Incremental bool
 	// Parallelism bounds the worker goroutines the detection session fans
-	// (txn, witness) tasks out on. Zero — the unset default — selects
-	// DefaultParallelism (min(GOMAXPROCS, 4)): multi-core detection is the
-	// fast path. Pass an explicit 1 for strictly sequential detection (the
-	// pre-flip behavior — still the right call when the caller fans Repair
-	// itself out, as the experiment grid does), or any n > 1 to pin the
-	// worker count. Reported results are identical at every setting.
-	// Ignored without Incremental.
+	// (txn, witness) tasks out on. Zero — the unset default — is passed
+	// through to the session, which resolves it to DefaultParallelism
+	// (min(GOMAXPROCS, 4)): multi-core detection is the fast path. Pass an
+	// explicit 1 for strictly sequential detection (the right call when the
+	// caller fans repairs out itself, as the experiment grid does), or any
+	// n > 1 to pin the worker count. Reported results are identical at
+	// every setting.
 	Parallelism int
-	// Portfolio > 1 races that many diversified CDCL replicas per detection
-	// SAT query, first definitive verdict wins (sat.SetPortfolio). Verdicts
-	// — which pairs are anomalous, under which witness — are unchanged, but
-	// reported fields and witness schedules come from whichever replica's
-	// model won and are not byte-reproducible across runs; portfolio
-	// queries also bypass the session's query cache. Off (<= 1) by default.
-	// Ignored without Incremental.
-	Portfolio int
 	// Certify records witness schedules during detection (reports and cache
 	// keys are unchanged — recording is strictly additive) and, after the
 	// pipeline, replays every initial pair as an executable certificate
 	// with its negative controls (Result.Certificate).
 	Certify bool
-	// Session, when non-nil, is an externally owned incremental detection
-	// session the pipeline's three passes run through instead of a private
-	// one. The engine injects per-client sessions here so repeated repairs
-	// of related programs share cached work across requests. The session's
+	// Session, when non-nil, is an externally owned detection session the
+	// pipeline's three passes run through instead of a private one. The
+	// engine injects per-client sessions here so repeated repairs of
+	// related programs share cached work across requests. The session's
 	// model must equal the repair model, and a certifying run requires a
-	// recording session (anomaly.DetectSession.RecordWitnesses). Implies
-	// incremental detection.
+	// recording session (anomaly.DetectSession.RecordWitnesses).
 	Session *anomaly.DetectSession
 	// Client is an opaque caller identity, carried for the service layer's
 	// session keying and logs; the pipeline itself ignores it.
@@ -168,17 +154,14 @@ func Split(total time.Duration) StageDeadlines {
 // Option is a functional setting for Run, the context-first entry point.
 type Option func(*Options)
 
-// Incremental toggles the fingerprinted, SAT-query-cached detection session
-// (on by default).
-func Incremental(on bool) Option { return func(o *Options) { o.Incremental = on } }
-
 // Parallelism bounds the detection session's fan-out workers (see
 // Options.Parallelism; 0 selects DefaultParallelism, 1 forces sequential).
 func Parallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
-// Portfolio races k diversified solver replicas per detection SAT query
-// (see Options.Portfolio).
-func Portfolio(k int) Option { return func(o *Options) { o.Portfolio = k } }
+// DefaultParallelism is the detection worker count an unset (zero)
+// Options.Parallelism ends up at: the session's rule for width 0,
+// min(GOMAXPROCS, 4).
+func DefaultParallelism() int { return anomaly.DefaultParallelism() }
 
 // Certify enables witness recording plus post-pipeline certificate replay.
 func Certify(on bool) Option { return func(o *Options) { o.Certify = on } }
@@ -196,47 +179,27 @@ func SolveBudget(b sat.Budget) Option { return func(o *Options) { o.SolveBudget 
 // Stages installs per-stage deadline allowances (see Options.Stages).
 func Stages(s StageDeadlines) Option { return func(o *Options) { o.Stages = s } }
 
-// BuildOptions folds functional options over the default configuration
-// (incremental detection on). The service layer uses it to inspect options
-// before dispatching.
+// BuildOptions folds functional options over the zero configuration. The
+// engine uses it to inspect and amend options before dispatching.
 func BuildOptions(opts ...Option) Options {
-	o := Options{Incremental: true}
+	var o Options
 	for _, f := range opts {
 		f(&o)
 	}
 	return o
 }
 
-// Repair runs the full pipeline of Fig. 10 under the given model, with the
-// incremental detection engine on (the default configuration).
-func Repair(prog *ast.Program, model anomaly.Model) (*Result, error) {
-	return RepairWith(prog, model, Options{Incremental: true})
-}
-
-// Run is the context-first entry point: the full Fig. 10 pipeline under the
+// Run is the entry point: the full Fig. 10 pipeline under the
 // given model, configured by functional options, aborted (mid-SAT-solve)
 // when ctx is cancelled or its deadline passes.
 func Run(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...Option) (*Result, error) {
 	return RunWith(ctx, prog, model, BuildOptions(opts...))
 }
 
-// RepairWith runs the full pipeline of Fig. 10 under the given model and
-// engine options.
-func RepairWith(prog *ast.Program, model anomaly.Model, opts Options) (*Result, error) {
-	return RunWith(context.Background(), prog, model, opts)
-}
-
-// RunWith is Run with a pre-built Options value.
+// RunWith is Run with a pre-built Options value (the engine amends one
+// before dispatching).
 func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts Options) (*Result, error) {
 	start := time.Now()
-	detect := func(ctx context.Context, p *ast.Program) (*anomaly.Report, error) {
-		return anomaly.DetectBudgeted(ctx, p, model, opts.SolveBudget)
-	}
-	if opts.Certify {
-		detect = func(ctx context.Context, p *ast.Program) (*anomaly.Report, error) {
-			return anomaly.DetectWitnessedBudgeted(ctx, p, model, opts.SolveBudget)
-		}
-	}
 	session := opts.Session
 	if session != nil {
 		if session.Model() != model {
@@ -245,28 +208,19 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 		if opts.Certify && !session.Recording() {
 			return nil, fmt.Errorf("repair: certifying run requires a witness-recording session")
 		}
-	} else if opts.Incremental {
+	} else {
 		session = anomaly.NewSession(model)
 		if opts.Certify {
 			session.RecordWitnesses()
 		}
 	}
-	if session != nil {
-		session.SetParallelism(ResolveParallelism(opts.Parallelism))
-		session.SetPortfolio(opts.Portfolio)
-		session.SetSolveBudget(opts.SolveBudget)
-		detect = func(ctx context.Context, p *ast.Program) (*anomaly.Report, error) {
-			return session.DetectContext(ctx, p)
-		}
-	}
+	session.SetParallelism(opts.Parallelism)
+	session.SetSolveBudget(opts.SolveBudget)
 
 	// Snapshot injected-session statistics so Result.Stats reports this
 	// run's work, not the shared session's lifetime aggregate. For a
 	// private session the snapshot is zero and the subtraction is a no-op.
-	var statsBefore anomaly.SessionStats
-	if session != nil {
-		statsBefore = session.Stats()
-	}
+	statsBefore := session.Stats()
 
 	res := &Result{}
 	// degrade records one stage's allowance expiring; absorb folds one
@@ -277,35 +231,25 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 			res.DegradedStages = append(res.DegradedStages, stage)
 		}
 	}
-	var fresh anomaly.SessionStats
 	absorb := func(rep *anomaly.Report) {
 		res.Degraded = res.Degraded || rep.Degraded
 		res.Unknown += rep.Unknown
 		res.Exhausted += rep.Exhausted
-		fresh.Queries += rep.Queries
-		fresh.EncodersPlanned += rep.EncodersPlanned
-		fresh.EncodersBuilt += rep.EncodersBuilt
 	}
 	// finish computes the run's stats and elapsed time; every return path
 	// (complete or degraded) goes through it.
 	finish := func() {
-		if session != nil {
-			after := session.Stats()
-			res.Stats = anomaly.SessionStats{
-				Queries:   after.Queries - statsBefore.Queries,
-				Solved:    after.Solved - statsBefore.Solved,
-				Replayed:  after.Replayed - statsBefore.Replayed,
-				QueryHits: after.QueryHits - statsBefore.QueryHits,
-				TxnHits:   after.TxnHits - statsBefore.TxnHits,
-				TxnMisses: after.TxnMisses - statsBefore.TxnMisses,
+		after := session.Stats()
+		res.Stats = anomaly.SessionStats{
+			Queries:   after.Queries - statsBefore.Queries,
+			Solved:    after.Solved - statsBefore.Solved,
+			Replayed:  after.Replayed - statsBefore.Replayed,
+			QueryHits: after.QueryHits - statsBefore.QueryHits,
+			TxnHits:   after.TxnHits - statsBefore.TxnHits,
+			TxnMisses: after.TxnMisses - statsBefore.TxnMisses,
 
-				EncodersPlanned: after.EncodersPlanned - statsBefore.EncodersPlanned,
-				EncodersBuilt:   after.EncodersBuilt - statsBefore.EncodersBuilt,
-			}
-		} else {
-			// The fresh oracle solves everything it issues.
-			fresh.Solved = fresh.Queries
-			res.Stats = fresh
+			EncodersPlanned: after.EncodersPlanned - statsBefore.EncodersPlanned,
+			EncodersBuilt:   after.EncodersBuilt - statsBefore.EncodersBuilt,
 		}
 		res.Elapsed = time.Since(start)
 	}
@@ -317,7 +261,7 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 	detectRemaining := opts.Stages.Detect
 	runDetect := func(p *ast.Program) (rep *anomaly.Report, expired bool, err error) {
 		if opts.Stages.Detect <= 0 {
-			rep, err = detect(ctx, p)
+			rep, err = session.DetectContext(ctx, p)
 			return rep, false, err
 		}
 		if detectRemaining <= 0 {
@@ -325,7 +269,7 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 		}
 		t0 := time.Now()
 		dctx, cancel := context.WithTimeout(ctx, detectRemaining)
-		rep, err = detect(dctx, p)
+		rep, err = session.DetectContext(dctx, p)
 		cancel()
 		detectRemaining -= time.Since(t0)
 		if err != nil {

@@ -66,7 +66,7 @@ func mustProg(t *testing.T, src string) *ast.Program {
 // Atropos turns Fig. 1 into Fig. 3.
 func TestRepairCoursewareMatchesFig3(t *testing.T) {
 	prog := mustProg(t, courseware)
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -158,7 +158,7 @@ txn rd(k: int) {
 }
 `
 	prog := mustProg(t, src)
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -179,7 +179,7 @@ txn deposit(k: int, amt: int) {
 }
 `
 	prog := mustProg(t, src)
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -213,7 +213,7 @@ txn balance(k: int) {
 }
 `
 	prog := mustProg(t, src)
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -247,7 +247,7 @@ txn clamp(k: int) {
 }
 `
 	prog := mustProg(t, src)
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -263,7 +263,7 @@ func TestRepairSplitsMultiFieldUpdate(t *testing.T) {
 	// regSt's U2 sets both co_st_cnt and co_avail; preprocessing must
 	// split it (Fig. 11).
 	prog := mustProg(t, courseware)
-	res, err := Repair(prog, anomaly.EC)
+	res, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -282,11 +282,11 @@ func TestRepairedProgramStillRepairsToItself(t *testing.T) {
 	// Repair is idempotent: repairing the repaired courseware changes
 	// nothing.
 	prog := mustProg(t, courseware)
-	res1, err := Repair(prog, anomaly.EC)
+	res1, err := repairProg(prog, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Repair(res1.Program, anomaly.EC)
+	res2, err := repairProg(res1.Program, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"context"
 	"testing"
 
 	"atropos/internal/anomaly"
@@ -44,7 +45,7 @@ func TestCertifiedGolden(t *testing.T) {
 		}
 		prog := b.MustProgram()
 		for _, model := range []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR} {
-			cert, rep, err := replay.CertifyModel(prog, model)
+			cert, rep, err := replay.CertifyModelContext(context.Background(), prog, model)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, model, err)
 			}

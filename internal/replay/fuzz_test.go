@@ -29,9 +29,11 @@ func FuzzWitnessReplaySoundness(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		prog := progen.Program(seed)
-		rep, err := anomaly.DetectWitnessed(prog, anomaly.EC)
+		s := anomaly.NewSession(anomaly.EC)
+		s.RecordWitnesses()
+		rep, err := s.Detect(prog)
 		if err != nil {
-			t.Fatalf("seed %d: DetectWitnessed: %v", seed, err)
+			t.Fatalf("seed %d: recording Detect: %v", seed, err)
 		}
 		cert := replay.Certify(prog, rep)
 		if cert.Total != len(rep.Pairs) {

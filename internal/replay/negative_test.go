@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"context"
 	"testing"
 
 	"atropos/internal/anomaly"
@@ -18,7 +19,7 @@ func TestNegativeControlsZeroViolations(t *testing.T) {
 	anyRepairedRuns := false
 	for _, b := range benchmarks.All() {
 		prog := b.MustProgram()
-		res, err := repair.RepairWith(prog, anomaly.EC, repair.Options{Incremental: true, Certify: true})
+		res, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Certify(true))
 		if err != nil {
 			t.Fatalf("%s: repair: %v", b.Name, err)
 		}

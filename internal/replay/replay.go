@@ -182,15 +182,15 @@ func certifyPair(prog *ast.Program, pair anomaly.AccessPair) PairOutcome {
 	return out
 }
 
-// CertifyModel detects with witness recording and certifies the report.
-func CertifyModel(prog *ast.Program, model anomaly.Model) (*Certificate, *anomaly.Report, error) {
-	return CertifyModelContext(context.Background(), prog, model)
-}
-
-// CertifyModelContext is CertifyModel with cancellation: the context aborts
-// the detection phase mid-solve and is re-checked before the replay phase.
+// CertifyModelContext detects with witness recording — on a private
+// sequential session, as every certify caller always has — and certifies the
+// report. The context aborts the detection phase mid-solve and is re-checked
+// before the replay phase.
 func CertifyModelContext(ctx context.Context, prog *ast.Program, model anomaly.Model) (*Certificate, *anomaly.Report, error) {
-	rep, err := anomaly.DetectWitnessedContext(ctx, prog, model)
+	s := anomaly.NewSession(model)
+	s.RecordWitnesses()
+	s.SetParallelism(1)
+	rep, err := s.DetectContext(ctx, prog)
 	if err != nil {
 		return nil, nil, err
 	}

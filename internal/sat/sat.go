@@ -142,12 +142,6 @@ type Solver struct {
 	stop    func() bool
 	stopped bool
 
-	// Portfolio mode (portfolio.go): shadows are the extra replicas Solve
-	// races; diversity != 0 marks a shadow and seeds its phase/restart
-	// perturbation. Reset clears both.
-	shadows   []*Solver
-	diversity int
-
 	// Resource budget: when set, Solve abandons the search the moment a
 	// per-call conflict/propagation ceiling or the arena memory ceiling is
 	// crossed, returning false with Exhausted() true — a distinguishable
@@ -238,8 +232,6 @@ func (s *Solver) Reset() {
 	s.lbdEpoch = 0
 	s.stop = nil
 	s.stopped = false
-	s.shadows = nil
-	s.diversity = 0
 	s.budget = Budget{}
 	s.exhausted = false
 	s.Conflicts, s.Decisions, s.Propagations, s.LearntsDeleted = 0, 0, 0, 0
@@ -268,12 +260,7 @@ func (b Budget) Limited() bool {
 // SetBudget installs a per-Solve resource budget. The zero Budget removes
 // it. Reset clears the budget, so pooled solvers never carry one into
 // their next life.
-func (s *Solver) SetBudget(b Budget) {
-	s.budget = b
-	for _, sh := range s.shadows {
-		sh.SetBudget(b)
-	}
-}
+func (s *Solver) SetBudget(b Budget) { s.budget = b }
 
 // Exhausted reports whether the most recent Solve was abandoned because it
 // crossed its resource budget rather than finishing with a real SAT/UNSAT
@@ -309,19 +296,9 @@ func (s *Solver) Stopped() bool { return s.stopped }
 
 // NewVar introduces a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	for _, sh := range s.shadows {
-		sh.NewVar()
-	}
 	v := len(s.assigns)
 	s.assigns = append(s.assigns, lUndef)
-	// Default phase: false. Shadow replicas flip the initial phase of
-	// alternating variable runs so the portfolio's searches start in
-	// different corners of the assignment space.
-	phase := true
-	if s.diversity > 0 {
-		phase = (v/s.diversity)%2 == 0
-	}
-	s.polarity = append(s.polarity, phase)
+	s.polarity = append(s.polarity, true) // default phase: false
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
@@ -432,9 +409,6 @@ func (s *Solver) attachBinary(a, b Lit) {
 // solver is already in an unsatisfiable state (empty clause derived).
 // Must be called before Solve, at decision level 0.
 func (s *Solver) AddClause(lits ...Lit) bool {
-	for _, sh := range s.shadows {
-		sh.AddClause(lits...)
-	}
 	if !s.ok {
 		return false
 	}
@@ -831,20 +805,8 @@ func luby(i int64) int64 {
 }
 
 // Solve determines satisfiability under the given assumptions. On a
-// satisfiable result, the model is available through Value. With a
-// portfolio configured (SetPortfolio), the query races every replica and
-// the first definitive verdict wins; the contract — return value, model
-// access, Stopped, Exhausted — is unchanged.
+// satisfiable result, the model is available through Value.
 func (s *Solver) Solve(assumptions ...Lit) bool {
-	if len(s.shadows) > 0 {
-		return s.solvePortfolio(assumptions)
-	}
-	return s.solveOne(assumptions)
-}
-
-// solveOne is the plain CDCL search loop, shared by direct solving and the
-// portfolio's replicas.
-func (s *Solver) solveOne(assumptions []Lit) bool {
 	s.stopped = false
 	s.exhausted = false
 	if !s.ok {
@@ -870,13 +832,7 @@ func (s *Solver) solveOne(assumptions []Lit) bool {
 		}
 	}
 
-	// Shadow replicas diversify their restart schedule so the portfolio's
-	// searches decorrelate (diversity 0 — plain solving — keeps the
-	// canonical base of 100).
-	restartBase := int64(100)
-	if s.diversity > 0 {
-		restartBase = 64 + 32*int64(s.diversity)
-	}
+	const restartBase = 100
 	var restartCount int64
 	conflictsUntilRestart := restartBase * luby(1)
 	var conflictsSinceRestart int64

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"atropos/internal/ast"
+	"atropos/internal/parser"
 )
 
 // Error is a semantic error, tagged with the enclosing declaration.
@@ -18,6 +19,19 @@ type Error struct {
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Where, e.Msg) }
+
+// Load parses DSL source and checks it: the one way text becomes a program
+// the rest of the pipeline accepts.
+func Load(src string) (*ast.Program, error) {
+	p, err := parser.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	if err := Check(p); err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	return p, nil
+}
 
 // Check validates the whole program, returning the first error found.
 func Check(p *ast.Program) error {

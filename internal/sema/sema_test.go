@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -117,5 +118,32 @@ txn a(k: int) {
 `
 	if err := checkSrc(t, src); err != nil {
 		t.Fatalf("alive in where rejected: %v", err)
+	}
+}
+
+func TestLoad(t *testing.T) {
+	p, err := Load(`
+table T { id: int key, n: int, }
+txn bump(k: int) {
+  x := select n from T where id = k;
+  update T set n = x.n + 1 where id = k;
+}
+`)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if p.Txn("bump") == nil {
+		t.Fatal("bump missing")
+	}
+}
+
+func TestLoadErrors(t *testing.T) {
+	var perr *parser.Error
+	if _, err := Load("table T {"); !errors.As(err, &perr) || !strings.HasPrefix(err.Error(), "parse: ") {
+		t.Errorf("parse error not wrapped: %v", err)
+	}
+	var serr *Error
+	if _, err := Load("table T { n: int, }"); !errors.As(err, &serr) || !strings.HasPrefix(err.Error(), "check: ") {
+		t.Errorf("sema error not wrapped: %v", err)
 	}
 }

@@ -130,26 +130,19 @@ type ProgramRequest struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	// Model is the consistency model ("EC", "CC", "RR", "SC"); default EC.
 	Model string `json:"model,omitempty"`
-	// Client keys this caller's incremental DetectSession in the engine's
-	// LRU; empty disables session reuse.
+	// Client keys this caller's DetectSession in the engine's LRU; empty
+	// disables session reuse across requests.
 	Client string `json:"client,omitempty"`
 	// TimeoutMs bounds the request server-side; 0 means no extra deadline.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Certify (repair only) replays every initial anomaly as an executable
 	// certificate with negative controls.
 	Certify bool `json:"certify,omitempty"`
-	// Incremental (repair/analyze) toggles cached incremental detection;
-	// defaults to true.
-	Incremental *bool `json:"incremental,omitempty"`
 	// Parallelism bounds the detection session's (txn, witness) fan-out;
-	// 0 defers to the engine's default (min(GOMAXPROCS, 4)), 1 forces
-	// sequential detection.
+	// 0 defers to the engine's width (-detect-parallel; by default
+	// min(GOMAXPROCS, 4)), 1 forces sequential detection. Values above the
+	// engine's width are lowered to it; negative ones are rejected.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Portfolio > 1 races that many diversified SAT-solver replicas per
-	// detection query, first definitive verdict wins. Reported anomalies
-	// are unchanged; the witnessing fields/schedules are whichever
-	// replica's model won and are not byte-reproducible.
-	Portfolio int `json:"portfolio,omitempty"`
 	// BudgetConflicts / BudgetPropagations bound each SAT solve's work
 	// (conflicts learned / literals propagated); BudgetArenaLits caps its
 	// clause-arena growth. A solve past its budget returns "unknown" and
@@ -396,18 +389,16 @@ func (s *Server) program(req *ProgramRequest) (*ast.Program, error) {
 }
 
 // options translates the request's engine knobs into repair options.
-func (req *ProgramRequest) options() []repair.Option {
-	opts := []repair.Option{
+func (req *ProgramRequest) options() ([]repair.Option, error) {
+	if req.Parallelism < 0 {
+		return nil, fmt.Errorf("parallelism must not be negative, got %d", req.Parallelism)
+	}
+	return []repair.Option{
 		repair.Client(req.Client),
 		repair.Certify(req.Certify),
 		repair.Parallelism(req.Parallelism),
-		repair.Portfolio(req.Portfolio),
 		repair.SolveBudget(req.budget()),
-	}
-	if req.Incremental != nil {
-		opts = append(opts, repair.Incremental(*req.Incremental))
-	}
-	return opts
+	}, nil
 }
 
 func (req *ProgramRequest) model() (anomaly.Model, error) {
@@ -455,10 +446,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	opts, err := req.options()
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	rep, err := s.eng.Analyze(ctx, prog, model, req.options()...)
+	rep, err := s.eng.Analyze(ctx, prog, model, opts...)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -492,9 +488,14 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	opts, err := req.options()
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := s.eng.Repair(ctx, prog, model, req.options()...)
+	res, err := s.eng.Repair(ctx, prog, model, opts...)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +145,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown benchmark", "/v1/analyze", ProgramRequest{Benchmark: "nope"}},
 		{"unknown model", "/v1/analyze", ProgramRequest{Benchmark: "SmallBank", Model: "XX"}},
 		{"unknown field", "/v1/analyze", map[string]any{"benchmark": "SmallBank", "bogus": 1}},
+		{"retired field incremental", "/v1/repair", map[string]any{"benchmark": "SmallBank", "incremental": false}},
+		{"retired field portfolio", "/v1/analyze", map[string]any{"benchmark": "SmallBank", "portfolio": 3}},
 		{"unknown topology", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Topology: "Mars"}},
 		{"unknown mode", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Mode: "XY"}},
 	}
@@ -156,6 +159,53 @@ func TestBadRequests(t *testing.T) {
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: no error body: %s", tc.name, body)
+		}
+	}
+}
+
+// TestRequestWidthIsBounded: "parallelism" comes from outside, and the
+// wavefront allocates per worker — a negative width is a bad request, and
+// any other is lowered to the engine's own width, so an absurd one costs
+// what the engine's default does (it used to wedge the daemon) and changes
+// no answer.
+func TestRequestWidthIsBounded(t *testing.T) {
+	ts, _ := newTestServer(t, engine.Config{Workers: 1})
+	var want AnalyzeResponse
+	for _, tc := range []struct {
+		path   string
+		width  int
+		status int
+	}{
+		{"/v1/analyze", 0, http.StatusOK},
+		{"/v1/analyze", 1, http.StatusOK},
+		{"/v1/analyze", 2, http.StatusOK},
+		{"/v1/analyze", 300000, http.StatusOK},
+		{"/v1/analyze", 1 << 40, http.StatusOK},
+		{"/v1/repair", 300000, http.StatusOK},
+		{"/v1/analyze", -1, http.StatusBadRequest},
+		{"/v1/repair", -300000, http.StatusBadRequest},
+	} {
+		start := time.Now()
+		resp, body := post(t, ts, tc.path, map[string]any{"benchmark": "SmallBank", "parallelism": tc.width})
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s parallelism %d: status %d, want %d (%s)", tc.path, tc.width, resp.StatusCode, tc.status, body)
+			continue
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("%s parallelism %d: answered after %s", tc.path, tc.width, d)
+		}
+		if tc.status != http.StatusOK || tc.path != "/v1/analyze" {
+			continue
+		}
+		var got AnalyzeResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		got.ElapsedMs, got.Solved = 0, 0
+		if tc.width == 0 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: response differs from the default width's:\ngot  %+v\nwant %+v", tc.width, got, want)
 		}
 	}
 }
@@ -204,10 +254,17 @@ func TestErrorStatusMapping(t *testing.T) {
 	}
 }
 
-// TestTimeoutReturns504: a request whose timeout_ms expires mid-solve comes
-// back as 504, and the engine is healthy for the next request.
+// TestTimeoutReturns504: a request whose timeout_ms expires in its worker
+// slot comes back as 504, and the engine is healthy for the next request.
+// The first request is held in the slot (Exec hook) past its deadline, so
+// the outcome does not depend on TPC-C outlasting a 1 ms timer on however
+// many cores the detection occupies; a deadline landing inside a solve is
+// pinned at the engine layer (TestCancelAbortsMidSolve).
 func TestTimeoutReturns504(t *testing.T) {
-	ts, eng := newTestServer(t, engine.Config{Workers: 1})
+	var once sync.Once
+	ts, eng := newTestServer(t, engine.Config{Workers: 1, Hooks: &engine.Hooks{Exec: func(verb, client string) {
+		once.Do(func() { time.Sleep(20 * time.Millisecond) })
+	}}})
 	resp, body := post(t, ts, "/v1/analyze", ProgramRequest{Benchmark: "TPC-C", TimeoutMs: 1})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)
