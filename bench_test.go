@@ -177,3 +177,59 @@ func BenchmarkPublicAPIRepair(b *testing.B) {
 		}
 	}
 }
+
+// --- The benchmark's sim-panel, cell by cell ---
+
+// BenchmarkDeployPanel runs the nine cells of bench/sim.go's sim-panel
+// ({SmallBank, TPC-C, SEATS} x {EC original, SC original, AT-SC repaired};
+// USCluster, 50 clients, 1 s virtual warm-up) one sub-benchmark each, ops-
+// bounded at b.N, so at -benchtime 2500x a cell's ns/op x 2500 is the
+// cell's wall time in the panel and visited/op over matched/op the share of
+// the store's scan work that was wasted:
+//
+//	go test -run '^$' -bench BenchmarkDeployPanel -benchtime 2500x -benchmem .
+func BenchmarkDeployPanel(b *testing.B) {
+	for _, name := range []string{"SmallBank", "TPC-C", "SEATS"} {
+		bench := atropos.BenchmarkByName(name)
+		prog, err := bench.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := atropos.Repair(context.Background(), prog, atropos.EC)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := bench.Rows(atropos.Scale{})
+		atRows, err := atropos.MigrateRows(prog, res.Program, res.Corrs, rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		all, still := map[string]bool{}, map[string]bool{}
+		for _, t := range prog.Txns {
+			all[t.Name] = true
+		}
+		for _, t := range res.SerializableTxns {
+			still[t] = true
+		}
+		base := atropos.ClusterConfig{
+			Mix: bench.Mix, Topology: atropos.USCluster, Clients: 50,
+			Warmup: time.Second, Seed: 3,
+		}
+		ec, sc, atsc := base, base, base
+		ec.Program, ec.Rows, ec.Mode = prog, rows, atropos.ModeEC
+		sc.Program, sc.Rows, sc.Mode, sc.SerializableTxns = prog, rows, atropos.ModeSC, all
+		atsc.Program, atsc.Rows, atsc.Mode, atsc.SerializableTxns = res.Program, atRows, atropos.ModeATSC, still
+		for _, cell := range []atropos.ClusterConfig{ec, sc, atsc} {
+			b.Run(name+"/"+cell.Mode.String(), func(b *testing.B) {
+				cell.Ops = int64(b.N)
+				b.ReportAllocs()
+				out, err := atropos.Simulate(cell)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(out.Scans.RowsVisited)/float64(b.N), "visited/op")
+				b.ReportMetric(float64(out.Scans.RowsMatched)/float64(b.N), "matched/op")
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"atropos/internal/ast"
@@ -23,25 +24,25 @@ type cview struct {
 }
 
 // scanRef identifies the row a where clause's this.f refers to during a
-// scan, with the flat-array offsets precomputed: base is slot*nf into the
-// table's value array (-1 for overlay-only rows), ovBase is ovRow*nf into
-// the overlay's (-1 when the row has no overlay state).
+// scan: row is the base store's row (nil for overlay-only rows), ovBase is
+// ovRow*nf into the overlay's value array (-1 when the row has no overlay
+// state).
 type scanRef struct {
 	t      *mtable
 	ot     *covTab
-	base   int32
+	row    []store.Value
 	ovBase int32
 }
 
-var scanNone = scanRef{base: -1, ovBase: -1}
+var scanNone = &scanRef{ovBase: -1}
 
 // field resolves a field through overlay → base row → schema zero.
-func (sr scanRef) field(fid int32) store.Value {
+func (sr *scanRef) field(fid int32) store.Value {
 	if sr.ovBase >= 0 && sr.ot.set[sr.ovBase+fid] {
 		return sr.ot.vals[sr.ovBase+fid]
 	}
-	if sr.base >= 0 {
-		return sr.t.vals[sr.base+fid]
+	if sr.row != nil {
+		return sr.row[fid]
 	}
 	return sr.t.ct.zeros[fid]
 }
@@ -68,10 +69,10 @@ type cframe struct {
 	iters []citer
 	stack []store.Value
 
-	// scan scratch: matched keys with their precomputed base and overlay
-	// array offsets (slot*nf / ovRow*nf, -1 when absent).
+	// scan scratch: matched keys with their base slots and overlay rows (-1
+	// when absent).
 	mkeys  []store.Key
-	mbases []int32
+	mslots []int32
 	movs   []int32
 
 	pinVals []store.Value
@@ -212,175 +213,195 @@ func (f *cframe) footprint(v cview, u *UUIDGen) (tid int32, keys []store.Key, er
 	return cmd.tid, f.mkeys, nil
 }
 
-// matching fills f.mkeys/mbases/movs with the alive records satisfying the
-// command's where clause, in sorted key order, narrowing the scan by the
-// compiled primary-key prefix pins when they evaluate cleanly (a pin
-// evaluation error falls back to the full scan, like the interpreter).
-// When the clause is exactly a full primary-key pin over int/bool key
-// fields (c.whereIsPin), every key in the narrowed window satisfies it by
-// key-encoding injectivity and the per-row evaluation is skipped.
+// matching fills f.mkeys/mslots/movs with the alive records satisfying the
+// command's where clause, in sorted key order. Candidates come from the
+// command's access path — one key, a window of the key index, an equality
+// bucket, or every row — merged under an SC overlay with the rows the
+// transaction has written, each read through the overlay (read-your-writes
+// holds on pinned and indexed fields alike). Every candidate is still
+// checked for alive and against the full clause; only when the clause is
+// exactly its key pins over int/bool fields (c.whereIsPin) does every key
+// in the window satisfy it by key-encoding injectivity, and the evaluation
+// is skipped. When a pin, or the indexed conjunct's right-hand side, fails
+// to evaluate, the path degrades to the full scan, so the clause errors on
+// the first alive row or not at all — like the interpreter.
 func (f *cframe) matching(v cview, c *ccmd) error {
 	f.mkeys = f.mkeys[:0]
-	f.mbases = f.mbases[:0]
+	f.mslots = f.mslots[:0]
 	f.movs = f.movs[:0]
 	t := &v.ms.tabs[c.tid]
-	var ovKeys []store.Key
+	v.ms.scans.Calls++
 	var ot *covTab
-	if v.ov != nil {
+	if v.ov != nil && len(v.ov.tabs[c.tid].keys) > 0 {
 		ot = &v.ov.tabs[c.tid]
-		ovKeys = ot.newKeys
 	}
-	ovLo, ovHi := 0, len(ovKeys)
 
-	// Scan window: all keys, the keys under a pin prefix, or one exact key.
-	const (
-		scanAll = iota
-		scanPrefix
-		scanExact
-	)
-	window := scanAll
-	bpos := t.idx.begin()
-	if len(c.pins) > 0 {
+	path := c.path
+	var bucket []int32
+	switch path {
+	case pathExact, pathPrefix:
 		f.pinVals = f.pinVals[:0]
-		ok := true
 		for _, pe := range c.pins {
 			val, err := f.eval(pe, scanNone, nil)
 			if err != nil {
-				ok = false
+				path = pathScan
 				break
 			}
 			f.pinVals = append(f.pinVals, val)
 		}
-		if ok {
-			f.keyBuf = f.keyBuf[:0]
-			for i, pv := range f.pinVals {
-				if i > 0 {
-					f.keyBuf = append(f.keyBuf, '\x1f')
-				}
-				f.keyBuf = store.AppendKey(f.keyBuf, pv)
-			}
-			if c.pinFull {
-				window = scanExact
-			} else {
-				f.keyBuf = append(f.keyBuf, '\x1f')
-				window = scanPrefix
-			}
-			bpos = t.idx.seek(t.keys, f.keyBuf)
-			ovLo, ovHi = narrowPlain(ovKeys, f.keyBuf, c.pinFull)
+		f.keyBuf = store.AppendKey(f.keyBuf[:0], f.pinVals...)
+		if path == pathPrefix {
+			f.keyBuf = append(f.keyBuf, '\x1f')
+		}
+	case pathEq:
+		if val, err := f.eval(c.eqE, scanNone, nil); err != nil {
+			path = pathScan
+		} else {
+			bucket = t.bucket(c.eqF, val)
 		}
 	}
-	skipWhere := window == scanExact && c.whereIsPin
-	nf := t.ct.nf
-	aliveID := t.ct.alive
+	skipWhere := c.whereIsPin && path != pathScan
 
-	// inWindow reports whether a base key is still inside the scan window.
-	inWindow := func(k store.Key) bool {
-		switch window {
-		case scanPrefix:
-			return keyHasPrefix(k, f.keyBuf)
-		case scanExact:
-			return keyCmp(k, f.keyBuf) == 0
-		default:
-			return true
+	if path == pathExact {
+		// m[string(bytes)] probes without allocating; the key emitted is the
+		// store's (or the overlay's) own string.
+		slot, ok := t.index[store.Key(f.keyBuf)]
+		if !ok {
+			slot = -1
 		}
+		ovRow := int32(-1)
+		if ot != nil {
+			if r, ok := ot.idx[store.Key(f.keyBuf)]; ok {
+				ovRow = r
+			}
+		}
+		switch {
+		case slot >= 0:
+			return f.try(v, c, skipWhere, t.keys[slot], slot, ovRow)
+		case ovRow >= 0:
+			return f.try(v, c, skipWhere, ot.keys[ovRow], -1, ovRow)
+		}
+		return nil
 	}
 
-	if ot == nil || len(ot.keys) == 0 {
-		// No overlay state for this table (every EC scan, and the common
-		// SC case): iterate the base window directly.
-		for ; t.idx.valid(bpos); bpos = t.idx.next(bpos) {
-			slot := t.idx.at(bpos)
-			k := t.keys[slot]
-			if window != scanAll && !inWindow(k) {
-				break
-			}
-			base := slot * nf
-			alive := t.vals[base+aliveID]
-			if alive.T != ast.TBool || !alive.B {
-				continue
-			}
-			if !skipWhere {
-				val, err := f.eval(c.where, scanRef{t: t, base: base, ovBase: -1}, nil)
-				if err != nil {
-					return err
-				}
-				if val.T != ast.TBool || !val.B {
-					continue
-				}
-			}
-			f.mkeys = append(f.mkeys, k)
-			f.mbases = append(f.mbases, base)
-			f.movs = append(f.movs, -1)
-			if window == scanExact {
-				break
+	// The base side: the bucket (pathEq), or the key index from the start of
+	// the window (pathPrefix) or of the table (pathScan).
+	base := baseIter{t: t, bucket: bucket, inBucket: path == pathEq, pos: t.idx.begin()}
+	if path == pathPrefix {
+		base.pos, base.prefix = t.idx.seek(t.keys, f.keyBuf), f.keyBuf
+	}
+	if ot == nil {
+		// No overlay state for this table: every EC scan, and the common SC
+		// case.
+		for slot, ok := base.next(); ok; slot, ok = base.next() {
+			if err := f.try(v, c, skipWhere, t.keys[slot], slot, -1); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
 
-	// Merge the base window with the overlay's transaction-created keys in
-	// sorted order.
-	oi := ovLo
-	baseDone := false
-	for {
-		var bk store.Key
-		var slot int32
-		bHas := false
-		if !baseDone && t.idx.valid(bpos) {
-			slot = t.idx.at(bpos)
-			bk = t.keys[slot]
-			if window == scanAll || inWindow(bk) {
-				bHas = true
-			} else {
-				baseDone = true
-			}
+	// Merge, in key order, with the rows the transaction has written (inside
+	// the window, for pathPrefix). A key can arrive from both sides — an
+	// overlaid base row, or a row buffered while absent from the base and
+	// since committed there by a concurrent EC transaction — and is then
+	// emitted once, like the interpreter's deduplicating Overlay.Keys. A
+	// written row the base side did not yield may still have a base row
+	// (outside the bucket): it is looked up.
+	ord := ot.order
+	if path == pathPrefix {
+		lo := sort.Search(len(ord), func(i int) bool { return keyCmp(ot.keys[ord[i]], f.keyBuf) >= 0 })
+		hi := lo
+		for hi < len(ord) && keyHasPrefix(ot.keys[ord[hi]], f.keyBuf) {
+			hi++
 		}
-		oHas := oi < ovHi
-		if !bHas && !oHas {
-			break
-		}
-		var k store.Key
-		base, ovBase := int32(-1), int32(-1)
-		if bHas && (!oHas || bk <= ovKeys[oi]) {
-			k = bk
-			base = slot * nf
-			bpos = t.idx.next(bpos)
-			if window == scanExact {
-				baseDone = true
-			}
-			// A key can live on both sides: buffered while absent from the
-			// base (so it entered newKeys), then committed to the base by a
-			// concurrent EC transaction. Consume both cursors so the row is
-			// emitted once, like the interpreter's deduplicating
-			// Overlay.Keys.
-			if oHas && bk == ovKeys[oi] {
-				oi++
-			}
-		} else {
-			k = ovKeys[oi]
-			oi++
-		}
-		if r, ok := ot.idx[k]; ok {
-			ovBase = r * nf
-		}
-		sr := scanRef{t: t, ot: ot, base: base, ovBase: ovBase}
-		alive := sr.field(aliveID)
-		if alive.T != ast.TBool || !alive.B {
-			continue
-		}
-		if !skipWhere {
-			val, err := f.eval(c.where, sr, nil)
-			if err != nil {
-				return err
-			}
-			if val.T != ast.TBool || !val.B {
-				continue
-			}
-		}
-		f.mkeys = append(f.mkeys, k)
-		f.mbases = append(f.mbases, base)
-		f.movs = append(f.movs, ovBase)
+		ord = ord[lo:hi]
 	}
+	slot, bHas := base.next()
+	for bHas || len(ord) > 0 {
+		var err error
+		switch {
+		case bHas && (len(ord) == 0 || t.keys[slot] < ot.keys[ord[0]]):
+			err = f.try(v, c, skipWhere, t.keys[slot], slot, -1)
+			slot, bHas = base.next()
+		case bHas && t.keys[slot] == ot.keys[ord[0]]:
+			err = f.try(v, c, skipWhere, t.keys[slot], slot, ord[0])
+			slot, bHas = base.next()
+			ord = ord[1:]
+		default:
+			k := ot.keys[ord[0]]
+			s, ok := t.index[k]
+			if !ok {
+				s = -1
+			}
+			err = f.try(v, c, skipWhere, k, s, ord[0])
+			ord = ord[1:]
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// baseIter yields the base store's candidate slots in key order: a bucket,
+// or the key index from pos for as long as keys carry prefix (nil: to the
+// end).
+type baseIter struct {
+	t        *mtable
+	bucket   []int32
+	inBucket bool
+	pos      idxPos
+	prefix   []byte
+}
+
+func (it *baseIter) next() (int32, bool) {
+	if it.inBucket {
+		if len(it.bucket) == 0 {
+			return 0, false
+		}
+		slot := it.bucket[0]
+		it.bucket = it.bucket[1:]
+		return slot, true
+	}
+	if !it.t.idx.valid(it.pos) {
+		return 0, false
+	}
+	slot := it.t.idx.at(it.pos)
+	if it.prefix != nil && !keyHasPrefix(it.t.keys[slot], it.prefix) {
+		return 0, false
+	}
+	it.pos = it.t.idx.next(it.pos)
+	return slot, true
+}
+
+// try appends the candidate — key k, base row slot and overlay row ovRow, -1
+// when absent — if it is alive and satisfies the clause.
+func (f *cframe) try(v cview, c *ccmd, skipWhere bool, k store.Key, slot, ovRow int32) error {
+	t := &v.ms.tabs[c.tid]
+	v.ms.scans.RowsVisited++
+	// Built in place: returning a scanRef from a helper costs a copy per row
+	// that shows (a third of a prefix scan's time).
+	sr := scanRef{t: t, ovBase: -1}
+	if slot >= 0 {
+		sr.row = t.row(slot)
+	}
+	if ovRow >= 0 {
+		sr.ot, sr.ovBase = &v.ov.tabs[c.tid], ovRow*t.ct.nf
+	}
+	if alive := sr.field(t.ct.alive); alive.T != ast.TBool || !alive.B {
+		return nil
+	}
+	if !skipWhere {
+		val, err := f.eval(c.where, &sr, nil)
+		if err != nil || val.T != ast.TBool || !val.B {
+			return err
+		}
+	}
+	v.ms.scans.RowsMatched++
+	f.mkeys = append(f.mkeys, k)
+	f.mslots = append(f.mslots, slot)
+	f.movs = append(f.movs, ovRow)
 	return nil
 }
 
@@ -413,25 +434,6 @@ func keyHasPrefix(k store.Key, p []byte) bool {
 	return len(k) >= len(p) && keyCmp(k[:len(p)], p) == 0
 }
 
-// narrowPlain returns the half-open window of an already-sorted key slice
-// (the overlay's transaction-created keys) matching the pin prefix: an
-// exact single-key window for full-key pins, a prefix window otherwise
-// (the prefix already carries its separator).
-func narrowPlain(keys []store.Key, prefix []byte, exact bool) (int, int) {
-	lo := sort.Search(len(keys), func(i int) bool { return keyCmp(keys[i], prefix) >= 0 })
-	if exact {
-		if lo < len(keys) && keyCmp(keys[lo], prefix) == 0 {
-			return lo, lo + 1
-		}
-		return lo, lo
-	}
-	hi := lo
-	for hi < len(keys) && keyHasPrefix(keys[hi], prefix) {
-		hi++
-	}
-	return lo, hi
-}
-
 func (f *cframe) execSelect(v cview, c *ccmd) error {
 	if err := f.matching(v, c); err != nil {
 		return err
@@ -446,21 +448,21 @@ func (f *cframe) execSelect(v cview, c *ccmd) error {
 	}
 	rs.vals = rs.vals[:need]
 	t := &v.ms.tabs[c.tid]
-	var ot *covTab
-	if v.ov != nil {
-		ot = &v.ov.tabs[c.tid]
-	}
-	for i := range f.mkeys {
-		sr := scanRef{t: t, ot: ot, base: f.mbases[i], ovBase: f.movs[i]}
-		row := i * rs.ncol
-		if sr.ovBase < 0 {
+	for i, slot := range f.mslots {
+		out := rs.vals[i*rs.ncol:]
+		if f.movs[i] < 0 {
+			row := t.row(slot)
 			for j, fid := range c.cols {
-				rs.vals[row+j] = t.vals[sr.base+fid]
+				out[j] = row[fid]
 			}
-		} else {
-			for j, fid := range c.cols {
-				rs.vals[row+j] = sr.field(fid)
-			}
+			continue
+		}
+		sr := scanRef{t: t, ot: &v.ov.tabs[c.tid], ovBase: f.movs[i] * t.ct.nf}
+		if slot >= 0 {
+			sr.row = t.row(slot)
+		}
+		for j, fid := range c.cols {
+			out[j] = sr.field(fid)
 		}
 	}
 	return nil
@@ -536,7 +538,7 @@ func (f *cframe) execInsert(v cview, c *ccmd, u *UUIDGen) ([]cwrite, error) {
 // eval runs a compiled expression on the frame's reusable stack. sr is the
 // scanned row for this.f (scanNone outside where clauses — the compiler
 // guarantees eThis never occurs there); u gates uuid().
-func (f *cframe) eval(e cexpr, sr scanRef, u *UUIDGen) (store.Value, error) {
+func (f *cframe) eval(e cexpr, sr *scanRef, u *UUIDGen) (store.Value, error) {
 	st := f.stack[:0]
 	for pc := 0; pc < len(e); pc++ {
 		op := &e[pc]
@@ -557,7 +559,7 @@ func (f *cframe) eval(e cexpr, sr scanRef, u *UUIDGen) (store.Value, error) {
 			st = append(st, store.IntV(f.iters[len(f.iters)-1].idx))
 		case eThis:
 			if sr.ovBase < 0 {
-				st = append(st, sr.t.vals[sr.base+op.i])
+				st = append(st, sr.row[op.i])
 			} else {
 				st = append(st, sr.field(op.i))
 			}
@@ -568,7 +570,7 @@ func (f *cframe) eval(e cexpr, sr scanRef, u *UUIDGen) (store.Value, error) {
 			}
 			var tv store.Value
 			if sr.ovBase < 0 {
-				tv = sr.t.vals[sr.base+op.i]
+				tv = sr.row[op.i]
 			} else {
 				tv = sr.field(op.i)
 			}
@@ -576,7 +578,7 @@ func (f *cframe) eval(e cexpr, sr scanRef, u *UUIDGen) (store.Value, error) {
 		case eThisEqConst:
 			var tv store.Value
 			if sr.ovBase < 0 {
-				tv = sr.t.vals[sr.base+op.i]
+				tv = sr.row[op.i]
 			} else {
 				tv = sr.field(op.i)
 			}
@@ -723,8 +725,8 @@ func (f *cframe) zeroOrUnbound(rs *crset, op *eop) (store.Value, error) {
 
 // coverlay buffers an SC transaction's uncommitted writes in compiled
 // addressing: per table, flat per-row field arrays with set bitmaps, plus
-// the sorted list of keys the transaction created (absent from the base
-// store). It is reset and reused across attempts.
+// the written rows in key order (what scans merge with and commits emit
+// in). It is reset and reused across attempts.
 type coverlay struct {
 	ms      *MatStore
 	tabs    []covTab
@@ -732,12 +734,11 @@ type coverlay struct {
 }
 
 type covTab struct {
-	idx      map[store.Key]int32
-	keys     []store.Key
-	baseSlot []int32
-	vals     []store.Value // row*nf + field
-	set      []bool
-	newKeys  []store.Key // sorted; keys with no base row
+	idx   map[store.Key]int32
+	keys  []store.Key   // by row, in first-write order
+	vals  []store.Value // row*nf + field
+	set   []bool
+	order []int32 // rows, sorted by key
 }
 
 func newCOverlay(ms *MatStore) *coverlay {
@@ -751,10 +752,9 @@ func (o *coverlay) reset() {
 		t := &o.tabs[tid]
 		clear(t.idx)
 		t.keys = t.keys[:0]
-		t.baseSlot = t.baseSlot[:0]
 		t.vals = t.vals[:0]
 		t.set = t.set[:0]
-		t.newKeys = t.newKeys[:0]
+		t.order = t.order[:0]
 	}
 	o.touched = o.touched[:0]
 }
@@ -774,16 +774,8 @@ func (o *coverlay) buffer(w cwrite) {
 		row = int32(len(t.keys))
 		t.idx[w.key] = row
 		t.keys = append(t.keys, w.key)
-		slot := int32(-1)
-		if s, ok := o.ms.tabs[w.tid].index[w.key]; ok {
-			slot = s
-		} else {
-			i := sort.Search(len(t.newKeys), func(i int) bool { return t.newKeys[i] >= w.key })
-			t.newKeys = append(t.newKeys, "")
-			copy(t.newKeys[i+1:], t.newKeys[i:])
-			t.newKeys[i] = w.key
-		}
-		t.baseSlot = append(t.baseSlot, slot)
+		i := sort.Search(len(t.order), func(i int) bool { return t.keys[t.order[i]] >= w.key })
+		t.order = slices.Insert(t.order, i, row)
 		for i := 0; i < nf; i++ {
 			t.vals = append(t.vals, store.Value{})
 			t.set = append(t.set, false)
@@ -798,10 +790,9 @@ func (o *coverlay) buffer(w cwrite) {
 // ascending table id, sorted key, ascending field index. (The interpreter
 // emits name-sorted order instead; batches share one timestamp, so replica
 // state is identical either way — see DESIGN.md §9.)
-func (o *coverlay) commitWrites(dst []cwrite, rowScratch []int32) ([]cwrite, []int32) {
-	// Insertion sorts: the touched-table and per-table row counts are tiny
-	// (an SC transaction's write set), and sort.Slice would allocate its
-	// closure and swapper on every commit.
+func (o *coverlay) commitWrites(dst []cwrite) []cwrite {
+	// Insertion sort: an SC transaction touches a handful of tables, and
+	// sort.Slice would allocate its closure and swapper on every commit.
 	for i := 1; i < len(o.touched); i++ {
 		for j := i; j > 0 && o.touched[j] < o.touched[j-1]; j-- {
 			o.touched[j], o.touched[j-1] = o.touched[j-1], o.touched[j]
@@ -810,16 +801,7 @@ func (o *coverlay) commitWrites(dst []cwrite, rowScratch []int32) ([]cwrite, []i
 	for _, tid := range o.touched {
 		t := &o.tabs[tid]
 		nf := int(o.ms.tabs[tid].ct.nf)
-		rowScratch = rowScratch[:0]
-		for r := range t.keys {
-			rowScratch = append(rowScratch, int32(r))
-		}
-		for i := 1; i < len(rowScratch); i++ {
-			for j := i; j > 0 && t.keys[rowScratch[j]] < t.keys[rowScratch[j-1]]; j-- {
-				rowScratch[j], rowScratch[j-1] = rowScratch[j-1], rowScratch[j]
-			}
-		}
-		for _, r := range rowScratch {
+		for _, r := range t.order {
 			base := int(r) * nf
 			for fid := 0; fid < nf; fid++ {
 				if t.set[base+fid] {
@@ -828,5 +810,5 @@ func (o *coverlay) commitWrites(dst []cwrite, rowScratch []int32) ([]cwrite, []i
 			}
 		}
 	}
-	return dst, rowScratch
+	return dst
 }

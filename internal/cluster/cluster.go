@@ -101,6 +101,16 @@ type Result struct {
 	Point     metrics.Point
 	Committed int64
 	Aborted   int64 // SC lock-timeout aborts (retried)
+	// Scans is the compiled executor's where-clause work, summed over the
+	// replicas (zero under UseInterpreter: the oracle has no access paths).
+	Scans Scans
+}
+
+// Scans counts where-clause resolutions: calls to the matcher, the rows it
+// examined, and the rows it returned. Visited over matched is the share of
+// the store's work the chosen access paths wasted.
+type Scans struct {
+	Calls, RowsVisited, RowsMatched int64
 }
 
 const (
@@ -242,10 +252,12 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 			P99Ms:      float64(d.lat.Percentile(99).Microseconds()) / 1000,
 		},
 	}
-	if d.execErr != nil {
-		return d, res, d.execErr
+	for _, r := range d.replicas {
+		res.Scans.Calls += r.state.scans.Calls
+		res.Scans.RowsVisited += r.state.scans.RowsVisited
+		res.Scans.RowsMatched += r.state.scans.RowsMatched
 	}
-	return d, res, nil
+	return d, res, d.execErr
 }
 
 type driver struct {
@@ -562,9 +574,10 @@ func (t *txnRun) step() {
 		d.fail(err)
 		return
 	}
+	tid := d.cp.tableID[table] // Footprint succeeded, so the table exists
 	var want []lockKey
 	for _, k := range keys {
-		want = append(want, lockKey{table, k})
+		want = append(want, lockKey{tid, k})
 	}
 	t.acquire(want, func() {
 		r := d.replicas[primary]

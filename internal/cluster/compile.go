@@ -90,24 +90,50 @@ const (
 	ckInsert
 )
 
+// accessPath is how a select/update finds its candidate rows. The compiler
+// chooses it once per command from the shape of the where clause; the
+// executor never chooses.
+type accessPath uint8
+
+const (
+	// pathScan: every row of the table. The path of clauses that do not
+	// decompose into equalities, and the fallback when a pin or indexed
+	// right-hand side fails to evaluate (the clause then fails, or not, on
+	// the rows the AST oracle would have evaluated it on).
+	pathScan accessPath = iota
+	// pathExact: the equalities pin the whole primary key — one probe of the
+	// key→slot map.
+	pathExact
+	// pathPrefix: they pin a proper prefix of it — a window of the sorted
+	// key index.
+	pathPrefix
+	// pathEq: they pin no key prefix — the bucket of the first conjunct's
+	// field in the table's equality index, a superset of the matches.
+	pathEq
+)
+
 // ccmd is a compiled database command.
 type ccmd struct {
 	kind  ckind
 	label string
 	tid   int32
 
-	// where/scan state (select, update). pins are the compiled equality
-	// expressions pinning a prefix of the primary key (the sorted-key
-	// range narrowing of DESIGN.md §4.4); pinFull marks a full-key pin.
-	// whereIsPin marks clauses that are EXACTLY a full-key pin over
-	// int/bool key fields: every key in the narrowed window then satisfies
-	// the clause by key-encoding injectivity and the per-row evaluation is
-	// skipped (string keys are excluded — a string value containing the
-	// key separator could alias another tuple's encoding).
+	// where state (select, update): the compiled clause and the access path
+	// scan chose for it. pins (pathExact, pathPrefix) are the compiled
+	// equality expressions pinning a prefix of the primary key (the
+	// sorted-key range narrowing of DESIGN.md §4.4); eqF/eqE (pathEq) are the
+	// clause's first conjunct this.eqF = eqE. whereIsPin marks clauses that
+	// are EXACTLY their pins, over int/bool key fields: every key in the
+	// narrowed window then satisfies the clause by key-encoding injectivity
+	// and the per-row evaluation is skipped (string fields are excluded — a
+	// string value containing the key separator could alias another tuple's
+	// encoding).
 	where      cexpr
+	path       accessPath
 	pins       []cexpr
-	pinFull    bool
 	whereIsPin bool
+	eqF        int32
+	eqE        cexpr
 
 	// select
 	varSlot int32
@@ -332,38 +358,48 @@ func (c *txnCompiler) stmts(body []ast.Stmt) error {
 	return nil
 }
 
-// scan compiles the where clause and its key-range pins for a command on
-// table tid.
+// scan compiles the where clause of a command on table tid and chooses its
+// access path.
 func (c *txnCompiler) scan(tid int32, ct *ctable, where ast.Expr, cmd *ccmd) error {
 	w, err := c.expr(where, ct, false)
 	if err != nil {
 		return err
 	}
 	cmd.where = w
-	if eqs, ok := ast.WhereEqualities(where); ok {
-		pins := map[string]ast.Expr{}
-		for _, q := range eqs {
-			pins[q.Field] = q.Expr
-		}
-		simpleKey := true
-		for _, f := range ct.schema.PrimaryKey() {
-			if f.Type == ast.TString {
-				simpleKey = false
-			}
-			pin, ok := pins[f.Name]
-			if !ok {
-				break
-			}
-			pe, err := c.expr(pin, nil, false)
-			if err != nil {
-				return err
-			}
-			cmd.pins = append(cmd.pins, pe)
-		}
-		cmd.pinFull = len(cmd.pins) == len(ct.pk) && len(cmd.pins) > 0
-		cmd.whereIsPin = cmd.pinFull && len(eqs) == len(cmd.pins) && simpleKey
+	eqs, ok := ast.WhereEqualities(where)
+	if !ok {
+		return nil // pathScan
 	}
-	return nil
+	pinned := map[string]ast.Expr{}
+	for _, q := range eqs {
+		pinned[q.Field] = q.Expr
+	}
+	simple := true
+	for _, f := range ct.schema.PrimaryKey() {
+		pin, ok := pinned[f.Name]
+		if !ok {
+			break
+		}
+		simple = simple && f.Type != ast.TString
+		pe, err := c.expr(pin, nil, false)
+		if err != nil {
+			return err
+		}
+		cmd.pins = append(cmd.pins, pe)
+	}
+	switch {
+	case len(cmd.pins) == 0:
+		// eqs[0] is the conjunct && evaluates first, so evaluating its
+		// right-hand side up front surfaces no error the clause would not.
+		cmd.path, cmd.eqF = pathEq, ct.fieldID[eqs[0].Field]
+		cmd.eqE, err = c.expr(eqs[0].Expr, nil, false)
+	case len(cmd.pins) == len(ct.pk):
+		cmd.path = pathExact
+	default:
+		cmd.path = pathPrefix
+	}
+	cmd.whereIsPin = len(cmd.pins) > 0 && len(eqs) == len(cmd.pins) && simple
+	return err
 }
 
 func (c *txnCompiler) selectCmd(x *ast.Select) (*ccmd, error) {

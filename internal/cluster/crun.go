@@ -92,7 +92,6 @@ type cTxnRun struct {
 	ov   *coverlay
 	want []lockKey
 	wbuf []cwrite
-	rows []int32
 	// Bound once; rescheduled for every statement of every attempt.
 	stepF, execF, contF, beginF func()
 }
@@ -131,10 +130,9 @@ func (t *cTxnRun) step() {
 		d.fail(err)
 		return
 	}
-	tname := d.cp.tables[tid].name
 	t.want = t.want[:0]
 	for _, k := range keys {
-		t.want = append(t.want, lockKey{tname, k})
+		t.want = append(t.want, lockKey{tid, k})
 	}
 	t.acquire(t.want, t.contF)
 }
@@ -182,8 +180,7 @@ func (t *cTxnRun) abort() {
 // replies to the client.
 func (t *cTxnRun) commit() {
 	d := t.c.d
-	t.wbuf = t.wbuf[:0]
-	t.wbuf, t.rows = t.ov.commitWrites(t.wbuf, t.rows)
+	t.wbuf = t.ov.commitWrites(t.wbuf[:0])
 	ts := d.tsAt(primary)
 	d.replicas[primary].state.applyC(t.wbuf, ts)
 	if d.cfg.Trace != nil && len(t.wbuf) > 0 {

@@ -49,7 +49,7 @@ func TestFaultedCompiledMatchesInterpreter(t *testing.T) {
 						t.Fatalf("compiled run: %v", err)
 					}
 
-					if gotRes != wantRes {
+					if !sameResult(gotRes, wantRes) {
 						t.Errorf("results diverge:\n  compiled:    %+v\n  interpreter: %+v", gotRes, wantRes)
 					}
 					if len(got.Trace.Events) != len(ref.Trace.Events) {
@@ -241,7 +241,7 @@ func FuzzFaultScheduleEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotRes != wantRes {
+		if !sameResult(gotRes, wantRes) {
 			t.Fatalf("results diverge under plan %+v:\n  compiled:    %+v\n  interpreter: %+v",
 				cfg.Faults, gotRes, wantRes)
 		}

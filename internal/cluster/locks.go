@@ -8,9 +8,12 @@ import "atropos/internal/store"
 // interact correctly when one run mixes engines (a transaction the compiler
 // fell back on contends with compiled ones).
 
+// lockKey names a record by compiled table id: both executors resolve the
+// table once per statement, so acquire/release hash an int32 and the key,
+// never the table name.
 type lockKey struct {
-	table string
-	key   store.Key
+	tid int32
+	key store.Key
 }
 
 type lockState struct {

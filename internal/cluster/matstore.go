@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"atropos/internal/ast"
@@ -39,24 +41,49 @@ type cwrite struct {
 	val store.Value
 }
 
-// MatStore is a replica's materialized state: per table, a flat
-// []store.Value of rows-by-field-index with parallel last-writer-wins
-// timestamps, a key→slot index, and a sorted key view for deterministic
-// scans. Rows live at stable slots in arrival order; scans follow the
-// sorted view.
+// MatStore is a replica's materialized state: per table, rows-by-field-index
+// in fixed-size pages with parallel last-writer-wins timestamps, a key→slot
+// map, a sorted key view for deterministic scans, and equality indexes on
+// the fields some compiled command looks rows up by (DESIGN.md §9). Rows
+// live at stable slots in arrival order; every access path yields them in
+// key order.
 type MatStore struct {
-	cp   *Compiled
-	tabs []mtable
+	cp    *Compiled
+	tabs  []mtable
+	scans Scans // counted by cframe.matching
+}
+
+// Rows per page. Pages never move once full: growing a table allocates a new
+// page instead of recopying (and having the collector rescan) every row.
+const (
+	pageShift = 7
+	pageRows  = 1 << pageShift
+)
+
+// page is pageRows rows of field values and their last-writer-wins
+// timestamps.
+type page struct {
+	vals []store.Value
+	ts   []int64
 }
 
 type mtable struct {
 	ct    *ctable
 	index map[store.Key]int32
-	keys  []store.Key   // by slot (append-only)
-	vals  []store.Value // slot*nf + field
-	ts    []int64
+	keys  []store.Key // by slot (append-only)
+	// pages[p] holds slots [p*pageRows, (p+1)*pageRows), row r of the page
+	// at r*nf. Page 0 grows by doubling so few-row stores (certify clones
+	// one per replayed command) stay few-row; later pages are allocated
+	// whole.
+	pages []page
 	// idx orders the slots by key (chunked — see keyIndex).
 	idx keyIndex
+	// eq[fid], once the first eq-index query on the field has built it, maps
+	// each value of the field to the slots holding it, in key order; set keeps
+	// it current. The slice itself is nil until some index is built, so
+	// stores no compiled query reads (interpreter runs, replay clones) pay
+	// nothing.
+	eq []map[store.Value][]int32
 	// view is the sorted []store.Key the string-based DBView.Keys exposes
 	// to the interpreter oracle, materialized lazily from idx.
 	view   []store.Key
@@ -80,12 +107,113 @@ func newMatStore(cp *Compiled) *MatStore {
 func (t *mtable) newSlot(k store.Key) int32 {
 	slot := int32(len(t.keys))
 	t.keys = append(t.keys, k)
-	t.vals = append(t.vals, t.ct.zeros...)
-	t.ts = append(t.ts, t.ct.tszero...)
+	if slot&(pageRows-1) == 0 {
+		var pg page
+		if slot > 0 {
+			pg = page{make([]store.Value, 0, pageRows*t.ct.nf), make([]int64, 0, pageRows*t.ct.nf)}
+		}
+		t.pages = append(t.pages, pg)
+	}
+	pg := &t.pages[slot>>pageShift]
+	pg.vals = append(pg.vals, t.ct.zeros...)
+	pg.ts = append(pg.ts, t.ct.tszero...)
 	t.index[k] = slot
 	t.idx.insert(t.keys, k, slot)
 	t.viewOK = false
+	for fid, ix := range t.eq {
+		if ix != nil {
+			t.eqMove(ix, slot, nil, &t.ct.zeros[fid])
+		}
+	}
 	return slot
+}
+
+// row returns the slot's field values. The slice is valid until the next
+// newSlot (page 0 may still be growing).
+func (t *mtable) row(slot int32) []store.Value {
+	at := (slot & (pageRows - 1)) * t.ct.nf
+	return t.pages[slot>>pageShift].vals[at : at+t.ct.nf]
+}
+
+// put stores one field value if the write's timestamp wins last-writer-wins.
+func (t *mtable) put(slot, fid int32, val store.Value, ts int64) {
+	at := (slot&(pageRows-1))*t.ct.nf + fid
+	if tsp := t.pages[slot>>pageShift].ts; ts >= tsp[at] {
+		tsp[at] = ts
+		t.set(slot, fid, val)
+	}
+}
+
+// set is the one place a field value changes, so the one place a built
+// equality index on the field has to follow it.
+func (t *mtable) set(slot, fid int32, val store.Value) {
+	cell := &t.row(slot)[fid]
+	if t.eq != nil && t.eq[fid] != nil && !cell.Equal(val) {
+		t.eqMove(t.eq[fid], slot, cell, &val)
+	}
+	*cell = val
+}
+
+// eqKey is the map key of a field value: Value.Equal ignores the payload
+// fields its type does not use, struct equality does not.
+func eqKey(v *store.Value) store.Value {
+	switch v.T {
+	case ast.TInt:
+		return store.IntV(v.I)
+	case ast.TBool:
+		return store.BoolV(v.B)
+	case ast.TString:
+		return store.StringV(v.S)
+	}
+	return store.Value{T: v.T}
+}
+
+// eqMove takes slot out of from's bucket (nil: a fresh row) and puts it into
+// to's, at its key's position: buckets stay in key order, which is the
+// order scans must emit in.
+func (t *mtable) eqMove(ix map[store.Value][]int32, slot int32, from, to *store.Value) {
+	k := t.keys[slot]
+	byKey := func(s int32, k store.Key) int { return cmp.Compare(t.keys[s], k) }
+	if from != nil {
+		fk := eqKey(from)
+		if b := ix[fk]; len(b) == 1 {
+			delete(ix, fk)
+		} else {
+			i, _ := slices.BinarySearchFunc(b, k, byKey)
+			ix[fk] = slices.Delete(b, i, i+1)
+		}
+	}
+	tk := eqKey(to)
+	i, _ := slices.BinarySearchFunc(ix[tk], k, byKey)
+	ix[tk] = slices.Insert(ix[tk], i, slot)
+}
+
+// bucket returns the slots whose field fid equals v, in key order, building
+// the field's index on first use.
+func (t *mtable) bucket(fid int32, v store.Value) []int32 {
+	if t.eq == nil {
+		t.eq = make([]map[store.Value][]int32, t.ct.nf)
+	}
+	ix := t.eq[fid]
+	if ix == nil {
+		// Count, then carve every bucket out of one array and fill in key
+		// order: a handful of allocations however many values there are.
+		sizes := map[store.Value]int{}
+		for slot := range t.keys {
+			sizes[eqKey(&t.row(int32(slot))[fid])]++
+		}
+		ix = make(map[store.Value][]int32, len(sizes))
+		all := make([]int32, len(t.keys))
+		for k, n := range sizes {
+			ix[k], all = all[:0:n], all[n:]
+		}
+		for p := t.idx.begin(); t.idx.valid(p); p = t.idx.next(p) {
+			k := eqKey(&t.row(t.idx.at(p))[fid])
+			ix[k] = append(ix[k], t.idx.at(p))
+		}
+		t.eq[fid] = ix
+	}
+	return ix[eqKey(&v)]
 }
 
 // sortedKeys materializes the sorted key view (interpreter oracle only —
@@ -100,10 +228,6 @@ func (t *mtable) sortedKeys() []store.Key {
 		t.viewOK = true
 	}
 	return t.view
-}
-
-func (t *mtable) read(slot, fid int32) store.Value {
-	return t.vals[slot*t.ct.nf+fid]
 }
 
 // Load installs an initial record (alive, timestamp 0). Missing fields get
@@ -136,16 +260,17 @@ func (ms *MatStore) Load(table string, row store.Row) error {
 	if !ok {
 		slot = t.newSlot(key)
 	}
-	base := slot * ct.nf
-	copy(t.vals[base:base+ct.nf], full)
-	for i := int32(0); i < ct.nf; i++ {
-		t.ts[base+i] = 0
+	for fid, v := range full {
+		t.set(slot, int32(fid), v)
 	}
+	at := (slot & (pageRows - 1)) * ct.nf
+	clear(t.pages[slot>>pageShift].ts[at : at+ct.nf])
 	return nil
 }
 
-// Clone copies the state (used to give each replica an identical start).
-// The flat layout makes this a handful of slice copies per table.
+// Clone copies the state (used to give each replica an identical start): a
+// slice copy per page, sized to the rows present. Equality indexes are not
+// copied; a clone that is queried builds its own.
 func (ms *MatStore) Clone() *MatStore {
 	out := &MatStore{cp: ms.cp, tabs: make([]mtable, len(ms.tabs))}
 	for i := range ms.tabs {
@@ -154,9 +279,11 @@ func (ms *MatStore) Clone() *MatStore {
 			ct:    t.ct,
 			index: make(map[store.Key]int32, len(t.index)),
 			keys:  append([]store.Key(nil), t.keys...),
-			vals:  append([]store.Value(nil), t.vals...),
-			ts:    append([]int64(nil), t.ts...),
+			pages: make([]page, len(t.pages)),
 			idx:   t.idx.clone(),
+		}
+		for p, pg := range t.pages {
+			nt.pages[p] = page{append([]store.Value(nil), pg.vals...), append([]int64(nil), pg.ts...)}
 		}
 		for k, s := range t.index {
 			nt.index[k] = s
@@ -181,7 +308,7 @@ func (ms *MatStore) Read(table string, key store.Key, field string) store.Value 
 	}
 	t := &ms.tabs[tid]
 	if slot, ok := t.index[key]; ok {
-		return t.read(slot, fid)
+		return t.row(slot)[fid]
 	}
 	return ct.zeros[fid]
 }
@@ -222,11 +349,7 @@ func (ms *MatStore) applyOne(tid, fid int32, key store.Key, val store.Value, ts 
 	if !ok {
 		slot = t.newSlot(key)
 	}
-	at := slot*t.ct.nf + fid
-	if ts >= t.ts[at] {
-		t.vals[at] = val
-		t.ts[at] = ts
-	}
+	t.put(slot, fid, val, ts)
 }
 
 // applyC merges a compiled write batch. Batches are key-adjacent (updates
@@ -248,11 +371,7 @@ func (ms *MatStore) applyC(ws []cwrite, ts int64) {
 			slot = s
 			lastTid, lastKey = w.tid, w.key
 		}
-		at := slot*t.ct.nf + w.fid
-		if ts >= t.ts[at] {
-			t.vals[at] = w.val
-			t.ts[at] = ts
-		}
+		t.put(slot, w.fid, w.val, ts)
 	}
 }
 
