@@ -45,8 +45,8 @@ race-par:
 # One pass over every experiment benchmark and hot-path microbenchmark —
 # a smoke test that each driver still runs, not a measurement — followed by
 # the allocation-regression gate: allocs/op of the repair pipeline
-# (BenchmarkTable1_*) and the compiled simulator (BenchmarkSim*) are
-# deterministic and machine-independent, so they are compared against the
+# (BenchmarkTable1_*), the compiled simulator (BenchmarkSim*) and witness
+# certification (BenchmarkCertify_*) are deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
 # clock stays informational, like the drift gate). The output lands in
 # bench-smoke.txt, which the CI bench job uploads as an artifact.
@@ -70,11 +70,12 @@ bench-harness:
 # default pattern covers the detect→encode→solve hot path (Table 1 repairs,
 # detection, and the solver/encoder microbenchmarks) plus the cluster
 # simulator (BenchmarkSim*: ops-bounded, so ns/op and allocs/op are
-# per-simulated-transaction); override BENCH_PATTERN to widen, BASE_REF to
+# per-simulated-transaction) and witness certification (BenchmarkCertify_*:
+# the replay phase alone); override BENCH_PATTERN to widen, BASE_REF to
 # compare against another ref.
 BASE_REF ?= HEAD~1
-BENCH_PATTERN ?= BenchmarkTable1_|BenchmarkDetect|BenchmarkPairEncoder|BenchmarkAssert|BenchmarkEncode|BenchmarkAddClauses|BenchmarkSolveAssuming|BenchmarkPigeonhole|BenchmarkSim
-BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/logic ./internal/sat ./internal/cluster
+BENCH_PATTERN ?= BenchmarkTable1_|BenchmarkDetect|BenchmarkPairEncoder|BenchmarkAssert|BenchmarkEncode|BenchmarkAddClauses|BenchmarkSolveAssuming|BenchmarkPigeonhole|BenchmarkSim|BenchmarkCertify
+BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/logic ./internal/sat ./internal/cluster ./internal/replay
 BENCH_COUNT ?= 5
 
 # Run the benchmark suite at BASE_REF (in a throwaway git worktree) and in

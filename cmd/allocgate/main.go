@@ -48,12 +48,14 @@ var (
 )
 
 // gated reports whether a benchmark participates in the gate: the repair
-// pipeline (Table 1), the compiled cluster simulator, and the parallel
-// fast path (sharded interning and wavefront detection, both measured at
-// fixed worker counts so allocs/op stays machine-independent).
+// pipeline (Table 1), the compiled cluster simulator, witness
+// certification, and the parallel fast path (sharded interning and
+// wavefront detection, both measured at fixed worker counts so allocs/op
+// stays machine-independent).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkTable1_") ||
 		strings.HasPrefix(name, "BenchmarkSim") ||
+		strings.HasPrefix(name, "BenchmarkCertify_") ||
 		strings.HasPrefix(name, "BenchmarkInternParallel") ||
 		strings.HasPrefix(name, "BenchmarkDetectParallel")
 }

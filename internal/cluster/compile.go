@@ -203,14 +203,13 @@ type eop struct {
 	s    string // name for error messages (arg/var/field)
 }
 
-// CompileProgram lowers prog. Schema compilation always succeeds (MatStore
-// addressing needs it); transactions that cannot be compiled faithfully are
-// simply absent from txns and run on the AST interpreter.
-func CompileProgram(prog *ast.Program) *Compiled {
+// compileLayout lowers the schemas alone: the table layout MatStore
+// addressing needs, which always succeeds. No transaction is compiled — a
+// store that only the AST interpreter reads (directed runs) needs none.
+func compileLayout(prog *ast.Program) *Compiled {
 	cp := &Compiled{
 		prog:    prog,
 		tableID: make(map[string]int32, len(prog.Schemas)),
-		txns:    make(map[string]*ctxn, len(prog.Txns)),
 	}
 	for i, s := range prog.Schemas {
 		ct := ctable{
@@ -235,6 +234,15 @@ func CompileProgram(prog *ast.Program) *Compiled {
 		cp.tables = append(cp.tables, ct)
 		cp.tableID[s.Name] = int32(i)
 	}
+	return cp
+}
+
+// CompileProgram lowers prog: the layout, then every transaction.
+// Transactions that cannot be compiled faithfully are simply absent from
+// txns and run on the AST interpreter.
+func CompileProgram(prog *ast.Program) *Compiled {
+	cp := compileLayout(prog)
+	cp.txns = make(map[string]*ctxn, len(prog.Txns))
 	for _, t := range prog.Txns {
 		c := &txnCompiler{cp: cp, txn: t}
 		ct, err := c.compile()

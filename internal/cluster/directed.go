@@ -28,6 +28,85 @@ import (
 // constraint on views ("arbitrary subsets of committed batches"), so each
 // command's view is built independently — exactly the freedom the static
 // encoding's vis relation has.
+//
+// Certification replays one program thousands of times, so what a run needs
+// is split by lifetime: a DirectedPlan holds what depends on the program
+// alone, a base store seeded once per set of rows is shared read-only by
+// every run over those rows, and a run allocates only its own state.
+
+// DirectedPlan is the static half of a program's directed runs: the table
+// layout base stores are addressed by (no transaction is compiled — runs
+// execute on the AST) and, per transaction on first use, its command tables.
+// A plan is not safe for concurrent use.
+type DirectedPlan struct {
+	prog *ast.Program
+	cp   *Compiled
+	txns map[string]*directedTxn
+}
+
+// directedTxn is one transaction's static command tables, by command index.
+type directedTxn struct {
+	txn     *ast.Txn
+	cmdIdx  map[ast.DBCommand]int
+	tables  []string
+	readSet []map[string]bool // the fields the detector's encoding says it reads
+}
+
+// NewDirectedPlan prepares directed runs of prog.
+func NewDirectedPlan(prog *ast.Program) *DirectedPlan {
+	return &DirectedPlan{prog: prog, cp: compileLayout(prog), txns: map[string]*directedTxn{}}
+}
+
+// Program returns the program the plan runs.
+func (p *DirectedPlan) Program() *ast.Program { return p.prog }
+
+// Seed builds a base state holding rows (alive, timestamp 0). Runs only
+// read it, so one base serves every run that starts from the same rows.
+func (p *DirectedPlan) Seed(rows []benchmarks.TableRow) (*MatStore, error) {
+	base := newMatStore(p.cp)
+	for _, row := range rows {
+		if err := base.Load(row.Table, row.Row); err != nil {
+			return nil, err
+		}
+	}
+	return base, nil
+}
+
+func (p *DirectedPlan) txn(name string) (*directedTxn, error) {
+	if dt := p.txns[name]; dt != nil {
+		return dt, nil
+	}
+	txn := p.prog.Txn(name)
+	if txn == nil {
+		return nil, fmt.Errorf("cluster: directed: unknown transaction %q", name)
+	}
+	cmds := ast.Commands(txn.Body)
+	dt := &directedTxn{
+		txn:     txn,
+		cmdIdx:  make(map[ast.DBCommand]int, len(cmds)),
+		tables:  make([]string, len(cmds)),
+		readSet: make([]map[string]bool, len(cmds)),
+	}
+	for i, c := range cmds {
+		schema := p.prog.Schema(c.TableName())
+		if schema == nil {
+			return nil, fmt.Errorf("cluster: directed: unknown table %q", c.TableName())
+		}
+		rs := map[string]bool{}
+		for _, f := range ast.CommandAccess(c, schema).Reads {
+			rs[f] = true
+		}
+		switch c.(type) {
+		case *ast.Select, *ast.Update:
+			rs[ast.AliveField] = true
+		}
+		dt.cmdIdx[c] = i
+		dt.tables[i] = c.TableName()
+		dt.readSet[i] = rs
+	}
+	p.txns[name] = dt
+	return dt, nil
+}
 
 // DirectedTxn names one transaction instance and its arguments.
 type DirectedTxn struct {
@@ -45,11 +124,9 @@ type DirectedStep struct {
 	Cmd  int
 }
 
-// DirectedConfig describes one directed two-transaction run.
+// DirectedConfig describes one directed two-transaction run over a seeded
+// base.
 type DirectedConfig struct {
-	Program *ast.Program
-	// Rows seed the initial database state (alive, timestamp 0).
-	Rows []benchmarks.TableRow
 	Txns [2]DirectedTxn
 	// Steps is the slot order; typically one slot per static command of
 	// both instances, in the witness schedule's ord order.
@@ -58,9 +135,6 @@ type DirectedConfig struct {
 	// command (fromInst, fromCmd) are in the local view of (toInst, toCmd).
 	// nil means nothing cross-instance is ever visible.
 	Vis func(fromInst, fromCmd, toInst, toCmd int) bool
-	// Trace, when non-nil, records applied batches and commits in the
-	// simulator's canonical event format.
-	Trace *Trace
 	// MaxOps bounds executed commands (default 4096) so adversarial
 	// iterate counts cannot hang a replay.
 	MaxOps int
@@ -90,6 +164,7 @@ type BatchRef struct {
 type DirectedObs struct {
 	Inst   int
 	Cmd    int
+	At     int64 // virtual time of the command's slot (µs; directed runs only)
 	TS     int64 // apply timestamp of this command's write batch
 	View   []BatchRef
 	Reads  []ReadObs
@@ -103,13 +178,35 @@ type DirectedResult struct {
 	Ret  [2]store.Value
 }
 
-// trackedView is one command's local view: a clone of the seeded base with
-// the visible batches applied in timestamp order, remembering which
-// batches it contains. Read recording filters to the command's static read
-// set — the fields the detector's encoding says the command reads —
-// because the executor materializes whole rows while scanning.
+// Trace renders the run as the simulator's canonical event log: one line
+// per applied write batch at its slot's virtual time, then the two commits.
+// Rendering is apart from running because only a run someone keeps — the
+// one attempt in a ladder that reproduces — is ever read.
+func (res *DirectedResult) Trace(txns [2]DirectedTxn) []string {
+	tr := &Trace{}
+	var end int64
+	for i := range res.Obs {
+		o := &res.Obs[i]
+		end = o.At
+		if len(o.Writes) > 0 {
+			tr.applyOps(o.At, o.Inst, o.TS, o.Writes)
+		}
+	}
+	for inst := range txns {
+		tr.commit(end, inst, txns[inst].Name, true)
+	}
+	return tr.Events
+}
+
+// trackedView is one command's local view: the shared base under an overlay
+// holding the visible batches' writes, remembering which batches it
+// contains. Batches carry strictly increasing timestamps over a timestamp-0
+// base, so buffering them in order is last-writer-wins. Read recording
+// filters to the command's static read set — the fields the detector's
+// encoding says the command reads — because the executor materializes whole
+// rows while scanning.
 type trackedView struct {
-	ms        *MatStore
+	*Overlay
 	applied   []BatchRef
 	table     string
 	fields    map[string]bool
@@ -117,18 +214,12 @@ type trackedView struct {
 	reads     []ReadObs
 }
 
-// Schema implements DBView.
-func (v *trackedView) Schema(table string) *ast.Schema { return v.ms.Schema(table) }
-
-// Keys implements DBView.
-func (v *trackedView) Keys(table string) []store.Key { return v.ms.Keys(table) }
-
 // Read implements DBView, recording filtered observations.
 func (v *trackedView) Read(table string, key store.Key, field string) store.Value {
 	if v.recording && table == v.table && v.fields[field] {
 		v.reads = append(v.reads, ReadObs{Table: table, Key: key, Field: field})
 	}
-	return v.ms.Read(table, key, field)
+	return v.Overlay.Read(table, key, field)
 }
 
 // Alive implements DBView through Read so presence checks are observed
@@ -136,14 +227,6 @@ func (v *trackedView) Read(table string, key store.Key, field string) store.Valu
 func (v *trackedView) Alive(table string, key store.Key) bool {
 	val := v.Read(table, key, ast.AliveField)
 	return val.T == ast.TBool && val.B
-}
-
-// apply merges one batch into the view and records its membership.
-func (v *trackedView) apply(inst, cmd int, ts int64, ws []WriteOp) {
-	for _, w := range ws {
-		v.ms.Apply(w, ts)
-	}
-	v.applied = append(v.applied, BatchRef{Inst: inst, Cmd: cmd, TS: ts})
 }
 
 type appliedBatch struct {
@@ -155,61 +238,42 @@ type appliedBatch struct {
 type directedRun struct {
 	cfg     DirectedConfig
 	base    *MatStore
+	txns    [2]*directedTxn
 	execs   [2]*TxnExec
-	cmdIdx  [2]map[ast.DBCommand]int
-	readSet [2][]map[string]bool // static read sets by command index
-	tables  [2][]string
 	batches []appliedBatch // timestamp order
 	cur     [2]DBView      // control-flow view: last command's view + own writes
-	uuid    *UUIDGen
-	sim     *Sim
+	uuid    UUIDGen
+	now     int64 // virtual time: one slot per executed command
 	seq     int64
 	obs     []DirectedObs
 }
 
-// directedSlotGap is the virtual time between slots (µs), giving Trace
+// directedSlotGap is the virtual time between slots (µs), giving trace
 // events distinct, human-readable timestamps.
 const directedSlotGap = 1000
 
-// RunDirected executes one directed two-transaction run.
-func RunDirected(cfg DirectedConfig) (*DirectedResult, error) {
+// testHookView, set by this package's tests only, sees every view a run
+// builds before the command executes on it.
+var testHookView func(r *directedRun, v *trackedView)
+
+// Run executes one directed two-transaction run over base, a state this
+// plan seeded; base is read, never written.
+func (p *DirectedPlan) Run(base *MatStore, cfg DirectedConfig) (*DirectedResult, error) {
+	if base.cp != p.cp {
+		return nil, fmt.Errorf("cluster: directed: base was seeded by another plan")
+	}
 	if cfg.MaxOps <= 0 {
 		cfg.MaxOps = 4096
 	}
-	r := &directedRun{cfg: cfg, base: NewMatStore(cfg.Program), uuid: &UUIDGen{}, sim: &Sim{}}
-	for _, row := range cfg.Rows {
-		if err := r.base.Load(row.Table, row.Row); err != nil {
+	r := &directedRun{cfg: cfg, base: base, obs: make([]DirectedObs, 0, len(cfg.Steps))}
+	for inst := 0; inst < 2; inst++ {
+		dt, err := p.txn(cfg.Txns[inst].Name)
+		if err != nil {
 			return nil, err
 		}
-	}
-	for inst := 0; inst < 2; inst++ {
-		txn := cfg.Program.Txn(cfg.Txns[inst].Name)
-		if txn == nil {
-			return nil, fmt.Errorf("cluster: directed: unknown transaction %q", cfg.Txns[inst].Name)
-		}
-		cmds := ast.Commands(txn.Body)
-		r.cmdIdx[inst] = make(map[ast.DBCommand]int, len(cmds))
-		r.readSet[inst] = make([]map[string]bool, len(cmds))
-		r.tables[inst] = make([]string, len(cmds))
-		for i, c := range cmds {
-			r.cmdIdx[inst][c] = i
-			schema := cfg.Program.Schema(c.TableName())
-			if schema == nil {
-				return nil, fmt.Errorf("cluster: directed: unknown table %q", c.TableName())
-			}
-			rs := map[string]bool{}
-			for _, f := range ast.CommandAccess(c, schema).Reads {
-				rs[f] = true
-			}
-			switch c.(type) {
-			case *ast.Select, *ast.Update:
-				rs[ast.AliveField] = true
-			}
-			r.readSet[inst][i] = rs
-			r.tables[inst][i] = c.TableName()
-		}
-		r.execs[inst] = NewTxnExec(cfg.Program, txn, cfg.Txns[inst].Args)
-		r.cur[inst] = r.base
+		r.txns[inst] = dt
+		r.execs[inst] = NewTxnExec(p.prog, dt.txn, cfg.Txns[inst].Args)
+		r.cur[inst] = base
 	}
 
 	executed := 0
@@ -240,7 +304,7 @@ func RunDirected(cfg DirectedConfig) (*DirectedResult, error) {
 			i++
 			continue
 		}
-		cidx, ok := r.cmdIdx[st.Inst][cmd]
+		cidx, ok := r.txns[st.Inst].cmdIdx[cmd]
 		if !ok {
 			return nil, fmt.Errorf("cluster: directed: unmapped command %s", cmd.CmdLabel())
 		}
@@ -286,19 +350,8 @@ func RunDirected(cfg DirectedConfig) (*DirectedResult, error) {
 	for inst := 0; inst < 2; inst++ {
 		out.Done[inst] = r.execs[inst].Done()
 		out.Ret[inst] = r.execs[inst].Result()
-		if cfg.Trace != nil {
-			cfg.Trace.commit(r.sim.Now(), inst, cfg.Txns[inst].Name, true)
-		}
 	}
 	return out, nil
-}
-
-// visible consults the configured visibility relation.
-func (r *directedRun) visible(fromInst, fromCmd, toInst, toCmd int) bool {
-	if r.cfg.Vis == nil {
-		return false
-	}
-	return r.cfg.Vis(fromInst, fromCmd, toInst, toCmd)
 }
 
 // buildView constructs (inst, cidx)'s local view: base state, own earlier
@@ -306,56 +359,56 @@ func (r *directedRun) visible(fromInst, fromCmd, toInst, toCmd int) bool {
 // order.
 func (r *directedRun) buildView(inst, cidx int) *trackedView {
 	v := &trackedView{
-		ms:     r.base.Clone(),
-		table:  r.tables[inst][cidx],
-		fields: r.readSet[inst][cidx],
+		Overlay: NewOverlay(r.base),
+		table:   r.txns[inst].tables[cidx],
+		fields:  r.txns[inst].readSet[cidx],
 	}
-	for _, b := range r.batches {
-		if b.inst != inst && !r.visible(b.inst, b.cmd, inst, cidx) {
-			continue
+	for i := range r.batches {
+		b := &r.batches[i]
+		if b.inst == inst || (r.cfg.Vis != nil && r.cfg.Vis(b.inst, b.cmd, inst, cidx)) {
+			for _, w := range b.writes {
+				v.Buffer(w)
+			}
+			v.applied = append(v.applied, BatchRef{Inst: b.inst, Cmd: b.cmd, TS: b.ts})
 		}
-		v.apply(b.inst, b.cmd, b.ts, b.writes)
+	}
+	if testHookView != nil {
+		testHookView(r, v)
 	}
 	return v
 }
 
-// execOne executes the pending command of inst inside a simulator event,
-// recording its observations and publishing its writes.
+// execOne executes the pending command of inst in the next slot, recording
+// its observations and publishing its writes.
 func (r *directedRun) execOne(inst int) error {
-	var err error
-	r.sim.At(directedSlotGap, func() {
-		e := r.execs[inst]
-		var cmd ast.DBCommand
-		cmd, err = e.Advance(r.cur[inst])
-		if err != nil || cmd == nil {
-			return
-		}
-		cidx := r.cmdIdx[inst][cmd]
-		view := r.buildView(inst, cidx)
-		view.recording = true
-		var writes []WriteOp
-		writes, err = e.Exec(view, r.uuid)
-		if err != nil {
-			return
-		}
-		view.recording = false
-		r.seq++
-		ts := r.seq
-		r.obs = append(r.obs, DirectedObs{
-			Inst: inst, Cmd: cidx, TS: ts,
-			View:  append([]BatchRef(nil), view.applied...),
-			Reads: view.reads, Writes: writes,
-		})
-		if len(writes) > 0 {
-			r.batches = append(r.batches, appliedBatch{inst: inst, cmd: cidx, ts: ts, writes: writes})
-			if r.cfg.Trace != nil {
-				r.cfg.Trace.applyOps(r.sim.Now(), inst, ts, writes)
-			}
-			// The instance reads its own writes from here on.
-			view.apply(inst, cidx, ts, writes)
-		}
-		r.cur[inst] = view
+	r.now += directedSlotGap
+	e := r.execs[inst]
+	cmd, err := e.Advance(r.cur[inst])
+	if err != nil || cmd == nil {
+		return err
+	}
+	cidx := r.txns[inst].cmdIdx[cmd]
+	view := r.buildView(inst, cidx)
+	view.recording = true
+	writes, err := e.Exec(view, &r.uuid)
+	if err != nil {
+		return err
+	}
+	view.recording = false
+	r.seq++
+	ts := r.seq
+	r.obs = append(r.obs, DirectedObs{
+		Inst: inst, Cmd: cidx, At: r.now, TS: ts,
+		View: view.applied, Reads: view.reads, Writes: writes,
 	})
-	r.sim.Run(r.sim.Now() + 10*directedSlotGap)
-	return err
+	if len(writes) > 0 {
+		r.batches = append(r.batches, appliedBatch{inst: inst, cmd: cidx, ts: ts, writes: writes})
+		// The instance reads its own writes from here on: the view lives on
+		// as its control-flow view, its membership list is the observation's.
+		for _, w := range writes {
+			view.Buffer(w)
+		}
+	}
+	r.cur[inst] = view
+	return nil
 }

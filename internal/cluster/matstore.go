@@ -72,8 +72,8 @@ type mtable struct {
 	index map[store.Key]int32
 	keys  []store.Key // by slot (append-only)
 	// pages[p] holds slots [p*pageRows, (p+1)*pageRows), row r of the page
-	// at r*nf. Page 0 grows by doubling so few-row stores (certify clones
-	// one per replayed command) stay few-row; later pages are allocated
+	// at r*nf. Page 0 grows by doubling so few-row stores (certification
+	// seeds one per lowering) stay few-row; later pages are allocated
 	// whole.
 	pages []page
 	// idx orders the slots by key (chunked — see keyIndex).
@@ -81,7 +81,7 @@ type mtable struct {
 	// eq[fid], once the first eq-index query on the field has built it, maps
 	// each value of the field to the slots holding it, in key order; set keeps
 	// it current. The slice itself is nil until some index is built, so
-	// stores no compiled query reads (interpreter runs, replay clones) pay
+	// stores no compiled query reads (interpreter runs, certification bases) pay
 	// nothing.
 	eq []map[store.Value][]int32
 	// view is the sorted []store.Key the string-based DBView.Keys exposes
@@ -92,7 +92,7 @@ type mtable struct {
 
 // NewMatStore creates an empty replica state for the program.
 func NewMatStore(prog *ast.Program) *MatStore {
-	return newMatStore(CompileProgram(prog))
+	return newMatStore(compileLayout(prog))
 }
 
 func newMatStore(cp *Compiled) *MatStore {

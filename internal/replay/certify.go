@@ -158,24 +158,19 @@ func hasPairCycle(edges map[edgeKey]bool, i1, i2 int) bool {
 	return (out[i1] && in[i2]) || (out[i2] && in[i1])
 }
 
-// runEdges executes one directed configuration and derives its dependency
-// edges, with the canonical event trace.
-func runEdges(cfg cluster.DirectedConfig) (map[edgeKey]bool, []string, error) {
-	tr := &cluster.Trace{}
-	cfg.Trace = tr
-	res, err := cluster.RunDirected(cfg)
+// runEdges executes one directed configuration over a seeded base and
+// derives its dependency edges.
+func runEdges(plan *cluster.DirectedPlan, base *cluster.MatStore, cfg cluster.DirectedConfig) (map[edgeKey]bool, *cluster.DirectedResult, error) {
+	res, err := plan.Run(base, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return deriveEdges(res.Obs), tr.Events, nil
+	return deriveEdges(res.Obs), res, nil
 }
 
 // runViolates executes one directed configuration and reports whether its
 // dependency graph contains the anomaly cycle shape.
-func runViolates(cfg *cluster.DirectedConfig) (bool, error) {
-	res, err := cluster.RunDirected(*cfg)
-	if err != nil {
-		return false, err
-	}
-	return hasViolation(deriveEdges(res.Obs)), nil
+func runViolates(plan *cluster.DirectedPlan, base *cluster.MatStore, cfg cluster.DirectedConfig) (bool, error) {
+	edges, _, err := runEdges(plan, base, cfg)
+	return err == nil && hasViolation(edges), err
 }

@@ -16,7 +16,8 @@ import (
 //     Total, every reproduced outcome names its method, and every
 //     non-reproduced one its reason (no certified-but-irreproducible pair);
 //   - certification is deterministic: a second replay of the same report
-//     reproduces exactly the same outcomes;
+//     reproduces exactly the same outcomes, trace lines included, and so
+//     does certifying each pair alone on a fresh directed-run plan;
 //   - the serial (SC) control never exhibits a violation — serial runs
 //     order every dependency edge one way, so a cycle there would be a
 //     soundness bug in the replayer's cycle check.
@@ -61,11 +62,16 @@ func FuzzWitnessReplaySoundness(f *testing.F) {
 			t.Fatalf("seed %d: replay nondeterministic: %d/%d then %d/%d",
 				seed, cert.Certified, cert.Lowered, again.Certified, again.Lowered)
 		}
+		// ... and so must certifying each pair alone: the directed-run plan
+		// is the only state that outlives a pair within a certification.
+		alone := certifyEachAlone(prog, rep)
 		for i := range cert.Outcomes {
-			a, b := cert.Outcomes[i], again.Outcomes[i]
-			if a.Reproduced != b.Reproduced || a.Method != b.Method || a.Reason != b.Reason {
-				t.Fatalf("seed %d: pair %d outcome nondeterministic: (%t %q %q) then (%t %q %q)",
-					seed, i, a.Reproduced, a.Method, a.Reason, b.Reproduced, b.Method, b.Reason)
+			want := outcomeText(cert.Outcomes[i])
+			if got := outcomeText(again.Outcomes[i]); got != want {
+				t.Fatalf("seed %d: pair %d outcome nondeterministic:\n%s then\n%s", seed, i, want, got)
+			}
+			if got := outcomeText(alone[i]); got != want {
+				t.Fatalf("seed %d: pair %d outcome depends on the shared plan:\n%s alone\n%s", seed, i, want, got)
 			}
 		}
 		// Serial control: replaying the lowered inputs serially (both

@@ -2,6 +2,8 @@ package replay
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"atropos/internal/anomaly"
@@ -12,7 +14,8 @@ import (
 )
 
 // This file lowers a witness Schedule — the satisfying model the detector
-// read off its cycle query — into a concrete cluster.DirectedConfig. The
+// read off its cycle query — into a concrete cluster.DirectedConfig and the
+// rows its base state is seeded with. The
 // model is symbolic: it orders command instances (ord), grants view
 // contents (vis), and values aliasing-equality atoms over primary-key
 // terms. Lowering makes it concrete by choosing actual argument values and
@@ -30,10 +33,28 @@ import (
 // concrete values cannot satisfy — is reported as not lowerable with a
 // reason rather than silently producing a vacuous run.
 
-// lowered is one schedule made concrete.
+// lowered is one schedule made concrete: the run, the rows it starts from,
+// the defaults profile that filled what the model left free, and the two
+// transactions' static command counts.
 type lowered struct {
-	Cfg  cluster.DirectedConfig
-	Args [2]map[string]store.Value
+	Cfg   cluster.DirectedConfig
+	Rows  []benchmarks.TableRow
+	prof  profile
+	nCmds [2]int
+}
+
+// sameInputs reports whether two lowerings of one schedule hand a run the
+// same arguments and the same seeded rows. Steps and visibility come from
+// the schedule alone, so equal inputs mean equal runs.
+func sameInputs(a, b *lowered) bool {
+	for inst := range a.Cfg.Txns {
+		if !maps.EqualFunc(a.Cfg.Txns[inst].Args, b.Cfg.Txns[inst].Args, store.Value.Equal) {
+			return false
+		}
+	}
+	return slices.EqualFunc(a.Rows, b.Rows, func(x, y benchmarks.TableRow) bool {
+		return x.Table == y.Table && maps.EqualFunc(x.Row, y.Row, store.Value.Equal)
+	})
 }
 
 // evalStatic evaluates an expression that depends on nothing but literals,
@@ -169,6 +190,12 @@ func newFreshPool() *freshPool {
 	return &freshPool{usedInt: map[int64]bool{}, usedString: map[string]bool{}, nextInt: 9001}
 }
 
+func (p *freshPool) clone() *freshPool {
+	c := *p
+	c.usedInt, c.usedString = maps.Clone(p.usedInt), maps.Clone(p.usedString)
+	return &c
+}
+
 func (p *freshPool) note(v store.Value) {
 	switch v.T {
 	case ast.TInt:
@@ -249,35 +276,55 @@ type instItem struct {
 	inst, idx int
 }
 
-// lowerSchedule turns a witness schedule into a runnable directed
-// configuration under the given defaults profile. A non-empty reason means
-// the schedule is structurally not runnable against this program.
-func lowerSchedule(prog *ast.Program, sched *anomaly.Schedule, prof profile) (*lowered, string) {
-	var txns [2]*ast.Txn
-	txns[0] = prog.Txn(sched.TxnA)
-	txns[1] = prog.Txn(sched.TxnB)
-	if txns[0] == nil || txns[1] == nil {
+// lowering is the half of lowering a schedule that no defaults profile can
+// change: the model's equality classes with their values, and the
+// interleaving and visibility. The attempt ladder computes it once per pair.
+type lowering struct {
+	prog     *ast.Program
+	sched    *anomaly.Schedule
+	txns     [2]*ast.Txn
+	cls      *classes
+	info     map[string]*classInfo
+	argClass map[argKey]string
+	pinsOf   map[instItem][]anomaly.KeyPin
+	pool     *freshPool // after valuing the classes; each profile continues a copy
+	nCmds    [2]int
+	steps    []cluster.DirectedStep
+	vis      func(fi, fc, ti, tc int) bool
+}
+
+// newLowering values a witness schedule's equality classes. A non-empty
+// reason means the schedule is structurally not runnable against this
+// program, under any profile.
+func newLowering(prog *ast.Program, sched *anomaly.Schedule) (*lowering, string) {
+	l := &lowering{prog: prog, sched: sched, cls: newClasses(), pool: newFreshPool()}
+	l.txns[0] = prog.Txn(sched.TxnA)
+	l.txns[1] = prog.Txn(sched.TxnB)
+	if l.txns[0] == nil || l.txns[1] == nil {
 		return nil, "transaction missing from program"
+	}
+	for inst := range l.txns {
+		l.nCmds[inst] = len(ast.Commands(l.txns[inst].Body))
 	}
 
 	// Phase 1: equality classes. The model's true equality atoms merge term
 	// classes; pins of the same (instance, parameter) merge too, because one
 	// argument has one runtime value.
-	cls := newClasses()
+	cls := l.cls
 	for _, eq := range sched.Eqs {
 		if eq.Equal {
 			cls.union(eq.A, eq.B)
 		}
 	}
-	argClass := map[argKey]string{}
+	l.argClass = map[argKey]string{}
 	for _, it := range sched.Items {
 		for _, p := range it.Pins {
 			if a, ok := p.Expr.(*ast.Arg); ok {
 				k := argKey{it.Inst, a.Name}
-				if prev, ok := argClass[k]; ok {
+				if prev, ok := l.argClass[k]; ok {
 					cls.union(prev, p.Term)
 				} else {
-					argClass[k] = p.Term
+					l.argClass[k] = p.Term
 				}
 			}
 		}
@@ -285,17 +332,16 @@ func lowerSchedule(prog *ast.Program, sched *anomaly.Schedule, prof profile) (*l
 
 	// Phase 2: per-class info — types from the pinned schema fields, forced
 	// values from statically evaluable pin expressions.
-	info := map[string]*classInfo{}
+	l.info = map[string]*classInfo{}
 	at := func(term string) *classInfo {
 		r := cls.find(term)
-		ci := info[r]
+		ci := l.info[r]
 		if ci == nil {
 			ci = &classInfo{}
-			info[r] = ci
+			l.info[r] = ci
 		}
 		return ci
 	}
-	pool := newFreshPool()
 	for _, it := range sched.Items {
 		schema := prog.Schema(it.Table)
 		for _, p := range it.Pins {
@@ -310,7 +356,7 @@ func lowerSchedule(prog *ast.Program, sched *anomaly.Schedule, prof profile) (*l
 				continue
 			}
 			if v, ok := evalStatic(p.Expr, nil); ok {
-				pool.note(v)
+				l.pool.note(v)
 				// Conflicting constants in one class mean the model valued
 				// per-sort equality atoms inconsistently across sorts (the
 				// encoding has no cross-sort congruence axiom); keep the
@@ -324,13 +370,13 @@ func lowerSchedule(prog *ast.Program, sched *anomaly.Schedule, prof profile) (*l
 
 	// Phase 3: value every non-uuid class, forced first (already valued),
 	// then fresh per type in deterministic root order.
-	roots := make([]string, 0, len(info))
-	for r := range info {
+	roots := make([]string, 0, len(l.info))
+	for r := range l.info {
 		roots = append(roots, r)
 	}
 	sort.Strings(roots)
 	for _, r := range roots {
-		ci := info[r]
+		ci := l.info[r]
 		if ci.uuid {
 			if ci.forced {
 				return nil, fmt.Sprintf("class %s merges uuid() with a constant", r)
@@ -342,7 +388,7 @@ func lowerSchedule(prog *ast.Program, sched *anomaly.Schedule, prof profile) (*l
 			if ci.typOK {
 				t = ci.typ
 			}
-			ci.val, ci.hasVal = pool.fresh(t), true
+			ci.val, ci.hasVal = l.pool.fresh(t), true
 		}
 	}
 
@@ -353,22 +399,50 @@ func lowerSchedule(prog *ast.Program, sched *anomaly.Schedule, prof profile) (*l
 	// the run's aliasing — it cannot unmake the claimed edges, and the
 	// dynamic cycle check is the final arbiter.
 
-	classVal := func(term string) (store.Value, bool) {
-		ci := info[cls.find(term)]
-		if ci == nil || ci.uuid || !ci.hasVal {
-			return store.Value{}, false
-		}
-		return ci.val, true
+	l.pinsOf = map[instItem][]anomaly.KeyPin{}
+	for _, it := range sched.Items {
+		l.pinsOf[instItem{it.Inst, it.Idx}] = it.Pins
 	}
 
-	// Phase 5: arguments. Parameters pinned to a class take its value;
-	// everything else defaults by declared type.
+	// Interleaving and visibility straight off the model.
+	for _, g := range sched.Order {
+		inst, idx := sched.ItemAt(g)
+		l.steps = append(l.steps, cluster.DirectedStep{Inst: inst, Cmd: idx})
+	}
+	gidx := map[instItem]int{}
+	for g := range sched.Items {
+		inst, idx := sched.ItemAt(g)
+		gidx[instItem{inst, idx}] = g
+	}
+	vis := sched.Vis
+	l.vis = func(fi, fc, ti, tc int) bool {
+		gf, ok1 := gidx[instItem{fi, fc}]
+		gt, ok2 := gidx[instItem{ti, tc}]
+		return ok1 && ok2 && vis[gf][gt]
+	}
+	return l, ""
+}
+
+// classVal is the value lowering gave a term's class, if it has one.
+func (l *lowering) classVal(term string) (store.Value, bool) {
+	ci := l.info[l.cls.find(term)]
+	if ci == nil || ci.uuid || !ci.hasVal {
+		return store.Value{}, false
+	}
+	return ci.val, true
+}
+
+// under makes the schedule concrete under one defaults profile: arguments
+// and seeded rows for everything the model left free.
+func (l *lowering) under(prof profile) *lowered {
+	// Arguments. Parameters pinned to a class take its value; everything
+	// else defaults by declared type.
 	var args [2]map[string]store.Value
 	for inst := 0; inst < 2; inst++ {
 		args[inst] = map[string]store.Value{}
-		for _, p := range txns[inst].Params {
-			if cl, ok := argClass[argKey{inst, p.Name}]; ok {
-				if v, ok := classVal(cl); ok {
+		for _, p := range l.txns[inst].Params {
+			if cl, ok := l.argClass[argKey{inst, p.Name}]; ok {
+				if v, ok := l.classVal(cl); ok {
 					args[inst][p.Name] = v
 					continue
 				}
@@ -377,44 +451,27 @@ func lowerSchedule(prog *ast.Program, sched *anomaly.Schedule, prof profile) (*l
 		}
 	}
 
-	// Phase 6: seed rows so every select/update key actually denotes a
-	// record, with class values winning over static evaluation (they carry
-	// the model's aliasing), then back-propagate at(x.f)-pinned values into
-	// the rows the binding selects return.
-	pinsOf := map[instItem][]anomaly.KeyPin{}
-	for _, it := range sched.Items {
-		pinsOf[instItem{it.Inst, it.Idx}] = it.Pins
-	}
-	rows, itemRow := seedRows(prog, txns, args, pinsOf, classVal)
-	backpropagate(txns, pinsOf, classVal, itemRow)
-	inserts := insertKeyVals(prog, txns, args, pinsOf, classVal)
-	tableRows := finalizeRows(prog, rows, pool, prof, inserts)
+	// Seed rows so every select/update key actually denotes a record, with
+	// class values winning over static evaluation (they carry the model's
+	// aliasing), then back-propagate at(x.f)-pinned values into the rows the
+	// binding selects return.
+	rows, itemRow := seedRows(l.prog, l.txns, args, l.pinsOf, l.classVal)
+	backpropagate(l.txns, l.pinsOf, l.classVal, itemRow)
+	inserts := insertKeyVals(l.prog, l.txns, args, l.pinsOf, l.classVal)
 
-	// Phase 7: interleaving and visibility straight off the model.
-	cfg := cluster.DirectedConfig{
-		Program: prog,
-		Rows:    tableRows,
-		Txns: [2]cluster.DirectedTxn{
-			{Name: sched.TxnA, Args: args[0]},
-			{Name: sched.TxnB, Args: args[1]},
+	return &lowered{
+		Cfg: cluster.DirectedConfig{
+			Txns: [2]cluster.DirectedTxn{
+				{Name: l.sched.TxnA, Args: args[0]},
+				{Name: l.sched.TxnB, Args: args[1]},
+			},
+			Steps: l.steps,
+			Vis:   l.vis,
 		},
+		Rows:  finalizeRows(l.prog, rows, l.pool.clone(), prof, inserts),
+		prof:  prof,
+		nCmds: l.nCmds,
 	}
-	for _, g := range sched.Order {
-		inst, idx := sched.ItemAt(g)
-		cfg.Steps = append(cfg.Steps, cluster.DirectedStep{Inst: inst, Cmd: idx})
-	}
-	gidx := map[instItem]int{}
-	for g := range sched.Items {
-		inst, idx := sched.ItemAt(g)
-		gidx[instItem{inst, idx}] = g
-	}
-	vis := sched.Vis
-	cfg.Vis = func(fi, fc, ti, tc int) bool {
-		gf, ok1 := gidx[instItem{fi, fc}]
-		gt, ok2 := gidx[instItem{ti, tc}]
-		return ok1 && ok2 && vis[gf][gt]
-	}
-	return &lowered{Cfg: cfg, Args: args}, ""
 }
 
 // seedRows builds the initial population: one pass over both transactions'
@@ -680,7 +737,8 @@ func finalizeRows(prog *ast.Program, rows map[string][]*seedRow, pool *freshPool
 // the produced run is a genuine execution of the consistency semantics, so
 // the certified property (a fully repaired program admits no violation on
 // it) does not depend on the alignment being tight.
-func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, args [2]map[string]store.Value, prof profile) (*cluster.DirectedConfig, string) {
+func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, orig *lowered) (*lowered, string) {
+	prof := orig.prof
 	var txns [2]*ast.Txn
 	txns[0] = prog.Txn(sched.TxnA)
 	txns[1] = prog.Txn(sched.TxnB)
@@ -693,7 +751,7 @@ func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, args [2]map[stri
 	for inst := 0; inst < 2; inst++ {
 		pargs[inst] = map[string]store.Value{}
 		for _, p := range txns[inst].Params {
-			if v, ok := args[inst][p.Name]; ok && v.T == p.Type {
+			if v, ok := orig.Cfg.Txns[inst].Args[p.Name]; ok && v.T == p.Type {
 				pargs[inst][p.Name] = v
 			} else {
 				pargs[inst][p.Name] = prof.defaultValue(p.Type, false)
@@ -701,13 +759,11 @@ func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, args [2]map[stri
 		}
 	}
 	rows, _ := seedRows(prog, txns, pargs, nil, nil)
-	cfg := &cluster.DirectedConfig{
-		Program: prog,
-		Rows:    finalizeRows(prog, rows, newFreshPool(), prof, nil),
-		Txns: [2]cluster.DirectedTxn{
-			{Name: sched.TxnA, Args: pargs[0]},
-			{Name: sched.TxnB, Args: pargs[1]},
-		},
+	low := &lowered{Rows: finalizeRows(prog, rows, newFreshPool(), prof, nil), prof: prof}
+	cfg := &low.Cfg
+	cfg.Txns = [2]cluster.DirectedTxn{
+		{Name: sched.TxnA, Args: pargs[0]},
+		{Name: sched.TxnB, Args: pargs[1]},
 	}
 	// origSeq[inst] is the instance's items in model order; repaired command
 	// j of that instance aligns with origSeq[inst][min(j, last)].
@@ -716,17 +772,16 @@ func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, args [2]map[stri
 		inst, _ := sched.ItemAt(g)
 		origSeq[inst] = append(origSeq[inst], g)
 	}
-	var nCmds [2]int
 	for inst := 0; inst < 2; inst++ {
 		if len(origSeq[inst]) == 0 {
 			return nil, "instance absent from schedule"
 		}
-		nCmds[inst] = len(ast.Commands(txns[inst].Body))
+		low.nCmds[inst] = len(ast.Commands(txns[inst].Body))
 	}
 	var next [2]int
 	for _, g := range sched.Order {
 		inst, _ := sched.ItemAt(g)
-		if next[inst] < nCmds[inst] {
+		if next[inst] < low.nCmds[inst] {
 			cfg.Steps = append(cfg.Steps, cluster.DirectedStep{Inst: inst, Cmd: next[inst]})
 			next[inst]++
 		}
@@ -745,7 +800,7 @@ func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, args [2]map[stri
 		}
 		return vis[align(fi, fc)][align(ti, tc)]
 	}
-	return cfg, ""
+	return low, ""
 }
 
 // minimalVis replaces a lowered configuration's visibility with exactly
@@ -802,11 +857,10 @@ const (
 // visibility the pair claims — while all key reads resolve against the
 // seeded state (plus the granted views), sidestepping data-flow divergence
 // the exact model schedule can force.
-func splitConfig(low *lowered, prog *ast.Program, sched *anomaly.Schedule, i1 int, mode splitMode) cluster.DirectedConfig {
+func splitConfig(low *lowered, i1 int, mode splitMode) cluster.DirectedConfig {
 	cfg := low.Cfg
 	cfg.Steps = nil
-	nA := len(ast.Commands(prog.Txn(sched.TxnA).Body))
-	nB := len(ast.Commands(prog.Txn(sched.TxnB).Body))
+	nA, nB := low.nCmds[0], low.nCmds[1]
 	for c := 0; c <= i1 && c < nA; c++ {
 		cfg.Steps = append(cfg.Steps, cluster.DirectedStep{Inst: 0, Cmd: c})
 	}
@@ -833,31 +887,19 @@ func splitConfig(low *lowered, prog *ast.Program, sched *anomaly.Schedule, i1 in
 	return cfg
 }
 
-// lowerSerial builds the strongly consistent replay of the same inputs:
-// both instances run serially in the given order, the second seeing
+// serialConfig builds the strongly consistent replay of a lowering's
+// inputs: both instances run serially in the given order, the second seeing
 // everything the first committed — the SC execution the certificate
 // contrasts the anomalous schedule against.
-func lowerSerial(prog *ast.Program, sched *anomaly.Schedule, args [2]map[string]store.Value, rows []benchmarks.TableRow, first int) (*cluster.DirectedConfig, string) {
-	var txns [2]*ast.Txn
-	txns[0] = prog.Txn(sched.TxnA)
-	txns[1] = prog.Txn(sched.TxnB)
-	if txns[0] == nil || txns[1] == nil {
-		return nil, "transaction missing from program"
-	}
-	cfg := &cluster.DirectedConfig{
-		Program: prog,
-		Rows:    rows,
-		Txns: [2]cluster.DirectedTxn{
-			{Name: sched.TxnA, Args: args[0]},
-			{Name: sched.TxnB, Args: args[1]},
-		},
-	}
+func serialConfig(low *lowered, first int) cluster.DirectedConfig {
+	cfg := low.Cfg
+	cfg.Steps = nil
 	second := 1 - first
 	for _, inst := range []int{first, second} {
-		for ci := range ast.Commands(txns[inst].Body) {
+		for ci := 0; ci < low.nCmds[inst]; ci++ {
 			cfg.Steps = append(cfg.Steps, cluster.DirectedStep{Inst: inst, Cmd: ci})
 		}
 	}
 	cfg.Vis = func(fi, _, ti, _ int) bool { return fi == first && ti == second }
-	return cfg, ""
+	return cfg
 }

@@ -52,8 +52,10 @@ type PairOutcome struct {
 	Reason string
 	// Trace is the reproducing run's canonical event log.
 	Trace []string
+	// Runs counts the directed runs the ladder made for the pair.
+	Runs int
 
-	prof profile // defaults profile of the reproducing (or first) attempt
+	low *lowered // the reproducing attempt's lowering, else the first profile's
 }
 
 // Certificate aggregates replay outcomes over one report.
@@ -64,7 +66,9 @@ type Certificate struct {
 	Total     int
 	Lowered   int
 	Certified int
-	Outcomes  []PairOutcome
+	// Runs counts the directed runs behind Outcomes.
+	Runs     int
+	Outcomes []PairOutcome
 }
 
 // Rate is the fraction of examined pairs whose witness replayed: the
@@ -87,27 +91,29 @@ func (c *Certificate) Rate() float64 {
 // polarity can be taken. The first run whose dependency graph contains a
 // cycle through the pair's two commands certifies it.
 func Certify(prog *ast.Program, rep *anomaly.Report) *Certificate {
-	cert, _ := certifyContext(context.Background(), prog, rep)
+	cert, _ := certifyContext(context.Background(), cluster.NewDirectedPlan(prog), rep)
 	return cert
 }
 
-// certifyContext is Certify with cooperative cancellation between pairs:
-// when ctx expires mid-run the certificate built so far is returned with
-// complete=false (its counts cover only the pairs processed).
-func certifyContext(ctx context.Context, prog *ast.Program, rep *anomaly.Report) (*Certificate, bool) {
+// certifyContext is Certify on the program's directed-run plan, with
+// cooperative cancellation between pairs: when ctx expires mid-run the
+// certificate built so far is returned with complete=false (its counts
+// cover only the pairs processed).
+func certifyContext(ctx context.Context, plan *cluster.DirectedPlan, rep *anomaly.Report) (*Certificate, bool) {
 	cert := &Certificate{Model: rep.Model}
 	for _, pair := range rep.Pairs {
 		if ctx.Err() != nil {
 			return cert, false
 		}
 		cert.Total++
-		out := certifyPair(prog, pair)
+		out := certifyPair(plan, pair)
 		if out.Lowered {
 			cert.Lowered++
 		}
 		if out.Reproduced {
 			cert.Certified++
 		}
+		cert.Runs += out.Runs
 		cert.Outcomes = append(cert.Outcomes, out)
 	}
 	return cert, true
@@ -124,8 +130,8 @@ func itemIdx(sched *anomaly.Schedule, label string) int {
 }
 
 // certifyPair runs the attempt ladder for one pair.
-func certifyPair(prog *ast.Program, pair anomaly.AccessPair) PairOutcome {
-	out := PairOutcome{Pair: pair, prof: profiles[0]}
+func certifyPair(plan *cluster.DirectedPlan, pair anomaly.AccessPair) PairOutcome {
+	out := PairOutcome{Pair: pair}
 	sched := pair.Witness.Schedule
 	if sched == nil {
 		out.Reason = "no recorded witness schedule"
@@ -137,13 +143,33 @@ func certifyPair(prog *ast.Program, pair anomaly.AccessPair) PairOutcome {
 		out.Reason = "pair commands missing from schedule"
 		return out
 	}
+	lw, reason := newLowering(plan.Program(), sched)
+	if reason != "" {
+		out.Reason = reason
+		return out // structural: no profile can change it
+	}
+	out.Lowered = true
+	// tried is an earlier profile's lowering with the reason its last
+	// attempt failed for.
+	type tried struct {
+		low    *lowered
+		reason string
+	}
+	var failed []tried
+profiles:
 	for pi, prof := range profiles {
-		low, reason := lowerSchedule(prog, sched, prof)
-		if reason != "" {
-			out.Reason = reason
-			return out // structural: no profile can change it
+		low := lw.under(prof)
+		if pi == 0 {
+			out.low = low
 		}
-		out.Lowered = true
+		for _, t := range failed {
+			if sameInputs(t.low, low) {
+				// The profile's defaults landed on nothing the model left
+				// free: its runs would repeat t's, failures included.
+				out.Reason = t.reason
+				continue profiles
+			}
+		}
 		type attempt struct {
 			name string
 			cfg  cluster.DirectedConfig
@@ -151,13 +177,20 @@ func certifyPair(prog *ast.Program, pair anomaly.AccessPair) PairOutcome {
 		attempts := []attempt{
 			{"model", low.Cfg},
 			{"model-minvis", minimalVis(low, sched)},
-			{"split-hidden", splitConfig(low, prog, sched, i1, splitHidden)},
-			{"split-dirty", splitConfig(low, prog, sched, i1, splitPrefixVis)},
-			{"split-nonrep", splitConfig(low, prog, sched, i1, splitTailVis)},
-			{"split-both", splitConfig(low, prog, sched, i1, splitBothVis)},
+			{"split-hidden", splitConfig(low, i1, splitHidden)},
+			{"split-dirty", splitConfig(low, i1, splitPrefixVis)},
+			{"split-nonrep", splitConfig(low, i1, splitTailVis)},
+			{"split-both", splitConfig(low, i1, splitBothVis)},
+		}
+		// One base serves the profile's attempts: runs only read it.
+		base, err := plan.Seed(low.Rows)
+		if err != nil {
+			attempts = nil
+			out.Reason = "run failed: " + err.Error()
 		}
 		for _, at := range attempts {
-			edges, trace, err := runEdges(at.cfg)
+			out.Runs++
+			edges, res, err := runEdges(plan, base, at.cfg)
 			if err != nil {
 				out.Reason = "run failed: " + err.Error()
 				continue
@@ -174,18 +207,20 @@ func certifyPair(prog *ast.Program, pair anomaly.AccessPair) PairOutcome {
 			if pi > 0 {
 				out.Method = fmt.Sprintf("%s@p%d", at.name, pi)
 			}
-			out.Trace = trace
-			out.prof = prof
+			out.Trace = res.Trace(at.cfg.Txns)
+			out.low = low
 			return out
 		}
+		failed = append(failed, tried{low, out.Reason})
 	}
 	return out
 }
 
 // CertifyModelContext detects with witness recording — on a private
 // sequential session, as every certify caller always has — and certifies the
-// report. The context aborts the detection phase mid-solve and is re-checked
-// before the replay phase.
+// report. The context aborts the detection phase mid-solve and the replay
+// phase between pairs; a replay cut short returns the context's error and
+// no certificate.
 func CertifyModelContext(ctx context.Context, prog *ast.Program, model anomaly.Model) (*Certificate, *anomaly.Report, error) {
 	s := anomaly.NewSession(model)
 	s.RecordWitnesses()
@@ -194,10 +229,11 @@ func CertifyModelContext(ctx context.Context, prog *ast.Program, model anomaly.M
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+	cert, complete := certifyContext(ctx, cluster.NewDirectedPlan(prog), rep)
+	if !complete {
+		return nil, nil, ctx.Err()
 	}
-	return Certify(prog, rep), rep, nil
+	return cert, rep, nil
 }
 
 // RepairCertificate extends a positive certificate with the two negative
@@ -243,10 +279,15 @@ func CertifyRepairContext(ctx context.Context, orig, repaired *ast.Program, rep 
 	for _, t := range stillAnomalous {
 		partial[t] = true
 	}
-	cert, complete := certifyContext(ctx, orig, rep)
+	plan := cluster.NewDirectedPlan(orig)
+	cert, complete := certifyContext(ctx, plan, rep)
 	rc := &RepairCertificate{Certificate: cert}
 	if !complete {
 		return rc, false
+	}
+	var rplan *cluster.DirectedPlan
+	if repaired != nil {
+		rplan = cluster.NewDirectedPlan(repaired)
 	}
 	for _, out := range rc.Outcomes {
 		if ctx.Err() != nil {
@@ -255,19 +296,16 @@ func CertifyRepairContext(ctx context.Context, orig, repaired *ast.Program, rep 
 		if !out.Lowered {
 			continue
 		}
-		sched := out.Pair.Witness.Schedule
-		low, reason := lowerSchedule(orig, sched, out.prof)
-		if reason != "" {
-			continue
-		}
+		// The two serial orders replay the arguments and rows the pair's
+		// attempt ran on, from one base.
+		low := out.low
+		base, seedErr := plan.Seed(low.Rows)
 		for first := 0; first < 2; first++ {
-			cfg, reason := lowerSerial(orig, sched, low.Args, low.Cfg.Rows, first)
-			if reason != "" {
-				rc.Errors = append(rc.Errors, fmt.Sprintf("%s: SC lowering: %s", out.Pair.Txn, reason))
-				continue
-			}
 			rc.SCRuns++
-			bad, err := runViolates(cfg)
+			bad, err := false, seedErr
+			if err == nil {
+				bad, err = runViolates(plan, base, serialConfig(low, first))
+			}
 			if err != nil {
 				rc.Errors = append(rc.Errors, fmt.Sprintf("%s: SC replay: %v", out.Pair.Txn, err))
 				continue
@@ -283,13 +321,17 @@ func CertifyRepairContext(ctx context.Context, orig, repaired *ast.Program, rep 
 			rc.SkippedPartial++
 			continue
 		}
-		cfg, reason := lowerProjected(repaired, sched, low.Args, out.prof)
+		proj, reason := lowerProjected(repaired, out.Pair.Witness.Schedule, low)
 		if reason != "" {
 			rc.Errors = append(rc.Errors, fmt.Sprintf("%s: projection: %s", out.Pair.Txn, reason))
 			continue
 		}
 		rc.RepairedRuns++
-		bad, err := runViolates(cfg)
+		bad := false
+		rbase, err := rplan.Seed(proj.Rows)
+		if err == nil {
+			bad, err = runViolates(rplan, rbase, proj.Cfg)
+		}
 		if err != nil {
 			rc.Errors = append(rc.Errors, fmt.Sprintf("%s: repaired replay: %v", out.Pair.Txn, err))
 			continue

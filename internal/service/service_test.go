@@ -278,6 +278,24 @@ func TestTimeoutReturns504(t *testing.T) {
 	}
 }
 
+// TestCertifyTimeoutReturns504: /v1/certify honours timeout_ms like the
+// other endpoints — 504, and the engine counts a cancellation, not a
+// completion. The request is held in its slot past the deadline as above;
+// a deadline landing inside the replay phase, which is most of a certify's
+// work, is pinned in internal/replay (TestCertifyStopsBetweenPairs).
+func TestCertifyTimeoutReturns504(t *testing.T) {
+	ts, eng := newTestServer(t, engine.Config{Workers: 1, Hooks: &engine.Hooks{Exec: func(verb, client string) {
+		time.Sleep(20 * time.Millisecond)
+	}}})
+	resp, body := post(t, ts, "/v1/certify", ProgramRequest{Benchmark: "TPC-C", TimeoutMs: 1})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)
+	}
+	if st := eng.Stats(); st.Canceled != 1 || st.Completed != 0 || st.InFlight != 0 {
+		t.Fatalf("engine stats = %+v", st)
+	}
+}
+
 // TestDisconnectAbortsSolve: a client that hangs up mid-request frees its
 // worker — the engine records a cancellation, not a completion, and the
 // slot serves the next request. The worker is parked in its slot (Exec
