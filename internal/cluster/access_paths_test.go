@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
+	"atropos/internal/progen"
 	"atropos/internal/repair"
+	"atropos/internal/sema"
 )
 
 func program(t *testing.T, b *benchmarks.Benchmark) *ast.Program {
@@ -73,4 +76,44 @@ func TestBenchmarkAccessPaths(t *testing.T) {
 	if want := slices.Sorted(maps.Keys(remaining)); !slices.Equal(scans, want) {
 		t.Errorf("commands on the full scan: %q, want %q", scans, want)
 	}
+}
+
+// TestAllBenchmarkTxnsCompile guards the differential tests and every
+// simulator reading against becoming vacuous: CompileProgram drops a
+// transaction it cannot compile to the AST interpreter without a word, so
+// compiled-vs-interpreter equivalence would hold trivially and a panel cell
+// would time the oracle. Everything the simulator is asked to run must
+// compile: the nine benchmarks, their repairs under every weak model (the
+// AT-SC cells run those), the service benchmark's 96 generated programs and
+// their EC repairs.
+func TestAllBenchmarkTxnsCompile(t *testing.T) {
+	originals, repaired := 0, 0
+	check := func(what string, prog *ast.Program, models ...anomaly.Model) {
+		t.Helper()
+		for _, miss := range cluster.Uncompiled(prog) {
+			t.Errorf("%s: %s", what, miss)
+		}
+		originals += len(prog.Txns)
+		for _, model := range models {
+			res, err := repair.Run(context.Background(), prog, model, repair.Parallelism(1))
+			if err != nil {
+				t.Fatalf("%s under %s: %v", what, model, err)
+			}
+			for _, miss := range cluster.Uncompiled(res.Program) {
+				t.Errorf("%s repaired under %s: %s", what, model, miss)
+			}
+			repaired += len(res.Program.Txns)
+		}
+	}
+	for _, b := range benchmarks.All() {
+		check(b.Name, program(t, b), anomaly.EC, anomaly.CC, anomaly.RR)
+	}
+	for seed := int64(1); seed <= 96; seed++ {
+		prog, err := sema.Load(ast.Format(progen.Program(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("progen %d", seed), prog, anomaly.EC)
+	}
+	t.Logf("%d original and %d repaired transactions compile", originals, repaired)
 }

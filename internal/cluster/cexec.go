@@ -12,7 +12,7 @@ import (
 // This file is the compiled executor: a cframe runs a ctxn's op-codes
 // against a MatStore (optionally through a coverlay for SC
 // read-your-writes) with all scratch state — value stack, result sets,
-// matched-key buffers, write batches — owned by the frame and reused
+// matched-slot buffers, write batches — owned by the frame and reused
 // across transactions, so steady-state execution allocates O(1) per
 // transaction regardless of run length or table size.
 
@@ -24,7 +24,8 @@ type cview struct {
 }
 
 // scanRef identifies the row a where clause's this.f refers to during a
-// scan: row is the base store's row (nil for overlay-only rows), ovBase is
+// scan: row is the base store's row (nil when the replica does not hold the
+// slot: an overlay-only row), ovBase is
 // ovRow*nf into the overlay's value array (-1 when the row has no overlay
 // state).
 type scanRef struct {
@@ -69,9 +70,7 @@ type cframe struct {
 	iters []citer
 	stack []store.Value
 
-	// scan scratch: matched keys with their base slots and overlay rows (-1
-	// when absent).
-	mkeys  []store.Key
+	// scan scratch: matched slots with their overlay rows (-1 when absent).
 	mslots []int32
 	movs   []int32
 
@@ -196,27 +195,30 @@ func (f *cframe) exec(v cview, u *UUIDGen) ([]cwrite, error) {
 }
 
 // footprint computes the records the pending command touches (for lock
-// acquisition) without executing it; uuid's Peek previews insert keys.
-func (f *cframe) footprint(v cview, u *UUIDGen) (tid int32, keys []store.Key, err error) {
+// acquisition), as slots of its table, without executing it; uuid's Peek
+// previews insert keys.
+func (f *cframe) footprint(v cview, u *UUIDGen) (tid int32, slots []int32, err error) {
 	cmd := f.ct.code[f.pending].cmd
 	if cmd.kind == ckInsert {
-		k, err := f.insertKey(v, cmd, u.Peek())
+		slot, err := f.insertSlot(v, cmd, u.Peek())
 		if err != nil {
 			return 0, nil, err
 		}
-		f.mkeys = append(f.mkeys[:0], k)
-		return cmd.tid, f.mkeys, nil
+		f.mslots = append(f.mslots[:0], slot)
+		return cmd.tid, f.mslots, nil
 	}
 	if err := f.matching(v, cmd); err != nil {
 		return 0, nil, err
 	}
-	return cmd.tid, f.mkeys, nil
+	return cmd.tid, f.mslots, nil
 }
 
-// matching fills f.mkeys/mslots/movs with the alive records satisfying the
+// matching fills f.mslots/movs with the alive records satisfying the
 // command's where clause, in sorted key order. Candidates come from the
 // command's access path — one key, a window of the key index, an equality
-// bucket, or every row — merged under an SC overlay with the rows the
+// bucket, or every row the replica holds (the key index is the directory's,
+// shared by the replicas: a slot this one has received no write for is
+// passed over, not visited) — merged under an SC overlay with the rows the
 // transaction has written, each read through the overlay (read-your-writes
 // holds on pinned and indexed fields alike). Every candidate is still
 // checked for alive and against the full clause; only when the clause is
@@ -226,13 +228,13 @@ func (f *cframe) footprint(v cview, u *UUIDGen) (tid int32, keys []store.Key, er
 // to evaluate, the path degrades to the full scan, so the clause errors on
 // the first alive row or not at all — like the interpreter.
 func (f *cframe) matching(v cview, c *ccmd) error {
-	f.mkeys = f.mkeys[:0]
 	f.mslots = f.mslots[:0]
 	f.movs = f.movs[:0]
 	t := &v.ms.tabs[c.tid]
+	keys := t.dir.keys
 	v.ms.scans.Calls++
 	var ot *covTab
-	if v.ov != nil && len(v.ov.tabs[c.tid].keys) > 0 {
+	if v.ov != nil && len(v.ov.tabs[c.tid].slots) > 0 {
 		ot = &v.ov.tabs[c.tid]
 	}
 
@@ -263,38 +265,35 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	skipWhere := c.whereIsPin && path != pathScan
 
 	if path == pathExact {
-		// m[string(bytes)] probes without allocating; the key emitted is the
-		// store's (or the overlay's) own string.
-		slot, ok := t.index[store.Key(f.keyBuf)]
+		// m[string(bytes)] probes without allocating. A key the directory
+		// does not know has no row anywhere, the overlay included.
+		slot, ok := t.dir.index[store.Key(f.keyBuf)]
 		if !ok {
-			slot = -1
+			return nil
 		}
-		ovRow := int32(-1)
+		held, ovRow := t.held(slot), int32(-1)
 		if ot != nil {
-			if r, ok := ot.idx[store.Key(f.keyBuf)]; ok {
+			if r, ok := ot.idx[slot]; ok {
 				ovRow = r
 			}
 		}
-		switch {
-		case slot >= 0:
-			return f.try(v, c, skipWhere, t.keys[slot], slot, ovRow)
-		case ovRow >= 0:
-			return f.try(v, c, skipWhere, ot.keys[ovRow], -1, ovRow)
+		if held || ovRow >= 0 {
+			return f.try(v, c, skipWhere, slot, held, ovRow)
 		}
 		return nil
 	}
 
 	// The base side: the bucket (pathEq), or the key index from the start of
 	// the window (pathPrefix) or of the table (pathScan).
-	base := baseIter{t: t, bucket: bucket, inBucket: path == pathEq, pos: t.idx.begin()}
+	base := baseIter{t: t, bucket: bucket, inBucket: path == pathEq, pos: t.dir.idx.begin()}
 	if path == pathPrefix {
-		base.pos, base.prefix = t.idx.seek(t.keys, f.keyBuf), f.keyBuf
+		base.pos, base.prefix = t.dir.idx.seek(keys, f.keyBuf), f.keyBuf
 	}
 	if ot == nil {
 		// No overlay state for this table: every EC scan, and the common SC
 		// case.
 		for slot, ok := base.next(); ok; slot, ok = base.next() {
-			if err := f.try(v, c, skipWhere, t.keys[slot], slot, -1); err != nil {
+			if err := f.try(v, c, skipWhere, slot, true, -1); err != nil {
 				return err
 			}
 		}
@@ -307,12 +306,12 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	// since committed there by a concurrent EC transaction — and is then
 	// emitted once, like the interpreter's deduplicating Overlay.Keys. A
 	// written row the base side did not yield may still have a base row
-	// (outside the bucket): it is looked up.
+	// (outside the bucket).
 	ord := ot.order
 	if path == pathPrefix {
-		lo := sort.Search(len(ord), func(i int) bool { return keyCmp(ot.keys[ord[i]], f.keyBuf) >= 0 })
+		lo := sort.Search(len(ord), func(i int) bool { return keyCmp(keys[ot.slots[ord[i]]], f.keyBuf) >= 0 })
 		hi := lo
-		for hi < len(ord) && keyHasPrefix(ot.keys[ord[hi]], f.keyBuf) {
+		for hi < len(ord) && keyHasPrefix(keys[ot.slots[ord[hi]]], f.keyBuf) {
 			hi++
 		}
 		ord = ord[lo:hi]
@@ -321,20 +320,16 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	for bHas || len(ord) > 0 {
 		var err error
 		switch {
-		case bHas && (len(ord) == 0 || t.keys[slot] < ot.keys[ord[0]]):
-			err = f.try(v, c, skipWhere, t.keys[slot], slot, -1)
-			slot, bHas = base.next()
-		case bHas && t.keys[slot] == ot.keys[ord[0]]:
-			err = f.try(v, c, skipWhere, t.keys[slot], slot, ord[0])
+		case bHas && len(ord) > 0 && slot == ot.slots[ord[0]]:
+			err = f.try(v, c, skipWhere, slot, true, ord[0])
 			slot, bHas = base.next()
 			ord = ord[1:]
+		case bHas && (len(ord) == 0 || keys[slot] < keys[ot.slots[ord[0]]]):
+			err = f.try(v, c, skipWhere, slot, true, -1)
+			slot, bHas = base.next()
 		default:
-			k := ot.keys[ord[0]]
-			s, ok := t.index[k]
-			if !ok {
-				s = -1
-			}
-			err = f.try(v, c, skipWhere, k, s, ord[0])
+			s := ot.slots[ord[0]]
+			err = f.try(v, c, skipWhere, s, t.held(s), ord[0])
 			ord = ord[1:]
 		}
 		if err != nil {
@@ -345,8 +340,8 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 }
 
 // baseIter yields the base store's candidate slots in key order: a bucket,
-// or the key index from pos for as long as keys carry prefix (nil: to the
-// end).
+// or the slots it holds of the key index from pos for as long as keys carry
+// prefix (nil: to the end).
 type baseIter struct {
 	t        *mtable
 	bucket   []int32
@@ -364,26 +359,29 @@ func (it *baseIter) next() (int32, bool) {
 		it.bucket = it.bucket[1:]
 		return slot, true
 	}
-	if !it.t.idx.valid(it.pos) {
-		return 0, false
+	for idx := &it.t.dir.idx; idx.valid(it.pos); {
+		slot := idx.at(it.pos)
+		if it.prefix != nil && !keyHasPrefix(it.t.dir.keys[slot], it.prefix) {
+			break
+		}
+		it.pos = idx.next(it.pos)
+		if it.t.held(slot) {
+			return slot, true
+		}
 	}
-	slot := it.t.idx.at(it.pos)
-	if it.prefix != nil && !keyHasPrefix(it.t.keys[slot], it.prefix) {
-		return 0, false
-	}
-	it.pos = it.t.idx.next(it.pos)
-	return slot, true
+	return 0, false
 }
 
-// try appends the candidate — key k, base row slot and overlay row ovRow, -1
-// when absent — if it is alive and satisfies the clause.
-func (f *cframe) try(v cview, c *ccmd, skipWhere bool, k store.Key, slot, ovRow int32) error {
+// try appends the candidate — slot, whether the base holds a row for it, and
+// its overlay row ovRow, -1 when absent — if it is alive and satisfies the
+// clause.
+func (f *cframe) try(v cview, c *ccmd, skipWhere bool, slot int32, held bool, ovRow int32) error {
 	t := &v.ms.tabs[c.tid]
 	v.ms.scans.RowsVisited++
 	// Built in place: returning a scanRef from a helper costs a copy per row
 	// that shows (a third of a prefix scan's time).
 	sr := scanRef{t: t, ovBase: -1}
-	if slot >= 0 {
+	if held {
 		sr.row = t.row(slot)
 	}
 	if ovRow >= 0 {
@@ -399,7 +397,6 @@ func (f *cframe) try(v cview, c *ccmd, skipWhere bool, k store.Key, slot, ovRow 
 		}
 	}
 	v.ms.scans.RowsMatched++
-	f.mkeys = append(f.mkeys, k)
 	f.mslots = append(f.mslots, slot)
 	f.movs = append(f.movs, ovRow)
 	return nil
@@ -440,7 +437,7 @@ func (f *cframe) execSelect(v cview, c *ccmd) error {
 	}
 	rs := &f.vars[c.varSlot]
 	rs.bound = true
-	rs.n = len(f.mkeys)
+	rs.n = len(f.mslots)
 	rs.ncol = len(c.cols)
 	need := rs.n * rs.ncol
 	if cap(rs.vals) < need {
@@ -458,7 +455,7 @@ func (f *cframe) execSelect(v cview, c *ccmd) error {
 			continue
 		}
 		sr := scanRef{t: t, ot: &v.ov.tabs[c.tid], ovBase: f.movs[i] * t.ct.nf}
-		if slot >= 0 {
+		if t.held(slot) {
 			sr.row = t.row(slot)
 		}
 		for j, fid := range c.cols {
@@ -480,17 +477,17 @@ func (f *cframe) execUpdate(v cview, c *ccmd) ([]cwrite, error) {
 		}
 		f.insVals = append(f.insVals, val)
 	}
-	for _, k := range f.mkeys {
+	for _, slot := range f.mslots {
 		for i, fid := range c.setF {
-			f.writes = append(f.writes, cwrite{tid: c.tid, fid: fid, key: k, val: f.insVals[i]})
+			f.writes = append(f.writes, cwrite{tid: c.tid, fid: fid, slot: slot, val: f.insVals[i]})
 		}
 	}
 	return f.writes, nil
 }
 
-// insertKey evaluates the insert's values (uuid fields read the peeked
-// value, everything else evaluates uuid-free) and builds the primary key.
-func (f *cframe) insertKey(v cview, c *ccmd, peek store.Value) (store.Key, error) {
+// insertSlot evaluates the insert's values (uuid fields read the peeked
+// value, everything else evaluates uuid-free) and interns the primary key.
+func (f *cframe) insertSlot(v cview, c *ccmd, peek store.Value) (int32, error) {
 	f.insVals = f.insVals[:0]
 	for i, e := range c.insE {
 		if c.insUUID[i] {
@@ -499,14 +496,17 @@ func (f *cframe) insertKey(v cview, c *ccmd, peek store.Value) (store.Key, error
 		}
 		val, err := f.eval(e, scanNone, nil)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
 		f.insVals = append(f.insVals, val)
 	}
-	return f.buildInsertKey(c), nil
+	return f.internInsertKey(v, c), nil
 }
 
-func (f *cframe) buildInsertKey(c *ccmd) store.Key {
+// internInsertKey builds the primary key of f.insVals and returns its slot:
+// the one place the compiled executor names a new record. The key becomes a
+// string only if the directory has not seen it.
+func (f *cframe) internInsertKey(v cview, c *ccmd) int32 {
 	f.keyBuf = f.keyBuf[:0]
 	for i, idx := range c.insPK {
 		if i > 0 {
@@ -514,7 +514,11 @@ func (f *cframe) buildInsertKey(c *ccmd) store.Key {
 		}
 		f.keyBuf = store.AppendKey(f.keyBuf, f.insVals[idx])
 	}
-	return store.Key(f.keyBuf)
+	dir := v.ms.tabs[c.tid].dir
+	if slot, ok := dir.index[store.Key(f.keyBuf)]; ok {
+		return slot
+	}
+	return dir.add(store.Key(f.keyBuf))
 }
 
 func (f *cframe) execInsert(v cview, c *ccmd, u *UUIDGen) ([]cwrite, error) {
@@ -526,12 +530,12 @@ func (f *cframe) execInsert(v cview, c *ccmd, u *UUIDGen) ([]cwrite, error) {
 		}
 		f.insVals = append(f.insVals, val)
 	}
-	k := f.buildInsertKey(c)
+	slot := f.internInsertKey(v, c)
 	for _, idx := range c.emit {
-		f.writes = append(f.writes, cwrite{tid: c.tid, fid: c.insF[idx], key: k, val: f.insVals[idx]})
+		f.writes = append(f.writes, cwrite{tid: c.tid, fid: c.insF[idx], slot: slot, val: f.insVals[idx]})
 	}
 	alive := v.ms.tabs[c.tid].ct.alive
-	f.writes = append(f.writes, cwrite{tid: c.tid, fid: alive, key: k, val: store.BoolV(true)})
+	f.writes = append(f.writes, cwrite{tid: c.tid, fid: alive, slot: slot, val: store.BoolV(true)})
 	return f.writes, nil
 }
 
@@ -734,9 +738,9 @@ type coverlay struct {
 }
 
 type covTab struct {
-	idx   map[store.Key]int32
-	keys  []store.Key   // by row, in first-write order
-	vals  []store.Value // row*nf + field
+	idx   map[int32]int32 // slot → row
+	slots []int32         // by row, in first-write order
+	vals  []store.Value   // row*nf + field
 	set   []bool
 	order []int32 // rows, sorted by key
 }
@@ -751,7 +755,7 @@ func (o *coverlay) reset() {
 	for _, tid := range o.touched {
 		t := &o.tabs[tid]
 		clear(t.idx)
-		t.keys = t.keys[:0]
+		t.slots = t.slots[:0]
 		t.vals = t.vals[:0]
 		t.set = t.set[:0]
 		t.order = t.order[:0]
@@ -763,18 +767,19 @@ func (o *coverlay) reset() {
 func (o *coverlay) buffer(w cwrite) {
 	t := &o.tabs[w.tid]
 	if t.idx == nil {
-		t.idx = map[store.Key]int32{}
+		t.idx = map[int32]int32{}
 	}
-	if len(t.keys) == 0 {
+	if len(t.slots) == 0 {
 		o.touched = append(o.touched, w.tid)
 	}
 	nf := int(o.ms.tabs[w.tid].ct.nf)
-	row, ok := t.idx[w.key]
+	row, ok := t.idx[w.slot]
 	if !ok {
-		row = int32(len(t.keys))
-		t.idx[w.key] = row
-		t.keys = append(t.keys, w.key)
-		i := sort.Search(len(t.order), func(i int) bool { return t.keys[t.order[i]] >= w.key })
+		row = int32(len(t.slots))
+		t.idx[w.slot] = row
+		t.slots = append(t.slots, w.slot)
+		keys := o.ms.tabs[w.tid].dir.keys
+		i := sort.Search(len(t.order), func(i int) bool { return keys[t.slots[t.order[i]]] >= keys[w.slot] })
 		t.order = slices.Insert(t.order, i, row)
 		for i := 0; i < nf; i++ {
 			t.vals = append(t.vals, store.Value{})
@@ -805,7 +810,7 @@ func (o *coverlay) commitWrites(dst []cwrite) []cwrite {
 			base := int(r) * nf
 			for fid := 0; fid < nf; fid++ {
 				if t.set[base+fid] {
-					dst = append(dst, cwrite{tid: tid, fid: int32(fid), key: t.keys[r], val: t.vals[base+fid]})
+					dst = append(dst, cwrite{tid: tid, fid: int32(fid), slot: t.slots[r], val: t.vals[base+fid]})
 				}
 			}
 		}

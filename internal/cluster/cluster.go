@@ -177,7 +177,7 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 		sim:      &Sim{},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		replicas: [3]*replica{},
-		locks:    map[lockKey]*lockState{},
+		locks:    make([][]lockState, len(cp.tables)),
 		uuid:     &UUIDGen{},
 		lat:      metrics.NewLatencies(8192, cfg.Seed+1),
 		flt:      flt,
@@ -266,7 +266,7 @@ type driver struct {
 	sim          *Sim
 	rng          *rand.Rand
 	replicas     [3]*replica
-	locks        map[lockKey]*lockState
+	locks        [][]lockState // by table id, then slot (locks.go)
 	uuid         *UUIDGen
 	lat          *metrics.Latencies
 	committed    int64
@@ -280,11 +280,9 @@ type driver struct {
 	flt          *faultState
 	obs          *obsState
 	// replication pools: batches and their delivery events are recycled so
-	// steady-state replication allocates nothing; lockPool recycles lock
-	// entries released with no waiters.
+	// steady-state replication allocates nothing.
 	batchPool []*repBatch
 	repPool   []*repEv
-	lockPool  []*lockState
 	timerPool []*lockTimer
 	wakePool  []*wakeEv
 }
@@ -575,9 +573,10 @@ func (t *txnRun) step() {
 		return
 	}
 	tid := d.cp.tableID[table] // Footprint succeeded, so the table exists
+	dir := d.replicas[primary].state.tabs[tid].dir
 	var want []lockKey
 	for _, k := range keys {
-		want = append(want, lockKey{tid, k})
+		want = append(want, lockKey{tid, dir.intern(k)})
 	}
 	t.acquire(want, func() {
 		r := d.replicas[primary]

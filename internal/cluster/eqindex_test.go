@@ -22,6 +22,8 @@ txn setB(x: int, y: int) { update T set b = y where a = x; }
 txn byG(x: int) { r := select b from T where g = x; return count(r.b); }
 txn divA(x: int) { r := select b from T where a = 10 / x; return count(r.b); }
 txn divB(x: int, y: int) { r := select b from T where a = x && b = 10 / y; return count(r.b); }
+txn byKey(x: int, y: int) { r := select b from T where g = x && id = y; return count(r.b); }
+txn fromB(x: int) { r := select b from T where b >= x; return count(r.b); }
 `
 
 type eqFixture struct {
@@ -58,7 +60,17 @@ func (x *eqFixture) match(v cview, txn string, args map[string]store.Value, scan
 		cmd = &forced
 	}
 	err := x.fr.matching(v, cmd)
-	return slices.Clone(x.fr.mkeys), err
+	keys := make([]store.Key, 0, len(x.fr.mslots))
+	for _, slot := range x.fr.mslots {
+		keys = append(keys, v.ms.tabs[cmd.tid].dir.keys[slot])
+	}
+	return keys, err
+}
+
+// cw builds a write the way the executor does: the key interned in the
+// directory of ms (and of its clones), the write carrying the slot.
+func cw(ms *MatStore, tid, fid int32, k store.Key, v store.Value) cwrite {
+	return cwrite{tid: tid, fid: fid, slot: ms.tabs[tid].dir.intern(k), val: v}
 }
 
 // oracle resolves the same command on the AST interpreter.
@@ -137,7 +149,7 @@ func TestEqIndexMatchesScan(t *testing.T) {
 			n := rng.Intn(40)
 			ts := int64(rng.Intn(200)) // out of order on purpose
 			var ws []cwrite
-			w := func(f string, v store.Value) { ws = append(ws, cwrite{tid: tid, fid: fid(f), key: key(n), val: v}) }
+			w := func(f string, v store.Value) { ws = append(ws, cw(ms, tid, fid(f), key(n), v)) }
 			switch rng.Intn(10) {
 			case 0, 1, 2: // insert, or re-insert over whatever is there
 				w("g", store.IntV(int64(n%3)))
@@ -188,7 +200,7 @@ func TestEqIndexUnderOverlay(t *testing.T) {
 	key := func(g, id int) store.Key { return store.MakeKey(store.IntV(int64(g)), store.IntV(int64(id))) }
 	cov, iov := newCOverlay(ms), NewOverlay(ms)
 	buffer := func(k store.Key, field string, v store.Value) {
-		cov.buffer(cwrite{tid: tid, fid: ct.fieldID[field], key: k, val: v})
+		cov.buffer(cw(ms, tid, ct.fieldID[field], k, v))
 		iov.Buffer(WriteOp{Table: "T", Key: k, Field: field, Val: v})
 	}
 	v := cview{ms: ms, ov: cov}
@@ -218,11 +230,11 @@ func TestEqIndexUnderOverlay(t *testing.T) {
 	// transaction, with the same and with another value of the field: the
 	// row is emitted once, read through the overlay.
 	ms.applyC([]cwrite{
-		{tid: tid, fid: ct.fieldID["a"], key: key(1, 5), val: store.IntV(2)},
-		{tid: tid, fid: ct.alive, key: key(1, 5), val: store.BoolV(true)},
+		cw(ms, tid, ct.fieldID["a"], key(1, 5), store.IntV(2)),
+		cw(ms, tid, ct.alive, key(1, 5), store.BoolV(true)),
 	}, 7)
 	x.check(t, v, iov, "after a concurrent commit of the inserted key")
-	ms.applyC([]cwrite{{tid: tid, fid: ct.fieldID["a"], key: key(1, 5), val: store.IntV(3)}}, 8)
+	ms.applyC([]cwrite{cw(ms, tid, ct.fieldID["a"], key(1, 5), store.IntV(3))}, 8)
 	cur, _ = x.match(v, "byA", intArgs("x", 2), false)
 	if n := len(cur); n != 5 {
 		t.Errorf("a = 2 matches %q after the base moved (1,5) to a = 3 under the overlay's a = 2", cur)
@@ -240,7 +252,8 @@ func TestEqIndexErrorParity(t *testing.T) {
 	stores := map[string]*MatStore{"empty": newMatStore(x.cp), "dead rows only": newMatStore(x.cp), "populated": newMatStore(x.cp)}
 	for n := 0; n < 6; n++ {
 		k := store.MakeKey(store.IntV(0), store.IntV(int64(n)))
-		stores["dead rows only"].applyC([]cwrite{{tid: tid, fid: ct.fieldID["a"], key: k, val: store.IntV(1)}}, 1)
+		dead := stores["dead rows only"]
+		dead.applyC([]cwrite{cw(dead, tid, ct.fieldID["a"], k, store.IntV(1))}, 1)
 		err := stores["populated"].Load("T", store.Row{"g": store.IntV(0), "id": store.IntV(int64(n)), "a": store.IntV(int64(n % 2))})
 		if err != nil {
 			t.Fatal(err)

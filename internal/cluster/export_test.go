@@ -24,6 +24,20 @@ func AccessPaths(prog *ast.Program) map[string]string {
 	return out
 }
 
+// Uncompiled names, with the compiler's error, every transaction of prog
+// that CompileProgram leaves to the AST interpreter.
+func Uncompiled(prog *ast.Program) []string {
+	cp := CompileProgram(prog)
+	var out []string
+	for _, t := range prog.Txns {
+		if cp.txns[t.Name] == nil {
+			_, err := (&txnCompiler{cp: cp, txn: t}).compile()
+			out = append(out, fmt.Sprintf("%s: %v", t.Name, err))
+		}
+	}
+	return out
+}
+
 // OracleDirectedViews installs, until the returned function is called, the
 // view construction directed runs used before the overlay: every view a run
 // builds is compared — keys, every field, presence, over every table —
@@ -78,12 +92,20 @@ func OracleDirectedViews(fail func(format string, args ...any)) (finish func() (
 	}
 }
 
-// storeSum hashes a store's keys, values and timestamps, slot by slot.
+// storeSum hashes what a store holds: per held slot its key, and every
+// page's values and timestamps. The directory is left out on purpose: the
+// oracle's clone interns the keys its batches insert into the directory it
+// shares with the base, which is not a write to the base.
 func storeSum(ms *MatStore) uint64 {
 	h := fnv.New64a()
 	for i := range ms.tabs {
 		t := &ms.tabs[i]
-		fmt.Fprintln(h, t.ct.name, t.keys)
+		fmt.Fprintln(h, t.ct.name, t.n)
+		for slot, p := range t.pos {
+			if p != 0 {
+				fmt.Fprintln(h, slot, p, t.dir.keys[slot])
+			}
+		}
 		for _, pg := range t.pages {
 			fmt.Fprintln(h, pg.vals, pg.ts)
 		}

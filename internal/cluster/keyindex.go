@@ -6,7 +6,7 @@ import (
 	"atropos/internal/store"
 )
 
-// keyIndex keeps a table's row slots ordered by key as a sequence of
+// keyIndex keeps a table directory's slots ordered by key as a sequence of
 // sorted chunks (an indexed-sequential structure). A flat sorted array
 // pays an O(n) middle insertion per new row — quadratic over a run for
 // workloads whose fresh keys interleave (TPC-C's uuid-derived order ids) —
@@ -98,16 +98,4 @@ func (ix *keyIndex) split(keys []store.Key, ci int) {
 	ix.mins = append(ix.mins, "")
 	copy(ix.mins[ci+2:], ix.mins[ci+1:])
 	ix.mins[ci+1] = keys[right[0]]
-}
-
-// clone deep-copies the index.
-func (ix *keyIndex) clone() keyIndex {
-	out := keyIndex{
-		mins:   append([]store.Key(nil), ix.mins...),
-		chunks: make([][]int32, len(ix.chunks)),
-	}
-	for i, ch := range ix.chunks {
-		out.chunks[i] = append([]int32(nil), ch...)
-	}
-	return out
 }

@@ -1,24 +1,38 @@
 package cluster
 
-import "atropos/internal/store"
-
 // Record locking shared by both executors: the interpreter's txnRun and the
 // compiled cTxnRun embed a lockCore, so lock ownership, FIFO waiting,
 // deadlock detection, and timeout arbitration behave identically — and
 // interact correctly when one run mixes engines (a transaction the compiler
 // fell back on contends with compiled ones).
+//
+// The lock table is the driver's locks[tid][slot]: one lockState per slot of
+// the table's directory (tableDir), so taking or freeing a record lock is an
+// array index and hashes nothing. A table's array exists only once an SC
+// statement has locked a record of it, reaches as far as the highest slot
+// locked — so never past the directory — and costs 32 bytes a slot; an entry
+// nobody owns or waits for is the zero value.
 
-// lockKey names a record by compiled table id: both executors resolve the
-// table once per statement, so acquire/release hash an int32 and the key,
-// never the table name.
+// lockKey names a record by compiled table id and directory slot; both
+// executors resolve them once per statement.
 type lockKey struct {
-	tid int32
-	key store.Key
+	tid, slot int32
 }
 
 type lockState struct {
 	owner   *lockCore
 	waiters []waiter
+}
+
+// lock returns lk's entry, growing the table's array to reach it. The
+// pointer is good until the next call.
+func (d *driver) lock(lk lockKey) *lockState {
+	tab := d.locks[lk.tid]
+	if n := int(lk.slot) + 1 - len(tab); n > 0 {
+		tab = append(tab, make([]lockState, n)...)
+		d.locks[lk.tid] = tab
+	}
+	return &tab[lk.slot]
 }
 
 // waiter is one queued lock request with the generation its core had when
@@ -40,7 +54,7 @@ type lockCore struct {
 	gen       int // invalidates stale wakeups/timeouts after abort
 	waitEpoch int // distinguishes successive waits within one attempt
 	waiting   bool
-	blockedOn *lockState // the lock this run is waiting for, if any
+	blockedOn lockKey // the lock this run is waiting for, while waiting
 	held      []lockKey
 	// onAbort aborts and retries the owning transaction (engine-specific).
 	onAbort func()
@@ -54,11 +68,7 @@ type lockCore struct {
 func (t *lockCore) acquire(want []lockKey, cont func()) {
 	d := t.d
 	for _, lk := range want {
-		ls := d.locks[lk]
-		if ls == nil {
-			ls = d.getLockState()
-			d.locks[lk] = ls
-		}
+		ls := d.lock(lk)
 		if ls.owner == nil || ls.owner == t {
 			if ls.owner == nil {
 				ls.owner = t
@@ -79,7 +89,7 @@ func (t *lockCore) acquire(want []lockKey, cont func()) {
 		// an earlier wait that ended cannot abort a later one prematurely.
 		ls.waiters = append(ls.waiters, waiter{c: t, gen: t.gen})
 		t.waiting = true
-		t.blockedOn = ls
+		t.blockedOn = lk
 		t.waitEpoch++
 		t.wantPending, t.contPending = want, cont
 		d.scheduleLockTimeout(t)
@@ -114,7 +124,6 @@ func (d *driver) scheduleWake(w waiter) {
 				return
 			}
 			c.waiting = false
-			c.blockedOn = nil
 			c.acquire(c.wantPending, c.contPending)
 		}
 	}
@@ -158,10 +167,10 @@ func (t *lockCore) wouldDeadlock(ls *lockState) bool {
 		if cur == t {
 			return true
 		}
-		if cur.blockedOn == nil {
+		if !cur.waiting {
 			return false
 		}
-		cur = cur.blockedOn.owner
+		cur = t.d.lock(cur.blockedOn).owner
 	}
 	return false
 }
@@ -170,7 +179,6 @@ func (t *lockCore) wouldDeadlock(ls *lockState) bool {
 // held locks, and invalidate outstanding wakeups/timeouts.
 func (t *lockCore) abortLocks() {
 	t.waiting = false
-	t.blockedOn = nil
 	t.release()
 	t.gen++
 }
@@ -178,35 +186,16 @@ func (t *lockCore) abortLocks() {
 func (t *lockCore) release() {
 	d := t.d
 	for _, lk := range t.held {
-		ls := d.locks[lk]
-		if ls == nil || ls.owner != t {
+		ls := d.lock(lk)
+		if ls.owner != t {
 			continue
 		}
-		ls.owner = nil
+		// Back to the zero entry: the woken waiters queue again if they lose.
 		waiters := ls.waiters
-		ls.waiters = nil
-		if len(waiters) == 0 {
-			// Nobody waits and nothing references this entry any more:
-			// recycle it. Without this the lock table grows one entry per
-			// inserted record for the lifetime of the run (and allocates a
-			// fresh lockState per insert), which sinks long ops-bounded
-			// runs on insert-heavy workloads.
-			delete(d.locks, lk)
-			d.lockPool = append(d.lockPool, ls)
-			continue
-		}
+		*ls = lockState{}
 		for _, w := range waiters {
 			d.scheduleWake(w)
 		}
 	}
 	t.held = t.held[:0]
-}
-
-func (d *driver) getLockState() *lockState {
-	if n := len(d.lockPool); n > 0 {
-		ls := d.lockPool[n-1]
-		d.lockPool = d.lockPool[:n-1]
-		return ls
-	}
-	return &lockState{}
 }

@@ -32,21 +32,56 @@ type WriteOp struct {
 	Val   store.Value
 }
 
-// cwrite is the compiled executor's write: table id and field index instead
-// of names.
+// cwrite is the compiled executor's write: table id, row slot and field
+// index instead of names. The executor that produces the write resolves the
+// slot once (tableDir); no replica it reaches hashes the key again.
 type cwrite struct {
-	tid int32
-	fid int32
-	key store.Key
-	val store.Value
+	tid  int32
+	fid  int32
+	slot int32
+	val  store.Value
 }
 
-// MatStore is a replica's materialized state: per table, rows-by-field-index
-// in fixed-size pages with parallel last-writer-wins timestamps, a key→slot
-// map, a sorted key view for deterministic scans, and equality indexes on
-// the fields some compiled command looks rows up by (DESIGN.md §9). Rows
-// live at stable slots in arrival order; every access path yields them in
-// key order.
+// tableDir is a table's slot space: key ↔ slot in arrival order and the
+// slots in key order. One directory serves a store and all its clones — the
+// three replicas of a run — so a record has the same slot everywhere and
+// its key is hashed and sorted once, by whoever first names it. It only
+// grows, and a key in it says nothing about which replica holds the row:
+// that is mtable.pos.
+type tableDir struct {
+	index map[store.Key]int32
+	keys  []store.Key // by slot (append-only)
+	// idx orders by key the slots some replica holds (chunked — see
+	// keyIndex); inIdx[slot] says the slot is in it. A slot enters when a
+	// replica first admits it, so a key interned only to be locked — an SC
+	// insert that aborted, or previewed a uuid another transaction took — is
+	// in no scan's way.
+	idx   keyIndex
+	inIdx []bool
+}
+
+// intern returns key's slot, assigning the next one to a new key.
+func (d *tableDir) intern(k store.Key) int32 {
+	if slot, ok := d.index[k]; ok {
+		return slot
+	}
+	return d.add(k)
+}
+
+// add assigns the next slot to k, a key the directory does not have.
+func (d *tableDir) add(k store.Key) int32 {
+	slot := int32(len(d.keys))
+	d.keys = append(d.keys, k)
+	d.inIdx = append(d.inIdx, false)
+	d.index[k] = slot
+	return slot
+}
+
+// MatStore is a replica's materialized state: per table, the rows it holds
+// by field index in fixed-size pages with parallel last-writer-wins
+// timestamps, addressed by the slots of a directory it shares with its
+// clones, and equality indexes on the fields some compiled command looks
+// rows up by (DESIGN.md §9). Every access path yields rows in key order.
 type MatStore struct {
 	cp    *Compiled
 	tabs  []mtable
@@ -68,16 +103,19 @@ type page struct {
 }
 
 type mtable struct {
-	ct    *ctable
-	index map[store.Key]int32
-	keys  []store.Key // by slot (append-only)
-	// pages[p] holds slots [p*pageRows, (p+1)*pageRows), row r of the page
-	// at r*nf. Page 0 grows by doubling so few-row stores (certification
-	// seeds one per lowering) stay few-row; later pages are allocated
-	// whole.
+	ct  *ctable
+	dir *tableDir // shared with clones
+	// pos[slot] is 1 + the position of the slot's row in pages if this
+	// replica holds it — a write for it has arrived (or Load installed it) —
+	// and 0, or past the end, if not; n counts the rows. Rows sit in arrival
+	// order at the replica, so a slot nobody wrote to takes no page space.
+	pos []int32
+	n   int32
+	// pages[p] holds row positions [p*pageRows, (p+1)*pageRows), row r of
+	// the page at r*nf. Page 0 grows by doubling so few-row stores
+	// (certification seeds one per lowering) stay few-row; later pages are
+	// allocated whole.
 	pages []page
-	// idx orders the slots by key (chunked — see keyIndex).
-	idx keyIndex
 	// eq[fid], once the first eq-index query on the field has built it, maps
 	// each value of the field to the slots holding it, in key order; set keeps
 	// it current. The slice itself is nil until some index is built, so
@@ -85,7 +123,7 @@ type mtable struct {
 	// nothing.
 	eq []map[store.Value][]int32
 	// view is the sorted []store.Key the string-based DBView.Keys exposes
-	// to the interpreter oracle, materialized lazily from idx.
+	// to the interpreter oracle, materialized lazily from the held slots.
 	view   []store.Key
 	viewOK bool
 }
@@ -97,49 +135,68 @@ func NewMatStore(prog *ast.Program) *MatStore {
 
 func newMatStore(cp *Compiled) *MatStore {
 	ms := &MatStore{cp: cp, tabs: make([]mtable, len(cp.tables))}
+	dirs := make([]tableDir, len(cp.tables))
 	for i := range cp.tables {
-		ms.tabs[i] = mtable{ct: &cp.tables[i], index: map[store.Key]int32{}}
+		dirs[i].index = map[store.Key]int32{}
+		ms.tabs[i] = mtable{ct: &cp.tables[i], dir: &dirs[i]}
 	}
 	return ms
 }
 
-// newSlot appends a zero row (alive=false) for key and indexes it.
-func (t *mtable) newSlot(k store.Key) int32 {
-	slot := int32(len(t.keys))
-	t.keys = append(t.keys, k)
-	if slot&(pageRows-1) == 0 {
+func (t *mtable) held(slot int32) bool { return int(slot) < len(t.pos) && t.pos[slot] != 0 }
+
+// admit makes the replica hold slot, as a zero row (alive=false) appended to
+// its pages, on the first write it receives for it.
+func (t *mtable) admit(slot int32) {
+	if n := int(slot) + 1 - len(t.pos); n > 0 {
+		t.pos = append(t.pos, make([]int32, n)...)
+	}
+	at := t.n
+	t.n++
+	t.pos[slot] = at + 1
+	if at&(pageRows-1) == 0 {
 		var pg page
-		if slot > 0 {
+		if at > 0 {
 			pg = page{make([]store.Value, 0, pageRows*t.ct.nf), make([]int64, 0, pageRows*t.ct.nf)}
 		}
 		t.pages = append(t.pages, pg)
 	}
-	pg := &t.pages[slot>>pageShift]
+	pg := &t.pages[at>>pageShift]
 	pg.vals = append(pg.vals, t.ct.zeros...)
 	pg.ts = append(pg.ts, t.ct.tszero...)
-	t.index[k] = slot
-	t.idx.insert(t.keys, k, slot)
+	if d := t.dir; !d.inIdx[slot] {
+		d.inIdx[slot] = true
+		d.idx.insert(d.keys, d.keys[slot], slot)
+	}
 	t.viewOK = false
 	for fid, ix := range t.eq {
 		if ix != nil {
 			t.eqMove(ix, slot, nil, &t.ct.zeros[fid])
 		}
 	}
-	return slot
 }
 
-// row returns the slot's field values. The slice is valid until the next
-// newSlot (page 0 may still be growing).
+// at locates a held slot's row: its page and the row's offset there.
+func (t *mtable) at(slot int32) (*page, int32) {
+	p := t.pos[slot] - 1
+	return &t.pages[p>>pageShift], (p & (pageRows - 1)) * t.ct.nf
+}
+
+// row returns a held slot's field values. The slice is valid until the next
+// admit (page 0 may still be growing).
 func (t *mtable) row(slot int32) []store.Value {
-	at := (slot & (pageRows - 1)) * t.ct.nf
-	return t.pages[slot>>pageShift].vals[at : at+t.ct.nf]
+	pg, at := t.at(slot)
+	return pg.vals[at : at+t.ct.nf]
 }
 
-// put stores one field value if the write's timestamp wins last-writer-wins.
+// put stores one field value if the write's timestamp wins last-writer-wins,
+// on a slot the replica admits here if this is the first write to reach it.
 func (t *mtable) put(slot, fid int32, val store.Value, ts int64) {
-	at := (slot&(pageRows-1))*t.ct.nf + fid
-	if tsp := t.pages[slot>>pageShift].ts; ts >= tsp[at] {
-		tsp[at] = ts
+	if !t.held(slot) {
+		t.admit(slot)
+	}
+	if pg, at := t.at(slot); ts >= pg.ts[at+fid] {
+		pg.ts[at+fid] = ts
 		t.set(slot, fid, val)
 	}
 }
@@ -172,8 +229,9 @@ func eqKey(v *store.Value) store.Value {
 // to's, at its key's position: buckets stay in key order, which is the
 // order scans must emit in.
 func (t *mtable) eqMove(ix map[store.Value][]int32, slot int32, from, to *store.Value) {
-	k := t.keys[slot]
-	byKey := func(s int32, k store.Key) int { return cmp.Compare(t.keys[s], k) }
+	keys := t.dir.keys
+	k := keys[slot]
+	byKey := func(s int32, k store.Key) int { return cmp.Compare(keys[s], k) }
 	if from != nil {
 		fk := eqKey(from)
 		if b := ix[fk]; len(b) == 1 {
@@ -199,31 +257,40 @@ func (t *mtable) bucket(fid int32, v store.Value) []int32 {
 		// Count, then carve every bucket out of one array and fill in key
 		// order: a handful of allocations however many values there are.
 		sizes := map[store.Value]int{}
-		for slot := range t.keys {
-			sizes[eqKey(&t.row(int32(slot))[fid])]++
+		for slot, p := range t.pos {
+			if p != 0 {
+				sizes[eqKey(&t.row(int32(slot))[fid])]++
+			}
 		}
 		ix = make(map[store.Value][]int32, len(sizes))
-		all := make([]int32, len(t.keys))
+		all := make([]int32, t.n)
 		for k, n := range sizes {
 			ix[k], all = all[:0:n], all[n:]
 		}
-		for p := t.idx.begin(); t.idx.valid(p); p = t.idx.next(p) {
-			k := eqKey(&t.row(t.idx.at(p))[fid])
-			ix[k] = append(ix[k], t.idx.at(p))
+		idx := &t.dir.idx
+		for p := idx.begin(); idx.valid(p); p = idx.next(p) {
+			if slot := idx.at(p); t.held(slot) {
+				k := eqKey(&t.row(slot)[fid])
+				ix[k] = append(ix[k], slot)
+			}
 		}
 		t.eq[fid] = ix
 	}
 	return ix[eqKey(&v)]
 }
 
-// sortedKeys materializes the sorted key view (interpreter oracle only —
-// the compiled executor scans the chunked index directly). A fresh slice
-// is built per mutation epoch so previously returned views stay stable.
+// sortedKeys materializes the sorted view of the keys held (interpreter
+// oracle only — the compiled executor scans the chunked index directly). A
+// fresh slice is built per mutation epoch so previously returned views stay
+// stable.
 func (t *mtable) sortedKeys() []store.Key {
 	if !t.viewOK {
-		t.view = make([]store.Key, 0, len(t.keys))
-		for p := t.idx.begin(); t.idx.valid(p); p = t.idx.next(p) {
-			t.view = append(t.view, t.keys[t.idx.at(p)])
+		t.view = make([]store.Key, 0, t.n)
+		idx := &t.dir.idx
+		for p := idx.begin(); idx.valid(p); p = idx.next(p) {
+			if slot := idx.at(p); t.held(slot) {
+				t.view = append(t.view, t.dir.keys[slot])
+			}
 		}
 		t.viewOK = true
 	}
@@ -255,38 +322,30 @@ func (ms *MatStore) Load(table string, row store.Row) error {
 		}
 		kb = store.AppendKey(kb, full[pkID])
 	}
-	key := store.Key(kb)
-	slot, ok := t.index[key]
-	if !ok {
-		slot = t.newSlot(key)
+	slot := t.dir.intern(store.Key(kb))
+	if !t.held(slot) {
+		t.admit(slot)
 	}
 	for fid, v := range full {
 		t.set(slot, int32(fid), v)
 	}
-	at := (slot & (pageRows - 1)) * ct.nf
-	clear(t.pages[slot>>pageShift].ts[at : at+ct.nf])
+	pg, at := t.at(slot)
+	clear(pg.ts[at : at+ct.nf])
 	return nil
 }
 
-// Clone copies the state (used to give each replica an identical start): a
-// slice copy per page, sized to the rows present. Equality indexes are not
-// copied; a clone that is queried builds its own.
+// Clone copies the state (used to give each replica an identical start):
+// the rows held, a slice copy per page sized to the rows present. The
+// directory is shared, not copied — a key either side interns later gets one
+// slot for both — so a store and its clones belong to one goroutine.
+// Equality indexes are not copied; a clone that is queried builds its own.
 func (ms *MatStore) Clone() *MatStore {
 	out := &MatStore{cp: ms.cp, tabs: make([]mtable, len(ms.tabs))}
 	for i := range ms.tabs {
 		t := &ms.tabs[i]
-		nt := mtable{
-			ct:    t.ct,
-			index: make(map[store.Key]int32, len(t.index)),
-			keys:  append([]store.Key(nil), t.keys...),
-			pages: make([]page, len(t.pages)),
-			idx:   t.idx.clone(),
-		}
+		nt := mtable{ct: t.ct, dir: t.dir, pos: slices.Clone(t.pos), n: t.n, pages: make([]page, len(t.pages))}
 		for p, pg := range t.pages {
 			nt.pages[p] = page{append([]store.Value(nil), pg.vals...), append([]int64(nil), pg.ts...)}
-		}
-		for k, s := range t.index {
-			nt.index[k] = s
 		}
 		out.tabs[i] = nt
 	}
@@ -307,7 +366,7 @@ func (ms *MatStore) Read(table string, key store.Key, field string) store.Value 
 		return store.Value{}
 	}
 	t := &ms.tabs[tid]
-	if slot, ok := t.index[key]; ok {
+	if slot, ok := t.dir.index[key]; ok && t.held(slot) {
 		return t.row(slot)[fid]
 	}
 	return ct.zeros[fid]
@@ -340,38 +399,15 @@ func (ms *MatStore) Apply(w WriteOp, ts int64) {
 	if !ok {
 		return
 	}
-	ms.applyOne(tid, fid, w.Key, w.Val, ts)
-}
-
-func (ms *MatStore) applyOne(tid, fid int32, key store.Key, val store.Value, ts int64) {
 	t := &ms.tabs[tid]
-	slot, ok := t.index[key]
-	if !ok {
-		slot = t.newSlot(key)
-	}
-	t.put(slot, fid, val, ts)
+	t.put(t.dir.intern(w.Key), fid, w.Val, ts)
 }
 
-// applyC merges a compiled write batch. Batches are key-adjacent (updates
-// emit key-major, inserts write one key), so the key→slot resolution is
-// cached across consecutive writes.
+// applyC merges a compiled write batch.
 func (ms *MatStore) applyC(ws []cwrite, ts int64) {
-	lastTid := int32(-1)
-	var lastKey store.Key
-	var t *mtable
-	var slot int32
 	for i := range ws {
 		w := &ws[i]
-		if w.tid != lastTid || w.key != lastKey {
-			t = &ms.tabs[w.tid]
-			s, ok := t.index[w.key]
-			if !ok {
-				s = t.newSlot(w.key)
-			}
-			slot = s
-			lastTid, lastKey = w.tid, w.key
-		}
-		t.put(slot, w.fid, w.val, ts)
+		ms.tabs[w.tid].put(w.slot, w.fid, w.val, ts)
 	}
 }
 

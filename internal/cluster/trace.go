@@ -21,12 +21,13 @@ type Trace struct {
 
 func (tr *Trace) add(s string) { tr.Events = append(tr.Events, s) }
 
-// applyC records a compiled write batch applied at a replica.
-func (tr *Trace) applyC(now int64, rep int, ts int64, cp *Compiled, ws []cwrite) {
+// applyC records a compiled write batch applied at the replica whose store is
+// ms: the writes name their records by slot, the directory has the keys.
+func (tr *Trace) applyC(now int64, rep int, ts int64, ms *MatStore, ws []cwrite) {
 	parts := make([]string, len(ws))
 	for i, w := range ws {
-		ct := &cp.tables[w.tid]
-		parts[i] = fmt.Sprintf("%s/%q.%s=%s", ct.name, string(w.key), ct.fields[w.fid], w.val)
+		t := &ms.tabs[w.tid]
+		parts[i] = fmt.Sprintf("%s/%q.%s=%s", t.ct.name, string(t.dir.keys[w.slot]), t.ct.fields[w.fid], w.val)
 	}
 	tr.addApply(now, rep, ts, parts)
 }
