@@ -45,8 +45,10 @@ race-par:
 # One pass over every experiment benchmark and hot-path microbenchmark —
 # a smoke test that each driver still runs, not a measurement — followed by
 # the allocation-regression gate: allocs/op of the repair pipeline
-# (BenchmarkTable1_*), the compiled simulator (BenchmarkSim*) and witness
-# certification (BenchmarkCertify_*) are deterministic and machine-independent, so they are compared against the
+# (BenchmarkTable1_*), the simulator (BenchmarkSim*; the *Interp ones run
+# the tests' AST reference on the same workload) and witness certification
+# (BenchmarkCertify_*: directed runs on the simulator's executor) are
+# deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
 # clock stays informational, like the drift gate). The output lands in
 # bench-smoke.txt, which the CI bench job uploads as an artifact.
@@ -145,9 +147,10 @@ loadtest-smoke:
 # (partitions, crashes, lag, clock skew, drop/reorder) in three
 # deployments, and the gate asserts the repair guarantee under faults —
 # unrepaired EC programs exhibit serializability violations, the SC
-# control and every repaired AT-SC deployment show zero. Counts are
-# virtual-time deterministic; the full panel is also pinned in the
-# baseline's drift-gated "chaos" section.
+# control and every repaired AT-SC deployment show zero. The runs are
+# observed runs of the simulator's one executor (Config.Observe selects no
+# engine). Counts are virtual-time deterministic; the full panel is also
+# pinned in the baseline's drift-gated "chaos" section.
 chaos:
 	$(GO) run ./cmd/atropos-exp -exp chaos
 

@@ -78,14 +78,13 @@ func TestBenchmarkAccessPaths(t *testing.T) {
 	}
 }
 
-// TestAllBenchmarkTxnsCompile guards the differential tests and every
-// simulator reading against becoming vacuous: CompileProgram drops a
-// transaction it cannot compile to the AST interpreter without a word, so
-// compiled-vs-interpreter equivalence would hold trivially and a panel cell
-// would time the oracle. Everything the simulator is asked to run must
-// compile: the nine benchmarks, their repairs under every weak model (the
-// AT-SC cells run those), the service benchmark's 96 generated programs and
-// their EC repairs.
+// TestAllBenchmarkTxnsCompile: a transaction the compiler refuses fails the
+// run that needs it (TestRefusedTxnFailsTheRun), so everything the simulator
+// and certification are asked to run must compile: the nine benchmarks,
+// their repairs under every weak model (the AT-SC cells run those), the
+// service benchmark's 96 generated programs and their EC repairs, and — the
+// two shapes sema lets through are easy to generate by accident — the next
+// 1 904 generated programs as they are.
 func TestAllBenchmarkTxnsCompile(t *testing.T) {
 	originals, repaired := 0, 0
 	check := func(what string, prog *ast.Program, models ...anomaly.Model) {
@@ -114,6 +113,13 @@ func TestAllBenchmarkTxnsCompile(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("progen %d", seed), prog, anomaly.EC)
+	}
+	for seed := int64(97); seed <= 2000; seed++ {
+		prog, err := sema.Load(ast.Format(progen.Program(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("progen %d", seed), prog)
 	}
 	t.Logf("%d original and %d repaired transactions compile", originals, repaired)
 }

@@ -14,7 +14,10 @@ import (
 // read-your-writes) with all scratch state — value stack, result sets,
 // matched-slot buffers, write batches — owned by the frame and reused
 // across transactions, so steady-state execution allocates O(1) per
-// transaction regardless of run length or table size.
+// transaction regardless of run length or table size. It is the one executor
+// of production code: simulated runs, observed runs and directed runs all
+// step cframes (the AST walker the tests compare it with lives in their
+// files).
 
 // cview is the compiled executor's view of replica state: the base store
 // plus an optional transaction-private overlay.
@@ -59,8 +62,12 @@ type crset struct {
 
 type citer struct{ idx, count int64 }
 
+// cread is one observed field read: a record of the executing command's
+// table, by slot, and a field of it.
+type cread struct{ slot, fid int32 }
+
 // cframe executes one transaction instance and is reset and reused for the
-// next (per client under EC, per txnRun under SC).
+// next (per client under EC, per cTxnRun under SC).
 type cframe struct {
 	cp    *Compiled
 	ct    *ctxn
@@ -78,6 +85,12 @@ type cframe struct {
 	insVals []store.Value
 	keyBuf  []byte
 	writes  []cwrite
+
+	// observe makes the matcher record in reads what the last command read —
+	// per candidate row the fields the detector's encoding says the command
+	// reads (ccmd.reads), not the ones its access path happened to touch.
+	observe bool
+	reads   []cread
 
 	pc      int32
 	pending int32
@@ -119,8 +132,9 @@ func (f *cframe) reset(ct *ctxn, args map[string]store.Value) {
 }
 
 // advance runs control flow up to the next database command, returning it,
-// or nil when the transaction finished (evaluating its return expression) —
-// the compiled counterpart of TxnExec.Advance.
+// or nil when the transaction finished (evaluating its return expression).
+// It reads no store, and calling it twice without exec returns the same
+// command.
 func (f *cframe) advance() (*ccmd, error) {
 	if f.pending >= 0 {
 		return f.ct.code[f.pending].cmd, nil
@@ -178,12 +192,14 @@ func (f *cframe) advance() (*ccmd, error) {
 }
 
 // exec executes the pending command, filling f.writes with the produced
-// (not yet applied) writes — the compiled counterpart of TxnExec.Exec.
+// (not yet applied) writes. Observed reads start over: what an SC footprint's
+// preview scan recorded is not what the command read.
 func (f *cframe) exec(v cview, u *UUIDGen) ([]cwrite, error) {
 	cmd := f.ct.code[f.pending].cmd
 	f.pending = -1
 	f.pc++
 	f.writes = f.writes[:0]
+	f.reads = f.reads[:0]
 	switch cmd.kind {
 	case ckSelect:
 		return nil, f.execSelect(v, cmd)
@@ -193,6 +209,9 @@ func (f *cframe) exec(v cview, u *UUIDGen) ([]cwrite, error) {
 		return f.execInsert(v, cmd, u)
 	}
 }
+
+// executed returns the command the last exec ran (exec stepped past it).
+func (f *cframe) executed() *ccmd { return f.ct.code[f.pc-1].cmd }
 
 // footprint computes the records the pending command touches (for lock
 // acquisition), as slots of its table, without executing it; uuid's Peek
@@ -226,7 +245,10 @@ func (f *cframe) footprint(v cview, u *UUIDGen) (tid int32, slots []int32, err e
 // in the window satisfy it by key-encoding injectivity, and the evaluation
 // is skipped. When a pin, or the indexed conjunct's right-hand side, fails
 // to evaluate, the path degrades to the full scan, so the clause errors on
-// the first alive row or not at all — like the interpreter.
+// the first alive row or not at all — like the AST reference. An observed
+// equality-index command scans too: the encoding has the command read every
+// row of the table its key pins leave, and a bucket holds fewer (exact and
+// prefix windows are those rows already).
 func (f *cframe) matching(v cview, c *ccmd) error {
 	f.mslots = f.mslots[:0]
 	f.movs = f.movs[:0]
@@ -239,6 +261,9 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	}
 
 	path := c.path
+	if f.observe && path == pathEq {
+		path = pathScan
+	}
 	var bucket []int32
 	switch path {
 	case pathExact, pathPrefix:
@@ -304,7 +329,7 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	// the window, for pathPrefix). A key can arrive from both sides — an
 	// overlaid base row, or a row buffered while absent from the base and
 	// since committed there by a concurrent EC transaction — and is then
-	// emitted once, like the interpreter's deduplicating Overlay.Keys. A
+	// emitted once. A
 	// written row the base side did not yield may still have a base row
 	// (outside the bucket).
 	ord := ot.order
@@ -387,7 +412,20 @@ func (f *cframe) try(v cview, c *ccmd, skipWhere bool, slot int32, held bool, ov
 	if ovRow >= 0 {
 		sr.ot, sr.ovBase = &v.ov.tabs[c.tid], ovRow*t.ct.nf
 	}
-	if alive := sr.field(t.ct.alive); alive.T != ast.TBool || !alive.B {
+	alive := sr.field(t.ct.alive)
+	isAlive := alive.T == ast.TBool && alive.B
+	if f.observe {
+		// A dead candidate is read for its presence alone (phantom
+		// dependencies flow through the alive field), an alive one in full.
+		if !isAlive {
+			f.reads = append(f.reads, cread{slot, t.ct.alive})
+		} else {
+			for _, fid := range c.reads(t.ct) {
+				f.reads = append(f.reads, cread{slot, fid})
+			}
+		}
+	}
+	if !isAlive {
 		return nil
 	}
 	if !skipWhere {
@@ -717,9 +755,8 @@ func (f *cframe) eval(e cexpr, sr *scanRef, u *UUIDGen) (store.Value, error) {
 	return out, nil
 }
 
-// zeroOrUnbound mirrors the interpreter's zeroOf: an out-of-range read on a
-// bound result set yields the schema zero of the field; reading a variable
-// no select has bound yet is an error.
+// zeroOrUnbound: an out-of-range read on a bound result set yields the schema
+// zero of the field; reading a variable no select has bound yet is an error.
 func (f *cframe) zeroOrUnbound(rs *crset, op *eop) (store.Value, error) {
 	if !rs.bound {
 		return store.Value{}, fmt.Errorf("cluster: unknown variable %q", op.s)
@@ -727,10 +764,12 @@ func (f *cframe) zeroOrUnbound(rs *crset, op *eop) (store.Value, error) {
 	return op.val, nil
 }
 
-// coverlay buffers an SC transaction's uncommitted writes in compiled
-// addressing: per table, flat per-row field arrays with set bitmaps, plus
-// the written rows in key order (what scans merge with and commits emit
-// in). It is reset and reused across attempts.
+// coverlay buffers writes over a base store in compiled addressing — an SC
+// transaction's uncommitted ones, or the batches a directed command's view
+// contains: per table, flat per-row field arrays with set bitmaps, plus the
+// written rows in key order (what scans merge with and commits emit in). It
+// is reset and reused across attempts, and across a DirectedPlan's commands
+// and bases (ms is the store whose slots it currently speaks).
 type coverlay struct {
 	ms      *MatStore
 	tabs    []covTab
@@ -792,7 +831,7 @@ func (o *coverlay) buffer(w cwrite) {
 }
 
 // commitWrites appends the buffered writes to dst in deterministic order:
-// ascending table id, sorted key, ascending field index. (The interpreter
+// ascending table id, sorted key, ascending field index. (The AST reference
 // emits name-sorted order instead; batches share one timestamp, so replica
 // state is identical either way — see DESIGN.md §9.)
 func (o *coverlay) commitWrites(dst []cwrite) []cwrite {

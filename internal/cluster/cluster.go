@@ -78,31 +78,35 @@ type Config struct {
 	// LockTimeout aborts SC transactions that wait longer than this for a
 	// record lock (microseconds); 0 derives it from the topology.
 	LockTimeout int64
-	// UseInterpreter forces the AST-walking reference executor for every
-	// transaction. The default runs the compiled executor (DESIGN.md §9),
-	// which produces identical histories; the interpreter survives as the
-	// differential-testing oracle.
-	UseInterpreter bool
 	// Trace, when non-nil, records the run's execution history (applied
 	// write batches, commits, aborts) for differential testing.
 	Trace *Trace
 	// Faults, when non-nil, is the run's deterministic fault schedule
 	// (partitions, crashes, lag, clock skew, drop/reorder — see fault.go).
-	// Both executors see the identical faulted event sequence.
 	Faults *FaultPlan
 	// Observe, when non-nil, receives per-command observation records for
-	// dependency-graph analysis (see observe.go). Observation forces the
-	// AST interpreter.
+	// dependency-graph analysis (see observe.go). It selects no engine: the
+	// run is the same run, recorded. One thing differs — an observed
+	// equality-indexed command scans (cframe.matching), so Result.Scans
+	// counts scan visits for those commands.
 	Observe *Observation
+
+	// useInterpreter runs every transaction on the AST reference executor,
+	// which only this package's tests have (refLaunch).
+	useInterpreter bool
 }
+
+// refLaunch, set by this package's tests only, launches one transaction of a
+// useInterpreter run on the AST reference executor. Production code has one
+// executor and never sets it.
+var refLaunch func(c *client, txn *ast.Txn, args map[string]store.Value, sc bool)
 
 // Result is the outcome of one run: a figure point plus counters.
 type Result struct {
 	Point     metrics.Point
 	Committed int64
 	Aborted   int64 // SC lock-timeout aborts (retried)
-	// Scans is the compiled executor's where-clause work, summed over the
-	// replicas (zero under UseInterpreter: the oracle has no access paths).
+	// Scans is the executor's where-clause work, summed over the replicas.
 	Scans Scans
 }
 
@@ -156,15 +160,15 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 	if cfg.LockTimeout == 0 {
 		cfg.LockTimeout = 8*cfg.Topology.majorityRTT(primary) + 20_000
 	}
-	if cfg.Observe != nil {
-		cfg.UseInterpreter = true
-	}
 	flt, err := newFaultState(cfg.Faults)
 	if err != nil {
 		return nil, Result{}, err
 	}
 
-	cp := CompileProgram(cfg.Program)
+	cp, err := CompileProgram(cfg.Program)
+	if err != nil {
+		return nil, Result{}, err
+	}
 	base := newMatStore(cp)
 	for _, r := range cfg.Rows {
 		if err := base.Load(r.Table, r.Row); err != nil {
@@ -343,23 +347,23 @@ type client struct {
 	home    int
 	startAt int64
 	txnName string
-	// Compiled-executor state, allocated once per client and reused for
-	// every transaction it runs (DESIGN.md §9).
+	// Executor state, allocated once per client and reused for every
+	// transaction it runs (DESIGN.md §9).
 	fr       *cframe
 	finishFn func()
 	ecPhase  int
 	ecTick   func()
 	scRun    *cTxnRun
-	// Observation-mode state (interpreter only): the current instance id,
-	// its command metadata, and the SC attempt's buffered records.
+	// Observation-mode state: the current instance id and the SC attempt's
+	// buffered records.
 	obsInst int
-	obsMeta *obsTxnMeta
 	pend    []DirectedObs
 }
 
 func newClient(d *driver, id int) *client {
 	c := &client{d: d, id: id, home: id % 3}
 	c.fr = newCFrame(d.cp)
+	c.fr.observe = d.obs != nil
 	c.finishFn = func() {
 		d.finishTxn(c)
 		c.nextTxn()
@@ -385,23 +389,18 @@ func (c *client) nextTxn() {
 	c.startAt = d.sim.Now()
 	c.txnName = m.Txn
 	if d.obs != nil {
-		d.obs.beginTxn(c, m.Txn, txn)
-	}
-	var ct *ctxn
-	if !d.cfg.UseInterpreter {
-		ct = d.cp.txns[m.Txn]
+		d.obs.beginTxn(c, m.Txn)
 	}
 	sc := d.cfg.Mode == ModeSC || (d.cfg.Mode == ModeATSC && d.cfg.SerializableTxns[m.Txn])
-	switch {
-	case sc && ct != nil:
-		c.runSC(ct, args)
-	case sc:
-		run := &txnRun{c: c, txn: txn, args: args}
-		run.start(c.finishFn)
-	case ct != nil:
-		c.runECCompiled(ct, args)
-	default:
-		c.runEC(txn, args, c.finishFn)
+	if d.cfg.useInterpreter {
+		refLaunch(c, txn, args, sc)
+		return
+	}
+	ct := d.cp.txns[m.Txn]
+	if sc {
+		c.startSC(ct, args)
+	} else {
+		c.startEC(ct, args)
 	}
 }
 
@@ -420,226 +419,10 @@ func pickWeighted(rng *rand.Rand, mix []benchmarks.MixEntry) int {
 	return len(mix) - 1
 }
 
-// runEC executes a transaction on the AST interpreter against the client's
-// home replica: each statement is one client-replica round trip plus
-// service time; writes apply locally and replicate asynchronously with LWW
-// merging. This is the reference executor the compiled path is
-// differential-tested against.
-func (c *client) runEC(txn *ast.Txn, args map[string]store.Value, finish func()) {
-	d := c.d
-	r := d.replicas[c.home]
-	e := NewTxnExec(d.cfg.Program, txn, args)
-	var step func()
-	step = func() {
-		if d.execErr != nil {
-			return
-		}
-		cmd, err := e.Advance(r.state)
-		if err != nil {
-			d.fail(err)
-			return
-		}
-		if cmd == nil {
-			finish()
-			return
-		}
-		// Client → replica, queue, execute, reply. A crashed home replica
-		// defers the statement to its recovery (ecDelay).
-		d.sim.At(d.ecDelay(r.id), func() {
-			done := r.station.serve(d.sim.Now(), d.cfg.StmtCost)
-			d.sim.At(done-d.sim.Now(), func() {
-				view := DBView(r.state)
-				var ov *obsView
-				if d.obs != nil {
-					ov = d.obs.wrap(c, cmd, r.state, r.id)
-					if ov != nil {
-						view = ov
-					}
-				}
-				writes, err := e.Exec(view, d.uuid)
-				if err != nil {
-					d.fail(err)
-					return
-				}
-				ts := d.tsAt(r.id)
-				for _, w := range writes {
-					r.state.Apply(w, ts)
-				}
-				if d.cfg.Trace != nil && len(writes) > 0 {
-					d.cfg.Trace.applyOps(d.sim.Now(), r.id, ts, writes)
-				}
-				var refs []BatchRef
-				if d.obs != nil {
-					refs = d.obs.recordEC(c, ov, writes, ts)
-				}
-				c.replicate(r.id, writes, ts, refs)
-				d.sim.At(d.cfg.Topology.ClientRTT/2, step)
-			})
-		})
-	}
-	step()
-}
-
-// replicate ships interpreter writes to the other replicas
-// asynchronously; refs (observation mode only) mirror the batch into the
-// receivers' apply logs at delivery.
-func (c *client) replicate(from int, writes []WriteOp, ts int64, refs []BatchRef) {
-	if len(writes) == 0 {
-		return
-	}
-	d := c.d
-	for j := 0; j < 3; j++ {
-		if j == from {
-			continue
-		}
-		target := d.replicas[j]
-		ws := writes
-		d.sim.At(d.repDelay(from, j), func() {
-			// Applying remote ops consumes service capacity but blocks
-			// no one.
-			target.station.serve(d.sim.Now(), d.cfg.StmtCost/2)
-			for _, w := range ws {
-				target.state.Apply(w, ts)
-			}
-			if d.cfg.Trace != nil {
-				d.cfg.Trace.applyOps(d.sim.Now(), target.id, ts, ws)
-			}
-			if d.obs != nil {
-				d.obs.delivered(target.id, refs)
-			}
-		})
-	}
-}
-
-// txnRun is one interpreter SC transaction attempt: statements execute at
-// the primary under two-phase record locking with buffered writes; lock
-// waits that exceed the timeout abort and retry the whole transaction.
-type txnRun struct {
-	lockCore
-	c       *client
-	txn     *ast.Txn
-	args    map[string]store.Value
-	e       *TxnExec
-	overlay *Overlay
-	finish  func()
-}
-
-func (t *txnRun) start(finish func()) {
-	t.lockCore.d = t.c.d
-	t.lockCore.onAbort = t.abort
-	t.finish = finish
-	t.begin()
-}
-
-func (t *txnRun) begin() {
-	d := t.c.d
-	t.gen++
-	t.e = NewTxnExec(d.cfg.Program, t.txn, t.args)
-	t.overlay = NewOverlay(d.replicas[primary].state)
-	t.held = t.held[:0]
-	if d.obs != nil {
-		t.c.pend = t.c.pend[:0] // discard any aborted attempt's records
-	}
-	// Client → primary (deferred to recovery while the primary is down).
-	d.sim.At(d.scDelay(t.c), t.step)
-}
-
 // primaryRTT is the round trip between the client and the primary replica.
 func (c *client) primaryRTT() int64 {
 	if c.home != primary {
 		return c.d.cfg.Topology.RTT[c.home][primary]
 	}
 	return c.d.cfg.Topology.ClientRTT
-}
-
-// step advances one statement: footprint → locks → service → execute.
-func (t *txnRun) step() {
-	d := t.c.d
-	if d.execErr != nil {
-		return
-	}
-	cmd, err := t.e.Advance(t.overlay)
-	if err != nil {
-		d.fail(err)
-		return
-	}
-	if cmd == nil {
-		t.commit()
-		return
-	}
-	table, keys, _, err := t.e.Footprint(t.overlay, d.uuid)
-	if err != nil {
-		d.fail(err)
-		return
-	}
-	tid := d.cp.tableID[table] // Footprint succeeded, so the table exists
-	dir := d.replicas[primary].state.tabs[tid].dir
-	var want []lockKey
-	for _, k := range keys {
-		want = append(want, lockKey{tid, dir.intern(k)})
-	}
-	t.acquire(want, func() {
-		r := d.replicas[primary]
-		done := r.station.serve(d.sim.Now()+d.cfg.StmtOverhead, d.cfg.StmtCost)
-		d.sim.At(done-d.sim.Now(), func() {
-			view := DBView(t.overlay)
-			var ov *obsView
-			if d.obs != nil {
-				ov = d.obs.wrap(t.c, cmd, t.overlay, primary)
-				if ov != nil {
-					view = ov
-				}
-			}
-			writes, err := t.e.Exec(view, d.uuid)
-			if err != nil {
-				d.fail(err)
-				return
-			}
-			for _, w := range writes {
-				t.overlay.Buffer(w)
-			}
-			if d.obs != nil {
-				d.obs.recordSC(t.c, ov, writes)
-			}
-			if len(writes) > 0 {
-				// Majority acknowledgement round trip per write statement.
-				d.sim.At(d.ackDelay(), t.step)
-			} else {
-				t.step()
-			}
-		})
-	})
-}
-
-func (t *txnRun) abort() {
-	d := t.c.d
-	d.countAbort()
-	if d.cfg.Trace != nil {
-		d.cfg.Trace.abort(d.sim.Now(), t.c.id, t.txn.Name)
-	}
-	t.abortLocks()
-	// Retry after a short randomized backoff.
-	back := int64(d.rng.Intn(4000) + 500)
-	d.sim.At(back, t.begin)
-}
-
-// commit applies the buffered writes at the primary, replicates them, and
-// replies to the client.
-func (t *txnRun) commit() {
-	d := t.c.d
-	writes := t.overlay.Writes()
-	ts := d.tsAt(primary)
-	for _, w := range writes {
-		d.replicas[primary].state.Apply(w, ts)
-	}
-	if d.cfg.Trace != nil && len(writes) > 0 {
-		d.cfg.Trace.applyOps(d.sim.Now(), primary, ts, writes)
-	}
-	var refs []BatchRef
-	if d.obs != nil {
-		refs = d.obs.flushSC(t.c, ts)
-	}
-	t.c.replicate(primary, writes, ts, refs)
-	t.release()
-	d.sim.At(t.c.primaryRTT()/2, t.finish)
 }

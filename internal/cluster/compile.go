@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"atropos/internal/ast"
@@ -14,11 +15,10 @@ import (
 // tables become dense ids, fields become indices into a table's flat value
 // array, transaction arguments and select-bound result sets become numbered
 // frame slots, and expressions become postfix op sequences evaluated on a
-// reusable stack. A transaction the compiler cannot prove equivalent to the
-// AST walker (inconsistent variable rebinding, statically ill-placed
-// uuid()/iter/this) is left uncompiled and silently falls back to the
-// interpreter — per transaction, so one odd transaction does not slow the
-// rest of the workload.
+// reusable stack. Compilation is total or loud: a transaction the compiler
+// refuses (a variable rebound with a different shape, uuid() outside an
+// insert — CHANGES.md lists every site) fails the run that needs it with a
+// "compile:" error naming the transaction; nothing else executes it.
 
 // Compiled is a program lowered to the executor's addressing: dense table
 // ids and per-transaction op-code programs.
@@ -117,6 +117,10 @@ type ccmd struct {
 	kind  ckind
 	label string
 	tid   int32
+	// idx is the command's static index: its position in ast.Commands of the
+	// transaction body, which is how schedules and observation records name
+	// it.
+	idx int32
 
 	// where state (select, update): the compiled clause and the access path
 	// scan chose for it. pins (pathExact, pathPrefix) are the compiled
@@ -134,6 +138,8 @@ type ccmd struct {
 	whereIsPin bool
 	eqF        int32
 	eqE        cexpr
+	// readF is what reads returns, nil until an observed execution asks.
+	readF []int32
 
 	// select
 	varSlot int32
@@ -146,7 +152,7 @@ type ccmd struct {
 	// insert: one entry per VALUES assignment in declaration order (the
 	// evaluation — and uuid consumption — order), plus the derived write
 	// emission order (field-name-sorted, duplicate fields last-wins, the
-	// interpreter's order) and the entry feeding each primary-key field.
+	// AST reference's order) and the entry feeding each primary-key field.
 	insF    []int32
 	insE    []cexpr
 	insUUID []bool
@@ -204,12 +210,14 @@ type eop struct {
 }
 
 // compileLayout lowers the schemas alone: the table layout MatStore
-// addressing needs, which always succeeds. No transaction is compiled — a
-// store that only the AST interpreter reads (directed runs) needs none.
+// addressing needs, which always succeeds. Transactions are added by
+// compileTxn — all up front by CompileProgram, one at a time on first use by
+// a DirectedPlan.
 func compileLayout(prog *ast.Program) *Compiled {
 	cp := &Compiled{
 		prog:    prog,
 		tableID: make(map[string]int32, len(prog.Schemas)),
+		txns:    make(map[string]*ctxn, len(prog.Txns)),
 	}
 	for i, s := range prog.Schemas {
 		ct := ctable{
@@ -237,27 +245,32 @@ func compileLayout(prog *ast.Program) *Compiled {
 	return cp
 }
 
-// CompileProgram lowers prog: the layout, then every transaction.
-// Transactions that cannot be compiled faithfully are simply absent from
-// txns and run on the AST interpreter.
-func CompileProgram(prog *ast.Program) *Compiled {
+// CompileProgram lowers prog: the layout, then every transaction. The error
+// names the first transaction the compiler refuses.
+func CompileProgram(prog *ast.Program) (*Compiled, error) {
 	cp := compileLayout(prog)
-	cp.txns = make(map[string]*ctxn, len(prog.Txns))
 	for _, t := range prog.Txns {
-		c := &txnCompiler{cp: cp, txn: t}
-		ct, err := c.compile()
-		if err != nil {
-			continue // interpreter fallback for this transaction
-		}
-		cp.txns[t.Name] = ct
-		if ct.nvars > cp.maxVars {
-			cp.maxVars = ct.nvars
-		}
-		if len(ct.argNames) > cp.maxArgs {
-			cp.maxArgs = len(ct.argNames)
+		if _, err := cp.compileTxn(t); err != nil {
+			return nil, err
 		}
 	}
-	return cp
+	return cp, nil
+}
+
+// compileTxn compiles t and adds it to cp.
+func (cp *Compiled) compileTxn(t *ast.Txn) (*ctxn, error) {
+	ct, err := (&txnCompiler{cp: cp, txn: t}).compile()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", t.Name, err)
+	}
+	cp.txns[t.Name] = ct
+	if ct.nvars > cp.maxVars {
+		cp.maxVars = ct.nvars
+	}
+	if len(ct.argNames) > cp.maxArgs {
+		cp.maxArgs = len(ct.argNames)
+	}
+	return ct, nil
 }
 
 func (cp *Compiled) table(name string) (int32, *ctable) {
@@ -281,6 +294,7 @@ type txnCompiler struct {
 	varCols [][]int32 // selected field ids per var slot, in retrieval order
 
 	iterDepth int
+	ncmd      int32 // database commands emitted so far: the next one's idx
 	code      []cinstr
 }
 
@@ -346,24 +360,51 @@ func (c *txnCompiler) stmts(body []ast.Stmt) error {
 			if err != nil {
 				return err
 			}
-			c.code = append(c.code, cinstr{op: copSelect, cmd: cmd})
+			c.emitCmd(copSelect, cmd)
 		case *ast.Update:
 			cmd, err := c.updateCmd(x)
 			if err != nil {
 				return err
 			}
-			c.code = append(c.code, cinstr{op: copUpdate, cmd: cmd})
+			c.emitCmd(copUpdate, cmd)
 		case *ast.Insert:
 			cmd, err := c.insertCmd(x)
 			if err != nil {
 				return err
 			}
-			c.code = append(c.code, cinstr{op: copInsert, cmd: cmd})
+			c.emitCmd(copInsert, cmd)
 		default:
 			return fmt.Errorf("compile: unknown statement %T", s)
 		}
 	}
 	return nil
+}
+
+// emitCmd appends a database command, numbering it: stmts walks the body in
+// ast.Commands order.
+func (c *txnCompiler) emitCmd(op cop, cmd *ccmd) {
+	cmd.idx = c.ncmd
+	c.ncmd++
+	c.code = append(c.code, cinstr{op: op, cmd: cmd})
+}
+
+// reads returns the fields of ct the command reads as the detector's
+// encoding has it — ast.CommandAccess's Reads, which are the where clause's
+// this.f and a select's columns, plus alive. An insert reads none. Only observed executions ask, so the list is resolved
+// on the first one and unobserved runs pay nothing for it.
+func (c *ccmd) reads(ct *ctable) []int32 {
+	if c.readF == nil && c.kind != ckInsert {
+		fs := append([]int32{ct.alive}, c.cols...)
+		for i := range c.where {
+			switch op := &c.where[i]; op.op {
+			case eThis, eThisEqArg, eThisEqConst:
+				fs = append(fs, op.i)
+			}
+		}
+		slices.Sort(fs)
+		c.readF = slices.Compact(fs)
+	}
+	return c.readF
 }
 
 // scan compiles the where clause of a command on table tid and chooses its
@@ -507,7 +548,7 @@ func (c *txnCompiler) insertCmd(x *ast.Insert) (*ccmd, error) {
 		cmd.insE = append(cmd.insE, e)
 		cmd.insUUID = append(cmd.insUUID, topUUID)
 	}
-	// Emission order: the interpreter builds a field→value map (duplicate
+	// Emission order: the AST reference builds a field→value map (duplicate
 	// fields last-wins) and emits writes sorted by field name.
 	last := map[string]int32{}
 	for i, id := range cmd.insF {
@@ -604,10 +645,10 @@ func (c *txnCompiler) expr(e ast.Expr, scan *ctable, inInsert bool) (cexpr, erro
 				return err
 			}
 			if !ok {
-				// The interpreter folds over the retrieved map, where a
+				// The AST reference folds over the retrieved map, where a
 				// never-selected field degenerates (sum of zeros, invalid
-				// comparisons); sema rejects such programs, so no need to
-				// reproduce the degeneracy — fall back.
+				// comparisons); sema rejects such programs, so the degeneracy
+				// is not reproduced.
 				return fmt.Errorf("compile: agg over unselected field %s.%s", n.Var, n.Field)
 			}
 			var op eopc
@@ -731,7 +772,7 @@ func (c *txnCompiler) lookupVar(name string) (int32, *ctable, error) {
 
 // column resolves a field of a result-set slot to its column position. ok
 // is false when the field exists in the schema but was not selected (the
-// interpreter reads zero from an empty result set and errors on a
+// AST reference reads zero from an empty result set and errors on a
 // non-empty one — eFieldMiss reproduces that).
 func (c *txnCompiler) column(vt *ctable, slot int32, field string) (col int32, zero store.Value, ok bool, err error) {
 	id, exists := vt.fieldID[field]

@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"atropos/internal/benchmarks"
+	"atropos/internal/sema"
+	"atropos/internal/store"
 )
 
 // sameResult compares two runs' measurements. Scans is left out: it counts
@@ -66,7 +70,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 					cfg := diffConfig(b, mode, seed, t)
 
 					ref := cfg
-					ref.UseInterpreter = true
+					ref.useInterpreter = true
 					ref.Trace = &Trace{}
 					wantRes, err := Run(ref)
 					if err != nil {
@@ -112,7 +116,7 @@ func TestCompiledMatchesInterpreterOpsBounded(t *testing.T) {
 			cfg.Ops = 120
 
 			ref := cfg
-			ref.UseInterpreter = true
+			ref.useInterpreter = true
 			ref.Trace = &Trace{}
 			wantRes, err := Run(ref)
 			if err != nil {
@@ -147,7 +151,7 @@ func TestCompiledFinalStateMatchesInterpreter(t *testing.T) {
 		for _, mode := range []Mode{ModeEC, ModeSC} {
 			cfg := diffConfig(b, mode, 11, t)
 			ref := cfg
-			ref.UseInterpreter = true
+			ref.useInterpreter = true
 			want, err := FinalState(ref)
 			if err != nil {
 				t.Fatal(err)
@@ -175,6 +179,72 @@ func TestCompiledFinalStateMatchesInterpreter(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// The two shapes sema accepts and the compiler refuses (CHANGES.md, PR 23,
+// walks all nineteen "compile:" sites): a variable rebound by a select of
+// another shape, and uuid() outside an insert. Each program also has a
+// transaction that compiles.
+var refusedPrograms = map[string]string{
+	"rebound: compile: \"v\" rebound with a different shape": `
+table T { a: int key, b: int, }
+table U { x: int key, y: int, }
+txn rebound(k: int) {
+  v := select b from T where a = k;
+  if (k > 0) { v := select y from U where x = k; }
+  return sum(v.y);
+}
+txn fine(k: int) { update T set b = 1 where a = k; }`,
+	"stamp: compile: uuid() outside insert": `
+table T { a: int key, b: int, }
+txn stamp(k: int) { update T set b = uuid() where a = k; }
+txn fine(k: int) { update T set b = 1 where a = k; }`,
+}
+
+// TestRefusedTxnFailsTheRun: compilation is total or loud. A run of a
+// program with a transaction the compiler refuses fails with an error naming
+// it — there is no second engine to run it on — even when the mix never
+// draws it; a directed plan compiles on first use, so it fails exactly the
+// runs that name the transaction.
+func TestRefusedTxnFailsTheRun(t *testing.T) {
+	for want, src := range refusedPrograms {
+		prog, err := sema.Load(src)
+		if err != nil {
+			t.Fatalf("sema rejects the program, so the compiler never sees it: %v", err)
+		}
+		want = "cluster: " + want
+		odd := prog.Txns[0].Name
+		if miss := Uncompiled(prog); len(miss) != 1 || !strings.HasPrefix(miss[0], odd+": compile: ") {
+			t.Errorf("Uncompiled lists %q, want %s alone", miss, odd)
+		}
+		cfg := Config{
+			Program:  prog,
+			Mix:      []benchmarks.MixEntry{{Txn: "fine", Weight: 1, Args: func(*rand.Rand, benchmarks.Scale) map[string]store.Value { return intArgs("k", 1) }}},
+			Topology: USCluster,
+			Clients:  1,
+			Duration: 50 * time.Millisecond,
+		}
+		if _, err := Run(cfg); err == nil || err.Error() != want {
+			t.Errorf("Run: %v, want %s", err, want)
+		}
+		if _, err := FinalState(cfg); err == nil || err.Error() != want {
+			t.Errorf("FinalState: %v, want %s", err, want)
+		}
+		plan := NewDirectedPlan(prog)
+		base, err := plan.Seed(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair := func(a, b string) DirectedConfig {
+			return DirectedConfig{Txns: [2]DirectedTxn{{Name: a, Args: intArgs("k", 1)}, {Name: b, Args: intArgs("k", 1)}}}
+		}
+		if _, err := plan.Run(base, pair("fine", odd)); err == nil || err.Error() != want {
+			t.Errorf("directed run of %s: %v, want %s", odd, err, want)
+		}
+		if _, err := plan.Run(base, pair("fine", "fine")); err != nil {
+			t.Errorf("directed run of the transaction that compiles: %v", err)
 		}
 	}
 }

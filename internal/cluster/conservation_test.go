@@ -108,7 +108,7 @@ func TestFinalStateConservation(t *testing.T) {
 			return total
 		}
 		cfg := transferConfig(t, mode, seed)
-		cfg.UseInterpreter = interp
+		cfg.useInterpreter = interp
 		st, err := FinalState(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -2,17 +2,18 @@ package cluster
 
 import "atropos/internal/store"
 
-// Compiled-executor driving: the event-for-event mirror of runEC and
-// txnRun, restructured as persistent state machines so steady-state
-// execution schedules the same virtual-time events as the interpreter
-// (identical histories) without allocating closures per statement. Each
-// client owns one cframe, one EC tick closure, and one reusable SC run;
-// replication batches and their delivery events come from driver pools.
+// Driving the executor through a simulated run: persistent state machines, so
+// steady-state execution allocates no closure per statement. Each client owns
+// one cframe, one EC tick closure, and one reusable SC run; replication
+// batches and their delivery events come from driver pools. The virtual-time
+// events scheduled here are the contract the tests' AST reference
+// (reference_run_test.go) is compared on, event for event.
 
-// ecStep advances the client's compiled EC transaction by one phase:
+// ecStep advances the client's EC transaction by one phase:
 // 0 = advance control flow and ship the next statement to the home replica,
 // 1 = queue on the replica's station, 2 = execute, apply, and replicate.
-// The phases schedule exactly the events runEC's nested closures do.
+// Each statement is one client-replica round trip plus service time; writes
+// apply locally and replicate asynchronously with LWW merging.
 func (c *client) ecStep() {
 	d := c.d
 	if d.execErr != nil {
@@ -48,25 +49,30 @@ func (c *client) ecStep() {
 		if d.cfg.Trace != nil && len(writes) > 0 {
 			d.cfg.Trace.applyC(d.sim.Now(), r.id, ts, r.state, writes)
 		}
-		d.creplicate(r.id, writes, ts)
+		var refs []BatchRef
+		if d.obs != nil {
+			refs = d.obs.recordEC(d.obs.crecord(c, c.fr, r.id, writes, ts), r.id)
+		}
+		d.creplicate(r.id, writes, ts, refs)
 		c.ecPhase = 0
 		d.sim.At(d.cfg.Topology.ClientRTT/2, c.ecTick)
 	}
 }
 
-func (c *client) runECCompiled(ct *ctxn, args map[string]store.Value) {
+func (c *client) startEC(ct *ctxn, args map[string]store.Value) {
 	c.fr.reset(ct, args)
 	c.ecPhase = 0
 	c.ecStep()
 }
 
-// runSC launches (or relaunches) the client's reusable compiled SC run.
-func (c *client) runSC(ct *ctxn, args map[string]store.Value) {
+// startSC launches (or relaunches) the client's reusable SC run.
+func (c *client) startSC(ct *ctxn, args map[string]store.Value) {
 	if c.scRun == nil {
 		t := &cTxnRun{c: c}
 		t.lockCore.d = c.d
 		t.lockCore.onAbort = t.abort
 		t.fr = newCFrame(c.d.cp)
+		t.fr.observe = c.d.obs != nil
 		t.ov = newCOverlay(c.d.replicas[primary].state)
 		t.stepF = t.step
 		t.execF = t.exec
@@ -79,10 +85,9 @@ func (c *client) runSC(ct *ctxn, args map[string]store.Value) {
 	c.scRun.begin()
 }
 
-// cTxnRun is one compiled SC transaction attempt: statements execute at the
-// primary under two-phase record locking with writes buffered in a compiled
-// overlay; lock waits that exceed the timeout abort and retry. It mirrors
-// txnRun's event sequence exactly.
+// cTxnRun is one SC transaction attempt: statements execute at the primary
+// under two-phase record locking with writes buffered in an overlay; lock
+// waits that exceed the timeout abort and retry the whole transaction.
 type cTxnRun struct {
 	lockCore
 	c    *client
@@ -102,6 +107,7 @@ func (t *cTxnRun) begin() {
 	t.fr.reset(t.ct, t.args)
 	t.ov.reset()
 	t.held = t.held[:0]
+	t.c.pend = t.c.pend[:0] // an aborted attempt's observation records
 	// Client → primary (deferred to recovery while the primary is down).
 	d.sim.At(d.scDelay(t.c), t.stepF)
 }
@@ -156,6 +162,10 @@ func (t *cTxnRun) exec() {
 	for _, w := range writes {
 		t.ov.buffer(w)
 	}
+	if d.obs != nil {
+		// Buffered until the attempt commits (flushSC sets the timestamp).
+		t.c.pend = append(t.c.pend, d.obs.crecord(t.c, t.fr, primary, writes, 0))
+	}
 	if len(writes) > 0 {
 		// Majority acknowledgement round trip per write statement.
 		d.sim.At(d.ackDelay(), t.stepF)
@@ -186,16 +196,22 @@ func (t *cTxnRun) commit() {
 	if d.cfg.Trace != nil && len(t.wbuf) > 0 {
 		d.cfg.Trace.applyC(d.sim.Now(), primary, ts, d.replicas[primary].state, t.wbuf)
 	}
-	d.creplicate(primary, t.wbuf, ts)
+	var refs []BatchRef
+	if d.obs != nil {
+		refs = d.obs.flushSC(t.c, ts)
+	}
+	d.creplicate(primary, t.wbuf, ts, refs)
 	t.release()
 	d.sim.At(t.c.primaryRTT()/2, t.c.finishFn)
 }
 
 // repBatch is a replication payload shared by the deliveries to the other
-// two replicas; it returns to the pool when the last delivery lands.
+// two replicas; it returns to the pool when the last delivery lands. obs
+// (observed runs only) names the batch for the receivers' apply logs.
 type repBatch struct {
 	ops  []cwrite
 	ts   int64
+	obs  []BatchRef
 	refs int
 }
 
@@ -231,6 +247,9 @@ func (d *driver) getRepEv() *repEv {
 		if e.d.cfg.Trace != nil {
 			e.d.cfg.Trace.applyC(e.d.sim.Now(), e.tgt.id, e.batch.ts, e.tgt.state, e.batch.ops)
 		}
+		if e.d.obs != nil {
+			e.d.obs.delivered(e.tgt.id, e.batch.obs)
+		}
 		b := e.batch
 		e.batch, e.tgt = nil, nil
 		e.d.repPool = append(e.d.repPool, e)
@@ -243,15 +262,15 @@ func (d *driver) getRepEv() *repEv {
 	return e
 }
 
-// creplicate ships a compiled write batch to the other replicas
-// asynchronously, mirroring replicate's event schedule.
-func (d *driver) creplicate(from int, ws []cwrite, ts int64) {
+// creplicate ships a write batch to the other replicas asynchronously.
+func (d *driver) creplicate(from int, ws []cwrite, ts int64, obs []BatchRef) {
 	if len(ws) == 0 {
 		return
 	}
 	b := d.getBatch()
 	b.ops = append(b.ops[:0], ws...)
 	b.ts = ts
+	b.obs = obs
 	b.refs = 2
 	for j := 0; j < 3; j++ {
 		if j == from {

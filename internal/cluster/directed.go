@@ -21,40 +21,40 @@ import (
 // and every write it produced, so the caller can rebuild the dynamic
 // dependency graph.
 //
-// Semantics match the EC interpreter client: a command sees the seeded
-// base state, all of its own instance's earlier writes, and exactly the
-// other-instance batches the visibility relation grants it, merged
-// last-writer-wins in timestamp order. EC places no monotonicity
+// Semantics match an EC client: a command sees the seeded base state, all of
+// its own instance's earlier writes, and exactly the other-instance batches
+// the visibility relation grants it, merged last-writer-wins in timestamp
+// order. EC places no monotonicity
 // constraint on views ("arbitrary subsets of committed batches"), so each
 // command's view is built independently — exactly the freedom the static
 // encoding's vis relation has.
 //
 // Certification replays one program thousands of times, so what a run needs
 // is split by lifetime: a DirectedPlan holds what depends on the program
-// alone, a base store seeded once per set of rows is shared read-only by
-// every run over those rows, and a run allocates only its own state.
+// alone and the executor state every run reuses, a base store seeded once
+// per set of rows is shared read-only by every run over those rows, and a
+// run allocates only its result.
 
 // DirectedPlan is the static half of a program's directed runs: the table
-// layout base stores are addressed by (no transaction is compiled — runs
-// execute on the AST) and, per transaction on first use, its command tables.
-// A plan is not safe for concurrent use.
+// layout base stores are addressed by, each transaction compiled on first
+// use, and the two frames and the overlay its runs execute on — the frames
+// are the simulator's own, observing. A plan is not safe for concurrent use.
 type DirectedPlan struct {
 	prog *ast.Program
 	cp   *Compiled
-	txns map[string]*directedTxn
-}
-
-// directedTxn is one transaction's static command tables, by command index.
-type directedTxn struct {
-	txn     *ast.Txn
-	cmdIdx  map[ast.DBCommand]int
-	tables  []string
-	readSet []map[string]bool // the fields the detector's encoding says it reads
+	fr   [2]*cframe
+	ov   *coverlay // pointed at each run's base
 }
 
 // NewDirectedPlan prepares directed runs of prog.
 func NewDirectedPlan(prog *ast.Program) *DirectedPlan {
-	return &DirectedPlan{prog: prog, cp: compileLayout(prog), txns: map[string]*directedTxn{}}
+	p := &DirectedPlan{prog: prog, cp: compileLayout(prog)}
+	p.ov = &coverlay{tabs: make([]covTab, len(p.cp.tables))}
+	for i := range p.fr {
+		p.fr[i] = newCFrame(p.cp)
+		p.fr[i].observe = true
+	}
+	return p
 }
 
 // Program returns the program the plan runs.
@@ -72,40 +72,16 @@ func (p *DirectedPlan) Seed(rows []benchmarks.TableRow) (*MatStore, error) {
 	return base, nil
 }
 
-func (p *DirectedPlan) txn(name string) (*directedTxn, error) {
-	if dt := p.txns[name]; dt != nil {
-		return dt, nil
+// txn returns the named transaction, compiling it on first use.
+func (p *DirectedPlan) txn(name string) (*ctxn, error) {
+	if ct := p.cp.txns[name]; ct != nil {
+		return ct, nil
 	}
 	txn := p.prog.Txn(name)
 	if txn == nil {
 		return nil, fmt.Errorf("cluster: directed: unknown transaction %q", name)
 	}
-	cmds := ast.Commands(txn.Body)
-	dt := &directedTxn{
-		txn:     txn,
-		cmdIdx:  make(map[ast.DBCommand]int, len(cmds)),
-		tables:  make([]string, len(cmds)),
-		readSet: make([]map[string]bool, len(cmds)),
-	}
-	for i, c := range cmds {
-		schema := p.prog.Schema(c.TableName())
-		if schema == nil {
-			return nil, fmt.Errorf("cluster: directed: unknown table %q", c.TableName())
-		}
-		rs := map[string]bool{}
-		for _, f := range ast.CommandAccess(c, schema).Reads {
-			rs[f] = true
-		}
-		switch c.(type) {
-		case *ast.Select, *ast.Update:
-			rs[ast.AliveField] = true
-		}
-		dt.cmdIdx[c] = i
-		dt.tables[i] = c.TableName()
-		dt.readSet[i] = rs
-	}
-	p.txns[name] = dt
-	return dt, nil
+	return p.cp.compileTxn(txn)
 }
 
 // DirectedTxn names one transaction instance and its arguments.
@@ -198,50 +174,24 @@ func (res *DirectedResult) Trace(txns [2]DirectedTxn) []string {
 	return tr.Events
 }
 
-// trackedView is one command's local view: the shared base under an overlay
-// holding the visible batches' writes, remembering which batches it
-// contains. Batches carry strictly increasing timestamps over a timestamp-0
-// base, so buffering them in order is last-writer-wins. Read recording
-// filters to the command's static read set — the fields the detector's
-// encoding says the command reads — because the executor materializes whole
-// rows while scanning.
-type trackedView struct {
-	*Overlay
-	applied   []BatchRef
-	table     string
-	fields    map[string]bool
-	recording bool
-	reads     []ReadObs
-}
-
-// Read implements DBView, recording filtered observations.
-func (v *trackedView) Read(table string, key store.Key, field string) store.Value {
-	if v.recording && table == v.table && v.fields[field] {
-		v.reads = append(v.reads, ReadObs{Table: table, Key: key, Field: field})
-	}
-	return v.Overlay.Read(table, key, field)
-}
-
-// Alive implements DBView through Read so presence checks are observed
-// (phantom dependencies flow through the alive field).
-func (v *trackedView) Alive(table string, key store.Key) bool {
-	val := v.Read(table, key, ast.AliveField)
-	return val.T == ast.TBool && val.B
-}
-
+// appliedBatch is one executed command's writes, a range of directedRun.cw.
 type appliedBatch struct {
 	inst, cmd int
 	ts        int64
-	writes    []WriteOp
+	lo, hi    int
 }
 
+// directedRun is one run's state. A command's local view is the shared base
+// under the plan's overlay, holding the visible batches' writes: batches
+// carry strictly increasing timestamps over a timestamp-0 base, so
+// buffering them in order is last-writer-wins. Control flow needs no view —
+// advance reads no store.
 type directedRun struct {
 	cfg     DirectedConfig
-	base    *MatStore
-	txns    [2]*directedTxn
-	execs   [2]*TxnExec
+	v       cview
+	fr      [2]*cframe
 	batches []appliedBatch // timestamp order
-	cur     [2]DBView      // control-flow view: last command's view + own writes
+	cw      []cwrite       // the batches' writes, back to back
 	uuid    UUIDGen
 	now     int64 // virtual time: one slot per executed command
 	seq     int64
@@ -252,9 +202,10 @@ type directedRun struct {
 // events distinct, human-readable timestamps.
 const directedSlotGap = 1000
 
-// testHookView, set by this package's tests only, sees every view a run
-// builds before the command executes on it.
-var testHookView func(r *directedRun, v *trackedView)
+// testHookDirected, set by this package's tests only, sees every executed
+// command's record while its view is still in place, and — ob nil — the end
+// of every run that did not fail.
+var testHookDirected func(r *directedRun, ob *DirectedObs)
 
 // Run executes one directed two-transaction run over base, a state this
 // plan seeded; base is read, never written.
@@ -265,15 +216,18 @@ func (p *DirectedPlan) Run(base *MatStore, cfg DirectedConfig) (*DirectedResult,
 	if cfg.MaxOps <= 0 {
 		cfg.MaxOps = 4096
 	}
-	r := &directedRun{cfg: cfg, base: base, obs: make([]DirectedObs, 0, len(cfg.Steps))}
-	for inst := 0; inst < 2; inst++ {
-		dt, err := p.txn(cfg.Txns[inst].Name)
+	p.ov.reset()
+	p.ov.ms = base
+	r := &directedRun{
+		cfg: cfg, v: cview{ms: base, ov: p.ov}, fr: p.fr,
+		obs: make([]DirectedObs, 0, len(cfg.Steps)),
+	}
+	for inst, fr := range r.fr {
+		ct, err := p.txn(cfg.Txns[inst].Name)
 		if err != nil {
 			return nil, err
 		}
-		r.txns[inst] = dt
-		r.execs[inst] = NewTxnExec(p.prog, dt.txn, cfg.Txns[inst].Args)
-		r.cur[inst] = base
+		fr.reset(ct, cfg.Txns[inst].Args)
 	}
 
 	executed := 0
@@ -284,131 +238,108 @@ func (p *DirectedPlan) Run(base *MatStore, cfg DirectedConfig) (*DirectedResult,
 		}
 		return r.execOne(inst)
 	}
-	var runErr error
-	for i := 0; i < len(cfg.Steps) && runErr == nil; {
+	for i := 0; i < len(cfg.Steps); {
 		st := cfg.Steps[i]
 		if st.Inst < 0 || st.Inst > 1 {
 			return nil, fmt.Errorf("cluster: directed: bad step instance %d", st.Inst)
 		}
-		e := r.execs[st.Inst]
-		if e.Done() {
+		fr := r.fr[st.Inst]
+		if fr.done {
 			i++
 			continue
 		}
-		cmd, err := e.Advance(r.cur[st.Inst])
+		cmd, err := fr.advance()
 		if err != nil {
-			runErr = err
-			break
+			return nil, err
 		}
 		if cmd == nil {
 			i++
 			continue
 		}
-		cidx, ok := r.txns[st.Inst].cmdIdx[cmd]
-		if !ok {
-			return nil, fmt.Errorf("cluster: directed: unmapped command %s", cmd.CmdLabel())
-		}
-		if cidx > st.Cmd {
+		if int(cmd.idx) > st.Cmd {
 			// The dynamic stream already passed this slot's command (a branch
 			// skipped it): the slot is forfeited.
 			i++
 			continue
 		}
-		// cidx <= st.Cmd: execute. An earlier command catching up (iterate
+		// cmd.idx <= st.Cmd: execute. An earlier command catching up (iterate
 		// repeats) keeps the slot until the stream reaches it.
 		if err := step(st.Inst); err != nil {
-			runErr = err
-			break
+			return nil, err
 		}
-		if cidx == st.Cmd {
+		if int(cmd.idx) == st.Cmd {
 			i++
 		}
 	}
 	// Drain: run both instances to completion (commands past the last slot
 	// keep their own static visibility rows; only their relative order with
 	// the other instance is no longer pinned).
-	for inst := 0; inst < 2 && runErr == nil; inst++ {
-		for !r.execs[inst].Done() {
-			cmd, err := r.execs[inst].Advance(r.cur[inst])
+	for inst, fr := range r.fr {
+		for !fr.done {
+			cmd, err := fr.advance()
 			if err != nil {
-				runErr = err
-				break
+				return nil, err
 			}
 			if cmd == nil {
 				break
 			}
 			if err := step(inst); err != nil {
-				runErr = err
-				break
+				return nil, err
 			}
 		}
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
 	out := &DirectedResult{Obs: r.obs}
-	for inst := 0; inst < 2; inst++ {
-		out.Done[inst] = r.execs[inst].Done()
-		out.Ret[inst] = r.execs[inst].Result()
+	for inst, fr := range r.fr {
+		out.Done[inst] = fr.done
+		out.Ret[inst] = fr.ret
+	}
+	if testHookDirected != nil {
+		testHookDirected(r, nil)
 	}
 	return out, nil
 }
 
-// buildView constructs (inst, cidx)'s local view: base state, own earlier
-// batches, and the visible other-instance batches, merged in timestamp
-// order.
-func (r *directedRun) buildView(inst, cidx int) *trackedView {
-	v := &trackedView{
-		Overlay: NewOverlay(r.base),
-		table:   r.txns[inst].tables[cidx],
-		fields:  r.txns[inst].readSet[cidx],
-	}
-	for i := range r.batches {
-		b := &r.batches[i]
-		if b.inst == inst || (r.cfg.Vis != nil && r.cfg.Vis(b.inst, b.cmd, inst, cidx)) {
-			for _, w := range b.writes {
-				v.Buffer(w)
-			}
-			v.applied = append(v.applied, BatchRef{Inst: b.inst, Cmd: b.cmd, TS: b.ts})
-		}
-	}
-	if testHookView != nil {
-		testHookView(r, v)
-	}
-	return v
-}
-
-// execOne executes the pending command of inst in the next slot, recording
-// its observations and publishing its writes.
+// execOne executes the pending command of inst in the next slot — on base,
+// its own earlier batches and the visible other-instance batches, merged in
+// timestamp order — recording its observations and publishing its writes.
 func (r *directedRun) execOne(inst int) error {
 	r.now += directedSlotGap
-	e := r.execs[inst]
-	cmd, err := e.Advance(r.cur[inst])
+	fr := r.fr[inst]
+	cmd, err := fr.advance()
 	if err != nil || cmd == nil {
 		return err
 	}
-	cidx := r.txns[inst].cmdIdx[cmd]
-	view := r.buildView(inst, cidx)
-	view.recording = true
-	writes, err := e.Exec(view, &r.uuid)
+	cidx := int(cmd.idx)
+	r.v.ov.reset()
+	var view []BatchRef
+	if n := len(r.batches); n > 0 {
+		view = make([]BatchRef, 0, n)
+	}
+	for _, b := range r.batches {
+		if b.inst == inst || (r.cfg.Vis != nil && r.cfg.Vis(b.inst, b.cmd, inst, cidx)) {
+			for _, w := range r.cw[b.lo:b.hi] {
+				r.v.ov.buffer(w)
+			}
+			view = append(view, BatchRef{Inst: b.inst, Cmd: b.cmd, TS: b.ts})
+		}
+	}
+	writes, err := fr.exec(r.v, &r.uuid)
 	if err != nil {
 		return err
 	}
-	view.recording = false
 	r.seq++
 	ts := r.seq
 	r.obs = append(r.obs, DirectedObs{
-		Inst: inst, Cmd: cidx, At: r.now, TS: ts,
-		View: view.applied, Reads: view.reads, Writes: writes,
+		Inst: inst, Cmd: cidx, At: r.now, TS: ts, View: view,
+		Reads:  r.v.ms.namedReads(nil, cmd.tid, fr.reads),
+		Writes: r.v.ms.namedWrites(nil, writes),
 	})
 	if len(writes) > 0 {
-		r.batches = append(r.batches, appliedBatch{inst: inst, cmd: cidx, ts: ts, writes: writes})
-		// The instance reads its own writes from here on: the view lives on
-		// as its control-flow view, its membership list is the observation's.
-		for _, w := range writes {
-			view.Buffer(w)
-		}
+		r.batches = append(r.batches, appliedBatch{inst: inst, cmd: cidx, ts: ts, lo: len(r.cw), hi: len(r.cw) + len(writes)})
+		r.cw = append(r.cw, writes...)
 	}
-	r.cur[inst] = view
+	if testHookDirected != nil {
+		testHookDirected(r, &r.obs[len(r.obs)-1])
+	}
 	return nil
 }

@@ -38,7 +38,10 @@ func newEqFixture(t *testing.T) *eqFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := CompileProgram(prog)
+	cp, err := CompileProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"byA", "byAB", "byS", "setB", "divA", "divB"} {
 		if p := cp.txns[name].code[0].cmd.path; p != pathEq {
 			t.Fatalf("%s compiled to access path %d, want eq-index", name, p)

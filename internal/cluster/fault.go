@@ -10,11 +10,10 @@ import (
 // link partitions, replica crashes with replication catch-up, added link
 // lag, bounded clock skew on merge-timestamp assignment, and message
 // drop/reorder — evaluated at the points where the drivers schedule
-// network and service events. Both executors (the AST interpreter and the
-// compiled engine) route every affected delay through the same hooks in
-// the same order, so a faulted run remains a byte-identical differential
-// twin: same (seed, plan, config) ⇒ same Trace, on either engine, on
-// every machine. A nil plan compiles to a nil state and every hook takes
+// network and service events. The executor and the tests' AST reference
+// route every affected delay through the same hooks in the same order, so a
+// faulted run remains a byte-identical differential twin: same (seed, plan,
+// config) ⇒ same Trace, on either, on every machine. A nil plan compiles to a nil state and every hook takes
 // the exact pre-fault fast path, leaving fault-free runs bit-for-bit
 // unchanged.
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestFaultedCompiledMatchesInterpreter(t *testing.T) {
 					cfg := faultedConfig(b, mode, 5, sc.Plan, t)
 
 					ref := cfg
-					ref.UseInterpreter = true
+					ref.useInterpreter = true
 					ref.Trace = &Trace{}
 					wantRes, err := Run(ref)
 					if err != nil {
@@ -86,7 +87,7 @@ func TestFaultTraceDeterminism(t *testing.T) {
 			t.Run(sc.Name+"/"+engine, func(t *testing.T) {
 				run := func() []string {
 					cfg := faultedConfig(benchmarks.SmallBank, ModeATSC, 9, sc.Plan, t)
-					cfg.UseInterpreter = interp
+					cfg.useInterpreter = interp
 					cfg.Trace = &Trace{}
 					if _, err := Run(cfg); err != nil {
 						t.Fatal(err)
@@ -112,7 +113,7 @@ func TestFaultTraceDeterminism(t *testing.T) {
 						}
 					}
 					clean := faultedConfig(benchmarks.SmallBank, ModeATSC, 9, nil, t)
-					clean.UseInterpreter = interp
+					clean.useInterpreter = interp
 					clean.Trace = &Trace{}
 					if _, err := Run(clean); err != nil {
 						t.Fatal(err)
@@ -195,7 +196,9 @@ func fuzzPlan(data []byte, horizon int64) *FaultPlan {
 
 // FuzzFaultScheduleEquivalence fuzzes fault schedules against the twin
 // property: any valid plan, on a mixed-mode SmallBank run, must leave the
-// compiled executor and the AST interpreter byte-identical.
+// compiled executor and the AST interpreter byte-identical — histories,
+// results, and (both runs are observed) observation records in canonObs's
+// form.
 func FuzzFaultScheduleEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 10, 200, 5, 40})                             // partition 0-1
@@ -229,17 +232,20 @@ func FuzzFaultScheduleEquivalence(f *testing.F) {
 			Faults:           fuzzPlan(data, (350 * time.Millisecond).Microseconds()),
 		}
 		ref := cfg
-		ref.UseInterpreter = true
-		ref.Trace = &Trace{}
+		ref.useInterpreter = true
+		ref.Trace, ref.Observe = &Trace{}, &Observation{}
 		wantRes, err := Run(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := cfg
-		got.Trace = &Trace{}
+		got.Trace, got.Observe = &Trace{}, &Observation{}
 		gotRes, err := Run(got)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if g, w := canonObs(got.Observe), canonObs(ref.Observe); !slices.EqualFunc(g, w, equalObs) || !slices.Equal(got.Observe.Txns, ref.Observe.Txns) {
+			t.Fatalf("observations diverge under plan %+v: compiled %d records, interpreter %d", cfg.Faults, len(g), len(w))
 		}
 		if !sameResult(gotRes, wantRes) {
 			t.Fatalf("results diverge under plan %+v:\n  compiled:    %+v\n  interpreter: %+v",

@@ -1,10 +1,8 @@
 package cluster
 
-// Record locking shared by both executors: the interpreter's txnRun and the
-// compiled cTxnRun embed a lockCore, so lock ownership, FIFO waiting,
-// deadlock detection, and timeout arbitration behave identically — and
-// interact correctly when one run mixes engines (a transaction the compiler
-// fell back on contends with compiled ones).
+// Record locking: an SC attempt (cTxnRun, and the AST reference's run in the
+// tests) embeds a lockCore, so lock ownership, FIFO waiting, deadlock
+// detection, and timeout arbitration are written once.
 //
 // The lock table is the driver's locks[tid][slot]: one lockState per slot of
 // the table's directory (tableDir), so taking or freeing a record lock is an
@@ -13,8 +11,8 @@ package cluster
 // locked — so never past the directory — and costs 32 bytes a slot; an entry
 // nobody owns or waits for is the zero value.
 
-// lockKey names a record by compiled table id and directory slot; both
-// executors resolve them once per statement.
+// lockKey names a record by compiled table id and directory slot, resolved
+// once per statement.
 type lockKey struct {
 	tid, slot int32
 }

@@ -4,27 +4,13 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"atropos/internal/ast"
 	"atropos/internal/store"
 )
 
-// DBView is the read interface the AST-walking executor runs against: a
-// replica's materialized state, optionally overlaid with a transaction's
-// buffered writes (SC mode reads-your-writes before commit). The compiled
-// executor bypasses it and addresses MatStore rows directly by table id,
-// row slot, and field index (DESIGN.md §9).
-type DBView interface {
-	Schema(table string) *ast.Schema
-	Read(table string, key store.Key, field string) store.Value
-	Alive(table string, key store.Key) bool
-	Keys(table string) []store.Key
-}
-
-// WriteOp is one field write in the interpreter's name-based form, applied
-// by the caller (immediately under EC, at commit under SC) and shipped to
-// the other replicas.
+// WriteOp is one field write in name-based form: what observation records
+// and traces carry, rendered from the executor's cwrites.
 type WriteOp struct {
 	Table string
 	Key   store.Key
@@ -119,11 +105,11 @@ type mtable struct {
 	// eq[fid], once the first eq-index query on the field has built it, maps
 	// each value of the field to the slots holding it, in key order; set keeps
 	// it current. The slice itself is nil until some index is built, so
-	// stores no compiled query reads (interpreter runs, certification bases) pay
-	// nothing.
+	// stores no eq-index command reads (most certification bases) pay nothing.
 	eq []map[store.Value][]int32
-	// view is the sorted []store.Key the string-based DBView.Keys exposes
-	// to the interpreter oracle, materialized lazily from the held slots.
+	// view is the sorted []store.Key the name-based Keys exposes to state
+	// inspection and the tests' AST reference, materialized lazily from the
+	// held slots.
 	view   []store.Key
 	viewOK bool
 }
@@ -279,8 +265,8 @@ func (t *mtable) bucket(fid int32, v store.Value) []int32 {
 	return ix[eqKey(&v)]
 }
 
-// sortedKeys materializes the sorted view of the keys held (interpreter
-// oracle only — the compiled executor scans the chunked index directly). A
+// sortedKeys materializes the sorted view of the keys held (inspection only
+// — the executor scans the chunked index directly). A
 // fresh slice is built per mutation epoch so previously returned views stay
 // stable.
 func (t *mtable) sortedKeys() []store.Key {
@@ -352,10 +338,11 @@ func (ms *MatStore) Clone() *MatStore {
 	return out
 }
 
-// Schema implements DBView.
+// Schema returns the named table's schema. With Read, Alive and Keys it is
+// the store's name-based inspection surface.
 func (ms *MatStore) Schema(table string) *ast.Schema { return ms.cp.prog.Schema(table) }
 
-// Read implements DBView; unknown records read zero values.
+// Read returns one field of one record; unknown records read zero values.
 func (ms *MatStore) Read(table string, key store.Key, field string) store.Value {
 	tid, ct := ms.cp.table(table)
 	if ct == nil {
@@ -372,13 +359,13 @@ func (ms *MatStore) Read(table string, key store.Key, field string) store.Value 
 	return ct.zeros[fid]
 }
 
-// Alive implements DBView.
+// Alive reports whether the record is present.
 func (ms *MatStore) Alive(table string, key store.Key) bool {
 	v := ms.Read(table, key, ast.AliveField)
 	return v.T == ast.TBool && v.B
 }
 
-// Keys implements DBView (sorted).
+// Keys returns the keys of the rows held, sorted.
 func (ms *MatStore) Keys(table string) []store.Key {
 	tid, ct := ms.cp.table(table)
 	if ct == nil {
@@ -387,134 +374,10 @@ func (ms *MatStore) Keys(table string) []store.Key {
 	return ms.tabs[tid].sortedKeys()
 }
 
-// Apply merges one write with last-writer-wins semantics at the given
-// timestamp (timestamps must be unique across the run; the driver issues a
-// strictly monotone sequence).
-func (ms *MatStore) Apply(w WriteOp, ts int64) {
-	tid, ct := ms.cp.table(w.Table)
-	if ct == nil {
-		return
-	}
-	fid, ok := ct.fieldID[w.Field]
-	if !ok {
-		return
-	}
-	t := &ms.tabs[tid]
-	t.put(t.dir.intern(w.Key), fid, w.Val, ts)
-}
-
 // applyC merges a compiled write batch.
 func (ms *MatStore) applyC(ws []cwrite, ts int64) {
 	for i := range ws {
 		w := &ws[i]
 		ms.tabs[w.tid].put(w.slot, w.fid, w.val, ts)
 	}
-}
-
-// Overlay is a DBView layering a transaction's buffered writes over a
-// base state (the interpreter's SC transactions read their own uncommitted
-// writes through it; the compiled executor uses coverlay).
-type Overlay struct {
-	Base   DBView
-	writes map[string]map[store.Key]store.Row
-}
-
-// NewOverlay creates an empty overlay over base.
-func NewOverlay(base DBView) *Overlay {
-	return &Overlay{Base: base, writes: map[string]map[store.Key]store.Row{}}
-}
-
-// Buffer records a pending write.
-func (o *Overlay) Buffer(w WriteOp) {
-	t := o.writes[w.Table]
-	if t == nil {
-		t = map[store.Key]store.Row{}
-		o.writes[w.Table] = t
-	}
-	r := t[w.Key]
-	if r == nil {
-		r = store.Row{}
-		t[w.Key] = r
-	}
-	r[w.Field] = w.Val
-}
-
-// Writes returns the buffered writes in deterministic order.
-func (o *Overlay) Writes() []WriteOp {
-	var tables []string
-	for t := range o.writes {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	var out []WriteOp
-	for _, tn := range tables {
-		var keys []store.Key
-		for k := range o.writes[tn] {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			row := o.writes[tn][k]
-			var fields []string
-			for f := range row {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-			for _, f := range fields {
-				out = append(out, WriteOp{Table: tn, Key: k, Field: f, Val: row[f]})
-			}
-		}
-	}
-	return out
-}
-
-// Schema implements DBView.
-func (o *Overlay) Schema(table string) *ast.Schema { return o.Base.Schema(table) }
-
-// Read implements DBView.
-func (o *Overlay) Read(table string, key store.Key, field string) store.Value {
-	if t, ok := o.writes[table]; ok {
-		if r, ok := t[key]; ok {
-			if v, ok := r[field]; ok {
-				return v
-			}
-		}
-	}
-	return o.Base.Read(table, key, field)
-}
-
-// Alive implements DBView.
-func (o *Overlay) Alive(table string, key store.Key) bool {
-	v := o.Read(table, key, ast.AliveField)
-	return v.T == ast.TBool && v.B
-}
-
-// Keys implements DBView: base keys plus overlay-created keys.
-func (o *Overlay) Keys(table string) []store.Key {
-	base := o.Base.Keys(table)
-	t, ok := o.writes[table]
-	if !ok {
-		return base
-	}
-	seen := map[store.Key]bool{}
-	for _, k := range base {
-		seen[k] = true
-	}
-	extra := false
-	for k := range t {
-		if !seen[k] {
-			extra = true
-		}
-	}
-	if !extra {
-		return base
-	}
-	out := append([]store.Key(nil), base...)
-	for k := range t {
-		if !seen[k] {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

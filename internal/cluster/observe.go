@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"atropos/internal/ast"
-	"atropos/internal/store"
-)
+import "slices"
 
 // Observation mode: a full randomized run (any Mode, any FaultPlan) that
 // records, per executed command of every transaction instance, the same
@@ -13,9 +8,9 @@ import (
 // command's local view contained, which fields it read, which writes it
 // made. internal/replay derives the execution's Adya-style dependency
 // graph from these and counts violation instances, which is what the
-// chaos harness points at faulted executions. Observation forces the AST
-// interpreter (the reference executor); it never runs on the hot compiled
-// path.
+// chaos harness points at faulted executions. There is one recorder and it
+// sits on the executor every run uses: the frame lists what a command read
+// (cframe.observe), crecord names it.
 //
 // Views here are positional: each replica keeps an apply log of batch
 // references, and a command's view is the log prefix of its replica at
@@ -35,127 +30,51 @@ type Observation struct {
 	Txns []string
 }
 
-// obsTxnMeta is the per-transaction static command metadata: command
-// indices and per-command read sets, mirroring the directed scheduler.
-type obsTxnMeta struct {
-	cmdIdx  map[ast.DBCommand]int
-	readSet []map[string]bool
-	tables  []string
-}
-
 // obsState is the driver's observation recorder.
 type obsState struct {
 	d    *driver
-	meta map[string]*obsTxnMeta
 	logs [3][]BatchRef // per-replica applied batches, in apply order
 	obs  []DirectedObs
 	txns []string
-	view obsView // reused wrapper; records are copied out per command
 }
 
-func newObsState(d *driver) *obsState {
-	return &obsState{d: d, meta: map[string]*obsTxnMeta{}}
-}
-
-// metaFor lazily builds the static command metadata of one transaction.
-func (o *obsState) metaFor(name string, txn *ast.Txn) *obsTxnMeta {
-	if m, ok := o.meta[name]; ok {
-		return m
-	}
-	cmds := ast.Commands(txn.Body)
-	m := &obsTxnMeta{
-		cmdIdx:  make(map[ast.DBCommand]int, len(cmds)),
-		readSet: make([]map[string]bool, len(cmds)),
-		tables:  make([]string, len(cmds)),
-	}
-	for i, c := range cmds {
-		m.cmdIdx[c] = i
-		schema := o.d.cfg.Program.Schema(c.TableName())
-		if schema == nil {
-			o.d.fail(fmt.Errorf("cluster: observe: unknown table %q", c.TableName()))
-			break
-		}
-		rs := map[string]bool{}
-		for _, f := range ast.CommandAccess(c, schema).Reads {
-			rs[f] = true
-		}
-		switch c.(type) {
-		case *ast.Select, *ast.Update:
-			rs[ast.AliveField] = true
-		}
-		m.readSet[i] = rs
-		m.tables[i] = c.TableName()
-	}
-	o.meta[name] = m
-	return m
-}
+func newObsState(d *driver) *obsState { return &obsState{d: d} }
 
 // beginTxn assigns the client's next instance id (called from nextTxn).
-func (o *obsState) beginTxn(c *client, name string, txn *ast.Txn) {
+func (o *obsState) beginTxn(c *client, name string) {
 	c.obsInst = len(o.txns)
 	o.txns = append(o.txns, name)
-	c.obsMeta = o.metaFor(name, txn)
 	c.pend = c.pend[:0]
 }
 
-// wrap prepares the reusable recording view for one command executing at
-// replica rep against inner; nil when the command is unmapped (a defect —
-// the run fails through metaFor's error).
-func (o *obsState) wrap(c *client, cmd ast.DBCommand, inner DBView, rep int) *obsView {
-	cidx, ok := c.obsMeta.cmdIdx[cmd]
-	if !ok {
-		return nil
-	}
-	v := &o.view
-	v.inner = inner
-	v.table = c.obsMeta.tables[cidx]
-	v.fields = c.obsMeta.readSet[cidx]
-	v.reads = v.reads[:0]
-	v.cidx = cidx
-	v.rep = rep
-	v.prefix = len(o.logs[rep])
-	return v
-}
-
-// record builds the command's observation record. The view is the apply
-// log prefix of the executing replica at execution time; full-slice
-// expressions keep it immutable as the log grows.
-func (o *obsState) record(c *client, v *obsView, writes []WriteOp, ts int64) DirectedObs {
+// crecord builds the record of the command fr just executed at replica rep.
+// The view is the replica's apply log as it stands — nothing is logged
+// between a command's execution and its record — and full-slice expressions
+// keep it immutable as the log grows.
+func (o *obsState) crecord(c *client, fr *cframe, rep int, writes []cwrite, ts int64) DirectedObs {
+	cmd := fr.executed()
+	ms := o.d.replicas[rep].state
+	n := len(o.logs[rep])
 	return DirectedObs{
 		Inst:   c.obsInst,
-		Cmd:    v.cidx,
+		Cmd:    int(cmd.idx),
 		TS:     ts,
-		View:   o.logs[v.rep][:v.prefix:v.prefix],
-		Reads:  append([]ReadObs(nil), v.reads...),
-		Writes: writes,
+		View:   o.logs[rep][:n:n],
+		Reads:  ms.namedReads(nil, cmd.tid, fr.reads),
+		Writes: ms.namedWrites(nil, writes),
 	}
 }
 
-// recordEC records one EC statement immediately and, when it wrote,
-// appends its batch to the home replica's apply log, returning the refs
-// to ship with replication.
-func (o *obsState) recordEC(c *client, v *obsView, writes []WriteOp, ts int64) []BatchRef {
-	if v == nil {
-		return nil
-	}
-	ob := o.record(c, v, writes, ts)
+// recordEC records one EC statement immediately and, when it wrote, appends
+// its batch to the home replica's apply log, returning the ref to ship with
+// replication.
+func (o *obsState) recordEC(ob DirectedObs, rep int) []BatchRef {
 	o.obs = append(o.obs, ob)
-	if len(writes) == 0 {
+	if len(ob.Writes) == 0 {
 		return nil
 	}
-	ref := BatchRef{Inst: c.obsInst, Cmd: v.cidx, TS: ts}
-	o.logs[v.rep] = append(o.logs[v.rep], ref)
-	return o.logs[v.rep][len(o.logs[v.rep])-1:]
-}
-
-// recordSC buffers one SC statement's record on the client until the
-// attempt commits (TS is patched then) or aborts (the buffer is simply
-// cleared at the next begin).
-func (o *obsState) recordSC(c *client, v *obsView, writes []WriteOp) {
-	if v == nil {
-		return
-	}
-	c.pend = append(c.pend, o.record(c, v, writes, 0))
+	o.logs[rep] = append(o.logs[rep], BatchRef{Inst: ob.Inst, Cmd: ob.Cmd, TS: ob.TS})
+	return o.logs[rep][len(o.logs[rep])-1:]
 }
 
 // flushSC publishes a committed SC attempt's buffered records: writing
@@ -178,44 +97,29 @@ func (o *obsState) flushSC(c *client, ts int64) []BatchRef {
 }
 
 // delivered mirrors a replicated batch's refs into the receiving
-// replica's apply log (called inside the delivery event, after Apply).
+// replica's apply log (called inside the delivery event, after the apply).
 func (o *obsState) delivered(rep int, refs []BatchRef) {
 	o.logs[rep] = append(o.logs[rep], refs...)
 }
 
-// obsView wraps a command's execution view, recording reads filtered to
-// the command's static read set (the executor materializes whole rows
-// while scanning; the detector's encoding only reads these fields).
-type obsView struct {
-	inner  DBView
-	table  string
-	fields map[string]bool
-	reads  []ReadObs
-	cidx   int
-	rep    int
-	prefix int
+// namedReads appends a command's recorded reads on table tid to dst in the
+// name-based form records carry: a slot becomes its key through the
+// directory, once per command.
+func (ms *MatStore) namedReads(dst []ReadObs, tid int32, reads []cread) []ReadObs {
+	t := &ms.tabs[tid]
+	dst = slices.Grow(dst, len(reads))
+	for _, r := range reads {
+		dst = append(dst, ReadObs{Table: t.ct.name, Key: t.dir.keys[r.slot], Field: t.ct.fields[r.fid]})
+	}
+	return dst
 }
 
-// Schema implements DBView.
-func (v *obsView) Schema(table string) *ast.Schema { return v.inner.Schema(table) }
-
-// Keys implements DBView.
-func (v *obsView) Keys(table string) []store.Key { return v.inner.Keys(table) }
-
-// Read implements DBView, recording filtered observations.
-func (v *obsView) Read(table string, key store.Key, field string) store.Value {
-	if table == v.table && v.fields[field] {
-		v.reads = append(v.reads, ReadObs{Table: table, Key: key, Field: field})
+// namedWrites does the same for the writes a command produced.
+func (ms *MatStore) namedWrites(dst []WriteOp, ws []cwrite) []WriteOp {
+	dst = slices.Grow(dst, len(ws))
+	for _, w := range ws {
+		t := &ms.tabs[w.tid]
+		dst = append(dst, WriteOp{Table: t.ct.name, Key: t.dir.keys[w.slot], Field: t.ct.fields[w.fid], Val: w.val})
 	}
-	return v.inner.Read(table, key, field)
-}
-
-// Alive implements DBView, delegating to the wrapped view's semantics and
-// recording the presence check as an alive-field read (phantom
-// dependencies flow through the alive field).
-func (v *obsView) Alive(table string, key store.Key) bool {
-	if table == v.table && v.fields[ast.AliveField] {
-		v.reads = append(v.reads, ReadObs{Table: table, Key: key, Field: ast.AliveField})
-	}
-	return v.inner.Alive(table, key)
+	return dst
 }

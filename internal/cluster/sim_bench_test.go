@@ -40,7 +40,7 @@ func benchSim(b *testing.B, benchName string, mode Mode, interp bool) {
 		Warmup:         100 * time.Millisecond,
 		Seed:           3,
 		Mode:           mode,
-		UseInterpreter: interp,
+		useInterpreter: interp,
 		Ops:            int64(b.N),
 	}
 	if mode == ModeATSC {

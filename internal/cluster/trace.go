@@ -9,12 +9,11 @@ import (
 // Trace records a run's execution history — every applied write batch with
 // its merge timestamp and replica, every commit with its virtual time and
 // client, every SC abort — as one canonical string per event. The
-// differential tests assert that the compiled executor and the AST
-// interpreter produce byte-identical traces for a fixed seed (DESIGN.md
-// §9). Writes within a batch are sorted by table/key/field name before
-// rendering: the two engines emit batch members in different (state-
-// equivalent) orders, and the canonical form erases exactly that
-// difference and nothing else.
+// differential tests assert that the executor and their AST reference
+// produce byte-identical traces for a fixed seed (DESIGN.md §9). Writes
+// within a batch are sorted by table/key/field name before rendering: the
+// two emit batch members in different (state-equivalent) orders, and the
+// canonical form erases exactly that difference and nothing else.
 type Trace struct {
 	Events []string
 }
@@ -24,24 +23,16 @@ func (tr *Trace) add(s string) { tr.Events = append(tr.Events, s) }
 // applyC records a compiled write batch applied at the replica whose store is
 // ms: the writes name their records by slot, the directory has the keys.
 func (tr *Trace) applyC(now int64, rep int, ts int64, ms *MatStore, ws []cwrite) {
-	parts := make([]string, len(ws))
-	for i, w := range ws {
-		t := &ms.tabs[w.tid]
-		parts[i] = fmt.Sprintf("%s/%q.%s=%s", t.ct.name, string(t.dir.keys[w.slot]), t.ct.fields[w.fid], w.val)
-	}
-	tr.addApply(now, rep, ts, parts)
+	tr.applyOps(now, rep, ts, ms.namedWrites(nil, ws))
 }
 
-// applyOps records an interpreter write batch applied at a replica.
+// applyOps records a write batch in name-based form (a directed run's, from
+// its observation records, arrives so).
 func (tr *Trace) applyOps(now int64, rep int, ts int64, ws []WriteOp) {
 	parts := make([]string, len(ws))
 	for i, w := range ws {
 		parts[i] = fmt.Sprintf("%s/%q.%s=%s", w.Table, string(w.Key), w.Field, w.Val)
 	}
-	tr.addApply(now, rep, ts, parts)
-}
-
-func (tr *Trace) addApply(now int64, rep int, ts int64, parts []string) {
 	sort.Strings(parts)
 	tr.add(fmt.Sprintf("%d r%d ts%d %s", now, rep, ts, strings.Join(parts, " ")))
 }

@@ -153,3 +153,34 @@ func TestProgenOutcomesGolden(t *testing.T) {
 
 // progenOutcomesGolden was recorded on the clone-per-command replayer.
 const progenOutcomesGolden = 0x61b4e2cd19d7456
+
+// TestRefusedTxnIsRunFailed: certification has one engine. A pair whose
+// transaction the simulator's compiler refuses (uuid() outside an insert —
+// sema accepts it) is reported "run failed" with the compile error naming
+// the transaction; it is not certified on some other executor.
+func TestRefusedTxnIsRunFailed(t *testing.T) {
+	prog, err := sema.Load(`
+table T { a: int key, b: int, }
+txn stamp(k: int) {
+  x := select b from T where a = k;
+  update T set b = uuid() where a = k;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := anomaly.NewSession(anomaly.EC)
+	s.RecordWitnesses()
+	rep, err := s.Detect(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := replay.Certify(prog, rep)
+	if cert.Total == 0 || cert.Certified != 0 {
+		t.Fatalf("%d pairs, %d certified; want some pairs and none certified", cert.Total, cert.Certified)
+	}
+	for _, out := range cert.Outcomes {
+		if want := "run failed: cluster: stamp: compile: uuid() outside insert"; out.Reason != want || !out.Lowered {
+			t.Errorf("%s: lowered=%t reason %q, want lowered and %q", out.Pair, out.Lowered, out.Reason, want)
+		}
+	}
+}
