@@ -46,8 +46,9 @@ race-par:
 # a smoke test that each driver still runs, not a measurement — followed by
 # the allocation-regression gate: allocs/op of the repair pipeline
 # (BenchmarkTable1_*), the simulator (BenchmarkSim*; the *Interp ones run
-# the tests' AST reference on the same workload) and witness certification
-# (BenchmarkCertify_*: directed runs on the simulator's executor) are
+# the tests' AST reference on the same workload), witness certification
+# (BenchmarkCertify_*: directed runs on the simulator's executor) and the
+# invariant study (BenchmarkInvariants_*: directed and serial runs) are
 # deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
 # clock stays informational, like the drift gate). The output lands in

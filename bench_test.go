@@ -156,6 +156,7 @@ func BenchmarkFig16_SmallBank(b *testing.B) {
 // --- Appendix A.2: SmallBank invariants ---
 
 func BenchmarkInvariants_SmallBank(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.Invariants(10, int64(i)); err != nil {
 			b.Fatal(err)

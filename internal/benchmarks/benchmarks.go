@@ -75,6 +75,20 @@ type TableRow struct {
 	Row   store.Row
 }
 
+// RowsOf returns a row set's alive records as loadable rows, in schema and
+// key order.
+func RowsOf(db *store.DB, prog *ast.Program) []TableRow {
+	var out []TableRow
+	for _, s := range prog.Schemas {
+		for _, k := range db.Keys(s.Name) {
+			if db.Alive(s.Name, k) {
+				out = append(out, TableRow{Table: s.Name, Row: db.Row(s.Name, k)})
+			}
+		}
+	}
+	return out
+}
+
 // Benchmark is one evaluation program plus its workload description.
 type Benchmark struct {
 	Name   string

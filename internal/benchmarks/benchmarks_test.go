@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"atropos/internal/interp"
 	"atropos/internal/store"
 )
 
@@ -100,35 +99,6 @@ func TestRowsLoadable(t *testing.T) {
 			for _, r := range rows {
 				if _, err := db.Load(r.Table, r.Row); err != nil {
 					t.Fatalf("Load %s: %v", r.Table, err)
-				}
-			}
-		})
-	}
-}
-
-// TestWorkloadRunsSerially executes a few hundred mixed transactions of
-// each benchmark under serializable semantics: every transaction must run
-// without interpreter errors.
-func TestWorkloadRunsSerially(t *testing.T) {
-	for _, b := range All() {
-		t.Run(b.Name, func(t *testing.T) {
-			p, err := b.Program()
-			if err != nil {
-				t.Fatal(err)
-			}
-			db := store.NewDB(p)
-			scale := Scale{Records: 30}
-			for _, r := range b.Rows(scale) {
-				if _, err := db.Load(r.Table, r.Row); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rng := rand.New(rand.NewSource(42))
-			for i := 0; i < 200; i++ {
-				m := b.PickTxn(rng)
-				call := interp.Call{Txn: m.Txn, Args: m.Args(rng, scale)}
-				if _, err := interp.RunSerial(p, db, []interp.Call{call}); err != nil {
-					t.Fatalf("txn %s (iter %d): %v", m.Txn, i, err)
 				}
 			}
 		})

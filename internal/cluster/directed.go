@@ -343,3 +343,84 @@ func (r *directedRun) execOne(inst int) error {
 	}
 	return nil
 }
+
+// FinalState returns the state the run converges to: a copy of base, the
+// state it ran over, with its batches applied in timestamp order and stamped
+// after everything base holds — the run's views read base as older than any
+// batch, whatever timestamps it carries. base is not written.
+func (res *DirectedResult) FinalState(base *MatStore) *MatStore {
+	out := base.Clone()
+	off := out.clock()
+	for i := range res.Obs {
+		o := &res.Obs[i]
+		for _, w := range o.Writes {
+			tid, ct := out.cp.table(w.Table)
+			t := &out.tabs[tid]
+			t.put(t.dir.index[w.Key], ct.fieldID[w.Field], w.Val, off+o.TS)
+		}
+	}
+	return out
+}
+
+// serialUUIDShift spaces the uuid() ranges of a serial run's calls: call i
+// draws from -((i+1)<<20)-1 downwards, a directed run's instances from -1.
+const serialUUIDShift = 20
+
+// RunSerial executes calls one after another on ms, a state this plan
+// seeded, and returns their return values: the serializable reference
+// execution. Each command reads the whole state and its writes are applied
+// before the next command runs, stamped after everything ms already holds.
+// uuid() is scoped by call, so an original and a refactored program running
+// the same calls name their records alike, and no two calls of the run, nor
+// a call and a directed instance over the same state, draw the same value.
+func (p *DirectedPlan) RunSerial(ms *MatStore, calls []DirectedTxn) ([]store.Value, error) {
+	if ms.cp != p.cp {
+		return nil, fmt.Errorf("cluster: serial: state was seeded by another plan")
+	}
+	fr, ts := newCFrame(p.cp), ms.clock()
+	rets := make([]store.Value, len(calls))
+	for i, c := range calls {
+		var err error
+		if ts, err = p.runCall(fr, ms, i, c, ts); err != nil {
+			return nil, fmt.Errorf("call %d (%s): %w", i, c.Name, err)
+		}
+		rets[i] = fr.ret
+	}
+	return rets, nil
+}
+
+// runCall runs call i of a serial run to completion on fr, applying each
+// command's writes to ms at the timestamp after ts, and returns the last one
+// used. Arguments come from outside the program, so they are checked against
+// the parameter list first: the compiled code trusts sema's typing.
+func (p *DirectedPlan) runCall(fr *cframe, ms *MatStore, i int, c DirectedTxn, ts int64) (int64, error) {
+	ct, err := p.txn(c.Name)
+	if err != nil {
+		return ts, err
+	}
+	params := p.prog.Txn(c.Name).Params
+	if len(c.Args) != len(params) {
+		return ts, fmt.Errorf("cluster: expects %d arguments, got %d", len(params), len(c.Args))
+	}
+	for _, pm := range params {
+		if v, ok := c.Args[pm.Name]; !ok || v.T != pm.Type {
+			return ts, fmt.Errorf("cluster: argument %q missing or not of type %v", pm.Name, pm.Type)
+		}
+	}
+	fr.reset(ct, c.Args)
+	uuid := UUIDGen{next: int64(i+1) << serialUUIDShift}
+	for {
+		cmd, err := fr.advance()
+		if err != nil || cmd == nil {
+			return ts, err
+		}
+		writes, err := fr.exec(cview{ms: ms}, &uuid)
+		if err != nil {
+			return ts, err
+		}
+		if len(writes) > 0 {
+			ts++
+			ms.applyC(writes, ts)
+		}
+	}
+}

@@ -374,6 +374,20 @@ func (ms *MatStore) Keys(table string) []store.Key {
 	return ms.tabs[tid].sortedKeys()
 }
 
+// clock returns the greatest timestamp the store holds; a writer that is to
+// win last-writer-wins over all of it stamps from clock()+1.
+func (ms *MatStore) clock() int64 {
+	var hi int64
+	for i := range ms.tabs {
+		for _, pg := range ms.tabs[i].pages {
+			for _, ts := range pg.ts {
+				hi = max(hi, ts)
+			}
+		}
+	}
+	return hi
+}
+
 // applyC merges a compiled write batch.
 func (ms *MatStore) applyC(ws []cwrite, ts int64) {
 	for i := range ws {

@@ -31,9 +31,7 @@ type DBView interface {
 
 // TxnExec executes one transaction instance statement by statement against
 // a DBView, producing (but not applying) writes. Control commands cost
-// nothing; each Exec call performs exactly one database command. This is
-// the cluster simulator's counterpart of interp.Instance, operating on
-// materialized replica state instead of the event store.
+// nothing; each Exec call performs exactly one database command.
 type TxnExec struct {
 	prog   *ast.Program
 	txn    *ast.Txn

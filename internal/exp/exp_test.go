@@ -133,6 +133,9 @@ func TestInvariantsExperiment(t *testing.T) {
 	if res.Repaired.Violations[1] != 0 {
 		t.Errorf("deposit-history invariant still violated after repair")
 	}
+	if res.Repaired.Violations[0] == 0 {
+		t.Errorf("non-negative invariant clean after repair: transactSavings' overdraft guard is not repairable")
+	}
 	t.Logf("\n%s", res.Format())
 }
 

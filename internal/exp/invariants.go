@@ -32,7 +32,7 @@ func Invariants(runsPer int, seed int64) (*InvariantsResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invariants: original: %w", err)
 	}
-	rep, err := repair.Run(context.Background(), prog, anomaly.EC)
+	rep, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1)) // allocs/op of the study are gated
 	if err != nil {
 		return nil, err
 	}

@@ -161,22 +161,7 @@ func MigrateRows(orig, refactored *ast.Program, corrs []refactor.ValueCorr, rows
 	if err != nil {
 		return nil, err
 	}
-	return DumpRows(mdb, refactored), nil
-}
-
-// DumpRows materializes a store's full view as loadable rows.
-func DumpRows(db *store.DB, prog *ast.Program) []benchmarks.TableRow {
-	view := db.FullView()
-	var out []benchmarks.TableRow
-	for _, s := range prog.Schemas {
-		for _, k := range view.Keys(s.Name) {
-			if !view.Alive(s.Name, k) {
-				continue
-			}
-			out = append(out, benchmarks.TableRow{Table: s.Name, Row: view.Row(s.Name, k)})
-		}
-	}
-	return out
+	return benchmarks.RowsOf(mdb, refactored), nil
 }
 
 // Format renders the panel: throughput and latency per series, matching

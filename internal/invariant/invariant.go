@@ -7,14 +7,16 @@
 //  3. clients always witness a consistent joint state of their savings and
 //     checking accounts (no intermediate transfer states).
 //
-// Each invariant is driven by a scenario: a set of concurrent transaction
-// invocations whose serializable outcomes are known, executed repeatedly
-// under the interpreter's EC view policy with random schedules. A run that
-// produces a result outside the serializable outcome set is a violation.
-// The same scenarios run against the original and the repaired program
-// (the repaired program keeps the transaction names and signatures, so
-// the scenarios transfer verbatim; its initial state comes from the data
-// migration).
+// Each invariant is driven by a scenario: two concurrent transaction
+// invocations whose serializable outcomes are known, executed repeatedly as
+// directed runs of the cluster simulator's executor — a random interleaving
+// of the two instances' commands and, per pair of commands, a coin flip on
+// whether the later one's view holds the earlier one's writes (EC: any
+// subset of the other instance's batches). A run that produces a result
+// outside the serializable outcome set is a violation. The same scenarios
+// run against the original and the repaired program (the repaired program
+// keeps the transaction names and signatures, so the scenarios transfer
+// verbatim; its initial state comes from the data migration).
 package invariant
 
 import (
@@ -23,7 +25,7 @@ import (
 
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
-	"atropos/internal/interp"
+	"atropos/internal/cluster"
 	"atropos/internal/refactor"
 	"atropos/internal/store"
 )
@@ -67,6 +69,66 @@ type Config struct {
 	Seed     int64
 }
 
+// scenario is one invariant's race: two instances and the outcomes a serial
+// execution of them could produce.
+type scenario struct {
+	txns [2]cluster.DirectedTxn
+	// savings0, when non-zero, is customer 0's savings balance at the start
+	// (the configured rows give every account 1000).
+	savings0 int64
+	// The outcome is balance(cust) run serially on the state the run
+	// converged to, or, with cust < 0, what the second instance returned.
+	cust         int64
+	serializable func(outcome int64) bool
+}
+
+type ints map[string]int64
+
+func call(txn string, args ints) cluster.DirectedTxn {
+	vals := map[string]store.Value{}
+	for name, v := range args {
+		vals[name] = store.IntV(v)
+	}
+	return cluster.DirectedTxn{Name: txn, Args: vals}
+}
+
+var scenarios = []scenario{
+	// Non-negative balance: savings starts at 100 and two withdrawals of 80
+	// race. Serially at most one passes the overdraft guard, leaving 20 +
+	// checking 1000; a total below 1000 means savings went negative.
+	{
+		txns: [2]cluster.DirectedTxn{
+			call("transactSavings", ints{"cust": 0, "amt": -80}),
+			call("transactSavings", ints{"cust": 0, "amt": -80}),
+		},
+		savings0:     100,
+		serializable: func(total int64) bool { return total >= 1000 },
+	},
+	// Deposit history: two deposits of 10 into one checking account race.
+	// Serializable outcome: savings 1000 + checking 1000 + 20; anything else
+	// lost a deposit.
+	{
+		txns: [2]cluster.DirectedTxn{
+			call("depositChecking", ints{"cust": 1, "amt": 10}),
+			call("depositChecking", ints{"cust": 1, "amt": 10}),
+		},
+		cust:         1,
+		serializable: func(total int64) bool { return total == 2020 },
+	},
+	// Joint view: a client reads balance(2) while amalgamate(2,3) moves all
+	// of customer 2's funds to customer 3. The reader's serializable
+	// outcomes are 2000 (before) and 0 (after); any other value witnessed an
+	// intermediate transfer state.
+	{
+		txns: [2]cluster.DirectedTxn{
+			call("amalgamate", ints{"src": 2, "dst": 3}),
+			call("balance", ints{"cust": 2}),
+		},
+		cust:         -1,
+		serializable: func(seen int64) bool { return seen == 2000 || seen == 0 },
+	},
+}
+
 // CheckSmallBank executes the three invariant scenarios and reports
 // violations.
 func CheckSmallBank(cfg Config) (Report, error) {
@@ -74,20 +136,28 @@ func CheckSmallBank(cfg Config) (Report, error) {
 		cfg.RunsPer = 40
 	}
 	rep := Report{}
-	scenarios := []func(cfg Config, rng *rand.Rand) (bool, error){
-		scenarioNonNegative,
-		scenarioDepositHistory,
-		scenarioJointView,
-	}
+	plan := cluster.NewDirectedPlan(cfg.Program)
 	for i, sc := range scenarios {
+		base, err := seed(cfg, plan, sc)
+		if err != nil {
+			return rep, fmt.Errorf("invariant %d: %w", i+1, err)
+		}
 		for run := 0; run < cfg.RunsPer; run++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(i*10_000+run)))
-			violated, err := sc(cfg, rng)
+			res, err := plan.Run(base, schedule(cfg.Program, sc.txns, rng))
 			if err != nil {
 				return rep, fmt.Errorf("invariant %d run %d: %w", i+1, run, err)
 			}
+			outcome := res.Ret[1].I
+			if sc.cust >= 0 {
+				ret, err := plan.RunSerial(res.FinalState(base), []cluster.DirectedTxn{call("balance", ints{"cust": sc.cust})})
+				if err != nil {
+					return rep, fmt.Errorf("invariant %d run %d: %w", i+1, run, err)
+				}
+				outcome = ret[0].I
+			}
 			rep.Runs++
-			if violated {
+			if !sc.serializable(outcome) {
 				rep.Violations[i]++
 			}
 		}
@@ -95,118 +165,61 @@ func CheckSmallBank(cfg Config) (Report, error) {
 	return rep, nil
 }
 
-// newDB loads (and if needed migrates) the initial state.
-func newDB(cfg Config) (*store.DB, error) {
-	orig := cfg.Original
-	if orig == nil {
-		orig = cfg.Program
-	}
-	db := store.NewDB(orig)
-	for _, r := range cfg.Rows {
-		if _, err := db.Load(r.Table, r.Row); err != nil {
-			return nil, err
+// seed builds the scenario's initial state, migrated through the repair's
+// correspondences when the program under test is the repaired one.
+func seed(cfg Config, plan *cluster.DirectedPlan, sc scenario) (*cluster.MatStore, error) {
+	rows := cfg.Rows
+	if sc.savings0 != 0 {
+		rows = append([]benchmarks.TableRow(nil), rows...)
+		for i, r := range rows {
+			if r.Table == "SAVINGS" && r.Row["sav_cust"].I == 0 {
+				rows[i].Row = store.Row{"sav_cust": store.IntV(0), "sav_bal": store.IntV(sc.savings0)}
+			}
 		}
 	}
-	if orig == cfg.Program {
-		return db, nil
+	if orig := cfg.Original; orig != nil && orig != cfg.Program {
+		db := store.NewDB(orig)
+		for _, r := range rows {
+			if _, err := db.Load(r.Table, r.Row); err != nil {
+				return nil, err
+			}
+		}
+		mdb, err := refactor.Migrate(db, orig, cfg.Program, cfg.Corrs)
+		if err != nil {
+			return nil, err
+		}
+		rows = benchmarks.RowsOf(mdb, cfg.Program)
 	}
-	return refactor.Migrate(db, orig, cfg.Program, cfg.Corrs)
+	return plan.Seed(rows)
 }
 
-// runConcurrent executes the calls under EC with a random schedule and
-// returns the finished instances.
-func runConcurrent(cfg Config, db *store.DB, rng *rand.Rand, calls []interp.Call) ([]*interp.Instance, error) {
-	policy := &interp.ECPolicy{Rng: rng}
-	return interp.RunConcurrent(cfg.Program, db, policy, calls, rng)
-}
-
-// readBalance runs balance(cust) serially on the final state.
-func readBalance(cfg Config, db *store.DB, cust int64) (int64, error) {
-	res, err := interp.RunSerial(cfg.Program, db, []interp.Call{
-		{Txn: "balance", Args: map[string]store.Value{"cust": store.IntV(cust)}},
-	})
-	if err != nil {
-		return 0, err
+// schedule draws one EC execution of the two instances: a random
+// interleaving that keeps each instance's program order, and for every
+// (earlier command, later command) pair across the instances whether the
+// later one sees the earlier one's writes, at probability one half.
+func schedule(prog *ast.Program, txns [2]cluster.DirectedTxn, rng *rand.Rand) cluster.DirectedConfig {
+	var n, next [2]int
+	for inst, t := range txns {
+		n[inst] = len(ast.Commands(prog.Txn(t.Name).Body))
 	}
-	return res[0].I, nil
-}
-
-// scenarioNonNegative: savings starts at 100; two concurrent withdrawals
-// of 80 race. Serially at most one succeeds, so the final total (savings
-// 20 + checking 1000) is 1020 — or 1100/... if both guards failed. A total
-// below 1000 means savings went negative: invariant 1 violated.
-func scenarioNonNegative(cfg Config, rng *rand.Rand) (bool, error) {
-	db, err := newDB(cfg)
-	if err != nil {
-		return false, err
+	cfg := cluster.DirectedConfig{Txns: txns}
+	for next[0] < n[0] || next[1] < n[1] {
+		inst := rng.Intn(2)
+		if next[inst] == n[inst] {
+			inst = 1 - inst
+		}
+		cfg.Steps = append(cfg.Steps, cluster.DirectedStep{Inst: inst, Cmd: next[inst]})
+		next[inst]++
 	}
-	cust := store.IntV(0)
-	// Lower savings to 100 first (serial prologue: withdraw 900).
-	if _, err := interp.RunSerial(cfg.Program, db, []interp.Call{
-		{Txn: "transactSavings", Args: map[string]store.Value{"cust": cust, "amt": store.IntV(-900)}},
-	}); err != nil {
-		return false, err
+	vis := make([]bool, 2*n[0]*n[1])
+	for i := range vis {
+		vis[i] = rng.Float64() < 0.5
 	}
-	calls := []interp.Call{
-		{Txn: "transactSavings", Args: map[string]store.Value{"cust": cust, "amt": store.IntV(-80)}},
-		{Txn: "transactSavings", Args: map[string]store.Value{"cust": cust, "amt": store.IntV(-80)}},
+	cfg.Vis = func(fromInst, fromCmd, toInst, toCmd int) bool {
+		if fromInst == 0 {
+			return vis[fromCmd*n[1]+toCmd]
+		}
+		return vis[n[0]*n[1]+toCmd*n[1]+fromCmd]
 	}
-	if _, err := runConcurrent(cfg, db, rng, calls); err != nil {
-		return false, err
-	}
-	total, err := readBalance(cfg, db, 0)
-	if err != nil {
-		return false, err
-	}
-	return total < 1000, nil
-}
-
-// scenarioDepositHistory: four concurrent deposits of 10 into checking.
-// Serializable outcome: initial 1000 + 40. Anything less lost a deposit:
-// invariant 2 violated.
-func scenarioDepositHistory(cfg Config, rng *rand.Rand) (bool, error) {
-	db, err := newDB(cfg)
-	if err != nil {
-		return false, err
-	}
-	var calls []interp.Call
-	for i := 0; i < 4; i++ {
-		calls = append(calls, interp.Call{
-			Txn:  "depositChecking",
-			Args: map[string]store.Value{"cust": store.IntV(1), "amt": store.IntV(10)},
-		})
-	}
-	if _, err := runConcurrent(cfg, db, rng, calls); err != nil {
-		return false, err
-	}
-	total, err := readBalance(cfg, db, 1)
-	if err != nil {
-		return false, err
-	}
-	// balance = savings (1000) + checking (1000 + 4×10).
-	return total != 2040, nil
-}
-
-// scenarioJointView: a client reads balance(2) while amalgamate(2,3) moves
-// all of customer 2's funds to customer 3. Serializable outcomes for the
-// reader: 2000 (before) or 0 (after). Any other value witnessed an
-// intermediate transfer state: invariant 3 violated.
-func scenarioJointView(cfg Config, rng *rand.Rand) (bool, error) {
-	db, err := newDB(cfg)
-	if err != nil {
-		return false, err
-	}
-	calls := []interp.Call{
-		{Txn: "amalgamate", Args: map[string]store.Value{"src": store.IntV(2), "dst": store.IntV(3)}},
-		{Txn: "balance", Args: map[string]store.Value{"cust": store.IntV(2)}},
-	}
-	instances, err := runConcurrent(cfg, db, rng, calls)
-	if err != nil {
-		return false, err
-	}
-	v, ok := instances[1].Result()
-	if !ok {
-		return false, fmt.Errorf("balance returned nothing")
-	}
-	return v.I != 2000 && v.I != 0, nil
+	return cfg
 }

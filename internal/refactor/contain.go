@@ -21,8 +21,6 @@ import (
 // the refactored program) are compared under the identity correspondence.
 // It returns nil when containment holds.
 func Contains(orig, ref *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) error {
-	origView := orig.FullView()
-	refView := ref.FullView()
 	corrFor := func(table, field string) *ValueCorr {
 		for i := range corrs {
 			if corrs[i].SrcTable == table && corrs[i].SrcField == field {
@@ -33,20 +31,20 @@ func Contains(orig, ref *store.DB, origProg, refProg *ast.Program, corrs []Value
 	}
 	for _, s := range origProg.Schemas {
 		refSchema := refProg.Schema(s.Name)
-		for _, key := range origView.Keys(s.Name) {
-			if !origView.Alive(s.Name, key) {
+		for _, key := range orig.Keys(s.Name) {
+			if !orig.Alive(s.Name, key) {
 				continue
 			}
-			row := origView.Row(s.Name, key)
+			row := orig.Row(s.Name, key)
 			for _, f := range s.Fields {
 				if v := corrFor(s.Name, f.Name); v != nil {
-					if err := checkCorr(refView, refProg, *v, row, f.Name); err != nil {
+					if err := checkCorr(ref, refProg, *v, row, f.Name); err != nil {
 						return fmt.Errorf("refactor: containment: %s[%v].%s: %w", s.Name, key, f.Name, err)
 					}
 					continue
 				}
 				if refSchema != nil && refSchema.HasField(f.Name) {
-					if err := checkIdentity(refView, refProg, s, row, key, f.Name); err != nil {
+					if err := checkIdentity(ref, refProg, s, row, key, f.Name); err != nil {
 						return fmt.Errorf("refactor: containment: %s[%v].%s: %w", s.Name, key, f.Name, err)
 					}
 					continue
@@ -78,13 +76,13 @@ func pkCovered(corrs []ValueCorr, table, field string) bool {
 
 // thetaImage collects the destination records θ(r) for an original record
 // with the given row valuation.
-func thetaImage(refView *store.View, refProg *ast.Program, v ValueCorr, row store.Row) []store.Key {
+func thetaImage(ref *store.DB, refProg *ast.Program, v ValueCorr, row store.Row) []store.Key {
 	var out []store.Key
 	if refProg.Schema(v.DstTable) == nil {
 		return nil
 	}
-	for _, k := range refView.Keys(v.DstTable) {
-		if !refView.Alive(v.DstTable, k) {
+	for _, k := range ref.Keys(v.DstTable) {
+		if !ref.Alive(v.DstTable, k) {
 			continue
 		}
 		match := true
@@ -94,7 +92,7 @@ func thetaImage(refView *store.View, refProg *ast.Program, v ValueCorr, row stor
 				match = false
 				break
 			}
-			got, _ := refView.Read(v.DstTable, k, dstField)
+			got := ref.Read(v.DstTable, k, dstField)
 			if !got.Equal(want) {
 				match = false
 				break
@@ -109,8 +107,8 @@ func thetaImage(refView *store.View, refProg *ast.Program, v ValueCorr, row stor
 
 // checkCorr verifies X(r.f) = α({ X′(r′.f′) | r′ ∈ θ(r) }) for one record
 // and correspondence.
-func checkCorr(refView *store.View, refProg *ast.Program, v ValueCorr, row store.Row, field string) error {
-	image := thetaImage(refView, refProg, v, row)
+func checkCorr(ref *store.DB, refProg *ast.Program, v ValueCorr, row store.Row, field string) error {
+	image := thetaImage(ref, refProg, v, row)
 	want := row[field]
 	if len(image) == 0 {
 		// Total-table reading (§3: a table conceptually contains a record
@@ -127,7 +125,7 @@ func checkCorr(refView *store.View, refProg *ast.Program, v ValueCorr, row store
 		// any is a nondeterministic choice: the original value must be one
 		// of the values carried by the corresponding records.
 		for _, k := range image {
-			got, _ := refView.Read(v.DstTable, k, v.DstField)
+			got := ref.Read(v.DstTable, k, v.DstField)
 			if got.Equal(want) {
 				return nil
 			}
@@ -136,7 +134,7 @@ func checkCorr(refView *store.View, refProg *ast.Program, v ValueCorr, row store
 	case ast.AggSum:
 		var total int64
 		for _, k := range image {
-			got, _ := refView.Read(v.DstTable, k, v.DstField)
+			got := ref.Read(v.DstTable, k, v.DstField)
 			total += got.I
 		}
 		if want.T != ast.TInt || total != want.I {
@@ -149,11 +147,11 @@ func checkCorr(refView *store.View, refProg *ast.Program, v ValueCorr, row store
 }
 
 // checkIdentity compares a field that survived the refactoring unchanged.
-func checkIdentity(refView *store.View, refProg *ast.Program, s *ast.Schema, row store.Row, key store.Key, field string) error {
-	if !refView.Alive(s.Name, key) {
+func checkIdentity(ref *store.DB, refProg *ast.Program, s *ast.Schema, row store.Row, key store.Key, field string) error {
+	if !ref.Alive(s.Name, key) {
 		return fmt.Errorf("record missing in refactored table")
 	}
-	got, _ := refView.Read(s.Name, key, field)
+	got := ref.Read(s.Name, key, field)
 	if !got.Equal(row[field]) {
 		return fmt.Errorf("identity mismatch: original %s, refactored %s", row[field], got)
 	}
@@ -167,9 +165,8 @@ func checkIdentity(refView *store.View, refProg *ast.Program, s *ast.Schema, row
 // current value. This is the schema-migration step a deployment of the
 // refactored program would run.
 func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) (*store.DB, error) {
-	origView := orig.FullView()
 	// Migration-created log identifiers live in a range disjoint from
-	// runtime uuid() values (instance-scoped negatives well above -1e15),
+	// runtime uuid() values (call- or run-scoped negatives well above -1e15),
 	// so later inserts can never collide with migrated rows.
 	migSeq := int64(0)
 	migID := func() store.Value {
@@ -184,11 +181,11 @@ func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) 
 		if origProg.Schema(s.Name) == nil {
 			continue // introduced table: filled by correspondences below
 		}
-		for _, k := range origView.Keys(s.Name) {
-			if !origView.Alive(s.Name, k) {
+		for _, k := range orig.Keys(s.Name) {
+			if !orig.Alive(s.Name, k) {
 				continue
 			}
-			origRow := origView.Row(s.Name, k)
+			origRow := orig.Row(s.Name, k)
 			nr := store.Row{}
 			for _, f := range s.Fields {
 				if v, ok := origRow[f.Name]; ok {
@@ -211,11 +208,11 @@ func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) 
 		if dstSchema == nil {
 			return nil, fmt.Errorf("refactor: migrate: destination table %q absent from refactored program", v.DstTable)
 		}
-		for _, sk := range origView.Keys(v.SrcTable) {
-			if !origView.Alive(v.SrcTable, sk) {
+		for _, sk := range orig.Keys(v.SrcTable) {
+			if !orig.Alive(v.SrcTable, sk) {
 				continue
 			}
-			srcRow := origView.Row(v.SrcTable, sk)
+			srcRow := orig.Row(v.SrcTable, sk)
 			if v.Logging {
 				// Seed the log with the current value.
 				nr := store.Row{}

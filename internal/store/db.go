@@ -7,74 +7,20 @@ import (
 	"atropos/internal/ast"
 )
 
-// Write is one field assignment within a batch.
-type Write struct {
-	Table string
-	Rec   Key
-	Field string
-	Val   Value
-}
-
-// Batch is the record-atomic unit of the semantics: the set of write events
-// generated by one database command, all sharing one execution-counter value
-// (paper Fig. 6, update rule: "the set of corresponding write events all
-// have the same timestamp value").
-type Batch struct {
-	ID     int
-	TS     int
-	TxnID  int
-	Cmd    string // qualified command label, e.g. "regSt.U2"
-	Writes []Write
-	// Deps are the IDs of batches visible to the command that produced this
-	// batch — the vis edges of the semantics, used by causal view policies
-	// and by the dynamic anomaly witnesses in tests.
-	Deps []int
-}
-
-// ReadEvent records one field retrieval (the rd(τ,r,f) events of §3.1),
-// kept for execution-history analysis.
-type ReadEvent struct {
-	TS    int
-	TxnID int
-	Cmd   string
-	Table string
-	Rec   Key
-	Field string
-	Val   Value
-	// FromBatch is the batch the value was read from, or -1 for the initial
-	// state.
-	FromBatch int
-}
-
-// DB is a database state Σ = (str, vis, cnt): an initial table state plus
-// the history of committed write batches. It is not safe for concurrent use;
-// the exploration harness and the interpreter drive it from one goroutine.
+// DB is a loaded row set: per table of a program, the records installed by
+// Load, read by name. It is what schema migration and the containment check
+// work on; execution state lives in the cluster simulator's store.
 type DB struct {
 	schemas map[string]*ast.Schema
-	initial map[string]map[Key]Row
-	batches []*Batch
-	reads   []ReadEvent
-	cnt     int
-	// writersByLoc indexes batch IDs by (table, rec, field) for fast reads.
-	writersByLoc map[locKey][]int
+	rows    map[string]map[Key]Row
 }
 
-type locKey struct {
-	table string
-	rec   Key
-	field string
-}
-
-// NewDB creates an empty database for the program's schemas.
+// NewDB creates an empty row set for the program's schemas.
 func NewDB(p *ast.Program) *DB {
-	db := &DB{
-		schemas:      map[string]*ast.Schema{},
-		initial:      map[string]map[Key]Row{},
-		writersByLoc: map[locKey][]int{},
-	}
+	db := &DB{schemas: map[string]*ast.Schema{}, rows: map[string]map[Key]Row{}}
 	for _, s := range p.Schemas {
 		db.schemas[s.Name] = s
-		db.initial[s.Name] = map[Key]Row{}
+		db.rows[s.Name] = map[Key]Row{}
 	}
 	return db
 }
@@ -82,9 +28,9 @@ func NewDB(p *ast.Program) *DB {
 // Schema returns the schema of a table, or nil.
 func (db *DB) Schema(table string) *ast.Schema { return db.schemas[table] }
 
-// Load installs an initial record (alive unless the row says otherwise).
-// The key is computed from the row's primary-key fields; missing fields get
-// zero values.
+// Load installs a record (alive unless the row says otherwise). The key is
+// computed from the row's primary-key fields; missing fields get zero
+// values.
 func (db *DB) Load(table string, row Row) (Key, error) {
 	s := db.schemas[table]
 	if s == nil {
@@ -111,157 +57,50 @@ func (db *DB) Load(table string, row Row) (Key, error) {
 		pkVals = append(pkVals, full[pk.Name])
 	}
 	k := MakeKey(pkVals...)
-	db.initial[table][k] = full
+	db.rows[table][k] = full
 	return k, nil
 }
 
-// NextTS increments and returns the execution counter (cnt of §3.1).
-func (db *DB) NextTS() int {
-	db.cnt++
-	return db.cnt
-}
-
-// TS returns the current execution counter without incrementing.
-func (db *DB) TS() int { return db.cnt }
-
-// Commit appends a batch to the history, assigning its ID, and indexes its
-// writes. The batch's TS must come from NextTS.
-func (db *DB) Commit(b *Batch) int {
-	b.ID = len(db.batches)
-	db.batches = append(db.batches, b)
-	for _, w := range b.Writes {
-		lk := locKey{w.Table, w.Rec, w.Field}
-		db.writersByLoc[lk] = append(db.writersByLoc[lk], b.ID)
+// Read returns one field of one record. A table conceptually contains a
+// record for every primary key (§3): fields of a record never loaded read
+// as zero values and its alive as false.
+func (db *DB) Read(table string, rec Key, field string) Value {
+	if val, ok := db.rows[table][rec][field]; ok {
+		return val
 	}
-	return b.ID
-}
-
-// RecordRead appends a read event to the history.
-func (db *DB) RecordRead(e ReadEvent) { db.reads = append(db.reads, e) }
-
-// Batches returns the committed batch history (do not mutate).
-func (db *DB) Batches() []*Batch { return db.batches }
-
-// Reads returns the read-event history (do not mutate).
-func (db *DB) Reads() []ReadEvent { return db.reads }
-
-// NumBatches returns the number of committed batches.
-func (db *DB) NumBatches() int { return len(db.batches) }
-
-// View is a local view Σ' ⊴ Σ: the initial state plus a subset of committed
-// batches. A nil visible set means "all batches" (the strongly consistent
-// view).
-type View struct {
-	db      *DB
-	visible map[int]bool
-}
-
-// NewView constructs a view over a subset of batch IDs; visible == nil means
-// every committed batch is in the view.
-func (db *DB) NewView(visible map[int]bool) *View {
-	return &View{db: db, visible: visible}
-}
-
-// FullView returns the view containing every committed batch.
-func (db *DB) FullView() *View { return &View{db: db} }
-
-// sees reports whether batch id is in the view.
-func (v *View) sees(id int) bool { return v.visible == nil || v.visible[id] }
-
-// VisibleIDs returns the IDs of the batches in the view, ascending.
-func (v *View) VisibleIDs() []int {
-	var ids []int
-	for i := range v.db.batches {
-		if v.sees(i) {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
-
-// Read reconstructs Σ'(r.f): the value written by the visible batch with the
-// greatest timestamp, or the initial/zero value. The second result is the
-// batch ID the value came from (-1 for initial state).
-func (v *View) Read(table string, rec Key, field string) (Value, int) {
-	best, bestID := Value{}, -1
-	found := false
-	for _, id := range v.db.writersByLoc[locKey{table, rec, field}] {
-		if !v.sees(id) {
-			continue
-		}
-		b := v.db.batches[id]
-		if !found || b.TS > v.db.batches[bestID].TS {
-			found = true
-			bestID = id
-			for _, w := range b.Writes {
-				if w.Rec == rec && w.Field == field {
-					best = w.Val
-				}
-			}
-		}
-	}
-	if found {
-		return best, bestID
-	}
-	if row, ok := v.db.initial[table][rec]; ok {
-		if val, ok := row[field]; ok {
-			return val, -1
-		}
-	}
-	// A table conceptually contains a record for every primary key (§3);
-	// unwritten fields read as zero values and alive reads as false.
-	s := v.db.schemas[table]
-	if s != nil {
+	if s := db.schemas[table]; s != nil {
 		if f := s.Field(field); f != nil {
-			return Zero(f.Type), -1
+			return Zero(f.Type)
 		}
 	}
-	return Value{}, -1
+	return Value{}
 }
 
-// Keys returns every record key that exists in the view's table: initial
-// records plus records written by visible batches, sorted for determinism.
-func (v *View) Keys(table string) []Key {
-	seen := map[Key]bool{}
-	for k := range v.db.initial[table] {
-		seen[k] = true
-	}
-	for _, b := range v.db.batches {
-		if !v.sees(b.ID) {
-			continue
-		}
-		for _, w := range b.Writes {
-			if w.Table == table {
-				seen[w.Rec] = true
-			}
-		}
-	}
-	keys := make([]Key, 0, len(seen))
-	for k := range seen {
+// Keys returns the keys of the table's loaded records, sorted.
+func (db *DB) Keys(table string) []Key {
+	keys := make([]Key, 0, len(db.rows[table]))
+	for k := range db.rows[table] {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
 }
 
-// Alive reports whether the record is present (alive = true) in the view.
-func (v *View) Alive(table string, rec Key) bool {
-	val, _ := v.Read(table, rec, ast.AliveField)
+// Alive reports whether the record is present (alive = true).
+func (db *DB) Alive(table string, rec Key) bool {
+	val := db.Read(table, rec, ast.AliveField)
 	return val.T == ast.TBool && val.B
 }
 
-// Row materializes the record's declared fields (plus alive) in the view.
-func (v *View) Row(table string, rec Key) Row {
-	s := v.db.schemas[table]
+// Row returns the record's declared fields (plus alive).
+func (db *DB) Row(table string, rec Key) Row {
+	s := db.schemas[table]
 	if s == nil {
 		return nil
 	}
-	row := Row{}
+	row := Row{ast.AliveField: db.Read(table, rec, ast.AliveField)}
 	for _, f := range s.Fields {
-		val, _ := v.Read(table, rec, f.Name)
-		row[f.Name] = val
+		row[f.Name] = db.Read(table, rec, f.Name)
 	}
-	aliveVal, _ := v.Read(table, rec, ast.AliveField)
-	row[ast.AliveField] = aliveVal
 	return row
 }

@@ -21,11 +21,10 @@ func TestLoadAndFullViewRead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	v, from := db.FullView().Read("ACC", k, "bal")
-	if !v.Equal(IntV(100)) || from != -1 {
-		t.Fatalf("Read = %v from %d, want 100 from initial", v, from)
+	if v := db.Read("ACC", k, "bal"); !v.Equal(IntV(100)) {
+		t.Fatalf("Read = %v, want 100", v)
 	}
-	if !db.FullView().Alive("ACC", k) {
+	if !db.Alive("ACC", k) {
 		t.Fatal("loaded record not alive")
 	}
 }
@@ -46,77 +45,21 @@ func TestLoadFillsZeroValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	v, _ := db.FullView().Read("ACC", k, "bal")
-	if !v.Equal(IntV(0)) {
+	if v := db.Read("ACC", k, "bal"); !v.Equal(IntV(0)) {
 		t.Fatalf("bal = %v, want 0", v)
 	}
-	s, _ := db.FullView().Read("ACC", k, "name")
-	if !s.Equal(StringV("")) {
+	if s := db.Read("ACC", k, "name"); !s.Equal(StringV("")) {
 		t.Fatalf("name = %v, want empty string", s)
 	}
-}
-
-func TestViewSubsetRead(t *testing.T) {
-	db := NewDB(testProg(t))
-	k, _ := db.Load("ACC", Row{"id": IntV(1), "bal": IntV(100)})
-	// Two writes to bal in timestamp order.
-	b1 := &Batch{TS: db.NextTS(), TxnID: 1, Cmd: "t.U1",
-		Writes: []Write{{Table: "ACC", Rec: k, Field: "bal", Val: IntV(150)}}}
-	id1 := db.Commit(b1)
-	b2 := &Batch{TS: db.NextTS(), TxnID: 2, Cmd: "t.U1",
-		Writes: []Write{{Table: "ACC", Rec: k, Field: "bal", Val: IntV(200)}}}
-	id2 := db.Commit(b2)
-
-	full := db.FullView()
-	if v, from := full.Read("ACC", k, "bal"); !v.Equal(IntV(200)) || from != id2 {
-		t.Fatalf("full view read = %v from %d", v, from)
-	}
-	// View seeing only the first write.
-	v1 := db.NewView(map[int]bool{id1: true})
-	if v, from := v1.Read("ACC", k, "bal"); !v.Equal(IntV(150)) || from != id1 {
-		t.Fatalf("partial view read = %v from %d", v, from)
-	}
-	// Empty view falls back to the initial state.
-	v0 := db.NewView(map[int]bool{})
-	if v, from := v0.Read("ACC", k, "bal"); !v.Equal(IntV(100)) || from != -1 {
-		t.Fatalf("empty view read = %v from %d", v, from)
-	}
-}
-
-func TestViewKeysIncludeBatchCreatedRecords(t *testing.T) {
-	db := NewDB(testProg(t))
-	k1, _ := db.Load("ACC", Row{"id": IntV(1)})
-	k2 := MakeKey(IntV(2))
-	b := &Batch{TS: db.NextTS(), TxnID: 1, Cmd: "t.U1", Writes: []Write{
-		{Table: "ACC", Rec: k2, Field: "bal", Val: IntV(5)},
-		{Table: "ACC", Rec: k2, Field: ast.AliveField, Val: BoolV(true)},
-	}}
-	id := db.Commit(b)
-	full := db.FullView()
-	keys := full.Keys("ACC")
-	if len(keys) != 2 {
-		t.Fatalf("keys = %v, want both records", keys)
-	}
-	if !full.Alive("ACC", k2) {
-		t.Fatal("inserted record not alive in full view")
-	}
-	// A view not containing the insert does not see the record as alive.
-	v0 := db.NewView(map[int]bool{})
-	if v0.Alive("ACC", k2) {
-		t.Fatal("inserted record alive in empty view")
-	}
-	_ = id
-	_ = k1
 }
 
 func TestUnknownRecordReadsZero(t *testing.T) {
 	db := NewDB(testProg(t))
 	k := MakeKey(IntV(42))
-	v, from := db.FullView().Read("ACC", k, "bal")
-	if !v.Equal(IntV(0)) || from != -1 {
-		t.Fatalf("read of unwritten record = %v from %d", v, from)
+	if v := db.Read("ACC", k, "bal"); !v.Equal(IntV(0)) {
+		t.Fatalf("read of unwritten record = %v", v)
 	}
-	if db.FullView().Alive("ACC", k) {
+	if db.Alive("ACC", k) {
 		t.Fatal("unwritten record reports alive")
 	}
 }
@@ -160,13 +103,5 @@ func TestRowClone(t *testing.T) {
 	c["a"] = IntV(2)
 	if !r["a"].Equal(IntV(1)) {
 		t.Error("Clone is shallow")
-	}
-}
-
-func TestReadEventsRecorded(t *testing.T) {
-	db := NewDB(testProg(t))
-	db.RecordRead(ReadEvent{TS: 1, TxnID: 0, Cmd: "t.S1", Table: "ACC", Rec: MakeKey(IntV(1)), Field: "bal", FromBatch: -1})
-	if len(db.Reads()) != 1 {
-		t.Fatalf("reads = %d", len(db.Reads()))
 	}
 }

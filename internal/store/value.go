@@ -1,11 +1,7 @@
-// Package store implements the paper's data-store semantics (§3.1): database
-// states are histories of timestamped read/write events together with a
-// visibility relation. Writes are grouped into record-atomic batches (all
-// writes a command performs share one execution-counter value, so other
-// transactions either see all of a command's writes to a record or none —
-// the paper's record-level atomicity). Local views (the ⊵ relation of
-// ConstructView) are subsets of committed batches; consistency models are
-// expressed as view policies in package interp.
+// Package store holds the DSL's runtime values, record keys and rows, and DB,
+// a loaded row set read by name: what schema migration and the containment
+// check work on. Execution state — replicas, batches, last-writer-wins
+// timestamps, local views — lives in the cluster simulator (internal/cluster).
 package store
 
 import (
