@@ -10,9 +10,9 @@ COVER_FLOOR ?= 60
 # Seconds each fuzz target runs under `make fuzz` / the nightly workflow.
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover drift certify loadtest-smoke chaos service-chaos scaling-smoke baseline-mc fuzz baseline profile loc
+.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover certify loadtest-smoke chaos service-chaos scaling-smoke baseline-mc fuzz profile loc
 
-ci: fmt vet build race race-par bench bench-harness cover drift certify loadtest-smoke chaos service-chaos scaling-smoke
+ci: fmt vet build race race-par bench bench-harness cover certify loadtest-smoke chaos service-chaos scaling-smoke
 
 # gofmt as a check: fail (and list the files) if anything is unformatted.
 fmt:
@@ -51,8 +51,9 @@ race-par:
 # invariant study (BenchmarkInvariants_*: directed and serial runs) are
 # deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
-# clock stays informational, like the drift gate). The output lands in
-# bench-smoke.txt, which the CI bench job uploads as an artifact.
+# clock stays informational). Exact counts are Go goldens, not measured
+# here. The output lands in bench-smoke.txt, which the CI bench job uploads
+# as an artifact.
 # (Redirect + cat rather than tee: a pipe would mask go test's exit code.)
 bench:
 	@$(GO) test -bench . -benchtime 1x -run '^$$' $(BENCH_PKGS) > bench-smoke.txt; \
@@ -69,37 +70,28 @@ bench:
 bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Benchmark pattern/packages/repetitions for `make bench-compare`. The
-# default pattern covers the detect→encode→solve hot path (Table 1 repairs,
-# detection, and the solver/encoder microbenchmarks) plus the cluster
-# simulator (BenchmarkSim*: ops-bounded, so ns/op and allocs/op are
-# per-simulated-transaction) and witness certification (BenchmarkCertify_*:
-# the replay phase alone); override BENCH_PATTERN to widen, BASE_REF to
-# compare against another ref.
+# Packages `make bench` runs; BASE_REF is the ref `make bench-compare`
+# measures against.
 BASE_REF ?= HEAD~1
-BENCH_PATTERN ?= BenchmarkTable1_|BenchmarkDetect|BenchmarkPairEncoder|BenchmarkAssert|BenchmarkEncode|BenchmarkAddClauses|BenchmarkSolveAssuming|BenchmarkPigeonhole|BenchmarkSim|BenchmarkCertify
 BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/logic ./internal/sat ./internal/cluster ./internal/replay
-BENCH_COUNT ?= 5
 
-# Run the benchmark suite at BASE_REF (in a throwaway git worktree) and in
-# the working tree, writing bench-base.txt / bench-head.txt, and summarize
-# with benchstat when it is installed (the container image may not ship
-# it; the raw files remain either way).
+# One parent/change pair on the benchmark (bench/run.sh, BENCHMARK.json's
+# command, all four workloads): BASE_REF runs in a throwaway git worktree,
+# the working tree writes bench/out/head, and `bench/run.sh -compare`
+# prints the verdict per metric and sets the exit status (non-zero when a
+# metric is worse beyond its bound). One pair is a smoke check; a claimed
+# gain needs repeated pairs (bench/README.md).
 bench-compare:
 	@set -e; tmp=$$(mktemp -d); \
-	git worktree add --quiet --detach $$tmp/base $(BASE_REF); \
-	echo "== benchmarks at $(BASE_REF) =="; \
-	( cd $$tmp/base && $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) ) > bench-base.txt || \
-		{ git worktree remove --force $$tmp/base; rmdir $$tmp; exit 1; }; \
-	git worktree remove --force $$tmp/base; rmdir $$tmp; \
-	echo "== benchmarks at working tree =="; \
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) > bench-head.txt; \
-	if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench-base.txt bench-head.txt; \
-	else \
-		echo "benchstat not installed; raw outputs in bench-base.txt and bench-head.txt"; \
-		echo "(install on a networked machine: go install golang.org/x/perf/cmd/benchstat@latest)"; \
-	fi
+	git worktree add --quiet --detach $$tmp/tree $(BASE_REF); \
+	echo "== benchmark at $(BASE_REF) =="; \
+	( cd $$tmp/tree && bash bench/run.sh -out $$tmp/base ) || \
+		{ git worktree remove --force $$tmp/tree; rm -rf $$tmp; exit 1; }; \
+	git worktree remove --force $$tmp/tree; \
+	echo "== benchmark at working tree =="; \
+	status=0; bash bench/run.sh -out bench/out/head && \
+		bash bench/run.sh -compare $$tmp/base/result.json bench/out/head/result.json || status=$$?; \
+	rm -rf $$tmp; exit $$status
 
 # Coverage with a floor: write cover.out (the CI job uploads it) and fail
 # if total statement coverage drops below COVER_FLOOR percent.
@@ -109,12 +101,6 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk "BEGIN { exit !($$total >= $(COVER_FLOOR)) }" || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
-
-# Perf-drift smoke: re-measure the per-benchmark anomaly/repair/SAT-query
-# counts (deterministic, machine-independent — never wall clock) and fail
-# if they diverge from the committed BENCH_baseline.json.
-drift:
-	$(GO) run ./cmd/atropos-exp -exp drift -duration 1 -baseline BENCH_baseline.json
 
 # Witness-replay certification gate: every benchmark × weak model must
 # replay >= 95% of its detected anomalies as executable certificates, and
@@ -137,8 +123,8 @@ fuzz:
 # concurrent client fleet (counts-only assertions — the binary exits
 # non-zero if any request is dropped or errors; wall-clock numbers are
 # informational). The latency summary lands in loadtest-summary.json,
-# which the CI job uploads as an artifact. The full-scale measurement
-# (64 clients) is the baseline's "service" section, drift-gated by counts.
+# which the CI job uploads as an artifact. The full-scale run (64 clients)
+# is pinned by count in internal/exp's TestRunLoadFullScaleGolden.
 loadtest-smoke:
 	@$(GO) run ./cmd/atroposd -loadtest -clients 16 -requests 2 > loadtest-summary.json; \
 	status=$$?; cat loadtest-summary.json; \
@@ -150,8 +136,8 @@ loadtest-smoke:
 # unrepaired EC programs exhibit serializability violations, the SC
 # control and every repaired AT-SC deployment show zero. The runs are
 # observed runs of the simulator's one executor (Config.Observe selects no
-# engine). Counts are virtual-time deterministic; the full panel is also
-# pinned in the baseline's drift-gated "chaos" section.
+# engine). Counts are virtual-time deterministic; every row of the panel
+# is also pinned in internal/exp's TestChaosPanelGolden.
 chaos:
 	$(GO) run ./cmd/atropos-exp -exp chaos
 
@@ -159,21 +145,16 @@ chaos:
 # engine — stalled workers, queue overflow, a budget-starved client
 # tripping its circuit breaker, an injected handler panic — with every
 # count asserted exactly (faults fire at scripted points, not timers, so
-# the panel is deterministic). Also pinned in the baseline's drift-gated
-# "service_chaos" section.
+# the panel is deterministic). Every count is also pinned in internal/exp's
+# TestServiceChaosDeterministic.
 service-chaos:
 	$(GO) run ./cmd/atroposd -servicechaos
 
-# Regenerate the committed perf snapshot (see EXPERIMENTS.md §Baselines).
-baseline:
-	$(GO) run ./cmd/atropos-exp -exp baseline -duration 2 -out BENCH_baseline.json
-
 # Multi-core scaling baseline: the Table-1 repair corpus at 1/2/4/8
 # detection workers, best-of-3 (see EXPERIMENTS.md §Scaling). The summary
-# is machine-dependent, so scaling-summary.json is gitignored, unlike
-# BENCH_baseline.json. The gate enforces identical anomaly counts at
-# every width, plus a 0.7 efficiency floor at 8 workers on hosts with
-# >= 8 cores (self-skipped below that).
+# is machine-dependent, so scaling-summary.json is gitignored. The gate
+# enforces identical anomaly counts at every width, plus a 0.7 efficiency
+# floor at 8 workers on hosts with >= 8 cores (self-skipped below that).
 baseline-mc:
 	$(GO) run ./cmd/atropos-exp -exp scaling -out scaling-summary.json
 

@@ -51,10 +51,10 @@ func BenchmarkTable1_Killrchat(b *testing.B)  { benchTable1(b, "Killrchat") }
 
 // --- Table 1 corpus pipeline: sequential vs parallel engine ---
 //
-// BENCH_baseline.json records both wall clocks; on a multi-core machine
-// the parallel engine's advantage approaches min(GOMAXPROCS, ~3x) for the
-// 9-benchmark x 3-model grid (the TPC-C column dominates the critical
-// path). On a single-core machine they coincide.
+// internal/exp's TestTable1Golden pins what both compute; on a multi-core
+// machine the parallel engine's advantage approaches min(GOMAXPROCS, ~3x)
+// for the 9-benchmark x 3-model grid (the TPC-C column dominates the
+// critical path). On a single-core machine they coincide.
 
 func benchTable1Corpus(b *testing.B, parallelism int) {
 	all := benchmarks.All()

@@ -7,7 +7,8 @@
 // machine-independent enough to gate on: the repair pipeline and the
 // compiled simulator allocate identically on every machine at a given Go
 // version, while ns/op varies with hardware — wall clock therefore stays
-// informational (the drift gate's philosophy, applied to memory).
+// informational (exact counts are gated by Go goldens; this is the same
+// idea applied to memory).
 //
 // Usage:
 //
@@ -120,8 +121,7 @@ func main() {
 		if !ok {
 			// A gated benchmark without a threshold is a failure, not a
 			// note: a newly added benchmark must be recorded before it
-			// ships, or the gate silently never protects it (same policy
-			// as the drift gate's missing-benchmark check).
+			// ships, or the gate silently never protects it.
 			failures = append(failures, fmt.Sprintf(
 				"%s: no threshold recorded — run `go run ./cmd/allocgate -update` after `make bench` to add it", name))
 			continue

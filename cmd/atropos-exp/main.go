@@ -9,10 +9,9 @@
 //	atropos-exp -exp fig16 [-rounds 20]
 //	atropos-exp -exp invariants
 //	atropos-exp -exp summary
-//	atropos-exp -exp baseline [-out BENCH_baseline.json]
-//	atropos-exp -exp drift [-baseline BENCH_baseline.json]
 //	atropos-exp -exp certify                    # witness-replay gate
 //	atropos-exp -exp chaos [-bench SmallBank] [-scenarios clean,rolling-crash]
+//	atropos-exp -exp scaling [-smoke] [-workers 1,2,4,8] [-out scaling-summary.json]
 //	atropos-exp -exp all
 //
 // Experiments fan out on a bounded worker pool; -parallel bounds the
@@ -43,7 +42,7 @@ import (
 )
 
 var (
-	expName  = flag.String("exp", "table1", "experiment: table1, fig12, fig13, fig14, fig15, fig16, invariants, summary, baseline, drift, certify, chaos, scaling, all")
+	expName  = flag.String("exp", "table1", "experiment: table1, fig12, fig13, fig14, fig15, fig16, invariants, summary, certify, chaos, scaling, all")
 	benchArg = flag.String("bench", "", "benchmark for fig12/fig16 (default: the figure's benchmarks)")
 	duration = flag.Int("duration", 90, "seconds of simulated time per performance point")
 	clients  = flag.String("clients", "", "comma-separated client counts (default: paper's sweep)")
@@ -53,8 +52,7 @@ var (
 	scaleUp  = flag.Int("scale", 1, "multiply the fig12-15 population and client sweep by this factor")
 	ops      = flag.Int64("ops", 0, "stop each fig12-15 point after this many commits instead of -duration (0 = duration-bounded)")
 	parallel = flag.Int("parallel", 0, "worker goroutines for the experiment drivers (0 = GOMAXPROCS)")
-	outPath  = flag.String("out", "", "write the baseline snapshot to this file (baseline experiment)")
-	baseline = flag.String("baseline", "BENCH_baseline.json", "committed snapshot the drift experiment compares against")
+	outPath  = flag.String("out", "", "scaling: also write the summary as JSON to this file")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProf  = flag.String("memprofile", "", "write an allocation profile of the experiment to this file")
 	scenArg  = flag.String("scenarios", "", "comma-separated chaos scenario names (default: the full panel)")
@@ -112,10 +110,6 @@ func main() {
 		runInvariants()
 	case "summary":
 		runSummary()
-	case "baseline":
-		runBaseline()
-	case "drift":
-		runDrift()
 	case "certify":
 		runCertify()
 	case "chaos":
@@ -131,7 +125,6 @@ func main() {
 		runFig16()
 		runInvariants()
 		runSummary()
-		runBaseline()
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *expName))
 	}
@@ -268,62 +261,6 @@ func runSummary() {
 		fatal(err)
 	}
 	fmt.Print(s.Format())
-}
-
-func runBaseline() {
-	fmt.Println("== Benchmark-regression baseline ==")
-	b, err := exp.RunBaseline(exp.BaselineConfig{
-		Duration:    time.Duration(*duration) * time.Second,
-		Parallelism: *parallel,
-		Seed:        *seed,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	buf, err := b.JSON()
-	if err != nil {
-		fatal(err)
-	}
-	if *outPath != "" {
-		if err := os.WriteFile(*outPath, buf, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("baseline written to %s (table1 %0.fms sequential, %0.fms parallel, %.2fx)\n",
-			*outPath, b.Table1.SequentialMs, b.Table1.ParallelMs, b.Table1.SpeedupX)
-		return
-	}
-	os.Stdout.Write(buf)
-}
-
-// runDrift is the CI perf-drift gate: it re-measures the per-benchmark
-// repair counts (anomalies and SAT queries — deterministic and
-// machine-independent) and fails if they diverge from the committed
-// baseline snapshot. Wall-clock columns are never compared.
-func runDrift() {
-	fmt.Println("== Perf-drift gate: counts vs committed baseline ==")
-	want, err := exp.LoadBaseline(*baseline)
-	if err != nil {
-		fatal(err)
-	}
-	got, err := exp.RunBaseline(exp.BaselineConfig{
-		Duration:    time.Duration(*duration) * time.Second,
-		Parallelism: *parallel,
-		Seed:        *seed,
-		CountsOnly:  true,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	drift := exp.CountDrift(got, want)
-	if len(drift) == 0 {
-		fmt.Printf("no drift: %d benchmarks match %s\n", len(got.Repairs), *baseline)
-		return
-	}
-	for _, d := range drift {
-		fmt.Fprintln(os.Stderr, "drift:", d)
-	}
-	fmt.Fprintf(os.Stderr, "atropos-exp: %d count divergences from %s — regenerate with `make baseline` if intentional\n", len(drift), *baseline)
-	os.Exit(1)
 }
 
 // runScaling is the multi-core scaling baseline (`make baseline-mc`) and

@@ -93,8 +93,7 @@ func main() {
 }
 
 // runLoadtest drives the exp harness: an in-process daemon under N
-// concurrent clients, printing the measurement as JSON (the same shape the
-// baseline's "service" section records).
+// concurrent clients, printing the measurement (exp.LoadResult) as JSON.
 func runLoadtest() {
 	res, err := exp.RunLoad(exp.LoadConfig{
 		Clients:           *clients,

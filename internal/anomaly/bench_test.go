@@ -13,8 +13,8 @@ import (
 )
 
 // Allocation-reporting microbenchmarks for the detect→encode→solve hot
-// path (the regression surface of the interned-atom encoding; compare
-// with `make bench-compare`, see EXPERIMENTS.md §Baselines).
+// path (the regression surface of the interned-atom encoding; allocs/op of
+// the gated ones are checked by `make bench`).
 
 func benchProg(b *testing.B, src string) *ast.Program {
 	b.Helper()

@@ -8,7 +8,7 @@ import (
 )
 
 // The experiment drivers diff detector output textually (Table 1 goldens,
-// the drift gate, the -analyze CLI), so Report.Pairs must come back in the
+// the repair goldens, the -analyze CLI), so Report.Pairs must come back in the
 // same order — and render identically — no matter which engine produced
 // them or how many workers the session fanned transactions out on.
 

@@ -47,8 +47,7 @@ func (r CertifyRow) Rate() float64 {
 
 // CertifyGrid replays witness certificates for every benchmark × weak
 // model on a bounded worker pool. Counts are deterministic and
-// machine-independent; RunBaseline records them and the drift gate
-// compares them.
+// machine-independent; replay's TestCertifiedGolden pins every cell.
 func CertifyGrid(benches []*benchmarks.Benchmark, parallelism int) ([]CertifyRow, error) {
 	for _, b := range benches {
 		if _, err := b.Program(); err != nil {

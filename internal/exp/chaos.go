@@ -25,8 +25,8 @@ import (
 // anomalous dependency cycle. The headline the chaos gate asserts:
 // unrepaired EC programs exhibit violations under faults, repaired
 // deployments exhibit zero on their repaired (EC-running) transactions.
-// All counts are virtual-time deterministic, so the baseline's chaos
-// section is drift-gated like every other count column.
+// All counts are virtual-time deterministic, so TestChaosPanelGolden pins
+// every row of the default-sized panel.
 
 // ChaosConfig sizes one chaos sweep.
 type ChaosConfig struct {
@@ -52,20 +52,20 @@ type ChaosConfig struct {
 // Residual counts instances of the transactions the repair left
 // serialized; for EC and SC every instance counts toward Violations.
 type ChaosRow struct {
-	Benchmark  string `json:"benchmark"`
-	Scenario   string `json:"scenario"`
-	Series     string `json:"series"`
-	Committed  int64  `json:"committed"`
-	Violations int    `json:"violations"`
-	Residual   int    `json:"residual_violations,omitempty"`
+	Benchmark  string
+	Scenario   string
+	Series     string
+	Committed  int64
+	Violations int
+	Residual   int
 }
 
 // ChaosResult is one sweep's outcome.
 type ChaosResult struct {
-	Clients    int           `json:"clients"`
-	DurationMs float64       `json:"duration_ms"`
-	Rows       []ChaosRow    `json:"rows"`
-	Wall       time.Duration `json:"-"`
+	Clients    int
+	DurationMs float64
+	Rows       []ChaosRow
+	Wall       time.Duration
 }
 
 func (c ChaosConfig) orDefault() ChaosConfig {
@@ -197,6 +197,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Wall:       time.Since(start),
 	}, nil
 }
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // ChaosGate checks the sweep's headline claims, returning one message per
 // failure (empty means the gate passes): every AT-SC row shows zero

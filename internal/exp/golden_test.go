@@ -1,10 +1,29 @@
 package exp
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"atropos/internal/anomaly"
+	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
+	"atropos/internal/progen"
+	"atropos/internal/repair"
 )
+
+// checkCounts compares two values of one struct type field by field and
+// reports each divergent field as "cell: Field = got, golden want", so a
+// failing golden names the row and the column that moved.
+func checkCounts(t *testing.T, cell string, got, want any) {
+	t.Helper()
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := range g.NumField() {
+		if gf, wf := g.Field(i).Interface(), w.Field(i).Interface(); gf != wf {
+			t.Errorf("%s: %s = %v, golden %v", cell, g.Type().Field(i).Name, gf, wf)
+		}
+	}
+}
 
 // goldenTable1 pins the Table 1 reproduction: anomalous access pairs per
 // consistency model and the repair outcome for every benchmark. These are
@@ -56,4 +75,61 @@ func TestTable1Golden(t *testing.T) {
 	if repaired := float64(totalEC-totalAT) / float64(totalEC); repaired < 0.6 {
 		t.Errorf("corpus repair rate %.0f%%, want >= 60%%", 100*repaired)
 	}
+}
+
+// repairCounts is one EC repair's outcome and oracle work: the anomalous
+// pairs before and after, the cycle queries the three detection passes
+// issued, and the ones that reached a solver (Stats.Solved+Stats.Replayed).
+type repairCounts struct {
+	Initial, Remaining, Queries, Solved int
+}
+
+// goldenRepairs pins every benchmark's repair under EC at detection width 1
+// (concurrent workers shift which query populates a cache key, so Solved is
+// exact only sequentially).
+var goldenRepairs = map[string]repairCounts{
+	"TPC-C":      {123, 40, 286, 163},
+	"SEATS":      {38, 4, 80, 42},
+	"Courseware": {10, 0, 26, 14},
+	"SmallBank":  {32, 21, 85, 53},
+	"Twitter":    {11, 4, 26, 15},
+	"FMKe":       {23, 13, 59, 36},
+	"SIBench":    {1, 0, 2, 1},
+	"Wikipedia":  {29, 9, 67, 37},
+	"Killrchat":  {13, 3, 29, 8},
+}
+
+// goldenCorpus pins the anomaly totals of the progen corpus, seeds 0..31,
+// each program repaired under EC at detection width 1.
+var goldenCorpus = struct{ Initial, Remaining int }{122, 98}
+
+func runRepair(t *testing.T, name string, prog *ast.Program) repairCounts {
+	t.Helper()
+	rep, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return repairCounts{len(rep.Initial), len(rep.Remaining), rep.Stats.Queries, rep.Stats.Solved + rep.Stats.Replayed}
+}
+
+// TestRepairGolden repairs every benchmark and the progen corpus and
+// asserts the pinned counts, cell by cell.
+func TestRepairGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-corpus regression; skipped with -short")
+	}
+	all := benchmarks.All()
+	if len(all) != len(goldenRepairs) {
+		t.Fatalf("benchmarks = %d, golden rows = %d", len(all), len(goldenRepairs))
+	}
+	for _, b := range all {
+		checkCounts(t, b.Name, runRepair(t, b.Name, b.MustProgram()), goldenRepairs[b.Name])
+	}
+	var got struct{ Initial, Remaining int }
+	for seed := range int64(32) {
+		c := runRepair(t, "corpus", progen.Program(seed))
+		got.Initial += c.Initial
+		got.Remaining += c.Remaining
+	}
+	checkCounts(t, "corpus", got, goldenCorpus)
 }

@@ -57,9 +57,9 @@ func (c LoadConfig) withDefaults() LoadConfig {
 
 // LoadResult is one load-test measurement. The request/anomaly counts are
 // deterministic functions of the configuration — every client retries 429s
-// until served, and its program is progen.Program(client index) — so the
-// drift gate pins them; the latency, throughput, retry, and hit-rate
-// numbers are machine- and scheduling-dependent (informational).
+// until served, and its program is progen.Program(client index) — so
+// TestRunLoadFullScaleGolden pins them; the latency, throughput, retry, and
+// hit-rate numbers are machine- and scheduling-dependent (informational).
 type LoadResult struct {
 	Clients           int `json:"clients"`
 	RequestsPerClient int `json:"requests_per_client"`
@@ -133,8 +133,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			src := ast.Format(progen.Program(int64(c + 1)))
 			id := "load-" + strconv.Itoa(c)
 			// Per-client seeded RNG: the retry jitter below is reproducible
-			// for a given configuration, like everything else the drift gate
-			// compares.
+			// for a given configuration, like every count
+			// TestRunLoadFullScaleGolden pins.
 			rng := rand.New(rand.NewSource(int64(c + 1)))
 			for i := 0; i < cfg.RequestsPerClient; i++ {
 				endpoint := "/v1/analyze"

@@ -41,7 +41,7 @@ func TestRunLoadSmoke(t *testing.T) {
 
 // TestRunLoadDeterministicCounts: the anomaly totals are a pure function of
 // the client count (progen seeds 1..N), independent of scheduling — two
-// runs must agree. This is the property the drift gate leans on.
+// runs must agree. This is the property TestRunLoadFullScaleGolden leans on.
 func TestRunLoadDeterministicCounts(t *testing.T) {
 	a, err := RunLoad(LoadConfig{Clients: 4, RequestsPerClient: 2})
 	if err != nil {
@@ -55,4 +55,21 @@ func TestRunLoadDeterministicCounts(t *testing.T) {
 		t.Fatalf("totals differ across runs: %d/%d vs %d/%d",
 			a.TotalInitial, a.TotalRemaining, b.TotalInitial, b.TotalRemaining)
 	}
+}
+
+// loadCounts is the deterministic part of a LoadResult.
+type loadCounts struct {
+	Clients, Requests, Completed, Errors, TotalInitial, TotalRemaining int
+}
+
+// TestRunLoadFullScaleGolden pins the default-sized load test (64 clients
+// × 4 requests): every request served, and the anomaly totals of progen
+// seeds 1..64 analyzed and repaired twice each.
+func TestRunLoadFullScaleGolden(t *testing.T) {
+	res, err := RunLoad(LoadConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := loadCounts{res.Clients, res.Requests, res.Completed, res.Errors, res.TotalInitial, res.TotalRemaining}
+	checkCounts(t, "service load test", got, loadCounts{64, 256, 256, 0, 1144, 392})
 }

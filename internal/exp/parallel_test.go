@@ -72,52 +72,3 @@ func TestPerfParallelMatchesSequential(t *testing.T) {
 		t.Errorf("panel differs:\n seq %+v\n par %+v", seq, par)
 	}
 }
-
-// TestBaselineSnapshot exercises the regression harness end to end on a
-// small simulated duration and sanity-checks the recorded fields.
-func TestBaselineSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus harness; skipped with -short")
-	}
-	b, err := RunBaseline(BaselineConfig{Duration: 300 * time.Millisecond, Clients: 12, Seed: 7})
-	if err != nil {
-		t.Fatalf("RunBaseline: %v", err)
-	}
-	if len(b.Repairs) != 9 {
-		t.Fatalf("repairs = %d, want 9", len(b.Repairs))
-	}
-	for _, r := range b.Repairs {
-		if r.WallMs <= 0 {
-			t.Errorf("%s: wall time %.3fms not recorded", r.Benchmark, r.WallMs)
-		}
-		if r.Remaining > r.Initial {
-			t.Errorf("%s: repair added anomalies: %d -> %d", r.Benchmark, r.Initial, r.Remaining)
-		}
-	}
-	if b.Table1.SequentialMs <= 0 || b.Table1.ParallelMs <= 0 || b.Table1.SpeedupX <= 0 {
-		t.Errorf("table1 timings missing: %+v", b.Table1)
-	}
-	if b.PanelDurationMs != 300 {
-		t.Errorf("panel duration = %.0fms, want 300", b.PanelDurationMs)
-	}
-	if len(b.Panels) != 3 {
-		t.Fatalf("panels = %d, want 3", len(b.Panels))
-	}
-	for _, p := range b.Panels {
-		if p.WallMs <= 0 {
-			t.Errorf("%s: panel wall time %.3fms not recorded", p.Benchmark, p.WallMs)
-		}
-		if len(p.Series) != 4 {
-			t.Fatalf("%s: series = %d, want 4", p.Benchmark, len(p.Series))
-		}
-		for _, s := range p.Series {
-			if s.Throughput <= 0 {
-				t.Errorf("%s/%s: zero throughput", p.Benchmark, s.Series)
-			}
-		}
-	}
-	buf, err := b.JSON()
-	if err != nil || len(buf) == 0 {
-		t.Fatalf("JSON: %v", err)
-	}
-}

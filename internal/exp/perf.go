@@ -47,8 +47,7 @@ type PerfResult struct {
 	// Committed is the total number of transactions simulated across the
 	// panel's runs, and SimWall the wall-clock time those simulations took
 	// (excluding the repair pipeline and row migration) — their ratio is
-	// the simulator's own throughput, reported as sim_txns_per_sec in the
-	// perf baseline.
+	// the simulator's own throughput.
 	Committed int64
 	SimWall   time.Duration
 }

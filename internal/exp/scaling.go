@@ -75,7 +75,7 @@ type ScalingResult struct {
 }
 
 // JSON renders the summary for scaling-summary.json (gitignored: the
-// wall-time columns are machine-dependent, unlike BENCH_baseline.json).
+// wall-time columns are machine-dependent).
 func (r *ScalingResult) JSON() ([]byte, error) {
 	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

@@ -21,12 +21,12 @@ import (
 // through its instrumentation hooks (engine.Hooks). Every phase is
 // deterministic by construction: faults fire on named chaos clients at
 // scripted points, not on timers racing real work, so the resulting
-// admission/degradation counters are exact integers the drift gate pins in
-// BENCH_baseline.json. ServiceChaosGate then asserts the robustness
-// headline: every accepted request completes or degrades within its
-// deadline, overload sheds instead of stalling, repeated exhaustion trips
-// the client's breaker, a panic is contained, and the engine drains back to
-// a clean steady state.
+// admission/degradation counters are exact integers that
+// TestServiceChaosDeterministic pins. ServiceChaosGate then asserts the
+// robustness headline: every accepted request completes or degrades within
+// its deadline, overload sheds instead of stalling, repeated exhaustion
+// trips the client's breaker, a panic is contained, and the engine drains
+// back to a clean steady state.
 
 // chaosWatchdog bounds every wait in the harness: a request or phase
 // transition that has not happened by then is reported as a stuck-service
@@ -62,43 +62,44 @@ func (c ServiceChaosConfig) orDefault() ServiceChaosConfig {
 }
 
 // ServiceChaosResult is one harness run. Every field is a deterministic
-// count (the drift gate compares all of them); Wall is informational.
+// count (TestServiceChaosDeterministic pins all of them); Wall is
+// informational.
 type ServiceChaosResult struct {
-	Workers    int `json:"workers"`
-	QueueDepth int `json:"queue_depth"`
+	Workers    int
+	QueueDepth int
 	// Stall phase: requests held mid-execution until released, then run to
 	// completion — slots stall but never leak.
-	StallCompleted int `json:"stall_completed"`
+	StallCompleted int
 	// Overload phase: immediate queue-full rejections during the stall, and
 	// queued waiters shed at the queue-wait ceiling.
-	QueueRejected int `json:"queue_rejected"`
-	QueueShed     int `json:"queue_shed"`
+	QueueRejected int
+	QueueShed     int
 	// Breaker phase: consecutive budget-exhausted (degraded) analyses from
 	// one client, the unknown pairs they reported, and the fast-fails after
 	// the circuit opened.
-	BreakerDegraded  int   `json:"breaker_degraded"`
-	BreakerUnknown   int   `json:"breaker_unknown"`
-	BreakerTrips     int64 `json:"breaker_trips"`
-	BreakerFastFails int   `json:"breaker_fast_fails"`
+	BreakerDegraded  int
+	BreakerUnknown   int
+	BreakerTrips     int64
+	BreakerFastFails int
 	// Panic phase: injected handler panics and how many came back as
 	// contained errors.
-	PanicsInjected  int `json:"panics_injected"`
-	PanicsRecovered int `json:"panics_recovered"`
+	PanicsInjected  int
+	PanicsRecovered int
 	// Recovery phase: clean requests after all faults, none degraded.
-	RecoveryCompleted int `json:"recovery_completed"`
-	RecoveryDegraded  int `json:"recovery_degraded"`
+	RecoveryCompleted int
+	RecoveryDegraded  int
 	// Final engine counters (deterministic: the script fixes every request's
 	// fate) and the steady-state gauges.
-	EngineCompleted   int64 `json:"engine_completed"`
-	EngineRejected    int64 `json:"engine_rejected"`
-	EngineShed        int64 `json:"engine_shed"`
-	EngineDegraded    int64 `json:"engine_degraded"`
-	EngineExhaustions int64 `json:"engine_exhaustions"`
-	FinalInFlight     int   `json:"final_in_flight"`
-	FinalQueued       int   `json:"final_queued"`
-	BreakerOpen       int   `json:"breaker_open"`
+	EngineCompleted   int64
+	EngineRejected    int64
+	EngineShed        int64
+	EngineDegraded    int64
+	EngineExhaustions int64
+	FinalInFlight     int
+	FinalQueued       int
+	BreakerOpen       int
 
-	Wall time.Duration `json:"-"`
+	Wall time.Duration
 }
 
 // Chaos client names; the Exec hook keys its faults off them.
