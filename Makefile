@@ -47,8 +47,9 @@ race-par:
 # the allocation-regression gate: allocs/op of the repair pipeline
 # (BenchmarkTable1_*), the simulator (BenchmarkSim*; the *Interp ones run
 # the tests' AST reference on the same workload), witness certification
-# (BenchmarkCertify_*: directed runs on the simulator's executor) and the
-# invariant study (BenchmarkInvariants_*: directed and serial runs) are
+# (BenchmarkCertify_*: directed runs on the simulator's executor), the
+# invariant study (BenchmarkInvariants_*: directed and serial runs) and the
+# daemon's request path (BenchmarkService_*: program verbs through HTTP) are
 # deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
 # clock stays informational). Exact counts are Go goldens, not measured
@@ -73,7 +74,7 @@ bench-harness:
 # Packages `make bench` runs; BASE_REF is the ref `make bench-compare`
 # measures against.
 BASE_REF ?= HEAD~1
-BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/logic ./internal/sat ./internal/cluster ./internal/replay
+BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/logic ./internal/sat ./internal/cluster ./internal/replay ./internal/service
 
 # One parent/change pair on the benchmark (bench/run.sh, BENCHMARK.json's
 # command, all four workloads): BASE_REF runs in a throwaway git worktree,

@@ -51,14 +51,16 @@ var (
 // gated reports whether a benchmark participates in the gate: the repair
 // pipeline (Table 1), the compiled cluster simulator, witness
 // certification, the invariant study (directed and serial runs on the
-// simulator's executor), and the parallel fast path (sharded interning and
-// wavefront detection, both measured at fixed worker counts so allocs/op
-// stays machine-independent).
+// simulator's executor), the daemon's request path (one fixed round of
+// program verbs through HTTP), and the parallel fast path (sharded
+// interning and wavefront detection, both measured at fixed worker counts
+// so allocs/op stays machine-independent).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkTable1_") ||
 		strings.HasPrefix(name, "BenchmarkSim") ||
 		strings.HasPrefix(name, "BenchmarkCertify_") ||
 		strings.HasPrefix(name, "BenchmarkInvariants_") ||
+		strings.HasPrefix(name, "BenchmarkService_") ||
 		strings.HasPrefix(name, "BenchmarkInternParallel") ||
 		strings.HasPrefix(name, "BenchmarkDetectParallel")
 }

@@ -17,11 +17,13 @@
 // workers are busy and the queue is full the daemon answers 429 with a
 // Retry-After hint instead of queueing unboundedly. On SIGINT/SIGTERM the
 // daemon flips /readyz to 503 (so load balancers stop routing to it),
-// finishes in-flight requests, and exits. See DESIGN.md §12.
+// finishes in-flight requests, and exits. -pprof ADDR serves net/http/pprof
+// on a second, admin-only listener (go tool pprof http://ADDR/debug/pprof/profile).
+// See DESIGN.md §12.
 //
 // Usage:
 //
-//	atroposd [-addr :8372] [-workers N] [-queue N] [-sessions N] [-detect-parallel N]
+//	atroposd [-addr :8372] [-workers N] [-queue N] [-sessions N] [-detect-parallel N] [-pprof ADDR]
 //	atroposd -loadtest [-clients 64] [-requests 4]   # in-process load test
 //	atroposd -servicechaos                           # scripted fault harness + gate
 package main
@@ -31,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -52,6 +55,7 @@ var (
 	clients  = flag.Int("clients", 0, "loadtest: concurrent clients (0 = 64)")
 	requests = flag.Int("requests", 0, "loadtest: requests per client (0 = 4)")
 	svcChaos = flag.Bool("servicechaos", false, "run the scripted service-fault harness and its gate instead of serving")
+	pprofAt  = flag.String("pprof", "", "admin listen address serving net/http/pprof under /debug/pprof/ (empty = off)")
 )
 
 func main() {
@@ -64,6 +68,15 @@ func main() {
 	if *svcChaos {
 		runServiceChaos()
 		return
+	}
+	if *pprofAt != "" {
+		ln, err := net.Listen("tcp", *pprofAt)
+		if err != nil {
+			fatal(err)
+		}
+		admin := &http.Server{Handler: service.AdminHandler(), ReadHeaderTimeout: 10 * time.Second}
+		go admin.Serve(ln) //nolint:errcheck // lives as long as the process
+		fmt.Fprintf(os.Stderr, "atroposd: pprof on %s\n", ln.Addr())
 	}
 	eng := engine.New(cfg)
 	svc := service.New(eng)

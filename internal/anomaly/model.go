@@ -128,10 +128,47 @@ type AccessPair struct {
 	Witness Witness
 }
 
-// String renders the pair in the paper's notation.
+// String renders the pair in the paper's notation:
+//
+//	txn: (c1, [f1 ...], c2, [f2 ...]) [kind via witness(d1,d2)]
 func (a AccessPair) String() string {
-	return fmt.Sprintf("%s: (%s, %v, %s, %v) [%s via %s(%s,%s)]",
-		a.Txn, a.C1, a.F1, a.C2, a.F2, a.Kind, a.Witness.Txn, a.Witness.D1, a.Witness.D2)
+	var buf [128]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the pair's String form to b and returns the extended
+// buffer.
+func (a AccessPair) AppendTo(b []byte) []byte {
+	b = append(b, a.Txn...)
+	b = append(b, ": ("...)
+	b = append(b, a.C1...)
+	b = append(b, ", "...)
+	b = appendFields(b, a.F1)
+	b = append(b, ", "...)
+	b = append(b, a.C2...)
+	b = append(b, ", "...)
+	b = appendFields(b, a.F2)
+	b = append(b, ") ["...)
+	b = append(b, a.Kind...)
+	b = append(b, " via "...)
+	b = append(b, a.Witness.Txn...)
+	b = append(b, '(')
+	b = append(b, a.Witness.D1...)
+	b = append(b, ',')
+	b = append(b, a.Witness.D2...)
+	return append(b, ")]"...)
+}
+
+// appendFields writes a field list as fmt's %v does: [a b c].
+func appendFields(b []byte, fs []string) []byte {
+	b = append(b, '[')
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, f...)
+	}
+	return append(b, ']')
 }
 
 // UnknownPair names an access pair whose verdict a budgeted detection

@@ -2,90 +2,157 @@ package ast
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
+
+// The printer appends every node straight into one byte slice: no per-node
+// fmt call and no intermediate strings. The text is the parser's concrete
+// syntax and must stay byte-stable — service responses, Table-1 output and
+// the repair goldens all carry it.
 
 // Format renders a program in the DSL concrete syntax accepted by the
 // parser, with command labels as trailing comments (paper Fig. 1 style).
 func Format(p *Program) string {
-	var b strings.Builder
+	var buf [1024]byte
+	b := buf[:0]
 	for i, s := range p.Schemas {
 		if i > 0 {
-			b.WriteString("\n")
+			b = append(b, '\n')
 		}
-		FormatSchema(&b, s)
+		b = appendSchema(b, s)
 	}
 	for _, t := range p.Txns {
-		b.WriteString("\n")
-		FormatTxn(&b, t)
+		b = append(b, '\n')
+		b = appendTxn(b, t)
 	}
-	return b.String()
+	return string(b)
 }
 
-// FormatSchema writes one schema declaration.
-func FormatSchema(b *strings.Builder, s *Schema) {
-	fmt.Fprintf(b, "table %s {\n", s.Name)
+// appendSchema appends one schema declaration.
+func appendSchema(b []byte, s *Schema) []byte {
+	b = append(b, "table "...)
+	b = append(b, s.Name...)
+	b = append(b, " {\n"...)
 	for _, f := range s.Fields {
-		fmt.Fprintf(b, "  %s: %s", f.Name, f.Type)
+		b = append(b, "  "...)
+		b = append(b, f.Name...)
+		b = append(b, ": "...)
+		b = append(b, f.Type.String()...)
 		if f.PK {
-			b.WriteString(" key")
+			b = append(b, " key"...)
 		}
-		b.WriteString(",\n")
+		b = append(b, ",\n"...)
 	}
-	b.WriteString("}\n")
+	return append(b, "}\n"...)
 }
 
-// FormatTxn writes one transaction declaration.
-func FormatTxn(b *strings.Builder, t *Txn) {
-	fmt.Fprintf(b, "txn %s(", t.Name)
+// appendTxn appends one transaction declaration.
+func appendTxn(b []byte, t *Txn) []byte {
+	b = append(b, "txn "...)
+	b = append(b, t.Name...)
+	b = append(b, '(')
 	for i, p := range t.Params {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(b, "%s: %s", p.Name, p.Type)
+		b = append(b, p.Name...)
+		b = append(b, ": "...)
+		b = append(b, p.Type.String()...)
 	}
-	b.WriteString(") {\n")
-	formatStmts(b, t.Body, 1)
+	b = append(b, ") {\n"...)
+	b = appendStmts(b, t.Body, 1)
 	if t.Ret != nil {
-		fmt.Fprintf(b, "  return %s;\n", ExprString(t.Ret))
+		b = append(b, "  return "...)
+		b = appendExpr(b, t.Ret)
+		b = append(b, ";\n"...)
 	}
-	b.WriteString("}\n")
+	return append(b, "}\n"...)
 }
 
-func formatStmts(b *strings.Builder, body []Stmt, depth int) {
-	ind := strings.Repeat("  ", depth)
+func appendStmts(b []byte, body []Stmt, depth int) []byte {
 	for _, s := range body {
 		switch x := s.(type) {
 		case *Select:
-			cols := "*"
-			if !x.Star {
-				cols = strings.Join(x.Fields, ", ")
+			b = indent(b, depth)
+			b = append(b, x.Var...)
+			b = append(b, " := select "...)
+			if x.Star {
+				b = append(b, '*')
+			} else {
+				for i, f := range x.Fields {
+					if i > 0 {
+						b = append(b, ", "...)
+					}
+					b = append(b, f...)
+				}
 			}
-			fmt.Fprintf(b, "%s%s := select %s from %s where %s;%s\n",
-				ind, x.Var, cols, x.Table, ExprString(x.Where), labelComment(x.Label))
+			b = append(b, " from "...)
+			b = append(b, x.Table...)
+			b = append(b, " where "...)
+			b = appendExpr(b, x.Where)
+			b = endCommand(b, x.Label)
 		case *Update:
+			b = indent(b, depth)
 			if isDelete(x) {
-				fmt.Fprintf(b, "%sdelete from %s where %s;%s\n",
-					ind, x.Table, ExprString(x.Where), labelComment(x.Label))
-				continue
+				b = append(b, "delete from "...)
+				b = append(b, x.Table...)
+			} else {
+				b = append(b, "update "...)
+				b = append(b, x.Table...)
+				b = append(b, " set "...)
+				b = appendAssigns(b, x.Sets)
 			}
-			fmt.Fprintf(b, "%supdate %s set %s where %s;%s\n",
-				ind, x.Table, assignString(x.Sets), ExprString(x.Where), labelComment(x.Label))
+			b = append(b, " where "...)
+			b = appendExpr(b, x.Where)
+			b = endCommand(b, x.Label)
 		case *Insert:
-			fmt.Fprintf(b, "%sinsert into %s values (%s);%s\n",
-				ind, x.Table, assignString(x.Values), labelComment(x.Label))
+			b = indent(b, depth)
+			b = append(b, "insert into "...)
+			b = append(b, x.Table...)
+			b = append(b, " values ("...)
+			b = appendAssigns(b, x.Values)
+			b = append(b, ')')
+			b = endCommand(b, x.Label)
 		case *If:
-			fmt.Fprintf(b, "%sif (%s) {\n", ind, ExprString(x.Cond))
-			formatStmts(b, x.Then, depth+1)
-			fmt.Fprintf(b, "%s}\n", ind)
+			b = indent(b, depth)
+			b = append(b, "if ("...)
+			b = appendExpr(b, x.Cond)
+			b = append(b, ") {\n"...)
+			b = appendStmts(b, x.Then, depth+1)
+			b = indent(b, depth)
+			b = append(b, "}\n"...)
 		case *Iterate:
-			fmt.Fprintf(b, "%siterate (%s) {\n", ind, ExprString(x.Count))
-			formatStmts(b, x.Body, depth+1)
-			fmt.Fprintf(b, "%s}\n", ind)
+			b = indent(b, depth)
+			b = append(b, "iterate ("...)
+			b = appendExpr(b, x.Count)
+			b = append(b, ") {\n"...)
+			b = appendStmts(b, x.Body, depth+1)
+			b = indent(b, depth)
+			b = append(b, "}\n"...)
 		case *Skip:
-			fmt.Fprintf(b, "%sskip;\n", ind)
+			b = indent(b, depth)
+			b = append(b, "skip;\n"...)
 		}
 	}
+	return b
+}
+
+func indent(b []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// endCommand closes a database command: the semicolon, the label as a
+// trailing comment, the newline.
+func endCommand(b []byte, label string) []byte {
+	b = append(b, ';')
+	if label != "" {
+		b = append(b, " // "...)
+		b = append(b, label...)
+	}
+	return append(b, '\n')
 }
 
 // isDelete recognizes the desugared form of `delete from R where φ`.
@@ -97,58 +164,78 @@ func isDelete(u *Update) bool {
 	return ok && !b.Val
 }
 
-func labelComment(label string) string {
-	if label == "" {
-		return ""
-	}
-	return " // " + label
-}
-
-func assignString(as []Assign) string {
-	parts := make([]string, len(as))
+func appendAssigns(b []byte, as []Assign) []byte {
 	for i, a := range as {
-		parts[i] = fmt.Sprintf("%s = %s", a.Field, ExprString(a.Expr))
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, a.Field...)
+		b = append(b, " = "...)
+		b = appendExpr(b, a.Expr)
 	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
 // ExprString renders an expression in concrete syntax.
 func ExprString(e Expr) string {
+	var buf [64]byte
+	return string(appendExpr(buf[:0], e))
+}
+
+func appendExpr(b []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case nil:
-		return ""
+		return b
 	case *IntLit:
-		return fmt.Sprintf("%d", x.Val)
+		return strconv.AppendInt(b, x.Val, 10)
 	case *BoolLit:
-		return fmt.Sprintf("%t", x.Val)
+		return strconv.AppendBool(b, x.Val)
 	case *StringLit:
-		return fmt.Sprintf("%q", x.Val)
+		return strconv.AppendQuote(b, x.Val)
 	case *Arg:
-		return x.Name
+		return append(b, x.Name...)
 	case *Binary:
-		return fmt.Sprintf("(%s %s %s)", ExprString(x.L), x.Op, ExprString(x.R))
+		b = append(b, '(')
+		b = appendExpr(b, x.L)
+		b = append(b, ' ')
+		b = append(b, x.Op.String()...)
+		b = append(b, ' ')
+		b = appendExpr(b, x.R)
+		return append(b, ')')
 	case *IterVar:
-		return "iter"
+		return append(b, "iter"...)
 	case *ThisField:
-		return x.Field
+		return append(b, x.Field...)
 	case *FieldAt:
-		if x.Index == nil {
-			return fmt.Sprintf("%s.%s", x.Var, x.Field)
+		b = append(b, x.Var...)
+		b = append(b, '.')
+		b = append(b, x.Field...)
+		if x.Index != nil {
+			b = append(b, '[')
+			b = appendExpr(b, x.Index)
+			b = append(b, ']')
 		}
-		return fmt.Sprintf("%s.%s[%s]", x.Var, x.Field, ExprString(x.Index))
+		return b
 	case *Agg:
-		return fmt.Sprintf("%s(%s.%s)", x.Fn, x.Var, x.Field)
+		b = append(b, x.Fn.String()...)
+		b = append(b, '(')
+		b = append(b, x.Var...)
+		b = append(b, '.')
+		b = append(b, x.Field...)
+		return append(b, ')')
 	case *UUID:
-		return "uuid()"
+		return append(b, "uuid()"...)
 	default:
-		return fmt.Sprintf("<%T>", e)
+		return fmt.Appendf(b, "<%T>", e)
 	}
 }
 
 // StmtString renders a single statement (without trailing newline) for
 // diagnostics.
 func StmtString(s Stmt) string {
-	var b strings.Builder
-	formatStmts(&b, []Stmt{s}, 0)
-	return strings.TrimRight(b.String(), "\n")
+	b := appendStmts(nil, []Stmt{s}, 0)
+	for len(b) > 0 && b[len(b)-1] == '\n' {
+		b = b[:len(b)-1]
+	}
+	return string(b)
 }

@@ -326,9 +326,19 @@ func (e *Engine) RetryAfter() time.Duration {
 // inline after the body returns rather than via defer.
 func (e *Engine) guard(start time.Time, err *error) {
 	if v := recover(); v != nil {
-		*err = e.finish(start, fmt.Errorf("engine: internal panic: %v\n%s", v, debug.Stack()))
+		*err = e.finish(start, &PanicError{Value: v, Stack: debug.Stack()})
 	}
 }
+
+// PanicError is a request body's recovered panic. Its message names the
+// panic value only; the goroutine stack is for the operator's log (the
+// service writes it there, keyed by request id), never for a client.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (p *PanicError) Error() string { return fmt.Sprintf("engine: internal panic: %v", p.Value) }
 
 // execHook runs the chaos instrumentation point, if any.
 func (e *Engine) execHook(verb, client string) {

@@ -85,6 +85,17 @@ func (r *Result) stepf(format string, args ...any) {
 	r.Steps = append(r.Steps, string(r.stepBuf))
 }
 
+// pairStep appends the per-pair entry "<verb> <pair>: <desc>", the pair
+// rendered straight into the scratch buffer.
+func (r *Result) pairStep(verb string, pair anomaly.AccessPair, desc string) {
+	b := append(r.stepBuf[:0], verb...)
+	b = append(b, ' ')
+	b = pair.AppendTo(b)
+	b = append(b, ": "...)
+	r.stepBuf = append(b, desc...)
+	r.Steps = append(r.Steps, string(r.stepBuf))
+}
+
 // RepairedCount returns how many of the initial pairs were eliminated.
 func (r *Result) RepairedCount() int { return len(r.Initial) - len(r.Remaining) }
 
@@ -349,9 +360,9 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 		}
 		if p2, desc, ok := tryRepair(p, pair, res); ok {
 			p = p2
-			res.stepf("repaired %s: %s", pair, desc)
+			res.pairStep("repaired", pair, desc)
 		} else {
-			res.stepf("unrepaired %s: %s", pair, desc)
+			res.pairStep("unrepaired", pair, desc)
 		}
 	}
 	if rep.Unknown > 0 {

@@ -18,13 +18,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"runtime/debug"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,6 +83,19 @@ func New(eng *engine.Engine) *Server {
 // while in-flight requests finish.
 func (s *Server) SetReady(ok bool) { s.ready.Store(ok) }
 
+// AdminHandler serves net/http/pprof under /debug/pprof/, for a separate
+// admin listener (atroposd -pprof): profiles come from the running daemon,
+// and the public listener never exposes them.
+func AdminHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
 // ServeHTTP implements http.Handler. Every request runs behind a recover:
 // a panicking handler answers 500 (when nothing was written yet) and the
 // daemon keeps serving — one poisoned request must not take the process
@@ -90,7 +108,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// can be traced across client, daemon, and panic stacks.
 	rid := r.Header.Get("X-Request-ID")
 	if rid == "" {
-		rid = fmt.Sprintf("atropos-%d", s.nextID.Add(1))
+		rid = "atropos-" + strconv.FormatInt(s.nextID.Add(1), 10)
 	}
 	w.Header().Set("X-Request-ID", rid)
 	r = r.WithContext(context.WithValue(r.Context(), ridKey{}, rid))
@@ -298,6 +316,23 @@ type SimulateRequest struct {
 	FaultScenario string `json:"fault_scenario,omitempty"`
 }
 
+// validate rejects numeric fields the simulator cannot run: it needs at
+// least one client, and a negative size or horizon is a malformed request
+// (zero records, duration and ops select the simulator's defaults).
+func (req *SimulateRequest) validate() error {
+	switch {
+	case req.Clients < 1:
+		return fmt.Errorf("clients must be at least 1, got %d", req.Clients)
+	case req.Records < 0:
+		return fmt.Errorf("records must not be negative, got %d", req.Records)
+	case req.DurationMs < 0:
+		return fmt.Errorf("duration_ms must not be negative, got %d", req.DurationMs)
+	case req.Ops < 0:
+		return fmt.Errorf("ops must not be negative, got %d", req.Ops)
+	}
+	return nil
+}
+
 // SimulateResponse is one measured deployment point.
 type SimulateResponse struct {
 	Benchmark  string  `json:"benchmark"`
@@ -313,12 +348,41 @@ type SimulateResponse struct {
 	P99Ms      float64 `json:"p99_ms"`
 }
 
+// respBufs recycles response buffers across requests; a buffer that grew
+// past maxPooledResp (a whole-benchmark repair, say) is left to the GC so
+// one large answer does not pin its memory for the daemon's lifetime.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledResp = 64 << 10
+
+// writeJSON is every response's one write: the body is encoded compactly
+// (one JSON value and a newline; pipe through jq for an indented view) into
+// a pooled buffer before any header goes out, so an encode failure can
+// still answer 500, and then sent with its Content-Length in a single
+// Write — no chunked framing, no second pass.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledResp {
+			respBufs.Put(buf)
+		}
+	}()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		enc.Encode(errorResponse{ //nolint:errcheck // two strings always encode
+			Error:     "service: encode response: " + err.Error(),
+			RequestID: w.Header().Get("X-Request-ID"),
+		})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body) //nolint:errcheck // client gone: nothing to report to
+	w.Write(buf.Bytes()) //nolint:errcheck // client gone: nothing to report to
 }
 
 // writeError maps an engine/pipeline error onto its transport status:
@@ -336,6 +400,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	case errors.Is(err, context.Canceled):
 		// The client disconnected; it will never read a body.
 		return
+	}
+	var pe *engine.PanicError
+	if errors.As(err, &pe) {
+		s.logf("service: engine panic serving %s %s (request %s): %v\n%s", r.Method, r.URL.Path, requestID(r), pe.Value, pe.Stack)
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error(), RequestID: requestID(r)})
 }
@@ -356,6 +424,11 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	// A body is exactly one JSON value: a second value or trailing garbage
+	// is a malformed request, not something to ignore.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: data after the JSON value")
 	}
 	return nil
 }
@@ -610,6 +683,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		mode = cluster.ModeATSC
 	default:
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want EC, SC, or AT-SC)", req.Mode))
+		return
+	}
+	if err := req.validate(); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	scale := benchmarks.Scale{Records: req.Records} // zero ⇒ DefaultScale

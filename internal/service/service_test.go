@@ -132,23 +132,35 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBadRequests: malformed requests answer 400 with an error body; where
+// want is set, the error must start with it (the field it names).
 func TestBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Config{Workers: 1})
 	cases := []struct {
 		name string
 		path string
 		body any
+		want string
 	}{
-		{"syntax error", "/v1/parse", ProgramRequest{Source: "table T {"}},
-		{"missing program", "/v1/analyze", ProgramRequest{}},
-		{"both source and benchmark", "/v1/analyze", ProgramRequest{Source: "x", Benchmark: "SmallBank"}},
-		{"unknown benchmark", "/v1/analyze", ProgramRequest{Benchmark: "nope"}},
-		{"unknown model", "/v1/analyze", ProgramRequest{Benchmark: "SmallBank", Model: "XX"}},
-		{"unknown field", "/v1/analyze", map[string]any{"benchmark": "SmallBank", "bogus": 1}},
-		{"retired field incremental", "/v1/repair", map[string]any{"benchmark": "SmallBank", "incremental": false}},
-		{"retired field portfolio", "/v1/analyze", map[string]any{"benchmark": "SmallBank", "portfolio": 3}},
-		{"unknown topology", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Topology: "Mars"}},
-		{"unknown mode", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Mode: "XY"}},
+		{"syntax error", "/v1/parse", ProgramRequest{Source: "table T {"}, ""},
+		{"missing program", "/v1/analyze", ProgramRequest{}, ""},
+		{"both source and benchmark", "/v1/analyze", ProgramRequest{Source: "x", Benchmark: "SmallBank"}, ""},
+		{"unknown benchmark", "/v1/analyze", ProgramRequest{Benchmark: "nope"}, ""},
+		{"unknown model", "/v1/analyze", ProgramRequest{Benchmark: "SmallBank", Model: "XX"}, ""},
+		{"unknown field", "/v1/analyze", map[string]any{"benchmark": "SmallBank", "bogus": 1}, ""},
+		{"retired field incremental", "/v1/repair", map[string]any{"benchmark": "SmallBank", "incremental": false}, ""},
+		{"retired field portfolio", "/v1/analyze", map[string]any{"benchmark": "SmallBank", "portfolio": 3}, ""},
+		{"unknown topology", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 1, Topology: "Mars"}, "unknown topology"},
+		{"unknown mode", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 1, Mode: "XY"}, "unknown mode"},
+		// The simulator's numeric fields are checked at the door: a negative
+		// records count used to panic inside the engine (500), no clients to
+		// fail in the engine (500), and a negative horizon to answer an
+		// empty 200.
+		{"negative records", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, Records: -5}, "records "},
+		{"omitted clients", "/v1/simulate", SimulateRequest{Benchmark: "SIBench"}, "clients "},
+		{"negative clients", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: -1}, "clients "},
+		{"negative duration", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, DurationMs: -1}, "duration_ms "},
+		{"negative ops", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, Ops: -100}, "ops "},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, tc.path, tc.body)
@@ -159,6 +171,8 @@ func TestBadRequests(t *testing.T) {
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: no error body: %s", tc.name, body)
+		} else if !strings.HasPrefix(er.Error, tc.want) {
+			t.Errorf("%s: error %q, want it to start with %q", tc.name, er.Error, tc.want)
 		}
 	}
 }
