@@ -48,8 +48,11 @@ race-par:
 # (BenchmarkTable1_*), the simulator (BenchmarkSim*; the *Interp ones run
 # the tests' AST reference on the same workload), witness certification
 # (BenchmarkCertify_*: directed runs on the simulator's executor), the
-# invariant study (BenchmarkInvariants_*: directed and serial runs) and the
-# daemon's request path (BenchmarkService_*: program verbs through HTTP) are
+# invariant study (BenchmarkInvariants_*: directed and serial runs), the
+# front end (BenchmarkFrontEnd: parse and check of the nine sources), the
+# editing loop (BenchmarkSessionEdit: one session across drop/restore
+# edits) and the daemon's request path (BenchmarkService_*: program verbs
+# through HTTP) are
 # deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
 # clock stays informational). Exact counts are Go goldens, not measured
@@ -119,6 +122,7 @@ fuzz:
 	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzWitnessReplaySoundness$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzBudgetedSolveEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # Service load-test smoke: the in-process atroposd daemon under a small
 # concurrent client fleet (counts-only assertions — the binary exits

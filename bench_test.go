@@ -10,10 +10,13 @@ import (
 
 	"atropos"
 	"atropos/internal/anomaly"
+	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
 	"atropos/internal/exp"
+	"atropos/internal/parser"
 	"atropos/internal/repair"
+	"atropos/internal/sema"
 )
 
 // --- Table 1: static analysis and repair per benchmark ---
@@ -96,6 +99,74 @@ func BenchmarkDetect_EC(b *testing.B) { benchDetect(b, anomaly.EC) }
 func BenchmarkDetect_CC(b *testing.B) { benchDetect(b, anomaly.CC) }
 func BenchmarkDetect_RR(b *testing.B) { benchDetect(b, anomaly.RR) }
 func BenchmarkDetect_SC(b *testing.B) { benchDetect(b, anomaly.SC) }
+
+// --- The front end and the editing loop (bench/run.sh's session-edits) ---
+
+// BenchmarkFrontEnd parses and checks the nine benchmark sources; MB/s is
+// the front end's throughput.
+func BenchmarkFrontEnd(b *testing.B) {
+	all := benchmarks.All()
+	n := 0
+	for _, bench := range all {
+		n += len(bench.Source)
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, bench := range all {
+			prog, err := parser.Parse(bench.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sema.Check(prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkSessionEdit is the drop/restore editing loop at width 1: per
+// benchmark program, one session under EC detects the program, then for
+// each transaction the program without it and the program restored.
+// built/op counts the SAT bodies one loop over the nine programs builds.
+func BenchmarkSessionEdit(b *testing.B) {
+	type edits struct{ orig, without []*ast.Program }
+	var progs []edits
+	for _, bench := range benchmarks.All() {
+		prog, err := bench.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := edits{orig: []*ast.Program{prog}}
+		for k := range prog.Txns {
+			rest := append(append([]*ast.Txn{}, prog.Txns[:k]...), prog.Txns[k+1:]...)
+			e.without = append(e.without, &ast.Program{Schemas: prog.Schemas, Txns: rest})
+		}
+		progs = append(progs, e)
+	}
+	built := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		built = 0
+		for _, e := range progs {
+			s := anomaly.NewSession(anomaly.EC)
+			s.SetParallelism(1)
+			detect := func(p *ast.Program) {
+				if _, err := s.Detect(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			detect(e.orig[0])
+			for _, w := range e.without {
+				detect(w)
+				detect(e.orig[0])
+			}
+			built += s.Stats().EncodersBuilt
+		}
+	}
+	b.ReportMetric(float64(built), "built/op")
+}
 
 // --- Figures 12-15: one simulated performance point per panel ---
 

@@ -52,11 +52,14 @@ var (
 // pipeline (Table 1), the compiled cluster simulator, witness
 // certification, the invariant study (directed and serial runs on the
 // simulator's executor), the daemon's request path (one fixed round of
-// program verbs through HTTP), and the parallel fast path (sharded
-// interning and wavefront detection, both measured at fixed worker counts
-// so allocs/op stays machine-independent).
+// program verbs through HTTP), the front end (parse and check of the nine
+// sources), the editing loop (one session across drop/restore edits), and
+// the parallel fast path (sharded interning and wavefront detection, both
+// measured at fixed worker counts so allocs/op stays machine-independent).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkTable1_") ||
+		strings.HasPrefix(name, "BenchmarkFrontEnd") ||
+		strings.HasPrefix(name, "BenchmarkSessionEdit") ||
 		strings.HasPrefix(name, "BenchmarkSim") ||
 		strings.HasPrefix(name, "BenchmarkCertify_") ||
 		strings.HasPrefix(name, "BenchmarkInvariants_") ||

@@ -180,7 +180,10 @@ type cycleResult struct {
 // was in exactly the state a fresh oracle's would be, so the cached edge
 // data is the fresh answer by construction. When a miss follows earlier
 // hits on the same encoder, the skipped queries are replayed first
-// (replayPending) to restore that state parity before solving.
+// (replayPending) to restore that state parity before solving. An encoder
+// takes its hits before its body exists when the session remembers the
+// body's formula hash (answerUnbuilt); its first miss builds the body, and
+// those hits are the prefix replayed on it.
 func (d *detector) solveCycle(pe *pairEncoder, from1, to1, from2, to2 int) (cycleResult, error) {
 	if d.stop != nil {
 		if err := d.ctx.Err(); err != nil {
@@ -188,8 +191,19 @@ func (d *detector) solveCycle(pe *pairEncoder, from1, to1, from2, to2 int) (cycl
 		}
 	}
 	d.issued++
+	// The assumed dep propositions' identities (logic.Interner, see newRel)
+	// key the cache and the history hash, and need no body to compute.
+	a1, a2 := relID(tagDep, from1, to1), relID(tagDep, from2, to2)
+	q := [4]int{from1, to1, from2, to2}
 	if pe.enc == nil {
-		d.buildBody(pe)
+		if r, ok := d.answerUnbuilt(pe, a1, a2); ok {
+			pe.pending = append(pe.pending, q)
+			pe.histHash = chainHist(pe.histHash, a1, a2)
+			return r, nil
+		}
+		if err := d.buildBody(pe); err != nil {
+			return cycleResult{}, err
+		}
 	}
 	s1, s2 := pe.dep.at(from1, to1), pe.dep.at(from2, to2)
 	solve := func() (cycleResult, error) {
@@ -229,9 +243,6 @@ func (d *detector) solveCycle(pe *pairEncoder, from1, to1, from2, to2 int) (cycl
 		}
 		return r, err
 	}
-	// The assumed propositions key the cache and the history hash by
-	// identity (logic.Interner), like every proposition of the formula hash.
-	a1, a2 := pe.enc.IDOf(s1), pe.enc.IDOf(s2)
 	key := queryKey{enc: pe.enc.FormulaHash(), hist: pe.histHash, a1: a1, a2: a2}
 	r, hit, err := d.session.query(d.ctx, key, func() (cycleResult, error) {
 		d.replayed += pe.replayPending()
@@ -249,7 +260,7 @@ func (d *detector) solveCycle(pe *pairEncoder, from1, to1, from2, to2 int) (cycl
 		return cycleResult{}, err
 	}
 	if hit {
-		pe.pending = append(pe.pending, [2]logic.Sym{s1, s2})
+		pe.pending = append(pe.pending, q)
 	} else {
 		d.solved++
 	}
@@ -267,6 +278,29 @@ var errExhausted = errors.New("anomaly: solve budget exhausted")
 // query-history hash.
 func chainHist(h, a1, a2 uint64) uint64 {
 	return logic.ChainUint64(logic.ChainUint64(h, a1), a2)
+}
+
+// memoizes reports whether d's bodies take part in the session's
+// encoder-level cache: the test-only axiom override builds bodies the plan
+// key does not describe.
+func (d *detector) memoizes() bool { return d.session != nil && d.axioms.ord == nil }
+
+// answerUnbuilt answers a query on an encoder whose body is not built from
+// the session alone, when it can: the session remembers the formula hash
+// of the body pe's plan builds, and a query under that hash, pe's history
+// and the same assumptions has completed. Such an encoder needs its body
+// only for its first query that misses.
+func (d *detector) answerUnbuilt(pe *pairEncoder, a1, a2 uint64) (cycleResult, bool) {
+	if !d.memoizes() {
+		return cycleResult{}, false
+	}
+	if pe.formula == 0 {
+		pe.plan = pe.planKey(d.pass.model, d.pass.record)
+		if pe.formula = d.session.formulaOf(pe.plan); pe.formula == 0 {
+			return cycleResult{}, false
+		}
+	}
+	return d.session.answered(queryKey{enc: pe.formula, hist: pe.histHash, a1: a1, a2: a2})
 }
 
 // releaseEncoders returns every built encoder's solver memory to the shared
@@ -290,8 +324,9 @@ func (d *detector) releaseEncoders() {
 }
 
 // buildBody acquires a solver for pe and asserts its encoding, on the
-// first cycle query the witness loop asks of it.
-func (d *detector) buildBody(pe *pairEncoder) {
+// first cycle query the witness loop asks of it. The error is
+// errPlanMismatch, from the session's check of the body against its plan.
+func (d *detector) buildBody(pe *pairEncoder) error {
 	var le *logic.Encoder
 	if d.encCache != nil {
 		le = d.encCache.Acquire()
@@ -306,6 +341,15 @@ func (d *detector) buildBody(pe *pairEncoder) {
 		ax = mergeOrder
 	}
 	pe.build(le, d.pass.model, d.pass.record, ax)
+	if d.memoizes() {
+		if pe.plan == 0 {
+			pe.plan = pe.planKey(d.pass.model, d.pass.record)
+		}
+		if err := d.session.rememberFormula(pe.plan, le.FormulaHash()); err != nil {
+			// pe holds the solver, so releaseEncoders returns it.
+			return err
+		}
+	}
 	// The stop probe aborts this encoder's solves when the detector's
 	// context is cancelled; Encoder.Release → Solver.Reset clears it before
 	// the solver returns to the pool. The budget, likewise per-solver and
@@ -317,6 +361,7 @@ func (d *detector) buildBody(pe *pairEncoder) {
 		le.S.SetBudget(d.budget)
 	}
 	d.pass.built.Add(1)
+	return nil
 }
 
 // pairEncoder is the encoding of one (T, T') transaction pair: T as
@@ -355,10 +400,15 @@ type pairEncoder struct {
 	// session's cache keys include it so a hit is only taken from a
 	// producer whose solver had seen the identical query sequence.
 	histHash uint64
-	// pending are the assumed propositions of queries answered from the
-	// cache and not yet run on this solver; replayPending runs them before
-	// the next fresh solve to restore solver-state parity.
-	pending [][2]logic.Sym
+	// pending are the queries, as the item indices (from1, to1, from2,
+	// to2) of their two assumed dep propositions, answered from the cache
+	// and not yet run on this solver — or on any, when they were answered
+	// before the body was built; replayPending runs them before the next
+	// fresh solve to restore solver-state parity.
+	pending [][4]int
+	// plan is the encoder's plan key (planKey), computed on first use, and
+	// formula the formula hash the session remembers for it (0 = unknown).
+	plan, formula uint64
 	// tainted marks an encoder whose solver exhausted a budget: its search
 	// state does not match a fresh oracle's, so it must neither consume nor
 	// produce history-keyed cache entries (see detector.solveCycle).
@@ -391,12 +441,12 @@ func (pe *pairEncoder) key(x int) keyConstraint { return pe.item(x).key[pe.inst(
 // known) and returns how many it replayed.
 func (pe *pairEncoder) replayPending() int {
 	n := len(pe.pending)
-	for _, p := range pe.pending {
-		pe.assume[0] = pe.enc.LitS(p[0], false)
-		pe.assume[1] = pe.enc.LitS(p[1], false)
+	for _, q := range pe.pending {
+		pe.assume[0] = pe.enc.LitS(pe.dep.at(q[0], q[1]), false)
+		pe.assume[1] = pe.enc.LitS(pe.dep.at(q[2], q[3]), false)
 		pe.enc.SolveAssuming(pe.assume[:]...)
 	}
-	pe.pending = nil
+	pe.pending = pe.pending[:0]
 	return n
 }
 

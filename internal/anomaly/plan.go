@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"atropos/internal/ast"
+	"atropos/internal/logic"
 )
 
 // This file is the plan half of a pair encoding (DESIGN.md §3): everything
@@ -17,7 +18,7 @@ import (
 // therefore which cycle queries the witness loop can ever ask; the SAT
 // body (detect.go) is built only when the first of them is asked.
 
-// fieldSet is a set of field names, sorted.
+// fieldSet is a set of field names, sorted (also used for table names).
 type fieldSet []string
 
 func (s fieldSet) has(f string) bool {
@@ -68,6 +69,10 @@ func conflicts(x, y *cmdFacts) bool {
 type txnFacts struct {
 	name string
 	cmds []cmdFacts
+	// hash and slice are the transaction's structural hash and schema-slice
+	// digest (pass.hashes, pass.slices): with the model they determine
+	// every fact above, and so key the pair encodings it takes part in.
+	hash, slice uint64
 }
 
 // pass is the state shared by the detectors of one detection pass over one
@@ -78,8 +83,13 @@ type pass struct {
 	prog   *ast.Program
 	model  Model
 	record bool
-	tables []map[string]bool // per transaction: the tables it touches
-	facts  []*txnFacts       // per transaction, nil until first needed
+	// Per transaction: the tables it touches (sorted), its structural hash
+	// (ast.HashTxn), the digest of those tables' names and schemas, and its
+	// facts (nil until first needed).
+	tables [][]string
+	hashes []uint64
+	slices []uint64
+	facts  []*txnFacts
 	// planned counts the pair plans computed, built the SAT bodies
 	// constructed for them (workers build concurrently).
 	planned int
@@ -90,14 +100,64 @@ type pass struct {
 }
 
 func newPass(prog *ast.Program, model Model, record bool) *pass {
+	n := len(prog.Txns)
 	p := &pass{prog: prog, model: model, record: record,
-		tables: make([]map[string]bool, len(prog.Txns)),
-		facts:  make([]*txnFacts, len(prog.Txns)),
+		tables: make([][]string, n),
+		hashes: make([]uint64, n),
+		slices: make([]uint64, n),
+		facts:  make([]*txnFacts, n),
 	}
+	schemas := make([]uint64, len(prog.Schemas))
+	for i, sch := range prog.Schemas {
+		schemas[i] = ast.HashSchema(sch)
+	}
+	// The hashes are memoized on the transaction nodes, and the refactoring
+	// engine is copy-on-write, so a transaction an edit or a refactoring
+	// step did not touch keeps its node and hashes in one atomic load. This
+	// runs on the goroutine driving the pass, so it also publishes every
+	// memo before any worker starts.
 	for i, t := range prog.Txns {
+		p.hashes[i] = ast.HashTxn(t)
 		p.tables[i] = txnTables(t)
+		h := logic.ChainSeed
+		for _, tb := range p.tables[i] {
+			h = logic.ChainString(h, tb)
+			if k := slices.IndexFunc(prog.Schemas, func(s *ast.Schema) bool { return s.Name == tb }); k >= 0 {
+				h = logic.ChainUint64(h, schemas[k])
+			}
+		}
+		p.slices[i] = h
 	}
 	return p
+}
+
+// txnTables lists the tables a transaction's commands touch, sorted.
+func txnTables(t *ast.Txn) []string {
+	var out []string
+	for _, c := range ast.Commands(t.Body) {
+		out = append(out, c.TableName())
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// fingerprint digests everything transaction i's detection outcome can
+// depend on: the model, its structural hash, and the hash of every
+// potential witness (a transaction touching at least one common table, in
+// program order — the first satisfiable witness is the one reported),
+// each with the schema-slice digest of the tables it touches, which
+// together cover every table either side can read a schema of.
+// Transactions sharing no table with it cannot contribute a dependency
+// edge and are excluded, so editing them does not invalidate i.
+func (p *pass) fingerprint(i int) uint64 {
+	h := logic.ChainString(logic.ChainSeed, p.model.String())
+	h = logic.ChainUint64(logic.ChainUint64(h, p.hashes[i]), p.slices[i])
+	for j := range p.prog.Txns {
+		if sharesTable(p.tables[i], p.tables[j]) {
+			h = logic.ChainUint64(logic.ChainUint64(h, p.hashes[j]), p.slices[j])
+		}
+	}
+	return h
 }
 
 func (p *pass) txnFacts(ti int) (*txnFacts, error) {
@@ -106,7 +166,7 @@ func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 	}
 	t := p.prog.Txns[ti]
 	cmds := ast.Commands(t.Body)
-	tf := &txnFacts{name: t.Name, cmds: make([]cmdFacts, len(cmds))}
+	tf := &txnFacts{name: t.Name, cmds: make([]cmdFacts, len(cmds)), hash: p.hashes[ti], slice: p.slices[ti]}
 	for ci, c := range cmds {
 		schema := p.prog.Schema(c.TableName())
 		if schema == nil {
@@ -172,14 +232,8 @@ func (p *pass) witnessesOf(ti int) ([]*pairEncoder, error) {
 	return witnesses, nil
 }
 
-func sharesTable(a, b map[string]bool) bool {
-	for tb := range a {
-		if b[tb] {
-			return true
-		}
-	}
-	return false
-}
+// sharesTable reports whether two sorted table lists intersect.
+func sharesTable(a, b []string) bool { return fieldSet(a).overlaps(b) }
 
 // planPair computes the dependency plan of (t, w): cand[a] lists, in
 // program order, the commands of w (as global item indices) that command a
@@ -215,4 +269,20 @@ func (pe *pairEncoder) askable() bool {
 		}
 	}
 	return live >= 2
+}
+
+// planKey identifies the body pe would build before it is built: the model,
+// both transactions' structural hashes and schema-slice digests (which
+// determine their facts, and with them the plan), and whether witness
+// schedules are recorded. The session remembers each built body's formula
+// hash under it (DetectSession.plans).
+func (pe *pairEncoder) planKey(model Model, record bool) uint64 {
+	h := logic.ChainString(logic.ChainSeed, model.String())
+	for _, tf := range [2]*txnFacts{pe.t, pe.w} {
+		h = logic.ChainUint64(logic.ChainUint64(h, tf.hash), tf.slice)
+	}
+	if record {
+		h = logic.ChainUint64(h, 1)
+	}
+	return h
 }

@@ -128,9 +128,89 @@ func TestPlanMatchesBody(t *testing.T) {
 	})
 }
 
+// demoteKeys returns prog with the last key field of every table keyed by
+// two or more fields made an ordinary field: the same transactions over
+// schemas that pin fewer key terms, so their pair bodies differ.
+func demoteKeys(prog *ast.Program) *ast.Program {
+	out := &ast.Program{Txns: prog.Txns}
+	for _, s := range prog.Schemas {
+		if pk := s.PrimaryKey(); len(pk) >= 2 {
+			c := &ast.Schema{Name: s.Name}
+			for _, f := range s.Fields {
+				c.Fields = append(c.Fields, &ast.Field{Name: f.Name, Type: f.Type, PK: f.PK && f != pk[len(pk)-1]})
+			}
+			s = c
+		}
+		out.Schemas = append(out.Schemas, s)
+	}
+	return out
+}
+
+// TestPlanKeyDeterminesBody: the plan key under which a session remembers
+// a body's formula hash is an identity for the body. Over the corpus, and
+// the corpus with multi-field keys demoted (same transactions, other
+// schemas), under every model, recording or not, ordered transaction pairs
+// with equal plan keys build bodies with equal formula hashes.
+func TestPlanKeyDeterminesBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-corpus differential; skipped with -short")
+	}
+	seen := map[uint64]string{}
+	hashes := map[uint64]uint64{}
+	check := func(name string, prog *ast.Program) {
+		for _, m := range allModels {
+			for _, record := range []bool{false, true} {
+				p := newPass(prog, m, record)
+				for ti, tt := range prog.Txns {
+					for wi, wt := range prog.Txns {
+						tf, err := p.txnFacts(ti)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wf, err := p.txnFacts(wi)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pe := planPair(tf, wf)
+						le := logic.AcquireEncoder()
+						le.RecordFormulaHashes()
+						pe.build(le, m, record, mergeOrder)
+						key, fh := pe.planKey(m, record), le.FormulaHash()
+						le.Release()
+						what := fmt.Sprintf("%s %v record=%v %s×%s", name, m, record, tt.Name, wt.Name)
+						if old, ok := hashes[key]; ok && old != fh {
+							t.Fatalf("%s and %s share plan key %#x but build different bodies", seen[key], what, key)
+						}
+						hashes[key], seen[key] = fh, what
+					}
+				}
+			}
+		}
+	}
+	corpus(t, func(name string, prog *ast.Program) {
+		check(name, prog)
+		check(name+" (keys demoted)", demoteKeys(prog))
+	})
+}
+
+// SkewRememberedFormulas makes every session remember a wrong formula hash
+// for each body it builds — the next body built under that plan disagrees
+// with it — until restore is called. For the package's external tests.
+func SkewRememberedFormulas() (restore func()) {
+	rememberSkew.Store(1)
+	return func() { rememberSkew.Store(0) }
+}
+
+// ErrPlanMismatch is errPlanMismatch, for the package's external tests.
+var ErrPlanMismatch = errPlanMismatch
+
 // eagerBodies is the pass hook that builds every body as its detector takes
 // the plan on — what the detector did before the split.
-func eagerBodies(d *detector, pe *pairEncoder) { d.buildBody(pe) }
+func eagerBodies(d *detector, pe *pairEncoder) {
+	if err := d.buildBody(pe); err != nil {
+		panic(err)
+	}
+}
 
 // detectVia runs one detection of prog with witness recording on, fresh
 // (width 0) or through a new session at the given width, with bodies built

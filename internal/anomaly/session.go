@@ -2,13 +2,13 @@ package anomaly
 
 import (
 	"context"
-	"maps"
+	"errors"
+	"fmt"
 	"runtime"
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"atropos/internal/ast"
-	"atropos/internal/logic"
 	"atropos/internal/pool"
 	"atropos/internal/sat"
 )
@@ -21,7 +21,7 @@ import (
 // what it remembers — every report equals a cache-free detector's (the
 // reference kept in this package's tests).
 //
-// Two cache layers (see DESIGN.md §7 for the invalidation contract):
+// Three cache layers (see DESIGN.md §7 for the invalidation contract):
 //
 //   - Transaction level: each transaction's detection outcome is keyed by a
 //     fingerprint of everything it can depend on — the transaction's own
@@ -38,6 +38,13 @@ import (
 //     sequences — across detection passes or within one — share solved
 //     verdicts and witness-edge data; a sequence divergence falls back to
 //     solving, after replaying the skipped prefix for state parity.
+//   - Encoder level: the formula hash of every body built is remembered
+//     under its plan key (pairEncoder.planKey: the model, both
+//     transactions and their schema slices), so a planned encoder whose
+//     queries are all cached answers them without building its body. The
+//     first query that misses builds it and must find the remembered hash;
+//     a body that does not fails the detection (errPlanMismatch) and
+//     empties all three layers.
 //
 // Detection work fans out over a work-stealing pool at (txn, witness)
 // granularity (SetParallelism; see parallel.go): witness tasks advance in
@@ -68,6 +75,7 @@ type DetectSession struct {
 	mu      sync.Mutex
 	txns    map[uint64]txnEntry
 	queries map[queryKey]*queryFuture
+	plans   map[uint64]uint64 // plan key → formula hash of its body
 	stats   SessionStats
 }
 
@@ -157,6 +165,7 @@ func NewSession(model Model) *DetectSession {
 		model:   model,
 		txns:    map[uint64]txnEntry{},
 		queries: map[queryKey]*queryFuture{},
+		plans:   map[uint64]uint64{},
 	}
 }
 
@@ -208,6 +217,7 @@ func (s *DetectSession) Reset() {
 	defer s.mu.Unlock()
 	s.txns = map[uint64]txnEntry{}
 	s.queries = map[queryKey]*queryFuture{}
+	s.plans = map[uint64]uint64{}
 }
 
 // Detect runs the oracle over every transaction of the program, reusing
@@ -222,28 +232,11 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 // interrupted results (see query).
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
 	n := len(prog.Txns)
-	// Precompute each transaction's structural hash and table set (the
-	// pass's) once; fingerprinting consults every (txn, witness)
-	// combination. The hashes are memoized on the transaction nodes
-	// (ast.HashTxn), and the refactoring engine is copy-on-write, so a
-	// transaction the previous refactoring step did not touch keeps its
-	// node — hashing it again here is one atomic load, where the
-	// pre-hash-consing engine re-printed every transaction on each of the
-	// pipeline's three detection passes. This sequential prepass also
-	// publishes every memo before the workers fan out below.
 	p := newPass(prog, s.model, s.record)
 	p.onPlan = s.onPlan
-	hashes := make([]uint64, n)
-	for i, t := range prog.Txns {
-		hashes[i] = ast.HashTxn(t)
-	}
-	schemaHash := make(map[string]uint64, len(prog.Schemas))
-	for _, sch := range prog.Schemas {
-		schemaHash[sch.Name] = ast.HashSchema(sch)
-	}
 	fps := make([]uint64, n)
-	for i := range prog.Txns {
-		fps[i] = fingerprintTxn(prog, i, hashes, p.tables, schemaHash, s.model)
+	for i := range fps {
+		fps[i] = p.fingerprint(i)
 	}
 	var outs []txnOut
 	var err error
@@ -271,6 +264,12 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 		})
 	}
 	if err != nil {
+		if errors.Is(err, errPlanMismatch) {
+			// Answers taken from the plan table before the mismatch showed
+			// may be wrong, and some may have entered the other layers.
+			// Every worker has returned, so nothing refills them.
+			s.Reset()
+		}
 		return nil, err
 	}
 	report := &Report{Model: s.model, EncodersPlanned: p.planned, EncodersBuilt: int(p.built.Load())}
@@ -400,55 +399,53 @@ func (s *DetectSession) query(ctx context.Context, key queryKey, solve func() (c
 	}
 }
 
-// fingerprintTxn digests everything transaction i's detection outcome can
-// depend on: its own structural hash, the hash of every potential witness
-// (a transaction touching at least one common table, in program order —
-// the first satisfiable witness is the one reported), the schemas of every
-// table it or those witnesses touch, and the consistency model.
-// Transactions sharing no table with it cannot contribute a dependency
-// edge and are excluded, so refactoring them does not invalidate i.
-// hashes, tables, and schemaHash are the per-pass precomputations of
-// Detect: structural hashes (ast.HashTxn / ast.HashSchema) replaced the
-// printed-text digests the session used before hash-consing, so a pass
-// over a mostly-shared program prints nothing at all.
-func fingerprintTxn(prog *ast.Program, i int, hashes []uint64, tables []map[string]bool, schemaHash map[string]uint64, model Model) uint64 {
-	h := logic.ChainString(logic.ChainSeed, model.String())
-	h = logic.ChainUint64(h, hashes[i])
-	relevant := tables[i]
-	var merged map[string]bool
-	for j := range prog.Txns {
-		if !sharesTable(tables[i], tables[j]) {
-			continue
-		}
-		h = logic.ChainString(h, "\x00witness\x00")
-		h = logic.ChainUint64(h, hashes[j])
-		if j != i {
-			if merged == nil {
-				merged = make(map[string]bool, len(relevant)+len(tables[j]))
-				for tb := range relevant {
-					merged[tb] = true
-				}
-				relevant = merged
-			}
-			for tb := range tables[j] {
-				merged[tb] = true
-			}
-		}
+// answered returns the result of a query some asker has completed, counting
+// the hit; an absent or still running query is not answered.
+func (s *DetectSession) answered(key queryKey) (cycleResult, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.queries[key]
+	if !ok {
+		return cycleResult{}, false
 	}
-	for _, name := range slices.Sorted(maps.Keys(relevant)) {
-		if sh, ok := schemaHash[name]; ok {
-			h = logic.ChainString(h, "\x00schema\x00")
-			h = logic.ChainUint64(h, sh)
-		}
+	select {
+	case <-f.done:
+	default:
+		return cycleResult{}, false
 	}
-	return h
+	// A producer that fails removes its key before closing done, so a done
+	// future still in the map holds a real verdict.
+	s.stats.QueryHits++
+	return f.result, true
 }
 
-// txnTables is the set of tables a transaction's commands touch.
-func txnTables(t *ast.Txn) map[string]bool {
-	out := map[string]bool{}
-	for _, c := range ast.Commands(t.Body) {
-		out[c.TableName()] = true
+// formulaOf returns the formula hash remembered for a plan key, 0 if none.
+func (s *DetectSession) formulaOf(plan uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.plans[plan]
+}
+
+// errPlanMismatch reports a built body whose formula hash differs from the
+// one remembered for its plan key: the key misses something the encoding
+// depends on, so answers the session gave on the strength of it may be
+// wrong. DetectContext drops every cache and fails the call; the daemon
+// answers it as an internal error.
+var errPlanMismatch = errors.New("anomaly: internal error: a plan key does not determine its body")
+
+// rememberSkew is xored into every formula hash a session remembers. It is
+// zero outside tests, which set it to break the plan invariant on purpose.
+var rememberSkew atomic.Uint64
+
+// rememberFormula records the formula hash of a body built for a plan key.
+// Equal plan keys must build equal bodies; a body that disagrees with the
+// hash remembered for its plan is errPlanMismatch.
+func (s *DetectSession) rememberFormula(plan, formula uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.plans[plan]; ok && old != formula {
+		return fmt.Errorf("%w (plan %#x built formula %#x, remembered %#x)", errPlanMismatch, plan, formula, old)
 	}
-	return out
+	s.plans[plan] = formula ^ rememberSkew.Load()
+	return nil
 }

@@ -1,6 +1,7 @@
 package anomaly_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -80,35 +81,82 @@ func TestSessionEquivalentOnRandomPrograms(t *testing.T) {
 	}
 }
 
+// without returns prog with transaction k dropped: an edit.
+func without(prog *ast.Program, k int) *ast.Program {
+	rest := append(append([]*ast.Txn{}, prog.Txns[:k]...), prog.Txns[k+1:]...)
+	return &ast.Program{Schemas: prog.Schemas, Txns: rest}
+}
+
+// sameAsFresh requires a session report to equal the cache-free reference
+// detection of prog — pairs and queries — and to have solved no more
+// queries than it did.
+func sameAsFresh(t *testing.T, what string, prog *ast.Program, m anomaly.Model, got *anomaly.Report) {
+	t.Helper()
+	fresh, err := anomaly.FreshDetect(prog, m)
+	if err != nil {
+		t.Fatalf("%s: fresh Detect: %v", what, err)
+	}
+	if !reflect.DeepEqual(fresh.Pairs, got.Pairs) || got.Queries != fresh.Queries || got.Solved > fresh.Solved {
+		t.Fatalf("%s: session diverges from fresh Detect (queries %d/%d, solved %d/%d, session/fresh):\nfresh %v\ngot   %v",
+			what, got.Queries, fresh.Queries, got.Solved, fresh.Solved, fresh.Pairs, got.Pairs)
+	}
+}
+
 // TestSessionEquivalentOnBenchmarks pins the contract on the full
-// evaluation corpus: every benchmark under EC, CC, and RR.
+// evaluation corpus under an editing loop: per benchmark and model, one
+// session — sequential, and at the forced test width — detects the
+// program, then for each transaction the program without it and the
+// program restored, and every report equals a fresh detection's. A plan
+// key that missed something a body depends on would answer a query from
+// the wrong body here. Under EC the sequential loop's counts are pinned:
+// restoring a transaction re-asks its encoders queries the session
+// answered before the edit, and those answers need no SAT body — 79 of the
+// loop's encoders are built (231 before bodies could be skipped), with
+// every other count unchanged.
 func TestSessionEquivalentOnBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus equivalence; skipped with -short")
 	}
+	for _, width := range []int{1, anomaly.ForcedWidth()} {
+		for _, m := range sessionModels {
+			editLoop(t, m, width)
+		}
+	}
+}
+
+// editLoop runs TestSessionEquivalentOnBenchmarks' loop for one model and
+// width.
+func editLoop(t *testing.T, m anomaly.Model, width int) {
+	t.Helper()
+	var sum anomaly.SessionStats
 	for _, b := range benchmarks.All() {
 		prog, err := b.Program()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range sessionModels {
-			fresh, err := anomaly.FreshDetect(prog, m)
+		s := anomaly.NewSession(m)
+		s.SetParallelism(width)
+		detect := func(what string, p *ast.Program) {
+			got, err := s.Detect(p)
 			if err != nil {
-				t.Fatalf("%s %v: Detect: %v", b.Name, m, err)
+				t.Fatalf("%s %v width %d %s: session Detect: %v", b.Name, m, width, what, err)
 			}
-			s := anomaly.NewSession(m)
-			got, err := s.Detect(prog)
-			if err != nil {
-				t.Fatalf("%s %v: session Detect: %v", b.Name, m, err)
-			}
-			if !reflect.DeepEqual(fresh.Pairs, got.Pairs) {
-				t.Errorf("%s %v: session diverges from fresh Detect", b.Name, m)
-			}
-			if got.Queries != fresh.Queries || got.Solved > fresh.Solved {
-				t.Errorf("%s %v: queries %d/%d solved %d/%d (session/fresh)",
-					b.Name, m, got.Queries, fresh.Queries, got.Solved, fresh.Solved)
-			}
+			sameAsFresh(t, fmt.Sprintf("%s %v width %d %s", b.Name, m, width, what), p, m, got)
 		}
+		detect("original", prog)
+		for k, txn := range prog.Txns {
+			detect("without "+txn.Name, without(prog, k))
+			detect("restored "+txn.Name, prog)
+		}
+		st := s.Stats()
+		sum.EncodersBuilt += st.EncodersBuilt
+		sum.Solved += st.Solved
+		sum.Replayed += st.Replayed
+		sum.QueryHits += st.QueryHits
+	}
+	if width == 1 && m == anomaly.EC && (sum.EncodersBuilt > 80 || sum.Solved != 384 || sum.Replayed != 65 || sum.QueryHits != 984) {
+		t.Errorf("EC edit loop: built %d solved %d replayed %d hits %d, want built <= 80, solved 384, replayed 65, hits 984",
+			sum.EncodersBuilt, sum.Solved, sum.Replayed, sum.QueryHits)
 	}
 }
 

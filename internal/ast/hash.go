@@ -14,8 +14,10 @@ import "sync/atomic"
 // Layout of a hash word: bit 63 (hashUUID) marks subtrees containing a
 // uuid() expression — such trees are never structurally equal (uuid() is
 // fresh per evaluation), so equality fast paths and the cons table skip
-// them. The remaining bits are an FNV-1a-style digest. A computed hash is
-// never 0; 0 is the "not yet computed" sentinel.
+// them. The remaining bits are a multiply-xorshift digest (hashUint). A
+// computed hash is never 0; 0 is the "not yet computed" sentinel. Hashes
+// live only in memory — memo words, the cons table, the detection
+// session's keys — so the fold may change freely between versions.
 
 // memoHash is the per-node memo slot. It is accessed atomically so that a
 // first hash computed concurrently by two goroutines races benignly (both
@@ -27,8 +29,8 @@ func (m *memoHash) store(h uint64) { m.v.Store(h) }
 func (m *memoHash) reset()         { m.v.Store(0) }
 
 const (
-	hashSeed   uint64 = 14695981039346656037 // FNV-64 offset basis
-	hashPrime  uint64 = 1099511628211        // FNV-64 prime
+	hashSeed   uint64 = 14695981039346656037 // any fixed nonzero start
+	hashMul    uint64 = 0x9e3779b97f4a7c15   // 2^64 / golden ratio (odd)
 	hashUUID   uint64 = 1 << 63              // subtree contains uuid()
 	hashDigest        = ^hashUUID            // digest bits of a hash word
 )
@@ -61,28 +63,36 @@ const (
 	tagProgram
 )
 
-func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * hashPrime }
-
+// hashUint folds the word v into h with one multiply-xorshift: the
+// multiply carries every bit of h ^ v into all higher bits, the shift folds
+// the well-mixed high half back into the low one.
 func hashUint(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = hashByte(h, byte(v))
-		v >>= 8
-	}
-	return h
+	h = (h ^ v) * hashMul
+	return h ^ h>>32
 }
 
-// hashString digests s with a terminator so consecutive strings keep
-// distinct boundaries ("ab","c" vs "a","bc").
+// hashString folds s a little-endian word at a time, then its length, so
+// consecutive strings keep distinct boundaries ("ab","c" vs "a","bc") and
+// a short tail is not confused with one padded by zero bytes.
 func hashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = hashByte(h, s[i])
+	n := uint64(len(s))
+	for ; len(s) >= 8; s = s[8:] {
+		h = hashUint(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
 	}
-	return hashByte(h, 0xff)
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
+		h = hashUint(h, w)
+	}
+	return hashUint(h, n)
 }
 
 // hashSub folds a child hash word's digest bits into h and accumulates its
-// uuid bit into *uuid. Intermediate FNV products may set bit 63, so the
-// uuid flag is tracked out of band and stamped onto the digest by finish.
+// uuid bit into *uuid. Intermediate folds may set bit 63, so the uuid flag
+// is tracked out of band and stamped onto the digest by finish.
 func hashSub(h, child uint64, uuid *uint64) uint64 {
 	*uuid |= child & hashUUID
 	return hashUint(h, child&hashDigest)
@@ -103,82 +113,79 @@ func finish(h, uuid uint64) uint64 {
 // with overwhelming probability (64-bit digest); unequal hashes are
 // definitely structurally different.
 func HashExpr(e Expr) uint64 {
-	switch x := e.(type) {
-	case nil:
-		return finish(hashUint(hashSeed, tagNil), 0)
-	case *IntLit:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
-		h := finish(hashUint(hashUint(hashSeed, tagIntLit), uint64(x.Val)), 0)
-		x.memo.store(h)
+	m := exprMemo(e)
+	if m == nil {
+		return exprHash(e)
+	}
+	if h := m.load(); h != 0 {
 		return h
+	}
+	h := exprHash(e)
+	m.store(h)
+	return h
+}
+
+// exprMemo returns e's memo slot; nil for the kinds without one, whose hash
+// is a constant.
+func exprMemo(e Expr) *memoHash {
+	switch x := e.(type) {
+	case *IntLit:
+		return &x.memo
 	case *BoolLit:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
+		return &x.memo
+	case *StringLit:
+		return &x.memo
+	case *Arg:
+		return &x.memo
+	case *Binary:
+		return &x.memo
+	case *ThisField:
+		return &x.memo
+	case *FieldAt:
+		return &x.memo
+	case *Agg:
+		return &x.memo
+	}
+	return nil
+}
+
+// exprHash computes e's hash from its fields and its children's memoized
+// hashes, leaving e's own memo alone.
+func exprHash(e Expr) uint64 {
+	switch x := e.(type) {
+	case *IntLit:
+		return finish(hashUint(hashUint(hashSeed, tagIntLit), uint64(x.Val)), 0)
+	case *BoolLit:
 		v := uint64(0)
 		if x.Val {
 			v = 1
 		}
-		h := finish(hashUint(hashUint(hashSeed, tagBoolLit), v), 0)
-		x.memo.store(h)
-		return h
+		return finish(hashUint(hashUint(hashSeed, tagBoolLit), v), 0)
 	case *StringLit:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
-		h := finish(hashString(hashUint(hashSeed, tagStringLit), x.Val), 0)
-		x.memo.store(h)
-		return h
+		return finish(hashString(hashUint(hashSeed, tagStringLit), x.Val), 0)
 	case *Arg:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
-		h := finish(hashString(hashUint(hashSeed, tagArg), x.Name), 0)
-		x.memo.store(h)
-		return h
+		return finish(hashString(hashUint(hashSeed, tagArg), x.Name), 0)
 	case *Binary:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
 		var uuid uint64
 		h := hashUint(hashUint(hashSeed, tagBinary), uint64(x.Op))
 		h = hashSub(h, HashExpr(x.L), &uuid)
 		h = hashSub(h, HashExpr(x.R), &uuid)
-		h = finish(h, uuid)
-		x.memo.store(h)
-		return h
+		return finish(h, uuid)
 	case *IterVar:
 		return finish(hashUint(hashSeed, tagIterVar), 0)
 	case *ThisField:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
-		h := finish(hashString(hashUint(hashSeed, tagThisField), x.Field), 0)
-		x.memo.store(h)
-		return h
+		return finish(hashString(hashUint(hashSeed, tagThisField), x.Field), 0)
 	case *FieldAt:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
 		var uuid uint64
 		h := hashString(hashString(hashUint(hashSeed, tagFieldAt), x.Var), x.Field)
 		h = hashSub(h, HashExpr(x.Index), &uuid)
-		h = finish(h, uuid)
-		x.memo.store(h)
-		return h
+		return finish(h, uuid)
 	case *Agg:
-		if h := x.memo.load(); h != 0 {
-			return h
-		}
 		h := hashUint(hashUint(hashSeed, tagAgg), uint64(x.Fn))
-		h = finish(hashString(hashString(h, x.Var), x.Field), 0)
-		x.memo.store(h)
-		return h
+		return finish(hashString(hashString(h, x.Var), x.Field), 0)
 	case *UUID:
 		return finish(hashUint(hashSeed, tagUUID), hashUUID)
-	default:
+	default: // nil
 		return finish(hashUint(hashSeed, tagNil), 0)
 	}
 }
@@ -187,26 +194,10 @@ func HashExpr(e Expr) uint64 {
 // memoized, else 0. It never computes: EqualExpr's pointer fast path must
 // stay allocation- and walk-free.
 func memoizedExprHash(e Expr) uint64 {
-	switch x := e.(type) {
-	case *IntLit:
-		return x.memo.load()
-	case *BoolLit:
-		return x.memo.load()
-	case *StringLit:
-		return x.memo.load()
-	case *Arg:
-		return x.memo.load()
-	case *Binary:
-		return x.memo.load()
-	case *ThisField:
-		return x.memo.load()
-	case *FieldAt:
-		return x.memo.load()
-	case *Agg:
-		return x.memo.load()
-	default:
-		return 0
+	if m := exprMemo(e); m != nil {
+		return m.load()
 	}
+	return 0
 }
 
 // HashStmt returns the memoized structural hash of s, including command
@@ -223,9 +214,9 @@ func HashStmt(s Stmt) uint64 {
 		h := hashString(hashUint(hashSeed, tagSelect), x.Label)
 		h = hashString(h, x.Var)
 		if x.Star {
-			h = hashByte(h, 1)
+			h = hashUint(h, 1)
 		} else {
-			h = hashByte(h, 0)
+			h = hashUint(h, 0)
 		}
 		for _, f := range x.Fields {
 			h = hashString(h, f)
@@ -331,9 +322,9 @@ func HashSchema(s *Schema) uint64 {
 		h = hashString(h, f.Name)
 		h = hashUint(h, uint64(f.Type))
 		if f.PK {
-			h = hashByte(h, 1)
+			h = hashUint(h, 1)
 		} else {
-			h = hashByte(h, 0)
+			h = hashUint(h, 0)
 		}
 	}
 	return finish(h, 0)

@@ -82,21 +82,91 @@ func Intern(e Expr) Expr {
 	s := consShardFor(h)
 	s.Lock()
 	defer s.Unlock()
+	if c := s.find(h, e); c != nil {
+		return c
+	}
+	s.add(h, e)
+	return e
+}
+
+// Cons returns the canonical node equal to e, whose children must already
+// be canonical — a builder that conses bottom-up, as the parser does,
+// canonicalizes each node once, with no re-walk of its subtrees. Cons never
+// keeps e itself: the node it returns is an equal one already in the
+// table, or else a copy of e. A builder can therefore pass a node it made
+// on its stack, and a node is only allocated the first time its structure
+// is seen.
+func Cons(e Expr) Expr {
+	h := exprHash(e)
+	if h&hashUUID != 0 {
+		return shallowCopy(e, h)
+	}
+	s := consShardFor(h)
+	s.Lock()
+	c := s.find(h, e)
+	if c == nil {
+		c = shallowCopy(e, h)
+		s.add(h, c)
+	}
+	s.Unlock()
+	return c
+}
+
+// find returns the node of the locked shard equal to e, whose hash is h,
+// or nil.
+func (s *consShard) find(h uint64, e Expr) Expr {
 	for _, c := range s.m[h] {
 		if EqualExpr(c, e) {
 			return c
 		}
 	}
+	return nil
+}
+
+// add inserts e, whose hash is h, into the locked shard unless it is full.
+func (s *consShard) add(h uint64, e Expr) {
 	if s.n < consShardMax {
 		s.m[h] = append(s.m[h], e)
 		s.n++
 	}
-	return e
+}
+
+// shallowCopy returns a new node with e's fields (children shared) and
+// the hash h.
+func shallowCopy(e Expr, h uint64) Expr {
+	var c Expr
+	switch x := e.(type) {
+	case *IntLit:
+		c = &IntLit{Val: x.Val}
+	case *BoolLit:
+		c = &BoolLit{Val: x.Val}
+	case *StringLit:
+		c = &StringLit{Val: x.Val}
+	case *Arg:
+		c = &Arg{Name: x.Name}
+	case *Binary:
+		c = &Binary{Op: x.Op, L: x.L, R: x.R}
+	case *ThisField:
+		c = &ThisField{Field: x.Field}
+	case *FieldAt:
+		c = &FieldAt{Var: x.Var, Field: x.Field, Index: x.Index}
+	case *Agg:
+		c = &Agg{Fn: x.Fn, Var: x.Var, Field: x.Field}
+	case *IterVar:
+		return &IterVar{}
+	case *UUID:
+		return &UUID{}
+	default:
+		// Never e itself: Cons relies on its argument not escaping.
+		panic("ast: shallowCopy of an unknown expression")
+	}
+	exprMemo(c).store(h)
+	return c
 }
 
 // InternTxnExprs canonicalizes every expression of a transaction in place.
-// It is a builder-side operation: the parser and generators call it while
-// the transaction is still private to them, before it is shared or hashed.
+// It is a builder-side operation: generators call it while the transaction
+// is still private to them, before it is shared or hashed.
 func InternTxnExprs(t *Txn) {
 	var walk func(body []Stmt)
 	walk = func(body []Stmt) {

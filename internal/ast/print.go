@@ -191,7 +191,7 @@ func appendExpr(b []byte, e Expr) []byte {
 	case *BoolLit:
 		return strconv.AppendBool(b, x.Val)
 	case *StringLit:
-		return strconv.AppendQuote(b, x.Val)
+		return appendQuoted(b, x.Val)
 	case *Arg:
 		return append(b, x.Name...)
 	case *Binary:
@@ -228,6 +228,26 @@ func appendExpr(b []byte, e Expr) []byte {
 	default:
 		return fmt.Appendf(b, "<%T>", e)
 	}
+}
+
+// appendQuoted appends s as a string literal the lexer reads back as s: it
+// knows the escapes \n, \t, \" and \\ only, and takes every other byte
+// literally (Go quoting's \r, \x.. and \u.... escapes would not parse).
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			b = append(b, `\n`...)
+		case '\t':
+			b = append(b, `\t`...)
+		case '"', '\\':
+			b = append(b, '\\', c)
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 // StmtString renders a single statement (without trailing newline) for

@@ -225,9 +225,6 @@ func (e *Encoder) NameOf(s Sym) string { return e.in.Name(s) }
 // Interner.New): consecutive calls return consecutive Syms.
 func (e *Encoder) NewSym(id uint64) Sym { return e.in.New(id) }
 
-// IDOf returns a Sym's identity, the value formula hashes digest for it.
-func (e *Encoder) IDOf(s Sym) uint64 { return e.in.ID(s) }
-
 // Atom returns an Atom node for a Sym.
 func (e *Encoder) Atom(s Sym) *Atom { return &Atom{S: s} }
 

@@ -19,7 +19,7 @@ import (
 	"unicode"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -114,11 +114,16 @@ func (k tokenKind) String() string {
 	}
 }
 
+// token is one lexeme: its kind and the byte span [start, end) it covers in
+// the source. Identifiers and integers are their span; punctuation and end
+// of input have an empty span at their position. A string literal spans
+// its quotes; str > 0 marks one written with escapes, whose value is the
+// lexer's strs[str-1] — every other literal's value is the text between
+// the quotes.
 type token struct {
-	kind tokenKind
-	text string
-	line int
-	col  int
+	kind       tokenKind
+	str        int32
+	start, end int
 }
 
 // Error is a parse or lex error with source position.
@@ -131,193 +136,204 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// errorAt positions msg at byte offset off of src. Positions are only
+// counted here, when an error is built: lines from 1 at each '\n', columns
+// in bytes from 1.
+func errorAt(src string, off int, msg string) *Error {
+	line := 1 + strings.Count(src[:off], "\n")
+	col := off + 1
+	if nl := strings.LastIndexByte(src[:off], '\n'); nl >= 0 {
+		col = off - nl
+	}
+	return &Error{Line: line, Col: col, Msg: msg}
+}
+
+// Byte classes. A letter is '_' or what unicode.IsLetter says of the byte
+// read as a Latin-1 rune, a digit what unicode.IsDigit says: the lexer has
+// always classified single bytes that way, and the table keeps it exactly.
+const (
+	cSpace uint8 = 1 << iota
+	cIdentStart
+	cIdentPart
+	cDigit
+)
+
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		c, r := byte(i), rune(i)
+		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
+			t[i] |= cSpace
+		}
+		if c == '_' || unicode.IsLetter(r) {
+			t[i] |= cIdentStart | cIdentPart
+		}
+		if unicode.IsDigit(r) {
+			t[i] |= cDigit | cIdentPart
+		}
+	}
+	return t
+}()
+
+// punct maps a punctuation byte to its one-byte token kind; the second
+// column is the kind of the two-byte token it starts when followed by the
+// byte in the third. A zero one-byte kind (tokEOF) means the byte only
+// occurs as the start of its two-byte token.
+var punct = func() (t [256]struct {
+	one, two tokenKind
+	next     byte
+}) {
+	for c, k := range map[byte]tokenKind{
+		'(': tokLParen, ')': tokRParen, '{': tokLBrace, '}': tokRBrace,
+		'[': tokLBracket, ']': tokRBracket, ',': tokComma, ';': tokSemi,
+		'.': tokDot, '+': tokPlus, '-': tokMinus, '*': tokStar, '/': tokSlash,
+		'=': tokEq, ':': tokColon, '<': tokLt, '>': tokGt,
+	} {
+		t[c].one = k
+	}
+	for c, tw := range map[byte]struct {
+		next byte
+		k    tokenKind
+	}{
+		':': {'=', tokAssign}, '<': {'=', tokLe}, '>': {'=', tokGe},
+		'!': {'=', tokNe}, '&': {'&', tokAndAnd}, '|': {'|', tokOrOr},
+	} {
+		t[c].two, t[c].next = tw.k, tw.next
+	}
+	return t
+}()
+
+// lexer produces tokens on demand, in one pass over the source's bytes,
+// for a parser that needs no lookahead: a deeply nested or otherwise bad
+// program is rejected after the tokens that show it, not after every token
+// of a body of up to 1 MB has been stored. A lexical error anywhere
+// in the source outranks any parse error (the parser has always lexed the
+// whole source first), so Parse ends by lexing whatever the parser did not
+// reach (finish).
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src string
+	pos int
+	// strs holds the values of the string literals written with escapes
+	// (token.str); err is the first lexical error, after which the lexer
+	// yields only end of input.
+	strs []string
+	err  *Error
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
-func (l *lexer) errf(format string, args ...any) *Error {
-	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
-
-func (l *lexer) skipSpaceAndComments() {
-	for l.pos < len(l.src) {
-		c := l.peekByte()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.peekByte() != '\n' {
-				l.advance()
+// next lexes the token at the current position.
+func (l *lexer) next() token {
+	src, pos := l.src, l.pos
+	for pos < len(src) {
+		if c := src[pos]; byteClass[c]&cSpace != 0 {
+			pos++
+		} else if c == '/' && pos+1 < len(src) && src[pos+1] == '/' {
+			nl := strings.IndexByte(src[pos:], '\n')
+			if nl < 0 {
+				nl = len(src) - pos
 			}
-		default:
-			return
+			pos += nl
+		} else {
+			break
 		}
 	}
-}
-
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentPart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
-
-func (l *lexer) next() (token, *Error) {
-	l.skipSpaceAndComments()
-	line, col := l.line, l.col
-	mk := func(k tokenKind, text string) token {
-		return token{kind: k, text: text, line: line, col: col}
+	if pos >= len(src) || l.err != nil {
+		l.pos = pos
+		return token{kind: tokEOF, start: pos, end: pos}
 	}
-	if l.pos >= len(l.src) {
-		return mk(tokEOF, ""), nil
-	}
-	c := l.peekByte()
-	switch {
-	case isIdentStart(c):
-		start := l.pos
-		for l.pos < len(l.src) && isIdentPart(l.peekByte()) {
-			l.advance()
+	t := token{start: pos}
+	switch c := src[pos]; {
+	case byteClass[c]&cIdentStart != 0:
+		for pos++; pos < len(src) && byteClass[src[pos]]&cIdentPart != 0; pos++ {
 		}
-		return mk(tokIdent, l.src[start:l.pos]), nil
-	case unicode.IsDigit(rune(c)):
-		start := l.pos
-		for l.pos < len(l.src) && unicode.IsDigit(rune(l.peekByte())) {
-			l.advance()
+		t.kind, t.end = tokIdent, pos
+	case byteClass[c]&cDigit != 0:
+		for pos++; pos < len(src) && byteClass[src[pos]]&cDigit != 0; pos++ {
 		}
-		return mk(tokInt, l.src[start:l.pos]), nil
+		t.kind, t.end = tokInt, pos
 	case c == '"':
-		l.advance()
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return token{}, l.errf("unterminated string literal")
-			}
-			ch := l.advance()
-			if ch == '"' {
-				break
-			}
-			if ch == '\\' {
-				if l.pos >= len(l.src) {
-					return token{}, l.errf("unterminated escape in string literal")
-				}
-				esc := l.advance()
-				switch esc {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case '"', '\\':
-					sb.WriteByte(esc)
-				default:
-					return token{}, l.errf("unknown escape \\%c", esc)
-				}
-				continue
-			}
-			sb.WriteByte(ch)
+		var esc bool
+		if pos, esc = l.scanString(pos + 1); l.err != nil {
+			return token{kind: tokEOF, start: pos, end: pos}
 		}
-		return mk(tokString, sb.String()), nil
-	}
-	l.advance()
-	two := func(nextc byte, k2 tokenKind, k1 tokenKind) (token, *Error) {
-		if l.peekByte() == nextc {
-			l.advance()
-			return mk(k2, ""), nil
+		t.kind, t.end = tokString, pos
+		if esc {
+			l.strs = append(l.strs, unescape(src[t.start+1:pos-1]))
+			t.str = int32(len(l.strs))
 		}
-		if k1 == tokEOF {
-			return token{}, &Error{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", c)}
+	default:
+		// Punctuation has no text: its span is empty.
+		switch p := &punct[c]; {
+		case p.two != tokEOF && pos+1 < len(src) && src[pos+1] == p.next:
+			t.kind, t.end = p.two, t.start
+			pos += 2
+		case p.one != tokEOF:
+			t.kind, t.end = p.one, t.start
+			pos++
+		default:
+			l.err = errorAt(src, pos, fmt.Sprintf("unexpected character %q", c))
+			return token{kind: tokEOF, start: pos, end: pos}
 		}
-		return mk(k1, ""), nil
 	}
-	switch c {
-	case ':':
-		return two('=', tokAssign, tokColon)
-	case '(':
-		return mk(tokLParen, ""), nil
-	case ')':
-		return mk(tokRParen, ""), nil
-	case '{':
-		return mk(tokLBrace, ""), nil
-	case '}':
-		return mk(tokRBrace, ""), nil
-	case '[':
-		return mk(tokLBracket, ""), nil
-	case ']':
-		return mk(tokRBracket, ""), nil
-	case ',':
-		return mk(tokComma, ""), nil
-	case ';':
-		return mk(tokSemi, ""), nil
-	case '.':
-		return mk(tokDot, ""), nil
-	case '+':
-		return mk(tokPlus, ""), nil
-	case '-':
-		return mk(tokMinus, ""), nil
-	case '*':
-		return mk(tokStar, ""), nil
-	case '/':
-		return mk(tokSlash, ""), nil
-	case '<':
-		return two('=', tokLe, tokLt)
-	case '>':
-		return two('=', tokGe, tokGt)
-	case '=':
-		return mk(tokEq, ""), nil
-	case '!':
-		return two('=', tokNe, tokEOF)
-	case '&':
-		return two('&', tokAndAnd, tokEOF)
-	case '|':
-		return two('|', tokOrOr, tokEOF)
-	}
-	return token{}, &Error{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", c)}
+	l.pos = pos
+	return t
 }
 
-// lexAll tokenizes the whole input. The token slice is presized from the
-// source length — the benchmark programs run 3.8–4.5 bytes per token, and
-// growing from nil re-copied the slice a dozen times — but only up to
-// maxTokPresize: the daemon lexes untrusted bodies of up to 1 MB, and a
-// hostile one must not buy an allocation proportional to its length before
-// its first token is read. Longer inputs grow by append from there.
-func lexAll(src string) ([]token, *Error) {
-	const maxTokPresize = 4096
-	l := newLexer(src)
-	toks := make([]token, 0, min(len(src)/3+1, maxTokPresize))
+// finish lexes the rest of the source and returns the first lexical error
+// in it, nil if there is none.
+func (l *lexer) finish() *Error {
+	for l.next().kind != tokEOF {
+	}
+	return l.err
+}
+
+// scanString scans a string literal's body from pos, just past its opening
+// quote, to just past its closing quote, and reports whether it contains
+// escapes; only \n, \t, \" and \\ are accepted. An error is recorded in
+// l.err.
+func (l *lexer) scanString(pos int) (int, bool) {
+	src, esc := l.src, false
 	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
+		if pos >= len(src) {
+			l.err = errorAt(src, pos, "unterminated string literal")
+			return pos, false
 		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
+		c := src[pos]
+		pos++
+		switch c {
+		case '"':
+			return pos, esc
+		case '\\':
+			if pos >= len(src) {
+				l.err = errorAt(src, pos, "unterminated escape in string literal")
+				return pos, false
+			}
+			switch e := src[pos]; e {
+			case 'n', 't', '"', '\\':
+			default:
+				l.err = errorAt(src, pos+1, fmt.Sprintf("unknown escape \\%c", e))
+				return pos, false
+			}
+			pos++
+			esc = true
 		}
 	}
+}
+
+// unescape decodes the body of a string literal scanString accepted.
+func unescape(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\\' {
+			i++
+			switch c = s[i]; c {
+			case 'n':
+				c = '\n'
+			case 't':
+				c = '\t'
+			}
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
 }

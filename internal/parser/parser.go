@@ -7,25 +7,36 @@ import (
 	"atropos/internal/ast"
 )
 
-// Parse parses DSL source into a program. Labels are assigned to every
-// database command (S1.. for selects, U1.. for updates and inserts,
-// per-transaction counters), matching the paper's naming in Figs. 1 and 11.
+// maxDepth bounds how deeply a program may nest: the height of an
+// expression tree, the parentheses, unary minuses and index brackets open
+// around an expression, and if/iterate bodies. The daemon parses untrusted
+// bodies of up to 1 MB; unbounded, a line of nested parentheses recursed
+// hundreds of thousands of frames deep, and a long `1+1+…` chain built a
+// tree that every later recursive walk (sema, hashing, printing, detection)
+// descended again. A tree within the bound prints (ast.Format parenthesizes
+// every binary node) to text within it.
+const maxDepth = 256
+
+// Parse parses DSL source into a program in one pass over the tokens.
+// Labels are assigned to every database command (S1.. for selects, U1..
+// for updates and inserts, per-transaction counters), matching the paper's
+// naming in Figs. 1 and 11, and every expression is hash-consed as it is
+// built (ast.Cons): a parent is made from canonical children, so
+// structurally equal where clauses and values share one node from the
+// start, which makes the repair engine's EqualExpr checks O(1), and an
+// expression seen before — in this program or an earlier one — is not
+// allocated again.
 func Parse(src string) (*ast.Program, error) {
-	toks, lerr := lexAll(src)
-	if lerr != nil {
+	p := &parser{lex: lexer{src: src}}
+	p.tok = p.lex.next()
+	prog, err := p.parseProgram()
+	if lerr := p.lex.finish(); lerr != nil {
 		return nil, lerr
 	}
-	p := &parser{toks: toks}
-	prog, err := p.parseProgram()
 	if err != nil {
 		return nil, err
 	}
 	AssignLabels(prog)
-	// Hash-cons the freshly built expressions while the program is still
-	// private to the parser: structurally equal where clauses and values
-	// share one canonical node from the start, which makes the repair
-	// engine's EqualExpr checks O(1) (see ast.Intern).
-	ast.InternProgramExprs(prog)
 	return prog, nil
 }
 
@@ -43,62 +54,138 @@ func MustParse(src string) *ast.Program {
 // selects become S1, S2, ...; updates and inserts become U1, U2, ....
 func AssignLabels(prog *ast.Program) {
 	for _, t := range prog.Txns {
-		nSel, nUpd := 0, 0
+		var n labeler
 		ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
 			switch c := s.(type) {
 			case *ast.Select:
-				nSel++
-				c.Label = fmt.Sprintf("S%d", nSel)
+				c.Label = n.sel()
 			case *ast.Update:
-				nUpd++
-				c.Label = fmt.Sprintf("U%d", nUpd)
+				c.Label = n.upd()
 			case *ast.Insert:
-				nUpd++
-				c.Label = fmt.Sprintf("U%d", nUpd)
+				c.Label = n.upd()
 			}
 			return true
 		})
 	}
 }
 
-type parser struct {
-	toks []token
-	pos  int
-	prog *ast.Program
-	// current transaction context for identifier resolution
-	curParams map[string]bool
-	curVars   map[string]bool
-	// current where-clause table context (nil outside where clauses)
-	whereSchema *ast.Schema
+// labeler numbers one transaction's commands.
+type labeler struct{ nSel, nUpd int }
+
+func (l *labeler) sel() string { l.nSel++; return label(0, 'S', l.nSel) }
+func (l *labeler) upd() string { l.nUpd++; return label(1, 'U', l.nUpd) }
+
+// smallLabels holds S1..S15 and U1..U15, which cover nearly every command
+// of real transactions, so labelling them allocates nothing.
+var smallLabels = func() (t [2][16]string) {
+	for n := 1; n < len(t[0]); n++ {
+		t[0][n], t[1][n] = "S"+strconv.Itoa(n), "U"+strconv.Itoa(n)
+	}
+	return t
+}()
+
+func label(kind int, prefix byte, n int) string {
+	if n < len(smallLabels[kind]) {
+		return smallLabels[kind][n]
+	}
+	return string(prefix) + strconv.Itoa(n)
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+type parser struct {
+	lex  lexer
+	tok  token // the current token
+	prog *ast.Program
+	// whereSchema is the current where clause's table (nil outside where
+	// clauses): bare identifiers naming one of its fields are this.f.
+	whereSchema *ast.Schema
+	// Lists being parsed are gathered on these stacks (see list).
+	fields  []ast.Field
+	params  []ast.Param
+	stmts   []ast.Stmt
+	names   []string
+	assigns []ast.Assign
+	// open counts the parentheses, unary minuses and index brackets around
+	// the expression being parsed, blocks the if/iterate bodies around the
+	// statement; height is the height of the expression the last expression
+	// parse function returned. All three are bounded by maxDepth.
+	open, blocks, height int
+}
 
+// list returns the elements pushed on the stack *buf since mark, copied at
+// their exact length (nil if none), and pops them: a list costs one
+// allocation however long it grows, and nested lists — if and iterate
+// bodies — stack above their parent's.
+func list[T any](buf *[]T, mark int) []T {
+	if len(*buf) == mark {
+		return nil
+	}
+	out := append([]T(nil), (*buf)[mark:]...)
+	*buf = (*buf)[:mark]
+	return out
+}
+
+// ptrs points into vals: a schema's fields or a transaction's parameters
+// share one allocation.
+func ptrs[T any](vals []T) []*T {
+	if vals == nil {
+		return nil
+	}
+	out := make([]*T, len(vals))
+	for i := range vals {
+		out[i] = &vals[i]
+	}
+	return out
+}
+
+func (p *parser) cur() token { return p.tok }
+
+// advance moves past the current token (never past end of input) and
+// returns it.
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.kind != tokEOF {
+		p.tok = p.lex.next()
 	}
 	return t
 }
 
+// text is a token's text as names and messages use it: an identifier's or
+// integer's spelling, a string literal's value, "" for anything else.
+func (p *parser) text(t token) string {
+	if t.kind != tokString {
+		return p.lex.src[t.start:t.end]
+	}
+	if t.str > 0 {
+		return p.lex.strs[t.str-1]
+	}
+	return p.lex.src[t.start+1 : t.end-1]
+}
+
 func (p *parser) errf(t token, format string, args ...any) error {
-	return &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return errorAt(p.lex.src, t.start, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expect(k tokenKind) (token, error) {
 	t := p.cur()
 	if t.kind != k {
-		return t, p.errf(t, "expected %s, found %s %q", k, t.kind, t.text)
+		return t, p.errf(t, "expected %s, found %s %q", k, t.kind, p.text(t))
 	}
 	return p.advance(), nil
 }
 
+// ident expects an identifier and returns its name.
+func (p *parser) ident() (string, error) {
+	t, err := p.expect(tokIdent)
+	if err != nil {
+		return "", err
+	}
+	return p.text(t), nil
+}
+
 func (p *parser) expectKeyword(kw string) error {
 	t := p.cur()
-	if t.kind != tokIdent || t.text != kw {
-		return p.errf(t, "expected %q, found %s %q", kw, t.kind, t.text)
+	if t.kind != tokIdent || p.lex.src[t.start:t.end] != kw {
+		return p.errf(t, "expected %q, found %s %q", kw, t.kind, p.text(t))
 	}
 	p.advance()
 	return nil
@@ -106,7 +193,7 @@ func (p *parser) expectKeyword(kw string) error {
 
 func (p *parser) atKeyword(kw string) bool {
 	t := p.cur()
-	return t.kind == tokIdent && t.text == kw
+	return t.kind == tokIdent && p.lex.src[t.start:t.end] == kw
 }
 
 func (p *parser) parseProgram() (*ast.Program, error) {
@@ -134,23 +221,24 @@ func (p *parser) parseProgram() (*ast.Program, error) {
 			}
 			p.prog.Txns = append(p.prog.Txns, t)
 		default:
-			return nil, p.errf(p.cur(), "expected 'table' or 'txn', found %s %q", p.cur().kind, p.cur().text)
+			return nil, p.errf(p.cur(), "expected 'table' or 'txn', found %s %q", p.cur().kind, p.text(p.cur()))
 		}
 	}
 }
 
 func (p *parser) parseSchema() (*ast.Schema, error) {
 	p.advance() // table
-	name, err := p.expect(tokIdent)
+	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
-	s := &ast.Schema{Name: name.text}
+	s := &ast.Schema{Name: name}
+	mark := len(p.fields)
 	for p.cur().kind != tokRBrace {
-		fname, err := p.expect(tokIdent)
+		fname, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
@@ -161,18 +249,19 @@ func (p *parser) parseSchema() (*ast.Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := &ast.Field{Name: fname.text, Type: ftype}
+		f := ast.Field{Name: fname, Type: ftype}
 		if p.atKeyword("key") {
 			p.advance()
 			f.PK = true
 		}
-		s.Fields = append(s.Fields, f)
+		p.fields = append(p.fields, f)
 		if p.cur().kind == tokComma {
 			p.advance()
 			continue
 		}
 		break
 	}
+	s.Fields = ptrs(list(&p.fields, mark))
 	if _, err := p.expect(tokRBrace); err != nil {
 		return nil, err
 	}
@@ -184,7 +273,7 @@ func (p *parser) parseType() (ast.Type, error) {
 	if err != nil {
 		return ast.TInvalid, err
 	}
-	switch t.text {
+	switch p.text(t) {
 	case "int":
 		return ast.TInt, nil
 	case "bool":
@@ -192,24 +281,23 @@ func (p *parser) parseType() (ast.Type, error) {
 	case "string":
 		return ast.TString, nil
 	default:
-		return ast.TInvalid, p.errf(t, "unknown type %q", t.text)
+		return ast.TInvalid, p.errf(t, "unknown type %q", p.text(t))
 	}
 }
 
 func (p *parser) parseTxn() (*ast.Txn, error) {
 	p.advance() // txn
-	name, err := p.expect(tokIdent)
+	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	t := &ast.Txn{Name: name.text}
-	p.curParams = map[string]bool{}
-	p.curVars = map[string]bool{}
+	t := &ast.Txn{Name: name}
+	mark := len(p.params)
 	for p.cur().kind != tokRParen {
-		pname, err := p.expect(tokIdent)
+		pname, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
@@ -220,12 +308,12 @@ func (p *parser) parseTxn() (*ast.Txn, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Params = append(t.Params, &ast.Param{Name: pname.text, Type: ptype})
-		p.curParams[pname.text] = true
+		p.params = append(p.params, ast.Param{Name: pname, Type: ptype})
 		if p.cur().kind == tokComma {
 			p.advance()
 		}
 	}
+	t.Params = ptrs(list(&p.params, mark))
 	p.advance() // )
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
@@ -245,7 +333,7 @@ func (p *parser) parseTxn() (*ast.Txn, error) {
 // parseBlockBody parses statements until '}'. When allowReturn is true a
 // trailing `return e;` is captured as the transaction's return expression.
 func (p *parser) parseBlockBody(allowReturn bool) ([]ast.Stmt, ast.Expr, error) {
-	var body []ast.Stmt
+	mark := len(p.stmts)
 	for p.cur().kind != tokRBrace && p.cur().kind != tokEOF {
 		if p.atKeyword("return") {
 			if !allowReturn {
@@ -262,15 +350,15 @@ func (p *parser) parseBlockBody(allowReturn bool) ([]ast.Stmt, ast.Expr, error) 
 			if p.cur().kind != tokRBrace {
 				return nil, nil, p.errf(p.cur(), "return must be the final statement")
 			}
-			return body, e, nil
+			return list(&p.stmts, mark), e, nil
 		}
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, nil, err
 		}
-		body = append(body, s)
+		p.stmts = append(p.stmts, s)
 	}
-	return body, nil, nil
+	return list(&p.stmts, mark), nil, nil
 }
 
 func (p *parser) parseStmt() (ast.Stmt, error) {
@@ -292,35 +380,43 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 			return nil, err
 		}
 		return &ast.Skip{}, nil
-	case t.kind == tokIdent && p.peek().kind == tokAssign:
+	case t.kind == tokIdent:
 		return p.parseSelect()
 	default:
-		return nil, p.errf(t, "expected statement, found %s %q", t.kind, t.text)
+		return nil, p.errf(t, "expected statement, found %s %q", t.kind, p.text(t))
 	}
 }
 
+// parseSelect parses `x := select …`, the one statement that starts with
+// an identifier other than a keyword.
 func (p *parser) parseSelect() (ast.Stmt, error) {
-	v, _ := p.expect(tokIdent)
+	t := p.advance()
+	if p.cur().kind != tokAssign {
+		return nil, p.errf(t, "expected statement, found %s %q", t.kind, p.text(t))
+	}
+	v := p.text(t)
 	p.advance() // :=
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
-	sel := &ast.Select{Var: v.text}
+	sel := &ast.Select{Var: v}
 	if p.cur().kind == tokStar {
 		p.advance()
 		sel.Star = true
 	} else {
+		mark := len(p.names)
 		for {
-			f, err := p.expect(tokIdent)
+			f, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			sel.Fields = append(sel.Fields, f.text)
+			p.names = append(p.names, f)
 			if p.cur().kind != tokComma {
 				break
 			}
 			p.advance()
 		}
+		sel.Fields = list(&p.names, mark)
 	}
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
@@ -329,7 +425,7 @@ func (p *parser) parseSelect() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel.Table = tbl.text
+	sel.Table = p.text(tbl)
 	if err := p.expectKeyword("where"); err != nil {
 		return nil, err
 	}
@@ -341,7 +437,6 @@ func (p *parser) parseSelect() (ast.Stmt, error) {
 	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	p.curVars[v.text] = true
 	return sel, nil
 }
 
@@ -354,9 +449,10 @@ func (p *parser) parseUpdate() (ast.Stmt, error) {
 	if err := p.expectKeyword("set"); err != nil {
 		return nil, err
 	}
-	u := &ast.Update{Table: tbl.text}
+	u := &ast.Update{Table: p.text(tbl)}
+	mark := len(p.assigns)
 	for {
-		f, err := p.expect(tokIdent)
+		f, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
@@ -367,12 +463,13 @@ func (p *parser) parseUpdate() (ast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		u.Sets = append(u.Sets, ast.Assign{Field: f.text, Expr: e})
+		p.assigns = append(p.assigns, ast.Assign{Field: f, Expr: e})
 		if p.cur().kind != tokComma {
 			break
 		}
 		p.advance()
 	}
+	u.Sets = list(&p.assigns, mark)
 	if err := p.expectKeyword("where"); err != nil {
 		return nil, err
 	}
@@ -392,7 +489,7 @@ func (p *parser) parseInsert() (ast.Stmt, error) {
 	if err := p.expectKeyword("into"); err != nil {
 		return nil, err
 	}
-	tbl, err := p.expect(tokIdent)
+	tbl, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
@@ -402,9 +499,10 @@ func (p *parser) parseInsert() (ast.Stmt, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	ins := &ast.Insert{Table: tbl.text}
+	ins := &ast.Insert{Table: tbl}
+	mark := len(p.assigns)
 	for p.cur().kind != tokRParen {
-		f, err := p.expect(tokIdent)
+		f, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
@@ -415,11 +513,12 @@ func (p *parser) parseInsert() (ast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		ins.Values = append(ins.Values, ast.Assign{Field: f.text, Expr: e})
+		p.assigns = append(p.assigns, ast.Assign{Field: f, Expr: e})
 		if p.cur().kind == tokComma {
 			p.advance()
 		}
 	}
+	ins.Values = list(&p.assigns, mark)
 	p.advance() // )
 	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
@@ -450,57 +549,54 @@ func (p *parser) parseDelete() (ast.Stmt, error) {
 		return nil, err
 	}
 	return &ast.Update{
-		Table: tbl.text,
-		Sets:  []ast.Assign{{Field: ast.AliveField, Expr: &ast.BoolLit{Val: false}}},
+		Table: p.text(tbl),
+		Sets:  []ast.Assign{{Field: ast.AliveField, Expr: ast.Cons(&ast.BoolLit{Val: false})}},
 		Where: w,
 	}, nil
 }
 
-func (p *parser) parseIf() (ast.Stmt, error) {
-	p.advance() // if
-	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
+// parseCondBlock parses the `(e) { body }` of an if or iterate whose
+// keyword is the current token.
+func (p *parser) parseCondBlock() (ast.Expr, []ast.Stmt, error) {
+	kw := p.advance()
+	if p.blocks++; p.blocks > maxDepth {
+		return nil, nil, p.errf(kw, "%s nested deeper than %d", p.text(kw), maxDepth)
 	}
-	cond, err := p.parseExpr()
+	if _, err := p.expect(tokLParen); err != nil {
+		return nil, nil, err
+	}
+	e, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := p.expect(tokRParen); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	body, _, err := p.parseBlockBody(false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := p.expect(tokRBrace); err != nil {
+		return nil, nil, err
+	}
+	p.blocks--
+	return e, body, nil
+}
+
+func (p *parser) parseIf() (ast.Stmt, error) {
+	cond, body, err := p.parseCondBlock()
+	if err != nil {
 		return nil, err
 	}
 	return &ast.If{Cond: cond, Then: body}, nil
 }
 
 func (p *parser) parseIterate() (ast.Stmt, error) {
-	p.advance() // iterate
-	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
-	}
-	count, err := p.parseExpr()
+	count, body, err := p.parseCondBlock()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokRParen); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	body, _, err := p.parseBlockBody(false)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokRBrace); err != nil {
 		return nil, err
 	}
 	return &ast.Iterate{Count: count, Body: body}, nil
@@ -509,117 +605,119 @@ func (p *parser) parseIterate() (ast.Stmt, error) {
 // parseWhere parses a where clause in the context of table tbl: bare
 // identifiers that name a field of that table become this.f references.
 func (p *parser) parseWhere(tbl token) (ast.Expr, error) {
-	schema := p.prog.Schema(tbl.text)
+	schema := p.prog.Schema(p.text(tbl))
 	if schema == nil {
-		return nil, p.errf(tbl, "unknown table %q", tbl.text)
+		return nil, p.errf(tbl, "unknown table %q", p.text(tbl))
 	}
-	prev := p.whereSchema
 	p.whereSchema = schema
-	defer func() { p.whereSchema = prev }()
-	return p.parseExpr()
+	e, err := p.parseExpr()
+	p.whereSchema = nil
+	return e, err
 }
 
-// Expression parsing with precedence climbing:
-// or < and < comparison < additive < multiplicative < primary.
+// Expression parsing by precedence climbing. Every parse function leaves
+// the height of the tree it returns in p.height.
 
-func (p *parser) parseExpr() (ast.Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (ast.Expr, error) { return p.parseBinary(levelOr) }
 
-func (p *parser) parseOr() (ast.Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// Precedence levels of the binary operators, loosest first.
+const (
+	levelOr = 1 + iota
+	levelAnd
+	levelCmp
+	levelAdd
+	levelMul
+)
+
+// binOp maps a token to the binary operator it denotes and its level; the
+// level is 0 for any other token.
+func binOp(k tokenKind) (ast.BinOp, int) {
+	switch k {
+	case tokOrOr:
+		return ast.OpOr, levelOr
+	case tokAndAnd:
+		return ast.OpAnd, levelAnd
+	case tokLt:
+		return ast.OpLt, levelCmp
+	case tokLe:
+		return ast.OpLe, levelCmp
+	case tokEq:
+		return ast.OpEq, levelCmp
+	case tokNe:
+		return ast.OpNe, levelCmp
+	case tokGt:
+		return ast.OpGt, levelCmp
+	case tokGe:
+		return ast.OpGe, levelCmp
+	case tokPlus:
+		return ast.OpAdd, levelAdd
+	case tokMinus:
+		return ast.OpSub, levelAdd
+	case tokStar:
+		return ast.OpMul, levelMul
+	case tokSlash:
+		return ast.OpDiv, levelMul
 	}
-	for p.cur().kind == tokOrOr {
-		p.advance()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Op: ast.OpOr, L: l, R: r}
-	}
-	return l, nil
+	return 0, 0
 }
 
-func (p *parser) parseAnd() (ast.Expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokAndAnd {
-		p.advance()
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Op: ast.OpAnd, L: l, R: r}
-	}
-	return l, nil
-}
-
-var cmpOps = map[tokenKind]ast.BinOp{
-	tokLt: ast.OpLt, tokLe: ast.OpLe, tokEq: ast.OpEq,
-	tokNe: ast.OpNe, tokGt: ast.OpGt, tokGe: ast.OpGe,
-}
-
-func (p *parser) parseCmp() (ast.Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := cmpOps[p.cur().kind]; ok {
-		p.advance()
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Binary{Op: op, L: l, R: r}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdd() (ast.Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokPlus || p.cur().kind == tokMinus {
-		op := ast.OpAdd
-		if p.cur().kind == tokMinus {
-			op = ast.OpSub
-		}
-		p.advance()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.Binary{Op: op, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMul() (ast.Expr, error) {
+// parseBinary parses an operand followed by operators of level min or
+// tighter, left-associatively; each right operand takes the operators
+// that bind tighter than its own. Once an operator of level lv is applied
+// no tighter one can follow at this depth (the right operand took it),
+// and after a comparison no comparison either: comparisons do not chain.
+func (p *parser) parseBinary(min int) (ast.Expr, error) {
 	l, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokStar || p.cur().kind == tokSlash {
-		op := ast.OpMul
-		if p.cur().kind == tokSlash {
-			op = ast.OpDiv
+	ceiling := levelMul
+	for err == nil {
+		op, lv := binOp(p.cur().kind)
+		if lv < min || lv > ceiling {
+			break
 		}
-		p.advance()
-		r, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
+		at, hl := p.advance(), p.height
+		var r ast.Expr
+		if r, err = p.parseBinary(lv + 1); err == nil {
+			l, err = p.binary(at, op, l, r, hl)
 		}
-		l = &ast.Binary{Op: op, L: l, R: r}
+		if ceiling = lv; lv == levelCmp {
+			ceiling--
+		}
 	}
-	return l, nil
+	return l, err
 }
 
-var aggFns = map[string]ast.AggFn{
-	"sum": ast.AggSum, "min": ast.AggMin, "max": ast.AggMax,
-	"count": ast.AggCount, "any": ast.AggAny,
+// binary hash-conses l op r. l has height hl; r was parsed last, so its
+// height is p.height. A tree taller than maxDepth is an error at the
+// operator token at.
+func (p *parser) binary(at token, op ast.BinOp, l, r ast.Expr, hl int) (ast.Expr, error) {
+	if err := p.grow(at, max(hl, p.height)+1); err != nil {
+		return nil, err
+	}
+	return ast.Cons(&ast.Binary{Op: op, L: l, R: r}), nil
+}
+
+// grow records h as the height of the expression being built at token at.
+func (p *parser) grow(at token, h int) error {
+	if h > maxDepth {
+		return p.errf(at, "expression nested deeper than %d", maxDepth)
+	}
+	p.height = h
+	return nil
+}
+
+// enter opens a parenthesis, unary minus or index bracket at token at;
+// the caller decrements p.open when it closes.
+func (p *parser) enter(at token) error {
+	if p.open++; p.open > maxDepth {
+		return p.errf(at, "expression nested deeper than %d", maxDepth)
+	}
+	return nil
+}
+
+// leaf hash-conses a leaf expression.
+func (p *parser) leaf(e ast.Expr) ast.Expr {
+	p.height = 1
+	return ast.Cons(e)
 }
 
 func (p *parser) parsePrimary() (ast.Expr, error) {
@@ -627,23 +725,33 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 	switch t.kind {
 	case tokInt:
 		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		n, err := strconv.ParseInt(p.text(t), 10, 64)
 		if err != nil {
-			return nil, p.errf(t, "invalid integer %q", t.text)
+			return nil, p.errf(t, "invalid integer %q", p.text(t))
 		}
-		return &ast.IntLit{Val: n}, nil
+		return p.leaf(&ast.IntLit{Val: n}), nil
 	case tokString:
 		p.advance()
-		return &ast.StringLit{Val: t.text}, nil
+		return p.leaf(&ast.StringLit{Val: p.text(t)}), nil
 	case tokMinus:
 		p.advance()
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
 		e, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Binary{Op: ast.OpSub, L: &ast.IntLit{Val: 0}, R: e}, nil
+		p.open--
+		if err := p.grow(t, p.height+1); err != nil {
+			return nil, err
+		}
+		return ast.Cons(&ast.Binary{Op: ast.OpSub, L: ast.Cons(&ast.IntLit{Val: 0}), R: e}), nil
 	case tokLParen:
 		p.advance()
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -651,91 +759,108 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
+		p.open--
 		return e, nil
 	case tokIdent:
 		return p.parseIdentExpr()
 	default:
-		return nil, p.errf(t, "expected expression, found %s %q", t.kind, t.text)
+		return nil, p.errf(t, "expected expression, found %s %q", t.kind, p.text(t))
 	}
 }
 
+// aggFn maps an aggregator name to its function.
+func aggFn(name string) (ast.AggFn, bool) {
+	switch name {
+	case "sum":
+		return ast.AggSum, true
+	case "min":
+		return ast.AggMin, true
+	case "max":
+		return ast.AggMax, true
+	case "count":
+		return ast.AggCount, true
+	case "any":
+		return ast.AggAny, true
+	}
+	return 0, false
+}
+
 func (p *parser) parseIdentExpr() (ast.Expr, error) {
-	t := p.advance()
-	switch t.text {
+	name := p.text(p.advance())
+	switch name {
 	case "true":
-		return &ast.BoolLit{Val: true}, nil
+		return p.leaf(&ast.BoolLit{Val: true}), nil
 	case "false":
-		return &ast.BoolLit{Val: false}, nil
+		return p.leaf(&ast.BoolLit{Val: false}), nil
 	case "iter":
-		return &ast.IterVar{}, nil
+		return p.leaf(&ast.IterVar{}), nil
 	case "uuid":
 		if p.cur().kind == tokLParen {
 			p.advance()
 			if _, err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
-			return &ast.UUID{}, nil
+			return p.leaf(&ast.UUID{}), nil
 		}
 	case "this":
 		if p.cur().kind == tokDot {
 			p.advance()
-			f, err := p.expect(tokIdent)
+			f, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			return &ast.ThisField{Field: f.text}, nil
+			return p.leaf(&ast.ThisField{Field: f}), nil
 		}
 	}
-	if fn, ok := aggFns[t.text]; ok && p.cur().kind == tokLParen {
+	if fn, ok := aggFn(name); ok && p.cur().kind == tokLParen {
 		p.advance()
-		v, err := p.expect(tokIdent)
+		v, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(tokDot); err != nil {
 			return nil, err
 		}
-		f, err := p.expect(tokIdent)
+		f, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return &ast.Agg{Fn: fn, Var: v.text, Field: f.text}, nil
+		return p.leaf(&ast.Agg{Fn: fn, Var: v, Field: f}), nil
 	}
 	// x.f or x.f[e]: access to a previously bound query variable.
 	if p.cur().kind == tokDot {
 		p.advance()
-		f, err := p.expect(tokIdent)
+		f, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		fa := &ast.FieldAt{Var: t.text, Field: f.text}
-		if p.cur().kind == tokLBracket {
-			p.advance()
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokRBracket); err != nil {
-				return nil, err
-			}
-			fa.Index = idx
+		if p.cur().kind != tokLBracket {
+			return p.leaf(&ast.FieldAt{Var: name, Field: f}), nil
 		}
-		return fa, nil
+		at := p.advance()
+		if err := p.enter(at); err != nil {
+			return nil, err
+		}
+		idx, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(tokRBracket); err != nil {
+			return nil, err
+		}
+		p.open--
+		if err := p.grow(at, p.height+1); err != nil {
+			return nil, err
+		}
+		return ast.Cons(&ast.FieldAt{Var: name, Field: f, Index: idx}), nil
 	}
 	// Bare identifier: inside a where clause, a field of the target table
 	// denotes this.f; otherwise it is a transaction argument.
-	if p.whereSchema != nil && p.whereSchema.HasField(t.text) {
-		return &ast.ThisField{Field: t.text}, nil
+	if p.whereSchema != nil && p.whereSchema.HasField(name) {
+		return p.leaf(&ast.ThisField{Field: name}), nil
 	}
-	return &ast.Arg{Name: t.text}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return p.leaf(&ast.Arg{Name: name}), nil
 }

@@ -31,6 +31,9 @@ import "sync"
 //   - The runner exits when `total` tasks have returned TaskDone. Tasks
 //     must guarantee that many completions (a drained error path still
 //     completes its tasks).
+//   - A task that panics stops the runner: the workers take no further
+//     task, and Run panics with the same value on its caller's goroutine,
+//     where the caller's recover can see it. Suspended tasks are dropped.
 
 // TaskStatus is the result of one Task.Run invocation.
 type TaskStatus int
@@ -55,6 +58,9 @@ type Stealer struct {
 	cond      *sync.Cond
 	deques    [][]Task
 	remaining int // tasks not yet TaskDone (runnable, running, or suspended)
+	// failed is set, and panicVal holds the value, once a task panicked.
+	failed   bool
+	panicVal any
 }
 
 // NewStealer prepares a runner for exactly total task completions on w
@@ -84,7 +90,7 @@ func (s *Stealer) pop(w int) Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.remaining == 0 {
+		if s.remaining == 0 || s.failed {
 			return nil
 		}
 		if d := s.deques[w]; len(d) > 0 {
@@ -119,8 +125,19 @@ func (s *Stealer) done() {
 	}
 }
 
+// fail records the first task panic and wakes every parked worker to exit.
+func (s *Stealer) fail(v any) {
+	s.mu.Lock()
+	if !s.failed {
+		s.failed, s.panicVal = true, v
+	}
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
 // Run seeds the deques round-robin with the initially runnable tasks and
-// blocks until every task has completed. It must be called once.
+// blocks until every task has completed. It must be called once. A task's
+// panic is re-raised here, after every worker has returned.
 func (s *Stealer) Run(seed []Task) {
 	for i, t := range seed {
 		s.deques[i%len(s.deques)] = append(s.deques[i%len(s.deques)], t)
@@ -130,6 +147,11 @@ func (s *Stealer) Run(seed []Task) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					s.fail(v)
+				}
+			}()
 			for {
 				t := s.pop(w)
 				if t == nil {
@@ -143,4 +165,7 @@ func (s *Stealer) Run(seed []Task) {
 		}(w)
 	}
 	wg.Wait()
+	if s.failed {
+		panic(s.panicVal)
+	}
 }

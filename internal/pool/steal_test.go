@@ -89,3 +89,32 @@ func TestStealerIndependentTasks(t *testing.T) {
 func TestStealerNoTasks(t *testing.T) {
 	NewStealer(4, 0).Run(nil) // must terminate immediately
 }
+
+// panicTask panics in place of task i of a chain whose successors suspend
+// on it.
+type panicTask struct{ chainTask }
+
+func (t *panicTask) Run(*Stealer, int) TaskStatus { panic("task panic") }
+
+// TestStealerReraisesTaskPanic: a task's panic on a worker goroutine
+// reaches Run's caller, whose recover sees the value, even though the
+// tasks waiting on the panicked one never complete.
+func TestStealerReraisesTaskPanic(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{1, 2, 4} {
+		st := &chainState{done: make([]bool, n), waiters: make([]*chainTask, n)}
+		seed := make([]Task, n)
+		for i := range seed {
+			seed[i] = &chainTask{st: st, i: i}
+		}
+		seed[n/2] = &panicTask{chainTask{st: st, i: n / 2}}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			NewStealer(workers, n).Run(seed)
+			return nil
+		}()
+		if got != "task panic" {
+			t.Fatalf("workers=%d: Run's caller recovered %v, want the task's panic", workers, got)
+		}
+	}
+}

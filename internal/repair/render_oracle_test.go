@@ -118,7 +118,9 @@ func fmtExpr(e ast.Expr) string {
 	case *ast.BoolLit:
 		return fmt.Sprintf("%t", x.Val)
 	case *ast.StringLit:
-		return fmt.Sprintf("%q", x.Val)
+		// The DSL's four escapes, every other byte raw: the lexer reads
+		// no other escape.
+		return `"` + strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`).Replace(x.Val) + `"`
 	case *ast.Arg:
 		return x.Name
 	case *ast.Binary:

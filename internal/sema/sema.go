@@ -228,6 +228,12 @@ func (c *checker) checkUpdate(x *ast.Update) error {
 		if f == nil {
 			return fmt.Errorf("%s: unknown field %q of table %s", x.Label, a.Field, x.Table)
 		}
+		// A record is addressed by its key: moving it to another key would
+		// leave it where lookups by the old key still find it and lookups by
+		// the new one do not, so keys are only ever written by insert.
+		if f.PK {
+			return fmt.Errorf("%s: update sets primary-key field %q of table %s", x.Label, a.Field, x.Table)
+		}
 		if seen[a.Field] {
 			return fmt.Errorf("%s: field %q set twice", x.Label, a.Field)
 		}

@@ -54,7 +54,7 @@ func TestCheckErrors(t *testing.T) {
 		{"dup field", `table T { id: int key, id: int, }`, "duplicate field"},
 		{"dup param", `table T { id: int key, } txn a(x: int, x: int) { skip; }`, "duplicate parameter"},
 		{"unknown select field", `table T { id: int key, } txn a(k: int) { x := select zap from T where id = k; }`, "unknown field"},
-		{"unknown arg", `table T { id: int key, } txn a(k: int) { update T set id = 1 where id = zap; }`, "unknown identifier"},
+		{"unknown arg", `table T { id: int key, n: int, } txn a(k: int) { update T set n = 1 where id = zap; }`, "unknown identifier"},
 		{"var before def", `table T { id: int key, n: int, } txn a(k: int) { update T set n = x.n where id = k; }`, "unknown variable"},
 		{"field not selected", `table T { id: int key, n: int, m: int, } txn a(k: int) { x := select n from T where id = k; return x.m; }`, "does not carry field"},
 		{"set type mismatch", `table T { id: int key, n: int, } txn a(k: int) { update T set n = true where id = k; }`, "type"},
@@ -80,6 +80,37 @@ func TestCheckErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestUpdateOfKeyFieldRejected: an update may not write a primary-key
+// field. Moving a record to a new key left it findable under the old key
+// (whose field then read the new value) and under neither by the new one;
+// the error names the command, the field and the table.
+func TestUpdateOfKeyFieldRejected(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`table T { id: int key, v: int, }
+txn move(k: int) {
+  x := select v from T where id = k;
+  update T set v = 1, id = 3 where id = k;
+}`, `txn move: U1: update sets primary-key field "id" of table T`},
+		{`table T { a: int key, b: int key, v: int, }
+txn move(k: int) {
+  update T set v = 2 where a = k && b = k;
+  update T set b = k + 1 where a = k && b = k;
+}`, `txn move: U2: update sets primary-key field "b" of table T`},
+	} {
+		err := checkSrc(t, tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Check = %v, want %q", err, tc.want)
+		}
+	}
+	// Deleting a record writes its presence field, not its key.
+	if err := checkSrc(t, `table T { id: int key, v: int, }
+txn drop(k: int) {
+  delete from T where id = k;
+}`); err != nil {
+		t.Errorf("delete rejected: %v", err)
 	}
 }
 

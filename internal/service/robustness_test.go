@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"regexp"
+	"strings"
 	"testing"
+	"time"
 
 	"atropos/internal/engine"
 )
@@ -130,5 +133,50 @@ func TestRepairBudgetDegrades(t *testing.T) {
 	}
 	if rr.Program == "" {
 		t.Fatal("degraded repair returned no program")
+	}
+}
+
+// TestParseDeepNestingFailsFast: a body just under the request limit that
+// nests one expression 490 000 levels deep — parentheses, or a `1+1+…`
+// chain — is a 400 naming the nesting bound, answered at once instead of
+// after seconds of recursion (and hundreds of MB of stack) in the parser
+// and the checker.
+func TestParseDeepNestingFailsFast(t *testing.T) {
+	ts, _ := newTestServer(t, engine.Config{Workers: 1})
+	const n = 490_000
+	const pre = "table T { id: int key, v: int, }\ntxn a() {\n  update T set v = "
+	const post = " where id = 1;\n}\n"
+	for name, src := range map[string]string{
+		"parentheses": pre + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + post,
+		"chain":       pre + "1" + strings.Repeat("+1", n) + post,
+	} {
+		buf, err := json.Marshal(ProgramRequest{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) < 975_000 || len(buf) > maxBodyBytes {
+			t.Fatalf("%s: body is %d bytes, want just under the %d-byte limit", name, len(buf), maxBodyBytes)
+		}
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/v1/parse", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("nested deeper than 256")) {
+			t.Errorf("%s: %d %s, want 400 naming the nesting bound", name, resp.StatusCode, body)
+		}
+		limit := 100 * time.Millisecond
+		if raceEnabled {
+			limit *= 10
+		}
+		if elapsed > limit {
+			t.Errorf("%s: answered in %v, want within %v", name, elapsed, limit)
+		}
 	}
 }
