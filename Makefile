@@ -52,7 +52,7 @@ race-par:
 # front end (BenchmarkFrontEnd: parse and check of the nine sources), the
 # editing loop (BenchmarkSessionEdit: one session across drop/restore
 # edits) and the daemon's request path (BenchmarkService_*: program verbs
-# through HTTP) are
+# through HTTP, computed on a fresh engine and answered from a warm one) are
 # deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
 # clock stays informational). Exact counts are Go goldens, not measured
@@ -123,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzBudgetedSolveEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzServiceRequest$$' -fuzztime $(FUZZTIME)
 
 # Service load-test smoke: the in-process atroposd daemon under a small
 # concurrent client fleet (counts-only assertions — the binary exits

@@ -153,9 +153,12 @@ func Repair(ctx context.Context, p *Program, m Model, opts ...RepairOption) (*Re
 
 // Engine is a long-lived repair service: a bounded worker pool with
 // queue-depth backpressure (ErrOverloaded), an LRU cache of per-client
-// detection sessions, and pooled solver arenas shared across requests. One
-// Engine serves concurrent callers; cmd/atroposd puts it behind HTTP. See
-// DESIGN.md §12 for the lifecycle contract.
+// detection sessions, a bounded memo of complete repair and certify
+// answers shared by every client, and pooled solver arenas shared across
+// requests. A repeated request may be answered with the very values an
+// earlier one got, so the results of Engine.Repair and Engine.Certify are
+// read-only to callers. One Engine serves concurrent callers; cmd/atroposd
+// puts it behind HTTP. See DESIGN.md §12 for the lifecycle contract.
 type Engine = engine.Engine
 
 // EngineConfig sizes an Engine (workers, queue depth, session cache).

@@ -1,6 +1,7 @@
 // Command atroposd serves the Atropos repair pipeline over HTTP: one
 // long-lived engine (bounded worker pool, per-client detection-session
-// cache, pooled solver arenas) behind five JSON endpoints.
+// cache, a memo of complete repair and certify answers, pooled solver
+// arenas) behind five JSON endpoints.
 //
 //	POST /v1/parse     {"source": ...}                     → formatted program
 //	POST /v1/analyze   {"source"|"benchmark", "model"}     → anomalous pairs
@@ -12,8 +13,13 @@
 //	GET  /readyz                                            → readiness probe
 //
 // Requests carrying a "client" id reuse that client's cached detection
-// session across calls (incremental re-analysis); "timeout_ms" bounds one
-// request, and closing the connection aborts its solve mid-flight. When all
+// session across calls (incremental re-analysis). A repair or certify of a
+// program already answered in full, for any client, is answered again from
+// the engine's 256-answer memo (budgeted repairs bypass it; /v1/stats
+// reports answer_hits and answer_misses). /v1/parse and /v1/certify answer
+// 400 for a knob they do not read, such as a solve budget. "timeout_ms"
+// bounds one request, and closing the connection aborts its solve
+// mid-flight. When all
 // workers are busy and the queue is full the daemon answers 429 with a
 // Retry-After hint instead of queueing unboundedly. On SIGINT/SIGTERM the
 // daemon flips /readyz to 503 (so load balancers stop routing to it),

@@ -12,6 +12,10 @@
 //     is rejected immediately with ErrOverloaded (the service layer maps it
 //     to HTTP 429 + Retry-After). A waiting request that is cancelled
 //     leaves the queue without consuming a slot.
+//   - Answers: a complete repair or certify answer is remembered under
+//     (verb, program hash, model, certify) in a bounded LRU shared by every
+//     client, and a repeated request is answered from it inside its worker
+//     slot (answers.go).
 //   - Sessions: each (client, model, recording) key checks a DetectSession
 //     out of an LRU; a session is owned exclusively while checked out
 //     (DetectSession serializes its own Detect calls by contract), so a
@@ -40,6 +44,7 @@ import (
 	"atropos/internal/cluster"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
+	"atropos/internal/sat"
 	"atropos/internal/sema"
 )
 
@@ -181,6 +186,8 @@ type Engine struct {
 
 	bmu      sync.Mutex
 	breakers map[string]*breaker
+
+	answers *answerMemo
 }
 
 // breaker is one client's circuit-breaker state: consec counts consecutive
@@ -204,6 +211,7 @@ func New(cfg Config) *Engine {
 		byKey:    map[sessionKey]*list.Element{},
 		free:     map[sessionFlavor][]*anomaly.DetectSession{},
 		breakers: map[string]*breaker{},
+		answers:  newAnswerMemo(),
 	}
 }
 
@@ -543,6 +551,10 @@ func (e *Engine) noteResult(client string, res *repair.Result, err error) {
 
 // Repair runs the full repair pipeline under model. With a Client option
 // the pipeline's detection passes run through that client's cached session.
+// A repeated request — same program, model and Certify, any client — is
+// answered from the engine's answer memo unless it sets a SolveBudget or
+// injects a Session; the result is then a shallow copy of a stored one whose
+// Stats report no solver work. Results are read-only to callers.
 func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (res *repair.Result, err error) {
 	o := repair.BuildOptions(opts...)
 	if err := e.breakerCheck(o.Client); err != nil {
@@ -555,6 +567,21 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("repair", o.Client)
+	// Budgeted requests promise a bounded answer, not the complete one, and
+	// an injected session belongs to its caller: neither reads nor fills.
+	memo := o.SolveBudget == (sat.Budget{}) && o.Session == nil
+	var key answerKey
+	if memo {
+		key = answerKey{verb: "repair", prog: ast.HashProgram(prog), model: model, certify: o.Certify}
+		if ans, ok := e.answers.get(key); ok {
+			if err := ctx.Err(); err != nil {
+				return nil, e.finish(start, err)
+			}
+			res = repairHit(ans.res, time.Since(start))
+			e.noteResult(o.Client, res, nil)
+			return res, e.finish(start, nil)
+		}
+	}
 	// A request deadline with no explicit stage split gets the default one,
 	// so a single slow stage degrades softly instead of eating the whole
 	// allowance and erroring at the end.
@@ -577,13 +604,18 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 		// leave the session's caches mid-mutation.
 		e.checkin(k, s)
 	}
+	if memo && rerr == nil && !res.Degraded {
+		e.answers.put(&answer{key: key, res: res})
+	}
 	e.noteResult(o.Client, res, rerr)
 	return res, e.finish(start, rerr)
 }
 
 // Certify detects with witness recording, on a private session, and
 // replays every reported pair as an executable certificate
-// (internal/replay).
+// (internal/replay). A repeated request for the same program and model is
+// answered from the engine's answer memo with the stored certificate and
+// report, which are read-only to callers.
 func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (cert *replay.Certificate, rep *anomaly.Report, err error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, nil, err
@@ -592,7 +624,17 @@ func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.M
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("certify", "")
+	key := answerKey{verb: "certify", prog: ast.HashProgram(prog), model: model}
+	if ans, ok := e.answers.get(key); ok {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, e.finish(start, err)
+		}
+		return ans.cert, ans.rep, e.finish(start, nil)
+	}
 	cert, rep, cerr := replay.CertifyModelContext(ctx, prog, model)
+	if cerr == nil {
+		e.answers.put(&answer{key: key, cert: cert, rep: rep})
+	}
 	return cert, rep, e.finish(start, cerr)
 }
 
@@ -647,6 +689,13 @@ type Stats struct {
 	SessionMisses    int64 `json:"session_misses"`
 	SessionEvictions int64 `json:"session_evictions"`
 	CachedSessions   int   `json:"cached_sessions"`
+	// Answer memo counters: lookups answered from memory and not, answers
+	// evicted past the bound, and answers held (an instantaneous gauge).
+	// Budgeted repairs and repairs on an injected session never look up.
+	AnswerHits      int64 `json:"answer_hits"`
+	AnswerMisses    int64 `json:"answer_misses"`
+	AnswerEvictions int64 `json:"answer_evictions"`
+	CachedAnswers   int   `json:"cached_answers"`
 }
 
 // SessionHitRate is the fraction of session checkouts served from the LRU.
@@ -672,7 +721,7 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	e.bmu.Unlock()
-	return Stats{
+	st := Stats{
 		Workers:           e.cfg.Workers,
 		QueueDepth:        e.cfg.QueueDepth,
 		InFlight:          len(e.sem),
@@ -692,4 +741,6 @@ func (e *Engine) Stats() Stats {
 		SessionEvictions:  e.evictions.Load(),
 		CachedSessions:    cached,
 	}
+	e.answers.counters(&st)
+	return st
 }

@@ -142,7 +142,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // ProgramRequest is the shared request shape of the program-centric
 // endpoints. Exactly one of Source (DSL text) or Benchmark (a Table 1
-// name) selects the program.
+// name) selects the program. /v1/certify and /v1/parse answer 400 for the
+// knobs they do not read (see unread).
 type ProgramRequest struct {
 	Source    string `json:"source,omitempty"`
 	Benchmark string `json:"benchmark,omitempty"`
@@ -474,6 +475,44 @@ func (req *ProgramRequest) options() ([]repair.Option, error) {
 	}, nil
 }
 
+// unread names the first field set in req that its endpoint would ignore:
+// /v1/certify reads only the program and the model, /v1/parse (parse) only
+// the source; client and timeout_ms are valid everywhere. Answering 400 for
+// such a field keeps a budgeted certify from running unbounded to a 200.
+func (req *ProgramRequest) unread(parse bool) string {
+	switch {
+	case parse && req.Benchmark != "":
+		return "benchmark"
+	case parse && req.Model != "":
+		return "model"
+	case req.Certify:
+		return "certify"
+	case req.Parallelism != 0:
+		return "parallelism"
+	case req.BudgetConflicts != 0:
+		return "budget_conflicts"
+	case req.BudgetPropagations != 0:
+		return "budget_propagations"
+	case req.BudgetArenaLits != 0:
+		return "budget_arena_lits"
+	}
+	return ""
+}
+
+// decodeProgramOnly decodes the body of /v1/parse or /v1/certify,
+// answering 400 for a malformed body or a field the endpoint would ignore.
+func (s *Server) decodeProgramOnly(w http.ResponseWriter, r *http.Request, req *ProgramRequest) bool {
+	if err := decodeJSON(w, r, req); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return false
+	}
+	if f := req.unread(r.URL.Path == "/v1/parse"); f != "" {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%s does not apply to %s", f, r.URL.Path))
+		return false
+	}
+	return true
+}
+
 func (req *ProgramRequest) model() (anomaly.Model, error) {
 	if req.Model == "" {
 		return anomaly.EC, nil
@@ -483,8 +522,7 @@ func (req *ProgramRequest) model() (anomaly.Model, error) {
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	var req ProgramRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if !s.decodeProgramOnly(w, r, &req) {
 		return
 	}
 	if req.Source == "" {
@@ -610,8 +648,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	var req ProgramRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if !s.decodeProgramOnly(w, r, &req) {
 		return
 	}
 	prog, err := s.program(&req)

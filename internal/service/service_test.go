@@ -161,6 +161,18 @@ func TestBadRequests(t *testing.T) {
 		{"negative clients", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: -1}, "clients "},
 		{"negative duration", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, DurationMs: -1}, "duration_ms "},
 		{"negative ops", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, Ops: -100}, "ops "},
+		// /v1/certify and /v1/parse pass no engine knob on: a budget there
+		// used to buy an unbounded replay and a 200.
+		{"certify with certify", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", Certify: true}, "certify does not apply"},
+		{"certify with parallelism", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", Parallelism: 1}, "parallelism "},
+		{"certify with budget_conflicts", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetConflicts: 5}, "budget_conflicts "},
+		{"certify with budget_propagations", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetPropagations: 1}, "budget_propagations "},
+		{"certify with budget_arena_lits", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetArenaLits: 9}, "budget_arena_lits "},
+		{"certify names the first knob", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetArenaLits: 9, Parallelism: 2}, "parallelism "},
+		{"parse with benchmark", "/v1/parse", ProgramRequest{Benchmark: "SmallBank"}, "benchmark "},
+		{"parse with model", "/v1/parse", ProgramRequest{Source: "table T { id: int key, }", Model: "EC"}, "model "},
+		{"parse with certify", "/v1/parse", ProgramRequest{Source: "table T { id: int key, }", Certify: true}, "certify "},
+		{"parse with budget", "/v1/parse", ProgramRequest{Source: "table T { id: int key, }", BudgetPropagations: 1}, "budget_propagations "},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, tc.path, tc.body)

@@ -79,20 +79,22 @@ func send(t *testing.T, ts *httptest.Server, method, path, body string) (*http.R
 	return resp, out
 }
 
-// TestWireFormat: every endpoint, and every error status the service
-// answers, speaks the same wire format.
-func TestWireFormat(t *testing.T) {
-	ts := wireEngine(func(string, ...any) {})
-	t.Cleanup(ts.Close)
+// wireCase is one request and the status wireEngine answers it with.
+type wireCase struct {
+	name, method, path, body string
+	status                   int
+}
+
+// wireCases covers every endpoint and every status the service answers;
+// FuzzServiceRequest seeds its corpus with their program-endpoint bodies.
+func wireCases() []wireCase {
 	src, _ := json.Marshal(ast.Format(progen.Program(3)))
-	for _, tc := range []struct {
-		name, method, path, body string
-		status                   int
-	}{
-		{"parse", "POST", "/v1/parse", `{"source":` + string(src) + `}`, 200},
+	return []wireCase{
+		// client and timeout_ms are valid on every program endpoint.
+		{"parse", "POST", "/v1/parse", `{"source":` + string(src) + `,"client":"c1","timeout_ms":60000}`, 200},
 		{"analyze", "POST", "/v1/analyze", `{"benchmark":"SmallBank"}`, 200},
 		{"repair", "POST", "/v1/repair", `{"benchmark":"SmallBank","certify":true}`, 200},
-		{"certify", "POST", "/v1/certify", `{"source":` + string(src) + `}`, 200},
+		{"certify", "POST", "/v1/certify", `{"source":` + string(src) + `,"client":"c1","timeout_ms":60000}`, 200},
 		{"simulate", "POST", "/v1/simulate", `{"benchmark":"SIBench","clients":2,"duration_ms":500,"records":10}`, 200},
 		{"stats", "GET", "/v1/stats", "", 200},
 		{"healthz", "GET", "/healthz", "", 200},
@@ -102,7 +104,15 @@ func TestWireFormat(t *testing.T) {
 		{"429", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"starved"}`, 429},
 		{"504", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"slow","timeout_ms":1}`, 504},
 		{"500", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"boom"}`, 500},
-	} {
+	}
+}
+
+// TestWireFormat: every endpoint, and every error status the service
+// answers, speaks the same wire format.
+func TestWireFormat(t *testing.T) {
+	ts := wireEngine(func(string, ...any) {})
+	t.Cleanup(ts.Close)
+	for _, tc := range wireCases() {
 		resp, body := send(t, ts, tc.method, tc.path, tc.body)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
