@@ -1,14 +1,16 @@
 // Command allocgate is the CI allocation-regression gate: it parses a `go
 // test -bench` output file (the bench smoke job's bench-smoke.txt) and
-// compares each benchmark's allocs/op against the checked-in thresholds in
+// compares each benchmark's allocs/op, and the simulator's and
+// certification's B/op, against the checked-in thresholds in
 // BENCH_allocs.json, failing on regressions beyond the tolerance.
 //
-// allocs/op is the one benchmark column that is deterministic and
+// allocs/op and B/op are the benchmark columns that are deterministic and
 // machine-independent enough to gate on: the repair pipeline and the
 // compiled simulator allocate identically on every machine at a given Go
 // version, while ns/op varies with hardware — wall clock therefore stays
 // informational (exact counts are gated by Go goldens; this is the same
-// idea applied to memory).
+// idea applied to memory). B/op sees what allocs/op cannot: a store that
+// keeps its allocation count and halves what each allocation holds.
 //
 // Usage:
 //
@@ -40,6 +42,9 @@ type Thresholds struct {
 	// AllocsPerOp maps benchmark name (no -N GOMAXPROCS suffix) to its
 	// recorded allocs/op ceiling.
 	AllocsPerOp map[string]uint64 `json:"allocs_per_op"`
+	// BytesPerOp does the same for the B/op of the benchmarks bytesGated
+	// names, at the same tolerance.
+	BytesPerOp map[string]uint64 `json:"bytes_per_op"`
 }
 
 var (
@@ -68,35 +73,52 @@ func gated(name string) bool {
 		strings.HasPrefix(name, "BenchmarkDetectParallel")
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+.*?\s(\d+)\s+allocs/op`)
+// bytesGated reports whether a benchmark's B/op is gated too: the simulator
+// (its store's pages are most of what it allocates), the sim-panel's cells
+// and witness certification (directed runs on the same store).
+func bytesGated(name string) bool {
+	return strings.HasPrefix(name, "BenchmarkSim") ||
+		strings.HasPrefix(name, "BenchmarkDeployPanel/") ||
+		strings.HasPrefix(name, "BenchmarkCertify_")
+}
+
+// benchLine matches a benchmark's result line: go test prints B/op just
+// before allocs/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+.*?\s(\d+)\s+B/op\s+(\d+)\s+allocs/op`)
 
 // parseBench extracts name → allocs/op for every gated benchmark in the
-// output file.
-func parseBench(path string) (map[string]uint64, error) {
+// output file, and name → B/op for the bytes-gated ones.
+func parseBench(path string) (allocs, bytes map[string]uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	out := map[string]uint64{}
+	allocs, bytes = map[string]uint64{}, map[string]uint64{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil || !gated(m[1]) {
+		if m == nil {
 			continue
 		}
-		n, err := strconv.ParseUint(m[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("allocgate: %s: bad allocs/op in %q", path, sc.Text())
+		b, errB := strconv.ParseUint(m[2], 10, 64)
+		n, errN := strconv.ParseUint(m[3], 10, 64)
+		if errB != nil || errN != nil {
+			return nil, nil, fmt.Errorf("allocgate: %s: bad B/op or allocs/op in %q", path, sc.Text())
 		}
-		out[m[1]] = n
+		if gated(m[1]) {
+			allocs[m[1]] = n
+		}
+		if bytesGated(m[1]) {
+			bytes[m[1]] = b
+		}
 	}
-	return out, sc.Err()
+	return allocs, bytes, sc.Err()
 }
 
 func main() {
 	flag.Parse()
-	got, err := parseBench(*benchPath)
+	got, gotBytes, err := parseBench(*benchPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,7 +126,7 @@ func main() {
 		fatal(fmt.Errorf("no gated benchmarks (BenchmarkTable1_*/BenchmarkSim*) found in %s", *benchPath))
 	}
 	if *update {
-		writeThresholds(got)
+		writeThresholds(got, gotBytes)
 		return
 	}
 
@@ -120,35 +142,8 @@ func main() {
 		thr.TolerancePct = 15
 	}
 
-	var failures []string
-	for _, name := range sortedKeys(got) {
-		want, ok := thr.AllocsPerOp[name]
-		if !ok {
-			// A gated benchmark without a threshold is a failure, not a
-			// note: a newly added benchmark must be recorded before it
-			// ships, or the gate silently never protects it.
-			failures = append(failures, fmt.Sprintf(
-				"%s: no threshold recorded — run `go run ./cmd/allocgate -update` after `make bench` to add it", name))
-			continue
-		}
-		limit := float64(want) * (1 + thr.TolerancePct/100)
-		switch g := got[name]; {
-		case float64(g) > limit:
-			failures = append(failures, fmt.Sprintf(
-				"%s: %d allocs/op exceeds threshold %d by more than %.0f%% (limit %.0f)",
-				name, g, want, thr.TolerancePct, limit))
-		case float64(g) < float64(want)*(1-thr.TolerancePct/100):
-			fmt.Printf("allocgate: %s improved: %d allocs/op vs threshold %d — consider ratcheting with -update\n",
-				name, g, want)
-		default:
-			fmt.Printf("allocgate: %s ok: %d allocs/op (threshold %d)\n", name, got[name], want)
-		}
-	}
-	for _, name := range sortedKeys(thr.AllocsPerOp) {
-		if _, ok := got[name]; !ok {
-			fmt.Printf("allocgate: warning: %s has a threshold but was not measured\n", name)
-		}
-	}
+	failures := gate("allocs/op", got, thr.AllocsPerOp, thr.TolerancePct)
+	failures = append(failures, gate("B/op", gotBytes, thr.BytesPerOp, thr.TolerancePct)...)
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "allocgate: FAIL:", f)
@@ -157,11 +152,47 @@ func main() {
 			len(failures), *thrPath)
 		os.Exit(1)
 	}
-	fmt.Printf("allocgate: %d benchmarks within %.0f%% of %s\n", len(got), thr.TolerancePct, *thrPath)
+	fmt.Printf("allocgate: %d benchmarks (%d also by B/op) within %.0f%% of %s\n",
+		len(got), len(gotBytes), thr.TolerancePct, *thrPath)
 }
 
-func writeThresholds(got map[string]uint64) {
-	thr := Thresholds{TolerancePct: 15, AllocsPerOp: got}
+// gate compares one column's measurements with their thresholds, printing a
+// line per benchmark, and returns the failures.
+func gate(col string, got, thr map[string]uint64, tolPct float64) []string {
+	var failures []string
+	for _, name := range sortedKeys(got) {
+		want, ok := thr[name]
+		if !ok {
+			// A gated benchmark without a threshold is a failure, not a
+			// note: a newly added benchmark must be recorded before it
+			// ships, or the gate silently never protects it.
+			failures = append(failures, fmt.Sprintf(
+				"%s: no %s threshold recorded — run `go run ./cmd/allocgate -update` after `make bench` to add it", name, col))
+			continue
+		}
+		limit := float64(want) * (1 + tolPct/100)
+		switch g := got[name]; {
+		case float64(g) > limit:
+			failures = append(failures, fmt.Sprintf(
+				"%s: %d %s exceeds threshold %d by more than %.0f%% (limit %.0f)",
+				name, g, col, want, tolPct, limit))
+		case float64(g) < float64(want)*(1-tolPct/100):
+			fmt.Printf("allocgate: %s improved: %d %s vs threshold %d — consider ratcheting with -update\n",
+				name, g, col, want)
+		default:
+			fmt.Printf("allocgate: %s ok: %d %s (threshold %d)\n", name, g, col, want)
+		}
+	}
+	for _, name := range sortedKeys(thr) {
+		if _, ok := got[name]; !ok {
+			fmt.Printf("allocgate: warning: %s has a %s threshold but was not measured\n", name, col)
+		}
+	}
+	return failures
+}
+
+func writeThresholds(got, gotBytes map[string]uint64) {
+	thr := Thresholds{TolerancePct: 15, AllocsPerOp: got, BytesPerOp: gotBytes}
 	buf, err := json.MarshalIndent(&thr, "", "  ")
 	if err != nil {
 		fatal(err)

@@ -66,7 +66,47 @@ type MixEntry struct {
 	Txn    string
 	Weight int
 	// Args generates an argument binding for one invocation.
-	Args func(rng *rand.Rand, s Scale) map[string]store.Value
+	Args func(rng *rand.Rand, s Scale) Args
+}
+
+// maxArgs bounds a binding; the widest mix entry binds five arguments.
+const maxArgs = 8
+
+// Arg is one named argument.
+type Arg struct {
+	Name string
+	Val  store.Value
+}
+
+// Args is one invocation's argument binding: names and values in the order
+// the mix wrote them. It is a value — no map, nothing on the heap — so a
+// simulated client keeps its current one in place.
+type Args struct {
+	n int
+	a [maxArgs]Arg
+}
+
+// Len returns the number of arguments bound.
+func (b *Args) Len() int { return b.n }
+
+// Lookup returns the argument named name.
+func (b *Args) Lookup(name string) (store.Value, bool) {
+	for i := range b.a[:b.n] {
+		if b.a[i].Name == name {
+			return b.a[i].Val, true
+		}
+	}
+	return store.Value{}, false
+}
+
+// Map returns the binding as a name → value map, the form a directed or
+// serial call (cluster.DirectedTxn) takes.
+func (b *Args) Map() map[string]store.Value {
+	m := make(map[string]store.Value, b.n)
+	for _, a := range b.a[:b.n] {
+		m[a.Name] = a.Val
+	}
+	return m
 }
 
 // TableRow is one initial record.
@@ -162,25 +202,16 @@ func iv(n int64) store.Value  { return store.IntV(n) }
 func bv(b bool) store.Value   { return store.BoolV(b) }
 func sv(s string) store.Value { return store.StringV(s) }
 
-// args builds an argument map tersely.
-func args(kv ...any) map[string]store.Value {
-	m := map[string]store.Value{}
-	for i := 0; i+1 < len(kv); i += 2 {
-		name := kv[i].(string)
-		switch v := kv[i+1].(type) {
-		case int64:
-			m[name] = store.IntV(v)
-		case int:
-			m[name] = store.IntV(int64(v))
-		case bool:
-			m[name] = store.BoolV(v)
-		case string:
-			m[name] = store.StringV(v)
-		case store.Value:
-			m[name] = v
-		default:
-			panic(fmt.Sprintf("benchmarks: bad arg %v", v))
-		}
+// Bind builds a binding of the arguments, in order.
+func Bind(as ...Arg) Args {
+	if len(as) > maxArgs {
+		panic(fmt.Sprintf("benchmarks: %d arguments, at most %d", len(as), maxArgs))
 	}
-	return m
+	var b Args
+	b.n = copy(b.a[:], as)
+	return b
 }
+
+// iarg and sarg are the mixes' argument helpers.
+func iarg(name string, v int64) Arg  { return Arg{name, store.IntV(v)} }
+func sarg(name string, v string) Arg { return Arg{name, store.StringV(v)} }

@@ -67,11 +67,11 @@ func TestMixesReferToRealTxns(t *testing.T) {
 			}
 			// Generated args must exactly match the parameter list.
 			a := m.Args(rng, Scale{})
-			if len(a) != len(txn.Params) {
-				t.Errorf("%s.%s: %d args generated, txn takes %d", b.Name, m.Txn, len(a), len(txn.Params))
+			if a.Len() != len(txn.Params) {
+				t.Errorf("%s.%s: %d args generated, txn takes %d", b.Name, m.Txn, a.Len(), len(txn.Params))
 			}
 			for _, prm := range txn.Params {
-				v, ok := a[prm.Name]
+				v, ok := a.Lookup(prm.Name)
 				if !ok {
 					t.Errorf("%s.%s: missing arg %q", b.Name, m.Txn, prm.Name)
 					continue

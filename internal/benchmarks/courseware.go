@@ -64,23 +64,23 @@ txn addSt(id: int, name: string, em: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "getSt", Weight: 40, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("id", s.Key(rng))
+		{Txn: "getSt", Weight: 40, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("id", s.Key(rng)))
 		}},
-		{Txn: "setSt", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "setSt", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
 			k := s.Key(rng)
-			return args("id", k, "name", fmt.Sprintf("name%d", rng.Intn(1000)), "email", fmt.Sprintf("u%d@example.org", rng.Intn(1000)))
+			return Bind(iarg("id", k), sarg("name", fmt.Sprintf("name%d", rng.Intn(1000))), sarg("email", fmt.Sprintf("u%d@example.org", rng.Intn(1000))))
 		}},
-		{Txn: "regSt", Weight: 20, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("id", s.Key(rng), "course", int64(rng.Intn(courseCount(s))))
+		{Txn: "regSt", Weight: 20, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("id", s.Key(rng)), iarg("course", int64(rng.Intn(courseCount(s)))))
 		}},
-		{Txn: "unregSt", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("id", s.Key(rng), "course", int64(rng.Intn(courseCount(s))))
+		{Txn: "unregSt", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("id", s.Key(rng)), iarg("course", int64(rng.Intn(courseCount(s)))))
 		}},
-		{Txn: "addSt", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "addSt", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
 			sc := s.orDefault()
 			id := int64(sc.Records + rng.Intn(1<<20))
-			return args("id", id, "name", fmt.Sprintf("new%d", id), "em", id)
+			return Bind(iarg("id", id), sarg("name", fmt.Sprintf("new%d", id)), iarg("em", id))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

@@ -103,30 +103,30 @@ txn getFacilityStaff(fa: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "createPatient", Weight: 5, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "createPatient", Weight: 5, Args: func(rng *rand.Rand, s Scale) Args {
 			sc := s.orDefault()
 			id := int64(sc.Records + rng.Intn(1<<20))
-			return args("p", id, "name", fmt.Sprintf("patient%d", id))
+			return Bind(iarg("p", id), sarg("name", fmt.Sprintf("patient%d", id)))
 		}},
-		{Txn: "createPrescription", Weight: 20, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "createPrescription", Weight: 20, Args: func(rng *rand.Rand, s Scale) Args {
 			sc := s.orDefault()
-			return args("pc", int64(sc.Records+rng.Intn(1<<20)), "pa", s.Key(rng),
-				"ph", int64(rng.Intn(pharmacies(s))), "sf", int64(rng.Intn(staffCount(s))), "drug", int64(rng.Intn(500)))
+			return Bind(iarg("pc", int64(sc.Records+rng.Intn(1<<20))), iarg("pa", s.Key(rng)),
+				iarg("ph", int64(rng.Intn(pharmacies(s)))), iarg("sf", int64(rng.Intn(staffCount(s)))), iarg("drug", int64(rng.Intn(500))))
 		}},
-		{Txn: "getPrescription", Weight: 25, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("pc", s.Key(rng))
+		{Txn: "getPrescription", Weight: 25, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("pc", s.Key(rng)))
 		}},
-		{Txn: "getPharmacyPrescriptions", Weight: 20, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("ph", int64(rng.Intn(pharmacies(s))))
+		{Txn: "getPharmacyPrescriptions", Weight: 20, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("ph", int64(rng.Intn(pharmacies(s)))))
 		}},
-		{Txn: "processPrescription", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("pc", s.Key(rng))
+		{Txn: "processPrescription", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("pc", s.Key(rng)))
 		}},
-		{Txn: "getStaffPrescriptions", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("sf", int64(rng.Intn(staffCount(s))))
+		{Txn: "getStaffPrescriptions", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("sf", int64(rng.Intn(staffCount(s)))))
 		}},
-		{Txn: "getFacilityStaff", Weight: 5, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("fa", int64(rng.Intn(facilities(s))))
+		{Txn: "getFacilityStaff", Weight: 5, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("fa", int64(rng.Intn(facilities(s)))))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

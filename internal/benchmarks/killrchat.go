@@ -67,22 +67,22 @@ txn readRoom(u: int, r: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "createUser", Weight: 5, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "createUser", Weight: 5, Args: func(rng *rand.Rand, s Scale) Args {
 			sc := s.orDefault()
 			id := int64(sc.Records + rng.Intn(1<<20))
-			return args("u", id, "name", fmt.Sprintf("user%d", id))
+			return Bind(iarg("u", id), sarg("name", fmt.Sprintf("user%d", id)))
 		}},
-		{Txn: "joinRoom", Weight: 20, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng), "r", int64(rng.Intn(roomCount(s))))
+		{Txn: "joinRoom", Weight: 20, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)), iarg("r", int64(rng.Intn(roomCount(s)))))
 		}},
-		{Txn: "leaveRoom", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng), "r", int64(rng.Intn(roomCount(s))))
+		{Txn: "leaveRoom", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)), iarg("r", int64(rng.Intn(roomCount(s)))))
 		}},
-		{Txn: "postMessage", Weight: 35, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng), "r", int64(rng.Intn(roomCount(s))), "text", fmt.Sprintf("msg %d", rng.Intn(1000)))
+		{Txn: "postMessage", Weight: 35, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)), iarg("r", int64(rng.Intn(roomCount(s)))), sarg("text", fmt.Sprintf("msg %d", rng.Intn(1000))))
 		}},
-		{Txn: "readRoom", Weight: 25, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng), "r", int64(rng.Intn(roomCount(s))))
+		{Txn: "readRoom", Weight: 25, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)), iarg("r", int64(rng.Intn(roomCount(s)))))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

@@ -115,25 +115,25 @@ txn deleteReservation(r: int, c: int, f: int, al: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "findFlights", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("depart", int64(rng.Intn(airports(s))), "arrive", int64(rng.Intn(airports(s))))
+		{Txn: "findFlights", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("depart", int64(rng.Intn(airports(s)))), iarg("arrive", int64(rng.Intn(airports(s)))))
 		}},
-		{Txn: "findOpenSeats", Weight: 35, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("f", int64(rng.Intn(flights(s))))
+		{Txn: "findOpenSeats", Weight: 35, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("f", int64(rng.Intn(flights(s)))))
 		}},
-		{Txn: "newReservation", Weight: 20, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "newReservation", Weight: 20, Args: func(rng *rand.Rand, s Scale) Args {
 			sc := s.orDefault()
-			return args("r", int64(sc.Records+rng.Intn(1<<20)), "c", s.Key(rng),
-				"f", int64(rng.Intn(flights(s))), "al", int64(rng.Intn(3)), "seat", int64(rng.Intn(150)))
+			return Bind(iarg("r", int64(sc.Records+rng.Intn(1<<20))), iarg("c", s.Key(rng)),
+				iarg("f", int64(rng.Intn(flights(s)))), iarg("al", int64(rng.Intn(3))), iarg("seat", int64(rng.Intn(150))))
 		}},
-		{Txn: "updateCustomer", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("c", s.Key(rng), "attr", int64(rng.Intn(1000)))
+		{Txn: "updateCustomer", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("c", s.Key(rng)), iarg("attr", int64(rng.Intn(1000))))
 		}},
-		{Txn: "updateReservation", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("r", s.Key(rng), "seat", int64(rng.Intn(150)))
+		{Txn: "updateReservation", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("r", s.Key(rng)), iarg("seat", int64(rng.Intn(150))))
 		}},
-		{Txn: "deleteReservation", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("r", s.Key(rng), "c", s.Key(rng), "f", int64(rng.Intn(flights(s))), "al", int64(rng.Intn(3)))
+		{Txn: "deleteReservation", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("r", s.Key(rng)), iarg("c", s.Key(rng)), iarg("f", int64(rng.Intn(flights(s)))), iarg("al", int64(rng.Intn(3))))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

@@ -28,11 +28,11 @@ txn increment(k: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "readAll", Weight: 50, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("lo", int64(0))
+		{Txn: "readAll", Weight: 50, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("lo", int64(0)))
 		}},
-		{Txn: "increment", Weight: 50, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("k", s.Key(rng))
+		{Txn: "increment", Weight: 50, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("k", s.Key(rng)))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

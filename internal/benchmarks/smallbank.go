@@ -81,23 +81,23 @@ txn sendPayment(src: int, dst: int, amt: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "balance", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("cust", s.Key(rng))
+		{Txn: "balance", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("cust", s.Key(rng)))
 		}},
-		{Txn: "depositChecking", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("cust", s.Key(rng), "amt", int64(1+rng.Intn(100)))
+		{Txn: "depositChecking", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("cust", s.Key(rng)), iarg("amt", int64(1+rng.Intn(100))))
 		}},
-		{Txn: "transactSavings", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("cust", s.Key(rng), "amt", int64(rng.Intn(200)-100))
+		{Txn: "transactSavings", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("cust", s.Key(rng)), iarg("amt", int64(rng.Intn(200)-100)))
 		}},
-		{Txn: "amalgamate", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("src", s.Key(rng), "dst", s.Key(rng))
+		{Txn: "amalgamate", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("src", s.Key(rng)), iarg("dst", s.Key(rng)))
 		}},
-		{Txn: "writeCheck", Weight: 25, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("cust", s.Key(rng), "amt", int64(1+rng.Intn(100)))
+		{Txn: "writeCheck", Weight: 25, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("cust", s.Key(rng)), iarg("amt", int64(1+rng.Intn(100))))
 		}},
-		{Txn: "sendPayment", Weight: 15, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("src", s.Key(rng), "dst", s.Key(rng), "amt", int64(1+rng.Intn(50)))
+		{Txn: "sendPayment", Weight: 15, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("src", s.Key(rng)), iarg("dst", s.Key(rng)), iarg("amt", int64(1+rng.Intn(50))))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

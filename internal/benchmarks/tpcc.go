@@ -141,21 +141,21 @@ txn stockLevel(w: int, d: int, threshold: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "newOrder", Weight: 45, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("w", tpccW(rng, s), "d", int64(rng.Intn(10)), "c", s.Key(rng),
-				"item", s.Key(rng), "qty", int64(1+rng.Intn(10)))
+		{Txn: "newOrder", Weight: 45, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("w", tpccW(rng, s)), iarg("d", int64(rng.Intn(10))), iarg("c", s.Key(rng)),
+				iarg("item", s.Key(rng)), iarg("qty", int64(1+rng.Intn(10))))
 		}},
-		{Txn: "payment", Weight: 43, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("w", tpccW(rng, s), "d", int64(rng.Intn(10)), "c", s.Key(rng), "amt", int64(1+rng.Intn(5000)))
+		{Txn: "payment", Weight: 43, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("w", tpccW(rng, s)), iarg("d", int64(rng.Intn(10))), iarg("c", s.Key(rng)), iarg("amt", int64(1+rng.Intn(5000))))
 		}},
-		{Txn: "orderStatus", Weight: 4, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("w", tpccW(rng, s), "d", int64(rng.Intn(10)), "c", s.Key(rng), "oid", int64(rng.Intn(100)))
+		{Txn: "orderStatus", Weight: 4, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("w", tpccW(rng, s)), iarg("d", int64(rng.Intn(10))), iarg("c", s.Key(rng)), iarg("oid", int64(rng.Intn(100))))
 		}},
-		{Txn: "delivery", Weight: 4, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("w", tpccW(rng, s), "d", int64(rng.Intn(10)), "oid", int64(rng.Intn(100)), "carrier", int64(1+rng.Intn(10)))
+		{Txn: "delivery", Weight: 4, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("w", tpccW(rng, s)), iarg("d", int64(rng.Intn(10))), iarg("oid", int64(rng.Intn(100))), iarg("carrier", int64(1+rng.Intn(10))))
 		}},
-		{Txn: "stockLevel", Weight: 4, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("w", tpccW(rng, s), "d", int64(rng.Intn(10)), "threshold", int64(10+rng.Intn(10)))
+		{Txn: "stockLevel", Weight: 4, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("w", tpccW(rng, s)), iarg("d", int64(rng.Intn(10))), iarg("threshold", int64(10+rng.Intn(10))))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

@@ -71,21 +71,21 @@ txn getFollowers(u: int) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "getTweet", Weight: 35, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("t", s.Key(rng))
+		{Txn: "getTweet", Weight: 35, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("t", s.Key(rng)))
 		}},
-		{Txn: "getUserTimeline", Weight: 25, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng))
+		{Txn: "getUserTimeline", Weight: 25, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)))
 		}},
-		{Txn: "insertTweet", Weight: 20, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "insertTweet", Weight: 20, Args: func(rng *rand.Rand, s Scale) Args {
 			sc := s.orDefault()
-			return args("u", s.Key(rng), "t", int64(sc.Records+rng.Intn(1<<20)), "text", fmt.Sprintf("tweet %d", rng.Intn(1000)))
+			return Bind(iarg("u", s.Key(rng)), iarg("t", int64(sc.Records+rng.Intn(1<<20))), sarg("text", fmt.Sprintf("tweet %d", rng.Intn(1000))))
 		}},
-		{Txn: "follow", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng), "v", s.Key(rng))
+		{Txn: "follow", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)), iarg("v", s.Key(rng)))
 		}},
-		{Txn: "getFollowers", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng))
+		{Txn: "getFollowers", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

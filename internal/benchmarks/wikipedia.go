@@ -126,23 +126,23 @@ txn updatePage(p: int, u: int, rid: int, tid: int, text: string) {
 }
 `,
 	Mix: []MixEntry{
-		{Txn: "getPageAnonymous", Weight: 55, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("p", s.Key(rng))
+		{Txn: "getPageAnonymous", Weight: 55, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("p", s.Key(rng)))
 		}},
-		{Txn: "getPageAuthenticated", Weight: 25, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("p", s.Key(rng), "u", s.Key(rng))
+		{Txn: "getPageAuthenticated", Weight: 25, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("p", s.Key(rng)), iarg("u", s.Key(rng)))
 		}},
-		{Txn: "addWatchList", Weight: 5, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng), "p", s.Key(rng))
+		{Txn: "addWatchList", Weight: 5, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)), iarg("p", s.Key(rng)))
 		}},
-		{Txn: "removeWatchList", Weight: 5, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
-			return args("u", s.Key(rng), "p", s.Key(rng))
+		{Txn: "removeWatchList", Weight: 5, Args: func(rng *rand.Rand, s Scale) Args {
+			return Bind(iarg("u", s.Key(rng)), iarg("p", s.Key(rng)))
 		}},
-		{Txn: "updatePage", Weight: 10, Args: func(rng *rand.Rand, s Scale) map[string]store.Value {
+		{Txn: "updatePage", Weight: 10, Args: func(rng *rand.Rand, s Scale) Args {
 			sc := s.orDefault()
 			fresh := int64(sc.Records + rng.Intn(1<<20))
-			return args("p", s.Key(rng), "u", s.Key(rng), "rid", fresh, "tid", fresh,
-				"text", fmt.Sprintf("revision %d", fresh))
+			return Bind(iarg("p", s.Key(rng)), iarg("u", s.Key(rng)), iarg("rid", fresh), iarg("tid", fresh),
+				sarg("text", fmt.Sprintf("revision %d", fresh)))
 		}},
 	},
 	Rows: func(s Scale) []TableRow {

@@ -29,7 +29,8 @@ func TestWorkloadRunsSerially(t *testing.T) {
 			calls := make([]cluster.DirectedTxn, 200)
 			for i := range calls {
 				m := b.PickTxn(rng)
-				calls[i] = cluster.DirectedTxn{Name: m.Txn, Args: m.Args(rng, scale)}
+				args := m.Args(rng, scale)
+				calls[i] = cluster.DirectedTxn{Name: m.Txn, Args: args.Map()}
 			}
 			if _, err := plan.RunSerial(state, calls); err != nil {
 				t.Fatal(err)

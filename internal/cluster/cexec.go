@@ -27,14 +27,14 @@ type cview struct {
 }
 
 // scanRef identifies the row a where clause's this.f refers to during a
-// scan: row is the base store's row (nil when the replica does not hold the
-// slot: an overlay-only row), ovBase is
-// ovRow*nf into the overlay's value array (-1 when the row has no overlay
-// state).
+// scan: pg and r locate the base store's row (pg nil when the replica does
+// not hold the slot: an overlay-only row), ovBase is ovRow*nf into the
+// overlay's value array (-1 when the row has no overlay state).
 type scanRef struct {
 	t      *mtable
 	ot     *covTab
-	row    []store.Value
+	pg     *page
+	r      int32
 	ovBase int32
 }
 
@@ -45,8 +45,8 @@ func (sr *scanRef) field(fid int32) store.Value {
 	if sr.ovBase >= 0 && sr.ot.set[sr.ovBase+fid] {
 		return sr.ot.vals[sr.ovBase+fid]
 	}
-	if sr.row != nil {
-		return sr.row[fid]
+	if sr.pg != nil {
+		return sr.t.ct.cell(sr.pg, sr.r, fid)
 	}
 	return sr.t.ct.zeros[fid]
 }
@@ -108,9 +108,12 @@ func newCFrame(cp *Compiled) *cframe {
 	}
 }
 
-// reset prepares the frame for a fresh instance of ct with the given
-// argument binding.
-func (f *cframe) reset(ct *ctxn, args map[string]store.Value) {
+// reset prepares the frame for a fresh instance of ct and binds its
+// parameters: given arguments were passed, and arg finds one by name.
+// Arguments come from outside the program and the compiled code trusts
+// sema's typing, so this is where every entry point — simulated, directed
+// and serial runs — checks their count, names and types.
+func (f *cframe) reset(ct *ctxn, given int, arg func(name string) (store.Value, bool)) error {
 	f.ct = ct
 	f.pc, f.pending, f.done = 0, -1, false
 	f.ret = store.Value{}
@@ -118,8 +121,20 @@ func (f *cframe) reset(ct *ctxn, args map[string]store.Value) {
 		f.args = make([]store.Value, n)
 		f.argOK = make([]bool, n)
 	}
-	for i, name := range ct.argNames {
-		f.args[i], f.argOK[i] = args[name]
+	// A refused binding still binds every argument that checks, so the
+	// tests can hold an unbound one's evaluation error to the AST oracle's.
+	clear(f.argOK[:len(ct.argNames)])
+	var err error
+	params := ct.src.Params
+	if given != len(params) {
+		err = fmt.Errorf("cluster: %s: expects %d arguments, got %d", ct.name, len(params), given)
+	}
+	for i, p := range params {
+		if v, ok := arg(p.Name); ok && v.T == p.Type {
+			f.args[i], f.argOK[i] = v, true
+		} else if err == nil {
+			err = fmt.Errorf("cluster: %s: argument %q missing or not of type %v", ct.name, p.Name, p.Type)
+		}
 	}
 	if ct.nvars > len(f.vars) {
 		f.vars = make([]crset, ct.nvars)
@@ -129,6 +144,15 @@ func (f *cframe) reset(ct *ctxn, args map[string]store.Value) {
 		f.vars[i].n = 0
 	}
 	f.iters = f.iters[:0]
+	return err
+}
+
+// mapArg looks arguments up in a name → value map.
+func mapArg(m map[string]store.Value) func(string) (store.Value, bool) {
+	return func(name string) (store.Value, bool) {
+		v, ok := m[name]
+		return v, ok
+	}
 }
 
 // advance runs control flow up to the next database command, returning it,
@@ -407,7 +431,7 @@ func (f *cframe) try(v cview, c *ccmd, skipWhere bool, slot int32, held bool, ov
 	// that shows (a third of a prefix scan's time).
 	sr := scanRef{t: t, ovBase: -1}
 	if held {
-		sr.row = t.row(slot)
+		sr.pg, sr.r = t.at(slot)
 	}
 	if ovRow >= 0 {
 		sr.ot, sr.ovBase = &v.ov.tabs[c.tid], ovRow*t.ct.nf
@@ -479,22 +503,24 @@ func (f *cframe) execSelect(v cview, c *ccmd) error {
 	rs.ncol = len(c.cols)
 	need := rs.n * rs.ncol
 	if cap(rs.vals) < need {
-		rs.vals = make([]store.Value, need)
+		// Geometric growth: a log table read returns more rows on almost
+		// every call.
+		rs.vals = make([]store.Value, need, max(need, 2*cap(rs.vals)))
 	}
 	rs.vals = rs.vals[:need]
 	t := &v.ms.tabs[c.tid]
 	for i, slot := range f.mslots {
 		out := rs.vals[i*rs.ncol:]
 		if f.movs[i] < 0 {
-			row := t.row(slot)
+			pg, r := t.at(slot)
 			for j, fid := range c.cols {
-				out[j] = row[fid]
+				out[j] = t.ct.cell(pg, r, fid)
 			}
 			continue
 		}
 		sr := scanRef{t: t, ot: &v.ov.tabs[c.tid], ovBase: f.movs[i] * t.ct.nf}
 		if t.held(slot) {
-			sr.row = t.row(slot)
+			sr.pg, sr.r = t.at(slot)
 		}
 		for j, fid := range c.cols {
 			out[j] = sr.field(fid)
@@ -601,7 +627,7 @@ func (f *cframe) eval(e cexpr, sr *scanRef, u *UUIDGen) (store.Value, error) {
 			st = append(st, store.IntV(f.iters[len(f.iters)-1].idx))
 		case eThis:
 			if sr.ovBase < 0 {
-				st = append(st, sr.row[op.i])
+				st = append(st, sr.t.ct.cell(sr.pg, sr.r, op.i))
 			} else {
 				st = append(st, sr.field(op.i))
 			}
@@ -612,7 +638,7 @@ func (f *cframe) eval(e cexpr, sr *scanRef, u *UUIDGen) (store.Value, error) {
 			}
 			var tv store.Value
 			if sr.ovBase < 0 {
-				tv = sr.row[op.i]
+				tv = sr.t.ct.cell(sr.pg, sr.r, op.i)
 			} else {
 				tv = sr.field(op.i)
 			}
@@ -620,7 +646,7 @@ func (f *cframe) eval(e cexpr, sr *scanRef, u *UUIDGen) (store.Value, error) {
 		case eThisEqConst:
 			var tv store.Value
 			if sr.ovBase < 0 {
-				tv = sr.row[op.i]
+				tv = sr.t.ct.cell(sr.pg, sr.r, op.i)
 			} else {
 				tv = sr.field(op.i)
 			}

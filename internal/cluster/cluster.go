@@ -9,7 +9,6 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/metrics"
-	"atropos/internal/store"
 )
 
 // Mode selects the consistency deployment of a run (the four lines of
@@ -99,7 +98,7 @@ type Config struct {
 // refLaunch, set by this package's tests only, launches one transaction of a
 // useInterpreter run on the AST reference executor. Production code has one
 // executor and never sets it.
-var refLaunch func(c *client, txn *ast.Txn, args map[string]store.Value, sc bool)
+var refLaunch func(c *client, txn *ast.Txn, sc bool)
 
 // Result is the outcome of one run: a figure point plus counters.
 type Result struct {
@@ -350,6 +349,7 @@ type client struct {
 	// Executor state, allocated once per client and reused for every
 	// transaction it runs (DESIGN.md §9).
 	fr       *cframe
+	args     benchmarks.Args // the current transaction's
 	finishFn func()
 	ecPhase  int
 	ecTick   func()
@@ -385,7 +385,7 @@ func (c *client) nextTxn() {
 		d.fail(fmt.Errorf("cluster: mix references unknown txn %q", m.Txn))
 		return
 	}
-	args := m.Args(d.rng, d.cfg.Scale)
+	c.args = m.Args(d.rng, d.cfg.Scale)
 	c.startAt = d.sim.Now()
 	c.txnName = m.Txn
 	if d.obs != nil {
@@ -393,14 +393,14 @@ func (c *client) nextTxn() {
 	}
 	sc := d.cfg.Mode == ModeSC || (d.cfg.Mode == ModeATSC && d.cfg.SerializableTxns[m.Txn])
 	if d.cfg.useInterpreter {
-		refLaunch(c, txn, args, sc)
+		refLaunch(c, txn, sc)
 		return
 	}
 	ct := d.cp.txns[m.Txn]
 	if sc {
-		c.startSC(ct, args)
+		c.startSC(ct)
 	} else {
-		c.startEC(ct, args)
+		c.startEC(ct)
 	}
 }
 

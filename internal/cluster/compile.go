@@ -12,13 +12,14 @@ import (
 // This file compiles a program once per simulated run into a flat op-code
 // form the cluster executor runs instead of re-walking the AST per
 // transaction instance (DESIGN.md §9). Compilation pre-resolves every name:
-// tables become dense ids, fields become indices into a table's flat value
-// array, transaction arguments and select-bound result sets become numbered
+// tables become dense ids, fields become indices into a table's row of
+// words, transaction arguments and select-bound result sets become numbered
 // frame slots, and expressions become postfix op sequences evaluated on a
 // reusable stack. Compilation is total or loud: a transaction the compiler
 // refuses (a variable rebound with a different shape, uuid() outside an
-// insert — CHANGES.md lists every site) fails the run that needs it with a
-// "compile:" error naming the transaction; nothing else executes it.
+// insert, a set or insert of a value not of its field's type — CHANGES.md
+// lists every site) fails the run that needs it with a "compile:" error
+// naming the transaction; nothing else executes it.
 
 // Compiled is a program lowered to the executor's addressing: dense table
 // ids and per-transaction op-code programs.
@@ -35,16 +36,22 @@ type Compiled struct {
 
 // ctable is a schema with resolved field addressing. Field indices follow
 // declaration order with the implicit alive field appended last, so a row
-// is a flat []store.Value of nf values.
+// is nf words in a page (matstore.go). kind is each field's declared type,
+// which decodes its cell; a string field's text sits in the page's string
+// array at sidx (-1 for the other fields), ns strings per row.
 type ctable struct {
 	name    string
 	schema  *ast.Schema
 	fields  []string
 	fieldID map[string]int32
+	kind    []ast.Type
+	sidx    []int32
 	zeros   []store.Value
-	tszero  []int64
+	zwords  []int64  // nf zero words (and timestamps)
+	zstrs   []string // ns empty strings
 	pk      []int32
 	nf      int32
+	ns      int32
 	alive   int32
 }
 
@@ -228,14 +235,24 @@ func compileLayout(prog *ast.Program) *Compiled {
 		for _, f := range s.Fields {
 			ct.fieldID[f.Name] = int32(len(ct.fields))
 			ct.fields = append(ct.fields, f.Name)
+			sidx := int32(-1)
+			if f.Type == ast.TString {
+				sidx = ct.ns
+				ct.ns++
+			}
+			ct.kind = append(ct.kind, f.Type)
+			ct.sidx = append(ct.sidx, sidx)
 			ct.zeros = append(ct.zeros, store.Zero(f.Type))
 		}
 		ct.alive = int32(len(ct.fields))
 		ct.fieldID[ast.AliveField] = ct.alive
 		ct.fields = append(ct.fields, ast.AliveField)
+		ct.kind = append(ct.kind, ast.TBool)
+		ct.sidx = append(ct.sidx, -1)
 		ct.zeros = append(ct.zeros, store.BoolV(false))
 		ct.nf = int32(len(ct.fields))
-		ct.tszero = make([]int64, ct.nf)
+		ct.zwords = make([]int64, ct.nf)
+		ct.zstrs = make([]string, ct.ns)
 		for _, f := range s.PrimaryKey() {
 			ct.pk = append(ct.pk, ct.fieldID[f.Name])
 		}
@@ -519,6 +536,9 @@ func (c *txnCompiler) updateCmd(x *ast.Update) (*ccmd, error) {
 		if err != nil {
 			return nil, err
 		}
+		if ty := c.typeOf(e); ty != ct.kind[id] {
+			return nil, fmt.Errorf("compile: set %s.%s: type %s, field has type %s", x.Table, a.Field, ty, ct.kind[id])
+		}
 		cmd.setF = append(cmd.setF, id)
 		cmd.setE = append(cmd.setE, e)
 	}
@@ -543,6 +563,9 @@ func (c *txnCompiler) insertCmd(x *ast.Insert) (*ccmd, error) {
 		e, err := c.expr(a.Expr, nil, true)
 		if err != nil {
 			return nil, err
+		}
+		if ty := c.typeOf(e); ty != ct.kind[id] {
+			return nil, fmt.Errorf("compile: insert %s.%s: type %s, field has type %s", x.Table, a.Field, ty, ct.kind[id])
 		}
 		cmd.insF = append(cmd.insF, id)
 		cmd.insE = append(cmd.insE, e)
@@ -749,9 +772,30 @@ func (c *txnCompiler) expr(e ast.Expr, scan *ctable, inInsert bool) (cexpr, erro
 	return ops, nil
 }
 
-// argRef resolves (or creates) the argument slot for a named parameter.
-// References to undeclared parameters are resolvable only through the
-// supplied argument map and get an extra named slot.
+// typeOf is the type of every value e evaluates to, which its last op
+// decides: the executor's arithmetic always yields ints and its comparisons
+// bools, and constants, arguments (checked where they are bound) and fields
+// carry their declared types. Sets and inserts are held to it, so every value
+// a page stores has its field's type and decodes back exactly.
+func (c *txnCompiler) typeOf(e cexpr) ast.Type {
+	switch op := &e[len(e)-1]; op.op {
+	case eConst, eField, eFieldIdx, eFieldMiss, eFieldMissIdx, eAggMin, eAggMax, eAggAny:
+		return op.val.T
+	case eArg:
+		if int(op.i) < len(c.txn.Params) { // the declared parameters' slots come first
+			return c.txn.Params[op.i].Type
+		}
+		return ast.TInvalid
+	case eThisEqArg, eThisEqConst, eLt, eLe, eEq, eNe, eGt, eGe, eAnd, eOr:
+		return ast.TBool
+	}
+	return ast.TInt
+}
+
+// argRef resolves (or creates) the argument slot for a named parameter. The
+// declared parameters hold the first slots, in order; a reference to an
+// undeclared one gets an extra slot that binding never fills, so evaluating
+// it fails with "unknown argument".
 func (c *txnCompiler) argRef(name string) int32 {
 	slot, ok := c.argSlot[name]
 	if !ok {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"atropos/internal/benchmarks"
+	"atropos/internal/parser"
 	"atropos/internal/sema"
 	"atropos/internal/store"
 )
@@ -203,6 +204,30 @@ txn stamp(k: int) { update T set b = uuid() where a = k; }
 txn fine(k: int) { update T set b = 1 where a = k; }`,
 }
 
+// TestMistypedWriteRefused: a set or insert whose value is not of its
+// field's type — sema rejects one, so only an unchecked program can carry it
+// — is refused by the compiler, since a page decodes a cell by its field's
+// type and would misread the value.
+func TestMistypedWriteRefused(t *testing.T) {
+	const schema = "table T { a: int key, b: int, s: string, }\n"
+	for want, txn := range map[string]string{
+		"w: compile: set T.b: type bool, field has type int":       `txn w(k: int) { update T set b = k > 0 where a = k; }`,
+		"w: compile: set T.s: type invalid, field has type string": `txn w(k: int) { update T set s = q where a = k; }`,
+		"w: compile: insert T.s: type int, field has type string":  `txn w(k: int) { insert into T values (a = k, b = 1, s = k + 1); }`,
+		"w: compile: insert T.b: type string, field has type int":  `txn w(k: string) { insert into T values (a = 1, b = k, s = k); }`,
+		"w: compile: set T.b: type string, field has type int":     `txn w(k: int) { x := select s from T where a = k; update T set b = x.s where a = k; }`,
+		"w: compile: insert T.s: type bool, field has type string": `txn w(k: int) { insert into T values (a = k, b = 1, s = k = 1 && true); }`,
+	} {
+		prog, err := parser.Parse(schema + txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if miss := Uncompiled(prog); len(miss) != 1 || miss[0] != want {
+			t.Errorf("%s: refused %q, want %q", txn, miss, want)
+		}
+	}
+}
+
 // TestRefusedTxnFailsTheRun: compilation is total or loud. A run of a
 // program with a transaction the compiler refuses fails with an error naming
 // it — there is no second engine to run it on — even when the mix never
@@ -220,8 +245,10 @@ func TestRefusedTxnFailsTheRun(t *testing.T) {
 			t.Errorf("Uncompiled lists %q, want %s alone", miss, odd)
 		}
 		cfg := Config{
-			Program:  prog,
-			Mix:      []benchmarks.MixEntry{{Txn: "fine", Weight: 1, Args: func(*rand.Rand, benchmarks.Scale) map[string]store.Value { return intArgs("k", 1) }}},
+			Program: prog,
+			Mix: []benchmarks.MixEntry{{Txn: "fine", Weight: 1, Args: func(*rand.Rand, benchmarks.Scale) benchmarks.Args {
+				return benchmarks.Bind(benchmarks.Arg{Name: "k", Val: store.IntV(1)})
+			}}},
 			Topology: USCluster,
 			Clients:  1,
 			Duration: 50 * time.Millisecond,

@@ -43,17 +43,17 @@ func transferConfig(t *testing.T, mode Mode, seed int64) Config {
 	}
 	mix := []benchmarks.MixEntry{{
 		Txn: "transfer", Weight: 1,
-		Args: func(rng *rand.Rand, s benchmarks.Scale) map[string]store.Value {
+		Args: func(rng *rand.Rand, s benchmarks.Scale) benchmarks.Args {
 			src := rng.Intn(n)
 			// Distinct accounts: a self-transfer is money-creating even
 			// serially (the credit overwrites the debit), so it would not
 			// witness a locking bug.
 			dst := (src + 1 + rng.Intn(n-1)) % n
-			return map[string]store.Value{
-				"src": store.IntV(int64(src)),
-				"dst": store.IntV(int64(dst)),
-				"amt": store.IntV(int64(1 + rng.Intn(5))),
-			}
+			return benchmarks.Bind(
+				benchmarks.Arg{Name: "src", Val: store.IntV(int64(src))},
+				benchmarks.Arg{Name: "dst", Val: store.IntV(int64(dst))},
+				benchmarks.Arg{Name: "amt", Val: store.IntV(int64(1 + rng.Intn(5)))},
+			)
 		},
 	}}
 	return Config{

@@ -1,7 +1,5 @@
 package cluster
 
-import "atropos/internal/store"
-
 // Driving the executor through a simulated run: persistent state machines, so
 // steady-state execution allocates no closure per statement. Each client owns
 // one cframe, one EC tick closure, and one reusable SC run; replication
@@ -59,14 +57,17 @@ func (c *client) ecStep() {
 	}
 }
 
-func (c *client) startEC(ct *ctxn, args map[string]store.Value) {
-	c.fr.reset(ct, args)
+func (c *client) startEC(ct *ctxn) {
+	if err := c.fr.reset(ct, c.args.Len(), c.args.Lookup); err != nil {
+		c.d.fail(err)
+		return
+	}
 	c.ecPhase = 0
 	c.ecStep()
 }
 
 // startSC launches (or relaunches) the client's reusable SC run.
-func (c *client) startSC(ct *ctxn, args map[string]store.Value) {
+func (c *client) startSC(ct *ctxn) {
 	if c.scRun == nil {
 		t := &cTxnRun{c: c}
 		t.lockCore.d = c.d
@@ -81,7 +82,6 @@ func (c *client) startSC(ct *ctxn, args map[string]store.Value) {
 		c.scRun = t
 	}
 	c.scRun.ct = ct
-	c.scRun.args = args
 	c.scRun.begin()
 }
 
@@ -92,7 +92,6 @@ type cTxnRun struct {
 	lockCore
 	c    *client
 	ct   *ctxn
-	args map[string]store.Value
 	fr   *cframe
 	ov   *coverlay
 	want []lockKey
@@ -104,7 +103,10 @@ type cTxnRun struct {
 func (t *cTxnRun) begin() {
 	d := t.c.d
 	t.gen++
-	t.fr.reset(t.ct, t.args)
+	if err := t.fr.reset(t.ct, t.c.args.Len(), t.c.args.Lookup); err != nil {
+		d.fail(err)
+		return
+	}
 	t.ov.reset()
 	t.held = t.held[:0]
 	t.c.pend = t.c.pend[:0] // an aborted attempt's observation records

@@ -227,7 +227,9 @@ func (p *DirectedPlan) Run(base *MatStore, cfg DirectedConfig) (*DirectedResult,
 		if err != nil {
 			return nil, err
 		}
-		fr.reset(ct, cfg.Txns[inst].Args)
+		if err := fr.reset(ct, len(cfg.Txns[inst].Args), mapArg(cfg.Txns[inst].Args)); err != nil {
+			return nil, err
+		}
 	}
 
 	executed := 0
@@ -391,23 +393,15 @@ func (p *DirectedPlan) RunSerial(ms *MatStore, calls []DirectedTxn) ([]store.Val
 
 // runCall runs call i of a serial run to completion on fr, applying each
 // command's writes to ms at the timestamp after ts, and returns the last one
-// used. Arguments come from outside the program, so they are checked against
-// the parameter list first: the compiled code trusts sema's typing.
+// used.
 func (p *DirectedPlan) runCall(fr *cframe, ms *MatStore, i int, c DirectedTxn, ts int64) (int64, error) {
 	ct, err := p.txn(c.Name)
 	if err != nil {
 		return ts, err
 	}
-	params := p.prog.Txn(c.Name).Params
-	if len(c.Args) != len(params) {
-		return ts, fmt.Errorf("cluster: expects %d arguments, got %d", len(params), len(c.Args))
+	if err := fr.reset(ct, len(c.Args), mapArg(c.Args)); err != nil {
+		return ts, err
 	}
-	for _, pm := range params {
-		if v, ok := c.Args[pm.Name]; !ok || v.T != pm.Type {
-			return ts, fmt.Errorf("cluster: argument %q missing or not of type %v", pm.Name, pm.Type)
-		}
-	}
-	fr.reset(ct, c.Args)
 	uuid := UUIDGen{next: int64(i+1) << serialUUIDShift}
 	for {
 		cmd, err := fr.advance()

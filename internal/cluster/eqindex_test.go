@@ -55,7 +55,9 @@ func newEqFixture(t *testing.T) *eqFixture {
 // production code selects between the two: the copy is the test's.
 func (x *eqFixture) match(v cview, txn string, args map[string]store.Value, scan bool) ([]store.Key, error) {
 	ct := x.cp.txns[txn]
-	x.fr.reset(ct, args)
+	// The error-parity cases leave arguments unbound on purpose; the frame
+	// binds the rest and the refusal is theirs to ignore.
+	_ = x.fr.reset(ct, len(args), mapArg(args))
 	cmd := ct.code[0].cmd
 	if scan {
 		forced := *cmd

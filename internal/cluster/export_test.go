@@ -113,7 +113,7 @@ func OracleDirectedViews(fail func(format string, args ...any)) (finish func() (
 				slot := t.dir.index[k]
 				sr := scanRef{t: t, ovBase: -1}
 				if t.held(slot) {
-					sr.row = t.row(slot)
+					sr.pg, sr.r = t.at(slot)
 				}
 				if row, over := ot.idx[slot]; over {
 					sr.ot, sr.ovBase = ot, row*t.ct.nf
@@ -171,7 +171,7 @@ func readSet(obs []ReadObs) []ReadObs {
 }
 
 // storeSum hashes what a store holds: per held slot its key, and every
-// page's values and timestamps. The directory is left out on purpose: the
+// page's words, timestamps and strings. The directory is left out on purpose: the
 // oracle's clone interns the keys its batches insert into the directory it
 // shares with the base, which is not a write to the base.
 func storeSum(ms *MatStore) uint64 {
@@ -185,7 +185,7 @@ func storeSum(ms *MatStore) uint64 {
 			}
 		}
 		for _, pg := range t.pages {
-			fmt.Fprintln(h, pg.vals, pg.ts)
+			fmt.Fprintln(h, pg.w, pg.ts, pg.s)
 		}
 	}
 	return h.Sum64()

@@ -188,12 +188,16 @@ func (t *lockCore) release() {
 		if ls.owner != t {
 			continue
 		}
-		// Back to the zero entry: the woken waiters queue again if they lose.
+		// Free, with no waiters: the woken ones queue again if they lose. The
+		// drained list's array stays with the entry for the next contention
+		// (scheduleWake only schedules, so ls is still this entry's).
 		waiters := ls.waiters
-		*ls = lockState{}
+		ls.owner = nil
 		for _, w := range waiters {
 			d.scheduleWake(w)
 		}
+		clear(waiters)
+		ls.waiters = waiters[:0]
 	}
 	t.held = t.held[:0]
 }

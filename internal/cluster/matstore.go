@@ -81,11 +81,65 @@ const (
 	pageRows  = 1 << pageShift
 )
 
-// page is pageRows rows of field values and their last-writer-wins
-// timestamps.
+// page is up to pageRows rows, row r's field fid at r*nf+fid of w and ts, as
+// 8-byte words decoded by the field's declared type (ctable.cell): an int is
+// its word, a bool 0 or 1. A string field's text is in s, at r*ns+sidx[fid],
+// and its word is unused. w and ts are carved from one array and hold no
+// pointers; s exists only in tables with a string field, so the collector
+// scans no page of a string-free table.
 type page struct {
-	vals []store.Value
-	ts   []int64
+	w  []int64
+	ts []int64 // last-writer-wins timestamps
+	s  []string
+}
+
+// newPage returns an empty page of ct with room for rows rows.
+func newPage(ct *ctable, rows int32) page {
+	n := rows * ct.nf
+	buf := make([]int64, 2*n)
+	pg := page{w: buf[:0:n], ts: buf[n:n]}
+	if ct.ns > 0 {
+		pg.s = make([]string, 0, rows*ct.ns)
+	}
+	return pg
+}
+
+// copy returns a copy of pg with room for rows rows.
+func (pg *page) copy(ct *ctable, rows int32) page {
+	np := newPage(ct, rows)
+	np.w = append(np.w, pg.w...)
+	np.ts = append(np.ts, pg.ts...)
+	np.s = append(np.s, pg.s...)
+	return np
+}
+
+// cell decodes field fid of row r of pg. It is the one place a stored value
+// becomes a store.Value again.
+func (ct *ctable) cell(pg *page, r, fid int32) store.Value {
+	switch ct.kind[fid] {
+	case ast.TInt:
+		return store.Value{T: ast.TInt, I: pg.w[r*ct.nf+fid]}
+	case ast.TBool:
+		return store.Value{T: ast.TBool, B: pg.w[r*ct.nf+fid] != 0}
+	}
+	return store.Value{T: ast.TString, S: pg.s[r*ct.ns+ct.sidx[fid]]}
+}
+
+// encode stores val, a value of the field's type (the compiler and the
+// binding and loading checks see to it), as field fid of row r of pg.
+func (ct *ctable) encode(pg *page, r, fid int32, val store.Value) {
+	switch ct.kind[fid] {
+	case ast.TInt:
+		pg.w[r*ct.nf+fid] = val.I
+	case ast.TBool:
+		var b int64
+		if val.B {
+			b = 1
+		}
+		pg.w[r*ct.nf+fid] = b
+	default:
+		pg.s[r*ct.ns+ct.sidx[fid]] = val.S
+	}
 }
 
 type mtable struct {
@@ -97,10 +151,9 @@ type mtable struct {
 	// order at the replica, so a slot nobody wrote to takes no page space.
 	pos []int32
 	n   int32
-	// pages[p] holds row positions [p*pageRows, (p+1)*pageRows), row r of
-	// the page at r*nf. Page 0 grows by doubling so few-row stores
-	// (certification seeds one per lowering) stay few-row; later pages are
-	// allocated whole.
+	// pages[p] holds row positions [p*pageRows, (p+1)*pageRows). Page 0
+	// starts at one row and doubles, so few-row stores (certification seeds
+	// one per lowering) stay few-row; later pages are allocated whole.
 	pages []page
 	// eq[fid], once the first eq-index query on the field has built it, maps
 	// each value of the field to the slots holding it, in key order; set keeps
@@ -137,19 +190,26 @@ func (t *mtable) admit(slot int32) {
 	if n := int(slot) + 1 - len(t.pos); n > 0 {
 		t.pos = append(t.pos, make([]int32, n)...)
 	}
+	ct := t.ct
 	at := t.n
 	t.n++
 	t.pos[slot] = at + 1
 	if at&(pageRows-1) == 0 {
-		var pg page
-		if at > 0 {
-			pg = page{make([]store.Value, 0, pageRows*t.ct.nf), make([]int64, 0, pageRows*t.ct.nf)}
+		rows := int32(pageRows)
+		if at == 0 {
+			rows = 1
 		}
-		t.pages = append(t.pages, pg)
+		t.pages = append(t.pages, newPage(ct, rows))
 	}
 	pg := &t.pages[at>>pageShift]
-	pg.vals = append(pg.vals, t.ct.zeros...)
-	pg.ts = append(pg.ts, t.ct.tszero...)
+	if len(pg.w) == cap(pg.w) {
+		// A page that started short — page 0, or a clone's last page —
+		// doubles, its three arrays together.
+		*pg = pg.copy(ct, min(2*int32(cap(pg.w))/ct.nf, pageRows))
+	}
+	pg.w = append(pg.w, ct.zwords...)
+	pg.ts = append(pg.ts, ct.zwords...)
+	pg.s = append(pg.s, ct.zstrs...)
 	if d := t.dir; !d.inIdx[slot] {
 		d.inIdx[slot] = true
 		d.idx.insert(d.keys, d.keys[slot], slot)
@@ -157,22 +217,22 @@ func (t *mtable) admit(slot int32) {
 	t.viewOK = false
 	for fid, ix := range t.eq {
 		if ix != nil {
-			t.eqMove(ix, slot, nil, &t.ct.zeros[fid])
+			t.eqMove(ix, slot, nil, &ct.zeros[fid])
 		}
 	}
 }
 
-// at locates a held slot's row: its page and the row's offset there.
+// at locates a held slot's row: its page and its position there. The page
+// pointer is valid until the next admit (page 0 may still be growing).
 func (t *mtable) at(slot int32) (*page, int32) {
 	p := t.pos[slot] - 1
-	return &t.pages[p>>pageShift], (p & (pageRows - 1)) * t.ct.nf
+	return &t.pages[p>>pageShift], p & (pageRows - 1)
 }
 
-// row returns a held slot's field values. The slice is valid until the next
-// admit (page 0 may still be growing).
-func (t *mtable) row(slot int32) []store.Value {
-	pg, at := t.at(slot)
-	return pg.vals[at : at+t.ct.nf]
+// get returns field fid of a held slot's row.
+func (t *mtable) get(slot, fid int32) store.Value {
+	pg, r := t.at(slot)
+	return t.ct.cell(pg, r, fid)
 }
 
 // put stores one field value if the write's timestamp wins last-writer-wins,
@@ -181,8 +241,8 @@ func (t *mtable) put(slot, fid int32, val store.Value, ts int64) {
 	if !t.held(slot) {
 		t.admit(slot)
 	}
-	if pg, at := t.at(slot); ts >= pg.ts[at+fid] {
-		pg.ts[at+fid] = ts
+	if pg, r := t.at(slot); ts >= pg.ts[r*t.ct.nf+fid] {
+		pg.ts[r*t.ct.nf+fid] = ts
 		t.set(slot, fid, val)
 	}
 }
@@ -190,15 +250,18 @@ func (t *mtable) put(slot, fid int32, val store.Value, ts int64) {
 // set is the one place a field value changes, so the one place a built
 // equality index on the field has to follow it.
 func (t *mtable) set(slot, fid int32, val store.Value) {
-	cell := &t.row(slot)[fid]
-	if t.eq != nil && t.eq[fid] != nil && !cell.Equal(val) {
-		t.eqMove(t.eq[fid], slot, cell, &val)
+	pg, r := t.at(slot)
+	if t.eq != nil && t.eq[fid] != nil {
+		if old := t.ct.cell(pg, r, fid); !old.Equal(val) {
+			t.eqMove(t.eq[fid], slot, &old, &val)
+		}
 	}
-	*cell = val
+	t.ct.encode(pg, r, fid, val)
 }
 
 // eqKey is the map key of a field value: Value.Equal ignores the payload
-// fields its type does not use, struct equality does not.
+// fields its type does not use, struct equality does not. A decoded cell is
+// its own key; a value from outside the store (a query, a write) may not be.
 func eqKey(v *store.Value) store.Value {
 	switch v.T {
 	case ast.TInt:
@@ -245,7 +308,7 @@ func (t *mtable) bucket(fid int32, v store.Value) []int32 {
 		sizes := map[store.Value]int{}
 		for slot, p := range t.pos {
 			if p != 0 {
-				sizes[eqKey(&t.row(int32(slot))[fid])]++
+				sizes[t.get(int32(slot), fid)]++
 			}
 		}
 		ix = make(map[store.Value][]int32, len(sizes))
@@ -256,7 +319,7 @@ func (t *mtable) bucket(fid int32, v store.Value) []int32 {
 		idx := &t.dir.idx
 		for p := idx.begin(); idx.valid(p); p = idx.next(p) {
 			if slot := idx.at(p); t.held(slot) {
-				k := eqKey(&t.row(slot)[fid])
+				k := t.get(slot, fid)
 				ix[k] = append(ix[k], slot)
 			}
 		}
@@ -284,7 +347,9 @@ func (t *mtable) sortedKeys() []store.Key {
 }
 
 // Load installs an initial record (alive, timestamp 0). Missing fields get
-// zero values; the key derives from the schema's primary-key fields.
+// zero values and fields the table lacks are ignored; a value not of its
+// field's type is refused, naming the table and field. The key derives from
+// the schema's primary-key fields.
 func (ms *MatStore) Load(table string, row store.Row) error {
 	tid, ct := ms.cp.table(table)
 	if ct == nil {
@@ -294,12 +359,13 @@ func (ms *MatStore) Load(table string, row store.Row) error {
 	full := make([]store.Value, ct.nf)
 	copy(full, ct.zeros)
 	full[ct.alive] = store.BoolV(true)
-	for f, v := range row {
-		id, ok := ct.fieldID[f]
-		if !ok {
-			continue
+	for id, f := range ct.fields {
+		if v, ok := row[f]; ok {
+			if v.T != ct.kind[id] {
+				return fmt.Errorf("cluster: %s.%s: value %s is not of type %s", table, f, v, ct.kind[id])
+			}
+			full[id] = v
 		}
-		full[id] = v
 	}
 	var kb []byte
 	for _, pkID := range ct.pk {
@@ -315,13 +381,13 @@ func (ms *MatStore) Load(table string, row store.Row) error {
 	for fid, v := range full {
 		t.set(slot, int32(fid), v)
 	}
-	pg, at := t.at(slot)
-	clear(pg.ts[at : at+ct.nf])
+	pg, r := t.at(slot)
+	clear(pg.ts[r*ct.nf : (r+1)*ct.nf])
 	return nil
 }
 
 // Clone copies the state (used to give each replica an identical start):
-// the rows held, a slice copy per page sized to the rows present. The
+// the rows held, each page copied at the size of the rows present. The
 // directory is shared, not copied — a key either side interns later gets one
 // slot for both — so a store and its clones belong to one goroutine.
 // Equality indexes are not copied; a clone that is queried builds its own.
@@ -331,7 +397,7 @@ func (ms *MatStore) Clone() *MatStore {
 		t := &ms.tabs[i]
 		nt := mtable{ct: t.ct, dir: t.dir, pos: slices.Clone(t.pos), n: t.n, pages: make([]page, len(t.pages))}
 		for p, pg := range t.pages {
-			nt.pages[p] = page{append([]store.Value(nil), pg.vals...), append([]int64(nil), pg.ts...)}
+			nt.pages[p] = pg.copy(t.ct, int32(len(pg.w))/t.ct.nf)
 		}
 		out.tabs[i] = nt
 	}
@@ -354,7 +420,7 @@ func (ms *MatStore) Read(table string, key store.Key, field string) store.Value 
 	}
 	t := &ms.tabs[tid]
 	if slot, ok := t.dir.index[key]; ok && t.held(slot) {
-		return t.row(slot)[fid]
+		return t.get(slot, fid)
 	}
 	return ct.zeros[fid]
 }

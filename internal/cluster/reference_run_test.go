@@ -16,7 +16,8 @@ import (
 // the reference the differential tests hold crun.go and observe.go to.
 
 func init() {
-	refLaunch = func(c *client, txn *ast.Txn, args map[string]store.Value, sc bool) {
+	refLaunch = func(c *client, txn *ast.Txn, sc bool) {
+		args := c.args.Map()
 		var ro *refObs
 		if c.d.obs != nil {
 			ro = &refObs{o: c.d.obs, meta: metaFor(c.d.cfg.Program, txn)}

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/sema"
 	"atropos/internal/store"
@@ -211,6 +216,86 @@ func TestSerialSemantics(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestArgAndRowChecks: what arrives from outside the program is checked where
+// it enters, on every entry point — a transaction's arguments where a frame
+// is bound (simulated runs under EC and SC, directed runs, serial runs), a
+// row's values where Load installs it — and the error names the transaction
+// and parameter, or the table and field. Nothing executes a refused call.
+func TestArgAndRowChecks(t *testing.T) {
+	prog, err := sema.Load(bankSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []benchmarks.TableRow{row("ACC", "id", 1, "bal", 100)}
+	simulate := func(mode Mode, args map[string]store.Value) error {
+		var bound []benchmarks.Arg
+		for _, name := range slices.Sorted(maps.Keys(args)) {
+			bound = append(bound, benchmarks.Arg{Name: name, Val: args[name]})
+		}
+		mix := []benchmarks.MixEntry{{Txn: "deposit", Weight: 1, Args: func(*rand.Rand, benchmarks.Scale) benchmarks.Args {
+			return benchmarks.Bind(bound...)
+		}}}
+		_, err := Run(Config{Program: prog, Mix: mix, Rows: rows, Topology: USCluster, Clients: 2,
+			Duration: 50 * time.Millisecond, Mode: mode})
+		return err
+	}
+	directed := func(args map[string]store.Value) error {
+		plan, base := seeded(t, bankSrc, rows...)
+		_, err := plan.Run(base, DirectedConfig{Txns: [2]DirectedTxn{call("balance", "k", 1), {Name: "deposit", Args: args}}})
+		return err
+	}
+	serial := func(args map[string]store.Value) error {
+		plan, ms := seeded(t, bankSrc, rows...)
+		_, err := plan.RunSerial(ms, []DirectedTxn{{Name: "deposit", Args: args}})
+		if got := readInt(ms, "ACC", "bal", 1); got != 100 {
+			t.Errorf("a refused serial call ran: balance %d", got)
+		}
+		return err
+	}
+	load := func(r store.Row) error {
+		plan, ms := seeded(t, bankSrc)
+		err := ms.Load("ACC", r)
+		if len(ms.Keys("ACC")) != 0 {
+			t.Errorf("a refused row was installed: %q", ms.Keys("ACC"))
+		}
+		if _, serr := plan.Seed([]benchmarks.TableRow{{Table: "ACC", Row: r}}); (serr == nil) != (err == nil) {
+			t.Errorf("Seed: %v, Load: %v", serr, err)
+		}
+		return err
+	}
+	const (
+		count  = `cluster: deposit: expects 2 arguments, got 1`
+		amtArg = `cluster: deposit: argument "amt" missing or not of type int`
+	)
+	short := map[string]store.Value{"k": store.IntV(1)}
+	mistyped := map[string]store.Value{"k": store.IntV(1), "amt": store.StringV("x")}
+	misnamed := map[string]store.Value{"k": store.IntV(1), "amount": store.IntV(5)}
+	for _, c := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"RunEC/Count", simulate(ModeEC, short), count},
+		{"RunEC/Mistyped", simulate(ModeEC, mistyped), amtArg},
+		{"RunSC/Mistyped", simulate(ModeSC, mistyped), amtArg},
+		{"RunSC/Misnamed", simulate(ModeSC, misnamed), amtArg},
+		{"Directed/Count", directed(short), count},
+		{"Directed/Mistyped", directed(mistyped), amtArg},
+		{"Directed/Misnamed", directed(misnamed), amtArg},
+		{"Serial/Misnamed", serial(misnamed), "call 0 (deposit): " + amtArg},
+		{"Load/Mistyped", load(store.Row{"id": store.IntV(2), "bal": store.StringV("x")}), `cluster: ACC.bal: value "x" is not of type int`},
+		{"Load/MistypedKey", load(store.Row{"id": store.BoolV(true)}), `cluster: ACC.id: value true is not of type int`},
+		{"Load/MistypedAlive", load(store.Row{"id": store.IntV(2), ast.AliveField: store.IntV(1)}), `cluster: ACC.alive: value 1 is not of type bool`},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s: %v, want %s", c.name, c.err, c.want)
+		}
+	}
+	if err := simulate(ModeSC, map[string]store.Value{"k": store.IntV(1), "amt": store.IntV(5)}); err != nil {
+		t.Errorf("a well-typed binding: %v", err)
 	}
 }
 

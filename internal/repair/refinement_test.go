@@ -64,7 +64,8 @@ func checkRefinement(b *benchmarks.Benchmark, seeds int64, callsPerRun int) erro
 		var calls []cluster.DirectedTxn
 		for i := 0; i < callsPerRun; i++ {
 			m := b.PickTxn(rng)
-			calls = append(calls, cluster.DirectedTxn{Name: m.Txn, Args: m.Args(rng, scale)})
+			args := m.Args(rng, scale)
+			calls = append(calls, cluster.DirectedTxn{Name: m.Txn, Args: args.Map()})
 		}
 
 		// Original program on the original data, refactored program on the
