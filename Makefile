@@ -117,7 +117,7 @@ certify:
 fuzz:
 	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzRepairRandomProgram$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzDetectSessionEquivalence$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzCOWDeepCloneEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzSmallModel$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzParallelDetectEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzWitnessReplaySoundness$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME)

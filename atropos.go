@@ -102,7 +102,7 @@ type DetectStats = anomaly.SessionStats
 func NewDetectSession(m Model) *DetectSession { return anomaly.NewSession(m) }
 
 // Certificate is a witness-replay certificate: per anomalous pair, whether
-// the detector's satisfying SAT model lowered into a directed simulator
+// the detector's canonical witness model lowered into a directed simulator
 // run that reproduced the claimed dependency cycle (DESIGN.md §11).
 type Certificate = replay.Certificate
 
@@ -126,8 +126,8 @@ type RepairOption = repair.Option
 // WithDetectParallelism bounds the worker goroutines of the detection
 // passes. Zero — the default — selects min(GOMAXPROCS, 4): multi-core
 // detection is the fast path. Pass an explicit 1 for strictly sequential
-// detection (the only setting whose Solved/Replayed cache counters are
-// deterministic; reported anomalies are identical at every setting).
+// detection (the only setting whose Solved memo counter is deterministic;
+// reported anomalies are identical at every setting).
 func WithDetectParallelism(n int) RepairOption { return repair.Parallelism(n) }
 
 // WithCertify replays every initial anomaly as an executable certificate
@@ -154,8 +154,7 @@ func Repair(ctx context.Context, p *Program, m Model, opts ...RepairOption) (*Re
 // Engine is a long-lived repair service: a bounded worker pool with
 // queue-depth backpressure (ErrOverloaded), an LRU cache of per-client
 // detection sessions, a bounded memo of complete repair and certify
-// answers shared by every client, and pooled solver arenas shared across
-// requests. A repeated request may be answered with the very values an
+// answers shared by every client. A repeated request may be answered with the very values an
 // earlier one got, so the results of Engine.Repair and Engine.Certify are
 // read-only to callers. One Engine serves concurrent callers; cmd/atroposd
 // puts it behind HTTP. See DESIGN.md §12 for the lifecycle contract.

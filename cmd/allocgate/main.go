@@ -1,7 +1,7 @@
 // Command allocgate is the CI allocation-regression gate: it parses a `go
 // test -bench` output file (the bench smoke job's bench-smoke.txt) and
-// compares each benchmark's allocs/op, and the simulator's and
-// certification's B/op, against the checked-in thresholds in
+// compares each benchmark's allocs/op, and the B/op of the simulator,
+// certification and detection, against the checked-in thresholds in
 // BENCH_allocs.json, failing on regressions beyond the tolerance.
 //
 // allocs/op and B/op are the benchmark columns that are deterministic and
@@ -74,12 +74,17 @@ func gated(name string) bool {
 }
 
 // bytesGated reports whether a benchmark's B/op is gated too: the simulator
-// (its store's pages are most of what it allocates), the sim-panel's cells
-// and witness certification (directed runs on the same store).
+// (its store's pages are most of what it allocates), the sim-panel's cells,
+// witness certification (directed runs on the same store), and detection
+// (the Table 1 repairs, the edit loop and the parallel detection, whose
+// bytes fell when detection stopped building SAT encodings).
 func bytesGated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkSim") ||
 		strings.HasPrefix(name, "BenchmarkDeployPanel/") ||
-		strings.HasPrefix(name, "BenchmarkCertify_")
+		strings.HasPrefix(name, "BenchmarkCertify_") ||
+		strings.HasPrefix(name, "BenchmarkTable1_") ||
+		name == "BenchmarkSessionEdit" ||
+		strings.HasPrefix(name, "BenchmarkDetectParallel")
 }
 
 // benchLine matches a benchmark's result line: go test prints B/op just

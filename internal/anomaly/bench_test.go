@@ -6,15 +6,12 @@ import (
 
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
-	"atropos/internal/logic"
 	"atropos/internal/parser"
-	"atropos/internal/sat"
 	"atropos/internal/sema"
 )
 
-// Allocation-reporting microbenchmarks for the detect→encode→solve hot
-// path (the regression surface of the interned-atom encoding; allocs/op of
-// the gated ones are checked by `make bench`).
+// Allocation-reporting microbenchmarks for the plan→decide hot path
+// (allocs/op and B/op of the gated ones are checked by `make bench`).
 
 func benchProg(b *testing.B, src string) *ast.Program {
 	b.Helper()
@@ -30,7 +27,7 @@ func benchProg(b *testing.B, src string) *ast.Program {
 
 // planOf plans transaction ti of prog against witness wi on a pass of its
 // own.
-func planOf(tb testing.TB, prog *ast.Program, ti, wi int, model Model) *pairEncoder {
+func planOf(tb testing.TB, prog *ast.Program, ti, wi int, model Model) *pairPlan {
 	tb.Helper()
 	p := newPass(prog, model, false)
 	t, err := p.txnFacts(ti)
@@ -44,42 +41,46 @@ func planOf(tb testing.TB, prog *ast.Program, ti, wi int, model Model) *pairEnco
 	return planPair(t, w)
 }
 
-// BenchmarkPairEncoderBuild measures the two halves of encoding one (txn,
+// BenchmarkPlanAndDecide measures the two halves of detecting one (txn,
 // witness) pair. plan is the pure-Go half, from the program to the
 // candidate lists (the command facts included, which production computes
-// once per transaction per pass, not per pair); body is the SAT half on a
-// pooled encoder, as the first cycle query pays it: proposition
-// allocation, axiom assertion, Tseitin conversion, formula hashing. body
-// also reports the encoding's size, the count the wall clock follows.
-func BenchmarkPairEncoderBuild(b *testing.B) {
+// once per transaction per pass, not per pair); decide is every query the
+// plan admits on the small model, and reports the query count.
+func BenchmarkPlanAndDecide(b *testing.B) {
 	prog := benchProg(b, courseware)
-	const regSt = 2 // the widest encoder of the running example
+	const regSt = 2 // the widest pair of the running example
 	b.Run("plan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			planOf(b, prog, regSt, regSt, EC)
 		}
 	})
-	b.Run("body", func(b *testing.B) {
+	b.Run("decide", func(b *testing.B) {
 		plan := planOf(b, prog, regSt, regSt, EC)
-		var vars, clauses int
+		var qs [][4]int
+		for c1 := range plan.nA {
+			for c2 := c1 + 1; c2 < plan.nA; c2++ {
+				for _, d1 := range plan.cand[c1] {
+					for _, d2 := range plan.cand[c2] {
+						qs = append(qs, [4]int{c1, d1, d2, c2}, [4]int{d1, c1, c2, d2})
+					}
+				}
+			}
+		}
+		var sm smallModel
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pe := *plan
-			le := logic.AcquireEncoder()
-			le.RecordFormulaHashes()
-			pe.build(le, EC, false, mergeOrder)
-			vars, clauses = le.S.NumVars(), le.S.NumClauses()
-			le.Release()
+			for _, q := range qs {
+				sm.decide(plan, EC, false, q)
+			}
 		}
-		b.ReportMetric(float64(vars), "vars/encoder")
-		b.ReportMetric(float64(clauses), "clauses/encoder")
+		b.ReportMetric(float64(len(qs)), "queries/op")
 	})
 }
 
-// TestPairEncoderSizeIsQuadratic pins the encoding's asymptotics with a
-// count instead of a timing: the widest TPC-C (txn, witness) encoder must
+// TestPairEncoderSizeIsQuadratic pins the SAT oracle's asymptotics with a
+// count instead of a timing: the widest TPC-C (txn, witness) body must
 // stay within c·n² variables and clauses over its n commands. The
 // constants are the measured sizes plus 25% (EC 1.44·n² vars, 2.39·n²
 // clauses; CC 2.40·n², 5.43·n²); one cubic axiom family — the generic
@@ -103,10 +104,7 @@ func TestPairEncoderSizeIsQuadratic(t *testing.T) {
 		{EC, 1.8, 3.0},
 		{CC, 3.0, 6.8},
 	} {
-		pe := planOf(t, prog, widest, widest, tc.model)
-		le := logic.NewEncoder()
-		le.RecordFormulaHashes()
-		pe.build(le, tc.model, false, mergeOrder)
+		pe := newBody(planOf(t, prog, widest, widest, tc.model), tc.model, mergeOrder)
 		n2 := float64(pe.n * pe.n)
 		if got := float64(pe.enc.S.NumVars()); got > tc.vars*n2 {
 			t.Errorf("%v %s×%s: %.0f variables over n=%d commands, want <= %.1f·n² = %.0f",
@@ -120,14 +118,14 @@ func TestPairEncoderSizeIsQuadratic(t *testing.T) {
 }
 
 // BenchmarkDetectCourseware measures a cold sequential detection (a new
-// session: every encoder plus every cycle query) of the paper's running
+// session: every plan plus every cycle query) of the paper's running
 // example.
 func BenchmarkDetectCourseware(b *testing.B) {
 	prog := benchProg(b, courseware)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coldDetect(context.Background(), prog, EC, 1, false, sat.Budget{}); err != nil {
+		if _, err := coldDetect(context.Background(), prog, EC, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +141,7 @@ func BenchmarkDetectSmallBank(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coldDetect(context.Background(), prog, EC, 1, false, sat.Budget{}); err != nil {
+		if _, err := coldDetect(context.Background(), prog, EC, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,8 +149,8 @@ func BenchmarkDetectSmallBank(b *testing.B) {
 
 // BenchmarkDetectParallel_TPCC measures a cold wavefront detection of the
 // largest benchmark at a fixed fan-out of 4 workers — the parallel fast
-// path end to end: sharded interning, per-worker encoder caches, the
-// (txn, witness) wavefront scheduler. A fresh session per iteration keeps
+// path end to end: planning, the (txn, witness) wavefront scheduler, the
+// small model. A fresh session per iteration keeps
 // allocs/op deterministic (the fixed width keeps it machine-independent,
 // so the allocgate can gate it; see cmd/allocgate).
 func BenchmarkDetectParallel_TPCC(b *testing.B) {

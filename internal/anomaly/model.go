@@ -4,14 +4,14 @@
 // transaction whose joint non-atomic visibility is witnessed by a
 // serializability violation in some concurrent execution.
 //
-// Detection reduces to satisfiability of a bounded first-order encoding,
-// exactly as in the paper (which discharges the FOL formula with Z3): for
-// each pair of transactions we instantiate two transaction instances A and
-// B, introduce a strict total order ord over their commands (the execution
-// counter), a visibility relation vis (which writes each command's local
-// view contains), and equality atoms between the symbolic primary-key terms
-// of their where clauses (record aliasing). A pair (c1, c2) of transaction
-// T is anomalous iff the model's axioms admit an execution containing a
+// Detection reduces to satisfiability of a bounded first-order encoding, as
+// in the paper (which discharges the FOL formula with Z3): for each pair of
+// transactions we instantiate two transaction instances A and B, with a
+// strict total order ord over their commands (the execution counter), a
+// visibility relation vis (which writes each command's local view
+// contains), and equalities between the symbolic primary-key terms of their
+// where clauses (record aliasing). A pair (c1, c2) of transaction T is
+// anomalous iff the model's axioms admit an execution containing a
 // dependency cycle that enters instance A at one command of the pair and
 // leaves at the other:
 //
@@ -30,6 +30,8 @@
 // Bounding: two transaction instances, one execution of each command
 // (commands under if/iterate are assumed to may-execute once). These are
 // the same bounds used by the static analyses the paper builds on [13, 36].
+// Within them a query names at most four commands, and it is decided by
+// enumeration over those alone (smallmodel.go) rather than by a solver.
 package anomaly
 
 import (
@@ -110,8 +112,8 @@ type Witness struct {
 	D2    string   // command of the witness conflicting with C2
 	Edge1 EdgeKind // kind of the A.c1 → B.d1 edge
 	Edge2 EdgeKind // kind of the B.d2 → A.c2 edge
-	// Schedule is the executable witness extracted from the satisfying
-	// cycle model; nil unless detection recorded witnesses
+	// Schedule is the executable witness read off the query's canonical
+	// model; nil unless detection recorded witnesses
 	// (DetectSession.RecordWitnesses). It never feeds
 	// String() or any golden output.
 	Schedule *Schedule
@@ -171,50 +173,18 @@ func appendFields(b []byte, fs []string) []byte {
 	return append(b, ']')
 }
 
-// UnknownPair names an access pair whose verdict a budgeted detection
-// could not establish: no witness proved it anomalous, but at least one of
-// its cycle queries ran out of solve budget, so it cannot be claimed clean
-// either.
-type UnknownPair struct {
-	Txn string
-	C1  string
-	C2  string
-}
-
 // Report is the detector's output.
-//
-// Degraded reports: a budgeted detection that exhausted at least one solve
-// is partial. What it still soundly claims (Nagar & Jagannathan's framing
-// for partial weak-consistency detection): every pair in Pairs is a real
-// anomaly — budgeted SAT answers come with a genuine model, and budgeted
-// UNSAT answers are genuine refutations, so exhaustion only ever *removes*
-// pairs from the report, never invents them. Pairs absent from both Pairs
-// and UnknownPairs are proven clean. Pairs in UnknownPairs are unresolved —
-// callers must treat them as possibly anomalous (the repair pipeline skips
-// them rather than claiming them repaired).
 type Report struct {
 	Model   Model
 	Pairs   []AccessPair
-	Queries int // cycle-satisfiability queries issued (cache hits included)
-	// Solved counts cache-miss queries solved on the SAT solver. A
-	// DetectSession answers repeats — within one pass and across passes —
-	// from its cache, so Solved <= Queries. State-parity replays are not
-	// included here — see SessionStats.Replayed.
+	Queries int // cycle-satisfiability queries issued (memo hits included)
+	// Solved counts the queries the small model decided. A DetectSession
+	// answers repeats — within one pass and across passes — from its memo,
+	// so Solved <= Queries.
 	Solved int
-	// Degraded is set when any solve exhausted its budget; the report is
-	// then a sound under-approximation (see the type comment).
-	Degraded bool
-	// Unknown is len(UnknownPairs): access pairs left unclassified.
-	Unknown int
-	// UnknownPairs lists the pairs whose verdict ran out of budget.
-	UnknownPairs []UnknownPair
-	// Exhausted counts the individual budget-exhausted SAT solves.
-	Exhausted int
 	// EncodersPlanned counts the (txn, witness) pair plans this detection
-	// computed, EncodersBuilt the SAT encodings it constructed for them
-	// (see SessionStats).
+	// computed (see SessionStats).
 	EncodersPlanned int
-	EncodersBuilt   int
 }
 
 // PairsByTxn groups the anomalous pairs by transaction name.

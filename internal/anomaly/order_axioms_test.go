@@ -2,18 +2,17 @@ package anomaly
 
 import "atropos/internal/logic"
 
-// This file grounds the order relations of a pair encoding. The bounded
-// encoding instantiates exactly two transaction instances — items [0, nA)
-// are A's commands, [nA, n) are B's, each in program order — and that
-// structure collapses the generic O(n³) order axioms to O(n²) binary
-// clauses with no auxiliary variables (DESIGN.md §3). An encoding over
-// three or more instances would need the generic axioms
+// This file grounds the order relations of the SAT oracle's pair encoding
+// (satoracle_test.go). The bounded encoding instantiates exactly two
+// transaction instances — items [0, nA) are A's commands, [nA, n) are B's,
+// each in program order — and that structure collapses the generic O(n³)
+// order axioms to O(n²) binary clauses with no auxiliary variables. An
+// encoding over three or more instances would need the generic axioms
 // (logic.AssertStrictTotalOrderS / AssertTransitiveS) back.
 
 // orderAxioms grounds ord and, under CC, co over an n×n relation whose
-// first nA rows/columns are instance A. Production has exactly one,
-// mergeOrder; the type exists so the differential tests can run a fresh
-// detector on the generic cubic axiomatization (oracle_test.go).
+// first nA rows/columns are instance A: mergeOrder, or the generic cubic
+// axiomatization it is checked against (oracle_test.go).
 type orderAxioms struct {
 	ord, co func(e *logic.Encoder, nA int, r rel)
 }

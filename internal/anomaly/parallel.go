@@ -4,13 +4,12 @@ import (
 	"context"
 	"sync"
 
-	"atropos/internal/logic"
 	"atropos/internal/pool"
 )
 
 // Parallel detection: the session's wavefront fan-out (DESIGN.md §15).
 //
-// The unit of work is one (transaction, witness) task — one encoder plus
+// The unit of work is one (transaction, witness) task — one plan plus
 // all of its cycle queries — not one transaction: wide programs have few
 // transactions but many witnesses, and the txn-granular split left cores
 // idle whenever one transaction dominated the pass.
@@ -19,39 +18,31 @@ import (
 // obstacle is the witness loop's early exit: sequentially, pair p of
 // transaction t consults witnesses in program order and stops at the first
 // satisfiable one, so whether witness w runs any queries for p depends on
-// the verdicts of witnesses 0..w-1 at p. Those verdicts are deterministic
-// — SAT/UNSAT is a property of the encoding, independent of solver state;
-// only models are state-dependent — which admits a wavefront: witness w's
-// task walks pairs in order, and at each pair waits for witness w-1 to
-// publish the cumulative found bit (did any witness ≤ w-1 find p?). Found
-// → skip, exactly as the sequential loop never reaches w; not found → run
-// checkPairWitness verbatim on the task's own encoder. Every encoder
-// therefore sees exactly the query sequence the sequential oracle would
-// issue on it, so the history-keyed session cache, the replay protocol,
-// and the reported pairs are all unchanged by parallelism.
+// the verdicts of witnesses 0..w-1 at p. Those verdicts are deterministic,
+// which admits a wavefront: witness w's task walks pairs in order, and at
+// each pair waits for witness w-1 to publish the cumulative found bit (did
+// any witness ≤ w-1 find p?). Found → skip, exactly as the sequential loop
+// never reaches w; not found → run checkPairWitness verbatim on the task's
+// own plan. Every plan therefore sees exactly the queries the sequential
+// oracle would ask of it, so the query counts and the reported pairs are
+// unchanged by parallelism.
 //
 // A task that cannot proceed registers itself as its predecessor's waiter
 // (under the wave mutex, re-checking the published count so a concurrent
 // publish cannot strand it) and returns TaskSuspended; the predecessor's
 // next publish re-pushes it. Workers never block on wave state, so the
-// scheduling is deadlock-free regardless of worker count. Tasks may block
-// on session query futures, but those are safe: a future's producer solves
-// synchronously and never suspends, so every future resolves.
+// scheduling is deadlock-free regardless of worker count.
 
 // txnOut is one transaction's detection outcome, merged into the report in
 // transaction order (shared by the sequential and wavefront paths).
 type txnOut struct {
-	pairs                    []AccessPair
-	unknown                  []UnknownPair
-	issued, solved, replayed int
-	exhausted                int
+	pairs          []AccessPair
+	issued, solved int
 }
 
-// wavefrontRun is the per-Detect-call shared state of the fan-out: one
-// encoder freelist per worker and the first-error slot.
+// wavefrontRun is the per-Detect-call shared state of the fan-out: the
+// first-error slot.
 type wavefrontRun struct {
-	caches []logic.EncoderCache
-
 	mu  sync.Mutex
 	err error
 	// errPos orders concurrent errors by the sequential iteration position
@@ -95,7 +86,7 @@ type txnWave struct {
 	txn       *txnFacts
 	txnIdx    int
 	fp        uint64
-	witnesses []*pairEncoder
+	witnesses []*pairPlan
 	pairs     [][2]int    // (i, j) command pairs in sequential order
 	dets      []*detector // one per witness task; read only after Run
 
@@ -105,7 +96,6 @@ type txnWave struct {
 	waiter    []*witnessTask
 	results   []AccessPair // first finder's pair, per pair index
 	foundAny  []bool
-	unknown   []bool
 }
 
 // witnessTask is the resumable unit of work: witness w of one transaction,
@@ -121,9 +111,6 @@ type witnessTask struct {
 
 func (t *witnessTask) Run(s *pool.Stealer, worker int) pool.TaskStatus {
 	wv := t.wave
-	// Route this task's encoder churn through the current worker's
-	// freelist; a resumption may land on a different worker.
-	t.d.encCache = &wv.run.caches[worker]
 	for t.p < len(wv.pairs) {
 		if wv.run.aborted() {
 			t.drain(s, worker)
@@ -144,10 +131,10 @@ func (t *witnessTask) Run(s *pool.Stealer, worker int) pool.TaskStatus {
 			wv.mu.Unlock()
 		}
 		var pair AccessPair
-		selfFound, unknown := false, false
+		selfFound := false
 		if !predFound {
 			var err error
-			pair, selfFound, unknown, err = t.d.checkPairWitness(wv.witnesses[t.w], wv.pairs[p][0], wv.pairs[p][1])
+			pair, selfFound, err = t.d.checkPairWitness(wv.witnesses[t.w], wv.pairs[p][0], wv.pairs[p][1])
 			if err != nil {
 				wv.run.fail(wv.txnIdx, p, t.w, err)
 				t.drain(s, worker)
@@ -155,15 +142,14 @@ func (t *witnessTask) Run(s *pool.Stealer, worker int) pool.TaskStatus {
 			}
 		}
 		t.p = p + 1
-		t.publish(s, worker, p, predFound || selfFound, selfFound && !predFound, pair, unknown)
+		t.publish(s, worker, p, predFound || selfFound, selfFound && !predFound, pair)
 	}
-	t.d.releaseEncoders()
 	return pool.TaskDone
 }
 
 // publish records pair p's cumulative decision and wakes the successor if
 // it suspended on it.
-func (t *witnessTask) publish(s *pool.Stealer, worker, p int, found, first bool, pair AccessPair, unknown bool) {
+func (t *witnessTask) publish(s *pool.Stealer, worker, p int, found, first bool, pair AccessPair) {
 	wv := t.wave
 	wv.mu.Lock()
 	wv.cum[t.w][p] = found
@@ -171,9 +157,6 @@ func (t *witnessTask) publish(s *pool.Stealer, worker, p int, found, first bool,
 	if first {
 		wv.results[p] = pair
 		wv.foundAny[p] = true
-	}
-	if unknown {
-		wv.unknown[p] = true
 	}
 	wake := wv.waiter[t.w]
 	wv.waiter[t.w] = nil
@@ -199,7 +182,6 @@ func (t *witnessTask) drain(s *pool.Stealer, worker int) {
 	if wake != nil {
 		s.Push(worker, wake)
 	}
-	t.d.releaseEncoders()
 }
 
 // finalize assembles the transaction's outcome once every witness task has
@@ -207,21 +189,14 @@ func (t *witnessTask) drain(s *pool.Stealer, worker int) {
 // Pair order and the first-finder rule reproduce detectTxn exactly.
 func (wv *txnWave) finalize() txnOut {
 	var out txnOut
-	for p, ij := range wv.pairs {
-		switch {
-		case wv.foundAny[p]:
+	for p := range wv.pairs {
+		if wv.foundAny[p] {
 			out.pairs = append(out.pairs, wv.results[p])
-		case wv.unknown[p]:
-			out.unknown = append(out.unknown, UnknownPair{
-				Txn: wv.txn.name, C1: wv.txn.cmds[ij[0]].label, C2: wv.txn.cmds[ij[1]].label,
-			})
 		}
 	}
 	for _, d := range wv.dets {
 		out.issued += d.issued
 		out.solved += d.solved
-		out.replayed += d.replayed
-		out.exhausted += d.exhausted
 	}
 	return out
 }
@@ -232,9 +207,7 @@ func (wv *txnWave) finalize() txnOut {
 //
 // Duplicate fingerprints within one pass are deferred rather than raced:
 // the first occurrence detects, the rest resolve from the fingerprint
-// cache after the fan-out (counting the TxnHit a sequential pass would),
-// falling back to direct detection only when the first occurrence was
-// degraded and therefore not stored.
+// cache after the fan-out (counting the TxnHit a sequential pass would).
 func (s *DetectSession) detectWavefront(ctx context.Context, ps *pass, workers int, fps []uint64) ([]txnOut, error) {
 	outs := make([]txnOut, len(fps))
 	run := &wavefrontRun{}
@@ -277,26 +250,19 @@ func (s *DetectSession) detectWavefront(ctx context.Context, ps *pass, workers i
 			waiter:    make([]*witnessTask, len(witnesses)),
 			results:   make([]AccessPair, len(pairs)),
 			foundAny:  make([]bool, len(pairs)),
-			unknown:   make([]bool, len(pairs)),
 		}
-		for w, pe := range witnesses {
+		for w := range witnesses {
 			wv.cum[w] = make([]bool, len(pairs))
 			d := s.newDetector(ctx, ps)
-			d.own(pe)
 			wv.dets[w] = d
 			seed = append(seed, &witnessTask{wave: wv, w: w, d: d})
 		}
 		waves = append(waves, wv)
 	}
 	if len(seed) > 0 {
-		// One freelist, deque and goroutine per worker: never more of them
-		// than there are tasks to run.
-		workers = min(workers, len(seed))
-		run.caches = make([]logic.EncoderCache, workers)
-		pool.NewStealer(workers, len(seed)).Run(seed)
-	}
-	for i := range run.caches {
-		run.caches[i].Drain()
+		// One deque and goroutine per worker: never more of them than there
+		// are tasks to run.
+		pool.NewStealer(min(workers, len(seed)), len(seed)).Run(seed)
 	}
 	run.mu.Lock()
 	err := run.err
@@ -306,22 +272,12 @@ func (s *DetectSession) detectWavefront(ctx context.Context, ps *pass, workers i
 	}
 	for _, wv := range waves {
 		out := wv.finalize()
-		if out.exhausted == 0 {
-			s.storeTxn(wv.fp, txnEntry{pairs: out.pairs, issued: out.issued})
-		}
+		s.storeTxn(wv.fp, txnEntry{pairs: out.pairs, issued: out.issued})
 		outs[wv.txnIdx] = out
 	}
 	for _, i := range deferred {
-		if e, ok := s.lookupTxn(fps[i]); ok {
-			outs[i] = txnOut{pairs: e.pairs, issued: e.issued}
-			continue
-		}
-		// The scheduled twin was degraded and not stored; detect directly,
-		// exactly as the sequential pass would on its cache miss.
-		var err error
-		if outs[i], err = s.detectTxn(ctx, ps, i, fps[i]); err != nil {
-			return nil, err
-		}
+		e, _ := s.lookupTxn(fps[i])
+		outs[i] = txnOut{pairs: e.pairs, issued: e.issued}
 	}
 	return outs, nil
 }

@@ -7,7 +7,6 @@ import (
 	"atropos/internal/anomaly"
 	"atropos/internal/benchmarks"
 	"atropos/internal/progen"
-	"atropos/internal/sat"
 )
 
 // TestWavefrontEquivalentOnBenchmarks is the parallel fast path's core
@@ -131,50 +130,5 @@ txn Audit(a: int) {
 	}
 	if sh, wh := seq.Stats().TxnHits, wav.Stats().TxnHits; sh != wh {
 		t.Errorf("txn-cache hits diverge: seq %d, wave %d", sh, wh)
-	}
-}
-
-// TestWavefrontBudgetedEquivalence checks that a starved solve budget
-// degrades the wavefront exactly as it degrades the sequential session:
-// same pairs, same unknowns, same query count. Budget exhaustion is a
-// deterministic function of each solve's position in its encoder's query
-// sequence, which the wavefront reproduces.
-func TestWavefrontBudgetedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	starved := sat.Budget{Propagations: 1}
-	for seed := int64(0); seed < 10; seed++ {
-		p := progen.Program(seed)
-		// Duplicate the first transaction so exhaustion also exercises the
-		// deferral fallback: a degraded first copy stores no cache entry,
-		// and the deferred copy must re-detect directly.
-		if len(p.Txns) > 0 {
-			p.Txns = append(p.Txns, p.Txns[0])
-		}
-		seq := anomaly.NewSession(anomaly.EC)
-		seq.SetParallelism(1)
-		seq.SetSolveBudget(starved)
-		sq, err := seq.Detect(p)
-		if err != nil {
-			t.Fatalf("seed %d: sequential budgeted Detect: %v", seed, err)
-		}
-		wav := anomaly.NewSession(anomaly.EC)
-		wav.SetParallelism(anomaly.ForcedWidth())
-		wav.SetSolveBudget(starved)
-		wv, err := wav.Detect(p)
-		if err != nil {
-			t.Fatalf("seed %d: wavefront budgeted Detect: %v", seed, err)
-		}
-		if !reflect.DeepEqual(sq.Pairs, wv.Pairs) {
-			t.Fatalf("seed %d: budgeted pairs diverge:\nseq  %v\nwave %v", seed, sq.Pairs, wv.Pairs)
-		}
-		if !reflect.DeepEqual(sq.UnknownPairs, wv.UnknownPairs) {
-			t.Fatalf("seed %d: unknown pairs diverge:\nseq  %v\nwave %v", seed, sq.UnknownPairs, wv.UnknownPairs)
-		}
-		if sq.Queries != wv.Queries || sq.Degraded != wv.Degraded {
-			t.Errorf("seed %d: queries %d/%d degraded %t/%t (seq/wave)",
-				seed, sq.Queries, wv.Queries, sq.Degraded, wv.Degraded)
-		}
 	}
 }

@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"atropos/internal/ast"
-	"atropos/internal/logic"
 )
 
-// This file is the plan half of a pair encoding (DESIGN.md §3): everything
-// about a (transaction, witness) pair that follows from the two
-// transactions' commands alone — table and field access sets and decided
-// key equalities — computed in plain Go before any formula exists. The
-// plan decides which dependency propositions the encoding would define and
-// therefore which cycle queries the witness loop can ever ask; the SAT
-// body (detect.go) is built only when the first of them is asked.
+// This file is the plan of a (transaction, witness) pair (DESIGN.md §3):
+// everything about the pair that follows from the two transactions'
+// commands alone — table and field access sets and decided key equalities.
+// The plan decides which command pairs can share a dependency edge and
+// therefore which cycle queries the witness loop can ever ask; the small
+// model (smallmodel.go) decides each of them.
 
 // fieldSet is a set of field names, sorted (also used for table names).
 type fieldSet []string
@@ -71,7 +68,7 @@ type txnFacts struct {
 	cmds []cmdFacts
 	// hash and slice are the transaction's structural hash and schema-slice
 	// digest (pass.hashes, pass.slices): with the model they determine
-	// every fact above, and so key the pair encodings it takes part in.
+	// every fact above, and so the plans it takes part in.
 	hash, slice uint64
 }
 
@@ -90,13 +87,8 @@ type pass struct {
 	hashes []uint64
 	slices []uint64
 	facts  []*txnFacts
-	// planned counts the pair plans computed, built the SAT bodies
-	// constructed for them (workers build concurrently).
+	// planned counts the pair plans computed.
 	planned int
-	built   atomic.Int64
-	// onPlan, when set, sees every planned encoder as its detector takes
-	// it on. Only tests set it (to force bodies eagerly).
-	onPlan func(*detector, *pairEncoder)
 }
 
 func newPass(prog *ast.Program, model Model, record bool) *pass {
@@ -119,11 +111,11 @@ func newPass(prog *ast.Program, model Model, record bool) *pass {
 	for i, t := range prog.Txns {
 		p.hashes[i] = ast.HashTxn(t)
 		p.tables[i] = txnTables(t)
-		h := logic.ChainSeed
+		h := chainSeed
 		for _, tb := range p.tables[i] {
-			h = logic.ChainString(h, tb)
+			h = chainString(h, tb)
 			if k := slices.IndexFunc(prog.Schemas, func(s *ast.Schema) bool { return s.Name == tb }); k >= 0 {
-				h = logic.ChainUint64(h, schemas[k])
+				h = chainUint64(h, schemas[k])
 			}
 		}
 		p.slices[i] = h
@@ -150,11 +142,11 @@ func txnTables(t *ast.Txn) []string {
 // Transactions sharing no table with it cannot contribute a dependency
 // edge and are excluded, so editing them does not invalidate i.
 func (p *pass) fingerprint(i int) uint64 {
-	h := logic.ChainString(logic.ChainSeed, p.model.String())
-	h = logic.ChainUint64(logic.ChainUint64(h, p.hashes[i]), p.slices[i])
+	h := chainString(chainSeed, p.model.String())
+	h = chainUint64(chainUint64(h, p.hashes[i]), p.slices[i])
 	for j := range p.prog.Txns {
 		if sharesTable(p.tables[i], p.tables[j]) {
-			h = logic.ChainUint64(logic.ChainUint64(h, p.hashes[j]), p.slices[j])
+			h = chainUint64(chainUint64(h, p.hashes[j]), p.slices[j])
 		}
 	}
 	return h
@@ -204,18 +196,18 @@ func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 }
 
 // witnessesOf plans transaction ti against every transaction sharing a
-// table with it and returns, in program order, the encoders that can be
+// table with it and returns, in program order, the plans that can be
 // asked a cycle query at all. A witness with fewer than two of ti's
 // commands in conflict with it has no candidate cycle for any command
-// pair; it is dropped here, before it becomes a task or acquires a solver
-// (and a transaction of fewer than two commands is not planned at all).
+// pair; it is dropped here, before it becomes a task (and a transaction of
+// fewer than two commands is not planned at all).
 // Results are unaffected: such a witness issues no queries.
-func (p *pass) witnessesOf(ti int) ([]*pairEncoder, error) {
+func (p *pass) witnessesOf(ti int) ([]*pairPlan, error) {
 	tf, err := p.txnFacts(ti)
 	if err != nil || len(tf.cmds) < 2 {
 		return nil, err
 	}
-	var witnesses []*pairEncoder
+	var witnesses []*pairPlan
 	for wi := range p.prog.Txns {
 		if !sharesTable(p.tables[ti], p.tables[wi]) {
 			continue
@@ -238,9 +230,9 @@ func sharesTable(a, b []string) bool { return fieldSet(a).overlaps(b) }
 // planPair computes the dependency plan of (t, w): cand[a] lists, in
 // program order, the commands of w (as global item indices) that command a
 // of t can share a dependency edge with — same table, keys not decided
-// unequal, conflicting field access, exactly the condition under which the
-// body defines dep(a→b) and dep(b→a).
-func planPair(t, w *txnFacts) *pairEncoder {
+// unequal, conflicting field access, exactly the condition under which some
+// dependency edge a→b or b→a has a field.
+func planPair(t, w *txnFacts) *pairPlan {
 	nA, nB := len(t.cmds), len(w.cmds)
 	flat := make([]int, 0, nA*nB)
 	cand := make([][]int, nA)
@@ -255,13 +247,13 @@ func planPair(t, w *txnFacts) *pairEncoder {
 		}
 		cand[a] = flat[lo:len(flat):len(flat)]
 	}
-	return &pairEncoder{t: t, w: w, nA: nA, n: nA + nB, cand: cand}
+	return &pairPlan{t: t, w: w, nA: nA, n: nA + nB, cand: cand}
 }
 
 // askable reports whether the witness loop can ask pe any cycle query: a
 // cycle through commands i < j of A needs a candidate for each, so at
 // least two of A's commands must have one.
-func (pe *pairEncoder) askable() bool {
+func (pe *pairPlan) askable() bool {
 	live := 0
 	for _, row := range pe.cand {
 		if len(row) > 0 {
@@ -271,18 +263,55 @@ func (pe *pairEncoder) askable() bool {
 	return live >= 2
 }
 
-// planKey identifies the body pe would build before it is built: the model,
-// both transactions' structural hashes and schema-slice digests (which
-// determine their facts, and with them the plan), and whether witness
-// schedules are recorded. The session remembers each built body's formula
-// hash under it (DetectSession.plans).
-func (pe *pairEncoder) planKey(model Model, record bool) uint64 {
-	h := logic.ChainString(logic.ChainSeed, model.String())
-	for _, tf := range [2]*txnFacts{pe.t, pe.w} {
-		h = logic.ChainUint64(logic.ChainUint64(h, tf.hash), tf.slice)
+// contentKey digests everything an answer on pe depends on — each item's
+// table, read and written fields and key terms, in item order — and
+// nothing it does not, such as the transactions' and commands' names, so
+// identically shaped pairs share memoized answers. The session's model and
+// recording flag are fixed, so they are left out.
+func (pe *pairPlan) contentKey() uint64 {
+	if pe.content != 0 {
+		return pe.content
 	}
-	if record {
-		h = logic.ChainUint64(h, 1)
+	h := chainUint64(chainSeed, uint64(pe.nA))
+	for x := range pe.n {
+		it := pe.item(x)
+		h = chainString(chainUint64(h, uint64(x)), it.table)
+		h = chainUint64(h, uint64(len(it.reads)))
+		for _, f := range it.reads {
+			h = chainString(h, f)
+		}
+		h = chainUint64(h, uint64(len(it.writes)))
+		for _, f := range it.writes {
+			h = chainString(h, f)
+		}
+		kc := pe.key(x)
+		h = chainUint64(h, uint64(len(kc)))
+		for _, k := range kc {
+			h = chainString(chainString(h, k.field), k.term.id)
+		}
+	}
+	pe.content = h
+	return h
+}
+
+// FNV-1a chaining of identifier sequences, for fingerprints and memo keys.
+const (
+	chainSeed  uint64 = 14695981039346656037
+	chainPrime uint64 = 1099511628211
+)
+
+// chainString folds s into h, terminated so "ab"+"c" and "a"+"bc" differ.
+func chainString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * chainPrime
+	}
+	return (h ^ 0xff) * chainPrime
+}
+
+// chainUint64 folds v into h, low byte first.
+func chainUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(v>>(8*i)))) * chainPrime
 	}
 	return h
 }

@@ -11,16 +11,13 @@ import (
 
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
-	"atropos/internal/logic"
 	"atropos/internal/progen"
-	"atropos/internal/sat"
 )
 
-// Tests for the plan/body split of the pair encoding (DESIGN.md §3): the
-// plan decides exactly what the body defines, building bodies lazily
-// changes nothing a report shows, a witness without candidates costs no
-// solver, and an abort on the query that triggers a build is still an
-// abort.
+// Tests for the pair plan (DESIGN.md §3): the plan decides exactly which
+// dependencies the SAT oracle's body defines, its content key identifies
+// the body, a witness without candidates is dropped, and an abort mid-
+// detection leaves nothing behind.
 
 // corpus runs fn over the nine benchmarks and 32 generated programs.
 func corpus(t *testing.T, fn func(name string, prog *ast.Program)) {
@@ -88,8 +85,8 @@ func naiveConflict(prog *ast.Program, cx ast.DBCommand, ix int, cy ast.DBCommand
 
 // TestPlanMatchesBody: for every ordered pair of transactions of the
 // corpus, under every model, the plan's candidate table is the naive
-// reference's, and the body defines a dep proposition — in both directions
-// — for exactly the planned pairs.
+// reference's, and the SAT oracle's body defines a dep proposition — in
+// both directions — for exactly the planned pairs.
 func TestPlanMatchesBody(t *testing.T) {
 	corpus(t, func(name string, prog *ast.Program) {
 		for _, m := range allModels {
@@ -105,8 +102,7 @@ func TestPlanMatchesBody(t *testing.T) {
 						t.Fatal(err)
 					}
 					pe := planPair(tf, wf)
-					le := logic.NewEncoder()
-					pe.build(le, m, false, mergeOrder)
+					body := newBody(pe, m, mergeOrder)
 					ca, cb := ast.Commands(tt.Body), ast.Commands(wt.Body)
 					for a := range ca {
 						for b := range cb {
@@ -116,7 +112,7 @@ func TestPlanMatchesBody(t *testing.T) {
 								t.Errorf("%s %v %s×%s: plan says dep(%s, %s) = %v, reference %v",
 									name, m, tt.Name, wt.Name, ca[a].CmdLabel(), cb[b].CmdLabel(), planned, want)
 							}
-							if fwd, bwd := len(pe.edgesOf(a, y)) > 0, len(pe.edgesOf(y, a)) > 0; fwd != planned || bwd != planned {
+							if fwd, bwd := len(body.edgesOf(a, y)) > 0, len(body.edgesOf(y, a)) > 0; fwd != planned || bwd != planned {
 								t.Errorf("%s %v %s×%s: plan says dep(%s, %s) = %v, body defines → %v, ← %v",
 									name, m, tt.Name, wt.Name, ca[a].CmdLabel(), cb[b].CmdLabel(), planned, fwd, bwd)
 							}
@@ -146,43 +142,41 @@ func demoteKeys(prog *ast.Program) *ast.Program {
 	return out
 }
 
-// TestPlanKeyDeterminesBody: the plan key under which a session remembers
-// a body's formula hash is an identity for the body. Over the corpus, and
-// the corpus with multi-field keys demoted (same transactions, other
-// schemas), under every model, recording or not, ordered transaction pairs
-// with equal plan keys build bodies with equal formula hashes.
+// TestPlanKeyDeterminesBody: the content key a session memoizes answers
+// under is an identity for the pair's encoding. Over the corpus, and the
+// corpus with multi-field keys demoted (same transactions, other schemas),
+// under every model, ordered transaction pairs with equal content keys
+// have SAT bodies with equal formula hashes, so their answers agree.
 func TestPlanKeyDeterminesBody(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential; skipped with -short")
 	}
-	seen := map[uint64]string{}
-	hashes := map[uint64]uint64{}
+	type modelKey struct {
+		m   Model
+		key uint64
+	}
+	seen := map[modelKey]string{}
+	hashes := map[modelKey]uint64{}
 	check := func(name string, prog *ast.Program) {
 		for _, m := range allModels {
-			for _, record := range []bool{false, true} {
-				p := newPass(prog, m, record)
-				for ti, tt := range prog.Txns {
-					for wi, wt := range prog.Txns {
-						tf, err := p.txnFacts(ti)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wf, err := p.txnFacts(wi)
-						if err != nil {
-							t.Fatal(err)
-						}
-						pe := planPair(tf, wf)
-						le := logic.AcquireEncoder()
-						le.RecordFormulaHashes()
-						pe.build(le, m, record, mergeOrder)
-						key, fh := pe.planKey(m, record), le.FormulaHash()
-						le.Release()
-						what := fmt.Sprintf("%s %v record=%v %s×%s", name, m, record, tt.Name, wt.Name)
-						if old, ok := hashes[key]; ok && old != fh {
-							t.Fatalf("%s and %s share plan key %#x but build different bodies", seen[key], what, key)
-						}
-						hashes[key], seen[key] = fh, what
+			p := newPass(prog, m, false)
+			for ti, tt := range prog.Txns {
+				for wi, wt := range prog.Txns {
+					tf, err := p.txnFacts(ti)
+					if err != nil {
+						t.Fatal(err)
 					}
+					wf, err := p.txnFacts(wi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pe := planPair(tf, wf)
+					key, fh := modelKey{m, pe.contentKey()}, newBody(pe, m, mergeOrder).enc.FormulaHash()
+					what := fmt.Sprintf("%s %v %s×%s", name, m, tt.Name, wt.Name)
+					if old, ok := hashes[key]; ok && old != fh {
+						t.Fatalf("%s and %s share content key %#x but have different bodies", seen[key], what, key.key)
+					}
+					hashes[key], seen[key] = fh, what
 				}
 			}
 		}
@@ -193,104 +187,21 @@ func TestPlanKeyDeterminesBody(t *testing.T) {
 	})
 }
 
-// SkewRememberedFormulas makes every session remember a wrong formula hash
-// for each body it builds — the next body built under that plan disagrees
-// with it — until restore is called. For the package's external tests.
-func SkewRememberedFormulas() (restore func()) {
-	rememberSkew.Store(1)
-	return func() { rememberSkew.Store(0) }
-}
-
-// ErrPlanMismatch is errPlanMismatch, for the package's external tests.
-var ErrPlanMismatch = errPlanMismatch
-
-// eagerBodies is the pass hook that builds every body as its detector takes
-// the plan on — what the detector did before the split.
-func eagerBodies(d *detector, pe *pairEncoder) {
-	if err := d.buildBody(pe); err != nil {
-		panic(err)
-	}
-}
-
 // detectVia runs one detection of prog with witness recording on, fresh
-// (width 0) or through a new session at the given width, with bodies built
-// lazily or eagerly.
-func detectVia(ctx context.Context, prog *ast.Program, m Model, width int, eager bool, b sat.Budget) (*Report, error) {
+// (width 0) or through a new session at the given width.
+func detectVia(ctx context.Context, prog *ast.Program, m Model, width int) (*Report, error) {
 	if width == 0 {
-		d := &detector{pass: newPass(prog, m, true), budget: b}
-		if eager {
-			d.pass.onPlan = eagerBodies
-		}
-		d.setContext(ctx)
-		return runFresh(d)
+		return runFresh(&detector{pass: newPass(prog, m, true), ctx: ctx})
 	}
 	s := NewSession(m)
 	s.RecordWitnesses()
 	s.SetParallelism(width)
-	s.SetSolveBudget(b)
-	if eager {
-		s.onPlan = eagerBodies
-	}
 	return s.DetectContext(ctx, prog)
-}
-
-// sameReport requires two reports to agree on everything a caller can see:
-// pairs with witnesses, fields and schedules, unknown pairs, and the query
-// counters; the encoder counters are what is allowed to differ. sequential
-// says both ran without concurrency, which makes Solved deterministic too.
-func sameReport(t *testing.T, what string, lazy, eager *Report, sequential bool) {
-	t.Helper()
-	if !reflect.DeepEqual(lazy.Pairs, eager.Pairs) {
-		t.Errorf("%s: pairs differ:\nlazy  %v\neager %v", what, lazy.Pairs, eager.Pairs)
-	}
-	if !reflect.DeepEqual(lazy.UnknownPairs, eager.UnknownPairs) {
-		t.Errorf("%s: unknown pairs differ:\nlazy  %v\neager %v", what, lazy.UnknownPairs, eager.UnknownPairs)
-	}
-	if lazy.Queries != eager.Queries || lazy.Unknown != eager.Unknown || lazy.Exhausted != eager.Exhausted || lazy.Degraded != eager.Degraded {
-		t.Errorf("%s: lazy queries/unknown/exhausted/degraded %d/%d/%d/%v, eager %d/%d/%d/%v", what,
-			lazy.Queries, lazy.Unknown, lazy.Exhausted, lazy.Degraded,
-			eager.Queries, eager.Unknown, eager.Exhausted, eager.Degraded)
-	}
-	if sequential && lazy.Solved != eager.Solved {
-		t.Errorf("%s: lazy solved %d, eager %d", what, lazy.Solved, eager.Solved)
-	}
-	if lazy.EncodersPlanned != eager.EncodersPlanned || lazy.EncodersBuilt > eager.EncodersBuilt {
-		t.Errorf("%s: lazy planned/built %d/%d, eager %d/%d", what,
-			lazy.EncodersPlanned, lazy.EncodersBuilt, eager.EncodersPlanned, eager.EncodersBuilt)
-	}
-}
-
-// TestLazyBodiesMatchEager: building each body on its first query instead
-// of at planning time changes no report — fresh, through a sequential
-// session, and through the wavefront at width 8.
-func TestLazyBodiesMatchEager(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus differential; skipped with -short")
-	}
-	ctx := context.Background()
-	corpus(t, func(name string, prog *ast.Program) {
-		for _, m := range allModels {
-			for _, width := range []int{0, 1, 8} {
-				what := fmt.Sprintf("%s %v width %d", name, m, width)
-				lazy, err := detectVia(ctx, prog, m, width, false, sat.Budget{})
-				if err != nil {
-					t.Fatalf("%s lazy: %v", what, err)
-				}
-				eager, err := detectVia(ctx, prog, m, width, true, sat.Budget{})
-				if err != nil {
-					t.Fatalf("%s eager: %v", what, err)
-				}
-				sameReport(t, what, lazy, eager, width <= 1)
-			}
-		}
-	})
 }
 
 // TestZeroCandidateWitnessCostsNothing: a witness that shares a table with
 // the transaction but conflicts with fewer than two of its commands is
-// planned and dropped — it never becomes an encoder, so no solver is
-// acquired and no variable created for it; and a surviving plan holds no
-// solver until it is asked a query.
+// planned and dropped — it never becomes a task and is asked nothing.
 func TestZeroCandidateWitnessCostsNothing(t *testing.T) {
 	prog := mustProg(t, `
 table T {
@@ -320,36 +231,22 @@ txn twoWrites(k: int) {
 	if p.planned != 3 || len(witnesses) != 1 || witnesses[0].w.name != "twoWrites" {
 		t.Fatalf("planned %d, kept %d witnesses, want 3 planned and only twoWrites kept", p.planned, len(witnesses))
 	}
-	d := &detector{pass: p}
-	d.setContext(context.Background())
-	d.own(witnesses[0])
-	if witnesses[0].enc != nil || p.built.Load() != 0 {
-		t.Fatal("a planned encoder holds a solver before its first query")
-	}
-	if _, _, _, err := d.checkPairWitness(witnesses[0], 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if witnesses[0].enc == nil || p.built.Load() != 1 {
-		t.Fatal("the first query did not build the body")
-	}
-	d.releaseEncoders()
-
 	rep, err := NewSession(EC).Detect(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// readers: 3 planned, 1 built. oneWrite: one command, nothing planned.
+	// readers: 3 planned. oneWrite: one command, nothing planned.
 	// twoWrites: 3 planned; readers and twoWrites conflict with both of
 	// its updates, oneWrite with U1 only.
-	if rep.EncodersPlanned != 6 || rep.EncodersBuilt > 3 {
-		t.Errorf("planned/built = %d/%d, want 6 planned and at most 3 built", rep.EncodersPlanned, rep.EncodersBuilt)
+	if rep.EncodersPlanned != 6 {
+		t.Errorf("planned = %d, want 6", rep.EncodersPlanned)
 	}
 }
 
 // pollCancel is a context that cancels itself on its n-th Err poll. The
-// detector polls once before each cycle query and the solver once on entry
-// to each solve, so n = 2 lands the cancellation inside the first solve of
-// the first encoder: on the query that triggered its body build.
+// detector polls once before each cycle query (and the sequential session
+// once before each transaction), so a small n lands the cancellation
+// between the first queries of the first plan.
 type pollCancel struct {
 	context.Context
 	cancel context.CancelFunc
@@ -370,40 +267,24 @@ func (c *pollCancel) Err() error {
 	return c.Context.Err()
 }
 
-// TestAbortOnBodyBuildingQuery: a cancellation or a budget exhaustion that
-// arrives on the very query that builds a body behaves as it did when
-// bodies were built up front — the cancellation aborts the detection with
-// the context's error and leaves nothing in the session's caches, the
-// exhaustion taints the encoder and degrades the report identically.
-func TestAbortOnBodyBuildingQuery(t *testing.T) {
+// TestAbortMidDetectionCachesNothing: a cancellation that arrives between
+// cycle queries aborts the detection with the context's error — fresh,
+// sequential and on the wavefront — and leaves no transaction outcome in
+// the session's memo.
+func TestAbortMidDetectionCachesNothing(t *testing.T) {
 	prog := mustProg(t, courseware)
 	for _, width := range []int{0, 1, 8} {
-		for _, eager := range []bool{false, true} {
-			ctx := newPollCancel(2)
-			_, err := detectVia(ctx, prog, EC, width, eager, sat.Budget{})
-			ctx.cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("width %d eager %v: cancelled detection = %v, want context.Canceled", width, eager, err)
-			}
+		ctx := newPollCancel(2)
+		_, err := detectVia(ctx, prog, EC, width)
+		ctx.cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("width %d: cancelled detection = %v, want context.Canceled", width, err)
 		}
-		starved := sat.Budget{Propagations: 1}
-		lazy, err := detectVia(context.Background(), prog, EC, width, false, starved)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eager, err := detectVia(context.Background(), prog, EC, width, true, starved)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !lazy.Degraded || lazy.Exhausted == 0 {
-			t.Errorf("width %d: starved detection not degraded", width)
-		}
-		sameReport(t, fmt.Sprintf("starved width %d", width), lazy, eager, width <= 1)
 	}
 
-	// A session whose first pass was cancelled on a body-building query
-	// cached nothing of it: the next pass reports what a fresh detection
-	// does and solves every query it issues.
+	// A session whose first pass was cancelled cached no transaction of
+	// it: the next pass reports what a fresh detection does and counts no
+	// transaction hit.
 	s := NewSession(EC)
 	s.SetParallelism(1)
 	ctx := newPollCancel(2)
@@ -423,7 +304,7 @@ func TestAbortOnBodyBuildingQuery(t *testing.T) {
 		t.Errorf("pass after a cancelled one: %d pairs / %d queries, fresh %d / %d",
 			len(got.Pairs), got.Queries, len(want.Pairs), want.Queries)
 	}
-	if st := s.Stats(); st.QueryHits != got.Queries-got.Solved {
+	if st := s.Stats(); st.TxnHits != 0 || st.QueryHits != got.Queries-got.Solved {
 		t.Errorf("stats after a cancelled pass: %+v (report: %d queries, %d solved)", st, got.Queries, got.Solved)
 	}
 }

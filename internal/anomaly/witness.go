@@ -4,23 +4,21 @@ import (
 	"slices"
 
 	"atropos/internal/ast"
-	"atropos/internal/logic"
 )
 
-// This file implements witness-schedule extraction: when a session opts in
-// (DetectSession.RecordWitnesses), every satisfiable cycle query
-// additionally reads the full satisfying model back off the solver — the
-// ord total order, the vis relation, and the free aliasing-equality atoms —
-// and packages it as a Schedule on the reported pair's Witness.
+// This file defines witness schedules: when a session opts in
+// (DetectSession.RecordWitnesses), every satisfiable cycle query also
+// extends its canonical model to every command of both instances — the ord
+// total order, the vis relation, and the aliasing equalities — and
+// packages it as a Schedule on the reported pair's Witness.
 // A Schedule is everything internal/replay needs to lower the static
 // witness into a concrete directed run of the cluster simulator: which
 // command executes when, which write batches each command's local view
 // contains, and which symbolic key terms must coincide for the dependency
 // edges to touch a common record.
 //
-// Recording is strictly additive: it changes no interned proposition, no
-// assertion, and no solve call, so encodings, reports, and the session's
-// cache keys are byte-identical with recording on or off (the cached
+// Recording is strictly additive: verdicts, reported pairs, and the
+// session's memo keys are identical with recording on or off (the memoized
 // cycleResult simply carries the extra Schedule pointer).
 
 // TermKind is the exported classification of a symbolic primary-key term
@@ -46,8 +44,8 @@ type KeyPin struct {
 	Expr  ast.Expr
 }
 
-// SchedItem is one command instance of the two-transaction encoding, in the
-// detector's global numbering (A's commands then B's).
+// SchedItem is one command instance of the two-transaction execution, in
+// the detector's global numbering (A's commands then B's).
 type SchedItem struct {
 	Inst  int    // 0 = the anomalous transaction A, 1 = the witness B
 	Idx   int    // static command index within its transaction
@@ -56,9 +54,9 @@ type SchedItem struct {
 	Pins  []KeyPin
 }
 
-// EqAtom is the model valuation of one free aliasing-equality atom of a
-// (table, field) sort: whether terms A and B denote the same value in the
-// witnessing execution.
+// EqAtom is the model valuation of one aliasing equality of a (table,
+// field) sort whose truth is execution-dependent: whether terms A and B
+// denote the same value in the witnessing execution.
 type EqAtom struct {
 	Table string
 	Field string
@@ -66,7 +64,7 @@ type EqAtom struct {
 	Equal bool
 }
 
-// EdgeField is one per-field dependency-edge proposition true in the model.
+// EdgeField is one per-field dependency edge true in the model.
 type EdgeField struct {
 	Field string
 	Kind  EdgeKind
@@ -83,7 +81,7 @@ type SchedEdge struct {
 	Fields   []EdgeField
 }
 
-// Schedule is the executable witness read off a satisfying cycle model.
+// Schedule is the executable witness: a cycle query's canonical model.
 type Schedule struct {
 	TxnA, TxnB string // instance 0 / instance 1 transaction names
 	NA         int    // instance 0's command count; items NA.. belong to B
@@ -94,7 +92,9 @@ type Schedule struct {
 	// Vis[x][y] reports whether writer x's batch is in y's local view
 	// (meaningful for cross-instance writer pairs; false elsewhere).
 	Vis [][]bool
-	// Eqs are the model valuations of every free aliasing-equality atom.
+	// Eqs value every execution-dependent equality between the key terms
+	// the cycle's two edges equate, sorted; equalities between terms not
+	// listed are false.
 	Eqs []EqAtom
 	// Edge1, Edge2 are the two dependency edges of the witnessing cycle.
 	Edge1, Edge2 SchedEdge
@@ -106,16 +106,8 @@ func (s *Schedule) ItemAt(g int) (inst, idx int) {
 	return it.Inst, it.Idx
 }
 
-// eqAtomProp records, for one free equality proposition, the sort and term
-// pair behind it — only populated when the encoder records witnesses.
-type eqAtomProp struct {
-	sym          logic.Sym
-	table, field string
-	a, b         string
-}
-
 // schedItems lists the pair's command instances as a Schedule names them.
-func (pe *pairEncoder) schedItems() []SchedItem {
+func (pe *pairPlan) schedItems() []SchedItem {
 	items := make([]SchedItem, pe.n)
 	for x := range items {
 		it, inst := pe.item(x), pe.inst(x)
@@ -128,14 +120,14 @@ func (pe *pairEncoder) schedItems() []SchedItem {
 
 // adoptSchedule re-addresses a cycle result's schedule to this encoder's
 // pair, where the pair is reported. The model part — order, visibility,
-// equalities, edges — is shared: the cache key pins the producer to an
-// identical encoding. The transactions and commands it names are the
-// producer's, which on a query-cache hit may be another, identically
-// encoded pair (or an earlier version of this one), and a replayer must run
-// the pair the report names. A schedule that already names this pair — the
-// encoder's own solve, or a warm re-detection of an unchanged pair — is
-// returned as it is.
-func (pe *pairEncoder) adoptSchedule(s *Schedule) *Schedule {
+// equalities, edges — is shared: the memo key pins the producer to a pair
+// of identical content. The transactions and commands it names are the
+// producer's, which on a memo hit may be another, identically shaped pair
+// (or an earlier version of this one), and a replayer must run the pair the
+// report names. A schedule that already names this pair — its own
+// decision, or a warm re-detection of an unchanged pair — is returned as
+// it is.
+func (pe *pairPlan) adoptSchedule(s *Schedule) *Schedule {
 	if s == nil || pe.addressedBy(s) {
 		return s
 	}
@@ -144,9 +136,9 @@ func (pe *pairEncoder) adoptSchedule(s *Schedule) *Schedule {
 	return &c
 }
 
-// addressedBy reports whether s names exactly this encoder's transactions
-// and command instances.
-func (pe *pairEncoder) addressedBy(s *Schedule) bool {
+// addressedBy reports whether s names exactly this plan's transactions and
+// command instances.
+func (pe *pairPlan) addressedBy(s *Schedule) bool {
 	if s.TxnA != pe.t.name || s.TxnB != pe.w.name || s.NA != pe.nA || len(s.Items) != pe.n {
 		return false
 	}
@@ -157,55 +149,4 @@ func (pe *pairEncoder) addressedBy(s *Schedule) bool {
 		}
 	}
 	return true
-}
-
-// buildSchedule reads the current satisfying model back into a Schedule.
-// It must be called immediately after the satisfiable SolveAssuming, before
-// any further solve on this encoder.
-func (pe *pairEncoder) buildSchedule(from1, to1, from2, to2 int) *Schedule {
-	n := pe.n
-	s := &Schedule{TxnA: pe.t.name, TxnB: pe.w.name, NA: pe.nA, Items: pe.schedItems()}
-	// ord is a strict total order, so each item's position is its number of
-	// predecessors in the model.
-	s.Order = make([]int, n)
-	for i := 0; i < n; i++ {
-		pos := 0
-		for j := 0; j < n; j++ {
-			if j != i && pe.enc.ValueS(pe.ord.at(j, i)) {
-				pos++
-			}
-		}
-		s.Order[pos] = i
-	}
-	s.Vis = make([][]bool, n)
-	for i := 0; i < n; i++ {
-		s.Vis[i] = make([]bool, n)
-		if !pe.item(i).writer() {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if pe.inst(j) != pe.inst(i) {
-				s.Vis[i][j] = pe.enc.ValueS(pe.vis.at(i, j))
-			}
-		}
-	}
-	for _, ea := range pe.eqAtoms {
-		s.Eqs = append(s.Eqs, EqAtom{Table: ea.table, Field: ea.field, A: ea.a, B: ea.b, Equal: pe.enc.ValueS(ea.sym)})
-	}
-	s.Edge1 = pe.modelSchedEdge(from1, to1)
-	s.Edge2 = pe.modelSchedEdge(from2, to2)
-	return s
-}
-
-// modelSchedEdge reads the directed edge (x → y) with its per-field kinds
-// off the current model.
-func (pe *pairEncoder) modelSchedEdge(x, y int) SchedEdge {
-	e := SchedEdge{From: x, To: y}
-	for _, ep := range pe.edgesOf(x, y) {
-		if pe.enc.ValueS(ep.sym) {
-			e.Kind = ep.kind
-			e.Fields = append(e.Fields, EdgeField{Field: ep.field, Kind: ep.kind})
-		}
-	}
-	return e
 }

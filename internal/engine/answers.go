@@ -91,7 +91,7 @@ func (m *answerMemo) counters(st *Stats) {
 }
 
 // repairHit is what a memoized repair returns: a shallow copy of the stored
-// result that reports no solver work of its own — Queries is kept, so the
+// result that reports no detection work of its own — Queries is kept, so the
 // cache hit rate reads 1 — and the hit's own wall time.
 func repairHit(stored *repair.Result, elapsed time.Duration) *repair.Result {
 	res := *stored

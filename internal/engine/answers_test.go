@@ -14,7 +14,6 @@ import (
 	"atropos/internal/progen"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
-	"atropos/internal/sat"
 )
 
 // repairView renders what a repair answers, minus how it was computed: the
@@ -111,7 +110,7 @@ func TestAnswerMemoRepairEquivalence(t *testing.T) {
 			if hits, misses := st.AnswerHits-before.AnswerHits, st.AnswerMisses-before.AnswerMisses; hits != int64(i) || misses != 1 {
 				t.Fatalf("%s: call %d: answer hits/misses %d/%d, want %d/1", name, i, hits, misses, i)
 			}
-			if i == 1 && (res.Stats.Solved != 0 || res.Stats.Replayed != 0 || res.Stats.EncodersBuilt != 0 ||
+			if i == 1 && (res.Stats.Solved != 0 || res.Stats.Replayed != 0 ||
 				res.Stats.EncodersPlanned != 0 || (res.Stats.Queries > 0 && res.Stats.CacheHitRate() != 1)) {
 				t.Fatalf("%s: a hit reports solver work: %+v", name, res.Stats)
 			}
@@ -168,36 +167,31 @@ func answerCounters(e *Engine) [4]int64 {
 	return [4]int64{st.AnswerHits, st.AnswerMisses, st.AnswerEvictions, int64(st.CachedAnswers)}
 }
 
-// TestAnswerMemoBypasses: a budgeted repair neither reads nor fills the
-// memo — one that follows a clean repair of the same program still
-// degrades — and neither does a repair on an injected session.
+// TestAnswerMemoBypasses: a degraded repair does not fill the memo — the
+// next clean request computes — and a repair on an injected session
+// neither reads nor fills it.
 func TestAnswerMemoBypasses(t *testing.T) {
 	e := New(Config{Workers: 1})
 	prog := loadRMW(t)
 	ctx := context.Background()
-	starved := repair.SolveBudget(sat.Budget{Propagations: 1})
 	for i := 0; i < 2; i++ {
-		res, err := e.Repair(ctx, prog, anomaly.EC, starved)
+		res, err := e.Repair(ctx, prog, anomaly.EC, expiredDetect)
 		if err != nil || !res.Degraded {
-			t.Fatalf("starved repair %d: err=%v degraded=%v", i, err, res != nil && res.Degraded)
+			t.Fatalf("deadline-bound repair %d: err=%v degraded=%v", i, err, res != nil && res.Degraded)
 		}
 	}
-	if got := answerCounters(e); got != [4]int64{} {
-		t.Fatalf("two starved repairs moved the memo: hits, misses, evictions, cached = %v", got)
+	if got := answerCounters(e); got != [4]int64{0, 2, 0, 0} {
+		t.Fatalf("two degraded repairs: hits, misses, evictions, cached = %v, want two misses and nothing cached", got)
 	}
-	if _, err := e.Repair(ctx, prog, anomaly.EC); err != nil {
-		t.Fatal(err)
+	if res, err := e.Repair(ctx, prog, anomaly.EC); err != nil || res.Degraded {
+		t.Fatalf("clean repair after degraded ones: err=%v degraded=%v", err, res != nil && res.Degraded)
 	}
 	before := answerCounters(e)
-	res, err := e.Repair(ctx, prog, anomaly.EC, starved)
-	if err != nil || !res.Degraded {
-		t.Fatalf("starved repair after a clean one: err=%v degraded=%v", err, res != nil && res.Degraded)
-	}
 	if _, err := e.Repair(ctx, prog, anomaly.EC, repair.Session(anomaly.NewSession(anomaly.EC))); err != nil {
 		t.Fatal(err)
 	}
 	if got := answerCounters(e); got != before {
-		t.Fatalf("budgeted or injected-session repair moved the memo: %v, want %v", got, before)
+		t.Fatalf("injected-session repair moved the memo: %v, want %v", got, before)
 	}
 }
 
@@ -211,9 +205,18 @@ func TestAnswerHitIsACleanAnswer(t *testing.T) {
 	if _, err := e.Repair(ctx, prog, anomaly.EC); err != nil {
 		t.Fatal(err)
 	}
-	starved := repair.SolveBudget(sat.Budget{Propagations: 1})
-	for _, opts := range [][]repair.Option{{starved}, nil, {starved}} {
-		if _, err := e.Repair(ctx, prog, anomaly.EC, append(opts, repair.Client("x"))...); err != nil {
+	// Degraded repairs of another program around a hit: the hit clears the
+	// first strike, so two strikes never come in a row.
+	other, err := benchmarks.SmallBank.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*ast.Program{other, prog, other} {
+		opts := []repair.Option{repair.Client("x")}
+		if p == other {
+			opts = append(opts, expiredDetect)
+		}
+		if _, err := e.Repair(ctx, p, anomaly.EC, opts...); err != nil {
 			t.Fatal(err)
 		}
 	}

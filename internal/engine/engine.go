@@ -1,7 +1,7 @@
 // Package engine hosts the long-lived Atropos engine behind the public API
 // and the atroposd service: one object owning the bounded worker pool,
-// per-client detection sessions, and the pooled encoder/solver
-// arenas that every request draws from. The CLI, the daemon, and the tests
+// per-client detection sessions and the answer memo that every request
+// draws from. The CLI, the daemon, and the tests
 // all share this entry point, so "run one repair" and "serve a million
 // repairs" differ only in who calls it.
 //
@@ -23,9 +23,9 @@
 //     whichever finishes last is recycled instead of cached twice. Evicted
 //     and surplus sessions are Reset() — dropping their caches but keeping
 //     their allocated map/slice capacity — and parked on a freelist.
-//   - Cancellation: the request context threads through repair → anomaly →
-//     sat, where the CDCL solvers poll it; a disconnected client frees its
-//     worker slot mid-solve instead of leaking it.
+//   - Cancellation: the request context threads through repair → anomaly,
+//     which checks it before every cycle query; a disconnected client frees
+//     its worker slot mid-detection instead of leaking it.
 package engine
 
 import (
@@ -44,7 +44,6 @@ import (
 	"atropos/internal/cluster"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
-	"atropos/internal/sat"
 	"atropos/internal/sema"
 )
 
@@ -55,11 +54,11 @@ import (
 var ErrOverloaded = errors.New("engine: overloaded (worker queue full)")
 
 // ErrCircuitOpen reports a per-client circuit-breaker fast-fail: the
-// client's recent requests repeatedly exhausted their resource budgets, so
-// the engine rejects further ones without consuming a slot until the
-// cooldown passes. Callers should reduce their budget pressure (smaller
-// programs, larger budgets) before retrying.
-var ErrCircuitOpen = errors.New("engine: circuit open (repeated budget exhaustions)")
+// client's recent repairs were repeatedly answered degraded (a stage
+// deadline expired), so the engine rejects further ones without consuming
+// a slot until the cooldown passes. Callers should reduce their deadline
+// pressure (smaller programs, longer timeouts) before retrying.
+var ErrCircuitOpen = errors.New("engine: circuit open (repeated degraded answers)")
 
 // Config sizes an Engine.
 type Config struct {
@@ -86,7 +85,7 @@ type Config struct {
 	// mostly spent by then anyway). 0 selects 30s; negative disables the
 	// ceiling.
 	MaxQueueWait time.Duration
-	// BreakerTrip is how many consecutive degraded (budget-exhausted)
+	// BreakerTrip is how many consecutive degraded (deadline-expired)
 	// results open a client's circuit breaker; 0 selects 3, negative
 	// disables the breaker.
 	BreakerTrip int
@@ -106,6 +105,10 @@ type Hooks struct {
 	// hold slots and build queue depth) or panic (to exercise the guard) —
 	// exactly the faults exp.RunServiceChaos injects.
 	Exec func(verb, client string)
+	// Stages, when it answers true, replaces the stage split of the
+	// client's repairs (after any split derived from the deadline), so a
+	// harness can make a repair degrade without racing the clock.
+	Stages func(client string) (repair.StageDeadlines, bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -179,7 +182,6 @@ type Engine struct {
 	// Overload-control state (see acquire, RetryAfter, breaker*).
 	shed             atomic.Int64
 	degraded         atomic.Int64
-	exhaustions      atomic.Int64
 	breakerTrips     atomic.Int64
 	breakerFastFails atomic.Int64
 	ewmaNs           atomic.Int64 // service-time EWMA, nanoseconds; 0 = no observation yet
@@ -515,34 +517,24 @@ func (e *Engine) Analyze(ctx context.Context, prog *ast.Program, model anomaly.M
 		s = newSession(model, o.Certify)
 	}
 	s.SetParallelism(e.detectWidth(o.Parallelism))
-	s.SetSolveBudget(o.SolveBudget)
 	rep, derr := s.DetectContext(ctx, prog)
 	if o.Client != "" {
 		e.checkin(k, s)
 	}
-	e.noteReport(o.Client, rep, derr)
+	// A detection either completes or fails with its context; a complete
+	// one is a clean result for the client's breaker.
+	if derr == nil {
+		e.breakerResult(o.Client, false)
+	}
 	return rep, e.finish(start, derr)
 }
 
-// noteReport folds a detection verdict into the degradation counters and
-// the client's breaker.
-func (e *Engine) noteReport(client string, rep *anomaly.Report, err error) {
-	degraded := err == nil && rep != nil && rep.Degraded
-	if degraded {
-		e.degraded.Add(1)
-		e.exhaustions.Add(int64(rep.Exhausted))
-	}
-	if err == nil {
-		e.breakerResult(client, degraded)
-	}
-}
-
-// noteResult is noteReport's twin for full repair results.
+// noteResult folds a repair's degradation verdict into the counters and the
+// client's breaker.
 func (e *Engine) noteResult(client string, res *repair.Result, err error) {
 	degraded := err == nil && res != nil && res.Degraded
 	if degraded {
 		e.degraded.Add(1)
-		e.exhaustions.Add(int64(res.Exhausted))
 	}
 	if err == nil {
 		e.breakerResult(client, degraded)
@@ -552,9 +544,8 @@ func (e *Engine) noteResult(client string, res *repair.Result, err error) {
 // Repair runs the full repair pipeline under model. With a Client option
 // the pipeline's detection passes run through that client's cached session.
 // A repeated request — same program, model and Certify, any client — is
-// answered from the engine's answer memo unless it sets a SolveBudget or
-// injects a Session; the result is then a shallow copy of a stored one whose
-// Stats report no solver work. Results are read-only to callers.
+// answered from the engine's answer memo unless it injects a Session; the result is then a shallow copy of a stored one whose
+// Stats report no detection work. Results are read-only to callers.
 func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (res *repair.Result, err error) {
 	o := repair.BuildOptions(opts...)
 	if err := e.breakerCheck(o.Client); err != nil {
@@ -567,9 +558,9 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("repair", o.Client)
-	// Budgeted requests promise a bounded answer, not the complete one, and
-	// an injected session belongs to its caller: neither reads nor fills.
-	memo := o.SolveBudget == (sat.Budget{}) && o.Session == nil
+	// An injected session belongs to its caller: such a request neither
+	// reads nor fills the memo.
+	memo := o.Session == nil
 	var key answerKey
 	if memo {
 		key = answerKey{verb: "repair", prog: ast.HashProgram(prog), model: model, certify: o.Certify}
@@ -588,6 +579,11 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 	if o.Stages == (repair.StageDeadlines{}) {
 		if dl, ok := ctx.Deadline(); ok {
 			o.Stages = repair.Split(time.Until(dl))
+		}
+	}
+	if h := e.cfg.Hooks; h != nil && h.Stages != nil {
+		if st, ok := h.Stages(o.Client); ok {
+			o.Stages = st
 		}
 	}
 	o.Parallelism = e.detectWidth(o.Parallelism)
@@ -671,16 +667,14 @@ type Stats struct {
 	Canceled  int64 `json:"canceled"`
 	Rejected  int64 `json:"rejected"`
 	// Overload-control counters: Shed counts waiters evicted past the
-	// queue-wait ceiling; Degraded counts requests answered partially after
-	// budget/deadline exhaustion; BudgetExhaustions totals the individual
-	// exhausted solves behind them; the Breaker* trio tracks the per-client
+	// queue-wait ceiling; Degraded counts repairs answered partially after
+	// a stage deadline expired; the Breaker* trio tracks the per-client
 	// circuit breakers (BreakerOpen is an instantaneous gauge).
-	Shed              int64 `json:"shed"`
-	Degraded          int64 `json:"degraded"`
-	BudgetExhaustions int64 `json:"budget_exhaustions"`
-	BreakerTrips      int64 `json:"breaker_trips"`
-	BreakerFastFails  int64 `json:"breaker_fast_fails"`
-	BreakerOpen       int   `json:"breaker_open"`
+	Shed             int64 `json:"shed"`
+	Degraded         int64 `json:"degraded"`
+	BreakerTrips     int64 `json:"breaker_trips"`
+	BreakerFastFails int64 `json:"breaker_fast_fails"`
+	BreakerOpen      int   `json:"breaker_open"`
 	// ServiceTimeEwmaMs is the smoothed per-request service time feeding
 	// Retry-After. Informational: timing-dependent, so never drift-compared.
 	ServiceTimeEwmaMs float64 `json:"service_time_ewma_ms"`
@@ -691,7 +685,7 @@ type Stats struct {
 	CachedSessions   int   `json:"cached_sessions"`
 	// Answer memo counters: lookups answered from memory and not, answers
 	// evicted past the bound, and answers held (an instantaneous gauge).
-	// Budgeted repairs and repairs on an injected session never look up.
+	// Repairs on an injected session never look up.
 	AnswerHits      int64 `json:"answer_hits"`
 	AnswerMisses    int64 `json:"answer_misses"`
 	AnswerEvictions int64 `json:"answer_evictions"`
@@ -731,7 +725,6 @@ func (e *Engine) Stats() Stats {
 		Rejected:          e.rejected.Load(),
 		Shed:              e.shed.Load(),
 		Degraded:          e.degraded.Load(),
-		BudgetExhaustions: e.exhaustions.Load(),
 		BreakerTrips:      e.breakerTrips.Load(),
 		BreakerFastFails:  e.breakerFastFails.Load(),
 		BreakerOpen:       open,

@@ -12,7 +12,6 @@ import (
 	"atropos/internal/anomaly"
 	"atropos/internal/benchmarks"
 	"atropos/internal/repair"
-	"atropos/internal/sat"
 )
 
 // TestRetryAfterFormula pins the adaptive backoff hint exactly:
@@ -150,35 +149,36 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// expiredDetect is a stage split whose detect allowance is spent before the
+// first detection pass starts: a repair under it degrades.
+var expiredDetect = repair.Stages(repair.StageDeadlines{Detect: time.Nanosecond})
+
 // TestBreakerEndToEnd drives the circuit through the public verb: repeated
-// budget-starved analyses from one client trip its breaker; a fresh client
-// is unaffected.
+// degraded repairs from one client trip its breaker; a fresh client is
+// unaffected.
 func TestBreakerEndToEnd(t *testing.T) {
 	e := New(Config{Workers: 1, BreakerTrip: 2, BreakerCooldown: time.Hour})
 	prog := loadRMW(t)
-	starved := []repair.Option{
-		repair.Client("greedy"),
-		repair.SolveBudget(sat.Budget{Propagations: 1}),
-	}
+	greedy := []repair.Option{repair.Client("greedy"), expiredDetect}
 	for i := 0; i < 2; i++ {
-		rep, err := e.Analyze(context.Background(), prog, anomaly.EC, starved...)
+		res, err := e.Repair(context.Background(), prog, anomaly.EC, greedy...)
 		if err != nil {
-			t.Fatalf("starved analyze %d: %v", i, err)
+			t.Fatalf("deadline-bound repair %d: %v", i, err)
 		}
-		if !rep.Degraded || rep.Unknown == 0 {
-			t.Fatalf("starved analyze %d not degraded: degraded=%v unknown=%d", i, rep.Degraded, rep.Unknown)
+		if !res.Degraded {
+			t.Fatalf("deadline-bound repair %d not degraded", i)
 		}
 	}
-	if _, err := e.Analyze(context.Background(), prog, anomaly.EC, starved...); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("post-trip analyze = %v, want ErrCircuitOpen", err)
+	if _, err := e.Repair(context.Background(), prog, anomaly.EC, greedy...); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("post-trip repair = %v, want ErrCircuitOpen", err)
 	}
-	rep, err := e.Analyze(context.Background(), prog, anomaly.EC, repair.Client("patient"))
-	if err != nil || rep.Degraded {
-		t.Fatalf("unbudgeted client affected by neighbor's breaker: err=%v degraded=%v", err, rep != nil && rep.Degraded)
+	res, err := e.Repair(context.Background(), prog, anomaly.EC, repair.Client("patient"))
+	if err != nil || res.Degraded {
+		t.Fatalf("patient client affected by neighbor's breaker: err=%v degraded=%v", err, res != nil && res.Degraded)
 	}
 	st := e.Stats()
-	if st.BreakerTrips != 1 || st.Degraded != 2 || st.BudgetExhaustions == 0 {
-		t.Fatalf("stats = %+v, want trips=1 degraded=2 exhaustions>0", st)
+	if st.BreakerTrips != 1 || st.Degraded != 2 {
+		t.Fatalf("stats = %+v, want trips=1 degraded=2", st)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestStageSplitDerivedFromDeadline(t *testing.T) {
 }
 
 // TestEngineInvariantsUnderChaos is the stats-accounting property test: a
-// concurrent mix of clean requests, budget-starved requests, panicking
+// concurrent mix of clean requests, deadline-degraded repairs, panicking
 // requests, cancelled requests, and overload rejections must leave the
 // engine drained (no occupied slots, no queued waiters) with every request
 // accounted for in exactly one of completed/canceled/rejected.
@@ -252,9 +252,8 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 			switch i % 5 {
 			case 0: // clean, session-backed
 				e.Analyze(ctx, prog, anomaly.EC, repair.Client(fmt.Sprintf("ok-%d", i%3))) //nolint:errcheck
-			case 1: // budget-starved (degrades, may trip its breaker)
-				e.Analyze(ctx, prog, anomaly.EC, repair.Client("greedy"),
-					repair.SolveBudget(sat.Budget{Propagations: 1})) //nolint:errcheck
+			case 1: // detect stage expired (degrades, may trip its breaker)
+				e.Repair(ctx, prog, anomaly.EC, repair.Client("greedy"), expiredDetect) //nolint:errcheck
 			case 2: // panics inside the worker slot
 				e.Analyze(ctx, prog, anomaly.EC, repair.Client("boom")) //nolint:errcheck
 			case 3: // cancelled almost immediately
@@ -276,8 +275,7 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 			st.Completed, st.Canceled, st.Rejected, got, n)
 	}
 	// The engine must still serve cleanly after the storm.
-	rep, err := e.Analyze(context.Background(), prog, anomaly.EC)
-	if err != nil || rep.Degraded {
-		t.Fatalf("post-chaos analyze: err=%v degraded=%v", err, rep != nil && rep.Degraded)
+	if _, err := e.Analyze(context.Background(), prog, anomaly.EC); err != nil {
+		t.Fatalf("post-chaos analyze: %v", err)
 	}
 }

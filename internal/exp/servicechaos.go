@@ -11,20 +11,19 @@ import (
 	"atropos/internal/benchmarks"
 	"atropos/internal/engine"
 	"atropos/internal/repair"
-	"atropos/internal/sat"
 )
 
 // This file is the service-chaos harness (the daemon-side twin of the
 // cluster fault panel in chaos.go): a scripted sequence of injected service
-// faults — worker stalls, queue overflow, stale-waiter sheds, budget-
-// exhausting solves, a handler panic — driven against one live engine
+// faults — worker stalls, queue overflow, stale-waiter sheds, repairs
+// whose detect stage expires, a handler panic — driven against one live engine
 // through its instrumentation hooks (engine.Hooks). Every phase is
 // deterministic by construction: faults fire on named chaos clients at
 // scripted points, not on timers racing real work, so the resulting
 // admission/degradation counters are exact integers that
 // TestServiceChaosDeterministic pins. ServiceChaosGate then asserts the
 // robustness headline: every accepted request completes or degrades within
-// its deadline, overload sheds instead of stalling, repeated exhaustion
+// its deadline, overload sheds instead of stalling, repeated degradation
 // trips the client's breaker, a panic is contained, and the engine drains
 // back to a clean steady state.
 
@@ -74,11 +73,9 @@ type ServiceChaosResult struct {
 	// queued waiters shed at the queue-wait ceiling.
 	QueueRejected int
 	QueueShed     int
-	// Breaker phase: consecutive budget-exhausted (degraded) analyses from
-	// one client, the unknown pairs they reported, and the fast-fails after
-	// the circuit opened.
+	// Breaker phase: consecutive degraded repairs from one client (each one's
+	// detect stage expires), and the fast-fails after the circuit opened.
 	BreakerDegraded  int
-	BreakerUnknown   int
 	BreakerTrips     int64
 	BreakerFastFails int
 	// Panic phase: injected handler panics and how many came back as
@@ -90,14 +87,13 @@ type ServiceChaosResult struct {
 	RecoveryDegraded  int
 	// Final engine counters (deterministic: the script fixes every request's
 	// fate) and the steady-state gauges.
-	EngineCompleted   int64
-	EngineRejected    int64
-	EngineShed        int64
-	EngineDegraded    int64
-	EngineExhaustions int64
-	FinalInFlight     int
-	FinalQueued       int
-	BreakerOpen       int
+	EngineCompleted int64
+	EngineRejected  int64
+	EngineShed      int64
+	EngineDegraded  int64
+	FinalInFlight   int
+	FinalQueued     int
+	BreakerOpen     int
 
 	Wall time.Duration
 }
@@ -124,11 +120,6 @@ func waitUntil(cond func() bool) bool {
 	return cond()
 }
 
-type chaosOutcome struct {
-	degraded bool
-	err      error
-}
-
 // RunServiceChaos runs the scripted fault sequence against a fresh engine.
 func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	cfg = cfg.orDefault()
@@ -150,20 +141,31 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 		// The breaker must still be open at the final snapshot, so the
 		// cooldown outlives the run by construction.
 		BreakerCooldown: time.Hour,
-		Hooks: &engine.Hooks{Exec: func(verb, client string) {
-			switch client {
-			case chaosStall:
-				<-gate
-			case chaosBoom:
-				panic("servicechaos: injected handler panic")
-			}
-		}},
+		Hooks: &engine.Hooks{
+			Exec: func(verb, client string) {
+				switch client {
+				case chaosStall:
+					<-gate
+				case chaosBoom:
+					panic("servicechaos: injected handler panic")
+				}
+			},
+			// The bad client's detect stage is spent before its first pass.
+			Stages: func(client string) (repair.StageDeadlines, bool) {
+				return repair.StageDeadlines{Detect: time.Nanosecond}, client == chaosBad
+			},
+		},
 	})
-	analyze := func(client string, opts ...repair.Option) (*anomaly.Report, error) {
+	analyze := func(client string) error {
 		ctx, cancel := context.WithTimeout(context.Background(), chaosWatchdog)
 		defer cancel()
-		opts = append([]repair.Option{repair.Client(client)}, opts...)
-		return eng.Analyze(ctx, prog, anomaly.EC, opts...)
+		_, err := eng.Analyze(ctx, prog, anomaly.EC, repair.Client(client))
+		return err
+	}
+	repairAs := func(client string) (*repair.Result, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), chaosWatchdog)
+		defer cancel()
+		return eng.Repair(ctx, prog, anomaly.EC, repair.Client(client))
 	}
 
 	// Phase 1 — stall + overload: fill every worker slot with stalled
@@ -171,28 +173,26 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	// answers: immediate rejection while the queue is full, and the
 	// queue-wait shed of the stale waiters. Releasing the gate must complete
 	// every stalled request — slots stall, they do not leak.
-	stallDone := make(chan chaosOutcome, cfg.Workers)
+	stallDone := make(chan error, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go func() {
-			rep, err := analyze(chaosStall)
-			stallDone <- chaosOutcome{err: err, degraded: err == nil && rep.Degraded}
+			stallDone <- analyze(chaosStall)
 		}()
 	}
 	if !waitUntil(func() bool { return eng.Stats().InFlight == cfg.Workers }) {
 		return nil, fmt.Errorf("servicechaos: stalled requests never occupied all %d workers", cfg.Workers)
 	}
-	queueDone := make(chan chaosOutcome, cfg.QueueDepth)
+	queueDone := make(chan error, cfg.QueueDepth)
 	for i := 0; i < cfg.QueueDepth; i++ {
 		go func() {
-			_, err := analyze(chaosQueue)
-			queueDone <- chaosOutcome{err: err}
+			queueDone <- analyze(chaosQueue)
 		}()
 	}
 	if !waitUntil(func() bool { return eng.Stats().Queued == cfg.QueueDepth }) {
 		return nil, fmt.Errorf("servicechaos: waiters never filled the %d-deep queue", cfg.QueueDepth)
 	}
 	for i := 0; i < 3; i++ {
-		_, err := analyze(chaosBurst)
+		err := analyze(chaosBurst)
 		switch {
 		case errors.Is(err, engine.ErrOverloaded):
 			res.QueueRejected++
@@ -204,11 +204,11 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	}
 	for i := 0; i < cfg.QueueDepth; i++ {
 		select {
-		case o := <-queueDone:
-			if errors.Is(o.err, engine.ErrOverloaded) {
+		case err := <-queueDone:
+			if errors.Is(err, engine.ErrOverloaded) {
 				res.QueueShed++
 			} else {
-				return nil, fmt.Errorf("servicechaos: queued waiter returned %v, want shed", o.err)
+				return nil, fmt.Errorf("servicechaos: queued waiter returned %v, want shed", err)
 			}
 		case <-time.After(chaosWatchdog):
 			return nil, fmt.Errorf("servicechaos: queued waiter stuck past the queue-wait ceiling")
@@ -217,9 +217,9 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	close(gate)
 	for i := 0; i < cfg.Workers; i++ {
 		select {
-		case o := <-stallDone:
-			if o.err != nil {
-				return nil, fmt.Errorf("servicechaos: stalled request failed after release: %w", o.err)
+		case err := <-stallDone:
+			if err != nil {
+				return nil, fmt.Errorf("servicechaos: stalled request failed after release: %w", err)
 			}
 			res.StallCompleted++
 		case <-time.After(chaosWatchdog):
@@ -227,22 +227,22 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 		}
 	}
 
-	// Phase 2 — slow solver: one client's analyses run under a starvation
-	// budget (one propagation per solve), so every report degrades; the
-	// BreakerTrip-th consecutive degradation opens its circuit and further
-	// requests fast-fail without touching a worker slot.
+	// Phase 2 — slow detection: one client's repairs run with a detect
+	// stage allowance that has expired before the first pass starts, so
+	// every result degrades; the BreakerTrip-th consecutive degradation
+	// opens its circuit and further requests fast-fail without touching a
+	// worker slot.
 	for i := 0; i < cfg.BreakerTrip; i++ {
-		rep, err := analyze(chaosBad, repair.SolveBudget(sat.Budget{Propagations: 1}))
+		out, err := repairAs(chaosBad)
 		if err != nil {
-			return nil, fmt.Errorf("servicechaos: budgeted analyze %d: %w", i, err)
+			return nil, fmt.Errorf("servicechaos: deadline-bound repair %d: %w", i, err)
 		}
-		if rep.Degraded {
+		if out.Degraded {
 			res.BreakerDegraded++
-			res.BreakerUnknown += rep.Unknown
 		}
 	}
 	for i := 0; i < 2; i++ {
-		_, err := analyze(chaosBad, repair.SolveBudget(sat.Budget{Propagations: 1}))
+		_, err := repairAs(chaosBad)
 		if errors.Is(err, engine.ErrCircuitOpen) {
 			res.BreakerFastFails++
 		} else {
@@ -253,19 +253,19 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	// Phase 3 — poisoned request: the hook panics inside the worker slot;
 	// the guard must contain it as an error and keep the engine serving.
 	res.PanicsInjected = 1
-	if _, err := analyze(chaosBoom); err != nil && strings.Contains(err.Error(), "internal panic") {
+	if err := analyze(chaosBoom); err != nil && strings.Contains(err.Error(), "internal panic") {
 		res.PanicsRecovered++
 	}
 
-	// Phase 4 — recovery: clean requests from a fresh client all complete
+	// Phase 4 — recovery: clean repairs from a fresh client all complete
 	// undegraded, and the engine has drained to steady state.
 	for i := 0; i < 4; i++ {
-		rep, err := analyze(chaosOK)
+		out, err := repairAs(chaosOK)
 		if err != nil {
-			return nil, fmt.Errorf("servicechaos: recovery analyze %d: %w", i, err)
+			return nil, fmt.Errorf("servicechaos: recovery repair %d: %w", i, err)
 		}
 		res.RecoveryCompleted++
-		if rep.Degraded {
+		if out.Degraded {
 			res.RecoveryDegraded++
 		}
 	}
@@ -275,7 +275,6 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	res.EngineRejected = st.Rejected
 	res.EngineShed = st.Shed
 	res.EngineDegraded = st.Degraded
-	res.EngineExhaustions = st.BudgetExhaustions
 	res.BreakerTrips = st.BreakerTrips
 	res.FinalInFlight = st.InFlight
 	res.FinalQueued = st.Queued
@@ -299,8 +298,8 @@ func ServiceChaosGate(r *ServiceChaosResult) []string {
 		"queue-full rejections = %d, want 3", r.QueueRejected)
 	check(r.QueueShed == r.QueueDepth,
 		"shed waiters = %d, want %d (stale waiters must be shed at the ceiling)", r.QueueShed, r.QueueDepth)
-	check(r.BreakerDegraded >= 1 && r.BreakerUnknown >= 1,
-		"budgeted analyses degraded %d time(s) with %d unknown pair(s); want both >= 1", r.BreakerDegraded, r.BreakerUnknown)
+	check(r.BreakerDegraded >= 1,
+		"deadline-bound repairs degraded %d time(s), want >= 1", r.BreakerDegraded)
 	check(r.BreakerTrips == 1,
 		"breaker trips = %d, want exactly 1", r.BreakerTrips)
 	check(r.BreakerFastFails == 2,
@@ -313,8 +312,6 @@ func ServiceChaosGate(r *ServiceChaosResult) []string {
 		"engine not drained: in_flight=%d queued=%d", r.FinalInFlight, r.FinalQueued)
 	check(r.BreakerOpen == 1,
 		"open breakers = %d, want 1 (the tripped client's)", r.BreakerOpen)
-	check(r.EngineExhaustions >= 1,
-		"engine recorded %d budget exhaustions, want >= 1", r.EngineExhaustions)
 	return fails
 }
 
@@ -325,8 +322,8 @@ func (r *ServiceChaosResult) Format() string {
 		r.Workers, r.QueueDepth, float64(r.Wall)/float64(time.Millisecond))
 	fmt.Fprintf(&b, "stall:    %d/%d stalled requests completed after release\n", r.StallCompleted, r.Workers)
 	fmt.Fprintf(&b, "overload: %d queue-full rejections, %d stale waiters shed\n", r.QueueRejected, r.QueueShed)
-	fmt.Fprintf(&b, "breaker:  %d degraded (%d unknown pairs, %d exhausted solves) -> %d trip(s), %d fast-fail(s)\n",
-		r.BreakerDegraded, r.BreakerUnknown, r.EngineExhaustions, r.BreakerTrips, r.BreakerFastFails)
+	fmt.Fprintf(&b, "breaker:  %d degraded repairs -> %d trip(s), %d fast-fail(s)\n",
+		r.BreakerDegraded, r.BreakerTrips, r.BreakerFastFails)
 	fmt.Fprintf(&b, "panic:    %d/%d contained\n", r.PanicsRecovered, r.PanicsInjected)
 	fmt.Fprintf(&b, "recovery: %d clean completions, %d degraded; in_flight=%d queued=%d open_breakers=%d\n",
 		r.RecoveryCompleted, r.RecoveryDegraded, r.FinalInFlight, r.FinalQueued, r.BreakerOpen)

@@ -27,10 +27,10 @@ var goldenServiceChaos = ServiceChaosResult{
 	Workers: 2, QueueDepth: 2,
 	StallCompleted: 2,
 	QueueRejected:  3, QueueShed: 2,
-	BreakerDegraded: 3, BreakerUnknown: 96, BreakerTrips: 1, BreakerFastFails: 2,
+	BreakerDegraded: 3, BreakerTrips: 1, BreakerFastFails: 2,
 	PanicsInjected: 1, PanicsRecovered: 1,
 	RecoveryCompleted: 4, RecoveryDegraded: 0,
-	EngineCompleted: 10, EngineRejected: 7, EngineShed: 2, EngineDegraded: 3, EngineExhaustions: 2265,
+	EngineCompleted: 10, EngineRejected: 7, EngineShed: 2, EngineDegraded: 3,
 	FinalInFlight: 0, FinalQueued: 0, BreakerOpen: 1,
 }
 

@@ -18,19 +18,11 @@ func errf(rule, format string, args ...any) *Error {
 	return &Error{Rule: rule, Msg: fmt.Sprintf(format, args...)}
 }
 
-// shareExpr is the copy-on-write engine's expression "copy": nodes are
-// immutable once shared, so sharing the original is sound. The deep-clone
-// engine passes ast.CloneExpr instead.
-func shareExpr(e ast.Expr) ast.Expr { return e }
-
 // IntroSchema implements the (intro ρ) rule: add a fresh, empty schema.
 // The returned program is a copy; p is not modified.
 func IntroSchema(p *ast.Program, name string) (*ast.Program, error) {
 	if p.Schema(name) != nil {
 		return nil, errf("intro-schema", "schema %q already exists", name)
-	}
-	if DeepClone() {
-		return deepIntroSchema(p, name), nil
 	}
 	return cowIntroSchema(p, name), nil
 }
@@ -44,9 +36,6 @@ func IntroField(p *ast.Program, table string, field ast.Field) (*ast.Program, er
 	}
 	if s.HasField(field.Name) {
 		return nil, errf("intro-field", "schema %s already has field %q", table, field.Name)
-	}
-	if DeepClone() {
-		return deepIntroField(p, table, field), nil
 	}
 	return cowIntroField(p, table, field), nil
 }
@@ -86,9 +75,6 @@ func ApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 	}
 	if !v.Logging && v.Agg != ast.AggAny {
 		return nil, errf("intro-v", "redirect rule requires the any aggregator")
-	}
-	if DeepClone() {
-		return deepApplyCorr(p, v)
 	}
 	return cowApplyCorr(p, v)
 }
@@ -159,8 +145,7 @@ func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (map[string]bo
 
 // redirectedAccessRewriter builds pass 3's expression rewriter: accesses
 // through redirected variables are retargeted to the destination field
-// (R2). It reports failures through *rerr; copyExpr is the engine's
-// expression copy (share or deep clone). The rewriter's fn contract
+// (R2). It reports failures through *rerr. The rewriter's fn contract
 // matches both ast.MapExpr and ast.MapExprCOW: return the argument
 // unchanged to signal "no rewrite".
 func redirectedAccessRewriter(t *ast.Txn, v ValueCorr, redirected map[string]bool, rerr *error) func(ast.Expr) ast.Expr {
@@ -197,16 +182,15 @@ func redirectedAccessRewriter(t *ast.Txn, v ValueCorr, redirected map[string]boo
 // clause's primary-key equalities become equalities on the θ̂-image fields.
 // As a generalization, a clause that is not a full key-equality conjunction
 // (e.g. a range scan) is still redirectable when every field it references
-// is θ̂-mapped: each this.f is replaced by this.θ̂(f). copyExpr is the
-// engine's expression copy.
-func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr, copyExpr func(ast.Expr) ast.Expr) (ast.Expr, error) {
+// is θ̂-mapped: each this.f is replaced by this.θ̂(f).
+func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr) (ast.Expr, error) {
 	if pins, ok := ast.WellFormedWhere(w, src); ok {
 		var out ast.Expr
 		for _, pk := range src.PrimaryKey() {
 			conj := &ast.Binary{
 				Op: ast.OpEq,
 				L:  &ast.ThisField{Field: v.Theta[pk.Name]},
-				R:  copyExpr(pins[pk.Name]),
+				R:  pins[pk.Name],
 			}
 			if out == nil {
 				out = conj
@@ -221,7 +205,7 @@ func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr, copyExpr func(ast.E
 			return nil, errf("intro-v", "where clause %q references un-mapped field %q", ast.ExprString(w), f)
 		}
 	}
-	out := ast.MapExpr(copyExpr(w), func(e ast.Expr) ast.Expr {
+	out := ast.MapExpr(w, func(e ast.Expr) ast.Expr {
 		if tf, ok := e.(*ast.ThisField); ok {
 			return &ast.ThisField{Field: v.Theta[tf.Field]}
 		}
@@ -248,19 +232,19 @@ func whereRedirectable(w ast.Expr, src *ast.Schema, v ValueCorr) bool {
 // rewriteUpdate rewrites an update of the moved field: the redirect rule
 // retargets it; the logger rule turns increment-shaped updates into inserts
 // (Fig. 11: U4.1 becomes an insert into COURSE_CO_ST_CNT_LOG).
-func rewriteUpdate(x *ast.Update, src *ast.Schema, v ValueCorr, t *ast.Txn, copyExpr func(ast.Expr) ast.Expr) (ast.Stmt, error) {
+func rewriteUpdate(x *ast.Update, src *ast.Schema, v ValueCorr, t *ast.Txn) (ast.Stmt, error) {
 	if !v.Logging {
-		nw, err := redirectWhere(x.Where, src, v, copyExpr)
+		nw, err := redirectWhere(x.Where, src, v)
 		if err != nil {
 			return nil, err
 		}
 		return &ast.Update{
 			Label: x.Label, Table: v.DstTable,
-			Sets:  []ast.Assign{{Field: v.DstField, Expr: copyExpr(x.Sets[0].Expr)}},
+			Sets:  []ast.Assign{{Field: v.DstField, Expr: x.Sets[0].Expr}},
 			Where: nw,
 		}, nil
 	}
-	delta, err := incrementDelta(x, v, t, copyExpr)
+	delta, err := incrementDelta(x, v, t)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +254,7 @@ func rewriteUpdate(x *ast.Update, src *ast.Schema, v ValueCorr, t *ast.Txn, copy
 	}
 	values := []ast.Assign{}
 	for _, pk := range src.PrimaryKey() {
-		values = append(values, ast.Assign{Field: v.Theta[pk.Name], Expr: copyExpr(pins[pk.Name])})
+		values = append(values, ast.Assign{Field: v.Theta[pk.Name], Expr: pins[pk.Name]})
 	}
 	values = append(values,
 		ast.Assign{Field: ast.LogIDField, Expr: &ast.UUID{}},
@@ -282,7 +266,7 @@ func rewriteUpdate(x *ast.Update, src *ast.Schema, v ValueCorr, t *ast.Txn, copy
 // incrementDelta recognizes the increment shapes f = e + at1(x.f),
 // f = at1(x.f) + e, and f = at1(x.f) - e, where x was selected from the
 // same record (equal where clause), and returns the logged delta.
-func incrementDelta(x *ast.Update, v ValueCorr, t *ast.Txn, copyExpr func(ast.Expr) ast.Expr) (ast.Expr, error) {
+func incrementDelta(x *ast.Update, v ValueCorr, t *ast.Txn) (ast.Expr, error) {
 	bin, ok := x.Sets[0].Expr.(*ast.Binary)
 	if !ok || (bin.Op != ast.OpAdd && bin.Op != ast.OpSub) {
 		return nil, errf("intro-v", "%s: assignment %q is not increment-shaped", x.Label, ast.ExprString(x.Sets[0].Expr))
@@ -314,7 +298,6 @@ func incrementDelta(x *ast.Update, v ValueCorr, t *ast.Txn, copyExpr func(ast.Ex
 	// those accesses are values at insert time, and the expression-rewrite
 	// pass redirects them to log sums. Only the top-level occurrence is
 	// consumed by the increment shape.
-	delta = copyExpr(delta)
 	if neg {
 		delta = &ast.Binary{Op: ast.OpSub, L: &ast.IntLit{Val: 0}, R: delta}
 	}

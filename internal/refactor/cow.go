@@ -1,6 +1,8 @@
 package refactor
 
 import (
+	"fmt"
+
 	"atropos/internal/ast"
 )
 
@@ -11,8 +13,8 @@ import (
 // and the rebuilt expressions — everything else (all other transactions,
 // all schemas, every untouched statement and expression) is shared with
 // the input. Sound because shared AST nodes are immutable (ast package
-// contract); validated against the deep-clone engine by the differential
-// tests in internal/repair.
+// contract); pinned by the repaired-program golden and the sharing and
+// input-not-mutated tests in internal/repair and internal/refactor.
 
 func cowIntroSchema(p *ast.Program, name string) *ast.Program {
 	schemas := make([]*ast.Schema, len(p.Schemas), len(p.Schemas)+1)
@@ -76,7 +78,7 @@ func cowRewriteTxn(p *ast.Program, t *ast.Txn, v ValueCorr) (*ast.Txn, error) {
 			if len(x.Fields) != 1 || x.Fields[0] != v.SrcField {
 				return []ast.Stmt{s}
 			}
-			nw, err := redirectWhere(x.Where, src, v, shareExpr)
+			nw, err := redirectWhere(x.Where, src, v)
 			if err != nil {
 				rerr = err
 				return []ast.Stmt{s}
@@ -91,7 +93,7 @@ func cowRewriteTxn(p *ast.Program, t *ast.Txn, v ValueCorr) (*ast.Txn, error) {
 			if len(x.Sets) != 1 || x.Sets[0].Field != v.SrcField {
 				return []ast.Stmt{s}
 			}
-			ns, err := rewriteUpdate(x, src, v, t, shareExpr)
+			ns, err := rewriteUpdate(x, src, v, t)
 			if err != nil {
 				rerr = err
 				return []ast.Stmt{s}
@@ -133,7 +135,7 @@ func cowSplitUpdate(p *ast.Program, txn, label string, groups [][]string) (*ast.
 			return []ast.Stmt{s}
 		}
 		found = true
-		parts, err := splitUpdateParts(u, txn, label, groups, shareExpr)
+		parts, err := splitUpdateParts(u, txn, label, groups)
 		if err != nil {
 			serr = err
 			return []ast.Stmt{s}
@@ -170,7 +172,7 @@ func cowSplitSelect(p *ast.Program, txn, label string, groups [][]string) (*ast.
 		}
 		found = true
 		oldVar = sel.Var
-		parts, err := splitSelectParts(sel, txn, label, groups, fieldVar, shareExpr)
+		parts, err := splitSelectParts(sel, txn, label, groups, fieldVar)
 		if err != nil {
 			serr = err
 			return []ast.Stmt{s}
@@ -208,7 +210,7 @@ func cowMerge(p *ast.Program, txn, label1, label2 string, mergedWhere ast.Expr) 
 		rewriteVars = mergeVarRewriter(x2.Var, x1.Var)
 	case *ast.Update:
 		x2 := c2.(*ast.Update)
-		repl = mergedUpdate(x1, x2, mergedWhere, shareExpr)
+		repl = mergedUpdate(x1, x2, mergedWhere)
 	}
 
 	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) []ast.Stmt {
@@ -293,4 +295,159 @@ func cowGCSchemas(p *ast.Program, moved map[string]map[string]bool) (*ast.Progra
 		}
 	}
 	return ast.WithSchemas(p, kept), removedTables
+}
+
+// splitUpdateParts builds the per-group updates of SplitUpdate (Fig. 11:
+// U4 becomes U4.1 and U4.2).
+func splitUpdateParts(u *ast.Update, txn, label string, groups [][]string) ([]ast.Stmt, error) {
+	byField := map[string]ast.Assign{}
+	for _, a := range u.Sets {
+		byField[a.Field] = a
+	}
+	var parts []ast.Stmt
+	covered := 0
+	for i, g := range groups {
+		nu := &ast.Update{
+			Label: fmt.Sprintf("%s.%d", label, i+1),
+			Table: u.Table,
+			Where: u.Where,
+		}
+		for _, f := range g {
+			a, ok := byField[f]
+			if !ok {
+				return nil, errf("split", "%s.%s does not set field %q", txn, label, f)
+			}
+			nu.Sets = append(nu.Sets, ast.Assign{Field: f, Expr: a.Expr})
+			covered++
+		}
+		parts = append(parts, nu)
+	}
+	if covered != len(u.Sets) {
+		return nil, errf("split", "%s.%s: groups cover %d of %d set fields", txn, label, covered, len(u.Sets))
+	}
+	return parts, nil
+}
+
+// splitSelectParts builds the per-group selects of SplitSelect, recording
+// the field → fresh-variable mapping in fieldVar.
+func splitSelectParts(sel *ast.Select, txn, label string, groups [][]string, fieldVar map[string]string) ([]ast.Stmt, error) {
+	have := map[string]bool{}
+	for _, f := range sel.Fields {
+		have[f] = true
+	}
+	var parts []ast.Stmt
+	covered := 0
+	for i, g := range groups {
+		nv := fmt.Sprintf("%s_%d", sel.Var, i+1)
+		ns := &ast.Select{
+			Label: fmt.Sprintf("%s.%d", label, i+1),
+			Var:   nv,
+			Table: sel.Table,
+			Where: sel.Where,
+		}
+		for _, f := range g {
+			if !have[f] {
+				return nil, errf("split", "%s.%s does not select field %q", txn, label, f)
+			}
+			ns.Fields = append(ns.Fields, f)
+			fieldVar[f] = nv
+			covered++
+		}
+		parts = append(parts, ns)
+	}
+	if covered != len(sel.Fields) {
+		return nil, errf("split", "%s.%s: groups cover %d of %d fields", txn, label, covered, len(sel.Fields))
+	}
+	return parts, nil
+}
+
+// splitVarRewriter rewrites accesses x.f of the split select's old variable
+// to the new variable holding f.
+func splitVarRewriter(oldVar string, fieldVar map[string]string) func(ast.Expr) ast.Expr {
+	return func(x ast.Expr) ast.Expr {
+		switch fa := x.(type) {
+		case *ast.FieldAt:
+			if fa.Var == oldVar {
+				if nv, ok := fieldVar[fa.Field]; ok {
+					return &ast.FieldAt{Var: nv, Field: fa.Field, Index: fa.Index}
+				}
+			}
+		case *ast.Agg:
+			if fa.Var == oldVar {
+				if nv, ok := fieldVar[fa.Field]; ok {
+					return &ast.Agg{Fn: fa.Fn, Var: nv, Field: fa.Field}
+				}
+			}
+		}
+		return x
+	}
+}
+
+// mergeVarRewriter rewrites accesses of the removed select's variable to
+// the merged select's.
+func mergeVarRewriter(old, nw string) func(ast.Expr) ast.Expr {
+	return func(x ast.Expr) ast.Expr {
+		switch fa := x.(type) {
+		case *ast.FieldAt:
+			if fa.Var == old {
+				return &ast.FieldAt{Var: nw, Field: fa.Field, Index: fa.Index}
+			}
+		case *ast.Agg:
+			if fa.Var == old {
+				return &ast.Agg{Fn: fa.Fn, Var: nw, Field: fa.Field}
+			}
+		}
+		return x
+	}
+}
+
+// mergedSelect builds the merged select of two validated same-records
+// selects.
+func mergedSelect(x1, x2 *ast.Select, where ast.Expr) *ast.Select {
+	merged := &ast.Select{Label: x1.Label, Var: x1.Var, Table: x1.Table, Where: where}
+	if x1.Star || x2.Star {
+		merged.Star = true
+	} else {
+		seen := map[string]bool{}
+		for _, f := range append(append([]string(nil), x1.Fields...), x2.Fields...) {
+			if !seen[f] {
+				seen[f] = true
+				merged.Fields = append(merged.Fields, f)
+			}
+		}
+	}
+	return merged
+}
+
+// mergedUpdate builds the merged update of two validated same-records
+// updates (equal-valued duplicate sets validated by checkMerge).
+func mergedUpdate(x1, x2 *ast.Update, where ast.Expr) *ast.Update {
+	merged := &ast.Update{Label: x1.Label, Table: x1.Table, Where: where}
+	for _, a := range x1.Sets {
+		merged.Sets = append(merged.Sets, ast.Assign{Field: a.Field, Expr: a.Expr})
+	}
+	for _, a := range x2.Sets {
+		dup := false
+		for _, b := range x1.Sets {
+			if b.Field == a.Field {
+				dup = true // equal exprs: validated before applying
+			}
+		}
+		if !dup {
+			merged.Sets = append(merged.Sets, ast.Assign{Field: a.Field, Expr: a.Expr})
+		}
+	}
+	return merged
+}
+
+// gcDropsTable decides whether GCSchemas drops a whole table: no command
+// accesses it and every non-key field's data moved elsewhere.
+func gcDropsTable(s *ast.Schema, used bool, movedHere map[string]bool) bool {
+	allMoved := len(movedHere) > 0
+	for _, f := range s.NonKeyFields() {
+		if !movedHere[f.Name] {
+			allMoved = false
+		}
+	}
+	return !used && allMoved
 }

@@ -80,22 +80,3 @@ txn other(k: int) {
 	}
 	checkSema(t, p2, "Merge")
 }
-
-func TestDeepCloneEngineMatchesOnRules(t *testing.T) {
-	// Rule-level spot check of the engine switch: the same split produces
-	// byte-identical programs under both engines.
-	p := mustProg(t, courseware)
-	cow, err := SplitUpdate(p, "regSt", "U2", [][]string{{"co_st_cnt"}, {"co_avail"}})
-	if err != nil {
-		t.Fatalf("SplitUpdate (cow): %v", err)
-	}
-	SetDeepClone(true)
-	defer SetDeepClone(false)
-	deep, err := SplitUpdate(p, "regSt", "U2", [][]string{{"co_st_cnt"}, {"co_avail"}})
-	if err != nil {
-		t.Fatalf("SplitUpdate (deep): %v", err)
-	}
-	if ast.Format(cow) != ast.Format(deep) {
-		t.Errorf("engines diverge:\n--- cow ---\n%s\n--- deep ---\n%s", ast.Format(cow), ast.Format(deep))
-	}
-}

@@ -35,9 +35,6 @@ func DeadSelects(t *ast.Txn) []string {
 // fed its where clause). It returns the pruned program — sharing every
 // untouched transaction with p — and the number of selects removed.
 func RemoveDeadSelects(p *ast.Program) (*ast.Program, int) {
-	if DeepClone() {
-		return deepRemoveDeadSelects(p)
-	}
 	return cowRemoveDeadSelects(p)
 }
 
@@ -95,8 +92,5 @@ func accessedFields(p *ast.Program) map[string]map[string]bool {
 // every surviving schema and all transactions with p — and the removed
 // table names.
 func GCSchemas(p *ast.Program, moved map[string]map[string]bool) (*ast.Program, []string) {
-	if DeepClone() {
-		return deepGCSchemas(p, moved)
-	}
 	return cowGCSchemas(p, moved)
 }

@@ -9,18 +9,14 @@ import (
 // command is involved in at most one anomalous access pair") and the
 // merging strategy of try_merge, including the same-records analysis that
 // decides when two where clauses always select the same records (condition
-// R1 of §4.2). The feasibility analyses here are pure reads shared by both
-// engines; the transformations live in cow.go (default) and deep.go (the
-// differential oracle).
+// R1 of §4.2). The feasibility analyses here are pure reads; the
+// transformations live in cow.go.
 
 // SplitUpdate splits the update labelled label in transaction txn into one
 // update per field group, labelled label.1, label.2, ... (Fig. 11: U4
 // becomes U4.1 and U4.2). Groups must partition the update's set fields.
 // The returned program is a copy; p is not modified.
 func SplitUpdate(p *ast.Program, txn, label string, groups [][]string) (*ast.Program, error) {
-	if DeepClone() {
-		return deepSplitUpdate(p, txn, label, groups)
-	}
 	return cowSplitUpdate(p, txn, label, groups)
 }
 
@@ -28,9 +24,6 @@ func SplitUpdate(p *ast.Program, txn, label string, groups [][]string) (*ast.Pro
 // group with fresh variables, rewriting downstream accesses accordingly.
 // The returned program is a copy; p is not modified.
 func SplitSelect(p *ast.Program, txn, label string, groups [][]string) (*ast.Program, error) {
-	if DeepClone() {
-		return deepSplitSelect(p, txn, label, groups)
-	}
 	return cowSplitSelect(p, txn, label, groups)
 }
 
@@ -190,9 +183,6 @@ func Merge(p *ast.Program, txn, label1, label2 string) (*ast.Program, error) {
 	mergedWhere, err := checkMerge(p, txn, label1, label2)
 	if err != nil {
 		return nil, err
-	}
-	if DeepClone() {
-		return deepMerge(p, txn, label1, label2, mergedWhere), nil
 	}
 	return cowMerge(p, txn, label1, label2, mergedWhere), nil
 }

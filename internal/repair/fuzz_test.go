@@ -1,13 +1,10 @@
 package repair
 
 import (
-	"reflect"
 	"testing"
 
 	"atropos/internal/anomaly"
-	"atropos/internal/ast"
 	"atropos/internal/progen"
-	"atropos/internal/refactor"
 	"atropos/internal/sema"
 )
 
@@ -75,42 +72,6 @@ func FuzzRepairRandomProgram(f *testing.F) {
 		}
 		if res.Stats.Solved > res.Stats.Queries {
 			t.Fatalf("seed %d: solved %d > issued %d", seed, res.Stats.Solved, res.Stats.Queries)
-		}
-	})
-}
-
-// FuzzCOWDeepCloneEquivalence fuzzes the copy-on-write refactoring
-// engine's differential contract (DESIGN.md §10): over random progen
-// programs and weak models, the full repair pipeline must produce a
-// byte-identical printed program, identical steps, and identical
-// remaining-pair counts under the COW engine and the legacy deep-clone
-// engine. The nightly CI job runs this target alongside the others.
-func FuzzCOWDeepCloneEquivalence(f *testing.F) {
-	f.Add(int64(0), uint8(0))
-	f.Add(int64(1), uint8(1))
-	f.Add(int64(2), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, modelByte uint8) {
-		model := []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR}[int(modelByte)%3]
-		run := func(deep bool) (string, []string, int, int) {
-			refactor.SetDeepClone(deep)
-			defer refactor.SetDeepClone(false)
-			res, err := repairProg(progen.Program(seed), model)
-			if err != nil {
-				t.Fatalf("seed %d %v deep=%t: Repair: %v", seed, model, deep, err)
-			}
-			return ast.Format(res.Program), res.Steps, len(res.Initial), len(res.Remaining)
-		}
-		dProg, dSteps, dInit, dRem := run(true)
-		cProg, cSteps, cInit, cRem := run(false)
-		if dProg != cProg {
-			t.Fatalf("seed %d %v: printed programs diverge\ndeep:\n%s\ncow:\n%s", seed, model, dProg, cProg)
-		}
-		if !reflect.DeepEqual(dSteps, cSteps) {
-			t.Fatalf("seed %d %v: steps diverge\ndeep %v\ncow  %v", seed, model, dSteps, cSteps)
-		}
-		if dInit != cInit || dRem != cRem {
-			t.Fatalf("seed %d %v: pair counts diverge (deep %d→%d, cow %d→%d)",
-				seed, model, dInit, dRem, cInit, cRem)
 		}
 	})
 }

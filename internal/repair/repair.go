@@ -21,7 +21,6 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/refactor"
 	"atropos/internal/replay"
-	"atropos/internal/sat"
 )
 
 // Result is the outcome of a repair run.
@@ -39,9 +38,9 @@ type Result struct {
 	// SerializableTxns are the transactions still involved in at least one
 	// anomaly: the AT-SC deployment runs exactly these under SC (§7.2).
 	SerializableTxns []string
-	// Stats aggregates the oracle's SAT-query work across the pipeline's
-	// three detection passes: Queries is what three cold detections would
-	// have solved, Solved what the shared session actually did.
+	// Stats aggregates the oracle's query work across the pipeline's three
+	// detection passes: Queries is what three cold detections would have
+	// decided, Solved what the shared session actually did.
 	Stats anomaly.SessionStats
 	// Certificate is the replayed-witness certificate of the run: every
 	// initial pair replayed against the original program, plus the SC and
@@ -52,25 +51,17 @@ type Result struct {
 	// pipeline so every entry point reports the same number.
 	Elapsed time.Duration
 
-	// Degraded is set when the run was cut short by a resource bound — a
-	// SAT solve budget (Options.SolveBudget) or a per-stage deadline
-	// (Options.Stages) — and the result is therefore partial. What a
+	// Degraded is set when the run was cut short by a per-stage deadline
+	// (Options.Stages), and the result is therefore partial. What a
 	// degraded result still soundly claims: Program is a valid refactoring
 	// of the input, every pair in Initial/Remaining is a real anomaly, and
 	// running SerializableTxns under SC removes every anomaly the run knew
-	// about or could not rule out (unknown-verdict transactions are
-	// conservatively included). Only completeness is lost: some pairs may
-	// have gone undetected or unrepaired.
+	// about or could not rule out. Only completeness is lost: some pairs
+	// may have gone undetected or unrepaired.
 	Degraded bool
 	// DegradedStages names the pipeline stages whose deadline allowance
-	// expired: "detect", "repair", "certify" (budget-exhausted SAT solves
-	// set Degraded and the counters below without naming a stage).
+	// expired: "detect", "repair", "certify".
 	DegradedStages []string
-	// Unknown counts access pairs whose verdict ran out of solve budget
-	// across the detection passes; Exhausted the individual
-	// budget-exhausted SAT solves.
-	Unknown   int
-	Exhausted int
 
 	// stepBuf is the reused formatting scratch behind stepf: the pair loop
 	// logs one step per access pair, and formatting each into a fresh
@@ -125,11 +116,6 @@ type Options struct {
 	// Client is an opaque caller identity, carried for the service layer's
 	// session keying and logs; the pipeline itself ignores it.
 	Client string
-	// SolveBudget bounds every SAT solve of the pipeline's detection
-	// passes (sat.Budget semantics; the zero budget is unlimited and
-	// byte-identical to an unbudgeted run). Budget-exhausted solves
-	// degrade the result instead of failing the request.
-	SolveBudget sat.Budget
 	// Stages splits the run into per-stage deadline allowances so one slow
 	// stage degrades instead of consuming the caller's whole deadline.
 	// Zero fields leave the stage bounded only by ctx.
@@ -184,9 +170,6 @@ func Session(s *anomaly.DetectSession) Option { return func(o *Options) { o.Sess
 // Client tags the run with a caller identity (see Options.Client).
 func Client(id string) Option { return func(o *Options) { o.Client = id } }
 
-// SolveBudget bounds every detection SAT solve (see Options.SolveBudget).
-func SolveBudget(b sat.Budget) Option { return func(o *Options) { o.SolveBudget = b } }
-
 // Stages installs per-stage deadline allowances (see Options.Stages).
 func Stages(s StageDeadlines) Option { return func(o *Options) { o.Stages = s } }
 
@@ -201,7 +184,7 @@ func BuildOptions(opts ...Option) Options {
 }
 
 // Run is the entry point: the full Fig. 10 pipeline under the
-// given model, configured by functional options, aborted (mid-SAT-solve)
+// given model, configured by functional options, aborted (mid-detection)
 // when ctx is cancelled or its deadline passes.
 func Run(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...Option) (*Result, error) {
 	return RunWith(ctx, prog, model, BuildOptions(opts...))
@@ -226,7 +209,6 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 		}
 	}
 	session.SetParallelism(opts.Parallelism)
-	session.SetSolveBudget(opts.SolveBudget)
 
 	// Snapshot injected-session statistics so Result.Stats reports this
 	// run's work, not the shared session's lifetime aggregate. For a
@@ -234,18 +216,12 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 	statsBefore := session.Stats()
 
 	res := &Result{}
-	// degrade records one stage's allowance expiring; absorb folds one
-	// completed detection pass's budget-degradation into the result.
+	// degrade records one stage's allowance expiring.
 	degrade := func(stage string) {
 		res.Degraded = true
 		if !slices.Contains(res.DegradedStages, stage) {
 			res.DegradedStages = append(res.DegradedStages, stage)
 		}
-	}
-	absorb := func(rep *anomaly.Report) {
-		res.Degraded = res.Degraded || rep.Degraded
-		res.Unknown += rep.Unknown
-		res.Exhausted += rep.Exhausted
 	}
 	// finish computes the run's stats and elapsed time; every return path
 	// (complete or degraded) goes through it.
@@ -260,7 +236,6 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 			TxnMisses: after.TxnMisses - statsBefore.TxnMisses,
 
 			EncodersPlanned: after.EncodersPlanned - statsBefore.EncodersPlanned,
-			EncodersBuilt:   after.EncodersBuilt - statsBefore.EncodersBuilt,
 		}
 		res.Elapsed = time.Since(start)
 	}
@@ -309,7 +284,6 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 		finish()
 		return res, nil
 	}
-	absorb(initial)
 	res.Initial = initial.Pairs
 
 	// The refactoring engine is functional (copy-on-write by default), so
@@ -339,12 +313,10 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 		finish()
 		return res, nil
 	}
-	absorb(rep)
 
 	// Pair-repair loop: the stage allowance is checked between pairs, so a
 	// slow refactoring degrades by skipping the tail instead of running
-	// the request's whole deadline down. Budget-unknown pairs are absent
-	// from rep.Pairs by construction — they are skipped, not failed.
+	// the request's whole deadline down.
 	var repairDeadline time.Time
 	if opts.Stages.Repair > 0 {
 		repairDeadline = time.Now().Add(opts.Stages.Repair)
@@ -364,9 +336,6 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 		} else {
 			res.pairStep("unrepaired", pair, desc)
 		}
-	}
-	if rep.Unknown > 0 {
-		res.stepf("skipped %d unknown pairs (solve budget exhausted during detection)", rep.Unknown)
 	}
 
 	moved := map[string]map[string]bool{}
@@ -393,26 +362,16 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 	if expired {
 		// The final pass never confirmed what the repairs eliminated:
 		// Remaining is unknown, so serialize every transaction the middle
-		// pass saw a (known or unknown) pair in.
+		// pass saw a pair in.
 		degrade("detect")
 		for _, pair := range rep.Pairs {
 			serialize(pair.Txn)
 		}
-		for _, u := range rep.UnknownPairs {
-			serialize(u.Txn)
-		}
 		res.stepf("detect stage expired before the final pass; conservatively serializing %d transactions", len(res.SerializableTxns))
 	} else {
-		absorb(final)
 		res.Remaining = final.Pairs
 		for _, pair := range final.Pairs {
 			serialize(pair.Txn)
-		}
-		// Unknown-verdict pairs may be real anomalies: their transactions
-		// run under SC too, which keeps the degraded AT-SC deployment
-		// sound at the cost of serializing more than strictly necessary.
-		for _, u := range final.UnknownPairs {
-			serialize(u.Txn)
 		}
 	}
 	if opts.Certify {

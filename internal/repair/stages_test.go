@@ -2,107 +2,12 @@ package repair
 
 import (
 	"context"
-	"reflect"
 	"testing"
 	"time"
 
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
-	"atropos/internal/sat"
 )
-
-// TestRepairHugeBudgetEquivalent: a solve budget far above what courseware
-// needs must leave every observable field of the repair — program text,
-// pair lists, steps, deployment set, query counters — identical to the
-// unbudgeted run's.
-func TestRepairHugeBudgetEquivalent(t *testing.T) {
-	prog := mustProg(t, courseware)
-	want, err := repairProg(prog, anomaly.EC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	huge := sat.Budget{Conflicts: 1 << 40, Propagations: 1 << 40, ArenaLits: 1 << 40}
-	got, err := repairOpts(prog, anomaly.EC, Options{SolveBudget: huge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Degraded || got.Unknown != 0 || got.Exhausted != 0 {
-		t.Fatalf("huge-budget repair degraded: degraded=%v unknown=%d exhausted=%d",
-			got.Degraded, got.Unknown, got.Exhausted)
-	}
-	if g, w := ast.Format(got.Program), ast.Format(want.Program); g != w {
-		t.Fatalf("huge-budget repair produced a different program:\n%s\n-- want --\n%s", g, w)
-	}
-	if !reflect.DeepEqual(got.Initial, want.Initial) || !reflect.DeepEqual(got.Remaining, want.Remaining) {
-		t.Fatalf("huge-budget pair lists differ:\ngot  %v / %v\nwant %v / %v",
-			got.Initial, got.Remaining, want.Initial, want.Remaining)
-	}
-	if !reflect.DeepEqual(got.Steps, want.Steps) {
-		t.Fatalf("huge-budget steps differ:\ngot  %v\nwant %v", got.Steps, want.Steps)
-	}
-	if !reflect.DeepEqual(got.SerializableTxns, want.SerializableTxns) {
-		t.Fatalf("huge-budget deployment set differs: %v, want %v", got.SerializableTxns, want.SerializableTxns)
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("huge-budget stats differ: %+v, want %+v", got.Stats, want.Stats)
-	}
-}
-
-// TestRepairStarvedBudgetDegrades: under a starvation budget the pipeline
-// must return a sound partial result — degraded with the exhaustion
-// counted, a valid (possibly untouched) program, reported pairs a subset
-// of the full run's, every remaining anomalous transaction conservatively
-// in the deployment set — and do so deterministically.
-func TestRepairStarvedBudgetDegrades(t *testing.T) {
-	prog := mustProg(t, courseware)
-	full, err := repairProg(prog, anomaly.EC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	starved := Options{SolveBudget: sat.Budget{Propagations: 1}}
-	got, err := repairOpts(prog, anomaly.EC, starved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Degraded || got.Exhausted == 0 || got.Unknown == 0 {
-		t.Fatalf("starved repair not degraded: degraded=%v unknown=%d exhausted=%d",
-			got.Degraded, got.Unknown, got.Exhausted)
-	}
-	if len(got.DegradedStages) != 0 {
-		t.Fatalf("budget exhaustion named stages %v; stages are deadline degradations", got.DegradedStages)
-	}
-	if got.Program == nil {
-		t.Fatal("degraded repair returned no program")
-	}
-	inFull := map[string]bool{}
-	for _, p := range full.Initial {
-		inFull[p.String()] = true
-	}
-	for _, p := range got.Initial {
-		if !inFull[p.String()] {
-			t.Fatalf("starved repair invented pair %s absent from the full run", p)
-		}
-	}
-	txns := map[string]bool{}
-	for _, n := range got.SerializableTxns {
-		txns[n] = true
-	}
-	for _, p := range got.Remaining {
-		if !txns[p.Txn] {
-			t.Fatalf("remaining pair %s's transaction missing from the deployment set %v", p, got.SerializableTxns)
-		}
-	}
-	again, err := repairOpts(prog, anomaly.EC, starved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ast.Format(got.Program) != ast.Format(again.Program) ||
-		!reflect.DeepEqual(got.Initial, again.Initial) ||
-		!reflect.DeepEqual(got.Remaining, again.Remaining) ||
-		got.Unknown != again.Unknown || got.Exhausted != again.Exhausted {
-		t.Fatalf("starved repair nondeterministic:\nrun1 %+v\nrun2 %+v", got, again)
-	}
-}
 
 // TestSplitProportions pins the default deadline carve-up: 55% detect, 25%
 // repair, 20% certify, and the zero/negative total mapping to no stage

@@ -22,20 +22,21 @@ import (
 type certCounts struct {
 	total, certified int
 	// outcomes is outcomesHash of the certificate (outcomes_test.go),
-	// recorded on the clone-per-command replayer this one replaced.
+	// recorded on the small model's canonical witness schedules (the SAT
+	// solver's models certified the same pairs with other schedules).
 	outcomes uint64
 }
 
 var certGolden = map[string]map[anomaly.Model]certCounts{
-	"TPC-C":      {anomaly.EC: {123, 123, 0xa9f272fb4bb5dda}, anomaly.CC: {123, 123, 0xf22d1f549cc0fb08}, anomaly.RR: {123, 123, 0xd7e0a29cbb6d30f0}},
-	"SEATS":      {anomaly.EC: {38, 38, 0x990776a5e4c327aa}, anomaly.CC: {38, 38, 0x3aef5f6716b9b5f4}, anomaly.RR: {38, 38, 0x12d06fdd1b2e445e}},
-	"Courseware": {anomaly.EC: {10, 10, 0x9489cebe761afd9c}, anomaly.CC: {10, 10, 0x99891d2cc0a28624}, anomaly.RR: {10, 10, 0x84a05e5b86e7313a}},
-	"SmallBank":  {anomaly.EC: {32, 31, 0xfb37ea405db1f8cc}, anomaly.CC: {32, 31, 0xf27e3c985128c4c7}, anomaly.RR: {31, 30, 0xaa9b35b6e0b7fe3d}},
-	"Twitter":    {anomaly.EC: {11, 11, 0xf8fe5ba03bf9cf19}, anomaly.CC: {11, 11, 0xf8850e4f7c21bbfd}, anomaly.RR: {11, 11, 0xaa0074797b2289e}},
-	"FMKe":       {anomaly.EC: {23, 23, 0xa98e123ef9fed1a6}, anomaly.CC: {23, 23, 0x6c87bb467344e198}, anomaly.RR: {23, 23, 0x4fc7ba8a2c9c6dd}},
+	"TPC-C":      {anomaly.EC: {123, 123, 0xd235c6751feedb4e}, anomaly.CC: {123, 123, 0xd235c6751feedb4e}, anomaly.RR: {123, 123, 0x9335bea4f1b58791}},
+	"SEATS":      {anomaly.EC: {38, 38, 0x2632cf00e94a2047}, anomaly.CC: {38, 38, 0x2632cf00e94a2047}, anomaly.RR: {38, 38, 0x64abdc7dddaab27}},
+	"Courseware": {anomaly.EC: {10, 10, 0x9f3b5f44f33d292c}, anomaly.CC: {10, 10, 0x9f3b5f44f33d292c}, anomaly.RR: {10, 10, 0x3c098ae4f31630da}},
+	"SmallBank":  {anomaly.EC: {32, 31, 0x67910477387db356}, anomaly.CC: {32, 31, 0x67910477387db356}, anomaly.RR: {31, 30, 0xf671cbe6179d058e}},
+	"Twitter":    {anomaly.EC: {11, 11, 0x2d3870ec13f0b02f}, anomaly.CC: {11, 11, 0x2d3870ec13f0b02f}, anomaly.RR: {11, 11, 0x3b0dfb6b571df7a6}},
+	"FMKe":       {anomaly.EC: {23, 23, 0x1ae55a03559808d7}, anomaly.CC: {23, 23, 0x1ae55a03559808d7}, anomaly.RR: {23, 23, 0x8298212b441e2c3}},
 	"SIBench":    {anomaly.EC: {1, 1, 0x98861880f396034}, anomaly.CC: {1, 1, 0x98861880f396034}, anomaly.RR: {1, 1, 0x98861880f396034}},
-	"Wikipedia":  {anomaly.EC: {29, 29, 0xa6fa318c0adcbb60}, anomaly.CC: {29, 29, 0xe248486cdd00f21c}, anomaly.RR: {29, 29, 0xfbaa43bca81fc68}},
-	"Killrchat":  {anomaly.EC: {13, 13, 0xd09f620d8d2104bb}, anomaly.CC: {13, 13, 0x77d472b9036d1d7b}, anomaly.RR: {13, 13, 0x13330c2ed0dbe1a5}},
+	"Wikipedia":  {anomaly.EC: {29, 29, 0x38eda9ea8057e157}, anomaly.CC: {29, 29, 0x38eda9ea8057e157}, anomaly.RR: {29, 29, 0x214a05e17c3911d3}},
+	"Killrchat":  {anomaly.EC: {13, 13, 0x4cfd09388e09ba75}, anomaly.CC: {13, 13, 0x4cfd09388e09ba75}, anomaly.RR: {13, 13, 0x15c88c371c8793c3}},
 }
 
 // TestCertifiedGolden replays witness certificates for all nine benchmarks

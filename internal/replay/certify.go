@@ -8,7 +8,7 @@ import (
 
 // This file turns a directed run's observations into the execution's
 // Adya-style dependency graph and checks it against the static claim. The
-// dynamic edge definitions mirror the encoder's exactly, with the model's
+// dynamic edge definitions mirror the detector's exactly, with the model's
 // symbolic relations replaced by the run's realized ones:
 //
 //	wr(x → y, f): y read field f of a record x wrote, and x's batch was in
@@ -20,7 +20,7 @@ import (
 //
 // Only cross-instance edges are derived; the static cycle shape needs
 // nothing else. A witness reproduces when both of its model edges manifest
-// with the exact per-field kinds the solver claimed; a run exhibits a
+// with the exact per-field kinds the model claimed; a run exhibits a
 // violation when some dependency cycle enters one instance at one command
 // and leaves at a different one — the same shape the detector's query
 // asserts.
@@ -99,7 +99,7 @@ func deriveEdges(obs []cluster.DirectedObs) map[edgeKey]bool {
 }
 
 // edgeManifests reports whether one model edge appears in the run with
-// every per-field kind the solver's model asserted.
+// every per-field kind the detector's model asserted.
 func edgeManifests(sched *anomaly.Schedule, e anomaly.SchedEdge, edges map[edgeKey]bool) bool {
 	if len(e.Fields) == 0 {
 		return false

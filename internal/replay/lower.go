@@ -13,8 +13,8 @@ import (
 	"atropos/internal/store"
 )
 
-// This file lowers a witness Schedule — the satisfying model the detector
-// read off its cycle query — into a concrete cluster.DirectedConfig and the
+// This file lowers a witness Schedule — the canonical model the detector
+// decided its cycle query with — into a concrete cluster.DirectedConfig and the
 // rows its base state is seeded with. The
 // model is symbolic: it orders command instances (ord), grants view
 // contents (vis), and values aliasing-equality atoms over primary-key
@@ -806,8 +806,8 @@ func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, orig *lowered) (
 // minimalVis replaces a lowered configuration's visibility with exactly
 // what the model's two cycle edges require: true for each wr edge's
 // (writer → reader) entry, false everywhere else (rw edges require absence,
-// ww edges only order). The model's remaining vis entries were arbitrary
-// solver choices — free for the replayer — and an all-closed default keeps
+// ww edges only order). The model's remaining vis entries are not needed
+// by the cycle — free for the replayer — and an all-closed default keeps
 // both instances reading the seeded state, so key expressions derived from
 // reads evaluate identically on both sides.
 func minimalVis(low *lowered, sched *anomaly.Schedule) cluster.DirectedConfig {

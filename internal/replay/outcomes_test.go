@@ -139,10 +139,10 @@ func TestProgenOutcomesGolden(t *testing.T) {
 		t.Logf("progen %d: %d/%d %#x", i+1, cert.Certified, cert.Total, sum)
 		fmt.Fprintf(h, "%d:%x\n", i+1, sum)
 	}
-	if total != 417 || lowered != 417 || certified != 42 {
-		t.Errorf("progen totals %d pairs, %d lowered, %d certified; golden 417, 417, 42", total, lowered, certified)
+	if total != 417 || lowered != 417 || certified != 44 {
+		t.Errorf("progen totals %d pairs, %d lowered, %d certified; golden 417, 417, 44", total, lowered, certified)
 	}
-	want := map[string]int{"model": 35, "model@p1": 1, "split-hidden": 5, "split-hidden@p1": 1}
+	want := map[string]int{"model": 35, "model@p1": 1, "split-hidden": 6, "split-hidden@p1": 1, "split-nonrep": 1}
 	if fmt.Sprint(methods) != fmt.Sprint(want) {
 		t.Errorf("progen methods %v, golden %v", methods, want)
 	}
@@ -151,8 +151,9 @@ func TestProgenOutcomesGolden(t *testing.T) {
 	}
 }
 
-// progenOutcomesGolden was recorded on the clone-per-command replayer.
-const progenOutcomesGolden = 0x61b4e2cd19d7456
+// progenOutcomesGolden was recorded on the small model's canonical witness
+// schedules.
+const progenOutcomesGolden = 0xf2fbda5e73e62d98
 
 // TestRefusedTxnIsRunFailed: certification has one engine. A pair whose
 // transaction the simulator's compiler refuses (uuid() outside an insert —

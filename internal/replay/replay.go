@@ -1,12 +1,12 @@
 // Package replay turns the anomaly detector's static witnesses into
 // executable certificates. Every anomalous access pair the detector reports
-// is justified by a satisfying model of its cycle query — an ordering of
+// is justified by a model of its cycle query — an ordering of
 // the two transaction instances' commands, a visibility relation, and an
 // aliasing valuation over their key terms. This package lowers that model
 // into a concrete directed run of the cluster simulator (internal/cluster's
 // directed scheduler mode), executes it, and checks that the claimed
 // dependency cycle actually manifests in the run's observations: the
-// static finding is certified by a real execution, not just a SAT verdict.
+// static finding is certified by a real execution, not just a static verdict.
 //
 // Certification is three-sided:
 //

@@ -12,7 +12,6 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/engine"
 	"atropos/internal/progen"
-	"atropos/internal/sat"
 )
 
 // fuzzEndpoints are the program endpoints FuzzServiceRequest drives;
@@ -31,12 +30,12 @@ const (
 // within 10 s, and a 200 request sent again answers the same JSON once the
 // work counters and wall time are removed — the answer memo and the
 // client's session change how an answer is computed, never what it says.
-// Requests with a solve budget or a timeout promise a bounded answer, not
-// a repeatable one, so they are held to the first two properties only.
+// Requests with a timeout promise a bounded answer, not a repeatable one,
+// so they are held to the first two properties only.
 //
 // The engine's circuit breaker is off: it answers 429 by design once one
-// client's budgeted requests degrade three times in a row, and that depends
-// on the inputs before this one.
+// client's requests degrade three times in a row, and that depends on the
+// inputs before this one.
 func FuzzServiceRequest(f *testing.F) {
 	ts := httptest.NewServer(New(engine.New(engine.Config{Workers: 1, BreakerTrip: -1})))
 	f.Cleanup(ts.Close)
@@ -67,7 +66,7 @@ func FuzzServiceRequest(f *testing.F) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			t.Fatalf("%s answered 200 to a body that does not decode: %v", path, err)
 		}
-		if req.budget() != (sat.Budget{}) || req.TimeoutMs > 0 {
+		if req.TimeoutMs > 0 {
 			return
 		}
 		status, again := fuzzPost(t, ts, path, body)

@@ -78,61 +78,30 @@ func TestRequestIDInErrorBody(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBudgetDegrades: a starvation solve budget on /v1/analyze
-// produces 200 with the partial-result fields set — degradation is a soft
-// outcome the client can read, not an error.
-func TestAnalyzeBudgetDegrades(t *testing.T) {
+// TestRetiredBudgetFieldsAnswer400: the solver-budget knobs are retired
+// (detection has no solver); a request carrying one, with any value, on any
+// program endpoint answers 400 naming it instead of silently dropping it,
+// and /v1/simulate, which never had them, rejects them as unknown fields.
+func TestRetiredBudgetFieldsAnswer400(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Config{Workers: 1})
-	resp, body := post(t, ts, "/v1/analyze", ProgramRequest{
-		Benchmark: "SmallBank", BudgetPropagations: 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("budgeted analyze = %d: %s", resp.StatusCode, body)
-	}
-	var ar AnalyzeResponse
-	if err := json.Unmarshal(body, &ar); err != nil {
-		t.Fatal(err)
-	}
-	if !ar.Degraded || ar.Unknown == 0 || ar.Exhausted == 0 {
-		t.Fatalf("starved analyze not degraded: %s", body)
-	}
-
-	// The same request without a budget is whole.
-	resp, body = post(t, ts, "/v1/analyze", ProgramRequest{Benchmark: "SmallBank"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unbudgeted analyze = %d: %s", resp.StatusCode, body)
-	}
-	var full AnalyzeResponse
-	if err := json.Unmarshal(body, &full); err != nil {
-		t.Fatal(err)
-	}
-	if full.Degraded || full.Unknown != 0 || full.Exhausted != 0 {
-		t.Fatalf("unbudgeted analyze degraded: %s", body)
-	}
-	if len(ar.Pairs) > len(full.Pairs) {
-		t.Fatalf("starved analyze reported %d pairs, more than the full %d", len(ar.Pairs), len(full.Pairs))
-	}
-}
-
-// TestRepairBudgetDegrades: the same contract on /v1/repair — 200, a valid
-// repaired program, and the degradation fields populated.
-func TestRepairBudgetDegrades(t *testing.T) {
-	ts, _ := newTestServer(t, engine.Config{Workers: 1})
-	resp, body := post(t, ts, "/v1/repair", ProgramRequest{
-		Benchmark: "SmallBank", BudgetPropagations: 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("budgeted repair = %d: %s", resp.StatusCode, body)
-	}
-	var rr RepairResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Degraded || rr.Exhausted == 0 {
-		t.Fatalf("starved repair not degraded: degraded=%v exhausted=%d", rr.Degraded, rr.Exhausted)
-	}
-	if rr.Program == "" {
-		t.Fatal("degraded repair returned no program")
+	for _, path := range []string{"/v1/parse", "/v1/analyze", "/v1/repair", "/v1/certify", "/v1/simulate"} {
+		for _, field := range []string{"budget_conflicts", "budget_propagations", "budget_arena_lits"} {
+			for _, v := range []int{0, 1} {
+				body := map[string]any{field: v}
+				switch path {
+				case "/v1/parse":
+					body["source"] = "table T { id: int key, }"
+				case "/v1/simulate":
+					body["benchmark"], body["clients"] = "SIBench", 1
+				default:
+					body["benchmark"] = "SmallBank"
+				}
+				resp, out := post(t, ts, path, body)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), field) {
+					t.Errorf("%s with %s=%d: %d %s, want 400 naming the field", path, field, v, resp.StatusCode, out)
+				}
+			}
+		}
 	}
 }
 

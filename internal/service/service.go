@@ -10,9 +10,9 @@
 //	GET  /healthz                                    → liveness (always 200)
 //	GET  /readyz                                     → readiness (503 while draining)
 //
-// Request contexts thread into the engine (and down to the SAT solvers), so
+// Request contexts thread into the engine (and down to the detector), so
 // a disconnected client or an expired per-request timeout_ms aborts the
-// work mid-solve. Engine overload surfaces as 429 with Retry-After; a
+// work mid-detection. Engine overload surfaces as 429 with Retry-After; a
 // missed deadline as 504. A panicking handler answers 500 and the daemon
 // keeps serving — ServeHTTP isolates every request behind a recover.
 package service
@@ -39,7 +39,6 @@ import (
 	"atropos/internal/cluster"
 	"atropos/internal/engine"
 	"atropos/internal/repair"
-	"atropos/internal/sat"
 )
 
 // maxBodyBytes bounds request bodies; programs are small DSL texts.
@@ -162,23 +161,26 @@ type ProgramRequest struct {
 	// min(GOMAXPROCS, 4)), 1 forces sequential detection. Values above the
 	// engine's width are lowered to it; negative ones are rejected.
 	Parallelism int `json:"parallelism,omitempty"`
-	// BudgetConflicts / BudgetPropagations bound each SAT solve's work
-	// (conflicts learned / literals propagated); BudgetArenaLits caps its
-	// clause-arena growth. A solve past its budget returns "unknown" and
-	// the response degrades (degraded/unknown fields) instead of erroring.
-	// Zero disables that dimension; all-zero is byte-identical to today.
-	BudgetConflicts    int64 `json:"budget_conflicts,omitempty"`
-	BudgetPropagations int64 `json:"budget_propagations,omitempty"`
-	BudgetArenaLits    int64 `json:"budget_arena_lits,omitempty"`
+	// BudgetConflicts, BudgetPropagations and BudgetArenaLits are retired:
+	// detection has no solver, so there is no per-solve budget to bound. A
+	// request carrying any of them, with any value, answers 400 naming it
+	// (timeout_ms bounds a request).
+	BudgetConflicts    json.RawMessage `json:"budget_conflicts,omitempty"`
+	BudgetPropagations json.RawMessage `json:"budget_propagations,omitempty"`
+	BudgetArenaLits    json.RawMessage `json:"budget_arena_lits,omitempty"`
 }
 
-// budget translates the request's solver-budget knobs.
-func (req *ProgramRequest) budget() sat.Budget {
-	return sat.Budget{
-		Conflicts:    req.BudgetConflicts,
-		Propagations: req.BudgetPropagations,
-		ArenaLits:    req.BudgetArenaLits,
+// retired names the first retired field the request carries.
+func (req *ProgramRequest) retired() string {
+	switch {
+	case req.BudgetConflicts != nil:
+		return "budget_conflicts"
+	case req.BudgetPropagations != nil:
+		return "budget_propagations"
+	case req.BudgetArenaLits != nil:
+		return "budget_arena_lits"
 	}
+	return ""
 }
 
 // errorResponse is every non-2xx body.
@@ -240,12 +242,10 @@ type AnalyzeResponse struct {
 	Pairs   []PairJSON `json:"pairs"`
 	Queries int        `json:"queries"`
 	Solved  int        `json:"solved"`
-	// Degraded marks a partial report: Unknown access pairs hit the solve
-	// budget (Exhausted individual solves) and are neither confirmed
-	// anomalous nor proven clean. Absent on un-budgeted requests.
-	Degraded  bool `json:"degraded,omitempty"`
-	Unknown   int  `json:"unknown,omitempty"`
-	Exhausted int  `json:"exhausted,omitempty"`
+	// Degraded is never set: a detection either completes or fails with
+	// its context. It stays, like RepairResponse's, so that readers that
+	// check it keep working.
+	Degraded bool `json:"degraded,omitempty"`
 	// ElapsedMs is wall clock and therefore non-deterministic; golden
 	// tests strip it.
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -264,13 +264,10 @@ type RepairResponse struct {
 	Solved           int        `json:"solved"`
 	CacheHitRate     float64    `json:"cache_hit_rate"`
 	// Degraded marks a partial result: DegradedStages names the pipeline
-	// stages that ran out of budget or stage deadline, Unknown counts
-	// undecided access pairs, Exhausted the budget-exhausted solves. The
-	// Program is still valid; SerializableTxns stays conservative.
+	// stages whose deadline expired. The Program is still valid;
+	// SerializableTxns stays conservative.
 	Degraded       bool      `json:"degraded,omitempty"`
 	DegradedStages []string  `json:"degraded_stages,omitempty"`
-	Unknown        int       `json:"unknown,omitempty"`
-	Exhausted      int       `json:"exhausted,omitempty"`
 	Certificate    *CertJSON `json:"certificate,omitempty"`
 	ElapsedMs      float64   `json:"elapsed_ms"`
 }
@@ -471,14 +468,13 @@ func (req *ProgramRequest) options() ([]repair.Option, error) {
 		repair.Client(req.Client),
 		repair.Certify(req.Certify),
 		repair.Parallelism(req.Parallelism),
-		repair.SolveBudget(req.budget()),
 	}, nil
 }
 
 // unread names the first field set in req that its endpoint would ignore:
 // /v1/certify reads only the program and the model, /v1/parse (parse) only
 // the source; client and timeout_ms are valid everywhere. Answering 400 for
-// such a field keeps a budgeted certify from running unbounded to a 200.
+// such a field keeps a caller from believing a knob it set took effect.
 func (req *ProgramRequest) unread(parse bool) string {
 	switch {
 	case parse && req.Benchmark != "":
@@ -489,21 +485,28 @@ func (req *ProgramRequest) unread(parse bool) string {
 		return "certify"
 	case req.Parallelism != 0:
 		return "parallelism"
-	case req.BudgetConflicts != 0:
-		return "budget_conflicts"
-	case req.BudgetPropagations != 0:
-		return "budget_propagations"
-	case req.BudgetArenaLits != 0:
-		return "budget_arena_lits"
 	}
 	return ""
+}
+
+// decodeProgram decodes a ProgramRequest body, answering 400 for a
+// malformed body or a retired field.
+func (s *Server) decodeProgram(w http.ResponseWriter, r *http.Request, req *ProgramRequest) bool {
+	if err := decodeJSON(w, r, req); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return false
+	}
+	if f := req.retired(); f != "" {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%s is retired: detection has no solver budget; bound the request with timeout_ms", f))
+		return false
+	}
+	return true
 }
 
 // decodeProgramOnly decodes the body of /v1/parse or /v1/certify,
 // answering 400 for a malformed body or a field the endpoint would ignore.
 func (s *Server) decodeProgramOnly(w http.ResponseWriter, r *http.Request, req *ProgramRequest) bool {
-	if err := decodeJSON(w, r, req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if !s.decodeProgram(w, r, req) {
 		return false
 	}
 	if f := req.unread(r.URL.Path == "/v1/parse"); f != "" {
@@ -543,8 +546,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req ProgramRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if !s.decodeProgram(w, r, &req) {
 		return
 	}
 	prog, err := s.program(&req)
@@ -576,17 +578,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Pairs:     pairsJSON(rep.Pairs),
 		Queries:   rep.Queries,
 		Solved:    rep.Solved,
-		Degraded:  rep.Degraded,
-		Unknown:   rep.Unknown,
-		Exhausted: rep.Exhausted,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req ProgramRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if !s.decodeProgram(w, r, &req) {
 		return
 	}
 	prog, err := s.program(&req)
@@ -623,8 +621,6 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		CacheHitRate:     res.Stats.CacheHitRate(),
 		Degraded:         res.Degraded,
 		DegradedStages:   res.DegradedStages,
-		Unknown:          res.Unknown,
-		Exhausted:        res.Exhausted,
 		ElapsedMs:        float64(res.Elapsed) / float64(time.Millisecond),
 	}
 	for _, c := range res.Corrs {

@@ -161,18 +161,18 @@ func TestBadRequests(t *testing.T) {
 		{"negative clients", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: -1}, "clients "},
 		{"negative duration", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, DurationMs: -1}, "duration_ms "},
 		{"negative ops", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, Ops: -100}, "ops "},
-		// /v1/certify and /v1/parse pass no engine knob on: a budget there
-		// used to buy an unbounded replay and a 200.
+		// /v1/certify and /v1/parse pass no engine knob on, and the solver
+		// budgets are retired everywhere.
 		{"certify with certify", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", Certify: true}, "certify does not apply"},
 		{"certify with parallelism", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", Parallelism: 1}, "parallelism "},
-		{"certify with budget_conflicts", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetConflicts: 5}, "budget_conflicts "},
-		{"certify with budget_propagations", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetPropagations: 1}, "budget_propagations "},
-		{"certify with budget_arena_lits", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetArenaLits: 9}, "budget_arena_lits "},
-		{"certify names the first knob", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", BudgetArenaLits: 9, Parallelism: 2}, "parallelism "},
+		{"certify with budget_conflicts", "/v1/certify", map[string]any{"benchmark": "SmallBank", "budget_conflicts": 5}, "budget_conflicts is retired"},
+		{"analyze with budget_propagations", "/v1/analyze", map[string]any{"benchmark": "SmallBank", "budget_propagations": 1}, "budget_propagations is retired"},
+		{"repair with budget_arena_lits", "/v1/repair", map[string]any{"benchmark": "SmallBank", "budget_arena_lits": 0}, "budget_arena_lits is retired"},
+		{"a retired knob is named first", "/v1/certify", map[string]any{"benchmark": "SmallBank", "budget_arena_lits": 9, "parallelism": 2}, "budget_arena_lits "},
 		{"parse with benchmark", "/v1/parse", ProgramRequest{Benchmark: "SmallBank"}, "benchmark "},
 		{"parse with model", "/v1/parse", ProgramRequest{Source: "table T { id: int key, }", Model: "EC"}, "model "},
 		{"parse with certify", "/v1/parse", ProgramRequest{Source: "table T { id: int key, }", Certify: true}, "certify "},
-		{"parse with budget", "/v1/parse", ProgramRequest{Source: "table T { id: int key, }", BudgetPropagations: 1}, "budget_propagations "},
+		{"parse with budget", "/v1/parse", map[string]any{"source": "table T { id: int key, }", "budget_propagations": 1}, "budget_propagations "},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, tc.path, tc.body)
@@ -522,7 +522,14 @@ func TestHealthEndpoints(t *testing.T) {
 // real http.Server: readiness goes dark, the in-flight request runs to a
 // 200, and Shutdown returns only after it finished.
 func TestGracefulDrain(t *testing.T) {
-	eng := engine.New(engine.Config{Workers: 1})
+	// The "drain" client's request waits inside its worker slot until the
+	// test releases it, so it is in flight however fast the work is.
+	gate := make(chan struct{})
+	eng := engine.New(engine.Config{Workers: 1, Hooks: &engine.Hooks{Exec: func(verb, client string) {
+		if client == "drain" {
+			<-gate
+		}
+	}}})
 	svc := New(eng)
 	srv := &http.Server{Handler: svc}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -539,7 +546,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		buf, _ := json.Marshal(ProgramRequest{Benchmark: "TPC-C"})
+		buf, _ := json.Marshal(ProgramRequest{Benchmark: "TPC-C", Client: "drain"})
 		resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(buf))
 		if err != nil {
 			inflight <- result{err: err}
@@ -571,7 +578,15 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-drained; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	r := <-inflight

@@ -15,21 +15,28 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/engine"
 	"atropos/internal/progen"
+	"atropos/internal/repair"
 )
 
 // wireEngine answers every status the service can produce on demand: the
 // "slow" client is held in its slot past a 1 ms timeout (504), the "boom"
-// client panics inside the engine (500), and one degraded result opens a
-// client's breaker (the next request is a 429).
+// client panics inside the engine (500), and the "starved" client's repairs
+// find their detect stage spent, so one degraded result opens its breaker
+// (the next request is a 429).
 func wireEngine(logf func(string, ...any)) *httptest.Server {
-	eng := engine.New(engine.Config{Workers: 1, BreakerTrip: 1, Hooks: &engine.Hooks{Exec: func(verb, client string) {
-		switch client {
-		case "slow":
-			time.Sleep(20 * time.Millisecond)
-		case "boom":
-			panic("wire-test poison")
-		}
-	}}})
+	eng := engine.New(engine.Config{Workers: 1, BreakerTrip: 1, Hooks: &engine.Hooks{
+		Exec: func(verb, client string) {
+			switch client {
+			case "slow":
+				time.Sleep(20 * time.Millisecond)
+			case "boom":
+				panic("wire-test poison")
+			}
+		},
+		Stages: func(client string) (repair.StageDeadlines, bool) {
+			return repair.StageDeadlines{Detect: time.Nanosecond}, client == "starved"
+		},
+	}})
 	svc := New(eng)
 	if logf != nil {
 		svc.logf = logf
@@ -100,7 +107,7 @@ func wireCases() []wireCase {
 		{"healthz", "GET", "/healthz", "", 200},
 		{"readyz", "GET", "/readyz", "", 200},
 		{"400", "POST", "/v1/analyze", `{"benchmark":"nope"}`, 400},
-		{"degraded", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"starved","budget_propagations":1}`, 200},
+		{"degraded", "POST", "/v1/repair", `{"benchmark":"SmallBank","client":"starved"}`, 200},
 		{"429", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"starved"}`, 429},
 		{"504", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"slow","timeout_ms":1}`, 504},
 		{"500", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"boom"}`, 500},
