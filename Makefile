@@ -10,9 +10,9 @@ COVER_FLOOR ?= 60
 # Seconds each fuzz target runs under `make fuzz` / the nightly workflow.
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover certify loadtest-smoke chaos service-chaos scaling-smoke baseline-mc fuzz profile loc
+.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover certify loadtest-smoke chaos service-chaos fuzz profile loc
 
-ci: fmt vet build race race-par bench bench-harness cover certify loadtest-smoke chaos service-chaos scaling-smoke
+ci: fmt vet build race race-par bench bench-harness cover certify loadtest-smoke chaos service-chaos
 
 # gofmt as a check: fail (and list the files) if anything is unformatted.
 fmt:
@@ -34,11 +34,12 @@ race:
 	$(GO) test -race ./...
 
 # Race-detector pass over the concurrent detection/repair surfaces at a
-# fixed fan-out width of 8 (wider than any default on CI runners), so the
-# wavefront scheduler and the sharded cons table are exercised under
-# contention regardless of host core count. ATROPOS_TEST_PARALLELISM is
-# read by the two packages' test helpers only (the differential detection
-# tests' forced width, the repair tests' default width); no binary reads it.
+# fixed fan-out width of 8 (the default is 1), so the transaction fan-out
+# (pool.ForEach over a pass's transactions, sharing the session's memo)
+# and the sharded cons table are exercised under contention regardless of
+# host core count. ATROPOS_TEST_PARALLELISM is read by the two packages'
+# test helpers only (the differential detection tests' forced width, the
+# repair tests' default width); no binary reads it.
 race-par:
 	ATROPOS_TEST_PARALLELISM=8 $(GO) test -race ./internal/anomaly ./internal/repair
 
@@ -155,19 +156,6 @@ chaos:
 # TestServiceChaosDeterministic.
 service-chaos:
 	$(GO) run ./cmd/atroposd -servicechaos
-
-# Multi-core scaling baseline: the Table-1 repair corpus at 1/2/4/8
-# detection workers, best-of-3 (see EXPERIMENTS.md §Scaling). The summary
-# is machine-dependent, so scaling-summary.json is gitignored. The gate
-# enforces identical anomaly counts at every width, plus a 0.7 efficiency
-# floor at 8 workers on hosts with >= 8 cores (self-skipped below that).
-baseline-mc:
-	$(GO) run ./cmd/atropos-exp -exp scaling -out scaling-summary.json
-
-# CI smoke variant: 1 vs 2 workers, best-of-3; the speedup > 1.0 check
-# self-skips on single-core hosts, the count-equality check never does.
-scaling-smoke:
-	$(GO) run ./cmd/atropos-exp -exp scaling -smoke
 
 # Capture CPU + allocation profiles of the two hot surfaces — the repair
 # pipeline (Table 1 over all nine benchmarks) and the compiled cluster

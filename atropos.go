@@ -123,11 +123,11 @@ func Certify(ctx context.Context, p *Program, m Model) (*Certificate, *AnomalyRe
 // width on a session of its own.
 type RepairOption = repair.Option
 
-// WithDetectParallelism bounds the worker goroutines of the detection
-// passes. Zero — the default — selects min(GOMAXPROCS, 4): multi-core
-// detection is the fast path. Pass an explicit 1 for strictly sequential
-// detection (the only setting whose Solved memo counter is deterministic;
-// reported anomalies are identical at every setting).
+// WithDetectParallelism bounds the worker goroutines the detection passes
+// fan transactions out on. Zero — the default — means 1: sequential
+// detection, the fastest on the programs detection sees. Pass n > 1 to
+// fan out; reported anomalies are identical at every setting, and only at
+// width 1 is the Solved memo counter deterministic.
 func WithDetectParallelism(n int) RepairOption { return repair.Parallelism(n) }
 
 // WithCertify replays every initial anomaly as an executable certificate

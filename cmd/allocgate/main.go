@@ -59,8 +59,9 @@ var (
 // simulator's executor), the daemon's request path (one fixed round of
 // program verbs through HTTP), the front end (parse and check of the nine
 // sources), the editing loop (one session across drop/restore edits), and
-// the parallel fast path (sharded interning and wavefront detection, both
-// measured at fixed worker counts so allocs/op stays machine-independent).
+// the parallel paths (sharded interning and the transaction fan-out of
+// detection, both measured at fixed worker counts so allocs/op stays
+// machine-independent).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkTable1_") ||
 		strings.HasPrefix(name, "BenchmarkFrontEnd") ||

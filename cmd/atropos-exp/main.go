@@ -11,7 +11,6 @@
 //	atropos-exp -exp summary
 //	atropos-exp -exp certify                    # witness-replay gate
 //	atropos-exp -exp chaos [-bench SmallBank] [-scenarios clean,rolling-crash]
-//	atropos-exp -exp scaling [-smoke] [-workers 1,2,4,8] [-out scaling-summary.json]
 //	atropos-exp -exp all
 //
 // Experiments fan out on a bounded worker pool; -parallel bounds the
@@ -42,7 +41,7 @@ import (
 )
 
 var (
-	expName  = flag.String("exp", "table1", "experiment: table1, fig12, fig13, fig14, fig15, fig16, invariants, summary, certify, chaos, scaling, all")
+	expName  = flag.String("exp", "table1", "experiment: table1, fig12, fig13, fig14, fig15, fig16, invariants, summary, certify, chaos, all")
 	benchArg = flag.String("bench", "", "benchmark for fig12/fig16 (default: the figure's benchmarks)")
 	duration = flag.Int("duration", 90, "seconds of simulated time per performance point")
 	clients  = flag.String("clients", "", "comma-separated client counts (default: paper's sweep)")
@@ -52,12 +51,9 @@ var (
 	scaleUp  = flag.Int("scale", 1, "multiply the fig12-15 population and client sweep by this factor")
 	ops      = flag.Int64("ops", 0, "stop each fig12-15 point after this many commits instead of -duration (0 = duration-bounded)")
 	parallel = flag.Int("parallel", 0, "worker goroutines for the experiment drivers (0 = GOMAXPROCS)")
-	outPath  = flag.String("out", "", "scaling: also write the summary as JSON to this file")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProf  = flag.String("memprofile", "", "write an allocation profile of the experiment to this file")
 	scenArg  = flag.String("scenarios", "", "comma-separated chaos scenario names (default: the full panel)")
-	workers  = flag.String("workers", "", "comma-separated detection-parallelism widths for the scaling sweep (default 1,2,4,8)")
-	smoke    = flag.Bool("smoke", false, "scaling: cheap 1-vs-2 worker smoke variant instead of the full sweep")
 )
 
 func main() {
@@ -114,8 +110,6 @@ func main() {
 		runCertify()
 	case "chaos":
 		runChaos()
-	case "scaling":
-		runScaling()
 	case "all":
 		runTable1()
 		runFig(12)
@@ -261,52 +255,6 @@ func runSummary() {
 		fatal(err)
 	}
 	fmt.Print(s.Format())
-}
-
-// runScaling is the multi-core scaling baseline (`make baseline-mc`) and
-// its CI smoke variant (`make scaling-smoke`): the Table-1 repair corpus
-// measured at increasing detection-parallelism widths, gated on anomaly
-// counts staying identical at every width plus — on hosts with enough
-// cores — a 0.7 efficiency floor at 8 workers (full sweep) or a
-// speedup > 1.0 at 2 workers (smoke).
-func runScaling() {
-	fmt.Println("== Multi-core scaling: Table-1 repairs vs detection workers ==")
-	cfg := exp.ScalingConfig{Smoke: *smoke}
-	if *workers != "" {
-		for _, part := range strings.Split(*workers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fatal(fmt.Errorf("bad -workers: %w", err))
-			}
-			cfg.Workers = append(cfg.Workers, n)
-		}
-	}
-	res, err := exp.RunScaling(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(res.Format())
-	if *outPath != "" {
-		buf, err := res.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*outPath, buf, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("scaling summary written to %s\n", *outPath)
-	}
-	for _, s := range exp.ScalingGateSkipped(res) {
-		fmt.Println("skipped:", s)
-	}
-	if fails := exp.ScalingGate(res); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "scaling:", f)
-		}
-		fmt.Fprintf(os.Stderr, "atropos-exp: %d scaling-gate failures\n", len(fails))
-		os.Exit(1)
-	}
-	fmt.Println("scaling gate passed")
 }
 
 // runCertify is the witness-replay certification gate (`make certify`):

@@ -16,7 +16,7 @@
 //	                     (comma-separated names, or "all")
 //	-parallel N          analyze inputs on N workers (0 = GOMAXPROCS);
 //	                     with one input, the detection fan-out width
-//	                     (0 = min(GOMAXPROCS, 4))
+//	                     (0 = 1, sequential)
 //	-certify             replay every detected anomaly as an executable
 //	                     certificate in the cluster simulator; with
 //	                     repair, also run the SC and repaired-program
@@ -43,7 +43,7 @@ func main() {
 	showSteps := flag.Bool("steps", false, "print refactoring steps")
 	benchName := flag.String("bench", "", `built-in benchmark names, comma-separated, or "all"`)
 	outPath := flag.String("out", "", "write the refactored program to this file instead of stdout (single input only)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for multiple inputs (0 = GOMAXPROCS); with one input, the detection fan-out width (0 = min(GOMAXPROCS, 4))")
+	parallel := flag.Int("parallel", 0, "worker goroutines for multiple inputs (0 = GOMAXPROCS); with one input, the detection fan-out width (0 = 1, sequential)")
 	certify := flag.Bool("certify", false, "replay every detected anomaly as an executable certificate in the cluster simulator")
 	flag.Parse()
 
@@ -63,9 +63,9 @@ func main() {
 	// buffer per-input output so the report order matches the input order.
 	// With multiple inputs -parallel fans out across them and detection
 	// inside each stays sequential (the cores are already claimed); with a
-	// single input it instead bounds the detection session's (txn, witness)
-	// fan-out, defaulting to the multi-core fast path (reports are
-	// identical at every setting).
+	// single input it instead bounds the detection session's transaction
+	// fan-out, sequential by default (reports are identical at every
+	// setting).
 	width := 1
 	if len(inputs) == 1 {
 		width = *parallel

@@ -56,7 +56,7 @@ var (
 	workers  = flag.Int("workers", 0, "concurrent solve workers (0 = GOMAXPROCS)")
 	queue    = flag.Int("queue", 0, "admission queue depth before 429 (0 = 4x workers)")
 	sessions = flag.Int("sessions", 0, "cached client detection sessions before LRU eviction (0 = 64)")
-	detPar   = flag.Int("detect-parallel", 0, "per-request detection fan-out width, and the ceiling for a request's own \"parallelism\" (0 = min(GOMAXPROCS, 4); 1 = sequential — the right setting when -workers already saturates the cores)")
+	detPar   = flag.Int("detect-parallel", 0, "per-request detection fan-out width, and the ceiling for a request's own \"parallelism\" (0 means 1, sequential: the fastest per request; n > 1 fans a request's transactions out on n goroutines)")
 	loadtest = flag.Bool("loadtest", false, "run the in-process load test instead of serving")
 	clients  = flag.Int("clients", 0, "loadtest: concurrent clients (0 = 64)")
 	requests = flag.Int("requests", 0, "loadtest: requests per client (0 = 4)")

@@ -147,10 +147,9 @@ func BenchmarkDetectSmallBank(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectParallel_TPCC measures a cold wavefront detection of the
-// largest benchmark at a fixed fan-out of 4 workers — the parallel fast
-// path end to end: planning, the (txn, witness) wavefront scheduler, the
-// small model. A fresh session per iteration keeps
+// BenchmarkDetectParallel_TPCC measures a cold detection of the largest
+// benchmark with its transactions fanned out on a fixed 4 workers:
+// planning, the fan-out, the small model. A fresh session per iteration keeps
 // allocs/op deterministic (the fixed width keeps it machine-independent,
 // so the allocgate can gate it; see cmd/allocgate).
 func BenchmarkDetectParallel_TPCC(b *testing.B) {

@@ -22,13 +22,13 @@ type detector struct {
 	sm smallModel
 }
 
-// detectTxn finds the anomalous access pairs of transaction ti: for each
-// pair of distinct commands (c1, c2), search over witness transactions and
-// witness command pairs for a satisfiable dependency cycle.
-func (d *detector) detectTxn(ti int) ([]AccessPair, error) {
-	witnesses, err := d.pass.witnessesOf(ti)
-	if err != nil || len(witnesses) == 0 {
-		return nil, err
+// detectTxn finds the anomalous access pairs of the transaction planned
+// by witnesses (pass.witnessesOf, in program order): for each pair of
+// distinct commands (c1, c2), search over witness transactions and witness
+// command pairs for a satisfiable dependency cycle.
+func (d *detector) detectTxn(witnesses []*pairPlan) ([]AccessPair, error) {
+	if len(witnesses) == 0 {
+		return nil, nil
 	}
 	t := witnesses[0].t
 	var found []AccessPair
@@ -52,9 +52,7 @@ func (d *detector) detectTxn(ti int) ([]AccessPair, error) {
 // checkPairWitness searches pe's witness transaction for a satisfiable
 // dependency cycle through commands i and j of its transaction under
 // test, walking the plan's candidates: d1 ranges over the witness commands
-// i can share an edge with, d2 over j's. It is the unit of work the
-// parallel session fans out: one (txn, witness) plan, all its cycle
-// queries.
+// i can share an edge with, d2 over j's.
 func (d *detector) checkPairWitness(pe *pairPlan, c1, c2 int) (AccessPair, bool, error) {
 	for _, d1 := range pe.cand[c1] {
 		for _, d2 := range pe.cand[c2] {

@@ -14,7 +14,7 @@ import (
 )
 
 // The cache-free reference detector. Production has one detector, the
-// session; what the session's memos and wavefront must never change is what
+// session; what the session's memos and fan-out must never change is what
 // a detector with no session attached reports: every cycle query decided
 // from scratch, transactions in program order. It lives here, in test code,
 // and every differential in this package compares against it.
@@ -23,7 +23,11 @@ import (
 func runFresh(d *detector) (*Report, error) {
 	report := &Report{Model: d.pass.model}
 	for ti := range d.pass.prog.Txns {
-		pairs, err := d.detectTxn(ti)
+		witnesses, err := d.pass.witnessesOf(ti)
+		if err != nil {
+			return nil, err
+		}
+		pairs, err := d.detectTxn(witnesses)
 		if err != nil {
 			return nil, err
 		}
@@ -48,9 +52,9 @@ func FreshDetect(prog *ast.Program, model Model) (*Report, error) {
 }
 
 // testParallelism is the fan-out width the differential tests force. It is
-// wider than any default so the wavefront scheduler is exercised even where
-// min(GOMAXPROCS, 4) would stay low; `make race-par` overrides it through
-// ATROPOS_TEST_PARALLELISM to pin the width explicitly.
+// wider than the default of 1 so the transaction fan-out runs on several
+// goroutines; `make race-par` overrides it through ATROPOS_TEST_PARALLELISM
+// to pin the width explicitly.
 func testParallelism() int {
 	if v := os.Getenv("ATROPOS_TEST_PARALLELISM"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {

@@ -39,8 +39,8 @@ func FuzzDetectSessionEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzParallelDetectEquivalence fuzzes the parallel fast path's contract:
-// over random progen programs, weak models and fan-out widths, a wavefront
+// FuzzParallelDetectEquivalence fuzzes the transaction fan-out's contract:
+// over random progen programs, weak models and fan-out widths, a fanned-out
 // detection must report the same pairs from the same number of queries as
 // the sequential cache-free reference. The nightly CI job runs this target
 // alongside the others.
@@ -60,13 +60,13 @@ func FuzzParallelDetectEquivalence(f *testing.F) {
 		s.SetParallelism(par)
 		got, err := s.Detect(p)
 		if err != nil {
-			t.Fatalf("seed %d %v par=%d: wavefront Detect: %v", seed, model, par, err)
+			t.Fatalf("seed %d %v par=%d: fan-out Detect: %v", seed, model, par, err)
 		}
 		if got.Queries != fresh.Queries {
-			t.Fatalf("seed %d %v par=%d: wavefront issued %d queries, fresh %d", seed, model, par, got.Queries, fresh.Queries)
+			t.Fatalf("seed %d %v par=%d: fan-out issued %d queries, fresh %d", seed, model, par, got.Queries, fresh.Queries)
 		}
 		if !reflect.DeepEqual(fresh.Pairs, got.Pairs) {
-			t.Fatalf("seed %d %v par=%d: wavefront diverges:\nfresh %v\ngot   %v", seed, model, par, fresh.Pairs, got.Pairs)
+			t.Fatalf("seed %d %v par=%d: fan-out diverges:\nfresh %v\ngot   %v", seed, model, par, fresh.Pairs, got.Pairs)
 		}
 	})
 }

@@ -186,7 +186,7 @@ func satDetect(t *testing.T, prog *ast.Program, model Model, ax orderAxioms) (ma
 
 // checkAgainstCubicOracle detects prog under model three ways — the SAT
 // witness loop on the generic cubic axioms (the oracle), the fresh
-// reference, and a new session's wavefront at width 8 — and requires the
+// reference, and a new session's fan-out at width 8 — and requires the
 // same anomalous access pairs and the same number of cycle queries from
 // all of them. The SAT loop on the merge axioms must agree too.
 func checkAgainstCubicOracle(t *testing.T, what string, prog *ast.Program, model Model) {
@@ -204,9 +204,9 @@ func checkAgainstCubicOracle(t *testing.T, what string, prog *ast.Program, model
 	s.SetParallelism(8)
 	par, err := s.Detect(prog)
 	if err != nil {
-		t.Fatalf("%s %v: wavefront Detect: %v", what, model, err)
+		t.Fatalf("%s %v: fan-out Detect: %v", what, model, err)
 	}
-	for name, got := range map[string]*Report{"sequential": seq, "wavefront": par} {
+	for name, got := range map[string]*Report{"sequential": seq, "fan-out": par} {
 		gotIDs := pairIDs(got)
 		for id := range gotIDs {
 			if !wantIDs[id] {

@@ -74,8 +74,8 @@ type txnFacts struct {
 
 // pass is the state shared by the detectors of one detection pass over one
 // program. Facts and plans are computed on the goroutine that drives the
-// pass (the sequential loop, or the wavefront's seeding loop), never by
-// its workers, which only read them.
+// pass (DetectContext's planning loop), never by its workers, which only
+// read them.
 type pass struct {
 	prog   *ast.Program
 	model  Model

@@ -244,8 +244,8 @@ txn twoWrites(k: int) {
 }
 
 // pollCancel is a context that cancels itself on its n-th Err poll. The
-// detector polls once before each cycle query (and the sequential session
-// once before each transaction), so a small n lands the cancellation
+// detector polls once before each cycle query (and the session once before
+// each transaction), so a small n lands the cancellation
 // between the first queries of the first plan.
 type pollCancel struct {
 	context.Context
@@ -269,7 +269,7 @@ func (c *pollCancel) Err() error {
 
 // TestAbortMidDetectionCachesNothing: a cancellation that arrives between
 // cycle queries aborts the detection with the context's error — fresh,
-// sequential and on the wavefront — and leaves no transaction outcome in
+// sequential and fanned out — and leaves no transaction outcome in
 // the session's memo.
 func TestAbortMidDetectionCachesNothing(t *testing.T) {
 	prog := mustProg(t, courseware)

@@ -2,7 +2,6 @@ package anomaly
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"atropos/internal/ast"
@@ -30,11 +29,12 @@ import (
 //     is a function of exactly that, so identically shaped pairs — across
 //     detection passes or within one — share it.
 //
-// Detection work fans out over a work-stealing pool at (txn, witness)
-// granularity (SetParallelism; see parallel.go): witness tasks advance in
-// a wavefront that reproduces the sequential witness loop's early exits,
-// so the queries asked — and with them every reported witness — match the
-// sequential oracle exactly.
+// Detection fans out over transactions (SetParallelism): the pass's
+// fingerprint-missing transactions are planned on the calling goroutine,
+// then each is decided on a detector of its own. A transaction's queries,
+// and with them its report, do not depend on which worker runs it, so the
+// reports match the sequential oracle at every width. The default width is
+// 1 (DESIGN.md §7).
 //
 // A session is safe for concurrent use by its own workers; callers should
 // issue Detect calls sequentially.
@@ -98,21 +98,13 @@ func (s SessionStats) CacheHitRate() float64 {
 	return 1 - float64(s.Solved+s.Replayed)/float64(s.Queries)
 }
 
-// defaultParallelismCap bounds the detection workers an unset width
-// selects. Detection's parallel efficiency flattens past a handful of
-// workers on typical benchmark programs (the wavefront couples witness
-// tasks through the found bits, and the session cache serializes identical
-// queries), while callers like the experiment grid fan whole repairs out
-// and want the remaining cores for that outer level — so the default claims
-// at most four.
-const defaultParallelismCap = 4
-
 // DefaultParallelism is the detection width an unset (zero or negative)
-// SetParallelism resolves to: min(GOMAXPROCS, 4). It is the one rule for
-// width 0; every layer above passes its zero through to the session.
-func DefaultParallelism() int {
-	return min(runtime.GOMAXPROCS(0), defaultParallelismCap)
-}
+// SetParallelism resolves to: 1. A cycle query costs microseconds, so
+// handing transactions to other goroutines costs more than it saves on the
+// programs detection sees, and callers that want more throughput fan whole
+// repairs out instead. It is the one rule for width 0; every layer above
+// passes its zero through to the session.
+func DefaultParallelism() int { return 1 }
 
 // NewSession creates a detection session for one consistency model.
 func NewSession(model Model) *DetectSession {
@@ -126,13 +118,12 @@ func NewSession(model Model) *DetectSession {
 // Model returns the session's consistency model.
 func (s *DetectSession) Model() Model { return s.model }
 
-// SetParallelism bounds the worker goroutines Detect fans (txn, witness)
-// tasks out on; n <= 0 selects DefaultParallelism, 1 forces sequential
-// detection.
-// Reported pairs are identical at every setting — the wavefront asks the
-// sequential oracle's queries (parallel.go), and an answer does not depend
-// on which worker decides it first. Only the Solved/QueryHits stats can
-// shift under concurrency.
+// SetParallelism bounds the worker goroutines Detect fans transactions
+// out on; n <= 0 selects DefaultParallelism (1, sequential). Reported
+// pairs and Queries are identical at every setting: each transaction is
+// decided whole on one detector, and an answer does not depend on which
+// worker decides it first. Only the Solved/QueryHits stats can shift under
+// concurrency.
 func (s *DetectSession) SetParallelism(n int) { s.parallelism = n }
 
 // RecordWitnesses opts every subsequent detection into witness-schedule
@@ -176,39 +167,58 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 // before the abort remains valid — a cancelled transaction's outcome is
 // never stored, and every stored query answer is complete.
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
-	n := len(prog.Txns)
 	p := newPass(prog, s.model, s.record)
-	fps := make([]uint64, n)
-	for i := range fps {
-		fps[i] = p.fingerprint(i)
+	outs := make([]txnOut, len(prog.Txns))
+	// Plan every fingerprint-missing transaction here, on the calling
+	// goroutine, so the workers below only read the pass. A transaction
+	// with the fingerprint of an earlier queued one is deferred and
+	// answered from the cache afterwards, counting the TxnHit the
+	// sequential loop would.
+	for i := range outs {
+		o := &outs[i]
+		o.fp = p.fingerprint(i)
+		if o.deferred = queuedUnder(outs[:i], o.fp); o.deferred {
+			continue
+		}
+		if e, ok := s.lookupTxn(o.fp); ok {
+			o.pairs, o.issued = e.pairs, e.issued
+			continue
+		}
+		plans, err := p.witnessesOf(i)
+		if err != nil {
+			return nil, err
+		}
+		o.plans, o.queued = plans, true
 	}
-	var outs []txnOut
-	var err error
-	workers := s.parallelism
-	if workers <= 0 {
-		workers = DefaultParallelism()
+	width := s.parallelism
+	if width <= 0 {
+		width = DefaultParallelism()
 	}
-	if workers > 1 {
-		// Wavefront fan-out over (txn, witness) tasks — see parallel.go for
-		// why the reports stay byte-identical to the sequential oracle.
-		outs, err = s.detectWavefront(ctx, p, workers, fps)
-	} else {
-		outs = make([]txnOut, n)
-		err = pool.ForEach(1, n, func(i int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if e, ok := s.lookupTxn(fps[i]); ok {
-				outs[i] = txnOut{pairs: e.pairs, issued: e.issued}
-				return nil
-			}
-			out, err := s.detectTxn(ctx, p, i, fps[i])
-			outs[i] = out
+	err := pool.ForEach(width, len(outs), func(i int) error {
+		o := &outs[i]
+		if !o.queued {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
 			return err
-		})
-	}
+		}
+		d := &detector{pass: p, session: s, ctx: ctx}
+		pairs, err := d.detectTxn(o.plans)
+		if err != nil {
+			return err
+		}
+		s.storeTxn(o.fp, txnEntry{pairs: pairs, issued: d.issued})
+		o.pairs, o.issued, o.solved = pairs, d.issued, d.solved
+		return nil
+	})
 	if err != nil {
 		return nil, err
+	}
+	for i := range outs {
+		if o := &outs[i]; o.deferred {
+			e, _ := s.lookupTxn(o.fp)
+			o.pairs, o.issued = e.pairs, e.issued
+		}
 	}
 	report := &Report{Model: s.model, EncodersPlanned: p.planned}
 	nPairs := 0
@@ -233,21 +243,28 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 	return report, nil
 }
 
-// newDetector makes a detector of pass p wired to the session's memo.
-func (s *DetectSession) newDetector(ctx context.Context, p *pass) *detector {
-	return &detector{pass: p, session: s, ctx: ctx}
+// txnOut is one transaction's detection outcome, merged into the report in
+// transaction order, with what DetectContext needs to reach it: the
+// transaction's fingerprint, and whether it is queued to be decided from
+// plans or deferred to the cache.
+type txnOut struct {
+	pairs          []AccessPair
+	issued, solved int
+
+	fp               uint64
+	plans            []*pairPlan
+	queued, deferred bool
 }
 
-// detectTxn detects one fingerprint-missing transaction on a detector of
-// its own and stores the outcome.
-func (s *DetectSession) detectTxn(ctx context.Context, p *pass, i int, fp uint64) (txnOut, error) {
-	d := s.newDetector(ctx, p)
-	pairs, err := d.detectTxn(i)
-	if err != nil {
-		return txnOut{}, err
+// queuedUnder reports whether some transaction of outs is queued under
+// fingerprint fp.
+func queuedUnder(outs []txnOut, fp uint64) bool {
+	for i := range outs {
+		if outs[i].queued && outs[i].fp == fp {
+			return true
+		}
 	}
-	s.storeTxn(fp, txnEntry{pairs: pairs, issued: d.issued})
-	return txnOut{pairs: pairs, issued: d.issued, solved: d.solved}, nil
+	return false
 }
 
 func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {

@@ -89,14 +89,9 @@ type keyTerm struct {
 // conservative over-approximation); for inserts, the value list (inserts
 // always pin the full key).
 func pkPins(c ast.DBCommand, schema *ast.Schema, visit func(field string, e ast.Expr)) {
-	pk := schema.PrimaryKey()
 	isPK := func(field string) bool {
-		for _, f := range pk {
-			if f.Name == field {
-				return true
-			}
-		}
-		return false
+		f := schema.Field(field)
+		return f != nil && f.PK
 	}
 	where := func(w ast.Expr) {
 		if eqs, ok := ast.WhereEqualities(w); ok {

@@ -6,6 +6,8 @@ package ast
 // (§4.2.1: φ must be a conjunction of equality constraints covering the
 // primary key).
 
+import "slices"
+
 // Access describes the fields a database command reads and writes within
 // its table, relative to a schema (needed to resolve SELECT *).
 type Access struct {
@@ -77,7 +79,6 @@ func WhereEqualities(e Expr) (eqs []WhereEquality, ok bool) {
 		return nil, false
 	}
 	var collect func(Expr) bool
-	seen := map[string]bool{}
 	collect = func(x Expr) bool {
 		b, isBin := x.(*Binary)
 		if !isBin {
@@ -88,10 +89,9 @@ func WhereEqualities(e Expr) (eqs []WhereEquality, ok bool) {
 			return collect(b.L) && collect(b.R)
 		case OpEq:
 			tf, isField := b.L.(*ThisField)
-			if !isField || seen[tf.Field] || exprUsesThis(b.R) {
+			if !isField || exprUsesThis(b.R) || slices.ContainsFunc(eqs, func(q WhereEquality) bool { return q.Field == tf.Field }) {
 				return false
 			}
-			seen[tf.Field] = true
 			eqs = append(eqs, WhereEquality{Field: tf.Field, Expr: b.R})
 			return true
 		default:
@@ -128,8 +128,8 @@ func WellFormedWhere(e Expr, schema *Schema) (map[string]Expr, bool) {
 	for _, q := range eqs {
 		m[q.Field] = q.Expr
 	}
-	for _, pk := range schema.PrimaryKey() {
-		if _, ok := m[pk.Name]; !ok {
+	for _, f := range schema.Fields {
+		if _, ok := m[f.Name]; f.PK && !ok {
 			return nil, false
 		}
 	}

@@ -15,11 +15,11 @@ import "sync"
 // never interned: uuid() is fresh per evaluation, so two occurrences are
 // never equal and sharing them would let the equality fast path lie.
 //
-// The table is sharded by hash (DESIGN.md §15) so that N-way parallel
-// detection does not serialize on a single mutex: each shard carries its
-// own lock, bucket map, and share of the global bound. Correctness is
-// unchanged — a given hash always maps to the same shard, so two
-// structurally equal expressions still meet in one bucket.
+// The table is sharded by hash (DESIGN.md §10) so that goroutines parsing,
+// generating or repairing at once do not serialize on a single mutex: each
+// shard carries its own lock, bucket map, and share of the global bound.
+// Correctness is unchanged — a given hash always maps to the same shard,
+// so two structurally equal expressions still meet in one bucket.
 //
 // The bound caps memory for adversarial workloads (fuzzers generating
 // unbounded distinct literals): once a shard is full, Intern still

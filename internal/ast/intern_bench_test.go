@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Parallel-interning microbenchmarks (DESIGN.md §15): detection workers
-// intern the same small population of expressions over and over while
-// building pair encoders, so the steady-state cost is a hash + lock +
-// bucket probe plus the occasional canonicalizing rebuild.
+// Parallel-interning microbenchmarks (DESIGN.md §10): concurrent parsers
+// and repairs intern the same small population of expressions over and
+// over, so the steady-state cost is a hash + lock + bucket probe plus the
+// occasional canonicalizing rebuild.
 // BenchmarkInternParallel measures the sharded table that ships;
 // BenchmarkInternParallelMutex re-implements the pre-shard single-mutex
 // table locally so the two can be compared on a multi-core machine (the

@@ -53,9 +53,15 @@ func Commands(body []Stmt) []DBCommand {
 // nested statements).
 func StmtExprs(s Stmt) []Expr {
 	var out []Expr
+	eachStmtExpr(s, func(e Expr) { out = append(out, e) })
+	return out
+}
+
+// eachStmtExpr calls fn on each non-nil expression directly embedded in s.
+func eachStmtExpr(s Stmt, fn func(Expr)) {
 	add := func(e Expr) {
 		if e != nil {
-			out = append(out, e)
+			fn(e)
 		}
 	}
 	switch x := s.(type) {
@@ -75,22 +81,17 @@ func StmtExprs(s Stmt) []Expr {
 	case *Iterate:
 		add(x.Count)
 	}
-	return out
 }
 
-// ExprsInTxn returns every expression appearing anywhere in the transaction:
-// statement expressions (recursively through control bodies) plus the return
-// expression.
-func ExprsInTxn(t *Txn) []Expr {
-	var out []Expr
+// WalkTxnExprs calls WalkExpr(e, fn) on every expression appearing anywhere
+// in the transaction: statement expressions (recursively through control
+// bodies), then the return expression.
+func WalkTxnExprs(t *Txn, fn func(Expr) bool) {
 	WalkStmts(t.Body, func(s Stmt) bool {
-		out = append(out, StmtExprs(s)...)
+		eachStmtExpr(s, func(e Expr) { WalkExpr(e, fn) })
 		return true
 	})
-	if t.Ret != nil {
-		out = append(out, t.Ret)
-	}
-	return out
+	WalkExpr(t.Ret, fn)
 }
 
 // VarsRead returns the names of the local variables whose query results are

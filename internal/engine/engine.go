@@ -74,10 +74,9 @@ type Config struct {
 	// DetectParallelism is the per-request detection worker count: the
 	// width a request that does not set repair.Parallelism runs at, and the
 	// ceiling for one that does (see detectWidth). <= 0 selects the
-	// session's rule for width 0 (min(GOMAXPROCS, 4) — multi-core detection
-	// is the fast path), 1 makes every request detect sequentially (the
-	// right setting when the engine's own Workers fan-out already saturates
-	// the machine); values above GOMAXPROCS are lowered to it.
+	// session's rule for width 0, which is 1: every request detects
+	// sequentially, and the engine's own Workers fan-out uses the cores.
+	// Values above GOMAXPROCS are lowered to it.
 	DetectParallelism int
 	// MaxQueueWait is the CoDel-style queue-wait ceiling: a request still
 	// waiting for a worker slot after this long is shed with ErrOverloaded
@@ -445,8 +444,8 @@ func newSession(model anomaly.Model, record bool) *anomaly.DetectSession {
 
 // detectWidth resolves the detection width one request runs at. The
 // engine's own width is both the default and the ceiling: a request may
-// narrow its detection (1 = sequential) but not widen it — the wavefront
-// allocates per worker, so an unchecked width is memory and goroutines on
+// narrow its detection (1 = sequential) but not widen it — the fan-out
+// starts a goroutine per worker, so an unchecked width is goroutines on
 // demand.
 func (e *Engine) detectWidth(requested int) int {
 	if requested <= 0 || requested > e.cfg.DetectParallelism {

@@ -359,13 +359,11 @@ func TestPanicIsolation(t *testing.T) {
 func TestDetectWidth(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, tc := range []struct{ config, request, want int }{
-		{0, 0, 4}, // the session's rule: min(GOMAXPROCS, 4)
+		{0, 0, 1}, // the session's rule: 1
 		{0, 1, 1},
-		{0, 3, 3},
-		{0, 4, 4},
-		{0, 5, 4}, // a request cannot widen past the engine's width
-		{0, 300000, 4},
-		{0, -1, 4},
+		{0, 3, 1}, // a request cannot widen past the engine's width
+		{0, 300000, 1},
+		{0, -1, 1},
 		{1, 0, 1}, // a sequential engine stays sequential
 		{1, 8, 1},
 		{6, 0, 6},
@@ -373,7 +371,7 @@ func TestDetectWidth(t *testing.T) {
 		{6, 7, 6},
 		{64, 0, 8}, // Config is lowered to GOMAXPROCS
 		{64, 64, 8},
-		{-3, 0, 4},
+		{-3, 0, 1},
 	} {
 		e := New(Config{DetectParallelism: tc.config})
 		if got := e.detectWidth(tc.request); got != tc.want {

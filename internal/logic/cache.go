@@ -1,7 +1,7 @@
 package logic
 
 // EncoderCache is a small single-owner free list in front of the global
-// encoder pool (DESIGN.md §15). sync.Pool serializes on per-P shards and
+// encoder pool (DESIGN.md §8). sync.Pool serializes on per-P shards and
 // may drop entries across GCs; under N-way detection fan-out each worker
 // instead keeps a handful of encoders entirely to itself, touching the
 // shared pool only on miss or overflow. The zero value is ready to use.

@@ -2,6 +2,7 @@ package refactor
 
 import (
 	"fmt"
+	"slices"
 
 	"atropos/internal/ast"
 )
@@ -76,15 +77,15 @@ func ApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 	if !v.Logging && v.Agg != ast.AggAny {
 		return nil, errf("intro-v", "redirect rule requires the any aggregator")
 	}
-	return cowApplyCorr(p, v)
+	return cowApplyCorr(p, src, v)
 }
 
 // validateRewriteTxn is pass 1 of [[·]]_v on one transaction: find the
 // variables bound by selects that will be redirected, and validate that
-// every access to (SrcTable, SrcField) is rewritable. Pure reads; shared
-// by both engines.
-func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (map[string]bool, error) {
-	redirected := map[string]bool{}
+// every access to (SrcTable, SrcField) is rewritable. Pure reads. touched
+// reports whether any command accesses (SrcTable, SrcField); the returned
+// set is nil when no variable is redirected.
+func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (redirected map[string]bool, touched bool, err error) {
 	var failure error
 	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
 		if failure != nil {
@@ -95,15 +96,10 @@ func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (map[string]bo
 			return true
 		}
 		acc := ast.CommandAccess(c, src)
-		touches := false
-		for _, f := range append(append([]string(nil), acc.Reads...), acc.Writes...) {
-			if f == v.SrcField {
-				touches = true
-			}
-		}
-		if !touches {
+		if !slices.Contains(acc.Reads, v.SrcField) && !slices.Contains(acc.Writes, v.SrcField) {
 			return true
 		}
+		touched = true
 		switch x := c.(type) {
 		case *ast.Select:
 			if x.Star {
@@ -117,6 +113,9 @@ func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (map[string]bo
 			if !whereRedirectable(x.Where, src, v) {
 				failure = errf("intro-v", "%s.%s: where clause is not redirectable through θ̂", t.Name, x.Label)
 				return false
+			}
+			if redirected == nil {
+				redirected = map[string]bool{}
 			}
 			redirected[x.Var] = true
 		case *ast.Update:
@@ -140,7 +139,7 @@ func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (map[string]bo
 		}
 		return true
 	})
-	return redirected, failure
+	return redirected, touched, failure
 }
 
 // redirectedAccessRewriter builds pass 3's expression rewriter: accesses

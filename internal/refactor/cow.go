@@ -39,11 +39,18 @@ func cowIntroField(p *ast.Program, table string, field ast.Field) *ast.Program {
 	return ast.WithSchemas(p, schemas)
 }
 
-func cowApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
+// cowApplyCorr applies [[·]]_v to every transaction. A transaction with no
+// command on v.SrcTable is shared without a walk: validation and the
+// command rewrite act only on such commands, and the access rewrite only on
+// the variables their selects bind.
+func cowApplyCorr(p *ast.Program, src *ast.Schema, v ValueCorr) (*ast.Program, error) {
 	out := &ast.Program{Schemas: p.Schemas, Txns: make([]*ast.Txn, len(p.Txns))}
 	copy(out.Txns, p.Txns)
 	for i, t := range p.Txns {
-		nt, err := cowRewriteTxn(p, t, v)
+		if !hasCommandOn(t.Body, v.SrcTable) {
+			continue
+		}
+		nt, err := cowRewriteTxn(t, src, v)
 		if err != nil {
 			return nil, err
 		}
@@ -52,15 +59,52 @@ func cowApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 	return out, nil
 }
 
-// cowRewriteTxn applies [[·]]_v to one transaction, sharing it when the
-// correspondence does not touch it.
-func cowRewriteTxn(p *ast.Program, t *ast.Txn, v ValueCorr) (*ast.Txn, error) {
-	src := p.Schema(v.SrcTable)
+// hasCommandOn reports whether some command of body, at any depth,
+// accesses table.
+func hasCommandOn(body []ast.Stmt, table string) bool {
+	for _, s := range body {
+		switch x := s.(type) {
+		case ast.DBCommand:
+			if x.TableName() == table {
+				return true
+			}
+		case *ast.If:
+			if hasCommandOn(x.Then, table) {
+				return true
+			}
+		case *ast.Iterate:
+			if hasCommandOn(x.Body, table) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
-	// Pass 1: validate and collect redirected variables.
-	redirected, err := validateRewriteTxn(t, src, v)
+// cowRewriteTxn applies [[·]]_v to one transaction, sharing it when the
+// correspondence does not touch it; src is v.SrcTable's schema.
+func cowRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, error) {
+	nt, redirected, err := rewriteCommands(t, src, v)
+	// Without a redirected variable pass 3 has nothing to rewrite.
+	if err != nil || len(redirected) == 0 {
+		return nt, err
+	}
+	return rewriteRedirectedAccesses(nt, v, redirected)
+}
+
+// rewriteCommands is passes 1 and 2 of [[·]]_v on one transaction: it
+// validates the rule against t, rewrites t's commands on v.SrcTable, and
+// returns the variables whose selects it redirected.
+func rewriteCommands(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, map[string]bool, error) {
+	// Pass 1: validate and collect redirected variables. Pass 2 rewrites
+	// only commands that access the moved field, so without one it has
+	// nothing to do.
+	redirected, touched, err := validateRewriteTxn(t, src, v)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if !touched {
+		return t, nil, nil
 	}
 
 	// Pass 2: rewrite the commands.
@@ -104,17 +148,21 @@ func cowRewriteTxn(p *ast.Program, t *ast.Txn, v ValueCorr) (*ast.Txn, error) {
 		}
 	})
 	if rerr != nil {
-		return nil, rerr
+		return nil, nil, rerr
 	}
-	nt := t
 	if bodyChanged {
-		nt = &ast.Txn{Name: t.Name, Params: t.Params, Body: body, Ret: t.Ret}
+		return &ast.Txn{Name: t.Name, Params: t.Params, Body: body, Ret: t.Ret}, redirected, nil
 	}
+	return t, redirected, nil
+}
 
-	// Pass 3: rewrite accesses through redirected variables everywhere
-	// (commands' embedded expressions and the return expression): R2.
-	fn := redirectedAccessRewriter(nt, v, redirected, &rerr)
-	nt, _ = ast.MapTxnExprsCOW(nt, func(e ast.Expr) ast.Expr { return ast.MapExprCOW(e, fn) })
+// rewriteRedirectedAccesses is pass 3 of [[·]]_v: it rewrites accesses
+// through redirected variables everywhere (commands' embedded expressions
+// and the return expression): R2.
+func rewriteRedirectedAccesses(t *ast.Txn, v ValueCorr, redirected map[string]bool) (*ast.Txn, error) {
+	var rerr error
+	fn := redirectedAccessRewriter(t, v, redirected, &rerr)
+	nt, _ := ast.MapTxnExprsCOW(t, func(e ast.Expr) ast.Expr { return ast.MapExprCOW(e, fn) })
 	if rerr != nil {
 		return nil, rerr
 	}

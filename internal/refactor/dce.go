@@ -1,6 +1,8 @@
 package refactor
 
 import (
+	"slices"
+
 	"atropos/internal/ast"
 )
 
@@ -14,15 +16,25 @@ import (
 // DeadSelects returns the labels of selects in t whose bound variable is
 // never read by a later expression or the return expression.
 func DeadSelects(t *ast.Txn) []string {
-	used := map[string]bool{}
-	for _, e := range ast.ExprsInTxn(t) {
-		for v := range ast.VarsRead(e) {
-			used[v] = true
+	var used []string // variables read through at/agg accesses
+	ast.WalkTxnExprs(t, func(x ast.Expr) bool {
+		v := ""
+		switch a := x.(type) {
+		case *ast.FieldAt:
+			v = a.Var
+		case *ast.Agg:
+			v = a.Var
+		default:
+			return true
 		}
-	}
+		if !slices.Contains(used, v) {
+			used = append(used, v)
+		}
+		return true
+	})
 	var dead []string
 	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if sel, ok := s.(*ast.Select); ok && !used[sel.Var] {
+		if sel, ok := s.(*ast.Select); ok && !slices.Contains(used, sel.Var) {
 			dead = append(dead, sel.Label)
 		}
 		return true

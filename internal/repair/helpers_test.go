@@ -11,7 +11,7 @@ import (
 
 // testWidth is the detection width the package's tests repair at when they
 // do not pin one: the default rule (0), or the width `make race-par` forces
-// through ATROPOS_TEST_PARALLELISM so the wavefront runs under contention
+// through ATROPOS_TEST_PARALLELISM so the transaction fan-out runs under contention
 // regardless of host core count.
 func testWidth() int {
 	if n, err := strconv.Atoi(os.Getenv("ATROPOS_TEST_PARALLELISM")); err == nil && n > 0 {

@@ -93,13 +93,10 @@ func (r *Result) RepairedCount() int { return len(r.Initial) - len(r.Remaining) 
 // Options configures a repair run.
 type Options struct {
 	// Parallelism bounds the worker goroutines the detection session fans
-	// (txn, witness) tasks out on. Zero — the unset default — is passed
-	// through to the session, which resolves it to DefaultParallelism
-	// (min(GOMAXPROCS, 4)): multi-core detection is the fast path. Pass an
-	// explicit 1 for strictly sequential detection (the right call when the
-	// caller fans repairs out itself, as the experiment grid does), or any
-	// n > 1 to pin the worker count. Reported results are identical at
-	// every setting.
+	// transactions out on. Zero — the unset default — is passed through to
+	// the session, which resolves it to DefaultParallelism (1, sequential
+	// detection). Pass n > 1 to fan out on n workers. Reported results are
+	// identical at every setting.
 	Parallelism int
 	// Certify records witness schedules during detection (reports and cache
 	// keys are unchanged — recording is strictly additive) and, after the
@@ -156,8 +153,7 @@ type Option func(*Options)
 func Parallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // DefaultParallelism is the detection worker count an unset (zero)
-// Options.Parallelism ends up at: the session's rule for width 0,
-// min(GOMAXPROCS, 4).
+// Options.Parallelism ends up at: the session's rule for width 0, 1.
 func DefaultParallelism() int { return anomaly.DefaultParallelism() }
 
 // Certify enables witness recording plus post-pipeline certificate replay.
@@ -321,6 +317,7 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 	if opts.Stages.Repair > 0 {
 		repairDeadline = time.Now().Add(opts.Stages.Repair)
 	}
+	var logs loggingMemo
 	for pi, pair := range rep.Pairs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -330,7 +327,7 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 			res.stepf("repair stage expired; skipped %d unprocessed pairs", len(rep.Pairs)-pi)
 			break
 		}
-		if p2, desc, ok := tryRepair(p, pair, res); ok {
+		if p2, desc, ok := tryRepair(p, pair, res, &logs); ok {
 			p = p2
 			res.pairStep("repaired", pair, desc)
 		} else {
@@ -617,7 +614,7 @@ func refines(other [][]string, groupOf map[string]int) bool {
 
 // tryRepair implements try_repair of Fig. 10. It returns the repaired
 // program, a description of what happened, and whether it succeeded.
-func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result) (*ast.Program, string, bool) {
+func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result, logs *loggingMemo) (*ast.Program, string, bool) {
 	t := p.Txn(pair.Txn)
 	if t == nil {
 		return p, "transaction vanished", false
@@ -632,7 +629,7 @@ func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result) (*ast.Progr
 			if np, err := refactor.Merge(p, pair.Txn, pair.C1, pair.C2); err == nil {
 				return np, fmt.Sprintf("merged %s and %s", pair.C1, pair.C2), true
 			} else {
-				return tryLogging(p, pair, fmt.Sprintf("merge failed (%v)", err), res)
+				return tryLogging(p, pair, fmt.Sprintf("merge failed (%v)", err), res, logs)
 			}
 		}
 		if np, corr, err := tryRedirect(p, t, c1, c2); err == nil {
@@ -640,11 +637,11 @@ func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result) (*ast.Progr
 				res.Corrs = append(res.Corrs, corr)
 				return np2, fmt.Sprintf("redirected via %s then merged", corr), true
 			} else {
-				return tryLogging(p, pair, fmt.Sprintf("post-redirect merge failed (%v)", err2), res)
+				return tryLogging(p, pair, fmt.Sprintf("post-redirect merge failed (%v)", err2), res, logs)
 			}
 		}
 	}
-	return tryLogging(p, pair, "commands not mergeable", res)
+	return tryLogging(p, pair, "commands not mergeable", res, logs)
 }
 
 func sameKind(a, b ast.DBCommand) bool {
@@ -778,7 +775,7 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 // update into an insert on a fresh logging schema; succeed only if the
 // pair's select becomes dead code (§5). The introduced correspondence is
 // recorded in res for containment checking and data migration.
-func tryLogging(p *ast.Program, pair anomaly.AccessPair, prevFailure string, res *Result) (*ast.Program, string, bool) {
+func tryLogging(p *ast.Program, pair anomaly.AccessPair, prevFailure string, res *Result, logs *loggingMemo) (*ast.Program, string, bool) {
 	t := p.Txn(pair.Txn)
 	c1 := findCommand(t, pair.C1)
 	c2 := findCommand(t, pair.C2)
@@ -799,11 +796,7 @@ func tryLogging(p *ast.Program, pair anomaly.AccessPair, prevFailure string, res
 		return p, prevFailure + "; update sets multiple fields", false
 	}
 	field := upd.Sets[0].Field
-	np, corr, err := refactor.BuildLoggerSchema(p, upd.Table, field)
-	if err != nil {
-		return p, fmt.Sprintf("%s; logging failed (%v)", prevFailure, err), false
-	}
-	np, err = refactor.ApplyCorr(np, corr)
+	np, corr, err := logs.logged(p, upd.Table, field)
 	if err != nil {
 		return p, fmt.Sprintf("%s; logging failed (%v)", prevFailure, err), false
 	}
@@ -812,6 +805,41 @@ func tryLogging(p *ast.Program, pair anomaly.AccessPair, prevFailure string, res
 	}
 	res.Corrs = append(res.Corrs, corr)
 	return np, fmt.Sprintf("logged %s.%s via %s", upd.Table, field, corr.DstTable), true
+}
+
+// loggingMemo remembers, for one repair run, the logger rule's outcome on
+// the current program. BuildLoggerSchema followed by ApplyCorr is a pure
+// function of (program, table, field), and the pair loop probes the same
+// table and field again for every pair on it until some repair changes
+// the program. The memo holds the answers for one program node only and
+// forgets them when asked about another.
+type loggingMemo struct {
+	prog *ast.Program
+	outs map[[2]string]loggedOutcome
+}
+
+type loggedOutcome struct {
+	prog *ast.Program
+	corr refactor.ValueCorr
+	err  error
+}
+
+// logged returns the program with (table, field) moved into a fresh
+// logging schema, and the logger correspondence that did it.
+func (m *loggingMemo) logged(p *ast.Program, table, field string) (*ast.Program, refactor.ValueCorr, error) {
+	if m.prog != p {
+		m.prog, m.outs = p, map[[2]string]loggedOutcome{}
+	}
+	k := [2]string{table, field}
+	o, ok := m.outs[k]
+	if !ok {
+		o.prog, o.corr, o.err = refactor.BuildLoggerSchema(p, table, field)
+		if o.err == nil {
+			o.prog, o.err = refactor.ApplyCorr(o.prog, o.corr)
+		}
+		m.outs[k] = o
+	}
+	return o.prog, o.corr, o.err
 }
 
 func whereOf(c ast.DBCommand) ast.Expr {

@@ -156,10 +156,10 @@ type ProgramRequest struct {
 	// Certify (repair only) replays every initial anomaly as an executable
 	// certificate with negative controls.
 	Certify bool `json:"certify,omitempty"`
-	// Parallelism bounds the detection session's (txn, witness) fan-out;
-	// 0 defers to the engine's width (-detect-parallel; by default
-	// min(GOMAXPROCS, 4)), 1 forces sequential detection. Values above the
-	// engine's width are lowered to it; negative ones are rejected.
+	// Parallelism bounds the detection session's transaction fan-out; 0
+	// defers to the engine's width (-detect-parallel, where 0 means 1), 1
+	// forces sequential detection. Values above the engine's width are
+	// lowered to it; negative ones are rejected.
 	Parallelism int `json:"parallelism,omitempty"`
 	// BudgetConflicts, BudgetPropagations and BudgetArenaLits are retired:
 	// detection has no solver, so there is no per-solve budget to bound. A

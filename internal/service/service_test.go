@@ -190,7 +190,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestRequestWidthIsBounded: "parallelism" comes from outside, and the
-// wavefront allocates per worker — a negative width is a bad request, and
+// fan-out starts a goroutine per worker — a negative width is a bad request, and
 // any other is lowered to the engine's own width, so an absurd one costs
 // what the engine's default does (it used to wedge the daemon) and changes
 // no answer.
