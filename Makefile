@@ -10,9 +10,9 @@ COVER_FLOOR ?= 60
 # Seconds each fuzz target runs under `make fuzz` / the nightly workflow.
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build test race race-par bench bench-harness bench-compare cover certify loadtest-smoke chaos service-chaos fuzz profile loc
+.PHONY: ci fmt vet build test race bench bench-harness bench-compare cover certify loadtest-smoke chaos service-chaos fuzz profile loc
 
-ci: fmt vet build race race-par bench bench-harness cover certify loadtest-smoke chaos service-chaos
+ci: fmt vet build race bench bench-harness cover certify loadtest-smoke chaos service-chaos
 
 # gofmt as a check: fail (and list the files) if anything is unformatted.
 fmt:
@@ -32,16 +32,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Race-detector pass over the concurrent detection/repair surfaces at a
-# fixed fan-out width of 8 (the default is 1), so the transaction fan-out
-# (pool.ForEach over a pass's transactions, sharing the session's memo)
-# and the sharded cons table are exercised under contention regardless of
-# host core count. ATROPOS_TEST_PARALLELISM is read by the two packages'
-# test helpers only (the differential detection tests' forced width, the
-# repair tests' default width); no binary reads it.
-race-par:
-	ATROPOS_TEST_PARALLELISM=8 $(GO) test -race ./internal/anomaly ./internal/repair
 
 # One pass over every experiment benchmark and hot-path microbenchmark —
 # a smoke test that each driver still runs, not a measurement — followed by
@@ -119,11 +109,10 @@ fuzz:
 	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzRepairRandomProgram$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzDetectSessionEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzSmallModel$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzParallelDetectEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzWitnessReplaySoundness$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzBudgetedSolveEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sema -run '^$$' -fuzz '^FuzzSema$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzServiceRequest$$' -fuzztime $(FUZZTIME)
 
 # Service load-test smoke: the in-process atroposd daemon under a small

@@ -18,8 +18,8 @@
 //	fmt.Println(atropos.Format(result.Program))
 //
 // Every analysis entry point takes a context: cancelling it (or letting a
-// deadline expire) aborts the underlying SAT solves mid-flight. Behavior is
-// tuned with functional options (WithCertify, WithDetectParallelism, ...).
+// deadline expire) aborts detection between cycle queries. Behavior is
+// tuned with functional options (WithCertify, WithClient, ...).
 // For serving many callers from one process, NewEngine wraps the pipeline
 // in a long-lived engine with a bounded worker pool and per-client
 // detection sessions — the daemon cmd/atroposd exposes that engine over
@@ -90,7 +90,7 @@ func Analyze(ctx context.Context, p *Program, m Model) (*AnomalyReport, error) {
 }
 
 // DetectSession is the anomaly oracle: it fingerprints transactions and
-// memoizes solved SAT queries, so detecting across a sequence of related
+// memoizes decided cycle queries, so detecting across a sequence of related
 // programs (the repair pipeline, an editing loop) only re-solves what
 // actually changed. What it reports never depends on what it remembers.
 type DetectSession = anomaly.DetectSession
@@ -119,16 +119,9 @@ func Certify(ctx context.Context, p *Program, m Model) (*Certificate, *AnomalyRe
 }
 
 // RepairOption configures one Repair or Engine call. The zero configuration
-// (no options) repairs without certification, detecting at the default
-// width on a session of its own.
+// (no options) repairs without certification, detecting on a session of its
+// own.
 type RepairOption = repair.Option
-
-// WithDetectParallelism bounds the worker goroutines the detection passes
-// fan transactions out on. Zero — the default — means 1: sequential
-// detection, the fastest on the programs detection sees. Pass n > 1 to
-// fan out; reported anomalies are identical at every setting, and only at
-// width 1 is the Solved memo counter deterministic.
-func WithDetectParallelism(n int) RepairOption { return repair.Parallelism(n) }
 
 // WithCertify replays every initial anomaly as an executable certificate
 // with negative controls (RepairResult.Certificate).

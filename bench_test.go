@@ -31,10 +31,7 @@ func benchTable1(b *testing.B, name string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Detection parallelism pinned to 1: these benchmarks are
-		// alloc-gated, and only the sequential path allocates identically
-		// on every machine (worker fan-out scales with the width).
-		if res, err = repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1)); err != nil {
+		if res, err = repair.Run(context.Background(), prog, anomaly.EC); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,9 +84,7 @@ func benchDetect(b *testing.B, model anomaly.Model) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := anomaly.NewSession(model)
-		s.SetParallelism(1)
-		if _, err := s.Detect(prog); err != nil {
+		if _, err := anomaly.NewSession(model).Detect(prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,7 +120,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionEdit is the drop/restore editing loop at width 1: per
+// BenchmarkSessionEdit is the drop/restore editing loop: per
 // benchmark program, one session under EC detects the program, then for
 // each transaction the program without it and the program restored.
 // decided/op counts the queries one loop over the nine programs decides
@@ -152,7 +147,6 @@ func BenchmarkSessionEdit(b *testing.B) {
 		decided = 0
 		for _, e := range progs {
 			s := anomaly.NewSession(anomaly.EC)
-			s.SetParallelism(1)
 			detect := func(p *ast.Program) {
 				if _, err := s.Detect(p); err != nil {
 					b.Fatal(err)

@@ -58,10 +58,9 @@ var (
 // certification, the invariant study (directed and serial runs on the
 // simulator's executor), the daemon's request path (one fixed round of
 // program verbs through HTTP), the front end (parse and check of the nine
-// sources), the editing loop (one session across drop/restore edits), and
-// the parallel paths (sharded interning and the transaction fan-out of
-// detection, both measured at fixed worker counts so allocs/op stays
-// machine-independent).
+// sources), the editing loop (one session across drop/restore edits), a
+// cold detection of TPC-C, and sharded interning (measured at a fixed
+// worker count so allocs/op stays machine-independent).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkTable1_") ||
 		strings.HasPrefix(name, "BenchmarkFrontEnd") ||
@@ -71,13 +70,13 @@ func gated(name string) bool {
 		strings.HasPrefix(name, "BenchmarkInvariants_") ||
 		strings.HasPrefix(name, "BenchmarkService_") ||
 		strings.HasPrefix(name, "BenchmarkInternParallel") ||
-		strings.HasPrefix(name, "BenchmarkDetectParallel")
+		name == "BenchmarkDetect_TPCC"
 }
 
 // bytesGated reports whether a benchmark's B/op is gated too: the simulator
 // (its store's pages are most of what it allocates), the sim-panel's cells,
 // witness certification (directed runs on the same store), and detection
-// (the Table 1 repairs, the edit loop and the parallel detection, whose
+// (the Table 1 repairs, the edit loop and the cold TPC-C detection, whose
 // bytes fell when detection stopped building SAT encodings).
 func bytesGated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkSim") ||
@@ -85,7 +84,7 @@ func bytesGated(name string) bool {
 		strings.HasPrefix(name, "BenchmarkCertify_") ||
 		strings.HasPrefix(name, "BenchmarkTable1_") ||
 		name == "BenchmarkSessionEdit" ||
-		strings.HasPrefix(name, "BenchmarkDetectParallel")
+		name == "BenchmarkDetect_TPCC"
 }
 
 // benchLine matches a benchmark's result line: go test prints B/op just

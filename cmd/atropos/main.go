@@ -14,9 +14,7 @@
 //	-steps               print the refactoring steps applied
 //	-bench NAME          use built-in benchmarks instead of files
 //	                     (comma-separated names, or "all")
-//	-parallel N          analyze inputs on N workers (0 = GOMAXPROCS);
-//	                     with one input, the detection fan-out width
-//	                     (0 = 1, sequential)
+//	-parallel N          analyze inputs on N workers (0 = GOMAXPROCS)
 //	-certify             replay every detected anomaly as an executable
 //	                     certificate in the cluster simulator; with
 //	                     repair, also run the SC and repaired-program
@@ -43,7 +41,7 @@ func main() {
 	showSteps := flag.Bool("steps", false, "print refactoring steps")
 	benchName := flag.String("bench", "", `built-in benchmark names, comma-separated, or "all"`)
 	outPath := flag.String("out", "", "write the refactored program to this file instead of stdout (single input only)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for multiple inputs (0 = GOMAXPROCS); with one input, the detection fan-out width (0 = 1, sequential)")
+	parallel := flag.Int("parallel", 0, "worker goroutines for multiple inputs (0 = GOMAXPROCS)")
 	certify := flag.Bool("certify", false, "replay every detected anomaly as an executable certificate in the cluster simulator")
 	flag.Parse()
 
@@ -61,20 +59,11 @@ func main() {
 
 	// Analyze/repair every input concurrently on a bounded worker pool;
 	// buffer per-input output so the report order matches the input order.
-	// With multiple inputs -parallel fans out across them and detection
-	// inside each stays sequential (the cores are already claimed); with a
-	// single input it instead bounds the detection session's transaction
-	// fan-out, sequential by default (reports are identical at every
-	// setting).
-	width := 1
-	if len(inputs) == 1 {
-		width = *parallel
-	}
 	ctx := context.Background()
 	outputs := make([]string, len(inputs))
 	err = pool.ForEach(pool.Workers(*parallel), len(inputs), func(i int) error {
 		var perr error
-		outputs[i], perr = process(ctx, inputs[i], m, *analyzeOnly, *showSteps, *certify, *outPath, width)
+		outputs[i], perr = process(ctx, inputs[i], m, *analyzeOnly, *showSteps, *certify, *outPath)
 		return perr
 	})
 	if err != nil {
@@ -91,7 +80,7 @@ type input struct {
 }
 
 // process runs one input through the pipeline, returning its full report.
-func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSteps, certify bool, outPath string, width int) (string, error) {
+func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSteps, certify bool, outPath string) (string, error) {
 	var b strings.Builder
 	if analyzeOnly {
 		if certify {
@@ -110,9 +99,7 @@ func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSt
 			}
 			return b.String(), nil
 		}
-		s := atropos.NewDetectSession(m)
-		s.SetParallelism(width)
-		report, err := s.DetectContext(ctx, in.prog)
+		report, err := atropos.Analyze(ctx, in.prog, m)
 		if err != nil {
 			return "", err
 		}
@@ -123,7 +110,7 @@ func process(ctx context.Context, in input, m atropos.Model, analyzeOnly, showSt
 		return b.String(), nil
 	}
 
-	res, err := atropos.Repair(ctx, in.prog, m, atropos.WithCertify(certify), atropos.WithDetectParallelism(width))
+	res, err := atropos.Repair(ctx, in.prog, m, atropos.WithCertify(certify))
 	if err != nil {
 		return "", err
 	}

@@ -17,7 +17,8 @@
 // program already answered in full, for any client, is answered again from
 // the engine's 256-answer memo (/v1/stats reports answer_hits and
 // answer_misses). /v1/parse and /v1/certify answer 400 for a knob they do
-// not read, and every endpoint for the retired budget_* fields.
+// not read, and every endpoint for a field it does not know (the retired
+// budget_* and parallelism fields among them).
 // "timeout_ms" bounds one request, and closing the connection aborts its
 // detection mid-flight. When all
 // workers are busy and the queue is full the daemon answers 429 with a
@@ -29,7 +30,7 @@
 //
 // Usage:
 //
-//	atroposd [-addr :8372] [-workers N] [-queue N] [-sessions N] [-detect-parallel N] [-pprof ADDR]
+//	atroposd [-addr :8372] [-workers N] [-queue N] [-sessions N] [-pprof ADDR]
 //	atroposd -loadtest [-clients 64] [-requests 4]   # in-process load test
 //	atroposd -servicechaos                           # scripted fault harness + gate
 package main
@@ -56,7 +57,6 @@ var (
 	workers  = flag.Int("workers", 0, "concurrent solve workers (0 = GOMAXPROCS)")
 	queue    = flag.Int("queue", 0, "admission queue depth before 429 (0 = 4x workers)")
 	sessions = flag.Int("sessions", 0, "cached client detection sessions before LRU eviction (0 = 64)")
-	detPar   = flag.Int("detect-parallel", 0, "per-request detection fan-out width, and the ceiling for a request's own \"parallelism\" (0 means 1, sequential: the fastest per request; n > 1 fans a request's transactions out on n goroutines)")
 	loadtest = flag.Bool("loadtest", false, "run the in-process load test instead of serving")
 	clients  = flag.Int("clients", 0, "loadtest: concurrent clients (0 = 64)")
 	requests = flag.Int("requests", 0, "loadtest: requests per client (0 = 4)")
@@ -66,7 +66,7 @@ var (
 
 func main() {
 	flag.Parse()
-	cfg := engine.Config{Workers: *workers, QueueDepth: *queue, Sessions: *sessions, DetectParallelism: *detPar}
+	cfg := engine.Config{Workers: *workers, QueueDepth: *queue, Sessions: *sessions}
 	if *loadtest {
 		runLoadtest()
 		return

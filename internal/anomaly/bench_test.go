@@ -125,7 +125,7 @@ func BenchmarkDetectCourseware(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coldDetect(context.Background(), prog, EC, 1, false); err != nil {
+		if _, err := coldDetect(context.Background(), prog, EC, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,18 +141,17 @@ func BenchmarkDetectSmallBank(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coldDetect(context.Background(), prog, EC, 1, false); err != nil {
+		if _, err := coldDetect(context.Background(), prog, EC, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkDetectParallel_TPCC measures a cold detection of the largest
-// benchmark with its transactions fanned out on a fixed 4 workers:
-// planning, the fan-out, the small model. A fresh session per iteration keeps
-// allocs/op deterministic (the fixed width keeps it machine-independent,
-// so the allocgate can gate it; see cmd/allocgate).
-func BenchmarkDetectParallel_TPCC(b *testing.B) {
+// BenchmarkDetect_TPCC measures a cold detection of the largest
+// benchmark: planning and the small model. A fresh session per iteration
+// keeps allocs/op deterministic, so the allocgate can gate it (see
+// cmd/allocgate).
+func BenchmarkDetect_TPCC(b *testing.B) {
 	prog, err := benchmarks.TPCC.Program()
 	if err != nil {
 		b.Fatal(err)
@@ -160,9 +159,7 @@ func BenchmarkDetectParallel_TPCC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSession(EC)
-		s.SetParallelism(4)
-		if _, err := s.Detect(prog); err != nil {
+		if _, err := NewSession(EC).Detect(prog); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,9 +3,7 @@ package anomaly
 import (
 	"context"
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"atropos/internal/ast"
@@ -14,7 +12,7 @@ import (
 )
 
 // The cache-free reference detector. Production has one detector, the
-// session; what the session's memos and fan-out must never change is what
+// session; what the session's memos must never change is what
 // a detector with no session attached reports: every cycle query decided
 // from scratch, transactions in program order. It lives here, in test code,
 // and every differential in this package compares against it.
@@ -51,31 +49,19 @@ func FreshDetect(prog *ast.Program, model Model) (*Report, error) {
 	return freshDetect(context.Background(), prog, model, false)
 }
 
-// testParallelism is the fan-out width the differential tests force. It is
-// wider than the default of 1 so the transaction fan-out runs on several
-// goroutines; `make race-par` overrides it through ATROPOS_TEST_PARALLELISM
-// to pin the width explicitly.
-func testParallelism() int {
-	if v := os.Getenv("ATROPOS_TEST_PARALLELISM"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 8
-}
-
-// ForcedWidth is testParallelism, for the package's external tests.
-func ForcedWidth() int { return testParallelism() }
-
 // coldDetect is what a one-shot detection is in production: a new
 // session's first pass.
-func coldDetect(ctx context.Context, prog *ast.Program, model Model, width int, record bool) (*Report, error) {
+func coldDetect(ctx context.Context, prog *ast.Program, model Model, record bool) (*Report, error) {
+	return newSession(model, record).DetectContext(ctx, prog)
+}
+
+// newSession is a new session, recording witness schedules if record.
+func newSession(model Model, record bool) *DetectSession {
 	s := NewSession(model)
-	s.SetParallelism(width)
 	if record {
 		s.RecordWitnesses()
 	}
-	return s.DetectContext(ctx, prog)
+	return s
 }
 
 // sameVerdict requires got to report what the reference report want does:
@@ -93,10 +79,10 @@ func sameVerdict(t *testing.T, what string, got, want *Report) {
 }
 
 // TestColdSessionEqualsFreshOracle pins the equivalence the single detector
-// rests on: a new session's first pass — sequential and at the test width —
-// reports exactly what the cache-free reference does, over the nine
-// benchmarks and the generated corpus, under every weak model, plain and
-// with witness recording.
+// rests on: a new session's first pass reports exactly what the cache-free
+// reference does, over the nine benchmarks and the generated corpus, under
+// every weak model, plain and with witness recording — and so does its
+// second pass, answered wholly from the transaction memo (Solved 0).
 func TestColdSessionEqualsFreshOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential; skipped with -short")
@@ -127,12 +113,17 @@ func TestColdSessionEqualsFreshOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %v %s: fresh oracle: %v", p.name, m, fl.name, err)
 				}
-				for _, width := range []int{1, testParallelism()} {
-					got, err := coldDetect(ctx, p.prog, m, width, fl.record)
+				s := newSession(m, fl.record)
+				for _, pass := range []string{"cold", "warm"} {
+					got, err := s.DetectContext(ctx, p.prog)
 					if err != nil {
-						t.Fatalf("%s %v %s width %d: cold session: %v", p.name, m, fl.name, width, err)
+						t.Fatalf("%s %v %s: %s session: %v", p.name, m, fl.name, pass, err)
 					}
-					sameVerdict(t, fmt.Sprintf("%s %v %s width %d", p.name, m, fl.name, width), got, want)
+					what := fmt.Sprintf("%s %v %s %s", p.name, m, fl.name, pass)
+					sameVerdict(t, what, got, want)
+					if pass == "warm" && got.Solved != 0 {
+						t.Errorf("%s: solved %d queries, want 0", what, got.Solved)
+					}
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package anomaly_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"atropos/internal/anomaly"
@@ -35,38 +34,6 @@ func FuzzDetectSessionEquivalence(f *testing.F) {
 				t.Fatalf("seed %d %v: %s session Detect: %v", seed, model, pass.name, err)
 			}
 			sameAsFresh(t, fmt.Sprintf("seed %d %v %s (txn %d)", seed, model, pass.name, k), pass.prog, model, got)
-		}
-	})
-}
-
-// FuzzParallelDetectEquivalence fuzzes the transaction fan-out's contract:
-// over random progen programs, weak models and fan-out widths, a fanned-out
-// detection must report the same pairs from the same number of queries as
-// the sequential cache-free reference. The nightly CI job runs this target
-// alongside the others.
-func FuzzParallelDetectEquivalence(f *testing.F) {
-	f.Add(int64(0), uint8(0), uint8(2))
-	f.Add(int64(1), uint8(1), uint8(4))
-	f.Add(int64(2), uint8(2), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, modelByte, parByte uint8) {
-		model := sessionModels[int(modelByte)%3]
-		par := 2 + int(parByte)%7 // 2..8 workers
-		p := progen.Program(seed)
-		fresh, err := anomaly.FreshDetect(p, model)
-		if err != nil {
-			t.Fatalf("seed %d %v: fresh Detect: %v", seed, model, err)
-		}
-		s := anomaly.NewSession(model)
-		s.SetParallelism(par)
-		got, err := s.Detect(p)
-		if err != nil {
-			t.Fatalf("seed %d %v par=%d: fan-out Detect: %v", seed, model, par, err)
-		}
-		if got.Queries != fresh.Queries {
-			t.Fatalf("seed %d %v par=%d: fan-out issued %d queries, fresh %d", seed, model, par, got.Queries, fresh.Queries)
-		}
-		if !reflect.DeepEqual(fresh.Pairs, got.Pairs) {
-			t.Fatalf("seed %d %v par=%d: fan-out diverges:\nfresh %v\ngot   %v", seed, model, par, fresh.Pairs, got.Pairs)
 		}
 	})
 }

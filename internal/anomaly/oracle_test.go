@@ -25,7 +25,7 @@ var cubicOrder = orderAxioms{
 		for i := 0; i < ord.n; i++ {
 			for j := i + 1; j < ord.n; j++ {
 				if (i < nA) == (j < nA) {
-					e.Assert(e.Atom(ord.at(i, j)))
+					e.AssertClauseS(logic.Pos(ord.at(i, j)))
 				}
 			}
 		}
@@ -117,9 +117,9 @@ func TestMergeOrderMatchesGenericAxioms(t *testing.T) {
 							continue
 						}
 						if i < j && (i < nA) == (j < nA) {
-							e.Assert(e.Atom(co.at(i, j)))
+							e.AssertClauseS(logic.Pos(co.at(i, j)))
 						}
-						e.Assert(logic.ImpliesF(e.Atom(co.at(i, j)), e.Atom(ord.at(i, j))))
+						e.AssertClauseS(logic.Neg(co.at(i, j)), logic.Pos(ord.at(i, j)))
 					}
 				}
 				ax.co(e, nA, co)
@@ -186,7 +186,7 @@ func satDetect(t *testing.T, prog *ast.Program, model Model, ax orderAxioms) (ma
 
 // checkAgainstCubicOracle detects prog under model three ways — the SAT
 // witness loop on the generic cubic axioms (the oracle), the fresh
-// reference, and a new session's fan-out at width 8 — and requires the
+// reference, and a new session — and requires the
 // same anomalous access pairs and the same number of cycle queries from
 // all of them. The SAT loop on the merge axioms must agree too.
 func checkAgainstCubicOracle(t *testing.T, what string, prog *ast.Program, model Model) {
@@ -200,13 +200,11 @@ func checkAgainstCubicOracle(t *testing.T, what string, prog *ast.Program, model
 	if err != nil {
 		t.Fatalf("%s %v: fresh Detect: %v", what, model, err)
 	}
-	s := NewSession(model)
-	s.SetParallelism(8)
-	par, err := s.Detect(prog)
+	sess, err := NewSession(model).Detect(prog)
 	if err != nil {
-		t.Fatalf("%s %v: fan-out Detect: %v", what, model, err)
+		t.Fatalf("%s %v: session Detect: %v", what, model, err)
 	}
-	for name, got := range map[string]*Report{"sequential": seq, "fan-out": par} {
+	for name, got := range map[string]*Report{"fresh": seq, "session": sess} {
 		gotIDs := pairIDs(got)
 		for id := range gotIDs {
 			if !wantIDs[id] {

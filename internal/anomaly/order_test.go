@@ -9,8 +9,8 @@ import (
 
 // The experiment drivers diff detector output textually (Table 1 goldens,
 // the repair goldens, the -analyze CLI), so Report.Pairs must come back in the
-// same order — and render identically — no matter which engine produced
-// them or how many workers the session fanned transactions out on.
+// same order — and render identically — whether the fresh reference or a
+// session produced them.
 
 func pairStrings(rep *anomaly.Report) []string {
 	out := make([]string, len(rep.Pairs))
@@ -20,8 +20,8 @@ func pairStrings(rep *anomaly.Report) []string {
 	return out
 }
 
-// TestReportOrderingAcrossEngines pins that fresh detection, a sequential
-// session, and a parallel session report byte-identical pair sequences.
+// TestReportOrderingAcrossEngines pins that fresh detection and a session
+// report byte-identical pair sequences.
 func TestReportOrderingAcrossEngines(t *testing.T) {
 	for _, b := range []*benchmarks.Benchmark{benchmarks.SmallBank, benchmarks.TPCC} {
 		prog := b.MustProgram()
@@ -32,23 +32,19 @@ func TestReportOrderingAcrossEngines(t *testing.T) {
 			}
 			want := pairStrings(fresh)
 
-			for _, par := range []int{1, 4} {
-				s := anomaly.NewSession(model)
-				s.SetParallelism(par)
-				rep, err := s.Detect(prog)
-				if err != nil {
-					t.Fatalf("%s/%s: session(par=%d): %v", b.Name, model, par, err)
-				}
-				got := pairStrings(rep)
-				if len(got) != len(want) {
-					t.Fatalf("%s/%s: session(par=%d) reported %d pairs, fresh %d",
-						b.Name, model, par, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s/%s: session(par=%d) pair %d:\n got %s\nwant %s",
-							b.Name, model, par, i, got[i], want[i])
-					}
+			rep, err := anomaly.NewSession(model).Detect(prog)
+			if err != nil {
+				t.Fatalf("%s/%s: session: %v", b.Name, model, err)
+			}
+			got := pairStrings(rep)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: session reported %d pairs, fresh %d",
+					b.Name, model, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s/%s: session pair %d:\n got %s\nwant %s",
+						b.Name, model, i, got[i], want[i])
 				}
 			}
 		}

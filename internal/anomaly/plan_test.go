@@ -188,15 +188,12 @@ func TestPlanKeyDeterminesBody(t *testing.T) {
 }
 
 // detectVia runs one detection of prog with witness recording on, fresh
-// (width 0) or through a new session at the given width.
-func detectVia(ctx context.Context, prog *ast.Program, m Model, width int) (*Report, error) {
-	if width == 0 {
+// or through a new session.
+func detectVia(ctx context.Context, prog *ast.Program, m Model, fresh bool) (*Report, error) {
+	if fresh {
 		return runFresh(&detector{pass: newPass(prog, m, true), ctx: ctx})
 	}
-	s := NewSession(m)
-	s.RecordWitnesses()
-	s.SetParallelism(width)
-	return s.DetectContext(ctx, prog)
+	return coldDetect(ctx, prog, m, true)
 }
 
 // TestZeroCandidateWitnessCostsNothing: a witness that shares a table with
@@ -268,17 +265,17 @@ func (c *pollCancel) Err() error {
 }
 
 // TestAbortMidDetectionCachesNothing: a cancellation that arrives between
-// cycle queries aborts the detection with the context's error — fresh,
-// sequential and fanned out — and leaves no transaction outcome in
+// cycle queries aborts the detection with the context's error — fresh and
+// through a session — and leaves no transaction outcome in
 // the session's memo.
 func TestAbortMidDetectionCachesNothing(t *testing.T) {
 	prog := mustProg(t, courseware)
-	for _, width := range []int{0, 1, 8} {
+	for _, fresh := range []bool{true, false} {
 		ctx := newPollCancel(2)
-		_, err := detectVia(ctx, prog, EC, width)
+		_, err := detectVia(ctx, prog, EC, fresh)
 		ctx.cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("width %d: cancelled detection = %v, want context.Canceled", width, err)
+			t.Errorf("fresh %v: cancelled detection = %v, want context.Canceled", fresh, err)
 		}
 	}
 
@@ -286,7 +283,6 @@ func TestAbortMidDetectionCachesNothing(t *testing.T) {
 	// it: the next pass reports what a fresh detection does and counts no
 	// transaction hit.
 	s := NewSession(EC)
-	s.SetParallelism(1)
 	ctx := newPollCancel(2)
 	defer ctx.cancel()
 	if _, err := s.DetectContext(ctx, prog); !errors.Is(err, context.Canceled) {

@@ -11,7 +11,8 @@ import (
 // many goroutines over the same shared *ast.Program under every consistency
 // model. The parallel experiment engine relies on Detect treating its input
 // as read-only; run with -race this test guards that contract (detector
-// state — encoders, query counters, SAT solvers — must be per-session).
+// state — plans, query counters, the small model's scratch, the memo —
+// must be per-session).
 func TestDetectConcurrent(t *testing.T) {
 	prog, err := benchmarks.SmallBank.Program()
 	if err != nil {

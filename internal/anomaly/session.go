@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"atropos/internal/ast"
-	"atropos/internal/pool"
 )
 
 // DetectSession is the anomaly detector: the small-model oracle plus the
@@ -29,18 +28,14 @@ import (
 //     is a function of exactly that, so identically shaped pairs — across
 //     detection passes or within one — share it.
 //
-// Detection fans out over transactions (SetParallelism): the pass's
-// fingerprint-missing transactions are planned on the calling goroutine,
-// then each is decided on a detector of its own. A transaction's queries,
-// and with them its report, do not depend on which worker runs it, so the
-// reports match the sequential oracle at every width. The default width is
-// 1 (DESIGN.md §7).
+// Detection is one loop over the program's transactions on the calling
+// goroutine (DESIGN.md §7): a cycle query costs microseconds, so callers
+// that want more throughput run whole repairs side by side instead.
 //
-// A session is safe for concurrent use by its own workers; callers should
-// issue Detect calls sequentially.
+// The memo is guarded by a mutex; callers should issue Detect calls
+// sequentially.
 type DetectSession struct {
-	model       Model
-	parallelism int
+	model Model
 	// record opts every detection into witness-schedule extraction. It must
 	// be set before the first Detect call: memoized answers only carry a
 	// Schedule if they were decided while recording.
@@ -98,14 +93,6 @@ func (s SessionStats) CacheHitRate() float64 {
 	return 1 - float64(s.Solved+s.Replayed)/float64(s.Queries)
 }
 
-// DefaultParallelism is the detection width an unset (zero or negative)
-// SetParallelism resolves to: 1. A cycle query costs microseconds, so
-// handing transactions to other goroutines costs more than it saves on the
-// programs detection sees, and callers that want more throughput fan whole
-// repairs out instead. It is the one rule for width 0; every layer above
-// passes its zero through to the session.
-func DefaultParallelism() int { return 1 }
-
 // NewSession creates a detection session for one consistency model.
 func NewSession(model Model) *DetectSession {
 	return &DetectSession{
@@ -118,13 +105,11 @@ func NewSession(model Model) *DetectSession {
 // Model returns the session's consistency model.
 func (s *DetectSession) Model() Model { return s.model }
 
-// SetParallelism bounds the worker goroutines Detect fans transactions
-// out on; n <= 0 selects DefaultParallelism (1, sequential). Reported
-// pairs and Queries are identical at every setting: each transaction is
-// decided whole on one detector, and an answer does not depend on which
-// worker decides it first. Only the Solved/QueryHits stats can shift under
-// concurrency.
-func (s *DetectSession) SetParallelism(n int) { s.parallelism = n }
+// SetParallelism does nothing: detection has no width.
+//
+// Deprecated: bench/probes.go is its last caller; it goes with the next
+// change to the benchmark.
+func (s *DetectSession) SetParallelism(int) {}
 
 // RecordWitnesses opts every subsequent detection into witness-schedule
 // extraction (see witness.go): reported pairs carry Witness.Schedule.
@@ -168,72 +153,40 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 // never stored, and every stored query answer is complete.
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
 	p := newPass(prog, s.model, s.record)
-	outs := make([]txnOut, len(prog.Txns))
-	// Plan every fingerprint-missing transaction here, on the calling
-	// goroutine, so the workers below only read the pass. A transaction
-	// with the fingerprint of an earlier queued one is deferred and
-	// answered from the cache afterwards, counting the TxnHit the
-	// sequential loop would.
-	for i := range outs {
-		o := &outs[i]
-		o.fp = p.fingerprint(i)
-		if o.deferred = queuedUnder(outs[:i], o.fp); o.deferred {
-			continue
-		}
-		if e, ok := s.lookupTxn(o.fp); ok {
-			o.pairs, o.issued = e.pairs, e.issued
-			continue
-		}
-		plans, err := p.witnessesOf(i)
-		if err != nil {
-			return nil, err
-		}
-		o.plans, o.queued = plans, true
-	}
-	width := s.parallelism
-	if width <= 0 {
-		width = DefaultParallelism()
-	}
-	err := pool.ForEach(width, len(outs), func(i int) error {
-		o := &outs[i]
-		if !o.queued {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		d := &detector{pass: p, session: s, ctx: ctx}
-		pairs, err := d.detectTxn(o.plans)
-		if err != nil {
-			return err
-		}
-		s.storeTxn(o.fp, txnEntry{pairs: pairs, issued: d.issued})
-		o.pairs, o.issued, o.solved = pairs, d.issued, d.solved
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range outs {
-		if o := &outs[i]; o.deferred {
-			e, _ := s.lookupTxn(o.fp)
-			o.pairs, o.issued = e.pairs, e.issued
-		}
-	}
-	report := &Report{Model: s.model, EncodersPlanned: p.planned}
+	d := &detector{pass: p, session: s, ctx: ctx}
+	entries := make([]txnEntry, len(prog.Txns))
 	nPairs := 0
-	for _, o := range outs {
-		nPairs += len(o.pairs)
+	for i := range entries {
+		fp := p.fingerprint(i)
+		e, ok := s.lookupTxn(fp)
+		if !ok {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			plans, err := p.witnessesOf(i)
+			if err != nil {
+				return nil, err
+			}
+			issued := d.issued
+			pairs, err := d.detectTxn(plans)
+			if err != nil {
+				return nil, err
+			}
+			e = txnEntry{pairs: pairs, issued: d.issued - issued}
+			s.storeTxn(fp, e)
+		}
+		entries[i] = e
+		nPairs += len(e.pairs)
 	}
+	report := &Report{Model: s.model, EncodersPlanned: p.planned, Solved: d.solved}
 	// One allocation: on a pass of fingerprint hits, growing this by append
 	// was most of the bytes the pass allocated.
 	if nPairs > 0 {
 		report.Pairs = make([]AccessPair, 0, nPairs)
 	}
-	for _, o := range outs {
-		report.Pairs = append(report.Pairs, o.pairs...)
-		report.Queries += o.issued
-		report.Solved += o.solved
+	for _, e := range entries {
+		report.Pairs = append(report.Pairs, e.pairs...)
+		report.Queries += e.issued
 	}
 	s.mu.Lock()
 	s.stats.Queries += report.Queries
@@ -241,30 +194,6 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 	s.stats.EncodersPlanned += report.EncodersPlanned
 	s.mu.Unlock()
 	return report, nil
-}
-
-// txnOut is one transaction's detection outcome, merged into the report in
-// transaction order, with what DetectContext needs to reach it: the
-// transaction's fingerprint, and whether it is queued to be decided from
-// plans or deferred to the cache.
-type txnOut struct {
-	pairs          []AccessPair
-	issued, solved int
-
-	fp               uint64
-	plans            []*pairPlan
-	queued, deferred bool
-}
-
-// queuedUnder reports whether some transaction of outs is queued under
-// fingerprint fp.
-func queuedUnder(outs []txnOut, fp uint64) bool {
-	for i := range outs {
-		if outs[i].queued && outs[i].fp == fp {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
@@ -282,9 +211,7 @@ func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
 func (s *DetectSession) storeTxn(fp uint64, e txnEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.txns[fp]; !ok {
-		s.txns[fp] = e
-	}
+	s.txns[fp] = e
 }
 
 // lookupQuery returns a memoized answer, counting the hit.
@@ -298,12 +225,9 @@ func (s *DetectSession) lookupQuery(k memoKey) (cycleResult, bool) {
 	return r, ok
 }
 
-// storeQuery memoizes an answer; when two workers decided the same query,
-// the first stored answer stays (both are equal).
+// storeQuery memoizes an answer.
 func (s *DetectSession) storeQuery(k memoKey, r cycleResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.queries[k]; !ok {
-		s.queries[k] = r
-	}
+	s.queries[k] = r
 }

@@ -31,9 +31,8 @@ var sessionModels = []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR}
 
 // TestSessionEquivalentOnRandomPrograms is the incremental engine's core
 // contract, validated over randomized programs: a DetectSession must
-// report byte-identical pairs to a fresh Detect — on a cold cache, on a
-// warm cache (second call over the same program), and with transaction
-// fan-out enabled.
+// report byte-identical pairs to a fresh Detect — on a cold cache, and on a
+// warm cache (second call over the same program).
 func TestSessionEquivalentOnRandomPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -46,7 +45,6 @@ func TestSessionEquivalentOnRandomPrograms(t *testing.T) {
 				t.Fatalf("seed %d %v: Detect: %v", seed, m, err)
 			}
 			s := anomaly.NewSession(m)
-			s.SetParallelism(1)
 			cold, err := s.Detect(p)
 			if err != nil {
 				t.Fatalf("seed %d %v: session Detect: %v", seed, m, err)
@@ -67,17 +65,45 @@ func TestSessionEquivalentOnRandomPrograms(t *testing.T) {
 			if warm.Solved != 0 {
 				t.Errorf("seed %d %v: warm re-detection solved %d queries, want 0 (txn cache should absorb the call)", seed, m, warm.Solved)
 			}
-
-			par := anomaly.NewSession(m)
-			par.SetParallelism(4)
-			pr, err := par.Detect(p)
-			if err != nil {
-				t.Fatalf("seed %d %v: parallel session Detect: %v", seed, m, err)
-			}
-			if !reflect.DeepEqual(fresh.Pairs, pr.Pairs) {
-				t.Fatalf("seed %d %v: parallel session diverges:\nfresh %v\npar   %v", seed, m, fresh.Pairs, pr.Pairs)
-			}
 		}
+	}
+}
+
+// TestDuplicateFingerprints: a program listing the same transaction node
+// twice gives both copies one fingerprint, so detection decides the first
+// and answers the second from the first's cached entry — one
+// transaction-cache hit, and the fresh oracle's pairs and queries.
+func TestDuplicateFingerprints(t *testing.T) {
+	prog := mustProgT(t, `
+table account { id: int key, bal: int, }
+txn Deposit(a: int, v: int) {
+  x := select bal from account where id = a;
+  update account set bal = x.bal + v where id = a;
+}
+txn Audit(a: int) {
+  x := select bal from account where id = a;
+  update account set bal = x.bal where id = a;
+}
+`)
+	prog.Txns = append(prog.Txns, prog.Txns[0])
+	fresh, err := anomaly.FreshDetect(prog, anomaly.EC)
+	if err != nil {
+		t.Fatalf("Detect: %v", err)
+	}
+
+	s := anomaly.NewSession(anomaly.EC)
+	got, err := s.Detect(prog)
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	if !reflect.DeepEqual(fresh.Pairs, got.Pairs) {
+		t.Fatalf("duplicate-txn reports diverge:\nfresh %v\ngot   %v", fresh.Pairs, got.Pairs)
+	}
+	if got.Queries != fresh.Queries {
+		t.Errorf("queries diverge: fresh %d, session %d", fresh.Queries, got.Queries)
+	}
+	if st := s.Stats(); st.TxnHits != 1 || st.TxnMisses != len(prog.Txns)-1 {
+		t.Errorf("txn-cache hits %d, misses %d; want 1 and %d", st.TxnHits, st.TxnMisses, len(prog.Txns)-1)
 	}
 }
 
@@ -104,28 +130,23 @@ func sameAsFresh(t *testing.T, what string, prog *ast.Program, m anomaly.Model, 
 
 // TestSessionEquivalentOnBenchmarks pins the contract on the full
 // evaluation corpus under an editing loop: per benchmark and model, one
-// session — sequential, and at the forced test width — detects the
-// program, then for each transaction the program without it and the
+// session detects the program, then for each transaction the program without it and the
 // program restored, and every report equals a fresh detection's. A memo
 // key that missed something an answer depends on would answer a query
-// from the wrong pair here. Under EC the sequential loop's counts are
-// pinned: of its 1 368 queries, 317 are decided and 1 051 answered from the
+// from the wrong pair here. Under EC the loop's counts are pinned: of its 1 368 queries, 317 are decided and 1 051 answered from the
 // memo (a memo keyed by the solver's query history decided 384 and re-ran
 // 65 more to restore solver state).
 func TestSessionEquivalentOnBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus equivalence; skipped with -short")
 	}
-	for _, width := range []int{1, anomaly.ForcedWidth()} {
-		for _, m := range sessionModels {
-			editLoop(t, m, width)
-		}
+	for _, m := range sessionModels {
+		editLoop(t, m)
 	}
 }
 
-// editLoop runs TestSessionEquivalentOnBenchmarks' loop for one model and
-// width.
-func editLoop(t *testing.T, m anomaly.Model, width int) {
+// editLoop runs TestSessionEquivalentOnBenchmarks' loop for one model.
+func editLoop(t *testing.T, m anomaly.Model) {
 	t.Helper()
 	var sum anomaly.SessionStats
 	for _, b := range benchmarks.All() {
@@ -134,13 +155,12 @@ func editLoop(t *testing.T, m anomaly.Model, width int) {
 			t.Fatal(err)
 		}
 		s := anomaly.NewSession(m)
-		s.SetParallelism(width)
 		detect := func(what string, p *ast.Program) {
 			got, err := s.Detect(p)
 			if err != nil {
-				t.Fatalf("%s %v width %d %s: session Detect: %v", b.Name, m, width, what, err)
+				t.Fatalf("%s %v %s: session Detect: %v", b.Name, m, what, err)
 			}
-			sameAsFresh(t, fmt.Sprintf("%s %v width %d %s", b.Name, m, width, what), p, m, got)
+			sameAsFresh(t, fmt.Sprintf("%s %v %s", b.Name, m, what), p, m, got)
 		}
 		detect("original", prog)
 		for k, txn := range prog.Txns {
@@ -152,7 +172,7 @@ func editLoop(t *testing.T, m anomaly.Model, width int) {
 		sum.Replayed += st.Replayed
 		sum.QueryHits += st.QueryHits
 	}
-	if width == 1 && m == anomaly.EC && (sum.Solved != 317 || sum.Replayed != 0 || sum.QueryHits != 1051) {
+	if m == anomaly.EC && (sum.Solved != 317 || sum.Replayed != 0 || sum.QueryHits != 1051) {
 		t.Errorf("EC edit loop: solved %d replayed %d hits %d, want solved 317, replayed 0, hits 1051",
 			sum.Solved, sum.Replayed, sum.QueryHits)
 	}

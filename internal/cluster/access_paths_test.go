@@ -41,7 +41,7 @@ func TestBenchmarkAccessPaths(t *testing.T) {
 	// SmallBank, original and repaired, pins keys only: its cells measure
 	// what the indexes cost a workload that never asks for one.
 	sb := program(t, benchmarks.SmallBank)
-	res, err := repair.Run(context.Background(), sb, anomaly.EC, repair.Parallelism(1))
+	res, err := repair.Run(context.Background(), sb, anomaly.EC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAllBenchmarkTxnsCompile(t *testing.T) {
 		}
 		originals += len(prog.Txns)
 		for _, model := range models {
-			res, err := repair.Run(context.Background(), prog, model, repair.Parallelism(1))
+			res, err := repair.Run(context.Background(), prog, model)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", what, model, err)
 			}

@@ -17,9 +17,8 @@ const maxAnswers = 256
 
 // answerKey is what determines a finished answer: the verb, the program's
 // structural hash (ast.HashProgram), the model and, for repair, whether it
-// certifies. It never names the client, and it leaves out the detection
-// width (answers are identical at every width) and the deadline (only
-// complete answers are stored).
+// certifies. It never names the client, and it leaves out the deadline
+// (only complete answers are stored).
 type answerKey struct {
 	verb    string
 	prog    uint64

@@ -244,7 +244,7 @@ func TestAnswerHitIsACleanAnswer(t *testing.T) {
 // TestAnswerMemoBound: the memo holds maxAnswers answers, and the next
 // distinct one evicts the least recently used.
 func TestAnswerMemoBound(t *testing.T) {
-	e := New(Config{Workers: 1, DetectParallelism: 1})
+	e := New(Config{Workers: 1})
 	ctx := context.Background()
 	repairSeed := func(seed int64) {
 		t.Helper()

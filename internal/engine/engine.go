@@ -71,13 +71,6 @@ type Config struct {
 	// Sessions caps the per-(client, model, recording) DetectSession LRU;
 	// <= 0 selects 64.
 	Sessions int
-	// DetectParallelism is the per-request detection worker count: the
-	// width a request that does not set repair.Parallelism runs at, and the
-	// ceiling for one that does (see detectWidth). <= 0 selects the
-	// session's rule for width 0, which is 1: every request detects
-	// sequentially, and the engine's own Workers fan-out uses the cores.
-	// Values above GOMAXPROCS are lowered to it.
-	DetectParallelism int
 	// MaxQueueWait is the CoDel-style queue-wait ceiling: a request still
 	// waiting for a worker slot after this long is shed with ErrOverloaded
 	// instead of going stale in the queue (its client's deadline budget is
@@ -120,10 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.Sessions <= 0 {
 		c.Sessions = 64
 	}
-	if c.DetectParallelism <= 0 {
-		c.DetectParallelism = anomaly.DefaultParallelism()
-	}
-	c.DetectParallelism = min(c.DetectParallelism, runtime.GOMAXPROCS(0))
 	if c.MaxQueueWait == 0 {
 		c.MaxQueueWait = 30 * time.Second
 	}
@@ -442,18 +431,6 @@ func newSession(model anomaly.Model, record bool) *anomaly.DetectSession {
 	return s
 }
 
-// detectWidth resolves the detection width one request runs at. The
-// engine's own width is both the default and the ceiling: a request may
-// narrow its detection (1 = sequential) but not widen it — the fan-out
-// starts a goroutine per worker, so an unchecked width is goroutines on
-// demand.
-func (e *Engine) detectWidth(requested int) int {
-	if requested <= 0 || requested > e.cfg.DetectParallelism {
-		return e.cfg.DetectParallelism
-	}
-	return requested
-}
-
 // checkin returns a session to the cache under k, evicting from the LRU
 // tail past capacity. If a concurrent request for the same key returned
 // first, the cached copy stays and this one is recycled — last writer
@@ -515,7 +492,6 @@ func (e *Engine) Analyze(ctx context.Context, prog *ast.Program, model anomaly.M
 	} else {
 		s = newSession(model, o.Certify)
 	}
-	s.SetParallelism(e.detectWidth(o.Parallelism))
 	rep, derr := s.DetectContext(ctx, prog)
 	if o.Client != "" {
 		e.checkin(k, s)
@@ -585,7 +561,6 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 			o.Stages = st
 		}
 	}
-	o.Parallelism = e.detectWidth(o.Parallelism)
 	var k sessionKey
 	var s *anomaly.DetectSession
 	if o.Client != "" && o.Session == nil {

@@ -59,8 +59,6 @@ func CertifyGrid(benches []*benchmarks.Benchmark, parallelism int) ([]CertifyRow
 		b := benches[i/len(CertModels)]
 		m := CertModels[i%len(CertModels)]
 		prog, _ := b.Program()
-		// Sequential detection, like the repairs below: the grid already
-		// owns the worker pool.
 		cert, _, err := replay.CertifyModelContext(context.Background(), prog, m)
 		if err != nil {
 			return err
@@ -107,9 +105,7 @@ func CertifyNegatives(benches []*benchmarks.Benchmark, parallelism int) ([]Certi
 	out := make([]CertifyNegative, len(benches))
 	err := pool.ForEach(pool.Workers(parallelism), len(benches), func(i int) error {
 		prog, _ := benches[i].Program()
-		// Detection runs sequentially inside each repair: the benchmark
-		// grid already owns the worker pool.
-		res, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Certify(true), repair.Parallelism(1))
+		res, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Certify(true))
 		if err != nil {
 			return err
 		}

@@ -84,9 +84,8 @@ type repairCounts struct {
 	Initial, Remaining, Queries, Solved int
 }
 
-// goldenRepairs pins every benchmark's repair under EC at detection width 1
-// (concurrent workers shift which query populates a cache key, so Solved is
-// exact only sequentially).
+// goldenRepairs pins every benchmark's repair under EC: the pairs before
+// and after, and the queries issued and decided.
 var goldenRepairs = map[string]repairCounts{
 	"TPC-C":      {123, 40, 286, 163},
 	"SEATS":      {38, 4, 80, 42},
@@ -100,12 +99,12 @@ var goldenRepairs = map[string]repairCounts{
 }
 
 // goldenCorpus pins the anomaly totals of the progen corpus, seeds 0..31,
-// each program repaired under EC at detection width 1.
+// each program repaired under EC.
 var goldenCorpus = struct{ Initial, Remaining int }{122, 98}
 
 func runRepair(t *testing.T, name string, prog *ast.Program) repairCounts {
 	t.Helper()
-	rep, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1))
+	rep, err := repair.Run(context.Background(), prog, anomaly.EC)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

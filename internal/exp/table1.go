@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"atropos/internal/anomaly"
-	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/pool"
 	"atropos/internal/repair"
@@ -49,14 +48,6 @@ const table1Parts = 3
 // comparable across parallelism settings.
 func Table1(benches []*benchmarks.Benchmark, opts ...Option) ([]Table1Row, error) {
 	o := buildOptions(opts)
-	// The grid is already fanned out per benchmark, so detection inside
-	// each cell — the repair's session, the one-shot CC and RR passes —
-	// runs sequentially.
-	analyze := func(prog *ast.Program, m anomaly.Model) (*anomaly.Report, error) {
-		s := anomaly.NewSession(m)
-		s.SetParallelism(1)
-		return s.Detect(prog)
-	}
 	rows := make([]Table1Row, len(benches))
 	durs := make([][table1Parts]time.Duration, len(benches))
 	err := pool.ForEach(pool.Workers(o.parallelism), len(benches)*table1Parts, func(i int) error {
@@ -69,7 +60,7 @@ func Table1(benches []*benchmarks.Benchmark, opts ...Option) ([]Table1Row, error
 		start := time.Now()
 		switch part {
 		case 0: // EC detection + repair (EC, AT, and the shape columns)
-			res, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Parallelism(1))
+			res, err := repair.Run(context.Background(), prog, anomaly.EC)
 			if err != nil {
 				return fmt.Errorf("table1: %s: %w", b.Name, err)
 			}
@@ -80,13 +71,13 @@ func Table1(benches []*benchmarks.Benchmark, opts ...Option) ([]Table1Row, error
 			rows[bi].EC = len(res.Initial)
 			rows[bi].AT = len(res.Remaining)
 		case 1: // causal consistency column
-			cc, err := analyze(prog, anomaly.CC)
+			cc, err := anomaly.NewSession(anomaly.CC).Detect(prog)
 			if err != nil {
 				return fmt.Errorf("table1: %s: CC: %w", b.Name, err)
 			}
 			rows[bi].CC = cc.Count()
 		case 2: // repeatable read column
-			rr, err := analyze(prog, anomaly.RR)
+			rr, err := anomaly.NewSession(anomaly.RR).Detect(prog)
 			if err != nil {
 				return fmt.Errorf("table1: %s: RR: %w", b.Name, err)
 			}

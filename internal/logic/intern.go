@@ -3,9 +3,8 @@ package logic
 import "fmt"
 
 // Sym is an interned proposition: an index into an Interner's table.
-// Encoders resolve syms to solver variables by flat []int lookup, so the
-// hot encode/solve path never hashes a proposition string. Sym values are
-// only meaningful relative to the Interner that produced them.
+// Encoders resolve syms to solver variables by flat []int lookup. Sym
+// values are only meaningful relative to the Interner that produced them.
 type Sym int32
 
 // Interner is the proposition table of one encoder: dense Syms, each with
@@ -16,14 +15,13 @@ type Sym int32
 // encodings whose propositions are addressed by indices (a family tag plus
 // (i, j)) and never printed.
 //
-// Hashing contract: formula hashes (Hash/FormulaHash) digest identities,
-// never Sym values, so two encoders that allocated the same propositions
-// in different orders — and therefore numbered them differently — still
-// produce identical canonical hashes (see DESIGN.md §8). Callers of New
-// own the other half of the contract: an identity must determine the
-// proposition's role in the encoding, as a name would.
+// Hashing contract: FormulaHash digests identities, never Sym values, so
+// two encoders that allocated the same propositions in different orders —
+// and therefore numbered them differently — still produce identical
+// canonical hashes (see DESIGN.md §8). Callers of New own the other half
+// of the contract: an identity must determine the proposition's role in
+// the encoding, as a name would.
 type Interner struct {
-	names []string // "" for Syms allocated by New
 	ids   []uint64
 	index map[string]Sym
 }
@@ -34,26 +32,19 @@ func NewInterner() *Interner {
 }
 
 // reset empties the interner keeping its map buckets and slice capacity;
-// previously returned name strings stay valid (strings are immutable), but
 // previously returned Syms are meaningless afterwards.
 func (in *Interner) reset() {
-	in.names = in.names[:0]
 	in.ids = in.ids[:0]
 	clear(in.index)
 }
 
-// nameID is the identity of a named proposition: the FNV-1a hash of its
-// name.
-func nameID(name string) uint64 { return fnvString(fnvOffset, name) }
-
 // Intern returns the Sym for name, assigning the next free Sym on first
-// sight.
+// sight. A name's identity is the FNV-1a hash of its bytes.
 func (in *Interner) Intern(name string) Sym {
 	if s, ok := in.index[name]; ok {
 		return s
 	}
-	s := in.New(nameID(name))
-	in.names[s] = name
+	s := in.New(fnvString(fnvOffset, name))
 	in.index[name] = s
 	return s
 }
@@ -68,15 +59,10 @@ func (in *Interner) Internf(format string, args ...any) Sym {
 // identity. Syms are consecutive: n calls in a row return a contiguous
 // range, so a relation can be addressed as base + i·n + j.
 func (in *Interner) New(id uint64) Sym {
-	s := Sym(len(in.names))
-	in.names = append(in.names, "")
+	s := Sym(len(in.ids))
 	in.ids = append(in.ids, id)
 	return s
 }
-
-// Name returns the string a Sym was interned from ("" for a Sym allocated
-// by New).
-func (in *Interner) Name(s Sym) string { return in.names[s] }
 
 // ID returns a Sym's identity.
 func (in *Interner) ID(s Sym) uint64 { return in.ids[s] }

@@ -1,139 +1,108 @@
 package logic
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
+
+	"atropos/internal/sat"
 )
 
 func TestAssertSimple(t *testing.T) {
 	e := NewEncoder()
-	e.Assert(AndF(P("a"), NotF(P("b"))))
+	a, b := e.Symf("a"), e.Symf("b")
+	e.AssertClauseS(Pos(a))
+	e.AssertClauseS(Neg(b))
 	if !e.Solve() {
 		t.Fatal("a ∧ ¬b UNSAT")
 	}
-	if !e.Value("a") || e.Value("b") {
-		t.Fatalf("model a=%v b=%v, want true/false", e.Value("a"), e.Value("b"))
+	if !e.ValueS(a) || e.ValueS(b) {
+		t.Fatalf("model a=%v b=%v, want true/false", e.ValueS(a), e.ValueS(b))
 	}
 }
 
 func TestAssertContradiction(t *testing.T) {
 	e := NewEncoder()
-	e.Assert(P("a"))
-	e.Assert(NotF(P("a")))
+	a := e.Symf("a")
+	e.AssertClauseS(Pos(a))
+	e.AssertClauseS(Neg(a))
 	if e.Solve() {
 		t.Fatal("a ∧ ¬a SAT")
 	}
 }
 
+// TestConstants: an encoder starts with one solver variable, asserted
+// true, so the first proposition used is variable 1 — the numbering every
+// encoding's search depends on.
 func TestConstants(t *testing.T) {
 	e := NewEncoder()
-	e.Assert(ImpliesF(True, P("x")))
-	if !e.Solve() || !e.Value("x") {
-		t.Fatal("true → x did not force x")
+	if got := e.S.NumVars(); got != 1 {
+		t.Fatalf("new encoder holds %d variables, want 1", got)
 	}
-	e2 := NewEncoder()
-	e2.Assert(False)
-	if e2.Solve() {
-		t.Fatal("asserting false is SAT")
+	if got := e.VarS(e.Symf("p")); got != 1 {
+		t.Errorf("first proposition is variable %d, want 1", got)
 	}
-	e3 := NewEncoder()
-	e3.Assert(OrF()) // empty disjunction is false
-	if e3.Solve() {
-		t.Fatal("empty Or is SAT")
-	}
-	e4 := NewEncoder()
-	e4.Assert(AndF()) // empty conjunction is true
-	if !e4.Solve() {
-		t.Fatal("empty And is UNSAT")
+	if !e.Solve() || !e.S.Value(0) {
+		t.Error("variable 0 is not true")
 	}
 }
 
+// admits checks, for every assignment of n propositions, that the
+// assertions assert makes admit it exactly when want holds.
+func admits(t *testing.T, n int, assert func(e *Encoder, p []Sym), want func(v []bool) bool) {
+	t.Helper()
+	e := NewEncoder()
+	p := make([]Sym, n)
+	for i := range p {
+		p[i] = e.Symf("p%d", i)
+	}
+	assert(e, p)
+	for m := 0; m < 1<<n; m++ {
+		v := make([]bool, n)
+		assumps := make([]sat.Lit, n)
+		for i := range v {
+			v[i] = m>>i&1 == 1
+			assumps[i] = e.LitS(p[i], !v[i])
+		}
+		if got := e.SolveAssuming(assumps...); got != want(v) {
+			t.Errorf("assignment %v: admitted %v, want %v", v, got, want(v))
+		}
+	}
+}
+
+// TestIffTruthTable: AssertIffNotS admits exactly the models of a ↔ ¬b.
 func TestIffTruthTable(t *testing.T) {
-	for _, a := range []bool{false, true} {
-		for _, b := range []bool{false, true} {
-			e := NewEncoder()
-			e.Assert(IffF(&Const{Val: a}, &Const{Val: b}))
-			want := a == b
-			if got := e.Solve(); got != want {
-				t.Errorf("iff(%t,%t) sat=%v want %v", a, b, got, want)
-			}
-		}
-	}
+	admits(t, 2, func(e *Encoder, p []Sym) { e.AssertIffNotS(p[0], p[1]) },
+		func(v []bool) bool { return v[0] == !v[1] })
 }
 
-// randomFormula builds a random formula over nProps propositions.
-func randomFormula(rng *rand.Rand, nProps, depth int) Formula {
-	if depth == 0 || rng.Intn(4) == 0 {
-		return P(fmt.Sprintf("p%d", rng.Intn(nProps)))
-	}
-	switch rng.Intn(5) {
-	case 0:
-		return NotF(randomFormula(rng, nProps, depth-1))
-	case 1:
-		return AndF(randomFormula(rng, nProps, depth-1), randomFormula(rng, nProps, depth-1))
-	case 2:
-		return OrF(randomFormula(rng, nProps, depth-1), randomFormula(rng, nProps, depth-1))
-	case 3:
-		return ImpliesF(randomFormula(rng, nProps, depth-1), randomFormula(rng, nProps, depth-1))
-	default:
-		return IffF(randomFormula(rng, nProps, depth-1), randomFormula(rng, nProps, depth-1))
-	}
+// TestImpliesAnd2TruthTable: AssertImpliesAnd2S admits exactly the models
+// of (a ∧ b) → c.
+func TestImpliesAnd2TruthTable(t *testing.T) {
+	admits(t, 3, func(e *Encoder, p []Sym) { e.AssertImpliesAnd2S(p[0], p[1], p[2]) },
+		func(v []bool) bool { return !(v[0] && v[1]) || v[2] })
 }
 
-// TestTseitinAgainstEval is a property test: Assert(f) is SAT iff f is
-// satisfiable by enumeration, and the model returned actually satisfies f
-// under direct evaluation.
-func TestTseitinAgainstEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 200; iter++ {
-		nProps := 2 + rng.Intn(5)
-		f := randomFormula(rng, nProps, 4)
-		// Brute-force satisfiability.
-		bruteSat := false
-		for m := 0; m < 1<<nProps; m++ {
-			asg := map[string]bool{}
-			for i := 0; i < nProps; i++ {
-				asg[fmt.Sprintf("p%d", i)] = m>>i&1 == 1
-			}
-			if Eval(f, asg) {
-				bruteSat = true
-				break
-			}
-		}
-		e := NewEncoder()
-		// Intern all props so the model is total.
-		for i := 0; i < nProps; i++ {
-			e.Var(fmt.Sprintf("p%d", i))
-		}
-		e.Assert(f)
-		got := e.Solve()
-		if got != bruteSat {
-			t.Fatalf("iter %d: formula %s: sat=%v brute=%v", iter, String(f), got, bruteSat)
-		}
-		if got {
-			asg := map[string]bool{}
-			for i := 0; i < nProps; i++ {
-				name := fmt.Sprintf("p%d", i)
-				asg[name] = e.Value(name)
-			}
-			if !Eval(f, asg) {
-				t.Fatalf("iter %d: model does not satisfy %s", iter, String(f))
-			}
+// orderSyms interns the n×n propositions ord_i_j.
+func orderSyms(e *Encoder, n int) func(i, j int) Sym {
+	syms := make([][]Sym, n)
+	for i := range syms {
+		syms[i] = make([]Sym, n)
+		for j := range syms[i] {
+			syms[i][j] = e.Symf("ord_%d_%d", i, j)
 		}
 	}
+	return func(i, j int) Sym { return syms[i][j] }
 }
 
 func TestStrictTotalOrder(t *testing.T) {
 	const n = 5
-	name := func(i, j int) string { return fmt.Sprintf("ord_%d_%d", i, j) }
 	e := NewEncoder()
-	e.AssertStrictTotalOrder(n, name)
+	name := orderSyms(e, n)
+	e.AssertStrictTotalOrderS(n, name)
 	if !e.Solve() {
 		t.Fatal("total order axioms UNSAT")
 	}
 	// Extract the order and verify it is a strict total order.
-	before := func(i, j int) bool { return e.Value(name(i, j)) }
+	before := func(i, j int) bool { return e.ValueS(name(i, j)) }
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
@@ -156,13 +125,13 @@ func TestStrictTotalOrder(t *testing.T) {
 
 func TestTotalOrderWithCycleConstraintUnsat(t *testing.T) {
 	const n = 3
-	name := func(i, j int) string { return fmt.Sprintf("ord_%d_%d", i, j) }
 	e := NewEncoder()
-	e.AssertStrictTotalOrder(n, name)
+	name := orderSyms(e, n)
+	e.AssertStrictTotalOrderS(n, name)
 	// Force a cycle 0<1, 1<2, 2<0: must be UNSAT.
-	e.Assert(P(name(0, 1)))
-	e.Assert(P(name(1, 2)))
-	e.Assert(P(name(2, 0)))
+	e.AssertClauseS(Pos(name(0, 1)))
+	e.AssertClauseS(Pos(name(1, 2)))
+	e.AssertClauseS(Pos(name(2, 0)))
 	if e.Solve() {
 		t.Fatal("cyclic order SAT under total-order axioms")
 	}
@@ -170,14 +139,15 @@ func TestTotalOrderWithCycleConstraintUnsat(t *testing.T) {
 
 func TestSolveAssuming(t *testing.T) {
 	e := NewEncoder()
-	e.Assert(OrF(P("x"), P("y")))
-	if !e.SolveAssuming(e.Lit("x", true)) {
+	x, y := e.Symf("x"), e.Symf("y")
+	e.AssertClauseS(Pos(x), Pos(y))
+	if !e.SolveAssuming(e.LitS(x, true)) {
 		t.Fatal("UNSAT assuming ¬x")
 	}
-	if !e.Value("y") {
+	if !e.ValueS(y) {
 		t.Error("y must hold assuming ¬x")
 	}
-	if e.SolveAssuming(e.Lit("x", true), e.Lit("y", true)) {
+	if e.SolveAssuming(e.LitS(x, true), e.LitS(y, true)) {
 		t.Error("SAT assuming ¬x ∧ ¬y")
 	}
 	if !e.Solve() {
@@ -185,41 +155,25 @@ func TestSolveAssuming(t *testing.T) {
 	}
 }
 
+// TestModelProps: ModelValuesS reads the model's propositions back in the
+// order asked, appending to dst; a proposition never used reads false.
 func TestModelProps(t *testing.T) {
 	e := NewEncoder()
-	e.Assert(P("a"))
-	e.Assert(NotF(P("b")))
-	e.Assert(P("c"))
+	a, b, c, unused := e.Symf("a"), e.Symf("b"), e.Symf("c"), e.Symf("unused")
+	e.AssertClauseS(Pos(a))
+	e.AssertClauseS(Neg(b))
+	e.AssertClauseS(Pos(c))
 	if !e.Solve() {
 		t.Fatal("UNSAT")
 	}
-	props := e.ModelProps()
-	want := map[string]bool{"a": true, "c": true}
-	if len(props) != 2 {
-		t.Fatalf("ModelProps = %v", props)
+	got := e.ModelValuesS([]bool{false}, c, b, a, unused)
+	want := []bool{false, true, false, true, false}
+	if len(got) != len(want) {
+		t.Fatalf("ModelValuesS = %v, want %v", got, want)
 	}
-	for _, p := range props {
-		if !want[p] {
-			t.Errorf("unexpected true prop %q", p)
-		}
-	}
-}
-
-func TestEval(t *testing.T) {
-	f := ImpliesF(P("a"), AndF(P("b"), NotF(P("c"))))
-	cases := []struct {
-		a, b, c bool
-		want    bool
-	}{
-		{false, false, false, true},
-		{true, true, false, true},
-		{true, true, true, false},
-		{true, false, false, false},
-	}
-	for _, tc := range cases {
-		m := map[string]bool{"a": tc.a, "b": tc.b, "c": tc.c}
-		if got := Eval(f, m); got != tc.want {
-			t.Errorf("Eval(%v) = %v, want %v", m, got, tc.want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ModelValuesS = %v, want %v", got, want)
 		}
 	}
 }
@@ -228,7 +182,7 @@ func TestEval(t *testing.T) {
 // literals and costs exactly one solver clause — no Tseitin variable.
 func TestAssertClauseS(t *testing.T) {
 	e := NewEncoder()
-	a, b, c := e.Sym("a"), e.Sym("b"), e.Sym("c")
+	a, b, c := e.Symf("a"), e.Symf("b"), e.Symf("c")
 	vars, clauses := e.S.NumVars(), e.S.NumClauses()
 	e.AssertClauseS(Neg(a), Neg(b), Pos(c)) // a ∧ b → c
 	e.AssertClauseS(Neg(c), Pos(a))         // c → a
@@ -252,5 +206,28 @@ func TestAssertClauseS(t *testing.T) {
 	e.AssertClauseS() // the empty clause is false
 	if e.Solve() {
 		t.Error("empty clause is SAT")
+	}
+}
+
+// TestEncoderPoolReuse: an encoder released after use comes back from
+// AcquireEncoder as a new one — its interner, variables and digest reset.
+func TestEncoderPoolReuse(t *testing.T) {
+	e := AcquireEncoder()
+	e.RecordFormulaHashes()
+	p, q := e.Symf("p"), e.Symf("q")
+	e.AssertIffNotS(p, q)
+	e.Release()
+	for i := 0; i < 2; i++ {
+		e := AcquireEncoder()
+		if got := e.S.NumVars(); got != 1 {
+			t.Errorf("acquired encoder holds %d variables, want 1", got)
+		}
+		if got := e.Symf("q"); got != 0 {
+			t.Errorf("acquired encoder interned q as %d, want 0", got)
+		}
+		if e.recordHashes || e.asserted != 0 || e.FormulaHash() != NewEncoder().FormulaHash() {
+			t.Error("acquired encoder carries a digest")
+		}
+		e.Release()
 	}
 }

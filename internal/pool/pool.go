@@ -1,7 +1,5 @@
 // Package pool provides the bounded worker pool shared by the experiment
-// drivers and the incremental anomaly-detection session. It lives below
-// both internal/exp and internal/anomaly so either side can fan work out
-// without an import cycle (exp imports anomaly).
+// drivers and the atropos CLI's input fan-out.
 package pool
 
 import (

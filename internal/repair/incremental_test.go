@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,15 +27,15 @@ func TestIncrementalRepairEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := repairOpts(prog, anomaly.EC, Options{Parallelism: 1})
+		cold, err := repairProg(prog, anomaly.EC)
 		if err != nil {
 			t.Fatalf("%s: cold: %v", b.Name, err)
 		}
 		s := anomaly.NewSession(anomaly.EC)
-		if _, err := repairOpts(prog, anomaly.EC, Options{Session: s}); err != nil {
+		if _, err := RunWith(context.Background(), prog, anomaly.EC, Options{Session: s}); err != nil {
 			t.Fatalf("%s: warming: %v", b.Name, err)
 		}
-		warm, err := repairOpts(prog, anomaly.EC, Options{Session: s})
+		warm, err := RunWith(context.Background(), prog, anomaly.EC, Options{Session: s})
 		if err != nil {
 			t.Fatalf("%s: warm: %v", b.Name, err)
 		}
@@ -70,7 +71,7 @@ func TestIncrementalRepairSavings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := repairOpts(prog, anomaly.EC, Options{Parallelism: 1})
+		res, err := repairProg(prog, anomaly.EC)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

@@ -43,7 +43,7 @@ func TestRepairedProgramGolden(t *testing.T) {
 	got := map[string]uint64{}
 	for i, prog := range progs {
 		for _, m := range []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR} {
-			res, err := Run(context.Background(), prog, m, Parallelism(1))
+			res, err := Run(context.Background(), prog, m)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", names[i], m, err)
 			}

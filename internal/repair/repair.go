@@ -92,12 +92,6 @@ func (r *Result) RepairedCount() int { return len(r.Initial) - len(r.Remaining) 
 
 // Options configures a repair run.
 type Options struct {
-	// Parallelism bounds the worker goroutines the detection session fans
-	// transactions out on. Zero — the unset default — is passed through to
-	// the session, which resolves it to DefaultParallelism (1, sequential
-	// detection). Pass n > 1 to fan out on n workers. Reported results are
-	// identical at every setting.
-	Parallelism int
 	// Certify records witness schedules during detection (reports and cache
 	// keys are unchanged — recording is strictly additive) and, after the
 	// pipeline, replays every initial pair as an executable certificate
@@ -148,13 +142,11 @@ func Split(total time.Duration) StageDeadlines {
 // Option is a functional setting for Run, the context-first entry point.
 type Option func(*Options)
 
-// Parallelism bounds the detection session's fan-out workers (see
-// Options.Parallelism; 0 selects DefaultParallelism, 1 forces sequential).
-func Parallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
-
-// DefaultParallelism is the detection worker count an unset (zero)
-// Options.Parallelism ends up at: the session's rule for width 0, 1.
-func DefaultParallelism() int { return anomaly.DefaultParallelism() }
+// DefaultParallelism returns 1: detection has no width.
+//
+// Deprecated: bench/probes.go is its last caller; it goes with the next
+// change to the benchmark.
+func DefaultParallelism() int { return 1 }
 
 // Certify enables witness recording plus post-pipeline certificate replay.
 func Certify(on bool) Option { return func(o *Options) { o.Certify = on } }
@@ -204,7 +196,6 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 			session.RecordWitnesses()
 		}
 	}
-	session.SetParallelism(opts.Parallelism)
 
 	// Snapshot injected-session statistics so Result.Stats reports this
 	// run's work, not the shared session's lifetime aggregate. For a

@@ -42,7 +42,6 @@ func TestCertifyStopsBetweenPairs(t *testing.T) {
 	prog := benchmarks.ByName("TPC-C").MustProgram()
 	s := anomaly.NewSession(anomaly.EC)
 	s.RecordWitnesses()
-	s.SetParallelism(1)
 	counting := newPollCancel(0)
 	rep, err := s.DetectContext(counting, prog)
 	counting.cancel()

@@ -110,7 +110,6 @@ func witnessed(tb testing.TB, prog *ast.Program, model anomaly.Model) *anomaly.R
 	tb.Helper()
 	s := anomaly.NewSession(model)
 	s.RecordWitnesses()
-	s.SetParallelism(1)
 	rep, err := s.Detect(prog)
 	if err != nil {
 		tb.Fatalf("witnessed detection: %v", err)

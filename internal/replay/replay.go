@@ -216,15 +216,13 @@ profiles:
 	return out
 }
 
-// CertifyModelContext detects with witness recording — on a private
-// sequential session, as every certify caller always has — and certifies the
-// report. The context aborts the detection phase mid-solve and the replay
+// CertifyModelContext detects with witness recording, on a private
+// session, and certifies the report. The context aborts the detection phase mid-solve and the replay
 // phase between pairs; a replay cut short returns the context's error and
 // no certificate.
 func CertifyModelContext(ctx context.Context, prog *ast.Program, model anomaly.Model) (*Certificate, *anomaly.Report, error) {
 	s := anomaly.NewSession(model)
 	s.RecordWitnesses()
-	s.SetParallelism(1)
 	rep, err := s.DetectContext(ctx, prog)
 	if err != nil {
 		return nil, nil, err

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -215,5 +216,37 @@ func TestReductionOffKeepsEveryLearnt(t *testing.T) {
 	}
 	if s.LearntsDeleted != 0 {
 		t.Errorf("reduction deleted %d clauses while disabled", s.LearntsDeleted)
+	}
+}
+
+// TestResetMatchesNew: a solver reset after a search — the life logic's
+// encoder pool gives it — answers a new problem exactly as New()'s does:
+// the same verdict, model and search counters.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	used := pigeonhole(t, 6, 5)
+	used.Solve()
+	for iter := 0; iter < 20; iter++ {
+		nVars := 6 + rng.Intn(8)
+		clauses := randomCNF(rng, nVars, 3*nVars)
+		fresh := New()
+		used.Reset()
+		for _, s := range []*Solver{fresh, used} {
+			for v := 0; v < nVars; v++ {
+				s.NewVar()
+			}
+			for _, c := range clauses {
+				s.AddClause(c...)
+			}
+		}
+		if a, b := fresh.Solve(), used.Solve(); a != b {
+			t.Fatalf("iter %d: verdicts diverge: new %v, reset %v", iter, a, b)
+		}
+		if a, b := fresh.Model(), used.Model(); !slices.Equal(a, b) {
+			t.Fatalf("iter %d: models diverge:\nnew   %v\nreset %v", iter, a, b)
+		}
+		if fresh.Conflicts != used.Conflicts || fresh.Decisions != used.Decisions || fresh.Propagations != used.Propagations {
+			t.Fatalf("iter %d: counters diverge", iter)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
 // solver in the MiniSat style: two-watched-literal propagation, first-UIP
 // conflict analysis, VSIDS variable activity, phase saving, and Luby
-// restarts. It is the satisfiability backend for the anomaly-detection
-// oracle (the paper uses Z3; the bounded FOL encoding used for anomaly
-// detection reduces to propositional SAT, see internal/anomaly).
+// restarts. It is the backend of the SAT encoding of anomaly detection
+// that internal/anomaly's tests keep as the oracle for the small-model
+// decision procedure (the paper uses Z3; the bounded FOL encoding reduces
+// to propositional SAT), and of the benchmark's solver probes. No
+// production package imports it.
 //
 // Memory layout (see DESIGN.md §8): clause literals live in one flat
 // arena addressed by int32 refs, so propagation walks contiguous memory
@@ -135,21 +137,6 @@ type Solver struct {
 	ok    bool    // false once a top-level conflict is found
 	model []lbool // assignment saved at the last satisfiable Solve
 
-	// Cooperative cancellation: Solve polls stop every stopCheckMask+1
-	// iterations and abandons the search when it returns true. stopped
-	// distinguishes an interrupted Solve (which also returns false) from a
-	// genuine UNSAT answer.
-	stop    func() bool
-	stopped bool
-
-	// Resource budget: when set, Solve abandons the search the moment a
-	// per-call conflict/propagation ceiling or the arena memory ceiling is
-	// crossed, returning false with Exhausted() true — a distinguishable
-	// "unknown" rather than a wrong UNSAT. A zero budget never triggers and
-	// adds no work to the search loop.
-	budget    Budget
-	exhausted bool
-
 	binConflict [2]Lit // literals of a binary conflict (crefBinary)
 	binScratch  [2]Lit // reason view for binary-implied literals
 	seenLit     []byte // per-literal scratch for AddClause dedup
@@ -196,8 +183,8 @@ func New() *Solver {
 // Reset restores the solver to its freshly constructed state while keeping
 // every backing array: a reset solver behaves identically to sat.New()'s —
 // same clause refs, same variable numbering, same search — but re-adding a
-// similarly sized problem allocates almost nothing. The anomaly detector
-// recycles solvers across its (txn, witness) encoders through this.
+// similarly sized problem allocates almost nothing. logic's encoder pool
+// recycles solvers through this.
 func (s *Solver) Reset() {
 	s.arena = s.arena[:0]
 	s.clauses = s.clauses[:0]
@@ -230,69 +217,8 @@ func (s *Solver) Reset() {
 	s.learntTmp = s.learntTmp[:0]
 	s.levelMark = s.levelMark[:0]
 	s.lbdEpoch = 0
-	s.stop = nil
-	s.stopped = false
-	s.budget = Budget{}
-	s.exhausted = false
 	s.Conflicts, s.Decisions, s.Propagations, s.LearntsDeleted = 0, 0, 0, 0
 }
-
-// Budget bounds one Solve call. Zero fields are unlimited; a zero Budget
-// disables budgeting entirely (Solve behaves byte-identically to an
-// unbudgeted solver — the differential fuzz target pins this).
-type Budget struct {
-	// Conflicts / Propagations cap the respective per-Solve deltas: the
-	// counters are snapshotted when Solve starts, so a long Solve sequence
-	// on one solver gives every call the full allowance.
-	Conflicts    int64
-	Propagations int64
-	// ArenaLits caps the total clause-arena size in literals (an absolute
-	// memory ceiling, not a delta: learnt clauses persist across Solve
-	// calls, and it is the accumulated database that exhausts memory).
-	ArenaLits int64
-}
-
-// Limited reports whether any ceiling is set.
-func (b Budget) Limited() bool {
-	return b.Conflicts > 0 || b.Propagations > 0 || b.ArenaLits > 0
-}
-
-// SetBudget installs a per-Solve resource budget. The zero Budget removes
-// it. Reset clears the budget, so pooled solvers never carry one into
-// their next life.
-func (s *Solver) SetBudget(b Budget) { s.budget = b }
-
-// Exhausted reports whether the most recent Solve was abandoned because it
-// crossed its resource budget rather than finishing with a real SAT/UNSAT
-// answer (or being stopped). Callers that treat Solve's false as UNSAT
-// must check Exhausted (and Stopped) first.
-//
-// An exhausted Solve leaves the learnt clauses it derived in place — they
-// are sound consequences — but the search state diverges from what an
-// unbudgeted run would have produced, so incremental callers that memoize
-// on solver-state parity must stop reusing cached answers afterwards (see
-// internal/anomaly's encoder tainting).
-func (s *Solver) Exhausted() bool { return s.exhausted }
-
-// overBudget checks the per-Solve deltas and the arena ceiling against the
-// installed budget. Called only when the budget is limited.
-func (s *Solver) overBudget(baseConfl, baseProp int64) bool {
-	b := &s.budget
-	return (b.Conflicts > 0 && s.Conflicts-baseConfl >= b.Conflicts) ||
-		(b.Propagations > 0 && s.Propagations-baseProp >= b.Propagations) ||
-		(b.ArenaLits > 0 && int64(len(s.arena)) >= b.ArenaLits)
-}
-
-// SetStop installs a cancellation probe: Solve polls f periodically and
-// abandons the search (returning false with Stopped() true) once it reports
-// true. A nil f removes the probe. Reset clears it, so pooled solvers never
-// carry a stale context's stop function into their next life.
-func (s *Solver) SetStop(f func() bool) { s.stop = f }
-
-// Stopped reports whether the most recent Solve was abandoned by the stop
-// probe rather than finishing with a real SAT/UNSAT answer. Callers that
-// treat Solve's false as UNSAT must check Stopped first.
-func (s *Solver) Stopped() bool { return s.stopped }
 
 // NewVar introduces a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
@@ -807,13 +733,7 @@ func luby(i int64) int64 {
 // Solve determines satisfiability under the given assumptions. On a
 // satisfiable result, the model is available through Value.
 func (s *Solver) Solve(assumptions ...Lit) bool {
-	s.stopped = false
-	s.exhausted = false
 	if !s.ok {
-		return false
-	}
-	if s.stop != nil && s.stop() {
-		s.stopped = true
 		return false
 	}
 	defer s.cancelUntil(0)
@@ -837,29 +757,7 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 	conflictsUntilRestart := restartBase * luby(1)
 	var conflictsSinceRestart int64
 
-	// Poll the stop probe once per stopCheckMask+1 loop iterations: rare
-	// enough to stay off the propagate/analyze profile, frequent enough
-	// that a cancelled context aborts a stuck search within microseconds.
-	const stopCheckMask = 63
-	var iter uint
-
-	// Budget baselines: the ceilings apply to this call's deltas. The
-	// check runs every iteration when a budget is installed — plain int
-	// compares, off the hot path entirely when unlimited — so exhaustion
-	// is deterministic for a given formula and budget (the service-chaos
-	// gate pins degraded counts on this).
-	limited := s.budget.Limited()
-	baseConfl, baseProp := s.Conflicts, s.Propagations
-
 	for {
-		if iter++; s.stop != nil && iter&stopCheckMask == 0 && s.stop() {
-			s.stopped = true
-			return false
-		}
-		if limited && s.overBudget(baseConfl, baseProp) {
-			s.exhausted = true
-			return false
-		}
 		confl := s.propagate()
 		if confl != crefUndef {
 			s.Conflicts++
@@ -935,27 +833,12 @@ func (s *Solver) Value(v int) bool { return v < len(s.model) && s.model[v] == lT
 // Model returns a copy of the saved model as a bool slice indexed by
 // variable.
 func (s *Solver) Model() []bool {
-	return s.ModelInto(nil)
-}
-
-// ModelInto writes the saved model into dst — reusing its backing array
-// when large enough — and returns it. Callers extracting many models (the
-// anomaly detector's witness schedules) read them through one scratch
-// buffer instead of allocating per query.
-func (s *Solver) ModelInto(dst []bool) []bool {
-	if cap(dst) < len(s.model) {
-		dst = make([]bool, len(s.model))
-	}
-	dst = dst[:len(s.model)]
+	m := make([]bool, len(s.model))
 	for v := range s.model {
-		dst[v] = s.model[v] == lTrue
+		m[v] = s.model[v] == lTrue
 	}
-	return dst
+	return m
 }
-
-// NumLearnts returns the current number of learnt clauses of size > 2 (the
-// population learnt-clause reduction manages).
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
 // varHeap is a max-heap over variable activities with lazy rebuilds.
 type varHeap struct {

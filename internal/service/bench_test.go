@@ -58,7 +58,7 @@ func sendRound(b *testing.B, client *http.Client, url string, round []benchCall)
 	return n
 }
 
-var benchConfig = engine.Config{Workers: 1, DetectParallelism: 1}
+var benchConfig = engine.Config{Workers: 1}
 
 // BenchmarkService_Mixed measures the round computed: every iteration gets
 // a fresh engine, built with the timer stopped, so no answer comes from the

@@ -78,14 +78,14 @@ func TestRequestIDInErrorBody(t *testing.T) {
 	}
 }
 
-// TestRetiredBudgetFieldsAnswer400: the solver-budget knobs are retired
-// (detection has no solver); a request carrying one, with any value, on any
-// program endpoint answers 400 naming it instead of silently dropping it,
-// and /v1/simulate, which never had them, rejects them as unknown fields.
-func TestRetiredBudgetFieldsAnswer400(t *testing.T) {
+// TestRetiredFieldsAnswer400: the solver-budget knobs (detection has no
+// solver) and the detection width (detection has none) are retired; a
+// request carrying one, with any value, on any endpoint answers 400 naming
+// it as an unknown field instead of silently dropping it.
+func TestRetiredFieldsAnswer400(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Config{Workers: 1})
 	for _, path := range []string{"/v1/parse", "/v1/analyze", "/v1/repair", "/v1/certify", "/v1/simulate"} {
-		for _, field := range []string{"budget_conflicts", "budget_propagations", "budget_arena_lits"} {
+		for _, field := range []string{"budget_conflicts", "budget_propagations", "budget_arena_lits", "parallelism"} {
 			for _, v := range []int{0, 1} {
 				body := map[string]any{field: v}
 				switch path {

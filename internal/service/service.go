@@ -156,31 +156,6 @@ type ProgramRequest struct {
 	// Certify (repair only) replays every initial anomaly as an executable
 	// certificate with negative controls.
 	Certify bool `json:"certify,omitempty"`
-	// Parallelism bounds the detection session's transaction fan-out; 0
-	// defers to the engine's width (-detect-parallel, where 0 means 1), 1
-	// forces sequential detection. Values above the engine's width are
-	// lowered to it; negative ones are rejected.
-	Parallelism int `json:"parallelism,omitempty"`
-	// BudgetConflicts, BudgetPropagations and BudgetArenaLits are retired:
-	// detection has no solver, so there is no per-solve budget to bound. A
-	// request carrying any of them, with any value, answers 400 naming it
-	// (timeout_ms bounds a request).
-	BudgetConflicts    json.RawMessage `json:"budget_conflicts,omitempty"`
-	BudgetPropagations json.RawMessage `json:"budget_propagations,omitempty"`
-	BudgetArenaLits    json.RawMessage `json:"budget_arena_lits,omitempty"`
-}
-
-// retired names the first retired field the request carries.
-func (req *ProgramRequest) retired() string {
-	switch {
-	case req.BudgetConflicts != nil:
-		return "budget_conflicts"
-	case req.BudgetPropagations != nil:
-		return "budget_propagations"
-	case req.BudgetArenaLits != nil:
-		return "budget_arena_lits"
-	}
-	return ""
 }
 
 // errorResponse is every non-2xx body.
@@ -460,15 +435,8 @@ func (s *Server) program(req *ProgramRequest) (*ast.Program, error) {
 }
 
 // options translates the request's engine knobs into repair options.
-func (req *ProgramRequest) options() ([]repair.Option, error) {
-	if req.Parallelism < 0 {
-		return nil, fmt.Errorf("parallelism must not be negative, got %d", req.Parallelism)
-	}
-	return []repair.Option{
-		repair.Client(req.Client),
-		repair.Certify(req.Certify),
-		repair.Parallelism(req.Parallelism),
-	}, nil
+func (req *ProgramRequest) options() []repair.Option {
+	return []repair.Option{repair.Client(req.Client), repair.Certify(req.Certify)}
 }
 
 // unread names the first field set in req that its endpoint would ignore:
@@ -483,21 +451,16 @@ func (req *ProgramRequest) unread(parse bool) string {
 		return "model"
 	case req.Certify:
 		return "certify"
-	case req.Parallelism != 0:
-		return "parallelism"
 	}
 	return ""
 }
 
 // decodeProgram decodes a ProgramRequest body, answering 400 for a
-// malformed body or a retired field.
+// malformed body. A field the request type does not have — a retired one
+// included — is malformed, and the error names it.
 func (s *Server) decodeProgram(w http.ResponseWriter, r *http.Request, req *ProgramRequest) bool {
 	if err := decodeJSON(w, r, req); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
-		return false
-	}
-	if f := req.retired(); f != "" {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%s is retired: detection has no solver budget; bound the request with timeout_ms", f))
 		return false
 	}
 	return true
@@ -559,15 +522,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := req.options()
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	rep, err := s.eng.Analyze(ctx, prog, model, opts...)
+	rep, err := s.eng.Analyze(ctx, prog, model, req.options()...)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -597,14 +555,9 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := req.options()
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := s.eng.Repair(ctx, prog, model, opts...)
+	res, err := s.eng.Repair(ctx, prog, model, req.options()...)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
