@@ -117,6 +117,15 @@ func witnessed(tb testing.TB, prog *ast.Program, model anomaly.Model) *anomaly.R
 	return rep
 }
 
+// schedulesOf lists the witness schedule of each of the report's pairs.
+func schedulesOf(_ *ast.Program, rep *anomaly.Report) []*anomaly.Schedule {
+	out := make([]*anomaly.Schedule, len(rep.Pairs))
+	for i, p := range rep.Pairs {
+		out[i] = p.Witness.Schedule
+	}
+	return out
+}
+
 // TestProgenOutcomesGolden pins the 96-program population: its totals, the
 // method of every reproduction, and one hash per program folded into one.
 func TestProgenOutcomesGolden(t *testing.T) {
