@@ -44,6 +44,7 @@ import (
 	"atropos/internal/repair"
 	"atropos/internal/replay"
 	"atropos/internal/sema"
+	"atropos/internal/store"
 )
 
 // Program is a parsed, semantically checked database program.
@@ -83,19 +84,19 @@ func Parse(src string) (*Program, error) { return sema.Load(src) }
 func Format(p *Program) string { return ast.Format(p) }
 
 // Analyze runs the static anomaly oracle under the given model: one
-// detection on a new DetectSession. Cancelling the context aborts the SAT
-// solves mid-flight and returns its error.
+// detection on a new DetectSession. Cancelling the context aborts the
+// detection between cycle queries and returns its error.
 func Analyze(ctx context.Context, p *Program, m Model) (*AnomalyReport, error) {
 	return anomaly.NewSession(m).DetectContext(ctx, p)
 }
 
 // DetectSession is the anomaly oracle: it fingerprints transactions and
 // memoizes decided cycle queries, so detecting across a sequence of related
-// programs (the repair pipeline, an editing loop) only re-solves what
+// programs (the repair pipeline, an editing loop) only re-decides what
 // actually changed. What it reports never depends on what it remembers.
 type DetectSession = anomaly.DetectSession
 
-// DetectStats aggregates a session's SAT-query counters and cache hits.
+// DetectStats aggregates a session's cycle-query counters and cache hits.
 type DetectStats = anomaly.SessionStats
 
 // NewDetectSession creates a detection session for one model.
@@ -111,8 +112,8 @@ type Certificate = replay.Certificate
 // of the repaired one, both of which must show zero violations.
 type RepairCertificate = replay.RepairCertificate
 
-// Certify is Analyze with witness recording plus replay: every reported
-// pair is certified by executing its witness schedule in the cluster
+// Certify is Analyze plus replay: every reported pair is certified by
+// executing its witness schedule, rebuilt from the report, in the cluster
 // simulator. The report is identical to Analyze's.
 func Certify(ctx context.Context, p *Program, m Model) (*Certificate, *AnomalyReport, error) {
 	return replay.CertifyModelContext(ctx, p, m)
@@ -138,7 +139,7 @@ func WithSession(s *DetectSession) RepairOption { return repair.Session(s) }
 
 // Repair runs the full Atropos pipeline (Fig. 4): detect, preprocess,
 // refactor, post-process. Cancelling the context aborts the pipeline
-// mid-solve. RepairResult.Elapsed records the total wall time (Table 1's
+// between cycle queries. RepairResult.Elapsed records the total wall time (Table 1's
 // Time column).
 func Repair(ctx context.Context, p *Program, m Model, opts ...RepairOption) (*RepairResult, error) {
 	return repair.Run(ctx, p, m, opts...)
@@ -175,7 +176,7 @@ type Benchmark = benchmarks.Benchmark
 type Scale = benchmarks.Scale
 
 // TableRow is one initial record of a benchmark population.
-type TableRow = benchmarks.TableRow
+type TableRow = store.TableRow
 
 // Benchmarks returns the evaluation corpus in Table 1 order.
 func Benchmarks() []*Benchmark { return benchmarks.All() }
@@ -243,6 +244,6 @@ func Perf(cfg PerfConfig) (*PerfResult, error) { return exp.Perf(cfg) }
 
 // MigrateRows materializes a refactored program's initial state from the
 // original program's rows through the repair's value correspondences.
-func MigrateRows(orig, refactored *Program, corrs []ValueCorr, rows []benchmarks.TableRow) ([]benchmarks.TableRow, error) {
-	return exp.MigrateRows(orig, refactored, corrs, rows)
+func MigrateRows(orig, refactored *Program, corrs []ValueCorr, rows []TableRow) ([]TableRow, error) {
+	return refactor.Migrate(rows, orig, refactored, corrs)
 }

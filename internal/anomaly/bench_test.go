@@ -29,7 +29,7 @@ func benchProg(b *testing.B, src string) *ast.Program {
 // own.
 func planOf(tb testing.TB, prog *ast.Program, ti, wi int, model Model) *pairPlan {
 	tb.Helper()
-	p := newPass(prog, model, false)
+	p := newPass(prog, model)
 	t, err := p.txnFacts(ti)
 	if err != nil {
 		tb.Fatal(err)
@@ -72,7 +72,7 @@ func BenchmarkPlanAndDecide(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs {
-				sm.decide(plan, EC, false, q)
+				sm.decide(plan, EC, q)
 			}
 		}
 		b.ReportMetric(float64(len(qs)), "queries/op")
@@ -125,7 +125,7 @@ func BenchmarkDetectCourseware(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coldDetect(context.Background(), prog, EC, false); err != nil {
+		if _, err := coldDetect(context.Background(), prog, EC); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func BenchmarkDetectSmallBank(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coldDetect(context.Background(), prog, EC, false); err != nil {
+		if _, err := coldDetect(context.Background(), prog, EC); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -79,11 +79,6 @@ type cycleResult struct {
 	Sat          bool
 	Kind1, Kind2 EdgeKind
 	Flds1, Flds2 []string
-	// Sched is the canonical witness schedule, present only under witness
-	// recording. It is immutable once built, so memoized results share it;
-	// it names the pair it was decided on, and buildPair re-addresses it to
-	// the pair it reports.
-	Sched *Schedule
 }
 
 // solveCycle answers one dep(q[0]→q[1]) ∧ dep(q[2]→q[3]) query, through the
@@ -97,14 +92,14 @@ func (d *detector) solveCycle(pe *pairPlan, q [4]int) (cycleResult, error) {
 	d.issued++
 	if d.session == nil {
 		d.solved++
-		return d.sm.decide(pe, d.pass.model, d.pass.record, q), nil
+		return d.sm.decide(pe, d.pass.model, q), nil
 	}
 	key := memoKey{pe.contentKey(), [4]int32{int32(q[0]), int32(q[1]), int32(q[2]), int32(q[3])}}
 	if r, ok := d.session.lookupQuery(key); ok {
 		return r, nil
 	}
 	d.solved++
-	r := d.sm.decide(pe, d.pass.model, d.pass.record, q)
+	r := d.sm.decide(pe, d.pass.model, q)
 	d.session.storeQuery(key, r)
 	return r, nil
 }
@@ -150,7 +145,7 @@ func (pe *pairPlan) buildPair(c1, c2, d1, d2 int, r cycleResult) AccessPair {
 		C1:  x1.label, F1: r.Flds1,
 		C2: x2.label, F2: r.Flds2,
 		Kind:    classify(x1.cmd, x2.cmd, r.Flds1, r.Flds2),
-		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: r.Kind1, Edge2: r.Kind2, Schedule: pe.adoptSchedule(r.Sched)},
+		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: r.Kind1, Edge2: r.Kind2},
 	}
 }
 

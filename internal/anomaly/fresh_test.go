@@ -37,35 +37,25 @@ func runFresh(d *detector) (*Report, error) {
 	return report, nil
 }
 
-// freshDetect is the reference detection of prog under model, optionally
-// recording witness schedules.
-func freshDetect(ctx context.Context, prog *ast.Program, model Model, record bool) (*Report, error) {
-	return runFresh(&detector{pass: newPass(prog, model, record), ctx: ctx})
+// freshDetect is the reference detection of prog under model.
+func freshDetect(ctx context.Context, prog *ast.Program, model Model) (*Report, error) {
+	return runFresh(&detector{pass: newPass(prog, model), ctx: ctx})
 }
 
-// FreshDetect is the plain reference detection, for the package's external
+// FreshDetect is the reference detection, for the package's external
 // tests.
 func FreshDetect(prog *ast.Program, model Model) (*Report, error) {
-	return freshDetect(context.Background(), prog, model, false)
+	return freshDetect(context.Background(), prog, model)
 }
 
 // coldDetect is what a one-shot detection is in production: a new
 // session's first pass.
-func coldDetect(ctx context.Context, prog *ast.Program, model Model, record bool) (*Report, error) {
-	return newSession(model, record).DetectContext(ctx, prog)
-}
-
-// newSession is a new session, recording witness schedules if record.
-func newSession(model Model, record bool) *DetectSession {
-	s := NewSession(model)
-	if record {
-		s.RecordWitnesses()
-	}
-	return s
+func coldDetect(ctx context.Context, prog *ast.Program, model Model) (*Report, error) {
+	return NewSession(model).DetectContext(ctx, prog)
 }
 
 // sameVerdict requires got to report what the reference report want does:
-// the pairs (witness schedules included, when recorded) and the query
+// the pairs and the query
 // count. Solved is left out — a session answers repeated queries of one
 // pass from its memo.
 func sameVerdict(t *testing.T, what string, got, want *Report) {
@@ -81,7 +71,7 @@ func sameVerdict(t *testing.T, what string, got, want *Report) {
 // TestColdSessionEqualsFreshOracle pins the equivalence the single detector
 // rests on: a new session's first pass reports exactly what the cache-free
 // reference does, over the nine benchmarks and the generated corpus, under
-// every weak model, plain and with witness recording — and so does its
+// every weak model — and so does its
 // second pass, answered wholly from the transaction memo (Solved 0).
 func TestColdSessionEqualsFreshOracle(t *testing.T) {
 	if testing.Short() {
@@ -98,32 +88,23 @@ func TestColdSessionEqualsFreshOracle(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
 		progs = append(progs, named{fmt.Sprintf("seed %d", seed), progen.Program(seed)})
 	}
-	flavors := []struct {
-		name   string
-		record bool
-	}{
-		{"plain", false},
-		{"recording", true},
-	}
 	ctx := context.Background()
 	for _, p := range progs {
 		for _, m := range []Model{EC, CC, RR} {
-			for _, fl := range flavors {
-				want, err := freshDetect(ctx, p.prog, m, fl.record)
+			want, err := freshDetect(ctx, p.prog, m)
+			if err != nil {
+				t.Fatalf("%s %v: fresh oracle: %v", p.name, m, err)
+			}
+			s := NewSession(m)
+			for _, pass := range []string{"cold", "warm"} {
+				got, err := s.DetectContext(ctx, p.prog)
 				if err != nil {
-					t.Fatalf("%s %v %s: fresh oracle: %v", p.name, m, fl.name, err)
+					t.Fatalf("%s %v: %s session: %v", p.name, m, pass, err)
 				}
-				s := newSession(m, fl.record)
-				for _, pass := range []string{"cold", "warm"} {
-					got, err := s.DetectContext(ctx, p.prog)
-					if err != nil {
-						t.Fatalf("%s %v %s: %s session: %v", p.name, m, fl.name, pass, err)
-					}
-					what := fmt.Sprintf("%s %v %s %s", p.name, m, fl.name, pass)
-					sameVerdict(t, what, got, want)
-					if pass == "warm" && got.Solved != 0 {
-						t.Errorf("%s: solved %d queries, want 0", what, got.Solved)
-					}
+				what := fmt.Sprintf("%s %v %s", p.name, m, pass)
+				sameVerdict(t, what, got, want)
+				if pass == "warm" && got.Solved != 0 {
+					t.Errorf("%s: solved %d queries, want 0", what, got.Solved)
 				}
 			}
 		}

@@ -112,11 +112,6 @@ type Witness struct {
 	D2    string   // command of the witness conflicting with C2
 	Edge1 EdgeKind // kind of the A.c1 → B.d1 edge
 	Edge2 EdgeKind // kind of the B.d2 → A.c2 edge
-	// Schedule is the executable witness read off the query's canonical
-	// model; nil unless detection recorded witnesses
-	// (DetectSession.RecordWitnesses). It never feeds
-	// String() or any golden output.
-	Schedule *Schedule
 }
 
 // AccessPair is an anomalous access pair χ = (c1, f̄1, c2, f̄2) (§3.2).

@@ -151,7 +151,7 @@ func pairIDs(rep *Report) map[pairID]bool {
 // and the number of queries asked.
 func satDetect(t *testing.T, prog *ast.Program, model Model, ax orderAxioms) (map[pairID]bool, int) {
 	t.Helper()
-	p := newPass(prog, model, false)
+	p := newPass(prog, model)
 	ids, queries := map[pairID]bool{}, 0
 	for ti := range prog.Txns {
 		witnesses, err := p.witnessesOf(ti)

@@ -47,10 +47,6 @@ type cmdFacts struct {
 	label, table  string
 	reads, writes fieldSet
 	key           [2]keyConstraint
-	// pins are the key constraints in source order with their pinning
-	// expressions, which the replayer evaluates; kept only when the pass
-	// records witness schedules (see witness.go).
-	pins [2][]KeyPin
 }
 
 func (c *cmdFacts) writer() bool { return len(c.writes) > 0 }
@@ -72,14 +68,23 @@ type txnFacts struct {
 	hash, slice uint64
 }
 
+// index returns the position of the command labelled label, -1 if none.
+func (tf *txnFacts) index(label string) int {
+	for i := range tf.cmds {
+		if tf.cmds[i].label == label {
+			return i
+		}
+	}
+	return -1
+}
+
 // pass is the state shared by the detectors of one detection pass over one
 // program. Facts and plans are computed on the goroutine that drives the
 // pass (DetectContext's planning loop), never by its workers, which only
 // read them.
 type pass struct {
-	prog   *ast.Program
-	model  Model
-	record bool
+	prog  *ast.Program
+	model Model
 	// Per transaction: the tables it touches (sorted), its structural hash
 	// (ast.HashTxn), the digest of those tables' names and schemas, and its
 	// facts (nil until first needed).
@@ -91,9 +96,9 @@ type pass struct {
 	planned int
 }
 
-func newPass(prog *ast.Program, model Model, record bool) *pass {
+func newPass(prog *ast.Program, model Model) *pass {
 	n := len(prog.Txns)
-	p := &pass{prog: prog, model: model, record: record,
+	p := &pass{prog: prog, model: model,
 		tables: make([][]string, n),
 		hashes: make([]uint64, n),
 		slices: make([]uint64, n),
@@ -182,9 +187,6 @@ func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 			for inst := range f.key {
 				tm := termOf(e, inst, ci)
 				f.key[inst] = f.key[inst].pin(field, tm)
-				if p.record {
-					f.pins[inst] = append(f.pins[inst], KeyPin{Field: field, Term: tm.id, Kind: tm.kind, Expr: e})
-				}
 			}
 		})
 		for _, kc := range f.key {
@@ -266,8 +268,8 @@ func (pe *pairPlan) askable() bool {
 // contentKey digests everything an answer on pe depends on — each item's
 // table, read and written fields and key terms, in item order — and
 // nothing it does not, such as the transactions' and commands' names, so
-// identically shaped pairs share memoized answers. The session's model and
-// recording flag are fixed, so they are left out.
+// identically shaped pairs share memoized answers. The session's model is
+// fixed, so it is left out.
 func (pe *pairPlan) contentKey() uint64 {
 	if pe.content != 0 {
 		return pe.content

@@ -90,7 +90,7 @@ func naiveConflict(prog *ast.Program, cx ast.DBCommand, ix int, cy ast.DBCommand
 func TestPlanMatchesBody(t *testing.T) {
 	corpus(t, func(name string, prog *ast.Program) {
 		for _, m := range allModels {
-			p := newPass(prog, m, false)
+			p := newPass(prog, m)
 			for ti, tt := range prog.Txns {
 				for wi, wt := range prog.Txns {
 					tf, err := p.txnFacts(ti)
@@ -159,7 +159,7 @@ func TestPlanKeyDeterminesBody(t *testing.T) {
 	hashes := map[modelKey]uint64{}
 	check := func(name string, prog *ast.Program) {
 		for _, m := range allModels {
-			p := newPass(prog, m, false)
+			p := newPass(prog, m)
 			for ti, tt := range prog.Txns {
 				for wi, wt := range prog.Txns {
 					tf, err := p.txnFacts(ti)
@@ -187,13 +187,12 @@ func TestPlanKeyDeterminesBody(t *testing.T) {
 	})
 }
 
-// detectVia runs one detection of prog with witness recording on, fresh
-// or through a new session.
+// detectVia runs one detection of prog, fresh or through a new session.
 func detectVia(ctx context.Context, prog *ast.Program, m Model, fresh bool) (*Report, error) {
 	if fresh {
-		return runFresh(&detector{pass: newPass(prog, m, true), ctx: ctx})
+		return freshDetect(ctx, prog, m)
 	}
-	return coldDetect(ctx, prog, m, true)
+	return coldDetect(ctx, prog, m)
 }
 
 // TestZeroCandidateWitnessCostsNothing: a witness that shares a table with
@@ -218,7 +217,7 @@ txn twoWrites(k: int) {
   update T set a = 1 where id = k;
   update T set b = 2 where id = k;
 }`)
-	p := newPass(prog, EC, false)
+	p := newPass(prog, EC)
 	witnesses, err := p.witnessesOf(0) // readers
 	if err != nil {
 		t.Fatal(err)

@@ -36,10 +36,6 @@ import (
 // sequentially.
 type DetectSession struct {
 	model Model
-	// record opts every detection into witness-schedule extraction. It must
-	// be set before the first Detect call: memoized answers only carry a
-	// Schedule if they were decided while recording.
-	record bool
 
 	mu      sync.Mutex
 	txns    map[uint64]txnEntry
@@ -111,18 +107,6 @@ func (s *DetectSession) Model() Model { return s.model }
 // change to the benchmark.
 func (s *DetectSession) SetParallelism(int) {}
 
-// RecordWitnesses opts every subsequent detection into witness-schedule
-// extraction (see witness.go): reported pairs carry Witness.Schedule.
-// Call it before the session's first Detect — answers memoized by a
-// non-recording detection have no schedule to share. Memo keys, reports,
-// and statistics are unaffected.
-func (s *DetectSession) RecordWitnesses() { s.record = true }
-
-// Recording reports whether witness-schedule extraction is enabled. Callers
-// injecting a shared session into a certifying pipeline must check this:
-// cached results from a non-recording session carry no schedules.
-func (s *DetectSession) Recording() bool { return s.record }
-
 // Stats returns a snapshot of the session's aggregate cache statistics.
 func (s *DetectSession) Stats() SessionStats {
 	s.mu.Lock()
@@ -152,7 +136,7 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 // before the abort remains valid — a cancelled transaction's outcome is
 // never stored, and every stored query answer is complete.
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
-	p := newPass(prog, s.model, s.record)
+	p := newPass(prog, s.model)
 	d := &detector{pass: p, session: s, ctx: ctx}
 	entries := make([]txnEntry, len(prog.Txns))
 	nPairs := 0

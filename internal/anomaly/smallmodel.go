@@ -89,11 +89,13 @@ type smallModel struct {
 	npair int
 	cl    [8]uint8
 	nodes []smNode
+	// best is the last satisfiable decision's visibility mask.
+	best uint8
 }
 
-// decide decides one query on pe under model. The result's Sched is
-// built only when record is set.
-func (sm *smallModel) decide(pe *pairPlan, model Model, record bool, q [4]int) cycleResult {
+// decide decides one query on pe under model. A satisfiable decision leaves
+// its canonical merge placed and its mask in best, for schedule.
+func (sm *smallModel) decide(pe *pairPlan, model Model, q [4]int) cycleResult {
 	sm.pe, sm.model, sm.q = pe, model, q
 	if model == SC || !sm.keysAlias() {
 		// Under SC every dependency edge runs forward in ord and has a writer
@@ -132,14 +134,12 @@ func (sm *smallModel) decide(pe *pairPlan, model Model, record bool, q [4]int) c
 		return cycleResult{}
 	}
 	sm.place(ms[first])
+	sm.best = best
 	r := cycleResult{Sat: true}
 	r.Flds1 = sm.fields(0, admissible[0])
 	r.Flds2 = sm.fields(1, admissible[1])
 	r.Kind1, _ = sm.modelEdge(0, best, false)
 	r.Kind2, _ = sm.modelEdge(1, best, false)
-	if record {
-		r.Sched = sm.schedule(best)
-	}
 	return r
 }
 
@@ -421,8 +421,8 @@ func (sm *smallModel) modelEdge(e int, mask uint8, withFields bool) (EdgeKind, [
 	return kind, fs
 }
 
-// schedule extends the canonical assignment of the current merge to every
-// command of both instances:
+// schedule extends the last satisfiable decision's canonical assignment to
+// every command of both instances:
 //
 //   - an off-cycle command runs just before the next cycle command of its
 //     instance, or after every cycle command, A's remainder before B's;
@@ -431,10 +431,10 @@ func (sm *smallModel) modelEdge(e int, mask uint8, withFields bool) (EdgeKind, [
 //     to the same cycle reader (causal delivery);
 //   - under RR a visible cycle writer is visible to its reader's whole
 //     instance.
-func (sm *smallModel) schedule(mask uint8) *Schedule {
-	pe := sm.pe
+func (sm *smallModel) schedule(items []SchedItem) *Schedule {
+	pe, mask := sm.pe, sm.best
 	n := pe.n
-	s := &Schedule{TxnA: pe.t.name, TxnB: pe.w.name, NA: pe.nA, Items: pe.schedItems()}
+	s := &Schedule{TxnA: pe.t.name, TxnB: pe.w.name, NA: pe.nA, Items: items}
 	s.Order = make([]int, 0, n)
 	next := [2]int{0, pe.nA}
 	end := [2]int{pe.nA, n}

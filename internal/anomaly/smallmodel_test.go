@@ -19,7 +19,7 @@ import (
 // transactions sharing a table, every command pair c1 < c2 of the first,
 // every candidate d1 of c1 and d2 of c2, in both orientations.
 func planQueries(t testing.TB, prog *ast.Program, model Model, visit func(pe *pairPlan, qs [][4]int)) {
-	p := newPass(prog, model, true)
+	p := newPass(prog, model)
 	for ti := range prog.Txns {
 		tf, err := p.txnFacts(ti)
 		if err != nil {
@@ -126,7 +126,7 @@ func checkPlanAgainstOracle(t testing.TB, what string, pe *pairPlan, model Model
 	b := newBody(pe, model, mergeOrder)
 	var sm smallModel
 	for _, q := range qs {
-		r := sm.decide(pe, model, true, q)
+		r := sm.decide(pe, model, q)
 		want := b.solve(q)
 		cell := fmt.Sprintf("%s %v %s/%s %v", what, model, pe.t.name, pe.w.name, q)
 		if r.Sat != want {
@@ -142,7 +142,7 @@ func checkPlanAgainstOracle(t testing.TB, what string, pe *pairPlan, model Model
 		if f := oracleFields(b, q, q[2], q[3]); !slices.Equal(r.Flds2, f) {
 			t.Errorf("%s: F2 = %v, oracle's satisfiable union %v", cell, r.Flds2, f)
 		}
-		s := r.Sched
+		s := sm.schedule(nil)
 		if s.Edge1.Kind != r.Kind1 || s.Edge2.Kind != r.Kind2 || s.Edge1.From != q[0] || s.Edge1.To != q[1] || s.Edge2.From != q[2] || s.Edge2.To != q[3] {
 			t.Errorf("%s: schedule edges %+v %+v disagree with the answer (%s, %s)", cell, s.Edge1, s.Edge2, r.Kind1, r.Kind2)
 		}

@@ -6,20 +6,19 @@ import (
 	"atropos/internal/ast"
 )
 
-// This file defines witness schedules: when a session opts in
-// (DetectSession.RecordWitnesses), every satisfiable cycle query also
-// extends its canonical model to every command of both instances — the ord
+// This file defines witness schedules: the canonical model of a reported
+// pair's cycle query, extended to every command of both instances — the ord
 // total order, the vis relation, and the aliasing equalities — and
-// packages it as a Schedule on the reported pair's Witness.
-// A Schedule is everything internal/replay needs to lower the static
-// witness into a concrete directed run of the cluster simulator: which
-// command executes when, which write batches each command's local view
-// contains, and which symbolic key terms must coincide for the dependency
-// edges to touch a common record.
+// packaged as a Schedule. A Schedule is everything internal/replay needs
+// to lower the static witness into a concrete directed run of the cluster
+// simulator: which command executes when, which write batches each
+// command's local view contains, and which symbolic key terms must
+// coincide for the dependency edges to touch a common record.
 //
-// Recording is strictly additive: verdicts, reported pairs, and the
-// session's memo keys are identical with recording on or off (the memoized
-// cycleResult simply carries the extra Schedule pointer).
+// Detection does not build schedules. WitnessSchedules rebuilds them from
+// a report after the fact: a query's answer is a function of its plan's
+// content and the query alone, so re-deciding the reported pair's query
+// on the program it was detected on yields the model detection found.
 
 // TermKind is the exported classification of a symbolic primary-key term
 // (see terms.go): a literal constant, a globally fresh uuid(), or an
@@ -106,47 +105,69 @@ func (s *Schedule) ItemAt(g int) (inst, idx int) {
 	return it.Inst, it.Idx
 }
 
-// schedItems lists the pair's command instances as a Schedule names them.
-func (pe *pairPlan) schedItems() []SchedItem {
+// WitnessSchedules rebuilds the witness schedule of each of rep's pairs,
+// in order, on prog, the program rep was detected on. For each pair it
+// re-plans (Txn, Witness.Txn) and re-decides the reported commands' query,
+// orientation 1 first as detection asks them; facts and plans are shared
+// across the report's pairs. A pair prog does not witness — its
+// transactions or commands are missing, or its cycle is unsatisfiable —
+// gets nil.
+func WitnessSchedules(prog *ast.Program, rep *Report) []*Schedule {
+	p := newPass(prog, rep.Model)
+	type planned struct {
+		pe    *pairPlan
+		items []SchedItem
+	}
+	plans := map[[2]int]*planned{}
+	var sm smallModel
+	out := make([]*Schedule, len(rep.Pairs))
+	for i, pair := range rep.Pairs {
+		ti := slices.IndexFunc(prog.Txns, func(t *ast.Txn) bool { return t.Name == pair.Txn })
+		wi := slices.IndexFunc(prog.Txns, func(t *ast.Txn) bool { return t.Name == pair.Witness.Txn })
+		if ti < 0 || wi < 0 {
+			continue
+		}
+		pl := plans[[2]int{ti, wi}]
+		if pl == nil {
+			tf, terr := p.txnFacts(ti)
+			wf, werr := p.txnFacts(wi)
+			if terr != nil || werr != nil {
+				continue
+			}
+			pe := planPair(tf, wf)
+			pl = &planned{pe, p.schedItems(pe)}
+			plans[[2]int{ti, wi}] = pl
+		}
+		pe := pl.pe
+		c1, c2 := pe.t.index(pair.C1), pe.t.index(pair.C2)
+		d1, d2 := pe.w.index(pair.Witness.D1), pe.w.index(pair.Witness.D2)
+		if c1 < 0 || c2 < 0 || d1 < 0 || d2 < 0 {
+			continue
+		}
+		d1, d2 = pe.nA+d1, pe.nA+d2
+		for _, q := range [2][4]int{{c1, d1, d2, c2}, {d1, c1, c2, d2}} {
+			if sm.decide(pe, rep.Model, q).Sat {
+				out[i] = sm.schedule(pl.items)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// schedItems lists the pair's command instances as a Schedule names them,
+// each with the key pins the replayer evaluates.
+func (p *pass) schedItems(pe *pairPlan) []SchedItem {
 	items := make([]SchedItem, pe.n)
 	for x := range items {
 		it, inst := pe.item(x), pe.inst(x)
-		items[x] = SchedItem{
-			Inst: inst, Idx: x - inst*pe.nA, Label: it.label, Table: it.table, Pins: it.pins[inst],
-		}
+		idx := x - inst*pe.nA
+		var pins []KeyPin
+		pkPins(it.cmd, p.prog.Schema(it.table), func(field string, e ast.Expr) {
+			tm := termOf(e, inst, idx)
+			pins = append(pins, KeyPin{Field: field, Term: tm.id, Kind: tm.kind, Expr: e})
+		})
+		items[x] = SchedItem{Inst: inst, Idx: idx, Label: it.label, Table: it.table, Pins: pins}
 	}
 	return items
-}
-
-// adoptSchedule re-addresses a cycle result's schedule to this encoder's
-// pair, where the pair is reported. The model part — order, visibility,
-// equalities, edges — is shared: the memo key pins the producer to a pair
-// of identical content. The transactions and commands it names are the
-// producer's, which on a memo hit may be another, identically shaped pair
-// (or an earlier version of this one), and a replayer must run the pair the
-// report names. A schedule that already names this pair — its own
-// decision, or a warm re-detection of an unchanged pair — is returned as
-// it is.
-func (pe *pairPlan) adoptSchedule(s *Schedule) *Schedule {
-	if s == nil || pe.addressedBy(s) {
-		return s
-	}
-	c := *s
-	c.TxnA, c.TxnB, c.NA, c.Items = pe.t.name, pe.w.name, pe.nA, pe.schedItems()
-	return &c
-}
-
-// addressedBy reports whether s names exactly this plan's transactions and
-// command instances.
-func (pe *pairPlan) addressedBy(s *Schedule) bool {
-	if s.TxnA != pe.t.name || s.TxnB != pe.w.name || s.NA != pe.nA || len(s.Items) != pe.n {
-		return false
-	}
-	for x, have := range s.Items {
-		it, inst := pe.item(x), pe.inst(x)
-		if have.Label != it.label || have.Table != it.table || !slices.Equal(have.Pins, it.pins[inst]) {
-			return false
-		}
-	}
-	return true
 }

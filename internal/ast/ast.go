@@ -17,9 +17,7 @@
 // (DESIGN.md §10) is that a node must not be mutated once it is reachable
 // from a program handed to detection, repair, or another long-lived
 // consumer; builders (the parser, progen, tests) may mutate nodes freely
-// while the tree is still private to them. CloneProgram remains available
-// for callers that need an unshared deep copy (the deep-clone differential
-// oracle in internal/refactor uses it).
+// while the tree is still private to them.
 package ast
 
 import "fmt"

@@ -35,42 +35,11 @@ func TestCommandsFlattening(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	orig := sampleTxn()
-	cp := CloneTxn(orig)
-	// Mutate clone; original must be untouched.
-	cp.Body[0].(*Select).Fields[0] = "zz"
-	cp.Params[0].Name = "q"
-	Commands(cp.Body)[1].SetCmdLabel("U9")
-	if orig.Body[0].(*Select).Fields[0] != "a" {
-		t.Error("clone shares Fields slice with original")
-	}
-	if orig.Params[0].Name != "k" {
-		t.Error("clone shares params with original")
-	}
-	if Commands(orig.Body)[1].CmdLabel() != "U1" {
-		t.Error("clone shares nested command with original")
-	}
-}
-
-func TestCloneProgramDeep(t *testing.T) {
-	p := &Program{
-		Schemas: []*Schema{{Name: "T", Fields: []*Field{{Name: "id", Type: TInt, PK: true}}}},
-		Txns:    []*Txn{sampleTxn()},
-	}
-	cp := CloneProgram(p)
-	cp.Schemas[0].Fields[0].Name = "other"
-	cp.Txns[0].Name = "other"
-	if p.Schemas[0].Fields[0].Name != "id" || p.Txns[0].Name != "t" {
-		t.Error("CloneProgram is shallow")
-	}
-}
-
 func TestEqualExpr(t *testing.T) {
 	a := &Binary{Op: OpAdd, L: &FieldAt{Var: "x", Field: "b"}, R: &IntLit{Val: 1}}
-	b := CloneExpr(a)
+	b := &Binary{Op: OpAdd, L: &FieldAt{Var: "x", Field: "b"}, R: &IntLit{Val: 1}}
 	if !EqualExpr(a, b) {
-		t.Error("clone not equal to original")
+		t.Error("separately built equal expressions compare unequal")
 	}
 	c := &Binary{Op: OpAdd, L: &FieldAt{Var: "x", Field: "b"}, R: &IntLit{Val: 2}}
 	if EqualExpr(a, c) {
@@ -90,11 +59,10 @@ func TestEqualExpr(t *testing.T) {
 }
 
 func TestEqualStmt(t *testing.T) {
-	t1 := sampleTxn()
-	t2 := CloneTxn(t1)
+	t1, t2 := sampleTxn(), sampleTxn()
 	for i := range t1.Body {
 		if !EqualStmt(t1.Body[i], t2.Body[i]) {
-			t.Errorf("stmt %d not equal to its clone", i)
+			t.Errorf("stmt %d not equal to its rebuilt copy", i)
 		}
 	}
 	if EqualStmt(t1.Body[0], t1.Body[1]) {
@@ -193,14 +161,15 @@ func TestCommandAccess(t *testing.T) {
 }
 
 func TestMapStmtsDeleteAndReplace(t *testing.T) {
-	tx := sampleTxn()
+	tx, again := sampleTxn(), sampleTxn()
+	second := Commands(again.Body)[1]
 	// Delete all selects, duplicate all updates.
 	out := MapStmts(tx.Body, func(s Stmt) []Stmt {
 		switch s.(type) {
 		case *Select:
 			return nil
 		case *Update:
-			return []Stmt{s, CloneStmt(s)}
+			return []Stmt{s, second}
 		}
 		return []Stmt{s}
 	})

@@ -311,10 +311,8 @@ func HashTxn(t *Txn) uint64 {
 	return h
 }
 
-// HashSchema digests a schema declaration. Schemas are small and — unlike
-// statements — still mutated in place by the deep-clone legacy path
-// (GCSchemas), so their hash is recomputed on every call rather than
-// memoized.
+// HashSchema digests a schema declaration. Schemas are small, so their hash
+// is recomputed on every call rather than memoized.
 func HashSchema(s *Schema) uint64 {
 	h := hashString(hashUint(hashSeed, tagSchema), s.Name)
 	for _, f := range s.Fields {

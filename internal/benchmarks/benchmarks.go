@@ -109,33 +109,13 @@ func (b *Args) Map() map[string]store.Value {
 	return m
 }
 
-// TableRow is one initial record.
-type TableRow struct {
-	Table string
-	Row   store.Row
-}
-
-// RowsOf returns a row set's alive records as loadable rows, in schema and
-// key order.
-func RowsOf(db *store.DB, prog *ast.Program) []TableRow {
-	var out []TableRow
-	for _, s := range prog.Schemas {
-		for _, k := range db.Keys(s.Name) {
-			if db.Alive(s.Name, k) {
-				out = append(out, TableRow{Table: s.Name, Row: db.Row(s.Name, k)})
-			}
-		}
-	}
-	return out
-}
-
 // Benchmark is one evaluation program plus its workload description.
 type Benchmark struct {
 	Name   string
 	Source string
 	Mix    []MixEntry
 	// Rows generates the initial population at the given scale.
-	Rows func(s Scale) []TableRow
+	Rows func(s Scale) []store.TableRow
 
 	once sync.Once
 	prog *ast.Program

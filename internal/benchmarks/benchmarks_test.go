@@ -91,13 +91,16 @@ func TestRowsLoadable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db := store.NewDB(p)
 			rows := b.Rows(Scale{Records: 20})
 			if len(rows) == 0 {
 				t.Fatal("no rows generated")
 			}
 			for _, r := range rows {
-				if _, err := db.Load(r.Table, r.Row); err != nil {
+				s := p.Schema(r.Table)
+				if s == nil {
+					t.Fatalf("row of unknown table %s", r.Table)
+				}
+				if _, _, err := store.Load(s, r.Row); err != nil {
 					t.Fatalf("Load %s: %v", r.Table, err)
 				}
 			}

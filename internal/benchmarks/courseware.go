@@ -83,20 +83,20 @@ txn addSt(id: int, name: string, em: int) {
 			return Bind(iarg("id", id), sarg("name", fmt.Sprintf("new%d", id)), iarg("em", id))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
+		var rows []store.TableRow
 		nCourses := courseCount(s)
 		for c := 0; c < nCourses; c++ {
-			rows = append(rows, TableRow{"COURSE", store.Row{
+			rows = append(rows, store.TableRow{Table: "COURSE", Row: store.Row{
 				"co_id": iv(int64(c)), "co_avail": bv(true), "co_st_cnt": iv(0),
 			}})
 		}
 		for i := 0; i < s.Records; i++ {
 			id := iv(int64(i))
 			rows = append(rows,
-				TableRow{"EMAIL", store.Row{"em_id": id, "em_addr": sv(fmt.Sprintf("u%d@example.org", i))}},
-				TableRow{"STUDENT", store.Row{
+				store.TableRow{Table: "EMAIL", Row: store.Row{"em_id": id, "em_addr": sv(fmt.Sprintf("u%d@example.org", i))}},
+				store.TableRow{Table: "STUDENT", Row: store.Row{
 					"st_id": id, "st_name": sv(fmt.Sprintf("student%d", i)),
 					"st_em_id": id, "st_co_id": iv(int64(i % nCourses)), "st_reg": bv(false),
 				}},

@@ -129,36 +129,36 @@ txn getFacilityStaff(fa: int) {
 			return Bind(iarg("fa", int64(rng.Intn(facilities(s)))))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
+		var rows []store.TableRow
 		for f := 0; f < facilities(s); f++ {
-			rows = append(rows, TableRow{"FACILITY", store.Row{
+			rows = append(rows, store.TableRow{Table: "FACILITY", Row: store.Row{
 				"fa_id": iv(int64(f)), "fa_name": sv(fmt.Sprintf("facility%d", f)),
 			}})
 		}
 		for sf := 0; sf < staffCount(s); sf++ {
-			rows = append(rows, TableRow{"STAFF", store.Row{
+			rows = append(rows, store.TableRow{Table: "STAFF", Row: store.Row{
 				"sf_id": iv(int64(sf)), "sf_fa_id": iv(int64(sf % facilities(s))), "sf_name": sv(fmt.Sprintf("staff%d", sf)),
 			}})
 		}
 		for ph := 0; ph < pharmacies(s); ph++ {
-			rows = append(rows, TableRow{"PHARMACY", store.Row{
+			rows = append(rows, store.TableRow{Table: "PHARMACY", Row: store.Row{
 				"ph_id": iv(int64(ph)), "ph_name": sv(fmt.Sprintf("pharmacy%d", ph)), "ph_presc_cnt": iv(0),
 			}})
 		}
 		for i := 0; i < s.Records; i++ {
 			id := iv(int64(i))
 			rows = append(rows,
-				TableRow{"PATIENT", store.Row{
+				store.TableRow{Table: "PATIENT", Row: store.Row{
 					"pa_id": id, "pa_name": sv(fmt.Sprintf("patient%d", i)), "pa_presc_cnt": iv(1),
 				}},
-				TableRow{"PRESCRIPTION", store.Row{
+				store.TableRow{Table: "PRESCRIPTION", Row: store.Row{
 					"pc_id": id, "pc_pa_id": id, "pc_ph_id": iv(int64(i % pharmacies(s))),
 					"pc_sf_id": iv(int64(i % staffCount(s))), "pc_drug": iv(int64(i % 500)), "pc_processed": bv(false),
 				}},
-				TableRow{"PATIENT_INDEX", store.Row{"pi_pa_id": id, "pi_pc_id": id, "pi_active": bv(true)}},
-				TableRow{"PHARMACY_INDEX", store.Row{"phi_ph_id": iv(int64(i % pharmacies(s))), "phi_pc_id": id, "phi_active": bv(true)}},
+				store.TableRow{Table: "PATIENT_INDEX", Row: store.Row{"pi_pa_id": id, "pi_pc_id": id, "pi_active": bv(true)}},
+				store.TableRow{Table: "PHARMACY_INDEX", Row: store.Row{"phi_ph_id": iv(int64(i % pharmacies(s))), "phi_pc_id": id, "phi_active": bv(true)}},
 			)
 		}
 		return rows

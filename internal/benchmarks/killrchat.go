@@ -85,16 +85,16 @@ txn readRoom(u: int, r: int) {
 			return Bind(iarg("u", s.Key(rng)), iarg("r", int64(rng.Intn(roomCount(s)))))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
+		var rows []store.TableRow
 		for r := 0; r < roomCount(s); r++ {
-			rows = append(rows, TableRow{"ROOMS", store.Row{
+			rows = append(rows, store.TableRow{Table: "ROOMS", Row: store.Row{
 				"ro_id": iv(int64(r)), "ro_creator": iv(0), "ro_open": bv(true), "ro_participants": iv(0),
 			}})
 		}
 		for i := 0; i < s.Records; i++ {
-			rows = append(rows, TableRow{"USERS", store.Row{
+			rows = append(rows, store.TableRow{Table: "USERS", Row: store.Row{
 				"us_login": iv(int64(i)), "us_name": sv(fmt.Sprintf("user%d", i)), "us_rooms": iv(0),
 			}})
 		}

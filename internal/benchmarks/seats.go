@@ -136,22 +136,22 @@ txn deleteReservation(r: int, c: int, f: int, al: int) {
 			return Bind(iarg("r", s.Key(rng)), iarg("c", s.Key(rng)), iarg("f", int64(rng.Intn(flights(s)))), iarg("al", int64(rng.Intn(3))))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
-		rows = append(rows, TableRow{"COUNTRY", store.Row{"cn_id": iv(0), "cn_name": sv("US")}})
+		var rows []store.TableRow
+		rows = append(rows, store.TableRow{Table: "COUNTRY", Row: store.Row{"cn_id": iv(0), "cn_name": sv("US")}})
 		for a := 0; a < airports(s); a++ {
-			rows = append(rows, TableRow{"AIRPORT", store.Row{
+			rows = append(rows, store.TableRow{Table: "AIRPORT", Row: store.Row{
 				"ap_id": iv(int64(a)), "ap_cn_id": iv(0), "ap_name": sv(fmt.Sprintf("AP%d", a)),
 			}})
 		}
 		for al := 0; al < 3; al++ {
-			rows = append(rows, TableRow{"AIRLINE", store.Row{
+			rows = append(rows, store.TableRow{Table: "AIRLINE", Row: store.Row{
 				"al_id": iv(int64(al)), "al_cn_id": iv(0), "al_name": sv(fmt.Sprintf("AL%d", al)),
 			}})
 		}
 		for f := 0; f < flights(s); f++ {
-			rows = append(rows, TableRow{"FLIGHT", store.Row{
+			rows = append(rows, store.TableRow{Table: "FLIGHT", Row: store.Row{
 				"fl_id": iv(int64(f)), "fl_al_id": iv(int64(f % 3)),
 				"fl_depart_ap_id": iv(int64(f % airports(s))), "fl_arrive_ap_id": iv(int64((f + 1) % airports(s))),
 				"fl_base_price": iv(100), "fl_seats_left": iv(150), "fl_status": iv(0),
@@ -160,19 +160,19 @@ txn deleteReservation(r: int, c: int, f: int, al: int) {
 		for i := 0; i < s.Records; i++ {
 			id := iv(int64(i))
 			rows = append(rows,
-				TableRow{"CUSTOMER", store.Row{
+				store.TableRow{Table: "CUSTOMER", Row: store.Row{
 					"cu_id": id, "cu_base_ap_id": iv(int64(i % airports(s))), "cu_balance": iv(0), "cu_sattr": iv(0),
 				}},
-				TableRow{"FREQUENT_FLYER", store.Row{
+				store.TableRow{Table: "FREQUENT_FLYER", Row: store.Row{
 					"ff_cu_id": id, "ff_al_id": iv(int64(i % 3)), "ff_miles": iv(0),
 				}},
-				TableRow{"RESERVATION", store.Row{
+				store.TableRow{Table: "RESERVATION", Row: store.Row{
 					"re_id": id, "re_cu_id": id, "re_fl_id": iv(int64(i % flights(s))),
 					"re_seat": iv(int64(i % 150)), "re_price": iv(100), "re_active": bv(true),
 				}},
 			)
 		}
-		rows = append(rows, TableRow{"CONFIG", store.Row{"cf_id": iv(0), "cf_val": iv(1)}})
+		rows = append(rows, store.TableRow{Table: "CONFIG", Row: store.Row{"cf_id": iv(0), "cf_val": iv(1)}})
 		return rows
 	},
 }

@@ -35,11 +35,11 @@ txn increment(k: int) {
 			return Bind(iarg("k", s.Key(rng)))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
+		var rows []store.TableRow
 		for i := 0; i < s.Records; i++ {
-			rows = append(rows, TableRow{"SITEST", store.Row{"si_id": iv(int64(i)), "si_value": iv(0)}})
+			rows = append(rows, store.TableRow{Table: "SITEST", Row: store.Row{"si_id": iv(int64(i)), "si_value": iv(0)}})
 		}
 		return rows
 	},

@@ -100,15 +100,15 @@ txn sendPayment(src: int, dst: int, amt: int) {
 			return Bind(iarg("src", s.Key(rng)), iarg("dst", s.Key(rng)), iarg("amt", int64(1+rng.Intn(50))))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
+		var rows []store.TableRow
 		for i := 0; i < s.Records; i++ {
 			id := iv(int64(i))
 			rows = append(rows,
-				TableRow{"ACCOUNTS", store.Row{"acc_id": id, "acc_name": sv(fmt.Sprintf("cust%d", i))}},
-				TableRow{"SAVINGS", store.Row{"sav_cust": id, "sav_bal": iv(1000)}},
-				TableRow{"CHECKING", store.Row{"chk_cust": id, "chk_bal": iv(1000)}},
+				store.TableRow{Table: "ACCOUNTS", Row: store.Row{"acc_id": id, "acc_name": sv(fmt.Sprintf("cust%d", i))}},
+				store.TableRow{Table: "SAVINGS", Row: store.Row{"sav_cust": id, "sav_bal": iv(1000)}},
+				store.TableRow{Table: "CHECKING", Row: store.Row{"chk_cust": id, "chk_bal": iv(1000)}},
 			)
 		}
 		return rows

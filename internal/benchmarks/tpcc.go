@@ -158,16 +158,16 @@ txn stockLevel(w: int, d: int, threshold: int) {
 			return Bind(iarg("w", tpccW(rng, s)), iarg("d", int64(rng.Intn(10))), iarg("threshold", int64(10+rng.Intn(10))))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
+		var rows []store.TableRow
 		nW := warehouses(s)
 		for w := 0; w < nW; w++ {
-			rows = append(rows, TableRow{"WAREHOUSE", store.Row{
+			rows = append(rows, store.TableRow{Table: "WAREHOUSE", Row: store.Row{
 				"w_id": iv(int64(w)), "w_name": sv(fmt.Sprintf("w%d", w)), "w_ytd": iv(0),
 			}})
 			for d := 0; d < 10; d++ {
-				rows = append(rows, TableRow{"DISTRICT", store.Row{
+				rows = append(rows, store.TableRow{Table: "DISTRICT", Row: store.Row{
 					"d_w_id": iv(int64(w)), "d_id": iv(int64(d)), "d_next_o_id": iv(100), "d_ytd": iv(0),
 				}})
 			}
@@ -175,15 +175,15 @@ txn stockLevel(w: int, d: int, threshold: int) {
 		for i := 0; i < s.Records; i++ {
 			id := iv(int64(i))
 			rows = append(rows,
-				TableRow{"CUSTOMER", store.Row{
+				store.TableRow{Table: "CUSTOMER", Row: store.Row{
 					"c_w_id": iv(0), "c_d_id": iv(int64(i % 10)), "c_id": id,
 					"c_name": sv(fmt.Sprintf("cust%d", i)), "c_balance": iv(0),
 					"c_ytd_payment": iv(0), "c_payment_cnt": iv(0), "c_delivery_cnt": iv(0),
 				}},
-				TableRow{"ITEM", store.Row{
+				store.TableRow{Table: "ITEM", Row: store.Row{
 					"i_id": id, "i_name": sv(fmt.Sprintf("item%d", i)), "i_price": iv(int64(1 + i%100)),
 				}},
-				TableRow{"STOCK", store.Row{
+				store.TableRow{Table: "STOCK", Row: store.Row{
 					"s_w_id": iv(0), "s_i_id": id, "s_quantity": iv(100), "s_ytd": iv(0), "s_order_cnt": iv(0),
 				}},
 			)

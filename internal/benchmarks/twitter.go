@@ -88,17 +88,17 @@ txn getFollowers(u: int) {
 			return Bind(iarg("u", s.Key(rng)))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
+		var rows []store.TableRow
 		for i := 0; i < s.Records; i++ {
 			id := iv(int64(i))
 			rows = append(rows,
-				TableRow{"USERS", store.Row{
+				store.TableRow{Table: "USERS", Row: store.Row{
 					"u_id": id, "u_name": sv(fmt.Sprintf("user%d", i)),
 					"u_follower_cnt": iv(0), "u_tweet_cnt": iv(1),
 				}},
-				TableRow{"TWEETS", store.Row{
+				store.TableRow{Table: "TWEETS", Row: store.Row{
 					"t_id": id, "t_u_id": id, "t_text": sv(fmt.Sprintf("hello from %d", i)),
 				}},
 			)

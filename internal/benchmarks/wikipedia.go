@@ -145,26 +145,26 @@ txn updatePage(p: int, u: int, rid: int, tid: int, text: string) {
 				sarg("text", fmt.Sprintf("revision %d", fresh)))
 		}},
 	},
-	Rows: func(s Scale) []TableRow {
+	Rows: func(s Scale) []store.TableRow {
 		s = s.orDefault()
-		var rows []TableRow
-		rows = append(rows, TableRow{"SITE_STATS", store.Row{"ss_id": iv(0), "ss_edits": iv(0)}})
+		var rows []store.TableRow
+		rows = append(rows, store.TableRow{Table: "SITE_STATS", Row: store.Row{"ss_id": iv(0), "ss_edits": iv(0)}})
 		for i := 0; i < s.Records; i++ {
 			id := iv(int64(i))
 			rows = append(rows,
-				TableRow{"USERACCT", store.Row{
+				store.TableRow{Table: "USERACCT", Row: store.Row{
 					"ua_id": id, "ua_name": sv(fmt.Sprintf("user%d", i)), "ua_touched": iv(0), "ua_editcount": iv(0),
 				}},
-				TableRow{"USER_GROUPS", store.Row{"ug_ua_id": id, "ug_group": iv(int64(i % 3))}},
-				TableRow{"PAGE", store.Row{
+				store.TableRow{Table: "USER_GROUPS", Row: store.Row{"ug_ua_id": id, "ug_group": iv(int64(i % 3))}},
+				store.TableRow{Table: "PAGE", Row: store.Row{
 					"pg_id": id, "pg_ns": iv(0), "pg_title": sv(fmt.Sprintf("Page %d", i)),
 					"pg_latest": id, "pg_touched": iv(0),
 				}},
-				TableRow{"PAGE_RESTRICTIONS", store.Row{"pr_pg_id": id, "pr_level": iv(0)}},
-				TableRow{"REVISION", store.Row{
+				store.TableRow{Table: "PAGE_RESTRICTIONS", Row: store.Row{"pr_pg_id": id, "pr_level": iv(0)}},
+				store.TableRow{Table: "REVISION", Row: store.Row{
 					"rev_id": id, "rev_pg_id": id, "rev_text_id": id, "rev_ua_id": iv(0),
 				}},
-				TableRow{"TEXTTAB", store.Row{"old_id": id, "old_text": sv(fmt.Sprintf("content %d", i))}},
+				store.TableRow{Table: "TEXTTAB", Row: store.Row{"old_id": id, "old_text": sv(fmt.Sprintf("content %d", i))}},
 			)
 		}
 		return rows

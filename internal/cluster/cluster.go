@@ -9,6 +9,7 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/metrics"
+	"atropos/internal/store"
 )
 
 // Mode selects the consistency deployment of a run (the four lines of
@@ -47,7 +48,7 @@ type Config struct {
 	Program *ast.Program
 	Mix     []benchmarks.MixEntry
 	Scale   benchmarks.Scale
-	Rows    []benchmarks.TableRow
+	Rows    []store.TableRow
 	// Topology is the cluster geometry (VACluster/USCluster/GlobalCluster).
 	Topology Topology
 	Clients  int

@@ -35,9 +35,9 @@ func transferConfig(t *testing.T, mode Mode, seed int64) Config {
 		t.Fatal(err)
 	}
 	const n = 8
-	var rows []benchmarks.TableRow
+	var rows []store.TableRow
 	for i := 0; i < n; i++ {
-		rows = append(rows, benchmarks.TableRow{Table: "ACC", Row: store.Row{
+		rows = append(rows, store.TableRow{Table: "ACC", Row: store.Row{
 			"id": store.IntV(int64(i)), "bal": store.IntV(1000),
 		}})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
 	"atropos/internal/store"
 )
 
@@ -62,7 +61,7 @@ func (p *DirectedPlan) Program() *ast.Program { return p.prog }
 
 // Seed builds a base state holding rows (alive, timestamp 0). Runs only
 // read it, so one base serves every run that starts from the same rows.
-func (p *DirectedPlan) Seed(rows []benchmarks.TableRow) (*MatStore, error) {
+func (p *DirectedPlan) Seed(rows []store.TableRow) (*MatStore, error) {
 	base := newMatStore(p.cp)
 	for _, row := range rows {
 		if err := base.Load(row.Table, row.Row); err != nil {

@@ -20,9 +20,7 @@ import (
 func TestDirectedViewsMatchCloneOracle(t *testing.T) {
 	finish := cluster.OracleDirectedViews(t.Errorf)
 	certify := func(prog *ast.Program, model anomaly.Model) {
-		s := anomaly.NewSession(model)
-		s.RecordWitnesses()
-		rep, err := s.Detect(prog)
+		rep, err := anomaly.NewSession(model).Detect(prog)
 		if err != nil {
 			t.Fatal(err)
 		}

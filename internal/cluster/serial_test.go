@@ -94,12 +94,12 @@ func ints(kv ...any) map[string]store.Value {
 
 func call(txn string, kv ...any) DirectedTxn { return DirectedTxn{Name: txn, Args: ints(kv...)} }
 
-func row(table string, kv ...any) benchmarks.TableRow {
-	return benchmarks.TableRow{Table: table, Row: store.Row(ints(kv...))}
+func row(table string, kv ...any) store.TableRow {
+	return store.TableRow{Table: table, Row: store.Row(ints(kv...))}
 }
 
 // seeded parses src and seeds a state with rows.
-func seeded(t *testing.T, src string, rows ...benchmarks.TableRow) (*DirectedPlan, *MatStore) {
+func seeded(t *testing.T, src string, rows ...store.TableRow) (*DirectedPlan, *MatStore) {
 	t.Helper()
 	prog, err := sema.Load(src)
 	if err != nil {
@@ -129,18 +129,18 @@ func TestSerialSemantics(t *testing.T) {
 	cases := []struct {
 		name    string
 		src     string
-		rows    []benchmarks.TableRow
+		rows    []store.TableRow
 		calls   []DirectedTxn
 		rets    map[int]int64 // call index -> return value
 		state   []cell
 		refused string // substring of the error a refused run reports
 	}{
 		{name: "SerialDeposit", src: bankSrc,
-			rows:  []benchmarks.TableRow{row("ACC", "id", 1, "bal", 100)},
+			rows:  []store.TableRow{row("ACC", "id", 1, "bal", 100)},
 			calls: []DirectedTxn{call("deposit", "k", 1, "amt", 50), call("balance", "k", 1)},
 			rets:  map[int]int64{0: 150, 1: 150}},
 		{name: "SerialNeverLosesUpdates", src: bankSrc,
-			rows: []benchmarks.TableRow{row("ACC", "id", 1, "bal", 0)},
+			rows: []store.TableRow{row("ACC", "id", 1, "bal", 0)},
 			calls: []DirectedTxn{
 				call("deposit", "k", 1, "amt", 10), call("deposit", "k", 1, "amt", 10),
 				call("deposit", "k", 1, "amt", 10), call("deposit", "k", 1, "amt", 10),
@@ -168,19 +168,19 @@ func TestSerialSemantics(t *testing.T) {
 			state: []cell{{"T", "n", 101, 0}, {"T", "n", 102, 2}}},
 		// Results are in key order.
 		{name: "AtIndexAccess", src: seqSrc,
-			rows:  []benchmarks.TableRow{row("T", "id", 3, "n", 33), row("T", "id", 1, "n", 11), row("T", "id", 2, "n", 22)},
+			rows:  []store.TableRow{row("T", "id", 3, "n", 33), row("T", "id", 1, "n", 11), row("T", "id", 2, "n", 22)},
 			calls: []DirectedTxn{call("second", "lo", 0)},
 			rets:  map[int]int64{0: 22}},
 		{name: "Aggregators", src: seqSrc,
-			rows:  []benchmarks.TableRow{row("T", "id", 0, "n", 5), row("T", "id", 1, "n", 2), row("T", "id", 2, "n", 9)},
+			rows:  []store.TableRow{row("T", "id", 0, "n", 5), row("T", "id", 1, "n", 2), row("T", "id", 2, "n", 9)},
 			calls: []DirectedTxn{call("stats", "lo", 0)},
 			rets:  map[int]int64{0: 2 + 9*1000 + 3*1000000}},
 		{name: "DivisionByZero", src: seqSrc,
-			rows:  []benchmarks.TableRow{row("T", "id", 1, "n", 0)},
+			rows:  []store.TableRow{row("T", "id", 1, "n", 0)},
 			calls: []DirectedTxn{call("div", "k", 1)}, refused: "call 0 (div): cluster: division by zero"},
 		// Delete, then re-insert.
 		{name: "DeleteHidesRecords", src: seqSrc,
-			rows: []benchmarks.TableRow{row("T", "id", 0, "n", 0), row("T", "id", 1, "n", 1), row("T", "id", 2, "n", 2)},
+			rows: []store.TableRow{row("T", "id", 0, "n", 0), row("T", "id", 1, "n", 1), row("T", "id", 2, "n", 2)},
 			calls: []DirectedTxn{
 				call("countAll", "lo", 0), call("drop", "k", 1), call("countAll", "lo", 0),
 				call("revive", "k", 1, "v", 42), call("countAll", "lo", 0),
@@ -229,7 +229,7 @@ func TestArgAndRowChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []benchmarks.TableRow{row("ACC", "id", 1, "bal", 100)}
+	rows := []store.TableRow{row("ACC", "id", 1, "bal", 100)}
 	simulate := func(mode Mode, args map[string]store.Value) error {
 		var bound []benchmarks.Arg
 		for _, name := range slices.Sorted(maps.Keys(args)) {
@@ -261,7 +261,7 @@ func TestArgAndRowChecks(t *testing.T) {
 		if len(ms.Keys("ACC")) != 0 {
 			t.Errorf("a refused row was installed: %q", ms.Keys("ACC"))
 		}
-		if _, serr := plan.Seed([]benchmarks.TableRow{{Table: "ACC", Row: r}}); (serr == nil) != (err == nil) {
+		if _, serr := plan.Seed([]store.TableRow{{Table: "ACC", Row: r}}); (serr == nil) != (err == nil) {
 			t.Errorf("Seed: %v, Load: %v", serr, err)
 		}
 		return err

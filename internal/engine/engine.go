@@ -16,8 +16,8 @@
 //     (verb, program hash, model, certify) in a bounded LRU shared by every
 //     client, and a repeated request is answered from it inside its worker
 //     slot (answers.go).
-//   - Sessions: each (client, model, recording) key checks a DetectSession
-//     out of an LRU; a session is owned exclusively while checked out
+//   - Sessions: each (client, model) key checks a DetectSession out of an
+//     LRU; a session is owned exclusively while checked out
 //     (DetectSession serializes its own Detect calls by contract), so a
 //     concurrent request for the same key simply gets a fresh session, and
 //     whichever finishes last is recycled instead of cached twice. Evicted
@@ -68,8 +68,8 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker slot beyond the ones
 	// executing; <= 0 selects 4×Workers.
 	QueueDepth int
-	// Sessions caps the per-(client, model, recording) DetectSession LRU;
-	// <= 0 selects 64.
+	// Sessions caps the per-(client, model) DetectSession LRU; <= 0 selects
+	// 64.
 	Sessions int
 	// MaxQueueWait is the CoDel-style queue-wait ceiling: a request still
 	// waiting for a worker slot after this long is shed with ErrOverloaded
@@ -125,18 +125,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// sessionKey identifies a cached session: witness-recording sessions are
-// kept apart from plain ones because results cached without recording carry
-// no schedules (anomaly.DetectSession.RecordWitnesses).
+// sessionKey identifies a cached session.
 type sessionKey struct {
 	client string
 	model  anomaly.Model
-	record bool
-}
-
-type sessionFlavor struct {
-	model  anomaly.Model
-	record bool
 }
 
 type cachedSession struct {
@@ -144,7 +136,7 @@ type cachedSession struct {
 	s   *anomaly.DetectSession
 }
 
-// maxFree bounds each flavor's freelist of reset sessions.
+// maxFree bounds each model's freelist of reset sessions.
 const maxFree = 8
 
 // Engine is the long-lived request executor. Construct with New; an Engine
@@ -158,7 +150,7 @@ type Engine struct {
 	mu    sync.Mutex
 	lru   *list.List // of *cachedSession; front = most recently returned
 	byKey map[sessionKey]*list.Element
-	free  map[sessionFlavor][]*anomaly.DetectSession
+	free  map[anomaly.Model][]*anomaly.DetectSession
 
 	completed atomic.Int64
 	canceled  atomic.Int64
@@ -199,7 +191,7 @@ func New(cfg Config) *Engine {
 		sem:      make(chan struct{}, cfg.Workers),
 		lru:      list.New(),
 		byKey:    map[sessionKey]*list.Element{},
-		free:     map[sessionFlavor][]*anomaly.DetectSession{},
+		free:     map[anomaly.Model][]*anomaly.DetectSession{},
 		breakers: map[string]*breaker{},
 		answers:  newAnswerMemo(),
 	}
@@ -399,8 +391,8 @@ func (e *Engine) breakerResult(client string, degraded bool) {
 	}
 }
 
-// checkout takes the session cached under k, a recycled same-flavor
-// session, or a fresh one — in that order. The caller owns the session
+// checkout takes the session cached under k, a recycled session of k's
+// model, or a fresh one — in that order. The caller owns the session
 // exclusively until checkin.
 func (e *Engine) checkout(k sessionKey) *anomaly.DetectSession {
 	e.mu.Lock()
@@ -413,22 +405,13 @@ func (e *Engine) checkout(k sessionKey) *anomaly.DetectSession {
 		return cs.s
 	}
 	e.misses.Add(1)
-	fl := sessionFlavor{model: k.model, record: k.record}
-	if free := e.free[fl]; len(free) > 0 {
+	if free := e.free[k.model]; len(free) > 0 {
 		s := free[len(free)-1]
 		free[len(free)-1] = nil
-		e.free[fl] = free[:len(free)-1]
+		e.free[k.model] = free[:len(free)-1]
 		return s
 	}
-	return newSession(k.model, k.record)
-}
-
-func newSession(model anomaly.Model, record bool) *anomaly.DetectSession {
-	s := anomaly.NewSession(model)
-	if record {
-		s.RecordWitnesses()
-	}
-	return s
+	return anomaly.NewSession(k.model)
 }
 
 // checkin returns a session to the cache under k, evicting from the LRU
@@ -438,9 +421,8 @@ func newSession(model anomaly.Model, record bool) *anomaly.DetectSession {
 func (e *Engine) checkin(k sessionKey, s *anomaly.DetectSession) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fl := sessionFlavor{model: k.model, record: k.record}
 	if _, ok := e.byKey[k]; ok {
-		e.recycle(fl, s)
+		e.recycle(s)
 		return
 	}
 	e.byKey[k] = e.lru.PushFront(&cachedSession{key: k, s: s})
@@ -450,16 +432,16 @@ func (e *Engine) checkin(k sessionKey, s *anomaly.DetectSession) {
 		e.lru.Remove(el)
 		delete(e.byKey, cs.key)
 		e.evictions.Add(1)
-		e.recycle(sessionFlavor{model: cs.key.model, record: cs.key.record}, cs.s)
+		e.recycle(cs.s)
 	}
 }
 
 // recycle resets a session (dropping caches, keeping capacity) and parks it
-// on its flavor's bounded freelist. Callers hold e.mu.
-func (e *Engine) recycle(fl sessionFlavor, s *anomaly.DetectSession) {
+// on its model's bounded freelist. Callers hold e.mu.
+func (e *Engine) recycle(s *anomaly.DetectSession) {
 	s.Reset()
-	if len(e.free[fl]) < maxFree {
-		e.free[fl] = append(e.free[fl], s)
+	if m := s.Model(); len(e.free[m]) < maxFree {
+		e.free[m] = append(e.free[m], s)
 	}
 }
 
@@ -485,12 +467,12 @@ func (e *Engine) Analyze(ctx context.Context, prog *ast.Program, model anomaly.M
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("analyze", o.Client)
-	k := sessionKey{client: o.Client, model: model, record: o.Certify}
+	k := sessionKey{client: o.Client, model: model}
 	var s *anomaly.DetectSession
 	if o.Client != "" {
 		s = e.checkout(k)
 	} else {
-		s = newSession(model, o.Certify)
+		s = anomaly.NewSession(model)
 	}
 	rep, derr := s.DetectContext(ctx, prog)
 	if o.Client != "" {
@@ -564,7 +546,7 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 	var k sessionKey
 	var s *anomaly.DetectSession
 	if o.Client != "" && o.Session == nil {
-		k = sessionKey{client: o.Client, model: model, record: o.Certify}
+		k = sessionKey{client: o.Client, model: model}
 		s = e.checkout(k)
 		o.Session = s
 	}
@@ -581,11 +563,10 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 	return res, e.finish(start, rerr)
 }
 
-// Certify detects with witness recording, on a private session, and
-// replays every reported pair as an executable certificate
-// (internal/replay). A repeated request for the same program and model is
-// answered from the engine's answer memo with the stored certificate and
-// report, which are read-only to callers.
+// Certify detects on a private session and replays every reported pair as
+// an executable certificate (internal/replay). A repeated request for the
+// same program and model is answered from the engine's answer memo with the
+// stored certificate and report, which are read-only to callers.
 func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (cert *replay.Certificate, rep *anomaly.Report, err error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, nil, err

@@ -174,8 +174,8 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 // TestSessionLRU pins the session cache: per-client reuse hits, capacity
-// eviction recycles the oldest client, and recording sessions never mix
-// with plain ones.
+// eviction recycles the oldest client, and a client's certifying repair
+// runs on the same session as its plain requests.
 func TestSessionLRU(t *testing.T) {
 	e := New(Config{Workers: 1, Sessions: 2})
 	prog := loadRMW(t)
@@ -202,13 +202,12 @@ func TestSessionLRU(t *testing.T) {
 	if st = e.Stats(); st.SessionMisses != 4 {
 		t.Fatalf("misses = %d, want 4 (b evicted)", st.SessionMisses)
 	}
-	// A certifying request for client "a" needs a recording session — a
-	// different cache key, so it must not reuse a's plain session.
-	if _, err := e.Repair(ctx, prog, anomaly.EC, repair.Client("a"), repair.Certify(true)); err != nil {
+	// A certifying request for client "b" reuses b's one session.
+	if _, err := e.Repair(ctx, prog, anomaly.EC, repair.Client("b"), repair.Certify(true)); err != nil {
 		t.Fatal(err)
 	}
-	if st = e.Stats(); st.SessionMisses != 5 {
-		t.Fatalf("misses = %d, want 5 (recording flavor is a distinct key)", st.SessionMisses)
+	if st = e.Stats(); st.SessionHits != 2 || st.SessionMisses != 4 {
+		t.Fatalf("hits/misses = %d/%d, want 2/4 (certify shares the client's session)", st.SessionHits, st.SessionMisses)
 	}
 }
 
@@ -316,9 +315,8 @@ func TestCheckinLastWriterYields(t *testing.T) {
 		t.Fatalf("cached = %d after double checkin, want 1", st.CachedSessions)
 	}
 	// The yielded copy lands on the freelist and is reused for a fresh key.
-	fl := sessionFlavor{model: anomaly.EC}
 	e.mu.Lock()
-	freeLen := len(e.free[fl])
+	freeLen := len(e.free[anomaly.EC])
 	e.mu.Unlock()
 	if freeLen != 1 {
 		t.Fatalf("freelist = %d, want the yielded session parked", freeLen)

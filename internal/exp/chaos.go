@@ -11,8 +11,10 @@ import (
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
 	"atropos/internal/pool"
+	"atropos/internal/refactor"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
+	"atropos/internal/store"
 )
 
 // The chaos harness (ROADMAP item 3): every benchmark runs under a panel
@@ -88,7 +90,7 @@ func (c ChaosConfig) orDefault() ChaosConfig {
 type chaosVariant struct {
 	label   string
 	prog    *ast.Program
-	rows    []benchmarks.TableRow
+	rows    []store.TableRow
 	mode    cluster.Mode
 	serTxns map[string]bool
 	// repairedOnly scopes the violation count to instances of
@@ -131,7 +133,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return nil, err
 		}
 		rows := b.Rows(scale)
-		atRows, err := MigrateRows(prog, rep.Program, rep.Corrs, rows)
+		atRows, err := refactor.Migrate(rows, prog, rep.Program, rep.Corrs)
 		if err != nil {
 			return nil, err
 		}

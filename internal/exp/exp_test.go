@@ -7,6 +7,7 @@ import (
 
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
+	"atropos/internal/refactor"
 )
 
 func TestTable1SmallCorpus(t *testing.T) {
@@ -84,9 +85,9 @@ func TestMigrateRowsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := b.Rows(benchmarks.Scale{Records: 5})
-	out, err := MigrateRows(prog, prog, nil, rows)
+	out, err := refactor.Migrate(rows, prog, prog, nil)
 	if err != nil {
-		t.Fatalf("MigrateRows: %v", err)
+		t.Fatalf("Migrate: %v", err)
 	}
 	if len(out) != len(rows) {
 		t.Fatalf("migrated %d rows, want %d", len(out), len(rows))

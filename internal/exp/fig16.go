@@ -31,8 +31,8 @@ type Fig16Result struct {
 
 // Fig16 reproduces Appendix A.3: each round applies perRound random
 // refactorings (random redirect or logger correspondences, merges, and
-// splits — validity-checked, invalid draws are skipped) to a fresh copy of
-// the program and counts the remaining anomalies, against the anomaly
+// splits — validity-checked, invalid draws are skipped) to the original
+// program and counts the remaining anomalies, against the anomaly
 // count of Atropos's oracle-guided repair.
 func Fig16(b *benchmarks.Benchmark, rounds, perRound int, seed int64) (*Fig16Result, error) {
 	prog, err := b.Program()
@@ -54,7 +54,9 @@ func Fig16(b *benchmarks.Benchmark, rounds, perRound int, seed int64) (*Fig16Res
 	out := &Fig16Result{Benchmark: b.Name, Original: ec.Count(), Atropos: len(rep.Remaining)}
 	for round := 1; round <= rounds; round++ {
 		rng := rand.New(rand.NewSource(seed + int64(round)))
-		p := ast.CloneProgram(prog)
+		// Every refactoring drawn is copy-on-write, so a round starts from
+		// prog itself and leaves it as it was.
+		p := prog
 		applied := 0
 		attempts := 0
 		for applied < perRound && attempts < perRound*30 {

@@ -75,7 +75,7 @@ func Perf(cfg PerfConfig) (*PerfResult, error) {
 		return nil, err
 	}
 	rows := b.Rows(cfg.Scale)
-	atRows, err := MigrateRows(prog, rep.Program, rep.Corrs, rows)
+	atRows, err := refactor.Migrate(rows, prog, rep.Program, rep.Corrs)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func Perf(cfg PerfConfig) (*PerfResult, error) {
 	variants := []struct {
 		label   string
 		prog    *ast.Program
-		rows    []benchmarks.TableRow
+		rows    []store.TableRow
 		mode    cluster.Mode
 		serTxns map[string]bool
 	}{
@@ -145,22 +145,6 @@ func Perf(cfg PerfConfig) (*PerfResult, error) {
 		out.Series = append(out.Series, metrics.Series{Label: v.label, Points: points[i]})
 	}
 	return out, nil
-}
-
-// MigrateRows converts a benchmark's initial rows into the refactored
-// program's initial state via the recorded value correspondences.
-func MigrateRows(orig, refactored *ast.Program, corrs []refactor.ValueCorr, rows []benchmarks.TableRow) ([]benchmarks.TableRow, error) {
-	db := store.NewDB(orig)
-	for _, r := range rows {
-		if _, err := db.Load(r.Table, r.Row); err != nil {
-			return nil, err
-		}
-	}
-	mdb, err := refactor.Migrate(db, orig, refactored, corrs)
-	if err != nil {
-		return nil, err
-	}
-	return benchmarks.RowsOf(mdb, refactored), nil
 }
 
 // Format renders the panel: throughput and latency per series, matching

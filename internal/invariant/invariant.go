@@ -24,7 +24,6 @@ import (
 	"math/rand"
 
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
 	"atropos/internal/refactor"
 	"atropos/internal/store"
@@ -64,7 +63,7 @@ type Config struct {
 	// Original is the program the rows below belong to. When Program is a
 	// repaired variant, rows are migrated through Corrs.
 	Original *ast.Program
-	Rows     []benchmarks.TableRow
+	Rows     []store.TableRow
 	RunsPer  int // runs per scenario (default 40)
 	Seed     int64
 }
@@ -170,7 +169,7 @@ func CheckSmallBank(cfg Config) (Report, error) {
 func seed(cfg Config, plan *cluster.DirectedPlan, sc scenario) (*cluster.MatStore, error) {
 	rows := cfg.Rows
 	if sc.savings0 != 0 {
-		rows = append([]benchmarks.TableRow(nil), rows...)
+		rows = append([]store.TableRow(nil), rows...)
 		for i, r := range rows {
 			if r.Table == "SAVINGS" && r.Row["sav_cust"].I == 0 {
 				rows[i].Row = store.Row{"sav_cust": store.IntV(0), "sav_bal": store.IntV(sc.savings0)}
@@ -178,17 +177,10 @@ func seed(cfg Config, plan *cluster.DirectedPlan, sc scenario) (*cluster.MatStor
 		}
 	}
 	if orig := cfg.Original; orig != nil && orig != cfg.Program {
-		db := store.NewDB(orig)
-		for _, r := range rows {
-			if _, err := db.Load(r.Table, r.Row); err != nil {
-				return nil, err
-			}
-		}
-		mdb, err := refactor.Migrate(db, orig, cfg.Program, cfg.Corrs)
-		if err != nil {
+		var err error
+		if rows, err = refactor.Migrate(rows, orig, cfg.Program, cfg.Corrs); err != nil {
 			return nil, err
 		}
-		rows = benchmarks.RowsOf(mdb, cfg.Program)
 	}
 	return plan.Seed(rows)
 }

@@ -50,15 +50,3 @@ func TestRandomProgramRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestRandomProgramsClone guards the AST deep-copy against all generator
-// shapes.
-func TestRandomProgramsClone(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		p := progen.Program(seed)
-		cp := ast.CloneProgram(p)
-		if ast.Format(cp) != ast.Format(p) {
-			t.Fatalf("seed %d: clone formats differently", seed)
-		}
-	}
-}

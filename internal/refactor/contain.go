@@ -2,6 +2,8 @@ package refactor
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"atropos/internal/ast"
 	"atropos/internal/store"
@@ -14,13 +16,47 @@ import (
 // tests (Theorem 4.2): run both programs under corresponding schedules and
 // verify the original final state is recoverable from the refactored one.
 
+// records indexes rows, which fit prog's schemas, by table and key: each
+// completed by store.Load, a later row replacing an earlier one with its
+// key, dead records dropped.
+func records(prog *ast.Program, rows []store.TableRow) (map[string]map[store.Key]store.Row, error) {
+	recs := make(map[string]map[store.Key]store.Row, len(prog.Schemas))
+	for _, s := range prog.Schemas {
+		recs[s.Name] = map[store.Key]store.Row{}
+	}
+	for _, r := range rows {
+		s := prog.Schema(r.Table)
+		if s == nil {
+			return nil, fmt.Errorf("unknown table %q", r.Table)
+		}
+		row, k, err := store.Load(s, r.Row)
+		if err != nil {
+			return nil, err
+		}
+		if alive := row[ast.AliveField]; alive.T == ast.TBool && alive.B {
+			recs[r.Table][k] = row
+		} else {
+			delete(recs[r.Table], k)
+		}
+	}
+	return recs, nil
+}
+
 // Contains checks that the original store state is contained in the
 // refactored state under the correspondences: every alive record of every
 // original table is recoverable. Fields with a correspondence are computed
 // through θ and α; fields that still exist (same table and field name in
 // the refactored program) are compared under the identity correspondence.
 // It returns nil when containment holds.
-func Contains(orig, ref *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) error {
+func Contains(origRows, refRows []store.TableRow, origProg, refProg *ast.Program, corrs []ValueCorr) error {
+	orig, err := records(origProg, origRows)
+	if err != nil {
+		return fmt.Errorf("refactor: containment: original: %w", err)
+	}
+	ref, err := records(refProg, refRows)
+	if err != nil {
+		return fmt.Errorf("refactor: containment: refactored: %w", err)
+	}
 	corrFor := func(table, field string) *ValueCorr {
 		for i := range corrs {
 			if corrs[i].SrcTable == table && corrs[i].SrcField == field {
@@ -31,20 +67,17 @@ func Contains(orig, ref *store.DB, origProg, refProg *ast.Program, corrs []Value
 	}
 	for _, s := range origProg.Schemas {
 		refSchema := refProg.Schema(s.Name)
-		for _, key := range orig.Keys(s.Name) {
-			if !orig.Alive(s.Name, key) {
-				continue
-			}
-			row := orig.Row(s.Name, key)
+		for _, key := range slices.Sorted(maps.Keys(orig[s.Name])) {
+			row := orig[s.Name][key]
 			for _, f := range s.Fields {
 				if v := corrFor(s.Name, f.Name); v != nil {
-					if err := checkCorr(ref, refProg, *v, row, f.Name); err != nil {
+					if err := checkCorr(ref[v.DstTable], *v, row, f.Name); err != nil {
 						return fmt.Errorf("refactor: containment: %s[%v].%s: %w", s.Name, key, f.Name, err)
 					}
 					continue
 				}
 				if refSchema != nil && refSchema.HasField(f.Name) {
-					if err := checkIdentity(ref, refProg, s, row, key, f.Name); err != nil {
+					if err := checkIdentity(ref[s.Name], row, key, f.Name); err != nil {
 						return fmt.Errorf("refactor: containment: %s[%v].%s: %w", s.Name, key, f.Name, err)
 					}
 					continue
@@ -74,32 +107,22 @@ func pkCovered(corrs []ValueCorr, table, field string) bool {
 	return false
 }
 
-// thetaImage collects the destination records θ(r) for an original record
-// with the given row valuation.
-func thetaImage(ref *store.DB, refProg *ast.Program, v ValueCorr, row store.Row) []store.Key {
-	var out []store.Key
-	if refProg.Schema(v.DstTable) == nil {
-		return nil
-	}
-	for _, k := range ref.Keys(v.DstTable) {
-		if !ref.Alive(v.DstTable, k) {
-			continue
-		}
+// thetaImage collects the destination records θ(r), from dst, the
+// destination table's alive records, for an original record with the
+// given row valuation.
+func thetaImage(dst map[store.Key]store.Row, v ValueCorr, row store.Row) []store.Row {
+	var out []store.Row
+	for _, r := range dst {
 		match := true
 		for srcPK, dstField := range v.Theta {
 			want, ok := row[srcPK]
-			if !ok {
-				match = false
-				break
-			}
-			got := ref.Read(v.DstTable, k, dstField)
-			if !got.Equal(want) {
+			if !ok || !r[dstField].Equal(want) {
 				match = false
 				break
 			}
 		}
 		if match {
-			out = append(out, k)
+			out = append(out, r)
 		}
 	}
 	return out
@@ -107,8 +130,8 @@ func thetaImage(ref *store.DB, refProg *ast.Program, v ValueCorr, row store.Row)
 
 // checkCorr verifies X(r.f) = α({ X′(r′.f′) | r′ ∈ θ(r) }) for one record
 // and correspondence.
-func checkCorr(ref *store.DB, refProg *ast.Program, v ValueCorr, row store.Row, field string) error {
-	image := thetaImage(ref, refProg, v, row)
+func checkCorr(dst map[store.Key]store.Row, v ValueCorr, row store.Row, field string) error {
+	image := thetaImage(dst, v, row)
 	want := row[field]
 	if len(image) == 0 {
 		// Total-table reading (§3: a table conceptually contains a record
@@ -124,18 +147,16 @@ func checkCorr(ref *store.DB, refProg *ast.Program, v ValueCorr, row store.Row, 
 	case ast.AggAny:
 		// any is a nondeterministic choice: the original value must be one
 		// of the values carried by the corresponding records.
-		for _, k := range image {
-			got := ref.Read(v.DstTable, k, v.DstField)
-			if got.Equal(want) {
+		for _, r := range image {
+			if r[v.DstField].Equal(want) {
 				return nil
 			}
 		}
 		return fmt.Errorf("value %s not among the %d corresponding records", want, len(image))
 	case ast.AggSum:
 		var total int64
-		for _, k := range image {
-			got := ref.Read(v.DstTable, k, v.DstField)
-			total += got.I
+		for _, r := range image {
+			total += r[v.DstField].I
 		}
 		if want.T != ast.TInt || total != want.I {
 			return fmt.Errorf("sum over θ(r) = %d, original value %s", total, want)
@@ -146,25 +167,31 @@ func checkCorr(ref *store.DB, refProg *ast.Program, v ValueCorr, row store.Row, 
 	}
 }
 
-// checkIdentity compares a field that survived the refactoring unchanged.
-func checkIdentity(ref *store.DB, refProg *ast.Program, s *ast.Schema, row store.Row, key store.Key, field string) error {
-	if !ref.Alive(s.Name, key) {
+// checkIdentity compares a field that survived the refactoring unchanged,
+// against tbl, the table's alive records in the refactored state.
+func checkIdentity(tbl map[store.Key]store.Row, row store.Row, key store.Key, field string) error {
+	got, ok := tbl[key]
+	if !ok {
 		return fmt.Errorf("record missing in refactored table")
 	}
-	got := ref.Read(s.Name, key, field)
-	if !got.Equal(row[field]) {
-		return fmt.Errorf("identity mismatch: original %s, refactored %s", row[field], got)
+	if !got[field].Equal(row[field]) {
+		return fmt.Errorf("identity mismatch: original %s, refactored %s", row[field], got[field])
 	}
 	return nil
 }
 
-// Migrate builds the refactored program's initial store state from the
-// original program's state: surviving tables copy their records, moved
-// fields are materialized on the θ-matching destination records, and
-// logger correspondences seed one log row per source record carrying its
-// current value. This is the schema-migration step a deployment of the
-// refactored program would run.
-func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) (*store.DB, error) {
+// Migrate builds the refactored program's initial state from the original
+// program's rows: surviving tables copy their records, moved fields are
+// materialized on the θ-matching destination records, and logger
+// correspondences seed one log row per source record carrying its current
+// value. This is the schema-migration step a deployment of the refactored
+// program would run. The result lists the alive records of refProg's
+// tables, completed by store.Load, in schema and key order.
+func Migrate(origRows []store.TableRow, origProg, refProg *ast.Program, corrs []ValueCorr) ([]store.TableRow, error) {
+	orig, err := records(origProg, origRows)
+	if err != nil {
+		return nil, fmt.Errorf("refactor: migrate: %w", err)
+	}
 	// Migration-created log identifiers live in a range disjoint from
 	// runtime uuid() values (call- or run-scoped negatives well above -1e15),
 	// so later inserts can never collide with migrated rows.
@@ -181,11 +208,7 @@ func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) 
 		if origProg.Schema(s.Name) == nil {
 			continue // introduced table: filled by correspondences below
 		}
-		for _, k := range orig.Keys(s.Name) {
-			if !orig.Alive(s.Name, k) {
-				continue
-			}
-			origRow := orig.Row(s.Name, k)
+		for k, origRow := range orig[s.Name] {
 			nr := store.Row{}
 			for _, f := range s.Fields {
 				if v, ok := origRow[f.Name]; ok {
@@ -200,19 +223,16 @@ func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) 
 
 	// Apply correspondences in order.
 	for _, v := range corrs {
-		srcSchema := origProg.Schema(v.SrcTable)
-		if srcSchema == nil {
+		if origProg.Schema(v.SrcTable) == nil {
 			return nil, fmt.Errorf("refactor: migrate: unknown source table %q", v.SrcTable)
 		}
 		dstSchema := refProg.Schema(v.DstTable)
 		if dstSchema == nil {
 			return nil, fmt.Errorf("refactor: migrate: destination table %q absent from refactored program", v.DstTable)
 		}
-		for _, sk := range orig.Keys(v.SrcTable) {
-			if !orig.Alive(v.SrcTable, sk) {
-				continue
-			}
-			srcRow := orig.Row(v.SrcTable, sk)
+		src := orig[v.SrcTable]
+		for _, sk := range slices.Sorted(maps.Keys(src)) {
+			srcRow := src[sk]
 			if v.Logging {
 				// Seed the log with the current value.
 				nr := store.Row{}
@@ -240,7 +260,7 @@ func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) 
 				continue
 			}
 			// Redirect: set the destination field on every θ-matching row.
-			for dk, dr := range rows[v.DstTable] {
+			for _, dr := range rows[v.DstTable] {
 				match := true
 				for srcPK, dstField := range v.Theta {
 					if !dr[dstField].Equal(srcRow[srcPK]) {
@@ -250,22 +270,27 @@ func Migrate(orig *store.DB, origProg, refProg *ast.Program, corrs []ValueCorr) 
 				}
 				if match {
 					dr[v.DstField] = srcRow[v.SrcField]
-					rows[v.DstTable][dk] = dr
 				}
 			}
 		}
 	}
 
-	// Load into a fresh store.
-	db := store.NewDB(refProg)
-	for table, recs := range rows {
-		for _, r := range recs {
-			if _, err := db.Load(table, r); err != nil {
-				return nil, fmt.Errorf("refactor: migrate: %s: %w", table, err)
+	// Complete every record and list them in schema and key order.
+	var out []store.TableRow
+	for _, s := range refProg.Schemas {
+		recs := make(map[store.Key]store.Row, len(rows[s.Name]))
+		for _, r := range rows[s.Name] {
+			row, k, err := store.Load(s, r)
+			if err != nil {
+				return nil, fmt.Errorf("refactor: migrate: %s: %w", s.Name, err)
 			}
+			recs[k] = row
+		}
+		for _, k := range slices.Sorted(maps.Keys(recs)) {
+			out = append(out, store.TableRow{Table: s.Name, Row: recs[k]})
 		}
 	}
-	return db, nil
+	return out, nil
 }
 
 func fillZeros(r store.Row, s *ast.Schema) store.Row {

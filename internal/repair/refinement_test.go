@@ -53,7 +53,7 @@ func checkRefinement(b *benchmarks.Benchmark, seeds int64, callsPerRun int) erro
 	}
 	scale := benchmarks.Scale{Records: 12}
 	rows := b.Rows(scale)
-	migrated, err := refactor.Migrate(loadDB(prog, rows), prog, res.Program, res.Corrs)
+	migrated, err := refactor.Migrate(rows, prog, res.Program, res.Corrs)
 	if err != nil {
 		return fmt.Errorf("migrate: %w", err)
 	}
@@ -78,7 +78,7 @@ func checkRefinement(b *benchmarks.Benchmark, seeds int64, callsPerRun int) erro
 		if err != nil {
 			return fmt.Errorf("seed %d: original run: %w", seed, err)
 		}
-		refState, err := refPlan.Seed(benchmarks.RowsOf(migrated, res.Program))
+		refState, err := refPlan.Seed(migrated)
 		if err != nil {
 			return err
 		}
@@ -97,29 +97,16 @@ func checkRefinement(b *benchmarks.Benchmark, seeds int64, callsPerRun int) erro
 
 		// Σ ⊑_V Σ′: the original final state is recoverable from the
 		// refactored one through the recorded correspondences.
-		origDB := loadDB(prog, stateRows(origState, prog))
-		refDB := loadDB(res.Program, stateRows(refState, res.Program))
-		if err := refactor.Contains(origDB, refDB, prog, res.Program, res.Corrs); err != nil {
+		if err := refactor.Contains(stateRows(origState, prog), stateRows(refState, res.Program), prog, res.Program, res.Corrs); err != nil {
 			return fmt.Errorf("seed %d: containment violated: %w", seed, err)
 		}
 	}
 	return nil
 }
 
-// loadDB loads rows, which fit prog's schemas, into a row set.
-func loadDB(prog *ast.Program, rows []benchmarks.TableRow) *store.DB {
-	db := store.NewDB(prog)
-	for _, r := range rows {
-		if _, err := db.Load(r.Table, r.Row); err != nil {
-			panic(err)
-		}
-	}
-	return db
-}
-
 // stateRows reads the alive records of a simulator state back as rows.
-func stateRows(ms *cluster.MatStore, prog *ast.Program) []benchmarks.TableRow {
-	var out []benchmarks.TableRow
+func stateRows(ms *cluster.MatStore, prog *ast.Program) []store.TableRow {
+	var out []store.TableRow
 	for _, s := range prog.Schemas {
 		for _, k := range ms.Keys(s.Name) {
 			if !ms.Alive(s.Name, k) {
@@ -129,7 +116,7 @@ func stateRows(ms *cluster.MatStore, prog *ast.Program) []benchmarks.TableRow {
 			for _, f := range s.Fields {
 				row[f.Name] = ms.Read(s.Name, k, f.Name)
 			}
-			out = append(out, benchmarks.TableRow{Table: s.Name, Row: row})
+			out = append(out, store.TableRow{Table: s.Name, Row: row})
 		}
 	}
 	return out
@@ -148,12 +135,12 @@ func TestMigrationAloneIsContained(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db := loadDB(prog, b.Rows(benchmarks.Scale{Records: 8}))
-			refDB, err := refactor.Migrate(db, prog, res.Program, res.Corrs)
+			rows := b.Rows(benchmarks.Scale{Records: 8})
+			refRows, err := refactor.Migrate(rows, prog, res.Program, res.Corrs)
 			if err != nil {
 				t.Fatalf("Migrate: %v", err)
 			}
-			if err := refactor.Contains(db, refDB, prog, res.Program, res.Corrs); err != nil {
+			if err := refactor.Contains(rows, refRows, prog, res.Program, res.Corrs); err != nil {
 				t.Fatalf("containment after migration: %v", err)
 			}
 		})

@@ -92,17 +92,15 @@ func (r *Result) RepairedCount() int { return len(r.Initial) - len(r.Remaining) 
 
 // Options configures a repair run.
 type Options struct {
-	// Certify records witness schedules during detection (reports and cache
-	// keys are unchanged — recording is strictly additive) and, after the
-	// pipeline, replays every initial pair as an executable certificate
-	// with its negative controls (Result.Certificate).
+	// Certify replays, after the pipeline, every initial pair as an
+	// executable certificate with its negative controls
+	// (Result.Certificate).
 	Certify bool
 	// Session, when non-nil, is an externally owned detection session the
 	// pipeline's three passes run through instead of a private one. The
 	// engine injects per-client sessions here so repeated repairs of
 	// related programs share cached work across requests. The session's
-	// model must equal the repair model, and a certifying run requires a
-	// recording session (anomaly.DetectSession.RecordWitnesses).
+	// model must equal the repair model.
 	Session *anomaly.DetectSession
 	// Client is an opaque caller identity, carried for the service layer's
 	// session keying and logs; the pipeline itself ignores it.
@@ -148,7 +146,7 @@ type Option func(*Options)
 // change to the benchmark.
 func DefaultParallelism() int { return 1 }
 
-// Certify enables witness recording plus post-pipeline certificate replay.
+// Certify enables post-pipeline certificate replay.
 func Certify(on bool) Option { return func(o *Options) { o.Certify = on } }
 
 // Session injects an externally owned detection session (see
@@ -183,18 +181,10 @@ func Run(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...Op
 func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts Options) (*Result, error) {
 	start := time.Now()
 	session := opts.Session
-	if session != nil {
-		if session.Model() != model {
-			return nil, fmt.Errorf("repair: injected session detects under %s, not %s", session.Model(), model)
-		}
-		if opts.Certify && !session.Recording() {
-			return nil, fmt.Errorf("repair: certifying run requires a witness-recording session")
-		}
-	} else {
+	if session == nil {
 		session = anomaly.NewSession(model)
-		if opts.Certify {
-			session.RecordWitnesses()
-		}
+	} else if session.Model() != model {
+		return nil, fmt.Errorf("repair: injected session detects under %s, not %s", session.Model(), model)
 	}
 
 	// Snapshot injected-session statistics so Result.Stats reports this

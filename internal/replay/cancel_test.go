@@ -40,10 +40,8 @@ func (c *pollCancel) Err() error {
 // and not a partial certificate passed off as whole.
 func TestCertifyStopsBetweenPairs(t *testing.T) {
 	prog := benchmarks.ByName("TPC-C").MustProgram()
-	s := anomaly.NewSession(anomaly.EC)
-	s.RecordWitnesses()
 	counting := newPollCancel(0)
-	rep, err := s.DetectContext(counting, prog)
+	rep, err := anomaly.NewSession(anomaly.EC).DetectContext(counting, prog)
 	counting.cancel()
 	if err != nil {
 		t.Fatal(err)

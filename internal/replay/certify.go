@@ -114,33 +114,6 @@ func edgeManifests(sched *anomaly.Schedule, e anomaly.SchedEdge, edges map[edgeK
 	return true
 }
 
-// hasViolation reports whether the edge set contains a dependency cycle
-// that enters some instance at one command and leaves at another — the
-// static anomaly shape dep(A.c1 → B.d1) ∧ dep(B.d2 → A.c2), c1 ≠ c2,
-// checked from both instances' perspectives.
-func hasViolation(edges map[edgeKey]bool) bool {
-	var out [2]map[int]bool // commands of inst with an edge to the other
-	var in [2]map[int]bool  // commands of inst with an edge from the other
-	for i := range out {
-		out[i] = map[int]bool{}
-		in[i] = map[int]bool{}
-	}
-	for e := range edges {
-		out[e.From.Inst][e.From.Cmd] = true
-		in[e.To.Inst][e.To.Cmd] = true
-	}
-	for inst := 0; inst < 2; inst++ {
-		for a := range out[inst] {
-			for b := range in[inst] {
-				if a != b {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // hasPairCycle reports whether the edges contain a cycle that enters
 // instance A at one of the pair's two commands and leaves at the other (in
 // either orientation) — the pair's defining anomaly shape.
@@ -169,8 +142,8 @@ func runEdges(plan *cluster.DirectedPlan, base *cluster.MatStore, cfg cluster.Di
 }
 
 // runViolates executes one directed configuration and reports whether its
-// dependency graph contains the anomaly cycle shape.
+// dependency graph contains the anomaly cycle shape (Violations).
 func runViolates(plan *cluster.DirectedPlan, base *cluster.MatStore, cfg cluster.DirectedConfig) (bool, error) {
-	edges, _, err := runEdges(plan, base, cfg)
-	return err == nil && hasViolation(edges), err
+	res, err := plan.Run(base, cfg)
+	return err == nil && len(Violations(res.Obs)) > 0, err
 }

@@ -30,11 +30,9 @@ func FuzzWitnessReplaySoundness(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		prog := progen.Program(seed)
-		s := anomaly.NewSession(anomaly.EC)
-		s.RecordWitnesses()
-		rep, err := s.Detect(prog)
+		rep, err := anomaly.NewSession(anomaly.EC).Detect(prog)
 		if err != nil {
-			t.Fatalf("seed %d: recording Detect: %v", seed, err)
+			t.Fatalf("seed %d: Detect: %v", seed, err)
 		}
 		cert := replay.Certify(prog, rep)
 		if cert.Total != len(rep.Pairs) {

@@ -8,7 +8,6 @@ import (
 
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
 	"atropos/internal/store"
 )
@@ -38,7 +37,7 @@ import (
 // transactions' static command counts.
 type lowered struct {
 	Cfg   cluster.DirectedConfig
-	Rows  []benchmarks.TableRow
+	Rows  []store.TableRow
 	prof  profile
 	nCmds [2]int
 }
@@ -52,7 +51,7 @@ func sameInputs(a, b *lowered) bool {
 			return false
 		}
 	}
-	return slices.EqualFunc(a.Rows, b.Rows, func(x, y benchmarks.TableRow) bool {
+	return slices.EqualFunc(a.Rows, b.Rows, func(x, y store.TableRow) bool {
 		return x.Table == y.Table && maps.EqualFunc(x.Row, y.Row, store.Value.Equal)
 	})
 }
@@ -670,8 +669,8 @@ func insertKeyVals(
 // finalizeRows fills unset primary-key fields — aligning with insert key
 // values where possible, fresh otherwise — defaults the remaining schema
 // fields, and dedupes rows that converged onto one key.
-func finalizeRows(prog *ast.Program, rows map[string][]*seedRow, pool *freshPool, prof profile, inserts map[string]map[string][]store.Value) []benchmarks.TableRow {
-	var out []benchmarks.TableRow
+func finalizeRows(prog *ast.Program, rows map[string][]*seedRow, pool *freshPool, prof profile, inserts map[string]map[string][]store.Value) []store.TableRow {
+	var out []store.TableRow
 	tables := make([]string, 0, len(rows))
 	for t := range rows {
 		tables = append(tables, t)
@@ -721,7 +720,7 @@ func finalizeRows(prog *ast.Program, rows map[string][]*seedRow, pool *freshPool
 				row[f] = v
 			}
 			seen[key] = len(out)
-			out = append(out, benchmarks.TableRow{Table: t, Row: row})
+			out = append(out, store.TableRow{Table: t, Row: row})
 		}
 	}
 	return out

@@ -108,22 +108,16 @@ func progenCorpus(tb testing.TB) ([]*ast.Program, []*anomaly.Report) {
 
 func witnessed(tb testing.TB, prog *ast.Program, model anomaly.Model) *anomaly.Report {
 	tb.Helper()
-	s := anomaly.NewSession(model)
-	s.RecordWitnesses()
-	rep, err := s.Detect(prog)
+	rep, err := anomaly.NewSession(model).Detect(prog)
 	if err != nil {
-		tb.Fatalf("witnessed detection: %v", err)
+		tb.Fatalf("detection: %v", err)
 	}
 	return rep
 }
 
 // schedulesOf lists the witness schedule of each of the report's pairs.
-func schedulesOf(_ *ast.Program, rep *anomaly.Report) []*anomaly.Schedule {
-	out := make([]*anomaly.Schedule, len(rep.Pairs))
-	for i, p := range rep.Pairs {
-		out[i] = p.Witness.Schedule
-	}
-	return out
+func schedulesOf(prog *ast.Program, rep *anomaly.Report) []*anomaly.Schedule {
+	return anomaly.WitnessSchedules(prog, rep)
 }
 
 // TestProgenOutcomesGolden pins the 96-program population: its totals, the
@@ -177,9 +171,7 @@ txn stamp(k: int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := anomaly.NewSession(anomaly.EC)
-	s.RecordWitnesses()
-	rep, err := s.Detect(prog)
+	rep, err := anomaly.NewSession(anomaly.EC).Detect(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

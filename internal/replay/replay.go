@@ -55,7 +55,8 @@ type PairOutcome struct {
 	// Runs counts the directed runs the ladder made for the pair.
 	Runs int
 
-	low *lowered // the reproducing attempt's lowering, else the first profile's
+	sched *anomaly.Schedule // the pair's witness schedule
+	low   *lowered          // the reproducing attempt's lowering, else the first profile's
 }
 
 // Certificate aggregates replay outcomes over one report.
@@ -80,9 +81,9 @@ func (c *Certificate) Rate() float64 {
 	return float64(c.Certified) / float64(c.Total)
 }
 
-// Certify replays every pair of a witnessed report against the program.
-// Pairs detected without witness recording (Witness.Schedule == nil) count
-// as not lowered.
+// Certify replays every pair of a report against the program it was
+// detected on, each from its witness schedule (anomaly.WitnessSchedules). A
+// pair the program does not witness counts as not lowered.
 //
 // Each pair gets a bounded ladder of replay attempts: the model's own
 // schedule first (which alone can set Exact), then the model schedule with
@@ -101,12 +102,13 @@ func Certify(prog *ast.Program, rep *anomaly.Report) *Certificate {
 // cover only the pairs processed).
 func certifyContext(ctx context.Context, plan *cluster.DirectedPlan, rep *anomaly.Report) (*Certificate, bool) {
 	cert := &Certificate{Model: rep.Model}
-	for _, pair := range rep.Pairs {
+	scheds := anomaly.WitnessSchedules(plan.Program(), rep)
+	for i, pair := range rep.Pairs {
 		if ctx.Err() != nil {
 			return cert, false
 		}
 		cert.Total++
-		out := certifyPair(plan, pair)
+		out := certifyPair(plan, pair, scheds[i])
 		if out.Lowered {
 			cert.Lowered++
 		}
@@ -129,20 +131,15 @@ func itemIdx(sched *anomaly.Schedule, label string) int {
 	return -1
 }
 
-// certifyPair runs the attempt ladder for one pair.
-func certifyPair(plan *cluster.DirectedPlan, pair anomaly.AccessPair) PairOutcome {
-	out := PairOutcome{Pair: pair}
-	sched := pair.Witness.Schedule
+// certifyPair runs the attempt ladder for one pair on its schedule.
+func certifyPair(plan *cluster.DirectedPlan, pair anomaly.AccessPair, sched *anomaly.Schedule) PairOutcome {
+	out := PairOutcome{Pair: pair, sched: sched}
 	if sched == nil {
-		out.Reason = "no recorded witness schedule"
+		out.Reason = "pair not witnessed by the program"
 		return out
 	}
 	i1 := itemIdx(sched, pair.C1)
 	i2 := itemIdx(sched, pair.C2)
-	if i1 < 0 || i2 < 0 {
-		out.Reason = "pair commands missing from schedule"
-		return out
-	}
 	lw, reason := newLowering(plan.Program(), sched)
 	if reason != "" {
 		out.Reason = reason
@@ -216,14 +213,12 @@ profiles:
 	return out
 }
 
-// CertifyModelContext detects with witness recording, on a private
-// session, and certifies the report. The context aborts the detection phase mid-solve and the replay
-// phase between pairs; a replay cut short returns the context's error and
-// no certificate.
+// CertifyModelContext detects on a private session and certifies the
+// report. The context aborts the detection phase between cycle queries and
+// the replay phase between pairs; a replay cut short returns the context's
+// error and no certificate.
 func CertifyModelContext(ctx context.Context, prog *ast.Program, model anomaly.Model) (*Certificate, *anomaly.Report, error) {
-	s := anomaly.NewSession(model)
-	s.RecordWitnesses()
-	rep, err := s.DetectContext(ctx, prog)
+	rep, err := anomaly.NewSession(model).DetectContext(ctx, prog)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -258,7 +253,7 @@ type RepairCertificate struct {
 	Errors []string
 }
 
-// CertifyRepair certifies a witnessed pre-repair report against both the
+// CertifyRepair certifies a pre-repair report against both the
 // original and the repaired program. stillAnomalous lists transactions the
 // repair left with residual pairs (repair.Result.SerializableTxns).
 func CertifyRepair(orig, repaired *ast.Program, rep *anomaly.Report, stillAnomalous []string) *RepairCertificate {
@@ -319,7 +314,7 @@ func CertifyRepairContext(ctx context.Context, orig, repaired *ast.Program, rep 
 			rc.SkippedPartial++
 			continue
 		}
-		proj, reason := lowerProjected(repaired, out.Pair.Witness.Schedule, low)
+		proj, reason := lowerProjected(repaired, out.sched, low)
 		if reason != "" {
 			rc.Errors = append(rc.Errors, fmt.Sprintf("%s: projection: %s", out.Pair.Txn, reason))
 			continue

@@ -6,8 +6,8 @@ import (
 	"atropos/internal/cluster"
 )
 
-// Violation counting over full-run observations (cluster.Observation):
-// the N-instance generalization of hasViolation. The dependency edges are
+// Violation counting over run observations, of two instances (the negative
+// controls' replays) or of many (full runs). The dependency edges are
 // derived exactly as for two-instance witness replays (deriveEdges); an
 // instance counts as a violation when some dependency cycle enters it at
 // one command and leaves at a different one — the anomaly shape the

@@ -1,6 +1,6 @@
-// Package store holds the DSL's runtime values, record keys and rows, and DB,
-// a loaded row set read by name: what schema migration and the containment
-// check work on. Execution state — replicas, batches, last-writer-wins
+// Package store holds the DSL's runtime values, record keys and rows: the
+// rows a benchmark populates, schema migration maps and the containment
+// check compares. Execution state — replicas, batches, last-writer-wins
 // timestamps, local views — lives in the cluster simulator (internal/cluster).
 package store
 
@@ -120,6 +120,38 @@ func (r Row) Clone() Row {
 		out[k] = v
 	}
 	return out
+}
+
+// TableRow is one record of a table, as a population or a migration lists
+// it.
+type TableRow struct {
+	Table string
+	Row   Row
+}
+
+// Load completes row as a record of table s: every field of s, missing ones
+// zero, and alive unless row says otherwise. It returns the record with its
+// key, computed from the primary-key fields.
+func Load(s *ast.Schema, row Row) (Row, Key, error) {
+	full := make(Row, len(s.Fields)+1)
+	for _, f := range s.Fields {
+		v, ok := row[f.Name]
+		if !ok {
+			v = Zero(f.Type)
+		} else if v.T != f.Type {
+			return nil, "", fmt.Errorf("store: %s.%s: value %s has wrong type", s.Name, f.Name, v)
+		}
+		full[f.Name] = v
+	}
+	full[ast.AliveField] = BoolV(true)
+	if v, ok := row[ast.AliveField]; ok {
+		full[ast.AliveField] = v
+	}
+	var pk []Value
+	for _, f := range s.PrimaryKey() {
+		pk = append(pk, full[f.Name])
+	}
+	return full, MakeKey(pk...), nil
 }
 
 // ResultRow pairs a record key with the fields a query retrieved.

@@ -16,51 +16,45 @@ table LOG { id: int key, seq: int key, amt: int, }
 }
 
 func TestLoadAndFullViewRead(t *testing.T) {
-	db := NewDB(testProg(t))
-	k, err := db.Load("ACC", Row{"id": IntV(1), "bal": IntV(100), "name": StringV("alice")})
+	acc := testProg(t).Schema("ACC")
+	row, k, err := Load(acc, Row{"id": IntV(1), "bal": IntV(100), "name": StringV("alice")})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if v := db.Read("ACC", k, "bal"); !v.Equal(IntV(100)) {
-		t.Fatalf("Read = %v, want 100", v)
+	if k != MakeKey(IntV(1)) {
+		t.Fatalf("key = %q, want the id's", k)
 	}
-	if !db.Alive("ACC", k) {
+	if v := row["bal"]; !v.Equal(IntV(100)) {
+		t.Fatalf("bal = %v, want 100", v)
+	}
+	if !row[ast.AliveField].Equal(BoolV(true)) {
 		t.Fatal("loaded record not alive")
+	}
+	if row, _, _ := Load(acc, Row{"id": IntV(1), ast.AliveField: BoolV(false)}); !row[ast.AliveField].Equal(BoolV(false)) {
+		t.Fatal("a row's own alive is overridden")
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	db := NewDB(testProg(t))
-	if _, err := db.Load("NOPE", Row{"id": IntV(1)}); err == nil {
-		t.Error("Load on unknown table succeeded")
-	}
-	if _, err := db.Load("ACC", Row{"id": StringV("x")}); err == nil {
+	if _, _, err := Load(testProg(t).Schema("ACC"), Row{"id": StringV("x")}); err == nil {
 		t.Error("Load with mistyped field succeeded")
 	}
 }
 
 func TestLoadFillsZeroValues(t *testing.T) {
-	db := NewDB(testProg(t))
-	k, err := db.Load("ACC", Row{"id": IntV(2)})
+	log := testProg(t).Schema("LOG")
+	row, k, err := Load(log, Row{"id": IntV(2)})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if v := db.Read("ACC", k, "bal"); !v.Equal(IntV(0)) {
-		t.Fatalf("bal = %v, want 0", v)
+	if k != MakeKey(IntV(2), IntV(0)) {
+		t.Fatalf("key = %q, want (2, 0)", k)
 	}
-	if s := db.Read("ACC", k, "name"); !s.Equal(StringV("")) {
-		t.Fatalf("name = %v, want empty string", s)
+	if v := row["amt"]; !v.Equal(IntV(0)) {
+		t.Fatalf("amt = %v, want 0", v)
 	}
-}
-
-func TestUnknownRecordReadsZero(t *testing.T) {
-	db := NewDB(testProg(t))
-	k := MakeKey(IntV(42))
-	if v := db.Read("ACC", k, "bal"); !v.Equal(IntV(0)) {
-		t.Fatalf("read of unwritten record = %v", v)
-	}
-	if db.Alive("ACC", k) {
-		t.Fatal("unwritten record reports alive")
+	if s := row["seq"]; !s.Equal(IntV(0)) {
+		t.Fatalf("seq = %v, want 0", s)
 	}
 }
 
