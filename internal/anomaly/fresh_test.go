@@ -7,8 +7,7 @@ import (
 	"testing"
 
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
-	"atropos/internal/progen"
+	"atropos/internal/corpus"
 )
 
 // The cache-free reference detector. Production has one detector, the
@@ -77,31 +76,20 @@ func TestColdSessionEqualsFreshOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential; skipped with -short")
 	}
-	type named struct {
-		name string
-		prog *ast.Program
-	}
-	var progs []named
-	for _, b := range benchmarks.All() {
-		progs = append(progs, named{b.Name, b.MustProgram()})
-	}
-	for seed := int64(0); seed < 32; seed++ {
-		progs = append(progs, named{fmt.Sprintf("seed %d", seed), progen.Program(seed)})
-	}
 	ctx := context.Background()
-	for _, p := range progs {
+	for _, p := range corpus.Programs(32) {
 		for _, m := range []Model{EC, CC, RR} {
-			want, err := freshDetect(ctx, p.prog, m)
+			want, err := freshDetect(ctx, p.Prog, m)
 			if err != nil {
-				t.Fatalf("%s %v: fresh oracle: %v", p.name, m, err)
+				t.Fatalf("%s %v: fresh oracle: %v", p.Name, m, err)
 			}
 			s := NewSession(m)
 			for _, pass := range []string{"cold", "warm"} {
-				got, err := s.DetectContext(ctx, p.prog)
+				got, err := s.DetectContext(ctx, p.Prog)
 				if err != nil {
-					t.Fatalf("%s %v: %s session: %v", p.name, m, pass, err)
+					t.Fatalf("%s %v: %s session: %v", p.Name, m, pass, err)
 				}
-				what := fmt.Sprintf("%s %v %s", p.name, m, pass)
+				what := fmt.Sprintf("%s %v %s", p.Name, m, pass)
 				sameVerdict(t, what, got, want)
 				if pass == "warm" && got.Solved != 0 {
 					t.Errorf("%s: solved %d queries, want 0", what, got.Solved)

@@ -6,9 +6,8 @@ import (
 	"testing"
 
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
+	"atropos/internal/corpus"
 	"atropos/internal/logic"
-	"atropos/internal/progen"
 )
 
 // The generic cubic order axioms — what the pair encoding grounded before the
@@ -233,13 +232,9 @@ func TestMergeOrderDetectionMatchesCubicOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential against the cubic encoding; skipped with -short")
 	}
-	for _, b := range benchmarks.All() {
-		prog, err := b.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, b := range corpus.Benchmarks() {
 		for _, m := range allModels {
-			checkAgainstCubicOracle(t, b.Name, prog, m)
+			checkAgainstCubicOracle(t, b.Name, b.Prog, m)
 		}
 	}
 }
@@ -248,10 +243,9 @@ func TestMergeOrderDetectionMatchesCubicOracle(t *testing.T) {
 // generated programs (empty transactions, single-table programs, dense
 // overlap).
 func TestMergeOrderDetectionMatchesCubicOracleOnRandomPrograms(t *testing.T) {
-	for seed := int64(0); seed < 32; seed++ {
-		prog := progen.Program(seed)
+	for _, p := range corpus.Progen(0, 32) {
 		for _, m := range allModels {
-			checkAgainstCubicOracle(t, fmt.Sprintf("seed %d", seed), prog, m)
+			checkAgainstCubicOracle(t, p.Name, p.Prog, m)
 		}
 	}
 }

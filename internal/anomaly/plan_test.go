@@ -10,29 +10,13 @@ import (
 	"testing"
 
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
-	"atropos/internal/progen"
+	"atropos/internal/corpus"
 )
 
 // Tests for the pair plan (DESIGN.md §3): the plan decides exactly which
 // dependencies the SAT oracle's body defines, its content key identifies
 // the body, a witness without candidates is dropped, and an abort mid-
 // detection leaves nothing behind.
-
-// corpus runs fn over the nine benchmarks and 32 generated programs.
-func corpus(t *testing.T, fn func(name string, prog *ast.Program)) {
-	t.Helper()
-	for _, b := range benchmarks.All() {
-		prog, err := b.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(b.Name, prog)
-	}
-	for seed := int64(0); seed < 32; seed++ {
-		fn(fmt.Sprintf("seed %d", seed), progen.Program(seed))
-	}
-}
 
 // naiveConflict decides, from the AST alone and with sets as maps, whether
 // command cx (index ix of instance A) and command cy (index iy of instance
@@ -88,7 +72,8 @@ func naiveConflict(prog *ast.Program, cx ast.DBCommand, ix int, cy ast.DBCommand
 // reference's, and the SAT oracle's body defines a dep proposition — in
 // both directions — for exactly the planned pairs.
 func TestPlanMatchesBody(t *testing.T) {
-	corpus(t, func(name string, prog *ast.Program) {
+	for _, c := range corpus.Programs(32) {
+		name, prog := c.Name, c.Prog
 		for _, m := range allModels {
 			p := newPass(prog, m)
 			for ti, tt := range prog.Txns {
@@ -121,7 +106,7 @@ func TestPlanMatchesBody(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
 }
 
 // demoteKeys returns prog with the last key field of every table keyed by
@@ -181,10 +166,10 @@ func TestPlanKeyDeterminesBody(t *testing.T) {
 			}
 		}
 	}
-	corpus(t, func(name string, prog *ast.Program) {
-		check(name, prog)
-		check(name+" (keys demoted)", demoteKeys(prog))
-	})
+	for _, c := range corpus.Programs(32) {
+		check(c.Name, c.Prog)
+		check(c.Name+" (keys demoted)", demoteKeys(c.Prog))
+	}
 }
 
 // detectVia runs one detection of prog, fresh or through a new session.

@@ -7,7 +7,7 @@ import (
 
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
+	"atropos/internal/corpus"
 	"atropos/internal/parser"
 	"atropos/internal/progen"
 	"atropos/internal/sema"
@@ -37,33 +37,33 @@ func TestSessionEquivalentOnRandomPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for seed := int64(0); seed < 30; seed++ {
-		p := progen.Program(seed)
+	for _, c := range corpus.Progen(0, 30) {
+		p, name := c.Prog, c.Name
 		for _, m := range sessionModels {
 			fresh, err := anomaly.FreshDetect(p, m)
 			if err != nil {
-				t.Fatalf("seed %d %v: Detect: %v", seed, m, err)
+				t.Fatalf("%s %v: Detect: %v", name, m, err)
 			}
 			s := anomaly.NewSession(m)
 			cold, err := s.Detect(p)
 			if err != nil {
-				t.Fatalf("seed %d %v: session Detect: %v", seed, m, err)
+				t.Fatalf("%s %v: session Detect: %v", name, m, err)
 			}
 			if !reflect.DeepEqual(fresh.Pairs, cold.Pairs) {
-				t.Fatalf("seed %d %v: cold session diverges:\nfresh %v\ncold  %v", seed, m, fresh.Pairs, cold.Pairs)
+				t.Fatalf("%s %v: cold session diverges:\nfresh %v\ncold  %v", name, m, fresh.Pairs, cold.Pairs)
 			}
 			if cold.Queries != fresh.Queries {
-				t.Errorf("seed %d %v: cold session issued %d queries, fresh %d", seed, m, cold.Queries, fresh.Queries)
+				t.Errorf("%s %v: cold session issued %d queries, fresh %d", name, m, cold.Queries, fresh.Queries)
 			}
 			warm, err := s.Detect(p)
 			if err != nil {
-				t.Fatalf("seed %d %v: warm Detect: %v", seed, m, err)
+				t.Fatalf("%s %v: warm Detect: %v", name, m, err)
 			}
 			if !reflect.DeepEqual(fresh.Pairs, warm.Pairs) {
-				t.Fatalf("seed %d %v: warm session diverges", seed, m)
+				t.Fatalf("%s %v: warm session diverges", name, m)
 			}
 			if warm.Solved != 0 {
-				t.Errorf("seed %d %v: warm re-detection solved %d queries, want 0 (txn cache should absorb the call)", seed, m, warm.Solved)
+				t.Errorf("%s %v: warm re-detection solved %d queries, want 0 (txn cache should absorb the call)", name, m, warm.Solved)
 			}
 		}
 	}
@@ -149,11 +149,8 @@ func TestSessionEquivalentOnBenchmarks(t *testing.T) {
 func editLoop(t *testing.T, m anomaly.Model) {
 	t.Helper()
 	var sum anomaly.SessionStats
-	for _, b := range benchmarks.All() {
-		prog, err := b.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, b := range corpus.Benchmarks() {
+		prog := b.Prog
 		s := anomaly.NewSession(m)
 		detect := func(what string, p *ast.Program) {
 			got, err := s.Detect(p)

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
+	"atropos/internal/corpus"
 	"atropos/internal/logic"
 	"atropos/internal/progen"
 )
@@ -166,27 +166,17 @@ func TestSmallModelMatchesSATOracle(t *testing.T) {
 	if testing.Short() {
 		seeds = 100
 	}
-	type named struct {
-		name string
-		prog *ast.Program
-	}
-	var progs []named
-	for _, b := range benchmarks.All() {
-		progs = append(progs, named{b.Name, b.MustProgram()})
-	}
-	for seed := range seeds {
-		progs = append(progs, named{fmt.Sprintf("progen %d", seed), progen.Program(seed)})
-	}
+	progs, nbench := corpus.Programs(seeds), len(corpus.Benchmarks())
 	for _, m := range []Model{EC, CC, RR, SC} {
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
 			n := 0
 			for i, p := range progs {
-				if m == SC && i >= len(benchmarks.All()) {
+				if m == SC && i >= nbench {
 					break
 				}
-				planQueries(t, p.prog, m, func(pe *pairPlan, qs [][4]int) {
-					n += checkPlanAgainstOracle(t, p.name, pe, m, qs)
+				planQueries(t, p.Prog, m, func(pe *pairPlan, qs [][4]int) {
+					n += checkPlanAgainstOracle(t, p.Name, pe, m, qs)
 				})
 				if t.Failed() {
 					return

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"atropos/internal/ast"
+	"atropos/internal/corpus"
 )
 
 // TestWitnessSchedulesNameTheirPairs: every reported pair gets a schedule,
@@ -12,7 +12,8 @@ import (
 // cycle edges connect, and the edge kinds the report names. A report
 // answered from a warm session's memo rebuilds the same schedules.
 func TestWitnessSchedulesNameTheirPairs(t *testing.T) {
-	corpus(t, func(name string, prog *ast.Program) {
+	for _, c := range corpus.Programs(32) {
+		name, prog := c.Name, c.Prog
 		for _, m := range []Model{EC, CC, RR} {
 			s := NewSession(m)
 			rep, err := s.Detect(prog)
@@ -46,7 +47,7 @@ func TestWitnessSchedulesNameTheirPairs(t *testing.T) {
 				t.Errorf("%s %v: a warm report rebuilds other schedules", name, m)
 			}
 		}
-	})
+	}
 }
 
 // TestWitnessSchedulesOfForeignPairs: a pair the program does not witness —

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"context"
-	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -11,9 +10,8 @@ import (
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
-	"atropos/internal/progen"
+	"atropos/internal/corpus"
 	"atropos/internal/repair"
-	"atropos/internal/sema"
 )
 
 func program(t *testing.T, b *benchmarks.Benchmark) *ast.Program {
@@ -104,22 +102,14 @@ func TestAllBenchmarkTxnsCompile(t *testing.T) {
 			repaired += len(res.Program.Txns)
 		}
 	}
-	for _, b := range benchmarks.All() {
-		check(b.Name, program(t, b), anomaly.EC, anomaly.CC, anomaly.RR)
+	for _, b := range corpus.Benchmarks() {
+		check(b.Name, b.Prog, anomaly.EC, anomaly.CC, anomaly.RR)
 	}
-	for seed := int64(1); seed <= 96; seed++ {
-		prog, err := sema.Load(ast.Format(progen.Program(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("progen %d", seed), prog, anomaly.EC)
+	for _, p := range corpus.Progen(1, 97) {
+		check(p.Name, p.Prog, anomaly.EC)
 	}
-	for seed := int64(97); seed <= 2000; seed++ {
-		prog, err := sema.Load(ast.Format(progen.Program(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("progen %d", seed), prog)
+	for _, p := range corpus.Progen(97, 2001) {
+		check(p.Name, p.Prog)
 	}
 	t.Logf("%d original and %d repaired transactions compile", originals, repaired)
 }

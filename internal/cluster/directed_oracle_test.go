@@ -5,11 +5,9 @@ import (
 
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
 	"atropos/internal/cluster"
-	"atropos/internal/progen"
+	"atropos/internal/corpus"
 	"atropos/internal/replay"
-	"atropos/internal/sema"
 )
 
 // TestDirectedViewsMatchCloneOracle certifies the whole replay corpus — the
@@ -30,17 +28,13 @@ func TestDirectedViewsMatchCloneOracle(t *testing.T) {
 	if testing.Short() {
 		models = models[:1]
 	}
-	for _, b := range benchmarks.All() {
+	for _, b := range corpus.Benchmarks() {
 		for _, model := range models {
-			certify(program(t, b), model)
+			certify(b.Prog, model)
 		}
 	}
-	for seed := int64(1); seed <= 96; seed++ {
-		prog, err := sema.Load(ast.Format(progen.Program(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		certify(prog, anomaly.EC)
+	for _, p := range corpus.Progen(1, 97) {
+		certify(p.Prog, anomaly.EC)
 	}
 	views, bases := finish()
 	if views < 10000 || bases < 1000 {

@@ -11,6 +11,7 @@ import (
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
+	"atropos/internal/corpus"
 	"atropos/internal/progen"
 	"atropos/internal/repair"
 	"atropos/internal/replay"
@@ -58,27 +59,6 @@ func certifyView(cert *replay.Certificate, rep *anomaly.Report) string {
 	return b.String()
 }
 
-// memoCase is one program the equivalence tests repair or certify.
-type memoCase struct {
-	name string
-	prog *ast.Program
-}
-
-func memoCorpus(t *testing.T) (progs, benches []memoCase) {
-	t.Helper()
-	for seed := int64(1); seed <= 96; seed++ {
-		progs = append(progs, memoCase{fmt.Sprintf("progen/%d", seed), progen.Program(seed)})
-	}
-	for _, b := range benchmarks.All() {
-		prog, err := b.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		benches = append(benches, memoCase{b.Name, prog})
-	}
-	return progs, benches
-}
-
 // TestAnswerMemoRepairEquivalence: a repeated repair is answered from the
 // memo, and both answers equal a fresh engine's — on the progen population
 // under EC, the nine benchmarks under EC, CC and RR, and the nine under EC
@@ -86,20 +66,20 @@ func memoCorpus(t *testing.T) (progs, benches []memoCase) {
 // or the certify flag answers a cell with another cell's answer. A hit
 // reports no solver work of its own.
 func TestAnswerMemoRepairEquivalence(t *testing.T) {
-	progs, benches := memoCorpus(t)
+	progs, benches := corpus.Progen(1, 97), corpus.Benchmarks()
 	ctx := context.Background()
 	e := New(Config{Workers: 1})
-	check := func(c memoCase, model anomaly.Model, certify bool) {
+	check := func(c corpus.Program, model anomaly.Model, certify bool) {
 		t.Helper()
-		name := fmt.Sprintf("%s/%s/certify=%t", c.name, model, certify)
-		fresh, err := New(Config{Workers: 1}).Repair(ctx, c.prog, model, repair.Certify(certify))
+		name := fmt.Sprintf("%s/%s/certify=%t", c.Name, model, certify)
+		fresh, err := New(Config{Workers: 1}).Repair(ctx, c.Prog, model, repair.Certify(certify))
 		if err != nil {
 			t.Fatalf("%s: fresh: %v", name, err)
 		}
 		want := repairView(fresh)
 		before := e.Stats()
 		for i := 0; i < 2; i++ {
-			res, err := e.Repair(ctx, c.prog, model, repair.Certify(certify))
+			res, err := e.Repair(ctx, c.Prog, model, repair.Certify(certify))
 			if err != nil {
 				t.Fatalf("%s: call %d: %v", name, i, err)
 			}
@@ -132,30 +112,30 @@ func TestAnswerMemoRepairEquivalence(t *testing.T) {
 // engine certifies every program after repairing it, so a key missing the
 // verb answers a certify with a repair.
 func TestAnswerMemoCertifyEquivalence(t *testing.T) {
-	progs, benches := memoCorpus(t)
+	progs, benches := corpus.Progen(1, 97), corpus.Benchmarks()
 	ctx := context.Background()
 	e := New(Config{Workers: 1})
 	for _, c := range append(progs, benches...) {
-		cert, rep, err := New(Config{Workers: 1}).Certify(ctx, c.prog, anomaly.EC)
+		cert, rep, err := New(Config{Workers: 1}).Certify(ctx, c.Prog, anomaly.EC)
 		if err != nil {
-			t.Fatalf("%s: fresh: %v", c.name, err)
+			t.Fatalf("%s: fresh: %v", c.Name, err)
 		}
 		want := certifyView(cert, rep)
-		if _, err := e.Repair(ctx, c.prog, anomaly.EC); err != nil {
+		if _, err := e.Repair(ctx, c.Prog, anomaly.EC); err != nil {
 			t.Fatal(err)
 		}
 		before := e.Stats()
 		for i := 0; i < 2; i++ {
-			cert, rep, err := e.Certify(ctx, c.prog, anomaly.EC)
+			cert, rep, err := e.Certify(ctx, c.Prog, anomaly.EC)
 			if err != nil {
-				t.Fatalf("%s: call %d: %v", c.name, i, err)
+				t.Fatalf("%s: call %d: %v", c.Name, i, err)
 			}
 			if got := certifyView(cert, rep); got != want {
-				t.Fatalf("%s: call %d differs from a fresh engine's\ngot:\n%s\nwant:\n%s", c.name, i, got, want)
+				t.Fatalf("%s: call %d differs from a fresh engine's\ngot:\n%s\nwant:\n%s", c.Name, i, got, want)
 			}
 			st := e.Stats()
 			if hits, misses := st.AnswerHits-before.AnswerHits, st.AnswerMisses-before.AnswerMisses; hits != int64(i) || misses != 1 {
-				t.Fatalf("%s: call %d: answer hits/misses %d/%d, want %d/1", c.name, i, hits, misses, i)
+				t.Fatalf("%s: call %d: answer hits/misses %d/%d, want %d/1", c.Name, i, hits, misses, i)
 			}
 		}
 	}

@@ -1,15 +1,10 @@
 package exp
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
-	"atropos/internal/anomaly"
-	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
-	"atropos/internal/progen"
-	"atropos/internal/repair"
 )
 
 // checkCounts compares two values of one struct type field by field and
@@ -75,60 +70,4 @@ func TestTable1Golden(t *testing.T) {
 	if repaired := float64(totalEC-totalAT) / float64(totalEC); repaired < 0.6 {
 		t.Errorf("corpus repair rate %.0f%%, want >= 60%%", 100*repaired)
 	}
-}
-
-// repairCounts is one EC repair's outcome and oracle work: the anomalous
-// pairs before and after, the cycle queries the three detection passes
-// issued, and the ones that reached a solver (Stats.Solved+Stats.Replayed).
-type repairCounts struct {
-	Initial, Remaining, Queries, Solved int
-}
-
-// goldenRepairs pins every benchmark's repair under EC: the pairs before
-// and after, and the queries issued and decided.
-var goldenRepairs = map[string]repairCounts{
-	"TPC-C":      {123, 40, 286, 163},
-	"SEATS":      {38, 4, 80, 42},
-	"Courseware": {10, 0, 26, 14},
-	"SmallBank":  {32, 21, 85, 53},
-	"Twitter":    {11, 4, 26, 15},
-	"FMKe":       {23, 13, 59, 36},
-	"SIBench":    {1, 0, 2, 1},
-	"Wikipedia":  {29, 9, 67, 37},
-	"Killrchat":  {13, 3, 29, 8},
-}
-
-// goldenCorpus pins the anomaly totals of the progen corpus, seeds 0..31,
-// each program repaired under EC.
-var goldenCorpus = struct{ Initial, Remaining int }{122, 98}
-
-func runRepair(t *testing.T, name string, prog *ast.Program) repairCounts {
-	t.Helper()
-	rep, err := repair.Run(context.Background(), prog, anomaly.EC)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return repairCounts{len(rep.Initial), len(rep.Remaining), rep.Stats.Queries, rep.Stats.Solved + rep.Stats.Replayed}
-}
-
-// TestRepairGolden repairs every benchmark and the progen corpus and
-// asserts the pinned counts, cell by cell.
-func TestRepairGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus regression; skipped with -short")
-	}
-	all := benchmarks.All()
-	if len(all) != len(goldenRepairs) {
-		t.Fatalf("benchmarks = %d, golden rows = %d", len(all), len(goldenRepairs))
-	}
-	for _, b := range all {
-		checkCounts(t, b.Name, runRepair(t, b.Name, b.MustProgram()), goldenRepairs[b.Name])
-	}
-	var got struct{ Initial, Remaining int }
-	for seed := range int64(32) {
-		c := runRepair(t, "corpus", progen.Program(seed))
-		got.Initial += c.Initial
-		got.Remaining += c.Remaining
-	}
-	checkCounts(t, "corpus", got, goldenCorpus)
 }

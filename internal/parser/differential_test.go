@@ -6,8 +6,8 @@ import (
 
 	"atropos/internal/ast"
 	"atropos/internal/benchmarks"
+	"atropos/internal/corpus"
 	"atropos/internal/parser"
-	"atropos/internal/progen"
 )
 
 // The one-pass front end against the reference lexer and parser
@@ -22,8 +22,8 @@ func corpusSources() []string {
 	for _, b := range benchmarks.All() {
 		srcs = append(srcs, b.Source)
 	}
-	for seed := int64(0); seed < 96; seed++ {
-		srcs = append(srcs, ast.Format(progen.Program(seed)))
+	for _, p := range corpus.Progen(0, 96) {
+		srcs = append(srcs, ast.Format(p.Prog))
 	}
 	return srcs
 }

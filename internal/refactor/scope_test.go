@@ -6,8 +6,7 @@ import (
 	"testing"
 
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
-	"atropos/internal/progen"
+	"atropos/internal/corpus"
 )
 
 // These tests pin the rewrites that touch only what they rewrite: ApplyCorr
@@ -38,11 +37,8 @@ txn flat(k: int) {
 // nestedSource.
 func scopeCorpus(t *testing.T, fn func(name string, p *ast.Program)) {
 	t.Helper()
-	for _, b := range benchmarks.All() {
-		fn(b.Name, b.MustProgram())
-	}
-	for seed := int64(0); seed < 96; seed++ {
-		fn(fmt.Sprintf("seed %d", seed), progen.Program(seed))
+	for _, c := range corpus.Programs(96) {
+		fn(c.Name, c.Prog)
 	}
 	fn("nested", mustProg(t, nestedSource))
 }

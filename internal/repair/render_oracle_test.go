@@ -7,8 +7,7 @@ import (
 
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
-	"atropos/internal/progen"
+	"atropos/internal/corpus"
 )
 
 // The renderers behind every service answer and every repair step —
@@ -178,13 +177,13 @@ func renderOracle(t *testing.T, name string, prog *ast.Program, model anomaly.Mo
 // and progen seeds 0–31 under EC.
 func TestRenderersMatchFmtOracle(t *testing.T) {
 	pairs := 0
-	for _, b := range benchmarks.All() {
+	for _, b := range corpus.Benchmarks() {
 		for _, m := range []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR} {
-			pairs += renderOracle(t, b.Name, b.MustProgram(), m)
+			pairs += renderOracle(t, b.Name, b.Prog, m)
 		}
 	}
-	for seed := int64(0); seed < 32; seed++ {
-		pairs += renderOracle(t, fmt.Sprintf("progen %d", seed), progen.Program(seed), anomaly.EC)
+	for _, p := range corpus.Progen(0, 32) {
+		pairs += renderOracle(t, p.Name, p.Prog, anomaly.EC)
 	}
 	if pairs == 0 {
 		t.Fatal("the corpus rendered no pairs")

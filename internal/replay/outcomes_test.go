@@ -2,23 +2,16 @@ package replay_test
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"testing"
 
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
-	"atropos/internal/benchmarks"
-	"atropos/internal/progen"
+	"atropos/internal/corpus"
 	"atropos/internal/replay"
 	"atropos/internal/sema"
 )
-
-// The outcome goldens pin certification down to the byte: every
-// PairOutcome's pair, verdict, method, reason and trace lines go into one
-// FNV-1a hash per certificate. certGolden's counts say how many pairs
-// replay; these say that each one replays the same way, on the same run.
 
 // outcomeText is everything a PairOutcome says, one line per trace event.
 func outcomeText(out replay.PairOutcome) string {
@@ -29,14 +22,6 @@ func outcomeText(out replay.PairOutcome) string {
 		fmt.Fprintln(&b, line)
 	}
 	return b.String()
-}
-
-func outcomesHash(cert *replay.Certificate) uint64 {
-	h := fnv.New64a()
-	for _, out := range cert.Outcomes {
-		h.Write([]byte(outcomeText(out)))
-	}
-	return h.Sum64()
 }
 
 // certifyEachAlone certifies every pair of the report by itself, on a plan
@@ -57,11 +42,10 @@ func certifyEachAlone(prog *ast.Program, rep *anomaly.Report) []replay.PairOutco
 // fresh plan, gives every pair the outcome it has in the whole report.
 func TestPlanReuseIndependence(t *testing.T) {
 	progs, reps := progenCorpus(t)
-	for _, b := range benchmarks.All() {
+	for _, b := range corpus.Benchmarks() {
 		for _, model := range []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR} {
-			prog := b.MustProgram()
-			progs = append(progs, prog)
-			reps = append(reps, witnessed(t, prog, model))
+			progs = append(progs, b.Prog)
+			reps = append(reps, witnessed(t, b.Prog, model))
 		}
 	}
 	for i, prog := range progs {
@@ -95,13 +79,9 @@ func progenCorpus(tb testing.TB) ([]*ast.Program, []*anomaly.Report) {
 	tb.Helper()
 	var progs []*ast.Program
 	var reps []*anomaly.Report
-	for seed := int64(1); seed <= 96; seed++ {
-		prog, err := sema.Load(ast.Format(progen.Program(seed)))
-		if err != nil {
-			tb.Fatalf("progen %d: %v", seed, err)
-		}
-		progs = append(progs, prog)
-		reps = append(reps, witnessed(tb, prog, anomaly.EC))
+	for _, p := range corpus.Progen(1, 97) {
+		progs = append(progs, p.Prog)
+		reps = append(reps, witnessed(tb, p.Prog, anomaly.EC))
 	}
 	return progs, reps
 }
@@ -114,48 +94,6 @@ func witnessed(tb testing.TB, prog *ast.Program, model anomaly.Model) *anomaly.R
 	}
 	return rep
 }
-
-// schedulesOf lists the witness schedule of each of the report's pairs.
-func schedulesOf(prog *ast.Program, rep *anomaly.Report) []*anomaly.Schedule {
-	return anomaly.WitnessSchedules(prog, rep)
-}
-
-// TestProgenOutcomesGolden pins the 96-program population: its totals, the
-// method of every reproduction, and one hash per program folded into one.
-func TestProgenOutcomesGolden(t *testing.T) {
-	progs, reps := progenCorpus(t)
-	var total, lowered, certified int
-	methods := map[string]int{}
-	h := fnv.New64a()
-	for i, prog := range progs {
-		cert := replay.Certify(prog, reps[i])
-		total += cert.Total
-		lowered += cert.Lowered
-		certified += cert.Certified
-		for _, out := range cert.Outcomes {
-			if out.Reproduced {
-				methods[out.Method]++
-			}
-		}
-		sum := outcomesHash(cert)
-		t.Logf("progen %d: %d/%d %#x", i+1, cert.Certified, cert.Total, sum)
-		fmt.Fprintf(h, "%d:%x\n", i+1, sum)
-	}
-	if total != 417 || lowered != 417 || certified != 44 {
-		t.Errorf("progen totals %d pairs, %d lowered, %d certified; golden 417, 417, 44", total, lowered, certified)
-	}
-	want := map[string]int{"model": 35, "model@p1": 1, "split-hidden": 6, "split-hidden@p1": 1, "split-nonrep": 1}
-	if fmt.Sprint(methods) != fmt.Sprint(want) {
-		t.Errorf("progen methods %v, golden %v", methods, want)
-	}
-	if got := h.Sum64(); got != progenOutcomesGolden {
-		t.Errorf("progen outcomes hash %#x, golden %#x (run with -v for the per-program hashes)", got, uint64(progenOutcomesGolden))
-	}
-}
-
-// progenOutcomesGolden was recorded on the small model's canonical witness
-// schedules.
-const progenOutcomesGolden = 0xf2fbda5e73e62d98
 
 // TestRefusedTxnIsRunFailed: certification has one engine. A pair whose
 // transaction the simulator's compiler refuses (uuid() outside an insert —
