@@ -182,14 +182,5 @@ type Report struct {
 	EncodersPlanned int
 }
 
-// PairsByTxn groups the anomalous pairs by transaction name.
-func (r *Report) PairsByTxn() map[string][]AccessPair {
-	out := map[string][]AccessPair{}
-	for _, p := range r.Pairs {
-		out[p.Txn] = append(out[p.Txn], p)
-	}
-	return out
-}
-
 // Count returns the number of anomalous access pairs.
 func (r *Report) Count() int { return len(r.Pairs) }

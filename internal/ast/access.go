@@ -135,18 +135,3 @@ func WellFormedWhere(e Expr, schema *Schema) (map[string]Expr, bool) {
 	}
 	return m, true
 }
-
-// EqualityOn returns the expression pinning field f in φ, if φ decomposes
-// into equality conjuncts and constrains f; otherwise nil.
-func EqualityOn(e Expr, f string) Expr {
-	eqs, ok := WhereEqualities(e)
-	if !ok {
-		return nil
-	}
-	for _, q := range eqs {
-		if q.Field == f {
-			return q.Expr
-		}
-	}
-	return nil
-}

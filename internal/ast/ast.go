@@ -361,9 +361,6 @@ func (op BinOp) IsComparison() bool { return op >= OpLt && op <= OpGe }
 // IsArith reports whether op is one of ⊕ (+, -, *, /).
 func (op BinOp) IsArith() bool { return op <= OpDiv }
 
-// IsLogical reports whether op is ∧ or ∨.
-func (op BinOp) IsLogical() bool { return op == OpAnd || op == OpOr }
-
 // Binary is e op e.
 type Binary struct {
 	Op   BinOp

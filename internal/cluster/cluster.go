@@ -64,20 +64,6 @@ type Config struct {
 	Mode Mode
 	// SerializableTxns names the transactions run under SC in ModeATSC.
 	SerializableTxns map[string]bool
-	// StmtCost is the per-statement service time that consumes replica
-	// capacity (microseconds); 0 means the default of 2000µs. It sets the
-	// saturation throughput.
-	StmtCost int64
-	// StmtOverhead is per-statement latency that does not consume
-	// capacity (driver, TLS, storage stalls on burstable instances);
-	// 0 means the default of 12000µs. It sets the low-load latency floor.
-	StmtOverhead int64
-	// Servers is the per-replica service parallelism (vCPUs); 0 means 2
-	// (the paper's M10 instances).
-	Servers int
-	// LockTimeout aborts SC transactions that wait longer than this for a
-	// record lock (microseconds); 0 derives it from the topology.
-	LockTimeout int64
 	// Trace, when non-nil, records the run's execution history (applied
 	// write batches, commits, aborts) for differential testing.
 	Trace *Trace
@@ -118,10 +104,17 @@ type Scans struct {
 }
 
 const (
-	defaultStmtCost     = 2_000  // µs of replica capacity per statement
-	defaultStmtOverhead = 12_000 // µs of latency per statement
-	defaultServers      = 2      // vCPUs per replica (M10 tier)
-	primary             = 0
+	// stmtCost is the per-statement service time that consumes replica
+	// capacity (µs). It sets the saturation throughput.
+	stmtCost = 2_000
+	// stmtOverhead is per-statement latency that does not consume capacity
+	// (driver, TLS, storage stalls on burstable instances; µs). It sets the
+	// low-load latency floor.
+	stmtOverhead = 12_000
+	// servers is the per-replica service parallelism: the vCPUs of the
+	// paper's M10 instances.
+	servers = 2
+	primary = 0
 )
 
 // Run simulates the configured deployment and returns its measurements.
@@ -145,20 +138,8 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 	if cfg.Clients <= 0 {
 		return nil, Result{}, fmt.Errorf("cluster: need at least one client")
 	}
-	if cfg.StmtCost == 0 {
-		cfg.StmtCost = defaultStmtCost
-	}
-	if cfg.StmtOverhead == 0 {
-		cfg.StmtOverhead = defaultStmtOverhead
-	}
-	if cfg.Servers == 0 {
-		cfg.Servers = defaultServers
-	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 10 * time.Second
-	}
-	if cfg.LockTimeout == 0 {
-		cfg.LockTimeout = 8*cfg.Topology.majorityRTT(primary) + 20_000
 	}
 	flt, err := newFaultState(cfg.Faults)
 	if err != nil {
@@ -185,6 +166,8 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 		uuid:     &UUIDGen{},
 		lat:      metrics.NewLatencies(8192, cfg.Seed+1),
 		flt:      flt,
+		// SC transactions that wait longer than this for a record lock abort.
+		lockTimeout: 8*cfg.Topology.majorityRTT(primary) + 20_000,
 	}
 	if cfg.Observe != nil {
 		d.obs = newObsState(d)
@@ -201,7 +184,7 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 		if i > 0 {
 			st = base.Clone()
 		}
-		d.replicas[i] = &replica{id: i, state: st, station: newStation(cfg.Servers)}
+		d.replicas[i] = &replica{id: i, state: st, station: newStation(servers)}
 	}
 	warmup := cfg.Warmup.Microseconds()
 	total := warmup + cfg.Duration.Microseconds()
@@ -283,6 +266,7 @@ type driver struct {
 	execErr      error
 	flt          *faultState
 	obs          *obsState
+	lockTimeout  int64 // µs, derived from the topology
 	// replication pools: batches and their delivery events are recycled so
 	// steady-state replication allocates nothing.
 	batchPool []*repBatch

@@ -33,7 +33,7 @@ func (c *client) ecStep() {
 		c.ecPhase = 1
 		d.sim.At(d.ecDelay(r.id), c.ecTick)
 	case 1:
-		done := r.station.serve(d.sim.Now(), d.cfg.StmtCost)
+		done := r.station.serve(d.sim.Now(), stmtCost)
 		c.ecPhase = 2
 		d.sim.At(done-d.sim.Now(), c.ecTick)
 	default:
@@ -149,7 +149,7 @@ func (t *cTxnRun) step() {
 func (t *cTxnRun) cont() {
 	d := t.c.d
 	r := d.replicas[primary]
-	done := r.station.serve(d.sim.Now()+d.cfg.StmtOverhead, d.cfg.StmtCost)
+	done := r.station.serve(d.sim.Now()+stmtOverhead, stmtCost)
 	d.sim.At(done-d.sim.Now(), t.execF)
 }
 
@@ -244,7 +244,7 @@ func (d *driver) getRepEv() *repEv {
 	e := &repEv{d: d}
 	e.fn = func() {
 		// Applying remote ops consumes service capacity but blocks no one.
-		e.tgt.station.serve(e.d.sim.Now(), e.d.cfg.StmtCost/2)
+		e.tgt.station.serve(e.d.sim.Now(), stmtCost/2)
 		e.tgt.state.applyC(e.batch.ops, e.batch.ts)
 		if e.d.cfg.Trace != nil {
 			e.d.cfg.Trace.applyC(e.d.sim.Now(), e.tgt.id, e.batch.ts, e.tgt.state, e.batch.ops)

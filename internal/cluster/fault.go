@@ -246,7 +246,7 @@ func (d *driver) repDelay(from, to int) int64 {
 // service to its recovery. (Client links themselves are not in the fault
 // vocabulary: clients are colocated with their replica.)
 func (d *driver) ecDelay(r int) int64 {
-	base := d.cfg.Topology.ClientRTT/2 + d.cfg.StmtOverhead
+	base := d.cfg.Topology.ClientRTT/2 + stmtOverhead
 	if d.flt == nil {
 		return base
 	}

@@ -154,7 +154,7 @@ func (d *driver) scheduleLockTimeout(t *lockCore) {
 		}
 	}
 	e.t, e.gen, e.epoch = t, t.gen, t.waitEpoch
-	d.sim.At(d.cfg.LockTimeout, e.fn)
+	d.sim.At(d.lockTimeout, e.fn)
 }
 
 // wouldDeadlock reports whether waiting on ls closes a wait-for cycle

@@ -57,7 +57,7 @@ func (c *client) runEC(txn *ast.Txn, args map[string]store.Value, finish func(),
 		// Client → replica, queue, execute, reply. A crashed home replica
 		// defers the statement to its recovery (ecDelay).
 		d.sim.At(d.ecDelay(r.id), func() {
-			done := r.station.serve(d.sim.Now(), d.cfg.StmtCost)
+			done := r.station.serve(d.sim.Now(), stmtCost)
 			d.sim.At(done-d.sim.Now(), func() {
 				view := DBView(r.state)
 				var ov *obsView
@@ -108,7 +108,7 @@ func (c *client) replicate(from int, writes []WriteOp, ts int64, refs []BatchRef
 		d.sim.At(d.repDelay(from, j), func() {
 			// Applying remote ops consumes service capacity but blocks
 			// no one.
-			target.station.serve(d.sim.Now(), d.cfg.StmtCost/2)
+			target.station.serve(d.sim.Now(), stmtCost/2)
 			for _, w := range ws {
 				target.state.Apply(w, ts)
 			}
@@ -184,7 +184,7 @@ func (t *txnRun) step() {
 	}
 	t.acquire(want, func() {
 		r := d.replicas[primary]
-		done := r.station.serve(d.sim.Now()+d.cfg.StmtOverhead, d.cfg.StmtCost)
+		done := r.station.serve(d.sim.Now()+stmtOverhead, stmtCost)
 		d.sim.At(done-d.sim.Now(), func() {
 			view := DBView(t.overlay)
 			var ov *obsView

@@ -33,14 +33,21 @@ import (
 const chaosWatchdog = 30 * time.Second
 
 // ServiceChaosConfig sizes the harness. The zero value is the committed
-// panel: 2 workers, 2 queue slots, a 400ms queue-wait ceiling, a
-// 3-strike breaker.
+// panel: 2 workers and 2 queue slots.
 type ServiceChaosConfig struct {
-	Workers      int
-	QueueDepth   int
-	MaxQueueWait time.Duration
-	BreakerTrip  int
+	Workers    int
+	QueueDepth int
 }
+
+const (
+	// chaosQueueWait is the engine's queue-wait ceiling: wide enough that
+	// the scripted queue-full burst (microseconds after the queue fills)
+	// always lands before the shed timer fires.
+	chaosQueueWait = 400 * time.Millisecond
+	// chaosBreakerTrip is the engine's breaker: the third consecutive
+	// degraded repair of one client opens it.
+	chaosBreakerTrip = 3
+)
 
 func (c ServiceChaosConfig) orDefault() ServiceChaosConfig {
 	if c.Workers <= 0 {
@@ -48,14 +55,6 @@ func (c ServiceChaosConfig) orDefault() ServiceChaosConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2
-	}
-	if c.MaxQueueWait <= 0 {
-		// Wide enough that the scripted queue-full burst (microseconds after
-		// the queue fills) always lands before the shed timer fires.
-		c.MaxQueueWait = 400 * time.Millisecond
-	}
-	if c.BreakerTrip <= 0 {
-		c.BreakerTrip = 3
 	}
 	return c
 }
@@ -136,8 +135,8 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	eng := engine.New(engine.Config{
 		Workers:      cfg.Workers,
 		QueueDepth:   cfg.QueueDepth,
-		MaxQueueWait: cfg.MaxQueueWait,
-		BreakerTrip:  cfg.BreakerTrip,
+		MaxQueueWait: chaosQueueWait,
+		BreakerTrip:  chaosBreakerTrip,
 		// The breaker must still be open at the final snapshot, so the
 		// cooldown outlives the run by construction.
 		BreakerCooldown: time.Hour,
@@ -229,10 +228,10 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 
 	// Phase 2 — slow detection: one client's repairs run with a detect
 	// stage allowance that has expired before the first pass starts, so
-	// every result degrades; the BreakerTrip-th consecutive degradation
+	// every result degrades; the chaosBreakerTrip-th consecutive degradation
 	// opens its circuit and further requests fast-fail without touching a
 	// worker slot.
-	for i := 0; i < cfg.BreakerTrip; i++ {
+	for i := 0; i < chaosBreakerTrip; i++ {
 		out, err := repairAs(chaosBad)
 		if err != nil {
 			return nil, fmt.Errorf("servicechaos: deadline-bound repair %d: %w", i, err)

@@ -649,14 +649,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	topo := cluster.VACluster
-	switch req.Topology {
-	case "", "VA":
-	case "US":
-		topo = cluster.USCluster
-	case "Global":
-		topo = cluster.GlobalCluster
-	default:
+	name := req.Topology
+	if name == "" {
+		name = "VA"
+	}
+	topo, ok := cluster.TopologyByName(name)
+	if !ok {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("unknown topology %q (want VA, US, or Global)", req.Topology))
 		return
 	}
