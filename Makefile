@@ -164,8 +164,11 @@ profile:
 
 # Production size: lines of non-test Go outside the benchmark harness
 # (bench/ is its own module), per package directory and in total — the
-# number ROADMAP.md's quality-of-design aim quotes.
+# number ROADMAP.md's quality-of-design aim quotes — then the total of
+# _test.go lines outside bench/, so that test-side deletions show too.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 cat | wc -l | awk '{ printf "%7d total in _test.go files\n", $$1 }'

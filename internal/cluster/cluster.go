@@ -104,17 +104,10 @@ type Scans struct {
 }
 
 const (
-	// stmtCost is the per-statement service time that consumes replica
-	// capacity (µs). It sets the saturation throughput.
-	stmtCost = 2_000
-	// stmtOverhead is per-statement latency that does not consume capacity
-	// (driver, TLS, storage stalls on burstable instances; µs). It sets the
-	// low-load latency floor.
-	stmtOverhead = 12_000
-	// servers is the per-replica service parallelism: the vCPUs of the
-	// paper's M10 instances.
-	servers = 2
-	primary = 0
+	stmtCost     = 2_000  // µs of replica capacity per statement: sets saturation throughput
+	stmtOverhead = 12_000 // µs of per-statement latency using no capacity: the low-load floor
+	servers      = 2      // per-replica service parallelism: vCPUs of the paper's M10 tier
+	primary      = 0
 )
 
 // Run simulates the configured deployment and returns its measurements.
@@ -166,8 +159,6 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 		uuid:     &UUIDGen{},
 		lat:      metrics.NewLatencies(8192, cfg.Seed+1),
 		flt:      flt,
-		// SC transactions that wait longer than this for a record lock abort.
-		lockTimeout: 8*cfg.Topology.majorityRTT(primary) + 20_000,
 	}
 	if cfg.Observe != nil {
 		d.obs = newObsState(d)
@@ -266,7 +257,6 @@ type driver struct {
 	execErr      error
 	flt          *faultState
 	obs          *obsState
-	lockTimeout  int64 // µs, derived from the topology
 	// replication pools: batches and their delivery events are recycled so
 	// steady-state replication allocates nothing.
 	batchPool []*repBatch

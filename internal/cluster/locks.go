@@ -154,7 +154,8 @@ func (d *driver) scheduleLockTimeout(t *lockCore) {
 		}
 	}
 	e.t, e.gen, e.epoch = t, t.gen, t.waitEpoch
-	d.sim.At(d.lockTimeout, e.fn)
+	// An SC transaction waits this long for a record lock, then aborts.
+	d.sim.At(8*d.cfg.Topology.majorityRTT(primary)+20_000, e.fn)
 }
 
 // wouldDeadlock reports whether waiting on ls closes a wait-for cycle

@@ -47,7 +47,7 @@ func (r CertifyRow) Rate() float64 {
 
 // CertifyGrid replays witness certificates for every benchmark × weak
 // model on a bounded worker pool. Counts are deterministic and
-// machine-independent; replay's TestCertifiedGolden pins every cell.
+// machine-independent; internal/corpus's golden table pins every cell.
 func CertifyGrid(benches []*benchmarks.Benchmark, parallelism int) ([]CertifyRow, error) {
 	for _, b := range benches {
 		if _, err := b.Program(); err != nil {

@@ -17,7 +17,7 @@ import (
 	"atropos/internal/store"
 )
 
-// The chaos harness (ROADMAP item 3): every benchmark runs under a panel
+// The chaos harness: every benchmark runs under a panel
 // of named deterministic fault scenarios (cluster.ChaosScenarios) in
 // three deployments — EC (the unrepaired program on weak consistency),
 // SC (the unrepaired program fully serialized, the control), and AT-SC

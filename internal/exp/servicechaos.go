@@ -39,15 +39,8 @@ type ServiceChaosConfig struct {
 	QueueDepth int
 }
 
-const (
-	// chaosQueueWait is the engine's queue-wait ceiling: wide enough that
-	// the scripted queue-full burst (microseconds after the queue fills)
-	// always lands before the shed timer fires.
-	chaosQueueWait = 400 * time.Millisecond
-	// chaosBreakerTrip is the engine's breaker: the third consecutive
-	// degraded repair of one client opens it.
-	chaosBreakerTrip = 3
-)
+// chaosBreakerTrip consecutive degraded repairs open a client's breaker.
+const chaosBreakerTrip = 3
 
 func (c ServiceChaosConfig) orDefault() ServiceChaosConfig {
 	if c.Workers <= 0 {
@@ -133,9 +126,11 @@ func RunServiceChaos(cfg ServiceChaosConfig) (*ServiceChaosResult, error) {
 	// releases them; boom requests panic inside their worker slot.
 	gate := make(chan struct{})
 	eng := engine.New(engine.Config{
-		Workers:      cfg.Workers,
-		QueueDepth:   cfg.QueueDepth,
-		MaxQueueWait: chaosQueueWait,
+		Workers:    cfg.Workers,
+		QueueDepth: cfg.QueueDepth,
+		// Wide enough that the scripted queue-full burst (microseconds after
+		// the queue fills) always lands before the shed timer fires.
+		MaxQueueWait: 400 * time.Millisecond,
 		BreakerTrip:  chaosBreakerTrip,
 		// The breaker must still be open at the final snapshot, so the
 		// cooldown outlives the run by construction.

@@ -19,7 +19,7 @@ import (
 // refactored program whose final state contains the original's (Σ ⊑_V Σ′)
 // and whose transactions return the same values. We validate this over
 // randomized serial workloads of every benchmark, run on the simulator's
-// executor. Two benchmarks are known gaps (ROADMAP item 9a), pinned by the
+// executor. Two benchmarks are known gaps (ROADMAP item 2), pinned by the
 // first failure they produce: the subtest fails if one starts passing or
 // fails differently.
 func TestRefinementUnderSerialWorkloads(t *testing.T) {
