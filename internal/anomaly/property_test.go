@@ -36,3 +36,24 @@ func TestModelMonotonicityOnRandomPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectorGoldenCounts checks the Table 1 anomaly count of every
+// benchmark under EC against the pairs column of the golden table
+// (internal/corpus/testdata/cells.tsv), so detector or benchmark changes
+// surface explicitly (EXPERIMENTS.md records these next to the paper's
+// numbers).
+func TestDetectorGoldenCounts(t *testing.T) {
+	golden, err := corpus.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range corpus.Benchmarks() {
+		r, err := anomaly.NewSession(anomaly.EC).Detect(b.Prog)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if got, want := r.Count(), golden[b.Name+"/EC"].Int("pairs"); got != want {
+			t.Errorf("%s: EC anomalies = %d, golden %d", b.Name, got, want)
+		}
+	}
+}

@@ -16,24 +16,13 @@ import (
 	"atropos/internal/replay"
 )
 
-const (
-	golden   = "testdata/cells.tsv"
-	observed = "testdata/cells.observed.tsv"
-)
-
-// columns are the table's columns after the cell name:
-//   - pairs: the pairs a fresh session reports;
-//   - sched: FNV-1a over each pair with its witness schedule (scheduleText);
-//   - program: ast.HashProgram of the program repair.Run returns;
-//   - remaining, queries, solved: that repair's remaining pairs and the
-//     cycle queries its passes issued and decided;
-//   - total, lowered, certified: replay.Certify's counts;
-//   - outcomes: FNV-1a over every PairOutcome, trace lines included.
-var columns = []string{"pairs", "sched", "program", "remaining", "queries", "solved", "total", "lowered", "certified", "outcomes"}
+// observed is where a failing TestCells writes the table it computed.
+const observed = "testdata/cells.observed.tsv"
 
 // scheduleText is everything a witness schedule says: the transactions it
 // names, every item with its key pins, the execution order, the visibility
-// matrix, the aliasing valuation and both cycle edges.
+// matrix, the aliasing valuation and both cycle edges. internal/replay's
+// TestWitnessScheduleGolden hashes the same text into the same column.
 func scheduleText(s *anomaly.Schedule) string {
 	if s == nil {
 		return "<nil>\n"
@@ -122,31 +111,6 @@ func cellOf(t *testing.T, name string, prog *ast.Program, m anomaly.Model) cell 
 	}
 }
 
-// readTable reads the golden table into cell name → columns. A missing
-// table reads as empty, so that a first run writes the observed one.
-func readTable(t *testing.T) map[string][]string {
-	rows := map[string][]string{}
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Error(err)
-		return rows
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if want := header(); lines[0] != want {
-		t.Fatalf("%s: header %q, want %q", golden, lines[0], want)
-	}
-	for _, line := range lines[1:] {
-		fs := strings.Split(line, "\t")
-		if len(fs) != 1+len(columns) {
-			t.Fatalf("%s: row %q has %d columns, want %d", golden, line, len(fs), 1+len(columns))
-		}
-		rows[fs[0]] = fs[1:]
-	}
-	return rows
-}
-
-func header() string { return "cell\t" + strings.Join(columns, "\t") }
-
 // TestCells computes every cell of the corpus — the nine benchmarks and
 // progen seeds 0–96, each under EC, CC and RR — and compares it with
 // testdata/cells.tsv, naming each moved cell with only the columns that
@@ -159,9 +123,12 @@ func header() string { return "cell\t" + strings.Join(columns, "\t") }
 //	diff internal/corpus/testdata/cells.tsv internal/corpus/testdata/cells.observed.tsv
 //	mv internal/corpus/testdata/cells.observed.tsv internal/corpus/testdata/cells.tsv
 func TestCells(t *testing.T) {
-	want := readTable(t)
+	want, err := corpus.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
-	out.WriteString(header() + "\n")
+	out.WriteString(corpus.Header() + "\n")
 	// Sums over rows: the service population (progen 1–96 under EC) and
 	// the progen 0–31 repairs under EC.
 	var total, lowered, certified, initial, remaining int
@@ -182,7 +149,7 @@ func TestCells(t *testing.T) {
 				t.Errorf("%s: not in the table", name)
 			} else {
 				var moved []string
-				for j, col := range columns {
+				for j, col := range corpus.Columns {
 					if w[j] != row[j] {
 						moved = append(moved, fmt.Sprintf("%s %s→%s", col, w[j], row[j]))
 					}

@@ -1,10 +1,14 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"atropos/internal/anomaly"
 	"atropos/internal/benchmarks"
+	"atropos/internal/corpus"
+	"atropos/internal/repair"
 )
 
 // checkCounts compares two values of one struct type field by field and
@@ -69,5 +73,32 @@ func TestTable1Golden(t *testing.T) {
 	// The paper's headline: a substantial majority of pairs repaired.
 	if repaired := float64(totalEC-totalAT) / float64(totalEC); repaired < 0.6 {
 		t.Errorf("corpus repair rate %.0f%%, want >= 60%%", 100*repaired)
+	}
+}
+
+// repairCounts is one EC repair's outcome and oracle work: the anomalous
+// pairs before and after, the cycle queries the three detection passes
+// issued, and the ones they decided.
+type repairCounts struct {
+	Initial, Remaining, Queries, Solved int
+}
+
+// TestRepairGolden repairs every benchmark and progen seeds 0–31 under EC
+// and checks each against the pairs, remaining, queries and solved columns
+// of the golden table (internal/corpus/testdata/cells.tsv).
+func TestRepairGolden(t *testing.T) {
+	golden, err := corpus.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(corpus.Benchmarks(), corpus.Progen(0, 32)...) {
+		rep, err := repair.Run(context.Background(), p.Prog, anomaly.EC)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		got := repairCounts{len(rep.Initial), len(rep.Remaining), rep.Stats.Queries, rep.Stats.Solved}
+		w := golden[p.Name+"/EC"]
+		want := repairCounts{w.Int("pairs"), w.Int("remaining"), w.Int("queries"), w.Int("solved")}
+		checkCounts(t, p.Name, got, want)
 	}
 }

@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"testing"
@@ -22,6 +23,16 @@ func outcomeText(out replay.PairOutcome) string {
 		fmt.Fprintln(&b, line)
 	}
 	return b.String()
+}
+
+// outcomesHash is FNV-1a over every outcome of the certificate: the
+// outcomes column of the golden table (internal/corpus/testdata/cells.tsv).
+func outcomesHash(cert *replay.Certificate) uint64 {
+	h := fnv.New64a()
+	for _, out := range cert.Outcomes {
+		h.Write([]byte(outcomeText(out)))
+	}
+	return h.Sum64()
 }
 
 // certifyEachAlone certifies every pair of the report by itself, on a plan
@@ -93,6 +104,41 @@ func witnessed(tb testing.TB, prog *ast.Program, model anomaly.Model) *anomaly.R
 		tb.Fatalf("detection: %v", err)
 	}
 	return rep
+}
+
+// TestProgenOutcomesGolden checks the service population (progen 1–96
+// under EC): each program's outcomes against the outcomes column of the
+// golden table, its totals, and the method of every reproduction.
+func TestProgenOutcomesGolden(t *testing.T) {
+	golden, err := corpus.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, reps := progenCorpus(t)
+	var total, lowered, certified int
+	methods := map[string]int{}
+	for i, prog := range progs {
+		cert := replay.Certify(prog, reps[i])
+		total += cert.Total
+		lowered += cert.Lowered
+		certified += cert.Certified
+		for _, out := range cert.Outcomes {
+			if out.Reproduced {
+				methods[out.Method]++
+			}
+		}
+		cell := fmt.Sprintf("progen%d/EC", i+1)
+		if got, want := outcomesHash(cert), golden[cell].Uint("outcomes"); got != want {
+			t.Errorf("%s: outcomes hash %#016x, golden %#016x", cell, got, want)
+		}
+	}
+	if total != 417 || lowered != 417 || certified != 44 {
+		t.Errorf("progen totals %d pairs, %d lowered, %d certified; golden 417, 417, 44", total, lowered, certified)
+	}
+	want := map[string]int{"model": 35, "model@p1": 1, "split-hidden": 6, "split-hidden@p1": 1, "split-nonrep": 1}
+	if fmt.Sprint(methods) != fmt.Sprint(want) {
+		t.Errorf("progen methods %v, golden %v", methods, want)
+	}
 }
 
 // TestRefusedTxnIsRunFailed: certification has one engine. A pair whose
