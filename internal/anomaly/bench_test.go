@@ -60,8 +60,8 @@ func BenchmarkPlanAndDecide(b *testing.B) {
 		var qs [][4]int
 		for c1 := range plan.nA {
 			for c2 := c1 + 1; c2 < plan.nA; c2++ {
-				for _, d1 := range plan.cand[c1] {
-					for _, d2 := range plan.cand[c2] {
+				for _, d1 := range plan.cands(c1) {
+					for _, d2 := range plan.cands(c2) {
 						qs = append(qs, [4]int{c1, d1, d2, c2}, [4]int{d1, c1, c2, d2})
 					}
 				}

@@ -2,6 +2,8 @@ package anomaly
 
 import (
 	"context"
+	"math/bits"
+	"slices"
 
 	"atropos/internal/ast"
 )
@@ -26,16 +28,16 @@ type detector struct {
 // by witnesses (pass.witnessesOf, in program order): for each pair of
 // distinct commands (c1, c2), search over witness transactions and witness
 // command pairs for a satisfiable dependency cycle.
-func (d *detector) detectTxn(witnesses []*pairPlan) ([]AccessPair, error) {
+func (d *detector) detectTxn(witnesses []pairPlan) ([]AccessPair, error) {
 	if len(witnesses) == 0 {
 		return nil, nil
 	}
 	t := witnesses[0].t
-	var found []AccessPair
+	found := d.pass.found[:0]
 	for i := range t.cmds {
 		for j := i + 1; j < len(t.cmds); j++ {
-			for _, pe := range witnesses {
-				pair, ok, err := d.checkPairWitness(pe, i, j)
+			for w := range witnesses {
+				pair, ok, err := d.checkPairWitness(&witnesses[w], i, j)
 				if err != nil {
 					return nil, err
 				}
@@ -46,7 +48,11 @@ func (d *detector) detectTxn(witnesses []*pairPlan) ([]AccessPair, error) {
 			}
 		}
 	}
-	return found, nil
+	d.pass.found = found
+	if len(found) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(found), nil
 }
 
 // checkPairWitness searches pe's witness transaction for a satisfiable
@@ -54,8 +60,8 @@ func (d *detector) detectTxn(witnesses []*pairPlan) ([]AccessPair, error) {
 // test, walking the plan's candidates: d1 ranges over the witness commands
 // i can share an edge with, d2 over j's.
 func (d *detector) checkPairWitness(pe *pairPlan, c1, c2 int) (AccessPair, bool, error) {
-	for _, d1 := range pe.cand[c1] {
-		for _, d2 := range pe.cand[c2] {
+	for _, d1 := range pe.cands(c1) {
+		for _, d2 := range pe.cands(c2) {
 			// Orientation 1: A.c1 → B.d1, B.d2 → A.c2; orientation 2:
 			// B.d1 → A.c1, A.c2 → B.d2.
 			for _, q := range [2][4]int{{c1, d1, d2, c2}, {d1, c1, c2, d2}} {
@@ -64,7 +70,7 @@ func (d *detector) checkPairWitness(pe *pairPlan, c1, c2 int) (AccessPair, bool,
 					return AccessPair{}, false, err
 				}
 				if r.Sat {
-					return pe.buildPair(c1, c2, d1, d2, r), true, nil
+					return pe.buildPair(c1, c2, d1, d2, q, r), true, nil
 				}
 			}
 		}
@@ -73,12 +79,17 @@ func (d *detector) checkPairWitness(pe *pairPlan, c1, c2 int) (AccessPair, bool,
 }
 
 // cycleResult is the complete outcome of one cycle-satisfiability query:
-// the verdict plus the witnessing edge kinds and fields of its canonical
-// model (smallmodel.go).
+// the verdict plus the witnessing edge kinds (indices into kindNames) and
+// fields of its canonical model (smallmodel.go). It holds no pointer: each
+// edge's fields are a rank mask over its source's access set (reads ∪
+// writes), bit r standing for the set's r-th field in name order. Ranks,
+// not layout bits, because an answer is memoized under names
+// (pairPlan.contentKey) and may be read back by a pass whose layout of the
+// table differs.
 type cycleResult struct {
 	Sat          bool
-	Kind1, Kind2 EdgeKind
-	Flds1, Flds2 []string
+	Kind1, Kind2 uint8
+	Flds1, Flds2 uint64
 }
 
 // solveCycle answers one dep(q[0]→q[1]) ∧ dep(q[2]→q[3]) query, through the
@@ -110,12 +121,15 @@ func (d *detector) solveCycle(pe *pairPlan, q [4]int) (cycleResult, error) {
 type pairPlan struct {
 	t, w  *txnFacts
 	nA, n int
-	// cand[a] lists the items of B command a of A can share a dependency
-	// edge with (planPair).
-	cand [][]int
+	// cand holds nA+1 offsets, then the candidate lists: cands(a) lists the
+	// items of B command a of A can share a dependency edge with
+	// (planPair).
+	cand []int
 	// content is contentKey's memo, 0 until first computed.
 	content uint64
 }
+
+func (pe *pairPlan) cands(a int) []int { return pe.cand[pe.cand[a]:pe.cand[a+1]] }
 
 // item returns the facts of item x; inst the instance (0 = A, 1 = B) it
 // belongs to.
@@ -135,17 +149,29 @@ func (pe *pairPlan) inst(x int) int {
 
 func (pe *pairPlan) key(x int) keyConstraint { return pe.item(x).key[pe.inst(x)] }
 
-// buildPair assembles the reported access pair from a cycle query's
-// outcome.
-func (pe *pairPlan) buildPair(c1, c2, d1, d2 int, r cycleResult) AccessPair {
+// fieldNames appends to dst the fields of rank mask r over item x's
+// access set, in name order.
+func (pe *pairPlan) fieldNames(dst []string, x int, r uint64) []string {
+	it := pe.item(x)
+	return pe.t.pass.layouts[it.table].appendNames(dst, unrank(it.reads|it.writes, r))
+}
+
+// buildPair assembles the reported access pair from the answer r to query
+// q on commands c1, c2 of A and d1, d2 of B.
+func (pe *pairPlan) buildPair(c1, c2, d1, d2 int, q [4]int, r cycleResult) AccessPair {
 	x1, x2 := pe.item(c1), pe.item(c2)
-	// Report the fields belonging to c1 and c2 respectively.
+	// Report the fields of each edge: they are the fields both its ends
+	// access, so naming them off the edge's source names c1's and c2's.
+	n1 := bits.OnesCount64(r.Flds1)
+	fs := make([]string, 0, n1+bits.OnesCount64(r.Flds2))
+	f1 := pe.fieldNames(fs, q[0], r.Flds1)
+	f2 := pe.fieldNames(fs[n1:n1], q[2], r.Flds2)
 	return AccessPair{
 		Txn: pe.t.name,
-		C1:  x1.label, F1: r.Flds1,
-		C2: x2.label, F2: r.Flds2,
-		Kind:    classify(x1.cmd, x2.cmd, r.Flds1, r.Flds2),
-		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: r.Kind1, Edge2: r.Kind2},
+		C1:  x1.label, F1: f1,
+		C2: x2.label, F2: f2,
+		Kind:    classify(x1.cmd, x2.cmd, f1, f2),
+		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: kindNames[r.Kind1], Edge2: kindNames[r.Kind2]},
 	}
 }
 

@@ -158,15 +158,15 @@ func satDetect(t *testing.T, prog *ast.Program, model Model, ax orderAxioms) (ma
 			t.Fatal(err)
 		}
 		bodies := make([]*satBody, len(witnesses))
-		for w, pe := range witnesses {
-			bodies[w] = newBody(pe, model, ax)
+		for w := range witnesses {
+			bodies[w] = newBody(&witnesses[w], model, ax)
 		}
 		for c1 := 0; len(witnesses) > 0 && c1 < witnesses[0].nA; c1++ {
 		pairs:
 			for c2 := c1 + 1; c2 < witnesses[0].nA; c2++ {
 				for w, pe := range witnesses {
-					for _, d1 := range pe.cand[c1] {
-						for _, d2 := range pe.cand[c2] {
+					for _, d1 := range pe.cands(c1) {
+						for _, d2 := range pe.cands(c2) {
 							for _, q := range [2][4]int{{c1, d1, d2, c2}, {d1, c1, c2, d2}} {
 								queries++
 								if bodies[w].solve(q) {

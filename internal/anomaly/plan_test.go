@@ -34,7 +34,7 @@ func naiveConflict(prog *ast.Program, cx ast.DBCommand, ix int, cy ast.DBCommand
 	}
 	kx, ky := keys(cx, 0, ix), keys(cy, 1, iy)
 	for f, tx := range kx {
-		if ty, ok := ky[f]; ok && decideEq(tx, ty) == eqFalse {
+		if ty, ok := ky[f]; ok && decideStrEq(tx, ty) == eqFalse {
 			return false
 		}
 	}
@@ -92,7 +92,7 @@ func TestPlanMatchesBody(t *testing.T) {
 					for a := range ca {
 						for b := range cb {
 							y := pe.nA + b
-							planned := slices.Contains(pe.cand[a], y)
+							planned := slices.Contains(pe.cands(a), y)
 							if want := naiveConflict(prog, ca[a], a, cb[b], b); planned != want {
 								t.Errorf("%s %v %s×%s: plan says dep(%s, %s) = %v, reference %v",
 									name, m, tt.Name, wt.Name, ca[a].CmdLabel(), cb[b].CmdLabel(), planned, want)

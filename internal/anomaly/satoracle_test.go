@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 
+	"atropos/internal/ast"
+
 	"atropos/internal/logic"
 	"atropos/internal/sat"
 )
@@ -149,15 +151,15 @@ type eqSort struct {
 func (pe *satBody) indexTerms() {
 	type use struct {
 		table string
-		kt    keyTerm
+		kt    strKeyTerm
 		ref   int
 	}
 	pe.keyOff = make([]int, pe.n+1)
 	var uses []use
 	for x := 0; x < pe.n; x++ {
 		pe.keyOff[x] = len(uses)
-		for _, kt := range pe.key(x) {
-			uses = append(uses, use{pe.item(x).table, kt, len(uses)})
+		for _, kt := range pe.strKey(x) {
+			uses = append(uses, use{pe.tableName(x), kt, len(uses)})
 		}
 	}
 	pe.keyOff[pe.n] = len(uses)
@@ -198,17 +200,17 @@ func (pe *satBody) eqAtom(si, a, b int) (logic.Sym, eqStatus) {
 	}
 	s := &pe.sorts[si]
 	ta, tb := s.terms[a], s.terms[b]
-	status := decideEq(ta, tb)
+	status := decideStrEq(ta, tb)
 	if status != eqUnknown {
 		return -1, status
 	}
 	atom := &s.atoms[a*len(s.terms)+b]
 	if *atom == 0 {
-		id := relID(tagEq, 0, 0)
+		id := ast.NewHasher().Uint(relID(tagEq, 0, 0))
 		for _, part := range [...]string{s.table, s.field, ta.id, tb.id} {
-			id = chainString(id, part)
+			id = id.Str(part)
 		}
-		*atom = pe.enc.NewSym(id) + 1
+		*atom = pe.enc.NewSym(id.Sum()) + 1
 		pe.eqAtoms = append(pe.eqAtoms, eqAtomProp{sym: *atom - 1, table: s.table, field: s.field, a: ta.id, b: tb.id})
 	}
 	return *atom - 1, status
@@ -274,8 +276,8 @@ func (pe *satBody) aliasAtoms(dst []logic.Sym, x, y int) []logic.Sym {
 func (pe *satBody) defineEdges() {
 	n := pe.n
 	planned := make([]bool, n*n)
-	for a, row := range pe.cand {
-		for _, b := range row {
+	for a := range pe.nA {
+		for _, b := range pe.cands(a) {
 			planned[a*n+b], planned[b*n+a] = true, true
 		}
 	}
@@ -287,11 +289,11 @@ func (pe *satBody) defineEdges() {
 			if !planned[x*n+y] {
 				continue
 			}
-			ix, iy := pe.item(x), pe.item(y)
+			xr, xw, yr, yw := pe.readNames(x), pe.writeNames(x), pe.readNames(y), pe.writeNames(y)
 			alias = pe.aliasAtoms(alias[:0], x, y)
 			lo := len(pe.props)
 			addEdge := func(kind EdgeKind, field string, cond logic.SymLit) {
-				s := pe.enc.NewSym(chainString(chainString(relID(tagEdge, x, y), string(kind)), field))
+				s := pe.enc.NewSym(ast.NewHasher().Uint(relID(tagEdge, x, y)).Str(string(kind)).Str(field).Sum())
 				pe.props = append(pe.props, edgeProp{sym: s, kind: kind, field: field})
 				clause = append(clause[:0], logic.Pos(s))
 				for _, a := range alias {
@@ -305,18 +307,18 @@ func (pe *satBody) defineEdges() {
 			// with it the solver's search and the models it reports — is
 			// deterministic across runs (required for the query cache to be
 			// exchangeable with fresh solving).
-			for _, f := range ix.writes {
-				if iy.reads.has(f) {
+			for _, f := range xw {
+				if slices.Contains(yr, f) {
 					// wr: y's local view contains x's write of f.
 					addEdge(EdgeWR, f, logic.Pos(pe.vis.at(x, y)))
 				}
-				if iy.writes.has(f) {
+				if slices.Contains(yw, f) {
 					// ww: y's write of f follows x's in arbitration order.
 					addEdge(EdgeWW, f, logic.Pos(pe.ord.at(x, y)))
 				}
 			}
-			for _, f := range ix.reads {
-				if iy.writes.has(f) {
+			for _, f := range xr {
+				if slices.Contains(yw, f) {
 					// rw: x read a version of f that does not include y's
 					// write (anti-dependency).
 					addEdge(EdgeRW, f, logic.Neg(pe.vis.at(y, x)))

@@ -138,6 +138,7 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
 	p := newPass(prog, s.model)
 	d := &detector{pass: p, session: s, ctx: ctx}
+	defer scratchPool.Put(p.scratch)
 	entries := make([]txnEntry, len(prog.Txns))
 	nPairs := 0
 	for i := range entries {

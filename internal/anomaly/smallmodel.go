@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -44,7 +45,8 @@ const (
 	nKinds
 )
 
-var kindNames = [nKinds]EdgeKind{EdgeWR, EdgeWW, EdgeRW}
+// kindNames names the kinds; index nKinds is an edge with no kind.
+var kindNames = [nKinds + 1]EdgeKind{EdgeWR, EdgeWW, EdgeRW, ""}
 
 // merges lists, for one and two B items, the merges of A's two cycle items
 // with B's in enumeration order. The highest bit is the first slot, and a
@@ -63,11 +65,12 @@ type smEdge struct {
 	wrBit, rwBit int8
 }
 
-// smNode is one key term of one sort in the union-find.
+// smNode is one key term of one (table, key field) sort in the
+// union-find.
 type smNode struct {
-	table, field string
-	t            term
-	parent       int
+	table  int
+	t      keyTerm
+	parent int
 }
 
 // smallModel is the scratch state of one decision; a detector owns one and
@@ -138,8 +141,8 @@ func (sm *smallModel) decide(pe *pairPlan, model Model, q [4]int) cycleResult {
 	r := cycleResult{Sat: true}
 	r.Flds1 = sm.fields(0, admissible[0])
 	r.Flds2 = sm.fields(1, admissible[1])
-	r.Kind1, _ = sm.modelEdge(0, best, false)
-	r.Kind2, _ = sm.modelEdge(1, best, false)
+	r.Kind1 = sm.modelEdge(0, best, nil)
+	r.Kind2 = sm.modelEdge(1, best, nil)
 	return r
 }
 
@@ -153,8 +156,8 @@ func (sm *smallModel) keysAlias() bool {
 		kx, ky := pe.key(x), pe.key(y)
 		table := pe.item(x).table
 		for i, j := range commonFields(kx, ky) {
-			if kx[i].term.id != ky[j].term.id {
-				sm.union(sm.node(table, kx[i].field, kx[i].term), sm.node(table, kx[i].field, ky[j].term))
+			if kx[i].id != ky[j].id {
+				sm.union(sm.node(table, kx[i]), sm.node(table, ky[j]))
 			}
 		}
 	}
@@ -170,14 +173,14 @@ func (sm *smallModel) keysAlias() bool {
 	return true
 }
 
-func (sm *smallModel) node(table, field string, t term) int {
+func (sm *smallModel) node(table int, t keyTerm) int {
 	for i := range sm.nodes {
 		n := &sm.nodes[i]
-		if n.t.id == t.id && n.field == field && n.table == table {
+		if n.t == t && n.table == table {
 			return i
 		}
 	}
-	sm.nodes = append(sm.nodes, smNode{table: table, field: field, t: t, parent: len(sm.nodes)})
+	sm.nodes = append(sm.nodes, smNode{table: table, t: t, parent: len(sm.nodes)})
 	return len(sm.nodes) - 1
 }
 
@@ -241,13 +244,13 @@ func (sm *smallModel) setup() {
 		ix, iy := pe.item(x), pe.item(y)
 		xk, yk := sm.k(x), sm.k(y)
 		ed := smEdge{x: x, y: y, xk: xk, yk: yk, wrBit: sm.bit(xk, yk), rwBit: sm.bit(yk, xk)}
-		if ix.writes.overlaps(iy.reads) {
+		if ix.writes&iy.reads != 0 {
 			ed.kinds |= 1 << kWR
 		}
-		if ix.writes.overlaps(iy.writes) {
+		if ix.writes&iy.writes != 0 {
 			ed.kinds |= 1 << kWW
 		}
-		if ix.reads.overlaps(iy.writes) {
+		if ix.reads&iy.writes != 0 {
 			ed.kinds |= 1 << kRW
 		}
 		sm.edges[e] = ed
@@ -353,72 +356,71 @@ func (sm *smallModel) holds(e, k int, mask uint8) bool {
 }
 
 // eachField visits edge e's per-field dependencies in the encoding's order:
-// x's written fields (wr, then ww), then x's read fields (rw).
-func (sm *smallModel) eachField(e int, visit func(k int, f string)) {
+// x's written fields (wr, then ww), then x's read fields (rw), each field
+// by its bit.
+func (sm *smallModel) eachField(e int, visit func(k, bit int)) {
 	ix, iy := sm.pe.item(sm.edges[e].x), sm.pe.item(sm.edges[e].y)
-	for _, f := range ix.writes {
-		if iy.reads.has(f) {
-			visit(kWR, f)
+	for m := ix.writes & (iy.reads | iy.writes); m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if iy.reads&(1<<b) != 0 {
+			visit(kWR, b)
 		}
-		if iy.writes.has(f) {
-			visit(kWW, f)
+		if iy.writes&(1<<b) != 0 {
+			visit(kWW, b)
 		}
 	}
-	for _, f := range ix.reads {
-		if iy.writes.has(f) {
-			visit(kRW, f)
-		}
+	for m := ix.reads & iy.writes; m != 0; m &= m - 1 {
+		visit(kRW, bits.TrailingZeros64(m))
 	}
 }
 
-// fields lists, sorted, the fields of edge e whose kind is in kinds, in a
-// slice of exactly their number.
-func (sm *smallModel) fields(e int, kinds uint8) []string {
+// fields returns, as a rank mask over its source's access set, the fields
+// of edge e whose kind is in kinds.
+func (sm *smallModel) fields(e int, kinds uint8) uint64 {
 	ix, iy := sm.pe.item(sm.edges[e].x), sm.pe.item(sm.edges[e].y)
-	wrote := func(f string) bool {
-		return kinds&(1<<kWR) != 0 && iy.reads.has(f) || kinds&(1<<kWW) != 0 && iy.writes.has(f)
-	}
-	read := func(f string) bool { return kinds&(1<<kRW) != 0 && iy.writes.has(f) }
-	n := 0
-	for _, f := range ix.writes {
-		if wrote(f) || ix.reads.has(f) && read(f) {
-			n++
-		}
-	}
-	for _, f := range ix.reads {
-		if read(f) && !ix.writes.has(f) {
-			n++
-		}
-	}
-	out := make([]string, 0, n)
-	for _, f := range ix.writes {
-		if wrote(f) || ix.reads.has(f) && read(f) {
-			out = append(out, f)
-		}
-	}
-	for _, f := range ix.reads {
-		if read(f) && !ix.writes.has(f) {
-			out = append(out, f)
-		}
-	}
-	slices.Sort(out)
-	return out
+	// of(k, m) is m when kinds has k, else the empty set.
+	of := func(k int, m uint64) uint64 { return m * uint64(kinds>>k&1) }
+	wrote, read := of(kWR, iy.reads)|of(kWW, iy.writes), of(kRW, iy.writes)
+	return rank(ix.reads|ix.writes, ix.writes&wrote|ix.reads&read)
 }
 
-// modelEdge reads edge e off the canonical assignment: the kind of its last
-// true per-field dependency and, when withFields, every true one.
-func (sm *smallModel) modelEdge(e int, mask uint8, withFields bool) (EdgeKind, []EdgeField) {
-	var kind EdgeKind
-	var fs []EdgeField
-	sm.eachField(e, func(k int, f string) {
+// rank maps m ⊆ set to the mask of its members' ranks in set: bit r for
+// set's r-th lowest member. unrank is its inverse.
+func rank(set, m uint64) uint64 {
+	var r uint64
+	for i := 0; set != 0; i, set = i+1, set&(set-1) {
+		if m&set&-set != 0 {
+			r |= 1 << i
+		}
+	}
+	return r
+}
+
+func unrank(set, r uint64) uint64 {
+	var m uint64
+	for ; set != 0 && r != 0; set, r = set&(set-1), r>>1 {
+		if r&1 != 0 {
+			m |= set & -set
+		}
+	}
+	return m
+}
+
+// modelEdge reads edge e off the canonical assignment: the kind of its
+// last true per-field dependency (nKinds if none is) and, when fs is not
+// nil, every true one appended to *fs.
+func (sm *smallModel) modelEdge(e int, mask uint8, fs *[]EdgeField) uint8 {
+	l := sm.pe.t.pass.layouts[sm.pe.item(sm.edges[e].x).table]
+	kind := uint8(nKinds)
+	sm.eachField(e, func(k, b int) {
 		if sm.holds(e, k, mask) {
-			kind = kindNames[k]
-			if withFields {
-				fs = append(fs, EdgeField{Field: f, Kind: kindNames[k]})
+			kind = uint8(k)
+			if fs != nil {
+				*fs = append(*fs, EdgeField{Field: l[b], Kind: kindNames[k]})
 			}
 		}
 	})
-	return kind, fs
+	return kind
 }
 
 // schedule extends the last satisfiable decision's canonical assignment to
@@ -480,13 +482,18 @@ func (sm *smallModel) schedule(items []SchedItem) *Schedule {
 			}
 		}
 	}
+	p := pe.t.pass
 	for i := range sm.nodes {
 		for j := range sm.nodes {
 			a, b := &sm.nodes[i], &sm.nodes[j]
-			if a.table != b.table || a.field != b.field || a.t.id >= b.t.id || decideEq(a.t, b.t) != eqUnknown {
+			if a.table != b.table || a.t.bit != b.t.bit || decideEq(a.t, b.t) != eqUnknown {
 				continue
 			}
-			s.Eqs = append(s.Eqs, EqAtom{Table: a.table, Field: a.field, A: a.t.id, B: b.t.id, Equal: sm.find(i) == sm.find(j)})
+			ta, tb := p.termString(a.t.id), p.termString(b.t.id)
+			if ta >= tb {
+				continue
+			}
+			s.Eqs = append(s.Eqs, EqAtom{Table: p.prog.Schemas[a.table].Name, Field: p.layouts[a.table][a.t.bit], A: ta, B: tb, Equal: sm.find(i) == sm.find(j)})
 		}
 	}
 	slices.SortFunc(s.Eqs, func(a, b EqAtom) int {
@@ -507,6 +514,7 @@ func (sm *smallModel) schedule(items []SchedItem) *Schedule {
 }
 
 func (sm *smallModel) schedEdge(e int, mask uint8) SchedEdge {
-	kind, fs := sm.modelEdge(e, mask, true)
-	return SchedEdge{From: sm.edges[e].x, To: sm.edges[e].y, Kind: kind, Fields: fs}
+	var fs []EdgeField
+	kind := sm.modelEdge(e, mask, &fs)
+	return SchedEdge{From: sm.edges[e].x, To: sm.edges[e].y, Kind: kindNames[kind], Fields: fs}
 }

@@ -37,8 +37,8 @@ func planQueries(t testing.TB, prog *ast.Program, model Model, visit func(pe *pa
 			var qs [][4]int
 			for c1 := range pe.nA {
 				for c2 := c1 + 1; c2 < pe.nA; c2++ {
-					for _, d1 := range pe.cand[c1] {
-						for _, d2 := range pe.cand[c2] {
+					for _, d1 := range pe.cands(c1) {
+						for _, d2 := range pe.cands(c2) {
 							qs = append(qs, [4]int{c1, d1, d2, c2}, [4]int{d1, c1, c2, d2})
 						}
 					}
@@ -136,15 +136,17 @@ func checkPlanAgainstOracle(t testing.TB, what string, pe *pairPlan, model Model
 		if !r.Sat {
 			continue
 		}
-		if f := oracleFields(b, q, q[0], q[1]); !slices.Equal(r.Flds1, f) {
-			t.Errorf("%s: F1 = %v, oracle's satisfiable union %v", cell, r.Flds1, f)
+		flds1, flds2 := pe.fieldNames(nil, q[0], r.Flds1), pe.fieldNames(nil, q[2], r.Flds2)
+		kind1, kind2 := kindNames[r.Kind1], kindNames[r.Kind2]
+		if f := oracleFields(b, q, q[0], q[1]); !slices.Equal(flds1, f) {
+			t.Errorf("%s: F1 = %v, oracle's satisfiable union %v", cell, flds1, f)
 		}
-		if f := oracleFields(b, q, q[2], q[3]); !slices.Equal(r.Flds2, f) {
-			t.Errorf("%s: F2 = %v, oracle's satisfiable union %v", cell, r.Flds2, f)
+		if f := oracleFields(b, q, q[2], q[3]); !slices.Equal(flds2, f) {
+			t.Errorf("%s: F2 = %v, oracle's satisfiable union %v", cell, flds2, f)
 		}
 		s := sm.schedule(nil)
-		if s.Edge1.Kind != r.Kind1 || s.Edge2.Kind != r.Kind2 || s.Edge1.From != q[0] || s.Edge1.To != q[1] || s.Edge2.From != q[2] || s.Edge2.To != q[3] {
-			t.Errorf("%s: schedule edges %+v %+v disagree with the answer (%s, %s)", cell, s.Edge1, s.Edge2, r.Kind1, r.Kind2)
+		if s.Edge1.Kind != kind1 || s.Edge2.Kind != kind2 || s.Edge1.From != q[0] || s.Edge1.To != q[1] || s.Edge2.From != q[2] || s.Edge2.To != q[3] {
+			t.Errorf("%s: schedule edges %+v %+v disagree with the answer (%s, %s)", cell, s.Edge1, s.Edge2, kind1, kind2)
 		}
 		units, err := scheduleUnits(b, s)
 		if err != nil {

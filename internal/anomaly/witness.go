@@ -114,6 +114,7 @@ func (s *Schedule) ItemAt(g int) (inst, idx int) {
 // gets nil.
 func WitnessSchedules(prog *ast.Program, rep *Report) []*Schedule {
 	p := newPass(prog, rep.Model)
+	defer scratchPool.Put(p.scratch)
 	type planned struct {
 		pe    *pairPlan
 		items []SchedItem
@@ -163,11 +164,11 @@ func (p *pass) schedItems(pe *pairPlan) []SchedItem {
 		it, inst := pe.item(x), pe.inst(x)
 		idx := x - inst*pe.nA
 		var pins []KeyPin
-		pkPins(it.cmd, p.prog.Schema(it.table), func(field string, e ast.Expr) {
-			tm := termOf(e, inst, idx)
-			pins = append(pins, KeyPin{Field: field, Term: tm.id, Kind: tm.kind, Expr: e})
+		pkPins(it.cmd, p.prog.Schemas[it.table], func(field string, e ast.Expr) {
+			kind, id := p.term(e, inst, idx)
+			pins = append(pins, KeyPin{Field: field, Term: p.termString(id), Kind: TermKind(kind), Expr: e})
 		})
-		items[x] = SchedItem{Inst: inst, Idx: idx, Label: it.label, Table: it.table, Pins: pins}
+		items[x] = SchedItem{Inst: inst, Idx: idx, Label: it.label, Table: p.prog.Schemas[it.table].Name, Pins: pins}
 	}
 	return items
 }

@@ -115,23 +115,34 @@ func exprUsesThis(e Expr) bool {
 	return found
 }
 
+// Pins are a where clause's equality conjuncts in clause order: the
+// φ[f]exp mapping from constrained field to its pinning expression.
+type Pins []WhereEquality
+
+// Of returns the expression pinning field, nil if none does.
+func (ps Pins) Of(field string) Expr {
+	for _, q := range ps {
+		if q.Field == field {
+			return q.Expr
+		}
+	}
+	return nil
+}
+
 // WellFormedWhere reports whether φ is well-formed with respect to schema
 // (§4.2.1): a conjunction of equality constraints that covers every
-// primary-key field of the schema. It returns the φ[f]exp mapping from
-// constrained field to its pinning expression.
-func WellFormedWhere(e Expr, schema *Schema) (map[string]Expr, bool) {
+// primary-key field of the schema. It returns the clause's equalities, in
+// clause order.
+func WellFormedWhere(e Expr, schema *Schema) (Pins, bool) {
 	eqs, ok := WhereEqualities(e)
 	if !ok {
 		return nil, false
 	}
-	m := map[string]Expr{}
-	for _, q := range eqs {
-		m[q.Field] = q.Expr
-	}
+	pins := Pins(eqs)
 	for _, f := range schema.Fields {
-		if _, ok := m[f.Name]; f.PK && !ok {
+		if f.PK && pins.Of(f.Name) == nil {
 			return nil, false
 		}
 	}
-	return m, true
+	return pins, true
 }

@@ -26,6 +26,10 @@ import "fmt"
 // schema (paper §3: "Every schema includes a special Boolean field, alive").
 const AliveField = "alive"
 
+// MaxFields is the most fields a schema may declare: with alive, each of a
+// table's fields fits one bit of a 64-bit word (the detector's field sets).
+const MaxFields = 63
+
 // LogIDField is the reserved primary-key suffix field introduced on logging
 // schemas by the logger refactoring rule (paper §4.2.2).
 const LogIDField = "log_id"

@@ -112,8 +112,8 @@ func TestWellFormedWhere(t *testing.T) {
 	if !ok {
 		t.Fatal("pk equality rejected")
 	}
-	if _, ok := m["id"].(*Arg); !ok {
-		t.Fatalf("pin for id = %T", m["id"])
+	if _, ok := m.Of("id").(*Arg); !ok {
+		t.Fatalf("pin for id = %T", m.Of("id"))
 	}
 	// Constraining only a non-key field does not cover the pk.
 	w2 := &Binary{Op: OpEq, L: &ThisField{Field: "n"}, R: &IntLit{Val: 1}}

@@ -90,6 +90,24 @@ func hashString(h uint64, s string) uint64 {
 	return hashUint(h, n)
 }
 
+// Hasher folds a caller's own sequence of words and strings with the same
+// multiply-xorshift, for digests the tree does not memoize (the detector's
+// fingerprints and memo keys). The zero value is not a valid start: begin
+// with NewHasher.
+type Hasher uint64
+
+// NewHasher returns a Hasher at the fixed seed.
+func NewHasher() Hasher { return Hasher(hashSeed) }
+
+// Uint folds the word v.
+func (h Hasher) Uint(v uint64) Hasher { return Hasher(hashUint(uint64(h), v)) }
+
+// Str folds s, keeping string boundaries distinct.
+func (h Hasher) Str(s string) Hasher { return Hasher(hashString(uint64(h), s)) }
+
+// Sum returns the digest, never 0, so callers may use 0 as "not computed".
+func (h Hasher) Sum() uint64 { return finish(uint64(h), 0) }
+
 // hashSub folds a child hash word's digest bits into h and accumulates its
 // uuid bit into *uuid. Intermediate folds may set bit 63, so the uuid flag
 // is tracked out of band and stamped onto the digest by finish.

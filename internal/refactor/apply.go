@@ -38,6 +38,9 @@ func IntroField(p *ast.Program, table string, field ast.Field) (*ast.Program, er
 	if s.HasField(field.Name) {
 		return nil, errf("intro-field", "schema %s already has field %q", table, field.Name)
 	}
+	if len(s.Fields) >= ast.MaxFields {
+		return nil, errf("intro-field", "schema %s already has %d fields, the most a table may have", table, len(s.Fields))
+	}
 	return cowIntroField(p, table, field), nil
 }
 
@@ -189,7 +192,7 @@ func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr) (ast.Expr, error) {
 			conj := &ast.Binary{
 				Op: ast.OpEq,
 				L:  &ast.ThisField{Field: v.Theta[pk.Name]},
-				R:  pins[pk.Name],
+				R:  pins.Of(pk.Name),
 			}
 			if out == nil {
 				out = conj
@@ -253,7 +256,7 @@ func rewriteUpdate(x *ast.Update, src *ast.Schema, v ValueCorr, t *ast.Txn) (ast
 	}
 	values := []ast.Assign{}
 	for _, pk := range src.PrimaryKey() {
-		values = append(values, ast.Assign{Field: v.Theta[pk.Name], Expr: pins[pk.Name]})
+		values = append(values, ast.Assign{Field: v.Theta[pk.Name], Expr: pins.Of(pk.Name)})
 	}
 	values = append(values,
 		ast.Assign{Field: ast.LogIDField, Expr: &ast.UUID{}},

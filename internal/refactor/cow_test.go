@@ -1,6 +1,8 @@
 package refactor
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"atropos/internal/ast"
@@ -79,4 +81,23 @@ txn other(k: int) {
 		t.Errorf("Merge mutated its input:\n%s", got)
 	}
 	checkSema(t, p2, "Merge")
+}
+
+// TestIntroFieldRefusesAFullTable: a table already at ast.MaxFields fields
+// takes no other, so every field keeps a bit of the detector's field
+// sets; the error names the table and the count.
+func TestIntroFieldRefusesAFullTable(t *testing.T) {
+	wide := &ast.Schema{Name: "W"}
+	for i := range ast.MaxFields - 1 {
+		wide.Fields = append(wide.Fields, &ast.Field{Name: fmt.Sprintf("f%d", i), Type: ast.TInt, PK: i == 0})
+	}
+	p := &ast.Program{Schemas: []*ast.Schema{wide}}
+	full, err := IntroField(p, "W", ast.Field{Name: "last", Type: ast.TInt})
+	if err != nil {
+		t.Fatalf("field %d of %d: %v", ast.MaxFields, ast.MaxFields, err)
+	}
+	_, err = IntroField(full, "W", ast.Field{Name: "one_more", Type: ast.TInt})
+	if err == nil || !strings.Contains(err.Error(), "schema W already has 63 fields") {
+		t.Fatalf("field %d: error %v, want one naming W and 63 fields", ast.MaxFields+1, err)
+	}
 }

@@ -164,7 +164,9 @@ func renderOracle(t *testing.T, name string, prog *ast.Program, model anomaly.Mo
 				t.Fatalf("%s %v: pair String\ngot  %s\nwant %s", name, model, got, want)
 			}
 			var r Result
-			r.pairStep("unrepaired", p, "no rule applies")
+			r.beginPairStep(p)
+			r.stepBuf = append(r.stepBuf, "no rule applies"...)
+			r.endPairStep(false)
 			if step, want := r.Steps[0], fmt.Sprintf("unrepaired %s: %s", want, "no rule applies"); step != want {
 				t.Fatalf("%s %v: pair step\ngot  %s\nwant %s", name, model, step, want)
 			}

@@ -76,15 +76,28 @@ func (r *Result) stepf(format string, args ...any) {
 	r.Steps = append(r.Steps, string(r.stepBuf))
 }
 
-// pairStep appends the per-pair entry "<verb> <pair>: <desc>", the pair
-// rendered straight into the scratch buffer.
-func (r *Result) pairStep(verb string, pair anomaly.AccessPair, desc string) {
-	b := append(r.stepBuf[:0], verb...)
-	b = append(b, ' ')
-	b = pair.AppendTo(b)
-	b = append(b, ": "...)
-	r.stepBuf = append(b, desc...)
-	r.Steps = append(r.Steps, string(r.stepBuf))
+// beginPairStep starts the per-pair entry "<verb> <pair>: <desc>" in the
+// scratch buffer, the pair rendered straight into it; the repair attempt
+// appends desc (outcome), and endPairStep logs the entry. The verb is
+// known only after the attempt, so the entry starts as "unrepaired" and a
+// repaired pair's drops the "un".
+func (r *Result) beginPairStep(pair anomaly.AccessPair) {
+	r.stepBuf = append(pair.AppendTo(append(r.stepBuf[:0], "unrepaired "...)), ": "...)
+}
+
+func (r *Result) endPairStep(repaired bool) {
+	step := r.stepBuf
+	if repaired {
+		step = step[len("un"):]
+	}
+	r.Steps = append(r.Steps, string(step))
+}
+
+// outcome appends a repair attempt's description to the step buffer and
+// returns ok.
+func (r *Result) outcome(ok bool, format string, args ...any) bool {
+	r.stepBuf = fmt.Appendf(r.stepBuf, format, args...)
+	return ok
 }
 
 // RepairedCount returns how many of the initial pairs were eliminated.
@@ -308,12 +321,12 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 			res.stepf("repair stage expired; skipped %d unprocessed pairs", len(rep.Pairs)-pi)
 			break
 		}
-		if p2, desc, ok := tryRepair(p, pair, res, &logs); ok {
+		res.beginPairStep(pair)
+		p2, ok := tryRepair(p, pair, res, &logs)
+		if ok {
 			p = p2
-			res.pairStep("repaired", pair, desc)
-		} else {
-			res.pairStep("unrepaired", pair, desc)
 		}
+		res.endPairStep(ok)
 	}
 
 	moved := map[string]map[string]bool{}
@@ -594,35 +607,40 @@ func refines(other [][]string, groupOf map[string]int) bool {
 }
 
 // tryRepair implements try_repair of Fig. 10. It returns the repaired
-// program, a description of what happened, and whether it succeeded.
-func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result, logs *loggingMemo) (*ast.Program, string, bool) {
+// program and whether it succeeded, and describes what happened in res's
+// step buffer.
+func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result, logs *loggingMemo) (*ast.Program, bool) {
 	t := p.Txn(pair.Txn)
 	if t == nil {
-		return p, "transaction vanished", false
+		return p, res.outcome(false, "transaction vanished")
 	}
 	c1 := findCommand(t, pair.C1)
 	c2 := findCommand(t, pair.C2)
 	if c1 == nil || c2 == nil {
-		return p, "already repaired (command merged away)", true
+		return p, res.outcome(true, "already repaired (command merged away)")
 	}
+	desc := len(res.stepBuf)
 	if sameKind(c1, c2) {
 		if c1.TableName() == c2.TableName() {
 			if np, err := refactor.Merge(p, pair.Txn, pair.C1, pair.C2); err == nil {
-				return np, fmt.Sprintf("merged %s and %s", pair.C1, pair.C2), true
+				return np, res.outcome(true, "merged %s and %s", pair.C1, pair.C2)
 			} else {
-				return tryLogging(p, pair, fmt.Sprintf("merge failed (%v)", err), res, logs)
+				res.outcome(false, "merge failed (%v)", err)
+				return tryLogging(p, pair, desc, res, logs)
 			}
 		}
 		if np, corr, err := tryRedirect(p, t, c1, c2); err == nil {
 			if np2, err2 := refactor.Merge(np, pair.Txn, pair.C1, pair.C2); err2 == nil {
 				res.Corrs = append(res.Corrs, corr)
-				return np2, fmt.Sprintf("redirected via %s then merged", corr), true
+				return np2, res.outcome(true, "redirected via %s then merged", corr)
 			} else {
-				return tryLogging(p, pair, fmt.Sprintf("post-redirect merge failed (%v)", err2), res, logs)
+				res.outcome(false, "post-redirect merge failed (%v)", err2)
+				return tryLogging(p, pair, desc, res, logs)
 			}
 		}
 	}
-	return tryLogging(p, pair, "commands not mergeable", res, logs)
+	res.outcome(false, "commands not mergeable")
+	return tryLogging(p, pair, desc, res, logs)
 }
 
 func sameKind(a, b ast.DBCommand) bool {
@@ -711,7 +729,7 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 	}
 	theta := map[string]string{}
 	for _, pk := range srcSchema.PrimaryKey() {
-		pin := pins[pk.Name]
+		pin := pins.Of(pk.Name)
 		g := ""
 		// (a) lookup through a select on the destination table.
 		if fa, isFA := pin.(*ast.FieldAt); isFA && fa.Index == nil {
@@ -730,12 +748,13 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 				}
 			}
 		}
-		// (c) c1 pins one of its key fields to the same expression.
+		// (c) c1 pins one of its key fields to the same expression; the
+		// first such field in clause order.
 		if g == "" {
 			if dstPins, ok := ast.WellFormedWhere(whereOf(c1), dstSchema); ok {
-				for gf, ge := range dstPins {
-					if ast.EqualExpr(ge, pin) {
-						g = gf
+				for _, q := range dstPins {
+					if ast.EqualExpr(q.Expr, pin) {
+						g = q.Field
 						break
 					}
 				}
@@ -755,8 +774,10 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 // tryLogging implements try_logging of Fig. 10: translate the pair's
 // update into an insert on a fresh logging schema; succeed only if the
 // pair's select becomes dead code (§5). The introduced correspondence is
-// recorded in res for containment checking and data migration.
-func tryLogging(p *ast.Program, pair anomaly.AccessPair, prevFailure string, res *Result, logs *loggingMemo) (*ast.Program, string, bool) {
+// recorded in res for containment checking and data migration. The step
+// buffer describes, from desc on, why the pair's earlier rules failed: a
+// failure appends its reason, a success replaces the description.
+func tryLogging(p *ast.Program, pair anomaly.AccessPair, desc int, res *Result, logs *loggingMemo) (*ast.Program, bool) {
 	t := p.Txn(pair.Txn)
 	c1 := findCommand(t, pair.C1)
 	c2 := findCommand(t, pair.C2)
@@ -771,21 +792,22 @@ func tryLogging(p *ast.Program, pair anomaly.AccessPair, prevFailure string, res
 		}
 	}
 	if sel == nil || upd == nil {
-		return p, prevFailure + "; logging needs a select/update pair", false
+		return p, res.outcome(false, "; logging needs a select/update pair")
 	}
 	if len(upd.Sets) != 1 {
-		return p, prevFailure + "; update sets multiple fields", false
+		return p, res.outcome(false, "; update sets multiple fields")
 	}
 	field := upd.Sets[0].Field
 	np, corr, err := logs.logged(p, upd.Table, field)
 	if err != nil {
-		return p, fmt.Sprintf("%s; logging failed (%v)", prevFailure, err), false
+		return p, res.outcome(false, "; logging failed (%v)", err)
 	}
 	if !refactor.IsDeadSelect(np, pair.Txn, sel.Label) {
-		return p, prevFailure + "; logging left the select live", false
+		return p, res.outcome(false, "; logging left the select live")
 	}
 	res.Corrs = append(res.Corrs, corr)
-	return np, fmt.Sprintf("logged %s.%s via %s", upd.Table, field, corr.DstTable), true
+	res.stepBuf = res.stepBuf[:desc]
+	return np, res.outcome(true, "logged %s.%s via %s", upd.Table, field, corr.DstTable)
 }
 
 // loggingMemo remembers, for one repair run, the logger rule's outcome on
@@ -834,9 +856,13 @@ func whereOf(c ast.DBCommand) ast.Expr {
 	}
 }
 
+// findCommand returns t's first command labelled label, nil if none.
 func findCommand(t *ast.Txn, label string) ast.DBCommand {
 	var found ast.DBCommand
 	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
+		if found != nil {
+			return false
+		}
 		if c, ok := s.(ast.DBCommand); ok && c.CmdLabel() == label {
 			found = c
 		}

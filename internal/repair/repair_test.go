@@ -298,3 +298,36 @@ func TestRepairedProgramStillRepairsToItself(t *testing.T) {
 			ast.Format(res1.Program), ast.Format(res2.Program))
 	}
 }
+
+// TestDeriveThetaPicksFirstPinInClauseOrder: when two key fields of the
+// destination are pinned by expressions equal to the source's pin, pattern
+// (c) maps the source key to the first of them in clause order — zb here,
+// though ya sorts and is declared first — on every run.
+func TestDeriveThetaPicksFirstPinInClauseOrder(t *testing.T) {
+	prog := mustProg(t, `
+table DST {
+  ya: int key,
+  zb: int key,
+  v: int,
+}
+table SRC {
+  id: int key,
+  w: int,
+}
+txn T(k: int) {
+  x := select v from DST where zb = k && ya = k;
+  y := select w from SRC where id = k;
+  return x.v + y.w;
+}`)
+	txn := prog.Txn("T")
+	c1, c2 := findCommand(txn, "S1"), findCommand(txn, "S2")
+	for run := range 100 {
+		theta, err := deriveTheta(prog, txn, c1, c2, prog.Schema("SRC"), prog.Schema("DST"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if theta["id"] != "zb" {
+			t.Fatalf("run %d: θ̂(id) = %q, want zb (the first pin in clause order)", run, theta["id"])
+		}
+	}
+}

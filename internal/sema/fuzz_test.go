@@ -10,13 +10,16 @@ import (
 )
 
 // FuzzSema fuzzes the checker on whatever the parser accepts, seeded with
-// the nine benchmark sources: Check must not panic, and a program it
-// accepts must print (ast.Format), parse back and pass Check again. The
-// nightly CI job runs this target.
+// the nine benchmark sources and the field limit's edge: Check must not
+// panic, and a program it accepts must print (ast.Format), parse back and
+// pass Check again. The nightly CI job runs this target.
 func FuzzSema(f *testing.F) {
 	for _, b := range benchmarks.All() {
 		f.Add(b.Source)
 	}
+	// The widest table Check accepts, and one field more.
+	f.Add(sema.WideTable(ast.MaxFields))
+	f.Add(sema.WideTable(ast.MaxFields + 1))
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := parser.Parse(src)
 		if err != nil {

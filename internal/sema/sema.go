@@ -53,6 +53,9 @@ func checkSchema(s *ast.Schema) error {
 	if len(s.Fields) == 0 {
 		return &Error{where, "schema has no fields"}
 	}
+	if len(s.Fields) > ast.MaxFields {
+		return &Error{where, fmt.Sprintf("schema has %d fields, more than %d", len(s.Fields), ast.MaxFields)}
+	}
 	seen := map[string]bool{}
 	for _, f := range s.Fields {
 		if f.Name == ast.AliveField {

@@ -2,9 +2,11 @@ package sema
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"atropos/internal/ast"
 	"atropos/internal/parser"
 )
 
@@ -80,6 +82,31 @@ func TestCheckErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// WideTable returns a program declaring table W with n fields, the first
+// its key (FuzzSema seeds with it too).
+func WideTable(n int) string {
+	var b strings.Builder
+	b.WriteString("table W {\n  f0: int key,\n")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "  f%d: int,\n", i)
+	}
+	b.WriteString("}\ntxn get(k: int) {\n  x := select * from W where f0 = k;\n}\n")
+	return b.String()
+}
+
+// TestFieldLimit: a table may declare ast.MaxFields fields, so that with
+// alive each fits one bit of a word; one more is refused with an error
+// naming the table and the count.
+func TestFieldLimit(t *testing.T) {
+	if err := checkSrc(t, WideTable(ast.MaxFields)); err != nil {
+		t.Fatalf("%d fields: %v", ast.MaxFields, err)
+	}
+	err := checkSrc(t, WideTable(ast.MaxFields+1))
+	if err == nil || !strings.Contains(err.Error(), "table W") || !strings.Contains(err.Error(), "64 fields") {
+		t.Fatalf("%d fields: error %v, want one naming table W and 64 fields", ast.MaxFields+1, err)
 	}
 }
 
