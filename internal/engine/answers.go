@@ -27,12 +27,13 @@ type answerKey struct {
 }
 
 // answer is one memoized result: a repair's, or a certify's certificate
-// and report.
+// and report, and the response a hit renders from it (see Reply).
 type answer struct {
-	key  answerKey
-	res  *repair.Result
-	cert *replay.Certificate
-	rep  *anomaly.Report
+	key   answerKey
+	res   *repair.Result
+	cert  *replay.Certificate
+	rep   *anomaly.Report
+	reply []byte // written once, under the memo's mu
 }
 
 // answerMemo is an LRU of complete answers, shared by every client. A hit
@@ -44,24 +45,27 @@ type answerMemo struct {
 	byKey map[answerKey]*list.Element
 
 	hits, misses, evictions int64
+	replyBytes              int
 }
 
 func newAnswerMemo() *answerMemo {
 	return &answerMemo{lru: list.New(), byKey: map[answerKey]*list.Element{}}
 }
 
-// get returns the answer stored under k and marks it most recently used.
-func (m *answerMemo) get(k answerKey) (*answer, bool) {
+// get returns the answer stored under k and a Reply on its entry, and
+// marks it most recently used.
+func (m *answerMemo) get(k answerKey) (*answer, *Reply) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	el, ok := m.byKey[k]
 	if !ok {
 		m.misses++
-		return nil, false
+		return nil, nil
 	}
 	m.hits++
 	m.lru.MoveToFront(el)
-	return el.Value.(*answer), true
+	a := el.Value.(*answer)
+	return a, &Reply{Bytes: a.reply, memo: m, a: a}
 }
 
 // put stores a complete answer, evicting the least recently used one past
@@ -74,10 +78,31 @@ func (m *answerMemo) put(a *answer) {
 	}
 	m.byKey[a.key] = m.lru.PushFront(a)
 	if m.lru.Len() > maxAnswers {
-		el := m.lru.Back()
-		m.lru.Remove(el)
-		delete(m.byKey, el.Value.(*answer).key)
+		old := m.lru.Remove(m.lru.Back()).(*answer)
+		delete(m.byKey, old.key)
+		m.replyBytes -= len(old.reply)
 		m.evictions++
+	}
+}
+
+// Reply is an answer-memo hit's handle on the response rendered from its
+// entry, for a caller that sends the same bytes on every hit (the service
+// stores a body up to its elapsed time). Bytes is nil until the first Fill.
+type Reply struct {
+	Bytes []byte
+	memo  *answerMemo
+	a     *answer
+}
+
+// Fill stores b as the entry's reply. Only the first Fill stores, and none
+// does once the entry has left the memo; b must not change afterwards.
+func (r *Reply) Fill(b []byte) {
+	m := r.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.byKey[r.a.key]; ok && el.Value == r.a && r.a.reply == nil {
+		r.a.reply = b
+		m.replyBytes += len(b)
 	}
 }
 
@@ -86,7 +111,7 @@ func (m *answerMemo) counters(st *Stats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st.AnswerHits, st.AnswerMisses, st.AnswerEvictions = m.hits, m.misses, m.evictions
-	st.CachedAnswers = m.lru.Len()
+	st.CachedAnswers, st.AnswerReplyBytes = m.lru.Len(), m.replyBytes
 }
 
 // repairHit is what a memoized repair returns: a shallow copy of the stored

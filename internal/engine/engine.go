@@ -12,10 +12,12 @@
 //     is rejected immediately with ErrOverloaded (the service layer maps it
 //     to HTTP 429 + Retry-After). A waiting request that is cancelled
 //     leaves the queue without consuming a slot.
+//   - Programs: a checked program is remembered under its source text in
+//     an LRU bounded by source bytes (programs.go).
 //   - Answers: a complete repair or certify answer is remembered under
 //     (verb, program hash, model, certify) in a bounded LRU shared by every
 //     client, and a repeated request is answered from it inside its worker
-//     slot (answers.go).
+//     slot (answers.go), with the response its hits render (Reply).
 //   - Sessions: each (client, model) key checks a DetectSession out of an
 //     LRU; a session is owned exclusively while checked out
 //     (DetectSession serializes its own Detect calls by contract), so a
@@ -169,7 +171,8 @@ type Engine struct {
 	bmu      sync.Mutex
 	breakers map[string]*breaker
 
-	answers *answerMemo
+	programs *programMemo
+	answers  *answerMemo
 }
 
 // breaker is one client's circuit-breaker state: consec counts consecutive
@@ -193,6 +196,7 @@ func New(cfg Config) *Engine {
 		byKey:    map[sessionKey]*list.Element{},
 		free:     map[anomaly.Model][]*anomaly.DetectSession{},
 		breakers: map[string]*breaker{},
+		programs: newProgramMemo(),
 		answers:  newAnswerMemo(),
 	}
 }
@@ -446,9 +450,17 @@ func (e *Engine) recycle(s *anomaly.DetectSession) {
 }
 
 // Parse parses and semantically checks DSL source. It is pure CPU-light
-// work and bypasses admission.
+// work and bypasses admission. A source that checked before is answered
+// from the program memo with the program built then, read-only to callers.
 func (e *Engine) Parse(src string) (*ast.Program, error) {
-	return sema.Load(src)
+	if prog, ok := e.programs.get(src); ok {
+		return prog, nil
+	}
+	prog, err := sema.Load(src)
+	if err == nil {
+		e.programs.put(src, prog)
+	}
+	return prog, err
 }
 
 // Analyze runs the static anomaly oracle under model. With a Client option
@@ -503,13 +515,20 @@ func (e *Engine) noteResult(client string, res *repair.Result, err error) {
 // A repeated request — same program, model and Certify, any client — is
 // answered from the engine's answer memo unless it injects a Session; the result is then a shallow copy of a stored one whose
 // Stats report no detection work. Results are read-only to callers.
-func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (res *repair.Result, err error) {
+func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (*repair.Result, error) {
+	res, _, err := e.RepairReply(ctx, prog, model, opts...)
+	return res, err
+}
+
+// RepairReply is Repair that also returns, when the answer came from the
+// memo, the entry's Reply; it is nil when the answer was computed.
+func (e *Engine) RepairReply(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (res *repair.Result, reply *Reply, err error) {
 	o := repair.BuildOptions(opts...)
 	if err := e.breakerCheck(o.Client); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.acquire(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer e.release()
 	start := time.Now()
@@ -521,13 +540,13 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 	var key answerKey
 	if memo {
 		key = answerKey{verb: "repair", prog: ast.HashProgram(prog), model: model, certify: o.Certify}
-		if ans, ok := e.answers.get(key); ok {
+		if ans, reply := e.answers.get(key); ans != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, e.finish(start, err)
+				return nil, nil, e.finish(start, err)
 			}
 			res = repairHit(ans.res, time.Since(start))
 			e.noteResult(o.Client, res, nil)
-			return res, e.finish(start, nil)
+			return res, reply, e.finish(start, nil)
 		}
 	}
 	// A request deadline with no explicit stage split gets the default one,
@@ -560,33 +579,40 @@ func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 		e.answers.put(&answer{key: key, res: res})
 	}
 	e.noteResult(o.Client, res, rerr)
-	return res, e.finish(start, rerr)
+	return res, nil, e.finish(start, rerr)
 }
 
 // Certify detects on a private session and replays every reported pair as
 // an executable certificate (internal/replay). A repeated request for the
 // same program and model is answered from the engine's answer memo with the
 // stored certificate and report, which are read-only to callers.
-func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (cert *replay.Certificate, rep *anomaly.Report, err error) {
+func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (*replay.Certificate, *anomaly.Report, error) {
+	cert, rep, _, err := e.CertifyReply(ctx, prog, model)
+	return cert, rep, err
+}
+
+// CertifyReply is Certify that also returns, when the answer came from the
+// memo, the entry's Reply; it is nil when the answer was computed.
+func (e *Engine) CertifyReply(ctx context.Context, prog *ast.Program, model anomaly.Model) (cert *replay.Certificate, rep *anomaly.Report, reply *Reply, err error) {
 	if err := e.acquire(ctx); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	defer e.release()
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("certify", "")
 	key := answerKey{verb: "certify", prog: ast.HashProgram(prog), model: model}
-	if ans, ok := e.answers.get(key); ok {
+	if ans, reply := e.answers.get(key); ans != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, e.finish(start, err)
+			return nil, nil, nil, e.finish(start, err)
 		}
-		return ans.cert, ans.rep, e.finish(start, nil)
+		return ans.cert, ans.rep, reply, e.finish(start, nil)
 	}
 	cert, rep, cerr := replay.CertifyModelContext(ctx, prog, model)
 	if cerr == nil {
 		e.answers.put(&answer{key: key, cert: cert, rep: rep})
 	}
-	return cert, rep, e.finish(start, cerr)
+	return cert, rep, nil, e.finish(start, cerr)
 }
 
 // Simulate runs one cluster deployment configuration. The simulator is
@@ -645,6 +671,14 @@ type Stats struct {
 	AnswerMisses    int64 `json:"answer_misses"`
 	AnswerEvictions int64 `json:"answer_evictions"`
 	CachedAnswers   int   `json:"cached_answers"`
+	// AnswerReplyBytes is the size of the replies stored with them.
+	AnswerReplyBytes int `json:"answer_reply_bytes"`
+	// Program memo counters, as the answer memo's; a source that fails to
+	// check is a miss and is never held.
+	ProgramHits       int64 `json:"program_hits"`
+	ProgramMisses     int64 `json:"program_misses"`
+	CachedPrograms    int   `json:"cached_programs"`
+	CachedSourceBytes int   `json:"cached_source_bytes"`
 }
 
 // SessionHitRate is the fraction of session checkouts served from the LRU.
@@ -690,5 +724,6 @@ func (e *Engine) Stats() Stats {
 		CachedSessions:    cached,
 	}
 	e.answers.counters(&st)
+	e.programs.counters(&st)
 	return st
 }

@@ -62,7 +62,8 @@ var benchConfig = engine.Config{Workers: 1}
 
 // BenchmarkService_Mixed measures the round computed: every iteration gets
 // a fresh engine, built with the timer stopped, so no answer comes from the
-// answer memo and ns/op does not depend on b.N. One listener and one
+// answer memo (each source is parsed once, then hits the program memo) and
+// ns/op does not depend on b.N. One listener and one
 // connection serve all iterations.
 func BenchmarkService_Mixed(b *testing.B) {
 	var srv atomic.Pointer[Server]
@@ -85,9 +86,9 @@ func BenchmarkService_Mixed(b *testing.B) {
 }
 
 // BenchmarkService_Answered measures the same round on one engine warmed by
-// a round before the timer starts: every repair and certify is answered
-// from the answer memo, while parse and the client-less analyze still
-// compute.
+// a round before the timer starts: every source is parsed from the program
+// memo and every repair and certify is sent from its stored reply, while
+// the client-less analyze still detects.
 func BenchmarkService_Answered(b *testing.B) {
 	ts := httptest.NewServer(New(engine.New(benchConfig)))
 	defer ts.Close()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +31,8 @@ const (
 // within 10 s, and a 200 request sent again answers the same JSON once the
 // work counters and wall time are removed — the answer memo and the
 // client's session change how an answer is computed, never what it says.
+// A third send answers the second's bytes exactly, elapsed_ms aside: for
+// repair and certify it is sent from the reply the second stored.
 // Requests with a timeout promise a bounded answer, not a repeatable one,
 // so they are held to the first two properties only.
 //
@@ -76,7 +79,25 @@ func FuzzServiceRequest(f *testing.F) {
 		if a, b := withoutWork(t, first), withoutWork(t, again); !bytes.Equal(a, b) {
 			t.Fatalf("%s: repeated request answered differently\nfirst: %s\nagain: %s", path, a, b)
 		}
+		status, third := fuzzPost(t, ts, path, body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: third request answered %d, second 200\n%s", path, status, third)
+		}
+		if a, b := withoutElapsed(again), withoutElapsed(third); !bytes.Equal(a, b) {
+			t.Fatalf("%s: third request answered other bytes than the second\nsecond: %s\nthird:  %s", path, a, b)
+		}
 	})
+}
+
+// withoutElapsed cuts the elapsed_ms number out of a body, if it has one.
+func withoutElapsed(body []byte) []byte {
+	i := bytes.LastIndex(body, elapsedField)
+	if i < 0 {
+		return body
+	}
+	i += len(elapsedField)
+	n := bytes.IndexFunc(body[i:], func(r rune) bool { return !strings.ContainsRune("0123456789.eE+-", r) })
+	return append(body[:i:i], body[i+n:]...)
 }
 
 // fuzzPost sends one request and holds it to the status and time bounds.

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
@@ -39,6 +40,7 @@ import (
 	"atropos/internal/cluster"
 	"atropos/internal/engine"
 	"atropos/internal/repair"
+	"atropos/internal/replay"
 )
 
 // maxBodyBytes bounds request bodies; programs are small DSL texts.
@@ -151,7 +153,7 @@ type ProgramRequest struct {
 	// Client keys this caller's DetectSession in the engine's LRU; empty
 	// disables session reuse across requests.
 	Client string `json:"client,omitempty"`
-	// TimeoutMs bounds the request server-side; 0 means no extra deadline.
+	// TimeoutMs bounds the request server-side; 0 means none, negative is a 400.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Certify (repair only) replays every initial anomaly as an executable
 	// certificate with negative controls.
@@ -290,8 +292,8 @@ type SimulateRequest struct {
 }
 
 // validate rejects numeric fields the simulator cannot run: it needs at
-// least one client, and a negative size or horizon is a malformed request
-// (zero records, duration and ops select the simulator's defaults).
+// least one client, and a negative size, horizon or timeout is a malformed
+// request (zero records, duration and ops select the simulator's defaults).
 func (req *SimulateRequest) validate() error {
 	switch {
 	case req.Clients < 1:
@@ -302,6 +304,8 @@ func (req *SimulateRequest) validate() error {
 		return fmt.Errorf("duration_ms must not be negative, got %d", req.DurationMs)
 	case req.Ops < 0:
 		return fmt.Errorf("ops must not be negative, got %d", req.Ops)
+	case req.TimeoutMs < 0:
+		return fmt.Errorf("timeout_ms must not be negative, got %d", req.TimeoutMs)
 	}
 	return nil
 }
@@ -333,14 +337,13 @@ const maxPooledResp = 64 << 10
 // a pooled buffer before any header goes out, so an encode failure can
 // still answer 500, and then sent with its Content-Length in a single
 // Write — no chunked framing, no second pass.
-func writeJSON(w http.ResponseWriter, status int, body any) {
+func writeJSON(w http.ResponseWriter, status int, body any) { writeAnswer(w, status, body, nil) }
+
+// writeAnswer is writeJSON that, given the Reply of an answer-memo hit,
+// stores the body up to elapsed_ms as the entry's reply (see writeStored).
+func writeAnswer(w http.ResponseWriter, status int, body any, reply *engine.Reply) {
 	buf := respBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledResp {
-			respBufs.Put(buf)
-		}
-	}()
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(body); err != nil {
@@ -350,12 +353,58 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 			Error:     "service: encode response: " + err.Error(),
 			RequestID: w.Header().Get("X-Request-ID"),
 		})
+	} else if reply != nil {
+		b := buf.Bytes()
+		reply.Fill(bytes.Clone(b[:bytes.LastIndex(b, elapsedField)+len(elapsedField)]))
 	}
+	sendBuf(w, status, buf)
+}
+
+// elapsedField opens the last field of RepairResponse and CertifyResponse.
+var elapsedField = []byte(`"elapsed_ms":`)
+
+// writeStored answers a memo hit from the entry's stored reply, completed
+// with this request's elapsed_ms, the one part of a hit's body that
+// differs from hit to hit. It reports false when no reply is stored yet.
+func writeStored(w http.ResponseWriter, reply *engine.Reply, elapsedMs float64) bool {
+	if reply == nil || reply.Bytes == nil {
+		return false
+	}
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.Write(reply.Bytes)
+	buf.Write(appendJSONFloat(buf.AvailableBuffer(), elapsedMs))
+	buf.WriteString("}\n")
+	sendBuf(w, http.StatusOK, buf)
+	return true
+}
+
+// sendBuf writes buf as the response with its Content-Length and returns buf
+// to the pool.
+func sendBuf(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	w.Write(buf.Bytes()) //nolint:errcheck // client gone: nothing to report to
+	if buf.Cap() <= maxPooledResp {
+		respBufs.Put(buf)
+	}
+}
+
+// appendJSONFloat appends f as encoding/json encodes a float64: shortest
+// form, exponent form below 1e-6 and from 1e21, "1e-7" rather than "1e-07".
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // writeError maps an engine/pipeline error onto its transport status:
@@ -456,10 +505,14 @@ func (req *ProgramRequest) unread(parse bool) string {
 }
 
 // decodeProgram decodes a ProgramRequest body, answering 400 for a
-// malformed body. A field the request type does not have — a retired one
-// included — is malformed, and the error names it.
+// malformed body or a negative timeout_ms. A field the request type does
+// not have — a retired one included — is malformed, and the error names it.
 func (s *Server) decodeProgram(w http.ResponseWriter, r *http.Request, req *ProgramRequest) bool {
-	if err := decodeJSON(w, r, req); err != nil {
+	err := decodeJSON(w, r, req)
+	if err == nil && req.TimeoutMs < 0 {
+		err = fmt.Errorf("timeout_ms must not be negative, got %d", req.TimeoutMs)
+	}
+	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return false
 	}
@@ -557,11 +610,18 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := s.eng.Repair(ctx, prog, model, req.options()...)
+	res, reply, err := s.eng.RepairReply(ctx, prog, model, req.options()...)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
+	if !writeStored(w, reply, float64(res.Elapsed)/float64(time.Millisecond)) {
+		writeAnswer(w, http.StatusOK, repairResponse(model, res), reply)
+	}
+}
+
+// repairResponse renders a repair result.
+func repairResponse(model anomaly.Model, res *repair.Result) RepairResponse {
 	resp := RepairResponse{
 		Model:            model.String(),
 		Initial:          pairsJSON(res.Initial),
@@ -592,7 +652,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			RepairedViolations: c.RepairedViolations,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
@@ -613,12 +673,19 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	cert, rep, err := s.eng.Certify(ctx, prog, model)
+	cert, rep, reply, err := s.eng.CertifyReply(ctx, prog, model)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CertifyResponse{
+	if elapsed := float64(time.Since(start)) / float64(time.Millisecond); !writeStored(w, reply, elapsed) {
+		writeAnswer(w, http.StatusOK, certifyResponse(model, cert, rep, elapsed), reply)
+	}
+}
+
+// certifyResponse renders a certificate and the report it certifies.
+func certifyResponse(model anomaly.Model, cert *replay.Certificate, rep *anomaly.Report, elapsedMs float64) CertifyResponse {
+	return CertifyResponse{
 		Model: model.String(),
 		Count: rep.Count(),
 		Certificate: CertJSON{
@@ -629,8 +696,8 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 			Rate:      cert.Rate(),
 		},
 		Pairs:     pairsJSON(rep.Pairs),
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+		ElapsedMs: elapsedMs,
+	}
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {

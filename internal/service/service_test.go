@@ -160,6 +160,9 @@ func TestBadRequests(t *testing.T) {
 		{"negative clients", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: -1}, "clients "},
 		{"negative duration", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, DurationMs: -1}, "duration_ms "},
 		{"negative ops", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, Ops: -100}, "ops "},
+		// No deadline can honour a negative timeout_ms; it used to mean none.
+		{"negative timeout", "/v1/repair", ProgramRequest{Benchmark: "SmallBank", TimeoutMs: -7}, "timeout_ms must not be negative, got -7"},
+		{"negative simulate timeout", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, TimeoutMs: -1}, "timeout_ms must not be negative, got -1"},
 		// /v1/certify and /v1/parse pass no engine knob on, and a retired
 		// field is an unknown one everywhere.
 		{"certify with certify", "/v1/certify", ProgramRequest{Benchmark: "SmallBank", Certify: true}, "certify does not apply"},

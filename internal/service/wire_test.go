@@ -107,6 +107,12 @@ func wireCases() []wireCase {
 		{"healthz", "GET", "/healthz", "", 200},
 		{"readyz", "GET", "/readyz", "", 200},
 		{"400", "POST", "/v1/analyze", `{"benchmark":"nope"}`, 400},
+		// A negative timeout_ms cannot take effect: 400 on every endpoint that reads it.
+		{"parse timeout", "POST", "/v1/parse", `{"source":` + string(src) + `,"timeout_ms":-1}`, 400},
+		{"analyze timeout", "POST", "/v1/analyze", `{"benchmark":"SmallBank","timeout_ms":-1}`, 400},
+		{"repair timeout", "POST", "/v1/repair", `{"benchmark":"SmallBank","timeout_ms":-5}`, 400},
+		{"certify timeout", "POST", "/v1/certify", `{"source":` + string(src) + `,"timeout_ms":-1}`, 400},
+		{"simulate timeout", "POST", "/v1/simulate", `{"benchmark":"SIBench","clients":2,"timeout_ms":-1}`, 400},
 		{"degraded", "POST", "/v1/repair", `{"benchmark":"SmallBank","client":"starved"}`, 200},
 		{"429", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"starved"}`, 429},
 		{"504", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"slow","timeout_ms":1}`, 504},
