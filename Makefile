@@ -40,9 +40,10 @@ race:
 # the tests' AST reference on the same workload), witness certification
 # (BenchmarkCertify_*: directed runs on the simulator's executor), the
 # invariant study (BenchmarkInvariants_*: directed and serial runs), the
-# front end (BenchmarkFrontEnd: parse and check of the nine sources), the
-# editing loop (BenchmarkSessionEdit: one session across drop/restore
-# edits) and the daemon's request path (BenchmarkService_*: program verbs
+# front end (BenchmarkFrontEnd: parse and check of the nine sources from
+# the parser's declaration memo; BenchmarkParseCold: parsing them with the
+# memo empty), the editing loop (BenchmarkSessionEdit: one session across
+# drop/restore edits) and the daemon's request path (BenchmarkService_*: program verbs
 # through HTTP, computed on a fresh engine and answered from a warm one) are
 # deterministic and machine-independent, so they are compared against the
 # checked-in BENCH_allocs.json thresholds (>15% regression fails; wall
@@ -68,7 +69,7 @@ bench-harness:
 # Packages `make bench` runs; BASE_REF is the ref `make bench-compare`
 # measures against.
 BASE_REF ?= HEAD~1
-BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/logic ./internal/sat ./internal/cluster ./internal/replay ./internal/service
+BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/parser ./internal/logic ./internal/sat ./internal/cluster ./internal/replay ./internal/service
 
 # One parent/change pair on the benchmark (bench/run.sh, BENCHMARK.json's
 # command, all four workloads): BASE_REF runs in a throwaway git worktree,

@@ -58,12 +58,14 @@ var (
 // certification, the invariant study (directed and serial runs on the
 // simulator's executor), the daemon's request path (one fixed round of
 // program verbs through HTTP), the front end (parse and check of the nine
-// sources), the editing loop (one session across drop/restore edits), a
+// sources, from the parser's memo; and parsing them with the memo empty),
+// the editing loop (one session across drop/restore edits), a
 // cold detection of TPC-C, and sharded interning (measured at a fixed
 // worker count so allocs/op stays machine-independent).
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkTable1_") ||
 		strings.HasPrefix(name, "BenchmarkFrontEnd") ||
+		strings.HasPrefix(name, "BenchmarkParseCold") ||
 		strings.HasPrefix(name, "BenchmarkSessionEdit") ||
 		strings.HasPrefix(name, "BenchmarkSim") ||
 		strings.HasPrefix(name, "BenchmarkCertify_") ||

@@ -20,7 +20,10 @@
 // while the tree is still private to them.
 package ast
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // AliveField is the name of the implicit presence field carried by every
 // schema (paper §3: "Every schema includes a special Boolean field, alive").
@@ -145,8 +148,22 @@ type Txn struct {
 	Body   []Stmt
 	Ret    Expr // nil when the transaction returns nothing
 
-	memo memoHash
+	memo     memoHash
+	accepted atomic.Pointer[[]*Schema]
 }
+
+// Accepted returns the schemas a semantic check last accepted t against,
+// one per table t's commands name, and whether one has.
+func (t *Txn) Accepted() ([]*Schema, bool) {
+	if s := t.accepted.Load(); s != nil {
+		return *s, true
+	}
+	return nil, false
+}
+
+// Accept stamps t as accepted against schemas: the one write to a shared
+// node, atomic, and true whichever check stores it last.
+func (t *Txn) Accept(schemas []*Schema) { t.accepted.Store(&schemas) }
 
 // Param returns the parameter with the given name, or nil.
 func (t *Txn) Param(name string) *Param {

@@ -232,12 +232,16 @@ func TestMistypedWriteRefused(t *testing.T) {
 // program with a transaction the compiler refuses fails with an error naming
 // it — there is no second engine to run it on — even when the mix never
 // draws it; a directed plan compiles on first use, so it fails exactly the
-// runs that name the transaction.
+// runs that name the transaction. Check refuses these programs too, so only
+// a program that skipped it reaches the compiler.
 func TestRefusedTxnFailsTheRun(t *testing.T) {
 	for want, src := range refusedPrograms {
-		prog, err := sema.Load(src)
+		prog, err := parser.Parse(src)
 		if err != nil {
-			t.Fatalf("sema rejects the program, so the compiler never sees it: %v", err)
+			t.Fatal(err)
+		}
+		if err := sema.Check(prog); err == nil {
+			t.Errorf("Check accepts a program the compiler refuses (%s)", want)
 		}
 		want = "cluster: " + want
 		odd := prog.Txns[0].Name

@@ -190,7 +190,10 @@ func TestNestingBound(t *testing.T) {
 }
 
 // FuzzParse: the one-pass parser never panics; within the nesting bound it
-// agrees with the reference, and what it accepts prints to text that
+// agrees with the reference — on the input, on the input again (its
+// declarations now from the memo) and on the input with its first table
+// declaration moved to the end (the memo's transactions now read a
+// different schema, or none) — and what it accepts prints to text that
 // parses back to the same print (Format ∘ Parse is a fixpoint).
 func FuzzParse(f *testing.F) {
 	for _, src := range corpusSources() {
@@ -198,8 +201,10 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add(stringsSource())
 	f.Fuzz(func(t *testing.T, src string) {
-		if diff, ok := agree(src); !ok {
-			t.Fatalf("%q: %s", src, diff)
+		for _, in := range []string{src, src, tableMoved(src)} {
+			if diff, ok := agree(in); !ok {
+				t.Fatalf("%q: %s", in, diff)
+			}
 		}
 		p, err := parser.Parse(src)
 		if err != nil {
@@ -214,4 +219,18 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Format is not a fixpoint:\n%s\nthen\n%s", text, again)
 		}
 	})
+}
+
+// tableMoved returns src with the text from its first "table" to the
+// next '}' moved to the end, or src if there is no such span.
+func tableMoved(src string) string {
+	i := strings.Index(src, "table")
+	if i < 0 {
+		return src
+	}
+	j := strings.IndexByte(src[i:], '}')
+	if j < 0 {
+		return src
+	}
+	return src[:i] + src[i+j+1:] + "\n" + src[i:i+j+1]
 }

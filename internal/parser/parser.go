@@ -2,7 +2,9 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 
 	"atropos/internal/ast"
 )
@@ -25,19 +27,32 @@ const maxDepth = 256
 // structurally equal where clauses and values share one node from the
 // start, which makes the repair engine's EqualExpr checks O(1), and an
 // expression seen before — in this program or an earlier one — is not
-// allocated again.
+// allocated again. Nor is a declaration seen before parsed again (memo.go):
+// programs share its node, so a parsed program is read-only.
 func Parse(src string) (*ast.Program, error) {
-	p := &parser{lex: lexer{src: src}}
+	p := parsers.Get().(*parser)
+	defer p.release()
+	p.lex = lexer{src: src, strs: p.lex.strs}
 	p.tok = p.lex.next()
 	prog, err := p.parseProgram()
 	if lerr := p.lex.finish(); lerr != nil {
 		return nil, lerr
 	}
-	if err != nil {
-		return nil, err
+	return prog, err
+}
+
+// parsers holds parsers between calls, their stacks and key buffer grown;
+// release empties the stacks and returns p.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+func (p *parser) release() {
+	*p = parser{
+		lex:    lexer{strs: p.lex.strs[:0]},
+		fields: p.fields[:0], params: p.params[:0], stmts: p.stmts[:0],
+		names: p.names[:0], assigns: p.assigns[:0],
+		key: p.key[:0], deps: p.deps[:0],
 	}
-	AssignLabels(prog)
-	return prog, nil
+	parsers.Put(p)
 }
 
 // MustParse parses src and panics on error; intended for embedded benchmark
@@ -54,19 +69,24 @@ func MustParse(src string) *ast.Program {
 // selects become S1, S2, ...; updates and inserts become U1, U2, ....
 func AssignLabels(prog *ast.Program) {
 	for _, t := range prog.Txns {
-		var n labeler
-		ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-			switch c := s.(type) {
-			case *ast.Select:
-				c.Label = n.sel()
-			case *ast.Update:
-				c.Label = n.upd()
-			case *ast.Insert:
-				c.Label = n.upd()
-			}
-			return true
-		})
+		labelTxn(t)
 	}
+}
+
+// labelTxn labels t's commands; Parse does so before t can be shared.
+func labelTxn(t *ast.Txn) {
+	var n labeler
+	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
+		switch c := s.(type) {
+		case *ast.Select:
+			c.Label = n.sel()
+		case *ast.Update:
+			c.Label = n.upd()
+		case *ast.Insert:
+			c.Label = n.upd()
+		}
+		return true
+	})
 }
 
 // labeler numbers one transaction's commands.
@@ -109,6 +129,10 @@ type parser struct {
 	// statement; height is the height of the expression the last expression
 	// parse function returned. All three are bounded by maxDepth.
 	open, blocks, height int
+	// key is the declaration memo's key of the current declaration, deps
+	// the where-clause schemas the transaction being parsed resolved.
+	key  []byte
+	deps []*ast.Schema
 }
 
 // list returns the elements pushed on the stack *buf since mark, copied at
@@ -203,19 +227,21 @@ func (p *parser) parseProgram() (*ast.Program, error) {
 		case p.cur().kind == tokEOF:
 			return p.prog, nil
 		case p.atKeyword("table"):
-			s, err := p.parseSchema()
+			d, err := p.declaration(false)
 			if err != nil {
 				return nil, err
 			}
+			s := d.schema
 			if p.prog.Schema(s.Name) != nil {
 				return nil, p.errf(p.cur(), "duplicate table %q", s.Name)
 			}
 			p.prog.Schemas = append(p.prog.Schemas, s)
 		case p.atKeyword("txn"):
-			t, err := p.parseTxn()
+			d, err := p.declaration(true)
 			if err != nil {
 				return nil, err
 			}
+			t := d.txn
 			if p.prog.Txn(t.Name) != nil {
 				return nil, p.errf(p.cur(), "duplicate transaction %q", t.Name)
 			}
@@ -327,6 +353,7 @@ func (p *parser) parseTxn() (*ast.Txn, error) {
 	if _, err := p.expect(tokRBrace); err != nil {
 		return nil, err
 	}
+	labelTxn(t)
 	return t, nil
 }
 
@@ -608,6 +635,9 @@ func (p *parser) parseWhere(tbl token) (ast.Expr, error) {
 	schema := p.prog.Schema(p.text(tbl))
 	if schema == nil {
 		return nil, p.errf(tbl, "unknown table %q", p.text(tbl))
+	}
+	if !slices.Contains(p.deps, schema) {
+		p.deps = append(p.deps, schema)
 	}
 	p.whereSchema = schema
 	e, err := p.parseExpr()

@@ -10,6 +10,7 @@ import (
 	"atropos/internal/anomaly"
 	"atropos/internal/ast"
 	"atropos/internal/corpus"
+	"atropos/internal/parser"
 	"atropos/internal/replay"
 	"atropos/internal/sema"
 )
@@ -142,11 +143,12 @@ func TestProgenOutcomesGolden(t *testing.T) {
 }
 
 // TestRefusedTxnIsRunFailed: certification has one engine. A pair whose
-// transaction the simulator's compiler refuses (uuid() outside an insert —
-// sema accepts it) is reported "run failed" with the compile error naming
-// the transaction; it is not certified on some other executor.
+// transaction the simulator's compiler refuses (uuid() outside an insert,
+// which Check refuses too; the program skips it) is reported "run failed"
+// with the compile error naming the transaction; it is not certified on
+// some other executor.
 func TestRefusedTxnIsRunFailed(t *testing.T) {
-	prog, err := sema.Load(`
+	prog, err := parser.Parse(`
 table T { a: int key, b: int, }
 txn stamp(k: int) {
   x := select b from T where a = k;
@@ -154,6 +156,9 @@ txn stamp(k: int) {
 }`)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := sema.Check(prog); err == nil {
+		t.Error("Check accepts uuid() outside an insert")
 	}
 	rep, err := anomaly.NewSession(anomaly.EC).Detect(prog)
 	if err != nil {

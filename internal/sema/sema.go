@@ -7,6 +7,7 @@ package sema
 
 import (
 	"fmt"
+	"slices"
 
 	"atropos/internal/ast"
 	"atropos/internal/parser"
@@ -33,7 +34,10 @@ func Load(src string) (*ast.Program, error) {
 	return p, nil
 }
 
-// Check validates the whole program, returning the first error found.
+// Check validates the whole program, returning the first error found. A
+// transaction's check reads only it and the schemas of the tables it
+// names, so one accepted before (ast.Txn.Accepted) is skipped while each
+// of those names resolves to the same node, as a parser-memo hit's do.
 func Check(p *ast.Program) error {
 	for _, s := range p.Schemas {
 		if err := checkSchema(s); err != nil {
@@ -41,6 +45,9 @@ func Check(p *ast.Program) error {
 		}
 	}
 	for _, t := range p.Txns {
+		if schemas, ok := t.Accepted(); ok && !slices.ContainsFunc(schemas, func(s *ast.Schema) bool { return p.Schema(s.Name) != s }) {
+			continue
+		}
 		if err := checkTxn(p, t); err != nil {
 			return err
 		}
@@ -48,42 +55,45 @@ func Check(p *ast.Program) error {
 	return nil
 }
 
+// checkSchema allocates nothing for a well-formed schema: an editing loop
+// checks every schema of every step.
 func checkSchema(s *ast.Schema) error {
-	where := "table " + s.Name
+	fail := func(msg string) error { return &Error{"table " + s.Name, msg} }
 	if len(s.Fields) == 0 {
-		return &Error{where, "schema has no fields"}
+		return fail("schema has no fields")
 	}
 	if len(s.Fields) > ast.MaxFields {
-		return &Error{where, fmt.Sprintf("schema has %d fields, more than %d", len(s.Fields), ast.MaxFields)}
+		return fail(fmt.Sprintf("schema has %d fields, more than %d", len(s.Fields), ast.MaxFields))
 	}
-	seen := map[string]bool{}
-	for _, f := range s.Fields {
+	for i, f := range s.Fields {
 		if f.Name == ast.AliveField {
-			return &Error{where, "field name 'alive' is reserved (implicit presence field)"}
+			return fail("field name 'alive' is reserved (implicit presence field)")
 		}
-		if seen[f.Name] {
-			return &Error{where, fmt.Sprintf("duplicate field %q", f.Name)}
+		if slices.ContainsFunc(s.Fields[:i], func(g *ast.Field) bool { return g.Name == f.Name }) {
+			return fail(fmt.Sprintf("duplicate field %q", f.Name))
 		}
-		seen[f.Name] = true
 	}
-	if len(s.PrimaryKey()) == 0 {
-		return &Error{where, "schema has no primary key field"}
+	if !slices.ContainsFunc(s.Fields, func(f *ast.Field) bool { return f.PK }) {
+		return fail("schema has no primary key field")
 	}
 	return nil
 }
 
-// varBinding records what a SELECT bound: the table and the set of fields
-// available through the variable.
+// varBinding records what a SELECT bound: the command, its table and the
+// set of fields available through the variable.
 type varBinding struct {
+	label  string
 	table  *ast.Schema
 	fields map[string]ast.Type
 }
 
 type checker struct {
-	prog  *ast.Program
-	txn   *ast.Txn
-	vars  map[string]*varBinding
-	depth int // iterate nesting depth; iter is only legal when > 0
+	prog   *ast.Program
+	txn    *ast.Txn
+	vars   map[string]*varBinding
+	depth  int           // iterate nesting depth; iter is only legal when > 0
+	insert bool          // typing an insert's values, the one place for uuid()
+	used   []*ast.Schema // the schema of each table the txn names, once
 }
 
 func checkTxn(p *ast.Program, t *ast.Txn) error {
@@ -104,6 +114,7 @@ func checkTxn(p *ast.Program, t *ast.Txn) error {
 			return &Error{where, fmt.Sprintf("return: %v", err)}
 		}
 	}
+	t.Accept(c.used)
 	return nil
 }
 
@@ -156,6 +167,9 @@ func (c *checker) schema(table, label string) (*ast.Schema, error) {
 	s := c.prog.Schema(table)
 	if s == nil {
 		return nil, fmt.Errorf("%s: unknown table %q", label, table)
+	}
+	if !slices.Contains(c.used, s) {
+		c.used = append(c.used, s)
 	}
 	return s, nil
 }
@@ -213,7 +227,12 @@ func (c *checker) checkSelect(x *ast.Select) error {
 	if x.Var == "" {
 		return fmt.Errorf("%s: select must bind a variable", x.Label)
 	}
-	c.vars[x.Var] = &varBinding{table: schema, fields: fields}
+	// One binding per variable, as the simulator's compiler and the
+	// refactoring rules' lookups by name assume.
+	if b := c.vars[x.Var]; b != nil {
+		return fmt.Errorf("%s: variable %q is already bound by %s", x.Label, x.Var, b.label)
+	}
+	c.vars[x.Var] = &varBinding{label: x.Label, table: schema, fields: fields}
 	return nil
 }
 
@@ -267,7 +286,9 @@ func (c *checker) checkInsert(x *ast.Insert) error {
 			return fmt.Errorf("%s: field %q assigned twice", x.Label, a.Field)
 		}
 		assigned[a.Field] = true
+		c.insert = true
 		ty, err := c.typeOf(a.Expr)
+		c.insert = false
 		if err != nil {
 			return fmt.Errorf("%s: value %s: %w", x.Label, a.Field, err)
 		}
@@ -296,6 +317,9 @@ func (c *checker) typeOfIn(e ast.Expr, schema *ast.Schema) (ast.Type, error) {
 	case *ast.StringLit:
 		return ast.TString, nil
 	case *ast.UUID:
+		if !c.insert { // the compiler only mints keys for inserted rows
+			return ast.TInvalid, fmt.Errorf("uuid() is allowed only in insert values")
+		}
 		return ast.TInt, nil
 	case *ast.IterVar:
 		if c.depth == 0 {

@@ -71,6 +71,13 @@ func TestCheckErrors(t *testing.T) {
 		{"iterate count bool", `table T { id: int key, } txn a(k: int) { iterate (true) { skip; } }`, "want int"},
 		{"if cond int", `table T { id: int key, } txn a(k: int) { if (k) { skip; } }`, "want bool"},
 		{"set twice", `table T { id: int key, n: int, } txn a(k: int) { update T set n = 1, n = 2 where id = k; }`, "set twice"},
+		{"rebound", `table A { id: int key, v: int, } table B { id: int key, w: int, z: int, } txn a(k: int) { x := select v from A where id = k; x := select w, z from B where id = k; return x.w; }`, `txn a: S2: variable "x" is already bound by S1`},
+		{"rebound same shape", `table A { id: int key, v: int, } txn a(k: int) { x := select v from A where id = k; if (k > 0) { x := select v from A where id = k + 1; } }`, `txn a: S2: variable "x" is already bound by S1`},
+		{"uuid in set", `table T { id: int key, n: int, } txn a(k: int) { update T set n = uuid() where id = k; }`, "txn a: U1: set n: uuid() is allowed only in insert values"},
+		{"uuid in where", `table T { id: int key, n: int, } txn a(k: int) { x := select n from T where id = uuid(); }`, "txn a: S1: where: uuid() is allowed only in insert values"},
+		{"uuid in if", `table T { id: int key, } txn a(k: int) { if (uuid() > k) { skip; } }`, "txn a: if condition: uuid() is allowed only in insert values"},
+		{"uuid in return", `table T { id: int key, } txn a(k: int) { return uuid(); }`, "txn a: return: uuid() is allowed only in insert values"},
+		{"uuid in index", `table T { id: int key, n: int, } txn a(k: int) { x := select n from T where id = k; insert into T values (id = k, n = x.n[uuid()]); update T set n = x.n[uuid()] where id = k; }`, "txn a: U2: set n: uuid() is allowed only in insert values"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -107,6 +107,9 @@ func wireCases() []wireCase {
 		{"healthz", "GET", "/healthz", "", 200},
 		{"readyz", "GET", "/readyz", "", 200},
 		{"400", "POST", "/v1/analyze", `{"benchmark":"nope"}`, 400},
+		// Programs the simulator could not compile are rejected at parse.
+		{"parse rebound", "POST", "/v1/parse", `{"source":"table A { id: int key, v: int, } table B { id: int key, w: int, z: int, } txn t(k: int) { x := select v from A where id = k; x := select w, z from B where id = k; return x.w; }"}`, 400},
+		{"parse uuid", "POST", "/v1/parse", `{"source":"table A { id: int key, v: int, } txn t(k: int) { update A set v = uuid() where id = k; }"}`, 400},
 		// A negative timeout_ms cannot take effect: 400 on every endpoint that reads it.
 		{"parse timeout", "POST", "/v1/parse", `{"source":` + string(src) + `,"timeout_ms":-1}`, 400},
 		{"analyze timeout", "POST", "/v1/analyze", `{"benchmark":"SmallBank","timeout_ms":-1}`, 400},
