@@ -69,7 +69,7 @@ bench-harness:
 # Packages `make bench` runs; BASE_REF is the ref `make bench-compare`
 # measures against.
 BASE_REF ?= HEAD~1
-BENCH_PKGS ?= . ./internal/anomaly ./internal/ast ./internal/parser ./internal/logic ./internal/sat ./internal/cluster ./internal/replay ./internal/service
+BENCH_PKGS ?= . ./internal/anomaly ./internal/parser ./internal/logic ./internal/sat ./internal/cluster ./internal/replay ./internal/service
 
 # One parent/change pair on the benchmark (bench/run.sh, BENCHMARK.json's
 # command, all four workloads): BASE_REF runs in a throwaway git worktree,

@@ -59,9 +59,8 @@ var (
 // simulator's executor), the daemon's request path (one fixed round of
 // program verbs through HTTP), the front end (parse and check of the nine
 // sources, from the parser's memo; and parsing them with the memo empty),
-// the editing loop (one session across drop/restore edits), a
-// cold detection of TPC-C, and sharded interning (measured at a fixed
-// worker count so allocs/op stays machine-independent).
+// the editing loop (one session across drop/restore edits) and a
+// cold detection of TPC-C.
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkTable1_") ||
 		strings.HasPrefix(name, "BenchmarkFrontEnd") ||
@@ -71,7 +70,6 @@ func gated(name string) bool {
 		strings.HasPrefix(name, "BenchmarkCertify_") ||
 		strings.HasPrefix(name, "BenchmarkInvariants_") ||
 		strings.HasPrefix(name, "BenchmarkService_") ||
-		strings.HasPrefix(name, "BenchmarkInternParallel") ||
 		name == "BenchmarkDetect_TPCC"
 }
 

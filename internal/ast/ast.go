@@ -8,12 +8,14 @@
 // updates to it (paper §3). Commands carry stable labels (S1, U1, ...)
 // assigned by the parser and used in anomaly reports.
 //
-// # Immutability and hash-consing
+// # Immutability and sharing
 //
 // Statement, expression, and transaction nodes carry a lazily computed,
 // memoized structural hash (see hash.go) and may be freely shared between
-// programs: the refactoring engine is copy-on-write, so a refactored
-// program aliases every node the refactoring did not touch. The contract
+// programs, in two ways only: the parser's declaration memo hands a
+// re-parse the nodes of every declaration it parsed before, and the
+// refactoring engine is copy-on-write, so a refactored program aliases
+// every node the refactoring did not touch. The contract
 // (DESIGN.md §10) is that a node must not be mutated once it is reachable
 // from a program handed to detection, repair, or another long-lived
 // consumer; builders (the parser, progen, tests) may mutate nodes freely

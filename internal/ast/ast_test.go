@@ -56,6 +56,16 @@ func TestEqualExpr(t *testing.T) {
 	if EqualExpr(u, u) {
 		t.Error("uuid() compared equal")
 	}
+	// The pointer fast path holds only for a hashed, uuid-free node.
+	HashExpr(a)
+	if !EqualExpr(a, a) {
+		t.Error("hashed expression unequal to itself")
+	}
+	w := &Binary{Op: OpAdd, L: &IntLit{Val: 1}, R: &UUID{}}
+	HashExpr(w)
+	if EqualExpr(w, w) {
+		t.Error("hashed uuid-containing expression compared equal to itself")
+	}
 }
 
 func TestEqualStmt(t *testing.T) {
@@ -164,7 +174,7 @@ func TestMapStmtsDeleteAndReplace(t *testing.T) {
 	tx, again := sampleTxn(), sampleTxn()
 	second := Commands(again.Body)[1]
 	// Delete all selects, duplicate all updates.
-	out := MapStmts(tx.Body, func(s Stmt) []Stmt {
+	out, changed := MapStmtsCOW(tx.Body, func(s Stmt) []Stmt {
 		switch s.(type) {
 		case *Select:
 			return nil
@@ -174,7 +184,7 @@ func TestMapStmtsDeleteAndReplace(t *testing.T) {
 		return []Stmt{s}
 	})
 	cmds := Commands(out)
-	if len(cmds) != 2 {
+	if !changed || len(cmds) != 2 {
 		t.Fatalf("commands after map = %d, want 2 updates", len(cmds))
 	}
 	for _, c := range cmds {
@@ -186,7 +196,7 @@ func TestMapStmtsDeleteAndReplace(t *testing.T) {
 
 func TestMapExprRewrite(t *testing.T) {
 	e := &Binary{Op: OpAdd, L: &FieldAt{Var: "x", Field: "old"}, R: &IntLit{Val: 1}}
-	out := MapExpr(e, func(x Expr) Expr {
+	out := MapExprCOW(e, func(x Expr) Expr {
 		if fa, ok := x.(*FieldAt); ok && fa.Field == "old" {
 			return &FieldAt{Var: fa.Var, Field: "new", Index: fa.Index}
 		}
@@ -198,7 +208,7 @@ func TestMapExprRewrite(t *testing.T) {
 	}
 	// Original untouched.
 	if ExprString(e) != "(x.old + 1)" {
-		t.Fatal("MapExpr mutated its input")
+		t.Fatal("MapExprCOW mutated its input")
 	}
 }
 

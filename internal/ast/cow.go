@@ -4,8 +4,8 @@ package ast
 // engine edits programs by rebuilding only the spine from the edited node
 // up to the Program header, sharing every untouched sibling: a speculative
 // merge probe costs O(depth of the edited command), not O(program). The
-// helpers here are the primitives: COW variants of MapExpr/MapStmts that
-// return their input unchanged (pointer-identical) when the rewriter
+// helpers here are the primitives: expression and statement rewriters
+// that return their input unchanged (pointer-identical) when the rewriter
 // touches nothing, and shallow Program/Txn replacement.
 
 // WithTxn returns a program equal to p with the transaction at index i
@@ -33,8 +33,9 @@ func TxnIndex(p *Program, name string) int {
 	return -1
 }
 
-// MapExprCOW rebuilds e bottom-up like MapExpr, but allocates a new
-// interior node only when a child actually changed. fn must return its
+// MapExprCOW rebuilds e bottom-up, replacing each node by fn's result after
+// its children have been rewritten, and allocates a new interior node only
+// when a child actually changed. A nil e maps to nil. fn must return its
 // argument (pointer-identical) to signal "unchanged"; the result is then
 // pointer-identical to e and shares every node.
 func MapExprCOW(e Expr, fn func(Expr) Expr) Expr {
@@ -56,9 +57,9 @@ func MapExprCOW(e Expr, fn func(Expr) Expr) Expr {
 	return fn(e)
 }
 
-// MapStmtsCOW rebuilds body via fn like MapStmts — fn may delete (nil),
-// keep, replace, or expand a statement — but returns (body, false) when
-// nothing changed, sharing the input slice. fn signals "unchanged" by
+// MapStmtsCOW rebuilds body via fn — fn may delete (nil), keep, replace,
+// or expand a statement — and returns (body, false) when nothing changed,
+// sharing the input slice. fn signals "unchanged" by
 // returning a one-element slice holding the exact statement it was given.
 // Control bodies are rewritten first, and their wrappers are only
 // re-allocated when the nested body changed.

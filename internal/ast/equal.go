@@ -4,10 +4,11 @@ package ast
 // expressions are equal. Used by the repair engine to decide whether two
 // where clauses always select the same records (merge precondition R1).
 //
-// Interned expressions (see Intern) compare in O(1): pointer-identical
-// nodes whose memoized hash proves them uuid-free are equal without a
-// walk. uuid() stays never-equal — even to itself — so the fast path
-// requires a computed memo with the uuid bit clear.
+// A node compared with itself — a where clause shared through the parser's
+// declaration memo or a copy-on-write refactoring — is equal without a
+// walk once its memoized hash proves it uuid-free. uuid() stays
+// never-equal — even to itself — so the fast path requires a computed
+// memo with the uuid bit clear. Otherwise the comparison walks both trees.
 func EqualExpr(a, b Expr) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil

@@ -13,11 +13,11 @@ import "sync/atomic"
 //
 // Layout of a hash word: bit 63 (hashUUID) marks subtrees containing a
 // uuid() expression — such trees are never structurally equal (uuid() is
-// fresh per evaluation), so equality fast paths and the cons table skip
-// them. The remaining bits are a multiply-xorshift digest (hashUint). A
-// computed hash is never 0; 0 is the "not yet computed" sentinel. Hashes
-// live only in memory — memo words, the cons table, the detection
-// session's keys — so the fold may change freely between versions.
+// fresh per evaluation), so EqualExpr's pointer fast path skips them. The
+// remaining bits are a multiply-xorshift digest (hashUint). A computed
+// hash is never 0; 0 is the "not yet computed" sentinel. Hashes live only
+// in memory — memo words and the detection session's keys — so the fold
+// may change freely between versions.
 
 // memoHash is the per-node memo slot. It is accessed atomically so that a
 // first hash computed concurrently by two goroutines races benignly (both

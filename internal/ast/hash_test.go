@@ -71,29 +71,6 @@ func TestSchemaHash(t *testing.T) {
 	}
 }
 
-func TestInternCanonicalizes(t *testing.T) {
-	mk := func() Expr {
-		return &Binary{Op: OpEq, L: &ThisField{Field: "id"}, R: &Arg{Name: "uniq_intern_test_k"}}
-	}
-	a := Intern(mk())
-	b := Intern(mk())
-	if a != b {
-		t.Fatal("structurally equal expressions interned to distinct nodes")
-	}
-	if !EqualExpr(a, b) {
-		t.Fatal("interned nodes not equal")
-	}
-	// uuid-containing trees must not canonicalize: uuid() is never equal.
-	u1 := Intern(&Binary{Op: OpAdd, L: &IntLit{Val: 1}, R: &UUID{}})
-	u2 := Intern(&Binary{Op: OpAdd, L: &IntLit{Val: 1}, R: &UUID{}})
-	if u1 == u2 {
-		t.Fatal("uuid-containing expressions shared a cons-table node")
-	}
-	if EqualExpr(u1, u1) {
-		t.Fatal("uuid-containing expression compared equal to itself")
-	}
-}
-
 func TestMapExprCOWShares(t *testing.T) {
 	e := &Binary{Op: OpAnd,
 		L: &Binary{Op: OpEq, L: &ThisField{Field: "a"}, R: &IntLit{Val: 1}},

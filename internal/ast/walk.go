@@ -124,36 +124,3 @@ func WhereFields(e Expr) []string {
 	})
 	return out
 }
-
-// MapExpr rebuilds e bottom-up, replacing each node by fn's result. fn is
-// applied to the node after its children have been rewritten. A nil e maps
-// to nil.
-func MapExpr(e Expr, fn func(Expr) Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *Binary:
-		e = &Binary{Op: x.Op, L: MapExpr(x.L, fn), R: MapExpr(x.R, fn)}
-	case *FieldAt:
-		e = &FieldAt{Var: x.Var, Field: x.Field, Index: MapExpr(x.Index, fn)}
-	}
-	return fn(e)
-}
-
-// MapStmts rebuilds every statement in body via fn, descending into control
-// bodies first so fn sees statements whose children are already rewritten.
-// fn may return nil to delete a statement, a single statement, or several.
-func MapStmts(body []Stmt, fn func(Stmt) []Stmt) []Stmt {
-	var out []Stmt
-	for _, s := range body {
-		switch x := s.(type) {
-		case *If:
-			s = &If{Cond: x.Cond, Then: MapStmts(x.Then, fn)}
-		case *Iterate:
-			s = &Iterate{Count: x.Count, Body: MapStmts(x.Body, fn)}
-		}
-		out = append(out, fn(s)...)
-	}
-	return out
-}

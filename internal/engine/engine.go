@@ -22,9 +22,8 @@
 //     LRU; a session is owned exclusively while checked out
 //     (DetectSession serializes its own Detect calls by contract), so a
 //     concurrent request for the same key simply gets a fresh session, and
-//     whichever finishes last is recycled instead of cached twice. Evicted
-//     and surplus sessions are Reset() — dropping their caches but keeping
-//     their allocated map/slice capacity — and parked on a freelist.
+//     whichever finishes last is dropped instead of cached twice, as is a
+//     session evicted from the LRU.
 //   - Cancellation: the request context threads through repair → anomaly,
 //     which checks it before every cycle query; a disconnected client frees
 //     its worker slot mid-detection instead of leaking it.
@@ -138,9 +137,6 @@ type cachedSession struct {
 	s   *anomaly.DetectSession
 }
 
-// maxFree bounds each model's freelist of reset sessions.
-const maxFree = 8
-
 // Engine is the long-lived request executor. Construct with New; an Engine
 // is safe for concurrent use.
 type Engine struct {
@@ -152,7 +148,6 @@ type Engine struct {
 	mu    sync.Mutex
 	lru   *list.List // of *cachedSession; front = most recently returned
 	byKey map[sessionKey]*list.Element
-	free  map[anomaly.Model][]*anomaly.DetectSession
 
 	completed atomic.Int64
 	canceled  atomic.Int64
@@ -169,7 +164,7 @@ type Engine struct {
 	ewmaNs           atomic.Int64 // service-time EWMA, nanoseconds; 0 = no observation yet
 
 	bmu      sync.Mutex
-	breakers map[string]*breaker
+	breakers map[string]*breaker // at most maxBreakers entries
 
 	programs *programMemo
 	answers  *answerMemo
@@ -185,6 +180,15 @@ type breaker struct {
 	openUntil time.Time
 }
 
+// isOpen reports whether the circuit fast-fails at now.
+func (b *breaker) isOpen(now time.Time) bool {
+	return !b.openUntil.IsZero() && now.Before(b.openUntil)
+}
+
+// maxBreakers bounds the breaker map: its keys are client ids from request
+// bodies, and a client whose last result degraded keeps its entry.
+const maxBreakers = 1024
+
 // New builds an engine from cfg (zero value: GOMAXPROCS workers, 4×queue,
 // 64 sessions).
 func New(cfg Config) *Engine {
@@ -194,7 +198,6 @@ func New(cfg Config) *Engine {
 		sem:      make(chan struct{}, cfg.Workers),
 		lru:      list.New(),
 		byKey:    map[sessionKey]*list.Element{},
-		free:     map[anomaly.Model][]*anomaly.DetectSession{},
 		breakers: map[string]*breaker{},
 		programs: newProgramMemo(),
 		answers:  newAnswerMemo(),
@@ -369,7 +372,9 @@ func (e *Engine) breakerCheck(client string) error {
 
 // breakerResult folds one completed request's degradation verdict into the
 // client's breaker: a clean result closes (and forgets) it; consecutive
-// degraded results up to the trip threshold open it for the cooldown.
+// degraded results up to the trip threshold open it for the cooldown. A
+// new entry in a full map first drops every entry that is not open; if
+// all are open, the client stays untracked until one of them closes.
 func (e *Engine) breakerResult(client string, degraded bool) {
 	if client == "" || e.cfg.BreakerTrip < 0 {
 		return
@@ -382,6 +387,17 @@ func (e *Engine) breakerResult(client string, degraded bool) {
 	}
 	b := e.breakers[client]
 	if b == nil {
+		if len(e.breakers) >= maxBreakers {
+			now := time.Now()
+			for c, old := range e.breakers {
+				if !old.isOpen(now) {
+					delete(e.breakers, c)
+				}
+			}
+			if len(e.breakers) >= maxBreakers {
+				return
+			}
+		}
 		b = &breaker{}
 		e.breakers[client] = b
 	}
@@ -395,9 +411,8 @@ func (e *Engine) breakerResult(client string, degraded bool) {
 	}
 }
 
-// checkout takes the session cached under k, a recycled session of k's
-// model, or a fresh one — in that order. The caller owns the session
-// exclusively until checkin.
+// checkout takes the session cached under k, or a fresh one. The caller
+// owns the session exclusively until checkin.
 func (e *Engine) checkout(k sessionKey) *anomaly.DetectSession {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -409,24 +424,17 @@ func (e *Engine) checkout(k sessionKey) *anomaly.DetectSession {
 		return cs.s
 	}
 	e.misses.Add(1)
-	if free := e.free[k.model]; len(free) > 0 {
-		s := free[len(free)-1]
-		free[len(free)-1] = nil
-		e.free[k.model] = free[:len(free)-1]
-		return s
-	}
 	return anomaly.NewSession(k.model)
 }
 
 // checkin returns a session to the cache under k, evicting from the LRU
 // tail past capacity. If a concurrent request for the same key returned
-// first, the cached copy stays and this one is recycled — last writer
+// first, the cached copy stays and this one is dropped — last writer
 // yields, so the cache never holds two sessions for one key.
 func (e *Engine) checkin(k sessionKey, s *anomaly.DetectSession) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.byKey[k]; ok {
-		e.recycle(s)
 		return
 	}
 	e.byKey[k] = e.lru.PushFront(&cachedSession{key: k, s: s})
@@ -436,16 +444,6 @@ func (e *Engine) checkin(k sessionKey, s *anomaly.DetectSession) {
 		e.lru.Remove(el)
 		delete(e.byKey, cs.key)
 		e.evictions.Add(1)
-		e.recycle(cs.s)
-	}
-}
-
-// recycle resets a session (dropping caches, keeping capacity) and parks it
-// on its model's bounded freelist. Callers hold e.mu.
-func (e *Engine) recycle(s *anomaly.DetectSession) {
-	s.Reset()
-	if m := s.Model(); len(e.free[m]) < maxFree {
-		e.free[m] = append(e.free[m], s)
 	}
 }
 
@@ -699,7 +697,7 @@ func (e *Engine) Stats() Stats {
 	now := time.Now()
 	e.bmu.Lock()
 	for _, b := range e.breakers {
-		if !b.openUntil.IsZero() && now.Before(b.openUntil) {
+		if b.isOpen(now) {
 			open++
 		}
 	}

@@ -174,7 +174,7 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 // TestSessionLRU pins the session cache: per-client reuse hits, capacity
-// eviction recycles the oldest client, and a client's certifying repair
+// eviction drops the oldest client's session, and a client's certifying repair
 // runs on the same session as its plain requests.
 func TestSessionLRU(t *testing.T) {
 	e := New(Config{Workers: 1, Sessions: 2})
@@ -299,7 +299,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 }
 
 // TestCheckinLastWriterYields: two concurrent checkouts of one key produce
-// two sessions; the second checkin must recycle instead of caching a
+// two sessions; the second checkin must yield instead of caching a
 // duplicate.
 func TestCheckinLastWriterYields(t *testing.T) {
 	e := New(Config{Workers: 2, Sessions: 4})
@@ -314,16 +314,9 @@ func TestCheckinLastWriterYields(t *testing.T) {
 	if st := e.Stats(); st.CachedSessions != 1 {
 		t.Fatalf("cached = %d after double checkin, want 1", st.CachedSessions)
 	}
-	// The yielded copy lands on the freelist and is reused for a fresh key.
-	e.mu.Lock()
-	freeLen := len(e.free[anomaly.EC])
-	e.mu.Unlock()
-	if freeLen != 1 {
-		t.Fatalf("freelist = %d, want the yielded session parked", freeLen)
-	}
-	s3 := e.checkout(sessionKey{client: "other", model: anomaly.EC})
-	if s3 != s2 {
-		t.Fatal("freelist session not reused")
+	// The first checkin's session is the one the key keeps.
+	if s3 := e.checkout(k); s3 != s1 {
+		t.Fatal("the second checkin replaced the cached session")
 	}
 }
 

@@ -182,6 +182,35 @@ func TestBreakerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBreakerMapBounded: client ids come from request bodies, so many
+// distinct clients whose repairs all degrade must not grow the breaker map
+// past maxBreakers — neither when their circuits stay closed (each is one
+// strike short of tripping) nor when every one trips and stays open.
+func TestBreakerMapBounded(t *testing.T) {
+	prog := loadRMW(t)
+	degrade := &Hooks{Stages: func(string) (repair.StageDeadlines, bool) {
+		return repair.StageDeadlines{Detect: time.Nanosecond}, true
+	}}
+	for _, trip := range []int{3, 1} {
+		e := New(Config{Workers: 1, BreakerTrip: trip, BreakerCooldown: time.Hour, Hooks: degrade})
+		for i := 0; i < maxBreakers+64; i++ {
+			res, err := e.Repair(context.Background(), prog, anomaly.EC, repair.Client(fmt.Sprintf("c%d", i)))
+			if err != nil || !res.Degraded {
+				t.Fatalf("trip %d, client %d: err=%v, want a degraded repair", trip, i, err)
+			}
+		}
+		e.bmu.Lock()
+		n := len(e.breakers)
+		e.bmu.Unlock()
+		if n > maxBreakers {
+			t.Fatalf("trip %d: %d breakers after %d degraded clients, bound %d", trip, n, maxBreakers+64, maxBreakers)
+		}
+		if st := e.Stats(); trip == 1 && st.BreakerOpen != maxBreakers {
+			t.Fatalf("trip 1: %d open circuits, want the first %d clients' kept", st.BreakerOpen, maxBreakers)
+		}
+	}
+}
+
 // shortLease is a context that always reports the same short time left
 // until its deadline and never expires. It pins deadline-derived behaviour
 // without racing the solver: however fast detection gets, a stage carved

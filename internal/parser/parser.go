@@ -22,13 +22,8 @@ const maxDepth = 256
 // Parse parses DSL source into a program in one pass over the tokens.
 // Labels are assigned to every database command (S1.. for selects, U1..
 // for updates and inserts, per-transaction counters), matching the paper's
-// naming in Figs. 1 and 11, and every expression is hash-consed as it is
-// built (ast.Cons): a parent is made from canonical children, so
-// structurally equal where clauses and values share one node from the
-// start, which makes the repair engine's EqualExpr checks O(1), and an
-// expression seen before — in this program or an earlier one — is not
-// allocated again. Nor is a declaration seen before parsed again (memo.go):
-// programs share its node, so a parsed program is read-only.
+// naming in Figs. 1 and 11. A declaration seen before is not parsed again
+// (memo.go): programs share its node, so a parsed program is read-only.
 func Parse(src string) (*ast.Program, error) {
 	p := parsers.Get().(*parser)
 	defer p.release()
@@ -577,7 +572,7 @@ func (p *parser) parseDelete() (ast.Stmt, error) {
 	}
 	return &ast.Update{
 		Table: p.text(tbl),
-		Sets:  []ast.Assign{{Field: ast.AliveField, Expr: ast.Cons(&ast.BoolLit{Val: false})}},
+		Sets:  []ast.Assign{{Field: ast.AliveField, Expr: &ast.BoolLit{Val: false}}},
 		Where: w,
 	}, nil
 }
@@ -716,14 +711,14 @@ func (p *parser) parseBinary(min int) (ast.Expr, error) {
 	return l, err
 }
 
-// binary hash-conses l op r. l has height hl; r was parsed last, so its
+// binary builds l op r. l has height hl; r was parsed last, so its
 // height is p.height. A tree taller than maxDepth is an error at the
 // operator token at.
 func (p *parser) binary(at token, op ast.BinOp, l, r ast.Expr, hl int) (ast.Expr, error) {
 	if err := p.grow(at, max(hl, p.height)+1); err != nil {
 		return nil, err
 	}
-	return ast.Cons(&ast.Binary{Op: op, L: l, R: r}), nil
+	return &ast.Binary{Op: op, L: l, R: r}, nil
 }
 
 // grow records h as the height of the expression being built at token at.
@@ -744,10 +739,10 @@ func (p *parser) enter(at token) error {
 	return nil
 }
 
-// leaf hash-conses a leaf expression.
+// leaf records the height of a leaf expression and returns it.
 func (p *parser) leaf(e ast.Expr) ast.Expr {
 	p.height = 1
-	return ast.Cons(e)
+	return e
 }
 
 func (p *parser) parsePrimary() (ast.Expr, error) {
@@ -776,7 +771,7 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 		if err := p.grow(t, p.height+1); err != nil {
 			return nil, err
 		}
-		return ast.Cons(&ast.Binary{Op: ast.OpSub, L: ast.Cons(&ast.IntLit{Val: 0}), R: e}), nil
+		return &ast.Binary{Op: ast.OpSub, L: &ast.IntLit{Val: 0}, R: e}, nil
 	case tokLParen:
 		p.advance()
 		if err := p.enter(t); err != nil {
@@ -885,7 +880,7 @@ func (p *parser) parseIdentExpr() (ast.Expr, error) {
 		if err := p.grow(at, p.height+1); err != nil {
 			return nil, err
 		}
-		return ast.Cons(&ast.FieldAt{Var: name, Field: f, Index: idx}), nil
+		return &ast.FieldAt{Var: name, Field: f, Index: idx}, nil
 	}
 	// Bare identifier: inside a where clause, a field of the target table
 	// denotes this.f; otherwise it is a transaction argument.

@@ -225,7 +225,6 @@ func refParse(src string) (*ast.Program, error) {
 		return nil, err
 	}
 	refAssignLabels(prog)
-	ast.InternProgramExprs(prog)
 	return prog, nil
 }
 

@@ -29,7 +29,6 @@ func Program(seed int64) *ast.Program {
 		g.p.Txns = append(g.p.Txns, g.txn(i, 1+g.rng.Intn(3)))
 	}
 	parser.AssignLabels(g.p)
-	ast.InternProgramExprs(g.p)
 	return g.p
 }
 

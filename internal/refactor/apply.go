@@ -147,9 +147,8 @@ func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (redirected ma
 
 // redirectedAccessRewriter builds pass 3's expression rewriter: accesses
 // through redirected variables are retargeted to the destination field
-// (R2). It reports failures through *rerr. The rewriter's fn contract
-// matches both ast.MapExpr and ast.MapExprCOW: return the argument
-// unchanged to signal "no rewrite".
+// (R2). It reports failures through *rerr. Like every ast.MapExprCOW
+// rewriter, it returns its argument unchanged to signal "no rewrite".
 func redirectedAccessRewriter(t *ast.Txn, v ValueCorr, redirected map[string]bool, rerr *error) func(ast.Expr) ast.Expr {
 	return func(x ast.Expr) ast.Expr {
 		switch fa := x.(type) {
@@ -207,7 +206,7 @@ func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr) (ast.Expr, error) {
 			return nil, errf("intro-v", "where clause %q references un-mapped field %q", ast.ExprString(w), f)
 		}
 	}
-	out := ast.MapExpr(w, func(e ast.Expr) ast.Expr {
+	out := ast.MapExprCOW(w, func(e ast.Expr) ast.Expr {
 		if tf, ok := e.(*ast.ThisField); ok {
 			return &ast.ThisField{Field: v.Theta[tf.Field]}
 		}

@@ -131,7 +131,7 @@ func rewriteCommands(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, map[st
 				Label: x.Label, Var: x.Var,
 				Fields: []string{v.DstField},
 				Table:  v.DstTable,
-				Where:  ast.Intern(nw),
+				Where:  nw,
 			}}
 		case *ast.Update:
 			if len(x.Sets) != 1 || x.Sets[0].Field != v.SrcField {

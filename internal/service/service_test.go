@@ -7,11 +7,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -372,12 +375,36 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st engine.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Workers != 2 || st.QueueDepth != 5 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// The wire keys, exactly: decoding into engine.Stats ignores a key the
+	// struct lacks and zeroes one the reply lacks, so a renamed or dropped
+	// counter would pass the check above.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	got := slices.Sorted(maps.Keys(fields))
+	want := []string{
+		"answer_evictions", "answer_hits", "answer_misses", "answer_reply_bytes",
+		"breaker_fast_fails", "breaker_open", "breaker_trips",
+		"cached_answers", "cached_programs", "cached_sessions", "cached_source_bytes",
+		"canceled", "completed", "degraded", "in_flight",
+		"program_hits", "program_misses", "queue_depth", "queued", "rejected",
+		"service_time_ewma_ms", "session_evictions", "session_hits", "session_misses",
+		"shed", "workers",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("/v1/stats keys = %v, want %v", got, want)
 	}
 }
 
