@@ -105,16 +105,17 @@ certify:
 	$(GO) run ./cmd/atropos-exp -exp certify
 
 # Run every fuzz target for FUZZTIME each (the nightly workflow mirrors
-# this; `go test` allows one -fuzz pattern per run).
+# this; `go test` allows one -fuzz pattern per run). Minimizing a new
+# input is capped at 2 s (go test's default is 60 s, twice a whole run).
 fuzz:
-	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzRepairRandomProgram$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzDetectSessionEquivalence$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzSmallModel$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzWitnessReplaySoundness$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sema -run '^$$' -fuzz '^FuzzSema$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzServiceRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzRepairRandomProgram$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzDetectSessionEquivalence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzSmallModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzWitnessReplaySoundness$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/sema -run '^$$' -fuzz '^FuzzSema$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzServiceRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 
 # Service load-test smoke: the in-process atroposd daemon under a small
 # concurrent client fleet (counts-only assertions — the binary exits

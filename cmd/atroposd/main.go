@@ -12,25 +12,25 @@
 //	GET  /healthz                                           → liveness probe
 //	GET  /readyz                                            → readiness probe
 //
-// Requests carrying a "client" id reuse that client's cached detection
-// session across calls (incremental re-analysis). A repair or certify of a
-// program already answered in full, for any client, is answered again from
-// the engine's 256-answer memo (/v1/stats reports answer_hits and
-// answer_misses). /v1/parse and /v1/certify answer 400 for a knob they do
-// not read, and every endpoint for a field it does not know (the retired
-// budget_* and parallelism fields among them).
-// "timeout_ms" bounds one request, and closing the connection aborts its
-// detection mid-flight. When all
-// workers are busy and the queue is full the daemon answers 429 with a
-// Retry-After hint instead of queueing unboundedly. On SIGINT/SIGTERM the
-// daemon flips /readyz to 503 (so load balancers stop routing to it),
-// finishes in-flight requests, and exits. -pprof ADDR serves net/http/pprof
-// on a second, admin-only listener (go tool pprof http://ADDR/debug/pprof/profile).
+// Requests carrying a "client" id (at most 256 bytes) reuse that client's
+// cached detection session across calls (incremental re-analysis). A repeat
+// repair or certify, for any client, is answered from the answer memo.
+// Checked programs, answers and sessions share one fixed 64 MiB budget;
+// /v1/stats reports each cache's hits, misses, evictions and bytes. /v1/parse and
+// /v1/certify answer 400 for a knob they do not read, and every endpoint
+// for a field it does not know (the retired budget_* and parallelism
+// fields among them). "timeout_ms" bounds one request, and closing the
+// connection aborts its detection mid-flight. When all workers are busy
+// and the queue is full the daemon answers 429 with a Retry-After hint
+// instead of queueing unboundedly. On SIGINT/SIGTERM the daemon flips
+// /readyz to 503 (so load balancers stop routing to it), finishes
+// in-flight requests, and exits. -pprof ADDR serves net/http/pprof on a
+// second, admin-only listener (go tool pprof http://ADDR/debug/pprof/profile).
 // See DESIGN.md §12.
 //
 // Usage:
 //
-//	atroposd [-addr :8372] [-workers N] [-queue N] [-sessions N] [-pprof ADDR]
+//	atroposd [-addr :8372] [-workers N] [-queue N] [-pprof ADDR]
 //	atroposd -loadtest [-clients 64] [-requests 4]   # in-process load test
 //	atroposd -servicechaos                           # scripted fault harness + gate
 package main
@@ -56,7 +56,6 @@ var (
 	addr     = flag.String("addr", ":8372", "listen address")
 	workers  = flag.Int("workers", 0, "concurrent solve workers (0 = GOMAXPROCS)")
 	queue    = flag.Int("queue", 0, "admission queue depth before 429 (0 = 4x workers)")
-	sessions = flag.Int("sessions", 0, "cached client detection sessions before LRU eviction (0 = 64)")
 	loadtest = flag.Bool("loadtest", false, "run the in-process load test instead of serving")
 	clients  = flag.Int("clients", 0, "loadtest: concurrent clients (0 = 64)")
 	requests = flag.Int("requests", 0, "loadtest: requests per client (0 = 4)")
@@ -66,7 +65,7 @@ var (
 
 func main() {
 	flag.Parse()
-	cfg := engine.Config{Workers: *workers, QueueDepth: *queue, Sessions: *sessions}
+	cfg := engine.Config{Workers: *workers, QueueDepth: *queue}
 	if *loadtest {
 		runLoadtest()
 		return
@@ -104,8 +103,8 @@ func main() {
 		defer cancel()
 		srv.Shutdown(ctx) //nolint:errcheck // best-effort drain, then exit
 	}()
-	fmt.Fprintf(os.Stderr, "atroposd: listening on %s (workers=%d queue=%d sessions=%d)\n",
-		*addr, eng.Stats().Workers, eng.Stats().QueueDepth, *sessions)
+	fmt.Fprintf(os.Stderr, "atroposd: listening on %s (workers=%d queue=%d)\n",
+		*addr, eng.Stats().Workers, eng.Stats().QueueDepth)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}
@@ -119,7 +118,6 @@ func runLoadtest() {
 		RequestsPerClient: *requests,
 		Workers:           *workers,
 		QueueDepth:        *queue,
-		Sessions:          *sessions,
 	})
 	if err != nil {
 		fatal(err)

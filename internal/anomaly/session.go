@@ -40,6 +40,7 @@ type DetectSession struct {
 	mu      sync.Mutex
 	txns    map[uint64]txnEntry
 	queries map[memoKey]cycleResult
+	pairs   int // stored in txns
 	stats   SessionStats
 }
 
@@ -114,16 +115,15 @@ func (s *DetectSession) Stats() SessionStats {
 	return s.stats
 }
 
-// Reset drops all cached detection work (statistics are kept). Long-lived
-// sessions — an editing loop detecting after every change — grow a cache
-// entry per unique transaction fingerprint and decided query; call Reset
-// periodically to bound memory at the cost of re-deciding afterwards.
-func (s *DetectSession) Reset() {
+// Size estimates the heap the session's memo holds from its entry counts,
+// in O(1); DESIGN.md §12, "Retained memory", gives the measured sizes.
+func (s *DetectSession) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.txns = map[uint64]txnEntry{}
-	s.queries = map[memoKey]cycleResult{}
+	return sessionBytes + len(s.txns)*txnEntryBytes + s.pairs*pairBytes + len(s.queries)*queryBytes
 }
+
+const sessionBytes, txnEntryBytes, pairBytes, queryBytes = 512, 64, 256, 80
 
 // Detect runs the oracle over every transaction of the program, reusing
 // all applicable cached work.
@@ -196,6 +196,7 @@ func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
 func (s *DetectSession) storeTxn(fp uint64, e txnEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.pairs += len(e.pairs) // a fingerprint is stored once, barring concurrent Detect calls
 	s.txns[fp] = e
 }
 

@@ -230,25 +230,20 @@ txn incB(k: int) {
 	}
 }
 
-// TestSessionReset: dropping the caches forces re-solving but never
-// changes results.
-func TestSessionReset(t *testing.T) {
-	p := progen.Program(7)
+// TestSessionSize: a session's size grows with what it stores and not
+// with what it answers from memory.
+func TestSessionSize(t *testing.T) {
 	s := anomaly.NewSession(anomaly.EC)
-	first, err := s.Detect(p)
-	if err != nil {
+	empty := s.Size()
+	if _, err := s.Detect(progen.Program(7)); err != nil {
 		t.Fatal(err)
 	}
-	s.Reset()
-	again, err := s.Detect(p)
-	if err != nil {
+	grown := s.Size()
+	if _, err := s.Detect(progen.Program(7)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first.Pairs, again.Pairs) {
-		t.Error("detection after Reset diverges")
-	}
-	if first.Queries > 0 && again.Solved != first.Solved {
-		t.Errorf("post-Reset detection solved %d queries, want %d (cold-cache behavior)", again.Solved, first.Solved)
+	if again := s.Size(); empty <= 0 || grown <= empty || again != grown {
+		t.Fatalf("size empty %d, after a detection %d, after repeating it %d; want 0 < empty < after = repeated", empty, grown, again)
 	}
 }
 

@@ -25,15 +25,20 @@ func WalkStmts(body []Stmt, fn func(Stmt) bool) {
 }
 
 func walkStmt(s Stmt, fn func(Stmt) bool) {
-	if s == nil || !fn(s) {
-		return
+	if s != nil && fn(s) {
+		WalkStmts(nested(s), fn)
 	}
+}
+
+// nested returns the body of an if or an iterate, nil for other statements.
+func nested(s Stmt) []Stmt {
 	switch x := s.(type) {
 	case *If:
-		WalkStmts(x.Then, fn)
+		return x.Then
 	case *Iterate:
-		WalkStmts(x.Body, fn)
+		return x.Body
 	}
+	return nil
 }
 
 // Commands returns every database command in body in program order,
@@ -47,6 +52,51 @@ func Commands(body []Stmt) []DBCommand {
 		return true
 	})
 	return out
+}
+
+// FindCommand returns t's command labelled label, nil if none. Labels
+// are unique within a transaction.
+func FindCommand(t *Txn, label string) DBCommand {
+	c, _ := find(t.Body, func(s Stmt) bool {
+		c, ok := s.(DBCommand)
+		return ok && c.CmdLabel() == label
+	}).(DBCommand)
+	return c
+}
+
+// FindSelect returns the select in t binding variable v, nil if none.
+func FindSelect(t *Txn, v string) *Select {
+	sel, _ := find(t.Body, func(s Stmt) bool {
+		sel, ok := s.(*Select)
+		return ok && sel.Var == v
+	}).(*Select)
+	return sel
+}
+
+// find returns the first statement in body, nested bodies included, that
+// match accepts.
+func find(body []Stmt, match func(Stmt) bool) Stmt {
+	for _, s := range body {
+		if match(s) {
+			return s
+		}
+		if x := find(nested(s), match); x != nil {
+			return x
+		}
+	}
+	return nil
+}
+
+// WhereOf returns the where clause of a select or update, nil for other
+// commands.
+func WhereOf(c DBCommand) Expr {
+	switch x := c.(type) {
+	case *Select:
+		return x.Where
+	case *Update:
+		return x.Where
+	}
+	return nil
 }
 
 // StmtExprs returns the expressions directly embedded in s (not those of

@@ -221,30 +221,40 @@ func TestAnswerHitIsACleanAnswer(t *testing.T) {
 	}
 }
 
-// TestAnswerMemoBound: the memo holds maxAnswers answers, and the next
-// distinct one evicts the least recently used.
+// TestAnswerMemoBound: the memo holds answers up to its byte share, and
+// the next one past it evicts the least recently used.
 func TestAnswerMemoBound(t *testing.T) {
-	e := New(Config{Workers: 1})
-	ctx := context.Background()
+	var e *Engine
 	repairSeed := func(seed int64) {
 		t.Helper()
-		if _, err := e.Repair(ctx, progen.Program(seed), anomaly.EC); err != nil {
+		if _, err := e.Repair(context.Background(), progen.Program(seed), anomaly.EC); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for seed := int64(1); seed <= maxAnswers; seed++ {
+	// What the answers of seeds 1..n are charged, on an engine with room.
+	const n = 8
+	e = New(Config{Workers: 1})
+	for seed := int64(1); seed <= n; seed++ {
+		repairSeed(seed)
+	}
+	full := e.Stats().AnswerBytes
+	// A share with room for exactly those.
+	e = New(Config{Workers: 1})
+	e.answers = newLRU[answerKey, *answer](full)
+	for seed := int64(1); seed <= n; seed++ {
 		repairSeed(seed)
 	}
 	repairSeed(1) // a hit: seed 2 is now the least recently used
-	repairSeed(maxAnswers + 1)
-	if got := answerCounters(e); got != [4]int64{1, maxAnswers + 1, 1, maxAnswers} {
-		t.Fatalf("hits, misses, evictions, cached = %v, want [1 %d 1 %d]", got, maxAnswers+1, maxAnswers)
+	repairSeed(n + 1)
+	if st := e.Stats(); st.AnswerHits != 1 || st.AnswerMisses != n+1 || st.AnswerEvictions == 0 || st.AnswerBytes > full {
+		t.Fatalf("hits %d, misses %d, evictions %d, bytes %d; want 1, %d, some, at most %d",
+			st.AnswerHits, st.AnswerMisses, st.AnswerEvictions, st.AnswerBytes, n+1, full)
 	}
 	repairSeed(1)
 	repairSeed(2)
-	if st := e.Stats(); st.AnswerHits != 2 || st.AnswerMisses != maxAnswers+2 {
+	if st := e.Stats(); st.AnswerHits != 2 || st.AnswerMisses != n+2 {
 		t.Fatalf("after re-asking seeds 1 and 2: hits/misses %d/%d, want 2/%d (seed 2 was evicted)",
-			st.AnswerHits, st.AnswerMisses, maxAnswers+2)
+			st.AnswerHits, st.AnswerMisses, n+2)
 	}
 }
 

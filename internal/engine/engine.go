@@ -1,7 +1,7 @@
 // Package engine hosts the long-lived Atropos engine behind the public API
 // and the atroposd service: one object owning the bounded worker pool,
-// per-client detection sessions and the answer memo that every request
-// draws from. The CLI, the daemon, and the tests
+// the memory every request draws from: programs, answers and per-client
+// detection sessions. The CLI, the daemon, and the tests
 // all share this entry point, so "run one repair" and "serve a million
 // repairs" differ only in who calls it.
 //
@@ -12,25 +12,20 @@
 //     is rejected immediately with ErrOverloaded (the service layer maps it
 //     to HTTP 429 + Retry-After). A waiting request that is cancelled
 //     leaves the queue without consuming a slot.
-//   - Programs: a checked program is remembered under its source text in
-//     an LRU bounded by source bytes (programs.go).
-//   - Answers: a complete repair or certify answer is remembered under
-//     (verb, program hash, model, certify) in a bounded LRU shared by every
-//     client, and a repeated request is answered from it inside its worker
-//     slot (answers.go), with the response its hits render (Reply).
-//   - Sessions: each (client, model) key checks a DetectSession out of an
-//     LRU; a session is owned exclusively while checked out
-//     (DetectSession serializes its own Detect calls by contract), so a
-//     concurrent request for the same key simply gets a fresh session, and
-//     whichever finishes last is dropped instead of cached twice, as is a
-//     session evicted from the LRU.
+//   - Retained memory: checked programs (under their source text),
+//     complete repair and certify answers (under verb, program hash, model
+//     and certify, for every client, with the response a hit renders:
+//     Reply) and per-(client, model) detection sessions live in three LRUs
+//     of one type (lru.go), bounded by shares of one byte budget. A session
+//     is checked out (removed) while a request uses it, so a concurrent
+//     request for its key detects on a fresh one; the later checkin of the
+//     two is dropped.
 //   - Cancellation: the request context threads through repair → anomaly,
 //     which checks it before every cycle query; a disconnected client frees
 //     its worker slot mid-detection instead of leaking it.
 package engine
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -69,9 +64,6 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker slot beyond the ones
 	// executing; <= 0 selects 4×Workers.
 	QueueDepth int
-	// Sessions caps the per-(client, model) DetectSession LRU; <= 0 selects
-	// 64.
-	Sessions int
 	// MaxQueueWait is the CoDel-style queue-wait ceiling: a request still
 	// waiting for a worker slot after this long is shed with ErrOverloaded
 	// instead of going stale in the queue (its client's deadline budget is
@@ -111,9 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.Sessions <= 0 {
-		c.Sessions = 64
-	}
 	if c.MaxQueueWait == 0 {
 		c.MaxQueueWait = 30 * time.Second
 	}
@@ -132,11 +121,6 @@ type sessionKey struct {
 	model  anomaly.Model
 }
 
-type cachedSession struct {
-	key sessionKey
-	s   *anomaly.DetectSession
-}
-
 // Engine is the long-lived request executor. Construct with New; an Engine
 // is safe for concurrent use.
 type Engine struct {
@@ -145,16 +129,9 @@ type Engine struct {
 	sem    chan struct{} // worker slots
 	queued atomic.Int64  // requests waiting for a slot
 
-	mu    sync.Mutex
-	lru   *list.List // of *cachedSession; front = most recently returned
-	byKey map[sessionKey]*list.Element
-
 	completed atomic.Int64
 	canceled  atomic.Int64
 	rejected  atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
 
 	// Overload-control state (see acquire, RetryAfter, breaker*).
 	shed             atomic.Int64
@@ -166,8 +143,9 @@ type Engine struct {
 	bmu      sync.Mutex
 	breakers map[string]*breaker // at most maxBreakers entries
 
-	programs *programMemo
-	answers  *answerMemo
+	programs *lru[string, *ast.Program]
+	answers  *lru[answerKey, *answer]
+	sessions *lru[sessionKey, *anomaly.DetectSession]
 }
 
 // breaker is one client's circuit-breaker state: consec counts consecutive
@@ -185,22 +163,31 @@ func (b *breaker) isOpen(now time.Time) bool {
 	return !b.openUntil.IsZero() && now.Before(b.openUntil)
 }
 
+// retainedBytes is the budget for what the engine keeps between requests,
+// split into one byte-bounded LRU per kind; a memoized program is charged
+// per byte of its source, key and nodes (DESIGN.md §12, "Retained memory").
+const (
+	retainedBytes             = 64 << 20
+	programShare              = retainedBytes / 4
+	answerShare               = retainedBytes / 2
+	sessionShare              = retainedBytes / 4
+	programBytesPerSourceByte = 6
+)
+
 // maxBreakers bounds the breaker map: its keys are client ids from request
 // bodies, and a client whose last result degraded keeps its entry.
 const maxBreakers = 1024
 
-// New builds an engine from cfg (zero value: GOMAXPROCS workers, 4×queue,
-// 64 sessions).
+// New builds an engine from cfg (zero value: GOMAXPROCS workers, 4×queue).
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.Workers),
-		lru:      list.New(),
-		byKey:    map[sessionKey]*list.Element{},
 		breakers: map[string]*breaker{},
-		programs: newProgramMemo(),
-		answers:  newAnswerMemo(),
+		programs: newLRU[string, *ast.Program](programShare),
+		answers:  newLRU[answerKey, *answer](answerShare),
+		sessions: newLRU[sessionKey, *anomaly.DetectSession](sessionShare),
 	}
 }
 
@@ -411,39 +398,25 @@ func (e *Engine) breakerResult(client string, degraded bool) {
 	}
 }
 
-// checkout takes the session cached under k, or a fresh one. The caller
-// owns the session exclusively until checkin.
+// checkout takes the session cached under k, or a fresh one; a request
+// with no client always gets a fresh one. The caller owns the session
+// exclusively until checkin.
 func (e *Engine) checkout(k sessionKey) *anomaly.DetectSession {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if el, ok := e.byKey[k]; ok {
-		e.hits.Add(1)
-		cs := el.Value.(*cachedSession)
-		e.lru.Remove(el)
-		delete(e.byKey, k)
-		return cs.s
+	if k.client != "" {
+		if s, ok := e.sessions.take(k); ok {
+			return s
+		}
 	}
-	e.misses.Add(1)
 	return anomaly.NewSession(k.model)
 }
 
-// checkin returns a session to the cache under k, evicting from the LRU
-// tail past capacity. If a concurrent request for the same key returned
-// first, the cached copy stays and this one is dropped — last writer
-// yields, so the cache never holds two sessions for one key.
+// checkin returns a client's session to the cache under k, charged its
+// Size. If a concurrent request for the same key returned first, the
+// cached copy stays and this one is dropped, as is a session past the
+// whole session share.
 func (e *Engine) checkin(k sessionKey, s *anomaly.DetectSession) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.byKey[k]; ok {
-		return
-	}
-	e.byKey[k] = e.lru.PushFront(&cachedSession{key: k, s: s})
-	for e.lru.Len() > e.cfg.Sessions {
-		el := e.lru.Back()
-		cs := el.Value.(*cachedSession)
-		e.lru.Remove(el)
-		delete(e.byKey, cs.key)
-		e.evictions.Add(1)
+	if k.client != "" {
+		e.sessions.put(k, s, len(k.client)+s.Size())
 	}
 }
 
@@ -456,7 +429,7 @@ func (e *Engine) Parse(src string) (*ast.Program, error) {
 	}
 	prog, err := sema.Load(src)
 	if err == nil {
-		e.programs.put(src, prog)
+		e.programs.put(src, prog, programBytesPerSourceByte*len(src))
 	}
 	return prog, err
 }
@@ -478,16 +451,9 @@ func (e *Engine) Analyze(ctx context.Context, prog *ast.Program, model anomaly.M
 	defer e.guard(start, &err)
 	e.execHook("analyze", o.Client)
 	k := sessionKey{client: o.Client, model: model}
-	var s *anomaly.DetectSession
-	if o.Client != "" {
-		s = e.checkout(k)
-	} else {
-		s = anomaly.NewSession(model)
-	}
+	s := e.checkout(k)
 	rep, derr := s.DetectContext(ctx, prog)
-	if o.Client != "" {
-		e.checkin(k, s)
-	}
+	e.checkin(k, s)
 	// A detection either completes or fails with its context; a complete
 	// one is a clean result for the client's breaker.
 	if derr == nil {
@@ -538,7 +504,7 @@ func (e *Engine) RepairReply(ctx context.Context, prog *ast.Program, model anoma
 	var key answerKey
 	if memo {
 		key = answerKey{verb: "repair", prog: ast.HashProgram(prog), model: model, certify: o.Certify}
-		if ans, reply := e.answers.get(key); ans != nil {
+		if ans, reply := e.getAnswer(key); ans != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, e.finish(start, err)
 			}
@@ -560,21 +526,18 @@ func (e *Engine) RepairReply(ctx context.Context, prog *ast.Program, model anoma
 			o.Stages = st
 		}
 	}
-	var k sessionKey
-	var s *anomaly.DetectSession
-	if o.Client != "" && o.Session == nil {
-		k = sessionKey{client: o.Client, model: model}
-		s = e.checkout(k)
-		o.Session = s
+	k := sessionKey{client: o.Client, model: model}
+	if memo {
+		o.Session = e.checkout(k)
 	}
 	res, rerr := repair.RunWith(ctx, prog, model, o)
-	if s != nil {
+	if memo {
 		// Checked in only on a normal return: a panicking pipeline would
 		// leave the session's caches mid-mutation.
-		e.checkin(k, s)
+		e.checkin(k, o.Session)
 	}
 	if memo && rerr == nil && !res.Degraded {
-		e.answers.put(&answer{key: key, res: res})
+		e.storeAnswer(prog, &answer{key: key, res: res})
 	}
 	e.noteResult(o.Client, res, rerr)
 	return res, nil, e.finish(start, rerr)
@@ -600,7 +563,7 @@ func (e *Engine) CertifyReply(ctx context.Context, prog *ast.Program, model anom
 	defer e.guard(start, &err)
 	e.execHook("certify", "")
 	key := answerKey{verb: "certify", prog: ast.HashProgram(prog), model: model}
-	if ans, reply := e.answers.get(key); ans != nil {
+	if ans, reply := e.getAnswer(key); ans != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, e.finish(start, err)
 		}
@@ -608,7 +571,7 @@ func (e *Engine) CertifyReply(ctx context.Context, prog *ast.Program, model anom
 	}
 	cert, rep, cerr := replay.CertifyModelContext(ctx, prog, model)
 	if cerr == nil {
-		e.answers.put(&answer{key: key, cert: cert, rep: rep})
+		e.storeAnswer(prog, &answer{key: key, cert: cert, rep: rep})
 	}
 	return cert, rep, nil, e.finish(start, cerr)
 }
@@ -657,25 +620,26 @@ type Stats struct {
 	// ServiceTimeEwmaMs is the smoothed per-request service time feeding
 	// Retry-After. Informational: timing-dependent, so never drift-compared.
 	ServiceTimeEwmaMs float64 `json:"service_time_ewma_ms"`
-	// Session cache counters.
-	SessionHits      int64 `json:"session_hits"`
-	SessionMisses    int64 `json:"session_misses"`
-	SessionEvictions int64 `json:"session_evictions"`
-	CachedSessions   int   `json:"cached_sessions"`
-	// Answer memo counters: lookups answered from memory and not, answers
-	// evicted past the bound, and answers held (an instantaneous gauge).
-	// Repairs on an injected session never look up.
-	AnswerHits      int64 `json:"answer_hits"`
-	AnswerMisses    int64 `json:"answer_misses"`
-	AnswerEvictions int64 `json:"answer_evictions"`
-	CachedAnswers   int   `json:"cached_answers"`
-	// AnswerReplyBytes is the size of the replies stored with them.
-	AnswerReplyBytes int `json:"answer_reply_bytes"`
-	// Program memo counters, as the answer memo's; a source that fails to
-	// check is a miss and is never held.
+	// Each cache's lookups answered from memory and not, entries its byte
+	// bound pushed out or turned away, entries held and bytes charged;
+	// AnswerReplyBytes and CachedSourceBytes are the replies' and source
+	// texts' own bytes. A repair on an injected session never looks up an
+	// answer; a source that fails to check is a program miss.
+	SessionHits       int64 `json:"session_hits"`
+	SessionMisses     int64 `json:"session_misses"`
+	SessionEvictions  int64 `json:"session_evictions"`
+	CachedSessions    int   `json:"cached_sessions"`
+	SessionBytes      int   `json:"session_bytes"`
+	AnswerHits        int64 `json:"answer_hits"`
+	AnswerMisses      int64 `json:"answer_misses"`
+	AnswerEvictions   int64 `json:"answer_evictions"`
+	CachedAnswers     int   `json:"cached_answers"`
+	AnswerBytes       int   `json:"answer_bytes"`
+	AnswerReplyBytes  int   `json:"answer_reply_bytes"`
 	ProgramHits       int64 `json:"program_hits"`
 	ProgramMisses     int64 `json:"program_misses"`
 	CachedPrograms    int   `json:"cached_programs"`
+	ProgramBytes      int   `json:"program_bytes"`
 	CachedSourceBytes int   `json:"cached_source_bytes"`
 }
 
@@ -690,9 +654,6 @@ func (s Stats) SessionHitRate() float64 {
 
 // Stats snapshots the engine's counters.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	cached := e.lru.Len()
-	e.mu.Unlock()
 	open := 0
 	now := time.Now()
 	e.bmu.Lock()
@@ -716,12 +677,11 @@ func (e *Engine) Stats() Stats {
 		BreakerFastFails:  e.breakerFastFails.Load(),
 		BreakerOpen:       open,
 		ServiceTimeEwmaMs: float64(e.ewmaNs.Load()) / 1e6,
-		SessionHits:       e.hits.Load(),
-		SessionMisses:     e.misses.Load(),
-		SessionEvictions:  e.evictions.Load(),
-		CachedSessions:    cached,
 	}
-	e.answers.counters(&st)
-	e.programs.counters(&st)
+	st.SessionHits, st.SessionMisses, st.SessionEvictions, st.CachedSessions, st.SessionBytes, _ = e.sessions.stats(nil)
+	st.AnswerHits, st.AnswerMisses, st.AnswerEvictions, st.CachedAnswers, st.AnswerBytes, st.AnswerReplyBytes =
+		e.answers.stats(func(_ answerKey, a *answer) int { return len(a.reply) })
+	st.ProgramHits, st.ProgramMisses, _, st.CachedPrograms, st.ProgramBytes, st.CachedSourceBytes =
+		e.programs.stats(func(src string, _ *ast.Program) int { return len(src) })
 	return st
 }

@@ -173,12 +173,20 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestSessionLRU pins the session cache: per-client reuse hits, capacity
-// eviction drops the oldest client's session, and a client's certifying repair
-// runs on the same session as its plain requests.
+// TestSessionLRU pins the session cache: per-client reuse hits, the byte
+// bound evicts the oldest client's session, a session past the whole share
+// is dropped at checkin, and a client's certifying repair runs on the same
+// session as its plain requests.
 func TestSessionLRU(t *testing.T) {
-	e := New(Config{Workers: 1, Sessions: 2})
 	prog := loadRMW(t)
+	// A share with room for two sessions that detected prog, not three.
+	s := anomaly.NewSession(anomaly.EC)
+	if _, err := s.Detect(prog); err != nil {
+		t.Fatal(err)
+	}
+	one := lruEntryBytes + len("a") + s.Size()
+	e := New(Config{Workers: 1})
+	e.sessions = newLRU[sessionKey, *anomaly.DetectSession](2*one + one/2)
 	ctx := context.Background()
 	analyze := func(client string) {
 		t.Helper()
@@ -198,6 +206,9 @@ func TestSessionLRU(t *testing.T) {
 	if st.SessionEvictions != 1 || st.CachedSessions != 2 {
 		t.Fatalf("evictions = %d cached = %d, want 1 and 2", st.SessionEvictions, st.CachedSessions)
 	}
+	if st.SessionBytes != 2*one {
+		t.Fatalf("session bytes = %d, want %d", st.SessionBytes, 2*one)
+	}
 	analyze("b") // must miss: b was evicted
 	if st = e.Stats(); st.SessionMisses != 4 {
 		t.Fatalf("misses = %d, want 4 (b evicted)", st.SessionMisses)
@@ -208,6 +219,12 @@ func TestSessionLRU(t *testing.T) {
 	}
 	if st = e.Stats(); st.SessionHits != 2 || st.SessionMisses != 4 {
 		t.Fatalf("hits/misses = %d/%d, want 2/4 (certify shares the client's session)", st.SessionHits, st.SessionMisses)
+	}
+	// A session past the whole share is not kept.
+	e.sessions = newLRU[sessionKey, *anomaly.DetectSession](one - 1)
+	analyze("a")
+	if st = e.Stats(); st.SessionEvictions != 1 || st.CachedSessions != 0 || st.SessionBytes != 0 {
+		t.Fatalf("evictions = %d cached = %d bytes = %d, want 1, 0 and 0", st.SessionEvictions, st.CachedSessions, st.SessionBytes)
 	}
 }
 
@@ -242,7 +259,7 @@ func TestSessionReuseKeepsReports(t *testing.T) {
 // everything must complete, nothing may leak a worker slot or a queue
 // position.
 func TestConcurrentMixedRequests(t *testing.T) {
-	e := New(Config{Workers: 4, QueueDepth: 64, Sessions: 8})
+	e := New(Config{Workers: 4, QueueDepth: 64})
 	prog := loadRMW(t)
 	bank, err := benchmarks.SIBench.Program()
 	if err != nil {
@@ -302,7 +319,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 // two sessions; the second checkin must yield instead of caching a
 // duplicate.
 func TestCheckinLastWriterYields(t *testing.T) {
-	e := New(Config{Workers: 2, Sessions: 4})
+	e := New(Config{Workers: 2})
 	k := sessionKey{client: "dup", model: anomaly.EC}
 	s1 := e.checkout(k)
 	s2 := e.checkout(k)

@@ -26,6 +26,9 @@ func memoCounters(e *Engine) [5]int64 {
 // bound (never held), and a reply that only the first Fill stores.
 func TestMemoStats(t *testing.T) {
 	e := New(Config{Workers: 1})
+	// Room for two sources of half bytes each.
+	const half = 1 << 16
+	e.programs = newLRU[string, *ast.Program](2 * (programBytesPerSourceByte*half + lruEntryBytes))
 	n := int64(len(rmwSrc))
 	step := func(name, src string, wantErr bool, want [5]int64) *ast.Program {
 		t.Helper()
@@ -44,17 +47,18 @@ func TestMemoStats(t *testing.T) {
 	}
 	step("unchecked", "table T { n: int, }", true, [5]int64{1, 2, 1, n, 0})
 	step("unchecked again", "table T { n: int, }", true, [5]int64{1, 3, 1, n, 0})
-	half := rmwSrc + strings.Repeat(" ", maxProgramBytes/2-len(rmwSrc))
-	step("half", half, false, [5]int64{1, 4, 2, n + maxProgramBytes/2, 0})
-	other := strings.Replace(half, " ", "\n", 1)
-	step("other half evicts the first", other, false, [5]int64{1, 5, 2, maxProgramBytes, 0})
-	step("first is gone", rmwSrc, false, [5]int64{1, 6, 2, n + maxProgramBytes/2, 0})
-	step("past the bound", half+strings.Repeat(" ", maxProgramBytes/2+1), false, [5]int64{1, 7, 2, n + maxProgramBytes/2, 0})
+	halfSrc := rmwSrc + strings.Repeat(" ", half-len(rmwSrc))
+	step("half", halfSrc, false, [5]int64{1, 4, 2, n + half, 0})
+	other := strings.Replace(halfSrc, " ", "\n", 1)
+	step("other half evicts the first", other, false, [5]int64{1, 5, 2, 2 * half, 0})
+	step("first is gone", rmwSrc, false, [5]int64{1, 6, 2, n + half, 0})
+	step("past the bound", halfSrc+strings.Repeat(" ", half+64), false, [5]int64{1, 7, 2, n + half, 0})
 
 	ctx := context.Background()
 	if _, reply, err := e.RepairReply(ctx, first, anomaly.EC); err != nil || reply != nil {
 		t.Fatalf("computed repair: reply %v, err %v; want none", reply, err)
 	}
+	charged := e.Stats().AnswerBytes
 	for i, fill := range []string{"first", "second"} {
 		_, reply, err := e.RepairReply(ctx, first, anomaly.EC)
 		if err != nil || reply == nil {
@@ -67,27 +71,9 @@ func TestMemoStats(t *testing.T) {
 		if got := memoCounters(e)[4]; got != int64(len("first")) {
 			t.Fatalf("after fill %q: reply bytes %d, want %d", fill, got, len("first"))
 		}
-	}
-
-	// An evicted entry takes its reply's bytes along, and a Fill that comes
-	// after the eviction stores nothing, even once its key is back.
-	m := newAnswerMemo()
-	m.put(&answer{key: answerKey{prog: 0}})
-	_, reply := m.get(answerKey{prog: 0})
-	reply.Fill([]byte("reply"))
-	for i := uint64(1); i <= maxAnswers; i++ {
-		m.put(&answer{key: answerKey{prog: i}})
-	}
-	late, lateReply := m.get(answerKey{prog: 1})
-	for i := uint64(maxAnswers + 1); i <= 2*maxAnswers; i++ {
-		m.put(&answer{key: answerKey{prog: i}})
-	}
-	m.put(&answer{key: answerKey{prog: 1}})
-	lateReply.Fill([]byte("late"))
-	var st Stats
-	if m.counters(&st); st.AnswerReplyBytes != 0 || st.AnswerEvictions != maxAnswers+2 || late.reply != nil {
-		t.Fatalf("after evicting the filled entry: reply bytes %d, evictions %d, late reply %q; want 0, %d, none",
-			st.AnswerReplyBytes, st.AnswerEvictions, late.reply, maxAnswers+2)
+		if got := e.Stats().AnswerBytes; got != charged+len("first") {
+			t.Fatalf("after fill %q: answer bytes %d, want %d", fill, got, charged+len("first"))
+		}
 	}
 }
 

@@ -29,12 +29,11 @@ type LoadConfig struct {
 	// alternating analyze and repair over its own progen program
 	// (default 4).
 	RequestsPerClient int
-	// Workers / QueueDepth / Sessions size the engine (engine.Config
-	// semantics). The defaults keep the queue deliberately smaller than
-	// the client count so backpressure (429 + retry) is exercised.
+	// Workers / QueueDepth size the engine (engine.Config semantics). The
+	// defaults keep the queue deliberately smaller than the client count
+	// so backpressure (429 + retry) is exercised.
 	Workers    int
 	QueueDepth int
-	Sessions   int
 }
 
 func (c LoadConfig) withDefaults() LoadConfig {
@@ -48,9 +47,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 		// Undersized on purpose: with the queue below the client count,
 		// admission rejections (429) are part of the measured behavior.
 		c.QueueDepth = max(1, c.Clients/8)
-	}
-	if c.Sessions <= 0 {
-		c.Sessions = c.Clients
 	}
 	return c
 }
@@ -97,7 +93,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	eng := engine.New(engine.Config{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
-		Sessions:   cfg.Sessions,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

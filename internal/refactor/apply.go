@@ -291,7 +291,7 @@ func incrementDelta(x *ast.Update, v ValueCorr, t *ast.Txn) (ast.Expr, error) {
 		return nil, errf("intro-v", "%s: assignment %q is not increment-shaped", x.Label, ast.ExprString(x.Sets[0].Expr))
 	}
 	// The self-read variable must come from a select on the same record.
-	sel := findSelect(t, varName)
+	sel := ast.FindSelect(t, varName)
 	if sel == nil || sel.Table != v.SrcTable || !ast.EqualExpr(sel.Where, x.Where) {
 		return nil, errf("intro-v", "%s: %s.%s is not a read of the updated record", x.Label, varName, v.SrcField)
 	}
@@ -303,18 +303,6 @@ func incrementDelta(x *ast.Update, v ValueCorr, t *ast.Txn) (ast.Expr, error) {
 		delta = &ast.Binary{Op: ast.OpSub, L: &ast.IntLit{Val: 0}, R: delta}
 	}
 	return delta, nil
-}
-
-// findSelect locates the select binding a variable in a transaction.
-func findSelect(t *ast.Txn, varName string) *ast.Select {
-	var found *ast.Select
-	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if sel, ok := s.(*ast.Select); ok && sel.Var == varName {
-			found = sel
-		}
-		return true
-	})
-	return found
 }
 
 // BuildLoggerSchema introduces the logging schema for (srcTable, srcField)

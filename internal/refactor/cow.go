@@ -245,8 +245,8 @@ func cowSplitSelect(p *ast.Program, txn, label string, groups [][]string) (*ast.
 func cowMerge(p *ast.Program, txn, label1, label2 string, mergedWhere ast.Expr) *ast.Program {
 	ti := ast.TxnIndex(p, txn)
 	t := p.Txns[ti]
-	c1 := findCommand(t, label1)
-	c2 := findCommand(t, label2)
+	c1 := ast.FindCommand(t, label1)
+	c2 := ast.FindCommand(t, label2)
 
 	var repl ast.Stmt
 	var rewriteVars func(ast.Expr) ast.Expr

@@ -39,8 +39,8 @@ func SplitSelect(p *ast.Program, txn, label string, groups [][]string) (*ast.Pro
 //
 // It returns the where clause the merged command should keep.
 func SameRecords(t *ast.Txn, c1, c2 ast.DBCommand) (ast.Expr, bool) {
-	w1 := whereOf(c1)
-	w2 := whereOf(c2)
+	w1 := ast.WhereOf(c1)
+	w2 := ast.WhereOf(c2)
 	if w1 == nil || w2 == nil {
 		return nil, false
 	}
@@ -86,17 +86,6 @@ func samePinMaps(w1, w2 ast.Expr) bool {
 	return true
 }
 
-func whereOf(c ast.DBCommand) ast.Expr {
-	switch x := c.(type) {
-	case *ast.Select:
-		return x.Where
-	case *ast.Update:
-		return x.Where
-	default:
-		return nil
-	}
-}
-
 // lookupPattern reports whether wLookup has the shape this.g = x.g where x
 // was bound by a select on table whose where clause equals wAnchor: the
 // looked-up record is the anchored record itself.
@@ -113,7 +102,7 @@ func lookupPattern(t *ast.Txn, table string, wAnchor, wLookup ast.Expr) bool {
 	if !ok || fa.Index != nil || fa.Field != tf.Field {
 		return false
 	}
-	sel := findSelect(t, fa.Var)
+	sel := ast.FindSelect(t, fa.Var)
 	return sel != nil && sel.Table == table && ast.EqualExpr(sel.Where, wAnchor)
 }
 
@@ -165,7 +154,7 @@ func lookupConjunct(t *ast.Txn, table string, wAnchor ast.Expr, q ast.WhereEqual
 	if !ok || fa.Index != nil || fa.Field != q.Field {
 		return false
 	}
-	sel := findSelect(t, fa.Var)
+	sel := ast.FindSelect(t, fa.Var)
 	return sel != nil && sel.Table == table && ast.EqualExpr(sel.Where, wAnchor)
 }
 
@@ -194,8 +183,8 @@ func checkMerge(p *ast.Program, txn, label1, label2 string) (ast.Expr, error) {
 	if pt == nil {
 		return nil, errf("merge", "unknown transaction %q", txn)
 	}
-	pc1 := findCommand(pt, label1)
-	pc2 := findCommand(pt, label2)
+	pc1 := ast.FindCommand(pt, label1)
+	pc2 := ast.FindCommand(pt, label2)
 	if pc1 == nil || pc2 == nil {
 		return nil, errf("merge", "%s: commands %q/%q not found", txn, label1, label2)
 	}
@@ -280,16 +269,4 @@ func checkNoConflictBetween(t *ast.Txn, c1, c2 ast.DBCommand) error {
 		}
 	}
 	return nil
-}
-
-// findCommand locates a database command by label.
-func findCommand(t *ast.Txn, label string) ast.DBCommand {
-	var found ast.DBCommand
-	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if c, ok := s.(ast.DBCommand); ok && c.CmdLabel() == label {
-			found = c
-		}
-		return true
-	})
-	return found
 }

@@ -412,7 +412,7 @@ func preprocess(p *ast.Program, pairs []anomaly.AccessPair, res *Result) *ast.Pr
 		if t == nil {
 			continue
 		}
-		c := findCommand(t, k.label)
+		c := ast.FindCommand(t, k.label)
 		if c == nil {
 			continue
 		}
@@ -451,7 +451,7 @@ func preprocess(p *ast.Program, pairs []anomaly.AccessPair, res *Result) *ast.Pr
 	for _, k := range planKeys {
 		partition := plans[k]
 		t := p.Txn(k.txn)
-		c := findCommand(t, k.label)
+		c := ast.FindCommand(t, k.label)
 		if c == nil {
 			continue
 		}
@@ -614,8 +614,8 @@ func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result, logs *loggi
 	if t == nil {
 		return p, res.outcome(false, "transaction vanished")
 	}
-	c1 := findCommand(t, pair.C1)
-	c2 := findCommand(t, pair.C2)
+	c1 := ast.FindCommand(t, pair.C1)
+	c2 := ast.FindCommand(t, pair.C2)
 	if c1 == nil || c2 == nil {
 		return p, res.outcome(true, "already repaired (command merged away)")
 	}
@@ -723,7 +723,7 @@ func singleField(c ast.DBCommand) (string, error) {
 //	(b) c1 is an update setting g = e and the pin equals e — θ̂(f) = g;
 //	(c) c1's where pins its own key field g to the same expression — θ̂(f) = g.
 func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, dstSchema *ast.Schema) (map[string]string, error) {
-	pins, ok := ast.WellFormedWhere(whereOf(c2), srcSchema)
+	pins, ok := ast.WellFormedWhere(ast.WhereOf(c2), srcSchema)
 	if !ok {
 		return nil, fmt.Errorf("repair: %s: where clause is not a primary-key equality conjunction", c2.CmdLabel())
 	}
@@ -733,7 +733,7 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 		g := ""
 		// (a) lookup through a select on the destination table.
 		if fa, isFA := pin.(*ast.FieldAt); isFA && fa.Index == nil {
-			if sel := findSelectVar(t, fa.Var); sel != nil && sel.Table == dstSchema.Name {
+			if sel := ast.FindSelect(t, fa.Var); sel != nil && sel.Table == dstSchema.Name {
 				g = fa.Field
 			}
 		}
@@ -751,7 +751,7 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 		// (c) c1 pins one of its key fields to the same expression; the
 		// first such field in clause order.
 		if g == "" {
-			if dstPins, ok := ast.WellFormedWhere(whereOf(c1), dstSchema); ok {
+			if dstPins, ok := ast.WellFormedWhere(ast.WhereOf(c1), dstSchema); ok {
 				for _, q := range dstPins {
 					if ast.EqualExpr(q.Expr, pin) {
 						g = q.Field
@@ -779,8 +779,8 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 // failure appends its reason, a success replaces the description.
 func tryLogging(p *ast.Program, pair anomaly.AccessPair, desc int, res *Result, logs *loggingMemo) (*ast.Program, bool) {
 	t := p.Txn(pair.Txn)
-	c1 := findCommand(t, pair.C1)
-	c2 := findCommand(t, pair.C2)
+	c1 := ast.FindCommand(t, pair.C1)
+	c2 := ast.FindCommand(t, pair.C2)
 	var sel *ast.Select
 	var upd *ast.Update
 	for _, c := range []ast.DBCommand{c1, c2} {
@@ -843,43 +843,6 @@ func (m *loggingMemo) logged(p *ast.Program, table, field string) (*ast.Program,
 		m.outs[k] = o
 	}
 	return o.prog, o.corr, o.err
-}
-
-func whereOf(c ast.DBCommand) ast.Expr {
-	switch x := c.(type) {
-	case *ast.Select:
-		return x.Where
-	case *ast.Update:
-		return x.Where
-	default:
-		return nil
-	}
-}
-
-// findCommand returns t's first command labelled label, nil if none.
-func findCommand(t *ast.Txn, label string) ast.DBCommand {
-	var found ast.DBCommand
-	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if found != nil {
-			return false
-		}
-		if c, ok := s.(ast.DBCommand); ok && c.CmdLabel() == label {
-			found = c
-		}
-		return true
-	})
-	return found
-}
-
-func findSelectVar(t *ast.Txn, v string) *ast.Select {
-	var found *ast.Select
-	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if sel, ok := s.(*ast.Select); ok && sel.Var == v {
-			found = sel
-		}
-		return true
-	})
-	return found
 }
 
 // postprocess removes dead code, merges whatever became mergeable, and

@@ -320,7 +320,7 @@ txn T(k: int) {
   return x.v + y.w;
 }`)
 	txn := prog.Txn("T")
-	c1, c2 := findCommand(txn, "S1"), findCommand(txn, "S2")
+	c1, c2 := ast.FindCommand(txn, "S1"), ast.FindCommand(txn, "S2")
 	for run := range 100 {
 		theta, err := deriveTheta(prog, txn, c1, c2, prog.Schema("SRC"), prog.Schema("DST"))
 		if err != nil {

@@ -151,7 +151,7 @@ type ProgramRequest struct {
 	// Model is the consistency model ("EC", "CC", "RR", "SC"); default EC.
 	Model string `json:"model,omitempty"`
 	// Client keys this caller's DetectSession in the engine's LRU; empty
-	// disables session reuse across requests.
+	// disables session reuse across requests. At most 256 bytes.
 	Client string `json:"client,omitempty"`
 	// TimeoutMs bounds the request server-side; 0 means none, negative is a 400.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
@@ -504,13 +504,20 @@ func (req *ProgramRequest) unread(parse bool) string {
 	return ""
 }
 
+// maxClientBytes bounds a client id, which keys an engine session and breaker.
+const maxClientBytes = 256
+
 // decodeProgram decodes a ProgramRequest body, answering 400 for a
-// malformed body or a negative timeout_ms. A field the request type does
-// not have — a retired one included — is malformed, and the error names it.
+// malformed body, a negative timeout_ms or a client id past
+// maxClientBytes. A field the request type does not have — a retired one
+// included — is malformed, and the error names it.
 func (s *Server) decodeProgram(w http.ResponseWriter, r *http.Request, req *ProgramRequest) bool {
 	err := decodeJSON(w, r, req)
 	if err == nil && req.TimeoutMs < 0 {
 		err = fmt.Errorf("timeout_ms must not be negative, got %d", req.TimeoutMs)
+	}
+	if err == nil && len(req.Client) > maxClientBytes {
+		err = fmt.Errorf("client must be at most %d bytes, got %d", maxClientBytes, len(req.Client))
 	}
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)

@@ -165,6 +165,8 @@ func TestBadRequests(t *testing.T) {
 		{"negative ops", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, Ops: -100}, "ops "},
 		// No deadline can honour a negative timeout_ms; it used to mean none.
 		{"negative timeout", "/v1/repair", ProgramRequest{Benchmark: "SmallBank", TimeoutMs: -7}, "timeout_ms must not be negative, got -7"},
+		// A client id keys a session and a breaker: its length is bounded.
+		{"long client", "/v1/analyze", ProgramRequest{Benchmark: "SmallBank", Client: strings.Repeat("c", 300)}, "client must be at most 256 bytes, got 300"},
 		{"negative simulate timeout", "/v1/simulate", SimulateRequest{Benchmark: "SIBench", Clients: 2, TimeoutMs: -1}, "timeout_ms must not be negative, got -1"},
 		// /v1/certify and /v1/parse pass no engine knob on, and a retired
 		// field is an unknown one everywhere.
@@ -395,12 +397,12 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	got := slices.Sorted(maps.Keys(fields))
 	want := []string{
-		"answer_evictions", "answer_hits", "answer_misses", "answer_reply_bytes",
+		"answer_bytes", "answer_evictions", "answer_hits", "answer_misses", "answer_reply_bytes",
 		"breaker_fast_fails", "breaker_open", "breaker_trips",
 		"cached_answers", "cached_programs", "cached_sessions", "cached_source_bytes",
 		"canceled", "completed", "degraded", "in_flight",
-		"program_hits", "program_misses", "queue_depth", "queued", "rejected",
-		"service_time_ewma_ms", "session_evictions", "session_hits", "session_misses",
+		"program_bytes", "program_hits", "program_misses", "queue_depth", "queued", "rejected",
+		"service_time_ewma_ms", "session_bytes", "session_evictions", "session_hits", "session_misses",
 		"shed", "workers",
 	}
 	if !slices.Equal(got, want) {
@@ -412,7 +414,7 @@ func TestStatsEndpoint(t *testing.T) {
 // HTTP stack against one engine — the service-level companion to the
 // engine's race test.
 func TestConcurrentMixedHTTP(t *testing.T) {
-	ts, eng := newTestServer(t, engine.Config{Workers: 4, QueueDepth: 64, Sessions: 8})
+	ts, eng := newTestServer(t, engine.Config{Workers: 4, QueueDepth: 64})
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, n)

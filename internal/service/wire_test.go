@@ -120,6 +120,7 @@ func wireCases() []wireCase {
 		{"429", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"starved"}`, 429},
 		{"504", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"slow","timeout_ms":1}`, 504},
 		{"500", "POST", "/v1/analyze", `{"benchmark":"SmallBank","client":"boom"}`, 500},
+		{"client length", "POST", "/v1/repair", `{"benchmark":"SmallBank","client":"` + strings.Repeat("c", 257) + `"}`, 400},
 	}
 }
 
