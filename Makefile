@@ -104,18 +104,45 @@ cover:
 certify:
 	$(GO) run ./cmd/atropos-exp -exp certify
 
-# Run every fuzz target for FUZZTIME each (the nightly workflow mirrors
-# this; `go test` allows one -fuzz pattern per run). Minimizing a new
-# input is capped at 2 s (go test's default is 60 s, twice a whole run).
-fuzz:
-	$(GO) test ./internal/repair -run '^$$' -fuzz '^FuzzRepairRandomProgram$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
-	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzDetectSessionEquivalence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
-	$(GO) test ./internal/anomaly -run '^$$' -fuzz '^FuzzSmallModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
-	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzWitnessReplaySoundness$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
-	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFaultScheduleEquivalence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
-	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
-	$(GO) test ./internal/sema -run '^$$' -fuzz '^FuzzSema$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
-	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzServiceRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+# Run every fuzz target for FUZZTIME each (the nightly workflow runs the
+# same fuzz-<Target> rules; `go test` allows one -fuzz pattern per run).
+# Minimizing a new input is capped at 2 s (go test's default is 60 s,
+# twice a whole run). A run that executes fewer inputs than its target's
+# floor (the last `execs:` go test prints) fails: a 30 s run that spends
+# its budget minimizing has not fuzzed. Each floor is about a quarter of
+# the lower of two 30 s readings on a 2-core machine (CHANGES.md); a
+# FUZZTIME under 30s is held to the same floors.
+FUZZ_TARGETS = FuzzRepairRandomProgram FuzzDetectSessionEquivalence FuzzSmallModel \
+	FuzzWitnessReplaySoundness FuzzFaultScheduleEquivalence FuzzParse FuzzSema FuzzServiceRequest
+FUZZ_PKG_FuzzRepairRandomProgram = ./internal/repair
+FUZZ_PKG_FuzzDetectSessionEquivalence = ./internal/anomaly
+FUZZ_PKG_FuzzSmallModel = ./internal/anomaly
+FUZZ_PKG_FuzzWitnessReplaySoundness = ./internal/replay
+FUZZ_PKG_FuzzFaultScheduleEquivalence = ./internal/cluster
+FUZZ_PKG_FuzzParse = ./internal/parser
+FUZZ_PKG_FuzzSema = ./internal/sema
+FUZZ_PKG_FuzzServiceRequest = ./internal/service
+FUZZ_FLOOR_FuzzRepairRandomProgram = 45000
+FUZZ_FLOOR_FuzzDetectSessionEquivalence = 28000
+FUZZ_FLOOR_FuzzSmallModel = 700
+FUZZ_FLOOR_FuzzWitnessReplaySoundness = 1500
+FUZZ_FLOOR_FuzzFaultScheduleEquivalence = 1750
+FUZZ_FLOOR_FuzzParse = 28000
+FUZZ_FLOOR_FuzzSema = 35000
+FUZZ_FLOOR_FuzzServiceRequest = 3000
+
+.PHONY: $(addprefix fuzz-,$(FUZZ_TARGETS))
+fuzz: $(addprefix fuzz-,$(FUZZ_TARGETS))
+
+# (Output to a file, then cat: a pipe would mask go test's exit code.)
+$(addprefix fuzz-,$(FUZZ_TARGETS)): fuzz-%:
+	@log=$$(mktemp); \
+	$(GO) test $(FUZZ_PKG_$*) -run '^$$' -fuzz '^$*$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s > $$log 2>&1; \
+	status=$$?; cat $$log; \
+	execs=$$(sed -n 's/.*execs: \([0-9]*\).*/\1/p' $$log | tail -n 1); rm -f $$log; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	echo "$*: $${execs:-0} execs in $(FUZZTIME), floor $(FUZZ_FLOOR_$*)"; \
+	[ "$${execs:-0}" -ge $(FUZZ_FLOOR_$*) ] || { echo "$*: under its exec floor"; exit 1; }
 
 # Service load-test smoke: the in-process atroposd daemon under a small
 # concurrent client fleet (counts-only assertions — the binary exits

@@ -146,15 +146,16 @@ func Repair(ctx context.Context, p *Program, m Model, opts ...RepairOption) (*Re
 }
 
 // Engine is a long-lived repair service: a bounded worker pool with
-// queue-depth backpressure (ErrOverloaded), an LRU cache of per-client
-// detection sessions, a bounded memo of complete repair and certify
-// answers shared by every client. A repeated request may be answered with the very values an
-// earlier one got, so the results of Engine.Repair and Engine.Certify are
-// read-only to callers. One Engine serves concurrent callers; cmd/atroposd
-// puts it behind HTTP. See DESIGN.md §12 for the lifecycle contract.
+// queue-depth backpressure (ErrOverloaded) and per-client detection
+// sessions, kept with the programs it checked and the replies to repeated
+// requests under one 64 MiB budget. Engine.Repair and Engine.Certify
+// compute every time, and their results belong to the caller. One Engine
+// serves concurrent callers; cmd/atroposd puts it behind HTTP. See
+// DESIGN.md §12 for the lifecycle contract.
 type Engine = engine.Engine
 
-// EngineConfig sizes an Engine (workers, queue depth, session cache).
+// EngineConfig sizes an Engine's worker pool and admission queue and sets
+// its overload controls.
 type EngineConfig = engine.Config
 
 // EngineStats is an Engine's observable counters.
@@ -165,7 +166,8 @@ type EngineStats = engine.Stats
 var ErrOverloaded = engine.ErrOverloaded
 
 // NewEngine creates an Engine. The zero config defaults to GOMAXPROCS
-// workers, a 4x-workers queue, and 64 cached sessions.
+// workers and a 4x-workers queue; what the engine retains between requests
+// is bounded by its fixed 64 MiB budget.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // Benchmark is one of the paper's nine evaluation programs with its

@@ -2,6 +2,7 @@ package anomaly
 
 import (
 	"context"
+	"strings"
 	"sync"
 
 	"atropos/internal/ast"
@@ -40,7 +41,8 @@ type DetectSession struct {
 	mu      sync.Mutex
 	txns    map[uint64]txnEntry
 	queries map[memoKey]cycleResult
-	pairs   int // stored in txns
+	names   map[string]string // the names stored pairs hold, one copy each
+	pairs   int               // stored in txns
 	stats   SessionStats
 }
 
@@ -96,6 +98,7 @@ func NewSession(model Model) *DetectSession {
 		model:   model,
 		txns:    map[uint64]txnEntry{},
 		queries: map[memoKey]cycleResult{},
+		names:   map[string]string{},
 	}
 }
 
@@ -193,9 +196,32 @@ func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
 	return e, ok
 }
 
+// storeTxn memoizes a transaction's outcome. Its pairs' names are sliced
+// from the source text, which a session would pin whole for as long as it
+// keeps them, so each is replaced by the session's own copy of the name.
 func (s *DetectSession) storeTxn(fp uint64, e txnEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	own := func(name *string) {
+		c, ok := s.names[*name]
+		if !ok {
+			c = strings.Clone(*name)
+			s.names[c] = c
+		}
+		*name = c
+	}
+	for i := range e.pairs {
+		p := &e.pairs[i]
+		for _, name := range [...]*string{&p.Txn, &p.C1, &p.C2, &p.Witness.Txn, &p.Witness.D1, &p.Witness.D2} {
+			own(name)
+		}
+		for j := range p.F1 {
+			own(&p.F1[j])
+		}
+		for j := range p.F2 {
+			own(&p.F2[j])
+		}
+	}
 	s.pairs += len(e.pairs) // a fingerprint is stored once, barring concurrent Detect calls
 	s.txns[fp] = e
 }

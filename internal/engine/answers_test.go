@@ -59,12 +59,53 @@ func certifyView(cert *replay.Certificate, rep *anomaly.Report) string {
 	return b.String()
 }
 
+// repairReply answers a repair through RepairReply as the service does,
+// with repairView for its encoding: a hit's stored bytes, or a miss's view,
+// which its Reply stores. hit reports which.
+func repairReply(t *testing.T, e *Engine, ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (view string, hit bool, err error) {
+	t.Helper()
+	res, reply, err := e.RepairReply(ctx, prog, model, opts...)
+	switch {
+	case err != nil:
+		return "", false, err
+	case reply != nil && reply.Bytes != nil:
+		if res != nil {
+			t.Error("a hit returned a result besides its reply")
+		}
+		return string(reply.Bytes), true, nil
+	}
+	view = repairView(res)
+	if reply != nil {
+		reply.Store([]byte(view))
+	}
+	return view, false, nil
+}
+
+// certifyReply is repairReply for CertifyReply, with certifyView.
+func certifyReply(t *testing.T, e *Engine, ctx context.Context, prog *ast.Program, model anomaly.Model) (view string, hit bool, err error) {
+	t.Helper()
+	cert, rep, reply, err := e.CertifyReply(ctx, prog, model)
+	switch {
+	case err != nil:
+		return "", false, err
+	case reply != nil && reply.Bytes != nil:
+		if cert != nil || rep != nil {
+			t.Error("a hit returned a certificate besides its reply")
+		}
+		return string(reply.Bytes), true, nil
+	}
+	view = certifyView(cert, rep)
+	if reply != nil {
+		reply.Store([]byte(view))
+	}
+	return view, false, nil
+}
+
 // TestAnswerMemoRepairEquivalence: a repeated repair is answered from the
 // memo, and both answers equal a fresh engine's — on the progen population
 // under EC, the nine benchmarks under EC, CC and RR, and the nine under EC
 // with certification, all on one engine, so that a key missing the model
-// or the certify flag answers a cell with another cell's answer. A hit
-// reports no solver work of its own.
+// or the certify flag answers a cell with another cell's answer.
 func TestAnswerMemoRepairEquivalence(t *testing.T) {
 	progs, benches := corpus.Progen(1, 97), corpus.Benchmarks()
 	ctx := context.Background()
@@ -79,20 +120,16 @@ func TestAnswerMemoRepairEquivalence(t *testing.T) {
 		want := repairView(fresh)
 		before := e.Stats()
 		for i := 0; i < 2; i++ {
-			res, err := e.Repair(ctx, c.Prog, model, repair.Certify(certify))
+			got, hit, err := repairReply(t, e, ctx, c.Prog, model, repair.Certify(certify))
 			if err != nil {
 				t.Fatalf("%s: call %d: %v", name, i, err)
 			}
-			if got := repairView(res); got != want {
+			if got != want {
 				t.Fatalf("%s: call %d differs from a fresh engine's\ngot:\n%s\nwant:\n%s", name, i, got, want)
 			}
 			st := e.Stats()
-			if hits, misses := st.AnswerHits-before.AnswerHits, st.AnswerMisses-before.AnswerMisses; hits != int64(i) || misses != 1 {
-				t.Fatalf("%s: call %d: answer hits/misses %d/%d, want %d/1", name, i, hits, misses, i)
-			}
-			if i == 1 && (res.Stats.Solved != 0 || res.Stats.Replayed != 0 ||
-				res.Stats.EncodersPlanned != 0 || (res.Stats.Queries > 0 && res.Stats.CacheHitRate() != 1)) {
-				t.Fatalf("%s: a hit reports solver work: %+v", name, res.Stats)
+			if hits, misses := st.AnswerHits-before.AnswerHits, st.AnswerMisses-before.AnswerMisses; hit != (i == 1) || hits != int64(i) || misses != 1 {
+				t.Fatalf("%s: call %d: hit %t, answer hits/misses %d/%d, want %d/1", name, i, hit, hits, misses, i)
 			}
 		}
 	}
@@ -121,21 +158,21 @@ func TestAnswerMemoCertifyEquivalence(t *testing.T) {
 			t.Fatalf("%s: fresh: %v", c.Name, err)
 		}
 		want := certifyView(cert, rep)
-		if _, err := e.Repair(ctx, c.Prog, anomaly.EC); err != nil {
+		if _, _, err := repairReply(t, e, ctx, c.Prog, anomaly.EC); err != nil {
 			t.Fatal(err)
 		}
 		before := e.Stats()
 		for i := 0; i < 2; i++ {
-			cert, rep, err := e.Certify(ctx, c.Prog, anomaly.EC)
+			got, hit, err := certifyReply(t, e, ctx, c.Prog, anomaly.EC)
 			if err != nil {
 				t.Fatalf("%s: call %d: %v", c.Name, i, err)
 			}
-			if got := certifyView(cert, rep); got != want {
+			if got != want {
 				t.Fatalf("%s: call %d differs from a fresh engine's\ngot:\n%s\nwant:\n%s", c.Name, i, got, want)
 			}
 			st := e.Stats()
-			if hits, misses := st.AnswerHits-before.AnswerHits, st.AnswerMisses-before.AnswerMisses; hits != int64(i) || misses != 1 {
-				t.Fatalf("%s: call %d: answer hits/misses %d/%d, want %d/1", c.Name, i, hits, misses, i)
+			if hits, misses := st.AnswerHits-before.AnswerHits, st.AnswerMisses-before.AnswerMisses; hit != (i == 1) || hits != int64(i) || misses != 1 {
+				t.Fatalf("%s: call %d: hit %t, answer hits/misses %d/%d, want %d/1", c.Name, i, hit, hits, misses, i)
 			}
 		}
 	}
@@ -147,31 +184,41 @@ func answerCounters(e *Engine) [4]int64 {
 	return [4]int64{st.AnswerHits, st.AnswerMisses, st.AnswerEvictions, int64(st.CachedAnswers)}
 }
 
-// TestAnswerMemoBypasses: a degraded repair does not fill the memo — the
-// next clean request computes — and a repair on an injected session
-// neither reads nor fills it.
+// TestAnswerMemoBypasses: a degraded repair gets no Reply, so it does not
+// fill the memo — the next clean request computes; a repair on an injected
+// session neither reads nor fills it; and the library calls Repair and
+// Certify compute every time without touching it.
 func TestAnswerMemoBypasses(t *testing.T) {
 	e := New(Config{Workers: 1})
 	prog := loadRMW(t)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		res, err := e.Repair(ctx, prog, anomaly.EC, expiredDetect)
-		if err != nil || !res.Degraded {
-			t.Fatalf("deadline-bound repair %d: err=%v degraded=%v", i, err, res != nil && res.Degraded)
+		res, reply, err := e.RepairReply(ctx, prog, anomaly.EC, expiredDetect)
+		if err != nil || !res.Degraded || reply != nil {
+			t.Fatalf("deadline-bound repair %d: err=%v degraded=%v reply=%v", i, err, res != nil && res.Degraded, reply)
 		}
 	}
 	if got := answerCounters(e); got != [4]int64{0, 2, 0, 0} {
 		t.Fatalf("two degraded repairs: hits, misses, evictions, cached = %v, want two misses and nothing cached", got)
 	}
-	if res, err := e.Repair(ctx, prog, anomaly.EC); err != nil || res.Degraded {
-		t.Fatalf("clean repair after degraded ones: err=%v degraded=%v", err, res != nil && res.Degraded)
+	if _, hit, err := repairReply(t, e, ctx, prog, anomaly.EC); err != nil || hit {
+		t.Fatalf("clean repair after degraded ones: err=%v hit=%v", err, hit)
 	}
 	before := answerCounters(e)
-	if _, err := e.Repair(ctx, prog, anomaly.EC, repair.Session(anomaly.NewSession(anomaly.EC))); err != nil {
-		t.Fatal(err)
+	if res, reply, err := e.RepairReply(ctx, prog, anomaly.EC, repair.Session(anomaly.NewSession(anomaly.EC))); err != nil || res == nil || reply != nil {
+		t.Fatalf("injected-session repair: result %v, reply %v, err %v; want a computed result and no reply", res != nil, reply, err)
 	}
 	if got := answerCounters(e); got != before {
 		t.Fatalf("injected-session repair moved the memo: %v, want %v", got, before)
+	}
+	if _, err := e.Repair(ctx, prog, anomaly.EC); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Certify(ctx, prog, anomaly.EC); err != nil {
+		t.Fatal(err)
+	}
+	if got := answerCounters(e); got != before {
+		t.Fatalf("library repair and certify moved the memo: %v, want %v", got, before)
 	}
 }
 
@@ -182,7 +229,7 @@ func TestAnswerHitIsACleanAnswer(t *testing.T) {
 	e := New(Config{Workers: 1, BreakerTrip: 2})
 	prog := loadRMW(t)
 	ctx := context.Background()
-	if _, err := e.Repair(ctx, prog, anomaly.EC); err != nil {
+	if _, _, err := repairReply(t, e, ctx, prog, anomaly.EC); err != nil {
 		t.Fatal(err)
 	}
 	// Degraded repairs of another program around a hit: the hit clears the
@@ -196,7 +243,7 @@ func TestAnswerHitIsACleanAnswer(t *testing.T) {
 		if p == other {
 			opts = append(opts, expiredDetect)
 		}
-		if _, err := e.Repair(ctx, p, anomaly.EC, opts...); err != nil {
+		if _, _, err := repairReply(t, e, ctx, p, anomaly.EC, opts...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,13 +254,13 @@ func TestAnswerHitIsACleanAnswer(t *testing.T) {
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := e.Repair(cctx, prog, anomaly.EC); !errors.Is(err, context.Canceled) {
+	if _, _, err := repairReply(t, e, cctx, prog, anomaly.EC); !errors.Is(err, context.Canceled) {
 		t.Fatalf("repair hit on a cancelled context = %v, want context.Canceled", err)
 	}
-	if _, _, err := e.Certify(ctx, prog, anomaly.EC); err != nil {
+	if _, _, err := certifyReply(t, e, ctx, prog, anomaly.EC); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Certify(cctx, prog, anomaly.EC); !errors.Is(err, context.Canceled) {
+	if _, _, err := certifyReply(t, e, cctx, prog, anomaly.EC); !errors.Is(err, context.Canceled) {
 		t.Fatalf("certify hit on a cancelled context = %v, want context.Canceled", err)
 	}
 	if st := e.Stats(); st.AnswerHits != 3 || st.Canceled != 2 {
@@ -221,13 +268,14 @@ func TestAnswerHitIsACleanAnswer(t *testing.T) {
 	}
 }
 
-// TestAnswerMemoBound: the memo holds answers up to its byte share, and
-// the next one past it evicts the least recently used.
+// TestAnswerMemoBound: the memo holds answers up to its byte share, each
+// charged exactly its reply, its key and lruEntryBytes, and the next one
+// past the share evicts the least recently used.
 func TestAnswerMemoBound(t *testing.T) {
 	var e *Engine
 	repairSeed := func(seed int64) {
 		t.Helper()
-		if _, err := e.Repair(context.Background(), progen.Program(seed), anomaly.EC); err != nil {
+		if _, _, err := repairReply(t, e, context.Background(), progen.Program(seed), anomaly.EC); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,10 +285,15 @@ func TestAnswerMemoBound(t *testing.T) {
 	for seed := int64(1); seed <= n; seed++ {
 		repairSeed(seed)
 	}
-	full := e.Stats().AnswerBytes
+	st := e.Stats()
+	full := st.AnswerBytes
+	if want := st.AnswerReplyBytes + n*(answerKeyBytes+lruEntryBytes); full != want {
+		t.Fatalf("%d answers charged %d bytes, want their %d reply bytes + %d per entry = %d",
+			n, full, st.AnswerReplyBytes, answerKeyBytes+lruEntryBytes, want)
+	}
 	// A share with room for exactly those.
 	e = New(Config{Workers: 1})
-	e.answers = newLRU[answerKey, *answer](full)
+	e.answers = newLRU[answerKey, []byte](full)
 	for seed := int64(1); seed <= n; seed++ {
 		repairSeed(seed)
 	}
@@ -266,7 +319,7 @@ func TestAnswerMemoIgnoresClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, client := range []string{"a", "b"} {
-		if _, err := e.Repair(context.Background(), prog, anomaly.EC, repair.Client(client)); err != nil {
+		if _, _, err := repairReply(t, e, context.Background(), prog, anomaly.EC, repair.Client(client)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +329,7 @@ func TestAnswerMemoIgnoresClient(t *testing.T) {
 }
 
 // TestAnswerMemoConcurrent: concurrent identical misses may both compute
-// and the first fill wins, but every caller gets the same answer.
+// and the first store wins, but every caller gets the same answer.
 func TestAnswerMemoConcurrent(t *testing.T) {
 	e := New(Config{Workers: 4})
 	prog, err := benchmarks.SmallBank.Program()
@@ -292,18 +345,14 @@ func TestAnswerMemoConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ctx := context.Background()
-			res, err := e.Repair(ctx, prog, anomaly.EC, repair.Client(fmt.Sprint("c", i)))
-			if err != nil {
+			var err error
+			if repairs[i], _, err = repairReply(t, e, ctx, prog, anomaly.EC, repair.Client(fmt.Sprint("c", i))); err != nil {
 				t.Error(err)
 				return
 			}
-			repairs[i] = repairView(res)
-			cert, rep, err := e.Certify(ctx, prog, anomaly.EC)
-			if err != nil {
+			if certs[i], _, err = certifyReply(t, e, ctx, prog, anomaly.EC); err != nil {
 				t.Error(err)
-				return
 			}
-			certs[i] = certifyView(cert, rep)
 		}(i)
 	}
 	wg.Wait()

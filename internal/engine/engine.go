@@ -12,14 +12,15 @@
 //     is rejected immediately with ErrOverloaded (the service layer maps it
 //     to HTTP 429 + Retry-After). A waiting request that is cancelled
 //     leaves the queue without consuming a slot.
-//   - Retained memory: checked programs (under their source text),
-//     complete repair and certify answers (under verb, program hash, model
-//     and certify, for every client, with the response a hit renders:
-//     Reply) and per-(client, model) detection sessions live in three LRUs
-//     of one type (lru.go), bounded by shares of one byte budget. A session
-//     is checked out (removed) while a request uses it, so a concurrent
+//   - Retained memory: checked programs (under their source text), the
+//     bytes a repeated repair or certify is answered with (under verb,
+//     program hash, model and certify, for every client: Reply) and
+//     per-(client, model) detection sessions live in three LRUs of one
+//     type (lru.go), bounded by shares of one 64 MiB budget. A session is
+//     checked out (removed) while a request uses it, so a concurrent
 //     request for its key detects on a fresh one; the later checkin of the
-//     two is dropped.
+//     two is dropped. Repair and Certify compute every time; RepairReply
+//     and CertifyReply go through the answer memo.
 //   - Cancellation: the request context threads through repair → anomaly,
 //     which checks it before every cycle query; a disconnected client frees
 //     its worker slot mid-detection instead of leaking it.
@@ -144,7 +145,7 @@ type Engine struct {
 	breakers map[string]*breaker // at most maxBreakers entries
 
 	programs *lru[string, *ast.Program]
-	answers  *lru[answerKey, *answer]
+	answers  *lru[answerKey, []byte]
 	sessions *lru[sessionKey, *anomaly.DetectSession]
 }
 
@@ -186,7 +187,7 @@ func New(cfg Config) *Engine {
 		sem:      make(chan struct{}, cfg.Workers),
 		breakers: map[string]*breaker{},
 		programs: newLRU[string, *ast.Program](programShare),
-		answers:  newLRU[answerKey, *answer](answerShare),
+		answers:  newLRU[answerKey, []byte](answerShare),
 		sessions: newLRU[sessionKey, *anomaly.DetectSession](sessionShare),
 	}
 }
@@ -476,17 +477,23 @@ func (e *Engine) noteResult(client string, res *repair.Result, err error) {
 
 // Repair runs the full repair pipeline under model. With a Client option
 // the pipeline's detection passes run through that client's cached session.
-// A repeated request — same program, model and Certify, any client — is
-// answered from the engine's answer memo unless it injects a Session; the result is then a shallow copy of a stored one whose
-// Stats report no detection work. Results are read-only to callers.
+// It computes every time, and the result belongs to the caller.
 func (e *Engine) Repair(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (*repair.Result, error) {
-	res, _, err := e.RepairReply(ctx, prog, model, opts...)
+	res, _, err := e.repair(ctx, prog, model, false, opts)
 	return res, err
 }
 
-// RepairReply is Repair that also returns, when the answer came from the
-// memo, the entry's Reply; it is nil when the answer was computed.
-func (e *Engine) RepairReply(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (res *repair.Result, reply *Reply, err error) {
+// RepairReply is Repair through the answer memo, for a caller that sends a
+// repeated request — same program, model and Certify, any client — the
+// bytes it sent the first time. On a hit it returns only the Reply; on a
+// clean miss it also returns the Reply whose Store stores those bytes. A
+// request that injects a Session neither reads nor fills the memo, and
+// gets no Reply.
+func (e *Engine) RepairReply(ctx context.Context, prog *ast.Program, model anomaly.Model, opts ...repair.Option) (*repair.Result, *Reply, error) {
+	return e.repair(ctx, prog, model, true, opts)
+}
+
+func (e *Engine) repair(ctx context.Context, prog *ast.Program, model anomaly.Model, memo bool, opts []repair.Option) (res *repair.Result, reply *Reply, err error) {
 	o := repair.BuildOptions(opts...)
 	if err := e.breakerCheck(o.Client); err != nil {
 		return nil, nil, err
@@ -500,17 +507,15 @@ func (e *Engine) RepairReply(ctx context.Context, prog *ast.Program, model anoma
 	e.execHook("repair", o.Client)
 	// An injected session belongs to its caller: such a request neither
 	// reads nor fills the memo.
-	memo := o.Session == nil
-	var key answerKey
-	if memo {
-		key = answerKey{verb: "repair", prog: ast.HashProgram(prog), model: model, certify: o.Certify}
-		if ans, reply := e.getAnswer(key); ans != nil {
+	own := o.Session == nil
+	if memo && own {
+		reply = e.lookup(answerKey{verb: "repair", prog: ast.HashProgram(prog), model: model, certify: o.Certify}, start)
+		if reply.Bytes != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, e.finish(start, err)
 			}
-			res = repairHit(ans.res, time.Since(start))
-			e.noteResult(o.Client, res, nil)
-			return res, reply, e.finish(start, nil)
+			e.breakerResult(o.Client, false)
+			return nil, reply, e.finish(start, nil)
 		}
 	}
 	// A request deadline with no explicit stage split gets the default one,
@@ -527,34 +532,38 @@ func (e *Engine) RepairReply(ctx context.Context, prog *ast.Program, model anoma
 		}
 	}
 	k := sessionKey{client: o.Client, model: model}
-	if memo {
+	if own {
 		o.Session = e.checkout(k)
 	}
 	res, rerr := repair.RunWith(ctx, prog, model, o)
-	if memo {
+	if own {
 		// Checked in only on a normal return: a panicking pipeline would
 		// leave the session's caches mid-mutation.
 		e.checkin(k, o.Session)
 	}
-	if memo && rerr == nil && !res.Degraded {
-		e.storeAnswer(prog, &answer{key: key, res: res})
+	if rerr != nil || res.Degraded {
+		reply = nil // only complete answers are stored
 	}
 	e.noteResult(o.Client, res, rerr)
-	return res, nil, e.finish(start, rerr)
+	return res, reply, e.finish(start, rerr)
 }
 
 // Certify detects on a private session and replays every reported pair as
-// an executable certificate (internal/replay). A repeated request for the
-// same program and model is answered from the engine's answer memo with the
-// stored certificate and report, which are read-only to callers.
+// an executable certificate (internal/replay). It computes every time, and
+// the certificate and report belong to the caller.
 func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (*replay.Certificate, *anomaly.Report, error) {
-	cert, rep, _, err := e.CertifyReply(ctx, prog, model)
+	cert, rep, _, err := e.certify(ctx, prog, model, false)
 	return cert, rep, err
 }
 
-// CertifyReply is Certify that also returns, when the answer came from the
-// memo, the entry's Reply; it is nil when the answer was computed.
-func (e *Engine) CertifyReply(ctx context.Context, prog *ast.Program, model anomaly.Model) (cert *replay.Certificate, rep *anomaly.Report, reply *Reply, err error) {
+// CertifyReply is Certify through the answer memo, as RepairReply is
+// Repair: a hit returns only the Reply, and a miss that completes returns
+// the certificate, the report and the Reply that stores what a hit sends.
+func (e *Engine) CertifyReply(ctx context.Context, prog *ast.Program, model anomaly.Model) (*replay.Certificate, *anomaly.Report, *Reply, error) {
+	return e.certify(ctx, prog, model, true)
+}
+
+func (e *Engine) certify(ctx context.Context, prog *ast.Program, model anomaly.Model, memo bool) (cert *replay.Certificate, rep *anomaly.Report, reply *Reply, err error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, nil, nil, err
 	}
@@ -562,18 +571,20 @@ func (e *Engine) CertifyReply(ctx context.Context, prog *ast.Program, model anom
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("certify", "")
-	key := answerKey{verb: "certify", prog: ast.HashProgram(prog), model: model}
-	if ans, reply := e.getAnswer(key); ans != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, e.finish(start, err)
+	if memo {
+		reply = e.lookup(answerKey{verb: "certify", prog: ast.HashProgram(prog), model: model}, start)
+		if reply.Bytes != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, nil, e.finish(start, err)
+			}
+			return nil, nil, reply, e.finish(start, nil)
 		}
-		return ans.cert, ans.rep, reply, e.finish(start, nil)
 	}
 	cert, rep, cerr := replay.CertifyModelContext(ctx, prog, model)
-	if cerr == nil {
-		e.storeAnswer(prog, &answer{key: key, cert: cert, rep: rep})
+	if cerr != nil {
+		reply = nil
 	}
-	return cert, rep, nil, e.finish(start, cerr)
+	return cert, rep, reply, e.finish(start, cerr)
 }
 
 // Simulate runs one cluster deployment configuration. The simulator is
@@ -678,10 +689,12 @@ func (e *Engine) Stats() Stats {
 		BreakerOpen:       open,
 		ServiceTimeEwmaMs: float64(e.ewmaNs.Load()) / 1e6,
 	}
-	st.SessionHits, st.SessionMisses, st.SessionEvictions, st.CachedSessions, st.SessionBytes, _ = e.sessions.stats(nil)
-	st.AnswerHits, st.AnswerMisses, st.AnswerEvictions, st.CachedAnswers, st.AnswerBytes, st.AnswerReplyBytes =
-		e.answers.stats(func(_ answerKey, a *answer) int { return len(a.reply) })
-	st.ProgramHits, st.ProgramMisses, _, st.CachedPrograms, st.ProgramBytes, st.CachedSourceBytes =
-		e.programs.stats(func(src string, _ *ast.Program) int { return len(src) })
+	st.SessionHits, st.SessionMisses, st.SessionEvictions, st.CachedSessions, st.SessionBytes = e.sessions.stats()
+	st.AnswerHits, st.AnswerMisses, st.AnswerEvictions, st.CachedAnswers, st.AnswerBytes = e.answers.stats()
+	st.ProgramHits, st.ProgramMisses, _, st.CachedPrograms, st.ProgramBytes = e.programs.stats()
+	// An answer is charged its reply's length and a program six times its
+	// source's, each plus a fixed overhead, so the charges give both totals.
+	st.AnswerReplyBytes = st.AnswerBytes - st.CachedAnswers*(answerKeyBytes+lruEntryBytes)
+	st.CachedSourceBytes = (st.ProgramBytes - st.CachedPrograms*lruEntryBytes) / programBytesPerSourceByte
 	return st
 }

@@ -12,7 +12,7 @@ const (
 )
 
 // DropAnswers empties the answer memo.
-func (e *Engine) DropAnswers() { e.answers = newLRU[answerKey, *answer](answerShare) }
+func (e *Engine) DropAnswers() { e.answers = newLRU[answerKey, []byte](answerShare) }
 
 // DropSessions empties the session cache.
 func (e *Engine) DropSessions() {

@@ -8,7 +8,7 @@ import (
 // lru is the engine's one cache shape: a mutex-guarded LRU bounded by the
 // bytes charged to its entries. The program memo, the answer memo and the
 // session cache are each one (DESIGN.md §12, "Retained memory").
-type lru[K comparable, V comparable] struct {
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	bound int
 	order *list.List // of *lruEntry[K, V]; front = most recently used
@@ -18,7 +18,7 @@ type lru[K comparable, V comparable] struct {
 	hits, misses, evictions int64
 }
 
-type lruEntry[K comparable, V comparable] struct {
+type lruEntry[K comparable, V any] struct {
 	key  K
 	val  V
 	cost int
@@ -27,7 +27,7 @@ type lruEntry[K comparable, V comparable] struct {
 // lruEntryBytes is charged to every entry for its list element and map slot.
 const lruEntryBytes = 160
 
-func newLRU[K comparable, V comparable](bound int) *lru[K, V] {
+func newLRU[K comparable, V any](bound int) *lru[K, V] {
 	return &lru[K, V]{bound: bound, order: list.New(), byKey: map[K]*list.Element{}}
 }
 
@@ -74,21 +74,6 @@ func (c *lru[K, V]) put(k K, v V, cost int) {
 	c.shrink()
 }
 
-// swap replaces the value stored under k with v, adding extra bytes to its
-// charge, if the stored value is still old.
-func (c *lru[K, V]) swap(k K, old, v V, extra int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el := c.byKey[k]
-	if el == nil || el.Value.(*lruEntry[K, V]).val != old {
-		return
-	}
-	e := el.Value.(*lruEntry[K, V])
-	e.val, e.cost = v, e.cost+extra
-	c.bytes += extra
-	c.shrink()
-}
-
 // shrink evicts from the tail until the charged bytes fit the bound.
 func (c *lru[K, V]) shrink() {
 	for c.bytes > c.bound {
@@ -103,14 +88,10 @@ func (c *lru[K, V]) remove(el *list.Element) {
 	c.bytes -= e.cost
 }
 
-// stats returns the counters, the entries held, the bytes charged to them
-// and, if sum is not nil, its total over the entries.
-func (c *lru[K, V]) stats(sum func(K, V) int) (hits, misses, evictions int64, entries, bytes, total int) {
+// stats returns the counters, the entries held and the bytes charged to
+// them.
+func (c *lru[K, V]) stats() (hits, misses, evictions int64, entries, bytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil && sum != nil; el = el.Next() {
-		e := el.Value.(*lruEntry[K, V])
-		total += sum(e.key, e.val)
-	}
-	return c.hits, c.misses, c.evictions, c.order.Len(), c.bytes, total
+	return c.hits, c.misses, c.evictions, c.order.Len(), c.bytes
 }

@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestLRU pins the cache type every engine memo is: LRU order under a byte
 // bound, the refusal of an entry past the bound on its own, first writer
@@ -16,7 +19,7 @@ func TestLRU(t *testing.T) {
 	check := func(name string, want lruStats) {
 		t.Helper()
 		var got lruStats
-		got.hits, got.misses, got.evictions, got.entries, got.bytes, _ = c.stats(nil)
+		got.hits, got.misses, got.evictions, got.entries, got.bytes = c.stats()
 		if got != want {
 			t.Fatalf("%s: stats %+v, want %+v", name, got, want)
 		}
@@ -46,42 +49,45 @@ func TestLRU(t *testing.T) {
 		t.Fatal("c is still stored after take")
 	}
 	check("after take", lruStats{hits: 3, misses: 2, evictions: 2, entries: 2, bytes: 2*lruEntryBytes + 20})
-	// A charge added to an entry evicts from the tail: d, then a itself.
-	c.swap("a", &vals[0], &vals[1], lruEntryBytes+20)
-	check("a grew past d", lruStats{hits: 3, misses: 2, evictions: 3, entries: 1, bytes: 2*lruEntryBytes + 30})
-	c.swap("a", &vals[0], &vals[2], lruEntryBytes) // a no longer holds vals[0]
-	check("a swap of a value no longer stored", lruStats{hits: 3, misses: 2, evictions: 3, entries: 1, bytes: 2*lruEntryBytes + 30})
-	if v, _ := c.get("a"); v != &vals[1] {
-		t.Fatal("swap did not replace a's value")
-	}
-	c.swap("a", &vals[1], &vals[2], 2*lruEntryBytes)
-	check("a alone past the bound", lruStats{hits: 4, misses: 2, evictions: 4})
 }
 
-// TestReplyFillAfterEviction: a Fill stores only while its entry is the
-// one in the memo; one that lands after the entry left stores nothing,
-// even once its key is back.
-func TestReplyFillAfterEviction(t *testing.T) {
+// TestReplyStoreAfterEviction: a Reply's Store puts its bytes under the
+// key that missed, charged exactly the bytes, the key and lruEntryBytes.
+// The first store of a key wins; a store that lands after the key was
+// stored and evicted meanwhile stores again.
+func TestReplyStoreAfterEviction(t *testing.T) {
 	e := New(Config{Workers: 1})
-	e.answers = newLRU[answerKey, *answer](2 * lruEntryBytes)
-	put := func(prog uint64) {
-		e.answers.put(answerKey{prog: prog}, &answer{key: answerKey{prog: prog}}, 0)
+	const entry = answerKeyBytes + lruEntryBytes
+	e.answers = newLRU[answerKey, []byte](2*entry + 10)
+	miss := func(prog uint64) *Reply {
+		t.Helper()
+		r := e.lookup(answerKey{prog: prog}, time.Now())
+		if r.Bytes != nil {
+			t.Fatalf("key %d: a hit on %q, want a miss", prog, r.Bytes)
+		}
+		return r
 	}
-	put(1)
-	_, reply := e.getAnswer(answerKey{prog: 1})
-	put(2)
-	put(3) // evicts 1
-	put(1)
-	reply.Fill([]byte("late"))
-	if a, _ := e.getAnswer(answerKey{prog: 1}); a.reply != nil {
-		t.Fatalf("a late Fill stored %q", a.reply)
+	check := func(name string, entries, replyBytes int) {
+		t.Helper()
+		st := e.Stats()
+		if st.CachedAnswers != entries || st.AnswerReplyBytes != replyBytes || st.AnswerBytes != replyBytes+entries*entry {
+			t.Fatalf("%s: answers %d, reply bytes %d, answer bytes %d; want %d, %d, %d",
+				name, st.CachedAnswers, st.AnswerReplyBytes, st.AnswerBytes, entries, replyBytes, replyBytes+entries*entry)
+		}
 	}
-	if st := e.Stats(); st.AnswerReplyBytes != 0 || st.AnswerBytes != 2*lruEntryBytes {
-		t.Fatalf("reply bytes %d, answer bytes %d; want 0 and %d", st.AnswerReplyBytes, st.AnswerBytes, 2*lruEntryBytes)
+	late, first := miss(1), miss(1)
+	first.Store([]byte("first"))
+	late.Store([]byte("late"))
+	check("two stores of one key", 1, 5)
+	if r := e.lookup(answerKey{prog: 1}, time.Now()); string(r.Bytes) != "first" {
+		t.Fatalf("key 1 holds %q, want the first store's", r.Bytes)
 	}
-	_, reply = e.getAnswer(answerKey{prog: 1})
-	reply.Fill([]byte("reply"))
-	if st := e.Stats(); st.AnswerReplyBytes != 5 || st.AnswerBytes != lruEntryBytes+5 {
-		t.Fatalf("reply bytes %d, answer bytes %d; want 5 and %d (the fill evicts 3)", st.AnswerReplyBytes, st.AnswerBytes, lruEntryBytes+5)
+	miss(2).Store([]byte("2"))
+	miss(3).Store([]byte("3")) // evicts 1
+	check("1 evicted", 2, 2)
+	late.Store([]byte("late"))
+	check("a store after eviction", 2, 5) // evicts 2
+	if r := e.lookup(answerKey{prog: 1}, time.Now()); string(r.Bytes) != "late" {
+		t.Fatalf("key 1 holds %q, want the late store's", r.Bytes)
 	}
 }

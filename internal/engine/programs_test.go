@@ -23,7 +23,7 @@ func memoCounters(e *Engine) [5]int64 {
 // TestMemoStats pins the program memo's counters and the stored reply
 // bytes over a scripted sequence: a miss and a hit, sources that fail to
 // check (never held), an eviction by the byte bound, a source past the
-// bound (never held), and a reply that only the first Fill stores.
+// bound (never held), and a reply that only the first Store stores.
 func TestMemoStats(t *testing.T) {
 	e := New(Config{Workers: 1})
 	// Room for two sources of half bytes each.
@@ -55,25 +55,26 @@ func TestMemoStats(t *testing.T) {
 	step("past the bound", halfSrc+strings.Repeat(" ", half+64), false, [5]int64{1, 7, 2, n + half, 0})
 
 	ctx := context.Background()
-	if _, reply, err := e.RepairReply(ctx, first, anomaly.EC); err != nil || reply != nil {
-		t.Fatalf("computed repair: reply %v, err %v; want none", reply, err)
+	var replies []*Reply
+	for i := 0; i < 2; i++ {
+		res, reply, err := e.RepairReply(ctx, first, anomaly.EC)
+		if err != nil || res == nil || reply == nil || reply.Bytes != nil {
+			t.Fatalf("computed repair %d: result %v, reply %v, err %v; want a result and a Reply to store", i, res != nil, reply, err)
+		}
+		replies = append(replies, reply)
 	}
-	charged := e.Stats().AnswerBytes
-	for i, fill := range []string{"first", "second"} {
-		_, reply, err := e.RepairReply(ctx, first, anomaly.EC)
-		if err != nil || reply == nil {
-			t.Fatalf("hit %d: reply %v, err %v", i, reply, err)
-		}
-		if want := []string{"", "first"}[i]; string(reply.Bytes) != want {
-			t.Fatalf("hit %d: stored reply %q, want %q", i, reply.Bytes, want)
-		}
-		reply.Fill([]byte(fill))
+	for _, fill := range []string{"first", "second"} {
+		replies[0].Store([]byte(fill))
+		replies = replies[1:]
 		if got := memoCounters(e)[4]; got != int64(len("first")) {
-			t.Fatalf("after fill %q: reply bytes %d, want %d", fill, got, len("first"))
+			t.Fatalf("after storing %q: reply bytes %d, want %d", fill, got, len("first"))
 		}
-		if got := e.Stats().AnswerBytes; got != charged+len("first") {
-			t.Fatalf("after fill %q: answer bytes %d, want %d", fill, got, charged+len("first"))
+		if got, want := e.Stats().AnswerBytes, len("first")+answerKeyBytes+lruEntryBytes; got != want {
+			t.Fatalf("after storing %q: answer bytes %d, want %d", fill, got, want)
 		}
+	}
+	if res, reply, err := e.RepairReply(ctx, first, anomaly.EC); err != nil || res != nil || string(reply.Bytes) != "first" {
+		t.Fatalf("hit: result %v, reply %q, err %v; want only the first store's reply", res != nil, reply.Bytes, err)
 	}
 }
 

@@ -95,12 +95,15 @@ func TestRetainedBytesStreaming(t *testing.T) {
 	for seed := int64(1); ; seed++ {
 		src := ast.Format(progen.Program(seed))
 		// The client's three sessions, one per model, grow on every
-		// program; answers are stored until the answer memo has evicted.
+		// program; answers are stored until the answer memo has evicted,
+		// a repair under each model on every program (a reply is a few KB).
 		for _, model := range []string{"EC", "CC", "RR"} {
 			s.send("/v1/analyze", service.ProgramRequest{Source: src, Model: model, Client: "streamer"})
+			if s.eng.Stats().AnswerEvictions == 0 {
+				s.send("/v1/repair", service.ProgramRequest{Source: src, Model: model, Client: "streamer"})
+			}
 		}
 		if s.eng.Stats().AnswerEvictions == 0 && seed%2 == 0 {
-			s.send("/v1/repair", service.ProgramRequest{Source: src, Client: "streamer"})
 			s.send("/v1/certify", service.ProgramRequest{Source: src})
 		}
 		if seed%2000 == 0 {

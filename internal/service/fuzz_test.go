@@ -32,7 +32,7 @@ const (
 // work counters and wall time are removed — the answer memo and the
 // client's session change how an answer is computed, never what it says.
 // A third send answers the second's bytes exactly, elapsed_ms aside: for
-// repair and certify it is sent from the reply the second stored.
+// repair and certify both are sent from the reply the first stored.
 // Requests with a timeout promise a bounded answer, not a repeatable one,
 // so they are held to the first two properties only.
 //

@@ -339,44 +339,63 @@ const maxPooledResp = 64 << 10
 // Write — no chunked framing, no second pass.
 func writeJSON(w http.ResponseWriter, status int, body any) { writeAnswer(w, status, body, nil) }
 
-// writeAnswer is writeJSON that, given the Reply of an answer-memo hit,
-// stores the body up to elapsed_ms as the entry's reply (see writeStored).
+// writeAnswer is writeJSON that, given a memoizable miss's Reply, first
+// stores the body up to elapsed_ms as the reply to every hit (see
+// writeStored).
 func writeAnswer(w http.ResponseWriter, status int, body any, reply *engine.Reply) {
-	buf := respBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(body); err != nil {
-		buf.Reset()
+	buf, err := encode(body)
+	if err != nil {
+		putBuf(buf)
 		status = http.StatusInternalServerError
-		enc.Encode(errorResponse{ //nolint:errcheck // two strings always encode
+		buf, _ = encode(errorResponse{ // two strings always encode
 			Error:     "service: encode response: " + err.Error(),
 			RequestID: w.Header().Get("X-Request-ID"),
 		})
 	} else if reply != nil {
-		b := buf.Bytes()
-		reply.Fill(bytes.Clone(b[:bytes.LastIndex(b, elapsedField)+len(elapsedField)]))
+		store(reply, buf)
 	}
 	sendBuf(w, status, buf)
+}
+
+// storeReply stores body, a response in the form a hit sends, as a
+// memoizable miss's reply.
+func storeReply(reply *engine.Reply, body any) {
+	buf, err := encode(body)
+	if err == nil {
+		store(reply, buf)
+	}
+	putBuf(buf)
+}
+
+// store stores a copy of the body encoded in buf, up to elapsed_ms,
+// through reply.
+func store(reply *engine.Reply, buf *bytes.Buffer) {
+	b := buf.Bytes()
+	reply.Store(bytes.Clone(b[:bytes.LastIndex(b, elapsedField)+len(elapsedField)]))
+}
+
+// encode encodes body, HTML escaping off, into a pooled buffer.
+func encode(body any) (*bytes.Buffer, error) {
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	return buf, enc.Encode(body)
 }
 
 // elapsedField opens the last field of RepairResponse and CertifyResponse.
 var elapsedField = []byte(`"elapsed_ms":`)
 
-// writeStored answers a memo hit from the entry's stored reply, completed
-// with this request's elapsed_ms, the one part of a hit's body that
-// differs from hit to hit. It reports false when no reply is stored yet.
-func writeStored(w http.ResponseWriter, reply *engine.Reply, elapsedMs float64) bool {
-	if reply == nil || reply.Bytes == nil {
-		return false
-	}
+// writeStored answers a memo hit from its stored reply, completed with the
+// hit's own elapsed_ms, the one part of a hit's body that differs from hit
+// to hit.
+func writeStored(w http.ResponseWriter, reply *engine.Reply) {
 	buf := respBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	buf.Write(reply.Bytes)
-	buf.Write(appendJSONFloat(buf.AvailableBuffer(), elapsedMs))
+	buf.Write(appendJSONFloat(buf.AvailableBuffer(), float64(reply.Elapsed)/float64(time.Millisecond)))
 	buf.WriteString("}\n")
 	sendBuf(w, http.StatusOK, buf)
-	return true
 }
 
 // sendBuf writes buf as the response with its Content-Length and returns buf
@@ -387,6 +406,11 @@ func sendBuf(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	w.Write(buf.Bytes()) //nolint:errcheck // client gone: nothing to report to
+	putBuf(buf)
+}
+
+// putBuf returns buf to the pool unless it grew past maxPooledResp.
+func putBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledResp {
 		respBufs.Put(buf)
 	}
@@ -622,9 +646,23 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	if !writeStored(w, reply, float64(res.Elapsed)/float64(time.Millisecond)) {
-		writeAnswer(w, http.StatusOK, repairResponse(model, res), reply)
+	if reply != nil && reply.Bytes != nil {
+		writeStored(w, reply)
+		return
 	}
+	resp := repairResponse(model, res)
+	if reply != nil {
+		storeReply(reply, repairHit(resp))
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// repairHit is resp as a memo hit sends it: a hit does no detection work
+// of its own, so its stats keep only Queries (cache_hit_rate reads 1).
+func repairHit(resp RepairResponse) RepairResponse {
+	resp.Solved = 0
+	resp.CacheHitRate = anomaly.SessionStats{Queries: resp.Queries}.CacheHitRate()
+	return resp
 }
 
 // repairResponse renders a repair result.
@@ -685,9 +723,12 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	if elapsed := float64(time.Since(start)) / float64(time.Millisecond); !writeStored(w, reply, elapsed) {
-		writeAnswer(w, http.StatusOK, certifyResponse(model, cert, rep, elapsed), reply)
+	if reply != nil && reply.Bytes != nil {
+		writeStored(w, reply)
+		return
 	}
+	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
+	writeAnswer(w, http.StatusOK, certifyResponse(model, cert, rep, elapsed), reply)
 }
 
 // certifyResponse renders a certificate and the report it certifies.
