@@ -38,13 +38,13 @@ func planOf(tb testing.TB, prog *ast.Program, ti, wi int, model Model) *pairPlan
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return planPair(t, w)
+	return p.planPair(t, w)
 }
 
 // BenchmarkPlanAndDecide measures the two halves of detecting one (txn,
 // witness) pair. plan is the pure-Go half, from the program to the
 // candidate lists (the command facts included, which production computes
-// once per transaction per pass, not per pair); decide is every query the
+// once per transaction per session, not per pair); decide is every query the
 // plan admits on the small model, and reports the query count.
 func BenchmarkPlanAndDecide(b *testing.B) {
 	prog := benchProg(b, courseware)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/bits"
 	"slices"
-
-	"atropos/internal/ast"
 )
 
 type detector struct {
@@ -119,6 +117,9 @@ func (d *detector) solveCycle(pe *pairPlan, q [4]int) (cycleResult, error) {
 // under test, T' as the witness instance B. Commands are addressed by item
 // index: A's commands in program order, then B's.
 type pairPlan struct {
+	// pass is the pass planning the pair: its layouts name the fields of
+	// the facts' bits.
+	pass  *pass
 	t, w  *txnFacts
 	nA, n int
 	// cand holds nA+1 offsets, then the candidate lists: cands(a) lists the
@@ -147,13 +148,18 @@ func (pe *pairPlan) inst(x int) int {
 	return 1
 }
 
-func (pe *pairPlan) key(x int) keyConstraint { return pe.item(x).key[pe.inst(x)] }
+func (pe *pairPlan) key(x int) keyConstraint {
+	if x < pe.nA {
+		return pe.t.key(x, 0)
+	}
+	return pe.w.key(x-pe.nA, 1)
+}
 
 // fieldNames appends to dst the fields of rank mask r over item x's
 // access set, in name order.
 func (pe *pairPlan) fieldNames(dst []string, x int, r uint64) []string {
 	it := pe.item(x)
-	return pe.t.pass.layouts[it.table].appendNames(dst, unrank(it.reads|it.writes, r))
+	return pe.pass.layout(it.table).appendNames(dst, unrank(it.reads|it.writes, r))
 }
 
 // buildPair assembles the reported access pair from the answer r to query
@@ -170,15 +176,14 @@ func (pe *pairPlan) buildPair(c1, c2, d1, d2 int, q [4]int, r cycleResult) Acces
 		Txn: pe.t.name,
 		C1:  x1.label, F1: f1,
 		C2: x2.label, F2: f2,
-		Kind:    classify(x1.cmd, x2.cmd, f1, f2),
+		Kind:    classify(x1.sel, x2.sel, f1, f2),
 		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: kindNames[r.Kind1], Edge2: kindNames[r.Kind2]},
 	}
 }
 
-// classify names the anomaly per the Fig. 2 taxonomy.
-func classify(c1, c2 ast.DBCommand, f1, f2 []string) Kind {
-	_, c1Sel := c1.(*ast.Select)
-	_, c2Sel := c2.(*ast.Select)
+// classify names the anomaly per the Fig. 2 taxonomy, from whether each
+// command is a select and the fields of each edge.
+func classify(c1Sel, c2Sel bool, f1, f2 []string) Kind {
 	switch {
 	case c1Sel && c2Sel:
 		return KindNonRepeatableRead

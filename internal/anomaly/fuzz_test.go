@@ -12,9 +12,11 @@ import (
 // FuzzDetectSessionEquivalence fuzzes the detector's core contract: a
 // DetectSession must report byte-identical pairs to the cache-free
 // reference on the same program, under every weak model — on its first
-// pass, again from its caches, and through an edit: transaction k dropped,
+// pass, again from its caches, through an edit: transaction k dropped,
 // then restored, where restoring answers from bodies the session never
-// rebuilt. The nightly CI job runs this target (see
+// rebuilt, and with its schemas reordered behind a new first table and
+// another transaction dropped, where plans read back facts built under
+// other table indices. The nightly CI job runs this target (see
 // .github/workflows/nightly.yml).
 func FuzzDetectSessionEquivalence(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0))
@@ -28,7 +30,8 @@ func FuzzDetectSessionEquivalence(f *testing.F) {
 		for _, pass := range []struct {
 			name string
 			prog *ast.Program
-		}{{"cold", p}, {"warm", p}, {"edited", without(p, k)}, {"restored", p}} {
+		}{{"cold", p}, {"warm", p}, {"edited", without(p, k)}, {"restored", p},
+			{"schemas reordered", without(reordered(p), (k+1)%len(p.Txns))}} {
 			got, err := s.Detect(pass.prog)
 			if err != nil {
 				t.Fatalf("seed %d %v: %s session Detect: %v", seed, model, pass.name, err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 
 	"atropos/internal/ast"
@@ -20,8 +21,8 @@ import (
 // A pass works over dense integers. Tables are indices into the program's
 // schemas. A table's fields, alive included, get bit positions in name
 // order (its layout), so a command's read and write sets are two words.
-// Key terms are ids in the pass's term table (terms.go). Names are
-// rendered only where a report or a schedule is built.
+// Key terms are digests (terms.go). Names are rendered only where a
+// report or a schedule is built.
 
 // layout lists one table's fields, alive included, in name order: field
 // l[i] is bit i of a field set over the table. sema caps a schema at
@@ -36,19 +37,31 @@ func (l layout) appendNames(dst []string, m uint64) []string {
 	return dst
 }
 
+// size is the heap l holds, for DetectSession.Size.
+func (l layout) size() int {
+	n := 24 + 16*cap(l)
+	for _, name := range l {
+		n += len(name)
+	}
+	return n
+}
+
 // cmdFacts is what the encoding needs to know about one command,
-// computed once per transaction per detection pass and shared by every
-// pair encoding the transaction takes part in. Only the key terms depend
-// on which instance the transaction plays (A = 0, the transaction under
-// test; B = 1, the witness), so those, and the digest of everything a
-// memoized answer depends on, come in both variants.
+// computed once per transaction and shared by every pair encoding the
+// transaction takes part in. Only the key terms depend on which instance
+// the transaction plays (A = 0, the transaction under test; B = 1, the
+// witness), so those, and the digest of everything a memoized answer
+// depends on, come in both variants.
 type cmdFacts struct {
-	cmd           ast.DBCommand
 	label         string
-	table         int
 	reads, writes uint64
-	key           [2]keyConstraint
 	digest        [2]uint64
+	table         int32
+	// key and nkey place the key constraints in the transaction's keys:
+	// instance inst's nkey terms start at key + inst·nkey (txnFacts.key).
+	key  uint32
+	nkey uint8
+	sel  bool // a select: all classify asks of the command
 }
 
 func (c *cmdFacts) writer() bool { return c.writes != 0 }
@@ -61,10 +74,22 @@ func conflicts(x, y *cmdFacts) bool {
 	return x.writes&(y.reads|y.writes) != 0 || x.reads&y.writes != 0
 }
 
+// txnFacts are one transaction's command facts. They are a function of
+// the transaction and the schemas of the tables it touches at their
+// indices (pass.factsKey), so a session keeps them across passes
+// (DESIGN.md §7): they hold no pass, no AST node and no name sliced from
+// the source text.
 type txnFacts struct {
-	pass *pass
 	name string
 	cmds []cmdFacts
+	keys []keyTerm
+}
+
+// key returns command ci's key constraint as instance inst.
+func (tf *txnFacts) key(ci, inst int) keyConstraint {
+	c := &tf.cmds[ci]
+	lo := int(c.key) + inst*int(c.nkey)
+	return tf.keys[lo : lo+int(c.nkey) : lo+int(c.nkey)]
 }
 
 // index returns the position of the command labelled label, -1 if none.
@@ -77,6 +102,17 @@ func (tf *txnFacts) index(label string) int {
 	return -1
 }
 
+// size is the heap tf holds, for DetectSession.Size.
+func (tf *txnFacts) size() int {
+	n := txnFactsBytes + len(tf.name) + len(tf.cmds)*cmdFactsBytes + len(tf.keys)*keyTermBytes
+	for i := range tf.cmds {
+		n += len(tf.cmds[i].label)
+	}
+	return n
+}
+
+const txnFactsBytes, cmdFactsBytes, keyTermBytes = 80, 64, 16
+
 // pass is the state shared by the detectors of one detection pass over one
 // program. Facts and plans are computed on the goroutine that drives the
 // pass (DetectContext's planning loop), never by its workers, which only
@@ -84,39 +120,56 @@ func (tf *txnFacts) index(label string) int {
 type pass struct {
 	prog  *ast.Program
 	model Model
-	// Per transaction: the tables it touches (schema indices), its
-	// structural hash (ast.HashTxn), the digest of those tables' schemas,
-	// and its facts (nil until first needed).
+	// session keeps the facts and layouts the pass computes; nil for a
+	// pass that keeps nothing.
+	session *DetectSession
+	// planned counts the pair plans computed.
+	planned int
+	*scratch
+}
+
+// scratch holds what a pass builds and drops with it: its per-transaction
+// and per-schema tables and the buffers of buildFacts, witnessesOf and
+// detectTxn. Passes borrow it from scratchPool, so the passes of a fresh
+// session do not grow it from nothing again. Nothing a pass returns points
+// into it.
+type scratch struct {
+	// Per transaction: the tables it touches (schema indices, carved from
+	// tableIDs), its structural hash (ast.HashTxn), the digest of those
+	// tables' schemas, and its facts (nil until first needed).
 	tables [][]int32
 	hashes []uint64
 	slices []uint64
 	facts  []*txnFacts
-	// planned counts the pair plans computed.
-	planned int
-	// layouts[s] is schema s's layout, nil until first needed.
+	// Per schema: its ast.HashSchema, and its layout (nil until first
+	// needed).
+	schemas []uint64
 	layouts []layout
-	*scratch
-}
 
-// scratch holds what a pass builds and drops with it: the arenas its
-// tables and facts are carved from, its term table (pass.term), and the
-// buffers of txnFacts, witnessesOf and detectTxn. Passes borrow it from
-// scratchPool, so the passes of a fresh session do not grow it from
-// nothing again. Nothing a pass returns points into it.
-type scratch struct {
 	tableIDs []int32
-	txns     []txnFacts
-	cmds     []cmdFacts
-	keys     []keyTerm
-	terms    []termEntry
-	termIDs  map[uint64]int32
+	cmds     []ast.DBCommand
 	pins     []pin
 	cand     []int
 	plans    []pairPlan
 	found    []AccessPair
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{termIDs: map[uint64]int32{}} }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// zeroed returns s resized to n elements, all zero.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// done returns the pass's scratch to the pool, holding none of the
+// session's facts and layouts.
+func (p *pass) done() {
+	clear(p.facts)
+	clear(p.layouts)
+	scratchPool.Put(p.scratch)
+}
 
 // pin is one key field a command pins, before it becomes a keyTerm.
 type pin struct {
@@ -125,18 +178,14 @@ type pin struct {
 }
 
 func newPass(prog *ast.Program, model Model) *pass {
-	n := len(prog.Txns)
-	words := make([]uint64, 2*n)
-	p := &pass{prog: prog, model: model,
-		tables:  make([][]int32, n),
-		hashes:  words[:n:n],
-		slices:  words[n:],
-		facts:   make([]*txnFacts, n),
-		layouts: make([]layout, len(prog.Schemas)),
-		scratch: scratchPool.Get().(*scratch),
+	n, ns := len(prog.Txns), len(prog.Schemas)
+	p := &pass{prog: prog, model: model, scratch: scratchPool.Get().(*scratch)}
+	p.tables, p.hashes, p.slices, p.facts = zeroed(p.tables, n), zeroed(p.hashes, n), zeroed(p.slices, n), zeroed(p.facts, n)
+	p.schemas, p.layouts = zeroed(p.schemas, ns), zeroed(p.layouts, ns)
+	p.tableIDs = p.tableIDs[:0]
+	for s, schema := range prog.Schemas {
+		p.schemas[s] = ast.HashSchema(schema)
 	}
-	p.txns, p.cmds, p.keys, p.terms, p.tableIDs = p.txns[:0], p.cmds[:0], p.keys[:0], p.terms[:0], p.tableIDs[:0]
-	clear(p.termIDs)
 	// The hashes are memoized on the transaction nodes, and the refactoring
 	// engine is copy-on-write, so a transaction an edit or a refactoring
 	// step did not touch keeps its node and hashes in one atomic load. The
@@ -149,7 +198,7 @@ func newPass(prog *ast.Program, model Model) *pass {
 			if c, ok := s.(ast.DBCommand); ok {
 				if k := int32(p.schemaIndex(c.TableName())); k >= 0 && !slices.Contains(p.tableIDs[lo:], k) {
 					p.tableIDs = append(p.tableIDs, k)
-					p.slices[i] += ast.HashSchema(prog.Schemas[k])
+					p.slices[i] += p.schemas[k]
 				}
 			}
 			return true
@@ -164,17 +213,41 @@ func (p *pass) schemaIndex(table string) int {
 	return slices.IndexFunc(p.prog.Schemas, func(s *ast.Schema) bool { return s.Name == table })
 }
 
-// layout returns schema s's layout.
-func (p *pass) layout(s int) layout {
-	if p.layouts[s] == nil {
-		l := layout{ast.AliveField}
-		for _, f := range p.prog.Schemas[s].Fields {
-			l = append(l, f.Name)
-		}
-		slices.Sort(l)
-		p.layouts[s] = slices.Compact(l)
+// layout returns schema s's layout, the session's when it has one.
+func (p *pass) layout(s int32) layout {
+	if l := p.layouts[s]; l != nil {
+		return l
 	}
-	return p.layouts[s]
+	l := p.session.lookupLayout(p.schemas[s])
+	if l == nil {
+		l = newLayout(p.prog.Schemas[s])
+		p.session.storeLayout(p.schemas[s], l)
+	}
+	p.layouts[s] = l
+	return l
+}
+
+// newLayout lays schema out. Its names are copies the layout owns, in
+// one string, so a session keeping it pins no source text.
+func newLayout(schema *ast.Schema) layout {
+	n := len(ast.AliveField)
+	for _, f := range schema.Fields {
+		n += len(f.Name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(ast.AliveField)
+	for _, f := range schema.Fields {
+		b.WriteString(f.Name)
+	}
+	all := b.String()
+	l := make(layout, 1, len(schema.Fields)+1)
+	l[0], all = all[:len(ast.AliveField)], all[len(ast.AliveField):]
+	for _, f := range schema.Fields {
+		l, all = append(l, all[:len(f.Name)]), all[len(f.Name):]
+	}
+	slices.Sort(l)
+	return slices.Compact(l)
 }
 
 // fingerprint digests everything transaction i's detection outcome can
@@ -195,28 +268,70 @@ func (p *pass) fingerprint(i int) uint64 {
 	return h.Sum()
 }
 
+// factsKey digests everything transaction i's facts depend on: its
+// structural hash and, for each table it touches, the table's schema
+// index and schema hash. Facts name tables by index, and indices are per
+// program, so the slice digest, a sum over schemas, is not enough.
+func (p *pass) factsKey(i int) uint64 {
+	h := ast.NewHasher().Uint(p.hashes[i])
+	for _, k := range p.tables[i] {
+		h = h.Uint(uint64(k)).Uint(p.schemas[k])
+	}
+	return h.Sum()
+}
+
+// txnFacts returns transaction ti's facts: the pass's, the session's, or
+// built now.
 func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 	if tf := p.facts[ti]; tf != nil {
 		return tf, nil
 	}
+	key := p.factsKey(ti)
+	tf := p.session.lookupFacts(key)
+	if tf == nil {
+		var err error
+		if tf, err = p.buildFacts(ti); err != nil {
+			return nil, err
+		}
+		p.session.storeFacts(key, tf)
+	}
+	p.facts[ti] = tf
+	return tf, nil
+}
+
+// buildFacts computes transaction ti's facts into storage sized to fit:
+// one block of command facts, one of key terms, and one string holding
+// the transaction's name and its commands' labels.
+func (p *pass) buildFacts(ti int) (*txnFacts, error) {
 	t := p.prog.Txns[ti]
-	// Facts are carved from the pass's arenas. An arena that grows leaves
-	// what was carved before in its old array, which stays valid.
-	lo := len(p.cmds)
+	p.cmds, p.pins = p.cmds[:0], p.pins[:0]
+	n := len(t.Name)
 	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
 		if c, ok := s.(ast.DBCommand); ok {
-			p.cmds = append(p.cmds, cmdFacts{cmd: c, label: c.CmdLabel()})
+			p.cmds = append(p.cmds, c)
+			n += len(c.CmdLabel())
 		}
 		return true
 	})
-	cmds := p.cmds[lo:len(p.cmds):len(p.cmds)]
-	for ci := range cmds {
-		f := &cmds[ci]
-		f.table = p.schemaIndex(f.cmd.TableName())
-		if f.table < 0 {
-			return nil, fmt.Errorf("anomaly: %s.%s: unknown table %q", t.Name, f.label, f.cmd.TableName())
+	var names strings.Builder
+	names.Grow(n)
+	names.WriteString(t.Name)
+	for _, c := range p.cmds {
+		names.WriteString(c.CmdLabel())
+	}
+	all := names.String()
+	tf := &txnFacts{name: all[:len(t.Name)], cmds: make([]cmdFacts, len(p.cmds))}
+	all = all[len(t.Name):]
+	for ci, c := range p.cmds {
+		f := &tf.cmds[ci]
+		f.label, all = all[:len(c.CmdLabel())], all[len(c.CmdLabel()):]
+		_, f.sel = c.(*ast.Select)
+		table := p.schemaIndex(c.TableName())
+		if table < 0 {
+			return nil, fmt.Errorf("anomaly: %s.%s: unknown table %q", t.Name, f.label, c.TableName())
 		}
-		schema := p.prog.Schemas[f.table]
+		f.table = int32(table)
+		schema := p.prog.Schemas[table]
 		if len(schema.Fields) > ast.MaxFields {
 			return nil, fmt.Errorf("anomaly: table %s has %d fields, more than %d", schema.Name, len(schema.Fields), ast.MaxFields)
 		}
@@ -228,7 +343,7 @@ func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 			unknown = cmp.Or(unknown, name)
 			return 0
 		}
-		acc := ast.CommandAccess(f.cmd, schema)
+		acc := ast.CommandAccess(c, schema)
 		for _, n := range acc.Reads {
 			f.reads |= bit(n)
 		}
@@ -238,15 +353,15 @@ func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 		// Selects and updates implicitly read the presence field: they
 		// filter on alive records, so inserts conflict with them (phantom
 		// dependencies).
-		if _, ins := f.cmd.(*ast.Insert); !ins {
+		if _, ins := c.(*ast.Insert); !ins {
 			f.reads |= bit(ast.AliveField)
 		}
 		// A field pinned twice keeps its last pin.
-		p.pins = p.pins[:0]
-		pkPins(f.cmd, schema, func(field string, e ast.Expr) {
+		lo := len(p.pins)
+		pkPins(c, schema, func(field string, e ast.Expr) {
 			b := uint8(bits.TrailingZeros64(bit(field)))
-			if k := slices.IndexFunc(p.pins, func(pn pin) bool { return pn.bit == b }); k >= 0 {
-				p.pins[k].e = e
+			if k := slices.IndexFunc(p.pins[lo:], func(pn pin) bool { return pn.bit == b }); k >= 0 {
+				p.pins[lo+k].e = e
 			} else {
 				p.pins = append(p.pins, pin{b, e})
 			}
@@ -254,29 +369,32 @@ func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 		if unknown != "" {
 			return nil, fmt.Errorf("anomaly: %s.%s: unknown field %q of table %s", t.Name, f.label, unknown, schema.Name)
 		}
-		slices.SortFunc(p.pins, func(a, b pin) int { return int(a.bit) - int(b.bit) })
-		for inst := range f.key {
-			lo := len(p.keys)
-			for _, pn := range p.pins {
-				kind, id := p.term(pn.e, inst, ci)
-				p.keys = append(p.keys, keyTerm{bit: pn.bit, kind: kind, id: id})
-			}
-			f.key[inst] = p.keys[lo:len(p.keys):len(p.keys)]
-			f.digest[inst] = p.digest(f, inst)
-		}
+		slices.SortFunc(p.pins[lo:], func(a, b pin) int { return int(a.bit) - int(b.bit) })
+		// Every pin before this command's has two terms.
+		f.key, f.nkey = uint32(2*lo), uint8(len(p.pins)-lo)
 	}
-	p.txns = append(p.txns, txnFacts{pass: p, name: t.Name, cmds: cmds})
-	p.facts[ti] = &p.txns[len(p.txns)-1]
-	return p.facts[ti], nil
+	tf.keys = make([]keyTerm, 2*len(p.pins))
+	for ci := range tf.cmds {
+		f := &tf.cmds[ci]
+		for inst := range 2 {
+			key := tf.key(ci, inst)
+			for j, pn := range p.pins[f.key/2:][:f.nkey] {
+				key[j] = keyTermOf(pn.bit, pn.e, inst, ci)
+			}
+		}
+		f.digest = [2]uint64{p.digest(tf, ci, 0), p.digest(tf, ci, 1)}
+	}
+	return tf, nil
 }
 
-// digest folds what a memoized answer depends on about command f playing
-// instance inst: its table's name, the names of the fields it reads and
+// digest folds what a memoized answer depends on about command ci of tf
+// playing instance inst: its table's name, the names of the fields it reads and
 // writes, and its key fields' names with their terms' digests. Names, not
 // bit positions: the memo outlives the pass, and a later pass's layout of
 // the same table may place its fields at other bits.
-func (p *pass) digest(f *cmdFacts, inst int) uint64 {
-	l := p.layouts[f.table]
+func (p *pass) digest(tf *txnFacts, ci, inst int) uint64 {
+	f, key := &tf.cmds[ci], tf.key(ci, inst)
+	l := p.layout(f.table)
 	h := ast.NewHasher().Str(p.prog.Schemas[f.table].Name)
 	for _, m := range [2]uint64{f.reads, f.writes} {
 		h = h.Uint(uint64(bits.OnesCount64(m)))
@@ -284,9 +402,9 @@ func (p *pass) digest(f *cmdFacts, inst int) uint64 {
 			h = h.Str(l[bits.TrailingZeros64(m)])
 		}
 	}
-	h = h.Uint(uint64(len(f.key[inst])))
-	for _, k := range f.key[inst] {
-		h = h.Str(l[k.bit]).Uint(p.terms[k.id].digest)
+	h = h.Uint(uint64(len(key)))
+	for _, k := range key {
+		h = h.Str(l[k.bit]).Uint(k.digest)
 	}
 	return h.Sum()
 }
@@ -316,7 +434,7 @@ func (p *pass) witnessesOf(ti int) ([]pairPlan, error) {
 		}
 		p.planned++
 		var pe pairPlan
-		if p.cand = pe.plan(tf, wf, p.cand); pe.askable() {
+		if p.cand = pe.plan(p, tf, wf, p.cand); pe.askable() {
 			p.plans = append(p.plans, pe)
 		}
 	}
@@ -329,19 +447,19 @@ func sharesTable(a, b []int32) bool {
 }
 
 // planPair computes the dependency plan of (t, w) (pairPlan.plan).
-func planPair(t, w *txnFacts) *pairPlan {
+func (p *pass) planPair(t, w *txnFacts) *pairPlan {
 	pe := new(pairPlan)
-	pe.plan(t, w, nil)
+	pe.plan(p, t, w, nil)
 	return pe
 }
 
-// plan fills pe with the dependency plan of (t, w), appending its
+// plan fills pe with the dependency plan of (t, w) on pass p, appending its
 // candidate lists to buf and returning the extended buf: cands(a) lists,
 // in program order, the commands of w (as global item indices) that
 // command a of t can share a dependency edge with — same table, keys not
 // decided unequal, conflicting field access, exactly the condition under
 // which some dependency edge a→b or b→a has a field.
-func (pe *pairPlan) plan(t, w *txnFacts, buf []int) []int {
+func (pe *pairPlan) plan(p *pass, t, w *txnFacts, buf []int) []int {
 	nA, nB := len(t.cmds), len(w.cmds)
 	lo := len(buf)
 	buf = append(buf, make([]int, nA+1)...)
@@ -350,13 +468,13 @@ func (pe *pairPlan) plan(t, w *txnFacts, buf []int) []int {
 		buf[lo+a] = len(buf) - lo
 		for b := range w.cmds {
 			y := &w.cmds[b]
-			if x.table == y.table && !mustDiffer(x.key[0], y.key[1]) && conflicts(x, y) {
+			if x.table == y.table && !mustDiffer(t.key(a, 0), w.key(b, 1)) && conflicts(x, y) {
 				buf = append(buf, nA+b)
 			}
 		}
 	}
 	buf[lo+nA] = len(buf) - lo
-	*pe = pairPlan{t: t, w: w, nA: nA, n: nA + nB, cand: buf[lo:len(buf):len(buf)]}
+	*pe = pairPlan{pass: p, t: t, w: w, nA: nA, n: nA + nB, cand: buf[lo:len(buf):len(buf)]}
 	return buf
 }
 

@@ -86,7 +86,7 @@ func TestPlanMatchesBody(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pe := planPair(tf, wf)
+					pe := p.planPair(tf, wf)
 					body := newBody(pe, m, mergeOrder)
 					ca, cb := ast.Commands(tt.Body), ast.Commands(wt.Body)
 					for a := range ca {
@@ -155,7 +155,7 @@ func TestPlanKeyDeterminesBody(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pe := planPair(tf, wf)
+					pe := p.planPair(tf, wf)
 					key, fh := modelKey{m, pe.contentKey()}, newBody(pe, m, mergeOrder).enc.FormulaHash()
 					what := fmt.Sprintf("%s %v %s×%s", name, m, tt.Name, wt.Name)
 					if old, ok := hashes[key]; ok && old != fh {

@@ -6,10 +6,9 @@ import (
 	"atropos/internal/ast"
 )
 
-// The string form of command facts: field names and printed term ids.
-// Tests read command facts through these helpers, and termOf is the
-// oracle the pass's term table is checked against
-// (TestFactsRenderToStrings).
+// The string form of command facts: field names and key terms. Tests read
+// command facts through these helpers, and termOf is the oracle key-term
+// identity is checked against (TestFactsRenderToStrings).
 
 // term is a key term in string form: equal ids denote equal runtime
 // values. A TermExpr id includes the owning instance, so the same
@@ -55,28 +54,40 @@ type strKeyTerm struct {
 	term  term
 }
 
-// strKey renders item x's key constraint.
+// strKey renders item x's key constraint, each term by its digest.
 func (pe *pairPlan) strKey(x int) []strKeyTerm {
-	p, it := pe.t.pass, pe.item(x)
+	l := pe.pass.layout(pe.item(x).table)
 	var out []strKeyTerm
 	for _, k := range pe.key(x) {
-		out = append(out, strKeyTerm{p.layouts[it.table][k.bit], term{TermKind(k.kind), p.termString(k.id)}})
+		out = append(out, strKeyTerm{l[k.bit], term{TermKind(k.kind), strconv.FormatUint(k.digest, 16)}})
 	}
 	return out
+}
+
+// digestNames names every key term of pe by its digest, as strKey does,
+// for schedules checked against the SAT oracle's atoms.
+func (pe *pairPlan) digestNames() map[uint64]string {
+	names := map[uint64]string{}
+	for x := range pe.n {
+		for _, k := range pe.key(x) {
+			names[k.digest] = strconv.FormatUint(k.digest, 16)
+		}
+	}
+	return names
 }
 
 // tableName, readNames and writeNames render item x's table and its read
 // and write sets (sorted).
 func (pe *pairPlan) tableName(x int) string {
-	return pe.t.pass.prog.Schemas[pe.item(x).table].Name
+	return pe.pass.prog.Schemas[pe.item(x).table].Name
 }
 
 func (pe *pairPlan) readNames(x int) []string {
 	it := pe.item(x)
-	return pe.t.pass.layouts[it.table].appendNames(nil, it.reads)
+	return pe.pass.layout(it.table).appendNames(nil, it.reads)
 }
 
 func (pe *pairPlan) writeNames(x int) []string {
 	it := pe.item(x)
-	return pe.t.pass.layouts[it.table].appendNames(nil, it.writes)
+	return pe.pass.layout(it.table).appendNames(nil, it.writes)
 }

@@ -2,7 +2,6 @@ package anomaly
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,7 +13,7 @@ import (
 
 // Tests of the pass's integer representation against the string form
 // (render_test.go): field sets render back to the command's
-// access, term ids are equal exactly when the printed ids are, and a
+// access, term digests are equal exactly when the printed terms are, and a
 // memoized answer read back under another layout of its tables names the
 // same fields.
 
@@ -51,13 +50,13 @@ func oracleKey(c ast.DBCommand, schema *ast.Schema, inst, idx int) []strKeyTerm 
 
 // TestFactsRenderToStrings: over the corpus, every command's field sets
 // render to its access, its key constraints to the string-form ones, and
-// two key terms of a pass share an id exactly when termOf prints them
+// two key terms of a pass share a digest exactly when termOf prints them
 // alike.
 func TestFactsRenderToStrings(t *testing.T) {
 	for _, c := range corpus.Programs(97) {
 		p := newPass(c.Prog, EC)
-		ids := map[string]int32{}
-		strs := map[int32]string{}
+		digests := map[string]uint64{}
+		strs := map[uint64]string{}
 		for ti, txn := range c.Prog.Txns {
 			tf, err := p.txnFacts(ti)
 			if err != nil {
@@ -65,7 +64,7 @@ func TestFactsRenderToStrings(t *testing.T) {
 			}
 			// A plan of the transaction against itself addresses each
 			// command as instance A (item ci) and B (item nA+ci).
-			pe := planPair(tf, tf)
+			pe := p.planPair(tf, tf)
 			for ci, cmd := range ast.Commands(txn.Body) {
 				what := fmt.Sprintf("%s %s.%s", c.Name, txn.Name, cmd.CmdLabel())
 				schema := c.Prog.Schema(cmd.TableName())
@@ -80,18 +79,22 @@ func TestFactsRenderToStrings(t *testing.T) {
 					t.Errorf("%s: table renders as %s", what, got)
 				}
 				for inst, x := range [2]int{ci, pe.nA + ci} {
-					if got, want := pe.strKey(x), oracleKey(cmd, schema, inst, ci); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s instance %d: key renders as %v, termOf gives %v", what, inst, got, want)
+					got, want := pe.strKey(x), oracleKey(cmd, schema, inst, ci)
+					if len(got) != len(want) {
+						t.Fatalf("%s instance %d: key renders as %v, termOf gives %v", what, inst, got, want)
 					}
 					for i, k := range pe.key(x) {
-						s := pe.strKey(x)[i].term.id
-						if id, ok := ids[s]; ok && id != k.id {
-							t.Errorf("%s: %s has ids %d and %d", what, s, id, k.id)
+						if got[i].field != want[i].field || got[i].term.kind != want[i].term.kind {
+							t.Errorf("%s instance %d: key renders as %v, termOf gives %v", what, inst, got, want)
 						}
-						if old, ok := strs[k.id]; ok && old != s {
-							t.Errorf("%s: id %d stands for %s and %s", what, k.id, old, s)
+						s := want[i].term.id
+						if d, ok := digests[s]; ok && d != k.digest {
+							t.Errorf("%s: %s has digests %x and %x", what, s, d, k.digest)
 						}
-						ids[s], strs[k.id] = k.id, s
+						if old, ok := strs[k.digest]; ok && old != s {
+							t.Errorf("%s: digest %x stands for %s and %s", what, k.digest, old, s)
+						}
+						digests[s], strs[k.digest] = k.digest, s
 					}
 				}
 			}

@@ -2,7 +2,6 @@ package anomaly
 
 import (
 	"context"
-	"strings"
 	"sync"
 
 	"atropos/internal/ast"
@@ -16,7 +15,7 @@ import (
 // what it remembers — every report equals a cache-free detector's (the
 // reference kept in this package's tests).
 //
-// Two memo layers (see DESIGN.md §7):
+// Two memo layers, over facts that outlive a pass (see DESIGN.md §7):
 //
 //   - Transaction level: each transaction's detection outcome is keyed by a
 //     fingerprint of everything it can depend on — the transaction's own
@@ -28,6 +27,10 @@ import (
 //     (pairPlan.contentKey) and the query's four item indices. An answer
 //     is a function of exactly that, so identically shaped pairs — across
 //     detection passes or within one — share it.
+//   - Below both, each transaction's command facts are kept under its
+//     structural hash and its tables' schemas and indices (pass.factsKey),
+//     and each table's layout under its schema hash, so a pass plans an
+//     unchanged transaction without rebuilding either.
 //
 // Detection is one loop over the program's transactions on the calling
 // goroutine (DESIGN.md §7): a cycle query costs microseconds, so callers
@@ -41,8 +44,10 @@ type DetectSession struct {
 	mu      sync.Mutex
 	txns    map[uint64]txnEntry
 	queries map[memoKey]cycleResult
-	names   map[string]string // the names stored pairs hold, one copy each
-	pairs   int               // stored in txns
+	facts   map[uint64]*txnFacts
+	layouts map[uint64]layout
+	pairs   int // stored in txns
+	held    int // bytes of the facts and layouts
 	stats   SessionStats
 }
 
@@ -98,7 +103,8 @@ func NewSession(model Model) *DetectSession {
 		model:   model,
 		txns:    map[uint64]txnEntry{},
 		queries: map[memoKey]cycleResult{},
-		names:   map[string]string{},
+		facts:   map[uint64]*txnFacts{},
+		layouts: map[uint64]layout{},
 	}
 }
 
@@ -118,15 +124,15 @@ func (s *DetectSession) Stats() SessionStats {
 	return s.stats
 }
 
-// Size estimates the heap the session's memo holds from its entry counts,
-// in O(1); DESIGN.md §12, "Retained memory", gives the measured sizes.
+// Size estimates the heap the session's memo holds from its entry counts
+// and the bytes of its facts and layouts, in O(1); DESIGN.md §12, "Retained memory", gives the measured sizes.
 func (s *DetectSession) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sessionBytes + len(s.txns)*txnEntryBytes + s.pairs*pairBytes + len(s.queries)*queryBytes
+	return sessionBytes + len(s.txns)*txnEntryBytes + s.pairs*pairBytes + len(s.queries)*queryBytes + s.held
 }
 
-const sessionBytes, txnEntryBytes, pairBytes, queryBytes = 512, 64, 256, 80
+const sessionBytes, txnEntryBytes, pairBytes, queryBytes, factsEntryBytes = 512, 64, 256, 80, 48
 
 // Detect runs the oracle over every transaction of the program, reusing
 // all applicable cached work.
@@ -140,8 +146,9 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 // never stored, and every stored query answer is complete.
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
 	p := newPass(prog, s.model)
+	p.session = s
 	d := &detector{pass: p, session: s, ctx: ctx}
-	defer scratchPool.Put(p.scratch)
+	defer p.done()
 	entries := make([]txnEntry, len(prog.Txns))
 	nPairs := 0
 	for i := range entries {
@@ -196,34 +203,62 @@ func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
 	return e, ok
 }
 
-// storeTxn memoizes a transaction's outcome. Its pairs' names are sliced
-// from the source text, which a session would pin whole for as long as it
-// keeps them, so each is replaced by the session's own copy of the name.
+// storeTxn memoizes a transaction's outcome. Its pairs' names are the
+// facts' and layouts' own copies, so they pin no source text.
 func (s *DetectSession) storeTxn(fp uint64, e txnEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	own := func(name *string) {
-		c, ok := s.names[*name]
-		if !ok {
-			c = strings.Clone(*name)
-			s.names[c] = c
-		}
-		*name = c
-	}
-	for i := range e.pairs {
-		p := &e.pairs[i]
-		for _, name := range [...]*string{&p.Txn, &p.C1, &p.C2, &p.Witness.Txn, &p.Witness.D1, &p.Witness.D2} {
-			own(name)
-		}
-		for j := range p.F1 {
-			own(&p.F1[j])
-		}
-		for j := range p.F2 {
-			own(&p.F2[j])
-		}
-	}
 	s.pairs += len(e.pairs) // a fingerprint is stored once, barring concurrent Detect calls
 	s.txns[fp] = e
+}
+
+// lookupFacts returns the facts stored under key, nil if none or if s is
+// nil.
+func (s *DetectSession) lookupFacts(key uint64) *txnFacts {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.facts[key]
+}
+
+// storeFacts keeps tf under key, if s is not nil.
+func (s *DetectSession) storeFacts(key uint64, tf *txnFacts) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.facts[key]; !ok {
+		s.facts[key] = tf
+		s.held += factsEntryBytes + tf.size()
+	}
+}
+
+// lookupLayout returns the layout of the schema hashing to h, nil if none
+// or if s is nil.
+func (s *DetectSession) lookupLayout(h uint64) layout {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.layouts[h]
+}
+
+// storeLayout keeps l as the layout of the schema hashing to h, if s is
+// not nil.
+func (s *DetectSession) storeLayout(h uint64, l layout) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.layouts[h]; !ok {
+		s.layouts[h] = l
+		s.held += factsEntryBytes + l.size()
+	}
 }
 
 // lookupQuery returns a memoized answer, counting the hit.

@@ -113,6 +113,17 @@ func without(prog *ast.Program, k int) *ast.Program {
 	return &ast.Program{Schemas: prog.Schemas, Txns: rest}
 }
 
+// reordered returns prog with its schemas in reverse order after a new,
+// untouched table: almost every table gets another index, and every
+// transaction keeps its node.
+func reordered(prog *ast.Program) *ast.Program {
+	schemas := []*ast.Schema{{Name: "inserted_first", Fields: []*ast.Field{{Name: "id", Type: ast.TInt, PK: true}}}}
+	for i := len(prog.Schemas) - 1; i >= 0; i-- {
+		schemas = append(schemas, prog.Schemas[i])
+	}
+	return ast.WithSchemas(prog, schemas)
+}
+
 // sameAsFresh requires a session report to equal the cache-free reference
 // detection of prog — pairs and queries — and to have solved no more
 // queries than it did.
@@ -172,6 +183,35 @@ func editLoop(t *testing.T, m anomaly.Model) {
 	if m == anomaly.EC && (sum.Solved != 317 || sum.Replayed != 0 || sum.QueryHits != 1051) {
 		t.Errorf("EC edit loop: solved %d replayed %d hits %d, want solved 317, replayed 0, hits 1051",
 			sum.Solved, sum.Replayed, sum.QueryHits)
+	}
+}
+
+// TestFactsSurviveASchemaReorder: a session that detects P and then P′,
+// P's schemas reordered behind a new first table, reports for P′, and for
+// P′ without each of its transactions, what a fresh detection does. The
+// edits miss the fingerprints, so their plans read facts back from the
+// session; facts name tables by index, so a facts key that left the
+// indices out would hand P′ facts that point at the wrong schemas.
+func TestFactsSurviveASchemaReorder(t *testing.T) {
+	for _, c := range corpus.Programs(16) {
+		for _, m := range sessionModels {
+			s := anomaly.NewSession(m)
+			if _, err := s.Detect(c.Prog); err != nil {
+				t.Fatal(err)
+			}
+			p := reordered(c.Prog)
+			progs := []*ast.Program{p}
+			for k := range p.Txns {
+				progs = append(progs, without(p, k))
+			}
+			for i, q := range progs {
+				got, err := s.Detect(q)
+				if err != nil {
+					t.Fatalf("%s %v reordered, step %d: %v", c.Name, m, i, err)
+				}
+				sameAsFresh(t, fmt.Sprintf("%s %v reordered, step %d", c.Name, m, i), q, m, got)
+			}
+		}
 	}
 }
 

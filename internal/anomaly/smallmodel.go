@@ -68,7 +68,7 @@ type smEdge struct {
 // smNode is one key term of one (table, key field) sort in the
 // union-find.
 type smNode struct {
-	table  int
+	table  int32
 	t      keyTerm
 	parent int
 }
@@ -156,7 +156,7 @@ func (sm *smallModel) keysAlias() bool {
 		kx, ky := pe.key(x), pe.key(y)
 		table := pe.item(x).table
 		for i, j := range commonFields(kx, ky) {
-			if kx[i].id != ky[j].id {
+			if kx[i].digest != ky[j].digest {
 				sm.union(sm.node(table, kx[i]), sm.node(table, ky[j]))
 			}
 		}
@@ -173,7 +173,7 @@ func (sm *smallModel) keysAlias() bool {
 	return true
 }
 
-func (sm *smallModel) node(table int, t keyTerm) int {
+func (sm *smallModel) node(table int32, t keyTerm) int {
 	for i := range sm.nodes {
 		n := &sm.nodes[i]
 		if n.t == t && n.table == table {
@@ -410,7 +410,7 @@ func unrank(set, r uint64) uint64 {
 // last true per-field dependency (nKinds if none is) and, when fs is not
 // nil, every true one appended to *fs.
 func (sm *smallModel) modelEdge(e int, mask uint8, fs *[]EdgeField) uint8 {
-	l := sm.pe.t.pass.layouts[sm.pe.item(sm.edges[e].x).table]
+	l := sm.pe.pass.layout(sm.pe.item(sm.edges[e].x).table)
 	kind := uint8(nKinds)
 	sm.eachField(e, func(k, b int) {
 		if sm.holds(e, k, mask) {
@@ -433,7 +433,7 @@ func (sm *smallModel) modelEdge(e int, mask uint8, fs *[]EdgeField) uint8 {
 //     to the same cycle reader (causal delivery);
 //   - under RR a visible cycle writer is visible to its reader's whole
 //     instance.
-func (sm *smallModel) schedule(items []SchedItem) *Schedule {
+func (sm *smallModel) schedule(items []SchedItem, terms map[uint64]string) *Schedule {
 	pe, mask := sm.pe, sm.best
 	n := pe.n
 	s := &Schedule{TxnA: pe.t.name, TxnB: pe.w.name, NA: pe.nA, Items: items}
@@ -482,18 +482,18 @@ func (sm *smallModel) schedule(items []SchedItem) *Schedule {
 			}
 		}
 	}
-	p := pe.t.pass
+	p := pe.pass
 	for i := range sm.nodes {
 		for j := range sm.nodes {
 			a, b := &sm.nodes[i], &sm.nodes[j]
 			if a.table != b.table || a.t.bit != b.t.bit || decideEq(a.t, b.t) != eqUnknown {
 				continue
 			}
-			ta, tb := p.termString(a.t.id), p.termString(b.t.id)
+			ta, tb := terms[a.t.digest], terms[b.t.digest]
 			if ta >= tb {
 				continue
 			}
-			s.Eqs = append(s.Eqs, EqAtom{Table: p.prog.Schemas[a.table].Name, Field: p.layouts[a.table][a.t.bit], A: ta, B: tb, Equal: sm.find(i) == sm.find(j)})
+			s.Eqs = append(s.Eqs, EqAtom{Table: p.prog.Schemas[a.table].Name, Field: p.layout(a.table)[a.t.bit], A: ta, B: tb, Equal: sm.find(i) == sm.find(j)})
 		}
 	}
 	slices.SortFunc(s.Eqs, func(a, b EqAtom) int {

@@ -33,7 +33,7 @@ func planQueries(t testing.TB, prog *ast.Program, model Model, visit func(pe *pa
 			if err != nil {
 				t.Fatal(err)
 			}
-			pe := planPair(tf, wf)
+			pe := p.planPair(tf, wf)
 			var qs [][4]int
 			for c1 := range pe.nA {
 				for c2 := c1 + 1; c2 < pe.nA; c2++ {
@@ -144,7 +144,7 @@ func checkPlanAgainstOracle(t testing.TB, what string, pe *pairPlan, model Model
 		if f := oracleFields(b, q, q[2], q[3]); !slices.Equal(flds2, f) {
 			t.Errorf("%s: F2 = %v, oracle's satisfiable union %v", cell, flds2, f)
 		}
-		s := sm.schedule(nil)
+		s := sm.schedule(nil, pe.digestNames())
 		if s.Edge1.Kind != kind1 || s.Edge2.Kind != kind2 || s.Edge1.From != q[0] || s.Edge1.To != q[1] || s.Edge2.From != q[2] || s.Edge2.To != q[3] {
 			t.Errorf("%s: schedule edges %+v %+v disagree with the answer (%s, %s)", cell, s.Edge1, s.Edge2, kind1, kind2)
 		}

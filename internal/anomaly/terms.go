@@ -18,62 +18,43 @@ import (
 
 // keyTerm is one primary-key field a command pins, with the term pinning
 // it: the field's bit in its table's layout, the term's kind (a TermKind),
-// and its id in the pass's term table. Equal ids denote equal runtime
-// values.
+// and the term's digest (keyTermOf). Equal digests denote equal runtime
+// values. A digest does not depend on the pass that computed it, so facts
+// holding key terms outlive their pass, and the query memo's content keys
+// fold the digests in.
 type keyTerm struct {
-	bit  uint8
-	kind uint8
-	id   int32
-}
-
-// termEntry is one interned term. A TermExpr term belongs to the instance
-// evaluating it, so the same expression in the two transaction instances
-// yields two terms; a constant belongs to neither (inst -1); a uuid() term
-// is fresh per command instance (cmd, -1 for other kinds, is the
-// command's index). digest is the term's identity folded into content
-// keys: unlike the id, it does not depend on the order the pass met its
-// terms in.
-type termEntry struct {
-	e      ast.Expr
+	bit    uint8
 	kind   uint8
-	inst   int8
-	cmd    int32
 	digest uint64
 }
 
-// term interns the term of the expression pinning a primary-key field of
-// command cmdIdx of instance inst. Expressions are one term when they are
-// structurally equal, or, since EqualExpr never equates an expression
-// holding a uuid(), when they print alike.
-func (p *pass) term(e ast.Expr, inst, cmdIdx int) (kind uint8, id int32) {
-	te := termEntry{e: e, kind: uint8(TermExpr), inst: int8(inst), cmd: -1}
+// keyTermOf is key-term identity: the term of expression e pinning field
+// bit of command cmd of instance inst. A TermExpr term belongs to the
+// instance evaluating it, so the same expression in the two transaction
+// instances yields two terms; a constant belongs to neither; a uuid() term
+// is fresh per command instance. Expressions are one term when they are
+// structurally equal (ast.HashExpr).
+func keyTermOf(bit uint8, e ast.Expr, inst, cmd int) keyTerm {
+	kind := TermExpr
 	switch e.(type) {
 	case *ast.IntLit, *ast.BoolLit, *ast.StringLit:
-		te.kind, te.inst = uint8(TermConst), -1
+		kind, inst = TermConst, -1
 	case *ast.UUID:
-		te.kind, te.cmd = uint8(TermUUID), int32(cmdIdx)
+		kind = TermUUID
 	}
-	te.digest = ast.NewHasher().Uint(ast.HashExpr(e)).Uint(uint64(te.kind)).Uint(uint64(te.inst)).Uint(uint64(te.cmd)).Sum()
-	for slot := te.digest; ; slot++ {
-		id, ok := p.termIDs[slot]
-		if !ok {
-			p.termIDs[slot] = int32(len(p.terms))
-			p.terms = append(p.terms, te)
-			return te.kind, int32(len(p.terms) - 1)
-		}
-		if o := &p.terms[id]; o.kind == te.kind && o.inst == te.inst && o.cmd == te.cmd &&
-			(ast.EqualExpr(o.e, e) || ast.ExprString(o.e) == ast.ExprString(e)) {
-			return te.kind, id
-		}
+	if kind != TermUUID {
+		cmd = -1
 	}
+	d := ast.NewHasher().Uint(ast.HashExpr(e)).Uint(uint64(kind)).Uint(uint64(int8(inst))).Uint(uint64(int32(cmd))).Sum()
+	return keyTerm{bit: bit, kind: uint8(kind), digest: d}
 }
 
-// termString renders term id as a Schedule names it: "ci5", "cbtrue" or
+// termName renders the term of expression e pinning a key field of
+// command cmd of instance inst as a Schedule names it: "ci5", "cbtrue" or
 // "cs…" for a constant, "u<inst>_<cmd>" for a uuid(), "e<inst>_<expr>" for
 // anything else.
-func (p *pass) termString(id int32) string {
-	te := &p.terms[id]
-	switch x := te.e.(type) {
+func termName(e ast.Expr, inst, cmd int) string {
+	switch x := e.(type) {
 	case *ast.IntLit:
 		return "ci" + strconv.FormatInt(x.Val, 10)
 	case *ast.BoolLit:
@@ -81,9 +62,9 @@ func (p *pass) termString(id int32) string {
 	case *ast.StringLit:
 		return "cs" + x.Val
 	case *ast.UUID:
-		return "u" + strconv.Itoa(int(te.inst)) + "_" + strconv.Itoa(int(te.cmd))
+		return "u" + strconv.Itoa(inst) + "_" + strconv.Itoa(cmd)
 	default:
-		return "e" + strconv.Itoa(int(te.inst)) + "_" + ast.ExprString(x)
+		return "e" + strconv.Itoa(inst) + "_" + ast.ExprString(x)
 	}
 }
 
@@ -99,7 +80,7 @@ const (
 // decideEq returns whether two terms are definitely equal, definitely
 // unequal, or execution-dependent.
 func decideEq(a, b keyTerm) eqStatus {
-	if a.id == b.id {
+	if a.digest == b.digest {
 		return eqTrue
 	}
 	if a.kind == uint8(TermUUID) || b.kind == uint8(TermUUID) {
@@ -107,7 +88,7 @@ func decideEq(a, b keyTerm) eqStatus {
 		return eqFalse
 	}
 	if a.kind == uint8(TermConst) && b.kind == uint8(TermConst) {
-		return eqFalse // distinct ids ⇒ distinct constants
+		return eqFalse // distinct digests ⇒ distinct constants
 	}
 	return eqUnknown
 }

@@ -114,12 +114,13 @@ func (s *Schedule) ItemAt(g int) (inst, idx int) {
 // gets nil.
 func WitnessSchedules(prog *ast.Program, rep *Report) []*Schedule {
 	p := newPass(prog, rep.Model)
-	defer scratchPool.Put(p.scratch)
+	defer p.done()
 	type planned struct {
 		pe    *pairPlan
 		items []SchedItem
 	}
 	plans := map[[2]int]*planned{}
+	terms := map[uint64]string{} // key-term digest → name
 	var sm smallModel
 	out := make([]*Schedule, len(rep.Pairs))
 	for i, pair := range rep.Pairs {
@@ -135,8 +136,8 @@ func WitnessSchedules(prog *ast.Program, rep *Report) []*Schedule {
 			if terr != nil || werr != nil {
 				continue
 			}
-			pe := planPair(tf, wf)
-			pl = &planned{pe, p.schedItems(pe)}
+			pe := p.planPair(tf, wf)
+			pl = &planned{pe, p.schedItems(pe, [2]*ast.Txn{prog.Txns[ti], prog.Txns[wi]}, terms)}
 			plans[[2]int{ti, wi}] = pl
 		}
 		pe := pl.pe
@@ -148,7 +149,7 @@ func WitnessSchedules(prog *ast.Program, rep *Report) []*Schedule {
 		d1, d2 = pe.nA+d1, pe.nA+d2
 		for _, q := range [2][4]int{{c1, d1, d2, c2}, {d1, c1, c2, d2}} {
 			if sm.decide(pe, rep.Model, q).Sat {
-				out[i] = sm.schedule(pl.items)
+				out[i] = sm.schedule(pl.items, terms)
 				break
 			}
 		}
@@ -156,17 +157,20 @@ func WitnessSchedules(prog *ast.Program, rep *Report) []*Schedule {
 	return out
 }
 
-// schedItems lists the pair's command instances as a Schedule names them,
-// each with the key pins the replayer evaluates.
-func (p *pass) schedItems(pe *pairPlan) []SchedItem {
+// schedItems lists the pair's command instances, those of txns[0] and
+// txns[1], as a Schedule names them, each with the key pins the replayer
+// evaluates, and records the name of each key term in terms.
+func (p *pass) schedItems(pe *pairPlan, txns [2]*ast.Txn, terms map[uint64]string) []SchedItem {
+	cmds := [2][]ast.DBCommand{ast.Commands(txns[0].Body), ast.Commands(txns[1].Body)}
 	items := make([]SchedItem, pe.n)
 	for x := range items {
 		it, inst := pe.item(x), pe.inst(x)
 		idx := x - inst*pe.nA
 		var pins []KeyPin
-		pkPins(it.cmd, p.prog.Schemas[it.table], func(field string, e ast.Expr) {
-			kind, id := p.term(e, inst, idx)
-			pins = append(pins, KeyPin{Field: field, Term: p.termString(id), Kind: TermKind(kind), Expr: e})
+		pkPins(cmds[inst][idx], p.prog.Schemas[it.table], func(field string, e ast.Expr) {
+			kt, name := keyTermOf(0, e, inst, idx), termName(e, inst, idx)
+			terms[kt.digest] = name
+			pins = append(pins, KeyPin{Field: field, Term: name, Kind: TermKind(kt.kind), Expr: e})
 		})
 		items[x] = SchedItem{Inst: inst, Idx: idx, Label: it.label, Table: p.prog.Schemas[it.table].Name, Pins: pins}
 	}

@@ -156,7 +156,8 @@ func TestChargeAccuracy(t *testing.T) {
 		reqs = append(reqs, service.ProgramRequest{Benchmark: b.Name})
 	}
 	for _, req := range reqs {
-		// The second send of each is a hit, which stores the reply.
+		// The first send of each is a miss, which stores the reply; the
+		// second is a hit, answered from it.
 		for range 2 {
 			s.send("/v1/certify", req)
 			s.send("/v1/repair", req)
