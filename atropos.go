@@ -91,9 +91,11 @@ func Analyze(ctx context.Context, p *Program, m Model) (*AnomalyReport, error) {
 }
 
 // DetectSession is the anomaly oracle: it fingerprints transactions and
-// memoizes decided cycle queries, so detecting across a sequence of related
-// programs (the repair pipeline, an editing loop) only re-decides what
-// actually changed. What it reports never depends on what it remembers.
+// memoizes decided cycle queries and whole reports, so detecting across a
+// sequence of related programs (the repair pipeline, an editing loop) only
+// re-decides what actually changed, and a program seen before is one
+// lookup. What it reports never depends on what it remembers; its
+// reports' pairs are shared with its memo and read-only.
 type DetectSession = anomaly.DetectSession
 
 // DetectStats aggregates a session's cycle-query counters and cache hits.

@@ -3,7 +3,6 @@ package anomaly
 import (
 	"context"
 	"math/bits"
-	"slices"
 )
 
 type detector struct {
@@ -22,16 +21,36 @@ type detector struct {
 	sm smallModel
 }
 
+// detect decides transaction i, a fingerprint miss, into o: its pairs
+// are left at the end of the pass's found, the queries counted.
+func (d *detector) detect(i int, o *outcome) error {
+	if err := d.ctx.Err(); err != nil {
+		return err
+	}
+	plans, err := d.pass.witnessesOf(i)
+	if err != nil {
+		return err
+	}
+	issued, lo := d.issued, len(d.pass.found)
+	if _, err := d.detectTxn(plans); err != nil {
+		return err
+	}
+	o.detected, o.issued, o.lo, o.hi = true, d.issued-issued, lo, len(d.pass.found)
+	return nil
+}
+
 // detectTxn finds the anomalous access pairs of the transaction planned
 // by witnesses (pass.witnessesOf, in program order): for each pair of
 // distinct commands (c1, c2), search over witness transactions and witness
-// command pairs for a satisfiable dependency cycle.
+// command pairs for a satisfiable dependency cycle. It appends them to the
+// pass's found and returns them there: they are valid until the pass ends.
 func (d *detector) detectTxn(witnesses []pairPlan) ([]AccessPair, error) {
 	if len(witnesses) == 0 {
 		return nil, nil
 	}
 	t := witnesses[0].t
-	found := d.pass.found[:0]
+	found := d.pass.found
+	lo := len(found)
 	for i := range t.cmds {
 		for j := i + 1; j < len(t.cmds); j++ {
 			for w := range witnesses {
@@ -47,10 +66,7 @@ func (d *detector) detectTxn(witnesses []pairPlan) ([]AccessPair, error) {
 		}
 	}
 	d.pass.found = found
-	if len(found) == 0 {
-		return nil, nil
-	}
-	return slices.Clone(found), nil
+	return found[lo:], nil
 }
 
 // checkPairWitness searches pe's witness transaction for a satisfiable

@@ -170,7 +170,10 @@ func appendFields(b []byte, fs []string) []byte {
 
 // Report is the detector's output.
 type Report struct {
-	Model   Model
+	Model Model
+	// Pairs is read-only: a DetectSession shares it, and the pairs in it,
+	// with its memo and with every report it returns for the same program.
+	// Its capacity is its length, so an append copies.
 	Pairs   []AccessPair
 	Queries int // cycle-satisfiability queries issued (memo hits included)
 	// Solved counts the queries the small model decided. A DetectSession

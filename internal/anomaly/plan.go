@@ -131,8 +131,8 @@ type pass struct {
 // scratch holds what a pass builds and drops with it: its per-transaction
 // and per-schema tables and the buffers of buildFacts, witnessesOf and
 // detectTxn. Passes borrow it from scratchPool, so the passes of a fresh
-// session do not grow it from nothing again. Nothing a pass returns points
-// into it.
+// session do not grow it from nothing again. Nothing a pass returns or
+// stores points into it.
 type scratch struct {
 	// Per transaction: the tables it touches (schema indices, carved from
 	// tableIDs), its structural hash (ast.HashTxn), the digest of those
@@ -141,6 +141,8 @@ type scratch struct {
 	hashes []uint64
 	slices []uint64
 	facts  []*txnFacts
+	// outcomes are DetectContext's, one per transaction.
+	outcomes []outcome
 	// Per schema: its ast.HashSchema, and its layout (nil until first
 	// needed).
 	schemas []uint64
@@ -151,7 +153,48 @@ type scratch struct {
 	pins     []pin
 	cand     []int
 	plans    []pairPlan
-	found    []AccessPair
+	// found holds the pairs of every transaction the pass detected, in
+	// the order it detected them.
+	found []AccessPair
+}
+
+// outcome is one transaction's detection outcome in a pass: a stored
+// entry's pairs, or, if detected by this pass, found[lo:hi].
+type outcome struct {
+	fp       uint64
+	pairs    []AccessPair
+	lo, hi   int
+	issued   int
+	detected bool
+}
+
+// in returns o's pairs, found being its pass's.
+func (o *outcome) in(found []AccessPair) []AccessPair {
+	if o.detected {
+		return found[o.lo:o.hi]
+	}
+	return o.pairs
+}
+
+// gather copies the pairs of outs into one new array, in order, and
+// points each outcome's pairs at its capacity-clipped part of the array,
+// which it returns (len = cap; nil if empty).
+func (p *pass) gather(outs []outcome) []AccessPair {
+	n := 0
+	for i := range outs {
+		n += len(outs[i].in(p.found))
+	}
+	if n == 0 {
+		return nil
+	}
+	arr := make([]AccessPair, 0, n)
+	for i := range outs {
+		o := &outs[i]
+		lo := len(arr)
+		arr = append(arr, o.in(p.found)...)
+		o.pairs = arr[lo:len(arr):len(arr)]
+	}
+	return arr
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -164,10 +207,12 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // done returns the pass's scratch to the pool, holding none of the
-// session's facts and layouts.
+// session's facts, layouts and pairs.
 func (p *pass) done() {
 	clear(p.facts)
 	clear(p.layouts)
+	clear(p.outcomes)
+	clear(p.found)
 	scratchPool.Put(p.scratch)
 }
 
@@ -182,7 +227,7 @@ func newPass(prog *ast.Program, model Model) *pass {
 	p := &pass{prog: prog, model: model, scratch: scratchPool.Get().(*scratch)}
 	p.tables, p.hashes, p.slices, p.facts = zeroed(p.tables, n), zeroed(p.hashes, n), zeroed(p.slices, n), zeroed(p.facts, n)
 	p.schemas, p.layouts = zeroed(p.schemas, ns), zeroed(p.layouts, ns)
-	p.tableIDs = p.tableIDs[:0]
+	p.tableIDs, p.found = p.tableIDs[:0], p.found[:0]
 	for s, schema := range prog.Schemas {
 		p.schemas[s] = ast.HashSchema(schema)
 	}

@@ -288,3 +288,52 @@ func TestAbortMidDetectionCachesNothing(t *testing.T) {
 		t.Errorf("stats after a cancelled pass: %+v (report: %d queries, %d solved)", st, got.Queries, got.Solved)
 	}
 }
+
+// TestCancelledPassKeepsCompletedTxns: a new session's pass cancelled
+// after k of its transactions keeps their outcomes and no report, so a
+// retry hits those k, misses the rest and reports what a fresh detection
+// does.
+func TestCancelledPassKeepsCompletedTxns(t *testing.T) {
+	prog := mustProg(t, courseware)
+	want, err := FreshDetect(prog, EC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// before[k] counts the Err polls a new session's pass makes before
+	// transaction k: one before each transaction, one per query.
+	d := &detector{pass: newPass(prog, EC), ctx: context.Background()}
+	before, polls := make([]int64, len(prog.Txns)), int64(0)
+	for ti := range prog.Txns {
+		before[ti] = polls
+		witnesses, err := d.pass.witnessesOf(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued := d.issued
+		if _, err := d.detectTxn(witnesses); err != nil {
+			t.Fatal(err)
+		}
+		polls += 1 + int64(d.issued-issued)
+	}
+	n := len(prog.Txns)
+	for k := range n {
+		s := NewSession(EC)
+		ctx := newPollCancel(before[k] + 1) // trips on transaction k's poll
+		_, err := s.DetectContext(ctx, prog)
+		ctx.cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: cancelled pass = %v, want context.Canceled", k, err)
+		}
+		if st := s.Stats(); st.TxnHits != 0 || st.TxnMisses != k+1 || st.Queries != 0 {
+			t.Errorf("k=%d: stats after the cancelled pass %+v; want 0 hits, %d misses, 0 queries", k, st, k+1)
+		}
+		got, err := s.Detect(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVerdict(t, fmt.Sprintf("k=%d retry", k), got, want)
+		if st := s.Stats(); st.TxnHits != k || st.TxnMisses != k+1+n-k {
+			t.Errorf("k=%d: retry hit %d and missed %d transactions; want %d and %d", k, st.TxnHits, st.TxnMisses-k-1, k, n-k)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -55,4 +56,40 @@ func TestDetectConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDetectSharedReportConcurrent: goroutines detecting one program on
+// one session get the pairs its report memo shares. Each reads them and
+// appends to its report; run with -race, neither may race with another
+// goroutine's pass or change what another reads.
+func TestDetectSharedReportConcurrent(t *testing.T) {
+	prog, err := benchmarks.SmallBank.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FreshDetect(prog, EC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(EC)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				r, err := s.Detect(prog)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(r.Pairs, want.Pairs) {
+					t.Errorf("shared report diverges:\ngot  %v\nwant %v", r.Pairs, want.Pairs)
+					return
+				}
+				r.Pairs = append(r.Pairs, AccessPair{Txn: "appended"})
+			}
+		}()
+	}
+	wg.Wait()
 }

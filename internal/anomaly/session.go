@@ -2,7 +2,9 @@ package anomaly
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"atropos/internal/ast"
 )
@@ -15,8 +17,11 @@ import (
 // what it remembers — every report equals a cache-free detector's (the
 // reference kept in this package's tests).
 //
-// Two memo layers, over facts that outlive a pass (see DESIGN.md §7):
+// Memo layers, over facts that outlive a pass (see DESIGN.md §7):
 //
+//   - Program level: each detected program's report pairs and query
+//     count, keyed by ast.HashProgram, so a program seen before costs one
+//     hash and one lookup.
 //   - Transaction level: each transaction's detection outcome is keyed by a
 //     fingerprint of everything it can depend on — the transaction's own
 //     text, the text of every witness transaction touching an overlapping
@@ -43,14 +48,18 @@ type DetectSession struct {
 
 	mu      sync.Mutex
 	txns    map[uint64]txnEntry
+	reports map[uint64]txnEntry // by ast.HashProgram
 	queries map[memoKey]cycleResult
 	facts   map[uint64]*txnFacts
 	layouts map[uint64]layout
 	pairs   int // stored in txns
-	held    int // bytes of the facts and layouts
+	held    int // bytes of the facts, layouts, reports and pair arrays
 	stats   SessionStats
 }
 
+// txnEntry is a stored outcome: one transaction's, or a whole program's
+// report. Its pairs are a capacity-clipped part of a pass's one array
+// (pass.gather), shared with the reports that pass returned: read-only.
 type txnEntry struct {
 	pairs []AccessPair
 	// issued is the number of cycle queries the transaction's detection
@@ -102,6 +111,7 @@ func NewSession(model Model) *DetectSession {
 	return &DetectSession{
 		model:   model,
 		txns:    map[uint64]txnEntry{},
+		reports: map[uint64]txnEntry{},
 		queries: map[memoKey]cycleResult{},
 		facts:   map[uint64]*txnFacts{},
 		layouts: map[uint64]layout{},
@@ -124,15 +134,21 @@ func (s *DetectSession) Stats() SessionStats {
 	return s.stats
 }
 
-// Size estimates the heap the session's memo holds from its entry counts
-// and the bytes of its facts and layouts, in O(1); DESIGN.md §12, "Retained memory", gives the measured sizes.
+// Size estimates the heap the session's memo holds, in O(1), from its
+// entry counts and the bytes of its facts, layouts, reports and pair
+// arrays. A stored pair is charged its field names; its place in a pass's
+// array is charged with the array. DESIGN.md §12, "Retained memory",
+// gives the measured sizes.
 func (s *DetectSession) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return sessionBytes + len(s.txns)*txnEntryBytes + s.pairs*pairBytes + len(s.queries)*queryBytes + s.held
 }
 
-const sessionBytes, txnEntryBytes, pairBytes, queryBytes, factsEntryBytes = 512, 64, 256, 80, 48
+const (
+	sessionBytes, txnEntryBytes, pairBytes, queryBytes, factsEntryBytes = 512, 64, 64, 80, 48
+	accessPairBytes                                                     = int(unsafe.Sizeof(AccessPair{}))
+)
 
 // Detect runs the oracle over every transaction of the program, reusing
 // all applicable cached work.
@@ -142,74 +158,106 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 
 // DetectContext is Detect with cancellation: the context aborts the
 // detection between cycle queries, returning ctx.Err(). Work memoized
-// before the abort remains valid — a cancelled transaction's outcome is
-// never stored, and every stored query answer is complete.
+// before the abort remains valid — the transactions the pass completed
+// are stored, the one it cut short and the report are not, and every
+// stored query answer is complete.
+//
+// A program the session has detected before, by ast.HashProgram, is
+// answered from the report memo: its stored pairs and query count, with
+// nothing planned or solved. The session fixes the model, so the hash is
+// the whole key.
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
+	key := ast.HashProgram(prog)
+	if r := s.lookupReport(key, len(prog.Txns)); r != nil {
+		return r, nil
+	}
 	p := newPass(prog, s.model)
 	p.session = s
 	d := &detector{pass: p, session: s, ctx: ctx}
 	defer p.done()
-	entries := make([]txnEntry, len(prog.Txns))
-	nPairs := 0
-	for i := range entries {
-		fp := p.fingerprint(i)
-		e, ok := s.lookupTxn(fp)
-		if !ok {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			plans, err := p.witnessesOf(i)
-			if err != nil {
-				return nil, err
-			}
-			issued := d.issued
-			pairs, err := d.detectTxn(plans)
-			if err != nil {
-				return nil, err
-			}
-			e = txnEntry{pairs: pairs, issued: d.issued - issued}
-			s.storeTxn(fp, e)
+	p.outcomes = zeroed(p.outcomes, len(prog.Txns))
+	hits := 0
+	for i := range p.outcomes {
+		o := &p.outcomes[i]
+		o.fp = p.fingerprint(i)
+		if j := slices.IndexFunc(p.outcomes[:i], func(e outcome) bool { return e.fp == o.fp }); j >= 0 {
+			*o = p.outcomes[j] // a repeated transaction: its first occurrence's outcome
+			hits++
+		} else if e, ok := s.lookupTxn(o.fp); ok {
+			o.pairs, o.issued = e.pairs, e.issued
+			hits++
+		} else if err := d.detect(i, o); err != nil {
+			// Keep what the pass completed: the transactions before i.
+			completed := p.outcomes[:i]
+			s.keep(key, nil, p.gather(completed), completed, hits, i+1-hits)
+			return nil, err
 		}
-		entries[i] = e
-		nPairs += len(e.pairs)
 	}
 	report := &Report{Model: s.model, EncodersPlanned: p.planned, Solved: d.solved}
-	// One allocation: on a pass of fingerprint hits, growing this by append
-	// was most of the bytes the pass allocated.
-	if nPairs > 0 {
-		report.Pairs = make([]AccessPair, 0, nPairs)
+	report.Pairs = p.gather(p.outcomes)
+	for i := range p.outcomes {
+		report.Queries += p.outcomes[i].issued
 	}
-	for _, e := range entries {
-		report.Pairs = append(report.Pairs, e.pairs...)
-		report.Queries += e.issued
-	}
-	s.mu.Lock()
-	s.stats.Queries += report.Queries
-	s.stats.Solved += report.Solved
-	s.stats.EncodersPlanned += report.EncodersPlanned
-	s.mu.Unlock()
+	s.keep(key, report, report.Pairs, p.outcomes, hits, len(p.outcomes)-hits)
 	return report, nil
 }
 
+// lookupReport returns the report stored for the program hashing to key,
+// nil if none, adding to the stats what a pass of transaction hits over
+// its txns transactions would.
+func (s *DetectSession) lookupReport(key uint64, txns int) *Report {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.reports[key]
+	if !ok {
+		return nil
+	}
+	s.stats.TxnHits += txns
+	s.stats.Queries += e.issued
+	return &Report{Model: s.model, Pairs: e.pairs, Queries: e.issued}
+}
+
+// lookupTxn returns the entry stored under fingerprint fp.
 func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.txns[fp]
-	if ok {
-		s.stats.TxnHits++
-	} else {
-		s.stats.TxnMisses++
-	}
 	return e, ok
 }
 
-// storeTxn memoizes a transaction's outcome. Its pairs' names are the
-// facts' and layouts' own copies, so they pin no source text.
-func (s *DetectSession) storeTxn(fp uint64, e txnEntry) {
+// keep stores what a pass found: each outcome it detected, the first
+// writer of a fingerprint winning, and rep, if not nil, under the
+// program's hash. arr is the array holding the outcomes' pairs
+// (pass.gather), charged to Size if the session keeps an entry in it. A
+// stored pair's names are the facts' and layouts' own copies, so they pin
+// no source text.
+func (s *DetectSession) keep(prog uint64, rep *Report, arr []AccessPair, outs []outcome, hits, misses int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pairs += len(e.pairs) // a fingerprint is stored once, barring concurrent Detect calls
-	s.txns[fp] = e
+	s.stats.TxnHits += hits
+	s.stats.TxnMisses += misses
+	kept := false
+	for i := range outs {
+		o := &outs[i]
+		if _, ok := s.txns[o.fp]; o.detected && !ok {
+			s.txns[o.fp] = txnEntry{pairs: o.pairs, issued: o.issued}
+			s.pairs += len(o.pairs)
+			kept = true
+		}
+	}
+	if rep != nil {
+		s.stats.Queries += rep.Queries
+		s.stats.Solved += rep.Solved
+		s.stats.EncodersPlanned += rep.EncodersPlanned
+		if _, ok := s.reports[prog]; !ok {
+			s.reports[prog] = txnEntry{pairs: rep.Pairs, issued: rep.Queries}
+			s.held += txnEntryBytes
+			kept = true
+		}
+	}
+	if kept {
+		s.held += len(arr) * accessPairBytes
+	}
 }
 
 // lookupFacts returns the facts stored under key, nil if none or if s is

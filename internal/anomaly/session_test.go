@@ -271,7 +271,8 @@ txn incB(k: int) {
 }
 
 // TestSessionSize: a session's size grows with what it stores and not
-// with what it answers from memory.
+// with what it answers from memory: repeating a program, as the same
+// nodes or re-parsed, adds nothing, and a new program adds its report.
 func TestSessionSize(t *testing.T) {
 	s := anomaly.NewSession(anomaly.EC)
 	empty := s.Size()
@@ -279,12 +280,107 @@ func TestSessionSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := s.Size()
-	if _, err := s.Detect(progen.Program(7)); err != nil {
-		t.Fatal(err)
+	for _, p := range []*ast.Program{progen.Program(7), mustProgT(t, ast.Format(progen.Program(7)))} {
+		if _, err := s.Detect(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if again := s.Size(); empty <= 0 || grown <= empty || again != grown {
 		t.Fatalf("size empty %d, after a detection %d, after repeating it %d; want 0 < empty < after = repeated", empty, grown, again)
 	}
+	if _, err := s.Detect(progen.Program(8)); err != nil {
+		t.Fatal(err)
+	}
+	if more := s.Size(); more <= grown {
+		t.Fatalf("size %d after a new program, %d before; want more", more, grown)
+	}
+}
+
+// TestReportMemo: a session answers a program it detected before, as the
+// same nodes or as a re-parse of its text, from its report memo: what a
+// fresh detection reports, nothing solved or planned, and to the stats
+// exactly what a pass of transaction hits adds. A caller appending to a
+// returned report changes no later one.
+func TestReportMemo(t *testing.T) {
+	for _, c := range corpus.Programs(8) {
+		for _, m := range sessionModels {
+			s := anomaly.NewSession(m)
+			if _, err := s.Detect(c.Prog); err != nil {
+				t.Fatal(err)
+			}
+			reparsed := mustProgT(t, ast.Format(c.Prog))
+			for i, p := range []*ast.Program{c.Prog, reparsed, c.Prog} {
+				what := fmt.Sprintf("%s %v repeat %d", c.Name, m, i)
+				want := s.Stats()
+				got, err := s.Detect(p)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameAsFresh(t, what, p, m, got)
+				if got.Solved != 0 || got.EncodersPlanned != 0 {
+					t.Errorf("%s: solved %d, planned %d; want 0 and 0", what, got.Solved, got.EncodersPlanned)
+				}
+				want.TxnHits += len(p.Txns)
+				want.Queries += got.Queries
+				if st := s.Stats(); st != want {
+					t.Errorf("%s: stats %+v, want %+v", what, st, want)
+				}
+				got.Pairs = append(got.Pairs, anomaly.AccessPair{Txn: "appended"})
+			}
+			// Its schemas reordered behind a new table, the program is
+			// another: every transaction hits, the report does not.
+			want := s.Stats()
+			p := reordered(c.Prog)
+			got, err := s.Detect(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsFresh(t, fmt.Sprintf("%s %v reordered", c.Name, m), p, m, got)
+			want.TxnHits += len(p.Txns)
+			want.Queries += got.Queries
+			if st := s.Stats(); st != want || got.Solved != 0 {
+				t.Errorf("%s %v reordered: stats %+v, solved %d; want %+v, 0", c.Name, m, st, got.Solved, want)
+			}
+		}
+	}
+}
+
+// TestReportMemoKeysSchemas: two programs differing only in a schema do
+// not share a report. P′ moves table A's key off the field both
+// transactions' where clauses pin, so reads of id 1 and an update of id 2
+// may now alias: P reports nothing, P′ a non-repeatable read.
+func TestReportMemoKeysSchemas(t *testing.T) {
+	const txns = `
+txn read() {
+  x := select n from A where id = 1;
+  y := select n from A where id = 1;
+}
+txn write() {
+  update A set n = 7 where id = 2;
+}
+`
+	p := mustProgT(t, "table A { id: int key, n: int, }\n"+txns)
+	q := mustProgT(t, "table A { k: int key, id: int, n: int, }\n"+txns)
+	fp, err := anomaly.FreshDetect(p, anomaly.EC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fq, err := anomaly.FreshDetect(q, anomaly.EC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fp.Pairs) != 0 || len(fq.Pairs) == 0 {
+		t.Fatalf("fresh detections report %d and %d pairs; want 0 and some", len(fp.Pairs), len(fq.Pairs))
+	}
+	s := anomaly.NewSession(anomaly.EC)
+	if _, err := s.Detect(p); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Detect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFresh(t, "P′ after P", q, anomaly.EC, got)
 }
 
 // TestSessionSchemaSliceInvalidation: editing a schema invalidates exactly
