@@ -40,9 +40,10 @@ race:
 # the tests' AST reference on the same workload), witness certification
 # (BenchmarkCertify_*: directed runs on the simulator's executor), the
 # invariant study (BenchmarkInvariants_*: directed and serial runs), the
-# front end (BenchmarkFrontEnd: parse and check of the nine sources from
-# the parser's declaration memo; BenchmarkParseCold: parsing them with the
-# memo empty), the editing loop (BenchmarkSessionEdit: one session across
+# front end (parse and check of the nine sources: BenchmarkFrontEnd, each a
+# whole-source hit in the parser's memo; BenchmarkFrontEndReflowed, re-indented,
+# its declarations from the memo; BenchmarkParseCold, the memo empty),
+# the editing loop (BenchmarkSessionEdit: one session across
 # drop/restore edits) and the daemon's request path (BenchmarkService_*: program verbs
 # through HTTP, computed on a fresh engine and answered from a warm one) are
 # deterministic and machine-independent, so they are compared against the

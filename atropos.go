@@ -77,7 +77,10 @@ type ValueCorr = refactor.ValueCorr
 // ParseModel parses a consistency-model name ("EC", "cc", ...).
 func ParseModel(s string) (Model, error) { return anomaly.ParseModel(s) }
 
-// Parse parses and semantically checks DSL source.
+// Parse parses and semantically checks DSL source. The program is
+// read-only: its nodes are shared with every parse of the same source or
+// declarations (the parser keeps an accepted src as given), though its
+// header is its own to append to or reassign.
 func Parse(src string) (*Program, error) { return sema.Load(src) }
 
 // Format renders a program back to DSL concrete syntax.

@@ -98,11 +98,11 @@ func BenchmarkDetect_SC(b *testing.B) { benchDetect(b, anomaly.SC) }
 // --- The front end and the editing loop (bench/run.sh's session-edits) ---
 
 // BenchmarkFrontEnd parses and checks the nine benchmark sources, each
-// parsed once before the timer starts: every declaration comes from the
-// parser's memo and every transaction carries its check's stamp, as on an
-// editing loop's unchanged steps, whichever benchmarks ran before. MB/s is
-// the front end's throughput on that path; internal/parser's
-// BenchmarkParseCold measures parsing with the memo empty.
+// parsed once before the timer starts: every source comes whole from the
+// parser's memo, unlexed, and every transaction carries its check's stamp,
+// as on an editing loop's repeated steps. internal/parser's
+// BenchmarkFrontEndReflowed measures new text of known declarations and
+// BenchmarkParseCold parsing with the memo empty.
 func BenchmarkFrontEnd(b *testing.B) {
 	all := benchmarks.All()
 	n := 0

@@ -1,20 +1,38 @@
 package parser
 
-// ResetMemo empties the declaration memo: the next parse of any source is
-// a cold one.
+import "atropos/internal/ast"
+
+// ResetMemo empties the memo, sources and declarations: the next parse of
+// any source is a cold one.
 func ResetMemo() {
 	declMemo.Lock()
 	defer declMemo.Unlock()
 	declMemo.m = make(map[uint64][]*declEntry)
+	declMemo.srcs = make(map[string]ast.Program)
 	declMemo.bytes = 0
 }
 
-// MemoBytes returns the key bytes the declaration memo holds.
+// ForgetSources drops the memo's whole-source entries and keeps its
+// declarations: the next parse of any source lexes it.
+func ForgetSources() {
+	declMemo.Lock()
+	defer declMemo.Unlock()
+	for src := range declMemo.srcs {
+		declMemo.bytes -= len(src)
+	}
+	clear(declMemo.srcs)
+}
+
+// MemoBytes returns the key and source bytes the memo holds.
 func MemoBytes() int {
 	declMemo.RLock()
 	defer declMemo.RUnlock()
 	return declMemo.bytes
 }
 
-// DeclMemoMax is the memo's bound on the key bytes it holds.
-const DeclMemoMax = declMemoMax
+// DeclMemoMax is the memo's bound on the key and source bytes it holds;
+// MaxKey the key length past which a declaration is not memoized.
+const (
+	DeclMemoMax = declMemoMax
+	MaxKey      = maxKey
+)

@@ -9,14 +9,19 @@ import (
 	"atropos/internal/ast"
 )
 
-// The declaration memo (DESIGN.md §3): each table and txn declaration
-// Parse parsed, keyed by its tokens. A txn entry records the schema each
-// where-clause table resolved to (a bare identifier there is this.f if the
-// table has field f) and is reused only where each resolves the same.
+// The parser's memo (DESIGN.md §3): each source Parse accepted, keyed by
+// its text, and each table and txn declaration it parsed, keyed by its
+// tokens. A txn entry records the schema each where-clause table resolved
+// to (a bare identifier there is this.f if the table has field f) and is
+// reused only where each resolves the same.
 
-// declMemoMax bounds the key bytes the memo holds; at the bound it stops
-// inserting.
-const declMemoMax = 4 << 20
+// declMemoMax bounds the key and source bytes the memo holds; at the bound
+// it stops inserting. A declaration whose key passes maxKey is not
+// memoized: its scan stops there.
+const (
+	declMemoMax = 4 << 20
+	maxKey      = declMemoMax / 16
+)
 
 // declEntry is one memoized declaration: its key, its node (schema or
 // txn) and a txn's where-clause schemas, each once.
@@ -30,15 +35,17 @@ type declEntry struct {
 var declMemo = struct {
 	sync.RWMutex
 	m     map[uint64][]*declEntry
-	bytes int // key bytes held
-}{m: make(map[uint64][]*declEntry)}
+	srcs  map[string]ast.Program // headers with clipped slices
+	bytes int                    // key and source bytes held
+}{m: make(map[uint64][]*declEntry), srcs: make(map[string]ast.Program)}
 var declSeed = maphash.MakeSeed()
 
 // declaration returns the table (txn false) or transaction declaration at
 // the current token, from the memo if an entry matches, else parsed and,
 // if it parses, remembered. A scan that meets end of input or a lexical
 // error before the closing brace leaves the parser to find it, so errors
-// and their positions stay the parser's own.
+// and their positions stay the parser's own; one that passes maxKey
+// leaves the declaration to be parsed and not remembered.
 func (p *parser) declaration(txn bool) (*declEntry, error) {
 	lex, tok := p.lex, p.tok
 	h, scanned := p.scanKey()
@@ -72,10 +79,11 @@ func (p *parser) declaration(txn bool) (*declEntry, error) {
 // scanKey lexes from the current token to the brace that closes the first
 // one, appending each token's kind and, for an identifier, integer or
 // string, its length and raw text to p.key; it returns the key's hash, and
-// false if end of input (or a lexical error) came first.
+// false if end of input (or a lexical error) came first or the key passed
+// maxKey.
 func (p *parser) scanKey() (uint64, bool) {
 	key, depth := p.key[:0], 0
-	for t := p.tok; t.kind != tokEOF; t = p.lex.next() {
+	for t := p.tok; t.kind != tokEOF && len(key) <= maxKey; t = p.lex.next() {
 		key = append(key, byte(t.kind))
 		switch t.kind {
 		case tokIdent, tokInt, tokString:
@@ -120,4 +128,28 @@ func remember(h uint64, key []byte, e *declEntry) {
 	e.key = string(key)
 	declMemo.m[h] = append(declMemo.m[h], e)
 	declMemo.bytes += len(key)
+}
+
+// recallSource returns a fresh header over the program src parsed to, if
+// the memo holds src.
+func recallSource(src string) *ast.Program {
+	declMemo.RLock()
+	prog, ok := declMemo.srcs[src]
+	declMemo.RUnlock()
+	if !ok {
+		return nil
+	}
+	return &ast.Program{Schemas: prog.Schemas, Txns: prog.Txns}
+}
+
+// rememberSource stores src, as given, with prog's nodes unless the memo
+// holds src or is full.
+func rememberSource(src string, prog *ast.Program) {
+	declMemo.Lock()
+	defer declMemo.Unlock()
+	if _, ok := declMemo.srcs[src]; ok || declMemo.bytes+len(src) > declMemoMax {
+		return
+	}
+	declMemo.srcs[src] = ast.Program{Schemas: slices.Clip(prog.Schemas), Txns: slices.Clip(prog.Txns)}
+	declMemo.bytes += len(src)
 }

@@ -2,6 +2,7 @@ package parser_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,9 +13,9 @@ import (
 	"atropos/internal/sema"
 )
 
-// The declaration memo (memo.go) against the reference parser: a source
-// parses to the same program and the same error whether its declarations
-// come from the memo or not.
+// The parser's memo (memo.go) against the reference parser: a source
+// parses to the same program and the same error whether it or its
+// declarations come from the memo or not.
 
 // editSources are the edits of bench/run.sh's session-edits workload on
 // each benchmark — the printed program, the program without each of its
@@ -64,9 +65,10 @@ func sameParse(p *ast.Program, err error, q *ast.Program, qerr error) (string, b
 }
 
 // TestMemoMatchesReference: each source parsed with the memo emptied
-// (cold), then again (warm, its declarations from the memo), gives the
-// reference's program or error; so does every source parsed in turn with
-// the memo holding the declarations of all before it.
+// (cold), then again (warm: the whole source from the memo if it parsed)
+// and after a newline (new text, its declarations from the memo), gives
+// the reference's program or error; so does every source parsed in turn
+// with the memo holding all before it.
 func TestMemoMatchesReference(t *testing.T) {
 	srcs := memoSources()
 	for i, src := range srcs {
@@ -79,6 +81,11 @@ func TestMemoMatchesReference(t *testing.T) {
 		}
 		if diff, ok := sameParse(warm, werr, ref, rerr); !ok {
 			t.Fatalf("source %d warm vs reference: %s", i, diff)
+		}
+		nl, nerr := parser.Parse("\n" + src)
+		ref, rerr = parser.RefParse("\n" + src)
+		if diff, ok := sameParse(nl, nerr, ref, rerr); !ok {
+			t.Fatalf("source %d after a newline vs reference: %s", i, diff)
 		}
 	}
 	parser.ResetMemo()
@@ -161,14 +168,17 @@ func TestMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range srcs {
-				i := (k*(g+1) + g) % len(srcs)
+			for k := range 2 * len(srcs) {
+				i := (k/2*(g+1) + g) % len(srcs) // each source twice in a row
 				p, err := parser.Parse(srcs[i])
 				if err == nil {
 					err = sema.Check(p)
 				}
 				if err == nil && ast.Format(p) != want[i] {
 					err = fmt.Errorf("source %d prints differently", i)
+				}
+				if err == nil {
+					p.Txns = append(p.Txns, p.Txns[0]) // a caller's header is its own
 				}
 				if err != nil {
 					errs <- err
@@ -198,16 +208,27 @@ func TestMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestMemoBound: the memo's key bytes never pass its bound; once full it
-// stops inserting, and declarations not in it still parse correctly.
+// TestMemoBound: a source's text counts toward the memo's bound as its
+// declarations' keys do; the bytes held never pass the bound; once full
+// the memo stores neither sources nor declarations, and sources not in it
+// still parse correctly.
 func TestMemoBound(t *testing.T) {
 	parser.ResetMemo()
 	t.Cleanup(parser.ResetMemo)
 	long := strings.Repeat("f", 64<<10)
+	if 2*len(long) >= parser.MaxKey {
+		t.Fatalf("a %d-byte key cap leaves the declarations of this test unmemoized", parser.MaxKey)
+	}
 	src := func(i int) string {
 		return fmt.Sprintf("table T%d%s { id: int key, }\ntxn a(k: int) { x := select id from T%d%s where id = k; }\n", i, long, i, long)
 	}
-	n := 0
+	parser.MustParse(src(0))
+	before := parser.MemoBytes()
+	parser.MustParse("\n" + src(0)) // new text, every declaration a hit
+	if got := parser.MemoBytes() - before; got != len(src(0))+1 {
+		t.Fatalf("a new text of known declarations added %d bytes, want its length %d", got, len(src(0))+1)
+	}
+	n := 1 // src(0) is in the memo
 	for before := -1; parser.MemoBytes() != before; n++ {
 		if n > 2*parser.DeclMemoMax/len(long) {
 			t.Fatalf("memo still inserting after %d sources", n)
@@ -228,5 +249,94 @@ func TestMemoBound(t *testing.T) {
 	}
 	if got := parser.MemoBytes(); got != full {
 		t.Fatalf("full memo went from %d to %d key bytes (bound %d)", full, got, parser.DeclMemoMax)
+	}
+	// Fill the room left with sources of one length: once one adds nothing,
+	// the next stores neither its text nor its declaration.
+	mid := strings.Repeat("g", 1<<10)
+	fill := func(i int) string { return fmt.Sprintf("table S%04d%s { id: int key, }\n", i, mid) }
+	i := 0
+	for before := -1; parser.MemoBytes() != before; i++ {
+		before = parser.MemoBytes()
+		parser.MustParse(fill(i))
+	}
+	full = parser.MemoBytes()
+	if a, b := parser.MustParse(fill(i)), parser.MustParse(fill(i)); a.Schemas[0] == b.Schemas[0] || parser.MemoBytes() != full {
+		t.Fatalf("full memo (%d bytes) stored a source or its declaration", full)
+	}
+}
+
+// TestSourceMemo: a repeated source returns the first parse's nodes under
+// a header of its own, whose slices a caller may append to without the
+// next parse seeing it; a failing source fails again with the same error
+// and is not stored.
+func TestSourceMemo(t *testing.T) {
+	parser.ResetMemo()
+	t.Cleanup(parser.ResetMemo)
+	src := benchmarks.All()[0].Source
+	first := parser.MustParse(src)
+	before := parser.MemoBytes()
+	orig := *first
+	progs := []*ast.Program{first, parser.MustParse(src), parser.MustParse(src)}
+	if parser.MemoBytes() != before {
+		t.Fatalf("repeats added %d bytes", parser.MemoBytes()-before)
+	}
+	for i, p := range progs[1:] {
+		if p == first || !slices.Equal(p.Schemas, orig.Schemas) || !slices.Equal(p.Txns, orig.Txns) {
+			t.Fatalf("repeat %d: want the first parse's nodes under a new header", i+1)
+		}
+	}
+	for i, p := range progs {
+		p.Txns = append(p.Txns, &ast.Txn{Name: fmt.Sprint("extra", i)})
+		p.Schemas = append(p.Schemas, &ast.Schema{Name: fmt.Sprint("extra", i)})
+	}
+	for i, p := range progs {
+		if tx, s := p.Txns[len(p.Txns)-1], p.Schemas[len(p.Schemas)-1]; tx.Name != fmt.Sprint("extra", i) || s.Name != tx.Name {
+			t.Fatalf("parse %d: its appended entries were overwritten by %s, %s", i, tx.Name, s.Name)
+		}
+	}
+	if p := parser.MustParse(src); !slices.Equal(p.Schemas, orig.Schemas) || !slices.Equal(p.Txns, orig.Txns) {
+		t.Fatal("an append to a parsed program showed in the next parse")
+	}
+
+	ok := "table T { id: int key, }\n"
+	parser.MustParse(ok)
+	before = parser.MemoBytes()
+	for _, bad := range []string{ok + "txn", ok + "txn a() { @ }", ok + "@", ok + ok, "\n" + ok + "table"} {
+		_, rerr := parser.RefParse(bad)
+		for range 3 {
+			if _, err := parser.Parse(bad); errText(err) != errText(rerr) {
+				t.Fatalf("%q: error %s, want %s", bad, errText(err), errText(rerr))
+			}
+		}
+	}
+	if got := parser.MemoBytes(); got != before {
+		t.Fatalf("failing sources added %d bytes", got-before)
+	}
+}
+
+// TestMemoKeyCap: a declaration whose key passes the cap parses (or fails)
+// as the reference's does and is not memoized; only an accepted source's
+// own text is stored.
+func TestMemoKeyCap(t *testing.T) {
+	parser.ResetMemo()
+	t.Cleanup(parser.ResetMemo)
+	good := "table T" + strings.Repeat("f", parser.MaxKey) + " { id: int key, }\n"
+	for _, src := range []string{good + "txn", good, "\n" + good} {
+		before := parser.MemoBytes()
+		p, err := parser.Parse(src)
+		ref, rerr := parser.RefParse(src)
+		if diff, ok := sameParse(p, err, ref, rerr); !ok {
+			t.Fatalf("%.20q…: %s", src, diff)
+		}
+		want := before
+		if err == nil {
+			want += len(src)
+		}
+		if got := parser.MemoBytes(); got != want {
+			t.Fatalf("%.20q…: memo grew by %d bytes, want %d", src, got-before, want-before)
+		}
+	}
+	if parser.MustParse(good).Schemas[0] == parser.MustParse("\n" + good).Schemas[0] {
+		t.Fatal("a declaration past the key cap was memoized")
 	}
 }

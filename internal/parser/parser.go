@@ -22,9 +22,14 @@ const maxDepth = 256
 // Parse parses DSL source into a program in one pass over the tokens.
 // Labels are assigned to every database command (S1.. for selects, U1..
 // for updates and inserts, per-transaction counters), matching the paper's
-// naming in Figs. 1 and 11. A declaration seen before is not parsed again
-// (memo.go): programs share its node, so a parsed program is read-only.
+// naming in Figs. 1 and 11. A source or declaration seen before is not
+// parsed again (memo.go): programs share its nodes, so a parsed program is
+// read-only, though each call returns its own header, which the caller may
+// append to or reassign. The memo keeps an accepted src as given, uncopied.
 func Parse(src string) (*ast.Program, error) {
+	if prog := recallSource(src); prog != nil {
+		return prog, nil
+	}
 	p := parsers.Get().(*parser)
 	defer p.release()
 	p.lex = lexer{src: src, strs: p.lex.strs}
@@ -32,6 +37,9 @@ func Parse(src string) (*ast.Program, error) {
 	prog, err := p.parseProgram()
 	if lerr := p.lex.finish(); lerr != nil {
 		return nil, lerr
+	}
+	if err == nil {
+		rememberSource(src, prog)
 	}
 	return prog, err
 }
