@@ -78,9 +78,10 @@ type ValueCorr = refactor.ValueCorr
 func ParseModel(s string) (Model, error) { return anomaly.ParseModel(s) }
 
 // Parse parses and semantically checks DSL source. The program is
-// read-only: its nodes are shared with every parse of the same source or
-// declarations (the parser keeps an accepted src as given), though its
-// header is its own to append to or reassign.
+// read-only: its nodes, and a repeated source's Schemas/Txns arrays, are
+// shared with every parse of the same source or declarations (the parser
+// keeps an accepted src as given). Its header is its own to append to or
+// reassign; to write an element of Schemas or Txns, copy the slice first.
 func Parse(src string) (*Program, error) { return sema.Load(src) }
 
 // Format renders a program back to DSL concrete syntax.

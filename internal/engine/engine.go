@@ -423,12 +423,14 @@ func (e *Engine) checkin(k sessionKey, s *anomaly.DetectSession) {
 
 // Parse parses and semantically checks DSL source. It is pure CPU-light
 // work and bypasses admission. A source that checked before is answered
-// from the program memo with the program built then, read-only to callers.
+// from the program memo with the program built then, read-only to callers;
+// that memo is the daemon's only cache of programs by text, so a miss
+// parses through sema.LoadNew, which keeps no source in the parser's memo.
 func (e *Engine) Parse(src string) (*ast.Program, error) {
 	if prog, ok := e.programs.get(src); ok {
 		return prog, nil
 	}
-	prog, err := sema.Load(src)
+	prog, err := sema.LoadNew(src)
 	if err == nil {
 		e.programs.put(src, prog, programBytesPerSourceByte*len(src))
 	}

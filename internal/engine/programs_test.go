@@ -78,6 +78,33 @@ func TestMemoStats(t *testing.T) {
 	}
 }
 
+// TestParseKeepsNoSource: the program memo is the daemon's one cache of
+// programs by text, so a miss keeps no source in the parser's memo. A
+// library parse of the same text afterwards parses it again, into arrays
+// of its own; the next library parse is the memo's hit, sharing them.
+func TestParseKeepsNoSource(t *testing.T) {
+	e := New(Config{Workers: 1})
+	src := "// engine first\n" + benchmarks.SmallBank.Source
+	prog, err := e.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := sema.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := sema.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &lib.Txns[0] == &prog.Txns[0] {
+		t.Fatal("Engine.Parse kept its source in the parser's memo")
+	}
+	if &again.Txns[0] != &lib.Txns[0] {
+		t.Fatal("a library parse kept no source in the parser's memo")
+	}
+}
+
 // TestMemoizedProgramIsShared: a memoized program is shared by concurrent
 // analyses, repairs (certifying and not) and certifications for distinct
 // clients, and none of them writes to it. Run under -race.

@@ -65,14 +65,13 @@ func (s *server) send(path string, req service.ProgramRequest) {
 }
 
 // streamSlack is what the live heap may hold past the budget: the parser's
-// memo, bounded on its own at 4 MiB of declaration keys and whole sources
-// together and holding about 3 bytes of nodes and text per byte counted,
-// 6 if only keys fit (it shares them with the program memo while both hold
-// a program, and a source it keeps is the body that memo keys), the source
-// text the names in a session's stored pairs point into once no memo holds
-// the program (about 0.6 KB per generated program) and the test's own
-// state. A run that stops once
-// every share is passed grows the heap by 64 MiB for 63 MiB charged.
+// memo, which holds no source here (the engine parses through
+// sema.LoadNew), bounded on its own at 4 MiB of declaration keys and
+// holding about 5 bytes of nodes per key byte (it shares them with the
+// program memo while both hold a program), the source text the names in a
+// session's stored pairs point into once no memo holds the program (about
+// 0.6 KB per generated program) and the test's own state. A run that stops
+// once every share is passed grows the heap by 64 MiB for 63 MiB charged.
 const streamSlack = 32 << 20
 
 // TestRetainedBytesStreaming: one client streams distinct generated

@@ -202,8 +202,8 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add(stringsSource())
 	f.Fuzz(func(t *testing.T, src string) {
-		if parser.MemoBytes() > parser.DeclMemoMax/2 {
-			parser.ResetMemo() // a full memo would store no new declaration
+		if keys, srcs := parser.MemoBytes(); keys > parser.DeclMemoMax/2 || srcs > parser.SrcMemoMax/2 {
+			parser.ResetMemo() // a full memo would store no new declaration or source
 		}
 		for _, in := range []string{src, src, "\n" + src, tableMoved(src)} {
 			if diff, ok := agree(in); !ok {

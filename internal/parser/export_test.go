@@ -9,7 +9,7 @@ func ResetMemo() {
 	defer declMemo.Unlock()
 	declMemo.m = make(map[uint64][]*declEntry)
 	declMemo.srcs = make(map[string]ast.Program)
-	declMemo.bytes = 0
+	declMemo.bytes, declMemo.srcBytes = 0, 0
 }
 
 // ForgetSources drops the memo's whole-source entries and keeps its
@@ -17,22 +17,23 @@ func ResetMemo() {
 func ForgetSources() {
 	declMemo.Lock()
 	defer declMemo.Unlock()
-	for src := range declMemo.srcs {
-		declMemo.bytes -= len(src)
-	}
 	clear(declMemo.srcs)
+	declMemo.srcBytes = 0
 }
 
-// MemoBytes returns the key and source bytes the memo holds.
-func MemoBytes() int {
+// MemoBytes returns the declaration key bytes and the source bytes the
+// memo holds.
+func MemoBytes() (keys, srcs int) {
 	declMemo.RLock()
 	defer declMemo.RUnlock()
-	return declMemo.bytes
+	return declMemo.bytes, declMemo.srcBytes
 }
 
-// DeclMemoMax is the memo's bound on the key and source bytes it holds;
-// MaxKey the key length past which a declaration is not memoized.
+// DeclMemoMax and SrcMemoMax are the memo's bounds on the key and on the
+// source bytes it holds; MaxKey the key length past which a declaration is
+// not memoized.
 const (
 	DeclMemoMax = declMemoMax
+	SrcMemoMax  = srcMemoMax
 	MaxKey      = maxKey
 )

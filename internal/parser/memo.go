@@ -15,11 +15,13 @@ import (
 // to (a bare identifier there is this.f if the table has field f) and is
 // reused only where each resolves the same.
 
-// declMemoMax bounds the key and source bytes the memo holds; at the bound
-// it stops inserting. A declaration whose key passes maxKey is not
-// memoized: its scan stops there.
+// declMemoMax bounds the key bytes the memo holds and srcMemoMax, apart,
+// the source bytes, so sources never take the declarations' room; at its
+// bound each kind stops inserting. A declaration whose key passes maxKey
+// is not memoized: its scan stops there.
 const (
 	declMemoMax = 4 << 20
+	srcMemoMax  = declMemoMax / 4
 	maxKey      = declMemoMax / 16
 )
 
@@ -34,9 +36,10 @@ type declEntry struct {
 
 var declMemo = struct {
 	sync.RWMutex
-	m     map[uint64][]*declEntry
-	srcs  map[string]ast.Program // headers with clipped slices
-	bytes int                    // key and source bytes held
+	m        map[uint64][]*declEntry
+	srcs     map[string]ast.Program // headers with clipped slices
+	bytes    int                    // key bytes held
+	srcBytes int                    // source bytes held
 }{m: make(map[uint64][]*declEntry), srcs: make(map[string]ast.Program)}
 var declSeed = maphash.MakeSeed()
 
@@ -147,9 +150,9 @@ func recallSource(src string) *ast.Program {
 func rememberSource(src string, prog *ast.Program) {
 	declMemo.Lock()
 	defer declMemo.Unlock()
-	if _, ok := declMemo.srcs[src]; ok || declMemo.bytes+len(src) > declMemoMax {
+	if _, ok := declMemo.srcs[src]; ok || declMemo.srcBytes+len(src) > srcMemoMax {
 		return
 	}
 	declMemo.srcs[src] = ast.Program{Schemas: slices.Clip(prog.Schemas), Txns: slices.Clip(prog.Txns)}
-	declMemo.bytes += len(src)
+	declMemo.srcBytes += len(src)
 }

@@ -208,10 +208,10 @@ func TestMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestMemoBound: a source's text counts toward the memo's bound as its
-// declarations' keys do; the bytes held never pass the bound; once full
-// the memo stores neither sources nor declarations, and sources not in it
-// still parse correctly.
+// TestMemoBound: declaration keys and whole sources are bounded apart. The
+// bytes of each never pass its own bound; a full source share does not stop
+// declarations being stored, nor a full key share sources; with both full
+// the memo stores nothing, and sources not in it still parse correctly.
 func TestMemoBound(t *testing.T) {
 	parser.ResetMemo()
 	t.Cleanup(parser.ResetMemo)
@@ -222,24 +222,34 @@ func TestMemoBound(t *testing.T) {
 	src := func(i int) string {
 		return fmt.Sprintf("table T%d%s { id: int key, }\ntxn a(k: int) { x := select id from T%d%s where id = k; }\n", i, long, i, long)
 	}
-	parser.MustParse(src(0))
-	before := parser.MemoBytes()
-	parser.MustParse("\n" + src(0)) // new text, every declaration a hit
-	if got := parser.MemoBytes() - before; got != len(src(0))+1 {
-		t.Fatalf("a new text of known declarations added %d bytes, want its length %d", got, len(src(0))+1)
+	held := func() (int, int) {
+		t.Helper()
+		keys, srcs := parser.MemoBytes()
+		if keys > parser.DeclMemoMax || srcs > parser.SrcMemoMax {
+			t.Fatalf("memo holds %d key and %d source bytes, bounds %d and %d", keys, srcs, parser.DeclMemoMax, parser.SrcMemoMax)
+		}
+		return keys, srcs
 	}
-	n := 1 // src(0) is in the memo
-	for before := -1; parser.MemoBytes() != before; n++ {
+	parser.MustParse(src(0))
+	keys, srcs := held()
+	parser.MustParse("\n" + src(0)) // new text, every declaration a hit
+	if k, s := held(); k != keys || s-srcs != len(src(0))+1 {
+		t.Fatalf("a new text of known declarations added %d key and %d source bytes, want 0 and %d", k-keys, s-srcs, len(src(0))+1)
+	}
+	// Sources of long declarations fill the source share long before the
+	// key share, which fills to within one source of its bound.
+	n := 1
+	for before := -1; keys != before; n++ {
 		if n > 2*parser.DeclMemoMax/len(long) {
 			t.Fatalf("memo still inserting after %d sources", n)
 		}
-		before = parser.MemoBytes()
+		before = keys
 		parser.MustParse(src(n))
-		if got := parser.MemoBytes(); got > parser.DeclMemoMax {
-			t.Fatalf("memo holds %d key bytes, bound %d", got, parser.DeclMemoMax)
-		}
+		keys, srcs = held()
 	}
-	full := parser.MemoBytes()
+	if l := len(src(n)); keys+l <= parser.DeclMemoMax || srcs+l <= parser.SrcMemoMax {
+		t.Fatalf("memo stopped at %d key and %d source bytes, bounds %d and %d", keys, srcs, parser.DeclMemoMax, parser.SrcMemoMax)
+	}
 	for i := n; i < n+4; i++ {
 		p, err := parser.Parse(src(i))
 		ref, rerr := parser.RefParse(src(i))
@@ -247,38 +257,50 @@ func TestMemoBound(t *testing.T) {
 			t.Fatalf("source %d with the memo full: %s", i, diff)
 		}
 	}
-	if got := parser.MemoBytes(); got != full {
-		t.Fatalf("full memo went from %d to %d key bytes (bound %d)", full, got, parser.DeclMemoMax)
+	if k, s := held(); k != keys || s != srcs {
+		t.Fatalf("full memo went from %d/%d to %d/%d key/source bytes", keys, srcs, k, s)
 	}
-	// Fill the room left with sources of one length: once one adds nothing,
-	// the next stores neither its text nor its declaration.
+	// With the key share full, a source is still stored and answered.
+	parser.ForgetSources()
+	again := "\n" + src(0)
+	if a, b := parser.MustParse(again), parser.MustParse(again); &a.Txns[0] != &b.Txns[0] {
+		t.Fatal("a source was not stored with the key share full")
+	}
+	if k, s := held(); k != keys || s != len(again) {
+		t.Fatalf("a source with the key share full added %d key and %d source bytes, want 0 and %d", k-keys, s, len(again))
+	}
+	// Fill the source share with sources of one length: once one adds
+	// nothing, the next stores neither its text nor its declaration.
 	mid := strings.Repeat("g", 1<<10)
 	fill := func(i int) string { return fmt.Sprintf("table S%04d%s { id: int key, }\n", i, mid) }
 	i := 0
-	for before := -1; parser.MemoBytes() != before; i++ {
-		before = parser.MemoBytes()
+	for before := -1; srcs != before; i++ {
+		before = srcs
 		parser.MustParse(fill(i))
+		keys, srcs = held()
 	}
-	full = parser.MemoBytes()
-	if a, b := parser.MustParse(fill(i)), parser.MustParse(fill(i)); a.Schemas[0] == b.Schemas[0] || parser.MemoBytes() != full {
-		t.Fatalf("full memo (%d bytes) stored a source or its declaration", full)
+	if a, b := parser.MustParse(fill(i)), parser.MustParse(fill(i)); a.Schemas[0] == b.Schemas[0] {
+		t.Fatalf("full memo (%d/%d key/source bytes) stored a source or its declaration", keys, srcs)
+	}
+	if k, s := held(); k != keys || s != srcs {
+		t.Fatalf("full memo went from %d/%d to %d/%d key/source bytes", keys, srcs, k, s)
 	}
 }
 
 // TestSourceMemo: a repeated source returns the first parse's nodes under
 // a header of its own, whose slices a caller may append to without the
-// next parse seeing it; a failing source fails again with the same error
-// and is not stored.
+// next parse seeing it; ParseNew neither answers nor stores a source; a
+// failing source fails again with the same error and is not stored.
 func TestSourceMemo(t *testing.T) {
 	parser.ResetMemo()
 	t.Cleanup(parser.ResetMemo)
 	src := benchmarks.All()[0].Source
 	first := parser.MustParse(src)
-	before := parser.MemoBytes()
+	keys, srcs := parser.MemoBytes()
 	orig := *first
 	progs := []*ast.Program{first, parser.MustParse(src), parser.MustParse(src)}
-	if parser.MemoBytes() != before {
-		t.Fatalf("repeats added %d bytes", parser.MemoBytes()-before)
+	if k, s := parser.MemoBytes(); k != keys || s != srcs {
+		t.Fatalf("repeats added %d key and %d source bytes", k-keys, s-srcs)
 	}
 	for i, p := range progs[1:] {
 		if p == first || !slices.Equal(p.Schemas, orig.Schemas) || !slices.Equal(p.Txns, orig.Txns) {
@@ -297,10 +319,19 @@ func TestSourceMemo(t *testing.T) {
 	if p := parser.MustParse(src); !slices.Equal(p.Schemas, orig.Schemas) || !slices.Equal(p.Txns, orig.Txns) {
 		t.Fatal("an append to a parsed program showed in the next parse")
 	}
+	for _, in := range []string{src, "\n" + src} {
+		p, err := parser.ParseNew(in)
+		if err != nil || &p.Txns[0] == &orig.Txns[0] || !slices.Equal(p.Txns, orig.Txns) {
+			t.Fatalf("ParseNew(%.10q…): want the memo's declarations in a new array, err %v", in, err)
+		}
+	}
+	if k, s := parser.MemoBytes(); k != keys || s != srcs {
+		t.Fatalf("ParseNew added %d key and %d source bytes", k-keys, s-srcs)
+	}
 
 	ok := "table T { id: int key, }\n"
 	parser.MustParse(ok)
-	before = parser.MemoBytes()
+	keys, srcs = parser.MemoBytes()
 	for _, bad := range []string{ok + "txn", ok + "txn a() { @ }", ok + "@", ok + ok, "\n" + ok + "table"} {
 		_, rerr := parser.RefParse(bad)
 		for range 3 {
@@ -309,8 +340,8 @@ func TestSourceMemo(t *testing.T) {
 			}
 		}
 	}
-	if got := parser.MemoBytes(); got != before {
-		t.Fatalf("failing sources added %d bytes", got-before)
+	if k, s := parser.MemoBytes(); k != keys || s != srcs {
+		t.Fatalf("failing sources added %d key and %d source bytes", k-keys, s-srcs)
 	}
 }
 
@@ -322,18 +353,18 @@ func TestMemoKeyCap(t *testing.T) {
 	t.Cleanup(parser.ResetMemo)
 	good := "table T" + strings.Repeat("f", parser.MaxKey) + " { id: int key, }\n"
 	for _, src := range []string{good + "txn", good, "\n" + good} {
-		before := parser.MemoBytes()
+		keys, srcs := parser.MemoBytes()
 		p, err := parser.Parse(src)
 		ref, rerr := parser.RefParse(src)
 		if diff, ok := sameParse(p, err, ref, rerr); !ok {
 			t.Fatalf("%.20q…: %s", src, diff)
 		}
-		want := before
+		want := srcs
 		if err == nil {
 			want += len(src)
 		}
-		if got := parser.MemoBytes(); got != want {
-			t.Fatalf("%.20q…: memo grew by %d bytes, want %d", src, got-before, want-before)
+		if k, s := parser.MemoBytes(); k != keys || s != want {
+			t.Fatalf("%.20q…: memo grew by %d key and %d source bytes, want 0 and %d", src, k-keys, s-srcs, want-srcs)
 		}
 	}
 	if parser.MustParse(good).Schemas[0] == parser.MustParse("\n" + good).Schemas[0] {

@@ -23,13 +23,26 @@ const maxDepth = 256
 // Labels are assigned to every database command (S1.. for selects, U1..
 // for updates and inserts, per-transaction counters), matching the paper's
 // naming in Figs. 1 and 11. A source or declaration seen before is not
-// parsed again (memo.go): programs share its nodes, so a parsed program is
-// read-only, though each call returns its own header, which the caller may
-// append to or reassign. The memo keeps an accepted src as given, uncopied.
+// parsed again (memo.go): programs share its nodes and a repeat's
+// Schemas/Txns arrays, so a parsed program is read-only. Each call returns
+// its own header, which the caller may append to or reassign; to write an
+// element of Schemas or Txns, copy the slice first. The memo keeps an
+// accepted src as given, uncopied.
 func Parse(src string) (*ast.Program, error) {
 	if prog := recallSource(src); prog != nil {
 		return prog, nil
 	}
+	prog, err := ParseNew(src)
+	if err == nil {
+		rememberSource(src, prog)
+	}
+	return prog, err
+}
+
+// ParseNew is Parse for a caller that keeps its own cache of programs by
+// text, the engine's program memo: src is neither looked up in the memo
+// nor kept, while its declarations are served and stored as in Parse.
+func ParseNew(src string) (*ast.Program, error) {
 	p := parsers.Get().(*parser)
 	defer p.release()
 	p.lex = lexer{src: src, strs: p.lex.strs}
@@ -37,9 +50,6 @@ func Parse(src string) (*ast.Program, error) {
 	prog, err := p.parseProgram()
 	if lerr := p.lex.finish(); lerr != nil {
 		return nil, lerr
-	}
-	if err == nil {
-		rememberSource(src, prog)
 	}
 	return prog, err
 }

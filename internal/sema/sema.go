@@ -21,10 +21,15 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Where, e.Msg) }
 
-// Load parses DSL source and checks it: the one way text becomes a program
-// the rest of the pipeline accepts.
-func Load(src string) (*ast.Program, error) {
-	p, err := parser.Parse(src)
+// Load parses DSL source and checks it: with LoadNew, the one way text
+// becomes a program the rest of the pipeline accepts.
+func Load(src string) (*ast.Program, error) { return checked(parser.Parse(src)) }
+
+// LoadNew is Load through parser.ParseNew, for a caller that caches checked
+// programs by text itself.
+func LoadNew(src string) (*ast.Program, error) { return checked(parser.ParseNew(src)) }
+
+func checked(p *ast.Program, err error) (*ast.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
