@@ -146,7 +146,7 @@ func recallSource(src string) *ast.Program {
 }
 
 // rememberSource stores src, as given, with prog's nodes unless the memo
-// holds src or is full.
+// holds src or its source share is full.
 func rememberSource(src string, prog *ast.Program) {
 	declMemo.Lock()
 	defer declMemo.Unlock()
