@@ -51,7 +51,6 @@ type eqAtomProp struct {
 func newBody(pe *pairPlan, model Model, ax orderAxioms) *satBody {
 	b := &satBody{pairPlan: pe}
 	le := logic.NewEncoder()
-	le.RecordFormulaHashes()
 	b.build(le, model, ax)
 	return b
 }

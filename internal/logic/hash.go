@@ -43,11 +43,9 @@ func (e *Encoder) recordHash(h uint64) {
 	e.asserted++
 }
 
-// FormulaHash digests every assertion made since RecordFormulaHashes into
-// a canonical 64-bit value that identifies the asserted multiset
-// regardless of assertion order. Call RecordFormulaHashes before the first
-// assertion; otherwise the digest is meaningless (assertions are not
-// retained).
+// FormulaHash digests every assertion made on the encoder into a canonical
+// 64-bit value that identifies the asserted multiset regardless of
+// assertion order.
 func (e *Encoder) FormulaHash() uint64 {
 	return fnvUint64(fnvUint64(fnvOffset, e.asserted), e.hashSum)
 }

@@ -5,7 +5,6 @@ import "testing"
 func TestFormulaHashOrderIndependent(t *testing.T) {
 	build := func(order []int) uint64 {
 		e := NewEncoder()
-		e.RecordFormulaHashes()
 		a, b, c := e.Symf("a"), e.Symf("b"), e.Symf("c")
 		asserts := []func(){
 			func() { e.AssertClauseS(Pos(a)) },
@@ -30,18 +29,6 @@ func TestFormulaHashOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestFormulaHashOptIn(t *testing.T) {
-	e := NewEncoder()
-	x, y := e.Symf("x"), e.Symf("y")
-	// Recording off: nothing accumulated.
-	e.AssertClauseS(Pos(x))
-	e.AssertIffNotS(x, y)
-	e.AssertImpliesAnd2S(x, y, x)
-	if e.asserted != 0 {
-		t.Error("assertions recorded hashes without RecordFormulaHashes")
-	}
-}
-
 // TestAssertClauseSHashes: clause-level assertions feed FormulaHash by
 // proposition identity, sign and literal order, and never collide with the
 // Tseitin'd axioms over the same propositions, whose variable stream
@@ -49,7 +36,6 @@ func TestFormulaHashOptIn(t *testing.T) {
 func TestAssertClauseSHashes(t *testing.T) {
 	digest := func(build func(e *Encoder, a, b Sym)) uint64 {
 		e := NewEncoder()
-		e.RecordFormulaHashes()
 		e.Symf("pad") // shift Sym numbering: hashes must follow names, not Syms
 		build(e, e.Symf("a"), e.Symf("b"))
 		return e.FormulaHash()
@@ -73,7 +59,6 @@ func TestAssertClauseSHashes(t *testing.T) {
 		seen[h] = i
 	}
 	e := NewEncoder()
-	e.RecordFormulaHashes()
 	e.AssertClauseS(Neg(e.Symf("a")), Pos(e.Symf("b")))
 	if e.FormulaHash() != digest(variants[1]) {
 		t.Error("clause hash depends on Sym numbering")

@@ -31,13 +31,6 @@ func NewInterner() *Interner {
 	return &Interner{index: map[string]Sym{}}
 }
 
-// reset empties the interner keeping its map buckets and slice capacity;
-// previously returned Syms are meaningless afterwards.
-func (in *Interner) reset() {
-	in.ids = in.ids[:0]
-	clear(in.index)
-}
-
 // Intern returns the Sym for name, assigning the next free Sym on first
 // sight. A name's identity is the FNV-1a hash of its bytes.
 func (in *Interner) Intern(name string) Sym {

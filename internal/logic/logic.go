@@ -2,23 +2,22 @@
 // the CDCL solver (internal/sat): interned propositions, clause-level
 // assertion (AssertClauseS), the generic axioms of a strict total order and
 // of transitivity, model readback, and an order-independent digest of what
-// was asserted (FormulaHash).
+// was asserted (FormulaHash), which every encoder keeps.
 //
 // Detection does not use it: each cycle query is decided by the small
 // model over its own commands (internal/anomaly, DESIGN.md §3). Its
 // callers are the SAT encoding that internal/anomaly's tests keep as that
 // decision procedure's differential oracle, and the benchmark's encoder
-// probes. A proposition is a Sym, interned from a name (Symf) or allocated
+// probes; no command or example links it (make oracle-guard). An encoder
+// is built fresh for each encoding and dropped after it.
+//
+// A proposition is a Sym, interned from a name (Symf) or allocated
 // nameless under a caller-chosen 64-bit identity (NewSym); formula hashes
 // digest identities, a name's being the hash of its bytes, so FormulaHash
 // is canonical across both (see DESIGN.md §8).
 package logic
 
-import (
-	"sync"
-
-	"atropos/internal/sat"
-)
+import "atropos/internal/sat"
 
 // Encoder asserts clauses over interned propositions into a SAT solver.
 // Syms resolve to solver variables by flat slice lookup.
@@ -27,68 +26,36 @@ type Encoder struct {
 	in *Interner
 	// vars maps Sym → solver variable (-1 until first used).
 	vars []int
-	// asserted and hashSum fold the hash of every assertion made since
-	// RecordFormulaHashes opted in; FormulaHash digests them canonically
-	// (see hash.go).
-	recordHashes bool
-	asserted     uint64
-	hashSum      uint64
+	// asserted and hashSum fold the hash of every assertion; FormulaHash
+	// digests them canonically (see hash.go).
+	asserted uint64
+	hashSum  uint64
 	// scratch backs the literal lists assertions build, in stack
-	// discipline, so clauses do not allocate per assertion.
+	// discipline; the solver copies each clause it keeps.
 	scratch []sat.Lit
 }
-
-// RecordFormulaHashes makes subsequent assertions accumulate the hashes
-// FormulaHash digests. Off by default, so encodings that never read the
-// digest pay nothing.
-func (e *Encoder) RecordFormulaHashes() { e.recordHashes = true }
 
 // NewEncoder creates an encoder over a fresh solver.
 func NewEncoder() *Encoder {
 	e := &Encoder{S: sat.New(), in: NewInterner()}
-	e.init()
+	// Variable 0 is asserted true. No assertion refers to it, but it fixes
+	// every encoding's variable numbering — and with it the solver's
+	// search — to start at 1.
+	e.S.AddClause(sat.NewLit(e.S.NewVar(), false))
 	return e
 }
 
-// init creates variable 0 and asserts it true; split out so reset can
-// replay it. No assertion refers to it, but it fixes every encoding's
-// variable numbering — and with it the solver's search — to start at 1.
-func (e *Encoder) init() {
-	v := e.S.NewVar()
-	e.S.AddClause(sat.NewLit(v, false))
-}
+// AcquireEncoder returns NewEncoder().
+//
+// Deprecated: encoders are not pooled; use NewEncoder. bench/probes.go is
+// the last caller.
+func AcquireEncoder() *Encoder { return NewEncoder() }
 
-// reset restores the encoder (and its solver and interner) to freshly
-// constructed state while keeping every backing array and map bucket.
-func (e *Encoder) reset() {
-	e.S.Reset()
-	e.in.reset()
-	e.vars = e.vars[:0]
-	e.recordHashes = false
-	e.asserted, e.hashSum = 0, 0
-	e.scratch = e.scratch[:0]
-	e.init()
-}
-
-// encoderPool recycles encoders — and, transitively, their solvers' clause
-// arenas, watch lists, and per-variable arrays — across AcquireEncoder /
-// Release cycles.
-var encoderPool = sync.Pool{New: func() any { return NewEncoder() }}
-
-// AcquireEncoder returns a pooled encoder, indistinguishable from
-// NewEncoder()'s result. Release it when the encoding is no longer needed;
-// letting it be garbage collected instead is safe but wastes the reuse.
-func AcquireEncoder() *Encoder {
-	return encoderPool.Get().(*Encoder)
-}
-
-// Release resets the encoder and returns it to the pool. The caller must
-// not use the encoder — or anything aliasing its solver's memory — after
-// Release.
-func (e *Encoder) Release() {
-	e.reset()
-	encoderPool.Put(e)
-}
+// Release does nothing.
+//
+// Deprecated: encoders are not pooled; drop the encoder instead.
+// bench/probes.go is the last caller.
+func (e *Encoder) Release() {}
 
 // Symf interns a printf-formatted proposition name.
 func (e *Encoder) Symf(format string, args ...any) Sym { return e.in.Internf(format, args...) }
@@ -201,14 +168,12 @@ func (e *Encoder) AssertTransitiveS(n int, name func(i, j int) Sym) {
 // AssertImpliesAnd2S asserts (a ∧ b) → c, Tseitin-style: y1 ↔ a ∧ b,
 // y2 ↔ ¬y1 ∨ c, and y2.
 func (e *Encoder) AssertImpliesAnd2S(a, b, c Sym) {
-	if e.recordHashes {
-		h := fnvByte(fnvByte(fnvOffset, 7), 5) // Implies(And(...
-		h = fnvUint64(fnvByte(h, 1), e.in.ID(a))
-		h = fnvUint64(fnvByte(h, 1), e.in.ID(b))
-		h = fnvByte(h, 0xfe) // ...)
-		h = fnvUint64(fnvByte(h, 1), e.in.ID(c))
-		e.recordHash(h)
-	}
+	h := fnvByte(fnvByte(fnvOffset, 7), 5) // Implies(And(...
+	h = fnvUint64(fnvByte(h, 1), e.in.ID(a))
+	h = fnvUint64(fnvByte(h, 1), e.in.ID(b))
+	h = fnvByte(h, 0xfe) // ...)
+	h = fnvUint64(fnvByte(h, 1), e.in.ID(c))
+	e.recordHash(h)
 	base := len(e.scratch)
 	e.scratch = append(e.scratch, sat.NewLit(e.VarS(a), false), sat.NewLit(e.VarS(b), false))
 	y1 := e.defineAnd(e.scratch[base:])
@@ -221,11 +186,9 @@ func (e *Encoder) AssertImpliesAnd2S(a, b, c Sym) {
 
 // AssertIffNotS asserts a ↔ ¬b, Tseitin-style: y ↔ (a ↔ ¬b), and y.
 func (e *Encoder) AssertIffNotS(a, b Sym) {
-	if e.recordHashes {
-		h := fnvUint64(fnvByte(fnvByte(fnvOffset, 8), 1), e.in.ID(a)) // Iff(a,
-		h = fnvUint64(fnvByte(fnvByte(h, 4), 1), e.in.ID(b))          // Not(b))
-		e.recordHash(h)
-	}
+	h := fnvUint64(fnvByte(fnvByte(fnvOffset, 8), 1), e.in.ID(a)) // Iff(a,
+	h = fnvUint64(fnvByte(fnvByte(h, 4), 1), e.in.ID(b))          // Not(b))
+	e.recordHash(h)
 	la := sat.NewLit(e.VarS(a), false)
 	lb := sat.NewLit(e.VarS(b), true)
 	y := sat.NewLit(e.S.NewVar(), false)
@@ -256,16 +219,14 @@ func (l SymLit) Not() SymLit { return l ^ 1 }
 // formula hash (literal order is part of the identity) under a tag of its
 // own.
 func (e *Encoder) AssertClauseS(lits ...SymLit) {
-	if e.recordHashes {
-		h := fnvByte(fnvOffset, 10)
-		for _, l := range lits {
-			if l&1 == 1 {
-				h = fnvByte(h, 4)
-			}
-			h = fnvUint64(fnvByte(h, 1), e.in.ID(Sym(l>>1)))
+	h := fnvByte(fnvOffset, 10)
+	for _, l := range lits {
+		if l&1 == 1 {
+			h = fnvByte(h, 4)
 		}
-		e.recordHash(fnvByte(h, 0xfe))
+		h = fnvUint64(fnvByte(h, 1), e.in.ID(Sym(l>>1)))
 	}
+	e.recordHash(fnvByte(h, 0xfe))
 	base := len(e.scratch)
 	for _, l := range lits {
 		e.scratch = append(e.scratch, sat.NewLit(e.VarS(Sym(l>>1)), l&1 == 1))

@@ -208,26 +208,3 @@ func TestAssertClauseS(t *testing.T) {
 		t.Error("empty clause is SAT")
 	}
 }
-
-// TestEncoderPoolReuse: an encoder released after use comes back from
-// AcquireEncoder as a new one — its interner, variables and digest reset.
-func TestEncoderPoolReuse(t *testing.T) {
-	e := AcquireEncoder()
-	e.RecordFormulaHashes()
-	p, q := e.Symf("p"), e.Symf("q")
-	e.AssertIffNotS(p, q)
-	e.Release()
-	for i := 0; i < 2; i++ {
-		e := AcquireEncoder()
-		if got := e.S.NumVars(); got != 1 {
-			t.Errorf("acquired encoder holds %d variables, want 1", got)
-		}
-		if got := e.Symf("q"); got != 0 {
-			t.Errorf("acquired encoder interned q as %d, want 0", got)
-		}
-		if e.recordHashes || e.asserted != 0 || e.FormulaHash() != NewEncoder().FormulaHash() {
-			t.Error("acquired encoder carries a digest")
-		}
-		e.Release()
-	}
-}

@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// Allocation-reporting solver microbenchmarks: clause loading into the
-// arena, a long stateful assumption-query sequence (the anomaly oracle's
-// usage pattern), and conflict-heavy search with learnt-clause reduction.
+// Allocation-reporting solver microbenchmarks: clause loading, a long
+// stateful assumption-query sequence (the anomaly oracle's usage pattern),
+// and conflict-heavy search.
 
-// BenchmarkAddClauses measures clause construction: simplification,
-// arena allocation, watcher attachment (including the binary special
-// case).
+// BenchmarkAddClauses measures clause construction: simplification and
+// watcher attachment.
 func BenchmarkAddClauses(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	const nVars, nClauses = 200, 2000
@@ -74,11 +73,10 @@ func BenchmarkSolveAssumingSequence(b *testing.B) {
 	}
 }
 
-func BenchmarkPigeonholeReduced(b *testing.B) {
+func BenchmarkPigeonhole8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New()
-		s.maxLearnts = 256
 		buildPigeonhole(s, 8, 7)
 		if s.Solve() {
 			b.Fatal("PHP(8,7) SAT")

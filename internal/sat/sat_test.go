@@ -239,15 +239,6 @@ func TestLitEncoding(t *testing.T) {
 	}
 }
 
-func TestLubySequence(t *testing.T) {
-	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(int64(i + 1)); got != w {
-			t.Fatalf("luby(%d) = %d, want %d", i+1, got, w)
-		}
-	}
-}
-
 func TestGraphColoring(t *testing.T) {
 	// K4 is 3-colorable? No: needs 4. Encode 3-coloring of K4 → UNSAT,
 	// and 3-coloring of C5 (odd cycle) → SAT with 3 colors.
@@ -285,36 +276,5 @@ func TestGraphColoring(t *testing.T) {
 	}
 	if !colorable(5, c5, 3) {
 		t.Error("C5 not 3-colored")
-	}
-}
-
-func BenchmarkPigeonhole8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := New()
-		pigeons, holes := 8, 7
-		x := make([][]int, pigeons)
-		for p := 0; p < pigeons; p++ {
-			x[p] = make([]int, holes)
-			for h := 0; h < holes; h++ {
-				x[p][h] = s.NewVar()
-			}
-		}
-		for p := 0; p < pigeons; p++ {
-			lits := make([]Lit, holes)
-			for h := 0; h < holes; h++ {
-				lits[h] = NewLit(x[p][h], false)
-			}
-			s.AddClause(lits...)
-		}
-		for h := 0; h < holes; h++ {
-			for p1 := 0; p1 < pigeons; p1++ {
-				for p2 := p1 + 1; p2 < pigeons; p2++ {
-					s.AddClause(NewLit(x[p1][h], true), NewLit(x[p2][h], true))
-				}
-			}
-		}
-		if s.Solve() {
-			b.Fatal("PHP(8,7) SAT")
-		}
 	}
 }
