@@ -1,9 +1,6 @@
 package anomaly
 
-import (
-	"context"
-	"math/bits"
-)
+import "context"
 
 type detector struct {
 	// pass is the detection pass this detector works for: the program, the
@@ -184,10 +181,13 @@ func (pe *pairPlan) buildPair(c1, c2, d1, d2 int, q [4]int, r cycleResult) Acces
 	x1, x2 := pe.item(c1), pe.item(c2)
 	// Report the fields of each edge: they are the fields both its ends
 	// access, so naming them off the edge's source names c1's and c2's.
-	n1 := bits.OnesCount64(r.Flds1)
-	fs := make([]string, 0, n1+bits.OnesCount64(r.Flds2))
-	f1 := pe.fieldNames(fs, q[0], r.Flds1)
-	f2 := pe.fieldNames(fs[n1:n1], q[2], r.Flds2)
+	// They are carved from the pass's scratch, which gather copies out.
+	lo := len(pe.pass.names)
+	fs := pe.fieldNames(pe.pass.names, q[0], r.Flds1)
+	mid := len(fs)
+	fs = pe.fieldNames(fs, q[2], r.Flds2)
+	pe.pass.names = fs
+	f1, f2 := fs[lo:mid:mid], fs[mid:len(fs):len(fs)]
 	return AccessPair{
 		Txn: pe.t.name,
 		C1:  x1.label, F1: f1,

@@ -149,13 +149,13 @@ type scratch struct {
 	layouts []layout
 
 	tableIDs []int32
-	cmds     []ast.DBCommand
 	pins     []pin
 	cand     []int
 	plans    []pairPlan
 	// found holds the pairs of every transaction the pass detected, in
-	// the order it detected them.
+	// the order it detected them, and names their fields.
 	found []AccessPair
+	names []string
 }
 
 // outcome is one transaction's detection outcome in a pass: a stored
@@ -178,8 +178,18 @@ func (o *outcome) in(found []AccessPair) []AccessPair {
 
 // gather copies the pairs of outs into one new array, in order, and
 // points each outcome's pairs at its capacity-clipped part of the array,
-// which it returns (len = cap; nil if empty).
+// which it returns (len = cap; nil if empty). The fields of the pairs the
+// pass found move out of its scratch into one new block first.
 func (p *pass) gather(outs []outcome) []AccessPair {
+	if len(p.names) > 0 {
+		blk := make([]string, 0, len(p.names))
+		for i := range p.found {
+			a := &p.found[i]
+			a.F1, blk = own(blk, a.F1)
+			a.F2, blk = own(blk, a.F2)
+		}
+		p.names = p.names[:0]
+	}
 	n := 0
 	for i := range outs {
 		n += len(outs[i].in(p.found))
@@ -195,6 +205,14 @@ func (p *pass) gather(outs []outcome) []AccessPair {
 		o.pairs = arr[lo:len(arr):len(arr)]
 	}
 	return arr
+}
+
+// own appends names to blk, whose capacity it must not exceed, and
+// returns their capacity-clipped copy and the extended blk.
+func own(blk, names []string) ([]string, []string) {
+	lo := len(blk)
+	blk = append(blk, names...)
+	return blk[lo:len(blk):len(blk)], blk
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -213,6 +231,7 @@ func (p *pass) done() {
 	clear(p.layouts)
 	clear(p.outcomes)
 	clear(p.found)
+	clear(p.names[:cap(p.names)])
 	scratchPool.Put(p.scratch)
 }
 
@@ -227,7 +246,7 @@ func newPass(prog *ast.Program, model Model) *pass {
 	p := &pass{prog: prog, model: model, scratch: scratchPool.Get().(*scratch)}
 	p.tables, p.hashes, p.slices, p.facts = zeroed(p.tables, n), zeroed(p.hashes, n), zeroed(p.slices, n), zeroed(p.facts, n)
 	p.schemas, p.layouts = zeroed(p.schemas, ns), zeroed(p.layouts, ns)
-	p.tableIDs, p.found = p.tableIDs[:0], p.found[:0]
+	p.tableIDs, p.found, p.names = p.tableIDs[:0], p.found[:0], p.names[:0]
 	for s, schema := range prog.Schemas {
 		p.schemas[s] = ast.HashSchema(schema)
 	}
@@ -239,15 +258,12 @@ func newPass(prog *ast.Program, model Model) *pass {
 	for i, t := range prog.Txns {
 		p.hashes[i] = ast.HashTxn(t)
 		lo := len(p.tableIDs)
-		ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-			if c, ok := s.(ast.DBCommand); ok {
-				if k := int32(p.schemaIndex(c.TableName())); k >= 0 && !slices.Contains(p.tableIDs[lo:], k) {
-					p.tableIDs = append(p.tableIDs, k)
-					p.slices[i] += p.schemas[k]
-				}
+		for _, c := range t.Commands() {
+			if k := int32(p.schemaIndex(c.TableName())); k >= 0 && !slices.Contains(p.tableIDs[lo:], k) {
+				p.tableIDs = append(p.tableIDs, k)
+				p.slices[i] += p.schemas[k]
 			}
-			return true
-		})
+		}
 		p.tables[i] = p.tableIDs[lo:len(p.tableIDs):len(p.tableIDs)]
 	}
 	return p
@@ -349,25 +365,22 @@ func (p *pass) txnFacts(ti int) (*txnFacts, error) {
 // the transaction's name and its commands' labels.
 func (p *pass) buildFacts(ti int) (*txnFacts, error) {
 	t := p.prog.Txns[ti]
-	p.cmds, p.pins = p.cmds[:0], p.pins[:0]
+	cmds := t.Commands()
+	p.pins = p.pins[:0]
 	n := len(t.Name)
-	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if c, ok := s.(ast.DBCommand); ok {
-			p.cmds = append(p.cmds, c)
-			n += len(c.CmdLabel())
-		}
-		return true
-	})
+	for _, c := range cmds {
+		n += len(c.CmdLabel())
+	}
 	var names strings.Builder
 	names.Grow(n)
 	names.WriteString(t.Name)
-	for _, c := range p.cmds {
+	for _, c := range cmds {
 		names.WriteString(c.CmdLabel())
 	}
 	all := names.String()
-	tf := &txnFacts{name: all[:len(t.Name)], cmds: make([]cmdFacts, len(p.cmds))}
+	tf := &txnFacts{name: all[:len(t.Name)], cmds: make([]cmdFacts, len(cmds))}
 	all = all[len(t.Name):]
-	for ci, c := range p.cmds {
+	for ci, c := range cmds {
 		f := &tf.cmds[ci]
 		f.label, all = all[:len(c.CmdLabel())], all[len(c.CmdLabel()):]
 		_, f.sel = c.(*ast.Select)

@@ -108,25 +108,18 @@ func pkPins(c ast.DBCommand, schema *ast.Schema, visit func(field string, e ast.
 		f := schema.Field(field)
 		return f != nil && f.PK
 	}
-	where := func(w ast.Expr) {
-		if eqs, ok := ast.WhereEqualities(w); ok {
-			for _, q := range eqs {
-				if isPK(q.Field) {
-					visit(q.Field, q.Expr)
-				}
-			}
-		}
-	}
-	switch x := c.(type) {
-	case *ast.Select:
-		where(x.Where)
-	case *ast.Update:
-		where(x.Where)
-	case *ast.Insert:
-		for _, a := range x.Values {
+	if ins, ok := c.(*ast.Insert); ok {
+		for _, a := range ins.Values {
 			if isPK(a.Field) {
 				visit(a.Field, a.Expr)
 			}
+		}
+		return
+	}
+	eqs, _ := ast.CommandEqualities(c)
+	for _, q := range eqs {
+		if isPK(q.Field) {
+			visit(q.Field, q.Expr)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func WitnessSchedules(prog *ast.Program, rep *Report) []*Schedule {
 // txns[1], as a Schedule names them, each with the key pins the replayer
 // evaluates, and records the name of each key term in terms.
 func (p *pass) schedItems(pe *pairPlan, txns [2]*ast.Txn, terms map[uint64]string) []SchedItem {
-	cmds := [2][]ast.DBCommand{ast.Commands(txns[0].Body), ast.Commands(txns[1].Body)}
+	cmds := [2][]ast.DBCommand{txns[0].Commands(), txns[1].Commands()}
 	items := make([]SchedItem, pe.n)
 	for x := range items {
 		it, inst := pe.item(x), pe.inst(x)

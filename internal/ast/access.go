@@ -1,10 +1,10 @@
 package ast
 
-// This file defines the field-access views of database commands used by the
-// anomaly detector (§3.2: access pairs are command × field-set pairs) and
-// the where-clause well-formedness analysis required by the redirect rule
-// (§4.2.1: φ must be a conjunction of equality constraints covering the
-// primary key).
+// This file defines what the views of database commands (view.go) are
+// built from: field accesses, used by the anomaly detector (§3.2: access
+// pairs are command × field-set pairs), and the where-clause decomposition
+// the redirect rule's well-formedness needs (§4.2.1: φ must be a
+// conjunction of equality constraints covering the primary key).
 
 import "slices"
 
@@ -16,43 +16,6 @@ type Access struct {
 	Reads []string
 	// Writes are fields written by UPDATE/INSERT.
 	Writes []string
-}
-
-// CommandAccess computes the Access of a database command. schema may be
-// nil when the command's table is unknown; SELECT * then yields no
-// column reads (where-clause reads are still reported).
-func CommandAccess(c DBCommand, schema *Schema) Access {
-	switch x := c.(type) {
-	case *Select:
-		a := Access{Table: x.Table, Reads: WhereFields(x.Where)}
-		if x.Star {
-			if schema != nil {
-				for _, f := range schema.Fields {
-					a.Reads = appendUnique(a.Reads, f.Name)
-				}
-			}
-		} else {
-			for _, f := range x.Fields {
-				a.Reads = appendUnique(a.Reads, f)
-			}
-		}
-		return a
-	case *Update:
-		a := Access{Table: x.Table, Reads: WhereFields(x.Where)}
-		for _, s := range x.Sets {
-			a.Writes = appendUnique(a.Writes, s.Field)
-		}
-		return a
-	case *Insert:
-		a := Access{Table: x.Table}
-		for _, s := range x.Values {
-			a.Writes = appendUnique(a.Writes, s.Field)
-		}
-		a.Writes = appendUnique(a.Writes, AliveField)
-		return a
-	default:
-		return Access{}
-	}
 }
 
 func appendUnique(xs []string, x string) []string {
@@ -127,22 +90,4 @@ func (ps Pins) Of(field string) Expr {
 		}
 	}
 	return nil
-}
-
-// WellFormedWhere reports whether φ is well-formed with respect to schema
-// (§4.2.1): a conjunction of equality constraints that covers every
-// primary-key field of the schema. It returns the clause's equalities, in
-// clause order.
-func WellFormedWhere(e Expr, schema *Schema) (Pins, bool) {
-	eqs, ok := WhereEqualities(e)
-	if !ok {
-		return nil, false
-	}
-	pins := Pins(eqs)
-	for _, f := range schema.Fields {
-		if f.PK && pins.Of(f.Name) == nil {
-			return nil, false
-		}
-	}
-	return pins, true
 }

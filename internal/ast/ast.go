@@ -11,8 +11,9 @@
 // # Immutability and sharing
 //
 // Statement, expression, and transaction nodes carry a lazily computed,
-// memoized structural hash (see hash.go) and may be freely shared between
-// programs, in two ways only: the parser's declaration memo hands a
+// memoized structural hash (see hash.go), commands, transactions and
+// schemas their derived views (view.go), and nodes may be freely shared
+// between programs, in two ways only: the parser's declaration memo hands a
 // re-parse the nodes of every declaration it parsed before, and the
 // refactoring engine is copy-on-write, so a refactored program aliases
 // every node the refactoring did not touch. The contract
@@ -93,7 +94,16 @@ func (p *Program) Txn(name string) *Txn {
 type Schema struct {
 	Name   string
 	Fields []*Field
+
+	view     atomic.Pointer[schemaView]
+	accepted atomic.Bool
 }
+
+// Accepted reports whether a semantic check has accepted s.
+func (s *Schema) Accepted() bool { return s.accepted.Load() }
+
+// Accept stamps s as accepted, like Txn.Accept.
+func (s *Schema) Accept() { s.accepted.Store(true) }
 
 // Field returns the field with the given name, or nil. The implicit alive
 // field is visible through this accessor.
@@ -114,28 +124,6 @@ var aliveField = &Field{Name: AliveField, Type: TBool}
 // HasField reports whether the schema declares the field (or it is alive).
 func (s *Schema) HasField(name string) bool { return s.Field(name) != nil }
 
-// PrimaryKey returns the fields marked as primary key, in declaration order.
-func (s *Schema) PrimaryKey() []*Field {
-	var pk []*Field
-	for _, f := range s.Fields {
-		if f.PK {
-			pk = append(pk, f)
-		}
-	}
-	return pk
-}
-
-// NonKeyFields returns the declared fields that are not part of the key.
-func (s *Schema) NonKeyFields() []*Field {
-	var out []*Field
-	for _, f := range s.Fields {
-		if !f.PK {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Field is a single schema field; PK marks primary-key membership.
 type Field struct {
 	Name string
@@ -151,6 +139,7 @@ type Txn struct {
 	Ret    Expr // nil when the transaction returns nothing
 
 	memo     memoHash
+	view     atomic.Pointer[txnView]
 	accepted atomic.Pointer[[]*Schema]
 }
 
@@ -210,6 +199,7 @@ type Select struct {
 	Where  Expr
 
 	memo memoHash
+	view atomic.Pointer[cmdView]
 }
 
 // Update is UPDATE R SET f̄ = ē WHERE φ.
@@ -220,6 +210,7 @@ type Update struct {
 	Where Expr
 
 	memo memoHash
+	view atomic.Pointer[cmdView]
 }
 
 // Insert is INSERT INTO R VALUES (f̄ = ē). Per paper §3 it is sugar for an
@@ -231,6 +222,7 @@ type Insert struct {
 	Values []Assign
 
 	memo memoHash
+	view atomic.Pointer[cmdView]
 }
 
 // Assign pairs a field name with the expression assigned to it.
@@ -271,7 +263,8 @@ func (s *Select) CmdLabel() string { return s.Label }
 
 // SetCmdLabel implements DBCommand. It drops the node's own hash memo, but
 // callers must not relabel a command that is already shared (enclosing
-// nodes would keep stale memos); builders relabel before sharing.
+// nodes would keep stale memos, and its transaction's view stale labels);
+// builders relabel before sharing.
 func (s *Select) SetCmdLabel(l string) { s.Label = l; s.memo.reset() }
 
 // TableName implements DBCommand.

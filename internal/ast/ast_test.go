@@ -118,7 +118,7 @@ func TestWellFormedWhere(t *testing.T) {
 		{Name: "n", Type: TInt},
 	}}
 	w := &Binary{Op: OpEq, L: &ThisField{Field: "id"}, R: &Arg{Name: "k"}}
-	m, ok := WellFormedWhere(w, schema)
+	m, ok := CommandWellFormed(&Select{Where: w}, schema)
 	if !ok {
 		t.Fatal("pk equality rejected")
 	}
@@ -127,7 +127,7 @@ func TestWellFormedWhere(t *testing.T) {
 	}
 	// Constraining only a non-key field does not cover the pk.
 	w2 := &Binary{Op: OpEq, L: &ThisField{Field: "n"}, R: &IntLit{Val: 1}}
-	if _, ok := WellFormedWhere(w2, schema); ok {
+	if _, ok := CommandWellFormed(&Select{Where: w2}, schema); ok {
 		t.Error("non-pk-covering clause accepted")
 	}
 }

@@ -329,9 +329,9 @@ func HashTxn(t *Txn) uint64 {
 	return h
 }
 
-// HashSchema digests a schema declaration. Schemas are small, so their hash
-// is recomputed on every call rather than memoized.
-func HashSchema(s *Schema) uint64 {
+// schemaHash digests a schema declaration: HashSchema, which memoizes it
+// on the schema's view.
+func schemaHash(s *Schema) uint64 {
 	h := hashString(hashUint(hashSeed, tagSchema), s.Name)
 	for _, f := range s.Fields {
 		h = hashUint(h, tagField)

@@ -3,6 +3,7 @@ package ast
 import (
 	"fmt"
 	"strconv"
+	"sync"
 )
 
 // The printer appends every node straight into one byte slice: no per-node
@@ -10,11 +11,27 @@ import (
 // syntax and must stay byte-stable — service responses, Table-1 output and
 // the repair goldens all carry it.
 
+// formatBufs holds Format's scratch: a program is printed into a pooled
+// buffer and copied out once, so the only allocation is the text itself.
+var formatBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFormat is the largest scratch Format returns to the pool.
+const maxPooledFormat = 64 << 10
+
 // Format renders a program in the DSL concrete syntax accepted by the
 // parser, with command labels as trailing comments (paper Fig. 1 style).
 func Format(p *Program) string {
-	var buf [1024]byte
-	b := buf[:0]
+	bp := formatBufs.Get().(*[]byte)
+	b := appendProgram((*bp)[:0], p)
+	s := string(b)
+	if cap(b) <= maxPooledFormat {
+		*bp = b
+		formatBufs.Put(bp)
+	}
+	return s
+}
+
+func appendProgram(b []byte, p *Program) []byte {
 	for i, s := range p.Schemas {
 		if i > 0 {
 			b = append(b, '\n')
@@ -25,7 +42,7 @@ func Format(p *Program) string {
 		b = append(b, '\n')
 		b = appendTxn(b, t)
 	}
-	return string(b)
+	return b
 }
 
 // appendSchema appends one schema declaration.

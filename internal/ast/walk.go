@@ -54,39 +54,6 @@ func Commands(body []Stmt) []DBCommand {
 	return out
 }
 
-// FindCommand returns t's command labelled label, nil if none. Labels
-// are unique within a transaction.
-func FindCommand(t *Txn, label string) DBCommand {
-	c, _ := find(t.Body, func(s Stmt) bool {
-		c, ok := s.(DBCommand)
-		return ok && c.CmdLabel() == label
-	}).(DBCommand)
-	return c
-}
-
-// FindSelect returns the select in t binding variable v, nil if none.
-func FindSelect(t *Txn, v string) *Select {
-	sel, _ := find(t.Body, func(s Stmt) bool {
-		sel, ok := s.(*Select)
-		return ok && sel.Var == v
-	}).(*Select)
-	return sel
-}
-
-// find returns the first statement in body, nested bodies included, that
-// match accepts.
-func find(body []Stmt, match func(Stmt) bool) Stmt {
-	for _, s := range body {
-		if match(s) {
-			return s
-		}
-		if x := find(nested(s), match); x != nil {
-			return x
-		}
-	}
-	return nil
-}
-
 // WhereOf returns the where clause of a select or update, nil for other
 // commands.
 func WhereOf(c DBCommand) Expr {
@@ -163,12 +130,10 @@ func VarsRead(e Expr) map[string]bool {
 // WhereFields returns the set of fields φ_fld referenced via this.f in a
 // where clause.
 func WhereFields(e Expr) []string {
-	seen := map[string]bool{}
 	var out []string
 	WalkExpr(e, func(x Expr) bool {
-		if tf, ok := x.(*ThisField); ok && !seen[tf.Field] {
-			seen[tf.Field] = true
-			out = append(out, tf.Field)
+		if tf, ok := x.(*ThisField); ok {
+			out = appendUnique(out, tf.Field)
 		}
 		return true
 	})

@@ -424,26 +424,22 @@ func (c *ccmd) reads(ct *ctable) []int32 {
 	return c.readF
 }
 
-// scan compiles the where clause of a command on table tid and chooses its
-// access path.
-func (c *txnCompiler) scan(tid int32, ct *ctable, where ast.Expr, cmd *ccmd) error {
-	w, err := c.expr(where, ct, false)
+// scan compiles the where clause of command src on table tid and chooses
+// its access path.
+func (c *txnCompiler) scan(tid int32, ct *ctable, src ast.DBCommand, cmd *ccmd) error {
+	w, err := c.expr(ast.WhereOf(src), ct, false)
 	if err != nil {
 		return err
 	}
 	cmd.where = w
-	eqs, ok := ast.WhereEqualities(where)
+	eqs, ok := ast.CommandEqualities(src)
 	if !ok {
 		return nil // pathScan
 	}
-	pinned := map[string]ast.Expr{}
-	for _, q := range eqs {
-		pinned[q.Field] = q.Expr
-	}
 	simple := true
 	for _, f := range ct.schema.PrimaryKey() {
-		pin, ok := pinned[f.Name]
-		if !ok {
+		pin := eqs.Of(f.Name)
+		if pin == nil {
 			break
 		}
 		simple = simple && f.Type != ast.TString
@@ -503,7 +499,7 @@ func (c *txnCompiler) selectCmd(x *ast.Select) (*ccmd, error) {
 		c.varCols = append(c.varCols, cmd.cols)
 		cmd.varSlot = slot
 	}
-	if err := c.scan(tid, ct, x.Where, cmd); err != nil {
+	if err := c.scan(tid, ct, x, cmd); err != nil {
 		return nil, err
 	}
 	return cmd, nil
@@ -542,7 +538,7 @@ func (c *txnCompiler) updateCmd(x *ast.Update) (*ccmd, error) {
 		cmd.setF = append(cmd.setF, id)
 		cmd.setE = append(cmd.setE, e)
 	}
-	if err := c.scan(tid, ct, x.Where, cmd); err != nil {
+	if err := c.scan(tid, ct, x, cmd); err != nil {
 		return nil, err
 	}
 	return cmd, nil

@@ -169,7 +169,7 @@ func randomMerge(p *ast.Program, rng *rand.Rand) (*ast.Program, bool) {
 		return p, false
 	}
 	t := p.Txns[rng.Intn(len(p.Txns))]
-	cmds := ast.Commands(t.Body)
+	cmds := t.Commands()
 	if len(cmds) < 2 {
 		return p, false
 	}

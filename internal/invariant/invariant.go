@@ -192,7 +192,7 @@ func seed(cfg Config, plan *cluster.DirectedPlan, sc scenario) (*cluster.MatStor
 func schedule(prog *ast.Program, txns [2]cluster.DirectedTxn, rng *rand.Rand) cluster.DirectedConfig {
 	var n, next [2]int
 	for inst, t := range txns {
-		n[inst] = len(ast.Commands(prog.Txn(t.Name).Body))
+		n[inst] = len(prog.Txn(t.Name).Commands())
 	}
 	cfg := cluster.DirectedConfig{Txns: txns}
 	for next[0] < n[0] || next[1] < n[1] {

@@ -89,33 +89,25 @@ func ApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 // reports whether any command accesses (SrcTable, SrcField); the returned
 // set is nil when no variable is redirected.
 func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (redirected map[string]bool, touched bool, err error) {
-	var failure error
-	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if failure != nil {
-			return false
-		}
-		c, ok := s.(ast.DBCommand)
-		if !ok || c.TableName() != v.SrcTable {
-			return true
+	for _, c := range t.Commands() {
+		if c.TableName() != v.SrcTable {
+			continue
 		}
 		acc := ast.CommandAccess(c, src)
 		if !slices.Contains(acc.Reads, v.SrcField) && !slices.Contains(acc.Writes, v.SrcField) {
-			return true
+			continue
 		}
 		touched = true
 		switch x := c.(type) {
 		case *ast.Select:
 			if x.Star {
-				failure = errf("intro-v", "%s.%s: cannot redirect SELECT * (narrow the selection first)", t.Name, x.Label)
-				return false
+				return nil, true, errf("intro-v", "%s.%s: cannot redirect SELECT * (narrow the selection first)", t.Name, x.Label)
 			}
 			if len(x.Fields) != 1 {
-				failure = errf("intro-v", "%s.%s: select accesses %v; split so it accesses only %s", t.Name, x.Label, x.Fields, v.SrcField)
-				return false
+				return nil, true, errf("intro-v", "%s.%s: select accesses %v; split so it accesses only %s", t.Name, x.Label, x.Fields, v.SrcField)
 			}
-			if !whereRedirectable(x.Where, src, v) {
-				failure = errf("intro-v", "%s.%s: where clause is not redirectable through θ̂", t.Name, x.Label)
-				return false
+			if !whereRedirectable(x, src, v) {
+				return nil, true, errf("intro-v", "%s.%s: where clause is not redirectable through θ̂", t.Name, x.Label)
 			}
 			if redirected == nil {
 				redirected = map[string]bool{}
@@ -123,26 +115,19 @@ func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (redirected ma
 			redirected[x.Var] = true
 		case *ast.Update:
 			if len(x.Sets) != 1 || x.Sets[0].Field != v.SrcField {
-				failure = errf("intro-v", "%s.%s: update sets multiple fields; split first", t.Name, x.Label)
-				return false
+				return nil, true, errf("intro-v", "%s.%s: update sets multiple fields; split first", t.Name, x.Label)
 			}
-			if !whereRedirectable(x.Where, src, v) {
-				failure = errf("intro-v", "%s.%s: where clause is not redirectable through θ̂", t.Name, x.Label)
-				return false
+			if !whereRedirectable(x, src, v) {
+				return nil, true, errf("intro-v", "%s.%s: where clause is not redirectable through θ̂", t.Name, x.Label)
 			}
-			for _, f := range ast.WhereFields(x.Where) {
-				if f == v.SrcField {
-					failure = errf("intro-v", "%s.%s: where clause reads the moved field", t.Name, x.Label)
-					return false
-				}
+			if slices.Contains(ast.CommandWhereFields(x), v.SrcField) {
+				return nil, true, errf("intro-v", "%s.%s: where clause reads the moved field", t.Name, x.Label)
 			}
 		case *ast.Insert:
-			failure = errf("intro-v", "%s.%s: inserts into the source schema are not redirectable", t.Name, x.Label)
-			return false
+			return nil, true, errf("intro-v", "%s.%s: inserts into the source schema are not redirectable", t.Name, x.Label)
 		}
-		return true
-	})
-	return redirected, touched, failure
+	}
+	return redirected, touched, nil
 }
 
 // redirectedAccessRewriter builds pass 3's expression rewriter: accesses
@@ -179,13 +164,14 @@ func redirectedAccessRewriter(t *ast.Txn, v ValueCorr, redirected map[string]boo
 	}
 }
 
-// redirectWhere implements redirect(φ, θ̂) (§4.2.1): the well-formed where
-// clause's primary-key equalities become equalities on the θ̂-image fields.
-// As a generalization, a clause that is not a full key-equality conjunction
-// (e.g. a range scan) is still redirectable when every field it references
-// is θ̂-mapped: each this.f is replaced by this.θ̂(f).
-func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr) (ast.Expr, error) {
-	if pins, ok := ast.WellFormedWhere(w, src); ok {
+// redirectWhere implements redirect(φ, θ̂) (§4.2.1) on c's where clause φ:
+// the well-formed clause's primary-key equalities become equalities on the
+// θ̂-image fields. As a generalization, a clause that is not a full
+// key-equality conjunction (e.g. a range scan) is still redirectable when
+// every field it references is θ̂-mapped: each this.f is replaced by
+// this.θ̂(f).
+func redirectWhere(c ast.DBCommand, src *ast.Schema, v ValueCorr) (ast.Expr, error) {
+	if pins, ok := ast.CommandWellFormed(c, src); ok {
 		var out ast.Expr
 		for _, pk := range src.PrimaryKey() {
 			conj := &ast.Binary{
@@ -201,7 +187,8 @@ func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr) (ast.Expr, error) {
 		}
 		return out, nil
 	}
-	for _, f := range ast.WhereFields(w) {
+	w := ast.WhereOf(c)
+	for _, f := range ast.CommandWhereFields(c) {
 		if _, ok := v.Theta[f]; !ok {
 			return nil, errf("intro-v", "where clause %q references un-mapped field %q", ast.ExprString(w), f)
 		}
@@ -215,14 +202,14 @@ func redirectWhere(w ast.Expr, src *ast.Schema, v ValueCorr) (ast.Expr, error) {
 	return out, nil
 }
 
-// whereRedirectable reports whether a where clause can be translated by
+// whereRedirectable reports whether c's where clause can be translated by
 // redirectWhere: either well-formed (full key-equality conjunction) or
 // referencing only θ̂-mapped fields.
-func whereRedirectable(w ast.Expr, src *ast.Schema, v ValueCorr) bool {
-	if _, ok := ast.WellFormedWhere(w, src); ok {
+func whereRedirectable(c ast.DBCommand, src *ast.Schema, v ValueCorr) bool {
+	if _, ok := ast.CommandWellFormed(c, src); ok {
 		return true
 	}
-	for _, f := range ast.WhereFields(w) {
+	for _, f := range ast.CommandWhereFields(c) {
 		if _, ok := v.Theta[f]; !ok {
 			return false
 		}
@@ -235,7 +222,7 @@ func whereRedirectable(w ast.Expr, src *ast.Schema, v ValueCorr) bool {
 // (Fig. 11: U4.1 becomes an insert into COURSE_CO_ST_CNT_LOG).
 func rewriteUpdate(x *ast.Update, src *ast.Schema, v ValueCorr, t *ast.Txn) (ast.Stmt, error) {
 	if !v.Logging {
-		nw, err := redirectWhere(x.Where, src, v)
+		nw, err := redirectWhere(x, src, v)
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +236,7 @@ func rewriteUpdate(x *ast.Update, src *ast.Schema, v ValueCorr, t *ast.Txn) (ast
 	if err != nil {
 		return nil, err
 	}
-	pins, ok := ast.WellFormedWhere(x.Where, src)
+	pins, ok := ast.CommandWellFormed(x, src)
 	if !ok {
 		return nil, errf("intro-v", "%s: where clause is not a primary-key equality conjunction", x.Label)
 	}

@@ -2,6 +2,7 @@ package refactor
 
 import (
 	"fmt"
+	"slices"
 
 	"atropos/internal/ast"
 )
@@ -47,7 +48,7 @@ func cowApplyCorr(p *ast.Program, src *ast.Schema, v ValueCorr) (*ast.Program, e
 	out := &ast.Program{Schemas: p.Schemas, Txns: make([]*ast.Txn, len(p.Txns))}
 	copy(out.Txns, p.Txns)
 	for i, t := range p.Txns {
-		if !hasCommandOn(t.Body, v.SrcTable) {
+		if !slices.ContainsFunc(t.Commands(), func(c ast.DBCommand) bool { return c.TableName() == v.SrcTable }) {
 			continue
 		}
 		nt, err := cowRewriteTxn(t, src, v)
@@ -57,28 +58,6 @@ func cowApplyCorr(p *ast.Program, src *ast.Schema, v ValueCorr) (*ast.Program, e
 		out.Txns[i] = nt
 	}
 	return out, nil
-}
-
-// hasCommandOn reports whether some command of body, at any depth,
-// accesses table.
-func hasCommandOn(body []ast.Stmt, table string) bool {
-	for _, s := range body {
-		switch x := s.(type) {
-		case ast.DBCommand:
-			if x.TableName() == table {
-				return true
-			}
-		case *ast.If:
-			if hasCommandOn(x.Then, table) {
-				return true
-			}
-		case *ast.Iterate:
-			if hasCommandOn(x.Body, table) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // cowRewriteTxn applies [[·]]_v to one transaction, sharing it when the
@@ -122,7 +101,7 @@ func rewriteCommands(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, map[st
 			if len(x.Fields) != 1 || x.Fields[0] != v.SrcField {
 				return []ast.Stmt{s}
 			}
-			nw, err := redirectWhere(x.Where, src, v)
+			nw, err := redirectWhere(x, src, v)
 			if err != nil {
 				rerr = err
 				return []ast.Stmt{s}

@@ -33,12 +33,11 @@ func DeadSelects(t *ast.Txn) []string {
 		return true
 	})
 	var dead []string
-	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
-		if sel, ok := s.(*ast.Select); ok && !slices.Contains(used, sel.Var) {
+	for _, c := range t.Commands() {
+		if sel, ok := c.(*ast.Select); ok && !slices.Contains(used, sel.Var) {
 			dead = append(dead, sel.Label)
 		}
-		return true
-	})
+	}
 	return dead
 }
 
@@ -76,7 +75,7 @@ func accessedFields(p *ast.Program) map[string]map[string]bool {
 		acc[table][field] = true
 	}
 	for _, t := range p.Txns {
-		for _, c := range ast.Commands(t.Body) {
+		for _, c := range t.Commands() {
 			schema := p.Schema(c.TableName())
 			a := ast.CommandAccess(c, schema)
 			for _, f := range a.Reads {

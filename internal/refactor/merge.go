@@ -47,7 +47,7 @@ func SameRecords(t *ast.Txn, c1, c2 ast.DBCommand) (ast.Expr, bool) {
 	if ast.EqualExpr(w1, w2) {
 		return w1, true
 	}
-	if samePinMaps(w1, w2) {
+	if samePinMaps(c1, c2) {
 		return w1, true
 	}
 	if lookupPattern(t, c1.TableName(), w1, w2) {
@@ -56,30 +56,25 @@ func SameRecords(t *ast.Txn, c1, c2 ast.DBCommand) (ast.Expr, bool) {
 	if lookupPattern(t, c2.TableName(), w2, w1) {
 		return w2, true
 	}
-	if pinnedBySet(t, c1, w1, w2) {
+	if pinnedBySet(t, c1, c2) {
 		return w1, true
 	}
-	if pinnedBySet(t, c2, w2, w1) {
+	if pinnedBySet(t, c2, c1) {
 		return w2, true
 	}
 	return nil, false
 }
 
-// samePinMaps reports equality of two equality-conjunction clauses up to
-// conjunct reordering.
-func samePinMaps(w1, w2 ast.Expr) bool {
-	e1, ok1 := ast.WhereEqualities(w1)
-	e2, ok2 := ast.WhereEqualities(w2)
+// samePinMaps reports equality of the where clauses of two commands that
+// are equality conjunctions, up to conjunct reordering.
+func samePinMaps(c1, c2 ast.DBCommand) bool {
+	e1, ok1 := ast.CommandEqualities(c1)
+	e2, ok2 := ast.CommandEqualities(c2)
 	if !ok1 || !ok2 || len(e1) != len(e2) {
 		return false
 	}
-	m1 := map[string]ast.Expr{}
-	for _, q := range e1 {
-		m1[q.Field] = q.Expr
-	}
 	for _, q := range e2 {
-		e, ok := m1[q.Field]
-		if !ok || !ast.EqualExpr(e, q.Expr) {
+		if e := e1.Of(q.Field); e == nil || !ast.EqualExpr(e, q.Expr) {
 			return false
 		}
 	}
@@ -106,21 +101,18 @@ func lookupPattern(t *ast.Txn, table string, wAnchor, wLookup ast.Expr) bool {
 	return sel != nil && sel.Table == table && ast.EqualExpr(sel.Where, wAnchor)
 }
 
-// pinnedBySet reports whether every equality conjunct this.g = e of w is
-// justified by the anchor command c: either c's update sets g = e (after c
-// runs its target records satisfy the conjunct — Fig. 11's st_co_id =
-// course) or c's own where clause pins g to the same expression.
-func pinnedBySet(t *ast.Txn, c ast.DBCommand, wAnchor, w ast.Expr) bool {
-	pins, ok := ast.WhereEqualities(w)
+// pinnedBySet reports whether every equality conjunct this.g = e of
+// other's where clause is justified by the anchor command c: either c's
+// update sets g = e (after c runs its target records satisfy the conjunct —
+// Fig. 11's st_co_id = course) or c's own where clause pins g to the same
+// expression.
+func pinnedBySet(t *ast.Txn, c, other ast.DBCommand) bool {
+	pins, ok := ast.CommandEqualities(other)
 	if !ok || len(pins) == 0 {
 		return false
 	}
-	anchorPins := map[string]ast.Expr{}
-	if eqs, ok := ast.WhereEqualities(wAnchor); ok {
-		for _, q := range eqs {
-			anchorPins[q.Field] = q.Expr
-		}
-	}
+	wAnchor := ast.WhereOf(c)
+	anchorPins, _ := ast.CommandEqualities(c)
 	u, isUpdate := c.(*ast.Update)
 	for _, q := range pins {
 		justified := false
@@ -133,7 +125,7 @@ func pinnedBySet(t *ast.Txn, c ast.DBCommand, wAnchor, w ast.Expr) bool {
 			}
 		}
 		if !justified {
-			if e, ok := anchorPins[q.Field]; ok && ast.EqualExpr(e, q.Expr) {
+			if e := anchorPins.Of(q.Field); e != nil && ast.EqualExpr(e, q.Expr) {
 				justified = true
 			}
 		}
@@ -224,7 +216,7 @@ func checkMerge(p *ast.Program, txn, label1, label2 string) (ast.Expr, error) {
 // checkNoConflictBetween refuses the merge when a command between c1 and c2
 // could observe or disturb the effect of moving c2 up to c1's position.
 func checkNoConflictBetween(t *ast.Txn, c1, c2 ast.DBCommand) error {
-	cmds := ast.Commands(t.Body)
+	cmds := t.Commands()
 	i1, i2 := -1, -1
 	for i, c := range cmds {
 		if c.CmdLabel() == c1.CmdLabel() {
@@ -241,10 +233,7 @@ func checkNoConflictBetween(t *ast.Txn, c1, c2 ast.DBCommand) error {
 		i1, i2 = i2, i1
 	}
 	_, c2IsSelect := c2.(*ast.Select)
-	var between []ast.DBCommand
-	for _, c := range cmds[i1+1 : i2] {
-		between = append(between, c)
-	}
+	between := cmds[i1+1 : i2]
 	for _, c := range between {
 		if c.TableName() != c2.TableName() {
 			continue

@@ -392,49 +392,33 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 // involved in at most one anomalous access pair, provided the split fields
 // are not accessed together elsewhere in the program (§5).
 func preprocess(p *ast.Program, pairs []anomaly.AccessPair, res *Result) *ast.Program {
-	groups := map[cmdKey][][]string{}
+	// Only a command with two or more fields of its own can be split, so
+	// only such a command's field groups are gathered.
+	var groups map[cmdKey][][]string
+	add := func(txn, label string, fields []string) {
+		if len(fields) == 0 {
+			return
+		}
+		if t := p.Txn(txn); t == nil || ownCount(ast.FindCommand(t, label)) < 2 {
+			return
+		}
+		if groups == nil {
+			groups = map[cmdKey][][]string{}
+		}
+		k := cmdKey{txn, label}
+		groups[k] = append(groups[k], fields)
+	}
 	for _, pair := range pairs {
-		if len(pair.F1) > 0 {
-			k := cmdKey{pair.Txn, pair.C1}
-			groups[k] = append(groups[k], pair.F1)
-		}
-		if len(pair.F2) > 0 {
-			k := cmdKey{pair.Txn, pair.C2}
-			groups[k] = append(groups[k], pair.F2)
-		}
+		add(pair.Txn, pair.C1, pair.F1)
+		add(pair.Txn, pair.C2, pair.F2)
 	}
 	// First compute a split plan for every candidate command, then apply
 	// the plans whose field groups are not co-accessed by any command that
 	// is not itself being split compatibly.
 	plans := map[cmdKey][][]string{}
 	for k, sets := range groups {
-		t := p.Txn(k.txn)
-		if t == nil {
-			continue
-		}
-		c := ast.FindCommand(t, k.label)
-		if c == nil {
-			continue
-		}
-		var own []string
-		switch x := c.(type) {
-		case *ast.Update:
-			for _, a := range x.Sets {
-				own = append(own, a.Field)
-			}
-		case *ast.Select:
-			if x.Star {
-				continue
-			}
-			own = x.Fields
-		default:
-			continue
-		}
-		if len(own) < 2 {
-			continue
-		}
-		partition := buildPartition(own, sets)
-		if len(partition) >= 2 {
+		own := ownFields(ast.FindCommand(p.Txn(k.txn), k.label))
+		if partition := buildPartition(own, sets); len(partition) >= 2 {
 			plans[k] = partition
 		}
 	}
@@ -475,6 +459,31 @@ func preprocess(p *ast.Program, pairs []anomaly.AccessPair, res *Result) *ast.Pr
 }
 
 type cmdKey struct{ txn, label string }
+
+// ownFields returns the fields a command could be split along: an update's
+// set fields, a select's named columns; none for an insert, a select * or
+// a nil command.
+func ownFields(c ast.DBCommand) []string {
+	if u, ok := c.(*ast.Update); ok {
+		own := make([]string, len(u.Sets))
+		for i, a := range u.Sets {
+			own[i] = a.Field
+		}
+		return own
+	}
+	if sel, ok := c.(*ast.Select); ok && !sel.Star {
+		return sel.Fields
+	}
+	return nil
+}
+
+// ownCount is len(ownFields(c)).
+func ownCount(c ast.DBCommand) int {
+	if u, ok := c.(*ast.Update); ok {
+		return len(u.Sets)
+	}
+	return len(ownFields(c))
+}
 
 // buildPartition groups a command's fields: fields named together by some
 // access pair stay together, overlapping groups are unioned, and leftover
@@ -560,7 +569,7 @@ func coAccessedElsewhere(p *ast.Program, txn, label, table string, partition [][
 		}
 	}
 	for _, t := range p.Txns {
-		for _, c := range ast.Commands(t.Body) {
+		for _, c := range t.Commands() {
 			if t.Name == txn && c.CmdLabel() == label {
 				continue
 			}
@@ -723,7 +732,7 @@ func singleField(c ast.DBCommand) (string, error) {
 //	(b) c1 is an update setting g = e and the pin equals e — θ̂(f) = g;
 //	(c) c1's where pins its own key field g to the same expression — θ̂(f) = g.
 func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, dstSchema *ast.Schema) (map[string]string, error) {
-	pins, ok := ast.WellFormedWhere(ast.WhereOf(c2), srcSchema)
+	pins, ok := ast.CommandWellFormed(c2, srcSchema)
 	if !ok {
 		return nil, fmt.Errorf("repair: %s: where clause is not a primary-key equality conjunction", c2.CmdLabel())
 	}
@@ -751,7 +760,7 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 		// (c) c1 pins one of its key fields to the same expression; the
 		// first such field in clause order.
 		if g == "" {
-			if dstPins, ok := ast.WellFormedWhere(ast.WhereOf(c1), dstSchema); ok {
+			if dstPins, ok := ast.CommandWellFormed(c1, dstSchema); ok {
 				for _, q := range dstPins {
 					if ast.EqualExpr(q.Expr, pin) {
 						g = q.Field
@@ -831,7 +840,11 @@ type loggedOutcome struct {
 // logging schema, and the logger correspondence that did it.
 func (m *loggingMemo) logged(p *ast.Program, table, field string) (*ast.Program, refactor.ValueCorr, error) {
 	if m.prog != p {
-		m.prog, m.outs = p, map[[2]string]loggedOutcome{}
+		if m.outs == nil {
+			m.outs = map[[2]string]loggedOutcome{}
+		}
+		m.prog = p
+		clear(m.outs)
 	}
 	k := [2]string{table, field}
 	o, ok := m.outs[k]
@@ -883,7 +896,7 @@ func mergeAll(p *ast.Program) (*ast.Program, int) {
 		name := p.Txns[ti].Name
 		for {
 			progress := false
-			cmds := ast.Commands(p.Txns[ti].Body)
+			cmds := p.Txns[ti].Commands()
 			for i := 0; i < len(cmds); i++ {
 				for j := i + 1; j < len(cmds); j++ {
 					if cmds[i].TableName() != cmds[j].TableName() || !sameKind(cmds[i], cmds[j]) {
@@ -895,7 +908,7 @@ func mergeAll(p *ast.Program) (*ast.Program, int) {
 						progress = true
 						// c2 is gone and c1 changed: refresh the list and
 						// rescan c1 against its new successors.
-						cmds = ast.Commands(p.Txns[ti].Body)
+						cmds = p.Txns[ti].Commands()
 						j = i
 					}
 				}

@@ -303,7 +303,7 @@ func newLowering(prog *ast.Program, sched *anomaly.Schedule) (*lowering, string)
 		return nil, "transaction missing from program"
 	}
 	for inst := range l.txns {
-		l.nCmds[inst] = len(ast.Commands(l.txns[inst].Body))
+		l.nCmds[inst] = len(l.txns[inst].Commands())
 	}
 
 	// Phase 1: equality classes. The model's true equality atoms merge term
@@ -488,14 +488,8 @@ func seedRows(
 	rows := map[string][]*seedRow{}
 	itemRow := map[instItem]*seedRow{}
 	for inst := 0; inst < 2; inst++ {
-		for ci, c := range ast.Commands(txns[inst].Body) {
-			var where ast.Expr
-			switch x := c.(type) {
-			case *ast.Select:
-				where = x.Where
-			case *ast.Update:
-				where = x.Where
-			default:
+		for ci, c := range txns[inst].Commands() {
+			if _, ok := c.(*ast.Insert); ok {
 				continue // inserts create their records at runtime
 			}
 			schema := prog.Schema(c.TableName())
@@ -510,7 +504,7 @@ func seedRows(
 					}
 				}
 			}
-			if eqs, ok := ast.WhereEqualities(where); ok {
+			if eqs, ok := ast.CommandEqualities(c); ok {
 				for _, q := range eqs {
 					if _, have := pinVals[q.Field]; have {
 						continue
@@ -587,7 +581,7 @@ func backpropagate(
 		return
 	}
 	for inst := 0; inst < 2; inst++ {
-		cmds := ast.Commands(txns[inst].Body)
+		cmds := txns[inst].Commands()
 		for ci := range cmds {
 			for _, p := range pinsOf[instItem{inst, ci}] {
 				var srcVar, srcField string
@@ -639,7 +633,7 @@ func insertKeyVals(
 ) map[string]map[string][]store.Value {
 	out := map[string]map[string][]store.Value{}
 	for inst := 0; inst < 2; inst++ {
-		for ci, c := range ast.Commands(txns[inst].Body) {
+		for ci, c := range txns[inst].Commands() {
 			ins, ok := c.(*ast.Insert)
 			if !ok {
 				continue
@@ -775,7 +769,7 @@ func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, orig *lowered) (
 		if len(origSeq[inst]) == 0 {
 			return nil, "instance absent from schedule"
 		}
-		low.nCmds[inst] = len(ast.Commands(txns[inst].Body))
+		low.nCmds[inst] = len(txns[inst].Commands())
 	}
 	var next [2]int
 	for _, g := range sched.Order {

@@ -40,14 +40,20 @@ func checked(p *ast.Program, err error) (*ast.Program, error) {
 }
 
 // Check validates the whole program, returning the first error found. A
-// transaction's check reads only it and the schemas of the tables it
-// names, so one accepted before (ast.Txn.Accepted) is skipped while each
-// of those names resolves to the same node, as a parser-memo hit's do.
+// schema's check reads only the schema, so one accepted before
+// (ast.Schema.Accepted) is skipped. A transaction's check reads only it and
+// the schemas of the tables it names, so one accepted before
+// (ast.Txn.Accepted) is skipped while each of those names resolves to the
+// same node, as a parser-memo hit's do.
 func Check(p *ast.Program) error {
 	for _, s := range p.Schemas {
+		if s.Accepted() {
+			continue
+		}
 		if err := checkSchema(s); err != nil {
 			return err
 		}
+		s.Accept()
 	}
 	for _, t := range p.Txns {
 		if schemas, ok := t.Accepted(); ok && !slices.ContainsFunc(schemas, func(s *ast.Schema) bool { return p.Schema(s.Name) != s }) {
