@@ -14,6 +14,7 @@ type detector struct {
 	session *DetectSession
 	issued  int // cycle-satisfiability queries asked
 	solved  int // queries decided here (issued minus memo hits)
+	hits    int // queries answered by the pass's or the session's memo
 	// sm is the decision procedure's scratch, reused by every query.
 	sm smallModel
 }
@@ -117,12 +118,17 @@ func (d *detector) solveCycle(pe *pairPlan, q [4]int) (cycleResult, error) {
 		return d.sm.decide(pe, d.pass.model, q), nil
 	}
 	key := memoKey{pe.contentKey(), [4]int32{int32(q[0]), int32(q[1]), int32(q[2]), int32(q[3])}}
-	if r, ok := d.session.lookupQuery(key); ok {
+	r, ok := d.pass.queries[key]
+	if !ok {
+		r, ok = d.session.lookupQuery(key)
+	}
+	if ok {
+		d.hits++
 		return r, nil
 	}
 	d.solved++
-	r := d.sm.decide(pe, d.pass.model, q)
-	d.session.storeQuery(key, r)
+	r = d.sm.decide(pe, d.pass.model, q)
+	d.pass.queries[key] = r
 	return r, nil
 }
 

@@ -156,6 +156,9 @@ type scratch struct {
 	// the order it detected them, and names their fields.
 	found []AccessPair
 	names []string
+	// queries holds the answers the pass decided, merged into its
+	// session's memo when the pass ends (DetectSession.absorb).
+	queries map[memoKey]cycleResult
 }
 
 // outcome is one transaction's detection outcome in a pass: a stored
@@ -215,7 +218,7 @@ func own(blk, names []string) ([]string, []string) {
 	return blk[lo:len(blk):len(blk)], blk
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{queries: map[memoKey]cycleResult{}} }}
 
 // zeroed returns s resized to n elements, all zero.
 func zeroed[T any](s []T, n int) []T {
@@ -232,6 +235,7 @@ func (p *pass) done() {
 	clear(p.outcomes)
 	clear(p.found)
 	clear(p.names[:cap(p.names)])
+	clear(p.queries)
 	scratchPool.Put(p.scratch)
 }
 

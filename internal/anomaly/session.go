@@ -2,6 +2,7 @@ package anomaly
 
 import (
 	"context"
+	"maps"
 	"slices"
 	"sync"
 	"unsafe"
@@ -112,7 +113,6 @@ func NewSession(model Model) *DetectSession {
 		model:   model,
 		txns:    map[uint64]txnEntry{},
 		reports: map[uint64]txnEntry{},
-		queries: map[memoKey]cycleResult{},
 		facts:   map[uint64]*txnFacts{},
 		layouts: map[uint64]layout{},
 	}
@@ -175,6 +175,7 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 	p.session = s
 	d := &detector{pass: p, session: s, ctx: ctx}
 	defer p.done()
+	defer s.absorb(d) // before done clears the pass's answers
 	p.outcomes = zeroed(p.outcomes, len(prog.Txns))
 	hits := 0
 	for i := range p.outcomes {
@@ -309,20 +310,26 @@ func (s *DetectSession) storeLayout(h uint64, l layout) {
 	}
 }
 
-// lookupQuery returns a memoized answer, counting the hit.
+// lookupQuery returns a memoized answer.
 func (s *DetectSession) lookupQuery(k memoKey) (cycleResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.queries[k]
-	if ok {
-		s.stats.QueryHits++
-	}
 	return r, ok
 }
 
-// storeQuery memoizes an answer.
-func (s *DetectSession) storeQuery(k memoKey, r cycleResult) {
+// absorb merges the answers d's pass decided into the query memo, which
+// the first merge creates at their number, and counts d's memo hits. A
+// pass merges when it ends, cancelled or not: every answer is complete.
+func (s *DetectSession) absorb(d *detector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.queries[k] = r
+	s.stats.QueryHits += d.hits
+	if len(d.pass.queries) == 0 {
+		return
+	}
+	if s.queries == nil {
+		s.queries = make(map[memoKey]cycleResult, len(d.pass.queries))
+	}
+	maps.Copy(s.queries, d.pass.queries)
 }

@@ -174,14 +174,14 @@ func TestMapStmtsDeleteAndReplace(t *testing.T) {
 	tx, again := sampleTxn(), sampleTxn()
 	second := Commands(again.Body)[1]
 	// Delete all selects, duplicate all updates.
-	out, changed := MapStmtsCOW(tx.Body, func(s Stmt) []Stmt {
+	out, changed := MapStmtsCOW(tx.Body, func(s Stmt) ([]Stmt, bool) {
 		switch s.(type) {
 		case *Select:
-			return nil
+			return nil, false
 		case *Update:
-			return []Stmt{s, second}
+			return []Stmt{s, second}, false
 		}
-		return []Stmt{s}
+		return nil, true
 	})
 	cmds := Commands(out)
 	if !changed || len(cmds) != 2 {

@@ -57,13 +57,13 @@ func MapExprCOW(e Expr, fn func(Expr) Expr) Expr {
 	return fn(e)
 }
 
-// MapStmtsCOW rebuilds body via fn — fn may delete (nil), keep, replace,
-// or expand a statement — and returns (body, false) when nothing changed,
-// sharing the input slice. fn signals "unchanged" by
-// returning a one-element slice holding the exact statement it was given.
-// Control bodies are rewritten first, and their wrappers are only
-// re-allocated when the nested body changed.
-func MapStmtsCOW(body []Stmt, fn func(Stmt) []Stmt) ([]Stmt, bool) {
+// MapStmtsCOW rebuilds body via fn, which keeps a statement (keep true,
+// repl ignored) or replaces it by repl: none deletes it, several expand
+// it. It returns (body, false) when fn kept every statement, sharing the
+// input slice, and allocates nothing for a kept statement. Control bodies
+// are rewritten first, and their wrappers are only re-allocated when the
+// nested body changed.
+func MapStmtsCOW(body []Stmt, fn func(Stmt) (repl []Stmt, keep bool)) ([]Stmt, bool) {
 	var out []Stmt
 	changed := false
 	for i, s := range body {
@@ -77,13 +77,17 @@ func MapStmtsCOW(body []Stmt, fn func(Stmt) []Stmt) ([]Stmt, bool) {
 				s = &Iterate{Count: x.Count, Body: b}
 			}
 		}
-		repl := fn(s)
-		same := s == body[i] && len(repl) == 1 && repl[0] == s
-		if !changed && !same {
-			out = append(out, body[:i]...)
+		repl, keep := fn(s)
+		if !changed {
+			if keep && s == body[i] {
+				continue
+			}
+			out = append(make([]Stmt, 0, len(body)), body[:i]...)
 			changed = true
 		}
-		if changed {
+		if keep {
+			out = append(out, s)
+		} else {
 			out = append(out, repl...)
 		}
 	}
@@ -98,8 +102,11 @@ func MapStmtsCOW(body []Stmt, fn func(Stmt) []Stmt) ([]Stmt, bool) {
 // and the return expression), rebuilding only the statements whose
 // expressions changed. Returns (t, false) when nothing changed.
 func MapTxnExprsCOW(t *Txn, rewrite func(Expr) Expr) (*Txn, bool) {
-	body, bodyChanged := MapStmtsCOW(t.Body, func(s Stmt) []Stmt {
-		return []Stmt{rewriteStmtExprs(s, rewrite)}
+	body, bodyChanged := MapStmtsCOW(t.Body, func(s Stmt) ([]Stmt, bool) {
+		if ns := rewriteStmtExprs(s, rewrite); ns != s {
+			return []Stmt{ns}, false
+		}
+		return nil, true
 	})
 	ret := rewrite(t.Ret)
 	if !bodyChanged && ret == t.Ret {

@@ -110,15 +110,15 @@ func TestMapStmtsCOWShares(t *testing.T) {
 		&If{Cond: &BoolLit{Val: true}, Then: []Stmt{&Skip{}}},
 		&Update{Label: "U1", Table: "T", Sets: []Assign{{Field: "a", Expr: &IntLit{Val: 1}}}},
 	}
-	same, changed := MapStmtsCOW(body, func(s Stmt) []Stmt { return []Stmt{s} })
+	same, changed := MapStmtsCOW(body, func(Stmt) ([]Stmt, bool) { return nil, true })
 	if changed || &same[0] != &body[0] {
 		t.Fatal("identity map did not share the input slice")
 	}
-	out, changed := MapStmtsCOW(body, func(s Stmt) []Stmt {
+	out, changed := MapStmtsCOW(body, func(s Stmt) ([]Stmt, bool) {
 		if u, ok := s.(*Update); ok && u.Label == "U1" {
-			return nil // delete
+			return nil, false // delete
 		}
-		return []Stmt{s}
+		return nil, true
 	})
 	if !changed || len(out) != 2 {
 		t.Fatalf("deletion produced %d stmts (changed=%t)", len(out), changed)
@@ -127,11 +127,11 @@ func TestMapStmtsCOWShares(t *testing.T) {
 		t.Error("untouched statements were copied, not shared")
 	}
 	// Nested deletion rebuilds the control wrapper but shares its Cond.
-	out2, changed := MapStmtsCOW(body, func(s Stmt) []Stmt {
+	out2, changed := MapStmtsCOW(body, func(s Stmt) ([]Stmt, bool) {
 		if _, ok := s.(*Skip); ok {
-			return nil
+			return nil, false
 		}
-		return []Stmt{s}
+		return nil, true
 	})
 	if !changed || len(out2) != 2 {
 		t.Fatalf("nested deletion produced %d stmts", len(out2))
@@ -166,5 +166,15 @@ func TestWithTxnShares(t *testing.T) {
 	}
 	if TxnIndex(p, "u") != 1 || TxnIndex(p, "nope") != -1 {
 		t.Fatal("TxnIndex wrong")
+	}
+}
+
+// TestMapStmtsCOWKeepAllocatesNothing: a callback that keeps every
+// statement, nested ones included, costs no allocation.
+func TestMapStmtsCOWKeepAllocatesNothing(t *testing.T) {
+	body := sampleTxn().Body
+	keep := func(Stmt) ([]Stmt, bool) { return nil, true }
+	if n := testing.AllocsPerRun(100, func() { MapStmtsCOW(body, keep) }); n != 0 {
+		t.Errorf("all-keep MapStmtsCOW allocates %.0f times, want 0", n)
 	}
 }

@@ -221,14 +221,7 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 	res := Result{
 		Committed: d.committed,
 		Aborted:   d.aborted,
-		Point: metrics.Point{
-			Clients:    cfg.Clients,
-			Throughput: float64(d.committed) / secs,
-			MeanMs:     float64(d.lat.Mean().Microseconds()) / 1000,
-			P50Ms:      float64(d.lat.Percentile(50).Microseconds()) / 1000,
-			P95Ms:      float64(d.lat.Percentile(95).Microseconds()) / 1000,
-			P99Ms:      float64(d.lat.Percentile(99).Microseconds()) / 1000,
-		},
+		Point:     d.lat.Point(cfg.Clients, float64(d.committed)/secs),
 	}
 	for _, r := range d.replicas {
 		res.Scans.Calls += r.state.scans.Calls

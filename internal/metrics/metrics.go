@@ -6,7 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -55,13 +55,27 @@ func (l *Latencies) Mean() time.Duration {
 
 // Percentile returns the p-th percentile (0 < p <= 100) from the reservoir.
 func (l *Latencies) Percentile(p float64) time.Duration {
-	if len(l.reservoir) == 0 {
+	sorted := slices.Clone(l.reservoir)
+	slices.Sort(sorted)
+	return percentile(sorted, p)
+}
+
+// Point summarizes the samples as one curve point: the mean and the 50th,
+// 95th and 99th percentiles, read from one sorted copy of the reservoir.
+func (l *Latencies) Point(clients int, throughput float64) Point {
+	sorted := slices.Clone(l.reservoir)
+	slices.Sort(sorted)
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	return Point{Clients: clients, Throughput: throughput, MeanMs: ms(l.Mean()),
+		P50Ms: ms(percentile(sorted, 50)), P95Ms: ms(percentile(sorted, 95)), P99Ms: ms(percentile(sorted, 99))}
+}
+
+// percentile returns the p-th percentile of sorted, 0 if it is empty.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), l.reservoir...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[int(p/100*float64(len(sorted)-1))]
 }
 
 // Point is one measurement of a throughput/latency curve.

@@ -108,3 +108,21 @@ func TestSeriesFormat(t *testing.T) {
 		t.Fatalf("Format output malformed:\n%s", out)
 	}
 }
+
+// TestPointReadsPercentiles: Point's fields are what Mean and Percentile
+// read, in milliseconds to the microsecond, from one sort.
+func TestPointReadsPercentiles(t *testing.T) {
+	l := NewLatencies(64, 3)
+	for i := 1; i <= 500; i++ {
+		l.Add(time.Duration(i*7919%1009) * time.Microsecond * 13)
+	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	want := Point{Clients: 4, Throughput: 2.5, MeanMs: ms(l.Mean()),
+		P50Ms: ms(l.Percentile(50)), P95Ms: ms(l.Percentile(95)), P99Ms: ms(l.Percentile(99))}
+	if got := l.Point(4, 2.5); got != want {
+		t.Errorf("Point = %+v, want %+v", got, want)
+	}
+	if got := NewLatencies(8, 1).Point(1, 0); got != (Point{Clients: 1}) {
+		t.Errorf("empty Point = %+v", got)
+	}
+}

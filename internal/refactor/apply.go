@@ -13,7 +13,15 @@ type Error struct {
 	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("refactor: %s: %s", e.Rule, e.Msg) }
+func (e *Error) Error() string { return "refactor: " + e.Rule + ": " + e.Msg }
+
+// AppendTo appends e.Error()'s text to dst.
+func (e *Error) AppendTo(dst []byte) []byte {
+	dst = append(dst, "refactor: "...)
+	dst = append(dst, e.Rule...)
+	dst = append(dst, ": "...)
+	return append(dst, e.Msg...)
+}
 
 func errf(rule, format string, args ...any) *Error {
 	return &Error{Rule: rule, Msg: fmt.Sprintf(format, args...)}
@@ -25,7 +33,7 @@ func IntroSchema(p *ast.Program, name string) (*ast.Program, error) {
 	if p.Schema(name) != nil {
 		return nil, errf("intro-schema", "schema %q already exists", name)
 	}
-	return cowIntroSchema(p, name), nil
+	return cowIntroSchema(p, &ast.Schema{Name: name}), nil
 }
 
 // IntroField implements the (intro ρ.f) rule: add a fresh field to an
@@ -48,8 +56,9 @@ func IntroField(p *ast.Program, table string, field ast.Field) (*ast.Program, er
 // (v.SrcTable, v.SrcField) to use (v.DstTable, v.DstField) per the
 // redirect rule (Agg = any) or logger rule (Agg = sum, Logging = true) of
 // Fig. 17. It validates the rule's side conditions (R1–R3 preconditions)
-// and returns a rewritten copy of the program, or an error describing the
-// failing condition.
+// on every transaction before it rewrites any, and returns a rewritten
+// copy of the program, or an error describing the first failing condition
+// in program order.
 func ApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 	src := p.Schema(v.SrcTable)
 	if src == nil {
@@ -295,7 +304,8 @@ func incrementDelta(x *ast.Update, v ValueCorr, t *ast.Txn) (ast.Expr, error) {
 // BuildLoggerSchema introduces the logging schema for (srcTable, srcField)
 // per §4.2.2 — primary key = source primary key + log_id, single value
 // field — and returns the extended program together with the logger
-// correspondence.
+// correspondence. The schema is built as one node, under the checks of
+// IntroSchema followed by one IntroField per field.
 func BuildLoggerSchema(p *ast.Program, srcTable, srcField string) (*ast.Program, ValueCorr, error) {
 	src := p.Schema(srcTable)
 	if src == nil {
@@ -309,31 +319,34 @@ func BuildLoggerSchema(p *ast.Program, srcTable, srcField string) (*ast.Program,
 		return nil, ValueCorr{}, errf("intro-schema", "logger rule requires an int field, %s.%s is %s", srcTable, srcField, f.Type)
 	}
 	logName := LogTableName(p, srcTable, srcField)
-	out, err := IntroSchema(p, logName)
-	if err != nil {
-		return nil, ValueCorr{}, err
+	if p.Schema(logName) != nil {
+		return nil, ValueCorr{}, errf("intro-schema", "schema %q already exists", logName)
 	}
-	theta := map[string]string{}
-	for _, pk := range src.PrimaryKey() {
-		out, err = IntroField(out, logName, ast.Field{Name: pk.Name, Type: pk.Type, PK: true})
-		if err != nil {
-			return nil, ValueCorr{}, err
-		}
+	pks := src.PrimaryKey()
+	valField := LogFieldName(srcField)
+	block := make([]ast.Field, 0, len(pks)+2)
+	theta := make(map[string]string, len(pks))
+	for _, pk := range pks {
+		block = append(block, ast.Field{Name: pk.Name, Type: pk.Type, PK: true})
 		theta[pk.Name] = pk.Name
 	}
-	out, err = IntroField(out, logName, ast.Field{Name: ast.LogIDField, Type: ast.TInt, PK: true})
-	if err != nil {
-		return nil, ValueCorr{}, err
-	}
-	valField := LogFieldName(srcField)
-	out, err = IntroField(out, logName, ast.Field{Name: valField, Type: ast.TInt})
-	if err != nil {
-		return nil, ValueCorr{}, err
+	block = append(block,
+		ast.Field{Name: ast.LogIDField, Type: ast.TInt, PK: true},
+		ast.Field{Name: valField, Type: ast.TInt})
+	fields := make([]*ast.Field, len(block))
+	for i := range block {
+		if slices.ContainsFunc(fields[:i], func(g *ast.Field) bool { return g.Name == block[i].Name }) {
+			return nil, ValueCorr{}, errf("intro-field", "schema %s already has field %q", logName, block[i].Name)
+		}
+		if i >= ast.MaxFields {
+			return nil, ValueCorr{}, errf("intro-field", "schema %s already has %d fields, the most a table may have", logName, i)
+		}
+		fields[i] = &block[i]
 	}
 	corr := ValueCorr{
 		SrcTable: srcTable, SrcField: srcField,
 		DstTable: logName, DstField: valField,
 		Theta: theta, Agg: ast.AggSum, Logging: true,
 	}
-	return out, corr, nil
+	return cowIntroSchema(p, &ast.Schema{Name: logName, Fields: fields}), corr, nil
 }

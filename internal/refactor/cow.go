@@ -17,11 +17,11 @@ import (
 // contract); pinned by the repaired-program golden and the sharing and
 // input-not-mutated tests in internal/repair and internal/refactor.
 
-func cowIntroSchema(p *ast.Program, name string) *ast.Program {
+// cowIntroSchema returns p with schema s appended.
+func cowIntroSchema(p *ast.Program, s *ast.Schema) *ast.Program {
 	schemas := make([]*ast.Schema, len(p.Schemas), len(p.Schemas)+1)
 	copy(schemas, p.Schemas)
-	schemas = append(schemas, &ast.Schema{Name: name})
-	return ast.WithSchemas(p, schemas)
+	return ast.WithSchemas(p, append(schemas, s))
 }
 
 func cowIntroField(p *ast.Program, table string, field ast.Field) *ast.Program {
@@ -40,30 +40,55 @@ func cowIntroField(p *ast.Program, table string, field ast.Field) *ast.Program {
 	return ast.WithSchemas(p, schemas)
 }
 
-// cowApplyCorr applies [[·]]_v to every transaction. A transaction with no
-// command on v.SrcTable is shared without a walk: validation and the
-// command rewrite act only on such commands, and the access rewrite only on
-// the variables their selects bind.
+// txnRewrite is a validated transaction ApplyCorr rewrites: its index and
+// the variables whose selects it redirects.
+type txnRewrite struct {
+	i          int
+	redirected map[string]bool
+}
+
+// cowApplyCorr applies [[·]]_v to every transaction. It validates them in
+// program order before it rewrites any, so a probe that fails validation
+// builds no transaction: a validated transaction always rewrites under
+// the redirect rule. Under the logger rule a rewrite can fail too, so the
+// transactions before the one that failed validation are rewritten first,
+// and the first failure in program order is the error. A transaction that
+// does not access (v.SrcTable, v.SrcField) is shared.
 func cowApplyCorr(p *ast.Program, src *ast.Schema, v ValueCorr) (*ast.Program, error) {
-	out := &ast.Program{Schemas: p.Schemas, Txns: make([]*ast.Txn, len(p.Txns))}
-	copy(out.Txns, p.Txns)
+	todo := make([]txnRewrite, 0, 8)
+	var verr error
 	for i, t := range p.Txns {
-		if !slices.ContainsFunc(t.Commands(), func(c ast.DBCommand) bool { return c.TableName() == v.SrcTable }) {
-			continue
+		redirected, touched, err := validateRewriteTxn(t, src, v)
+		if err != nil {
+			verr = err
+			break
 		}
-		nt, err := cowRewriteTxn(t, src, v)
+		if touched {
+			todo = append(todo, txnRewrite{i, redirected})
+		}
+	}
+	if verr != nil && !v.Logging {
+		return nil, verr
+	}
+	out := &ast.Program{Schemas: p.Schemas, Txns: slices.Clone(p.Txns)}
+	for _, w := range todo {
+		nt, err := cowRewriteTxn(p.Txns[w.i], src, v, w.redirected)
 		if err != nil {
 			return nil, err
 		}
-		out.Txns[i] = nt
+		out.Txns[w.i] = nt
+	}
+	if verr != nil {
+		return nil, verr
 	}
 	return out, nil
 }
 
-// cowRewriteTxn applies [[·]]_v to one transaction, sharing it when the
-// correspondence does not touch it; src is v.SrcTable's schema.
-func cowRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, error) {
-	nt, redirected, err := rewriteCommands(t, src, v)
+// cowRewriteTxn applies [[·]]_v to one transaction validateRewriteTxn
+// accepted, redirected being the variables it returned; src is
+// v.SrcTable's schema.
+func cowRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr, redirected map[string]bool) (*ast.Txn, error) {
+	nt, err := rewriteCommands(t, src, v)
 	// Without a redirected variable pass 3 has nothing to rewrite.
 	if err != nil || len(redirected) == 0 {
 		return nt, err
@@ -71,68 +96,55 @@ func cowRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, error) {
 	return rewriteRedirectedAccesses(nt, v, redirected)
 }
 
-// rewriteCommands is passes 1 and 2 of [[·]]_v on one transaction: it
-// validates the rule against t, rewrites t's commands on v.SrcTable, and
-// returns the variables whose selects it redirected.
-func rewriteCommands(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, map[string]bool, error) {
-	// Pass 1: validate and collect redirected variables. Pass 2 rewrites
-	// only commands that access the moved field, so without one it has
-	// nothing to do.
-	redirected, touched, err := validateRewriteTxn(t, src, v)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !touched {
-		return t, nil, nil
-	}
-
-	// Pass 2: rewrite the commands.
+// rewriteCommands is pass 2 of [[·]]_v on one transaction
+// validateRewriteTxn accepted: it rewrites t's commands on v.SrcTable
+// that access the moved field.
+func rewriteCommands(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, error) {
 	var rerr error
-	body, bodyChanged := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) []ast.Stmt {
+	body, bodyChanged := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
 		if rerr != nil {
-			return []ast.Stmt{s}
+			return nil, true
 		}
 		c, ok := s.(ast.DBCommand)
 		if !ok || c.TableName() != v.SrcTable {
-			return []ast.Stmt{s}
+			return nil, true
 		}
 		switch x := c.(type) {
 		case *ast.Select:
 			if len(x.Fields) != 1 || x.Fields[0] != v.SrcField {
-				return []ast.Stmt{s}
+				return nil, true
 			}
 			nw, err := redirectWhere(x, src, v)
 			if err != nil {
 				rerr = err
-				return []ast.Stmt{s}
+				return nil, true
 			}
 			return []ast.Stmt{&ast.Select{
 				Label: x.Label, Var: x.Var,
 				Fields: []string{v.DstField},
 				Table:  v.DstTable,
 				Where:  nw,
-			}}
+			}}, false
 		case *ast.Update:
 			if len(x.Sets) != 1 || x.Sets[0].Field != v.SrcField {
-				return []ast.Stmt{s}
+				return nil, true
 			}
 			ns, err := rewriteUpdate(x, src, v, t)
 			if err != nil {
 				rerr = err
-				return []ast.Stmt{s}
+				return nil, true
 			}
-			return []ast.Stmt{ns}
-		default:
-			return []ast.Stmt{s}
+			return []ast.Stmt{ns}, false
 		}
+		return nil, true
 	})
 	if rerr != nil {
-		return nil, nil, rerr
+		return nil, rerr
 	}
 	if bodyChanged {
-		return &ast.Txn{Name: t.Name, Params: t.Params, Body: body, Ret: t.Ret}, redirected, nil
+		return &ast.Txn{Name: t.Name, Params: t.Params, Body: body, Ret: t.Ret}, nil
 	}
-	return t, redirected, nil
+	return t, nil
 }
 
 // rewriteRedirectedAccesses is pass 3 of [[·]]_v: it rewrites accesses
@@ -156,18 +168,18 @@ func cowSplitUpdate(p *ast.Program, txn, label string, groups [][]string) (*ast.
 	t := p.Txns[ti]
 	var serr error
 	found := false
-	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) []ast.Stmt {
+	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
 		u, ok := s.(*ast.Update)
 		if !ok || u.Label != label {
-			return []ast.Stmt{s}
+			return nil, true
 		}
 		found = true
 		parts, err := splitUpdateParts(u, txn, label, groups)
 		if err != nil {
 			serr = err
-			return []ast.Stmt{s}
+			return nil, true
 		}
-		return parts
+		return parts, false
 	})
 	if serr != nil {
 		return nil, serr
@@ -188,23 +200,23 @@ func cowSplitSelect(p *ast.Program, txn, label string, groups [][]string) (*ast.
 	found := false
 	fieldVar := map[string]string{} // field -> new variable
 	var oldVar string
-	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) []ast.Stmt {
+	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
 		sel, ok := s.(*ast.Select)
 		if !ok || sel.Label != label {
-			return []ast.Stmt{s}
+			return nil, true
 		}
 		if sel.Star {
 			serr = errf("split", "%s.%s: cannot split SELECT *", txn, label)
-			return []ast.Stmt{s}
+			return nil, true
 		}
 		found = true
 		oldVar = sel.Var
 		parts, err := splitSelectParts(sel, txn, label, groups, fieldVar)
 		if err != nil {
 			serr = err
-			return []ast.Stmt{s}
+			return nil, true
 		}
-		return parts
+		return parts, false
 	})
 	if serr != nil {
 		return nil, serr
@@ -240,18 +252,18 @@ func cowMerge(p *ast.Program, txn, label1, label2 string, mergedWhere ast.Expr) 
 		repl = mergedUpdate(x1, x2, mergedWhere)
 	}
 
-	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) []ast.Stmt {
+	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
 		c, ok := s.(ast.DBCommand)
 		if !ok {
-			return []ast.Stmt{s}
+			return nil, true
 		}
 		switch c.CmdLabel() {
 		case label1:
-			return []ast.Stmt{repl}
+			return []ast.Stmt{repl}, false
 		case label2:
-			return nil
+			return nil, false
 		}
-		return []ast.Stmt{s}
+		return nil, true
 	})
 	nt := &ast.Txn{Name: t.Name, Params: t.Params, Body: body, Ret: t.Ret}
 	if rewriteVars != nil {
@@ -275,11 +287,9 @@ func cowRemoveDeadSelects(p *ast.Program) (*ast.Program, int) {
 			for _, label := range dead {
 				deadSet[label] = true
 			}
-			body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) []ast.Stmt {
-				if sel, ok := s.(*ast.Select); ok && deadSet[sel.Label] {
-					return nil
-				}
-				return []ast.Stmt{s}
+			body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
+				sel, ok := s.(*ast.Select)
+				return nil, !ok || !deadSet[sel.Label]
 			})
 			if out == p {
 				out = &ast.Program{Schemas: p.Schemas, Txns: make([]*ast.Txn, len(p.Txns))}
@@ -296,12 +306,19 @@ func cowRemoveDeadSelects(p *ast.Program) (*ast.Program, int) {
 }
 
 func cowGCSchemas(p *ast.Program, moved map[string]map[string]bool) (*ast.Program, []string) {
-	acc := accessedFields(p)
-	var kept []*ast.Schema
+	if len(moved) == 0 {
+		return p, nil
+	}
+	acc := accessedFields(p, moved)
+	kept := make([]*ast.Schema, 0, len(p.Schemas))
 	var removedTables []string
 	for _, s := range p.Schemas {
-		fields, used := acc[s.Name]
 		movedHere := moved[s.Name]
+		if len(movedHere) == 0 {
+			kept = append(kept, s)
+			continue
+		}
+		fields, used := acc[s.Name]
 		if gcDropsTable(s, used, movedHere) {
 			removedTables = append(removedTables, s.Name)
 			continue

@@ -50,42 +50,57 @@ func RemoveDeadSelects(p *ast.Program) (*ast.Program, int) {
 }
 
 // IsDeadSelect reports whether the select labelled label in txn is dead
-// code (used by try_logging to validate the repair).
+// code (used by try_logging to validate the repair): what DeadSelects
+// reports for that label, without collecting the others.
 func IsDeadSelect(p *ast.Program, txn, label string) bool {
 	t := p.Txn(txn)
 	if t == nil {
 		return false
 	}
-	for _, d := range DeadSelects(t) {
-		if d == label {
+	for _, c := range t.Commands() {
+		if sel, ok := c.(*ast.Select); ok && sel.Label == label && !readsVar(t, sel.Var) {
 			return true
 		}
 	}
 	return false
 }
 
-// accessedFields computes every (table, field) the program touches,
-// treating SELECT * as touching all of the table's declared fields.
-func accessedFields(p *ast.Program) map[string]map[string]bool {
-	acc := map[string]map[string]bool{}
-	touch := func(table, field string) {
-		if acc[table] == nil {
-			acc[table] = map[string]bool{}
+// readsVar reports whether an expression of t reads variable v through an
+// at or agg access.
+func readsVar(t *ast.Txn, v string) bool {
+	read := false
+	ast.WalkTxnExprs(t, func(x ast.Expr) bool {
+		switch a := x.(type) {
+		case *ast.FieldAt:
+			read = read || a.Var == v
+		case *ast.Agg:
+			read = read || a.Var == v
 		}
-		acc[table][field] = true
-	}
+		return !read
+	})
+	return read
+}
+
+// accessedFields computes every (table, field) the program touches on the
+// tables named in tables, treating SELECT * as touching all of the
+// table's declared fields.
+func accessedFields(p *ast.Program, tables map[string]map[string]bool) map[string]map[string]bool {
+	acc := map[string]map[string]bool{}
 	for _, t := range p.Txns {
 		for _, c := range t.Commands() {
-			schema := p.Schema(c.TableName())
-			a := ast.CommandAccess(c, schema)
+			table := c.TableName()
+			if _, ok := tables[table]; !ok {
+				continue
+			}
+			if acc[table] == nil {
+				acc[table] = map[string]bool{}
+			}
+			a := ast.CommandAccess(c, p.Schema(table))
 			for _, f := range a.Reads {
-				touch(c.TableName(), f)
+				acc[table][f] = true
 			}
 			for _, f := range a.Writes {
-				touch(c.TableName(), f)
-			}
-			if acc[c.TableName()] == nil {
-				acc[c.TableName()] = map[string]bool{}
+				acc[table][f] = true
 			}
 		}
 	}
@@ -100,8 +115,8 @@ func accessedFields(p *ast.Program) map[string]map[string]bool {
 // (Fig. 3 drops COURSE and EMAIL). Fields and tables that are merely
 // unread keep their data: dropping them would lose information and break
 // the containment relation. It returns the collected program — sharing
-// every surviving schema and all transactions with p — and the removed
-// table names.
+// every surviving schema and all transactions with p, p itself when
+// nothing moved — and the removed table names.
 func GCSchemas(p *ast.Program, moved map[string]map[string]bool) (*ast.Program, []string) {
 	return cowGCSchemas(p, moved)
 }

@@ -81,12 +81,16 @@ func corrProbes(p *ast.Program, fn func(p *ast.Program, v ValueCorr)) {
 }
 
 // applyCorrEveryTxn is ApplyCorr without its scope: all three passes on
-// every transaction.
+// every transaction, one transaction after the other.
 func applyCorrEveryTxn(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 	src := p.Schema(v.SrcTable)
 	out := &ast.Program{Schemas: p.Schemas, Txns: make([]*ast.Txn, len(p.Txns))}
 	for i, t := range p.Txns {
-		nt, redirected, err := rewriteCommands(t, src, v)
+		redirected, _, err := validateRewriteTxn(t, src, v)
+		if err != nil {
+			return nil, err
+		}
+		nt, err := rewriteCommands(t, src, v)
 		if err != nil {
 			return nil, err
 		}

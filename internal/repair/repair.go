@@ -11,6 +11,7 @@ package repair
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -93,11 +94,27 @@ func (r *Result) endPairStep(repaired bool) {
 	r.Steps = append(r.Steps, string(step))
 }
 
-// outcome appends a repair attempt's description to the step buffer and
-// returns ok.
-func (r *Result) outcome(ok bool, format string, args ...any) bool {
-	r.stepBuf = fmt.Appendf(r.stepBuf, format, args...)
+// outcome appends a repair attempt's description, the concatenation of
+// desc, to the step buffer and returns ok.
+func (r *Result) outcome(ok bool, desc ...string) bool {
+	for _, d := range desc {
+		r.stepBuf = append(r.stepBuf, d...)
+	}
 	return ok
+}
+
+// failed appends "what (err)" to the step buffer, why a rule did not
+// apply, and returns false.
+func (r *Result) failed(what string, err error) bool {
+	r.stepBuf = append(append(r.stepBuf, what...), " ("...)
+	// A rule's own error appends its text without building the string.
+	if re, ok := err.(*refactor.Error); ok {
+		r.stepBuf = re.AppendTo(r.stepBuf)
+	} else {
+		r.stepBuf = append(r.stepBuf, err.Error()...)
+	}
+	r.stepBuf = append(r.stepBuf, ')')
+	return false
 }
 
 // RepairedCount returns how many of the initial pairs were eliminated.
@@ -632,18 +649,18 @@ func tryRepair(p *ast.Program, pair anomaly.AccessPair, res *Result, logs *loggi
 	if sameKind(c1, c2) {
 		if c1.TableName() == c2.TableName() {
 			if np, err := refactor.Merge(p, pair.Txn, pair.C1, pair.C2); err == nil {
-				return np, res.outcome(true, "merged %s and %s", pair.C1, pair.C2)
+				return np, res.outcome(true, "merged ", pair.C1, " and ", pair.C2)
 			} else {
-				res.outcome(false, "merge failed (%v)", err)
+				res.failed("merge failed", err)
 				return tryLogging(p, pair, desc, res, logs)
 			}
 		}
 		if np, corr, err := tryRedirect(p, t, c1, c2); err == nil {
 			if np2, err2 := refactor.Merge(np, pair.Txn, pair.C1, pair.C2); err2 == nil {
 				res.Corrs = append(res.Corrs, corr)
-				return np2, res.outcome(true, "redirected via %s then merged", corr)
+				return np2, res.outcome(true, "redirected via ", corr.String(), " then merged")
 			} else {
-				res.outcome(false, "post-redirect merge failed (%v)", err2)
+				res.failed("post-redirect merge failed", err2)
 				return tryLogging(p, pair, desc, res, logs)
 			}
 		}
@@ -667,6 +684,10 @@ func sameKind(a, b ast.DBCommand) bool {
 	return false
 }
 
+// errNotRedirectable is tryRedirect's own failure: the pair loop reads only
+// that the attempt failed, so it carries no detail.
+var errNotRedirectable = errors.New("repair: the commands are not redirectable")
+
 // tryRedirect implements the redirect attempt of Fig. 10 line 5: introduce
 // a value correspondence moving c2's field into c1's schema, deriving the
 // record correspondence θ̂ from the commands' where clauses (§5: "by
@@ -678,7 +699,7 @@ func tryRedirect(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand) (*ast.Program
 	srcSchema := p.Schema(srcTable)
 	dstSchema := p.Schema(dstTable)
 	if srcSchema == nil || dstSchema == nil {
-		return nil, refactor.ValueCorr{}, fmt.Errorf("repair: unknown schema")
+		return nil, refactor.ValueCorr{}, errNotRedirectable
 	}
 	srcField, err := singleField(c2)
 	if err != nil {
@@ -706,23 +727,20 @@ func tryRedirect(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand) (*ast.Program
 	return np, corr, nil
 }
 
-// singleField returns the unique field a (post-preprocessing) command
-// accesses, or an error if the command touches several.
+// singleField returns the unique field a (post-preprocessing) select or
+// update accesses, or errNotRedirectable.
 func singleField(c ast.DBCommand) (string, error) {
 	switch x := c.(type) {
 	case *ast.Select:
-		if x.Star || len(x.Fields) != 1 {
-			return "", fmt.Errorf("repair: %s accesses multiple fields", x.Label)
+		if !x.Star && len(x.Fields) == 1 {
+			return x.Fields[0], nil
 		}
-		return x.Fields[0], nil
 	case *ast.Update:
-		if len(x.Sets) != 1 {
-			return "", fmt.Errorf("repair: %s sets multiple fields", x.Label)
+		if len(x.Sets) == 1 {
+			return x.Sets[0].Field, nil
 		}
-		return x.Sets[0].Field, nil
-	default:
-		return "", fmt.Errorf("repair: %s is not redirectable", c.CmdLabel())
 	}
+	return "", errNotRedirectable
 }
 
 // deriveTheta maps each primary-key field of c2's schema to a field of
@@ -731,10 +749,13 @@ func singleField(c ast.DBCommand) (string, error) {
 //	(a) the pin is x.g where x was selected from c1's table — θ̂(f) = g;
 //	(b) c1 is an update setting g = e and the pin equals e — θ̂(f) = g;
 //	(c) c1's where pins its own key field g to the same expression — θ̂(f) = g.
+//
+// It returns errNotRedirectable when c2's where clause is not a key
+// equality conjunction or a key field matches no pattern.
 func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, dstSchema *ast.Schema) (map[string]string, error) {
 	pins, ok := ast.CommandWellFormed(c2, srcSchema)
 	if !ok {
-		return nil, fmt.Errorf("repair: %s: where clause is not a primary-key equality conjunction", c2.CmdLabel())
+		return nil, errNotRedirectable
 	}
 	theta := map[string]string{}
 	for _, pk := range srcSchema.PrimaryKey() {
@@ -769,11 +790,8 @@ func deriveTheta(p *ast.Program, t *ast.Txn, c1, c2 ast.DBCommand, srcSchema, ds
 				}
 			}
 		}
-		if g == "" {
-			return nil, fmt.Errorf("repair: cannot relate %s.%s to a field of %s", srcSchema.Name, pk.Name, dstSchema.Name)
-		}
-		if dstSchema.Field(g) == nil {
-			return nil, fmt.Errorf("repair: derived θ̂ field %s.%s does not exist", dstSchema.Name, g)
+		if g == "" || dstSchema.Field(g) == nil {
+			return nil, errNotRedirectable
 		}
 		theta[pk.Name] = g
 	}
@@ -809,14 +827,14 @@ func tryLogging(p *ast.Program, pair anomaly.AccessPair, desc int, res *Result, 
 	field := upd.Sets[0].Field
 	np, corr, err := logs.logged(p, upd.Table, field)
 	if err != nil {
-		return p, res.outcome(false, "; logging failed (%v)", err)
+		return p, res.failed("; logging failed", err)
 	}
 	if !refactor.IsDeadSelect(np, pair.Txn, sel.Label) {
 		return p, res.outcome(false, "; logging left the select live")
 	}
 	res.Corrs = append(res.Corrs, corr)
 	res.stepBuf = res.stepBuf[:desc]
-	return np, res.outcome(true, "logged %s.%s via %s", upd.Table, field, corr.DstTable)
+	return np, res.outcome(true, "logged ", upd.Table, ".", field, " via ", corr.DstTable)
 }
 
 // loggingMemo remembers, for one repair run, the logger rule's outcome on
