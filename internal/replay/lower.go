@@ -165,8 +165,6 @@ type classInfo struct {
 	val    store.Value
 	hasVal bool
 	uuid   bool
-	// args lists (instance, parameter) identities pinned to this class.
-	args [][2]interface{}
 }
 
 // argKey identifies one instance's parameter.
@@ -241,14 +239,13 @@ type profile struct {
 	boolVal  bool
 }
 
-// profiles is the attempt ladder: balanced defaults first, then large
-// arguments (overdraft-style guards), then each with false booleans
+// profiles is the attempt ladder's outer loop: balanced defaults first,
+// then large arguments (overdraft-style guards), then false booleans
 // (not-yet-processed-style guards).
 var profiles = []profile{
 	{argInt: 1, fieldInt: 100, boolVal: true},
 	{argInt: 1000, fieldInt: 100, boolVal: true},
 	{argInt: 1, fieldInt: 100, boolVal: false},
-	{argInt: 1000, fieldInt: 100, boolVal: false},
 }
 
 func (p profile) defaultValue(t ast.Type, field bool) store.Value {
@@ -796,61 +793,17 @@ func lowerProjected(prog *ast.Program, sched *anomaly.Schedule, orig *lowered) (
 	return low, ""
 }
 
-// minimalVis replaces a lowered configuration's visibility with exactly
-// what the model's two cycle edges require: true for each wr edge's
-// (writer → reader) entry, false everywhere else (rw edges require absence,
-// ww edges only order). The model's remaining vis entries are not needed
-// by the cycle — free for the replayer — and an all-closed default keeps
-// both instances reading the seeded state, so key expressions derived from
-// reads evaluate identically on both sides.
-func minimalVis(low *lowered, sched *anomaly.Schedule) cluster.DirectedConfig {
-	type entry struct{ from, to instItem }
-	var wants []entry
-	for _, e := range []anomaly.SchedEdge{sched.Edge1, sched.Edge2} {
-		if e.Kind != anomaly.EdgeWR {
-			continue
-		}
-		fi, fc := sched.ItemAt(e.From)
-		ti, tc := sched.ItemAt(e.To)
-		wants = append(wants, entry{instItem{fi, fc}, instItem{ti, tc}})
-	}
-	cfg := low.Cfg
-	cfg.Vis = func(fi, fc, ti, tc int) bool {
-		for _, w := range wants {
-			if w.from == (instItem{fi, fc}) && w.to == (instItem{ti, tc}) {
-				return true
-			}
-		}
-		return false
-	}
-	return cfg
-}
-
-// splitMode selects a canonical interleaving template's visibility shape.
-type splitMode int
-
-const (
-	// splitHidden: neither instance sees the other — lost-update and
-	// write-skew shapes (conflicts manifest as ww/rw).
-	splitHidden splitMode = iota
-	// splitPrefixVis: B sees A's commands up to and including c1 — the
-	// dirty-read shape (B observes A's intermediate state).
-	splitPrefixVis
-	// splitTailVis: A's commands after c1 see all of B — the
-	// non-repeatable-read shape (A re-reads state B changed in between).
-	splitTailVis
-	// splitBothVis: both of the above.
-	splitBothVis
-)
-
 // splitConfig builds the canonical interleaving for an access pair: A runs
 // through its command i1, then all of B, then the rest of A. With the
 // pair's two commands on opposite sides of B, every conflict between them
 // and B's commands realizes a cycle through the pair — the non-atomic
 // visibility the pair claims — while all key reads resolve against the
-// seeded state (plus the granted views), sidestepping data-flow divergence
-// the exact model schedule can force.
-func splitConfig(low *lowered, i1 int, mode splitMode) cluster.DirectedConfig {
+// seeded state (plus the granted view), sidestepping data-flow divergence
+// the exact model schedule can force. Without tailVis neither instance sees
+// the other (lost-update and write-skew shapes: conflicts manifest as
+// ww/rw); with it A's commands after i1 see all of B (the
+// non-repeatable-read shape: A re-reads state B changed in between).
+func splitConfig(low *lowered, i1 int, tailVis bool) cluster.DirectedConfig {
 	cfg := low.Cfg
 	cfg.Steps = nil
 	nA, nB := low.nCmds[0], low.nCmds[1]
@@ -863,19 +816,8 @@ func splitConfig(low *lowered, i1 int, mode splitMode) cluster.DirectedConfig {
 	for c := i1 + 1; c < nA; c++ {
 		cfg.Steps = append(cfg.Steps, cluster.DirectedStep{Inst: 0, Cmd: c})
 	}
-	cfg.Vis = func(fi, fc, ti, tc int) bool {
-		prefix := fi == 0 && ti == 1 && fc <= i1
-		tail := fi == 1 && ti == 0 && tc > i1
-		switch mode {
-		case splitPrefixVis:
-			return prefix
-		case splitTailVis:
-			return tail
-		case splitBothVis:
-			return prefix || tail
-		default:
-			return false
-		}
+	cfg.Vis = func(fi, _, ti, tc int) bool {
+		return tailVis && fi == 1 && ti == 0 && tc > i1
 	}
 	return cfg
 }
