@@ -94,11 +94,11 @@ func Analyze(ctx context.Context, p *Program, m Model) (*AnomalyReport, error) {
 	return anomaly.NewSession(m).DetectContext(ctx, p)
 }
 
-// DetectSession is the anomaly oracle: it fingerprints transactions and
-// memoizes decided cycle queries and whole reports, so detecting across a
+// DetectSession is the anomaly oracle: it memoizes decided cycle queries,
+// transactions' command facts and whole reports, so detecting across a
 // sequence of related programs (the repair pipeline, an editing loop) only
-// re-decides what actually changed, and a program seen before is one
-// lookup. What it reports never depends on what it remembers; its
+// re-decides the queries that actually changed, and a program seen before
+// is one lookup. What it reports never depends on what it remembers; its
 // reports' pairs are shared with its memo and read-only.
 type DetectSession = anomaly.DetectSession
 

@@ -165,9 +165,8 @@ func BenchmarkDetect_TPCC(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionWarmDetect measures a fully warm incremental pass: every
-// transaction fingerprint hits, so this is the session's bookkeeping
-// floor.
+// BenchmarkSessionWarmDetect measures a fully warm incremental pass: the
+// report memo answers it, so this is the session's bookkeeping floor.
 func BenchmarkSessionWarmDetect(b *testing.B) {
 	prog, err := benchmarks.SmallBank.Program()
 	if err != nil {

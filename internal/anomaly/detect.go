@@ -19,9 +19,9 @@ type detector struct {
 	sm smallModel
 }
 
-// detect decides transaction i, a fingerprint miss, into o: its pairs
-// are left at the end of the pass's found, the queries counted.
-func (d *detector) detect(i int, o *outcome) error {
+// detect decides transaction i: its pairs are appended to the pass's
+// found, its queries counted.
+func (d *detector) detect(i int) error {
 	if err := d.ctx.Err(); err != nil {
 		return err
 	}
@@ -29,12 +29,8 @@ func (d *detector) detect(i int, o *outcome) error {
 	if err != nil {
 		return err
 	}
-	issued, lo := d.issued, len(d.pass.found)
-	if _, err := d.detectTxn(plans); err != nil {
-		return err
-	}
-	o.detected, o.issued, o.lo, o.hi = true, d.issued-issued, lo, len(d.pass.found)
-	return nil
+	_, err = d.detectTxn(plans)
+	return err
 }
 
 // detectTxn finds the anomalous access pairs of the transaction planned

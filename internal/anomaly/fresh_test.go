@@ -71,7 +71,7 @@ func sameVerdict(t *testing.T, what string, got, want *Report) {
 // rests on: a new session's first pass reports exactly what the cache-free
 // reference does, over the nine benchmarks and the generated corpus, under
 // every weak model — and so does its
-// second pass, answered wholly from the transaction memo (Solved 0).
+// second pass, answered wholly from the report memo (Solved 0).
 func TestColdSessionEqualsFreshOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential; skipped with -short")

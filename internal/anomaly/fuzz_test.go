@@ -14,7 +14,7 @@ import (
 // reference on the same program, under every weak model — on its first
 // pass, again from its caches, through an edit: transaction k dropped,
 // then restored, with its schemas reordered behind a new first table,
-// where every transaction hits and the report does not, and then with
+// where every query hits the query memo and the report misses, and then with
 // another transaction dropped, where plans read back facts built under
 // other table indices. Each program is detected twice, the second time
 // from the report memo. The nightly CI job runs this target (see

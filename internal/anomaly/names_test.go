@@ -55,7 +55,7 @@ func TestStoredNamesOwnNoSource(t *testing.T) {
 			if _, err := s.Detect(prog); err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, model, err)
 			}
-			for _, e := range s.txns {
+			for _, e := range s.reports {
 				for _, p := range e.pairs {
 					pairs++
 					names := append([]string{p.Txn, p.C1, p.C2, p.Witness.Txn, p.Witness.D1, p.Witness.D2}, p.F1...)

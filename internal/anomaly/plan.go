@@ -135,14 +135,11 @@ type pass struct {
 // stores points into it.
 type scratch struct {
 	// Per transaction: the tables it touches (schema indices, carved from
-	// tableIDs), its structural hash (ast.HashTxn), the digest of those
-	// tables' schemas, and its facts (nil until first needed).
+	// tableIDs), its structural hash (ast.HashTxn), and its facts (nil
+	// until first needed).
 	tables [][]int32
 	hashes []uint64
-	slices []uint64
 	facts  []*txnFacts
-	// outcomes are DetectContext's, one per transaction.
-	outcomes []outcome
 	// Per schema: its ast.HashSchema, and its layout (nil until first
 	// needed).
 	schemas []uint64
@@ -161,51 +158,19 @@ type scratch struct {
 	queries map[memoKey]cycleResult
 }
 
-// outcome is one transaction's detection outcome in a pass: a stored
-// entry's pairs, or, if detected by this pass, found[lo:hi].
-type outcome struct {
-	fp       uint64
-	pairs    []AccessPair
-	lo, hi   int
-	issued   int
-	detected bool
-}
-
-// in returns o's pairs, found being its pass's.
-func (o *outcome) in(found []AccessPair) []AccessPair {
-	if o.detected {
-		return found[o.lo:o.hi]
-	}
-	return o.pairs
-}
-
-// gather copies the pairs of outs into one new array, in order, and
-// points each outcome's pairs at its capacity-clipped part of the array,
-// which it returns (len = cap; nil if empty). The fields of the pairs the
-// pass found move out of its scratch into one new block first.
-func (p *pass) gather(outs []outcome) []AccessPair {
-	if len(p.names) > 0 {
-		blk := make([]string, 0, len(p.names))
-		for i := range p.found {
-			a := &p.found[i]
-			a.F1, blk = own(blk, a.F1)
-			a.F2, blk = own(blk, a.F2)
-		}
-		p.names = p.names[:0]
-	}
-	n := 0
-	for i := range outs {
-		n += len(outs[i].in(p.found))
-	}
-	if n == 0 {
+// gather copies the pairs the pass found into one new array, in order
+// (len = cap; nil if none), and their fields out of the pass's scratch
+// into one new block.
+func (p *pass) gather() []AccessPair {
+	if len(p.found) == 0 {
 		return nil
 	}
-	arr := make([]AccessPair, 0, n)
-	for i := range outs {
-		o := &outs[i]
-		lo := len(arr)
-		arr = append(arr, o.in(p.found)...)
-		o.pairs = arr[lo:len(arr):len(arr)]
+	arr := make([]AccessPair, len(p.found))
+	blk := make([]string, 0, len(p.names))
+	for i, a := range p.found {
+		a.F1, blk = own(blk, a.F1)
+		a.F2, blk = own(blk, a.F2)
+		arr[i] = a
 	}
 	return arr
 }
@@ -232,7 +197,6 @@ func zeroed[T any](s []T, n int) []T {
 func (p *pass) done() {
 	clear(p.facts)
 	clear(p.layouts)
-	clear(p.outcomes)
 	clear(p.found)
 	clear(p.names[:cap(p.names)])
 	clear(p.queries)
@@ -248,7 +212,7 @@ type pin struct {
 func newPass(prog *ast.Program, model Model) *pass {
 	n, ns := len(prog.Txns), len(prog.Schemas)
 	p := &pass{prog: prog, model: model, scratch: scratchPool.Get().(*scratch)}
-	p.tables, p.hashes, p.slices, p.facts = zeroed(p.tables, n), zeroed(p.hashes, n), zeroed(p.slices, n), zeroed(p.facts, n)
+	p.tables, p.hashes, p.facts = zeroed(p.tables, n), zeroed(p.hashes, n), zeroed(p.facts, n)
 	p.schemas, p.layouts = zeroed(p.schemas, ns), zeroed(p.layouts, ns)
 	p.tableIDs, p.found, p.names = p.tableIDs[:0], p.found[:0], p.names[:0]
 	for s, schema := range prog.Schemas {
@@ -256,16 +220,13 @@ func newPass(prog *ast.Program, model Model) *pass {
 	}
 	// The hashes are memoized on the transaction nodes, and the refactoring
 	// engine is copy-on-write, so a transaction an edit or a refactoring
-	// step did not touch keeps its node and hashes in one atomic load. The
-	// slice digest is a sum, so the order the tables are met in is not
-	// part of it.
+	// step did not touch keeps its node and hashes in one atomic load.
 	for i, t := range prog.Txns {
 		p.hashes[i] = ast.HashTxn(t)
 		lo := len(p.tableIDs)
 		for _, c := range t.Commands() {
 			if k := int32(p.schemaIndex(c.TableName())); k >= 0 && !slices.Contains(p.tableIDs[lo:], k) {
 				p.tableIDs = append(p.tableIDs, k)
-				p.slices[i] += p.schemas[k]
 			}
 		}
 		p.tables[i] = p.tableIDs[lo:len(p.tableIDs):len(p.tableIDs)]
@@ -315,28 +276,10 @@ func newLayout(schema *ast.Schema) layout {
 	return slices.Compact(l)
 }
 
-// fingerprint digests everything transaction i's detection outcome can
-// depend on: the model, its structural hash, and the hash of every
-// potential witness (a transaction touching at least one common table, in
-// program order — the first satisfiable witness is the one reported),
-// each with the schema-slice digest of the tables it touches, which
-// together cover every table either side can read a schema of.
-// Transactions sharing no table with it cannot contribute a dependency
-// edge and are excluded, so editing them does not invalidate i.
-func (p *pass) fingerprint(i int) uint64 {
-	h := ast.NewHasher().Uint(uint64(p.model)).Uint(p.hashes[i]).Uint(p.slices[i])
-	for j := range p.prog.Txns {
-		if sharesTable(p.tables[i], p.tables[j]) {
-			h = h.Uint(p.hashes[j]).Uint(p.slices[j])
-		}
-	}
-	return h.Sum()
-}
-
 // factsKey digests everything transaction i's facts depend on: its
 // structural hash and, for each table it touches, the table's schema
 // index and schema hash. Facts name tables by index, and indices are per
-// program, so the slice digest, a sum over schemas, is not enough.
+// program, so the schema hashes alone are not enough.
 func (p *pass) factsKey(i int) uint64 {
 	h := ast.NewHasher().Uint(p.hashes[i])
 	for _, k := range p.tables[i] {

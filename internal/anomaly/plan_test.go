@@ -250,8 +250,7 @@ func (c *pollCancel) Err() error {
 
 // TestAbortMidDetectionCachesNothing: a cancellation that arrives between
 // cycle queries aborts the detection with the context's error — fresh and
-// through a session — and leaves no transaction outcome in
-// the session's memo.
+// through a session — and leaves no report in the session's memo.
 func TestAbortMidDetectionCachesNothing(t *testing.T) {
 	prog := mustProg(t, courseware)
 	for _, fresh := range []bool{true, false} {
@@ -263,9 +262,8 @@ func TestAbortMidDetectionCachesNothing(t *testing.T) {
 		}
 	}
 
-	// A session whose first pass was cancelled cached no transaction of
-	// it: the next pass reports what a fresh detection does and counts no
-	// transaction hit.
+	// A session whose first pass was cancelled stored no report of it:
+	// the next pass reports what a fresh detection does.
 	s := NewSession(EC)
 	ctx := newPollCancel(2)
 	defer ctx.cancel()
@@ -284,38 +282,42 @@ func TestAbortMidDetectionCachesNothing(t *testing.T) {
 		t.Errorf("pass after a cancelled one: %d pairs / %d queries, fresh %d / %d",
 			len(got.Pairs), got.Queries, len(want.Pairs), want.Queries)
 	}
-	if st := s.Stats(); st.TxnHits != 0 || st.QueryHits != got.Queries-got.Solved {
+	if st := s.Stats(); st.QueryHits != got.Queries-got.Solved {
 		t.Errorf("stats after a cancelled pass: %+v (report: %d queries, %d solved)", st, got.Queries, got.Solved)
 	}
 }
 
-// TestCancelledPassKeepsCompletedTxns: a new session's pass cancelled
-// after k of its transactions keeps their outcomes and no report, so a
-// retry hits those k, misses the rest and reports what a fresh detection
-// does.
-func TestCancelledPassKeepsCompletedTxns(t *testing.T) {
+// TestCancelledPassKeepsDecidedQueries: a new session's pass cancelled
+// before transaction k keeps the answers it decided and no report, so a
+// retry decides no query twice. The cancelled pass's Solved, the answers
+// it left in the memo, is what a memo-attached pass decides over
+// transactions 0 to k-1; that plus the retry's Solved is the fresh
+// detection's, and the retry reports what a fresh detection does.
+func TestCancelledPassKeepsDecidedQueries(t *testing.T) {
 	prog := mustProg(t, courseware)
 	want, err := FreshDetect(prog, EC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// before[k] counts the Err polls a new session's pass makes before
-	// transaction k: one before each transaction, one per query.
-	d := &detector{pass: newPass(prog, EC), ctx: context.Background()}
-	before, polls := make([]int64, len(prog.Txns)), int64(0)
-	for ti := range prog.Txns {
-		before[ti] = polls
-		witnesses, err := d.pass.witnessesOf(ti)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// transaction k: one before each transaction, one per query; solved[k]
+	// the queries it decides before transaction k.
+	n := len(prog.Txns)
+	p := newPass(prog, EC)
+	defer p.done()
+	d := &detector{pass: p, session: NewSession(EC), ctx: context.Background()}
+	before, solved, polls := make([]int64, n), make([]int, n), int64(0)
+	for ti := range n {
+		before[ti], solved[ti] = polls, d.solved
 		issued := d.issued
-		if _, err := d.detectTxn(witnesses); err != nil {
+		if err := d.detect(ti); err != nil {
 			t.Fatal(err)
 		}
 		polls += 1 + int64(d.issued-issued)
 	}
-	n := len(prog.Txns)
+	if d.solved != want.Solved || solved[n-1] == 0 {
+		t.Fatalf("a memo-attached pass solved %d queries, %d before the last transaction; want fresh's %d, and some before", d.solved, solved[n-1], want.Solved)
+	}
 	for k := range n {
 		s := NewSession(EC)
 		ctx := newPollCancel(before[k] + 1) // trips on transaction k's poll
@@ -324,16 +326,16 @@ func TestCancelledPassKeepsCompletedTxns(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: cancelled pass = %v, want context.Canceled", k, err)
 		}
-		if st := s.Stats(); st.TxnHits != 0 || st.TxnMisses != k+1 || st.Queries != 0 {
-			t.Errorf("k=%d: stats after the cancelled pass %+v; want 0 hits, %d misses, 0 queries", k, st, k+1)
+		if st := s.Stats(); st.Queries != 0 || len(s.queries) != solved[k] {
+			t.Errorf("k=%d: after the cancelled pass, stats %+v and %d stored answers; want 0 queries and %d answers", k, st, len(s.queries), solved[k])
 		}
 		got, err := s.Detect(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameVerdict(t, fmt.Sprintf("k=%d retry", k), got, want)
-		if st := s.Stats(); st.TxnHits != k || st.TxnMisses != k+1+n-k {
-			t.Errorf("k=%d: retry hit %d and missed %d transactions; want %d and %d", k, st.TxnHits, st.TxnMisses-k-1, k, n-k)
+		if solved[k]+got.Solved != want.Solved {
+			t.Errorf("k=%d: the cancelled pass solved %d, the retry %d; want %d together", k, solved[k], got.Solved, want.Solved)
 		}
 	}
 }

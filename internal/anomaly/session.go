@@ -3,7 +3,6 @@ package anomaly
 import (
 	"context"
 	"maps"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -23,16 +22,11 @@ import (
 //   - Program level: each detected program's report pairs and query
 //     count, keyed by ast.HashProgram, so a program seen before costs one
 //     hash and one lookup.
-//   - Transaction level: each transaction's detection outcome is keyed by a
-//     fingerprint of everything it can depend on — the transaction's own
-//     text, the text of every witness transaction touching an overlapping
-//     table, the schemas of every table either side touches, and the
-//     consistency model. A re-detection after a refactoring therefore only
-//     re-examines transactions whose code or relevant schema slice changed.
 //   - Query level: each cycle query's answer is keyed by its plan's content
 //     (pairPlan.contentKey) and the query's four item indices. An answer
 //     is a function of exactly that, so identically shaped pairs — across
-//     detection passes or within one — share it.
+//     detection passes or within one — share it, and a re-detection after
+//     a refactoring decides only the queries the refactoring changed.
 //   - Below both, each transaction's command facts are kept under its
 //     structural hash and its tables' schemas and indices (pass.factsKey),
 //     and each table's layout under its schema hash, so a pass plans an
@@ -48,24 +42,22 @@ type DetectSession struct {
 	model Model
 
 	mu      sync.Mutex
-	txns    map[uint64]txnEntry
-	reports map[uint64]txnEntry // by ast.HashProgram
+	reports map[uint64]reportEntry // by ast.HashProgram
 	queries map[memoKey]cycleResult
 	facts   map[uint64]*txnFacts
 	layouts map[uint64]layout
-	pairs   int // stored in txns
 	held    int // bytes of the facts, layouts, reports and pair arrays
 	stats   SessionStats
 }
 
-// txnEntry is a stored outcome: one transaction's, or a whole program's
-// report. Its pairs are a capacity-clipped part of a pass's one array
-// (pass.gather), shared with the reports that pass returned: read-only.
-type txnEntry struct {
+// reportEntry is a stored report. Its pairs are the array of the pass that
+// detected the program (pass.gather), shared with the report that pass
+// returned: read-only.
+type reportEntry struct {
 	pairs []AccessPair
-	// issued is the number of cycle queries the transaction's detection
-	// asked; replayed into the stats on a hit so Queries always reflects
-	// the work a fresh detector would have done.
+	// issued is the number of cycle queries the detection asked; replayed
+	// into the stats on a hit so Queries always reflects the work a fresh
+	// detector would have done.
 	issued int
 }
 
@@ -90,11 +82,13 @@ type SessionStats struct {
 	Replayed int
 	// QueryHits counts queries answered from the query memo.
 	QueryHits int
-	// TxnHits / TxnMisses count transaction-level fingerprint outcomes.
+	// TxnHits and TxnMisses are always 0. They counted the hits and misses
+	// of a per-transaction memo; bench/layers.go is their last reader, and
+	// they go with the next change to the benchmark.
 	TxnHits   int
 	TxnMisses int
-	// EncodersPlanned counts the (txn, witness) pair plans computed for
-	// cache-missing transactions.
+	// EncodersPlanned counts the (txn, witness) pair plans computed by
+	// passes the report memo did not answer.
 	EncodersPlanned int
 }
 
@@ -111,8 +105,7 @@ func (s SessionStats) CacheHitRate() float64 {
 func NewSession(model Model) *DetectSession {
 	return &DetectSession{
 		model:   model,
-		txns:    map[uint64]txnEntry{},
-		reports: map[uint64]txnEntry{},
+		reports: map[uint64]reportEntry{},
 		facts:   map[uint64]*txnFacts{},
 		layouts: map[uint64]layout{},
 	}
@@ -135,19 +128,17 @@ func (s *DetectSession) Stats() SessionStats {
 }
 
 // Size estimates the heap the session's memo holds, in O(1), from its
-// entry counts and the bytes of its facts, layouts, reports and pair
-// arrays. A stored pair is charged its field names; its place in a pass's
-// array is charged with the array. DESIGN.md §12, "Retained memory",
-// gives the measured sizes.
+// query count and the bytes of its facts, layouts, reports and pair
+// arrays. DESIGN.md §12, "Retained memory", gives the measured sizes.
 func (s *DetectSession) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sessionBytes + len(s.txns)*txnEntryBytes + s.pairs*pairBytes + len(s.queries)*queryBytes + s.held
+	return sessionBytes + len(s.queries)*queryBytes + s.held
 }
 
 const (
-	sessionBytes, txnEntryBytes, pairBytes, queryBytes, factsEntryBytes = 512, 64, 64, 80, 48
-	accessPairBytes                                                     = int(unsafe.Sizeof(AccessPair{}))
+	sessionBytes, reportEntryBytes, queryBytes, factsEntryBytes = 512, 64, 80, 48
+	accessPairBytes                                             = int(unsafe.Sizeof(AccessPair{}))
 )
 
 // Detect runs the oracle over every transaction of the program, reusing
@@ -158,9 +149,9 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 
 // DetectContext is Detect with cancellation: the context aborts the
 // detection between cycle queries, returning ctx.Err(). Work memoized
-// before the abort remains valid — the transactions the pass completed
-// are stored, the one it cut short and the report are not, and every
-// stored query answer is complete.
+// before the abort remains valid — the query answers the pass decided,
+// and the facts and layouts it built, are stored, the report is not, and
+// every stored answer is complete.
 //
 // A program the session has detected before, by ast.HashProgram, is
 // answered from the report memo: its stored pairs and query count, with
@@ -168,7 +159,7 @@ func (s *DetectSession) Detect(prog *ast.Program) (*Report, error) {
 // the whole key.
 func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*Report, error) {
 	key := ast.HashProgram(prog)
-	if r := s.lookupReport(key, len(prog.Txns)); r != nil {
+	if r := s.lookupReport(key); r != nil {
 		return r, nil
 	}
 	p := newPass(prog, s.model)
@@ -176,88 +167,42 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 	d := &detector{pass: p, session: s, ctx: ctx}
 	defer p.done()
 	defer s.absorb(d) // before done clears the pass's answers
-	p.outcomes = zeroed(p.outcomes, len(prog.Txns))
-	hits := 0
-	for i := range p.outcomes {
-		o := &p.outcomes[i]
-		o.fp = p.fingerprint(i)
-		if j := slices.IndexFunc(p.outcomes[:i], func(e outcome) bool { return e.fp == o.fp }); j >= 0 {
-			*o = p.outcomes[j] // a repeated transaction: its first occurrence's outcome
-			hits++
-		} else if e, ok := s.lookupTxn(o.fp); ok {
-			o.pairs, o.issued = e.pairs, e.issued
-			hits++
-		} else if err := d.detect(i, o); err != nil {
-			// Keep what the pass completed: the transactions before i.
-			completed := p.outcomes[:i]
-			s.keep(key, nil, p.gather(completed), completed, hits, i+1-hits)
+	for i := range prog.Txns {
+		if err := d.detect(i); err != nil {
 			return nil, err
 		}
 	}
-	report := &Report{Model: s.model, EncodersPlanned: p.planned, Solved: d.solved}
-	report.Pairs = p.gather(p.outcomes)
-	for i := range p.outcomes {
-		report.Queries += p.outcomes[i].issued
-	}
-	s.keep(key, report, report.Pairs, p.outcomes, hits, len(p.outcomes)-hits)
+	report := &Report{Model: s.model, Pairs: p.gather(), Queries: d.issued, Solved: d.solved, EncodersPlanned: p.planned}
+	s.keep(key, report)
 	return report, nil
 }
 
 // lookupReport returns the report stored for the program hashing to key,
-// nil if none, adding to the stats what a pass of transaction hits over
-// its txns transactions would.
-func (s *DetectSession) lookupReport(key uint64, txns int) *Report {
+// nil if none, adding its query count to the stats.
+func (s *DetectSession) lookupReport(key uint64) *Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.reports[key]
 	if !ok {
 		return nil
 	}
-	s.stats.TxnHits += txns
 	s.stats.Queries += e.issued
 	return &Report{Model: s.model, Pairs: e.pairs, Queries: e.issued}
 }
 
-// lookupTxn returns the entry stored under fingerprint fp.
-func (s *DetectSession) lookupTxn(fp uint64) (txnEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.txns[fp]
-	return e, ok
-}
-
-// keep stores what a pass found: each outcome it detected, the first
-// writer of a fingerprint winning, and rep, if not nil, under the
-// program's hash. arr is the array holding the outcomes' pairs
-// (pass.gather), charged to Size if the session keeps an entry in it. A
+// keep adds rep's counts to the stats and stores rep under the program's
+// hash, the first writer winning, charging its pair array to Size. A
 // stored pair's names are the facts' and layouts' own copies, so they pin
 // no source text.
-func (s *DetectSession) keep(prog uint64, rep *Report, arr []AccessPair, outs []outcome, hits, misses int) {
+func (s *DetectSession) keep(prog uint64, rep *Report) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.TxnHits += hits
-	s.stats.TxnMisses += misses
-	kept := false
-	for i := range outs {
-		o := &outs[i]
-		if _, ok := s.txns[o.fp]; o.detected && !ok {
-			s.txns[o.fp] = txnEntry{pairs: o.pairs, issued: o.issued}
-			s.pairs += len(o.pairs)
-			kept = true
-		}
-	}
-	if rep != nil {
-		s.stats.Queries += rep.Queries
-		s.stats.Solved += rep.Solved
-		s.stats.EncodersPlanned += rep.EncodersPlanned
-		if _, ok := s.reports[prog]; !ok {
-			s.reports[prog] = txnEntry{pairs: rep.Pairs, issued: rep.Queries}
-			s.held += txnEntryBytes
-			kept = true
-		}
-	}
-	if kept {
-		s.held += len(arr) * accessPairBytes
+	s.stats.Queries += rep.Queries
+	s.stats.Solved += rep.Solved
+	s.stats.EncodersPlanned += rep.EncodersPlanned
+	if _, ok := s.reports[prog]; !ok {
+		s.reports[prog] = reportEntry{pairs: rep.Pairs, issued: rep.Queries}
+		s.held += reportEntryBytes + len(rep.Pairs)*accessPairBytes
 	}
 }
 

@@ -308,9 +308,9 @@ func hashStmts(h uint64, body []Stmt, uuid *uint64) uint64 {
 
 // HashTxn returns the memoized structural hash of a transaction: name,
 // parameters, body (labels included), and return expression. The repair
-// pipeline's detection passes fingerprint transactions with it; because
+// pipeline's detection passes key transactions' facts with it; because
 // refactoring is copy-on-write, an untouched transaction keeps its node —
-// and thus its memo — so re-fingerprinting it costs one atomic load.
+// and thus its memo — so re-hashing it costs one atomic load.
 func HashTxn(t *Txn) uint64 {
 	if h := t.memo.load(); h != 0 {
 		return h

@@ -239,8 +239,6 @@ func RunWith(ctx context.Context, prog *ast.Program, model anomaly.Model, opts O
 			Solved:    after.Solved - statsBefore.Solved,
 			Replayed:  after.Replayed - statsBefore.Replayed,
 			QueryHits: after.QueryHits - statsBefore.QueryHits,
-			TxnHits:   after.TxnHits - statsBefore.TxnHits,
-			TxnMisses: after.TxnMisses - statsBefore.TxnMisses,
 
 			EncodersPlanned: after.EncodersPlanned - statsBefore.EncodersPlanned,
 		}

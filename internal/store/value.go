@@ -113,15 +113,6 @@ func AppendKey(buf []byte, vals ...Value) []byte {
 // Row is a record's field valuation (including the implicit alive field).
 type Row map[string]Value
 
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
-}
-
 // TableRow is one record of a table, as a population or a migration lists
 // it.
 type TableRow struct {

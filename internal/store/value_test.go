@@ -90,12 +90,3 @@ func TestValueOrderingAndEquality(t *testing.T) {
 		t.Error("zero int != 0")
 	}
 }
-
-func TestRowClone(t *testing.T) {
-	r := Row{"a": IntV(1)}
-	c := r.Clone()
-	c["a"] = IntV(2)
-	if !r["a"].Equal(IntV(1)) {
-		t.Error("Clone is shallow")
-	}
-}
