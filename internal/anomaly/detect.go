@@ -1,6 +1,9 @@
 package anomaly
 
-import "context"
+import (
+	"context"
+	"math/bits"
+)
 
 type detector struct {
 	// pass is the detection pass this detector works for: the program, the
@@ -19,7 +22,7 @@ type detector struct {
 	sm smallModel
 }
 
-// detect decides transaction i: its pairs are appended to the pass's
+// detect decides transaction i: its pairs are recorded in the pass's
 // found, its queries counted.
 func (d *detector) detect(i int) error {
 	if err := d.ctx.Err(); err != nil {
@@ -29,61 +32,68 @@ func (d *detector) detect(i int) error {
 	if err != nil {
 		return err
 	}
-	_, err = d.detectTxn(plans)
-	return err
+	return d.detectTxn(plans)
 }
 
 // detectTxn finds the anomalous access pairs of the transaction planned
 // by witnesses (pass.witnessesOf, in program order): for each pair of
 // distinct commands (c1, c2), search over witness transactions and witness
-// command pairs for a satisfiable dependency cycle. It appends them to the
-// pass's found and returns them there: they are valid until the pass ends.
-func (d *detector) detectTxn(witnesses []pairPlan) ([]AccessPair, error) {
+// command pairs for a satisfiable dependency cycle. It records each in the
+// pass's found, which gather renders.
+func (d *detector) detectTxn(witnesses []pairPlan) error {
 	if len(witnesses) == 0 {
-		return nil, nil
+		return nil
 	}
 	t := witnesses[0].t
-	found := d.pass.found
-	lo := len(found)
 	for i := range t.cmds {
 		for j := i + 1; j < len(t.cmds); j++ {
 			for w := range witnesses {
-				pair, ok, err := d.checkPairWitness(&witnesses[w], i, j)
+				ok, err := d.checkPairWitness(&witnesses[w], i, j)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if ok {
-					found = append(found, pair)
 					break
 				}
 			}
 		}
 	}
-	d.pass.found = found
-	return found[lo:], nil
+	return nil
 }
 
 // checkPairWitness searches pe's witness transaction for a satisfiable
 // dependency cycle through commands i and j of its transaction under
 // test, walking the plan's candidates: d1 ranges over the witness commands
-// i can share an edge with, d2 over j's.
-func (d *detector) checkPairWitness(pe *pairPlan, c1, c2 int) (AccessPair, bool, error) {
+// i can share an edge with, d2 over j's. The first it finds is recorded.
+func (d *detector) checkPairWitness(pe *pairPlan, c1, c2 int) (bool, error) {
 	for _, d1 := range pe.cands(c1) {
 		for _, d2 := range pe.cands(c2) {
 			// Orientation 1: A.c1 → B.d1, B.d2 → A.c2; orientation 2:
 			// B.d1 → A.c1, A.c2 → B.d2.
-			for _, q := range [2][4]int{{c1, d1, d2, c2}, {d1, c1, c2, d2}} {
+			for o, q := range [2][4]int{{c1, d1, d2, c2}, {d1, c1, c2, d2}} {
 				r, err := d.solveCycle(pe, q)
 				if err != nil {
-					return AccessPair{}, false, err
+					return false, err
 				}
 				if r.Sat {
-					return pe.buildPair(c1, c2, d1, d2, q, r), true, nil
+					d.pass.found = append(d.pass.found, finding{pe.ti, pe.wi, int32(c1), int32(c2), int32(d1 - pe.nA), int32(d2 - pe.nA), uint8(o), r})
+					return true, nil
 				}
 			}
 		}
 	}
-	return AccessPair{}, false, nil
+	return false, nil
+}
+
+// finding is one pair a pass found: its transaction and witness (program
+// indices), their commands c1, c2 and d1, d2, the orientation of its
+// cycle (0: c1 → d1, d2 → c2; 1: d1 → c1, c2 → d2) and the answer. It
+// holds no pointer, so the pooled scratch keeping it needs no clearing;
+// gather renders it once, into the report.
+type finding struct {
+	ti, wi, c1, c2, d1, d2 int32
+	orient                 uint8
+	r                      cycleResult
 }
 
 // cycleResult is the complete outcome of one cycle-satisfiability query:
@@ -137,6 +147,8 @@ type pairPlan struct {
 	pass  *pass
 	t, w  *txnFacts
 	nA, n int
+	// ti and wi are t's and w's indices in the program.
+	ti, wi int32
 	// cand holds nA+1 offsets, then the candidate lists: cands(a) lists the
 	// items of B command a of A can share a dependency edge with
 	// (planPair).
@@ -170,33 +182,40 @@ func (pe *pairPlan) key(x int) keyConstraint {
 	return pe.w.key(x-pe.nA, 1)
 }
 
-// fieldNames appends to dst the fields of rank mask r over item x's
-// access set, in name order.
-func (pe *pairPlan) fieldNames(dst []string, x int, r uint64) []string {
-	it := pe.item(x)
-	return pe.pass.layout(it.table).appendNames(dst, unrank(it.reads|it.writes, r))
+// fieldNames appends to dst the fields of rank mask r over c's access
+// set, in name order: bit i of r names the set's i-th field.
+func (p *pass) fieldNames(dst []string, c *cmdFacts, r uint64) []string {
+	l := p.layout(c.table)
+	for m := c.reads | c.writes; r != 0; m, r = m&(m-1), r>>1 {
+		if r&1 != 0 {
+			dst = append(dst, l[bits.TrailingZeros64(m)])
+		}
+	}
+	return dst
 }
 
-// buildPair assembles the reported access pair from the answer r to query
-// q on commands c1, c2 of A and d1, d2 of B.
-func (pe *pairPlan) buildPair(c1, c2, d1, d2 int, q [4]int, r cycleResult) AccessPair {
-	x1, x2 := pe.item(c1), pe.item(c2)
+// render renders f into *a, its fields appended to blk, whose capacity
+// they must fit, and returns the extended blk.
+func (p *pass) render(f *finding, a *AccessPair, blk []string) []string {
+	t, w := p.facts[f.ti], p.facts[f.wi]
+	x1, x2, y1, y2 := &t.cmds[f.c1], &t.cmds[f.c2], &w.cmds[f.d1], &w.cmds[f.d2]
 	// Report the fields of each edge: they are the fields both its ends
 	// access, so naming them off the edge's source names c1's and c2's.
-	// They are carved from the pass's scratch, which gather copies out.
-	lo := len(pe.pass.names)
-	fs := pe.fieldNames(pe.pass.names, q[0], r.Flds1)
-	mid := len(fs)
-	fs = pe.fieldNames(fs, q[2], r.Flds2)
-	pe.pass.names = fs
-	f1, f2 := fs[lo:mid:mid], fs[mid:len(fs):len(fs)]
-	return AccessPair{
-		Txn: pe.t.name,
-		C1:  x1.label, F1: f1,
-		C2: x2.label, F2: f2,
-		Kind:    classify(x1.sel, x2.sel, f1, f2),
-		Witness: Witness{Txn: pe.w.name, D1: pe.item(d1).label, D2: pe.item(d2).label, Edge1: kindNames[r.Kind1], Edge2: kindNames[r.Kind2]},
+	src1, src2 := x1, y2
+	if f.orient == 1 {
+		src1, src2 = y1, x2
 	}
+	lo := len(blk)
+	blk = p.fieldNames(blk, src1, f.r.Flds1)
+	mid := len(blk)
+	blk = p.fieldNames(blk, src2, f.r.Flds2)
+	// Field by field: a is in the report's array, and assigning it a
+	// whole AccessPair would copy one through the write barrier.
+	a.Txn, a.C1, a.C2, a.F1, a.F2 = t.name, x1.label, x2.label, blk[lo:mid:mid], blk[mid:len(blk):len(blk)]
+	a.Kind = classify(x1.sel, x2.sel, a.F1, a.F2)
+	a.Witness.Txn, a.Witness.D1, a.Witness.D2 = w.name, y1.label, y2.label
+	a.Witness.Edge1, a.Witness.Edge2 = kindNames[f.r.Kind1], kindNames[f.r.Kind2]
+	return blk
 }
 
 // classify names the anomaly per the Fig. 2 taxonomy, from whether each

@@ -16,24 +16,20 @@ import (
 // from scratch, transactions in program order. It lives here, in test code,
 // and every differential in this package compares against it.
 
-// runFresh drives a session-less detector over every transaction.
+// runFresh drives a session-less detector over every transaction and
+// reads the pairs it found off its pass.
 func runFresh(d *detector) (*Report, error) {
-	report := &Report{Model: d.pass.model}
 	for ti := range d.pass.prog.Txns {
 		witnesses, err := d.pass.witnessesOf(ti)
 		if err != nil {
 			return nil, err
 		}
-		pairs, err := d.detectTxn(witnesses)
-		if err != nil {
+		if err := d.detectTxn(witnesses); err != nil {
 			return nil, err
 		}
-		report.Pairs = append(report.Pairs, pairs...)
 	}
-	report.Queries = d.issued
-	report.Solved = d.solved
-	report.EncodersPlanned = d.pass.planned
-	return report, nil
+	pairs, _ := d.pass.gather()
+	return &Report{Model: d.pass.model, Pairs: pairs, Queries: d.issued, Solved: d.solved, EncodersPlanned: d.pass.planned}, nil
 }
 
 // freshDetect is the reference detection of prog under model.

@@ -150,37 +150,30 @@ type scratch struct {
 	cand     []int
 	plans    []pairPlan
 	// found holds the pairs of every transaction the pass detected, in
-	// the order it detected them, and names their fields.
-	found []AccessPair
-	names []string
+	// the order it detected them.
+	found []finding
 	// queries holds the answers the pass decided, merged into its
 	// session's memo when the pass ends (DetectSession.absorb).
 	queries map[memoKey]cycleResult
 }
 
-// gather copies the pairs the pass found into one new array, in order
-// (len = cap; nil if none), and their fields out of the pass's scratch
-// into one new block.
-func (p *pass) gather() []AccessPair {
+// gather renders the pairs the pass found into one new array, in order
+// (len = cap; nil if none), and their fields into one new block, and
+// returns the array and the number of names in the block.
+func (p *pass) gather() ([]AccessPair, int) {
 	if len(p.found) == 0 {
-		return nil
+		return nil, 0
+	}
+	n := 0
+	for i := range p.found {
+		n += bits.OnesCount64(p.found[i].r.Flds1) + bits.OnesCount64(p.found[i].r.Flds2)
 	}
 	arr := make([]AccessPair, len(p.found))
-	blk := make([]string, 0, len(p.names))
-	for i, a := range p.found {
-		a.F1, blk = own(blk, a.F1)
-		a.F2, blk = own(blk, a.F2)
-		arr[i] = a
+	blk := make([]string, 0, n)
+	for i := range p.found {
+		blk = p.render(&p.found[i], &arr[i], blk)
 	}
-	return arr
-}
-
-// own appends names to blk, whose capacity it must not exceed, and
-// returns their capacity-clipped copy and the extended blk.
-func own(blk, names []string) ([]string, []string) {
-	lo := len(blk)
-	blk = append(blk, names...)
-	return blk[lo:len(blk):len(blk)], blk
+	return arr, n
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{queries: map[memoKey]cycleResult{}} }}
@@ -193,12 +186,10 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // done returns the pass's scratch to the pool, holding none of the
-// session's facts, layouts and pairs.
+// session's facts and layouts.
 func (p *pass) done() {
 	clear(p.facts)
 	clear(p.layouts)
-	clear(p.found)
-	clear(p.names[:cap(p.names)])
 	clear(p.queries)
 	scratchPool.Put(p.scratch)
 }
@@ -214,7 +205,7 @@ func newPass(prog *ast.Program, model Model) *pass {
 	p := &pass{prog: prog, model: model, scratch: scratchPool.Get().(*scratch)}
 	p.tables, p.hashes, p.facts = zeroed(p.tables, n), zeroed(p.hashes, n), zeroed(p.facts, n)
 	p.schemas, p.layouts = zeroed(p.schemas, ns), zeroed(p.layouts, ns)
-	p.tableIDs, p.found, p.names = p.tableIDs[:0], p.found[:0], p.names[:0]
+	p.tableIDs, p.found = p.tableIDs[:0], p.found[:0]
 	for s, schema := range prog.Schemas {
 		p.schemas[s] = ast.HashSchema(schema)
 	}
@@ -381,24 +372,26 @@ func (p *pass) buildFacts(ti int) (*txnFacts, error) {
 	tf.keys = make([]keyTerm, 2*len(p.pins))
 	for ci := range tf.cmds {
 		f := &tf.cmds[ci]
+		pins := p.pins[f.key/2:][:f.nkey]
+		prefix := p.digestPrefix(f, pins)
 		for inst := range 2 {
-			key := tf.key(ci, inst)
-			for j, pn := range p.pins[f.key/2:][:f.nkey] {
+			key, h := tf.key(ci, inst), prefix
+			for j, pn := range pins {
 				key[j] = keyTermOf(pn.bit, pn.e, inst, ci)
+				h = h.Uint(key[j].digest)
 			}
+			f.digest[inst] = h.Sum()
 		}
-		f.digest = [2]uint64{p.digest(tf, ci, 0), p.digest(tf, ci, 1)}
 	}
 	return tf, nil
 }
 
-// digest folds what a memoized answer depends on about command ci of tf
-// playing instance inst: its table's name, the names of the fields it reads and
-// writes, and its key fields' names with their terms' digests. Names, not
-// bit positions: the memo outlives the pass, and a later pass's layout of
-// the same table may place its fields at other bits.
-func (p *pass) digest(tf *txnFacts, ci, inst int) uint64 {
-	f, key := &tf.cmds[ci], tf.key(ci, inst)
+// digestPrefix folds the instance-free part of command f's digest: its
+// table's name, the names of the fields it reads and writes, and of its key
+// fields, pinned by pins; buildFacts forks it per instance for the key
+// terms' digests. Names, not bit positions: the memo outlives the pass, and
+// a later pass's layout of a table may place its fields at other bits.
+func (p *pass) digestPrefix(f *cmdFacts, pins []pin) ast.Hasher {
 	l := p.layout(f.table)
 	h := ast.NewHasher().Str(p.prog.Schemas[f.table].Name)
 	for _, m := range [2]uint64{f.reads, f.writes} {
@@ -407,11 +400,11 @@ func (p *pass) digest(tf *txnFacts, ci, inst int) uint64 {
 			h = h.Str(l[bits.TrailingZeros64(m)])
 		}
 	}
-	h = h.Uint(uint64(len(key)))
-	for _, k := range key {
-		h = h.Str(l[k.bit]).Uint(k.digest)
+	h = h.Uint(uint64(len(pins)))
+	for _, pn := range pins {
+		h = h.Str(l[pn.bit])
 	}
-	return h.Sum()
+	return h
 }
 
 // witnessesOf plans transaction ti against every transaction sharing a
@@ -440,6 +433,7 @@ func (p *pass) witnessesOf(ti int) ([]pairPlan, error) {
 		p.planned++
 		var pe pairPlan
 		if p.cand = pe.plan(p, tf, wf, p.cand); pe.askable() {
+			pe.ti, pe.wi = int32(ti), int32(wi)
 			p.plans = append(p.plans, pe)
 		}
 	}
@@ -469,11 +463,11 @@ func (pe *pairPlan) plan(p *pass, t, w *txnFacts, buf []int) []int {
 	lo := len(buf)
 	buf = append(buf, make([]int, nA+1)...)
 	for a := range t.cmds {
-		x := &t.cmds[a]
+		x, kx := &t.cmds[a], t.key(a, 0)
 		buf[lo+a] = len(buf) - lo
 		for b := range w.cmds {
 			y := &w.cmds[b]
-			if x.table == y.table && !mustDiffer(t.key(a, 0), w.key(b, 1)) && conflicts(x, y) {
+			if x.table == y.table && conflicts(x, y) && !mustDiffer(kx, w.key(b, 1)) {
 				buf = append(buf, nA+b)
 			}
 		}
@@ -497,7 +491,7 @@ func (pe *pairPlan) askable() bool {
 }
 
 // contentKey digests everything an answer on pe depends on — each item's
-// command digest (pass.digest), in item order — and nothing it does not,
+// command digest (cmdFacts.digest), in item order — and nothing it does not,
 // such as the transactions' and commands' names, so identically shaped
 // pairs share memoized answers. The session's model is fixed, so it is
 // left out.

@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"iter"
 	"slices"
 	"strings"
 
@@ -245,6 +246,27 @@ func (pe *satBody) assertTermCongruence() {
 						pe.enc.AssertClauseS(logic.Neg(ab), logic.Neg(bc), logic.Pos(ac))
 					}
 				}
+			}
+		}
+	}
+}
+
+// commonFields yields the positions (i in a, j in b) of every field both
+// constraints pin.
+func commonFields(a, b keyConstraint) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			switch {
+			case a[i].bit < b[j].bit:
+				i++
+			case a[i].bit > b[j].bit:
+				j++
+			default:
+				if !yield(i, j) {
+					return
+				}
+				i++
+				j++
 			}
 		}
 	}

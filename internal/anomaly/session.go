@@ -46,7 +46,7 @@ type DetectSession struct {
 	queries map[memoKey]cycleResult
 	facts   map[uint64]*txnFacts
 	layouts map[uint64]layout
-	held    int // bytes of the facts, layouts, reports and pair arrays
+	held    int // bytes of the facts, layouts, reports, pair arrays and name blocks
 	stats   SessionStats
 }
 
@@ -128,8 +128,8 @@ func (s *DetectSession) Stats() SessionStats {
 }
 
 // Size estimates the heap the session's memo holds, in O(1), from its
-// query count and the bytes of its facts, layouts, reports and pair
-// arrays. DESIGN.md §12, "Retained memory", gives the measured sizes.
+// query count and the bytes of its facts, layouts, reports, pair arrays
+// and name blocks. DESIGN.md §12, "Retained memory", gives the sizes.
 func (s *DetectSession) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,8 +172,9 @@ func (s *DetectSession) DetectContext(ctx context.Context, prog *ast.Program) (*
 			return nil, err
 		}
 	}
-	report := &Report{Model: s.model, Pairs: p.gather(), Queries: d.issued, Solved: d.solved, EncodersPlanned: p.planned}
-	s.keep(key, report)
+	pairs, names := p.gather()
+	report := &Report{Model: s.model, Pairs: pairs, Queries: d.issued, Solved: d.solved, EncodersPlanned: p.planned}
+	s.keep(key, report, names)
 	return report, nil
 }
 
@@ -191,10 +192,10 @@ func (s *DetectSession) lookupReport(key uint64) *Report {
 }
 
 // keep adds rep's counts to the stats and stores rep under the program's
-// hash, the first writer winning, charging its pair array to Size. A
-// stored pair's names are the facts' and layouts' own copies, so they pin
-// no source text.
-func (s *DetectSession) keep(prog uint64, rep *Report) {
+// hash, the first writer winning, charging its pair array and the block
+// of its names field names (pass.gather) to Size. A stored pair's names are the
+// facts' and layouts' own copies, so they pin no source text.
+func (s *DetectSession) keep(prog uint64, rep *Report, names int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Queries += rep.Queries
@@ -202,7 +203,7 @@ func (s *DetectSession) keep(prog uint64, rep *Report) {
 	s.stats.EncodersPlanned += rep.EncodersPlanned
 	if _, ok := s.reports[prog]; !ok {
 		s.reports[prog] = reportEntry{pairs: rep.Pairs, issued: rep.Queries}
-		s.held += reportEntryBytes + len(rep.Pairs)*accessPairBytes
+		s.held += reportEntryBytes + len(rep.Pairs)*accessPairBytes + 16*names
 	}
 }
 

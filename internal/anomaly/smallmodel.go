@@ -155,9 +155,17 @@ func (sm *smallModel) keysAlias() bool {
 		x, y := sm.q[2*e], sm.q[2*e+1]
 		kx, ky := pe.key(x), pe.key(y)
 		table := pe.item(x).table
-		for i, j := range commonFields(kx, ky) {
-			if kx[i].digest != ky[j].digest {
-				sm.union(sm.node(table, kx[i]), sm.node(table, ky[j]))
+		for i, j := 0, 0; i < len(kx) && j < len(ky); {
+			switch {
+			case kx[i].bit < ky[j].bit:
+				i++
+			case kx[i].bit > ky[j].bit:
+				j++
+			default:
+				if kx[i].digest != ky[j].digest {
+					sm.union(sm.node(table, kx[i]), sm.node(table, ky[j]))
+				}
+				i, j = i+1, j+1
 			}
 		}
 	}
@@ -385,7 +393,7 @@ func (sm *smallModel) fields(e int, kinds uint8) uint64 {
 }
 
 // rank maps m ⊆ set to the mask of its members' ranks in set: bit r for
-// set's r-th lowest member. unrank is its inverse.
+// set's r-th lowest member. pass.fieldNames reads such a mask back.
 func rank(set, m uint64) uint64 {
 	var r uint64
 	for i := 0; set != 0; i, set = i+1, set&(set-1) {
@@ -396,27 +404,16 @@ func rank(set, m uint64) uint64 {
 	return r
 }
 
-func unrank(set, r uint64) uint64 {
-	var m uint64
-	for ; set != 0 && r != 0; set, r = set&(set-1), r>>1 {
-		if r&1 != 0 {
-			m |= set & -set
-		}
-	}
-	return m
-}
-
 // modelEdge reads edge e off the canonical assignment: the kind of its
 // last true per-field dependency (nKinds if none is) and, when fs is not
 // nil, every true one appended to *fs.
 func (sm *smallModel) modelEdge(e int, mask uint8, fs *[]EdgeField) uint8 {
-	l := sm.pe.pass.layout(sm.pe.item(sm.edges[e].x).table)
 	kind := uint8(nKinds)
 	sm.eachField(e, func(k, b int) {
 		if sm.holds(e, k, mask) {
 			kind = uint8(k)
 			if fs != nil {
-				*fs = append(*fs, EdgeField{Field: l[b], Kind: kindNames[k]})
+				*fs = append(*fs, EdgeField{Field: sm.pe.pass.layout(sm.pe.item(sm.edges[e].x).table)[b], Kind: kindNames[k]})
 			}
 		}
 	})

@@ -136,7 +136,7 @@ func checkPlanAgainstOracle(t testing.TB, what string, pe *pairPlan, model Model
 		if !r.Sat {
 			continue
 		}
-		flds1, flds2 := pe.fieldNames(nil, q[0], r.Flds1), pe.fieldNames(nil, q[2], r.Flds2)
+		flds1, flds2 := pe.pass.fieldNames(nil, pe.item(q[0]), r.Flds1), pe.pass.fieldNames(nil, pe.item(q[2]), r.Flds2)
 		kind1, kind2 := kindNames[r.Kind1], kindNames[r.Kind2]
 		if f := oracleFields(b, q, q[0], q[1]); !slices.Equal(flds1, f) {
 			t.Errorf("%s: F1 = %v, oracle's satisfiable union %v", cell, flds1, f)

@@ -1,7 +1,6 @@
 package anomaly
 
 import (
-	"iter"
 	"strconv"
 
 	"atropos/internal/ast"
@@ -124,34 +123,22 @@ func pkPins(c ast.DBCommand, schema *ast.Schema, visit func(field string, e ast.
 	}
 }
 
-// commonFields yields the positions (i in a, j in b) of every field both
-// constraints pin.
-func commonFields(a, b keyConstraint) iter.Seq2[int, int] {
-	return func(yield func(int, int) bool) {
-		for i, j := 0, 0; i < len(a) && j < len(b); {
-			switch {
-			case a[i].bit < b[j].bit:
-				i++
-			case a[i].bit > b[j].bit:
-				j++
-			default:
-				if !yield(i, j) {
-					return
-				}
-				i++
-				j++
-			}
-		}
-	}
-}
-
 // mustDiffer reports whether two commands on the same table can never
 // access a common record: some primary-key field is pinned by both to
-// definitely-unequal terms.
+// definitely-unequal terms. Both constraints are in bit order, so one
+// merge visits every field both pin.
 func mustDiffer(a, b keyConstraint) bool {
-	for i, j := range commonFields(a, b) {
-		if decideEq(a[i], b[j]) == eqFalse {
-			return true
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].bit < b[j].bit:
+			i++
+		case a[i].bit > b[j].bit:
+			j++
+		default:
+			if decideEq(a[i], b[j]) == eqFalse {
+				return true
+			}
+			i, j = i+1, j+1
 		}
 	}
 	return false
