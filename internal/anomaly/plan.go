@@ -114,9 +114,8 @@ func (tf *txnFacts) size() int {
 const txnFactsBytes, cmdFactsBytes, keyTermBytes = 80, 64, 16
 
 // pass is the state shared by the detectors of one detection pass over one
-// program. Facts and plans are computed on the goroutine that drives the
-// pass (DetectContext's planning loop), never by its workers, which only
-// read them.
+// program. Facts and plans are computed by DetectContext's one loop over
+// the transactions, on the calling goroutine.
 type pass struct {
 	prog  *ast.Program
 	model Model

@@ -97,18 +97,18 @@ func MapStmtsCOW(body []Stmt, fn func(Stmt) (repl []Stmt, keep bool)) ([]Stmt, b
 	return out, true
 }
 
-// MapTxnExprsCOW applies an expression rewriter to every expression of t
-// (command where clauses, assignment right-hand sides, control conditions,
-// and the return expression), rebuilding only the statements whose
+// MapTxnExprsCOW rewrites every expression of t (command where clauses,
+// assignment right-hand sides, control conditions, and the return
+// expression) by MapExprCOW with fn, rebuilding only the statements whose
 // expressions changed. Returns (t, false) when nothing changed.
-func MapTxnExprsCOW(t *Txn, rewrite func(Expr) Expr) (*Txn, bool) {
+func MapTxnExprsCOW(t *Txn, fn func(Expr) Expr) (*Txn, bool) {
 	body, bodyChanged := MapStmtsCOW(t.Body, func(s Stmt) ([]Stmt, bool) {
-		if ns := rewriteStmtExprs(s, rewrite); ns != s {
+		if ns := rewriteStmtExprs(s, fn); ns != s {
 			return []Stmt{ns}, false
 		}
 		return nil, true
 	})
-	ret := rewrite(t.Ret)
+	ret := MapExprCOW(t.Ret, fn)
 	if !bodyChanged && ret == t.Ret {
 		return t, false
 	}
@@ -116,45 +116,45 @@ func MapTxnExprsCOW(t *Txn, rewrite func(Expr) Expr) (*Txn, bool) {
 }
 
 // rewriteStmtExprs returns s with its directly embedded expressions
-// rewritten, sharing s when none changed.
-func rewriteStmtExprs(s Stmt, rewrite func(Expr) Expr) Stmt {
+// rewritten by MapExprCOW with fn, sharing s when none changed.
+func rewriteStmtExprs(s Stmt, fn func(Expr) Expr) Stmt {
 	switch x := s.(type) {
 	case *Select:
-		if w := rewrite(x.Where); w != x.Where {
+		if w := MapExprCOW(x.Where, fn); w != x.Where {
 			return &Select{Label: x.Label, Var: x.Var, Star: x.Star, Fields: x.Fields, Table: x.Table, Where: w}
 		}
 	case *Update:
-		w := rewrite(x.Where)
-		sets, setsChanged := rewriteAssignsCOW(x.Sets, rewrite)
+		w := MapExprCOW(x.Where, fn)
+		sets, setsChanged := rewriteAssignsCOW(x.Sets, fn)
 		if w != x.Where || setsChanged {
 			return &Update{Label: x.Label, Table: x.Table, Sets: sets, Where: w}
 		}
 	case *Insert:
-		if values, changed := rewriteAssignsCOW(x.Values, rewrite); changed {
+		if values, changed := rewriteAssignsCOW(x.Values, fn); changed {
 			return &Insert{Label: x.Label, Table: x.Table, Values: values}
 		}
 	case *If:
-		if c := rewrite(x.Cond); c != x.Cond {
+		if c := MapExprCOW(x.Cond, fn); c != x.Cond {
 			return &If{Cond: c, Then: x.Then}
 		}
 	case *Iterate:
-		if c := rewrite(x.Count); c != x.Count {
+		if c := MapExprCOW(x.Count, fn); c != x.Count {
 			return &Iterate{Count: c, Body: x.Body}
 		}
 	}
 	return s
 }
 
-// rewriteAssignsCOW rewrites assignment expressions, sharing the input
-// slice when none changed.
-func rewriteAssignsCOW(as []Assign, rewrite func(Expr) Expr) ([]Assign, bool) {
+// rewriteAssignsCOW rewrites assignment expressions by MapExprCOW with fn,
+// sharing the input slice when none changed.
+func rewriteAssignsCOW(as []Assign, fn func(Expr) Expr) ([]Assign, bool) {
 	for i := range as {
-		if e := rewrite(as[i].Expr); e != as[i].Expr {
+		if e := MapExprCOW(as[i].Expr, fn); e != as[i].Expr {
 			out := make([]Assign, len(as))
 			copy(out, as[:i])
 			out[i] = Assign{Field: as[i].Field, Expr: e}
 			for j := i + 1; j < len(as); j++ {
-				out[j] = Assign{Field: as[j].Field, Expr: rewrite(as[j].Expr)}
+				out[j] = Assign{Field: as[j].Field, Expr: MapExprCOW(as[j].Expr, fn)}
 			}
 			return out, true
 		}

@@ -33,7 +33,12 @@ func IntroSchema(p *ast.Program, name string) (*ast.Program, error) {
 	if p.Schema(name) != nil {
 		return nil, errf("intro-schema", "schema %q already exists", name)
 	}
-	return cowIntroSchema(p, &ast.Schema{Name: name}), nil
+	return withSchema(p, &ast.Schema{Name: name}), nil
+}
+
+// withSchema returns p with schema s appended.
+func withSchema(p *ast.Program, s *ast.Schema) *ast.Program {
+	return ast.WithSchemas(p, slices.Concat(p.Schemas, []*ast.Schema{s}))
 }
 
 // IntroField implements the (intro ρ.f) rule: add a fresh field to an
@@ -49,16 +54,25 @@ func IntroField(p *ast.Program, table string, field ast.Field) (*ast.Program, er
 	if len(s.Fields) >= ast.MaxFields {
 		return nil, errf("intro-field", "schema %s already has %d fields, the most a table may have", table, len(s.Fields))
 	}
-	return cowIntroField(p, table, field), nil
+	schemas := slices.Clone(p.Schemas)
+	fields := slices.Concat(s.Fields, []*ast.Field{&field})
+	schemas[slices.Index(schemas, s)] = &ast.Schema{Name: s.Name, Fields: fields}
+	return ast.WithSchemas(p, schemas), nil
 }
 
 // ApplyCorr implements the (intro v) rule: rewrite every access to
 // (v.SrcTable, v.SrcField) to use (v.DstTable, v.DstField) per the
 // redirect rule (Agg = any) or logger rule (Agg = sum, Logging = true) of
-// Fig. 17. It validates the rule's side conditions (R1–R3 preconditions)
-// on every transaction before it rewrites any, and returns a rewritten
-// copy of the program, or an error describing the first failing condition
-// in program order.
+// Fig. 17. It returns a rewritten copy of the program, or an error
+// describing the first failing condition in program order.
+//
+// It validates the rule's side conditions (R1–R3 preconditions) on every
+// transaction, in program order, before it rewrites any, so a probe that
+// fails validation builds no transaction: a validated transaction always
+// rewrites under the redirect rule. Under the logger rule a rewrite can
+// fail too, so the transactions before the one that failed validation are
+// rewritten first to find the first failure. A transaction that does not
+// access (v.SrcTable, v.SrcField) is shared.
 func ApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 	src := p.Schema(v.SrcTable)
 	if src == nil {
@@ -89,7 +103,43 @@ func ApplyCorr(p *ast.Program, v ValueCorr) (*ast.Program, error) {
 	if !v.Logging && v.Agg != ast.AggAny {
 		return nil, errf("intro-v", "redirect rule requires the any aggregator")
 	}
-	return cowApplyCorr(p, src, v)
+	// The validated transactions to rewrite, by index, with the variables
+	// whose selects they redirect.
+	type txnRewrite struct {
+		i          int
+		redirected map[string]bool
+	}
+	todo := make([]txnRewrite, 0, 8)
+	var verr error
+	for i, t := range p.Txns {
+		redirected, touched, err := validateRewriteTxn(t, src, v)
+		if err != nil {
+			verr = err
+			break
+		}
+		if touched {
+			todo = append(todo, txnRewrite{i, redirected})
+		}
+	}
+	if verr != nil && !v.Logging {
+		return nil, verr
+	}
+	out := &ast.Program{Schemas: p.Schemas, Txns: slices.Clone(p.Txns)}
+	for _, w := range todo {
+		nt, err := rewriteCommands(p.Txns[w.i], src, v)
+		// Without a redirected variable pass 3 has nothing to rewrite.
+		if err == nil && len(w.redirected) > 0 {
+			nt, err = rewriteRedirectedAccesses(nt, v, w.redirected)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Txns[w.i] = nt
+	}
+	if verr != nil {
+		return nil, verr
+	}
+	return out, nil
 }
 
 // validateRewriteTxn is pass 1 of [[·]]_v on one transaction: find the
@@ -137,6 +187,74 @@ func validateRewriteTxn(t *ast.Txn, src *ast.Schema, v ValueCorr) (redirected ma
 		}
 	}
 	return redirected, touched, nil
+}
+
+// rewriteCommands is pass 2 of [[·]]_v on one transaction
+// validateRewriteTxn accepted: it rewrites t's commands on v.SrcTable
+// that access the moved field.
+func rewriteCommands(t *ast.Txn, src *ast.Schema, v ValueCorr) (*ast.Txn, error) {
+	var rerr error
+	body, bodyChanged := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
+		if rerr != nil {
+			return nil, true
+		}
+		c, ok := s.(ast.DBCommand)
+		if !ok || c.TableName() != v.SrcTable {
+			return nil, true
+		}
+		switch x := c.(type) {
+		case *ast.Select:
+			if len(x.Fields) != 1 || x.Fields[0] != v.SrcField {
+				return nil, true
+			}
+			nw, err := redirectWhere(x, src, v)
+			if err != nil {
+				rerr = err
+				return nil, true
+			}
+			return []ast.Stmt{&ast.Select{
+				Label: x.Label, Var: x.Var,
+				Fields: []string{v.DstField},
+				Table:  v.DstTable,
+				Where:  nw,
+			}}, false
+		case *ast.Update:
+			if len(x.Sets) != 1 || x.Sets[0].Field != v.SrcField {
+				return nil, true
+			}
+			ns, err := rewriteUpdate(x, src, v, t)
+			if err != nil {
+				rerr = err
+				return nil, true
+			}
+			return []ast.Stmt{ns}, false
+		}
+		return nil, true
+	})
+	if rerr != nil {
+		return nil, rerr
+	}
+	if bodyChanged {
+		return withBody(t, body), nil
+	}
+	return t, nil
+}
+
+// withBody returns t with its body replaced by body.
+func withBody(t *ast.Txn, body []ast.Stmt) *ast.Txn {
+	return &ast.Txn{Name: t.Name, Params: t.Params, Body: body, Ret: t.Ret}
+}
+
+// rewriteRedirectedAccesses is pass 3 of [[·]]_v: it rewrites accesses
+// through redirected variables everywhere (commands' embedded expressions
+// and the return expression): R2.
+func rewriteRedirectedAccesses(t *ast.Txn, v ValueCorr, redirected map[string]bool) (*ast.Txn, error) {
+	var rerr error
+	nt, _ := ast.MapTxnExprsCOW(t, redirectedAccessRewriter(t, v, redirected, &rerr))
+	if rerr != nil {
+		return nil, rerr
+	}
+	return nt, nil
 }
 
 // redirectedAccessRewriter builds pass 3's expression rewriter: accesses
@@ -348,5 +466,5 @@ func BuildLoggerSchema(p *ast.Program, srcTable, srcField string) (*ast.Program,
 		DstTable: logName, DstField: valField,
 		Theta: theta, Agg: ast.AggSum, Logging: true,
 	}
-	return cowIntroSchema(p, &ast.Schema{Name: logName, Fields: fields}), corr, nil
+	return withSchema(p, &ast.Schema{Name: logName, Fields: fields}), corr, nil
 }

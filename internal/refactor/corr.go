@@ -4,6 +4,12 @@
 // 17), command merging and splitting, dead-code elimination, the database
 // containment relation Σ ⊑_V Σ′ (§4.1), and the data migration that
 // materializes a correspondence's image on concrete store states.
+//
+// Every rule is one function that checks, then path-copies (DESIGN.md
+// §10): its result rebuilds only the spine from the edited node up to the
+// Program header and shares every other transaction, schema, statement and
+// expression with its input, which it never mutates. Sound because shared
+// AST nodes are immutable (ast package contract).
 package refactor
 
 import (

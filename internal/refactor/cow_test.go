@@ -8,12 +8,11 @@ import (
 	"atropos/internal/ast"
 )
 
-// These tests pin the copy-on-write engine's sharing contract at the rule
-// level: a rule's output shares every transaction and schema it did not
-// edit with its input (path copying, pointer-identical nodes), and never
-// mutates the input. The repair-level differential tests
-// (internal/repair/cow_test.go) pin output equivalence against the
-// deep-clone engine; these pin that the cheap path actually is cheap.
+// These tests pin the copy-on-write sharing contract at the rule level: a
+// rule's output shares every transaction and schema it did not edit with
+// its input (path copying, pointer-identical nodes), and never mutates the
+// input. internal/repair/cow_test.go pins the same from a whole repair;
+// the golden tables pin what the rules output.
 
 func TestCOWApplyCorrSharesUntouchedTxns(t *testing.T) {
 	p := mustProg(t, courseware)

@@ -16,25 +16,9 @@ import (
 // DeadSelects returns the labels of selects in t whose bound variable is
 // never read by a later expression or the return expression.
 func DeadSelects(t *ast.Txn) []string {
-	var used []string // variables read through at/agg accesses
-	ast.WalkTxnExprs(t, func(x ast.Expr) bool {
-		v := ""
-		switch a := x.(type) {
-		case *ast.FieldAt:
-			v = a.Var
-		case *ast.Agg:
-			v = a.Var
-		default:
-			return true
-		}
-		if !slices.Contains(used, v) {
-			used = append(used, v)
-		}
-		return true
-	})
 	var dead []string
 	for _, c := range t.Commands() {
-		if sel, ok := c.(*ast.Select); ok && !slices.Contains(used, sel.Var) {
+		if sel, ok := c.(*ast.Select); ok && !readsVar(t, sel.Var) {
 			dead = append(dead, sel.Label)
 		}
 	}
@@ -46,7 +30,34 @@ func DeadSelects(t *ast.Txn) []string {
 // fed its where clause). It returns the pruned program — sharing every
 // untouched transaction with p — and the number of selects removed.
 func RemoveDeadSelects(p *ast.Program) (*ast.Program, int) {
-	return cowRemoveDeadSelects(p)
+	removed := 0
+	out := p
+	for {
+		changed := false
+		for i := range out.Txns {
+			t := out.Txns[i]
+			n := 0
+			body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
+				if sel, ok := s.(*ast.Select); ok && !readsVar(t, sel.Var) {
+					n++
+					return nil, false
+				}
+				return nil, true
+			})
+			if n == 0 {
+				continue
+			}
+			if out == p {
+				out = &ast.Program{Schemas: p.Schemas, Txns: slices.Clone(p.Txns)}
+			}
+			out.Txns[i] = withBody(t, body)
+			removed += n
+			changed = true
+		}
+		if !changed {
+			return out, removed
+		}
+	}
 }
 
 // IsDeadSelect reports whether the select labelled label in txn is dead
@@ -118,5 +129,34 @@ func accessedFields(p *ast.Program, tables map[string]map[string]bool) map[strin
 // every surviving schema and all transactions with p, p itself when
 // nothing moved — and the removed table names.
 func GCSchemas(p *ast.Program, moved map[string]map[string]bool) (*ast.Program, []string) {
-	return cowGCSchemas(p, moved)
+	if len(moved) == 0 {
+		return p, nil
+	}
+	acc := accessedFields(p, moved)
+	kept := make([]*ast.Schema, 0, len(p.Schemas))
+	var removedTables []string
+	for _, s := range p.Schemas {
+		movedHere := moved[s.Name]
+		if len(movedHere) == 0 {
+			kept = append(kept, s)
+			continue
+		}
+		fields, used := acc[s.Name]
+		if !used && !slices.ContainsFunc(s.NonKeyFields(), func(f *ast.Field) bool { return !movedHere[f.Name] }) {
+			removedTables = append(removedTables, s.Name)
+			continue
+		}
+		var keptFields []*ast.Field
+		for _, f := range s.Fields {
+			if f.PK || fields[f.Name] || !movedHere[f.Name] {
+				keptFields = append(keptFields, f)
+			}
+		}
+		if len(keptFields) < len(s.Fields) {
+			kept = append(kept, &ast.Schema{Name: s.Name, Fields: keptFields})
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	return ast.WithSchemas(p, kept), removedTables
 }

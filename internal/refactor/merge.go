@@ -1,6 +1,9 @@
 package refactor
 
 import (
+	"fmt"
+	"slices"
+
 	"atropos/internal/ast"
 )
 
@@ -9,22 +12,121 @@ import (
 // command is involved in at most one anomalous access pair") and the
 // merging strategy of try_merge, including the same-records analysis that
 // decides when two where clauses always select the same records (condition
-// R1 of §4.2). The feasibility analyses here are pure reads; the
-// transformations live in cow.go.
+// R1 of §4.2).
 
-// SplitUpdate splits the update labelled label in transaction txn into one
-// update per field group, labelled label.1, label.2, ... (Fig. 11: U4
-// becomes U4.1 and U4.2). Groups must partition the update's set fields.
-// The returned program is a copy; p is not modified.
-func SplitUpdate(p *ast.Program, txn, label string, groups [][]string) (*ast.Program, error) {
-	return cowSplitUpdate(p, txn, label, groups)
+// Split splits the update or select labelled label in transaction txn into
+// one command per field group, labelled label.1, label.2, ... (Fig. 11: U4
+// becomes U4.1 and U4.2). Groups must partition the command's own fields —
+// an update's set fields, a select's named columns — each field in one
+// group. A split select binds a fresh variable per group, and the
+// transaction's accesses of the old variable move to the one holding their
+// field. The returned program is a copy; p is not modified.
+func Split(p *ast.Program, txn, label string, groups [][]string) (*ast.Program, error) {
+	ti := ast.TxnIndex(p, txn)
+	if ti < 0 {
+		return nil, errf("split", "unknown transaction %q", txn)
+	}
+	// own are the fields the groups must partition; verb and noun name
+	// them in the error texts.
+	var own []string
+	verb, noun := "set", "set fields"
+	c := ast.FindCommand(p.Txns[ti], label)
+	switch x := c.(type) {
+	case *ast.Update:
+		own = make([]string, len(x.Sets))
+		for i, a := range x.Sets {
+			own[i] = a.Field
+		}
+	case *ast.Select:
+		if x.Star {
+			return nil, errf("split", "%s.%s: cannot split SELECT *", txn, label)
+		}
+		own, verb, noun = x.Fields, "select", "fields"
+	default:
+		return nil, errf("split", "no update or select labelled %q in %s", label, txn)
+	}
+	seen := make(map[string]bool, len(own))
+	for _, g := range groups {
+		for _, f := range g {
+			switch {
+			case !slices.Contains(own, f):
+				return nil, errf("split", "%s.%s does not %s field %q", txn, label, verb, f)
+			case seen[f]:
+				return nil, errf("split", "%s.%s: field %q is in two groups", txn, label, f)
+			}
+			seen[f] = true
+		}
+	}
+	if len(seen) != len(own) {
+		return nil, errf("split", "%s.%s: groups cover %d of %d %s", txn, label, len(seen), len(own), noun)
+	}
+	parts := make([]ast.Stmt, len(groups))
+	var rename func(ast.Expr) ast.Expr
+	switch x := c.(type) {
+	case *ast.Update:
+		for i, g := range groups {
+			nu := &ast.Update{Label: fmt.Sprintf("%s.%d", label, i+1), Table: x.Table, Where: x.Where}
+			for _, f := range g {
+				nu.Sets = append(nu.Sets, x.Sets[slices.IndexFunc(x.Sets, func(a ast.Assign) bool { return a.Field == f })])
+			}
+			parts[i] = nu
+		}
+	case *ast.Select:
+		fieldVar := map[string]string{} // field -> fresh variable
+		for i, g := range groups {
+			nv := fmt.Sprintf("%s_%d", x.Var, i+1)
+			parts[i] = &ast.Select{Label: fmt.Sprintf("%s.%d", label, i+1), Var: nv, Fields: slices.Clone(g), Table: x.Table, Where: x.Where}
+			for _, f := range g {
+				fieldVar[f] = nv
+			}
+		}
+		rename = renameVar(x.Var, func(f string) string { return fieldVar[f] })
+	}
+	return replaceCommands(p, ti, label, parts, "", rename), nil
 }
 
-// SplitSelect splits the select labelled label into one select per field
-// group with fresh variables, rewriting downstream accesses accordingly.
-// The returned program is a copy; p is not modified.
-func SplitSelect(p *ast.Program, txn, label string, groups [][]string) (*ast.Program, error) {
-	return cowSplitSelect(p, txn, label, groups)
+// replaceCommands returns p with transaction ti's command labelled label
+// replaced by repl and the one labelled drop, if any, deleted; rename, if
+// not nil, then rewrites every expression of the transaction. It
+// path-copies that transaction only.
+func replaceCommands(p *ast.Program, ti int, label string, repl []ast.Stmt, drop string, rename func(ast.Expr) ast.Expr) *ast.Program {
+	t := p.Txns[ti]
+	body, _ := ast.MapStmtsCOW(t.Body, func(s ast.Stmt) ([]ast.Stmt, bool) {
+		c, ok := s.(ast.DBCommand)
+		if !ok {
+			return nil, true
+		}
+		switch c.CmdLabel() {
+		case label:
+			return repl, false
+		case drop:
+			return nil, false
+		}
+		return nil, true
+	})
+	nt := withBody(t, body)
+	if rename != nil {
+		nt, _ = ast.MapTxnExprsCOW(nt, rename)
+	}
+	return ast.WithTxn(p, ti, nt)
+}
+
+// renameVar returns the ast.MapExprCOW rewriter that moves each access
+// old.f to the variable to(f), keeping it where to(f) is "".
+func renameVar(old string, to func(field string) string) func(ast.Expr) ast.Expr {
+	return func(x ast.Expr) ast.Expr {
+		switch a := x.(type) {
+		case *ast.FieldAt:
+			if nv := to(a.Field); a.Var == old && nv != "" {
+				return &ast.FieldAt{Var: nv, Field: a.Field, Index: a.Index}
+			}
+		case *ast.Agg:
+			if nv := to(a.Field); a.Var == old && nv != "" {
+				return &ast.Agg{Fn: a.Fn, Var: nv, Field: a.Field}
+			}
+		}
+		return x
+	}
 }
 
 // SameRecords decides whether two commands of one transaction always select
@@ -159,13 +261,26 @@ func lookupConjunct(t *ast.Txn, table string, wAnchor ast.Expr, q ast.WhereEqual
 // All feasibility checks run against p itself — they are pure reads — so
 // failing speculative probes (repair's try_repair and post-processing
 // probe Merge exhaustively) cost no allocation at all. A successful merge
-// path-copies only the merged transaction under the default engine.
+// path-copies only the merged transaction.
 func Merge(p *ast.Program, txn, label1, label2 string) (*ast.Program, error) {
-	mergedWhere, err := checkMerge(p, txn, label1, label2)
+	where, err := checkMerge(p, txn, label1, label2)
 	if err != nil {
 		return nil, err
 	}
-	return cowMerge(p, txn, label1, label2, mergedWhere), nil
+	ti := ast.TxnIndex(p, txn)
+	t := p.Txns[ti]
+	var repl ast.Stmt
+	var rename func(ast.Expr) ast.Expr
+	switch x1 := ast.FindCommand(t, label1).(type) {
+	case *ast.Select:
+		x2 := ast.FindCommand(t, label2).(*ast.Select)
+		repl = mergedSelect(x1, x2, where)
+		// Uses of c2's variable now read from the merged select.
+		rename = renameVar(x2.Var, func(string) string { return x1.Var })
+	case *ast.Update:
+		repl = mergedUpdate(x1, ast.FindCommand(t, label2).(*ast.Update), where)
+	}
+	return replaceCommands(p, ti, label1, []ast.Stmt{repl}, label2, rename), nil
 }
 
 // checkMerge runs Merge's feasibility checks (pure reads against p) and
@@ -211,6 +326,45 @@ func checkMerge(p *ast.Program, txn, label1, label2 string) (ast.Expr, error) {
 		return nil, errf("merge", "%s: %s is not mergeable (inserts are already atomic)", txn, label1)
 	}
 	return mergedWhere, nil
+}
+
+// mergedSelect builds the merged select of two validated same-records
+// selects.
+func mergedSelect(x1, x2 *ast.Select, where ast.Expr) *ast.Select {
+	merged := &ast.Select{Label: x1.Label, Var: x1.Var, Table: x1.Table, Where: where}
+	if x1.Star || x2.Star {
+		merged.Star = true
+	} else {
+		seen := map[string]bool{}
+		for _, f := range append(append([]string(nil), x1.Fields...), x2.Fields...) {
+			if !seen[f] {
+				seen[f] = true
+				merged.Fields = append(merged.Fields, f)
+			}
+		}
+	}
+	return merged
+}
+
+// mergedUpdate builds the merged update of two validated same-records
+// updates (equal-valued duplicate sets validated by checkMerge).
+func mergedUpdate(x1, x2 *ast.Update, where ast.Expr) *ast.Update {
+	merged := &ast.Update{Label: x1.Label, Table: x1.Table, Where: where}
+	for _, a := range x1.Sets {
+		merged.Sets = append(merged.Sets, ast.Assign{Field: a.Field, Expr: a.Expr})
+	}
+	for _, a := range x2.Sets {
+		dup := false
+		for _, b := range x1.Sets {
+			if b.Field == a.Field {
+				dup = true // equal exprs: validated before applying
+			}
+		}
+		if !dup {
+			merged.Sets = append(merged.Sets, ast.Assign{Field: a.Field, Expr: a.Expr})
+		}
+	}
+	return merged
 }
 
 // checkNoConflictBetween refuses the merge when a command between c1 and c2

@@ -1,6 +1,7 @@
 package refactor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,9 +174,9 @@ func TestApplyCorrValidations(t *testing.T) {
 func TestBuildLoggerSchemaAndApply(t *testing.T) {
 	p := mustProg(t, courseware)
 	// Split U2 of regSt first so it sets only co_st_cnt.
-	p, err := SplitUpdate(p, "regSt", "U2", [][]string{{"co_st_cnt"}, {"co_avail"}})
+	p, err := Split(p, "regSt", "U2", [][]string{{"co_st_cnt"}, {"co_avail"}})
 	if err != nil {
-		t.Fatalf("SplitUpdate: %v", err)
+		t.Fatalf("Split: %v", err)
 	}
 	p2, corr, err := BuildLoggerSchema(p, "COURSE", "co_st_cnt")
 	if err != nil {
@@ -252,9 +253,9 @@ func TestLoggerRejectsNonIntField(t *testing.T) {
 
 func TestSplitUpdate(t *testing.T) {
 	p := mustProg(t, courseware)
-	p2, err := SplitUpdate(p, "regSt", "U2", [][]string{{"co_st_cnt"}, {"co_avail"}})
+	p2, err := Split(p, "regSt", "U2", [][]string{{"co_st_cnt"}, {"co_avail"}})
 	if err != nil {
-		t.Fatalf("SplitUpdate: %v", err)
+		t.Fatalf("Split: %v", err)
 	}
 	checkSema(t, p2, "split")
 	cmds := ast.Commands(p2.Txn("regSt").Body)
@@ -276,11 +277,16 @@ func TestSplitUpdate(t *testing.T) {
 		t.Fatal("split parts have different where clauses")
 	}
 	// Errors.
-	if _, err := SplitUpdate(p, "regSt", "U2", [][]string{{"co_st_cnt"}}); err == nil {
+	if _, err := Split(p, "regSt", "U2", [][]string{{"co_st_cnt"}}); err == nil {
 		t.Error("partial partition accepted")
 	}
-	if _, err := SplitUpdate(p, "regSt", "U9", nil); err == nil {
+	if _, err := Split(p, "regSt", "U9", nil); err == nil {
 		t.Error("unknown label accepted")
+	}
+	// A field in two groups reaches the field count without covering
+	// co_avail.
+	if _, err := Split(p, "regSt", "U2", [][]string{{"co_st_cnt"}, {"co_st_cnt"}}); fmt.Sprint(err) != `refactor: split: regSt.U2: field "co_st_cnt" is in two groups` {
+		t.Errorf("groups naming co_st_cnt twice: %v", err)
 	}
 }
 
@@ -293,9 +299,9 @@ txn rd(k: int) {
 }
 `
 	p := mustProg(t, src)
-	p2, err := SplitSelect(p, "rd", "S1", [][]string{{"a"}, {"b"}})
+	p2, err := Split(p, "rd", "S1", [][]string{{"a"}, {"b"}})
 	if err != nil {
-		t.Fatalf("SplitSelect: %v", err)
+		t.Fatalf("Split: %v", err)
 	}
 	checkSema(t, p2, "split select")
 	cmds := ast.Commands(p2.Txn("rd").Body)
@@ -305,6 +311,10 @@ txn rd(k: int) {
 	ret := ast.ExprString(p2.Txn("rd").Ret)
 	if !strings.Contains(ret, "x_1.a") || !strings.Contains(ret, "x_2.b") {
 		t.Fatalf("return = %s, want split variable accesses", ret)
+	}
+	// A field in two groups would leave x.b unbound.
+	if _, err := Split(p, "rd", "S1", [][]string{{"a"}, {"a"}}); fmt.Sprint(err) != `refactor: split: rd.S1: field "a" is in two groups` {
+		t.Errorf("groups naming a twice: %v", err)
 	}
 }
 

@@ -98,7 +98,7 @@ func ruleOutcomes(w io.Writer, p *ast.Program) int {
 			for i, f := range own {
 				groups[i] = []string{f}
 			}
-			np, err := splitSingletons(p, tx.Name, c, groups)
+			np, err := Split(p, tx.Name, c.CmdLabel(), groups)
 			emit("split "+tx.Name+"."+c.CmdLabel(), np, err)
 		}
 		n++
@@ -138,12 +138,4 @@ func ruleOutcomes(w io.Writer, p *ast.Program) int {
 		emit("gc "+f.table+"."+f.name, gp, nil, tables)
 	}
 	return n
-}
-
-// splitSingletons splits command c of txn into groups.
-func splitSingletons(p *ast.Program, txn string, c ast.DBCommand, groups [][]string) (*ast.Program, error) {
-	if _, ok := c.(*ast.Update); ok {
-		return SplitUpdate(p, txn, c.CmdLabel(), groups)
-	}
-	return SplitSelect(p, txn, c.CmdLabel(), groups)
 }

@@ -11,8 +11,8 @@ import (
 
 // These tests pin the rewrites that touch only what they rewrite: ApplyCorr
 // shares every transaction with no command on the source table without
-// walking it, and DeadSelects collects read variables in one walk. Each is
-// checked against the unscoped computation it replaces.
+// walking it, and DeadSelects asks, per select, whether its variable is
+// read. Each is checked against the unscoped computation it replaces.
 
 // nestedSource has its only commands on A inside an if, so a scope test
 // that looked at top-level statements alone would skip them.
@@ -167,8 +167,8 @@ func deadSelectsOracle(t *ast.Txn) []string {
 }
 
 // TestDeadSelectsMatchesOracle: on every transaction of the corpus, and of
-// every program the logger rule makes of it (where selects die), the
-// one-walk DeadSelects reports what the per-expression oracle does.
+// every program the logger rule makes of it (where selects die),
+// DeadSelects reports what the per-expression oracle does.
 func TestDeadSelectsMatchesOracle(t *testing.T) {
 	dead := 0
 	check := func(what string, p *ast.Program) {

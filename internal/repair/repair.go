@@ -457,15 +457,7 @@ func preprocess(p *ast.Program, pairs []anomaly.AccessPair, res *Result) *ast.Pr
 		if coAccessedElsewhere(p, k.txn, k.label, c.TableName(), partition, plans) {
 			continue
 		}
-		var err error
-		var np *ast.Program
-		switch c.(type) {
-		case *ast.Update:
-			np, err = refactor.SplitUpdate(p, k.txn, k.label, partition)
-		case *ast.Select:
-			np, err = refactor.SplitSelect(p, k.txn, k.label, partition)
-		}
-		if err == nil {
+		if np, err := refactor.Split(p, k.txn, k.label, partition); err == nil {
 			p = np
 			res.stepf("split %s.%s into %d commands %v", k.txn, k.label, len(partition), partition)
 		}

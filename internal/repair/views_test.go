@@ -245,18 +245,16 @@ func repairSteps(prog *ast.Program, model anomaly.Model, check func(step string,
 func rebuilt(prog *ast.Program) *ast.Program {
 	out := &ast.Program{Schemas: prog.Schemas}
 	for _, t := range prog.Txns {
-		nt, _ := ast.MapTxnExprsCOW(t, func(e ast.Expr) ast.Expr {
-			return ast.MapExprCOW(e, func(x ast.Expr) ast.Expr {
-				switch l := x.(type) {
-				case *ast.Arg:
-					return &ast.Arg{Name: l.Name}
-				case *ast.FieldAt:
-					return &ast.FieldAt{Var: l.Var, Field: l.Field, Index: l.Index}
-				case *ast.IntLit:
-					return &ast.IntLit{Val: l.Val}
-				}
-				return x
-			})
+		nt, _ := ast.MapTxnExprsCOW(t, func(x ast.Expr) ast.Expr {
+			switch l := x.(type) {
+			case *ast.Arg:
+				return &ast.Arg{Name: l.Name}
+			case *ast.FieldAt:
+				return &ast.FieldAt{Var: l.Var, Field: l.Field, Index: l.Index}
+			case *ast.IntLit:
+				return &ast.IntLit{Val: l.Val}
+			}
+			return x
 		})
 		out.Txns = append(out.Txns, nt)
 	}
