@@ -10,7 +10,7 @@ COVER_FLOOR ?= 60
 # Seconds each fuzz target runs under `make fuzz` / the nightly workflow.
 FUZZTIME ?= 30s
 
-.PHONY: ci fmt vet build oracle-guard test race bench bench-harness bench-compare cover certify loadtest-smoke chaos service-chaos fuzz profile loc
+.PHONY: ci fmt vet build oracle-guard test race bench bench-harness bench-compare cover certify loadtest-smoke chaos service-chaos fuzz profile loc unlinked
 
 ci: fmt vet build oracle-guard race bench bench-harness cover certify loadtest-smoke chaos service-chaos
 
@@ -220,3 +220,35 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 	@find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | wc -l | awk '{ printf "%7d total in _test.go files\n", $$1 }'
+
+# A function declaration as its symbol in `go tool nm`: pkg.Name,
+# pkg.Type.Name or pkg.(*Type).Name, type parameters dropped.
+UNLINKED_DECLS = /^func / && $$0 !~ /^func \([^)]*\) [a-z][A-Za-z0-9_]*\(\) +\{\}$$/ { \
+	s = substr($$0, 6); while (gsub(/\[[^][]*\]/, "", s)); recv = ""; \
+	if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+		n = split(r, f, " "); recv = f[n]; if (recv ~ /^\*/) recv = "(" recv ")"; recv = recv "."; } \
+	name = substr(s, 1, match(s, /[(]/) - 1); \
+	if (name != "init") print pkg "." recv name, file ":" FNR }
+
+# Non-test functions under internal/ that no command or example links, one
+# line each (file:line: symbol), then their count. The four commands and
+# three examples are built without inlining (-gcflags=all=-l), so every
+# function they call keeps a symbol, and each declaration is looked up in
+# their `go tool nm` symbols. Type parameters and instantiations are
+# dropped on both sides; interface marker methods (unexported, no
+# arguments, an empty body on the declaration line) are left out. A
+# report, not a gate: `make ci` does not run it.
+unlinked:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	for p in ./cmd/* ./examples/*; do \
+		$(GO) build -gcflags=all=-l -o $$tmp/bin/ $$p; \
+	done; \
+	for b in $$tmp/bin/*; do $(GO) tool nm $$b; done | \
+		awk '$$2 ~ /^[Tt]$$/ { s = $$0; sub(/^ *[^ ]+ [Tt] /, "", s); while (gsub(/\[[^][]*\]/, "", s)); sub(/-fm$$/, "", s); print s }' | \
+		sort -u > $$tmp/linked; \
+	$(GO) list -f '{{$$p := .ImportPath}}{{range .GoFiles}}{{$$p}} {{.}}{{"\n"}}{{end}}' ./internal/... | \
+		while read pkg f; do \
+			awk -v pkg=$$pkg -v file=$${pkg#atropos/}/$$f '$(UNLINKED_DECLS)' $${pkg#atropos/}/$$f; \
+		done | sort > $$tmp/decls; \
+	awk 'NR == FNR { linked[$$1] = 1; next } !($$1 in linked) { print $$2 ": " $$1; n++ } \
+		END { printf "%d non-test internal/ functions linked into no command or example\n", n }' $$tmp/linked $$tmp/decls

@@ -154,10 +154,11 @@ func Repair(ctx context.Context, p *Program, m Model, opts ...RepairOption) (*Re
 // Engine is a long-lived repair service: a bounded worker pool with
 // queue-depth backpressure (ErrOverloaded) and per-client detection
 // sessions, kept with the programs it checked and the replies to repeated
-// requests under one 64 MiB budget. Engine.Repair and Engine.Certify
-// compute every time, and their results belong to the caller. One Engine
-// serves concurrent callers; cmd/atroposd puts it behind HTTP. See
-// DESIGN.md §12 for the lifecycle contract.
+// requests under one 64 MiB budget. Engine.Repair computes every time;
+// Engine.RepairReply and Engine.Certify go through the reply memo, which
+// a caller that never calls Reply.Store never hits. Results belong to the
+// caller. One Engine serves concurrent callers; cmd/atroposd puts it
+// behind HTTP. See DESIGN.md §12 for the lifecycle contract.
 type Engine = engine.Engine
 
 // EngineConfig sizes an Engine's worker pool and admission queue and sets
@@ -223,26 +224,18 @@ func Simulate(cfg ClusterConfig) (ClusterResult, error) { return cluster.Run(cfg
 
 // Experiment drivers (one per table/figure; see DESIGN.md §5).
 type (
-	// PerfConfig drives one Fig. 12-15 panel; its Parallelism field bounds
-	// how many deployment simulations run concurrently (0 = GOMAXPROCS).
+	// PerfConfig drives one Fig. 12-15 panel; its deployment simulations
+	// run on GOMAXPROCS workers.
 	PerfConfig = exp.PerfConfig
 	// PerfResult holds its four measured curves.
 	PerfResult = exp.PerfResult
 	// Table1Row is one row of Table 1.
 	Table1Row = exp.Table1Row
-	// Option configures an experiment driver (see WithParallelism).
-	Option = exp.Option
 )
 
-// WithParallelism bounds the worker goroutines an experiment driver may
-// use; n <= 0 selects GOMAXPROCS (the default).
-func WithParallelism(n int) Option { return exp.WithParallelism(n) }
-
 // Table1 regenerates Table 1 over the given benchmarks, fanning the
-// benchmark × consistency-model grid out on a bounded worker pool.
-func Table1(benches []*Benchmark, opts ...Option) ([]Table1Row, error) {
-	return exp.Table1(benches, opts...)
-}
+// benchmark × consistency-model grid out on GOMAXPROCS workers.
+func Table1(benches []*Benchmark) ([]Table1Row, error) { return exp.Table1(benches) }
 
 // FormatTable1 renders Table 1 rows.
 func FormatTable1(rows []Table1Row) string { return exp.FormatTable1(rows) }

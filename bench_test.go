@@ -49,14 +49,14 @@ func BenchmarkTable1_SIBench(b *testing.B)    { benchTable1(b, "SIBench") }
 func BenchmarkTable1_Wikipedia(b *testing.B)  { benchTable1(b, "Wikipedia") }
 func BenchmarkTable1_Killrchat(b *testing.B)  { benchTable1(b, "Killrchat") }
 
-// --- Table 1 corpus pipeline: sequential vs parallel engine ---
+// --- Table 1 corpus pipeline on GOMAXPROCS workers ---
 //
+// Run with -cpu 1,N to compare the sequential pool with an N-worker one.
 // internal/exp's TestTable1Golden pins what both compute; on a multi-core
-// machine the parallel engine's advantage approaches min(GOMAXPROCS, ~3x)
+// machine the parallel pool's advantage approaches min(GOMAXPROCS, ~3x)
 // for the 9-benchmark x 3-model grid (the TPC-C column dominates the
 // critical path). On a single-core machine they coincide.
-
-func benchTable1Corpus(b *testing.B, parallelism int) {
+func BenchmarkTable1Corpus(b *testing.B) {
 	all := benchmarks.All()
 	for _, bench := range all {
 		if _, err := bench.Program(); err != nil {
@@ -65,14 +65,11 @@ func benchTable1Corpus(b *testing.B, parallelism int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table1(all, exp.WithParallelism(parallelism)); err != nil {
+		if _, err := exp.Table1(all); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkTable1Corpus_Sequential(b *testing.B) { benchTable1Corpus(b, 1) }
-func BenchmarkTable1Corpus_Parallel(b *testing.B)   { benchTable1Corpus(b, 0) }
 
 // --- Table 1's consistency-model columns (EC vs CC vs RR detection) ---
 

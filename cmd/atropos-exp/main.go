@@ -13,8 +13,8 @@
 //	atropos-exp -exp chaos [-bench SmallBank] [-scenarios clean,rolling-crash]
 //	atropos-exp -exp all
 //
-// Experiments fan out on a bounded worker pool; -parallel bounds the
-// workers (default: GOMAXPROCS). Results are independent of the setting.
+// Experiments fan out on a pool of GOMAXPROCS workers (GOMAXPROCS=N in the
+// environment sets N). Results are independent of the setting.
 //
 // The compiled cluster simulator (DESIGN.md §9) makes panels far larger
 // than the paper's tractable. -scale N multiplies the initial population
@@ -50,7 +50,6 @@ var (
 	records  = flag.Int("records", 100, "benchmark population scale")
 	scaleUp  = flag.Int("scale", 1, "multiply the fig12-15 population and client sweep by this factor")
 	ops      = flag.Int64("ops", 0, "stop each fig12-15 point after this many commits instead of -duration (0 = duration-bounded)")
-	parallel = flag.Int("parallel", 0, "worker goroutines for the experiment drivers (0 = GOMAXPROCS)")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProf  = flag.String("memprofile", "", "write an allocation profile of the experiment to this file")
 	scenArg  = flag.String("scenarios", "", "comma-separated chaos scenario names (default: the full panel)")
@@ -126,7 +125,7 @@ func main() {
 
 func runTable1() {
 	fmt.Println("== Table 1: statically identified anomalous access pairs ==")
-	rows, err := exp.Table1(benchmarks.All(), exp.WithParallelism(*parallel))
+	rows, err := exp.Table1(benchmarks.All())
 	if err != nil {
 		fatal(err)
 	}
@@ -178,7 +177,6 @@ func runFig(fig int) {
 				Ops:          *ops,
 				Scale:        benchmarks.Scale{Records: *records * *scaleUp},
 				Seed:         *seed,
-				Parallelism:  *parallel,
 			})
 			if err != nil {
 				fatal(err)
@@ -246,11 +244,11 @@ func runInvariants() {
 
 func runSummary() {
 	fmt.Println("== Headline aggregates ==")
-	t1, err := exp.Table1(benchmarks.All(), exp.WithParallelism(*parallel))
+	t1, err := exp.Table1(benchmarks.All())
 	if err != nil {
 		fatal(err)
 	}
-	s, err := exp.Summary(t1, 150, time.Duration(*duration)*time.Second, *seed, exp.WithParallelism(*parallel))
+	s, err := exp.Summary(t1, 150, time.Duration(*duration)*time.Second, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -266,14 +264,14 @@ func runSummary() {
 func runCertify() {
 	fmt.Println("== Witness-replay certificates: detected pairs reproduced in the simulator ==")
 	benches := benchmarks.All()
-	rows, err := exp.CertifyGrid(benches, *parallel)
+	rows, err := exp.CertifyGrid(benches)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(exp.FormatCertify(rows))
 	fmt.Println()
 	fmt.Println("== Negative controls: serial (SC) and repaired-program replays (EC) ==")
-	negs, err := exp.CertifyNegatives(benches, *parallel)
+	negs, err := exp.CertifyNegatives(benches)
 	if err != nil {
 		fatal(err)
 	}
@@ -295,10 +293,7 @@ func runCertify() {
 // every AT-SC run stay at zero.
 func runChaos() {
 	fmt.Println("== Chaos panel: Adya-style violations under deterministic fault schedules ==")
-	cfg := exp.ChaosConfig{
-		Seed:        *seed,
-		Parallelism: *parallel,
-	}
+	cfg := exp.ChaosConfig{Seed: *seed}
 	if *benchArg != "" {
 		b := benchmarks.ByName(*benchArg)
 		if b == nil {

@@ -14,14 +14,14 @@
 //	-steps               print the refactoring steps applied
 //	-bench NAME          use built-in benchmarks instead of files
 //	                     (comma-separated names, or "all")
-//	-parallel N          analyze inputs on N workers (0 = GOMAXPROCS)
 //	-certify             replay every detected anomaly as an executable
 //	                     certificate in the cluster simulator; with
 //	                     repair, also run the SC and repaired-program
 //	                     negative controls
 //
-// Multiple inputs are analyzed concurrently on a bounded worker pool;
-// output order matches input order.
+// Multiple inputs are analyzed concurrently on a pool of GOMAXPROCS
+// workers (GOMAXPROCS=N in the environment sets N); output order matches
+// input order.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	showSteps := flag.Bool("steps", false, "print refactoring steps")
 	benchName := flag.String("bench", "", `built-in benchmark names, comma-separated, or "all"`)
 	outPath := flag.String("out", "", "write the refactored program to this file instead of stdout (single input only)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for multiple inputs (0 = GOMAXPROCS)")
 	certify := flag.Bool("certify", false, "replay every detected anomaly as an executable certificate in the cluster simulator")
 	flag.Parse()
 
@@ -57,11 +56,11 @@ func main() {
 		fatal(fmt.Errorf("-out requires exactly one input, got %d", len(inputs)))
 	}
 
-	// Analyze/repair every input concurrently on a bounded worker pool;
+	// Analyze/repair every input concurrently on the worker pool;
 	// buffer per-input output so the report order matches the input order.
 	ctx := context.Background()
 	outputs := make([]string, len(inputs))
-	err = pool.ForEach(pool.Workers(*parallel), len(inputs), func(i int) error {
+	err = pool.ForEach(len(inputs), func(i int) error {
 		var perr error
 		outputs[i], perr = process(ctx, inputs[i], m, *analyzeOnly, *showSteps, *certify, *outPath)
 		return perr

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"testing"
 
 	"atropos/internal/anomaly"
@@ -22,7 +23,7 @@ func TestDirectedViewsMatchCloneOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay.CertifyRepair(prog, nil, rep, nil)
+		replay.CertifyRepairContext(context.Background(), prog, nil, rep, nil)
 	}
 	models := []anomaly.Model{anomaly.EC, anomaly.CC, anomaly.RR}
 	if testing.Short() {

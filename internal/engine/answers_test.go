@@ -81,10 +81,10 @@ func repairReply(t *testing.T, e *Engine, ctx context.Context, prog *ast.Program
 	return view, false, nil
 }
 
-// certifyReply is repairReply for CertifyReply, with certifyView.
+// certifyReply is repairReply for Certify, with certifyView.
 func certifyReply(t *testing.T, e *Engine, ctx context.Context, prog *ast.Program, model anomaly.Model) (view string, hit bool, err error) {
 	t.Helper()
-	cert, rep, reply, err := e.CertifyReply(ctx, prog, model)
+	cert, rep, reply, err := e.Certify(ctx, prog, model)
 	switch {
 	case err != nil:
 		return "", false, err
@@ -153,7 +153,7 @@ func TestAnswerMemoCertifyEquivalence(t *testing.T) {
 	ctx := context.Background()
 	e := New(Config{Workers: 1})
 	for _, c := range append(progs, benches...) {
-		cert, rep, err := New(Config{Workers: 1}).Certify(ctx, c.Prog, anomaly.EC)
+		cert, rep, _, err := New(Config{Workers: 1}).Certify(ctx, c.Prog, anomaly.EC)
 		if err != nil {
 			t.Fatalf("%s: fresh: %v", c.Name, err)
 		}
@@ -186,8 +186,9 @@ func answerCounters(e *Engine) [4]int64 {
 
 // TestAnswerMemoBypasses: a degraded repair gets no Reply, so it does not
 // fill the memo — the next clean request computes; a repair on an injected
-// session neither reads nor fills it; and the library calls Repair and
-// Certify compute every time without touching it.
+// session neither reads nor fills it; the library call Repair computes
+// every time without touching it; and a Certify whose caller never calls
+// Store looks the memo up but never gets a hit.
 func TestAnswerMemoBypasses(t *testing.T) {
 	e := New(Config{Workers: 1})
 	prog := loadRMW(t)
@@ -214,11 +215,16 @@ func TestAnswerMemoBypasses(t *testing.T) {
 	if _, err := e.Repair(ctx, prog, anomaly.EC); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Certify(ctx, prog, anomaly.EC); err != nil {
-		t.Fatal(err)
-	}
 	if got := answerCounters(e); got != before {
-		t.Fatalf("library repair and certify moved the memo: %v, want %v", got, before)
+		t.Fatalf("library repair moved the memo: %v, want %v", got, before)
+	}
+	for i := 0; i < 2; i++ {
+		if cert, _, reply, err := e.Certify(ctx, prog, anomaly.EC); err != nil || cert == nil || reply.Bytes != nil {
+			t.Fatalf("unstored certify %d: cert %v, reply %v, err %v; want a computed certificate", i, cert != nil, reply, err)
+		}
+	}
+	if got, want := answerCounters(e), [4]int64{before[0], before[1] + 2, before[2], before[3]}; got != want {
+		t.Fatalf("two unstored certifies: hits, misses, evictions, cached = %v, want %v", got, want)
 	}
 }
 

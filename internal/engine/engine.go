@@ -19,8 +19,8 @@
 //     type (lru.go), bounded by shares of one 64 MiB budget. A session is
 //     checked out (removed) while a request uses it, so a concurrent
 //     request for its key detects on a fresh one; the later checkin of the
-//     two is dropped. Repair and Certify compute every time; RepairReply
-//     and CertifyReply go through the answer memo.
+//     two is dropped. Repair computes every time; RepairReply and Certify
+//     go through the answer memo.
 //   - Cancellation: the request context threads through repair → anomaly,
 //     which checks it before every cycle query; a disconnected client frees
 //     its worker slot mid-detection instead of leaking it.
@@ -551,21 +551,12 @@ func (e *Engine) repair(ctx context.Context, prog *ast.Program, model anomaly.Mo
 }
 
 // Certify detects on a private session and replays every reported pair as
-// an executable certificate (internal/replay). It computes every time, and
-// the certificate and report belong to the caller.
-func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (*replay.Certificate, *anomaly.Report, error) {
-	cert, rep, _, err := e.certify(ctx, prog, model, false)
-	return cert, rep, err
-}
-
-// CertifyReply is Certify through the answer memo, as RepairReply is
-// Repair: a hit returns only the Reply, and a miss that completes returns
-// the certificate, the report and the Reply that stores what a hit sends.
-func (e *Engine) CertifyReply(ctx context.Context, prog *ast.Program, model anomaly.Model) (*replay.Certificate, *anomaly.Report, *Reply, error) {
-	return e.certify(ctx, prog, model, true)
-}
-
-func (e *Engine) certify(ctx context.Context, prog *ast.Program, model anomaly.Model, memo bool) (cert *replay.Certificate, rep *anomaly.Report, reply *Reply, err error) {
+// an executable certificate (internal/replay), through the answer memo as
+// RepairReply is: a hit returns only the Reply, and a miss that completes
+// returns the certificate, the report (both the caller's) and the Reply
+// whose Store stores what a hit sends. A caller that never calls Store
+// never gets a hit.
+func (e *Engine) Certify(ctx context.Context, prog *ast.Program, model anomaly.Model) (cert *replay.Certificate, rep *anomaly.Report, reply *Reply, err error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, nil, nil, err
 	}
@@ -573,14 +564,12 @@ func (e *Engine) certify(ctx context.Context, prog *ast.Program, model anomaly.M
 	start := time.Now()
 	defer e.guard(start, &err)
 	e.execHook("certify", "")
-	if memo {
-		reply = e.lookup(answerKey{verb: "certify", prog: ast.HashProgram(prog), model: model}, start)
-		if reply.Bytes != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, e.finish(start, err)
-			}
-			return nil, nil, reply, e.finish(start, nil)
+	reply = e.lookup(answerKey{verb: "certify", prog: ast.HashProgram(prog), model: model}, start)
+	if reply.Bytes != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, e.finish(start, err)
 		}
+		return nil, nil, reply, e.finish(start, nil)
 	}
 	cert, rep, cerr := replay.CertifyModelContext(ctx, prog, model)
 	if cerr != nil {

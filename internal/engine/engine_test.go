@@ -165,7 +165,7 @@ func TestPreCancelledContext(t *testing.T) {
 	if _, err := e.Analyze(ctx, loadRMW(t), anomaly.EC); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Analyze on cancelled ctx = %v", err)
 	}
-	if _, _, err := e.Certify(ctx, loadRMW(t), anomaly.EC); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := e.Certify(ctx, loadRMW(t), anomaly.EC); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Certify on cancelled ctx = %v", err)
 	}
 	if st := e.Stats(); st.InFlight != 0 {
@@ -282,7 +282,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 			case 1:
 				_, err = e.Repair(ctx, prog, anomaly.EC, repair.Client(client))
 			case 2:
-				_, _, err = e.Certify(ctx, bank, anomaly.EC)
+				_, _, _, err = e.Certify(ctx, bank, anomaly.EC)
 			default:
 				_, err = e.Simulate(ctx, cluster.Config{
 					Program:  bank,

@@ -149,9 +149,14 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// withStages is a repair option that sets an explicit stage split.
+func withStages(s repair.StageDeadlines) repair.Option {
+	return func(o *repair.Options) { o.Stages = s }
+}
+
 // expiredDetect is a stage split whose detect allowance is spent before the
 // first detection pass starts: a repair under it degrades.
-var expiredDetect = repair.Stages(repair.StageDeadlines{Detect: time.Nanosecond})
+var expiredDetect = withStages(repair.StageDeadlines{Detect: time.Nanosecond})
 
 // TestBreakerEndToEnd drives the circuit through the public verb: repeated
 // degraded repairs from one client trip its breaker; a fresh client is
@@ -245,7 +250,7 @@ func TestStageSplitDerivedFromDeadline(t *testing.T) {
 		t.Fatal("degraded repair returned no program")
 	}
 	res, err = e.Repair(ctx, prog, anomaly.EC,
-		repair.Stages(repair.StageDeadlines{Detect: time.Hour, Repair: time.Hour}))
+		withStages(repair.StageDeadlines{Detect: time.Hour, Repair: time.Hour}))
 	if err != nil {
 		t.Fatalf("repair with an explicit stage split: %v", err)
 	}

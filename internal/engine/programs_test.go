@@ -136,7 +136,7 @@ func TestMemoizedProgramIsShared(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			if _, _, err := e.Certify(ctx, p, anomaly.EC); err != nil {
+			if _, _, _, err := e.Certify(ctx, p, anomaly.EC); err != nil {
 				t.Error(err)
 			}
 		}(i)

@@ -46,16 +46,16 @@ func (r CertifyRow) Rate() float64 {
 }
 
 // CertifyGrid replays witness certificates for every benchmark × weak
-// model on a bounded worker pool. Counts are deterministic and
+// model on a pool of GOMAXPROCS workers. Counts are deterministic and
 // machine-independent; internal/corpus's golden table pins every cell.
-func CertifyGrid(benches []*benchmarks.Benchmark, parallelism int) ([]CertifyRow, error) {
+func CertifyGrid(benches []*benchmarks.Benchmark) ([]CertifyRow, error) {
 	for _, b := range benches {
 		if _, err := b.Program(); err != nil {
 			return nil, err
 		}
 	}
 	rows := make([]CertifyRow, len(benches)*len(CertModels))
-	err := pool.ForEach(pool.Workers(parallelism), len(rows), func(i int) error {
+	err := pool.ForEach(len(rows), func(i int) error {
 		b := benches[i/len(CertModels)]
 		m := CertModels[i%len(CertModels)]
 		prog, _ := b.Program()
@@ -95,15 +95,15 @@ type CertifyNegative struct {
 }
 
 // CertifyNegatives runs the certified repair pipeline for each benchmark
-// under EC on a bounded worker pool.
-func CertifyNegatives(benches []*benchmarks.Benchmark, parallelism int) ([]CertifyNegative, error) {
+// under EC on a pool of GOMAXPROCS workers.
+func CertifyNegatives(benches []*benchmarks.Benchmark) ([]CertifyNegative, error) {
 	for _, b := range benches {
 		if _, err := b.Program(); err != nil {
 			return nil, err
 		}
 	}
 	out := make([]CertifyNegative, len(benches))
-	err := pool.ForEach(pool.Workers(parallelism), len(benches), func(i int) error {
+	err := pool.ForEach(len(benches), func(i int) error {
 		prog, _ := benches[i].Program()
 		res, err := repair.Run(context.Background(), prog, anomaly.EC, repair.Certify(true))
 		if err != nil {

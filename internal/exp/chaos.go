@@ -44,8 +44,6 @@ type ChaosConfig struct {
 	Warmup   time.Duration
 	// Seed fixes the workloads (fault plans carry their own seeds).
 	Seed int64
-	// Parallelism bounds concurrent runs; <= 0 selects GOMAXPROCS.
-	Parallelism int
 }
 
 // ChaosRow is one (benchmark, scenario, deployment) measurement. For the
@@ -155,7 +153,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	nv, ns := 3, len(scenarios)
 	rows := make([]ChaosRow, len(cfg.Benchmarks)*ns*nv)
-	err := pool.ForEach(pool.Workers(cfg.Parallelism), len(rows), func(i int) error {
+	err := pool.ForEach(len(rows), func(i int) error {
 		bi, rest := i/(ns*nv), i%(ns*nv)
 		si, vi := rest/nv, rest%nv
 		b, sc, v := cfg.Benchmarks[bi], scenarios[si], variants[bi][vi]

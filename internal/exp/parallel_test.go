@@ -2,6 +2,7 @@ package exp
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,18 +10,25 @@ import (
 	"atropos/internal/cluster"
 )
 
+// withProcs runs fn under GOMAXPROCS n, which sizes every driver's worker
+// pool, and restores the old setting. GOMAXPROCS is process-wide, so its
+// callers must not be t.Parallel.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestTable1ParallelMatchesSequential pins the tentpole property: the
-// parallel engine produces the same table as the sequential path. Run with
+// parallel pool produces the same table as the sequential path. Run with
 // -race this also exercises the concurrent detector/repair paths.
 func TestTable1ParallelMatchesSequential(t *testing.T) {
 	corpus := []*benchmarks.Benchmark{benchmarks.SIBench, benchmarks.Courseware, benchmarks.Twitter, benchmarks.Killrchat}
-	seq, err := Table1(corpus, WithParallelism(1))
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	par, err := Table1(corpus, WithParallelism(4))
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
+	var seq, par []Table1Row
+	var serr, perr error
+	withProcs(1, func() { seq, serr = Table1(corpus) })
+	withProcs(4, func() { par, perr = Table1(corpus) })
+	if serr != nil || perr != nil {
+		t.Fatalf("sequential: %v; parallel: %v", serr, perr)
 	}
 	for i := range seq {
 		a, b := seq[i], par[i]
@@ -35,10 +43,11 @@ func TestTable1ParallelMatchesSequential(t *testing.T) {
 // fail the whole run deterministically, parallel or not.
 func TestTable1ErrorPropagation(t *testing.T) {
 	bad := &benchmarks.Benchmark{Name: "Broken", Source: "table T {"}
-	for _, par := range []int{1, 4} {
-		_, err := Table1([]*benchmarks.Benchmark{benchmarks.SIBench, bad}, WithParallelism(par))
+	for _, procs := range []int{1, 4} {
+		var err error
+		withProcs(procs, func() { _, err = Table1([]*benchmarks.Benchmark{benchmarks.SIBench, bad}) })
 		if err == nil {
-			t.Errorf("parallelism %d: no error for broken benchmark", par)
+			t.Errorf("GOMAXPROCS=%d: no error for broken benchmark", procs)
 		}
 	}
 }
@@ -55,15 +64,12 @@ func TestPerfParallelMatchesSequential(t *testing.T) {
 		Scale:        benchmarks.Scale{Records: 20},
 		Seed:         11,
 	}
-	cfg.Parallelism = 1
-	seq, err := Perf(cfg)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	cfg.Parallelism = 8
-	par, err := Perf(cfg)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
+	var seq, par *PerfResult
+	var serr, perr error
+	withProcs(1, func() { seq, serr = Perf(cfg) })
+	withProcs(4, func() { par, perr = Perf(cfg) })
+	if serr != nil || perr != nil {
+		t.Fatalf("sequential: %v; parallel: %v", serr, perr)
 	}
 	// SimWall is wall-clock and legitimately differs between runs; every
 	// simulated measurement must be identical.

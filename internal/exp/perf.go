@@ -32,10 +32,6 @@ type PerfConfig struct {
 	Ops   int64
 	Scale benchmarks.Scale
 	Seed  int64
-	// Parallelism bounds the number of deployment simulations run
-	// concurrently (the panel's 4 variants × client counts are mutually
-	// independent); <= 0 selects GOMAXPROCS.
-	Parallelism int
 }
 
 // PerfResult bundles the four measured curves of one panel.
@@ -111,7 +107,7 @@ func Perf(cfg PerfConfig) (*PerfResult, error) {
 	}
 	committed := make([]int64, len(variants)*nc)
 	simStart := time.Now()
-	err = pool.ForEach(pool.Workers(cfg.Parallelism), len(variants)*nc, func(i int) error {
+	err = pool.ForEach(len(variants)*nc, func(i int) error {
 		v, clients := variants[i/nc], cfg.ClientCounts[i%nc]
 		run, err := cluster.Run(cluster.Config{
 			Program:          v.prog,

@@ -25,8 +25,7 @@ type SummaryResult struct {
 
 // Summary computes the aggregates from a Table 1 run plus a SmallBank
 // performance panel at the given load.
-func Summary(t1 []Table1Row, clients int, duration time.Duration, seed int64, opts ...Option) (*SummaryResult, error) {
-	o := buildOptions(opts)
+func Summary(t1 []Table1Row, clients int, duration time.Duration, seed int64) (*SummaryResult, error) {
 	out := &SummaryResult{}
 	var pctSum float64
 	n := 0
@@ -46,7 +45,6 @@ func Summary(t1 []Table1Row, clients int, duration time.Duration, seed int64, op
 		ClientCounts: []int{clients},
 		Duration:     duration,
 		Seed:         seed,
-		Parallelism:  o.parallelism,
 	})
 	if err != nil {
 		return nil, err

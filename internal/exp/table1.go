@@ -5,10 +5,10 @@
 //
 // The drivers are parallel: Table1 fans its benchmark × consistency-model
 // grid out on a bounded worker pool, and Perf runs the independent
-// deployment simulations of a panel concurrently. The worker count is set
-// with WithParallelism (Table1) or PerfConfig.Parallelism (Perf) and
-// defaults to GOMAXPROCS; results are identical to the sequential runs
-// because every unit of work owns its state (see DESIGN.md §6).
+// deployment simulations of a panel concurrently. Every pool has
+// GOMAXPROCS workers; results are identical to the sequential runs
+// (GOMAXPROCS=1) because every unit of work owns its state (see
+// DESIGN.md §6).
 package exp
 
 import (
@@ -43,14 +43,13 @@ const table1Parts = 3
 // Table1 reproduces Table 1: statically identified anomalous access pairs
 // in the original and refactored programs, per consistency model, plus
 // analysis+repair time. The benchmark × model grid runs on a worker pool
-// (WithParallelism; default GOMAXPROCS). Each row's Time column is the
-// total CPU work spent on that benchmark — the sum of its parts — so it is
-// comparable across parallelism settings.
-func Table1(benches []*benchmarks.Benchmark, opts ...Option) ([]Table1Row, error) {
-	o := buildOptions(opts)
+// of GOMAXPROCS goroutines. Each row's Time column is the total CPU work
+// spent on that benchmark — the sum of its parts — so it is comparable
+// across GOMAXPROCS settings.
+func Table1(benches []*benchmarks.Benchmark) ([]Table1Row, error) {
 	rows := make([]Table1Row, len(benches))
 	durs := make([][table1Parts]time.Duration, len(benches))
-	err := pool.ForEach(pool.Workers(o.parallelism), len(benches)*table1Parts, func(i int) error {
+	err := pool.ForEach(len(benches)*table1Parts, func(i int) error {
 		bi, part := i/table1Parts, i%table1Parts
 		b := benches[bi]
 		prog, err := b.Program()

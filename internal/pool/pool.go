@@ -7,25 +7,15 @@ import (
 	"sync"
 )
 
-// Workers resolves a parallelism knob: n <= 0 means GOMAXPROCS.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// ForEach runs fn(0) … fn(n-1) on at most w goroutines and waits for all
-// of them. Every index runs even if an earlier one fails; the error for
-// the lowest index is returned so the outcome does not depend on
-// scheduling. With w <= 1 it degenerates to a plain sequential loop.
-func ForEach(w, n int, fn func(i int) error) error {
+// ForEach runs fn(0) … fn(n-1) on at most GOMAXPROCS goroutines and waits
+// for all of them. Every index runs even if an earlier one fails; the error
+// for the lowest index is returned so the outcome does not depend on
+// scheduling. Under GOMAXPROCS 1 it degenerates to a plain sequential loop.
+func ForEach(n int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		var first error
 		for i := 0; i < n; i++ {

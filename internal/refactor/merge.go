@@ -256,7 +256,8 @@ func lookupConjunct(t *ast.Txn, table string, wAnchor ast.Expr, q ast.WhereEqual
 // by label): the merged command takes c1's position, and uses of c2's
 // variable are rewritten to c1's. It fails unless the commands are the same
 // kind, on the same table, provably select the same records, and no
-// conflicting command sits between them.
+// conflicting command sits between them; a select c2 that precedes c1 must
+// also have its variable unread between them.
 //
 // All feasibility checks run against p itself — they are pure reads — so
 // failing speculative probes (repair's try_repair and post-processing
@@ -307,8 +308,12 @@ func checkMerge(p *ast.Program, txn, label1, label2 string) (ast.Expr, error) {
 	}
 	switch x1 := pc1.(type) {
 	case *ast.Select:
-		if _, ok := pc2.(*ast.Select); !ok {
+		x2, ok := pc2.(*ast.Select)
+		if !ok {
 			return nil, errf("merge", "%s: %s and %s are different kinds", txn, label1, label2)
+		}
+		if readBetween(pt, x2, x1) {
+			return nil, errf("merge", "%s: %q is read between %s and %s, before the merged select binds it", txn, x2.Var, label2, label1)
 		}
 	case *ast.Update:
 		x2, ok := pc2.(*ast.Update)
@@ -326,6 +331,32 @@ func checkMerge(p *ast.Program, txn, label1, label2 string) (ast.Expr, error) {
 		return nil, errf("merge", "%s: %s is not mergeable (inserts are already atomic)", txn, label1)
 	}
 	return mergedWhere, nil
+}
+
+// readBetween reports whether a statement that runs after the select from
+// and before the command to reads from's variable. Merging from into a
+// later to renames those reads to a variable not yet bound there.
+func readBetween(t *ast.Txn, from *ast.Select, to ast.DBCommand) bool {
+	in, stop, read := false, false, false
+	ast.WalkStmts(t.Body, func(s ast.Stmt) bool {
+		if stop {
+			return false
+		}
+		switch {
+		case s == to:
+			stop = true
+		case s == from:
+			in = true
+		case in:
+			for _, e := range ast.StmtExprs(s) {
+				if ast.VarsRead(e)[from.Var] {
+					read, stop = true, true
+				}
+			}
+		}
+		return !stop
+	})
+	return read
 }
 
 // mergedSelect builds the merged select of two validated same-records

@@ -11,6 +11,7 @@ import (
 
 	"atropos/internal/ast"
 	"atropos/internal/corpus"
+	"atropos/internal/sema"
 )
 
 // rulesObserved is where a failing TestRulesGolden writes the table it
@@ -57,6 +58,38 @@ func TestRulesGolden(t *testing.T) {
 	}
 }
 
+// TestMergeOutcomesLoad re-loads every successful Merge outcome of
+// TestRulesGolden's inputs through sema: a merge that moves a select down
+// past a statement reading its variable leaves that read unbound.
+func TestMergeOutcomesLoad(t *testing.T) {
+	for _, c := range corpus.Programs(96) {
+		for _, tx := range c.Prog.Txns {
+			eachMerge(c.Prog, tx, func(probe string, np *ast.Program, err error) {
+				if err != nil {
+					return
+				}
+				if _, err := sema.Load(ast.Format(np)); err != nil {
+					t.Errorf("%s: %s: %v", c.Name, probe, err)
+				}
+			})
+		}
+	}
+}
+
+// eachMerge calls fn with the outcome of Merge on every ordered pair of
+// tx's commands on one table, in program order.
+func eachMerge(p *ast.Program, tx *ast.Txn, fn func(probe string, np *ast.Program, err error)) {
+	cmds := tx.Commands()
+	for i, c1 := range cmds {
+		for j, c2 := range cmds {
+			if i != j && c1.TableName() == c2.TableName() {
+				np, err := Merge(p, tx.Name, c1.CmdLabel(), c2.CmdLabel())
+				fn("merge "+tx.Name+"."+c1.CmdLabel()+"+"+c2.CmdLabel(), np, err)
+			}
+		}
+	}
+}
+
 // ruleOutcomes writes one line per rule outcome on p to w and returns the
 // number of lines.
 func ruleOutcomes(w io.Writer, p *ast.Program) int {
@@ -70,16 +103,8 @@ func ruleOutcomes(w io.Writer, p *ast.Program) int {
 		fmt.Fprintf(w, "%s: %#016x %v\n", probe, ast.HashProgram(np), extra)
 	}
 	for _, tx := range p.Txns {
-		cmds := tx.Commands()
-		for i, c1 := range cmds {
-			for j, c2 := range cmds {
-				if i != j && c1.TableName() == c2.TableName() {
-					np, err := Merge(p, tx.Name, c1.CmdLabel(), c2.CmdLabel())
-					emit("merge "+tx.Name+"."+c1.CmdLabel()+"+"+c2.CmdLabel(), np, err)
-				}
-			}
-		}
-		for _, c := range cmds {
+		eachMerge(p, tx, func(probe string, np *ast.Program, err error) { emit(probe, np, err) })
+		for _, c := range tx.Commands() {
 			var own []string
 			switch x := c.(type) {
 			case *ast.Update:

@@ -186,9 +186,6 @@ func Session(s *anomaly.DetectSession) Option { return func(o *Options) { o.Sess
 // Client tags the run with a caller identity (see Options.Client).
 func Client(id string) Option { return func(o *Options) { o.Client = id } }
 
-// Stages installs per-stage deadline allowances (see Options.Stages).
-func Stages(s StageDeadlines) Option { return func(o *Options) { o.Stages = s } }
-
 // BuildOptions folds functional options over the zero configuration. The
 // engine uses it to inspect and amend options before dispatching.
 func BuildOptions(opts ...Option) Options {

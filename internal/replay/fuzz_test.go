@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"context"
 	"testing"
 
 	"atropos/internal/anomaly"
@@ -74,7 +75,7 @@ func FuzzWitnessReplaySoundness(f *testing.F) {
 		}
 		// Serial control: replaying the lowered inputs serially (both
 		// orders) must never exhibit a violation.
-		rc := replay.CertifyRepair(prog, nil, rep, nil)
+		rc, _ := replay.CertifyRepairContext(context.Background(), prog, nil, rep, nil)
 		if rc.SCViolations != 0 {
 			t.Fatalf("seed %d: %d/%d serial replays exhibited a violation", seed, rc.SCViolations, rc.SCRuns)
 		}

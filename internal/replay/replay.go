@@ -252,15 +252,9 @@ type RepairCertificate struct {
 	Errors []string
 }
 
-// CertifyRepair certifies a pre-repair report against both the
+// CertifyRepairContext certifies a pre-repair report against both the
 // original and the repaired program. stillAnomalous lists transactions the
-// repair left with residual pairs (repair.Result.SerializableTxns).
-func CertifyRepair(orig, repaired *ast.Program, rep *anomaly.Report, stillAnomalous []string) *RepairCertificate {
-	rc, _ := CertifyRepairContext(context.Background(), orig, repaired, rep, stillAnomalous)
-	return rc
-}
-
-// CertifyRepairContext is CertifyRepair with cooperative cancellation: ctx
+// repair left with residual pairs (repair.Result.SerializableTxns). ctx
 // is checked between pairs in both the positive-certificate ladder and the
 // negative-control replays. When it expires mid-run the partial
 // certificate built so far is returned with complete=false — its counts

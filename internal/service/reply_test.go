@@ -70,13 +70,13 @@ func TestStoredReplyIdentity(t *testing.T) {
 			)
 			if verb == "certify" {
 				path = "/v1/certify"
-				cert, rep, err := eng.Certify(ctx, cl.c.Prog, cl.model)
+				cert, rep, _, err := eng.Certify(ctx, cl.c.Prog, cl.model)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want = certifyResponse(cl.model, cert, rep, 0)
 				stored = func() (*engine.Reply, error) {
-					_, _, r, err := eng.CertifyReply(ctx, cl.c.Prog, cl.model)
+					_, _, r, err := eng.Certify(ctx, cl.c.Prog, cl.model)
 					return r, err
 				}
 			} else {

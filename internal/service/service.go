@@ -718,7 +718,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := requestContext(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	cert, rep, reply, err := s.eng.CertifyReply(ctx, prog, model)
+	cert, rep, reply, err := s.eng.Certify(ctx, prog, model)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
