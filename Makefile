@@ -64,7 +64,7 @@ race:
 # B/op read in two modes up to 23 % apart from one `make bench` to the next,
 # and BenchmarkDetect_TPCC's read its one-time work (building the program's
 # views, warming the pass scratch pool); at ten, steady state (CHANGES.md).
-# The simulator's microbenchmarks (BENCH_MICRO, a few µs an op) still read
+# The simulator's microbenchmarks (BENCH_MICRO, 0.1–5 µs an op) still read
 # their tables' growth at ten, so they run 10 000 times.
 # (Redirect + cat rather than tee: a pipe would mask go test's exit code.)
 bench:
@@ -88,7 +88,7 @@ bench-harness:
 # the ref `make bench-compare` measures against.
 BASE_REF ?= HEAD~1
 BENCH_PKGS ?= ./internal/anomaly ./internal/parser ./internal/logic ./internal/sat ./internal/cluster ./internal/replay ./internal/service
-BENCH_MICRO = ^BenchmarkSim(ApplyInsert|LockCycle)$$
+BENCH_MICRO = ^BenchmarkSim(ApplyInsert|LockCycle|Queue)$$
 
 # One parent/change pair on the benchmark (bench/run.sh, BENCHMARK.json's
 # command, all four workloads): BASE_REF runs in a throwaway git worktree,

@@ -183,8 +183,6 @@ type DBCommand interface {
 	Stmt
 	// CmdLabel returns the stable label (S1, U1, ...) of the command.
 	CmdLabel() string
-	// SetCmdLabel updates the stable label.
-	SetCmdLabel(string)
 	// TableName returns the table the command operates on.
 	TableName() string
 }
@@ -261,29 +259,17 @@ func (*Skip) isStmt()    {}
 // CmdLabel implements DBCommand.
 func (s *Select) CmdLabel() string { return s.Label }
 
-// SetCmdLabel implements DBCommand. It drops the node's own hash memo, but
-// callers must not relabel a command that is already shared (enclosing
-// nodes would keep stale memos, and its transaction's view stale labels);
-// builders relabel before sharing.
-func (s *Select) SetCmdLabel(l string) { s.Label = l; s.memo.reset() }
-
 // TableName implements DBCommand.
 func (s *Select) TableName() string { return s.Table }
 
 // CmdLabel implements DBCommand.
 func (u *Update) CmdLabel() string { return u.Label }
 
-// SetCmdLabel implements DBCommand (see Select.SetCmdLabel on sharing).
-func (u *Update) SetCmdLabel(l string) { u.Label = l; u.memo.reset() }
-
 // TableName implements DBCommand.
 func (u *Update) TableName() string { return u.Table }
 
 // CmdLabel implements DBCommand.
 func (i *Insert) CmdLabel() string { return i.Label }
-
-// SetCmdLabel implements DBCommand (see Select.SetCmdLabel on sharing).
-func (i *Insert) SetCmdLabel(l string) { i.Label = l; i.memo.reset() }
 
 // TableName implements DBCommand.
 func (i *Insert) TableName() string { return i.Table }

@@ -26,7 +26,6 @@ type memoHash struct{ v atomic.Uint64 }
 
 func (m *memoHash) load() uint64   { return m.v.Load() }
 func (m *memoHash) store(h uint64) { m.v.Store(h) }
-func (m *memoHash) reset()         { m.v.Store(0) }
 
 const (
 	hashSeed   uint64 = 14695981039346656037 // any fixed nonzero start

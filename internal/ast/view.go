@@ -129,8 +129,7 @@ type txnView struct {
 	labels []string
 }
 
-// viewed returns t's view. Labels are read when it is built, so a command
-// must not be relabelled (SetCmdLabel) once its transaction's view exists.
+// viewed returns t's view.
 func (t *Txn) viewed() *txnView {
 	if v := t.view.Load(); v != nil {
 		return v

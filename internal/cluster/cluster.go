@@ -149,15 +149,21 @@ func run(cfg Config, drain bool) (*driver, Result, error) {
 			return nil, Result{}, err
 		}
 	}
+	// An ops-bounded run measures exactly Ops samples, so a reservoir of
+	// that size never replaces one: the same samples, no RNG draw.
+	reservoir := 8192
+	if cfg.Ops > 0 && cfg.Ops < int64(reservoir) {
+		reservoir = int(cfg.Ops)
+	}
 	d := &driver{
 		cfg:      cfg,
 		cp:       cp,
-		sim:      &Sim{},
+		sim:      newSim(4 * cfg.Clients), // a run's backlog peaks at 3-5 events a client
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		replicas: [3]*replica{},
 		locks:    make([][]lockState, len(cp.tables)),
 		uuid:     &UUIDGen{},
-		lat:      metrics.NewLatencies(8192, cfg.Seed+1),
+		lat:      metrics.NewLatencies(reservoir, cfg.Seed+1),
 		flt:      flt,
 	}
 	if cfg.Observe != nil {

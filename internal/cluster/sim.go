@@ -22,28 +22,46 @@
 // so runs are deterministic given a seed.
 package cluster
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Sim is a virtual-time discrete-event loop. Times are in microseconds.
-// The queue is a hand-rolled binary min-heap rather than container/heap:
-// the interface-based API boxes every event into an `any`, one heap
-// allocation per scheduled event — millions per run — where the typed
-// version amortizes to zero.
+//
+// The queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990): every event is scheduled at now + delay >= now, so pops never
+// go back in time. An event at time at sits in bucket bits.Len64(at ^ last),
+// where last is the time of the latest redistribution and never exceeds
+// now; bucket 0 holds exactly the events at last. Buckets are linked lists
+// threaded through one pointer-free slot table (ents), with the callbacks
+// in a parallel table (fns), so moving an event between buckets writes no
+// pointer and the tables stop growing once they hold the run's largest
+// backlog. Every list is kept in scheduling order: At appends the newest
+// event, and a redistribution empties the lowest non-empty bucket, in
+// order, into buckets that are all empty. Events therefore pop in (time,
+// scheduling order) order, the determinism tie-breaker, with no sequence
+// number stored or compared.
 type Sim struct {
-	now   int64
-	seq   int64
-	queue []event
+	now  int64
+	last int64
+	head [64]int32 // bucket b's first slot, 0 when empty; times are >= 0
+	tail [64]int32
+	full uint64   // bit b set when bucket b is non-empty
+	free int32    // first free slot, linked through next
+	ents []qent   // slot 0 is the lists' nil
+	fns  []func() // by slot
 }
 
-type event struct {
-	at  int64
-	seq int64 // tie-breaker for determinism
-	fn  func()
+type qent struct {
+	at   int64
+	next int32 // next slot in the bucket or the free list
 }
 
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// newSim returns a Sim whose slot tables hold n pending events before they
+// grow.
+func newSim(n int) *Sim {
+	return &Sim{ents: make([]qent, 1, n+1), fns: make([]func(), 1, n+1)}
 }
 
 // Now returns the current virtual time in microseconds.
@@ -54,61 +72,77 @@ func (s *Sim) At(delay int64, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.seq++
-	q := append(s.queue, event{at: s.now + delay, seq: s.seq, fn: fn})
-	// Sift up.
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(&q[i], &q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+	p := s.free
+	if p != 0 {
+		s.free = s.ents[p].next
+	} else {
+		p = int32(len(s.ents))
+		s.ents, s.fns = append(s.ents, qent{}), append(s.fns, nil)
 	}
-	s.queue = q
+	at := s.now + delay
+	s.ents[p] = qent{at: at}
+	s.fns[p] = fn
+	s.push(bits.Len64(uint64(at^s.last)), p)
+}
+
+// push appends slot p to bucket b.
+func (s *Sim) push(b int, p int32) {
+	if s.head[b] == 0 {
+		s.head[b] = p
+		s.full |= 1 << b
+	} else {
+		s.ents[s.tail[b]].next = p
+	}
+	s.tail[b] = p
 }
 
 // Run processes events until the queue drains or virtual time passes
-// until (microseconds).
+// until (microseconds), which must not be before Now.
 func (s *Sim) Run(until int64) {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.at > until {
-			s.now = until
-			return
+	for s.head[0] != 0 || s.redistribute(until) {
+		p := s.head[0]
+		e := &s.ents[p]
+		s.head[0] = e.next
+		if e.next == 0 {
+			s.full &^= 1
 		}
-		s.pop()
+		e.next, s.free = s.free, p
+		fn := s.fns[p]
+		s.fns[p] = nil // release the callback
 		s.now = e.at
-		e.fn()
+		fn()
 	}
 }
 
-// pop removes the minimum event and restores the heap.
-func (s *Sim) pop() {
-	q := s.queue
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // release the fn reference
-	q = q[:n]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && eventLess(&q[l], &q[least]) {
-			least = l
-		}
-		if r < n && eventLess(&q[r], &q[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
+// redistribute refills the empty bucket 0 from the lowest non-empty bucket,
+// whose earliest time becomes last. It reports false, moving nothing, when
+// the queue is empty or that time lies beyond until (then now = until), so
+// last never passes now.
+func (s *Sim) redistribute(until int64) bool {
+	if s.full == 0 {
+		return false
 	}
-	s.queue = q
+	b := bits.TrailingZeros64(s.full)
+	least := int64(math.MaxInt64)
+	for p := s.head[b]; p != 0; p = s.ents[p].next {
+		least = min(least, s.ents[p].at)
+	}
+	if least > until {
+		s.now = until
+		return false
+	}
+	p := s.head[b]
+	s.head[b] = 0
+	s.full &^= 1 << b
+	s.last = least
+	for p != 0 {
+		e := &s.ents[p]
+		next := e.next
+		e.next = 0
+		s.push(bits.Len64(uint64(e.at^least)), p)
+		p = next
+	}
+	return true
 }
 
 // station is a FIFO k-server queue modeled by per-server busy-until

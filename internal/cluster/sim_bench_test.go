@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -141,5 +143,38 @@ func BenchmarkSimLockCycle(b *testing.B) {
 	}
 	if ran != b.N {
 		b.Fatalf("%d of %d acquisitions ran", ran, b.N)
+	}
+}
+
+// BenchmarkSimQueue: one event popped and one scheduled per op, around a
+// steady backlog of 100 pending events, with the delays a USCluster run
+// schedules: lock wake-ups (0), client legs (125), statement service
+// (2 000 plus queueing), ack and replication legs, the EC round and lock
+// timeouts.
+func BenchmarkSimQueue(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]int64, 4096)
+	for i := range delays {
+		delays[i] = []int64{0, 125, 5_500, 11_000, 12_125, 25_000, 37_500, 108_000, 2_000 + rng.Int63n(20_000)}[rng.Intn(9)]
+	}
+	s := newSim(100)
+	left, i := b.N, 0
+	var tick func()
+	tick = func() {
+		if left > 0 {
+			left--
+			i++
+			s.At(delays[i%len(delays)], tick)
+		}
+	}
+	for range 100 {
+		i++
+		s.At(delays[i%len(delays)], tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(math.MaxInt64)
+	if left != 0 {
+		b.Fatalf("%d events left unscheduled", left)
 	}
 }

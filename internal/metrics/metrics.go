@@ -21,12 +21,12 @@ type Latencies struct {
 }
 
 // NewLatencies creates an aggregator keeping at most cap samples for
-// percentiles (reservoir sampling).
+// percentiles (reservoir sampling); the reservoir is allocated at cap.
 func NewLatencies(cap int, seed int64) *Latencies {
 	if cap <= 0 {
 		cap = 4096
 	}
-	return &Latencies{cap: cap, rng: rand.New(rand.NewSource(seed))}
+	return &Latencies{reservoir: make([]time.Duration, 0, cap), cap: cap, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Add records one sample.
@@ -42,9 +42,6 @@ func (l *Latencies) Add(d time.Duration) {
 	}
 }
 
-// Count returns the number of samples recorded.
-func (l *Latencies) Count() int64 { return l.count }
-
 // Mean returns the average latency (0 when empty).
 func (l *Latencies) Mean() time.Duration {
 	if l.count == 0 {
@@ -53,21 +50,14 @@ func (l *Latencies) Mean() time.Duration {
 	return time.Duration(int64(l.sum) / l.count)
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) from the reservoir.
-func (l *Latencies) Percentile(p float64) time.Duration {
-	sorted := slices.Clone(l.reservoir)
-	slices.Sort(sorted)
-	return percentile(sorted, p)
-}
-
 // Point summarizes the samples as one curve point: the mean and the 50th,
-// 95th and 99th percentiles, read from one sorted copy of the reservoir.
+// 95th and 99th percentiles. It sorts the reservoir in place, so it is
+// read last: an Add after it would replace another sample than before.
 func (l *Latencies) Point(clients int, throughput float64) Point {
-	sorted := slices.Clone(l.reservoir)
-	slices.Sort(sorted)
+	slices.Sort(l.reservoir)
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	return Point{Clients: clients, Throughput: throughput, MeanMs: ms(l.Mean()),
-		P50Ms: ms(percentile(sorted, 50)), P95Ms: ms(percentile(sorted, 95)), P99Ms: ms(percentile(sorted, 99))}
+		P50Ms: ms(percentile(l.reservoir, 50)), P95Ms: ms(percentile(l.reservoir, 95)), P99Ms: ms(percentile(l.reservoir, 99))}
 }
 
 // percentile returns the p-th percentile of sorted, 0 if it is empty.

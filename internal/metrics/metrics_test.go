@@ -1,11 +1,23 @@
 package metrics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// Count returns the number of samples recorded.
+func (l *Latencies) Count() int64 { return l.count }
+
+// Percentile returns the p-th percentile (0 < p <= 100) from a sorted copy
+// of the reservoir.
+func (l *Latencies) Percentile(p float64) time.Duration {
+	sorted := slices.Clone(l.reservoir)
+	slices.Sort(sorted)
+	return percentile(sorted, p)
+}
 
 func TestMeanAndCount(t *testing.T) {
 	l := NewLatencies(100, 1)
