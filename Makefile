@@ -88,7 +88,7 @@ bench-harness:
 # the ref `make bench-compare` measures against.
 BASE_REF ?= HEAD~1
 BENCH_PKGS ?= ./internal/anomaly ./internal/parser ./internal/logic ./internal/sat ./internal/cluster ./internal/replay ./internal/service
-BENCH_MICRO = ^BenchmarkSim(ApplyInsert|LockCycle|Queue)$$
+BENCH_MICRO = ^BenchmarkSim(ApplyInsert|Intern|LockCycle|Queue)$$
 
 # One parent/change pair on the benchmark (bench/run.sh, BENCHMARK.json's
 # command, all four workloads): BASE_REF runs in a throwaway git worktree,

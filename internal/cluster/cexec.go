@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -277,7 +278,7 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	f.mslots = f.mslots[:0]
 	f.movs = f.movs[:0]
 	t := &v.ms.tabs[c.tid]
-	keys := t.dir.keys
+	d := t.dir
 	v.ms.scans.Calls++
 	var ot *covTab
 	if v.ov != nil && len(v.ov.tabs[c.tid].slots) > 0 {
@@ -314,9 +315,9 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	skipWhere := c.whereIsPin && path != pathScan
 
 	if path == pathExact {
-		// m[string(bytes)] probes without allocating. A key the directory
-		// does not know has no row anywhere, the overlay included.
-		slot, ok := t.dir.index[store.Key(f.keyBuf)]
+		// A key the directory does not know has no row anywhere, the
+		// overlay included.
+		slot, ok := d.lookup(f.keyBuf)
 		if !ok {
 			return nil
 		}
@@ -334,9 +335,9 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 
 	// The base side: the bucket (pathEq), or the key index from the start of
 	// the window (pathPrefix) or of the table (pathScan).
-	base := baseIter{t: t, bucket: bucket, inBucket: path == pathEq, pos: t.dir.idx.begin()}
+	base := baseIter{t: t, bucket: bucket, inBucket: path == pathEq, pos: d.idx.begin()}
 	if path == pathPrefix {
-		base.pos, base.prefix = t.dir.idx.seek(keys, f.keyBuf), f.keyBuf
+		base.pos, base.prefix = d.idx.seek(d, f.keyBuf), f.keyBuf
 	}
 	if ot == nil {
 		// No overlay state for this table: every EC scan, and the common SC
@@ -358,9 +359,9 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 	// (outside the bucket).
 	ord := ot.order
 	if path == pathPrefix {
-		lo := sort.Search(len(ord), func(i int) bool { return keyCmp(keys[ot.slots[ord[i]]], f.keyBuf) >= 0 })
+		lo := sort.Search(len(ord), func(i int) bool { return bytes.Compare(d.key(ot.slots[ord[i]]), f.keyBuf) >= 0 })
 		hi := lo
-		for hi < len(ord) && keyHasPrefix(keys[ot.slots[ord[hi]]], f.keyBuf) {
+		for hi < len(ord) && bytes.HasPrefix(d.key(ot.slots[ord[hi]]), f.keyBuf) {
 			hi++
 		}
 		ord = ord[lo:hi]
@@ -373,7 +374,7 @@ func (f *cframe) matching(v cview, c *ccmd) error {
 			err = f.try(v, c, skipWhere, slot, true, ord[0])
 			slot, bHas = base.next()
 			ord = ord[1:]
-		case bHas && (len(ord) == 0 || keys[slot] < keys[ot.slots[ord[0]]]):
+		case bHas && (len(ord) == 0 || bytes.Compare(d.key(slot), d.key(ot.slots[ord[0]])) < 0):
 			err = f.try(v, c, skipWhere, slot, true, -1)
 			slot, bHas = base.next()
 		default:
@@ -410,7 +411,7 @@ func (it *baseIter) next() (int32, bool) {
 	}
 	for idx := &it.t.dir.idx; idx.valid(it.pos); {
 		slot := idx.at(it.pos)
-		if it.prefix != nil && !keyHasPrefix(it.t.dir.keys[slot], it.prefix) {
+		if it.prefix != nil && !bytes.HasPrefix(it.t.dir.key(slot), it.prefix) {
 			break
 		}
 		it.pos = idx.next(it.pos)
@@ -462,35 +463,6 @@ func (f *cframe) try(v cview, c *ccmd, skipWhere bool, slot int32, held bool, ov
 	f.mslots = append(f.mslots, slot)
 	f.movs = append(f.movs, ovRow)
 	return nil
-}
-
-// keyCmp compares a key with a prefix buffer bytewise (no string
-// conversion, so scans build prefixes without allocating).
-func keyCmp(k store.Key, p []byte) int {
-	n := len(k)
-	if len(p) < n {
-		n = len(p)
-	}
-	for i := 0; i < n; i++ {
-		if k[i] != p[i] {
-			if k[i] < p[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(k) == len(p):
-		return 0
-	case len(k) < len(p):
-		return -1
-	default:
-		return 1
-	}
-}
-
-func keyHasPrefix(k store.Key, p []byte) bool {
-	return len(k) >= len(p) && keyCmp(k[:len(p)], p) == 0
 }
 
 func (f *cframe) execSelect(v cview, c *ccmd) error {
@@ -568,8 +540,8 @@ func (f *cframe) insertSlot(v cview, c *ccmd, peek store.Value) (int32, error) {
 }
 
 // internInsertKey builds the primary key of f.insVals and returns its slot:
-// the one place the compiled executor names a new record. The key becomes a
-// string only if the directory has not seen it.
+// the one place the compiled executor names a new record. The directory
+// copies the key's bytes only if it has not seen it.
 func (f *cframe) internInsertKey(v cview, c *ccmd) int32 {
 	f.keyBuf = f.keyBuf[:0]
 	for i, idx := range c.insPK {
@@ -578,11 +550,7 @@ func (f *cframe) internInsertKey(v cview, c *ccmd) int32 {
 		}
 		f.keyBuf = store.AppendKey(f.keyBuf, f.insVals[idx])
 	}
-	dir := v.ms.tabs[c.tid].dir
-	if slot, ok := dir.index[store.Key(f.keyBuf)]; ok {
-		return slot
-	}
-	return dir.add(store.Key(f.keyBuf))
+	return v.ms.tabs[c.tid].dir.intern(f.keyBuf)
 }
 
 func (f *cframe) execInsert(v cview, c *ccmd, u *UUIDGen) ([]cwrite, error) {
@@ -843,8 +811,9 @@ func (o *coverlay) buffer(w cwrite) {
 		row = int32(len(t.slots))
 		t.idx[w.slot] = row
 		t.slots = append(t.slots, w.slot)
-		keys := o.ms.tabs[w.tid].dir.keys
-		i := sort.Search(len(t.order), func(i int) bool { return keys[t.slots[t.order[i]]] >= keys[w.slot] })
+		d := o.ms.tabs[w.tid].dir
+		k := d.key(w.slot)
+		i := sort.Search(len(t.order), func(i int) bool { return bytes.Compare(d.key(t.slots[t.order[i]]), k) >= 0 })
 		t.order = slices.Insert(t.order, i, row)
 		for i := 0; i < nf; i++ {
 			t.vals = append(t.vals, store.Value{})

@@ -244,6 +244,9 @@ type driver struct {
 	rng          *rand.Rand
 	replicas     [3]*replica
 	locks        [][]lockState // by table id, then slot (locks.go)
+	cores        []*lockCore   // by lockState.owner - 1
+	queues       [][]waiter    // by lockState.waiters - 1
+	freeQueues   []int32       // drained queues, as lockState.waiters
 	uuid         *UUIDGen
 	lat          *metrics.Latencies
 	committed    int64

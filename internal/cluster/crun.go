@@ -70,7 +70,7 @@ func (c *client) startEC(ct *ctxn) {
 func (c *client) startSC(ct *ctxn) {
 	if c.scRun == nil {
 		t := &cTxnRun{c: c}
-		t.lockCore.d = c.d
+		c.d.register(&t.lockCore)
 		t.lockCore.onAbort = t.abort
 		t.fr = newCFrame(c.d.cp)
 		t.fr.observe = c.d.obs != nil

@@ -345,10 +345,12 @@ func (r *directedRun) execOne(inst int) error {
 	return nil
 }
 
-// FinalState returns the state the run converges to: a copy of base, the
-// state it ran over, with its batches applied in timestamp order and stamped
-// after everything base holds — the run's views read base as older than any
-// batch, whatever timestamps it carries. base is not written.
+// FinalState returns the state the run converges to: a copy of base (the
+// state it ran over, or another base of the plan) with its batches applied
+// in timestamp order and stamped after everything base holds — the run's
+// views read base as older than any batch, whatever timestamps it carries.
+// base is not written; a key its directory lacks enters the directory base
+// shares with the copy.
 func (res *DirectedResult) FinalState(base *MatStore) *MatStore {
 	out := base.Clone()
 	off := out.clock()
@@ -357,7 +359,7 @@ func (res *DirectedResult) FinalState(base *MatStore) *MatStore {
 		for _, w := range o.Writes {
 			tid, ct := out.cp.table(w.Table)
 			t := &out.tabs[tid]
-			t.put(t.dir.index[w.Key], ct.fieldID[w.Field], w.Val, off+o.TS)
+			t.put(t.dir.intern([]byte(w.Key)), ct.fieldID[w.Field], w.Val, off+o.TS)
 		}
 	}
 	return out

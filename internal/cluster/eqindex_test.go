@@ -67,7 +67,7 @@ func (x *eqFixture) match(v cview, txn string, args map[string]store.Value, scan
 	err := x.fr.matching(v, cmd)
 	keys := make([]store.Key, 0, len(x.fr.mslots))
 	for _, slot := range x.fr.mslots {
-		keys = append(keys, v.ms.tabs[cmd.tid].dir.keys[slot])
+		keys = append(keys, v.ms.tabs[cmd.tid].dir.name(slot))
 	}
 	return keys, err
 }
@@ -75,7 +75,7 @@ func (x *eqFixture) match(v cview, txn string, args map[string]store.Value, scan
 // cw builds a write the way the executor does: the key interned in the
 // directory of ms (and of its clones), the write carrying the slot.
 func cw(ms *MatStore, tid, fid int32, k store.Key, v store.Value) cwrite {
-	return cwrite{tid: tid, fid: fid, slot: ms.tabs[tid].dir.intern(k), val: v}
+	return cwrite{tid: tid, fid: fid, slot: ms.tabs[tid].dir.intern([]byte(k)), val: v}
 }
 
 // oracle resolves the same command on the AST interpreter.

@@ -99,9 +99,9 @@ func OracleDirectedViews(fail func(format string, args ...any)) (finish func() (
 			t, ot := &base.tabs[tid], &r.v.ov.tabs[tid]
 			name := t.ct.name
 			var keys []store.Key
-			for slot, key := range t.dir.keys {
-				if _, over := ot.idx[int32(slot)]; over || t.held(int32(slot)) {
-					keys = append(keys, key)
+			for slot := range int32(len(t.dir.end)) {
+				if _, over := ot.idx[slot]; over || t.held(slot) {
+					keys = append(keys, t.dir.name(slot))
 				}
 			}
 			slices.Sort(keys)
@@ -110,7 +110,7 @@ func OracleDirectedViews(fail func(format string, args ...any)) (finish func() (
 				continue
 			}
 			for _, k := range keys {
-				slot := t.dir.index[k]
+				slot, _ := t.dir.lookup([]byte(k))
 				sr := scanRef{t: t, ovBase: -1}
 				if t.held(slot) {
 					sr.pg, sr.r = t.at(slot)
@@ -181,7 +181,7 @@ func storeSum(ms *MatStore) uint64 {
 		fmt.Fprintln(h, t.ct.name, t.n)
 		for slot, p := range t.pos {
 			if p != 0 {
-				fmt.Fprintln(h, slot, p, t.dir.keys[slot])
+				fmt.Fprintln(h, slot, p, t.dir.name(int32(slot)))
 			}
 		}
 		for _, pg := range t.pages {

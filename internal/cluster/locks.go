@@ -8,8 +8,8 @@ package cluster
 // the table's directory (tableDir), so taking or freeing a record lock is an
 // array index and hashes nothing. A table's array exists only once an SC
 // statement has locked a record of it, reaches as far as the highest slot
-// locked — so never past the directory — and costs 32 bytes a slot; an entry
-// nobody owns or waits for is the zero value.
+// locked — so never past the directory — and costs 8 bytes a slot, pointer-
+// free; an entry nobody owns or waits for is the zero value.
 
 // lockKey names a record by compiled table id and directory slot, resolved
 // once per statement.
@@ -17,9 +17,13 @@ type lockKey struct {
 	tid, slot int32
 }
 
+// lockState is one record's lock: its owner, as 1 + the index of its core
+// in driver.cores, and its FIFO of waiters, as 1 + the index of a queue in
+// driver.queues; 0 is none. A queue is drained and returned to the pool
+// whenever its record is freed, so a hot record's next contention reuses
+// some drained queue's array.
 type lockState struct {
-	owner   *lockCore
-	waiters []waiter
+	owner, waiters int32
 }
 
 // lock returns lk's entry, growing the table's array to reach it. The
@@ -27,10 +31,34 @@ type lockState struct {
 func (d *driver) lock(lk lockKey) *lockState {
 	tab := d.locks[lk.tid]
 	if n := int(lk.slot) + 1 - len(tab); n > 0 {
-		tab = append(tab, make([]lockState, n)...)
+		tab = append(grown(tab, n), make([]lockState, n)...)
 		d.locks[lk.tid] = tab
 	}
 	return &tab[lk.slot]
+}
+
+// register gives t, a core of d, its id: lock entries name their owner by
+// it.
+func (d *driver) register(t *lockCore) {
+	t.d = d
+	d.cores = append(d.cores, t)
+	t.id = int32(len(d.cores))
+}
+
+// enqueue appends w to ls's waiters, taking a queue from the pool for its
+// first.
+func (d *driver) enqueue(ls *lockState, w waiter) {
+	if ls.waiters == 0 {
+		if n := len(d.freeQueues); n > 0 {
+			ls.waiters = d.freeQueues[n-1]
+			d.freeQueues = d.freeQueues[:n-1]
+		} else {
+			d.queues = append(d.queues, nil)
+			ls.waiters = int32(len(d.queues))
+		}
+	}
+	q := &d.queues[ls.waiters-1]
+	*q = append(*q, w)
 }
 
 // waiter is one queued lock request with the generation its core had when
@@ -49,8 +77,9 @@ type waiter struct {
 // pooled on the driver for the same reason).
 type lockCore struct {
 	d         *driver
-	gen       int // invalidates stale wakeups/timeouts after abort
-	waitEpoch int // distinguishes successive waits within one attempt
+	id        int32 // 1 + its index in d.cores (register)
+	gen       int   // invalidates stale wakeups/timeouts after abort
+	waitEpoch int   // distinguishes successive waits within one attempt
 	waiting   bool
 	blockedOn lockKey // the lock this run is waiting for, while waiting
 	held      []lockKey
@@ -67,9 +96,9 @@ func (t *lockCore) acquire(want []lockKey, cont func()) {
 	d := t.d
 	for _, lk := range want {
 		ls := d.lock(lk)
-		if ls.owner == nil || ls.owner == t {
-			if ls.owner == nil {
-				ls.owner = t
+		if ls.owner == 0 || ls.owner == t.id {
+			if ls.owner == 0 {
+				ls.owner = t.id
 				t.held = append(t.held, lk)
 			}
 			continue
@@ -85,7 +114,7 @@ func (t *lockCore) acquire(want []lockKey, cont func()) {
 		// Blocked: wait on this lock, retry the full set on wake-up. The
 		// epoch ties the timeout to this particular wait, so a timer from
 		// an earlier wait that ended cannot abort a later one prematurely.
-		ls.waiters = append(ls.waiters, waiter{c: t, gen: t.gen})
+		d.enqueue(ls, waiter{c: t, gen: t.gen})
 		t.waiting = true
 		t.blockedOn = lk
 		t.waitEpoch++
@@ -161,15 +190,17 @@ func (d *driver) scheduleLockTimeout(t *lockCore) {
 // wouldDeadlock reports whether waiting on ls closes a wait-for cycle
 // through us.
 func (t *lockCore) wouldDeadlock(ls *lockState) bool {
+	d := t.d
 	cur := ls.owner
-	for hops := 0; cur != nil && hops < 64; hops++ {
-		if cur == t {
+	for hops := 0; cur != 0 && hops < 64; hops++ {
+		if cur == t.id {
 			return true
 		}
-		if !cur.waiting {
+		c := d.cores[cur-1]
+		if !c.waiting {
 			return false
 		}
-		cur = t.d.lock(cur.blockedOn).owner
+		cur = d.lock(c.blockedOn).owner
 	}
 	return false
 }
@@ -186,19 +217,22 @@ func (t *lockCore) release() {
 	d := t.d
 	for _, lk := range t.held {
 		ls := d.lock(lk)
-		if ls.owner != t {
+		if ls.owner != t.id {
 			continue
 		}
-		// Free, with no waiters: the woken ones queue again if they lose. The
-		// drained list's array stays with the entry for the next contention
-		// (scheduleWake only schedules, so ls is still this entry's).
-		waiters := ls.waiters
-		ls.owner = nil
-		for _, w := range waiters {
-			d.scheduleWake(w)
+		// Free, with no waiters: the woken ones queue again if they lose
+		// (scheduleWake only schedules).
+		ls.owner = 0
+		if q := ls.waiters; q != 0 {
+			ls.waiters = 0
+			waiters := d.queues[q-1]
+			for _, w := range waiters {
+				d.scheduleWake(w)
+			}
+			clear(waiters)
+			d.queues[q-1] = waiters[:0]
+			d.freeQueues = append(d.freeQueues, q)
 		}
-		clear(waiters)
-		ls.waiters = waiters[:0]
 	}
 	t.held = t.held[:0]
 }

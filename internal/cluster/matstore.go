@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"cmp"
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -26,41 +26,6 @@ type cwrite struct {
 	fid  int32
 	slot int32
 	val  store.Value
-}
-
-// tableDir is a table's slot space: key ↔ slot in arrival order and the
-// slots in key order. One directory serves a store and all its clones — the
-// three replicas of a run — so a record has the same slot everywhere and
-// its key is hashed and sorted once, by whoever first names it. It only
-// grows, and a key in it says nothing about which replica holds the row:
-// that is mtable.pos.
-type tableDir struct {
-	index map[store.Key]int32
-	keys  []store.Key // by slot (append-only)
-	// idx orders by key the slots some replica holds (chunked — see
-	// keyIndex); inIdx[slot] says the slot is in it. A slot enters when a
-	// replica first admits it, so a key interned only to be locked — an SC
-	// insert that aborted, or previewed a uuid another transaction took — is
-	// in no scan's way.
-	idx   keyIndex
-	inIdx []bool
-}
-
-// intern returns key's slot, assigning the next one to a new key.
-func (d *tableDir) intern(k store.Key) int32 {
-	if slot, ok := d.index[k]; ok {
-		return slot
-	}
-	return d.add(k)
-}
-
-// add assigns the next slot to k, a key the directory does not have.
-func (d *tableDir) add(k store.Key) int32 {
-	slot := int32(len(d.keys))
-	d.keys = append(d.keys, k)
-	d.inIdx = append(d.inIdx, false)
-	d.index[k] = slot
-	return slot
 }
 
 // MatStore is a replica's materialized state: per table, the rows it holds
@@ -167,7 +132,9 @@ type mtable struct {
 	viewOK bool
 }
 
-// NewMatStore creates an empty replica state for the program.
+// NewMatStore creates an empty replica state for the program. Only this
+// package's tests call it; runs seed their stores from Config.Rows and
+// DirectedPlan.Seed.
 func NewMatStore(prog *ast.Program) *MatStore {
 	return newMatStore(compileLayout(prog))
 }
@@ -176,7 +143,6 @@ func newMatStore(cp *Compiled) *MatStore {
 	ms := &MatStore{cp: cp, tabs: make([]mtable, len(cp.tables))}
 	dirs := make([]tableDir, len(cp.tables))
 	for i := range cp.tables {
-		dirs[i].index = map[store.Key]int32{}
 		ms.tabs[i] = mtable{ct: &cp.tables[i], dir: &dirs[i]}
 	}
 	return ms
@@ -188,7 +154,7 @@ func (t *mtable) held(slot int32) bool { return int(slot) < len(t.pos) && t.pos[
 // its pages, on the first write it receives for it.
 func (t *mtable) admit(slot int32) {
 	if n := int(slot) + 1 - len(t.pos); n > 0 {
-		t.pos = append(t.pos, make([]int32, n)...)
+		t.pos = append(grown(t.pos, n), make([]int32, n)...)
 	}
 	ct := t.ct
 	at := t.n
@@ -212,7 +178,7 @@ func (t *mtable) admit(slot int32) {
 	pg.s = append(pg.s, ct.zstrs...)
 	if d := t.dir; !d.inIdx[slot] {
 		d.inIdx[slot] = true
-		d.idx.insert(d.keys, d.keys[slot], slot)
+		d.idx.insert(d, slot)
 	}
 	t.viewOK = false
 	for fid, ix := range t.eq {
@@ -278,9 +244,9 @@ func eqKey(v *store.Value) store.Value {
 // to's, at its key's position: buckets stay in key order, which is the
 // order scans must emit in.
 func (t *mtable) eqMove(ix map[store.Value][]int32, slot int32, from, to *store.Value) {
-	keys := t.dir.keys
-	k := keys[slot]
-	byKey := func(s int32, k store.Key) int { return cmp.Compare(keys[s], k) }
+	d := t.dir
+	k := d.key(slot)
+	byKey := func(s int32, k []byte) int { return bytes.Compare(d.key(s), k) }
 	if from != nil {
 		fk := eqKey(from)
 		if b := ix[fk]; len(b) == 1 {
@@ -338,7 +304,7 @@ func (t *mtable) sortedKeys() []store.Key {
 		idx := &t.dir.idx
 		for p := idx.begin(); idx.valid(p); p = idx.next(p) {
 			if slot := idx.at(p); t.held(slot) {
-				t.view = append(t.view, t.dir.keys[slot])
+				t.view = append(t.view, t.dir.name(slot))
 			}
 		}
 		t.viewOK = true
@@ -374,7 +340,7 @@ func (ms *MatStore) Load(table string, row store.Row) error {
 		}
 		kb = store.AppendKey(kb, full[pkID])
 	}
-	slot := t.dir.intern(store.Key(kb))
+	slot := t.dir.intern(kb)
 	if !t.held(slot) {
 		t.admit(slot)
 	}
@@ -405,7 +371,9 @@ func (ms *MatStore) Clone() *MatStore {
 }
 
 // Schema returns the named table's schema. With Read, Alive and Keys it is
-// the store's name-based inspection surface.
+// the store's name-based inspection surface, which only tests read through:
+// this package's (the AST reference's DBView) and repair's refinement test.
+// The executor reaches records by slot.
 func (ms *MatStore) Schema(table string) *ast.Schema { return ms.cp.prog.Schema(table) }
 
 // Read returns one field of one record; unknown records read zero values.
@@ -419,7 +387,7 @@ func (ms *MatStore) Read(table string, key store.Key, field string) store.Value 
 		return store.Value{}
 	}
 	t := &ms.tabs[tid]
-	if slot, ok := t.dir.index[key]; ok && t.held(slot) {
+	if slot, ok := t.dir.lookup([]byte(key)); ok && t.held(slot) {
 		return t.get(slot, fid)
 	}
 	return ct.zeros[fid]

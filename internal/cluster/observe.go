@@ -109,7 +109,7 @@ func (ms *MatStore) namedReads(dst []ReadObs, tid int32, reads []cread) []ReadOb
 	t := &ms.tabs[tid]
 	dst = slices.Grow(dst, len(reads))
 	for _, r := range reads {
-		dst = append(dst, ReadObs{Table: t.ct.name, Key: t.dir.keys[r.slot], Field: t.ct.fields[r.fid]})
+		dst = append(dst, ReadObs{Table: t.ct.name, Key: t.dir.name(r.slot), Field: t.ct.fields[r.fid]})
 	}
 	return dst
 }
@@ -119,7 +119,7 @@ func (ms *MatStore) namedWrites(dst []WriteOp, ws []cwrite) []WriteOp {
 	dst = slices.Grow(dst, len(ws))
 	for _, w := range ws {
 		t := &ms.tabs[w.tid]
-		dst = append(dst, WriteOp{Table: t.ct.name, Key: t.dir.keys[w.slot], Field: t.ct.fields[w.fid], Val: w.val})
+		dst = append(dst, WriteOp{Table: t.ct.name, Key: t.dir.name(w.slot), Field: t.ct.fields[w.fid], Val: w.val})
 	}
 	return dst
 }

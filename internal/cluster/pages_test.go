@@ -63,7 +63,7 @@ func pageWrites(ms *MatStore, rng *rand.Rand, rows, steps int, ts int64, want ro
 		fid := int32(rng.Intn(int(ct.nf)))
 		vals := pageValues[ct.kind[fid]]
 		v := vals[rng.Intn(len(vals))]
-		ms.applyC([]cwrite{{tid: tid, fid: fid, slot: ms.tabs[tid].dir.intern(k), val: v}}, ts+int64(step)+1)
+		ms.applyC([]cwrite{{tid: tid, fid: fid, slot: ms.tabs[tid].dir.intern([]byte(k)), val: v}}, ts+int64(step)+1)
 		row[fid] = v
 	}
 }
@@ -106,7 +106,7 @@ func TestPageCodecRoundTrip(t *testing.T) {
 func TestPageLWWTies(t *testing.T) {
 	ms := newPageStore(t)
 	tid, ct := ms.cp.table("P")
-	slot := ms.tabs[tid].dir.intern(pageKey(1))
+	slot := ms.tabs[tid].dir.intern([]byte(pageKey(1)))
 	put := func(f string, v store.Value, ts int64) {
 		ms.applyC([]cwrite{{tid: tid, fid: ct.fieldID[f], slot: slot, val: v}}, ts)
 	}
@@ -186,7 +186,7 @@ func TestPageEqIndexFollowsDecodedValues(t *testing.T) {
 				}
 				var got []store.Key
 				for _, slot := range tab.bucket(fid, v) {
-					got = append(got, tab.dir.keys[slot])
+					got = append(got, tab.dir.name(slot))
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("round %d: bucket %s = %s holds %q, the rows %q", round, f, v, got, want)

@@ -544,7 +544,7 @@ func (ms *MatStore) Apply(w WriteOp, ts int64) {
 		return
 	}
 	t := &ms.tabs[tid]
-	t.put(t.dir.intern(w.Key), fid, w.Val, ts)
+	t.put(t.dir.intern([]byte(w.Key)), fid, w.Val, ts)
 }
 
 // Overlay is a DBView layering a transaction's buffered writes over a

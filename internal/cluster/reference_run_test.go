@@ -137,7 +137,7 @@ type txnRun struct {
 }
 
 func (t *txnRun) start(finish func()) {
-	t.lockCore.d = t.c.d
+	t.c.d.register(&t.lockCore)
 	t.lockCore.onAbort = t.abort
 	t.finish = finish
 	t.begin()
@@ -180,7 +180,7 @@ func (t *txnRun) step() {
 	dir := d.replicas[primary].state.tabs[tid].dir
 	var want []lockKey
 	for _, k := range keys {
-		want = append(want, lockKey{tid, dir.intern(k)})
+		want = append(want, lockKey{tid, dir.intern([]byte(k))})
 	}
 	t.acquire(want, func() {
 		r := d.replicas[primary]

@@ -188,3 +188,76 @@ func TestRowOrderInvariance(t *testing.T) {
 		}
 	}
 }
+
+// dirPins are, per benchmark and mode, each table's directory after
+// scanConfig(b, mode, 1000): keys interned and keys held (by some replica:
+// in the key index), as TABLE:interned/held. They are the directory's size,
+// recorded before its layout changed: a key interned twice, or a slot
+// admitted into the key index that no replica holds, moves them. Where the
+// two differ, SC inserts interned a previewed uuid key that another
+// transaction took, or aborted.
+var dirPins = map[string]string{
+	"TPC-C/EC":         "WAREHOUSE:2/2 DISTRICT:20/20 CUSTOMER:100/100 ORDERS:410/410 NEW_ORDER:410/410 ORDER_LINE:410/410 ITEM:100/100 STOCK:100/100 HISTORY:453/453",
+	"TPC-C/SC":         "WAREHOUSE:2/2 DISTRICT:20/20 CUSTOMER:100/100 ORDERS:431/431 NEW_ORDER:431/431 ORDER_LINE:431/431 ITEM:100/100 STOCK:100/100 HISTORY:468/468",
+	"TPC-C/AT-SC":      "WAREHOUSE:2/2 DISTRICT:20/20 CUSTOMER:100/100 ORDERS:485/485 NEW_ORDER:485/485 ORDER_LINE:485/485 ITEM:100/100 STOCK:100/100 HISTORY:427/427",
+	"SEATS/EC":         "COUNTRY:1/1 AIRPORT:5/5 AIRLINE:3/3 CUSTOMER:100/100 FREQUENT_FLYER:100/100 FLIGHT:20/20 RESERVATION:349/349 CONFIG:1/1",
+	"SEATS/SC":         "COUNTRY:1/1 AIRPORT:5/5 AIRLINE:3/3 CUSTOMER:100/100 FREQUENT_FLYER:100/100 FLIGHT:20/20 RESERVATION:324/324 CONFIG:1/1",
+	"SEATS/AT-SC":      "COUNTRY:1/1 AIRPORT:5/5 AIRLINE:3/3 CUSTOMER:100/100 FREQUENT_FLYER:100/100 FLIGHT:20/20 RESERVATION:325/325 CONFIG:1/1",
+	"Courseware/EC":    "COURSE:10/10 EMAIL:100/100 STUDENT:220/220",
+	"Courseware/SC":    "COURSE:10/10 EMAIL:100/100 STUDENT:209/209",
+	"Courseware/AT-SC": "COURSE:10/10 EMAIL:100/100 STUDENT:211/211",
+	"SmallBank/EC":     "ACCOUNTS:100/100 SAVINGS:100/100 CHECKING:100/100",
+	"SmallBank/SC":     "ACCOUNTS:100/100 SAVINGS:100/100 CHECKING:100/100",
+	"SmallBank/AT-SC":  "ACCOUNTS:100/100 SAVINGS:100/100 CHECKING:100/100",
+	"Twitter/EC":       "USERS:100/100 TWEETS:351/351 FOLLOWS:0/0 FOLLOWERS:0/0",
+	"Twitter/SC":       "USERS:100/100 TWEETS:333/333 FOLLOWS:0/0 FOLLOWERS:0/0",
+	"Twitter/AT-SC":    "USERS:100/100 TWEETS:335/335 FOLLOWS:0/0 FOLLOWERS:0/0",
+	"FMKe/EC":          "PATIENT:147/147 PHARMACY:5/5 FACILITY:2/2 STAFF:10/10 PRESCRIPTION:345/345 PATIENT_INDEX:100/100 PHARMACY_INDEX:100/100",
+	"FMKe/SC":          "PATIENT:142/142 PHARMACY:5/5 FACILITY:2/2 STAFF:10/10 PRESCRIPTION:327/327 PATIENT_INDEX:100/100 PHARMACY_INDEX:100/100",
+	"FMKe/AT-SC":       "PATIENT:143/143 PHARMACY:5/5 FACILITY:2/2 STAFF:10/10 PRESCRIPTION:338/338 PATIENT_INDEX:100/100 PHARMACY_INDEX:100/100",
+	"SIBench/EC":       "SITEST:100/100",
+	"SIBench/SC":       "SITEST:100/100",
+	"SIBench/AT-SC":    "SITEST:100/100",
+	"Wikipedia/EC":     "USERACCT:100/100 USER_GROUPS:100/100 PAGE:100/100 PAGE_RESTRICTIONS:100/100 IPBLOCKS:0/0 REVISION:204/204 TEXTTAB:204/204 RECENTCHANGES:104/104 WATCHLIST:0/0 LOGGING:104/104 SITE_STATS:1/1 VALUE_BACKUP:104/104",
+	"Wikipedia/SC":     "USERACCT:100/100 USER_GROUPS:100/100 PAGE:100/100 PAGE_RESTRICTIONS:100/100 IPBLOCKS:0/0 REVISION:185/185 TEXTTAB:185/185 RECENTCHANGES:119/85 WATCHLIST:0/0 LOGGING:116/85 SITE_STATS:1/1 VALUE_BACKUP:120/85",
+	"Wikipedia/AT-SC":  "USERACCT:100/100 USER_GROUPS:100/100 PAGE:100/100 PAGE_RESTRICTIONS:100/100 IPBLOCKS:0/0 REVISION:206/206 TEXTTAB:206/206 RECENTCHANGES:167/106 WATCHLIST:0/0 LOGGING:154/106 SITE_STATS:1/1 VALUE_BACKUP:148/106",
+	"Killrchat/EC":     "USERS:153/153 ROOMS:5/5 MESSAGES:378/378",
+	"Killrchat/SC":     "USERS:147/147 ROOMS:5/5 MESSAGES:447/355",
+	"Killrchat/AT-SC":  "USERS:144/144 ROOMS:5/5 MESSAGES:368/368",
+}
+
+// dirSizes renders each table's directory as dirPins does.
+func dirSizes(ms *MatStore) string {
+	var sb strings.Builder
+	for i := range ms.tabs {
+		t := &ms.tabs[i]
+		held := 0
+		for _, in := range t.dir.inIdx {
+			if in {
+				held++
+			}
+		}
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		fmt.Fprintf(&sb, "%s:%d/%d", t.ct.name, len(t.dir.end), held)
+	}
+	return sb.String()
+}
+
+// TestDirectorySize pins the directory's size per benchmark, mode and
+// table (dirPins).
+func TestDirectorySize(t *testing.T) {
+	for _, b := range benchmarks.All() {
+		for _, mode := range []Mode{ModeEC, ModeSC, ModeATSC} {
+			name := b.Name + "/" + mode.String()
+			d, _, err := run(scanConfig(t, b, mode, 1000), false)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got, want := dirSizes(d.replicas[primary].state), dirPins[name]; got != want {
+				t.Errorf("%s: directory\n%s\nwant\n%s", name, got, want)
+			}
+		}
+	}
+}

@@ -419,3 +419,30 @@ func TestSerialUUIDsDisjoint(t *testing.T) {
 		t.Errorf("serial then directed: %d log rows totalling %d, want 4 totalling 15", n, rets[0].I)
 	}
 }
+
+// TestFinalStateOnAnotherBase: FinalState names records by key, so it
+// applies a run to any base seeded with the same rows — here a fresh Seed,
+// whose directory never saw the keys the run inserted — and converges to
+// what it does over the run's own base.
+func TestFinalStateOnAnotherBase(t *testing.T) {
+	rows := []store.TableRow{row("LOG", "k", 1, "lid", 7, "v", 100)}
+	plan, base := seeded(t, logSrc, rows...)
+	res, err := plan.Run(base, DirectedConfig{
+		Txns:  [2]DirectedTxn{call("log", "k", 1, "v", 1), call("log", "k", 2, "v", 2)},
+		Steps: []DirectedStep{{0, 0}, {1, 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dumpState(res.FinalState(base))
+	fresh, err := plan.Seed(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpState(res.FinalState(fresh)); got != want {
+		t.Errorf("over a fresh seed:\n%s\nover the run's base:\n%s", got, want)
+	}
+	if n := strings.Count(want, "alive=true"); n != 3 {
+		t.Errorf("%d live rows, want 3:\n%s", n, want)
+	}
+}

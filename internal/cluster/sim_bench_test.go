@@ -100,11 +100,13 @@ func BenchmarkSimApplyInsert(b *testing.B) {
 	replicas := [3]*MatStore{base, base.Clone(), base.Clone()}
 	tid, ct := base.cp.table("T")
 	ws := make([]cwrite, 0, ct.nf)
+	var kb []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := int64(uint32(i) * 2654435761) // a bijection on 32 bits: distinct, unordered
-		slot := base.tabs[tid].dir.intern(store.MakeKey(store.IntV(id)))
+		kb = store.AppendKey(kb[:0], store.IntV(id))
+		slot := base.tabs[tid].dir.intern(kb)
 		ws = ws[:0]
 		for fid := int32(0); fid < ct.nf; fid++ {
 			v := store.IntV(id)
@@ -122,13 +124,39 @@ func BenchmarkSimApplyInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkSimIntern: a directory of 10 000 slots, and per op one exact
+// pin that finds its key and one insert key that is new — the two ways the
+// executor names a record (matching's exact path, internInsertKey), from a
+// reused key buffer. The directory grows by a key an op.
+func BenchmarkSimIntern(b *testing.B) {
+	const slots = 10_000
+	var d tableDir
+	var kb []byte
+	key := func(i int) []byte {
+		kb = store.AppendKey(kb[:0], store.IntV(int64(uint32(i)*2654435761)), store.IntV(int64(i%7)))
+		return kb
+	}
+	for i := range slots {
+		d.intern(key(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if slot, ok := d.lookup(key(i % slots)); !ok || slot != int32(i%slots) {
+			b.Fatalf("key %d: slot %d, %v", i%slots, slot, ok)
+		}
+		d.intern(key(slots + i))
+	}
+}
+
 // BenchmarkSimLockCycle: one statement's lock traffic per op — acquire a
 // 64-record footprint nobody else holds, release it — over a window that
 // moves through 1 024 records.
 func BenchmarkSimLockCycle(b *testing.B) {
 	const records, footprint = 1024, 64
 	d := &driver{locks: make([][]lockState, 1)}
-	t := &lockCore{d: d}
+	t := &lockCore{}
+	d.register(t)
 	want := make([]lockKey, footprint)
 	ran := 0
 	cont := func() { ran++ }
